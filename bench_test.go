@@ -478,7 +478,7 @@ func BenchmarkPlaintextStore(b *testing.B) {
 // ---- Figure 14: planner ----
 
 func BenchmarkPlannerOptimize(b *testing.B) {
-	model := planner.AnalyticModel(2, 50, 128)
+	model := planner.AnalyticModel(8, 50, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := planner.Optimize(planner.Requirements{

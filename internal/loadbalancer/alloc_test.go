@@ -1,6 +1,7 @@
 package loadbalancer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -122,5 +123,32 @@ func TestEpochZeroAllocWithTelemetry(t *testing.T) {
 	}
 	if reg.Counter("lb_batches_total").Value() == 0 {
 		t.Fatal("telemetry not recording — guard is vacuous")
+	}
+}
+
+// BenchmarkMakeBatches times a warm monolithic balancer at the benchmark
+// ledger's four (R, S) shapes (batch_heavy, scan_heavy, remote_durable,
+// open_mixed; 160 B values, λ = 128 → α = 845/128/512/120), so batch
+// assembly's cost is reproducible with `go test -bench`.
+func BenchmarkMakeBatches(b *testing.B) {
+	for _, sh := range []struct{ r, s, keys int }{{2048, 4, 2048}, {128, 2, 1 << 16}, {512, 1, 1 << 13}, {120, 2, 1 << 12}} {
+		b.Run(fmt.Sprintf("R=%d/S=%d", sh.r, sh.s), func(b *testing.B) {
+			pool := arena.NewPool()
+			lb := New(Config{BlockSize: 160, NumSubORAMs: sh.s, SortWorkers: 1, Pool: pool}, crypt.MustNewKey())
+			rng := rand.New(rand.NewSource(55))
+			reqs := store.NewRequests(sh.r, 160)
+			for i := 0; i < sh.r; i++ {
+				reqs.SetRow(i, uint8(rng.Intn(2)), uint64(rng.Intn(sh.keys)), 0, uint64(i), uint64(i), nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bt, err := lb.MakeBatches(reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bt.Release()
+			}
+		})
 	}
 }

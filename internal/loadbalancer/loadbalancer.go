@@ -184,13 +184,15 @@ func (b *Batches) Release() {
 
 // buildRun assembles one sub-major sorted run for an epoch: reqs copied into
 // pooled scratch with subORAM assignment and a public seqBase offset folded
-// into Seq (global last-write-wins order across tree feeds), α dummies
-// appended per subORAM, the whole obliviously sorted by (subORAM, key,
-// write-first, seq-desc), locally deduplicated to the first α distinct keys
-// per subORAM, compacted, and resized to exactly α·S rows. This is both the
-// body of the monolithic MakeBatches (seqBase 0) and the per-leaf stage of
-// the aggregation tree — a leaf's output run is literally a valid batch set,
-// which is what makes the root's merge-of-runs sound.
+// into Seq (global last-write-wins order across tree feeds), obliviously
+// sorted by (subORAM, key, write-first, seq-desc), locally deduplicated to
+// the first α distinct keys per subORAM, and scattered to sub·α + rank of
+// the α·S-row run, whose remaining slots become each subORAM's dummies
+// (numbered 0, 1, … behind its real rows — the order Fig. 5's "append α
+// dummies per subORAM, sort" yields). This is both the body of the monolithic
+// MakeBatches (seqBase 0) and the per-leaf stage of the aggregation tree —
+// a leaf's output run is literally a valid batch set, which is what makes
+// the root's merge-of-runs sound.
 //
 // Returns the pooled α·S-row run (caller releases it to lb's pool) and the
 // run's Theorem-3 overflow victims.
@@ -201,37 +203,31 @@ func (lb *LoadBalancer) buildRun(reqs *store.Requests, alpha int, seqBase uint64
 	n := reqs.Len()
 	s := lb.cfg.NumSubORAMs
 
-	// ➊ Assign each request to its subORAM; ➋ append α dummies per subORAM.
+	// ➊ Assign each request to its subORAM. The scratch is zeroed through
+	// the run length; only the n real rows take part in the sort.
 	pool := lb.pool()
-	work := pool.GetRequests(n+alpha*s, lb.cfg.BlockSize)
+	work := pool.GetRequests(max(n, alpha*s), lb.cfg.BlockSize)
 	work.Rec = lb.cfg.Rec
+	work.Resize(n)
+	work.CopyPrefix(reqs)
 	for i := 0; i < n; i++ {
-		work.CopyRowPlain(i, reqs, i)
 		work.Sub[i] = uint32(lb.SubORAMFor(work.Key[i]))
-		work.Seq[i] = seqBase + reqs.Seq[i]
-	}
-	d := n
-	for sub := 0; sub < s; sub++ {
-		for j := 0; j < alpha; j++ {
-			key := store.DummyKeyBit | uint64(sub)<<32 | uint64(j)
-			work.SetRow(d, store.OpRead, key, uint32(sub), 0, 0, nil)
-			d++
-		}
+		work.Seq[i] += seqBase
 	}
 
-	// ➌ Group into batches: sort by (subORAM, key, write-first, seq-desc).
-	// Dummy keys sink to the end of each group; duplicates become adjacent
-	// with the last-write-wins representative first.
+	// ➋ Group into batches: sort by (subORAM, key, write-first, seq-desc).
+	// Duplicates become adjacent with the last-write-wins representative
+	// first.
 	obliv.SortAdaptive(store.BySubKeyWriteSeq{Requests: work}, lb.cfg.SortWorkers)
 
-	// ➍ Keep the first α distinct keys per subORAM, branch-free.
-	keep := pool.GetBits(work.Len())
-	drop := pool.GetBits(work.Len())
+	// ➌ Keep the first α distinct keys per subORAM, branch-free; ➍ route
+	// them to their batch slots and number the dummies that fill the rest.
+	keep := pool.GetBits(n)
+	drop := pool.GetBits(n)
 	_, droppedKeys := dedupeKeep(work, alpha, keep, drop)
-	obliv.Compact(work, keep)
+	work.ScatterRuns(keep, s, alpha, store.DummyKeyBit, 1<<32)
 	pool.PutBits(keep)
 	pool.PutBits(drop)
-	work.Resize(alpha * s)
 	return work, droppedKeys, nil
 }
 
@@ -373,6 +369,21 @@ func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.
 	lb.statsMu.Unlock()
 	lb.telMatch.Observe(time.Duration(lb.cfg.Telemetry.Now() - tt0))
 	return x, nil
+}
+
+// MakeBatchesCost returns the number of oblivious row operations
+// (compare-exchanges and conditional swaps) the monolithic MakeBatches — and
+// a tree leaf's BuildRun — performs on r requests for s subORAMs at batch
+// size alpha: sort and compact the r real rows, distribute into α·s slots.
+// A pure function of public parameters, for the planner's cost model.
+func MakeBatchesCost(r, s, alpha int) int {
+	return obliv.SortCost(r) + obliv.CompactCost(r) + obliv.DistributeCost(alpha*s)
+}
+
+// MatchResponsesCost is MakeBatchesCost's counterpart for MatchResponses,
+// which still sorts and compacts all r + α·s rows.
+func MatchResponsesCost(r, s, alpha int) int {
+	return obliv.SortCost(r+alpha*s) + obliv.CompactCost(r+alpha*s)
 }
 
 // LastStats returns the timing breakdown of the most recent epoch.

@@ -231,6 +231,18 @@ func TreeRunLens(feedRates []int, s, lambda int) []int {
 	return runs
 }
 
+// TreeRootCost returns the root's oblivious row-operation count for an
+// epoch with the given public per-feed rates — merging the TreeRunLens runs
+// and compacting the merge — the tree's counterpart of MakeBatchesCost.
+func TreeRootCost(feedRates []int, s, lambda int) int {
+	runs := TreeRunLens(feedRates, s, lambda)
+	merged := 0
+	for _, n := range runs {
+		merged += n
+	}
+	return obliv.MergeSortedCost(runs) + obliv.CompactCost(merged)
+}
+
 // runLeaf builds leaf f's run into its window of the merge scratch. A
 // method, not a closure: the serial path must stay allocation-free.
 func (t *Tree) runLeaf(f int, epoch uint64, reqs *store.Requests, work *store.Requests, lo int) {

@@ -6,13 +6,15 @@
 //   - bitonic sort (Batcher), serial and parallel, for arbitrary lengths,
 //   - order-preserving oblivious compaction (Goodrich-style; the default
 //     implementation is the ORCompact recursion, with a log-shift variant
-//     kept as an ablation baseline).
+//     kept as an ablation baseline),
+//   - oblivious distribution, compaction's inverse: elements at the front
+//     of an array are routed to destination slots they carry.
 //
 // Obliviousness contract: every exported algorithm performs a sequence of
 // element accesses (reads, conditional swaps) whose *positions* are a fixed
 // function of public inputs only — Len() and, for compaction, nothing else.
-// Secret data (keys, payloads, mark bits) only ever flows into the condition
-// argument of OSwap or into branch-free mask arithmetic, never into an index
-// computation or a Go branch. The trace tests in this package and in
+// Secret data (keys, payloads, mark bits, destinations) only ever flows into
+// the condition argument of OSwap or into branch-free mask arithmetic, never
+// into an index computation or a Go branch. The trace tests in this package and in
 // internal/trace verify this empirically by recording access sequences.
 package obliv

@@ -20,12 +20,8 @@ import (
 type Builder struct {
 	p Params
 
-	work  *store.Requests
 	spill *store.Requests
-	work2 *store.Requests
 	keep  []uint8
-	over  []uint8
-	keep2 []uint8
 
 	tier1 *store.Requests
 	tier2 *store.Requests
@@ -42,16 +38,20 @@ func NewBuilder(p Params) *Builder {
 	return &Builder{p: p}
 }
 
-// ensure returns a zero-initialized request set of exactly n rows, reusing
-// the previous allocation when the geometry matches.
-func ensure(buf **store.Requests, n, block int) *store.Requests {
+// ensure returns *buf resliced to n records over a backing store whose
+// first max(n, table) records are zeroed. The store only ever grows: batch
+// sizes that vary from epoch to epoch settle on the largest one's
+// allocation instead of reallocating on every change.
+func ensure(buf **store.Requests, n, table, block int) *store.Requests {
+	used := max(n, table)
 	b := *buf
-	if b == nil || b.Len() != n || b.BlockSize != block {
-		b = store.NewRequests(n, block)
+	if b == nil || b.Cap() < used || b.BlockSize != block {
+		b = store.NewRequests(used, block)
 		*buf = b
-		return b
 	}
+	b.Resize(used)
 	b.Reset()
+	b.Resize(n)
 	return b
 }
 
@@ -79,18 +79,14 @@ func (b *Builder) buildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Tab
 	g := b.p.GeometryFor(n)
 	b.tbl = Table{Geom: g, K1: k1, K2: k2, pool: b.p.pool()}
 	t := &b.tbl
-	t.Tier1 = ensure(&b.tier1, g.B1*g.Z1, reqs.BlockSize)
-	t.Tier2 = ensure(&b.tier2, g.B2*g.Z2, reqs.BlockSize)
-
-	work := ensure(&b.work, n+g.B1*g.Z1, reqs.BlockSize)
-	work.Rec = b.p.Rec
-	spill := ensure(&b.spill, n+g.B1*g.Z1, reqs.BlockSize)
-	work2 := ensure(&b.work2, minInt(g.C2, n+g.B1*g.Z1)+g.B2*g.Z2, reqs.BlockSize)
-	work2.Rec = b.p.Rec
-	keep := ensureBits(&b.keep, work.Len())
-	over := ensureBits(&b.over, work.Len())
-	keep2 := ensureBits(&b.keep2, work2.Len())
-	if err := buildInto(t, reqs, b.p, work, spill, work2, keep, over, keep2); err != nil {
+	// The tiers are built in place: tier 1 starts as the batch itself and
+	// tier 2 as the overflow candidates, each with room to grow into its
+	// table. The only other row scratch is the n-row spill copy.
+	t.Tier1 = ensure(&b.tier1, n, g.B1*g.Z1, reqs.BlockSize)
+	t.Tier1.CopyPrefix(reqs)
+	t.Tier2 = ensure(&b.tier2, min(g.C2, n), g.B2*g.Z2, reqs.BlockSize)
+	spill := ensure(&b.spill, n, 0, reqs.BlockSize)
+	if err := t.build(b.p.Rec, spill, ensureBits(&b.keep, n)); err != nil {
 		return nil, err
 	}
 	return t, nil

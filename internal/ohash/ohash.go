@@ -1,7 +1,8 @@
 // Package ohash implements the oblivious two-tier hash table of Chan et al.
 // that Snoopy's subORAM uses to process request batches (paper §5). The
 // table is built from a batch of distinct requests with an oblivious
-// construction (two oblivious sorts plus compactions); afterwards, looking
+// construction (per tier: sort the real rows, compact the ones that fit,
+// distribute them to their slots); afterwards, looking
 // up an object id means scanning one full bucket in each tier, which hides
 // the slot — and existence — of the match.
 //
@@ -90,6 +91,21 @@ func (p Params) GeometryFor(n int) Geometry {
 	return g
 }
 
+// BuildCost returns the number of oblivious row operations (compare-
+// exchanges and conditional swaps) constructing a table of this geometry
+// performs: per tier, sort and compact the real rows and distribute them
+// into the tier's slots, plus the compaction that isolates the tier-1
+// overflow. A pure function of public parameters, for the planner.
+func (g Geometry) BuildCost() int {
+	c := min(g.C2, g.N)
+	return obliv.SortCost(g.N) + 2*obliv.CompactCost(g.N) + obliv.DistributeCost(g.B1*g.Z1) +
+		obliv.SortCost(c) + obliv.CompactCost(c) + obliv.DistributeCost(g.B2*g.Z2)
+}
+
+// ExtractCost is BuildCost's counterpart for Extract: one compaction over
+// both tiers.
+func (g Geometry) ExtractCost() int { return obliv.CompactCost(g.B1*g.Z1 + g.B2*g.Z2) }
+
 // SlotsScannedPerLookup returns Z1+Z2: the per-object scan cost.
 func (g Geometry) SlotsScannedPerLookup() int { return g.Z1 + g.Z2 }
 
@@ -120,125 +136,80 @@ func Build(reqs *store.Requests, p Params) (*Table, error) {
 // scan traces are independent of request contents (the simulator argument
 // of §B.5). Production code must use Build.
 func BuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Table, error) {
-	n := reqs.Len()
-	if n == 0 {
-		return nil, errEmptyBatch
-	}
-	g := p.GeometryFor(n)
-	t := &Table{Geom: g, K1: k1, K2: k2, pool: p.pool()}
-	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
-	t.Tier2 = store.NewRequests(g.B2*g.Z2, reqs.BlockSize)
-	work := store.NewRequests(n+g.B1*g.Z1, reqs.BlockSize)
-	work.Rec = p.Rec
-	spill := store.NewRequests(work.Len(), reqs.BlockSize)
-	work2 := store.NewRequests(minInt(g.C2, work.Len())+g.B2*g.Z2, reqs.BlockSize)
-	work2.Rec = p.Rec
-	if err := buildInto(t, reqs, p,
-		work, spill, work2,
-		make([]uint8, work.Len()), make([]uint8, work.Len()), make([]uint8, work2.Len())); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return NewBuilder(p).buildWithKeys(reqs, k1, k2)
 }
 
 var errEmptyBatch = fmt.Errorf("ohash: empty batch")
 
-// buildInto runs the oblivious construction using caller-provided scratch
-// arrays (zeroed, correctly sized — see Builder) and caller-provided tier
-// storage (t.Tier1/t.Tier2 pre-sized to the geometry; contents overwritten).
-func buildInto(t *Table, reqs *store.Requests, p Params,
-	work, spill, work2 *store.Requests, keep, over, keep2 []uint8) error {
+// build runs the oblivious construction in place: t.Tier1 arrives holding
+// the n batch rows and t.Tier2 sized for the tier-2 candidates, both zeroed
+// through their table size (see Builder); spill and keep are n-row scratch.
+// Each tier is "sort the real rows by (bucket, key), mark the first Z of
+// every bucket, scatter them to bucket·Z + rank" — the padding slots are
+// never sorted, only numbered.
+func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) error {
 	g := t.Geom
-	n := reqs.Len()
+	n := g.N
+	t1, t2 := t.Tier1, t.Tier2
+	t1.Rec, t2.Rec, spill.Rec = rec, rec, rec
 
 	// ---- Tier 1 ----
-	// work = batch rows tagged occupied, plus Z1 padding dummies per bucket.
 	for i := 0; i < n; i++ {
-		work.CopyRowPlain(i, reqs, i)
-		work.Sub[i] = crypt.SipBucket(t.K1, work.Key[i], g.B1)
-		work.Tag[i] = 1
+		t1.Sub[i] = crypt.SipBucket(t.K1, t1.Key[i], g.B1)
+		t1.Tag[i] = 1
 	}
-	d := n
-	for b := 0; b < g.B1; b++ {
-		for z := 0; z < g.Z1; z++ {
-			work.SetRow(d, store.OpRead, padKey(uint64(d)), uint32(b), 0, 0, nil)
-			d++
-		}
-	}
-	obliv.Sort(store.BySubKey{Requests: work})
-
-	markRuns(work.Sub, g.Z1, keep)
-	for i := range over {
-		over[i] = work.Tag[i] & obliv.Not(keep[i]) // occupied but not placed
-	}
-
-	copyColumns(spill, work)
-	obliv.Compact(work, keep)
-	t.Tier1.CopyPrefix(work)
-	t.Tier1.Rec = p.Rec
+	obliv.Sort(store.BySubKey{Requests: t1})
+	markRuns(t1.Sub, g.Z1, keep)
+	spill.CopyPrefix(t1)
+	t1.ScatterRuns(keep, g.B1, g.Z1, padKey(uint64(n)), uint64(g.Z1))
 
 	// ---- Tier 2 ----
-	// Erase the non-overflow rows of the spill copy, then compact overflow
-	// to the front and truncate to the public capacity C2.
-	for i := 0; i < spill.Len(); i++ {
-		notOv := obliv.Not(over[i])
-		obliv.CondSetU64(notOv, &spill.Key[i], padKey(uint64(1<<40)+uint64(i)))
-		obliv.CondSetU8(notOv, &spill.Tag[i], 0)
+	// Erase the placed rows of the spill copy, then compact the overflow to
+	// the front and truncate to the public capacity C2.
+	for i := range keep {
+		obliv.CondSetU64(keep[i], &spill.Key[i], padKey(uint64(1<<40)+uint64(i)))
+		obliv.CondSetU8(keep[i], &spill.Tag[i], 0)
+		keep[i] ^= 1 // from here on: the overflow marks
 	}
-	obliv.Compact(spill, over)
+	obliv.Compact(spill, keep)
 	// Any occupied row past C2 is lost: the negligible failure event.
 	lost := 0
-	for i := g.C2; i < spill.Len(); i++ {
+	for i := g.C2; i < n; i++ {
 		lost += int(spill.Tag[i])
 	}
 	if lost > 0 {
 		return fmt.Errorf("%w: tier-2 capacity exceeded by %d", ErrOverflow, lost)
 	}
 
-	cand := spill.View(0, minInt(g.C2, spill.Len()))
-	for i := 0; i < cand.Len(); i++ {
-		work2.CopyRowPlain(i, cand, i)
+	c := t2.Len()
+	t2.CopyPrefix(spill)
+	for i := 0; i < c; i++ {
 		// Real overflow rows hash into [0,B2); erased rows go to the
 		// sentinel bucket B2, selected branch-free.
-		h := crypt.SipBucket(t.K2, work2.Key[i], g.B2)
-		work2.Sub[i] = uint32(obliv.SelectU64(work2.Tag[i], uint64(g.B2), uint64(h)))
+		h := crypt.SipBucket(t.K2, t2.Key[i], g.B2)
+		t2.Sub[i] = uint32(obliv.SelectU64(t2.Tag[i], uint64(g.B2), uint64(h)))
 	}
-	d = cand.Len()
-	for b := 0; b < g.B2; b++ {
-		for z := 0; z < g.Z2; z++ {
-			work2.SetRow(d, store.OpRead, padKey(uint64(1<<41)+uint64(d)), uint32(b), 0, 0, nil)
-			d++
-		}
-	}
-	obliv.Sort(store.BySubKey{Requests: work2})
+	obliv.Sort(store.BySubKey{Requests: t2})
 
-	markRuns(work2.Sub, g.Z2, keep2)
-	lost = 0
-	for i := range keep2 {
+	keep = keep[:c]
+	markRuns(t2.Sub, g.Z2, keep)
+	for i := range keep {
 		// Rows in the sentinel bucket are never kept.
-		inRange := obliv.LtU64(uint64(work2.Sub[i]), uint64(g.B2))
-		keep2[i] &= inRange
-		lost += int(work2.Tag[i] & obliv.Not(keep2[i]))
+		keep[i] &= obliv.LtU64(uint64(t2.Sub[i]), uint64(g.B2))
+		lost += int(t2.Tag[i] & obliv.Not(keep[i]))
 	}
 	if lost > 0 {
 		return fmt.Errorf("%w: tier-2 bucket exceeded by %d", ErrOverflow, lost)
 	}
-	obliv.Compact(work2, keep2)
-	t.Tier2.CopyPrefix(work2)
-	t.Tier2.Rec = p.Rec
+	t2.ScatterRuns(keep, g.B2, g.Z2, tier2PadBase(g), uint64(g.Z2))
 	return nil
 }
 
-// copyColumns copies src into dst (equal geometry) without allocating.
-func copyColumns(dst, src *store.Requests) {
-	copy(dst.Op, src.Op)
-	copy(dst.Key, src.Key)
-	copy(dst.Sub, src.Sub)
-	copy(dst.Tag, src.Tag)
-	copy(dst.Aux, src.Aux)
-	copy(dst.Seq, src.Seq)
-	copy(dst.Client, src.Client)
-	copy(dst.Data, src.Data)
+// tier2PadBase is the first tier-2 padding key. The offset is where the
+// numbering started when padding rows were materialized after the
+// candidates; kept so tables stay byte-identical across versions.
+func tier2PadBase(g Geometry) uint64 {
+	return padKey(uint64(1<<41) + uint64(min(g.C2, g.N+g.B1*g.Z1)))
 }
 
 // Buckets returns the row ranges [lo1,hi1) in Tier1 and [lo2,hi2) in Tier2
@@ -290,10 +261,3 @@ func markRuns(sub []uint32, z int, keep []uint8) {
 }
 
 func padKey(i uint64) uint64 { return store.DummyKeyBit | TableDummyBit | i }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,0 +1,315 @@
+package ohash
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"snoopy/internal/crypt"
+	"snoopy/internal/obliv"
+	"snoopy/internal/store"
+	"snoopy/internal/trace"
+	"snoopy/internal/wirecode"
+)
+
+// refBuildWithKeys is the pad-and-sort construction this package used
+// before obliv.Distribute: every tier materializes Z padding rows per
+// bucket next to the real rows, sorts the lot by (bucket, key), keeps the
+// first Z of each bucket and compacts. Kept verbatim as the specification
+// the scatter construction must reproduce byte for byte.
+func refBuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Table, error) {
+	n := reqs.Len()
+	g := p.GeometryFor(n)
+	t := &Table{Geom: g, K1: k1, K2: k2}
+	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
+	t.Tier2 = store.NewRequests(g.B2*g.Z2, reqs.BlockSize)
+	work := store.NewRequests(n+g.B1*g.Z1, reqs.BlockSize)
+	spill := store.NewRequests(work.Len(), reqs.BlockSize)
+	work2 := store.NewRequests(min(g.C2, work.Len())+g.B2*g.Z2, reqs.BlockSize)
+	keep := make([]uint8, work.Len())
+	over := make([]uint8, work.Len())
+	keep2 := make([]uint8, work2.Len())
+
+	// ---- Tier 1 ----
+	for i := 0; i < n; i++ {
+		work.CopyRowPlain(i, reqs, i)
+		work.Sub[i] = crypt.SipBucket(t.K1, work.Key[i], g.B1)
+		work.Tag[i] = 1
+	}
+	d := n
+	for b := 0; b < g.B1; b++ {
+		for z := 0; z < g.Z1; z++ {
+			work.SetRow(d, store.OpRead, padKey(uint64(d)), uint32(b), 0, 0, nil)
+			d++
+		}
+	}
+	obliv.Sort(store.BySubKey{Requests: work})
+	markRuns(work.Sub, g.Z1, keep)
+	for i := range over {
+		over[i] = work.Tag[i] & obliv.Not(keep[i])
+	}
+	spill.CopyPrefix(work)
+	obliv.Compact(work, keep)
+	t.Tier1.CopyPrefix(work)
+
+	// ---- Tier 2 ----
+	for i := 0; i < spill.Len(); i++ {
+		notOv := obliv.Not(over[i])
+		obliv.CondSetU64(notOv, &spill.Key[i], padKey(uint64(1<<40)+uint64(i)))
+		obliv.CondSetU8(notOv, &spill.Tag[i], 0)
+	}
+	obliv.Compact(spill, over)
+	lost := 0
+	for i := g.C2; i < spill.Len(); i++ {
+		lost += int(spill.Tag[i])
+	}
+	if lost > 0 {
+		return nil, fmt.Errorf("%w: tier-2 capacity exceeded by %d", ErrOverflow, lost)
+	}
+	cand := spill.View(0, min(g.C2, spill.Len()))
+	for i := 0; i < cand.Len(); i++ {
+		work2.CopyRowPlain(i, cand, i)
+		h := crypt.SipBucket(t.K2, work2.Key[i], g.B2)
+		work2.Sub[i] = uint32(obliv.SelectU64(work2.Tag[i], uint64(g.B2), uint64(h)))
+	}
+	d = cand.Len()
+	for b := 0; b < g.B2; b++ {
+		for z := 0; z < g.Z2; z++ {
+			work2.SetRow(d, store.OpRead, padKey(uint64(1<<41)+uint64(d)), uint32(b), 0, 0, nil)
+			d++
+		}
+	}
+	obliv.Sort(store.BySubKey{Requests: work2})
+	markRuns(work2.Sub, g.Z2, keep2)
+	lost = 0
+	for i := range keep2 {
+		keep2[i] &= obliv.LtU64(uint64(work2.Sub[i]), uint64(g.B2))
+		lost += int(work2.Tag[i] & obliv.Not(keep2[i]))
+	}
+	if lost > 0 {
+		return nil, fmt.Errorf("%w: tier-2 bucket exceeded by %d", ErrOverflow, lost)
+	}
+	obliv.Compact(work2, keep2)
+	t.Tier2.CopyPrefix(work2)
+	return t, nil
+}
+
+// sameRows fails unless a and b are byte-identical: same block size, same
+// record count, every column of every record — compared in wire form.
+func sameRows(t *testing.T, what string, a, b *store.Requests) {
+	t.Helper()
+	if !bytes.Equal(wirecode.AppendRequests(nil, a), wirecode.AppendRequests(nil, b)) {
+		t.Fatalf("%s: records differ\n got keys %x\nwant keys %x", what, a.Key, b.Key)
+	}
+}
+
+// TestBuildMatchesPadAndSortReference: hash keys held equal, the scatter
+// construction and the pad-and-sort one produce byte-identical tiers — same
+// occupied slots, same padding-key numbering — through a reused Builder
+// whose scratch shrinks and grows between batches.
+func TestBuildMatchesPadAndSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	p := DefaultParams()
+	b := NewBuilder(p)
+	sizes := []int{1, 2, p.Z1, p.Z1 + 1, 127, 128, 844, 845, 511, 512, 513}
+	for trial := 0; trial < 30; trial++ {
+		sizes = append(sizes, 1+rng.Intn(1200))
+	}
+	for _, n := range sizes {
+		reqs := makeBatch(rng, n, 24)
+		for i := 0; i < n; i++ {
+			reqs.Aux[i] = uint8(rng.Intn(2))
+			rng.Read(reqs.Block(i))
+		}
+		k1, k2 := crypt.MustNewSipKey(), crypt.MustNewSipKey()
+		want, err := refBuildWithKeys(reqs, p, k1, k2)
+		if err != nil {
+			t.Fatalf("n=%d: reference: %v", n, err)
+		}
+		got, err := b.buildWithKeys(reqs, k1, k2)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.Geom != want.Geom {
+			t.Fatalf("n=%d: geometry %+v vs %+v", n, got.Geom, want.Geom)
+		}
+		sameRows(t, fmt.Sprintf("n=%d tier 1", n), got.Tier1, want.Tier1)
+		sameRows(t, fmt.Sprintf("n=%d tier 2", n), got.Tier2, want.Tier2)
+	}
+}
+
+// crafted builds a batch whose keys land where the test wants them under
+// fixed hash keys: counts[b] keys in tier-1 bucket b, of which the ones that
+// overflow (the largest; buckets keep their Z1 smallest keys) additionally
+// satisfy tier2 when it is non-nil.
+func crafted(t *testing.T, p Params, k1, k2 crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
+	t.Helper()
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	g := p.GeometryFor(n)
+	if len(counts) != g.B1 {
+		t.Fatalf("crafted: %d bucket counts for B1=%d", len(counts), g.B1)
+	}
+	reqs := store.NewRequests(n, 8)
+	have := make([]int, g.B1)
+	row := 0
+	// Keys ascend, so a bucket's first Z1 keys are the ones it keeps.
+	for key := uint64(1); row < n; key++ {
+		if key > 1<<24 {
+			t.Fatal("crafted: key search exhausted")
+		}
+		b := crypt.SipBucket(k1, key, g.B1)
+		if have[b] == counts[b] {
+			continue
+		}
+		if have[b] >= g.Z1 && tier2 != nil && !tier2(crypt.SipBucket(k2, key, g.B2)) {
+			continue
+		}
+		have[b]++
+		reqs.SetRow(row, store.OpWrite, key, 0, uint64(row), uint64(row), []byte{byte(key)})
+		row++
+	}
+	return reqs
+}
+
+// occupied counts the batch rows in rows[lo:hi).
+func occupied(rows *store.Requests, lo, hi int) int {
+	c := 0
+	for i := lo; i < hi; i++ {
+		c += int(rows.Tag[i])
+	}
+	return c
+}
+
+// TestTier1BucketBoundary pins the tier-1 edge: a bucket offered exactly Z1
+// keys keeps them all; offered Z1+1 it keeps its Z1 smallest and spills
+// exactly the largest into tier 2. Both agree with the reference.
+func TestTier1BucketBoundary(t *testing.T) {
+	p := DefaultParams()
+	k1, k2 := crypt.SipKey{1, 2}, crypt.SipKey{3, 4}
+	for _, extra := range []int{0, 1} {
+		counts := make([]int, 8) // n = 29 or 30 → B1 = 8
+		for b := range counts {
+			counts[b] = 3
+		}
+		counts[5] = p.Z1 + extra
+		reqs := crafted(t, p, k1, k2, counts, nil)
+		if reqs.Len() != 29+extra {
+			t.Fatalf("crafted %d rows", reqs.Len())
+		}
+		tbl, err := BuildWithKeys(reqs, p, k1, k2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := occupied(tbl.Tier1, 5*p.Z1, 6*p.Z1); got != p.Z1 {
+			t.Fatalf("extra=%d: bucket 5 holds %d rows, want %d", extra, got, p.Z1)
+		}
+		if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != extra {
+			t.Fatalf("extra=%d: tier 2 holds %d rows, want %d", extra, got, extra)
+		}
+		if extra == 1 {
+			var largest uint64
+			for i := 0; i < reqs.Len(); i++ {
+				if crypt.SipBucket(k1, reqs.Key[i], tbl.Geom.B1) == 5 && reqs.Key[i] > largest {
+					largest = reqs.Key[i]
+				}
+			}
+			if c, tier, _ := findKey(tbl, largest); c != 1 || tier != 2 {
+				t.Fatalf("bucket 5's largest key %d: found %d times, tier %d; want once in tier 2", largest, c, tier)
+			}
+		}
+		want, err := refBuildWithKeys(reqs, p, k1, k2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "tier 1", tbl.Tier1, want.Tier1)
+		sameRows(t, "tier 2", tbl.Tier2, want.Tier2)
+	}
+}
+
+// TestTier2Boundaries pins the tier-2 edges: exactly C2 overflow rows place,
+// C2+1 is ErrOverflow (capacity); Z2 overflow rows in one tier-2 bucket
+// place, Z2+1 is ErrOverflow (bucket). The reference fails identically.
+func TestTier2Boundaries(t *testing.T) {
+	p := DefaultParams()
+	p.Lambda = 8 // a small tier-2 bucket, so Z2+1 colliding keys are cheap to find
+	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
+
+	// overflowing(c) offers c overflow rows: each loaded bucket takes 2·Z1
+	// keys (Z1 spill), the last loaded one the remainder.
+	overflowing := func(c, n int) []int {
+		counts := make([]int, p.GeometryFor(n).B1)
+		for b := 0; c > 0; b++ {
+			spill := min(c, p.Z1)
+			counts[b] = p.Z1 + spill
+			c -= spill
+			n -= counts[b]
+		}
+		for b := len(counts) - 1; n > 0; b-- {
+			counts[b] = min(n, p.Mu1)
+			n -= counts[b]
+		}
+		return counts
+	}
+	check := func(name string, reqs *store.Requests, wantOccupied int, wantErr string) {
+		t.Helper()
+		tbl, err := BuildWithKeys(reqs, p, k1, k2)
+		_, refErr := refBuildWithKeys(reqs, p, k1, k2)
+		if wantErr == "" {
+			if err != nil || refErr != nil {
+				t.Fatalf("%s: err %v, reference %v; want both nil", name, err, refErr)
+			}
+			if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != wantOccupied {
+				t.Fatalf("%s: tier 2 holds %d rows, want %d", name, got, wantOccupied)
+			}
+			return
+		}
+		if !errors.Is(err, ErrOverflow) || err.Error() != refErr.Error() || err.Error() != "ohash: hash table overflow: "+wantErr {
+			t.Fatalf("%s: err %q, reference %q; want ErrOverflow %q", name, err, refErr, wantErr)
+		}
+	}
+
+	g := p.GeometryFor(200)
+	if g.C2 != 64 || g.Z2 >= 40 {
+		t.Fatalf("geometry moved under the test: %+v", g)
+	}
+	// Spread the overflow rows over tier 2 so only the capacity binds.
+	spread := func(b2 uint32) bool { return true }
+	check("C2 overflow rows", crafted(t, p, k1, k2, overflowing(g.C2, 200), spread), g.C2, "")
+	check("C2+1 overflow rows", crafted(t, p, k1, k2, overflowing(g.C2+1, 200), spread), 0,
+		"tier-2 capacity exceeded by 1")
+	// Aim every overflow row at tier-2 bucket 3.
+	one := func(b2 uint32) bool { return b2 == 3 }
+	check("Z2 rows in one tier-2 bucket", crafted(t, p, k1, k2, overflowing(g.Z2, 200), one), g.Z2, "")
+	check("Z2+1 rows in one tier-2 bucket", crafted(t, p, k1, k2, overflowing(g.Z2+1, 200), one), 0,
+		"tier-2 bucket exceeded by 1")
+}
+
+// TestBuildCostCountsTheBuild pins Geometry.BuildCost/ExtractCost to the
+// implementation: the recorder sees exactly that many row swaps, plus the
+// linear passes (one clear per sorted row, one touch per table slot).
+func TestBuildCostCountsTheBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for _, n := range []int{1, 9, 120, 845} {
+		p := DefaultParams()
+		p.Rec = trace.New()
+		tbl, err := Build(makeBatch(rng, n, 8), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tbl.Geom
+		linear := n + g.B1*g.Z1 + min(g.C2, n) + g.B2*g.Z2
+		if got, want := p.Rec.Count(), uint64(g.BuildCost()+linear); got != want {
+			t.Fatalf("n=%d: build recorded %d events, BuildCost+linear says %d", n, got, want)
+		}
+		before := p.Rec.Count()
+		tbl.Extract()
+		if got, want := p.Rec.Count()-before, uint64(g.ExtractCost()); got != want {
+			t.Fatalf("n=%d: extract recorded %d events, ExtractCost says %d", n, got, want)
+		}
+	}
+}

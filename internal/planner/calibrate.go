@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"math"
 	"time"
 
 	"snoopy/internal/crypt"
@@ -31,15 +30,13 @@ func Calibrate(blockSize, lambda int) CostModel {
 	t0 := time.Now()
 	batches, err := lb.MakeBatches(reqs)
 	if err != nil {
-		return AnalyticModel(2, 50, lambda) // conservative fallback
+		return AnalyticModel(8, 50, lambda) // conservative fallback
 	}
 	if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
-		return AnalyticModel(2, 50, lambda)
+		return AnalyticModel(8, 50, lambda)
 	}
 	lbWall := time.Since(t0)
-	m := float64(probeReqs + batches.PerSub*probeSubs)
-	l2 := log2(m)
-	sortNs := float64(lbWall.Nanoseconds()) / (2 * m * l2 * l2)
+	opNs := float64(lbWall.Nanoseconds()) / float64(lbOps(probeReqs, probeSubs, lambda))
 
 	// --- SubORAM probe ---
 	sub := suboram.New(suboram.Config{BlockSize: blockSize})
@@ -48,7 +45,7 @@ func Calibrate(blockSize, lambda int) CostModel {
 		ids[i] = uint64(i)
 	}
 	if err := sub.Init(ids, make([]byte, probeObjs*blockSize)); err != nil {
-		return AnalyticModel(sortNs, 50, lambda)
+		return AnalyticModel(opNs, 50, lambda)
 	}
 	probeBatch := store.NewRequests(batches.PerSub, blockSize)
 	for i := 0; i < probeBatch.Len(); i++ {
@@ -56,23 +53,15 @@ func Calibrate(blockSize, lambda int) CostModel {
 	}
 	t0 = time.Now()
 	if _, err := sub.BatchAccess(probeBatch); err != nil {
-		return AnalyticModel(sortNs, 50, lambda)
+		return AnalyticModel(opNs, 50, lambda)
 	}
 	subWall := time.Since(t0)
-	// Attribute the build via the sort constant, the rest to the scan.
-	mb := 8 * float64(probeBatch.Len())
-	l2b := log2(mb)
-	buildNs := sortNs * mb * l2b * l2b
-	scanNs := (float64(subWall.Nanoseconds()) - buildNs) / float64(probeObjs)
+	// Attribute the table build and extraction via the per-operation
+	// constant, the rest to the scan.
+	tableNs := opNs * float64(subOps(probeBatch.Len(), lambda))
+	scanNs := (float64(subWall.Nanoseconds()) - tableNs) / float64(probeObjs)
 	if scanNs <= 0 {
 		scanNs = 1
 	}
-	return AnalyticModel(sortNs, scanNs, lambda)
-}
-
-func log2(x float64) float64 {
-	if x < 2 {
-		return 1
-	}
-	return math.Log2(x)
+	return AnalyticModel(opNs, scanNs, lambda)
 }

@@ -16,13 +16,12 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"snoopy/internal/batch"
 	"snoopy/internal/loadbalancer"
-	"snoopy/internal/obliv"
+	"snoopy/internal/ohash"
 )
 
 // CostModel supplies component processing times.
@@ -35,33 +34,40 @@ type CostModel struct {
 	SubTime func(batchSize, objectsPerSub int) time.Duration
 }
 
-// AnalyticModel builds a CostModel from per-unit constants. The shapes
-// mirror the implementation: the load balancer is dominated by an
-// O(m log² m) oblivious sort over m = r + α·s records; the subORAM by an
-// O(α log² α) table build plus a linear scan of its partition.
-func AnalyticModel(sortNsPerItemLog2, scanNsPerObject float64, lambda int) CostModel {
+// AnalyticModel builds a CostModel from per-unit constants and the
+// implementation's exact operation counts, each a closed form in public
+// parameters: opNs is the cost of one oblivious row operation (a bitonic
+// compare-exchange or a compaction/distribution swap), scanNsPerObject the
+// cost of scanning one stored object. The load balancer performs
+// MakeBatchesCost + MatchResponsesCost operations per epoch (sort, compact
+// and distribute the r real rows; sort and compact r + α·s to match); the
+// subORAM performs the table's BuildCost + ExtractCost plus a linear scan
+// of its partition.
+func AnalyticModel(opNs, scanNsPerObject float64, lambda int) CostModel {
 	lb := func(r, s int) time.Duration {
-		alpha := batch.Size(r, s, lambda)
-		m := float64(r + alpha*s)
-		if m < 2 {
-			m = 2
-		}
-		l2 := math.Log2(m)
-		// MakeBatches sorts m records; MatchResponses sorts r + α·s again.
-		ns := 2 * sortNsPerItemLog2 * m * l2 * l2
-		return time.Duration(ns)
+		return time.Duration(opNs * float64(lbOps(r, s, lambda)))
 	}
 	sub := func(batchSize, objectsPerSub int) time.Duration {
-		if batchSize < 2 {
-			batchSize = 2
-		}
-		m := 8 * float64(batchSize) // construction works over ~8α rows
-		l2 := math.Log2(m)
-		build := sortNsPerItemLog2 * m * l2 * l2
 		scan := scanNsPerObject * float64(objectsPerSub)
-		return time.Duration(build + scan)
+		return time.Duration(opNs*float64(subOps(batchSize, lambda)) + scan)
 	}
 	return CostModel{LBTime: lb, SubTime: sub}
+}
+
+// lbOps is the monolithic load balancer's oblivious row-operation count for
+// one epoch of r requests over s subORAMs.
+func lbOps(r, s, lambda int) int {
+	alpha := max(batch.Size(r, s, lambda), 1)
+	return loadbalancer.MakeBatchesCost(r, s, alpha) + loadbalancer.MatchResponsesCost(r, s, alpha)
+}
+
+// subOps is the subORAM's oblivious row-operation count for building and
+// extracting one batch's hash table (the scan is priced per object).
+func subOps(batchSize, lambda int) int {
+	p := ohash.DefaultParams()
+	p.Lambda = lambda
+	g := p.GeometryFor(max(batchSize, 1))
+	return g.BuildCost() + g.ExtractCost()
 }
 
 // Prices is the per-node monthly cost (the paper uses Azure DCsv2-series
@@ -144,12 +150,12 @@ func (p Plan) Format() string {
 }
 
 // lbPlaneTime models one plane's critical-path time at load r. Monolithic
-// planes pay the full oblivious sort (the CostModel's LBTime). A tree plane
-// pays one leaf's sort over its r/leaves share (leaves run in parallel on
-// their own machines) plus the root's merge of the already-sorted runs,
-// which replaces the monolithic sort at the exact compare-exchange ratio
-// obliv.MergeSortedCost / obliv.SortCost — a pure function of the public
-// run-length vector loadbalancer.TreeRunLens.
+// planes pay the CostModel's LBTime. A tree plane pays one leaf — building
+// the run for its r/leaves share and matching the α·s responses back to it;
+// leaves run in parallel on their own machines — plus the root's merge and
+// compaction of the leaf runs (loadbalancer.TreeRootCost). Both are exact
+// operation counts, priced at LBTime's own rate per monolithic operation so
+// a measured CostModel calibrates the tree too.
 func lbPlaneTime(m CostModel, r, s, leaves, lambda int) time.Duration {
 	if leaves <= 1 {
 		return m.LBTime(r, s)
@@ -159,18 +165,11 @@ func lbPlaneTime(m CostModel, r, s, leaves, lambda int) time.Duration {
 	for f := range rates {
 		rates[f] = rf
 	}
-	runs := loadbalancer.TreeRunLens(rates, s, lambda)
-	alpha := batch.Size(r, s, lambda)
-	if alpha == 0 {
-		alpha = 1
-	}
-	n := r + alpha*s
-	if n < 2 {
-		n = 2
-	}
-	frac := float64(obliv.MergeSortedCost(runs)) / float64(obliv.SortCost(n))
-	root := time.Duration(float64(m.LBTime(r, s)) * frac)
-	return m.LBTime(rf, s) + root
+	alpha := max(batch.Size(r, s, lambda), 1)
+	leaf := loadbalancer.MakeBatchesCost(rf, s, max(batch.Size(rf, s, lambda), 1)) +
+		loadbalancer.MatchResponsesCost(rf, s, alpha)
+	root := loadbalancer.TreeRootCost(rates, s, lambda)
+	return time.Duration(float64(m.LBTime(r, s)) * float64(leaf+root) / float64(lbOps(r, s, lambda)))
 }
 
 // Optimize returns the cheapest feasible plan (ties: fewer machines, then

@@ -124,12 +124,12 @@ func TestMaxThroughputMonotoneInMachines(t *testing.T) {
 }
 
 func TestTreePlaneTimeBeatsMonolithic(t *testing.T) {
-	// The hierarchical plane's critical path — one leaf's sort over its
-	// share plus the root's merge-of-runs — must undercut the monolithic
-	// sort once the plane is split at least four ways (the merge replaces
-	// the O(m log² m) re-sort with O(m log m) work at ~half the
-	// compare-exchanges).
-	m := AnalyticModel(2, 50, 128)
+	// The hierarchical plane's critical path — one leaf's build and match
+	// over its share plus the root's merge-of-runs — must undercut the
+	// monolithic plane at a planner-scale rate once the plane is split at
+	// least four ways (exact operation counts: ~0.7 of the monolithic
+	// plane's at r = 2^17, s = 8).
+	m := AnalyticModel(8, 50, 128)
 	r, s := 1<<17, 8
 	mono := m.LBTime(r, s)
 	prev := mono
@@ -150,7 +150,7 @@ func TestOptimizeTreeExtendsFeasibleRegion(t *testing.T) {
 	// Sweep the throughput requirement upward from the monolithic single-LB
 	// ceiling: somewhere above it, only a hierarchical plane can keep up,
 	// and the planner must find (and report) that tree rather than fail.
-	m := AnalyticModel(2, 0.01, 128) // LB-bound: scans are nearly free
+	m := AnalyticModel(8, 0.01, 128) // LB-bound: scans are nearly free
 	base := Requirements{
 		Objects: 100_000, BlockSize: 160,
 		MaxLatency:       200 * time.Millisecond,
@@ -217,7 +217,7 @@ func TestOptimizeTreeNeverCostsMoreThanMonolithicSearch(t *testing.T) {
 // `go test ./internal/planner -run TestPlanGolden -update` after a deliberate
 // cost-model change, and review the diff like any other behavioral change.
 func TestPlanGolden(t *testing.T) {
-	m := AnalyticModel(2, 50, 128)
+	m := AnalyticModel(8, 50, 128)
 	cases := []struct {
 		name string
 		req  Requirements

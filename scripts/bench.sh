@@ -18,9 +18,10 @@
 #
 # Finally emits results/BENCH_lbtree.json: monolithic load balancer vs
 # 1/2/4/8-leaf hierarchical aggregation trees — MakeBatches wall time,
-# steady-state B/op and allocs/op (must be zero), and the root-level
-# compare-exchange counts showing the merge-of-sorted-runs beating the
-# monolithic re-sort from 4 leaves on.
+# steady-state B/op and allocs/op (must be zero), and the root's exact
+# oblivious row-operation count (merge + compaction of the leaf runs) as a
+# fraction of the monolithic build's: the verdict on whether a tree can
+# shorten the plane's critical path at that rate.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 2x)
 set -euo pipefail

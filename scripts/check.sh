@@ -68,4 +68,19 @@ go test -race -timeout 15m -count=2 \
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/
+
+# Focused re-run of the sort-then-distribute construction: obliv.Distribute
+# against its scatter reference (exhaustive, quick, fuzz seeds, trace), the
+# byte-for-byte differentials against the pad-and-sort reference kept in
+# the test files, the overflow edges (α / α+1 keys into one subORAM, Z1 /
+# Z1+1, C2 / C2+1, Z2 / Z2+1), the cost functions against recorded traces,
+# and the zero-alloc guard over varying batch sizes.
+go test -race -timeout 15m -count=2 \
+  -run 'Distribute|CompactCost|PadAndSortReference|Boundar|Cost.*Count|ZeroAllocAcrossBatchSizes' \
+  ./internal/obliv/ ./internal/ohash/ ./internal/loadbalancer/
+
+# The benchmark program's own smoke test (a module of its own, so not part
+# of `go test ./...`): all four workloads at tiny shapes, every reply
+# checked against the reference model.
+(cd bench && go test .)
 echo "check.sh: OK"
