@@ -511,6 +511,62 @@ func BenchmarkFusedAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkScanBucket times the subORAM linear scan — per object: two
+// SipHashes, the key pass and the obliv.FusedBucket block pass over both
+// buckets — at the four (α, objects per partition) shapes of BENCHMARK.json's
+// workloads. ns/object and ns/slot come from the scan's own stopwatch
+// (Stats.Scan): table build and extraction are excluded, the zeroing pass
+// over the table's missed slots is included (it shows at small partitions).
+// Run with `-tags purego` for the portable body's cost.
+func BenchmarkScanBucket(b *testing.B) {
+	for _, shape := range []struct {
+		name           string
+		alpha, objects int
+	}{
+		{"scan_heavy", 128, 1 << 15},
+		{"batch_heavy", 845, 1 << 9},
+		{"remote_durable", 512, 1 << 13},
+		{"open_mixed", 122, 1 << 11},
+	} {
+		b.Run(fmt.Sprintf("%s/alpha=%d/objects=%d", shape.name, shape.alpha, shape.objects), func(b *testing.B) {
+			pool := arena.NewPool()
+			sub := suboram.New(suboram.Config{BlockSize: benchBlock, Pool: pool})
+			ids := make([]uint64, shape.objects)
+			for i := range ids {
+				ids[i] = uint64(i)
+			}
+			if err := sub.Init(ids, make([]byte, shape.objects*benchBlock)); err != nil {
+				b.Fatal(err)
+			}
+			// Half the rows hit stored objects (alternating reads and
+			// writes), the rest are load-balancer dummies, as in a padded batch.
+			reqs := store.NewRequests(shape.alpha, benchBlock)
+			for i := 0; i < shape.alpha; i++ {
+				key := store.DummyKeyBit | uint64(i)
+				if i%2 == 0 {
+					key = uint64(i / 2 * 131 % shape.objects)
+				}
+				reqs.SetRow(i, uint8(i/2%2), key, 0, uint64(i), uint64(i), nil)
+			}
+			slots := ohash.DefaultParams().GeometryFor(shape.alpha).SlotsScannedPerLookup()
+			var scan time.Duration
+			b.SetBytes(int64(shape.objects * benchBlock))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := sub.BatchAccess(reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scan += sub.LastStats().Scan
+				pool.PutRequests(out)
+			}
+			perObject := float64(scan.Nanoseconds()) / float64(b.N) / float64(shape.objects)
+			b.ReportMetric(perObject, "ns/object")
+			b.ReportMetric(perObject/float64(slots), "ns/slot")
+		})
+	}
+}
+
 // ---- Ablation: two-tier construction vs Signal-style quadratic (§5) ----
 
 func BenchmarkHashTableConstruction(b *testing.B) {

@@ -605,6 +605,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 				Config: lbCfg,
 				Leaves: cfg.LBLeaves,
 				FanIn:  cfg.LBFanIn,
+				Plane:  i,
 			}, key)
 			if err != nil {
 				return nil, err

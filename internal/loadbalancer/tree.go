@@ -83,6 +83,11 @@ type TreeConfig struct {
 	// two-level tree requires Leaves ≤ FanIn. Zero defaults to Leaves.
 	// Public deployment configuration, like every shape parameter here.
 	FanIn int
+	// Plane is this tree's index among the deployment's load-balancer
+	// planes. It only labels telemetry spans: the root's span carries Plane
+	// and leaf f's spans carry the global feed index Plane·Leaves + f, so
+	// planes sharing a registry never emit equal (Epoch, Stage, Part).
+	Plane int
 }
 
 // Tree is the two-level oblivious aggregation tree: Leaves leaf balancers
@@ -243,6 +248,9 @@ func TreeRootCost(feedRates []int, s, lambda int) int {
 	return obliv.MergeSortedCost(runs) + obliv.CompactCost(merged)
 }
 
+// feedPart is the span Part label of this plane's feed f: its global index.
+func (t *Tree) feedPart(f int) int { return t.cfg.Plane*t.cfg.Leaves + f }
+
 // runLeaf builds leaf f's run into its window of the merge scratch. A
 // method, not a closure: the serial path must stay allocation-free.
 func (t *Tree) runLeaf(f int, epoch uint64, reqs *store.Requests, work *store.Requests, lo int) {
@@ -251,7 +259,7 @@ func (t *Tree) runLeaf(f int, epoch uint64, reqs *store.Requests, work *store.Re
 	work.ViewInto(dst, lo, lo+alpha*t.cfg.NumSubORAMs)
 	tl0 := t.cfg.Telemetry.Now()
 	keys, err := t.Leaf(f).BuildRun(epoch, reqs, alpha, t.bases[f], dst)
-	t.stLeaf.Record(epoch, f, alpha, tl0, t.cfg.Telemetry.Now())
+	t.stLeaf.Record(epoch, t.feedPart(f), alpha, tl0, t.cfg.Telemetry.Now())
 	t.leafKeys[f], t.leafErrs[f] = keys, err
 	if err != nil {
 		// A dead leaf fails only its own clients: its segment becomes the
@@ -374,7 +382,7 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 	work.Resize(runLen)
 	t.telRootMerge.Observe(time.Duration(t.cfg.Telemetry.Now() - tr0))
 	t.telMerges.Inc()
-	t.stRoot.Record(epoch, -1, runLen, tr0, t.cfg.Telemetry.Now())
+	t.stRoot.Record(epoch, t.cfg.Plane, runLen, tr0, t.cfg.Telemetry.Now())
 	dropped += rootDropped
 
 	b := batchesPool.Get().(*Batches)
@@ -399,7 +407,7 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 func (t *Tree) MatchResponses(epoch uint64, responses *store.Requests, feed int, reqs *store.Requests) (*store.Requests, error) {
 	tl0 := t.cfg.Telemetry.Now()
 	m, err := t.root.MatchResponses(responses, reqs)
-	t.stLeafMatch.Record(epoch, feed, reqs.Len(), tl0, t.cfg.Telemetry.Now())
+	t.stLeafMatch.Record(epoch, t.feedPart(feed), reqs.Len(), tl0, t.cfg.Telemetry.Now())
 	return m, err
 }
 

@@ -8,7 +8,10 @@
 //     implementation is the ORCompact recursion, with a log-shift variant
 //     kept as an ablation baseline),
 //   - oblivious distribution, compaction's inverse: elements at the front
-//     of an array are routed to destination slots they carry.
+//     of an array are routed to destination slots they carry,
+//   - the subORAM scan's bucket kernel: BucketMasks (key pass) and
+//     FusedBucket (column-major block pass), on AVX2 lanes where CPUID
+//     reports them and in portable Go otherwise.
 //
 // Obliviousness contract: every exported algorithm performs a sequence of
 // element accesses (reads, conditional swaps) whose *positions* are a fixed

@@ -6,6 +6,62 @@ package obliv
 // kernels in simd_amd64.s (true here) or the portable scalar fallback.
 const SIMDWordLoops = true
 
+// hasAVX2 selects the 32-byte-lane bodies of BucketMasks and FusedBucket.
+// It is read from CPUID once at package init: a public property of the
+// platform, never of data.
+var hasAVX2 = detectAVX2()
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// detectAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM state across context switches.
+func detectAVX2() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+//go:noescape
+func bucketMasksAVX2(id uint64, key *uint64, tag, op, aux *uint8, write uint8, n int, mw, mrw *uint64)
+
+// bucketMasksLanes runs BucketMasks' leading multiple-of-four slots on the
+// AVX2 lanes and returns how many slots it covered (0 without AVX2).
+func bucketMasksLanes(id uint64, key []uint64, tag, op, aux []uint8, write uint8, mw, mrw []uint64) int {
+	n := len(key) &^ 3
+	if !hasAVX2 || n == 0 {
+		return 0
+	}
+	bucketMasksAVX2(id, &key[0], &tag[0], &op[0], &aux[0], write, n, &mw[0], &mrw[0])
+	return n
+}
+
+//go:noescape
+func fusedBucketAVX2(obj, slots *byte, n, blockSize, z int, mw, mrw *uint64)
+
+// fusedBucketLanes runs FusedBucket's leading 32-byte-multiple columns on
+// the AVX2 lanes and returns how many bytes of every block it covered (0
+// without AVX2): fusedBucketWords finishes from there.
+func fusedBucketLanes(obj, slots []byte, blockSize int, mw, mrw []uint64) int {
+	n := blockSize &^ 31
+	if !hasAVX2 || n == 0 || len(mw) == 0 {
+		return 0
+	}
+	fusedBucketAVX2(&obj[0], &slots[0], n, blockSize, len(mw), &mw[0], &mrw[0])
+	return n
+}
+
 //go:noescape
 func fusedAccessAsm(mw, mrw uint64, obj, slot *byte, n int)
 

@@ -6,6 +6,16 @@ package obliv
 // (false here: portable scalar fallback).
 const SIMDWordLoops = false
 
+// bucketMasksLanes reports how many leading slots a SIMD body covered: none
+// here, BucketMasks' own loop does them all.
+func bucketMasksLanes(id uint64, key []uint64, tag, op, aux []uint8, write uint8, mw, mrw []uint64) int {
+	return 0
+}
+
+// fusedBucketLanes reports how many leading bytes of every block a SIMD
+// body covered: none here, fusedBucketWords does the whole block.
+func fusedBucketLanes(obj, slots []byte, blockSize int, mw, mrw []uint64) int { return 0 }
+
 // fusedWords applies obj' = obj^(mw&(obj^slot)), slot' = slot^(mrw&(obj^slot))
 // to the first n bytes of both slices. n must be a multiple of 8 and no
 // larger than either length.

@@ -1,0 +1,246 @@
+package suboram
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"snoopy/internal/crypt"
+	"snoopy/internal/obliv"
+	"snoopy/internal/ohash"
+	"snoopy/internal/store"
+	"snoopy/internal/trace"
+)
+
+// The slot-major scan the chunk-major kernel replaced, kept as the oracle:
+// one obliv.FusedAccess per slot, the object block re-read and re-written
+// for each. The differential tests below require the production scan to
+// leave byte-identical partitions, tables, responses and Rec traces.
+
+func refScanBucket(tier *store.Requests, lo, hi int, id uint64, blk []byte) {
+	for sl := lo; sl < hi; sl++ {
+		tier.Touch(sl)
+		eq := obliv.EqU64(tier.Key[sl], id) & tier.Tag[sl]
+		isW := obliv.EqU8(tier.Op[sl], store.OpWrite)
+		cw := eq & isW
+		cr := eq & obliv.Not(isW)
+		obliv.FusedAccess(cw, cr, blk, tier.Block(sl))
+		obliv.CondSetU8(eq, &tier.Aux[sl], 1)
+	}
+}
+
+// refScan is the whole linear pass, single-threaded over a plain partition.
+func refScan(table *ohash.Table, ids []uint64, data []byte, bs int, rec *trace.Recorder) {
+	for i, id := range ids {
+		rec.Record(trace.KindTouch, i, 0)
+		lo1, hi1, lo2, hi2 := table.Buckets(id)
+		blk := data[i*bs : (i+1)*bs]
+		refScanBucket(table.Tier1, lo1, hi1, id, blk)
+		refScanBucket(table.Tier2, lo2, hi2, id, blk)
+	}
+}
+
+// refBatchAccess is batchAccessLocked over the reference scan.
+func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, keys [2]crypt.SipKey, ids []uint64, data []byte) *store.Requests {
+	t.Helper()
+	table, err := ohash.BuildWithKeys(reqs, hp, keys[0], keys[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	refScan(table, ids, data, reqs.BlockSize, hp.Rec)
+	zero := make([]byte, reqs.BlockSize)
+	for _, tier := range [2]*store.Requests{table.Tier1, table.Tier2} {
+		for i := 0; i < tier.Len(); i++ {
+			obliv.CondCopyBytes(tier.Tag[i]&obliv.Not(tier.Aux[i]), tier.Block(i), zero)
+		}
+	}
+	return table.Extract()
+}
+
+var refKeys = [2]crypt.SipKey{{0x0706050403020100, 0x0f0e0d0c0b0a0908}, {0x1716151413121110, 0x1f1e1d1c1b1a1918}}
+
+// ledgerShapes are the padded batch sizes α of BENCHMARK.json's four
+// workloads (they fix the bucket geometry Z1, Z2); partitions are scaled
+// down so the suite stays fast.
+var ledgerShapes = []struct{ alpha, objects int }{
+	{128, 400}, {845, 512}, {512, 400}, {122, 333},
+}
+
+const refBlock = 160
+
+// refPartition returns n objects with sparse ids and random contents.
+func refPartition(rng *rand.Rand, n int) (ids []uint64, data []byte) {
+	ids = make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i*3 + 1)
+	}
+	data = make([]byte, n*refBlock)
+	rng.Read(data)
+	return ids, data
+}
+
+// refBatch draws alpha distinct requests: about half hit stored objects
+// (reads and writes mixed), a quarter name absent keys and a quarter are
+// load-balancer dummies.
+func refBatch(rng *rand.Rand, alpha int, ids []uint64) *store.Requests {
+	reqs := store.NewRequests(alpha, refBlock)
+	perm := rng.Perm(len(ids))
+	payload := make([]byte, refBlock)
+	hits := 0
+	for i := 0; i < alpha; i++ {
+		var key uint64
+		switch i % 4 {
+		case 2:
+			key = uint64(i)*3 + 2 // ≡ 2 mod 3: never stored
+		case 3:
+			key = store.DummyKeyBit | uint64(i)
+		default:
+			key = ids[perm[hits]]
+			hits++
+		}
+		rng.Read(payload)
+		reqs.SetRow(i, uint8(rng.Intn(2)), key, 0, uint64(i), uint64(1000+i), payload)
+	}
+	return reqs
+}
+
+func requireSameRows(t *testing.T, what string, got, want *store.Requests) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows, want %d", what, got.Len(), want.Len())
+	}
+	for _, col := range []struct {
+		name      string
+		got, want interface{}
+	}{
+		{"Op", got.Op, want.Op}, {"Key", got.Key, want.Key}, {"Sub", got.Sub, want.Sub},
+		{"Tag", got.Tag, want.Tag}, {"Aux", got.Aux, want.Aux}, {"Seq", got.Seq, want.Seq},
+		{"Client", got.Client, want.Client}, {"Data", got.Data, want.Data},
+	} {
+		if !reflect.DeepEqual(col.got, col.want) {
+			t.Fatalf("%s: column %s differs from the slot-major reference", what, col.name)
+		}
+	}
+}
+
+// TestScanMatchesSlotMajorReference: at each ledger shape and in every
+// storage mode, scanning a pinned-key table leaves both tiers (every
+// column, Data and Aux included) and the partition byte-identical to the
+// reference scan's, and BatchAccess returns the reference's rows. Two
+// batches run back to back so the second scans a partition the first wrote.
+func TestScanMatchesSlotMajorReference(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  Config
+		disk bool
+	}{
+		{"plain", Config{}, false},
+		{"workers=3", Config{Workers: 3}, false},
+		{"sealed", Config{Sealed: true}, false},
+		{"sealed/workers=2", Config{Sealed: true, Workers: 2}, false},
+		{"store", Config{}, true},
+		{"store/workers=2", Config{Workers: 2}, true},
+	}
+	for _, shape := range ledgerShapes {
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("alpha=%d/%s", shape.alpha, mode.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(shape.alpha)))
+				ids, data := refPartition(rng, shape.objects)
+				refData := append([]byte(nil), data...)
+
+				cfg := mode.cfg
+				cfg.BlockSize = refBlock
+				cfg.TestHashKeys = &refKeys
+				var sub *SubORAM
+				if mode.disk {
+					sub = newStoreBacked(t, cfg, 1) // Init below reformats the store
+				} else {
+					sub = New(cfg)
+				}
+				if err := sub.Init(ids, data); err != nil {
+					t.Fatal(err)
+				}
+				hp := ohash.DefaultParams()
+
+				// Scan only: compare the tables slot for slot.
+				reqs := refBatch(rng, shape.alpha, ids)
+				want, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				refScan(want, ids, refData, refBlock, nil)
+				if err := sub.scan(got); err != nil {
+					t.Fatal(err)
+				}
+				requireSameRows(t, "tier 1", got.Tier1, want.Tier1)
+				requireSameRows(t, "tier 2", got.Tier2, want.Tier2)
+				if found := bytes.Count(want.Tier1.Aux, []byte{1}) + bytes.Count(want.Tier2.Aux, []byte{1}); found == 0 {
+					t.Fatal("no request matched an object — the comparison is vacuous")
+				}
+
+				// Whole batch, over the partition the scan above wrote.
+				reqs = refBatch(rng, shape.alpha, ids)
+				wantOut := refBatchAccess(t, reqs, hp, refKeys, ids, refData)
+				gotOut, err := sub.BatchAccess(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRows(t, "BatchAccess", gotOut, wantOut)
+
+				_, gotData, err := sub.Export()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotData, refData) {
+					t.Fatal("partition bytes differ from the slot-major reference")
+				}
+			})
+		}
+	}
+}
+
+// TestScanTraceMatchesSlotMajorReference: the Rec trace of a whole batch
+// (build, one KindTouch per object then per slot, extraction) is the
+// reference's event for event, and does not move when the batch's secret
+// contents — keys, ops, payloads, hit pattern — change.
+func TestScanTraceMatchesSlotMajorReference(t *testing.T) {
+	for _, shape := range ledgerShapes {
+		t.Run(fmt.Sprintf("alpha=%d", shape.alpha), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(shape.alpha) + 7))
+			ids, data := refPartition(rng, shape.objects)
+			var first *trace.Recorder
+			for round := 0; round < 3; round++ {
+				reqs := refBatch(rng, shape.alpha, ids)
+
+				recRef := trace.New()
+				hp := ohash.DefaultParams()
+				hp.Rec = recRef
+				refBatchAccess(t, reqs, hp, refKeys, ids, append([]byte(nil), data...))
+
+				rec := trace.New()
+				sub := New(Config{BlockSize: refBlock, Rec: rec, TestHashKeys: &refKeys})
+				if err := sub.Init(ids, data); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sub.BatchAccess(reqs); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Count() == 0 || !trace.Equal(rec, recRef) {
+					t.Fatalf("round %d: trace (%d events) differs from the slot-major reference (%d events)",
+						round, rec.Count(), recRef.Count())
+				}
+				if first == nil {
+					first = rec
+				} else if !trace.Equal(rec, first) {
+					t.Fatalf("round %d: trace depends on batch contents", round)
+				}
+			}
+		})
+	}
+}

@@ -132,11 +132,12 @@ type SubORAM struct {
 	sealedMu   sync.Mutex
 	sealedBufs [][]byte
 
-	// Store-scan callback plumbing: one prebound closure per worker,
-	// created once in New so steady-state store scans allocate nothing. The
-	// closure reads its table through storeCtx (set per batch under mu,
-	// before workers start).
-	storeCtx []storeScanCtx
+	// Per-worker scan state (table binding and bucket mask vectors), bound
+	// per batch under mu before workers start.
+	scanCtx []scanCtx
+	// Store-scan callbacks: one prebound closure per worker, created once in
+	// New so steady-state store scans allocate nothing. Each reads its table
+	// through scanCtx[w].
 	storeFns []func(i int, blk []byte)
 
 	// Telemetry instruments, resolved once at construction; all nil (and
@@ -191,6 +192,7 @@ func New(cfg Config) *SubORAM {
 		cfg:        cfg,
 		builder:    ohash.NewBuilder(hp),
 		zeroBlk:    make([]byte, cfg.BlockSize),
+		scanCtx:    make([]scanCtx, cfg.Workers),
 		telBuild:   cfg.Telemetry.Histogram("suboram_build", nil),
 		telScan:    cfg.Telemetry.Histogram("suboram_scan", nil),
 		telExtract: cfg.Telemetry.Histogram("suboram_extract", nil),
@@ -198,21 +200,29 @@ func New(cfg Config) *SubORAM {
 		telRows:    cfg.Telemetry.Counter("suboram_rows_total"),
 	}
 	if cfg.Store != nil {
-		s.storeCtx = make([]storeScanCtx, cfg.Workers)
 		s.storeFns = make([]func(i int, blk []byte), cfg.Workers)
 		for w := range s.storeFns {
-			w := w
-			s.storeFns[w] = func(i int, blk []byte) {
-				s.scanOne(s.storeCtx[w].table, i, blk)
-			}
+			c := &s.scanCtx[w]
+			s.storeFns[w] = func(i int, blk []byte) { s.scanOne(c, i, blk) }
 		}
 	}
 	return s
 }
 
-// storeScanCtx carries one store-scan worker's per-batch table binding.
-type storeScanCtx struct {
-	table *ohash.Table
+// scanCtx is one scan worker's per-batch state: the table (copy) it scans
+// and the two mask vectors the key pass fills for each bucket. The vectors
+// are sized from the public geometry, so they grow at most when α does.
+type scanCtx struct {
+	table   *ohash.Table
+	mw, mrw []uint64
+}
+
+// bind points the worker at its table for this batch.
+func (c *scanCtx) bind(table *ohash.Table) {
+	c.table = table
+	if z := max(table.Geom.Z1, table.Geom.Z2); cap(c.mw) < z {
+		c.mw, c.mrw = make([]uint64, z), make([]uint64, z)
+	}
 }
 
 // pool returns the configured arena, defaulting to the process-wide one.
@@ -480,30 +490,30 @@ func mergeTier(dst, src *store.Requests) {
 	}
 }
 
-// scanRange scans objects [lo, hi) against the table; w is the worker index
-// (selects the prebound store-scan closure in store mode).
+// scanRange scans objects [lo, hi) against the table as worker w.
 func (s *SubORAM) scanRange(table *ohash.Table, lo, hi, w int) error {
+	c := &s.scanCtx[w]
+	c.bind(table)
 	if s.cfg.Store != nil {
-		s.storeCtx[w].table = table
 		return s.cfg.Store.Scan(lo, hi, s.storeFns[w])
 	}
 	if s.sealed != nil {
-		return s.scanRangeSealed(table, lo, hi)
+		return s.scanRangeSealed(c, lo, hi)
 	}
 	for i := lo; i < hi; i++ {
 		blk := s.plain[i*s.cfg.BlockSize : (i+1)*s.cfg.BlockSize]
-		s.scanOne(table, i, blk)
+		s.scanOne(c, i, blk)
 	}
 	return nil
 }
 
 // scanOne applies one object's bucket scans.
-func (s *SubORAM) scanOne(table *ohash.Table, i int, blk []byte) {
+func (s *SubORAM) scanOne(c *scanCtx, i int, blk []byte) {
 	id := s.ids[i]
 	s.cfg.Rec.Record(trace.KindTouch, i, 0)
-	lo1, hi1, lo2, hi2 := table.Buckets(id)
-	scanBucket(table.Tier1, lo1, hi1, id, blk)
-	scanBucket(table.Tier2, lo2, hi2, id, blk)
+	lo1, hi1, lo2, hi2 := c.table.Buckets(id)
+	c.scanBucket(c.table.Tier1, lo1, hi1, id, blk)
+	c.scanBucket(c.table.Tier2, lo2, hi2, id, blk)
 }
 
 // scanRangeSealed implements the paper's §7 paging optimization: a host
@@ -512,7 +522,7 @@ func (s *SubORAM) scanOne(table *ohash.Table, i int, blk []byte) {
 // behind it, so the enclave compute loop never stalls on storage. Every
 // block is written back whether or not it changed — ciphertext churn is
 // identical for reads and writes.
-func (s *SubORAM) scanRangeSealed(table *ohash.Table, lo, hi int) error {
+func (s *SubORAM) scanRangeSealed(c *scanCtx, lo, hi int) error {
 	type item struct {
 		i   int
 		buf []byte
@@ -559,7 +569,7 @@ func (s *SubORAM) scanRangeSealed(table *ohash.Table, lo, hi int) error {
 			continue
 		}
 		if firstErr == nil {
-			s.scanOne(table, it.i, it.buf)
+			s.scanOne(c, it.i, it.buf)
 		}
 		writeback <- it
 	}
@@ -569,17 +579,22 @@ func (s *SubORAM) scanRangeSealed(table *ohash.Table, lo, hi int) error {
 }
 
 // scanBucket applies the double oblivious compare-and-set of Fig. 7 step ➋
-// to every slot of one bucket.
-func scanBucket(tier *store.Requests, lo, hi int, id uint64, blk []byte) {
-	for sl := lo; sl < hi; sl++ {
-		tier.Touch(sl)
-		eq := obliv.EqU64(tier.Key[sl], id) & tier.Tag[sl]
-		isW := obliv.EqU8(tier.Op[sl], store.OpWrite)
-		cw := eq & isW
-		cr := eq & obliv.Not(isW)
-		obliv.FusedAccess(cw, cr, blk, tier.Block(sl))
-		obliv.CondSetU8(eq, &tier.Aux[sl], 1)
+// to every slot of bucket [lo, hi) of tier, in two passes whose schedules
+// depend on the public (hi-lo, BlockSize) only. The key pass turns each
+// slot's (Key, Tag, Op) into a mask pair — mrw all-ones iff the slot holds
+// a request for id, mw iff that request is a write — and sets the slot's
+// found bit; the block pass hands the whole bucket to obliv.FusedBucket,
+// which keeps the object in registers while the slots stream through it.
+func (c *scanCtx) scanBucket(tier *store.Requests, lo, hi int, id uint64, blk []byte) {
+	if tier.Rec != nil { // test-only recorder: one touch per slot, in slot order
+		for sl := lo; sl < hi; sl++ {
+			tier.Touch(sl)
+		}
 	}
+	mw, mrw := c.mw[:hi-lo], c.mrw[:hi-lo]
+	obliv.BucketMasks(id, tier.Key[lo:hi], tier.Tag[lo:hi], tier.Op[lo:hi], tier.Aux[lo:hi], store.OpWrite, mw, mrw)
+	bs := tier.BlockSize
+	obliv.FusedBucket(blk, tier.Data[lo*bs:hi*bs], bs, mw, mrw)
 }
 
 func minInt(a, b int) int {

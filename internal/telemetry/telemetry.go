@@ -476,9 +476,11 @@ func (h SpanHandle) End() {
 	h.st.Record(h.epoch, h.part, h.b, h.start, h.st.reg.Now())
 }
 
-// Spans returns up to n of the most recent spans in canonical order —
-// sorted by (Epoch, Stage, Part) — so the exported trace is a deterministic
-// function of the recorded span set regardless of goroutine interleaving.
+// Spans returns up to n of the most recent spans in canonical order: a
+// total order over every field, (Epoch, Stage, Part) first. Two spans that
+// compare equal are the same value, so the exported trace is a
+// deterministic function of the recorded span set regardless of goroutine
+// interleaving — even if two recording sites ever share (Epoch, Stage, Part).
 func (r *Registry) Spans(n int) []Span {
 	if r == nil || n <= 0 {
 		return nil
@@ -501,16 +503,25 @@ func (r *Registry) Spans(n int) []Span {
 		out = append(out, r.ring[pos])
 	}
 	r.ringMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Epoch != out[j].Epoch {
-			return out[i].Epoch < out[j].Epoch
-		}
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Part < out[j].Part
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
 	return out
+}
+
+// before is the canonical span order.
+func (a Span) before(b Span) bool {
+	switch {
+	case a.Epoch != b.Epoch:
+		return a.Epoch < b.Epoch
+	case a.Stage != b.Stage:
+		return a.Stage < b.Stage
+	case a.Part != b.Part:
+		return a.Part < b.Part
+	case a.B != b.B:
+		return a.B < b.B
+	case a.Start != b.Start:
+		return a.Start < b.Start
+	}
+	return a.Dur < b.Dur
 }
 
 // ---- Export ----

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,23 @@ func TestSpanRingAndCanonicalOrder(t *testing.T) {
 	got := r.Spans(1)
 	if len(got) != 1 || got[0].Epoch != 3 || got[0].Dur != 1 {
 		t.Fatalf("handle span = %+v", got)
+	}
+}
+
+// TestSpansOrderIsTotal: spans that collide on (Epoch, Stage, Part) still
+// come out in one order whichever was recorded first.
+func TestSpansOrderIsTotal(t *testing.T) {
+	export := func(first, second int) []Span {
+		r := NewRegistry()
+		st := r.Stage("s")
+		for i := 0; i < 8; i++ { // enough equal-key rows for an unstable sort to show
+			st.Record(1, 0, first, 0, 0)
+			st.Record(1, 0, second, 0, 0)
+		}
+		return r.Spans(100)
+	}
+	if a, b := export(9, 14), export(14, 9); !reflect.DeepEqual(a, b) {
+		t.Fatalf("canonical order depends on recording order:\n%+v\n%+v", a, b)
 	}
 }
 

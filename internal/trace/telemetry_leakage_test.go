@@ -108,6 +108,28 @@ func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpo
 		}
 	}
 
+	// A reply reaches its waiter before the epoch's closing telemetry is
+	// recorded; Close waits out every dispatched epoch, so the exports below
+	// read a finished registry rather than racing the last stage C.
+	sys.Close()
+
+	// No two spans may share (Epoch, Stage, Part): recording sites that
+	// collide there leave the canonical order to the remaining fields, and
+	// the collision itself means a Part label is not globally unique.
+	type spanID struct {
+		epoch uint64
+		stage string
+		part  int
+	}
+	seen := map[spanID]bool{}
+	for _, sp := range reg.Spans(1 << 20) {
+		id := spanID{sp.Epoch, sp.Stage, sp.Part}
+		if seen[id] {
+			t.Fatalf("two spans share (epoch %d, stage %q, part %d)", sp.Epoch, sp.Stage, sp.Part)
+		}
+		seen[id] = true
+	}
+
 	// Export through the real HTTP operator surface, not just the internal
 	// snapshot: these are the bytes an observer of the endpoint sees.
 	h := telemetry.Handler(reg)

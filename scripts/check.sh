@@ -79,6 +79,24 @@ go test -race -timeout 15m -count=2 \
   -run 'Distribute|CompactCost|PadAndSortReference|Boundar|Cost.*Count|ZeroAllocAcrossBatchSizes' \
   ./internal/obliv/ ./internal/ohash/ ./internal/loadbalancer/
 
+# Focused re-run of the scan kernel: obliv.BucketMasks / obliv.FusedBucket
+# against their slot-major references (table, quick, fuzz seeds) and the
+# whole-scan differentials and trace comparison in suboram (plain, sealed,
+# store, Workers > 1 — the worker fan-out is the part -race is for).
+go test -race -timeout 15m -count=2 \
+  -run 'FusedBucket|BucketMasks|SlotMajorReference|ZeroAllocSteadyState' \
+  ./internal/obliv/ ./internal/suboram/
+
+# The portable bodies (the purego tag drops every assembly kernel, as a
+# non-amd64 build does): the amd64 host otherwise never runs them.
+go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/
+
+# The leakage suite's canonical exports must not depend on how many
+# threads record spans: run it serial, at two and at four.
+for procs in 1 2 4; do
+  GOMAXPROCS=$procs go test -count=1 ./internal/trace/
+done
+
 # The benchmark program's own smoke test (a module of its own, so not part
 # of `go test ./...`): all four workloads at tiny shapes, every reply
 # checked against the reference model.
