@@ -7,7 +7,6 @@ package snoopy_test
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -59,7 +58,7 @@ func BenchmarkBitonicSort(b *testing.B) {
 				b.SetBytes(int64(n * benchBlock))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					obliv.SortParallel(store.ByKeyTag{Requests: reqs}, workers)
+					obliv.SortParallel(store.BySubKeyTag{Requests: reqs}, workers)
 				}
 			})
 		}
@@ -67,32 +66,8 @@ func BenchmarkBitonicSort(b *testing.B) {
 }
 
 // ---- Ablation 1: compaction algorithm choice ----
-
-func BenchmarkCompaction(b *testing.B) {
-	const n = 1 << 14
-	for _, alg := range []struct {
-		name string
-		f    func(obliv.Swapper, []uint8)
-	}{
-		{"ORCompact", obliv.Compact},
-		{"LogShift", obliv.CompactLogShift},
-	} {
-		b.Run(alg.name, func(b *testing.B) {
-			reqs := store.NewRequests(n, benchBlock)
-			marks := make([]uint8, n)
-			rng := rand.New(rand.NewSource(1))
-			for i := range marks {
-				marks[i] = uint8(rng.Intn(2))
-			}
-			b.SetBytes(int64(n * benchBlock))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := append([]uint8(nil), marks...)
-				alg.f(reqs, m)
-			}
-		})
-	}
-}
+// BenchmarkCompaction lives in internal/obliv (ablation_test.go), beside the
+// alternative it measures.
 
 // ---- Ablation 2: two-tier vs single-tier hash table bucket sizes ----
 
@@ -153,6 +128,7 @@ func BenchmarkLoadBalancerMatchResponses(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	batches.All.StampKeyOrder() // the batches stand in for their own responses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matched, err := lb.MatchResponses(batches.All, reqs)

@@ -41,7 +41,10 @@ import (
 type SubORAMClient interface {
 	// Init loads the partition contents.
 	Init(ids []uint64, data []byte) error
-	// BatchAccess executes one batch of distinct requests.
+	// BatchAccess executes one batch of distinct requests and returns one
+	// response row per request, in an order the rows declare
+	// (store.StampOrder): an engine that answers in the order received
+	// stamps key order, which is how a load balancer's batch arrives.
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
 }
 
@@ -1237,6 +1240,9 @@ func (sys *System) partStageB(job *epochJob, s int) {
 		for k, i := range idxs {
 			rows += job.eps[i].perSub
 			job.responses[i][s] = outs[k]
+			if err := checkResponse(s, outs[k], job.eps[i].perSub); err != nil {
+				job.subErr[s] = err
+			}
 		}
 		return
 	}
@@ -1248,7 +1254,43 @@ func (sys *System) partStageB(job *epochJob, s int) {
 		}
 		rows += job.eps[i].perSub
 		job.responses[i][s] = out
+		if err := checkResponse(s, out, job.eps[i].perSub); err != nil {
+			job.subErr[s] = err
+			return
+		}
 	}
+}
+
+// checkResponse rejects a response set that does not answer its α-row batch
+// row for row: stage C gives every partition exactly α rows of the response
+// set.
+func checkResponse(s int, out *store.Requests, alpha int) error {
+	if out == nil || out.Len() != alpha {
+		return fmt.Errorf("suboram %d: response is not the %d rows of its batch", s, alpha)
+	}
+	return nil
+}
+
+// gatherResponses lays one plane's partition responses out in exactly α·S
+// rows, partition s in rows [s·α, (s+1)·α): MatchResponses reads each
+// partition's order stamp at s·α. A failed partition — which one is already
+// public — contributes α blank rows in key order, under dummy keys no
+// request carries, so the epoch's shape does not depend on the failure. The
+// caller releases the result to arena.Default.
+func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize int) *store.Requests {
+	all := arena.Default.GetRequests(alpha*len(resp), blockSize)
+	for s, r := range resp {
+		if subErr[s] == nil && r != nil {
+			all.CopyRowsPlain(s*alpha, r)
+			continue
+		}
+		blank := all.View(s*alpha, (s+1)*alpha)
+		for j := range blank.Key {
+			blank.Key[j] = store.DummyKeyBit | uint64(s)<<32 | uint64(j)
+		}
+		blank.StampKeyOrder()
+	}
+	return all
 }
 
 // finishStageB runs the epoch-completion work that must happen in epoch
@@ -1374,24 +1416,10 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	// error — leaves at match completion, so reply traffic keeps
 	// its uniform timing regardless of which partitions failed.
 	anyErr := false
-	total := 0
 	for s := 0; s < S; s++ {
-		if job.subErr[s] != nil {
-			anyErr = true
-			continue
-		}
-		if r := job.responses[i][s]; r != nil {
-			total += r.Len()
-		}
+		anyErr = anyErr || job.subErr[s] != nil
 	}
-	all := arena.Default.GetRequests(total, sys.cfg.BlockSize)
-	off := 0
-	for s := 0; s < S; s++ {
-		if r := job.responses[i][s]; r != nil && job.subErr[s] == nil {
-			all.CopyRowsPlain(off, r)
-			off += r.Len()
-		}
-	}
+	all := gatherResponses(job.responses[i], job.subErr, job.eps[i].perSub, sys.cfg.BlockSize)
 	// The plane's aggregate response set is matched back per feed:
 	// each feed gets its own oblivious match against its own request
 	// snapshot, and a failed feed (dead leaf) fails only its own

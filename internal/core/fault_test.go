@@ -155,6 +155,60 @@ func TestPartitionFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
+// shortSub answers with one response row too few while short is set.
+type shortSub struct {
+	inner SubORAMClient
+	short atomic.Bool
+}
+
+func (f *shortSub) Init(ids []uint64, data []byte) error { return f.inner.Init(ids, data) }
+
+func (f *shortSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	out, err := f.inner.BatchAccess(reqs)
+	if err == nil && f.short.Load() {
+		out.Resize(out.Len() - 1)
+	}
+	return out, err
+}
+
+// TestMisshapenResponseFailsItsPartition: stage C hands MatchResponses
+// exactly α rows per partition, so a response that is not its batch's α rows
+// is that partition's failure — its requests get an error naming it, never a
+// silent not-found — and the other partitions' requests are answered.
+func TestMisshapenResponseFailsItsPartition(t *testing.T) {
+	const S, n = 3, 60
+	subs := make([]SubORAMClient, S)
+	for i := range subs {
+		subs[i] = suboram.New(suboram.Config{BlockSize: faultBlock})
+	}
+	bad := &shortSub{inner: subs[2]}
+	subs[2] = bad
+	sys, err := NewWithSubORAMs(Config{BlockSize: faultBlock, NumLoadBalancers: 1, Lambda: 32}, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	if err := sys.Init(ids, make([]byte, n*faultBlock)); err != nil {
+		t.Fatal(err)
+	}
+	for _, short := range []bool{true, false} {
+		bad.short.Store(short)
+		for k, err := range flushAsync(t, sys, ids) {
+			if onBad := sys.SubORAMFor(k) == 2; short && onBad {
+				if err == nil || !strings.Contains(err.Error(), "suboram 2") {
+					t.Fatalf("key %d on the misshapen partition: err=%v", k, err)
+				}
+			} else if err != nil {
+				t.Fatalf("key %d (short=%v): %v", k, short, err)
+			}
+		}
+	}
+}
+
 // TestStageBDiagnostics checks the failure-path observability satellites:
 // a failed partition's wall time is recorded (not left at zero) and its
 // error carries the partition index.

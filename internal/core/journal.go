@@ -282,11 +282,17 @@ func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 				}
 				for k, i := range live {
 					responses[i][s] = outs[k]
+					if err := checkResponse(s, outs[k], je.Planes[i].PerSub); err != nil {
+						subErr[s] = err
+					}
 				}
 				return
 			}
 			for k, i := range live {
 				out, err := subs[s].BatchAccess(gather[k])
+				if err == nil {
+					err = checkResponse(s, out, je.Planes[i].PerSub)
+				}
 				if err != nil {
 					subErr[s] = err
 					return
@@ -313,21 +319,8 @@ func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 // each tracked request's result in the reply window.
 func (sys *System) replayPlaneReplies(je *persist.JournalEpoch, i int, resp []*store.Requests, subErr []error) {
 	p := &je.Planes[i]
-	total := 0
-	for s := range resp {
-		if subErr[s] == nil && resp[s] != nil {
-			total += resp[s].Len()
-		}
-	}
-	all := arena.Default.GetRequests(total, je.BlockSize)
+	all := gatherResponses(resp, subErr, p.PerSub, je.BlockSize)
 	defer arena.Default.PutRequests(all)
-	off := 0
-	for s := range resp {
-		if subErr[s] == nil && resp[s] != nil {
-			all.CopyRowsPlain(off, resp[s])
-			off += resp[s].Len()
-		}
-	}
 	var droppedSet map[uint64]struct{}
 	addDropped := func(keys []uint64) {
 		for _, k := range keys {

@@ -87,11 +87,11 @@ func Fig13a(w io.Writer, sc Scale) {
 			}
 			t0 := time.Now()
 			if workers == 0 {
-				obliv.SortAdaptive(store.ByKeyTag{Requests: reqs}, runtime.GOMAXPROCS(0))
+				obliv.SortAdaptive(store.BySubKeyTag{Requests: reqs}, runtime.GOMAXPROCS(0))
 			} else if workers == 1 {
-				obliv.Sort(store.ByKeyTag{Requests: reqs})
+				obliv.Sort(store.BySubKeyTag{Requests: reqs})
 			} else {
-				obliv.SortParallel(store.ByKeyTag{Requests: reqs}, workers)
+				obliv.SortParallel(store.BySubKeyTag{Requests: reqs}, workers)
 			}
 			fprintf(w, " %12v", time.Since(t0).Round(time.Microsecond))
 		}

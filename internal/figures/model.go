@@ -72,6 +72,7 @@ func measureModel(block, lambda, workers int) planner.CostModel {
 	if err != nil {
 		panic(err)
 	}
+	b.All.StampKeyOrder() // the batches stand in for their own responses
 	if _, err := lb.MatchResponses(b.All, reqs); err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"snoopy/internal/arena"
 	"snoopy/internal/crypt"
+	"snoopy/internal/obliv"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
@@ -45,24 +46,36 @@ func TestMakeBatchesZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestMatchResponsesZeroAllocSteadyState: the response-matching half of the
-// epoch is equally allocation-free once warm.
+// epoch is equally allocation-free once warm — the narrow sort runs in the
+// merge buffer's own request rows, so it needs no scratch at all — with
+// responses in table order under a different key per partition.
 func TestMatchResponsesZeroAllocSteadyState(t *testing.T) {
 	pool := arena.NewPool()
 	lb := New(Config{BlockSize: 32, NumSubORAMs: 2, Lambda: 64, SortWorkers: 1, Pool: pool}, crypt.MustNewKey())
 
+	rng := rand.New(rand.NewSource(51))
 	reqs := store.NewRequests(64, 32)
 	for i := 0; i < reqs.Len(); i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
+		reqs.SetRow(i, store.OpRead, rng.Uint64()%40, 0, uint64(i), uint64(i), nil)
 	}
-	responses := store.NewRequests(128, 32)
-	for i := 0; i < responses.Len(); i++ {
-		responses.SetRow(i, store.OpRead, uint64(i), 0, 0, 0, nil)
-		responses.Aux[i] = 1
+	b, err := lb.MakeBatches(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	responses := store.NewRequests(b.All.Len(), 32)
+	for p := 0; p < 2; p++ {
+		responses.CopyRowsPlain(p*b.PerSub, answer(b.For(p), crypt.MustNewSipKey(), (b.PerSub+3)/4))
+	}
+	b.Release()
 
 	m, err := lb.MatchResponses(responses, reqs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < m.Len(); i++ {
+		if m.Key[i]%3 != 0 && m.Aux[i] != 1 { // answer() leaves every third key absent
+			t.Fatalf("key %d unanswered — the guard would be measuring a mismatch", m.Key[i])
+		}
 	}
 	pool.PutRequests(m)
 
@@ -149,6 +162,48 @@ func BenchmarkMakeBatches(b *testing.B) {
 				}
 				bt.Release()
 			}
+		})
+	}
+}
+
+// BenchmarkMatchResponses is BenchmarkMakeBatches' counterpart at the same
+// four ledger shapes, against responses in table order under a fresh key per
+// partition (what subORAMs send). Beside ms/op it reports the row operations
+// of one call: narrow ones move a request's metadata only, wide ones a whole
+// 160 B row.
+func BenchmarkMatchResponses(b *testing.B) {
+	for _, sh := range []struct{ r, s, keys int }{{2048, 4, 2048}, {128, 2, 1 << 16}, {512, 1, 1 << 13}, {120, 2, 1 << 12}} {
+		b.Run(fmt.Sprintf("R=%d/S=%d", sh.r, sh.s), func(b *testing.B) {
+			pool := arena.NewPool()
+			lb := New(Config{BlockSize: 160, NumSubORAMs: sh.s, SortWorkers: 1, Pool: pool}, crypt.MustNewKey())
+			rng := rand.New(rand.NewSource(56))
+			reqs := store.NewRequests(sh.r, 160)
+			for i := 0; i < sh.r; i++ {
+				reqs.SetRow(i, uint8(rng.Intn(2)), uint64(rng.Intn(sh.keys)), 0, uint64(i), uint64(i), nil)
+			}
+			bt, err := lb.MakeBatches(reqs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			alpha := bt.PerSub
+			responses := store.NewRequests(alpha*sh.s, 160)
+			for p := 0; p < sh.s; p++ {
+				responses.CopyRowsPlain(p*alpha, answer(bt.For(p), crypt.MustNewSipKey(), (alpha+3)/4))
+			}
+			bt.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := lb.MatchResponses(responses, reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pool.PutRequests(m)
+			}
+			narrow := obliv.SortCost(sh.r)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			b.ReportMetric(float64(narrow), "narrow-ops")
+			b.ReportMetric(float64(MatchResponsesCost(sh.r, sh.s, alpha)-narrow), "wide-ops")
 		})
 	}
 }

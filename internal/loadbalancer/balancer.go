@@ -27,10 +27,11 @@ type Balancer interface {
 	// the rest of the epoch proceeds — the caller fails only that feed's
 	// requests. err reports a plane-wide failure (no batches).
 	MakeBatches(epoch uint64, feeds []*store.Requests) (b *Batches, feedErrs []error, err error)
-	// MatchResponses obliviously matches the epoch's (concatenated healthy)
-	// response set back to feed's original request snapshot, returning one
-	// row per request with Data/Aux carrying the response. The result is
-	// drawn from the balancer's arena; the caller owns and releases it.
+	// MatchResponses obliviously matches the epoch's response set — α rows
+	// per subORAM, a failed partition's range blank — back to feed's
+	// original request snapshot, returning one row per request with
+	// Data/Aux carrying the response. The result is drawn from the
+	// balancer's arena; the caller owns and releases it.
 	MatchResponses(epoch uint64, responses *store.Requests, feed int, reqs *store.Requests) (*store.Requests, error)
 	// SubORAMFor returns the partition storing id.
 	SubORAMFor(id uint64) int

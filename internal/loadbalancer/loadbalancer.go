@@ -11,6 +11,7 @@ package loadbalancer
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -311,12 +312,19 @@ func (lb *LoadBalancer) MakeBatches(reqs *store.Requests) (*Batches, error) {
 }
 
 // MatchResponses obliviously propagates subORAM responses to the original
-// client requests (paper Fig. 6 / Fig. 25 lines 18–26). responses is the
-// concatenation of every subORAM's response batch; reqs is the epoch's
-// original request list (duplicates included). The result has one row per
-// original request — same Key, Op, Seq, and Client cookie, with Data (and
-// the Aux found bit) carrying the response — in unspecified order. Its
-// storage is drawn from the arena; the caller owns it and may release it.
+// client requests (paper Fig. 6 / Fig. 25 lines 18–26). responses holds every
+// subORAM's response batch, partition s in rows [s·α, (s+1)·α), each batch
+// ascending in the order its stamp declares (store.StampOrder); reqs is the
+// epoch's original request list (duplicates included), or any subset of it.
+// The result has one row per original request — same Key, Op, Seq, and
+// Client cookie, with Data (and the Aux found bit) carrying the response,
+// zero for a key no response row answers — in unspecified order. Its storage
+// is drawn from the arena; the caller owns it and may release it.
+//
+// Both inputs are nearly in order, so instead of sorting their union the
+// requests' metadata alone is sorted into the responses' order — a request's
+// value block is dead here — and one merge of the two runs makes every
+// response adjacent to the requests it answers.
 func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.Requests, error) {
 	t0 := time.Now()
 	tt0 := lb.cfg.Telemetry.Now()
@@ -324,21 +332,64 @@ func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.
 	if responses.BlockSize != lb.cfg.BlockSize || reqs.BlockSize != lb.cfg.BlockSize {
 		return nil, fmt.Errorf("loadbalancer: block size mismatch")
 	}
-	// ➊ Merge: responses tagged 0, requests tagged 1.
-	pool := lb.pool()
-	x := pool.GetRequests(responses.Len()+reqs.Len(), lb.cfg.BlockSize)
-	x.CopyRowsPlain(0, responses)
-	x.CopyRowsPlain(responses.Len(), reqs)
-	x.Rec = lb.cfg.Rec
-	for i := 0; i < responses.Len(); i++ {
-		x.Tag[i] = 0
+	s := lb.cfg.NumSubORAMs
+	r, m := reqs.Len(), responses.Len()
+	if m == 0 || m%s != 0 {
+		return nil, fmt.Errorf("loadbalancer: %d response rows are not one batch per each of %d subORAMs", m, s)
 	}
-	for i := responses.Len(); i < x.Len(); i++ {
-		x.Tag[i] = 1
+	alpha := m / s
+	buckets := 0 // Σ B1 over partitions, the range of a row's rank: public, like α
+	for p := 0; p < s; p++ {
+		_, b1 := responses.OrderStamp(p * alpha)
+		buckets += b1
+	}
+	if buckets > math.MaxUint32 {
+		return nil, fmt.Errorf("loadbalancer: response stamps declare %d buckets", buckets)
 	}
 
-	// ➋ Sort by key, responses before the requests they answer.
-	obliv.SortAdaptive(store.ByKeyTag{Requests: x}, lb.cfg.SortWorkers)
+	// ➊ Rank every request by (partition, bucket of its key under that
+	// partition's stamp) in Sub, and sort the metadata by (Sub, Key). The
+	// partition is secret, so its stamp is picked by a scan over all S.
+	pool := lb.pool()
+	x := pool.GetRequests(r+m, lb.cfg.BlockSize)
+	x.Rec = lb.cfg.Rec
+	x.Resize(r)
+	copy(x.Op, reqs.Op)
+	copy(x.Key, reqs.Key)
+	copy(x.Seq, reqs.Seq)
+	copy(x.Client, reqs.Client)
+	for i := 0; i < r; i++ {
+		sub := uint64(lb.SubORAMFor(x.Key[i]))
+		var k crypt.SipKey
+		var b1, base, first uint64
+		for p := 0; p < s; p++ {
+			kp, bp := responses.OrderStamp(p * alpha)
+			c := obliv.EqU64(sub, uint64(p))
+			obliv.CondSetU64(c, &k[0], kp[0])
+			obliv.CondSetU64(c, &k[1], kp[1])
+			obliv.CondSetU64(c, &b1, uint64(bp))
+			obliv.CondSetU64(c, &base, first)
+			first += uint64(bp)
+		}
+		x.Sub[i] = uint32(base) + crypt.SipBucket(k, x.Key[i], int(b1))
+		x.Tag[i] = 1
+	}
+	obliv.SortAdaptive(store.MetaBySubKey{Requests: x}, lb.cfg.SortWorkers)
+
+	// ➋ Lay the responses out behind them under the same rank, tagged 0 so
+	// each precedes the requests it answers, and merge the two runs.
+	x.Resize(r + m)
+	x.CopyRowsPlain(r, responses)
+	first := uint32(0)
+	for p := 0; p < s; p++ {
+		k, b1 := responses.OrderStamp(p * alpha)
+		for i := r + p*alpha; i < r+(p+1)*alpha; i++ {
+			x.Sub[i] = first + crypt.SipBucket(k, x.Key[i], b1)
+			x.Tag[i] = 0
+		}
+		first += uint32(b1)
+	}
+	obliv.MergeSorted(store.BySubKeyTag{Requests: x}, []int{r, m})
 
 	// ➌ Propagate response data to the request rows that follow it.
 	prevKey := ^uint64(0)
@@ -380,10 +431,11 @@ func MakeBatchesCost(r, s, alpha int) int {
 	return obliv.SortCost(r) + obliv.CompactCost(r) + obliv.DistributeCost(alpha*s)
 }
 
-// MatchResponsesCost is MakeBatchesCost's counterpart for MatchResponses,
-// which still sorts and compacts all r + α·s rows.
+// MatchResponsesCost is MakeBatchesCost's counterpart for MatchResponses:
+// sort the r requests' metadata (narrow row operations, about half the price
+// of the rest), merge them with the α·s responses, compact the r + α·s rows.
 func MatchResponsesCost(r, s, alpha int) int {
-	return obliv.SortCost(r+alpha*s) + obliv.CompactCost(r+alpha*s)
+	return obliv.SortCost(r) + obliv.MergeSortedCost([]int{r, alpha * s}) + obliv.CompactCost(r+alpha*s)
 }
 
 // LastStats returns the timing breakdown of the most recent epoch.

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"snoopy/internal/batch"
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
 	"snoopy/internal/trace"
 	"snoopy/internal/wirecode"
 )
@@ -196,6 +198,382 @@ func TestCostFunctionsCountTheEpoch(t *testing.T) {
 		}
 		if got, want := rec.Count()-before, uint64(MatchResponsesCost(sh.r, sh.s, b.PerSub)+rows); got != want {
 			t.Fatalf("R=%d S=%d: MatchResponses recorded %d events, cost+linear says %d", sh.r, sh.s, got, want)
+		}
+	}
+}
+
+// byKeyTag is the order refMatchResponses sorts the union by: key, then
+// responses (Tag=0) before the requests (Tag=1) they answer.
+type byKeyTag struct{ *store.Requests }
+
+func (s byKeyTag) Greater(i, j int) uint8 {
+	r := s.Requests
+	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
+	keyEq := obliv.EqU64(r.Key[i], r.Key[j])
+	tagGt := obliv.GtU64(uint64(r.Tag[i]), uint64(r.Tag[j]))
+	return obliv.Or(keyGt, obliv.And(keyEq, tagGt))
+}
+
+// refMatchResponses is the sort-based matching this package used before the
+// merge: concatenate responses and requests, sort all R + α·S rows by
+// (key, tag), propagate, compact. It reads no order stamp and needs no
+// order, which is what makes it the specification MatchResponses must
+// answer like.
+func refMatchResponses(responses, reqs *store.Requests) *store.Requests {
+	x := store.Concat(responses, reqs)
+	for i := range x.Tag {
+		x.Tag[i] = 0
+		if i >= responses.Len() {
+			x.Tag[i] = 1
+		}
+	}
+	obliv.Sort(byKeyTag{x})
+	prevKey := ^uint64(0)
+	var prevFound uint8
+	prevData := make([]byte, x.BlockSize)
+	for i := 0; i < x.Len(); i++ {
+		isResp := obliv.Not(x.Tag[i])
+		obliv.CondSetU64(isResp, &prevKey, x.Key[i])
+		obliv.CondSetU8(isResp, &prevFound, x.Aux[i])
+		obliv.CondCopyBytes(isResp, prevData, x.Block(i))
+		match := x.Tag[i] & obliv.EqU64(x.Key[i], prevKey)
+		obliv.CondCopyBytes(match, x.Block(i), prevData)
+		obliv.CondSetU8(match, &x.Aux[i], prevFound)
+	}
+	marks := append([]uint8(nil), x.Tag...)
+	obliv.Compact(x, marks)
+	x.Resize(reqs.Len())
+	return x
+}
+
+// answer plays a subORAM on one α-row batch: every third real key is absent
+// (zero block, Aux 0, like dummies), the rest answer with a value derived
+// from the key; rows come back ascending by (bucket of key under k among b1,
+// key) and stamped so — b1 = 1 is plain key order.
+func answer(batch *store.Requests, k crypt.SipKey, b1 int) *store.Requests {
+	out := batch.Clone()
+	for i := 0; i < out.Len(); i++ {
+		blk := out.Block(i)
+		clear(blk)
+		out.Aux[i] = 0
+		if key := out.Key[i]; !store.IsDummyKey(key) && key%3 != 0 {
+			out.Aux[i] = 1
+			for j := range blk {
+				blk[j] = byte(key) + byte(j)
+			}
+		}
+	}
+	idx := make([]int, out.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	bucket := func(i int) uint32 { return crypt.SipBucket(k, out.Key[i], b1) }
+	sort.Slice(idx, func(a, b int) bool {
+		if ba, bb := bucket(idx[a]), bucket(idx[b]); ba != bb {
+			return ba < bb
+		}
+		return out.Key[idx[a]] < out.Key[idx[b]]
+	})
+	sorted := store.NewRequests(out.Len(), out.BlockSize)
+	for i, j := range idx {
+		sorted.CopyRowPlain(i, out, j)
+	}
+	sorted.StampOrder(k, b1)
+	return sorted
+}
+
+// blankRange is what core's stage C puts in a failed partition's range.
+func blankRange(responses *store.Requests, p, alpha int) {
+	v := responses.View(p*alpha, (p+1)*alpha)
+	v.Reset()
+	for j := range v.Key {
+		v.Key[j] = store.DummyKeyBit | uint64(p)<<32 | uint64(j)
+	}
+	v.StampKeyOrder()
+}
+
+// sameReplies fails unless got and want answer every request of reqs alike:
+// as a map Client → (Key, Op, Seq, Data, Aux), row order being unspecified.
+// A request whose key no response row carries (a Theorem-3 victim, a failed
+// partition) comes back zeroed with Aux 0, where the reference echoed the
+// request's own block; core fails those requests either way.
+func sameReplies(t *testing.T, what string, got, want, responses, reqs *store.Requests) {
+	t.Helper()
+	if got.Len() != reqs.Len() || want.Len() != reqs.Len() {
+		t.Fatalf("%s: %d rows, reference %d, want %d", what, got.Len(), want.Len(), reqs.Len())
+	}
+	answered := make(map[uint64]bool, responses.Len())
+	for _, k := range responses.Key {
+		answered[k] = true
+	}
+	type reply struct {
+		key, seq uint64
+		op, aux  uint8
+		data     string
+	}
+	collect := func(x *store.Requests, zeroUnanswered bool) map[uint64]reply {
+		m := make(map[uint64]reply, x.Len())
+		for i := 0; i < x.Len(); i++ {
+			r := reply{x.Key[i], x.Seq[i], x.Op[i], x.Aux[i], string(x.Block(i))}
+			if zeroUnanswered && !answered[r.key] {
+				r.aux, r.data = 0, string(make([]byte, x.BlockSize))
+			}
+			if _, dup := m[x.Client[i]]; dup {
+				t.Fatalf("%s: client cookie %d answered twice", what, x.Client[i])
+			}
+			m[x.Client[i]] = r
+		}
+		return m
+	}
+	g, w := collect(got, false), collect(want, true)
+	for i := 0; i < reqs.Len(); i++ {
+		c := reqs.Client[i]
+		if g[c] != w[c] {
+			t.Fatalf("%s: client %d (key %#x): got key=%#x op=%d seq=%d aux=%d data=%x\nreference key=%#x op=%d seq=%d aux=%d data=%x",
+				what, c, reqs.Key[i], g[c].key, g[c].op, g[c].seq, g[c].aux, g[c].data,
+				w[c].key, w[c].op, w[c].seq, w[c].aux, w[c].data)
+		}
+		if g[c].key != reqs.Key[i] || g[c].op != reqs.Op[i] || g[c].seq != reqs.Seq[i] {
+			t.Fatalf("%s: client %d came back as another request", what, c)
+		}
+	}
+}
+
+// matchReqs draws n requests over a keyspace in one of the traffic shapes
+// the differential runs: cookies are distinct, Aux is clear (as core's are).
+func matchReqs(rng *rand.Rand, n int, shape string) *store.Requests {
+	reqs := store.NewRequests(n, testBlock)
+	zipf := rand.NewZipf(rng, 1.2, 1, 1<<12)
+	for i := 0; i < n; i++ {
+		op, key := uint8(rng.Intn(2)), uint64(rng.Intn(1+n/2))
+		switch shape {
+		case "duplicates":
+			key = 7
+		case "distinct":
+			key = uint64(i)*5 + 1
+		case "zipf":
+			key = zipf.Uint64()
+		case "writes":
+			op = store.OpWrite
+		case "absent":
+			key = uint64(rng.Intn(1+n)) * 3
+		}
+		reqs.SetRow(i, op, key, 0, uint64(i), uint64(5000+i), nil)
+		rng.Read(reqs.Block(i))
+	}
+	return reqs
+}
+
+// TestMatchResponsesMatchesSortReference: over the size edges, S, every
+// traffic shape, and response batches in key order, in table order and in a
+// different order per partition, the merge answers every request as the
+// sort-based reference does.
+func TestMatchResponsesMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for _, S := range []int{1, 2, 4} {
+		cfg := Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}
+		lb := New(cfg, crypt.MustNewKey())
+		sizes := []int{0, 1, 2, 2048}
+		for _, r := range []int{128, 512} {
+			a := batch.Size(r, S, cfg.Lambda)
+			sizes = append(sizes, a-1, a)
+		}
+		for _, n := range sizes {
+			for _, shape := range []string{"mixed", "duplicates", "distinct", "zipf", "writes", "absent"} {
+				reqs := matchReqs(rng, n, shape)
+				b, err := lb.MakeBatches(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, order := range []string{"key", "table", "per-partition"} {
+					responses := store.NewRequests(b.All.Len(), testBlock)
+					for p := 0; p < S; p++ {
+						k, b1 := crypt.SipKey{}, 1
+						if order == "table" || (order == "per-partition" && p%2 == 1) {
+							k, b1 = crypt.MustNewSipKey(), (b.PerSub+3)/4+p // B1 differs by partition
+						}
+						responses.CopyRowsPlain(p*b.PerSub, answer(b.For(p), k, b1))
+					}
+					got, err := lb.MatchResponses(responses, reqs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("S=%d R=%d %s, %s order", S, n, shape, order)
+					sameReplies(t, what, got, refMatchResponses(responses, reqs), responses, reqs)
+				}
+				b.Release()
+			}
+		}
+	}
+}
+
+// TestMatchResponsesDegradedEpochs: Theorem-3 victims (α+1 distinct keys
+// into one partition) and a failed partition's blank range leave exactly
+// those requests unanswered — zeroed, Aux 0 — and every other request
+// answered as the reference answers it.
+func TestMatchResponsesDegradedEpochs(t *testing.T) {
+	const S, R = 4, 400
+	rng := rand.New(rand.NewSource(82))
+	lb := New(Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}, crypt.MustNewKey())
+	alpha := lb.BatchSize(R)
+	var hot []uint64 // α+1 distinct keys of partition 2
+	for k := uint64(1); len(hot) < alpha+1; k++ {
+		if lb.SubORAMFor(k) == 2 {
+			hot = append(hot, k)
+		}
+	}
+	reqs := matchReqs(rng, R, "mixed")
+	for i, k := range hot {
+		reqs.Key[i] = k
+	}
+	b, err := lb.MakeBatches(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Dropped != 1 {
+		t.Fatalf("dropped %d, want the one Theorem-3 victim", b.Dropped)
+	}
+	for _, failed := range []int{-1, 0, 2} {
+		responses := store.NewRequests(b.All.Len(), testBlock)
+		for p := 0; p < S; p++ {
+			responses.CopyRowsPlain(p*alpha, answer(b.For(p), crypt.MustNewSipKey(), (alpha+3)/4))
+		}
+		if failed >= 0 {
+			blankRange(responses, failed, alpha)
+		}
+		got, err := lb.MatchResponses(responses, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReplies(t, fmt.Sprintf("failed partition %d", failed), got, refMatchResponses(responses, reqs), responses, reqs)
+		zero := make([]byte, testBlock)
+		for i := 0; i < got.Len(); i++ {
+			victim := got.Key[i] == b.DroppedKeys[0] || lb.SubORAMFor(got.Key[i]) == failed
+			if victim && (got.Aux[i] != 0 || !bytes.Equal(got.Block(i), zero)) {
+				t.Fatalf("failed=%d: unanswerable key %d came back aux=%d data=%x", failed, got.Key[i], got.Aux[i], got.Block(i))
+			}
+		}
+	}
+	b.Release()
+}
+
+// TestMatchResponsesRealSubORAMs runs the differential against real
+// subORAMs — under pinned and under fresh hash keys — with three load
+// balancers whose epochs share keys, and with a tree feed: a strict subset
+// of the plane's requests matched against the whole response set.
+func TestMatchResponsesRealSubORAMs(t *testing.T) {
+	const S, L, objects = 3, 3, 2048
+	pinned := &[2]crypt.SipKey{{1, 2}, {3, 4}}
+	for _, keys := range []*[2]crypt.SipKey{pinned, nil} {
+		rng := rand.New(rand.NewSource(83))
+		key := crypt.MustNewKey()
+		lbs := make([]*LoadBalancer, L)
+		for i := range lbs {
+			lbs[i] = New(Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}, key)
+		}
+		ids := make([]uint64, objects)
+		data := make([]byte, objects*testBlock)
+		for i := range ids {
+			ids[i] = uint64(i)
+		}
+		rng.Read(data)
+		pids, pdata, _ := lbs[0].Partition(ids, data)
+		subs := make([]*suboram.SubORAM, S)
+		for p := range subs {
+			subs[p] = suboram.New(suboram.Config{BlockSize: testBlock, TestHashKeys: keys})
+			if err := subs[p].Init(pids[p], pdata[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for epoch := 0; epoch < 4; epoch++ {
+			for i := 0; i < L; i++ { // fixed load-balancer order; same keys across planes
+				reqs := matchReqs(rng, 300+50*i, "mixed")
+				b, err := lbs[i].MakeBatches(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				responses := store.NewRequests(b.All.Len(), testBlock)
+				for p := 0; p < S; p++ {
+					out, err := subs[p].BatchAccess(b.For(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					responses.CopyRowsPlain(p*b.PerSub, out)
+				}
+				b.Release()
+				what := fmt.Sprintf("pinned=%v epoch %d lb %d", keys != nil, epoch, i)
+				got, err := lbs[i].MatchResponses(responses, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameReplies(t, what, got, refMatchResponses(responses, reqs), responses, reqs)
+				for j := 0; j < got.Len(); j++ {
+					if got.Aux[j] != 1 {
+						t.Fatalf("%s: stored key %d not found", what, got.Key[j])
+					}
+				}
+
+				feed := store.NewRequests(reqs.Len()/3, testBlock)
+				for j := 0; j < feed.Len(); j++ {
+					feed.CopyRowPlain(j, reqs, 3*j)
+				}
+				got, err = lbs[i].MatchResponses(responses, feed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameReplies(t, what+" feed subset", got, refMatchResponses(responses, feed), responses, feed)
+			}
+		}
+	}
+}
+
+// TestMatchResponsesTraceIsPublic: the Rec trace of MatchResponses is a
+// function of (R, α, S) alone — request contents, response contents, the
+// partitions' table keys and their bucket counts all vary, the trace does
+// not.
+func TestMatchResponsesTraceIsPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	const S, R = 4, 300
+	var first *trace.Recorder
+	for trial := 0; trial < 4; trial++ {
+		rec := trace.New()
+		cfg := Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}
+		key := crypt.MustNewKey()
+		builder := New(cfg, key)
+		cfg.Rec = rec
+		lb := New(cfg, key)
+		reqs := matchReqs(rng, R, []string{"mixed", "duplicates", "distinct", "writes"}[trial])
+		b, err := builder.MakeBatches(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		responses := store.NewRequests(b.All.Len(), testBlock)
+		for p := 0; p < S; p++ {
+			responses.CopyRowsPlain(p*b.PerSub, answer(b.For(p), crypt.MustNewSipKey(), 1+rng.Intn(b.PerSub)))
+		}
+		b.Release()
+		if _, err := lb.MatchResponses(responses, reqs); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Count() == 0 {
+			t.Fatal("recorder captured nothing")
+		}
+		if first == nil {
+			first = rec
+		} else if !trace.Equal(first, rec) {
+			t.Fatalf("trial %d: MatchResponses trace depends on secrets (%d vs %d events)", trial, rec.Count(), first.Count())
+		}
+	}
+}
+
+// TestMatchResponsesRejectsMisshapenResponses: a response set that is not
+// one α-row batch per subORAM is an error, not a mismatch.
+func TestMatchResponsesRejectsMisshapenResponses(t *testing.T) {
+	lb := newLB(t, 4)
+	reqs := matchReqs(rand.New(rand.NewSource(85)), 10, "mixed")
+	for _, rows := range []int{0, 3, 9} {
+		if _, err := lb.MatchResponses(store.NewRequests(rows, testBlock), reqs); err == nil {
+			t.Fatalf("%d response rows for 4 subORAMs: no error", rows)
 		}
 	}
 }

@@ -129,19 +129,6 @@ func CondSwapBytes(c uint8, a, b []byte) {
 	}
 }
 
-// EqBytes returns 1 if a == b, else 0, scanning both slices fully.
-// Slices of unequal length compare as 0 (length is treated as public).
-func EqBytes(a, b []byte) uint8 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var acc byte
-	for i := range a {
-		acc |= a[i] ^ b[i]
-	}
-	return EqU64(uint64(acc), 0)
-}
-
 func leU64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

@@ -102,21 +102,6 @@ func TestCondBytes(t *testing.T) {
 	}
 }
 
-func TestEqBytes(t *testing.T) {
-	if EqBytes([]byte{1, 2, 3}, []byte{1, 2, 3}) != 1 {
-		t.Error("equal slices should compare 1")
-	}
-	if EqBytes([]byte{1, 2, 3}, []byte{1, 2, 4}) != 0 {
-		t.Error("unequal slices should compare 0")
-	}
-	if EqBytes([]byte{1}, []byte{1, 2}) != 0 {
-		t.Error("length mismatch should compare 0")
-	}
-	if EqBytes(nil, nil) != 1 {
-		t.Error("empty slices should compare 1")
-	}
-}
-
 func TestCondBytesMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

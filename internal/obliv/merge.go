@@ -64,10 +64,11 @@ func mergeTwoRuns(s Sorter, lo, a, b int) {
 	bitonicMerge(s, lo, a+b, true)
 }
 
-// MergeSortedCost returns the number of compare-exchanges MergeSorted will
-// perform for the given run lengths — a pure function of public parameters,
-// used by the planner's cost model and by tests asserting the merge beats a
-// full re-sort.
+// MergeSortedCost returns the number of row operations MergeSorted will
+// perform for the given run lengths — each two-run merge's compare-exchanges
+// plus the swaps that reverse its left run — a pure function of public
+// parameters, used by the planner's cost model and by tests asserting the
+// merge beats a full re-sort.
 func MergeSortedCost(runs []int) int {
 	cost := 0
 	var walk func(lens []int) int
@@ -82,7 +83,7 @@ func MergeSortedCost(runs []int) int {
 		a := walk(lens[:h])
 		b := walk(lens[h:])
 		if a > 0 && b > 0 {
-			cost += bitonicMergeCost(a + b)
+			cost += a/2 + bitonicMergeCost(a+b)
 		}
 		return a + b
 	}

@@ -185,8 +185,9 @@ func TestMergeSortedTraceFixed(t *testing.T) {
 }
 
 // TestMergeSortedCostAccounting pins the cost model to reality: the number of
-// Greater calls MergeSorted makes equals MergeSortedCost, ditto Sort and
-// SortCost, and at >=4 equal runs merging is strictly cheaper than
+// OSwap calls MergeSorted makes (one per compare-exchange, one per reversal
+// swap) equals MergeSortedCost, the number of Greater calls Sort makes
+// equals SortCost, and at >=4 equal runs merging is strictly cheaper than
 // re-sorting — the tentpole's asymptotic claim, checked concretely.
 func TestMergeSortedCostAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -204,12 +205,12 @@ func TestMergeSortedCostAccounting(t *testing.T) {
 		MergeSorted(ts, runs)
 		got := 0
 		for _, step := range ts.trace {
-			if step[0] == 0 {
+			if step[0] == 1 {
 				got++
 			}
 		}
 		if want := MergeSortedCost(runs); got != want {
-			t.Errorf("runs=%v: %d compare-exchanges, MergeSortedCost says %d", runs, got, want)
+			t.Errorf("runs=%v: %d row operations, MergeSortedCost says %d", runs, got, want)
 		}
 	}
 

@@ -298,6 +298,9 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 		copy(out.Block(i), v)
 		out.Aux[i] = 1
 	}
+	// Answered in the order received, which for a load balancer's batch is
+	// key order.
+	out.StampKeyOrder()
 	return out, nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"snoopy/internal/core"
 	"snoopy/internal/store"
 )
 
@@ -127,5 +129,46 @@ func TestSubORAMAdapter(t *testing.T) {
 	out2, _ := s.BatchAccess(reqs2)
 	if !bytes.HasPrefix(out2.Block(0), []byte("w300")) {
 		t.Fatalf("write lost: %q", out2.Block(0))
+	}
+}
+
+// TestOblixShardsInFullSystem mounts DORAM shards as Snoopy partitions. The
+// shards answer in the order received and declare it (key order), which is
+// what lets the load balancer's merge match their responses.
+func TestOblixShardsInFullSystem(t *testing.T) {
+	const block = 32
+	var subs []core.SubORAMClient
+	for i := 0; i < 3; i++ {
+		subs = append(subs, NewSubORAM(block))
+	}
+	sys, err := core.NewWithSubORAMs(core.Config{
+		BlockSize: block, NumLoadBalancers: 2, Lambda: 32,
+		EpochDuration: 2 * time.Millisecond,
+	}, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	n := 90
+	ids := make([]uint64, n)
+	data := make([]byte, n*block)
+	for i := 0; i < n; i++ {
+		ids[i] = uint64(i)
+		copy(data[i*block:], fmt.Sprintf("v%d", i))
+	}
+	if err := sys.Init(ids, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.Write(41, []byte("w41")); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[uint64]string{0: "v0", 41: "w41", 89: "v89"} {
+		v, found, err := sys.Read(key)
+		if err != nil || !found || !bytes.HasPrefix(v, []byte(want)) {
+			t.Fatalf("key %d: %q %v %v, want %q", key, v, found, err, want)
+		}
+	}
+	if _, found, _ := sys.Read(5000); found {
+		t.Fatal("absent key found through DORAM shards")
 	}
 }

@@ -102,9 +102,13 @@ func (g Geometry) BuildCost() int {
 		obliv.SortCost(c) + obliv.CompactCost(c) + obliv.DistributeCost(g.B2*g.Z2)
 }
 
-// ExtractCost is BuildCost's counterpart for Extract: one compaction over
-// both tiers.
-func (g Geometry) ExtractCost() int { return obliv.CompactCost(g.B1*g.Z1 + g.B2*g.Z2) }
+// ExtractCost is BuildCost's counterpart for Extract: compact each tier,
+// sort the tier-2 candidates, merge them into the tier-1 run.
+func (g Geometry) ExtractCost() int {
+	c := min(g.C2, g.N)
+	return obliv.CompactCost(g.B1*g.Z1) + obliv.CompactCost(g.B2*g.Z2) +
+		obliv.SortCost(c) + obliv.MergeSortedCost([]int{c, g.N})
+}
 
 // SlotsScannedPerLookup returns Z1+Z2: the per-object scan cost.
 func (g Geometry) SlotsScannedPerLookup() int { return g.Z1 + g.Z2 }
@@ -223,26 +227,54 @@ func (t *Table) Buckets(id uint64) (lo1, hi1, lo2, hi2 int) {
 	return b1 * t.Geom.Z1, (b1 + 1) * t.Geom.Z1, b2 * t.Geom.Z2, (b2 + 1) * t.Geom.Z2
 }
 
-// Extract obliviously compacts the occupied slots of both tiers to recover
-// exactly n rows — the batch requests, now carrying whatever responses the
-// subORAM scan deposited in them. The table is consumed. The result is drawn
-// from the table's arena pool; the caller owns it and may release it.
+// Extract obliviously recovers exactly the n batch rows — now carrying
+// whatever responses the subORAM scan deposited in them — in table order:
+// ascending by (tier-1 bucket under K1, key), with Sub holding that bucket.
+// Each tier is compacted in place, which keeps a tier's residents in slot
+// order: tier 1's are then already in table order; the at most C2 tier-2
+// residents are re-bucketed under K1, sorted, and folded in by one merge.
+// Vacant rows take the sentinel bucket B1 and one shared key, so they trail
+// every resident and the first n merged rows are the batch. The table is
+// consumed. The result is drawn from the table's arena pool; the caller owns
+// it and may release it.
+//
+// Obliviousness: the compactions, the sort and the merge run fixed schedules
+// in the public Geometry; the linear pass touches every row in index order.
 func (t *Table) Extract() *store.Requests {
 	pool := t.pool
 	if pool == nil {
 		pool = arena.Default
 	}
-	n1, n2 := t.Tier1.Len(), t.Tier2.Len()
-	all := pool.GetRequests(n1+n2, t.Tier1.BlockSize)
-	all.CopyRowsPlain(0, t.Tier1)
-	all.CopyRowsPlain(n1, t.Tier2)
-	all.Rec = t.Tier1.Rec
-	marks := pool.GetBits(n1 + n2)
-	copy(marks, all.Tag)
-	obliv.Compact(all, marks)
+	g := t.Geom
+	n, c := g.N, min(g.C2, g.N)
+	marks := pool.GetBits(max(t.Tier1.Len(), t.Tier2.Len()))
+	for _, tier := range [2]*store.Requests{t.Tier1, t.Tier2} {
+		m := marks[:tier.Len()]
+		copy(m, tier.Tag)
+		obliv.Compact(tier, m)
+	}
 	pool.PutBits(marks)
-	all.Resize(t.Geom.N)
-	return all
+	t.Tier1.Resize(n)
+	t.Tier2.Resize(c)
+
+	// The shorter run goes first: MergeSorted reverses its left run.
+	out := pool.GetRequests(c+n, t.Tier1.BlockSize)
+	out.Rec = t.Tier1.Rec
+	out.CopyRowsPlain(0, t.Tier2)
+	out.CopyRowsPlain(c, t.Tier1)
+	for i := 0; i < c; i++ { // tier-1 rows already carry their bucket
+		out.Sub[i] = crypt.SipBucket(t.K1, out.Key[i], g.B1)
+	}
+	for i := 0; i < c+n; i++ {
+		out.Sub[i] = uint32(obliv.SelectU64(out.Tag[i], uint64(g.B1), uint64(out.Sub[i])))
+		out.Key[i] = obliv.SelectU64(out.Tag[i], padKey(0), out.Key[i])
+	}
+	out.Resize(c)
+	obliv.Sort(store.BySubKey{Requests: out})
+	out.Resize(c + n)
+	obliv.MergeSorted(store.BySubKey{Requests: out}, []int{c, n})
+	out.Resize(n)
+	return out
 }
 
 // markRuns sets keep[i] = 1 iff the rank of row i within its run of equal

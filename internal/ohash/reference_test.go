@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
@@ -310,6 +312,233 @@ func TestBuildCostCountsTheBuild(t *testing.T) {
 		tbl.Extract()
 		if got, want := p.Rec.Count()-before, uint64(g.ExtractCost()); got != want {
 			t.Fatalf("n=%d: extract recorded %d events, ExtractCost says %d", n, got, want)
+		}
+	}
+}
+
+// refExtract is the copy-then-compact extraction this package used before
+// Extract answered in table order: both tiers copied whole into one record
+// set, one compaction by occupancy over the B1·Z1 + B2·Z2 rows. It leaves
+// the tiers intact and the batch in slot order (tier 1's residents, then
+// tier 2's) — the specification of *which* rows Extract must return.
+func refExtract(t *Table) *store.Requests {
+	n1, n2 := t.Tier1.Len(), t.Tier2.Len()
+	all := store.NewRequests(n1+n2, t.Tier1.BlockSize)
+	all.CopyRowsPlain(0, t.Tier1)
+	all.CopyRowsPlain(n1, t.Tier2)
+	obliv.Compact(all, append([]uint8(nil), all.Tag...))
+	all.Resize(t.Geom.N)
+	return all
+}
+
+// requireTableOrder fails unless got is exactly the reference's rows —
+// every column but Sub, Data included — ascending by (tier-1 bucket, key)
+// with Sub holding that bucket.
+func requireTableOrder(t *testing.T, what string, tbl *Table, got, ref *store.Requests) {
+	t.Helper()
+	if got.Len() != ref.Len() {
+		t.Fatalf("%s: %d rows, reference %d", what, got.Len(), ref.Len())
+	}
+	bucket := func(r *store.Requests, i int) uint32 { return crypt.SipBucket(tbl.K1, r.Key[i], tbl.Geom.B1) }
+	idx := make([]int, ref.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if ba, bb := bucket(ref, idx[a]), bucket(ref, idx[b]); ba != bb {
+			return ba < bb
+		}
+		return ref.Key[idx[a]] < ref.Key[idx[b]]
+	})
+	want := store.NewRequests(ref.Len(), ref.BlockSize)
+	for i, j := range idx {
+		want.CopyRowPlain(i, ref, j)
+		want.Sub[i] = bucket(ref, j)
+	}
+	sameRows(t, what, got, want)
+}
+
+// TestExtractMatchesCopyThenCompactInTableOrder: Extract returns exactly the
+// rows the copy-then-compact extraction does — carrying what a scan left in
+// Data and Aux — sorted by (bucket₁, key), for batches crafted under fixed
+// keys to put 0, 1 and C2 rows in tier 2 and to fill a tier-1 bucket to Z1
+// and Z1+1, and for random batches through a reused Builder.
+func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
+	p := DefaultParams()
+	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
+	rng := rand.New(rand.NewSource(63))
+	check := func(what string, reqs *store.Requests, tier2Rows int, build func() (*Table, error)) {
+		t.Helper()
+		tbl, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if tier2Rows >= 0 && occupied(tbl.Tier2, 0, tbl.Tier2.Len()) != tier2Rows {
+			t.Fatalf("%s: tier 2 holds %d rows, crafted for %d", what, occupied(tbl.Tier2, 0, tbl.Tier2.Len()), tier2Rows)
+		}
+		for _, tier := range []*store.Requests{tbl.Tier1, tbl.Tier2} { // a scan's leavings
+			rng.Read(tier.Data)
+			for i := range tier.Aux {
+				tier.Aux[i] = uint8(rng.Intn(2))
+			}
+		}
+		ref := refExtract(tbl)
+		requireTableOrder(t, what, tbl, tbl.Extract(), ref)
+	}
+	with := func(reqs *store.Requests) func() (*Table, error) {
+		return func() (*Table, error) { return BuildWithKeys(reqs, p, k1, k2) }
+	}
+
+	flat := func(n, per int) []int { // per keys in each tier-1 bucket of an n-row batch
+		counts := make([]int, p.GeometryFor(n).B1)
+		for b := range counts {
+			counts[b] = per
+		}
+		return counts
+	}
+	counts := flat(32, 4)
+	reqs := crafted(t, p, k1, k2, counts, nil)
+	check("no tier-2 rows", reqs, 0, with(reqs))
+
+	counts = flat(29, 3)
+	counts[5] = p.Z1
+	reqs = crafted(t, p, k1, k2, counts, nil)
+	check("bucket at Z1", reqs, 0, with(reqs))
+
+	counts = flat(30, 3)
+	counts[5] = p.Z1 + 1
+	reqs = crafted(t, p, k1, k2, counts, nil)
+	check("bucket at Z1+1", reqs, 1, with(reqs))
+
+	g := p.GeometryFor(200)
+	counts = make([]int, g.B1)
+	rest := 200
+	for b, spill := 0, g.C2; spill > 0; b++ { // C2 overflow rows, Z1 per loaded bucket
+		counts[b] = p.Z1 + min(spill, p.Z1)
+		spill -= min(spill, p.Z1)
+		rest -= counts[b]
+	}
+	for b := len(counts) - 1; rest > 0; b-- {
+		counts[b] = min(rest, p.Mu1)
+		rest -= counts[b]
+	}
+	reqs = crafted(t, p, k1, k2, counts, nil)
+	check("C2 tier-2 rows", reqs, g.C2, with(reqs))
+
+	b := NewBuilder(p)
+	for _, n := range []int{1, 2, 9, 127, 128, 845, 300, 1200} {
+		reqs := makeBatch(rng, n, 24)
+		check(fmt.Sprintf("n=%d reused builder", n), reqs, -1, func() (*Table, error) { return b.Build(reqs) })
+	}
+}
+
+// TestExtractQuick: for random batch sizes, keys and hash keys, the
+// extracted rows are the batch, in table order.
+func TestExtractQuick(t *testing.T) {
+	f := func(seed int64, size uint16, k crypt.SipKey) bool {
+		rng := rand.New(rand.NewSource(seed))
+		reqs := makeBatch(rng, 1+int(size)%700, 8)
+		tbl, err := BuildWithKeys(reqs, DefaultParams(), k, crypt.SipKey{k[1], k[0]})
+		if err != nil {
+			return errors.Is(err, ErrOverflow) // negligible, but not a wrong answer
+		}
+		return extractedInOrder(tbl, reqs, tbl.Extract())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// extractedInOrder reports whether out holds exactly reqs' rows (by key →
+// seq, op, first data byte), ascending by (bucket₁, key), Sub = bucket₁.
+func extractedInOrder(tbl *Table, reqs, out *store.Requests) bool {
+	if out.Len() != reqs.Len() {
+		return false
+	}
+	type row struct {
+		seq uint64
+		op  uint8
+		d   byte
+	}
+	want := make(map[uint64]row, reqs.Len())
+	for i := 0; i < reqs.Len(); i++ {
+		want[reqs.Key[i]] = row{reqs.Seq[i], reqs.Op[i], reqs.Block(i)[0]}
+	}
+	for i := 0; i < out.Len(); i++ {
+		w, ok := want[out.Key[i]]
+		if !ok || w != (row{out.Seq[i], out.Op[i], out.Block(i)[0]}) || out.Tag[i] != 1 {
+			return false
+		}
+		delete(want, out.Key[i])
+		if out.Sub[i] != crypt.SipBucket(tbl.K1, out.Key[i], tbl.Geom.B1) {
+			return false
+		}
+		if i > 0 && (out.Sub[i-1] > out.Sub[i] || (out.Sub[i-1] == out.Sub[i] && out.Key[i-1] >= out.Key[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzExtractTableOrder drives the same property from fuzzed key bytes:
+// distinct keys decoded from the input, a hash key from its head.
+func FuzzExtractTableOrder(f *testing.F) {
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), uint64(1), uint64(2))
+	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7f}, 200), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, k0, k1 uint64) {
+		seen := map[uint64]bool{}
+		reqs := store.NewRequests(len(raw)/2, 8)
+		n := 0
+		for i := 0; i+1 < len(raw); i += 2 {
+			key := uint64(raw[i])<<8 | uint64(raw[i+1])
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			reqs.SetRow(n, raw[i]&1, key, 0, uint64(n), uint64(n), []byte{raw[i+1]})
+			n++
+		}
+		if n == 0 {
+			return
+		}
+		reqs.Resize(n)
+		tbl, err := BuildWithKeys(reqs, DefaultParams(), crypt.SipKey{k0, k1}, crypt.SipKey{k1, k0 + 1})
+		if err != nil {
+			if errors.Is(err, ErrOverflow) {
+				return
+			}
+			t.Fatal(err)
+		}
+		if !extractedInOrder(tbl, reqs, tbl.Extract()) {
+			t.Fatalf("extraction of %d keys under (%#x,%#x) is not the batch in table order", n, k0, k1)
+		}
+	})
+}
+
+// TestExtractTraceIsPublic: the Rec trace of Extract is a function of the
+// Geometry alone — batch contents, hash keys and what the scan wrote all
+// vary, the trace does not.
+func TestExtractTraceIsPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 9, 120, 845} {
+		var first *trace.Recorder
+		for trial := 0; trial < 3; trial++ {
+			tbl, err := Build(makeBatch(rng, n, 8), DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng.Read(tbl.Tier1.Data)
+			rec := trace.New()
+			tbl.Tier1.Rec, tbl.Tier2.Rec = rec, rec
+			tbl.Extract()
+			if rec.Count() != uint64(tbl.Geom.ExtractCost()) {
+				t.Fatalf("n=%d: %d events, ExtractCost says %d", n, rec.Count(), tbl.Geom.ExtractCost())
+			}
+			if first == nil {
+				first = rec
+			} else if !trace.Equal(first, rec) {
+				t.Fatalf("n=%d trial %d: Extract trace depends on secrets", n, trial)
+			}
 		}
 	}
 }

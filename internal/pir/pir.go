@@ -165,5 +165,8 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 			s.b.Load(dense, reqs.Block(i))
 		}
 	}
+	// Answered in the order received, which for a load balancer's batch is
+	// key order.
+	out.StampKeyOrder()
 	return out, nil
 }

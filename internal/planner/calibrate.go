@@ -32,6 +32,7 @@ func Calibrate(blockSize, lambda int) CostModel {
 	if err != nil {
 		return AnalyticModel(8, 50, lambda) // conservative fallback
 	}
+	batches.All.StampKeyOrder() // the batches stand in for their own responses
 	if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
 		return AnalyticModel(8, 50, lambda)
 	}

@@ -40,7 +40,8 @@ type CostModel struct {
 // compare-exchange or a compaction/distribution swap), scanNsPerObject the
 // cost of scanning one stored object. The load balancer performs
 // MakeBatchesCost + MatchResponsesCost operations per epoch (sort, compact
-// and distribute the r real rows; sort and compact r + α·s to match); the
+// and distribute the r real rows; sort the r requests' metadata, merge it
+// with the α·s responses and compact the r + α·s rows to match); the
 // subORAM performs the table's BuildCost + ExtractCost plus a linear scan
 // of its partition.
 func AnalyticModel(opNs, scanNsPerObject float64, lambda int) CostModel {

@@ -231,14 +231,17 @@ func TestPlanGolden(t *testing.T) {
 			MinThroughput: 100_000, MaxLatency: time.Second,
 			MaxLoadBalancers: 10, MaxSubORAMs: 40,
 		}},
+		// 1 M reqs/s is where one monolithic load balancer stops keeping up
+		// under this model (at 800 K — the bound before MatchResponses
+		// merged instead of sorting — it now does, with 2 subORAMs).
 		{"lb-bound-single-plane", Requirements{
 			Objects: 100_000, BlockSize: 160,
-			MinThroughput: 800_000, MaxLatency: 200 * time.Millisecond,
+			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 1, MaxSubORAMs: 8,
 		}},
 		{"lb-bound-monolithic-only", Requirements{
 			Objects: 100_000, BlockSize: 160,
-			MinThroughput: 800_000, MaxLatency: 200 * time.Millisecond,
+			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 1, MaxSubORAMs: 8, MaxLBLeaves: 1,
 		}},
 	}

@@ -3,9 +3,11 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -409,6 +411,45 @@ func TestDigestDuplicateSensitive(t *testing.T) {
 	swapped.SetRow(1, store.OpRead, 10, 0, 0, 0, []byte("aa"))
 	if digestResponses(base) != digestResponses(swapped) {
 		t.Fatal("response digest became order-sensitive")
+	}
+}
+
+// TestDigestAgreesAcrossTableKeys: replicas draw their own per-batch hash
+// keys, so the same batch comes back in a different row order under a
+// different order stamp from each; the digest — key, found bit and value,
+// folded order-free — still agrees, and still tells a differing value apart.
+func TestDigestAgreesAcrossTableKeys(t *testing.T) {
+	ids := make([]uint64, 200)
+	data := make([]byte, len(ids)*testBlock)
+	for i := range ids {
+		ids[i] = uint64(i)
+		data[i*testBlock] = byte(i)
+	}
+	reqs := store.NewRequests(120, testBlock)
+	for i := 0; i < reqs.Len(); i++ {
+		reqs.SetRow(i, uint8(i%2), uint64(i*3), 0, uint64(i), uint64(i), []byte{0xee})
+	}
+	var outs []*store.Requests
+	for _, keys := range []*[2]crypt.SipKey{{{1, 2}, {3, 4}}, {{5, 6}, {7, 8}}} {
+		sub := suboram.New(suboram.Config{BlockSize: testBlock, TestHashKeys: keys})
+		if err := sub.Init(ids, data); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sub.BatchAccess(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	if reflect.DeepEqual(outs[0].Key, outs[1].Key) || outs[0].Seq[0] == outs[1].Seq[0] {
+		t.Fatal("different table keys gave the same row order and stamp — the comparison is vacuous")
+	}
+	if digestResponses(outs[0]) != digestResponses(outs[1]) {
+		t.Fatal("response digest depends on the replica's table key")
+	}
+	outs[1].Block(7)[1] ^= 1
+	if digestResponses(outs[0]) == digestResponses(outs[1]) {
+		t.Fatal("response digest missed a differing value")
 	}
 }
 

@@ -41,12 +41,15 @@ func DummyMark(key uint64) uint8 { return uint8(key >> 63) }
 //	Op     — OpRead or OpWrite
 //	Key    — object identifier (or dummy key)
 //	Sub    — scratch routing tag: subORAM index at the load balancer,
-//	         hash-table bucket at the subORAM
+//	         hash-table bucket at the subORAM; in a response batch, the
+//	         order stamp's bucket count (see StampOrder)
 //	Tag    — scratch 0/1 mark bit for compaction passes
 //	Aux    — second scratch 0/1 mark bit (e.g. the subORAM found bit)
-//	Seq    — arrival sequence number (last-write-wins tiebreak)
+//	Seq    — arrival sequence number (last-write-wins tiebreak); in a
+//	         response batch, the first word of the order stamp's hash key
 //	Client — opaque routing cookie, carried alongside but never inspected
-//	         by oblivious passes
+//	         by oblivious passes; in a response batch, the second word of
+//	         the order stamp's hash key
 //	Data   — n fixed-size value blocks, flattened
 type Requests struct {
 	BlockSize int
@@ -358,18 +361,22 @@ func (s BySubKeyWriteSeq) Greater(i, j int) uint8 {
 		obliv.And(subEq, obliv.Or(keyGt, obliv.And(keyEq, inner))))
 }
 
-// ByKeyTag orders records for response matching (paper Fig. 6 step ➋): by
-// key, then tag bit — responses (Tag=0) before the client requests (Tag=1)
+// BySubKeyTag orders records for response matching (paper Fig. 6 step ➋):
+// by Sub — the rank MatchResponses gives a row's (partition, bucket) — then
+// key, then tag bit: responses (Tag=0) before the client requests (Tag=1)
 // they answer.
-type ByKeyTag struct{ *Requests }
+type BySubKeyTag struct{ *Requests }
 
 // Greater implements obliv.Sorter.
-func (s ByKeyTag) Greater(i, j int) uint8 {
+func (s BySubKeyTag) Greater(i, j int) uint8 {
 	r := s.Requests
+	subGt := obliv.GtU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
+	subEq := obliv.EqU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
 	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
 	keyEq := obliv.EqU64(r.Key[i], r.Key[j])
 	tagGt := obliv.GtU64(uint64(r.Tag[i]), uint64(r.Tag[j]))
-	return obliv.Or(keyGt, obliv.And(keyEq, tagGt))
+	return obliv.Or(subGt,
+		obliv.And(subEq, obliv.Or(keyGt, obliv.And(keyEq, tagGt))))
 }
 
 // BySubKey orders records by (Sub, Key); used by hash-table construction
@@ -383,4 +390,46 @@ func (s BySubKey) Greater(i, j int) uint8 {
 	subEq := obliv.EqU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
 	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
 	return obliv.Or(subGt, obliv.And(subEq, keyGt))
+}
+
+// MetaBySubKey orders records like BySubKey but exchanges only a request's
+// metadata — Op, Key, Sub, Seq, Client — leaving Tag, Aux and Data where
+// they are. It sorts record sets in which those three are uniform (the
+// request rows of response matching, whose value blocks are dead), at the
+// cost of the narrow columns alone.
+type MetaBySubKey struct{ *Requests }
+
+// Greater implements obliv.Sorter.
+func (s MetaBySubKey) Greater(i, j int) uint8 { return BySubKey(s).Greater(i, j) }
+
+// OSwap implements obliv.Swapper over the metadata columns.
+func (s MetaBySubKey) OSwap(c uint8, i, j int) {
+	r := s.Requests
+	r.Rec.Record(trace.KindSwap, i, j)
+	obliv.CondSwapU8(c, &r.Op[i], &r.Op[j])
+	obliv.CondSwapU64(c, &r.Key[i], &r.Key[j])
+	obliv.CondSwapU32(c, &r.Sub[i], &r.Sub[j])
+	obliv.CondSwapU64(c, &r.Seq[i], &r.Seq[j])
+	obliv.CondSwapU64(c, &r.Client[i], &r.Client[j])
+}
+
+// StampOrder declares the row order of a response batch to the load
+// balancer that will match it: the rows ascend by (bucket, key), where
+// bucket is the SipHash bucket of the key under k among buckets buckets.
+// The stamp rides in every row's Seq, Client and Sub — columns a response
+// has no other use for, since MatchResponses answers with the request rows'
+// own — so it changes no wire, log or cache format.
+func (r *Requests) StampOrder(k [2]uint64, buckets int) {
+	for i := range r.Key {
+		r.Seq[i], r.Client[i], r.Sub[i] = k[0], k[1], uint32(buckets)
+	}
+}
+
+// StampKeyOrder declares plain ascending key order: one bucket.
+func (r *Requests) StampKeyOrder() { r.StampOrder([2]uint64{}, 1) }
+
+// OrderStamp reads the stamp StampOrder left on row i. A bucket count of
+// zero — a row nobody stamped — reads as one: key order.
+func (r *Requests) OrderStamp(i int) (k [2]uint64, buckets int) {
+	return [2]uint64{r.Seq[i], r.Client[i]}, max(int(r.Sub[i]), 1)
 }

@@ -129,23 +129,69 @@ func TestBySubKeyWriteSeqOrdering(t *testing.T) {
 	}
 }
 
-func TestByKeyTagOrdering(t *testing.T) {
-	r := NewRequests(4, 8)
+func TestBySubKeyTagOrdering(t *testing.T) {
+	r := NewRequests(5, 8)
 	r.SetRow(0, OpRead, 5, 0, 0, 0, nil)
 	r.Tag[0] = 1 // request
 	r.SetRow(1, OpRead, 5, 0, 0, 0, nil)
-	r.Tag[1] = 0 // response
-	r.SetRow(2, OpRead, 2, 0, 0, 0, nil)
+	r.Tag[1] = 0                         // response
+	r.SetRow(2, OpRead, 2, 1, 0, 0, nil) // Sub outranks Key
 	r.Tag[2] = 1
-	r.SetRow(3, OpRead, 2, 0, 0, 0, nil)
+	r.SetRow(3, OpRead, 2, 1, 0, 0, nil)
 	r.Tag[3] = 0
+	r.SetRow(4, OpRead, 9, 0, 0, 0, nil)
 
-	obliv.Sort(ByKeyTag{r})
-	wantKey := []uint64{2, 2, 5, 5}
-	wantTag := []uint8{0, 1, 0, 1}
+	obliv.Sort(BySubKeyTag{r})
+	wantKey := []uint64{5, 5, 9, 2, 2}
+	wantTag := []uint8{0, 1, 0, 0, 1}
 	for i := range wantKey {
 		if r.Key[i] != wantKey[i] || r.Tag[i] != wantTag[i] {
 			t.Fatalf("slot %d: key=%d tag=%d", i, r.Key[i], r.Tag[i])
 		}
+	}
+}
+
+// TestMetaBySubKeyMovesOnlyMetadata: the narrow sort orders like BySubKey
+// and carries Op, Seq and Client along, while Tag, Aux and Data stay put.
+func TestMetaBySubKeyMovesOnlyMetadata(t *testing.T) {
+	r := NewRequests(3, 8)
+	r.SetRow(0, OpWrite, 7, 1, 70, 700, []byte{0})
+	r.SetRow(1, OpRead, 9, 0, 90, 900, []byte{1})
+	r.SetRow(2, OpRead, 3, 1, 30, 300, []byte{2})
+	r.Tag[0], r.Aux[1] = 1, 1
+
+	obliv.Sort(MetaBySubKey{r})
+	for i, w := range []struct {
+		op          uint8
+		key         uint64
+		sub         uint32
+		seq, client uint64
+	}{{OpRead, 9, 0, 90, 900}, {OpRead, 3, 1, 30, 300}, {OpWrite, 7, 1, 70, 700}} {
+		if r.Op[i] != w.op || r.Key[i] != w.key || r.Sub[i] != w.sub || r.Seq[i] != w.seq || r.Client[i] != w.client {
+			t.Fatalf("slot %d: op=%d key=%d sub=%d seq=%d client=%d", i, r.Op[i], r.Key[i], r.Sub[i], r.Seq[i], r.Client[i])
+		}
+		if r.Block(i)[0] != byte(i) {
+			t.Fatalf("slot %d: value block moved", i)
+		}
+	}
+	if r.Tag[0] != 1 || r.Aux[1] != 1 {
+		t.Fatal("Tag/Aux moved")
+	}
+}
+
+func TestOrderStampRoundTrip(t *testing.T) {
+	r := NewRequests(3, 8)
+	if k, b := r.OrderStamp(0); k != [2]uint64{} || b != 1 {
+		t.Fatalf("unstamped row reads (%v, %d), want key order", k, b)
+	}
+	r.StampOrder([2]uint64{11, 22}, 5)
+	for i := 0; i < r.Len(); i++ {
+		if k, b := r.OrderStamp(i); k != [2]uint64{11, 22} || b != 5 {
+			t.Fatalf("row %d stamp (%v, %d)", i, k, b)
+		}
+	}
+	r.StampKeyOrder()
+	if k, b := r.OrderStamp(2); k != [2]uint64{} || b != 1 {
+		t.Fatalf("key-order stamp reads (%v, %d)", k, b)
 	}
 }

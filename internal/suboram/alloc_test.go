@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	"snoopy/internal/arena"
+	"snoopy/internal/crypt"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
 
 // TestBatchAccessZeroAllocSteadyState: with a warm arena, processing a
-// batch — table build, linear scan, extraction — performs zero heap
-// allocations. Workers is pinned to 1; the parallel scan spawns goroutines,
-// which allocate by nature.
+// batch — table build, linear scan, extraction in table order (in-place
+// tier compaction, tier-2 sort, merge), miss zeroing, order stamp — performs
+// zero heap allocations. Workers is pinned to 1; the parallel scan spawns
+// goroutines, which allocate by nature.
 func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 	pool := arena.NewPool()
 	const block = 32
@@ -33,12 +36,33 @@ func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 	reqs := store.NewRequests(64, block)
 	perm := rng.Perm(nObj)
 	for i := 0; i < reqs.Len(); i++ {
-		reqs.SetRow(i, store.OpRead, uint64(perm[i]), 0, uint64(i), uint64(i), nil)
+		key := uint64(perm[i])
+		if i%4 == 3 {
+			key += uint64(nObj) // absent: must come back zeroed
+		}
+		reqs.SetRow(i, uint8(i%2), key, 0, uint64(i), uint64(i), []byte{0xee})
 	}
 
 	out, err := sub.BatchAccess(reqs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// What is measured below is the table-order path: stamped rows ascending
+	// by (bucket, key), misses zeroed.
+	k, b1 := out.OrderStamp(0)
+	if want := ohash.DefaultParams().GeometryFor(reqs.Len()).B1; b1 != want {
+		t.Fatalf("stamped %d buckets, want B1 = %d", b1, want)
+	}
+	prevB, prevK := uint32(0), uint64(0)
+	for i := 0; i < out.Len(); i++ {
+		b := crypt.SipBucket(k, out.Key[i], b1)
+		if i > 0 && (b < prevB || (b == prevB && out.Key[i] <= prevK)) {
+			t.Fatalf("row %d out of table order", i)
+		}
+		prevB, prevK = b, out.Key[i]
+		if absent := out.Key[i] >= uint64(nObj); absent != (out.Aux[i] == 0) || (absent && out.Block(i)[0] != 0) {
+			t.Fatalf("row %d (key %d): aux=%d block[0]=%#x", i, out.Key[i], out.Aux[i], out.Block(i)[0])
+		}
 	}
 	pool.PutRequests(out)
 

@@ -50,13 +50,13 @@ func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, keys [2
 		t.Fatal(err)
 	}
 	refScan(table, ids, data, reqs.BlockSize, hp.Rec)
+	out := table.Extract()
 	zero := make([]byte, reqs.BlockSize)
-	for _, tier := range [2]*store.Requests{table.Tier1, table.Tier2} {
-		for i := 0; i < tier.Len(); i++ {
-			obliv.CondCopyBytes(tier.Tag[i]&obliv.Not(tier.Aux[i]), tier.Block(i), zero)
-		}
+	for i := 0; i < out.Len(); i++ {
+		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
 	}
-	return table.Extract()
+	out.StampOrder(table.K1, table.Geom.B1)
+	return out
 }
 
 var refKeys = [2]crypt.SipKey{{0x0706050403020100, 0x0f0e0d0c0b0a0908}, {0x1716151413121110, 0x1f1e1d1c1b1a1918}}

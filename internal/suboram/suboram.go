@@ -307,7 +307,9 @@ func (s *SubORAM) LastStats() Stats {
 // one response row per request (paper Fig. 19). Read responses carry the
 // object value; write responses carry the pre-write value (§C); requests
 // for absent keys (including load-balancer dummies) come back zeroed with
-// Aux == 0. The input batch is not modified.
+// Aux == 0. Rows come back in the hash table's order, which the response's
+// Seq, Client and Sub columns declare (store.StampOrder). The input batch is
+// not modified.
 func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -380,19 +382,18 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	if err := s.scan(table); err != nil {
 		return nil, err
 	}
-	// Requests whose key matched no stored object return zeroes.
-	for _, tier := range [2]*store.Requests{table.Tier1, table.Tier2} {
-		for i := 0; i < tier.Len(); i++ {
-			miss := tier.Tag[i] & obliv.Not(tier.Aux[i])
-			obliv.CondCopyBytes(miss, tier.Block(i), s.zeroBlk)
-		}
-	}
 	st.Scan = time.Since(t0)
 	tt2 := s.cfg.Telemetry.Now()
 	s.telScan.Observe(time.Duration(tt2 - tt1))
 
 	t0 = time.Now()
 	out := table.Extract()
+	// Requests whose key matched no stored object return zeroes.
+	for i := 0; i < out.Len(); i++ {
+		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), s.zeroBlk)
+	}
+	// Tell the load balancer the order the rows come back in: the table's.
+	out.StampOrder(table.K1, table.Geom.B1)
 	st.Extract = time.Since(t0)
 	s.last = st
 	// One recording per batch; the row payload is the public padded batch

@@ -87,8 +87,21 @@ go test -race -timeout 15m -count=2 \
   -run 'FusedBucket|BucketMasks|SlotMajorReference|ZeroAllocSteadyState' \
   ./internal/obliv/ ./internal/suboram/
 
+# Focused re-run of merge-based response matching: MatchResponses against
+# the sort-based reference kept in the test files (size edges, every traffic
+# shape, key / table / per-partition order, degraded epochs, real subORAMs
+# under pinned and fresh keys, a tree feed's subset), Extract against the
+# copy-then-compact reference in table order (crafted tier-2 and bucket
+# edges, quick, fuzz seeds), both traces as functions of public shape, the
+# narrow metadata sort and the order stamp in store, the replica digest
+# across table keys, and the misshapen-response failure path in core.
+go test -race -timeout 15m -count=2 \
+  -run 'MatchResponses|Extract|MetaBySubKey|OrderStamp|BySubKeyTag|DigestAgreesAcrossTableKeys|MisshapenResponse|ShardsInFullSystem' \
+  ./internal/loadbalancer/ ./internal/ohash/ ./internal/store/ ./internal/replica/ ./internal/core/ ./internal/oblix/ ./internal/pir/
+
 # The portable bodies (the purego tag drops every assembly kernel, as a
-# non-amd64 build does): the amd64 host otherwise never runs them.
+# non-amd64 build does): the amd64 host otherwise never runs them. This
+# covers the table-order Extract and the miss zeroing behind it too.
 go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/
 
 # The leakage suite's canonical exports must not depend on how many
@@ -99,6 +112,8 @@ done
 
 # The benchmark program's own smoke test (a module of its own, so not part
 # of `go test ./...`): all four workloads at tiny shapes, every reply
-# checked against the reference model.
+# checked against the reference model. It also compiles bench/layers.go
+# against the signatures the ledger depends on (MatchResponses, Batches.For,
+# Builder.Build, BatchAccess), so a change to one of them fails here.
 (cd bench && go test .)
 echo "check.sh: OK"
