@@ -73,16 +73,20 @@ func BenchmarkBitonicSort(b *testing.B) {
 
 func BenchmarkHashTableTiers(b *testing.B) {
 	const n = 4096
-	g := ohash.DefaultParams().GeometryFor(n)
+	reqs := store.NewRequests(n, benchBlock)
+	for i := 0; i < n; i++ {
+		reqs.SetRow(i, store.OpRead, uint64(i*3+1), 0, uint64(i), uint64(i), nil)
+	}
+	tbl, err := ohash.Build(reqs, ohash.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := tbl.Geom
 	single := ohash.SingleTierBucketSize(n, 128)
 	b.ReportMetric(float64(g.Z1), "tier1-bucket")
 	b.ReportMetric(float64(g.Z2), "tier2-bucket")
 	b.ReportMetric(float64(single), "single-tier-bucket")
 	b.ReportMetric(float64(single)/float64(g.Z1), "tier1-shrinkage")
-	reqs := store.NewRequests(n, benchBlock)
-	for i := 0; i < n; i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i*3+1), 0, uint64(i), uint64(i), nil)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ohash.Build(reqs, ohash.DefaultParams()); err != nil {
@@ -454,7 +458,7 @@ func BenchmarkPlaintextStore(b *testing.B) {
 // ---- Figure 14: planner ----
 
 func BenchmarkPlannerOptimize(b *testing.B) {
-	model := planner.AnalyticModel(8, 50, 128)
+	model := planner.AnalyticModel(8, 1, 10, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := planner.Optimize(planner.Requirements{
@@ -524,7 +528,6 @@ func BenchmarkScanBucket(b *testing.B) {
 				}
 				reqs.SetRow(i, uint8(i/2%2), key, 0, uint64(i), uint64(i), nil)
 			}
-			slots := ohash.DefaultParams().GeometryFor(shape.alpha).SlotsScannedPerLookup()
 			var scan time.Duration
 			b.SetBytes(int64(shape.objects * benchBlock))
 			b.ResetTimer()
@@ -538,7 +541,7 @@ func BenchmarkScanBucket(b *testing.B) {
 			}
 			perObject := float64(scan.Nanoseconds()) / float64(b.N) / float64(shape.objects)
 			b.ReportMetric(perObject, "ns/object")
-			b.ReportMetric(perObject/float64(slots), "ns/slot")
+			b.ReportMetric(perObject/float64(sub.LastStats().SlotsPerLookup), "ns/slot")
 		})
 	}
 }

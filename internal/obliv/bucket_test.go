@@ -81,7 +81,9 @@ func TestFusedBucketMatchesSlotMajor(t *testing.T) {
 	blockSizes := []int{1, 7, 8, 16, 24, 31, 32, 33, 100, 128, 160, 161, 4096}
 	patterns := []string{"none", "one-read", "one-write", "several", "arbitrary"}
 	for _, bs := range blockSizes {
-		for _, z := range []int{1, 8, 36, 64} {
+		// Every tier-1 capacity the geometry grid offers, and tier-2 buckets
+		// from the legacy 36 to a 128-slot single bucket.
+		for _, z := range []int{1, 4, 8, 12, 16, 36, 64, 98, 128} {
 			for pi, pattern := range patterns {
 				mw, mrw, cw, cr := bucketMasks(pattern, z, r)
 				obj0 := unaligned(r, bs, 1+pi%7)
@@ -151,7 +153,7 @@ func checkFusedBucket(seed int64, bs, z int) bool {
 
 func TestFusedBucketQuick(t *testing.T) {
 	prop := func(seed int64, bs uint16, z uint8) bool {
-		return checkFusedBucket(seed, 1+int(bs)%400, int(z)%48)
+		return checkFusedBucket(seed, 1+int(bs)%400, int(z)%136)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -164,9 +166,11 @@ func FuzzFusedBucket(f *testing.F) {
 	f.Add(int64(3), uint16(33), uint8(1))
 	f.Add(int64(4), uint16(7), uint8(0))
 	f.Add(int64(5), uint16(4096), uint8(3))
+	f.Add(int64(6), uint16(160), uint8(98))
+	f.Add(int64(7), uint16(33), uint8(135))
 	f.Fuzz(func(t *testing.T, seed int64, bs uint16, z uint8) {
-		if !checkFusedBucket(seed, 1+int(bs)%5000, int(z)%80) {
-			t.Fatalf("FusedBucket differs from the slot-major reference: seed=%d bs=%d z=%d", seed, 1+int(bs)%5000, int(z)%80)
+		if !checkFusedBucket(seed, 1+int(bs)%5000, int(z)%136) {
+			t.Fatalf("FusedBucket differs from the slot-major reference: seed=%d bs=%d z=%d", seed, 1+int(bs)%5000, int(z)%136)
 		}
 	})
 }
@@ -199,12 +203,12 @@ func refBucketMasks(id uint64, key []uint64, tag, op, aux []uint8, write uint8, 
 	}
 }
 
-// TestBucketMasksMatchesReference covers every lane/tail split (z = 0…70)
+// TestBucketMasksMatchesReference covers every lane/tail split (z = 0…132)
 // with several keys equal to id at once and tag, op and aux bytes drawn
 // from more than {0, 1}, at unaligned slice starts.
 func TestBucketMasksMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	for z := 0; z <= 70; z++ {
+	for z := 0; z <= 132; z++ {
 		for trial := 0; trial < 40; trial++ {
 			id := r.Uint64()
 			off := 1 + trial%5

@@ -20,9 +20,6 @@ func LtU64(x, y uint64) uint8 {
 // GtU64 returns 1 if x > y, else 0.
 func GtU64(x, y uint64) uint8 { return LtU64(y, x) }
 
-// LeU64 returns 1 if x <= y, else 0.
-func LeU64(x, y uint64) uint8 { return 1 - LtU64(y, x) }
-
 // GeU64 returns 1 if x >= y, else 0.
 func GeU64(x, y uint64) uint8 { return 1 - LtU64(x, y) }
 

@@ -29,11 +29,10 @@ func TestPredicatesQuick(t *testing.T) {
 	f := func(x, y uint64) bool {
 		lt := LtU64(x, y) == 1
 		gt := GtU64(x, y) == 1
-		le := LeU64(x, y) == 1
 		ge := GeU64(x, y) == 1
 		eq := EqU64(x, y) == 1
 		ne := NeqU64(x, y) == 1
-		return lt == (x < y) && gt == (x > y) && le == (x <= y) &&
+		return lt == (x < y) && gt == (x > y) &&
 			ge == (x >= y) && eq == (x == y) && ne == (x != y)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -70,60 +70,58 @@ func mergeTwoRuns(s Sorter, lo, a, b int) {
 // parameters, used by the planner's cost model and by tests asserting the
 // merge beats a full re-sort.
 func MergeSortedCost(runs []int) int {
-	cost := 0
-	var walk func(lens []int) int
-	walk = func(lens []int) int {
-		switch len(lens) {
-		case 0:
-			return 0
-		case 1:
-			return lens[0]
-		}
-		h := len(lens) / 2
-		a := walk(lens[:h])
-		b := walk(lens[h:])
-		if a > 0 && b > 0 {
-			cost += a/2 + bitonicMergeCost(a+b)
-		}
-		return a + b
-	}
-	walk(runs)
+	_, cost := mergeSortedCost(runs)
 	return cost
+}
+
+// mergeSortedCost walks MergeSorted's merge tree: the rows under lens and
+// the row operations merging them costs.
+func mergeSortedCost(lens []int) (rows, cost int) {
+	switch len(lens) {
+	case 0:
+		return 0, 0
+	case 1:
+		return lens[0], 0
+	}
+	h := len(lens) / 2
+	a, ca := mergeSortedCost(lens[:h])
+	b, cb := mergeSortedCost(lens[h:])
+	cost = ca + cb
+	if a > 0 && b > 0 {
+		cost += a/2 + bitonicMergeCost(a+b)
+	}
+	return a + b, cost
 }
 
 // SortCost returns the number of compare-exchanges Sort performs on a
 // sequence of length n. Public-parameter function, planner companion to
-// MergeSortedCost. Memoized along the recursion: the two halves differ in
-// length by at most one, so only O(log n) distinct lengths occur and the
-// planner can evaluate it for epoch-scale n (10⁸+) in microseconds.
+// MergeSortedCost. The two halves of a length differ by at most one, so a
+// level of the recursion holds at most two distinct lengths, a and a+1: the
+// walk carries their counts down the levels — O(log n) steps, no allocation
+// (the hash-table geometry search prices hundreds of tables per call).
 func SortCost(n int) int {
-	memo := make(map[int]int)
-	var rec func(int) int
-	rec = func(n int) int {
-		if n <= 1 {
-			return 0
+	cost := 0
+	a, ca, cb := n, 1, 0 // ca runs of length a, cb of length a+1
+	for a >= 1 {
+		cost += ca*bitonicMergeCost(a) + cb*bitonicMergeCost(a+1)
+		if a%2 == 0 {
+			a, ca = a/2, 2*ca+cb
+		} else {
+			a, cb = a/2, ca+2*cb
 		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		m := n / 2
-		c := rec(m) + rec(n-m) + bitonicMergeCost(n)
-		memo[n] = c
-		return c
 	}
-	return rec(n)
+	return cost
 }
 
 func bitonicMergeCost(n int) int {
-	if n <= 1 {
-		return 0
+	// A power of two m costs log₂ m levels of m/2 comparators; any other
+	// length pairs its remainder against its largest power of two, then
+	// merges both: one top bit stripped per step.
+	cost := 0
+	for n > 1 {
+		m := 1 << (bits.Len(uint(n)) - 1)
+		cost += (n - m) + m*(bits.Len(uint(m))-1)/2
+		n -= m
 	}
-	if n&(n-1) == 0 {
-		// Power of two: log₂ n levels of n/2 comparators each. Closed form
-		// so the arbitrary-length recursion below strips one top bit per
-		// step instead of expanding the full O(n)-node recursion tree.
-		return n * (bits.Len(uint(n)) - 1) / 2
-	}
-	m := greatestPowerOfTwoLessThan(n)
-	return (n - m) + bitonicMergeCost(m) + bitonicMergeCost(n-m)
+	return cost
 }

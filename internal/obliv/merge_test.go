@@ -214,20 +214,22 @@ func TestMergeSortedCostAccounting(t *testing.T) {
 		}
 	}
 
-	u := make(U64Slice, 512)
-	for i := range u {
-		u[i] = rng.Uint64()
-	}
-	ts := &mergeTraceSorter{u: u}
-	Sort(ts)
-	got := 0
-	for _, step := range ts.trace {
-		if step[0] == 0 {
-			got++
+	for _, n := range []int{0, 1, 2, 3, 5, 98, 127, 512, 845, 1000, 4097} {
+		u := make(U64Slice, n)
+		for i := range u {
+			u[i] = rng.Uint64()
 		}
-	}
-	if want := SortCost(512); got != want {
-		t.Errorf("Sort(512): %d compare-exchanges, SortCost says %d", got, want)
+		ts := &mergeTraceSorter{u: u}
+		Sort(ts)
+		got := 0
+		for _, step := range ts.trace {
+			if step[0] == 0 {
+				got++
+			}
+		}
+		if want := SortCost(n); got != want {
+			t.Errorf("Sort(%d): %d compare-exchanges, SortCost says %d", n, got, want)
+		}
 	}
 
 	for _, leaves := range []int{4, 8} {

@@ -19,6 +19,10 @@ import (
 // own.
 type Builder struct {
 	p Params
+	// geoms memoises GeometryFor per batch size (Objects and Lambda are the
+	// Builder's own): an open loop's α varies from epoch to epoch over a
+	// handful of values, and only a new one pays for the search.
+	geoms map[int]Geometry
 
 	spill *store.Requests
 	keep  []uint8
@@ -28,14 +32,26 @@ type Builder struct {
 	tbl   Table
 }
 
-// NewBuilder creates a Builder with the given geometry parameters.
+// maxMemoisedGeometries bounds Builder.geoms; batch sizes are bounded by
+// the epoch's request count, so only a pathological caller reaches it.
+const maxMemoisedGeometries = 1 << 12
+
+// NewBuilder creates a Builder for tables scanned against p.Objects objects.
 func NewBuilder(p Params) *Builder {
-	if p.Z1 == 0 {
-		rec, pool := p.Rec, p.Pool
-		p = DefaultParams()
-		p.Rec, p.Pool = rec, pool
+	return &Builder{p: p, geoms: make(map[int]Geometry)}
+}
+
+// geometry returns GeometryFor(n, Objects, Lambda), memoised.
+func (b *Builder) geometry(n int) Geometry {
+	g, ok := b.geoms[n]
+	if !ok {
+		if len(b.geoms) >= maxMemoisedGeometries {
+			clear(b.geoms)
+		}
+		g = GeometryFor(n, b.p.Objects, b.p.Lambda)
+		b.geoms[n] = g
 	}
-	return &Builder{p: p}
+	return g
 }
 
 // ensure returns *buf resliced to n records over a backing store whose
@@ -76,7 +92,7 @@ func (b *Builder) buildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Tab
 	if n == 0 {
 		return nil, errEmptyBatch
 	}
-	g := b.p.GeometryFor(n)
+	g := b.geometry(n)
 	b.tbl = Table{Geom: g, K1: k1, K2: k2, pool: b.p.pool()}
 	t := &b.tbl
 	// The tiers are built in place: tier 1 starts as the batch itself and

@@ -6,13 +6,16 @@
 // up an object id means scanning one full bucket in each tier, which hides
 // the slot — and existence — of the match.
 //
-// Tier sizing follows the paper's approach: tier-1 buckets are small
-// constants (overflow there is expected and harmless), and the overflow
-// spills into tier 2, whose buckets are sized with the paper's own
-// balls-into-bins bound (internal/batch, Theorem 3) so that tier-2 overflow
-// is cryptographically negligible. Construction returns an error in the
-// negligible event that a batch cannot be placed; callers treat that as the
-// security-failure event of the analysis.
+// Tier sizing follows the paper's approach — tier-1 buckets are small
+// (overflow there is expected and harmless) and the overflow spills into a
+// tier 2 whose failure is cryptographically negligible — but no size is a
+// hand-set constant: GeometryFor picks bucket counts and capacities from a
+// public grid to minimise the subORAM's modelled batch cost for the public
+// (batch size, partition size), with the tier-2 capacity and bucket size the
+// smallest whose computed overflow bounds are each at most 2^-(λ+1).
+// Construction returns an error in the negligible event that a batch cannot
+// be placed; callers treat that as the security-failure event of the
+// analysis.
 package ohash
 
 import (
@@ -20,7 +23,6 @@ import (
 	"fmt"
 
 	"snoopy/internal/arena"
-	"snoopy/internal/batch"
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
 	"snoopy/internal/store"
@@ -36,16 +38,17 @@ const TableDummyBit = uint64(1) << 62
 // negligible event under the configured security parameter.
 var ErrOverflow = errors.New("ohash: hash table overflow")
 
-// Params configures table geometry.
+// Params configures a table build. The table's shape is not among them: it
+// is GeometryFor's function of the batch size, Objects and Lambda.
 type Params struct {
-	// Z1 is the tier-1 bucket capacity.
-	Z1 int
-	// Mu1 is the mean tier-1 bucket load; B1 = ceil(n/Mu1).
-	Mu1 int
-	// OverflowDiv bounds tier-2 capacity: C2 = max(64, ceil(n/OverflowDiv)).
-	OverflowDiv int
-	// Lambda is the security parameter (bits) for tier-2 bucket sizing.
+	// Lambda is the security parameter (bits): a build fails with
+	// ErrOverflow with probability at most 2^-Lambda. Zero means 128.
 	Lambda int
+	// Objects is the public size of the partition the table will be scanned
+	// against (the subORAM fills it in): the scan pays for every slot of a
+	// lookup once per object, so it decides how much table the build may
+	// spend to make lookups short. Zero prices the table alone.
+	Objects int
 	// Rec, when non-nil, records construction access traces (test-only).
 	Rec *trace.Recorder
 	// Pool supplies the working memory for table extraction (and, via
@@ -61,57 +64,8 @@ func (p Params) pool() *arena.Pool {
 	return arena.Default
 }
 
-// DefaultParams mirrors the deployment defaults: tier-1 buckets of 8 at mean
-// load 4, tier-2 capacity n/8, λ=128.
-func DefaultParams() Params {
-	return Params{Z1: 8, Mu1: 4, OverflowDiv: 8, Lambda: 128}
-}
-
-// Geometry describes the concrete table dimensions for a batch of n.
-type Geometry struct {
-	N      int // batch size
-	B1, Z1 int // tier-1 buckets × capacity
-	B2, Z2 int // tier-2 buckets × capacity
-	C2     int // tier-2 real-element capacity
-}
-
-// GeometryFor computes table dimensions for a batch of n requests.
-func (p Params) GeometryFor(n int) Geometry {
-	g := Geometry{N: n, Z1: p.Z1}
-	g.B1 = (n + p.Mu1 - 1) / p.Mu1
-	if g.B1 < 1 {
-		g.B1 = 1
-	}
-	g.C2 = (n + p.OverflowDiv - 1) / p.OverflowDiv
-	if g.C2 < 64 {
-		g.C2 = 64
-	}
-	g.B2 = g.C2 // mean tier-2 load 1 minimizes the scanned bucket size
-	g.Z2 = batch.Size(g.C2, g.B2, p.Lambda)
-	return g
-}
-
-// BuildCost returns the number of oblivious row operations (compare-
-// exchanges and conditional swaps) constructing a table of this geometry
-// performs: per tier, sort and compact the real rows and distribute them
-// into the tier's slots, plus the compaction that isolates the tier-1
-// overflow. A pure function of public parameters, for the planner.
-func (g Geometry) BuildCost() int {
-	c := min(g.C2, g.N)
-	return obliv.SortCost(g.N) + 2*obliv.CompactCost(g.N) + obliv.DistributeCost(g.B1*g.Z1) +
-		obliv.SortCost(c) + obliv.CompactCost(c) + obliv.DistributeCost(g.B2*g.Z2)
-}
-
-// ExtractCost is BuildCost's counterpart for Extract: compact each tier,
-// sort the tier-2 candidates, merge them into the tier-1 run.
-func (g Geometry) ExtractCost() int {
-	c := min(g.C2, g.N)
-	return obliv.CompactCost(g.B1*g.Z1) + obliv.CompactCost(g.B2*g.Z2) +
-		obliv.SortCost(c) + obliv.MergeSortedCost([]int{c, g.N})
-}
-
-// SlotsScannedPerLookup returns Z1+Z2: the per-object scan cost.
-func (g Geometry) SlotsScannedPerLookup() int { return g.Z1 + g.Z2 }
+// DefaultParams mirrors the deployment default: λ = 128.
+func DefaultParams() Params { return Params{Lambda: 128} }
 
 // Table is a constructed two-tier oblivious hash table over a batch of
 // requests. Tier rows use Tag as the occupancy bit (1 = holds a batch
@@ -205,15 +159,8 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 	if lost > 0 {
 		return fmt.Errorf("%w: tier-2 bucket exceeded by %d", ErrOverflow, lost)
 	}
-	t2.ScatterRuns(keep, g.B2, g.Z2, tier2PadBase(g), uint64(g.Z2))
+	t2.ScatterRuns(keep, g.B2, g.Z2, padKey(1<<41), uint64(g.Z2))
 	return nil
-}
-
-// tier2PadBase is the first tier-2 padding key. The offset is where the
-// numbering started when padding rows were materialized after the
-// candidates; kept so tables stay byte-identical across versions.
-func tier2PadBase(g Geometry) uint64 {
-	return padKey(uint64(1<<41) + uint64(min(g.C2, g.N+g.B1*g.Z1)))
 }
 
 // Buckets returns the row ranges [lo1,hi1) in Tier1 and [lo2,hi2) in Tier2

@@ -140,29 +140,6 @@ func TestExtractRecoversBatch(t *testing.T) {
 	}
 }
 
-func TestGeometry(t *testing.T) {
-	p := DefaultParams()
-	g := p.GeometryFor(4096)
-	if g.B1 != 1024 || g.Z1 != 8 {
-		t.Fatalf("tier-1 geometry: %+v", g)
-	}
-	if g.C2 != 512 || g.B2 != 512 {
-		t.Fatalf("tier-2 geometry: %+v", g)
-	}
-	if g.Z2 < 20 || g.Z2 > 60 {
-		t.Fatalf("tier-2 bucket size out of expected range: %d", g.Z2)
-	}
-	// The paper's two-tier claim: tier-1 buckets are ~10× smaller than a
-	// single-tier table sized for negligible overflow at the same λ.
-	singleTier := singleTierBucket(4096, p.Lambda)
-	if singleTier < 5*g.Z1 {
-		t.Fatalf("two-tier advantage missing: single-tier bucket %d vs Z1 %d", singleTier, g.Z1)
-	}
-	if g.SlotsScannedPerLookup() != g.Z1+g.Z2 {
-		t.Fatal("SlotsScannedPerLookup inconsistent")
-	}
-}
-
 func TestBuildEmptyBatchErrors(t *testing.T) {
 	if _, err := Build(store.NewRequests(0, 8), DefaultParams()); err == nil {
 		t.Fatal("empty batch should error")

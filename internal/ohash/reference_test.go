@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snoopy/internal/batch"
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
 	"snoopy/internal/store"
@@ -16,14 +17,38 @@ import (
 	"snoopy/internal/wirecode"
 )
 
+// legacyGeometry is the shape every table had before GeometryFor chose it:
+// tier-1 buckets of 8 at mean load 4, tier-2 capacity max(64, ⌈n/8⌉) spread
+// at mean load 1 over buckets sized by the Theorem-3 Chernoff bound — a
+// function of the batch size alone. Kept as the reference shape the
+// differentials run the construction, the scan and the whole system under.
+func legacyGeometry(n, lambda int) Geometry {
+	g := Geometry{N: n, Z1: 8, B1: max((n+3)/4, 1), C2: max(64, (n+7)/8)}
+	g.B2 = g.C2
+	g.Z2 = batch.Size(g.C2, g.B2, lambda)
+	return g
+}
+
+// withGeometry makes b build its next table for g.N rows in shape g, by
+// seeding the memo GeometryFor's answer would have gone into.
+func withGeometry(b *Builder, g Geometry) *Builder {
+	b.geoms[g.N] = g
+	return b
+}
+
+// buildInShape is BuildWithKeys under a caller-chosen geometry.
+func buildInShape(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*Table, error) {
+	return withGeometry(NewBuilder(Params{}), g).buildWithKeys(reqs, k1, k2)
+}
+
 // refBuildWithKeys is the pad-and-sort construction this package used
 // before obliv.Distribute: every tier materializes Z padding rows per
 // bucket next to the real rows, sorts the lot by (bucket, key), keeps the
-// first Z of each bucket and compacts. Kept verbatim as the specification
-// the scatter construction must reproduce byte for byte.
-func refBuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Table, error) {
+// first Z of each bucket and compacts. Kept as the specification the
+// scatter construction must reproduce byte for byte, in any geometry
+// (tier-2 padding keys count from 1<<41, as the scatter's do).
+func refBuildWithKeys(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*Table, error) {
 	n := reqs.Len()
-	g := p.GeometryFor(n)
 	t := &Table{Geom: g, K1: k1, K2: k2}
 	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
 	t.Tier2 = store.NewRequests(g.B2*g.Z2, reqs.BlockSize)
@@ -79,7 +104,7 @@ func refBuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Tab
 	d = cand.Len()
 	for b := 0; b < g.B2; b++ {
 		for z := 0; z < g.Z2; z++ {
-			work2.SetRow(d, store.OpRead, padKey(uint64(1<<41)+uint64(d)), uint32(b), 0, 0, nil)
+			work2.SetRow(d, store.OpRead, padKey(uint64(1<<41)+uint64(d-cand.Len())), uint32(b), 0, 0, nil)
 			d++
 		}
 	}
@@ -107,16 +132,21 @@ func sameRows(t *testing.T, what string, a, b *store.Requests) {
 	}
 }
 
+// ledgerShapes are the (batch size, partition size) of BENCHMARK.json's four
+// workloads: scan_heavy, batch_heavy, remote_durable, open_mixed.
+var ledgerShapes = [][2]int{{128, 1 << 15}, {845, 1 << 9}, {512, 1 << 13}, {122, 1 << 11}}
+
 // TestBuildMatchesPadAndSortReference: hash keys held equal, the scatter
 // construction and the pad-and-sort one produce byte-identical tiers — same
 // occupied slots, same padding-key numbering — through a reused Builder
-// whose scratch shrinks and grows between batches.
+// whose scratch shrinks and grows between batches, in the shapes GeometryFor
+// gives a batch against no partition, a small one and a large one, and in
+// the legacy shape.
 func TestBuildMatchesPadAndSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	p := DefaultParams()
-	b := NewBuilder(p)
-	sizes := []int{1, 2, p.Z1, p.Z1 + 1, 127, 128, 844, 845, 511, 512, 513}
-	for trial := 0; trial < 30; trial++ {
+	b := NewBuilder(Params{})
+	sizes := []int{1, 2, 4, 5, 16, 17, 127, 128, 844, 845, 511, 512, 513}
+	for trial := 0; trial < 20; trial++ {
 		sizes = append(sizes, 1+rng.Intn(1200))
 	}
 	for _, n := range sizes {
@@ -125,20 +155,24 @@ func TestBuildMatchesPadAndSortReference(t *testing.T) {
 			reqs.Aux[i] = uint8(rng.Intn(2))
 			rng.Read(reqs.Block(i))
 		}
-		k1, k2 := crypt.MustNewSipKey(), crypt.MustNewSipKey()
-		want, err := refBuildWithKeys(reqs, p, k1, k2)
-		if err != nil {
-			t.Fatalf("n=%d: reference: %v", n, err)
+		for _, g := range []Geometry{
+			GeometryFor(n, 0, 128), GeometryFor(n, n, 128), GeometryFor(n, 64*n, 128), legacyGeometry(n, 128),
+		} {
+			k1, k2 := crypt.MustNewSipKey(), crypt.MustNewSipKey()
+			want, err := refBuildWithKeys(reqs, g, k1, k2)
+			if err != nil {
+				t.Fatalf("%+v: reference: %v", g, err)
+			}
+			got, err := withGeometry(b, g).buildWithKeys(reqs, k1, k2)
+			if err != nil {
+				t.Fatalf("%+v: %v", g, err)
+			}
+			if got.Geom != g {
+				t.Fatalf("built %+v, asked for %+v", got.Geom, g)
+			}
+			sameRows(t, fmt.Sprintf("%+v tier 1", g), got.Tier1, want.Tier1)
+			sameRows(t, fmt.Sprintf("%+v tier 2", g), got.Tier2, want.Tier2)
 		}
-		got, err := b.buildWithKeys(reqs, k1, k2)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if got.Geom != want.Geom {
-			t.Fatalf("n=%d: geometry %+v vs %+v", n, got.Geom, want.Geom)
-		}
-		sameRows(t, fmt.Sprintf("n=%d tier 1", n), got.Tier1, want.Tier1)
-		sameRows(t, fmt.Sprintf("n=%d tier 2", n), got.Tier2, want.Tier2)
 	}
 }
 
@@ -146,15 +180,14 @@ func TestBuildMatchesPadAndSortReference(t *testing.T) {
 // fixed hash keys: counts[b] keys in tier-1 bucket b, of which the ones that
 // overflow (the largest; buckets keep their Z1 smallest keys) additionally
 // satisfy tier2 when it is non-nil.
-func crafted(t *testing.T, p Params, k1, k2 crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
+func crafted(t *testing.T, g Geometry, k1, k2 crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
 	t.Helper()
 	n := 0
 	for _, c := range counts {
 		n += c
 	}
-	g := p.GeometryFor(n)
-	if len(counts) != g.B1 {
-		t.Fatalf("crafted: %d bucket counts for B1=%d", len(counts), g.B1)
+	if len(counts) != g.B1 || n != g.N {
+		t.Fatalf("crafted: %d keys in %d buckets for %+v", n, len(counts), g)
 	}
 	reqs := store.NewRequests(n, 8)
 	have := make([]int, g.B1)
@@ -178,6 +211,30 @@ func crafted(t *testing.T, p Params, k1, k2 crypt.SipKey, counts []int, tier2 fu
 	return reqs
 }
 
+// overflowing returns bucket counts for g.N keys of which exactly c overflow
+// tier 1: the leading buckets take 2·Z1 keys each (Z1 spill) until c is
+// reached, the rest of the batch fills the trailing buckets to at most Z1.
+func overflowing(t *testing.T, g Geometry, c int) []int {
+	t.Helper()
+	counts := make([]int, g.B1)
+	rest := g.N
+	b := 0
+	for ; c > 0; b++ {
+		spill := min(c, g.Z1)
+		counts[b] = g.Z1 + spill
+		c -= spill
+		rest -= counts[b]
+	}
+	for last := g.B1 - 1; rest > 0 && last >= b; last-- {
+		counts[last] = min(rest, g.Z1)
+		rest -= counts[last]
+	}
+	if rest != 0 {
+		t.Fatalf("overflowing: %+v cannot spill that many rows (%d keys left over)", g, rest)
+	}
+	return counts
+}
+
 // occupied counts the batch rows in rows[lo:hi).
 func occupied(rows *store.Requests, lo, hi int) int {
 	c := 0
@@ -187,131 +244,133 @@ func occupied(rows *store.Requests, lo, hi int) int {
 	return c
 }
 
-// TestTier1BucketBoundary pins the tier-1 edge: a bucket offered exactly Z1
-// keys keeps them all; offered Z1+1 it keeps its Z1 smallest and spills
-// exactly the largest into tier 2. Both agree with the reference.
+// pinShapes are the (α, N) the boundary pins are derived at: one table the
+// scan shapes (many small tier-1 buckets) and one the build shapes (few
+// large ones).
+var pinShapes = []struct {
+	name           string
+	alpha, objects int
+}{{"scan-shaped", 128, 1 << 15}, {"table-shaped", 845, 1 << 9}}
+
+// TestTier1BucketBoundary pins the tier-1 edge in the shapes GeometryFor
+// picks: a bucket offered exactly Z1 keys keeps them all; offered Z1+1 it
+// keeps its Z1 smallest and spills exactly the largest into tier 2. Both
+// agree with the reference.
 func TestTier1BucketBoundary(t *testing.T) {
-	p := DefaultParams()
 	k1, k2 := crypt.SipKey{1, 2}, crypt.SipKey{3, 4}
-	for _, extra := range []int{0, 1} {
-		counts := make([]int, 8) // n = 29 or 30 → B1 = 8
-		for b := range counts {
-			counts[b] = 3
-		}
-		counts[5] = p.Z1 + extra
-		reqs := crafted(t, p, k1, k2, counts, nil)
-		if reqs.Len() != 29+extra {
-			t.Fatalf("crafted %d rows", reqs.Len())
-		}
-		tbl, err := BuildWithKeys(reqs, p, k1, k2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := occupied(tbl.Tier1, 5*p.Z1, 6*p.Z1); got != p.Z1 {
-			t.Fatalf("extra=%d: bucket 5 holds %d rows, want %d", extra, got, p.Z1)
-		}
-		if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != extra {
-			t.Fatalf("extra=%d: tier 2 holds %d rows, want %d", extra, got, extra)
-		}
-		if extra == 1 {
-			var largest uint64
-			for i := 0; i < reqs.Len(); i++ {
-				if crypt.SipBucket(k1, reqs.Key[i], tbl.Geom.B1) == 5 && reqs.Key[i] > largest {
-					largest = reqs.Key[i]
+	for _, shape := range pinShapes {
+		g := GeometryFor(shape.alpha, shape.objects, 128)
+		for _, extra := range []int{0, 1} {
+			// One bucket at Z1 + extra; nothing else overflows.
+			counts := overflowing(t, Geometry{N: g.N - g.Z1 - extra, B1: g.B1 - 1, Z1: g.Z1}, 0)
+			counts = append([]int{g.Z1 + extra}, counts...)
+			reqs := crafted(t, g, k1, k2, counts, nil)
+			tbl, err := buildInShape(reqs, g, k1, k2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := occupied(tbl.Tier1, 0, g.Z1); got != g.Z1 {
+				t.Fatalf("%s extra=%d: bucket 0 holds %d rows, want %d", shape.name, extra, got, g.Z1)
+			}
+			if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != extra {
+				t.Fatalf("%s extra=%d: tier 2 holds %d rows, want %d", shape.name, extra, got, extra)
+			}
+			if extra == 1 {
+				var largest uint64
+				for i := 0; i < reqs.Len(); i++ {
+					if crypt.SipBucket(k1, reqs.Key[i], g.B1) == 0 && reqs.Key[i] > largest {
+						largest = reqs.Key[i]
+					}
+				}
+				if c, tier, _ := findKey(tbl, largest); c != 1 || tier != 2 {
+					t.Fatalf("%s: bucket 0's largest key %d: found %d times, tier %d; want once in tier 2", shape.name, largest, c, tier)
 				}
 			}
-			if c, tier, _ := findKey(tbl, largest); c != 1 || tier != 2 {
-				t.Fatalf("bucket 5's largest key %d: found %d times, tier %d; want once in tier 2", largest, c, tier)
+			want, err := refBuildWithKeys(reqs, g, k1, k2)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameRows(t, shape.name+" tier 1", tbl.Tier1, want.Tier1)
+			sameRows(t, shape.name+" tier 2", tbl.Tier2, want.Tier2)
 		}
-		want, err := refBuildWithKeys(reqs, p, k1, k2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, "tier 1", tbl.Tier1, want.Tier1)
-		sameRows(t, "tier 2", tbl.Tier2, want.Tier2)
 	}
 }
 
-// TestTier2Boundaries pins the tier-2 edges: exactly C2 overflow rows place,
-// C2+1 is ErrOverflow (capacity); Z2 overflow rows in one tier-2 bucket
-// place, Z2+1 is ErrOverflow (bucket). The reference fails identically.
+// TestTier2Boundaries pins the tier-2 edges in the shapes GeometryFor picks
+// (at λ = 8, so Z2+1 colliding keys are cheap to find): exactly C2 overflow
+// rows place, C2+1 is ErrOverflow (capacity); Z2 overflow rows in one
+// tier-2 bucket place, Z2+1 is ErrOverflow (bucket). The reference fails
+// identically.
 func TestTier2Boundaries(t *testing.T) {
-	p := DefaultParams()
-	p.Lambda = 8 // a small tier-2 bucket, so Z2+1 colliding keys are cheap to find
 	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
-
-	// overflowing(c) offers c overflow rows: each loaded bucket takes 2·Z1
-	// keys (Z1 spill), the last loaded one the remainder.
-	overflowing := func(c, n int) []int {
-		counts := make([]int, p.GeometryFor(n).B1)
-		for b := 0; c > 0; b++ {
-			spill := min(c, p.Z1)
-			counts[b] = p.Z1 + spill
-			c -= spill
-			n -= counts[b]
+	for _, shape := range pinShapes {
+		g := GeometryFor(shape.alpha, shape.objects, 8)
+		if g.B2 < 2 || g.Z2 >= g.C2 {
+			t.Fatalf("%s: geometry moved under the test: %+v", shape.name, g)
 		}
-		for b := len(counts) - 1; n > 0; b-- {
-			counts[b] = min(n, p.Mu1)
-			n -= counts[b]
-		}
-		return counts
-	}
-	check := func(name string, reqs *store.Requests, wantOccupied int, wantErr string) {
-		t.Helper()
-		tbl, err := BuildWithKeys(reqs, p, k1, k2)
-		_, refErr := refBuildWithKeys(reqs, p, k1, k2)
-		if wantErr == "" {
-			if err != nil || refErr != nil {
-				t.Fatalf("%s: err %v, reference %v; want both nil", name, err, refErr)
+		check := func(name string, reqs *store.Requests, wantOccupied int, wantErr string) {
+			t.Helper()
+			tbl, err := buildInShape(reqs, g, k1, k2)
+			_, refErr := refBuildWithKeys(reqs, g, k1, k2)
+			if wantErr == "" {
+				if err != nil || refErr != nil {
+					t.Fatalf("%s %s: err %v, reference %v; want both nil", shape.name, name, err, refErr)
+				}
+				if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != wantOccupied {
+					t.Fatalf("%s %s: tier 2 holds %d rows, want %d", shape.name, name, got, wantOccupied)
+				}
+				return
 			}
-			if got := occupied(tbl.Tier2, 0, tbl.Tier2.Len()); got != wantOccupied {
-				t.Fatalf("%s: tier 2 holds %d rows, want %d", name, got, wantOccupied)
+			if !errors.Is(err, ErrOverflow) || err.Error() != refErr.Error() || err.Error() != "ohash: hash table overflow: "+wantErr {
+				t.Fatalf("%s %s: err %q, reference %q; want ErrOverflow %q", shape.name, name, err, refErr, wantErr)
 			}
-			return
 		}
-		if !errors.Is(err, ErrOverflow) || err.Error() != refErr.Error() || err.Error() != "ohash: hash table overflow: "+wantErr {
-			t.Fatalf("%s: err %q, reference %q; want ErrOverflow %q", name, err, refErr, wantErr)
+		// Spread the overflow rows over tier 2 so only the capacity binds: no
+		// tier-2 bucket may be offered more than Z2 of them.
+		load := make([]int, g.B2)
+		spread := func(b2 uint32) bool {
+			if load[b2] == g.Z2 {
+				return false
+			}
+			load[b2]++
+			return true
 		}
+		check("C2 overflow rows", crafted(t, g, k1, k2, overflowing(t, g, g.C2), spread), g.C2, "")
+		clear(load)
+		check("C2+1 overflow rows", crafted(t, g, k1, k2, overflowing(t, g, g.C2+1), spread), 0,
+			"tier-2 capacity exceeded by 1")
+		// Aim every overflow row at the last tier-2 bucket.
+		one := func(b2 uint32) bool { return int(b2) == g.B2-1 }
+		check("Z2 rows in one tier-2 bucket", crafted(t, g, k1, k2, overflowing(t, g, g.Z2), one), g.Z2, "")
+		check("Z2+1 rows in one tier-2 bucket", crafted(t, g, k1, k2, overflowing(t, g, g.Z2+1), one), 0,
+			"tier-2 bucket exceeded by 1")
 	}
-
-	g := p.GeometryFor(200)
-	if g.C2 != 64 || g.Z2 >= 40 {
-		t.Fatalf("geometry moved under the test: %+v", g)
-	}
-	// Spread the overflow rows over tier 2 so only the capacity binds.
-	spread := func(b2 uint32) bool { return true }
-	check("C2 overflow rows", crafted(t, p, k1, k2, overflowing(g.C2, 200), spread), g.C2, "")
-	check("C2+1 overflow rows", crafted(t, p, k1, k2, overflowing(g.C2+1, 200), spread), 0,
-		"tier-2 capacity exceeded by 1")
-	// Aim every overflow row at tier-2 bucket 3.
-	one := func(b2 uint32) bool { return b2 == 3 }
-	check("Z2 rows in one tier-2 bucket", crafted(t, p, k1, k2, overflowing(g.Z2, 200), one), g.Z2, "")
-	check("Z2+1 rows in one tier-2 bucket", crafted(t, p, k1, k2, overflowing(g.Z2+1, 200), one), 0,
-		"tier-2 bucket exceeded by 1")
 }
 
 // TestBuildCostCountsTheBuild pins Geometry.BuildCost/ExtractCost to the
 // implementation: the recorder sees exactly that many row swaps, plus the
-// linear passes (one clear per sorted row, one touch per table slot).
+// linear passes (one clear per sorted row, one touch per table slot) — at
+// the four ledger shapes, the smallest batches and the legacy shape.
 func TestBuildCostCountsTheBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	for _, n := range []int{1, 9, 120, 845} {
-		p := DefaultParams()
-		p.Rec = trace.New()
-		tbl, err := Build(makeBatch(rng, n, 8), p)
+	shapes := []Geometry{GeometryFor(1, 0, 128), GeometryFor(9, 100, 128), legacyGeometry(845, 128)}
+	for _, s := range ledgerShapes {
+		shapes = append(shapes, GeometryFor(s[0], s[1], 128))
+	}
+	for _, g := range shapes {
+		rec := trace.New()
+		tbl, err := withGeometry(NewBuilder(Params{Rec: rec}), g).Build(makeBatch(rng, g.N, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := tbl.Geom
-		linear := n + g.B1*g.Z1 + min(g.C2, n) + g.B2*g.Z2
-		if got, want := p.Rec.Count(), uint64(g.BuildCost()+linear); got != want {
-			t.Fatalf("n=%d: build recorded %d events, BuildCost+linear says %d", n, got, want)
+		linear := g.N + g.B1*g.Z1 + min(g.C2, g.N) + g.B2*g.Z2
+		if got, want := rec.Count(), uint64(g.BuildCost()+linear); got != want {
+			t.Fatalf("%+v: build recorded %d events, BuildCost+linear says %d", g, got, want)
 		}
-		before := p.Rec.Count()
+		before := rec.Count()
 		tbl.Extract()
-		if got, want := p.Rec.Count()-before, uint64(g.ExtractCost()); got != want {
-			t.Fatalf("n=%d: extract recorded %d events, ExtractCost says %d", n, got, want)
+		if got, want := rec.Count()-before, uint64(g.ExtractCost()); got != want {
+			t.Fatalf("%+v: extract recorded %d events, ExtractCost says %d", g, got, want)
 		}
 	}
 }
@@ -364,10 +423,9 @@ func requireTableOrder(t *testing.T, what string, tbl *Table, got, ref *store.Re
 // keys to put 0, 1 and C2 rows in tier 2 and to fill a tier-1 bucket to Z1
 // and Z1+1, and for random batches through a reused Builder.
 func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
-	p := DefaultParams()
 	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
 	rng := rand.New(rand.NewSource(63))
-	check := func(what string, reqs *store.Requests, tier2Rows int, build func() (*Table, error)) {
+	check := func(what string, tier2Rows int, build func() (*Table, error)) {
 		t.Helper()
 		tbl, err := build()
 		if err != nil {
@@ -385,50 +443,24 @@ func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
 		ref := refExtract(tbl)
 		requireTableOrder(t, what, tbl, tbl.Extract(), ref)
 	}
-	with := func(reqs *store.Requests) func() (*Table, error) {
-		return func() (*Table, error) { return BuildWithKeys(reqs, p, k1, k2) }
+	shapes := []Geometry{legacyGeometry(200, 128)}
+	for _, shape := range pinShapes {
+		shapes = append(shapes, GeometryFor(shape.alpha, shape.objects, 128))
 	}
-
-	flat := func(n, per int) []int { // per keys in each tier-1 bucket of an n-row batch
-		counts := make([]int, p.GeometryFor(n).B1)
-		for b := range counts {
-			counts[b] = per
+	for _, g := range shapes {
+		for _, c := range []struct {
+			what  string
+			spill int
+		}{{"no tier-2 rows", 0}, {"one tier-2 row", 1}, {"C2 tier-2 rows", g.C2}} {
+			reqs := crafted(t, g, k1, k2, overflowing(t, g, c.spill), nil)
+			check(fmt.Sprintf("%+v: %s", g, c.what), c.spill, func() (*Table, error) { return buildInShape(reqs, g, k1, k2) })
 		}
-		return counts
 	}
-	counts := flat(32, 4)
-	reqs := crafted(t, p, k1, k2, counts, nil)
-	check("no tier-2 rows", reqs, 0, with(reqs))
 
-	counts = flat(29, 3)
-	counts[5] = p.Z1
-	reqs = crafted(t, p, k1, k2, counts, nil)
-	check("bucket at Z1", reqs, 0, with(reqs))
-
-	counts = flat(30, 3)
-	counts[5] = p.Z1 + 1
-	reqs = crafted(t, p, k1, k2, counts, nil)
-	check("bucket at Z1+1", reqs, 1, with(reqs))
-
-	g := p.GeometryFor(200)
-	counts = make([]int, g.B1)
-	rest := 200
-	for b, spill := 0, g.C2; spill > 0; b++ { // C2 overflow rows, Z1 per loaded bucket
-		counts[b] = p.Z1 + min(spill, p.Z1)
-		spill -= min(spill, p.Z1)
-		rest -= counts[b]
-	}
-	for b := len(counts) - 1; rest > 0; b-- {
-		counts[b] = min(rest, p.Mu1)
-		rest -= counts[b]
-	}
-	reqs = crafted(t, p, k1, k2, counts, nil)
-	check("C2 tier-2 rows", reqs, g.C2, with(reqs))
-
-	b := NewBuilder(p)
+	b := NewBuilder(Params{Objects: 4096})
 	for _, n := range []int{1, 2, 9, 127, 128, 845, 300, 1200} {
 		reqs := makeBatch(rng, n, 24)
-		check(fmt.Sprintf("n=%d reused builder", n), reqs, -1, func() (*Table, error) { return b.Build(reqs) })
+		check(fmt.Sprintf("n=%d reused builder", n), -1, func() (*Table, error) { return b.Build(reqs) })
 	}
 }
 

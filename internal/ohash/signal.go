@@ -32,10 +32,7 @@ func BuildSingleTierQuadratic(reqs *store.Requests, lambda int) (*SingleTierTabl
 	}
 	// Mean load 2 with λ-negligible overflow, the single-tier sizing the
 	// bucket-size comparison uses.
-	b := (n + 1) / 2
-	if b < 1 {
-		b = 1
-	}
+	b := buckets(n, 1)
 	z := singleTierBucket(n, lambda)
 	t := &SingleTierTable{B: b, Z: z, K: crypt.MustNewSipKey()}
 	t.Rows = store.NewRequests(b*z, reqs.BlockSize)

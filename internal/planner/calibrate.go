@@ -5,6 +5,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/loadbalancer"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -18,6 +19,9 @@ func Calibrate(blockSize, lambda int) CostModel {
 		probeReqs = 2048
 		probeSubs = 4
 		probeObjs = 1 << 14
+		// probeSmallBatch is the second subORAM probe's batch: small enough
+		// that its table scans far fewer slots per object than the first's.
+		probeSmallBatch = 8
 	)
 	// --- Load balancer probe ---
 	lb := loadbalancer.New(loadbalancer.Config{
@@ -30,39 +34,56 @@ func Calibrate(blockSize, lambda int) CostModel {
 	t0 := time.Now()
 	batches, err := lb.MakeBatches(reqs)
 	if err != nil {
-		return AnalyticModel(8, 50, lambda) // conservative fallback
+		return fallbackModel(lambda)
 	}
 	batches.All.StampKeyOrder() // the batches stand in for their own responses
 	if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
-		return AnalyticModel(8, 50, lambda)
+		return fallbackModel(lambda)
 	}
 	lbWall := time.Since(t0)
 	opNs := float64(lbWall.Nanoseconds()) / float64(lbOps(probeReqs, probeSubs, lambda))
 
 	// --- SubORAM probe ---
-	sub := suboram.New(suboram.Config{BlockSize: blockSize})
+	// Two batch sizes against one partition: the table shapes GeometryFor
+	// gives them scan different numbers of slots per object, and the two
+	// scan times separate the per-slot cost from the per-object one.
+	sub := suboram.New(suboram.Config{BlockSize: blockSize, Hash: ohash.Params{Lambda: lambda}})
 	ids := make([]uint64, probeObjs)
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
 	if err := sub.Init(ids, make([]byte, probeObjs*blockSize)); err != nil {
-		return AnalyticModel(opNs, 50, lambda)
+		return fallbackModel(lambda)
 	}
-	probeBatch := store.NewRequests(batches.PerSub, blockSize)
-	for i := 0; i < probeBatch.Len(); i++ {
-		probeBatch.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
+	probe := func(alpha int) (nsPerObject float64, slots int, ok bool) {
+		batch := store.NewRequests(alpha, blockSize)
+		for i := 0; i < alpha; i++ {
+			batch.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
+		}
+		best := time.Duration(0)
+		for rep := 0; rep < 3; rep++ { // the quickest of three: the least disturbed
+			if _, err := sub.BatchAccess(batch); err != nil {
+				return 0, 0, false
+			}
+			if st := sub.LastStats(); rep == 0 || st.Scan < best {
+				best, slots = st.Scan, st.SlotsPerLookup
+			}
+		}
+		return float64(best.Nanoseconds()) / probeObjs, slots, true
 	}
-	t0 = time.Now()
-	if _, err := sub.BatchAccess(probeBatch); err != nil {
-		return AnalyticModel(opNs, 50, lambda)
+	nsA, slotsA, okA := probe(batches.PerSub)
+	nsB, slotsB, okB := probe(probeSmallBatch)
+	if !okA || !okB || slotsA == slotsB {
+		return fallbackModel(lambda)
 	}
-	subWall := time.Since(t0)
-	// Attribute the table build and extraction via the per-operation
-	// constant, the rest to the scan.
-	tableNs := opNs * float64(subOps(probeBatch.Len(), lambda))
-	scanNs := (float64(subWall.Nanoseconds()) - tableNs) / float64(probeObjs)
-	if scanNs <= 0 {
-		scanNs = 1
+	slotNs := (nsA - nsB) / float64(slotsA-slotsB)
+	fixedNs := nsA - slotNs*float64(slotsA)
+	if slotNs <= 0 || fixedNs < 0 { // a disturbed probe: all of the scan on the slots
+		slotNs, fixedNs = nsA/float64(slotsA), 0
 	}
-	return AnalyticModel(opNs, scanNs, lambda)
+	return AnalyticModel(opNs, slotNs, fixedNs, lambda)
 }
+
+// fallbackModel is the conservative model Calibrate returns when a probe
+// fails.
+func fallbackModel(lambda int) CostModel { return AnalyticModel(8, 1, 10, lambda) }

@@ -37,20 +37,25 @@ type CostModel struct {
 // AnalyticModel builds a CostModel from per-unit constants and the
 // implementation's exact operation counts, each a closed form in public
 // parameters: opNs is the cost of one oblivious row operation (a bitonic
-// compare-exchange or a compaction/distribution swap), scanNsPerObject the
-// cost of scanning one stored object. The load balancer performs
-// MakeBatchesCost + MatchResponsesCost operations per epoch (sort, compact
-// and distribute the r real rows; sort the r requests' metadata, merge it
-// with the α·s responses and compact the r + α·s rows to match); the
-// subORAM performs the table's BuildCost + ExtractCost plus a linear scan
-// of its partition.
-func AnalyticModel(opNs, scanNsPerObject float64, lambda int) CostModel {
+// compare-exchange or a compaction/distribution swap); slotNs the cost of
+// one hash-table slot compared and exchanged against a scanned object, and
+// fixedNs the scan's cost per stored object before any slot. The load
+// balancer performs MakeBatchesCost + MatchResponsesCost operations per
+// epoch (sort, compact and distribute the r real rows; sort the r requests'
+// metadata, merge it with the α·s responses and compact the r + α·s rows to
+// match). The subORAM is priced on the table it will actually build —
+// ohash.GeometryFor over the same public (batch size, partition size, λ) —
+// as that table's BuildCost + ExtractCost row operations plus, for every
+// stored object, fixedNs and slotNs for each of the Z1 + Z2 slots a lookup
+// scans.
+func AnalyticModel(opNs, slotNs, fixedNs float64, lambda int) CostModel {
 	lb := func(r, s int) time.Duration {
 		return time.Duration(opNs * float64(lbOps(r, s, lambda)))
 	}
 	sub := func(batchSize, objectsPerSub int) time.Duration {
-		scan := scanNsPerObject * float64(objectsPerSub)
-		return time.Duration(opNs*float64(subOps(batchSize, lambda)) + scan)
+		g := ohash.GeometryFor(batchSize, objectsPerSub, lambda)
+		scan := float64(objectsPerSub) * (fixedNs + slotNs*float64(g.SlotsScannedPerLookup()))
+		return time.Duration(opNs*float64(g.BuildCost()+g.ExtractCost()) + scan)
 	}
 	return CostModel{LBTime: lb, SubTime: sub}
 }
@@ -60,15 +65,6 @@ func AnalyticModel(opNs, scanNsPerObject float64, lambda int) CostModel {
 func lbOps(r, s, lambda int) int {
 	alpha := max(batch.Size(r, s, lambda), 1)
 	return loadbalancer.MakeBatchesCost(r, s, alpha) + loadbalancer.MatchResponsesCost(r, s, alpha)
-}
-
-// subOps is the subORAM's oblivious row-operation count for building and
-// extracting one batch's hash table (the scan is priced per object).
-func subOps(batchSize, lambda int) int {
-	p := ohash.DefaultParams()
-	p.Lambda = lambda
-	g := p.GeometryFor(max(batchSize, 1))
-	return g.BuildCost() + g.ExtractCost()
 }
 
 // Prices is the per-node monthly cost (the paper uses Azure DCsv2-series

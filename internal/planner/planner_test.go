@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"snoopy/internal/ohash"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -129,7 +131,7 @@ func TestTreePlaneTimeBeatsMonolithic(t *testing.T) {
 	// monolithic plane at a planner-scale rate once the plane is split at
 	// least four ways (exact operation counts: ~0.7 of the monolithic
 	// plane's at r = 2^17, s = 8).
-	m := AnalyticModel(8, 50, 128)
+	m := AnalyticModel(8, 1, 6, 128)
 	r, s := 1<<17, 8
 	mono := m.LBTime(r, s)
 	prev := mono
@@ -150,7 +152,7 @@ func TestOptimizeTreeExtendsFeasibleRegion(t *testing.T) {
 	// Sweep the throughput requirement upward from the monolithic single-LB
 	// ceiling: somewhere above it, only a hierarchical plane can keep up,
 	// and the planner must find (and report) that tree rather than fail.
-	m := AnalyticModel(8, 0.01, 128) // LB-bound: scans are nearly free
+	m := AnalyticModel(8, 0.0002, 0.001, 128) // LB-bound: scans are nearly free
 	base := Requirements{
 		Objects: 100_000, BlockSize: 160,
 		MaxLatency:       200 * time.Millisecond,
@@ -217,7 +219,7 @@ func TestOptimizeTreeNeverCostsMoreThanMonolithicSearch(t *testing.T) {
 // `go test ./internal/planner -run TestPlanGolden -update` after a deliberate
 // cost-model change, and review the diff like any other behavioral change.
 func TestPlanGolden(t *testing.T) {
-	m := AnalyticModel(8, 50, 128)
+	m := AnalyticModel(8, 1, 6, 128)
 	cases := []struct {
 		name string
 		req  Requirements
@@ -270,6 +272,29 @@ func TestPlanGolden(t *testing.T) {
 	}
 	if buf.String() != string(want) {
 		t.Fatalf("planner output drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.String(), want)
+	}
+}
+
+// TestSubTimePricesTheGeometryTheSubORAMBuilds: the analytic subORAM time is
+// the cost of the very table ohash.GeometryFor shapes for the same public
+// (batch size, partition size, λ) — its row operations at opNs, and per
+// stored object the fixed cost plus slotNs for each slot a lookup scans —
+// so a larger partition is priced at a shorter lookup, not only more of them.
+func TestSubTimePricesTheGeometryTheSubORAMBuilds(t *testing.T) {
+	const opNs, slotNs, fixedNs = 8.0, 1.0, 6.0
+	m := AnalyticModel(opNs, slotNs, fixedNs, 128)
+	for _, s := range [][2]int{{128, 1 << 15}, {845, 1 << 9}, {512, 1 << 13}, {122, 1 << 11}, {1, 1}, {0, 5}} {
+		g := ohash.GeometryFor(s[0], s[1], 128)
+		want := time.Duration(opNs*float64(g.BuildCost()+g.ExtractCost()) +
+			float64(s[1])*(fixedNs+slotNs*float64(g.Z1+g.Z2)))
+		if got := m.SubTime(s[0], s[1]); got != want {
+			t.Fatalf("SubTime(%d, %d) = %v, the table %+v costs %v", s[0], s[1], got, g, want)
+		}
+	}
+	small, large := ohash.GeometryFor(512, 1<<10, 128), ohash.GeometryFor(512, 1<<20, 128)
+	if large.SlotsScannedPerLookup() >= small.SlotsScannedPerLookup() {
+		t.Fatalf("a 2²⁰-object partition is scanned at %d slots per lookup, a 2¹⁰-object one at %d",
+			large.SlotsScannedPerLookup(), small.SlotsScannedPerLookup())
 	}
 }
 

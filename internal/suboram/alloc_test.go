@@ -50,7 +50,7 @@ func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 	// What is measured below is the table-order path: stamped rows ascending
 	// by (bucket, key), misses zeroed.
 	k, b1 := out.OrderStamp(0)
-	if want := ohash.DefaultParams().GeometryFor(reqs.Len()).B1; b1 != want {
+	if want := ohash.GeometryFor(reqs.Len(), sub.NumObjects(), sub.cfg.Hash.Lambda).B1; b1 != want {
 		t.Fatalf("stamped %d buckets, want B1 = %d", b1, want)
 	}
 	prevB, prevK := uint32(0), uint64(0)
@@ -75,6 +75,51 @@ func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm BatchAccess allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestBatchAccessZeroAllocVaryingBatchSize: the open loop's case — the
+// padded batch size moves from epoch to epoch against a fixed partition, and
+// with it the table's shape. Once every size in the cycle has been seen (its
+// geometry memoised, the scratch grown to the largest table), a cycle
+// allocates nothing.
+func TestBatchAccessZeroAllocVaryingBatchSize(t *testing.T) {
+	pool := arena.NewPool()
+	const block, nObj = 32, 2048
+	sub := New(Config{BlockSize: block, Workers: 1, Pool: pool})
+	ids := make([]uint64, nObj)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	if err := sub.Init(ids, make([]byte, nObj*block)); err != nil {
+		t.Fatal(err)
+	}
+	var batches []*store.Requests
+	shapes := map[[2]int]bool{}
+	for _, alpha := range []int{122, 96, 131, 110, 64} {
+		reqs := store.NewRequests(alpha, block)
+		for i := 0; i < alpha; i++ {
+			reqs.SetRow(i, uint8(i%2), uint64(i*7%nObj), 0, uint64(i), uint64(i), []byte{0xee})
+		}
+		batches = append(batches, reqs)
+	}
+	cycle := func() {
+		for _, reqs := range batches {
+			out, err := sub.BatchAccess(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sub.LastStats()
+			shapes[[2]int{st.TableSlots, st.SlotsPerLookup}] = true
+			pool.PutRequests(out)
+		}
+	}
+	cycle()
+	if len(shapes) < 2 {
+		t.Fatal("every batch size got the same table — the guard is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("a warm cycle of varying batch sizes allocated %.1f times, want 0", allocs)
 	}
 }
 

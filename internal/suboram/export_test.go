@@ -1,5 +1,15 @@
 package suboram
 
+import "snoopy/internal/ohash"
+
+// ScanTable runs the linear scan against a table the caller built, for the
+// external tests that put a table of another shape through the real scan.
+func (s *SubORAM) ScanTable(t *ohash.Table) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scan(t)
+}
+
 // Test-only hooks: simulate the untrusted host attacking the sealed
 // external memory (paper §2 integrity threat model).
 

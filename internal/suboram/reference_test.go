@@ -61,11 +61,11 @@ func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, keys [2
 
 var refKeys = [2]crypt.SipKey{{0x0706050403020100, 0x0f0e0d0c0b0a0908}, {0x1716151413121110, 0x1f1e1d1c1b1a1918}}
 
-// ledgerShapes are the padded batch sizes α of BENCHMARK.json's four
-// workloads (they fix the bucket geometry Z1, Z2); partitions are scaled
-// down so the suite stays fast.
-var ledgerShapes = []struct{ alpha, objects int }{
-	{128, 400}, {845, 512}, {512, 400}, {122, 333},
+// ledgerShapes are BENCHMARK.json's four workloads: the padded batch size α
+// and the partition size N that together fix the table's shape, and the
+// scaled-down partition the suite actually scans so it stays fast.
+var ledgerShapes = []struct{ alpha, ledgerObjects, objects int }{
+	{128, 1 << 15, 400}, {845, 1 << 9, 512}, {512, 1 << 13, 400}, {122, 1 << 11, 333},
 }
 
 const refBlock = 160
@@ -125,11 +125,13 @@ func requireSameRows(t *testing.T, what string, got, want *store.Requests) {
 	}
 }
 
-// TestScanMatchesSlotMajorReference: at each ledger shape and in every
-// storage mode, scanning a pinned-key table leaves both tiers (every
-// column, Data and Aux included) and the partition byte-identical to the
-// reference scan's, and BatchAccess returns the reference's rows. Two
-// batches run back to back so the second scans a partition the first wrote.
+// TestScanMatchesSlotMajorReference: in every storage mode, scanning a
+// pinned-key table in each ledger workload's own shape — the one
+// GeometryFor gives its (α, N) — leaves both tiers (every column, Data and
+// Aux included) and the partition byte-identical to the reference scan's,
+// and BatchAccess (whose table is shaped for the partition actually loaded)
+// returns the reference's rows. Two batches run back to back so the second
+// scans a partition the first wrote.
 func TestScanMatchesSlotMajorReference(t *testing.T) {
 	modes := []struct {
 		name string
@@ -162,9 +164,9 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 				if err := sub.Init(ids, data); err != nil {
 					t.Fatal(err)
 				}
-				hp := ohash.DefaultParams()
 
-				// Scan only: compare the tables slot for slot.
+				// Scan only, in the ledger's shape: compare the tables slot for slot.
+				hp := ohash.Params{Objects: shape.ledgerObjects}
 				reqs := refBatch(rng, shape.alpha, ids)
 				want, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
 				if err != nil {
@@ -173,6 +175,9 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 				got, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
 				if err != nil {
 					t.Fatal(err)
+				}
+				if ledger := ohash.GeometryFor(shape.alpha, shape.ledgerObjects, 0); got.Geom != ledger {
+					t.Fatalf("table shaped %+v, the ledger's is %+v", got.Geom, ledger)
 				}
 				refScan(want, ids, refData, refBlock, nil)
 				if err := sub.scan(got); err != nil {
@@ -185,6 +190,7 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 				}
 
 				// Whole batch, over the partition the scan above wrote.
+				hp.Objects = len(ids)
 				reqs = refBatch(rng, shape.alpha, ids)
 				wantOut := refBatchAccess(t, reqs, hp, refKeys, ids, refData)
 				gotOut, err := sub.BatchAccess(reqs)
@@ -219,8 +225,7 @@ func TestScanTraceMatchesSlotMajorReference(t *testing.T) {
 				reqs := refBatch(rng, shape.alpha, ids)
 
 				recRef := trace.New()
-				hp := ohash.DefaultParams()
-				hp.Rec = recRef
+				hp := ohash.Params{Objects: len(ids), Rec: recRef}
 				refBatchAccess(t, reqs, hp, refKeys, ids, append([]byte(nil), data...))
 
 				rec := trace.New()

@@ -32,8 +32,10 @@ import (
 type Config struct {
 	// BlockSize is the object value size in bytes.
 	BlockSize int
-	// Hash configures two-tier hash table geometry; zero value means
-	// ohash.DefaultParams.
+	// Hash carries the hash table's security parameter (zero means 128).
+	// The table's shape is ohash.GeometryFor's function of the batch size,
+	// the partition size and that parameter; the subORAM fills in Objects,
+	// Rec and Pool itself.
 	Hash ohash.Params
 	// Workers bounds scan parallelism (paper Fig. 13b). 0 means 1.
 	Workers int
@@ -61,9 +63,11 @@ type Config struct {
 	// Pool supplies per-batch working memory (response sets, worker table
 	// copies). Nil means arena.Default.
 	Pool *arena.Pool
-	// Telemetry, when non-nil, records build/scan/extract durations and
-	// batch/row counters. One recording per batch, payloads are the public
-	// padded batch size α — never request contents; nil disables recording.
+	// Telemetry, when non-nil, records build/scan/extract durations, batch
+	// and row counters, and the largest table built so far (its slots and
+	// its slots per lookup). One recording per batch, payloads are functions
+	// of the public padded batch size α, partition size and λ — never of
+	// request contents; nil disables recording.
 	Telemetry *telemetry.Registry
 }
 
@@ -103,6 +107,11 @@ type Stats struct {
 	Build   time.Duration // oblivious hash table construction
 	Scan    time.Duration // linear scan over the partition
 	Extract time.Duration // response compaction
+
+	// The batch's table, a function of the public (batch size, partition
+	// size, λ): its total slots and the slots scanned per stored object.
+	TableSlots     int
+	SlotsPerLookup int
 }
 
 // Total returns the end-to-end processing time.
@@ -111,7 +120,7 @@ func (s Stats) Total() time.Duration { return s.Build + s.Scan + s.Extract }
 // SubORAM holds one data partition.
 type SubORAM struct {
 	cfg     Config
-	builder *ohash.Builder // scratch reuse across batches (guarded by mu)
+	builder *ohash.Builder // scratch reuse across batches (guarded by mu); rebuilt by setIDs
 
 	mu     sync.Mutex // serializes batches (paper: fixed batch order)
 	ids    []uint64
@@ -147,6 +156,8 @@ type SubORAM struct {
 	telExtract *telemetry.Histogram
 	telBatches *telemetry.Counter
 	telRows    *telemetry.Counter
+	telSlots   *telemetry.Gauge
+	telLookup  *telemetry.Gauge
 }
 
 // takeSealedBufs pops n block buffers off the sealed-scan free list,
@@ -176,21 +187,15 @@ func New(cfg Config) *SubORAM {
 	if cfg.BlockSize <= 0 {
 		panic("suboram: BlockSize must be positive")
 	}
-	if cfg.Hash == (ohash.Params{}) {
-		cfg.Hash = ohash.DefaultParams()
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	if cfg.Store != nil && cfg.Sealed {
 		panic("suboram: Store and Sealed are mutually exclusive")
 	}
-	hp := cfg.Hash
-	hp.Rec = cfg.Rec
-	hp.Pool = cfg.Pool
+	cfg.Hash.Rec, cfg.Hash.Pool = cfg.Rec, cfg.Pool
 	s := &SubORAM{
 		cfg:        cfg,
-		builder:    ohash.NewBuilder(hp),
 		zeroBlk:    make([]byte, cfg.BlockSize),
 		scanCtx:    make([]scanCtx, cfg.Workers),
 		telBuild:   cfg.Telemetry.Histogram("suboram_build", nil),
@@ -198,7 +203,10 @@ func New(cfg Config) *SubORAM {
 		telExtract: cfg.Telemetry.Histogram("suboram_extract", nil),
 		telBatches: cfg.Telemetry.Counter("suboram_batches_total"),
 		telRows:    cfg.Telemetry.Counter("suboram_rows_total"),
+		telSlots:   cfg.Telemetry.Gauge("suboram_table_slots"),
+		telLookup:  cfg.Telemetry.Gauge("suboram_slots_per_lookup"),
 	}
+	s.setIDs(nil)
 	if cfg.Store != nil {
 		s.storeFns = make([]func(i int, blk []byte), cfg.Workers)
 		for w := range s.storeFns {
@@ -254,10 +262,19 @@ func (s *SubORAM) Init(ids []uint64, data []byte) error {
 	return s.load(ids, data)
 }
 
+// setIDs adopts the partition's identifier set and tells the table builder
+// its size: the hash table is shaped for the partition it will be scanned
+// against. Caller holds mu (or is the constructor).
+func (s *SubORAM) setIDs(ids []uint64) {
+	s.ids = append([]uint64(nil), ids...)
+	s.cfg.Hash.Objects = len(ids)
+	s.builder = ohash.NewBuilder(s.cfg.Hash)
+}
+
 func (s *SubORAM) load(ids []uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ids = append([]uint64(nil), ids...)
+	s.setIDs(ids)
 	if s.cfg.Store != nil {
 		// Disk-resident: size the store for the partition and stream the
 		// values in. Only the identifiers stay memory-resident (they drive
@@ -365,9 +382,7 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	var table *ohash.Table
 	var err error
 	if s.cfg.TestHashKeys != nil {
-		hp := s.cfg.Hash
-		hp.Rec = s.cfg.Rec
-		table, err = ohash.BuildWithKeys(reqs, hp, s.cfg.TestHashKeys[0], s.cfg.TestHashKeys[1])
+		table, err = ohash.BuildWithKeys(reqs, s.cfg.Hash, s.cfg.TestHashKeys[0], s.cfg.TestHashKeys[1])
 	} else {
 		table, err = s.builder.Build(reqs)
 	}
@@ -395,12 +410,17 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	// Tell the load balancer the order the rows come back in: the table's.
 	out.StampOrder(table.K1, table.Geom.B1)
 	st.Extract = time.Since(t0)
+	st.TableSlots, st.SlotsPerLookup = table.Geom.Slots(), table.Geom.SlotsScannedPerLookup()
 	s.last = st
 	// One recording per batch; the row payload is the public padded batch
 	// size α, identical across workloads with the same public parameters.
 	s.telExtract.Observe(time.Duration(s.cfg.Telemetry.Now() - tt2))
 	s.telBatches.Inc()
 	s.telRows.Add(uint64(reqs.Len()))
+	// High-water marks: partitions share the registry, and a last-writer
+	// gauge would read whichever worker happened to finish last.
+	s.telSlots.SetMax(int64(st.TableSlots))
+	s.telLookup.SetMax(int64(st.SlotsPerLookup))
 	return out, nil
 }
 
@@ -640,7 +660,7 @@ func (s *SubORAM) RestoreFromStore(ids []uint64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ids = append([]uint64(nil), ids...)
+	s.setIDs(ids)
 	s.plain = nil
 	s.sealed = nil
 	return nil

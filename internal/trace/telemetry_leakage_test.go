@@ -173,6 +173,13 @@ func assertTelemetryIndependent(t *testing.T, cfg core.Config, epochs, perEpoch 
 	if !bytes.Equal(metricsA, metricsB) {
 		diffLines(t, "/metrics output", metricsA, metricsB)
 	}
+	// The hash table's shape is among the compared bytes: a function of the
+	// public (batch size, partition size, λ), never of what was requested.
+	for _, gauge := range []string{"suboram_table_slots", "suboram_slots_per_lookup"} {
+		if !bytes.Contains(metricsA, []byte(gauge)) {
+			t.Fatalf("/metrics output has no %s", gauge)
+		}
+	}
 	if !bytes.Equal(spansA, spansB) {
 		diffLines(t, "/trace/epochs output", spansA, spansB)
 	}
@@ -204,6 +211,13 @@ func TestTelemetryTraceIndependentOfSecretsSequential(t *testing.T) {
 	}
 	if !bytes.Equal(metricsA, metricsB) {
 		diffLines(t, "/metrics output", metricsA, metricsB)
+	}
+	// The hash table's shape is among the compared bytes: a function of the
+	// public (batch size, partition size, λ), never of what was requested.
+	for _, gauge := range []string{"suboram_table_slots", "suboram_slots_per_lookup"} {
+		if !bytes.Contains(metricsA, []byte(gauge)) {
+			t.Fatalf("/metrics output has no %s", gauge)
+		}
 	}
 	if !bytes.Equal(spansA, spansB) {
 		diffLines(t, "/trace/epochs output", spansA, spansB)

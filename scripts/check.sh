@@ -27,7 +27,6 @@ go test -race -timeout 45m \
   ./internal/loadbalancer/... \
   ./internal/obliv/... \
   ./internal/trace/... \
-  ./internal/ohash/... \
   ./internal/telemetry/... \
   ./internal/metrics/...
 
@@ -99,9 +98,25 @@ go test -race -timeout 15m -count=2 \
   -run 'MatchResponses|Extract|MetaBySubKey|OrderStamp|BySubKeyTag|DigestAgreesAcrossTableKeys|MisshapenResponse|ShardsInFullSystem' \
   ./internal/loadbalancer/ ./internal/ohash/ ./internal/store/ ./internal/replica/ ./internal/core/ ./internal/oblix/ ./internal/pir/
 
+# The hash table's shape (ohash.GeometryFor): the whole ohash package under
+# -race, then a focused -count=2 re-run of the geometry, bound and overflow
+# tests — the sweep of both computed 2^-λ bounds, the Monte-Carlo overflow
+# rates with their under-sized negative control, the Z1/Z1+1 · C2/C2+1 ·
+# Z2/Z2+1 pins derived from GeometryFor, the legacy-vs-new system
+# differential in suboram and the planner pricing the same table. -short
+# thins the sweep's batch sizes (the race detector adds nothing to pure
+# arithmetic); the last line runs the sweep and the Monte Carlo at full size
+# — every batch size's bounds re-derived, 10⁶ builds per shape — without it.
+go test -race -short -timeout 15m ./internal/ohash/...
+go test -race -short -timeout 15m -count=2 \
+  -run 'Geometry|Bound|Overflow' \
+  ./internal/ohash/ ./internal/suboram/ ./internal/planner/
+go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./internal/ohash/ -exhaustive
+
 # The portable bodies (the purego tag drops every assembly kernel, as a
 # non-amd64 build does): the amd64 host otherwise never runs them. This
-# covers the table-order Extract and the miss zeroing behind it too.
+# covers the table-order Extract and the miss zeroing behind it too, and
+# the kernels at every bucket size the geometry grid can pick (Z ≤ 128).
 go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/
 
 # The leakage suite's canonical exports must not depend on how many
