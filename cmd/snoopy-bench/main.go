@@ -11,104 +11,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"snoopy"
 	"snoopy/internal/figures"
 )
-
-// observabilityReport is the shape of results/BENCH_observability.json: the
-// public run configuration plus a full telemetry snapshot (counters, gauges,
-// histograms, and the recorded epoch stage spans) of an instrumented run.
-type observabilityReport struct {
-	Config struct {
-		LoadBalancers int `json:"load_balancers"`
-		SubORAMs      int `json:"suborams"`
-		Objects       int `json:"objects"`
-		BlockSize     int `json:"block_size"`
-		Ops           int `json:"ops"`
-	} `json:"config"`
-	Telemetry snoopy.TelemetrySnapshot `json:"telemetry"`
-}
-
-// runObservability drives a small instrumented deployment and writes the
-// registry snapshot to path — the observability companion to the figure
-// benchmarks: it records where epoch time goes (stage spans) rather than
-// just end-to-end numbers.
-func runObservability(path string) error {
-	var rep observabilityReport
-	rep.Config.LoadBalancers = 2
-	rep.Config.SubORAMs = 4
-	rep.Config.Objects = 4096
-	rep.Config.BlockSize = 160
-	rep.Config.Ops = 512
-
-	reg := snoopy.NewTelemetry()
-	st, err := snoopy.Open(snoopy.Config{
-		BlockSize:     rep.Config.BlockSize,
-		LoadBalancers: rep.Config.LoadBalancers,
-		SubORAMs:      rep.Config.SubORAMs,
-		Telemetry:     reg,
-	})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	objects := make(map[uint64][]byte, rep.Config.Objects)
-	for i := 0; i < rep.Config.Objects; i++ {
-		objects[uint64(i)] = []byte(fmt.Sprintf("obj-%d", i))
-	}
-	if err := st.Load(objects); err != nil {
-		return err
-	}
-	const perEpoch = 64
-	for done := 0; done < rep.Config.Ops; done += perEpoch {
-		waits := make([]func() ([]byte, bool, error), 0, perEpoch)
-		for i := 0; i < perEpoch; i++ {
-			k := uint64((done + i) % rep.Config.Objects)
-			var w func() ([]byte, bool, error)
-			if i%2 == 0 {
-				w, err = st.ReadAsync(k)
-			} else {
-				w, err = st.WriteAsync(k, []byte(fmt.Sprintf("w-%d", done+i)))
-			}
-			if err != nil {
-				return err
-			}
-			waits = append(waits, w)
-		}
-		st.Flush()
-		for _, w := range waits {
-			if _, _, err := w(); err != nil {
-				return err
-			}
-		}
-	}
-
-	rep.Telemetry = reg.Snapshot(256)
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3,4,table8,9a,9b,10,11a,11b,12,13a,13b,14,headline,all")
 	full := flag.Bool("full", false, "use the paper's full data sizes (hours of runtime)")
-	observability := flag.String("observability", "", "instead of a figure, run an instrumented deployment and write its telemetry snapshot (counters, histograms, epoch stage spans) to this JSON file")
 	traffic := flag.String("traffic", "", "instead of a figure, run the open-loop traffic harness (scenario suite at the reference load, then a knee sweep vs the Eq. 1-2 / simnet prediction) and write the report to this JSON file")
 	trafficServers := flag.String("servers", "", "with -traffic: comma-separated snoopy-server addresses to drive a real TCP cluster (empty = in-process deployment)")
 	trafficPlatform := flag.String("platform", "", "with -traffic -servers: shared platform root key (64 hex chars, copy from snoopy-server)")
@@ -123,7 +37,6 @@ func main() {
 	trafficSubs := flag.Int("suborams", 4, "with -traffic: subORAMs (in-process mode; TCP mode uses one per -servers address)")
 	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
 	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
-	segstoreOut := flag.String("segstore", "", "instead of a figure, compare memory-resident vs disk-resident (internal/segstore) scan throughput across segment sizes and write the comparison to this JSON file")
 	lbtreeOut := flag.String("lbtree", "", "instead of a figure, benchmark the monolithic load balancer against 1/2/4/8-leaf aggregation trees and write the comparison to this JSON file")
 	flag.Parse()
 
@@ -158,24 +71,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("lb tree comparison written to %s\n", *lbtreeOut)
-		return
-	}
-
-	if *segstoreOut != "" {
-		if err := runSegstore(*segstoreOut); err != nil {
-			fmt.Fprintf(os.Stderr, "segstore run: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("segstore comparison written to %s\n", *segstoreOut)
-		return
-	}
-
-	if *observability != "" {
-		if err := runObservability(*observability); err != nil {
-			fmt.Fprintf(os.Stderr, "observability run: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", *observability)
 		return
 	}
 

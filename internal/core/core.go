@@ -295,6 +295,11 @@ type HealthStats struct {
 	LeafConsecutiveFailures []int
 	// LeafTotalFailures[g] counts every epoch in which feed g failed.
 	LeafTotalFailures []uint64
+	// JournalErrors counts completed epochs whose journal completion
+	// (marker append or compaction) failed. The epoch was answered; the
+	// cost is a redundant replay by a successor — and a journal that keeps
+	// failing will fail the next epoch's Begin.
+	JournalErrors uint64
 }
 
 // Healthy reports whether every partition is currently serving: no
@@ -385,6 +390,7 @@ type System struct {
 	// successful results of idempotent requests; crashedCh is closed by a
 	// simulated root crash (TestCrashPoint / Crash).
 	journal   *persist.Journal
+	jrec      persist.JournalEpoch // journalBegin's record, reused (epochMu)
 	tagMu     sync.Mutex
 	dispTags  []persist.JournalTag
 	replyWin  *replyWindow
@@ -661,7 +667,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	sys.crashedCh = make(chan struct{})
 	sys.replyWin = newReplyWindow(cfg.ReplyWindow)
 	if cfg.JournalDir != "" {
-		j, incomplete, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec)
+		j, incomplete, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
 		if err != nil {
 			return nil, err
 		}
@@ -1643,6 +1649,7 @@ func (sys *System) Health() HealthStats {
 		Repairing:               append([]bool(nil), sys.health.Repairing...),
 		LeafConsecutiveFailures: append([]int(nil), sys.health.LeafConsecutiveFailures...),
 		LeafTotalFailures:       append([]uint64(nil), sys.health.LeafTotalFailures...),
+		JournalErrors:           sys.health.JournalErrors,
 	}
 }
 

@@ -151,36 +151,41 @@ func (sys *System) journalBegin(job *epochJob) error {
 		return nil
 	}
 	F := sys.feedsPerPlane
-	rec := persist.JournalEpoch{
-		Epoch:     job.id,
-		BlockSize: sys.cfg.BlockSize,
-		ACLOK:     job.aclErr == nil,
-		Planes:    make([]persist.JournalPlane, len(sys.lbs)),
+	// The record is scratch reused across epochs (Begin copies everything
+	// it keeps into the sealed log), so steady-state journaling allocates
+	// nothing per epoch.
+	rec := &sys.jrec
+	rec.Epoch, rec.BlockSize, rec.ACLOK = job.id, sys.cfg.BlockSize, job.aclErr == nil
+	if rec.Planes == nil {
+		rec.Planes = make([]persist.JournalPlane, len(sys.lbs))
+		for i := range rec.Planes {
+			rec.Planes[i].Feeds = make([]persist.JournalFeed, F)
+		}
 	}
 	sys.tagMu.Lock()
-	rec.Tags = append([]persist.JournalTag(nil), sys.dispTags...)
+	rec.Tags = append(rec.Tags[:0], sys.dispTags...)
 	sys.tagMu.Unlock()
 	nLive := 0
 	for i := range job.eps {
 		ep := &job.eps[i]
 		p := &rec.Planes[i]
 		p.OK = ep.err == nil && ep.batches != nil
+		p.PerSub, p.Batch, p.Dropped = 0, nil, nil
 		if p.OK {
 			nLive++
 			p.PerSub = ep.perSub
 			p.Batch = ep.batches.All
 			p.Dropped = ep.droppedKeys
 		}
-		p.Feeds = make([]persist.JournalFeed, F)
 		for f := 0; f < F; f++ {
 			fd := &p.Feeds[f]
 			fd.OK = p.OK && (ep.feedErrs == nil || ep.feedErrs[f] == nil)
 			fd.Reqs = ep.feedReqs[f]
-			q := job.queues[i*F+f]
-			fd.IDs = make([]uint64, len(q))
-			for j := range q {
-				fd.IDs[j] = q[j].id
+			fd.IDs = fd.IDs[:0]
+			for _, q := range job.queues[i*F+f] {
+				fd.IDs = append(fd.IDs, q.id)
 			}
+			fd.Dropped, fd.Denied = nil, nil
 			if ep.droppedByFeed != nil {
 				fd.Dropped = ep.droppedByFeed[f]
 			}
@@ -189,7 +194,7 @@ func (sys *System) journalBegin(job *epochJob) error {
 			}
 		}
 	}
-	if err := sys.journal.Begin(&rec); err != nil {
+	if err := sys.journal.Begin(rec); err != nil {
 		return err
 	}
 	// The dispatch this record describes will consume exactly one grouped
@@ -209,10 +214,18 @@ func (sys *System) journalBegin(job *epochJob) error {
 }
 
 // journalComplete marks an epoch fully replied; the journal drops it from
-// the replay set (and compacts once the open set drains).
+// the replay set (and compacts once the open set drains). A failure does not
+// un-answer the epoch — at worst a successor replays it, idempotently — so it
+// is counted (Health().JournalErrors, persist_journal_errors_total) rather
+// than returned.
 func (sys *System) journalComplete(epoch uint64) {
-	if sys.journal != nil {
-		sys.journal.Complete(epoch)
+	if sys.journal == nil {
+		return
+	}
+	if err := sys.journal.Complete(epoch); err != nil {
+		sys.statsMu.Lock()
+		sys.health.JournalErrors++
+		sys.statsMu.Unlock()
 	}
 }
 
@@ -222,7 +235,7 @@ func (sys *System) journalComplete(epoch uint64) {
 func (sys *System) replayJournal(incomplete []*persist.JournalEpoch) {
 	for _, je := range incomplete {
 		sys.replayEpoch(je)
-		sys.journal.Complete(je.Epoch)
+		sys.journalComplete(je.Epoch)
 		je.Release()
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
+	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
 )
 
@@ -449,3 +452,41 @@ func TestJournalRouteKeyPinned(t *testing.T) {
 }
 
 var _ = store.OpRead // keep the import when build tags trim tests
+
+// TestJournalCompleteFailureSurfaces: a journal whose compaction cannot run
+// (a directory squats on the checkpoint's temporary name) used to lose the
+// error in journalComplete and then fail every later epoch with "journal
+// closed". It now keeps serving — every epoch answered, the journal still
+// appendable — and the failures are counted in Health and on /metrics.
+func TestJournalCompleteFailureSurfaces(t *testing.T) {
+	c := newJournalCluster(t, 2)
+	reg := telemetry.NewRegistry()
+	clients := make([]SubORAMClient, len(c.subs))
+	for i := range c.subs {
+		clients[i] = transport.NewLocalTagged(c.subs[i], c.rcs[i])
+	}
+	sys, err := NewWithSubORAMs(Config{
+		BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32, JournalDir: c.dir, Telemetry: reg,
+	}, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	c.initObjects(t, sys, 16)
+	if err := os.Mkdir(filepath.Join(c.dir, "journal.tmp"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 70; e++ { // compaction is due after 64 epochs
+		if _, _, err := runIdemWrite(t, sys, e, e%16, fmt.Sprintf("v%d", e)); err != nil {
+			t.Fatalf("epoch %d after %d journal errors: %v", e, sys.Health().JournalErrors, err)
+		}
+	}
+	sys.Close() // stage C's journal completion runs after the reply
+	errs := sys.Health().JournalErrors
+	if errs == 0 {
+		t.Fatal("failed compactions left Health().JournalErrors at 0")
+	}
+	if got := reg.Counter("persist_journal_errors_total").Value(); got != errs {
+		t.Fatalf("persist_journal_errors_total = %d, Health().JournalErrors = %d", got, errs)
+	}
+}

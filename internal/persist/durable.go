@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
-	"time"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/replica"
@@ -19,7 +19,8 @@ import (
 var _ replica.Counter = (*FileCounter)(nil)
 
 // Partition is the in-process subORAM interface Durable wraps. It is
-// satisfied by *suboram.SubORAM.
+// satisfied by *suboram.SubORAM. BatchAccess must not modify its input: the
+// batch is being sealed into the log while it runs.
 type Partition interface {
 	Init(ids []uint64, data []byte) error
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
@@ -33,6 +34,14 @@ type restorer interface {
 	Restore(ids []uint64, data []byte) error
 }
 
+// restoreInto imports a trusted image into p, by Restore where it has one.
+func restoreInto(p Partition, ids []uint64, data []byte) error {
+	if r, ok := p.(restorer); ok {
+		return r.Restore(ids, data)
+	}
+	return p.Init(ids, data)
+}
+
 // Config tunes a Durable wrapper. The zero value works: every field has a
 // default.
 type Config struct {
@@ -43,9 +52,9 @@ type Config struct {
 	// (default 256). Chunk size — a public parameter — trades sealing
 	// overhead against write granularity.
 	ChunkBlocks int
-	// WALRows is the fixed row count of a sealed WAL record (default 512).
-	// Batches larger than WALRows span multiple records; smaller ones are
-	// padded. Record size is public; row contents are not.
+	// WALRows is the row granularity of a sealed WAL record (default 512):
+	// a batch is logged as one record padded to a multiple of it. Record
+	// size is public; row contents are not.
 	WALRows int
 	// SnapshotEvery bounds the epochs between snapshots (default 64):
 	// recovery replays at most SnapshotEvery WAL epochs.
@@ -57,11 +66,12 @@ type Config struct {
 	// Rec, when non-nil, records the host-visible I/O trace (offset,
 	// length of every file read/write) for the obliviousness tests.
 	Rec *trace.Recorder
-	// Telemetry, when non-nil, records WAL-append latency and epoch/
-	// snapshot counters. Recording fires once per batch / snapshot with no
-	// request-dependent payloads (WAL records are fixed-shape already); nil
-	// disables it.
+	// Telemetry, when non-nil, records sync latency, sync and byte counts
+	// per sealed file, and epoch/snapshot counters: a fixed number of
+	// recordings per batch / snapshot, no request-dependent payloads.
 	Telemetry *telemetry.Registry
+
+	fs fsys // nil: the host file system (crash-point tests substitute one)
 }
 
 func (c *Config) fillDefaults() {
@@ -87,19 +97,20 @@ func (c *Config) fillDefaults() {
 type Durable struct {
 	cfg   Config
 	inner Partition
-	d     *dir
-	ctr   *FileCounter
+	state // the directory, the trusted counter and the write-ahead log
 
 	mu        sync.Mutex
-	wal       *os.File
-	walSize   int64
-	walEpochs int    // complete epochs in the WAL since the last snapshot
-	snapEpoch uint64 // epoch of the on-disk snapshot
+	walEpochs int // complete epochs in the WAL since the last snapshot
 	recovered bool
 	replayed  int // WAL epochs replayed during recovery (observability)
 
+	// The log writer: one goroutine that appends and syncs the record
+	// BatchAccess sealed while BatchAccess scans. walGo hands it a record,
+	// walDone returns the outcome; Close stops it.
+	walGo   chan struct{}
+	walDone chan error
+
 	// Telemetry instruments; all nil (no-ops) when Config.Telemetry is nil.
-	telWALAppend *telemetry.Histogram
 	telWALEpochs *telemetry.Counter
 	telSnapshots *telemetry.Counter
 }
@@ -112,113 +123,90 @@ type Durable struct {
 // rollback surface here as enclave.ErrIntegrity / ErrRollback errors.
 func NewDurable(path string, inner Partition, cfg Config) (*Durable, error) {
 	cfg.fillDefaults()
-	d, err := openDir(path, cfg.Key, cfg.Rec)
-	if err != nil {
-		return nil, err
-	}
-	ctr, counterExisted, err := openCounter(d)
+	st, counterExisted, err := openState(cfg.fs, path, cfg.Key, cfg.Rec, cfg.Telemetry, walFile, walContext, "wal")
 	if err != nil {
 		return nil, err
 	}
 	dur := &Durable{
-		cfg: cfg, inner: inner, d: d, ctr: ctr,
-		telWALAppend: cfg.Telemetry.Histogram("persist_wal_append", nil),
+		cfg: cfg, inner: inner, state: st,
+		walGo: make(chan struct{}), walDone: make(chan error),
 		telWALEpochs: cfg.Telemetry.Counter("persist_wal_epochs_total"),
 		telSnapshots: cfg.Telemetry.Counter("persist_snapshots_total"),
 	}
-
-	epoch := ctr.Current()
-	snapEpoch, ids, data, blockSize, err := d.readSnapshot()
-	switch {
-	case err == nil:
-		if blockSize != cfg.BlockSize {
-			return nil, fmt.Errorf("persist: partition sealed with block size %d, configured %d", blockSize, cfg.BlockSize)
-		}
-		if snapEpoch > epoch {
-			return nil, fmt.Errorf("%w (snapshot at epoch %d, counter at %d)", ErrRollback, snapEpoch, epoch)
-		}
-		validLen := int64(0)
-		if snapEpoch < epoch {
-			index := make(map[uint64]int, len(ids))
-			for i, id := range ids {
-				index[id] = i
-			}
-			validLen, err = d.replayWAL(d.file(walFile), snapEpoch, epoch, cfg.WALRows, cfg.BlockSize,
-				func(rows []byte) { applyRows(rows, cfg.BlockSize, index, data) })
-			if err != nil {
-				return nil, err
-			}
-		}
-		if r, ok := inner.(restorer); ok {
-			err = r.Restore(ids, data)
-		} else {
-			err = inner.Init(ids, data)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dur.snapEpoch = snapEpoch
-		dur.walEpochs = int(epoch - snapEpoch)
-		dur.replayed = dur.walEpochs
-		dur.recovered = true
-		if err := dur.openWAL(validLen); err != nil {
-			return nil, err
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// No snapshot: legitimate only for a partition that never completed
-		// an Init — the counter must still be at zero and the WAL empty.
-		if counterExisted && epoch != 0 {
-			return nil, fmt.Errorf("%w (no snapshot, counter at epoch %d)", ErrRollback, epoch)
-		}
-		if st, err := os.Stat(d.file(walFile)); err == nil && st.Size() != 0 {
-			return nil, errCorrupt("write-ahead log present without a snapshot")
-		}
-		if err := dur.openWAL(0); err != nil {
-			return nil, err
-		}
-	default:
+	if err := dur.recover(counterExisted); err != nil {
+		dur.close()
 		return nil, err
 	}
 	cfg.Telemetry.Counter("persist_recovered_epochs_total").Add(uint64(dur.replayed))
+	go func() {
+		for range dur.walGo {
+			dur.walDone <- dur.log.write(true)
+		}
+	}()
 	return dur, nil
 }
 
-// openWAL opens the append handle, discarding anything past validLen (the
-// torn or unacknowledged tail identified during replay).
-func (dur *Durable) openWAL(validLen int64) error {
-	f, err := os.OpenFile(dur.d.file(walFile), os.O_CREATE|os.O_RDWR, 0o600)
+// recover loads the snapshot and replays the log up to the trusted counter.
+func (dur *Durable) recover(counterExisted bool) error {
+	cfg, epoch := dur.cfg, dur.ctr.Current()
+	snapEpoch, ids, data, blockSize, err := dur.d.readSnapshot()
+	if errors.Is(err, os.ErrNotExist) {
+		return dur.requireFresh(counterExisted, "snapshot")
+	}
 	if err != nil {
 		return err
 	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
+	if blockSize != cfg.BlockSize {
+		return fmt.Errorf("persist: partition sealed with block size %d, configured %d", blockSize, cfg.BlockSize)
+	}
+	if snapEpoch > epoch {
+		return fmt.Errorf("%w (snapshot at epoch %d, counter at %d)", ErrRollback, snapEpoch, epoch)
+	}
+	// Records at or before the snapshot epoch predate it (a crash between
+	// the snapshot's rename and the log reset leaves them) and are skipped;
+	// records past the counter are an unacknowledged batch's and end the log.
+	index := make(map[uint64]int, len(ids))
+	for i, id := range ids {
+		index[id] = i
+	}
+	applied := snapEpoch
+	why, err := dur.log.replay(func(seq uint64, _ uint8, rows []byte) (bool, error) {
+		if seq > epoch || (applied == snapEpoch && seq > snapEpoch+1) {
+			return false, nil
+		}
+		if seq <= snapEpoch {
+			return true, nil
+		}
+		applied = seq
+		return true, forEachWrite(rows, cfg.BlockSize, func(key uint64, value []byte) {
+			// Writes to unknown keys are no-ops (matching batch semantics).
+			if i, ok := index[key]; ok {
+				copy(data[i*cfg.BlockSize:(i+1)*cfg.BlockSize], value)
+			}
+		})
+	})
+	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(validLen, 0); err != nil {
-		f.Close()
+	if applied != epoch {
+		return fmt.Errorf("%w (wal reaches epoch %d: %s; counter at %d)", ErrRollback, applied, why, epoch)
+	}
+	if err := restoreInto(dur.inner, ids, data); err != nil {
 		return err
 	}
-	dur.wal = f
-	dur.walSize = validLen
+	dur.walEpochs = int(epoch - snapEpoch)
+	dur.replayed = dur.walEpochs
+	dur.recovered = true
 	return nil
 }
 
 // Recovered reports whether the directory held state that was restored into
 // the wrapped partition.
-func (dur *Durable) Recovered() bool {
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	return dur.recovered
-}
+func (dur *Durable) Recovered() bool { return dur.recovered }
 
 // ReplayedEpochs reports how many sealed WAL epochs recovery replayed on
-// top of the snapshot when the directory was opened (0 for a fresh
-// partition) — the local resynchronization work a restart performed.
-func (dur *Durable) ReplayedEpochs() int {
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	return dur.replayed
-}
+// top of the snapshot when the directory was opened (0 for a fresh one).
+func (dur *Durable) ReplayedEpochs() int { return dur.replayed }
 
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (dur *Durable) Epoch() uint64 { return dur.ctr.Current() }
@@ -238,18 +226,20 @@ func (dur *Durable) Init(ids []uint64, data []byte) error {
 }
 
 // BatchAccess applies one batch and makes it durable before returning: the
-// batch's write effects are sealed into the WAL, the trusted counter
-// advances, and only then is the response released. Periodically (every
-// SnapshotEvery epochs) the pre-batch state is first compacted into a fresh
-// snapshot and the WAL reset, bounding recovery replay.
+// batch is sealed into the WAL, the trusted counter advances, and only then
+// is the response released. The partition's scan changes nothing on disk and
+// the log record is a function of the request batch alone, so the record is
+// written and synced *while* the partition scans; the counter is bumped once
+// both are done. Every SnapshotEvery epochs the pre-batch state is first
+// compacted into a fresh snapshot and the WAL reset, bounding recovery.
 func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
 	if reqs.BlockSize != dur.cfg.BlockSize {
 		return nil, fmt.Errorf("persist: batch block size %d != %d", reqs.BlockSize, dur.cfg.BlockSize)
 	}
-	if err := dur.ctr.Err(); err != nil {
-		return nil, fmt.Errorf("persist: epoch counter lost durability: %w", err)
+	if err := dur.ready(); err != nil {
+		return nil, err
 	}
 	if dur.walEpochs >= dur.cfg.SnapshotEvery {
 		// Snapshot the pre-batch state (all acknowledged epochs). Doing it
@@ -264,62 +254,52 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 			return nil, err
 		}
 	}
-	out, err := dur.inner.BatchAccess(reqs)
-	if err != nil {
-		return nil, err
-	}
 	epoch := dur.ctr.Current() + 1
-	tw0 := dur.cfg.Telemetry.Now()
-	if err := dur.d.appendWAL(dur.wal, &dur.walSize, epoch, reqs, dur.cfg.WALRows, dur.cfg.BlockSize); err != nil {
+	before := dur.log.off
+	if err := sealWAL(dur.log, epoch, reqs, dur.cfg.WALRows, dur.cfg.BlockSize); err != nil {
 		return nil, err
 	}
-	if err := dur.wal.Sync(); err != nil {
+	dur.walGo <- struct{}{}
+	// Let the writer reach its fdatasync before the scan takes the CPU: on
+	// a single P it would otherwise first run when the scan is over.
+	runtime.Gosched()
+	out, err := dur.inner.BatchAccess(reqs)
+	if werr := <-dur.walDone; werr != nil {
+		return nil, werr
+	}
+	if err != nil {
+		// The record describes a batch that was not applied and will not be
+		// acknowledged; the next batch takes its place and its epoch.
+		if cerr := dur.log.cut(before, epoch); cerr != nil {
+			return nil, cerr
+		}
 		return nil, err
 	}
-	// Once per acknowledged batch: the sealed append + fsync that gates the
-	// response. WAL records are fixed-shape (padded to WALRows), so neither
-	// the duration's cause nor the counter carries request contents.
-	dur.telWALAppend.Observe(time.Duration(dur.cfg.Telemetry.Now() - tw0))
+	// Once per acknowledged batch. WAL records are fixed-shape (padded to
+	// WALRows), so the counter carries no request contents.
 	dur.telWALEpochs.Inc()
-	dur.ctr.Increment()
-	if err := dur.ctr.Err(); err != nil {
-		return nil, fmt.Errorf("persist: epoch counter lost durability: %w", err)
+	if err := dur.ack(); err != nil {
+		return nil, err
 	}
 	dur.walEpochs++
 	return out, nil
 }
 
-// Snapshot forces an immediate snapshot of the current state, resetting the
-// WAL. Used by tests and operational tooling; the steady-state path
-// snapshots automatically every SnapshotEvery epochs.
-func (dur *Durable) Snapshot() error {
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	ids, data, err := dur.inner.Export()
-	if err != nil {
-		return err
-	}
-	return dur.snapshotLocked(ids, data)
-}
-
 // snapshotLocked seals the given image at the current epoch and resets the
 // WAL. Caller holds mu.
 func (dur *Durable) snapshotLocked(ids []uint64, data []byte) error {
+	if err := dur.ready(); err != nil {
+		return err
+	}
 	epoch := dur.ctr.Current()
 	if err := dur.d.writeSnapshot(epoch, ids, data, dur.cfg.BlockSize, dur.cfg.ChunkBlocks); err != nil {
 		return err
 	}
-	if err := dur.wal.Truncate(0); err != nil {
+	if err := dur.log.cut(0, epoch+1); err != nil {
 		return err
 	}
-	if _, err := dur.wal.Seek(0, 0); err != nil {
-		return err
-	}
-	dur.d.rec.Record(trace.KindFileWrite, 0, 0) // WAL reset, shape-only event
 	dur.telSnapshots.Inc()
-	dur.walSize = 0
 	dur.walEpochs = 0
-	dur.snapEpoch = epoch
 	return nil
 }
 
@@ -337,28 +317,20 @@ func (dur *Durable) Export() (ids []uint64, data []byte, err error) {
 func (dur *Durable) Restore(ids []uint64, data []byte) error {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	var err error
-	if r, ok := dur.inner.(restorer); ok {
-		err = r.Restore(ids, data)
-	} else {
-		err = dur.inner.Init(ids, data)
-	}
-	if err != nil {
+	if err := restoreInto(dur.inner, ids, data); err != nil {
 		return err
 	}
 	return dur.snapshotLocked(ids, data)
 }
 
-// Close releases the WAL handle. State already acknowledged remains
-// recoverable; Close is not required for durability (kill -9 is the normal
-// shutdown model this package is built for).
+// Close stops the log writer and releases the file handles. State already
+// acknowledged remains recoverable; Close is not required for durability
+// (kill -9 is the normal shutdown model this package is built for).
 func (dur *Durable) Close() error {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	if dur.wal == nil {
-		return nil
+	if dur.log != nil {
+		close(dur.walGo)
 	}
-	err := dur.wal.Close()
-	dur.wal = nil
-	return err
+	return dur.close()
 }

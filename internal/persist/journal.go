@@ -2,59 +2,63 @@
 // of every epoch it is about to dispatch (paper §5's failure story extended
 // to the LB plane). Before stage-B dispatch the root appends one sealed
 // record holding the epoch's merged per-plane batches, the client→reply
-// routing tables (per-feed request snapshots plus per-request reply IDs),
+// routing tables (per-feed request metadata plus per-request reply IDs),
 // and the per-partition (lbID, seq) delivery tags the dispatch will use. A
 // standby root that opens the same journal replays the incomplete epochs
 // verbatim: it adopts the journaled delivery tags, so partitions that
 // already applied a batch answer from their replay caches instead of
 // re-applying — the epoch is all-or-nothing across root crashes.
 //
-// Rollback protection mirrors the WAL's: the trusted FileCounter is bumped
-// after each epoch record is durably appended (the acknowledge point), so a
-// host that hides the journal tail leaves the counter ahead of the last
-// readable record and recovery fails with ErrRollback. Records past the
-// counter are crash artifacts of an unacknowledged append — that epoch was
-// never dispatched — and are discarded.
+// The journal is a sealed log (sealedlog.go) of epoch records, done markers
+// and checkpoints. The trusted FileCounter is bumped after each epoch record
+// is durably appended (the acknowledge point): a journal that ends before
+// the counter was rolled back (ErrRollback), and an epoch record past it is
+// the crash artifact of an append nobody acknowledged — that epoch was never
+// dispatched — and ends the log.
+//
+// A record holds only what replay reads: the merged batch as a full wire
+// frame (replay re-sends it), a feed's request snapshot as the four metadata
+// columns MatchResponses reads — its value blocks are dead there. A done
+// marker is appended without a sync of its own; the next epoch record's
+// sync carries it. A lost marker only makes the successor replay an epoch
+// that had completed, which the partitions' replay caches and the reply
+// window already make idempotent (DESIGN.md §8).
 //
 // Obliviousness: every record's length is a closed-form function of public
-// parameters only — the plane count L, partition count S, feed count F, the
-// Theorem-3 batch size α, and the per-feed request counts R_f, all of which
-// the network adversary already observes. Record contents are AEAD-sealed;
-// the journal's I/O trace (offsets and lengths) is bit-identical across
-// request streams that differ only in secrets, and internal/trace asserts
-// it.
+// parameters only (JournalRecordLen) — the plane count L, partition count
+// S, feed count F, the Theorem-3 batch size α, and the per-feed request
+// counts R_f, all of which the network adversary already observes. Record
+// contents are AEAD-sealed; the journal's I/O trace (offsets and lengths)
+// is bit-identical across request streams that differ only in secrets, and
+// internal/trace asserts it.
 package persist
 
 import (
 	"encoding/binary"
-	"errors"
-	"io"
-	"os"
+	"fmt"
+	"slices"
 	"sync"
 
 	"snoopy/internal/arena"
 	"snoopy/internal/store"
+	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 	"snoopy/internal/wirecode"
 )
 
 const (
 	journalFile    = "journal"
-	journalContext = "snoopy-persist/journal/v1"
+	journalContext = "snoopy-persist/journal/v2"
 
 	journalKindEpoch = 1
 	journalKindDone  = 2
 	journalKindCkpt  = 3
 
-	// journalPrefixLen is the public stored prefix of every journal record:
-	// u64 epoch + u32 kind, bound through the AAD.
-	journalPrefixLen = 12
-
 	// journalCompactEvery bounds file growth: once no epoch is in flight and
-	// at least this many records accumulated since the last compaction, the
-	// file is atomically rewritten to a single checkpoint record. A public
-	// parameter — compaction timing is a function of the epoch schedule.
-	journalCompactEvery = 16
+	// this many records accumulated, the file is atomically rewritten to one
+	// checkpoint record — the one create + rename the journal ever does,
+	// once in 64 epochs. Public: a function of the epoch schedule.
+	journalCompactEvery = 128
 )
 
 // JournalTag is the (lbID, seq) delivery-tag state of one partition client
@@ -68,14 +72,15 @@ type JournalTag struct {
 }
 
 // JournalFeed is one feed's client→reply routing table: the request
-// snapshot stage A built (row j belongs to queue position j), the
-// per-request reply IDs (0 = caller did not ask for idempotent tracking),
-// and the feed's leaf-local overflow victims.
+// snapshot stage A built (row j belongs to queue position j), the reply IDs
+// (0 = no idempotent tracking asked for), and the feed's overflow victims.
 type JournalFeed struct {
 	// OK reports whether the feed's run made it into the batches; a failed
 	// feed's requests were never dispatched.
 	OK bool
 	// Reqs is the feed's request snapshot (Seq = Client = queue index).
+	// Only its metadata columns are journaled: a decoded snapshot has no
+	// value blocks (Data is nil), which MatchResponses never reads.
 	Reqs *store.Requests
 	// IDs[j] is the reply ID of queue position j (len = Reqs.Len()).
 	IDs []uint64
@@ -113,16 +118,12 @@ type JournalEpoch struct {
 	Planes []JournalPlane
 }
 
-// Release returns the epoch's decoded batch and snapshot storage to the
-// arena. Call it after replay.
+// Release returns the epoch's decoded batch storage to the arena. Call it
+// after replay.
 func (e *JournalEpoch) Release() {
 	for i := range e.Planes {
 		arena.Default.PutRequests(e.Planes[i].Batch)
 		e.Planes[i].Batch = nil
-		for f := range e.Planes[i].Feeds {
-			arena.Default.PutRequests(e.Planes[i].Feeds[f].Reqs)
-			e.Planes[i].Feeds[f].Reqs = nil
-		}
 	}
 }
 
@@ -130,63 +131,40 @@ func (e *JournalEpoch) Release() {
 // concurrent use (Begin runs under the root's epoch mutex, Complete from
 // concurrent stage-C goroutines).
 type Journal struct {
-	mu  sync.Mutex
-	d   *dir
-	ctr *FileCounter
-	f   *os.File
-	off int64 // current append offset (trace bookkeeping)
+	mu    sync.Mutex
+	state // the directory, the trusted counter and the journal file
 
-	open            map[uint64]struct{} // journaled epochs not yet complete
-	last            uint64              // last acknowledged (journaled) epoch
-	completeThrough uint64              // checkpoint base of the current file
-	sinceCompact    int
+	open         []uint64 // journaled epochs not yet complete
+	last         uint64   // last acknowledged (journaled) epoch
+	sinceCompact int
+	compactEvery int // journalCompactEvery (tests shorten it)
+	telErrors    *telemetry.Counter
 }
 
 // OpenJournal opens (or creates) the epoch journal in dirPath, verifies it
 // against the trusted counter, and returns the journaled-but-incomplete
 // epochs in ascending order — the epochs a standby root must replay. The
 // caller owns the returned epochs' storage (JournalEpoch.Release). rec,
-// when non-nil, traces every file operation for the obliviousness tests.
-func OpenJournal(dirPath string, rec *trace.Recorder) (*Journal, []*JournalEpoch, error) {
-	d, err := openDir(dirPath, nil, rec)
+// when non-nil, traces every file operation for the obliviousness tests;
+// reg, when non-nil, counts the journal's and its counter's writes and
+// syncs, and Complete's failures (persist_journal_errors_total).
+func OpenJournal(dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (*Journal, []*JournalEpoch, error) {
+	return openJournal(nil, dirPath, rec, reg)
+}
+
+func openJournal(fs fsys, dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (*Journal, []*JournalEpoch, error) {
+	st, _, err := openState(fs, dirPath, nil, rec, reg, journalFile, journalContext, "journal")
 	if err != nil {
 		return nil, nil, err
 	}
-	ctr, _, err := openCounter(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	j := &Journal{d: d, ctr: ctr, open: make(map[uint64]struct{})}
+	j := &Journal{state: st, compactEvery: journalCompactEvery,
+		telErrors: reg.Counter("persist_journal_errors_total")}
 	pending, err := j.recover()
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := j.openAppend(); err != nil {
-		releaseAll(pending)
+		j.close()
 		return nil, nil, err
 	}
 	return j, pending, nil
-}
-
-func releaseAll(es []*JournalEpoch) {
-	for _, e := range es {
-		e.Release()
-	}
-}
-
-func (j *Journal) openAppend() error {
-	f, err := os.OpenFile(j.d.file(journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	j.f = f
-	j.off = st.Size()
-	return nil
 }
 
 // LastEpoch returns the last journaled (acknowledged) epoch; a recovering
@@ -199,226 +177,173 @@ func (j *Journal) LastEpoch() uint64 {
 
 // Begin durably journals an epoch before its dispatch. Epochs must be
 // journaled in order (rec.Epoch == LastEpoch()+1). On return the record is
-// fsynced and the trusted counter bumped: the epoch is now guaranteed to
+// synced and the trusted counter bumped: the epoch is now guaranteed to
 // either complete or be replayed by a successor.
 func (j *Journal) Begin(rec *JournalEpoch) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.ready(); err != nil {
+		return err
+	}
 	if rec.Epoch != j.last+1 {
 		return errCorrupt("journal: epoch %d out of order (last journaled %d)", rec.Epoch, j.last)
 	}
-	body := j.sealJournal(rec.Epoch, journalKindEpoch, encodeJournalEpoch(rec))
-	if err := j.append(body); err != nil {
+	// The build buffer grows to the record's size once; after that an epoch
+	// of the same public shape is encoded in place.
+	body, err := rec.encode(j.log.start(0))
+	if err != nil {
+		return err
+	}
+	if logRecordLen(len(body)-logHdrLen)-4 > maxRecord {
+		return fmt.Errorf("persist: a journal record of %d bytes exceeds the %d-byte record limit", len(body), maxRecord)
+	}
+	if err := j.append(journalKindEpoch, body, true); err != nil {
 		return err
 	}
 	// The counter bump is the acknowledge point: a crash before it leaves a
 	// record past the counter, which recovery discards as never-dispatched.
-	j.ctr.Increment()
-	if err := j.ctr.Err(); err != nil {
+	if err := j.ack(); err != nil {
 		return err
 	}
 	j.last = rec.Epoch
-	j.open[rec.Epoch] = struct{}{}
-	j.sinceCompact++
+	j.open = append(j.open, rec.Epoch)
 	return nil
 }
 
-// Complete marks a journaled epoch fully replied. When no epoch is in
-// flight the journal compacts to a single checkpoint record, bounding file
-// growth to the pipeline depth times the (public) record size.
-func (j *Journal) Complete(epoch uint64) error {
+// Complete marks a journaled epoch fully replied (an unsynced marker: see
+// the file comment) and, once no epoch is in flight and the file is long
+// enough, compacts the journal to one checkpoint record. A failure, counted
+// in persist_journal_errors_total, costs at most a redundant replay.
+func (j *Journal) Complete(epoch uint64) (err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.open[epoch]; !ok {
+	i := slices.Index(j.open, epoch)
+	if i < 0 {
 		return nil // already complete (replayed twice, or pre-checkpoint)
 	}
-	var pt [8]byte
-	binary.LittleEndian.PutUint64(pt[:], epoch)
-	if err := j.append(j.sealJournal(epoch, journalKindDone, pt[:])); err != nil {
+	defer func() {
+		if err != nil {
+			j.telErrors.Inc()
+		}
+	}()
+	if err := j.ready(); err != nil {
 		return err
 	}
-	delete(j.open, epoch)
-	j.sinceCompact++
-	if len(j.open) == 0 && j.sinceCompact >= journalCompactEvery {
+	if err := j.append(journalKindDone, binary.LittleEndian.AppendUint64(j.log.start(8), epoch), false); err != nil {
+		return err
+	}
+	j.open = slices.Delete(j.open, i, i+1)
+	if len(j.open) == 0 && j.sinceCompact >= j.compactEvery {
 		return j.compact()
 	}
 	return nil
 }
 
-// Err surfaces the trusted counter's sticky persistence failure, if any.
-func (j *Journal) Err() error { return j.ctr.Err() }
-
-// Close closes the journal file.
+// Close closes the journal's files.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.close()
 }
 
-// append writes one framed record and fsyncs. Caller holds j.mu.
-func (j *Journal) append(body []byte) error {
-	if j.f == nil {
-		return errors.New("persist: journal closed")
-	}
-	if _, err := j.f.Write(body); err != nil {
+// append seals and writes the record built in rec under the next sequence
+// number. Caller holds j.mu.
+func (j *Journal) append(kind uint8, rec []byte, sync bool) error {
+	j.log.seal(max(j.log.next, 1), kind, rec)
+	if err := j.log.write(sync); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.d.rec.Record(trace.KindFileWrite, int(j.off), len(body))
-	j.off += int64(len(body))
+	j.sinceCompact++
 	return nil
 }
 
-// compact atomically rewrites the journal as one checkpoint record. Caller
-// holds j.mu and has verified no epoch is in flight.
+// compact atomically replaces the journal with one checkpoint record: every
+// epoch through j.last is complete. The old file stays open and appendable
+// until the new one is in place, so a failed compaction changes nothing.
+// Caller holds j.mu and has verified no epoch is in flight.
 func (j *Journal) compact() error {
-	var pt [8]byte
-	binary.LittleEndian.PutUint64(pt[:], j.last)
-	body := j.sealJournal(j.last, journalKindCkpt, pt[:])
-	if err := j.f.Close(); err != nil {
-		return err
+	seq := max(j.log.next, 1)
+	ckpt, err := j.d.replaceLog(journalFile, journalContext, "journal", seq, func(l *sealedLog) error {
+		l.seal(seq, journalKindCkpt, binary.LittleEndian.AppendUint64(l.start(8), j.last))
+		return l.write(false)
+	})
+	if ckpt != nil {
+		// The new file is the journal now: the old handle names an unlinked
+		// file, and appending to it would journal nothing.
+		j.log.close()
+		j.log, j.sinceCompact = ckpt, 0
 	}
-	j.f = nil
-	if err := j.d.writeFileAtomic(journalFile, body); err != nil {
-		return err
-	}
-	j.completeThrough = j.last
-	j.sinceCompact = 0
-	return j.openAppend()
+	return err
 }
 
-// sealJournal frames one record: u32 length | prefix(epoch, kind) |
-// sealed payload with AAD = context || prefix.
-func (j *Journal) sealJournal(epoch uint64, kind uint32, pt []byte) []byte {
-	var prefix [journalPrefixLen]byte
-	binary.LittleEndian.PutUint64(prefix[:8], epoch)
-	binary.LittleEndian.PutUint32(prefix[8:], kind)
-	return j.d.sealPrefixed(journalContext, prefix[:], pt)
-}
-
-// recover reads and verifies the journal file against the trusted counter,
-// returning the incomplete epochs in ascending order.
-func (j *Journal) recover() ([]*JournalEpoch, error) {
-	j.last = j.ctr.Current()
-	f, err := os.Open(j.d.file(journalFile))
-	if errors.Is(err, os.ErrNotExist) {
-		if j.ctr.Current() != 0 {
-			return nil, ErrRollback
-		}
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	epochs := make(map[uint64]*JournalEpoch)
-	done := make(map[uint64]struct{})
-	var off int64
-	fail := func(err error) ([]*JournalEpoch, error) {
-		for _, e := range epochs {
-			e.Release()
-		}
-		return nil, err
-	}
-	for {
-		epoch, kind, pt, n, err := j.readJournalRecord(f, off)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			// Torn tail: a crash mid-append. Legitimate only for the record
-			// past the acknowledge point, which the counter check below
-			// enforces.
-			break
-		}
+// recover replays the journal against the trusted counter, returning the
+// incomplete epochs in ascending order.
+func (j *Journal) recover() (pending []*JournalEpoch, err error) {
+	ctr := j.ctr.Current()
+	base := uint64(0) // every epoch through base is complete (checkpoint)
+	reached := uint64(0)
+	first := true
+	defer func() {
 		if err != nil {
-			return fail(err)
+			releaseAll(pending)
+			pending = nil
 		}
-		off += int64(n)
+	}()
+	why, err := j.log.replay(func(_ uint64, kind uint8, pt []byte) (bool, error) {
+		if len(pt) < 8 {
+			return false, errCorrupt("journal: record of %d bytes", len(pt))
+		}
+		epoch := binary.LittleEndian.Uint64(pt)
 		switch kind {
 		case journalKindCkpt:
-			if len(epochs) != 0 || len(done) != 0 {
-				return fail(errCorrupt("journal: checkpoint after epoch records"))
+			if !first {
+				return false, errCorrupt("journal: checkpoint after other records")
 			}
-			j.completeThrough = epoch
+			base, reached = epoch, epoch
 		case journalKindEpoch:
-			je, err := decodeJournalEpoch(epoch, pt)
+			if epoch > ctr {
+				// Never acknowledged, never dispatched: the crash tail.
+				return false, nil
+			}
+			if epoch != reached+1 {
+				return false, errCorrupt("journal: epoch %d follows epoch %d", epoch, reached)
+			}
+			je, err := decodeJournalEpoch(pt)
 			if err != nil {
-				return fail(err)
+				return false, err
 			}
-			if old := epochs[epoch]; old != nil {
-				old.Release()
-			}
-			epochs[epoch] = je
+			reached = epoch
+			pending = append(pending, je)
 		case journalKindDone:
-			done[epoch] = struct{}{}
+			if i := slices.IndexFunc(pending, func(je *JournalEpoch) bool { return je.Epoch == epoch }); i >= 0 {
+				pending[i].Release()
+				pending = slices.Delete(pending, i, i+1)
+			}
 		default:
-			return fail(errCorrupt("journal: unknown record kind %d", kind))
+			return false, errCorrupt("journal: unknown record kind %d", kind)
 		}
+		first = false
+		return true, nil
+	})
+	if err != nil {
+		return pending, err
 	}
-
-	// Crash artifacts: records past the trusted counter were never
-	// acknowledged (their dispatch never happened); drop them.
-	ctr := j.ctr.Current()
-	for e, je := range epochs {
-		if e > ctr {
-			je.Release()
-			delete(epochs, e)
-		}
+	// Every acknowledged epoch in (base, ctr] must be present: a journal
+	// that ends before the counter was rolled back.
+	if base > ctr || reached != ctr {
+		return pending, fmt.Errorf("%w (journal reaches epoch %d: %s; counter at %d)", ErrRollback, reached, why, ctr)
 	}
-	if j.completeThrough > ctr {
-		return fail(ErrRollback)
-	}
-	// Every acknowledged epoch in (completeThrough, ctr] must be present: a
-	// missing one means the host rolled the journal file back.
-	var pending []*JournalEpoch
-	for e := j.completeThrough + 1; e <= ctr; e++ {
-		je, ok := epochs[e]
-		if !ok {
-			return fail(ErrRollback)
-		}
-		if _, ok := done[e]; ok {
-			je.Release()
-			continue
-		}
-		j.open[e] = struct{}{}
-		pending = append(pending, je)
+	j.last = ctr
+	for _, je := range pending {
+		j.open = append(j.open, je.Epoch)
 	}
 	return pending, nil
 }
 
-// readJournalRecord reads one framed journal record: epoch, kind, opened
-// payload, and the framed byte count consumed.
-func (j *Journal) readJournalRecord(r io.Reader, off int64) (epoch uint64, kind uint32, pt []byte, n int, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, 0, err // io.EOF or io.ErrUnexpectedEOF
+func releaseAll(es []*JournalEpoch) {
+	for _, e := range es {
+		e.Release()
 	}
-	bodyLen := int(binary.LittleEndian.Uint32(hdr[:]))
-	if bodyLen > maxRecord || bodyLen < journalPrefixLen {
-		return 0, 0, nil, 0, errCorrupt("journal: record of %d bytes out of range", bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, 0, io.ErrUnexpectedEOF
-	}
-	j.d.rec.Record(trace.KindFileRead, int(off), 4+bodyLen)
-	prefix := body[:journalPrefixLen]
-	pt, err = j.d.sealer.Open(body[journalPrefixLen:], aad(journalContext, prefix))
-	if err != nil {
-		return 0, 0, nil, 0, errCorrupt("journal: record authentication failed")
-	}
-	epoch = binary.LittleEndian.Uint64(prefix[:8])
-	kind = binary.LittleEndian.Uint32(prefix[8:])
-	return epoch, kind, pt, 4 + bodyLen, nil
 }
 
 // --- epoch payload codec -------------------------------------------------
@@ -426,17 +351,37 @@ func (j *Journal) readJournalRecord(r io.Reader, off int64) (epoch uint64, kind 
 // Fixed little-endian layout; every length below is a function of the
 // public shape (L, S, F, α, R_f) only:
 //
-//	u32 L | u32 S | u32 F | u32 blockSize | u8 aclOK
+//	u64 epoch | u32 L | u32 S | u32 F | u32 blockSize | u8 aclOK
 //	S × (u64 lbID, u64 seq)
-//	per plane: u8 ok | u32 perSub | u32 batchLen + wirecode frame
+//	per plane: u8 ok | u32 perSub | u32 rows + [rows > 0: wirecode frame]
 //	           | u32 nDrop + nDrop×u64
-//	  per feed: u8 ok | u32 reqLen + wirecode frame | u32 n + n×u64 ids
-//	            | u32 nDrop + nDrop×u64 | u8 hasDenied + [n]u8
+//	  per feed: u8 ok | u32 n | n×u8 op | n×u64 key | n×u64 seq
+//	            | n×u64 client | n×u64 id | u32 nDrop + nDrop×u64
+//	            | u8 hasDenied + [n]u8
 
-func encodeJournalEpoch(e *JournalEpoch) []byte {
-	var b []byte
-	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+const (
+	journalHeaderLen = 8 + 4*4 + 1
+	journalPlaneLen  = 1 + 4 + 4 + 4     // without the batch frame and victims
+	journalFeedLen   = 1 + 4 + 4 + 1     // without the rows, victims and mask
+	journalRowLen    = 1 + 8 + 8 + 8 + 8 // op, key, seq, client, id
+)
+
+// JournalRecordLen is the exact number of bytes the journal grows by when an
+// epoch is journaled: L planes that each built an α·S-row batch from F
+// feeds, feedReqs[g] requests in feed g (global index plane·F + feed) — plus
+// 8 bytes per Theorem-3 overflow victim (public, negligible probability) and
+// a byte per request under an ACL (public configuration).
+func JournalRecordLen(L, S, F, alpha int, feedReqs []int, blockSize int) int {
+	n := journalHeaderLen + 16*S + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize)+F*journalFeedLen)
+	for _, r := range feedReqs {
+		n += r * journalRowLen
+	}
+	return logRecordLen(n)
+}
+
+// encode appends e's payload to b.
+func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
+	le := binary.LittleEndian
 	u8 := func(v bool) {
 		if v {
 			b = append(b, 1)
@@ -445,53 +390,55 @@ func encodeJournalEpoch(e *JournalEpoch) []byte {
 		}
 	}
 	keys := func(ks []uint64) {
-		u32(len(ks))
 		for _, k := range ks {
-			u64(k)
+			b = le.AppendUint64(b, k)
 		}
 	}
-	L := len(e.Planes)
-	S := len(e.Tags)
 	F := 0
-	if L > 0 {
+	if len(e.Planes) > 0 {
 		F = len(e.Planes[0].Feeds)
 	}
-	u32(L)
-	u32(S)
-	u32(F)
-	u32(e.BlockSize)
+	b = le.AppendUint64(b, e.Epoch)
+	b = le.AppendUint32(b, uint32(len(e.Planes)))
+	b = le.AppendUint32(b, uint32(len(e.Tags)))
+	b = le.AppendUint32(b, uint32(F))
+	b = le.AppendUint32(b, uint32(e.BlockSize))
 	u8(e.ACLOK)
 	for _, t := range e.Tags {
-		u64(t.LBID)
-		u64(t.Seq)
+		b = le.AppendUint64(le.AppendUint64(b, t.LBID), t.Seq)
 	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
 		u8(p.OK)
-		u32(p.PerSub)
+		b = le.AppendUint32(b, uint32(p.PerSub))
 		if p.OK && p.Batch != nil {
-			u32(wirecode.FrameLen(p.Batch.Len(), e.BlockSize))
+			b = le.AppendUint32(b, uint32(p.Batch.Len()))
 			b = wirecode.AppendRequests(b, p.Batch)
 		} else {
-			u32(0)
+			b = le.AppendUint32(b, 0)
 		}
+		b = le.AppendUint32(b, uint32(len(p.Dropped)))
 		keys(p.Dropped)
 		for f := range p.Feeds {
 			fd := &p.Feeds[f]
-			u8(fd.OK)
-			u32(wirecode.FrameLen(fd.Reqs.Len(), e.BlockSize))
-			b = wirecode.AppendRequests(b, fd.Reqs)
-			keys(fd.IDs)
-			keys(fd.Dropped)
-			if fd.Denied != nil {
-				b = append(b, 1)
-				b = append(b, fd.Denied...)
-			} else {
-				b = append(b, 0)
+			if n := fd.Reqs.Len(); len(fd.IDs) != n || (fd.Denied != nil && len(fd.Denied) != n) {
+				return nil, fmt.Errorf("persist: journal epoch %d: %d reply IDs and a %d-row ACL mask for %d requests",
+					e.Epoch, len(fd.IDs), len(fd.Denied), n)
 			}
+			u8(fd.OK)
+			b = le.AppendUint32(b, uint32(fd.Reqs.Len()))
+			b = append(b, fd.Reqs.Op...)
+			keys(fd.Reqs.Key)
+			keys(fd.Reqs.Seq)
+			keys(fd.Reqs.Client)
+			keys(fd.IDs)
+			b = le.AppendUint32(b, uint32(len(fd.Dropped)))
+			keys(fd.Dropped)
+			u8(fd.Denied != nil)
+			b = append(b, fd.Denied...)
 		}
 	}
-	return b
+	return b, nil
 }
 
 // journalCursor decodes the fixed layout defensively: the payload is
@@ -521,33 +468,17 @@ func (c *journalCursor) u32() int {
 	return int(binary.LittleEndian.Uint32(raw))
 }
 
-func (c *journalCursor) u64() uint64 {
-	raw := c.take(8)
-	if raw == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(raw)
-}
-
 func (c *journalCursor) bool() bool {
 	raw := c.take(1)
 	return raw != nil && raw[0] == 1
 }
 
-func (c *journalCursor) keys() []uint64 {
-	n := c.u32()
-	if c.err != nil || n > len(c.b)/8 {
-		if c.err == nil {
-			c.err = errCorrupt("journal: key list truncated")
-		}
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	ks := make([]uint64, n)
+// keys decodes n little-endian words (none once the cursor has failed).
+func (c *journalCursor) keys(n int) []uint64 {
+	raw := c.take(8 * n)
+	ks := make([]uint64, len(raw)/8)
 	for i := range ks {
-		ks[i] = c.u64()
+		ks[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	return ks
 }
@@ -556,85 +487,80 @@ func (c *journalCursor) keys() []uint64 {
 // cannot force huge allocations before the cross-checks below run.
 const maxJournalDim = 1 << 20
 
-func decodeJournalEpoch(epoch uint64, pt []byte) (*JournalEpoch, error) {
+func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 	c := &journalCursor{b: pt}
-	L := c.u32()
-	S := c.u32()
-	F := c.u32()
-	blockSize := c.u32()
+	epoch := c.keys(1)
+	L, S, F, blockSize := c.u32(), c.u32(), c.u32(), c.u32()
 	aclOK := c.bool()
 	if c.err != nil {
 		return nil, c.err
 	}
-	if L < 0 || L > maxJournalDim || S < 0 || S > maxJournalDim || F < 0 || F > maxJournalDim || blockSize <= 0 {
-		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d,%d) out of range", epoch, L, S, F, blockSize)
+	if L > maxJournalDim || S > maxJournalDim || F > maxJournalDim || blockSize <= 0 || blockSize > maxRecord {
+		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d,%d) out of range", epoch[0], L, S, F, blockSize)
 	}
-	e := &JournalEpoch{
-		Epoch:     epoch,
+	e = &JournalEpoch{
+		Epoch:     epoch[0],
 		BlockSize: blockSize,
 		ACLOK:     aclOK,
 		Tags:      make([]JournalTag, S),
 		Planes:    make([]JournalPlane, L),
 	}
-	release := func() {
-		e.Release()
-	}
+	defer func() {
+		if err == nil {
+			err = c.err
+		}
+		if err != nil {
+			e.Release()
+			e = nil
+		}
+	}()
 	for s := range e.Tags {
-		e.Tags[s].LBID = c.u64()
-		e.Tags[s].Seq = c.u64()
+		tag := c.keys(2)
+		if c.err != nil {
+			return e, c.err
+		}
+		e.Tags[s] = JournalTag{LBID: tag[0], Seq: tag[1]}
 	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
 		p.OK = c.bool()
 		p.PerSub = c.u32()
-		if bl := c.u32(); bl > 0 {
-			frame := c.take(bl)
-			if c.err != nil {
-				release()
-				return nil, c.err
-			}
-			batch, err := wirecode.DecodeRequests(frame, nil)
+		if rows := c.u32(); rows > maxJournalDim {
+			return e, errCorrupt("journal: epoch %d plane %d batch of %d rows", e.Epoch, i, rows)
+		} else if rows > 0 {
+			p.Batch, err = wirecode.DecodeRequests(c.take(wirecode.FrameLen(rows, blockSize)), nil)
 			if err != nil {
-				release()
-				return nil, errCorrupt("journal: epoch %d plane %d batch: %v", epoch, i, err)
+				return e, errCorrupt("journal: epoch %d plane %d batch: %v", e.Epoch, i, err)
 			}
-			p.Batch = batch
 		}
-		p.Dropped = c.keys()
+		p.Dropped = c.keys(c.u32())
 		p.Feeds = make([]JournalFeed, F)
 		for f := range p.Feeds {
 			fd := &p.Feeds[f]
 			fd.OK = c.bool()
-			rl := c.u32()
-			frame := c.take(rl)
-			if c.err != nil {
-				release()
-				return nil, c.err
+			n := c.u32()
+			if c.err != nil || n > len(c.b)/journalRowLen {
+				return e, errCorrupt("journal: epoch %d plane %d feed %d: %d requests in %d bytes", e.Epoch, i, f, n, len(c.b))
 			}
-			reqs, err := wirecode.DecodeRequests(frame, nil)
-			if err != nil {
-				release()
-				return nil, errCorrupt("journal: epoch %d plane %d feed %d snapshot: %v", epoch, i, f, err)
+			fd.Reqs = &store.Requests{
+				BlockSize: blockSize,
+				Op:        append([]uint8(nil), c.take(n)...),
+				Key:       c.keys(n),
+				Sub:       make([]uint32, n),
+				Tag:       make([]uint8, n),
+				Aux:       make([]uint8, n),
+				Seq:       c.keys(n),
+				Client:    c.keys(n),
 			}
-			fd.Reqs = reqs
-			fd.IDs = c.keys()
-			fd.Dropped = c.keys()
+			fd.IDs = c.keys(n)
+			fd.Dropped = c.keys(c.u32())
 			if c.bool() {
-				fd.Denied = append([]uint8(nil), c.take(reqs.Len())...)
-			}
-			if c.err != nil {
-				release()
-				return nil, c.err
-			}
-			if len(fd.IDs) != reqs.Len() {
-				release()
-				return nil, errCorrupt("journal: epoch %d feed %d has %d ids for %d requests", epoch, f, len(fd.IDs), reqs.Len())
+				fd.Denied = append([]uint8(nil), c.take(n)...)
 			}
 		}
 	}
-	if c.err != nil {
-		release()
-		return nil, c.err
+	if c.err == nil && len(c.b) != 0 {
+		return e, errCorrupt("journal: epoch %d payload has %d trailing bytes", e.Epoch, len(c.b))
 	}
 	return e, nil
 }

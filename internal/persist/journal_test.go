@@ -8,6 +8,7 @@ import (
 
 	"snoopy/internal/enclave"
 	"snoopy/internal/store"
+	"snoopy/internal/telemetry"
 )
 
 // testEpochRec builds a shape-realistic epoch record: L planes, S
@@ -49,6 +50,16 @@ func testEpochRec(epoch uint64, L, S, F, alpha, R, blockSize int) *JournalEpoch 
 		}
 	}
 	return e
+}
+
+// encodeFor encodes e into j's build buffer, as Begin does.
+func encodeFor(t *testing.T, j *Journal, e *JournalEpoch) []byte {
+	t.Helper()
+	body, err := e.encode(j.log.start(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
@@ -104,7 +115,7 @@ func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, pending, err := OpenJournal(dir, nil)
+	j, pending, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, pending, err := OpenJournal(dir, nil)
+	j2, pending, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +153,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalOutOfOrderBegin(t *testing.T) {
-	j, _, err := OpenJournal(t.TempDir(), nil)
+	j, _, err := OpenJournal(t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +165,7 @@ func TestJournalOutOfOrderBegin(t *testing.T) {
 
 func TestJournalRollbackDetection(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, nil)
+	j, _, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +181,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 		if err := os.Rename(filepath.Join(dir, journalFile), tmp); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := OpenJournal(dir, nil)
+		_, _, err := OpenJournal(dir, nil, nil)
 		if !errors.Is(err, ErrRollback) {
 			t.Fatalf("deleted journal: err = %v, want ErrRollback", err)
 		}
@@ -187,7 +198,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, journalFile), nil, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = OpenJournal(dir, nil)
+		_, _, err = OpenJournal(dir, nil, nil)
 		if !errors.Is(err, ErrRollback) {
 			t.Fatalf("truncated journal: err = %v, want ErrRollback", err)
 		}
@@ -197,7 +208,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 	})
 
 	t.Run("intact again", func(t *testing.T) {
-		j, pending, err := OpenJournal(dir, nil)
+		j, pending, err := OpenJournal(dir, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +222,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 
 func TestJournalTamperDetection(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, nil)
+	j, _, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +235,11 @@ func TestJournalTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one ciphertext bit (past the length prefix and clear prefix).
-	raw[4+journalPrefixLen+8] ^= 0x40
+	raw[logHdrLen+8] ^= 0x40
 	if err := os.WriteFile(filepath.Join(dir, journalFile), raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenJournal(dir, nil)
+	_, _, err = OpenJournal(dir, nil, nil)
 	if !errors.Is(err, enclave.ErrIntegrity) {
 		t.Fatalf("tampered journal: err = %v, want ErrIntegrity class", err)
 	}
@@ -236,7 +247,7 @@ func TestJournalTamperDetection(t *testing.T) {
 
 func TestJournalTornTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, nil)
+	j, _, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +270,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	f.Close()
 
-	j2, pending, err := OpenJournal(dir, nil)
+	j2, pending, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatalf("torn tail: %v", err)
 	}
@@ -279,26 +290,26 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 
 func TestJournalCrashArtifactPastCounterDropped(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, nil)
+	j, _, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Begin(testEpochRec(1, 1, 1, 1, 2, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
-	// Craft a fully-written epoch-2 record but roll the counter back to 1,
-	// simulating a crash after the append fsync but before the counter
+	// Append a fully-written epoch-2 record without bumping the counter,
+	// simulating a crash after the append's sync but before the counter
 	// bump: the record authenticates yet was never acknowledged.
-	rec2 := j.sealJournal(2, journalKindEpoch, encodeJournalEpoch(testEpochRec(2, 1, 1, 1, 2, 2, testBlock)))
+	e2 := testEpochRec(2, 1, 1, 1, 2, 2, testBlock)
 	j.mu.Lock()
-	err = j.append(rec2)
+	err = j.append(journalKindEpoch, encodeFor(t, j, e2), true)
 	j.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 
-	j2, pending, err := OpenJournal(dir, nil)
+	j2, pending, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +325,7 @@ func TestJournalCrashArtifactPastCounterDropped(t *testing.T) {
 
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, nil)
+	j, _, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +354,7 @@ func TestJournalCompaction(t *testing.T) {
 	last := j.LastEpoch()
 	j.Close()
 
-	j2, pending, err := OpenJournal(dir, nil)
+	j2, pending, err := OpenJournal(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,26 +370,121 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-func TestJournalRecordShapePublic(t *testing.T) {
-	// Two epochs with identical public shape but different keys, values,
-	// and reply IDs must produce byte-equal record lengths.
-	mk := func(seed uint64) int {
-		e := testEpochRec(1, 2, 3, 2, 4, 5, testBlock)
+// TestJournalRecordLenClosedForm: the bytes Begin writes equal
+// JournalRecordLen over the public shape, whatever the secrets — keys,
+// values, reply IDs — and Complete's marker is the fixed 8-byte record.
+func TestJournalRecordLenClosedForm(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	size := func() int {
+		st, err := os.Stat(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(st.Size())
+	}
+	const L, S, F, alpha, R = 2, 3, 2, 4, 5
+	feedReqs := []int{R, R, R, R}
+	for epoch, seed := range []uint64{3, 0xdeadbeef} {
+		e := testEpochRec(uint64(epoch+1), L, S, F, alpha, R, testBlock)
 		for i := range e.Planes {
 			p := &e.Planes[i]
+			p.Dropped = nil
 			for jr := 0; jr < p.Batch.Len(); jr++ {
 				p.Batch.Key[jr] = seed * uint64(jr+1)
 			}
 			for f := range p.Feeds {
+				p.Feeds[f].Denied = nil
 				for jr := range p.Feeds[f].IDs {
 					p.Feeds[f].IDs[jr] = seed<<32 | uint64(jr)
 					p.Feeds[f].Reqs.Key[jr] = seed + uint64(jr)
 				}
 			}
 		}
-		return len(encodeJournalEpoch(e))
+		before := size()
+		if err := j.Begin(e); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := size()-before, JournalRecordLen(L, S, F, alpha, feedReqs, testBlock); got != want {
+			t.Fatalf("epoch record grew the journal by %d bytes, JournalRecordLen says %d", got, want)
+		}
+		before = size()
+		if err := j.Complete(e.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := size()-before, logRecordLen(8); got != want {
+			t.Fatalf("done marker grew the journal by %d bytes, want %d", got, want)
+		}
 	}
-	if a, b := mk(3), mk(0xdeadbeef); a != b {
-		t.Fatalf("record length depends on secrets: %d vs %d", a, b)
+}
+
+// TestJournalCompleteDoesNotSync: one sync per Begin (plus the counter's),
+// none for Complete — the marker rides on the next Begin's.
+func TestJournalCompleteDoesNotSync(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j, _, err := OpenJournal(t.TempDir(), nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	syncs := reg.Counter(`persist_syncs_total{log="journal"}`)
+	ctrSyncs := reg.Counter(`persist_syncs_total{log="counter"}`)
+	for e := uint64(1); e <= 3; e++ {
+		if err := j.Begin(testEpochRec(e, 1, 2, 1, 3, 4, testBlock)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Complete(e); err != nil {
+			t.Fatal(err)
+		}
+		if syncs.Value() != e || ctrSyncs.Value() != e {
+			t.Fatalf("after %d epochs: %d journal syncs, %d counter syncs; want %d each",
+				e, syncs.Value(), ctrSyncs.Value(), e)
+		}
+	}
+}
+
+// TestJournalCompactionFailureLeavesJournalAppendable: a compaction that
+// cannot write its checkpoint reports the error (and counts it) but the
+// journal keeps journaling into the file it had.
+func TestJournalCompactionFailureLeavesJournalAppendable(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	j, _, err := OpenJournal(dir, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory squatting on the checkpoint's temporary name makes every
+	// compaction fail at its first step.
+	if err := os.Mkdir(filepath.Join(dir, journalFile+".tmp"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	const epochs = journalCompactEvery/2 + 3
+	for e := uint64(1); e <= epochs; e++ {
+		if err := j.Begin(testEpochRec(e, 1, 1, 1, 2, 2, testBlock)); err != nil {
+			t.Fatalf("Begin(%d) after %d failed compactions: %v", e, failed, err)
+		}
+		if err := j.Complete(e); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no compaction was attempted")
+	}
+	if got := reg.Counter("persist_journal_errors_total").Value(); got != uint64(failed) {
+		t.Fatalf("persist_journal_errors_total = %d, want %d", got, failed)
+	}
+	j.Close()
+	j2, pending, err := OpenJournal(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(pending) != 0 || j2.LastEpoch() != epochs {
+		t.Fatalf("reopen: %d pending, last epoch %d; want 0 and %d", len(pending), j2.LastEpoch(), epochs)
 	}
 }

@@ -1,33 +1,28 @@
-// Package persist gives subORAM partitions sealed, crash-recoverable
-// durability: the enclave-external persistent state the paper's deployment
-// model assumes (§2 "Data integrity", §7 sealed paging), stored by the
-// untrusted host but unable to be read, tampered with, or rolled back
-// without detection.
+// Package persist gives subORAM partitions and the root load balancer
+// sealed, crash-recoverable durability: the enclave-external persistent
+// state the paper's deployment model assumes (§2 "Data integrity", §7 sealed
+// paging, §9 "seal the batch, bump a trusted monotonic counter, then
+// answer"), stored by the untrusted host but unable to be read, tampered
+// with, or rolled back without detection. DESIGN.md §8 is the full account.
 //
-// A partition's on-disk state is three files plus a sealing key:
+// Two mechanisms carry every durable epoch:
 //
-//	seal.key  — stands in for the hardware sealing key (in SGX, derived
-//	            from MRENCLAVE; the host cannot use it). Everything below
-//	            is AES-GCM sealed under it with fresh random nonces.
-//	epoch.ctr — the trusted monotonic epoch counter (the ROTE / SGX
-//	            counter abstraction internal/replica models). Bumped after
-//	            every applied batch, before the batch is acknowledged.
-//	snapshot  — the full partition at some epoch E_s: a sealed header
-//	            (epoch, geometry) followed by equal-sized sealed chunks
-//	            whose AAD binds (epoch, chunk index).
-//	wal       — sealed fixed-size records of the batches applied since the
-//	            snapshot, one or more records per epoch, each padded to a
-//	            fixed row count; the AAD binds (epoch, part, last).
+//	the sealed log (sealedlog.go) — an append-only stream of AEAD-sealed,
+//	            length-framed, consecutively numbered records: the partition
+//	            write-ahead log, the disk-resident partition's redo log, the
+//	            root's epoch journal and the snapshot file. One reader, one
+//	            rule: the first record that fails authentication or is not
+//	            last+1 ends the log.
+//	epoch.ctr — the trusted monotonic epoch counter: two sealed parity slots
+//	            overwritten in place. It decides what a log's end means:
+//	            records past it are the crash tail of an epoch nobody was
+//	            answered for; a log that ends before it was rolled back
+//	            (ErrRollback, in the enclave.ErrIntegrity class).
 //
-// Rollback protection: recovery loads the counter (trusted to be monotone —
-// the piece real hardware provides), requires the snapshot's epoch E_s to
-// not exceed it, and replays WAL records for the contiguous epoch range
-// (E_s, E]. A host that serves any stale-but-validly-sealed snapshot or WAL
-// prefix leaves a gap between the replayed state and the counter, and
-// recovery fails with ErrRollback; splicing, reordering, or corrupting
-// records fails AEAD authentication (enclave.ErrIntegrity class). Records
-// past the counter are crash artifacts of an unacknowledged batch and are
-// discarded, so no unacknowledged write ever surfaces after recovery.
+// An epoch is log append + sync, then counter write + sync, then the answer:
+// two syncs per process, no file created or renamed. seal.key stands in for
+// the hardware sealing key (in SGX, derived from MRENCLAVE; the host cannot
+// use it); everything is AES-GCM sealed under it with fresh random nonces.
 //
 // Obliviousness of the persistence path itself: every file operation's
 // offset and length depend only on public parameters — partition size,
@@ -40,15 +35,14 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
 
@@ -76,56 +70,47 @@ const (
 // prefix cannot force an unbounded allocation.
 const maxRecord = 64 << 20
 
-// dir is the sealed-file substrate of one partition directory: it frames,
-// seals, and traces every read and write.
+// dir is the sealed-file substrate of one state directory: it seals and
+// traces every read and write, through the file-system seam.
 type dir struct {
+	fs     fsys
 	path   string
+	key    crypt.Key
 	sealer *crypt.RandomSealer
-	rec    *trace.Recorder // host-visible I/O trace hook (tests)
-
-	// walRowsBuf is the reusable row-staging buffer for appendWAL; callers
-	// of appendWAL are serialized (Durable.mu), so one buffer suffices.
-	walRowsBuf []byte
+	rec    *trace.Recorder     // host-visible I/O trace hook (tests)
+	tel    *telemetry.Registry // I/O counters; nil records nothing
 }
 
-// loadSealKey reads or creates the sealing key file. The file models the
-// hardware sealing-key derivation: a real enclave would re-derive the key
-// from its measurement, never storing it where the host can read it.
-func loadSealKey(path string) (crypt.Key, error) {
-	var key crypt.Key
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if len(raw) != crypt.KeySize {
-			return key, errCorrupt("sealing key file %s has %d bytes, want %d", path, len(raw), crypt.KeySize)
-		}
-		copy(key[:], raw)
-		return key, nil
-	case errors.Is(err, os.ErrNotExist):
-		key, err = crypt.NewKey()
-		if err != nil {
-			return key, err
-		}
-		if err := os.WriteFile(path, key[:], 0o600); err != nil {
-			return key, err
-		}
-		return key, nil
-	default:
-		return key, err
+// openDir opens (creating it if needed) a state directory. A nil key loads
+// or creates seal.key, which models the hardware sealing-key derivation: a
+// real enclave would re-derive the key from its measurement, never storing
+// it where the host can read it. A nil fs is the host's.
+func openDir(fs fsys, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry) (*dir, error) {
+	if fs == nil {
+		fs = osFS{}
 	}
-}
-
-func openDir(path string, key *crypt.Key, rec *trace.Recorder) (*dir, error) {
 	if err := os.MkdirAll(path, 0o700); err != nil {
 		return nil, err
 	}
+	d := &dir{fs: fs, path: path, rec: rec, tel: tel}
 	var k crypt.Key
 	if key != nil {
 		k = *key
 	} else {
-		var err error
-		k, err = loadSealKey(filepath.Join(path, sealKeyFile))
-		if err != nil {
+		raw, err := d.readFile(sealKeyFile)
+		switch {
+		case err == nil && len(raw) != crypt.KeySize:
+			return nil, errCorrupt("sealing key file has %d bytes, want %d", len(raw), crypt.KeySize)
+		case err == nil:
+			copy(k[:], raw)
+		case errors.Is(err, os.ErrNotExist):
+			if k, err = crypt.NewKey(); err != nil {
+				return nil, err
+			}
+			if err := d.writeFileAtomic(sealKeyFile, k[:]); err != nil {
+				return nil, err
+			}
+		default:
 			return nil, err
 		}
 	}
@@ -133,109 +118,107 @@ func openDir(path string, key *crypt.Key, rec *trace.Recorder) (*dir, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dir{path: path, sealer: sealer, rec: rec}, nil
+	d.key, d.sealer = k, sealer
+	return d, nil
 }
 
 func (d *dir) file(name string) string { return filepath.Join(d.path, name) }
 
-// sealRecord frames one sealed record: u32 body length, then
-// nonce||ciphertext||tag over the plaintext. The AAD is context||aadExtra;
-// aadExtra is *not* stored — the reader re-derives it from its own state
-// (e.g. the snapshot epoch and chunk index), so a record moved to a
-// different position fails authentication.
-func (d *dir) sealRecord(context string, aadExtra, plaintext []byte) []byte {
-	return frame(nil, d.sealer.Seal(plaintext, aad(context, aadExtra)))
+// state is what every durable structure here stands on: a state directory,
+// its trusted counter, and the one sealed log the counter guards.
+type state struct {
+	d   *dir
+	ctr *FileCounter
+	log *sealedLog // nil once closed
 }
 
-// sealPrefixed frames a sealed record that carries a public prefix the
-// reader cannot derive in advance (e.g. a WAL record's epoch). The prefix
-// is stored in the clear but bound through the AAD, so editing it breaks
-// authentication.
-func (d *dir) sealPrefixed(context string, prefix, plaintext []byte) []byte {
-	return frame(prefix, d.sealer.Seal(plaintext, aad(context, prefix)))
-}
-
-func frame(prefix, ct []byte) []byte {
-	rec := make([]byte, 4+len(prefix)+len(ct))
-	binary.LittleEndian.PutUint32(rec[:4], uint32(len(prefix)+len(ct)))
-	copy(rec[4:], prefix)
-	copy(rec[4+len(prefix):], ct)
-	return rec
-}
-
-func aad(context string, extra []byte) []byte {
-	return append([]byte(context), extra...)
-}
-
-// recordLen returns the framed size of a sealed record with the given
-// prefix and plaintext lengths — a public function of public parameters.
-func recordLen(prefixLen, plaintextLen int) int {
-	return 4 + prefixLen + plaintextLen + crypt.Overhead
-}
-
-// readBody reads one framed record body of the expected public geometry.
-// io.EOF is returned untouched when r is exhausted before the length
-// prefix; any partial read reports io.ErrUnexpectedEOF.
-func readBody(r io.Reader, prefixLen, plaintextLen int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF or io.ErrUnexpectedEOF
+func openState(fs fsys, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry,
+	logName, context, label string) (s state, counterExisted bool, err error) {
+	if s.d, err = openDir(fs, path, key, rec, tel); err != nil {
+		return s, false, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > maxRecord {
-		return nil, errCorrupt("record of %d bytes exceeds limit", n)
+	if s.ctr, counterExisted, err = openCounter(s.d); err != nil {
+		return s, false, err
 	}
-	want := recordLen(prefixLen, plaintextLen)
-	if n != want-4 {
-		return nil, errCorrupt("record body of %d bytes, want %d", n, want-4)
+	if s.log, err = s.d.openLog(logName, context, label, true); err != nil {
+		s.ctr.close()
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return body, nil
+	return s, counterExisted, err
 }
 
-// readRecord reads and opens one sealed record whose AAD extra the caller
-// re-derives (see sealRecord).
-func (d *dir) readRecord(r io.Reader, context string, aadExtra []byte, plaintextLen int, offset int64) ([]byte, error) {
-	body, err := readBody(r, 0, plaintextLen)
+// requireFresh vets a directory that holds no state image (no snapshot, no
+// segment registry): legitimate only for a partition that never completed an
+// Init — the counter must still be at zero and the log empty.
+func (s *state) requireFresh(counterExisted bool, image string) error {
+	if epoch := s.ctr.Current(); counterExisted && epoch != 0 {
+		return fmt.Errorf("%w (no %s, counter at epoch %d)", ErrRollback, image, epoch)
+	}
+	if size, err := s.log.f.Size(); err != nil || size != 0 {
+		return errCorrupt("write-ahead log present without a %s", image)
+	}
+	return nil
+}
+
+// ready reports why no further epoch can be made durable, if none can.
+func (s *state) ready() error {
+	switch {
+	case s.log == nil:
+		return errors.New("persist: closed")
+	case s.ctr.Err() != nil:
+		return fmt.Errorf("persist: epoch counter lost durability: %w", s.ctr.Err())
+	case s.log.err != nil:
+		return fmt.Errorf("persist: sealed log lost durability: %w", s.log.err)
+	}
+	return nil
+}
+
+// ack bumps the trusted counter: the logged epoch is now acknowledged.
+func (s *state) ack() error {
+	s.ctr.Increment()
+	return s.ready()
+}
+
+// close releases the file handles; closing twice is harmless.
+func (s *state) close() error {
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.close()
+	s.log = nil
+	return errors.Join(err, s.ctr.close())
+}
+
+// readFile returns a whole file. os.ErrNotExist passes through.
+func (d *dir) readFile(name string) ([]byte, error) {
+	f, err := d.fs.OpenFile(d.file(name), os.O_RDONLY)
 	if err != nil {
 		return nil, err
 	}
-	d.rec.Record(trace.KindFileRead, int(offset), 4+len(body))
-	pt, err := d.sealer.Open(body, aad(context, aadExtra))
+	defer f.Close()
+	n, err := f.Size()
 	if err != nil {
-		return nil, errCorrupt("record authentication failed")
+		return nil, err
 	}
-	return pt, nil
+	if n > maxRecord {
+		return nil, errCorrupt("%s is %d bytes, beyond the %d-byte record limit", name, n, maxRecord)
+	}
+	b := make([]byte, n)
+	if got, err := f.ReadAt(b, 0); got < len(b) {
+		return nil, err
+	}
+	return b, nil
 }
 
-// readPrefixed reads and opens one sealed record carrying a stored public
-// prefix (see sealPrefixed), returning prefix and plaintext.
-func (d *dir) readPrefixed(r io.Reader, context string, prefixLen, plaintextLen int, offset int64) (prefix, plaintext []byte, err error) {
-	body, err := readBody(r, prefixLen, plaintextLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.rec.Record(trace.KindFileRead, int(offset), 4+len(body))
-	prefix = body[:prefixLen]
-	plaintext, err = d.sealer.Open(body[prefixLen:], aad(context, prefix))
-	if err != nil {
-		return nil, nil, errCorrupt("record authentication failed")
-	}
-	return prefix, plaintext, nil
-}
-
-// writeFileAtomic writes a whole file via tmp + fsync + rename + dir fsync,
-// so a crash leaves either the old or the new version, never a torn one.
+// writeFileAtomic writes a whole file via tmp + sync + rename + dir sync, so
+// a crash leaves either the old or the new version, never a torn one. It is
+// the set-up and compaction path; no steady-state epoch takes it.
 func (d *dir) writeFileAtomic(name string, content []byte) error {
 	tmp := d.file(name + ".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(content); err != nil {
+	if _, err := f.WriteAt(content, 0); err != nil {
 		f.Close()
 		return err
 	}
@@ -246,19 +229,40 @@ func (d *dir) writeFileAtomic(name string, content []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, d.file(name)); err != nil {
+	if err := d.fs.Rename(tmp, d.file(name)); err != nil {
 		return err
 	}
 	d.rec.Record(trace.KindFileWrite, 0, len(content))
-	return d.syncDir()
+	return d.fs.SyncDir(d.path)
 }
 
-// syncDir flushes the directory entry metadata (renames, creations).
-func (d *dir) syncDir() error {
-	f, err := os.Open(d.path)
+// sealFile seals plaintext as one whole-file record, nonce||ciphertext||tag
+// under AAD context||aadExtra. aadExtra is not stored — the reader
+// re-derives it from its own state, so a file moved to a different role or
+// epoch fails authentication.
+func (d *dir) sealFile(name, context string, aadExtra, plaintext []byte) error {
+	return d.writeFileAtomic(name, d.sealer.Seal(plaintext, aad(context, aadExtra)))
+}
+
+// openSealedFile reads and opens a file sealFile wrote. os.ErrNotExist
+// passes through; anything else the host can cause is in the ErrIntegrity
+// class.
+func (d *dir) openSealedFile(name, context string, aadExtra []byte, plaintextLen int) ([]byte, error) {
+	raw, err := d.readFile(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
-	return f.Sync()
+	d.rec.Record(trace.KindFileRead, 0, len(raw))
+	if len(raw) != plaintextLen+crypt.Overhead {
+		return nil, errCorrupt("%s is %d bytes, want %d", name, len(raw), plaintextLen+crypt.Overhead)
+	}
+	pt, err := d.sealer.Open(raw, aad(context, aadExtra))
+	if err != nil {
+		return nil, errCorrupt("%s failed authentication", name)
+	}
+	return pt, nil
+}
+
+func aad(context string, extra []byte) []byte {
+	return append([]byte(context), extra...)
 }

@@ -191,10 +191,10 @@ func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
 	fillValue(val, 2, 99)
 	reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
 	dur.mu.Lock()
-	if err := dur.d.appendWAL(dur.wal, &dur.walSize, dur.ctr.Current()+1, reqs, dur.cfg.WALRows, testBlock); err != nil {
+	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, dur.cfg.WALRows, testBlock); err != nil {
 		t.Fatal(err)
 	}
-	if err := dur.wal.Sync(); err != nil {
+	if err := dur.log.write(true); err != nil {
 		t.Fatal(err)
 	}
 	dur.mu.Unlock()
@@ -310,6 +310,11 @@ func TestTamperDetected(t *testing.T) {
 				t.Fatal(err)
 			}
 			b[len(b)/2] ^= 0x40
+			if name == counterFile {
+				// One damaged slot is what a crash mid-increment leaves (see
+				// TestCounterSlots); tampering is damage to both.
+				b[0] ^= 0x40
+			}
 			if err := os.WriteFile(path, b, 0o600); err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +326,7 @@ func TestTamperDetected(t *testing.T) {
 	}
 }
 
-func TestLargeBatchSpansWALRecords(t *testing.T) {
+func TestLargeBatchPadsToWALRows(t *testing.T) {
 	dirPath := t.TempDir()
 	cfg := Config{BlockSize: testBlock, WALRows: 4}
 	dur, err := NewDurable(dirPath, newPartition(t), cfg)
@@ -329,7 +334,7 @@ func TestLargeBatchSpansWALRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadObjects(t, dur, 16)
-	// One batch of 10 rows (> WALRows, spans 3 records): writes to every
+	// One batch of 10 rows (> WALRows: one record of 12): writes to every
 	// other key, reads interleaved.
 	reqs := store.NewRequests(10, testBlock)
 	val := make([]byte, testBlock)
@@ -378,7 +383,7 @@ func TestBlockSizeMismatchRejected(t *testing.T) {
 
 func TestCounterDurability(t *testing.T) {
 	dirPath := t.TempDir()
-	d, err := openDir(dirPath, nil, nil)
+	d, err := openDir(nil, dirPath, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +405,76 @@ func TestCounterDurability(t *testing.T) {
 	}
 	if !existed || ctr2.Current() != 5 {
 		t.Fatalf("reloaded counter = %d (existed=%v), want 5", ctr2.Current(), existed)
+	}
+}
+
+// TestCounterSlots pins the in-place counter's on-disk behaviour: the file
+// never changes size or name, increments alternate between the two slots, a
+// damaged newer slot reads as the previous value (what a crash mid-increment
+// leaves: that increment never returned), a slot moved to the other position
+// does not authenticate, and a file with no authentic slot fails closed.
+func TestCounterSlots(t *testing.T) {
+	dirPath := t.TempDir()
+	d, err := openDir(nil, dirPath, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr, _, err := openCounter(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dirPath, counterFile)
+	var prev []byte
+	for v := uint64(1); v <= 4; v++ {
+		ctr.Increment()
+		if err := ctr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != counterFileLen {
+			t.Fatalf("counter file is %d bytes after %d increments, want %d", len(b), v, counterFileLen)
+		}
+		if prev != nil {
+			same, other := int(1-v&1)*counterSlotStride, int(v&1)*counterSlotStride
+			if !bytes.Equal(b[same:same+counterSlotLen], prev[same:same+counterSlotLen]) {
+				t.Fatalf("increment to %d rewrote the slot holding %d", v, v-1)
+			}
+			if bytes.Equal(b[other:other+counterSlotLen], prev[other:other+counterSlotLen]) {
+				t.Fatalf("increment to %d did not rewrite slot %d", v, v&1)
+			}
+		}
+		prev = b
+	}
+	if entries, _ := os.ReadDir(dirPath); len(entries) != 2 { // seal.key, epoch.ctr
+		t.Fatalf("directory holds %d files after in-place increments, want 2", len(entries))
+	}
+	reopen := func(b []byte) (*FileCounter, error) {
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := openCounter(d)
+		return c, err
+	}
+	torn := append([]byte(nil), prev...)
+	torn[5] ^= 1 // slot 0 holds 4, the newer value
+	if c, err := reopen(torn); err != nil || c.Current() != 3 {
+		t.Fatalf("damaged newer slot: counter %v, err %v; want 3", c, err)
+	}
+	swapped := append([]byte(nil), prev...)
+	copy(swapped[0:], prev[counterSlotStride:][:counterSlotLen])
+	copy(swapped[counterSlotStride:], prev[:counterSlotLen])
+	if _, err := reopen(swapped); !errors.Is(err, enclave.ErrIntegrity) {
+		t.Fatalf("swapped slots: err = %v, want ErrIntegrity class", err)
+	}
+	torn[counterSlotStride+5] ^= 1
+	if _, err := reopen(torn); !errors.Is(err, enclave.ErrIntegrity) {
+		t.Fatalf("no authentic slot: err = %v, want ErrIntegrity class", err)
+	}
+	if _, err := reopen(prev[:40]); !errors.Is(err, enclave.ErrIntegrity) {
+		t.Fatalf("v1-sized counter file: err = %v, want ErrIntegrity class", err)
 	}
 }
 

@@ -2,14 +2,13 @@ package persist
 
 import (
 	"errors"
-	"io"
 	"os"
 
 	"snoopy/internal/crypt"
 )
 
 // routeContext is the AAD context for the sealed routing key record.
-const routeContext = "snoopy-persist/route-key/v1"
+const routeContext = "snoopy-persist/route-key/v2"
 
 // LoadOrCreateRoutingKey returns the deployment's oblivious routing key —
 // the keyed-hash secret that assigns objects to subORAM partitions (§4.1).
@@ -18,33 +17,18 @@ const routeContext = "snoopy-persist/route-key/v1"
 // it, and the host must not learn the assignment function.
 func LoadOrCreateRoutingKey(dataDir string) (crypt.Key, error) {
 	var key crypt.Key
-	d, err := openDir(dataDir, nil, nil)
+	d, err := openDir(nil, dataDir, nil, nil, nil)
 	if err != nil {
 		return key, err
 	}
-	f, err := os.Open(d.file(routeKeyFile))
+	pt, err := d.openSealedFile(routeKeyFile, routeContext, nil, crypt.KeySize)
 	switch {
 	case err == nil:
-		defer f.Close()
-		pt, err := d.readRecord(f, routeContext, nil, crypt.KeySize, 0)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return key, errCorrupt("routing key file truncated")
-			}
-			return key, err
-		}
 		copy(key[:], pt)
-		return key, nil
 	case errors.Is(err, os.ErrNotExist):
-		key, err = crypt.NewKey()
-		if err != nil {
-			return key, err
+		if key, err = crypt.NewKey(); err == nil {
+			err = d.sealFile(routeKeyFile, routeContext, nil, key[:])
 		}
-		if err := d.writeFileAtomic(routeKeyFile, d.sealRecord(routeContext, nil, key[:])); err != nil {
-			return key, err
-		}
-		return key, nil
-	default:
-		return key, err
 	}
+	return key, err
 }

@@ -4,18 +4,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"snoopy/internal/crypt"
+	"snoopy/internal/enclave"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
-	"snoopy/internal/wirecode"
 )
 
 // SegDurable is the disk-resident counterpart of Durable: it wraps a
@@ -27,45 +25,48 @@ import (
 //	seal.key  — the sealing key, shared with the segment store.
 //	epoch.ctr — the trusted monotonic counter anchoring freshness.
 //	ids       — the sealed object-identifier set (immutable after Init),
-//	            AAD-bound to the epoch recorded in the segment registry.
-//	wal       — a one-batch redo log (see below).
+//	            AAD-bound to the epoch recorded in the segment registry. It
+//	            is written last, so its presence says Init completed.
+//	wal       — a sealed log holding the one in-flight batch (see below).
 //	segments/ — the segstore directory: sealed registry + slot data.
 //
-// Logging discipline: Durable logs a batch AFTER applying it to the
-// memory-resident partition, because a crash loses the in-memory effects
-// anyway. A disk-mutating scan inverts the requirement — once segment slots
-// start changing, a crash must be able to finish the batch, so SegDurable
-// writes the batch's WAL record and fsyncs BEFORE the scan touches disk
-// (redo logging). The scan then writes each segment into the inactive
-// epoch-parity slot, the registry commit publishes the new epoch atomically,
-// and the trusted counter acknowledges it. A crash at any point leaves
+// Logging discipline: Durable writes a batch's log record while the
+// memory-resident partition scans — a crash loses the in-memory effects
+// anyway. A disk-mutating scan inverts the requirement: once segment slots
+// start changing a crash must be able to finish the batch, so SegDurable
+// syncs the batch's record BEFORE the scan touches disk (redo logging). The
+// scan then writes each segment into the inactive epoch-parity slot, the
+// registry commit publishes the new epoch atomically, and the trusted
+// counter acknowledges it. A crash at any point leaves
 // either (a) the old epoch intact with a logged-but-unapplied batch —
-// recovery re-derives the new epoch from old slots + WAL rows, an idempotent
-// absolute-write replay — or (b) the new epoch committed with the counter
-// one behind — recovery verifies and bumps the counter.
+// recovery re-derives the new epoch from old slots + logged rows, an
+// idempotent absolute-write replay — or (b) the new epoch committed with the
+// counter one behind — recovery verifies and bumps the counter.
 //
-// Because the log only ever needs the single in-flight batch, it is
-// truncated at the start of every BatchAccess rather than compacted by
-// snapshots; WAL records keep Durable's fixed-shape row format (reads
-// re-keyed into dummy space branch-free), so the host learns nothing about
-// the batch's read/write mix from either log or segment I/O.
+// Because the log only ever needs the single in-flight batch, it is cut to
+// empty at the start of every BatchAccess rather than compacted by
+// snapshots; records keep Durable's fixed-shape row format (reads re-keyed
+// into dummy space branch-free), so the host learns nothing about the
+// batch's read/write mix from either log or segment I/O.
 type SegDurable struct {
 	cfg   SegConfig
 	inner StorePartition
-	d     *dir
-	ctr   *FileCounter
+	state // the directory, the trusted counter and the redo log
 	ss    *segstore.Store
 
 	mu        sync.Mutex
-	wal       *os.File
-	walSize   int64
 	recovered bool
 	rolledFwd bool // recovery completed a logged-but-uncommitted batch
 
-	telWALAppend *telemetry.Histogram
-	telCommits   *telemetry.Counter
-	telRollFwd   *telemetry.Counter
+	telCommits *telemetry.Counter
+	telRollFwd *telemetry.Counter
 }
+
+// ErrInitIncomplete is returned when a disk-resident partition directory
+// holds a segment registry but no sealed identifier set: an Init (or
+// Restore) was interrupted. The directory must be wiped and the partition
+// initialized again. It is in the ErrIntegrity class.
+var ErrInitIncomplete = fmt.Errorf("%w: partition initialization did not complete", enclave.ErrIntegrity)
 
 // StorePartition is the partition surface SegDurable wraps: the usual
 // Partition contract plus the adopt-the-store recovery hook (satisfied by
@@ -82,7 +83,7 @@ type SegConfig struct {
 	// SegmentBlocks is the segment geometry in blocks (default 512); the
 	// streaming scan buffer is one segment. Public parameter.
 	SegmentBlocks int
-	// WALRows is the fixed row count of a sealed WAL record (default 512),
+	// WALRows is the row granularity of a sealed log record (default 512),
 	// exactly as in Config.
 	WALRows int
 	// Key overrides the sealing key; nil loads/creates seal.key in the
@@ -91,10 +92,12 @@ type SegConfig struct {
 	// Rec, when non-nil, records the host-visible I/O trace (WAL and
 	// segment I/O) for the obliviousness tests.
 	Rec *trace.Recorder
-	// Telemetry, when non-nil, records WAL-append latency, commit and
-	// roll-forward counters, and (through the segment store) segment
-	// read/write bytes and scan spans.
+	// Telemetry, when non-nil, records sync latency, sync and byte counts
+	// per sealed file, commit and roll-forward counters, and (through the
+	// segment store) segment read/write bytes and scan spans.
 	Telemetry *telemetry.Registry
+
+	fs fsys // nil: the host file system (crash-point tests substitute one)
 }
 
 func (c *SegConfig) fillDefaults() {
@@ -118,60 +121,44 @@ const (
 // segIDsContext is the AAD context for the sealed identifier set. The AAD
 // extra binds the epoch the registry records for the ids image, so a stale
 // ids file cannot be paired with a newer store.
-const segIDsContext = "snoopy-persist/segids/v1"
+const segIDsContext = "snoopy-persist/segids/v2"
 
 // NewSegDurable opens (or creates) a disk-resident partition directory and
-// wraps the partition that build constructs over its segment store. The
-// two-step construction exists because the partition needs the store at
-// creation time (scan plumbing) while the store's key and recovery belong
-// here: build is called exactly once, before any recovery, and must return
-// a partition configured to scan the given store.
+// wraps the partition that build constructs over its segment store: the
+// partition needs the store at creation time (scan plumbing) while the
+// store's key and recovery belong here, so build is called exactly once,
+// before any recovery, and must return a partition scanning the given store.
 //
 // When the directory holds state, it is recovered: the registry and every
 // segment are authenticated and checked against the trusted counter (stale
 // state fails with ErrRollback / segstore.ErrSegmentRollback), a logged but
-// uncommitted batch is rolled forward, and the identifier set is loaded
-// into the partition. A process killed at any point resumes at — or, for a
-// batch whose redo record was already durable, just after — its last
-// acknowledged batch.
+// uncommitted batch is rolled forward, and the identifier set is loaded. A
+// process killed at any point resumes at — or, for a batch whose redo record
+// was already durable, just after — its last acknowledged batch.
 func NewSegDurable(path string, build func(ss *segstore.Store) StorePartition, cfg SegConfig) (*SegDurable, error) {
 	cfg.fillDefaults()
-	if err := os.MkdirAll(path, 0o700); err != nil {
-		return nil, err
-	}
-	key := cfg.Key
-	if key == nil {
-		k, err := loadSealKey(filepath.Join(path, sealKeyFile))
-		if err != nil {
-			return nil, err
-		}
-		key = &k
-	}
-	d, err := openDir(path, key, cfg.Rec)
-	if err != nil {
-		return nil, err
-	}
-	ctr, counterExisted, err := openCounter(d)
+	st, counterExisted, err := openState(cfg.fs, path, cfg.Key, cfg.Rec, cfg.Telemetry, walFile, walContext, "wal")
 	if err != nil {
 		return nil, err
 	}
 	ss, err := segstore.Open(filepath.Join(path, segStoreDir), segstore.Options{
 		BlockSize:     cfg.BlockSize,
 		SegmentBlocks: cfg.SegmentBlocks,
-		Key:           *key,
+		Key:           st.d.key,
 		Rec:           cfg.Rec,
 		Telemetry:     cfg.Telemetry,
 	})
 	if err != nil {
+		st.close()
 		return nil, err
 	}
 	sd := &SegDurable{
-		cfg: cfg, inner: build(ss), d: d, ctr: ctr, ss: ss,
-		telWALAppend: cfg.Telemetry.Histogram("persist_wal_append", nil),
-		telCommits:   cfg.Telemetry.Counter("persist_seg_commits_total"),
-		telRollFwd:   cfg.Telemetry.Counter("persist_seg_rollforward_total"),
+		cfg: cfg, inner: build(ss), state: st, ss: ss,
+		telCommits: cfg.Telemetry.Counter("persist_seg_commits_total"),
+		telRollFwd: cfg.Telemetry.Counter("persist_seg_rollforward_total"),
 	}
 	if err := sd.recover(counterExisted); err != nil {
+		sd.Close()
 		return nil, err
 	}
 	return sd, nil
@@ -181,32 +168,34 @@ func NewSegDurable(path string, build func(ss *segstore.Store) StorePartition, c
 func (sd *SegDurable) recover(counterExisted bool) error {
 	epoch := sd.ctr.Current()
 	if !sd.ss.Formatted() {
-		// No registry: legitimate only for a partition that never completed
-		// an Init — the counter must still be at zero and no sealed state
-		// may be lying around claiming otherwise.
-		if counterExisted && epoch != 0 {
-			return fmt.Errorf("%w (no segment registry, counter at epoch %d)", ErrRollback, epoch)
-		}
-		if _, err := os.Stat(sd.d.file(segIDsFile)); err == nil {
+		if _, err := sd.d.readFile(segIDsFile); err == nil {
 			return errCorrupt("sealed identifier set present without a segment registry")
 		}
-		if st, err := os.Stat(sd.d.file(walFile)); err == nil && st.Size() != 0 {
-			return errCorrupt("write-ahead log present without a segment registry")
-		}
-		return sd.openWAL()
+		return sd.requireFresh(counterExisted, "segment registry")
 	}
-
+	ids, err := sd.readIDs()
+	if errors.Is(err, os.ErrNotExist) {
+		return ErrInitIncomplete
+	}
+	if err != nil {
+		return err
+	}
 	// The registry authenticated at open; anchor its freshness. At most one
 	// batch can be ahead of the counter (the redo-logged in-flight one).
 	if err := sd.ss.RequireEpoch(epoch, epoch+1); err != nil {
 		return err
 	}
-	ids, err := sd.readIDs()
-	if err != nil {
-		return err
-	}
-	walEpoch, rows, complete, err := sd.d.collectWAL(sd.d.file(walFile), sd.cfg.WALRows, sd.cfg.BlockSize)
-	if err != nil {
+	// The log matters only if its first record is the in-flight batch's:
+	// anything else — a previous epoch's applied record, a torn or tampered
+	// tail — is discardable, never an integrity violation: the acknowledged
+	// state lives in the segment store, verified below.
+	var logged []byte
+	if _, err := sd.log.replay(func(seq uint64, _ uint8, rows []byte) (bool, error) {
+		if seq == epoch+1 {
+			logged = append(logged, rows...)
+		}
+		return false, nil
+	}); err != nil {
 		return err
 	}
 	switch storeEpoch := sd.ss.Epoch(); {
@@ -218,28 +207,26 @@ func (sd *SegDurable) recover(counterExisted bool) error {
 		if err := sd.ss.Verify(0, sd.ss.NumBlocks(), nil); err != nil {
 			return err
 		}
-		sd.ctr.Increment()
-		if err := sd.ctr.Err(); err != nil {
+		if err := sd.ack(); err != nil {
 			return err
 		}
 		sd.rolledFwd = true
 		sd.telRollFwd.Inc()
-	case complete && walEpoch == epoch+1:
+	case logged != nil:
 		// Crash after the redo record became durable but before the registry
 		// commit: the previous epoch's slots are intact (the scan writes the
 		// other parity slot), so re-derive the new epoch from them plus the
 		// logged rows — an idempotent absolute-write replay, streamed with
 		// the same fixed whole-store I/O shape as any scan. The replay
 		// authenticates every segment as it goes.
-		if err := sd.rollForward(ids, rows, epoch+1); err != nil {
+		if err := sd.rollForward(ids, logged, epoch+1); err != nil {
 			return err
 		}
 		sd.rolledFwd = true
 		sd.telRollFwd.Inc()
 	default:
-		// Consistent at the counter (any WAL content is a previous epoch's
-		// applied record or an unacknowledged torn tail — both discardable).
-		// Authenticate the full store before serving.
+		// Consistent at the counter. Authenticate the full store before
+		// serving.
 		if err := sd.ss.Verify(0, sd.ss.NumBlocks(), nil); err != nil {
 			return err
 		}
@@ -248,31 +235,27 @@ func (sd *SegDurable) recover(counterExisted bool) error {
 		return err
 	}
 	sd.recovered = true
-	return sd.openWAL()
+	return nil
 }
 
 // rollForward completes a logged-but-uncommitted batch: rows are the
-// concatenated fixed-shape WAL rows of epoch next; write rows are applied as
-// absolute values over the previous epoch's slots and the result committed
-// and acknowledged. Rows for dummy keys (including re-keyed reads) and
-// unknown keys are skipped — matching batch semantics — inside the enclave;
-// the host observes only the fixed full-store streaming pass.
+// fixed-shape log rows of epoch next; write rows are applied as absolute
+// values over the previous epoch's slots and the result committed and
+// acknowledged. Rows for dummy keys (including re-keyed reads) and unknown
+// keys are skipped — matching batch semantics — inside the enclave; the host
+// observes only the fixed full-store streaming pass.
 func (sd *SegDurable) rollForward(ids []uint64, rows []byte, next uint64) error {
 	index := make(map[uint64]int, len(ids))
 	for i, id := range ids {
 		index[id] = i
 	}
-	rowLen := wirecode.KVRowLen(sd.cfg.BlockSize)
 	pending := make(map[int][]byte)
-	for r := 0; r*rowLen < len(rows); r++ {
-		row := rows[r*rowLen : (r+1)*rowLen]
-		key := wirecode.KVRowKey(row)
-		if store.IsDummyKey(key) {
-			continue
-		}
+	if err := forEachWrite(rows, sd.cfg.BlockSize, func(key uint64, value []byte) {
 		if i, ok := index[key]; ok {
-			pending[i] = wirecode.KVRowValue(row)
+			pending[i] = value
 		}
+	}); err != nil {
+		return err
 	}
 	sd.ss.BeginEpoch(next)
 	if err := sd.ss.Rewrite(func(i int, blk []byte) {
@@ -285,41 +268,15 @@ func (sd *SegDurable) rollForward(ids []uint64, rows []byte, next uint64) error 
 	if err := sd.ss.Commit(); err != nil {
 		return err
 	}
-	sd.ctr.Increment()
-	return sd.ctr.Err()
-}
-
-// openWAL opens the redo-log append handle, discarding any previous
-// contents (every record is either applied or unacknowledged by now).
-func (sd *SegDurable) openWAL() error {
-	f, err := os.OpenFile(sd.d.file(walFile), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	sd.wal = f
-	sd.walSize = 0
-	return nil
+	return sd.ack()
 }
 
 // readIDs loads the sealed identifier set, authenticated against the epoch
 // the segment registry records for it.
 func (sd *SegDurable) readIDs() ([]uint64, error) {
-	f, err := os.Open(sd.d.file(segIDsFile))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, errCorrupt("segment registry present without a sealed identifier set")
-		}
-		return nil, err
-	}
-	defer f.Close()
 	n := sd.ss.NumBlocks()
-	var aadExtra [8]byte
-	binary.LittleEndian.PutUint64(aadExtra[:], sd.ss.IDsEpoch())
-	pt, err := sd.d.readRecord(f, segIDsContext, aadExtra[:], 8*n, 0)
+	pt, err := sd.d.openSealedFile(segIDsFile, segIDsContext, idsAAD(sd.ss.IDsEpoch()), 8*n)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, errCorrupt("sealed identifier set truncated")
-		}
 		return nil, err
 	}
 	ids := make([]uint64, n)
@@ -329,33 +286,15 @@ func (sd *SegDurable) readIDs() ([]uint64, error) {
 	return ids, nil
 }
 
-// writeIDsLocked seals and atomically writes the identifier set, bound to
-// the given epoch. Caller holds mu.
-func (sd *SegDurable) writeIDsLocked(ids []uint64, epoch uint64) error {
-	pt := make([]byte, 8*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint64(pt[i*8:(i+1)*8], id)
-	}
-	var aadExtra [8]byte
-	binary.LittleEndian.PutUint64(aadExtra[:], epoch)
-	return sd.d.writeFileAtomic(segIDsFile, sd.d.sealRecord(segIDsContext, aadExtra[:], pt))
-}
+func idsAAD(epoch uint64) []byte { return binary.LittleEndian.AppendUint64(nil, epoch) }
 
 // Recovered reports whether the directory held state that was restored.
-func (sd *SegDurable) Recovered() bool {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	return sd.recovered
-}
+func (sd *SegDurable) Recovered() bool { return sd.recovered }
 
 // RolledForward reports whether recovery completed a batch whose redo
 // record was durable but whose commit (or acknowledgment) the crash
 // interrupted.
-func (sd *SegDurable) RolledForward() bool {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	return sd.rolledFwd
-}
+func (sd *SegDurable) RolledForward() bool { return sd.rolledFwd }
 
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (sd *SegDurable) Epoch() uint64 { return sd.ctr.Current() }
@@ -363,15 +302,12 @@ func (sd *SegDurable) Epoch() uint64 { return sd.ctr.Current() }
 // Counter exposes the trusted monotonic counter (replication wiring).
 func (sd *SegDurable) Counter() *FileCounter { return sd.ctr }
 
-// Store exposes the underlying segment store (benchmarks, tests).
-func (sd *SegDurable) Store() *segstore.Store { return sd.ss }
-
 // Init loads the partition: the store is formatted and streamed full at the
-// current epoch, the identifier set sealed beside it, and everything made
-// durable before Init returns. Init is not crash-atomic the way a batch is —
-// nothing is acknowledged until Init returns, so a crash mid-Init can leave
-// a partition that fails recovery closed and must be wiped and
-// re-initialized; no acknowledged state is ever at risk.
+// current epoch and committed, then the identifier set is sealed beside it.
+// Init is not crash-atomic the way a batch is — nothing is acknowledged
+// until it returns — but it fails closed: the identifier set is removed
+// first and written last, so a directory a crash left mid-Init holds a
+// registry without one and reopens with ErrInitIncomplete.
 func (sd *SegDurable) Init(ids []uint64, data []byte) error {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
@@ -379,40 +315,42 @@ func (sd *SegDurable) Init(ids []uint64, data []byte) error {
 }
 
 func (sd *SegDurable) initLocked(ids []uint64, data []byte, restore bool) error {
+	if err := sd.ready(); err != nil {
+		return err
+	}
 	epoch := sd.ctr.Current()
+	if err := sd.d.fs.Remove(sd.d.file(segIDsFile)); err == nil {
+		if err := sd.d.fs.SyncDir(sd.d.path); err != nil {
+			return err
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
 	sd.ss.BeginEpoch(epoch)
 	var err error
 	if restore {
-		if r, ok := sd.inner.(restorer); ok {
-			err = r.Restore(ids, data)
-		} else {
-			err = sd.inner.Init(ids, data)
-		}
+		err = restoreInto(sd.inner, ids, data)
 	} else {
 		err = sd.inner.Init(ids, data)
 	}
 	if err != nil {
 		return err
 	}
-	if err := sd.writeIDsLocked(ids, epoch); err != nil {
-		return err
-	}
 	if err := sd.ss.Commit(); err != nil {
 		return err
 	}
-	if err := sd.wal.Truncate(0); err != nil {
+	if err := sd.log.cut(0, 0); err != nil {
 		return err
 	}
-	if _, err := sd.wal.Seek(0, 0); err != nil {
-		return err
+	pt := make([]byte, 0, 8*len(ids))
+	for _, id := range ids {
+		pt = binary.LittleEndian.AppendUint64(pt, id)
 	}
-	sd.d.rec.Record(trace.KindFileWrite, 0, 0) // WAL reset, shape-only event
-	sd.walSize = 0
-	return nil
+	return sd.d.sealFile(segIDsFile, segIDsContext, idsAAD(epoch), pt)
 }
 
 // BatchAccess applies one batch with redo durability: the batch's sealed
-// WAL record is fsynced before the scan mutates any slot, the scan streams
+// log record is synced before the scan mutates any slot, the scan streams
 // the partition into the new epoch's parity slots, the registry commit
 // publishes them, and the trusted counter acknowledges the epoch — only
 // then is the response released.
@@ -422,30 +360,21 @@ func (sd *SegDurable) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	if reqs.BlockSize != sd.cfg.BlockSize {
 		return nil, fmt.Errorf("persist: batch block size %d != %d", reqs.BlockSize, sd.cfg.BlockSize)
 	}
-	if err := sd.ctr.Err(); err != nil {
-		return nil, fmt.Errorf("persist: epoch counter lost durability: %w", err)
+	if err := sd.ready(); err != nil {
+		return nil, err
 	}
 	// Drop the previous batch's (already applied) record; the log holds at
 	// most the one in-flight batch.
-	if err := sd.wal.Truncate(0); err != nil {
-		return nil, err
-	}
-	if _, err := sd.wal.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	sd.d.rec.Record(trace.KindFileWrite, 0, 0) // WAL reset, shape-only event
-	sd.walSize = 0
-
 	epoch := sd.ctr.Current() + 1
-	tw0 := sd.cfg.Telemetry.Now()
-	if err := sd.d.appendWAL(sd.wal, &sd.walSize, epoch, reqs, sd.cfg.WALRows, sd.cfg.BlockSize); err != nil {
+	if err := sd.log.cut(0, epoch); err != nil {
 		return nil, err
 	}
-	if err := sd.wal.Sync(); err != nil {
+	if err := sealWAL(sd.log, epoch, reqs, sd.cfg.WALRows, sd.cfg.BlockSize); err != nil {
 		return nil, err
 	}
-	sd.telWALAppend.Observe(time.Duration(sd.cfg.Telemetry.Now() - tw0))
-
+	if err := sd.log.write(true); err != nil {
+		return nil, err
+	}
 	sd.ss.BeginEpoch(epoch)
 	out, err := sd.inner.BatchAccess(reqs)
 	if err != nil {
@@ -454,9 +383,8 @@ func (sd *SegDurable) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	if err := sd.ss.Commit(); err != nil {
 		return nil, err
 	}
-	sd.ctr.Increment()
-	if err := sd.ctr.Err(); err != nil {
-		return nil, fmt.Errorf("persist: epoch counter lost durability: %w", err)
+	if err := sd.ack(); err != nil {
+		return nil, err
 	}
 	sd.telCommits.Inc()
 	return out, nil
@@ -475,19 +403,11 @@ func (sd *SegDurable) Restore(ids []uint64, data []byte) error {
 	return sd.initLocked(ids, data, true)
 }
 
-// Close releases the WAL handle and the segment store's data file.
+// Close releases the file handles and the segment store's data file.
 // Acknowledged state remains recoverable; Close is not required for
 // durability (kill -9 is the normal shutdown model).
 func (sd *SegDurable) Close() error {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	var first error
-	if sd.wal != nil {
-		first = sd.wal.Close()
-		sd.wal = nil
-	}
-	if err := sd.ss.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return errors.Join(sd.close(), sd.ss.Close())
 }

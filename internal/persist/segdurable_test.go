@@ -115,17 +115,13 @@ func TestSegDurableRollForwardFromWAL(t *testing.T) {
 	reqs.SetRow(0, store.OpWrite, 9, 0, 0, 0, segValue(9, 7))
 	reqs.SetRow(1, store.OpRead, 6, 0, 1, 1, nil)
 	sd.mu.Lock()
-	if err := sd.wal.Truncate(0); err != nil {
+	if err := sd.log.cut(0, epoch+1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sd.wal.Seek(0, 0); err != nil {
+	if err := sealWAL(sd.log, epoch+1, reqs, sd.cfg.WALRows, segTestBlock); err != nil {
 		t.Fatal(err)
 	}
-	sd.walSize = 0
-	if err := sd.d.appendWAL(sd.wal, &sd.walSize, epoch+1, reqs, sd.cfg.WALRows, segTestBlock); err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.wal.Sync(); err != nil {
+	if err := sd.log.write(true); err != nil {
 		t.Fatal(err)
 	}
 	sd.mu.Unlock()
@@ -160,7 +156,7 @@ func TestSegDurableCommitBeforeCounterCrash(t *testing.T) {
 	epoch := sd.Epoch()
 	// Advance the segment store one epoch behind the persistence layer's
 	// back (contents unchanged), leaving the counter at epoch.
-	ss := sd.Store()
+	ss := sd.ss
 	ss.BeginEpoch(epoch + 1)
 	if err := ss.Rewrite(func(int, []byte) {}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,115 @@
+package persist
+
+// Leakage and allocation guards of the per-epoch durable path: the bytes
+// written are the exported closed forms of public parameters, a steady-state
+// epoch allocates nothing, and it costs exactly two syncs per process.
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"snoopy/internal/store"
+	"snoopy/internal/telemetry"
+)
+
+// stubPartition answers every batch with one preallocated response, so what
+// AllocsPerRun sees around it is the persistence step alone.
+type stubPartition struct{ out *store.Requests }
+
+func (stubPartition) Init([]uint64, []byte) error { return nil }
+func (s stubPartition) BatchAccess(*store.Requests) (*store.Requests, error) {
+	return s.out, nil
+}
+func (stubPartition) Export() ([]uint64, []byte, error) { return nil, nil, nil }
+
+func TestWALRecordLenClosedForm(t *testing.T) {
+	for _, tc := range []struct{ rows, walRows int }{{1, 4}, {4, 4}, {5, 4}, {10, 4}, {0, 8}, {24, 16}} {
+		dir := t.TempDir()
+		dur, err := NewDurable(dir, stubPartition{}, Config{BlockSize: testBlock, WALRows: tc.walRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.Init(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dur.BatchAccess(store.NewRequests(tc.rows, testBlock)); err != nil {
+			t.Fatal(err)
+		}
+		dur.Close()
+		st, err := os.Stat(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int(st.Size()), WALRecordLen(tc.rows, tc.walRows, testBlock); got != want {
+			t.Fatalf("%d rows at granularity %d: wal holds %d bytes, WALRecordLen says %d", tc.rows, tc.walRows, got, want)
+		}
+	}
+}
+
+// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccess is one
+// log sync and one counter sync, creates and renames nothing, and allocates
+// nothing.
+func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	out := store.NewRequests(8, testBlock)
+	dur, err := NewDurable(dir, stubPartition{out}, Config{BlockSize: testBlock, WALRows: 8, SnapshotEvery: 1 << 30, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	if err := dur.Init(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	reqs := store.NewRequests(8, testBlock)
+	step := func() {
+		if _, err := dur.BatchAccess(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grows the record buffer once
+	before, _ := os.ReadDir(dir)
+	wal, ctr := reg.Counter(`persist_syncs_total{log="wal"}`), reg.Counter(`persist_syncs_total{log="counter"}`)
+	w0, c0 := wal.Value(), ctr.Value()
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Fatalf("steady-state Durable.BatchAccess allocates %.1f times per epoch", allocs)
+	}
+	// AllocsPerRun runs the function once more than it reports, to warm up.
+	if w, c := wal.Value()-w0, ctr.Value()-c0; w != runs+1 || c != runs+1 {
+		t.Fatalf("%d epochs cost %d wal syncs and %d counter syncs, want %d each", runs+1, w, c, runs+1)
+	}
+	if got := reg.Counter(`persist_bytes_written_total{log="wal"}`).Value(); got != uint64((runs+2)*WALRecordLen(8, 8, testBlock)) {
+		t.Fatalf("persist_bytes_written_total{wal} = %d after %d records of %d bytes", got, runs+2, WALRecordLen(8, 8, testBlock))
+	}
+	after, _ := os.ReadDir(dir)
+	if len(after) != len(before) {
+		t.Fatalf("steady-state epochs changed the directory: %d entries, then %d", len(before), len(after))
+	}
+}
+
+// TestJournalEpochNoAllocs: a steady-state Begin + Complete allocates nothing
+// (the record is encoded and sealed in the log's one reused buffer).
+func TestJournalEpochNoAllocs(t *testing.T) {
+	j, _, err := OpenJournal(t.TempDir(), nil, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.compactEvery = 1 << 30
+	rec := testEpochRec(1, 1, 2, 1, 16, 24, testBlock)
+	step := func() {
+		if err := j.Begin(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Complete(rec.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		rec.Epoch++
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("steady-state Journal.Begin + Complete allocates %.1f times per epoch", allocs)
+	}
+}

@@ -1,69 +1,22 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"snoopy/internal/store"
-	"snoopy/internal/trace"
 )
 
-// AAD contexts for the snapshot records.
+// The snapshot file is a sealed log of its own: record 1 is the header,
+// record 2+c is chunk c. The log's rule gives chunk order and authenticity;
+// each chunk's plaintext opens with the snapshot epoch, so a chunk of an
+// older snapshot spliced in at its own position is refused too.
 const (
-	snapHeaderContext = "snoopy-persist/snap-header/v1"
-	snapChunkContext  = "snoopy-persist/snap-chunk/v1"
+	snapContext    = "snoopy-persist/snapshot/v2"
+	snapKindHeader = 1
+	snapKindChunk  = 2
+	snapHeaderLen  = 8 + 8 + 4 + 4 // epoch | n | blockSize | chunkBlocks
 )
-
-// snapHeader is the public geometry sealed into the snapshot's first record.
-type snapHeader struct {
-	epoch       uint64
-	n           uint64
-	blockSize   uint32
-	chunkBlocks uint32
-}
-
-const snapHeaderLen = 8 + 8 + 4 + 4
-
-func (h snapHeader) marshal() []byte {
-	buf := make([]byte, snapHeaderLen)
-	binary.LittleEndian.PutUint64(buf[0:8], h.epoch)
-	binary.LittleEndian.PutUint64(buf[8:16], h.n)
-	binary.LittleEndian.PutUint32(buf[16:20], h.blockSize)
-	binary.LittleEndian.PutUint32(buf[20:24], h.chunkBlocks)
-	return buf
-}
-
-func unmarshalSnapHeader(buf []byte) (snapHeader, error) {
-	var h snapHeader
-	h.epoch = binary.LittleEndian.Uint64(buf[0:8])
-	h.n = binary.LittleEndian.Uint64(buf[8:16])
-	h.blockSize = binary.LittleEndian.Uint32(buf[16:20])
-	h.chunkBlocks = binary.LittleEndian.Uint32(buf[20:24])
-	// Authenticated fields can still be hostile when the sealing key file
-	// was swapped; bound them before they size any allocation.
-	if h.blockSize == 0 || h.blockSize > 1<<20 {
-		return h, errCorrupt("snapshot block size %d out of range", h.blockSize)
-	}
-	if h.chunkBlocks == 0 || h.chunkBlocks > 1<<16 {
-		return h, errCorrupt("snapshot chunk geometry %d out of range", h.chunkBlocks)
-	}
-	if h.n > 1<<40 || int(h.chunkBlocks)*(8+int(h.blockSize)) > maxRecord {
-		return h, errCorrupt("snapshot geometry n=%d chunk=%d implausible", h.n, h.chunkBlocks)
-	}
-	return h, nil
-}
-
-// chunkPrefix binds a chunk to (snapshot epoch, chunk index) through the AAD.
-func chunkPrefix(epoch uint64, index uint32) []byte {
-	buf := make([]byte, 12)
-	binary.LittleEndian.PutUint64(buf[0:8], epoch)
-	binary.LittleEndian.PutUint32(buf[8:12], index)
-	return buf
-}
 
 // writeSnapshot writes the full partition image at the given epoch in a
 // single sequential pass: one sealed header, then ceil(n/chunkBlocks)
@@ -75,109 +28,81 @@ func (d *dir) writeSnapshot(epoch uint64, ids []uint64, data []byte, blockSize, 
 	if len(data) != n*blockSize {
 		return fmt.Errorf("persist: snapshot data length %d != %d objects × %d bytes", len(data), n, blockSize)
 	}
-	tmp := d.file(snapshotFile + ".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-
-	hdr := snapHeader{epoch: epoch, n: uint64(n), blockSize: uint32(blockSize), chunkBlocks: uint32(chunkBlocks)}
-	rec := d.sealRecord(snapHeaderContext, nil, hdr.marshal())
-	if _, err := w.Write(rec); err != nil {
-		return err
-	}
-	offset := int64(len(rec))
-	d.rec.Record(trace.KindFileWrite, 0, len(rec))
-
-	rowLen := 8 + blockSize
-	chunk := make([]byte, chunkBlocks*rowLen)
-	for base := 0; base < n; base += chunkBlocks {
-		for r := 0; r < chunkBlocks; r++ {
-			row := chunk[r*rowLen : (r+1)*rowLen]
-			i := base + r
-			if i < n {
-				binary.LittleEndian.PutUint64(row[:8], ids[i])
-				copy(row[8:], data[i*blockSize:(i+1)*blockSize])
-			} else {
-				// Pad the last chunk with dummy rows so every chunk's
-				// plaintext — and therefore ciphertext — has one fixed size.
-				binary.LittleEndian.PutUint64(row[:8], store.DummyKeyBit)
-				clear(row[8:])
-			}
-		}
-		rec := d.sealRecord(snapChunkContext, chunkPrefix(epoch, uint32(base/chunkBlocks)), chunk)
-		if _, err := w.Write(rec); err != nil {
+	le := binary.LittleEndian
+	l, err := d.replaceLog(snapshotFile, snapContext, "snapshot", 1, func(l *sealedLog) error {
+		hdr := le.AppendUint64(le.AppendUint64(l.start(snapHeaderLen), epoch), uint64(n))
+		l.seal(1, snapKindHeader, le.AppendUint32(le.AppendUint32(hdr, uint32(blockSize)), uint32(chunkBlocks)))
+		if err := l.write(false); err != nil {
 			return err
 		}
-		d.rec.Record(trace.KindFileWrite, int(offset), len(rec))
-		offset += int64(len(rec))
+		for base := 0; base < n; base += chunkBlocks {
+			rec := le.AppendUint64(l.start(8+chunkBlocks*(8+blockSize)), epoch)
+			for i := base; i < base+chunkBlocks; i++ {
+				if i < n {
+					rec = append(le.AppendUint64(rec, ids[i]), data[i*blockSize:(i+1)*blockSize]...)
+				} else {
+					// Pad the last chunk with dummy rows so every chunk's
+					// plaintext — and therefore ciphertext — has one fixed size.
+					rec = le.AppendUint64(rec, store.DummyKeyBit)
+					rec = rec[:len(rec)+blockSize]
+					clear(rec[len(rec)-blockSize:])
+				}
+			}
+			l.seal(l.next, snapKindChunk, rec)
+			if err := l.write(false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if l != nil {
+		l.close()
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, d.file(snapshotFile)); err != nil {
-		return err
-	}
-	return d.syncDir()
+	return err
 }
 
 // readSnapshot loads and authenticates the snapshot, returning the sealed
 // epoch and partition image. os.ErrNotExist is passed through when no
 // snapshot has ever been written.
 func (d *dir) readSnapshot() (epoch uint64, ids []uint64, data []byte, blockSize int, err error) {
-	f, err := os.Open(d.file(snapshotFile))
+	l, err := d.openLog(snapshotFile, snapContext, "snapshot", false)
 	if err != nil {
 		return 0, nil, nil, 0, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-
-	pt, err := d.readRecord(r, snapHeaderContext, nil, snapHeaderLen, 0)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, nil, 0, errCorrupt("snapshot header truncated")
-		}
-		return 0, nil, nil, 0, err
-	}
-	hdr, err := unmarshalSnapHeader(pt)
-	if err != nil {
-		return 0, nil, nil, 0, err
-	}
-	offset := int64(recordLen(0, snapHeaderLen))
-
-	n := int(hdr.n)
-	blockSize = int(hdr.blockSize)
-	chunkBlocks := int(hdr.chunkBlocks)
-	rowLen := 8 + blockSize
-	ids = make([]uint64, 0, n)
-	data = make([]byte, 0, n*blockSize)
-	chunks := (n + chunkBlocks - 1) / chunkBlocks
-	for c := 0; c < chunks; c++ {
-		chunk, err := d.readRecord(r, snapChunkContext, chunkPrefix(hdr.epoch, uint32(c)), chunkBlocks*rowLen, offset)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return 0, nil, nil, 0, errCorrupt("snapshot chunk %d truncated", c)
+	defer l.close()
+	le := binary.LittleEndian
+	n, chunkBlocks := -1, 0
+	why, err := l.replay(func(seq uint64, kind uint8, pt []byte) (bool, error) {
+		switch {
+		case seq == 1 && kind == snapKindHeader && len(pt) == snapHeaderLen:
+			epoch, blockSize, chunkBlocks = le.Uint64(pt), int(le.Uint32(pt[16:])), int(le.Uint32(pt[20:]))
+			// Authenticated fields can still be hostile when the sealing
+			// key file was swapped; bound them before they size anything.
+			hn := le.Uint64(pt[8:])
+			if hn > 1<<40 || blockSize == 0 || blockSize > 1<<20 ||
+				chunkBlocks == 0 || chunkBlocks > 1<<16 || chunkBlocks*(8+blockSize) > maxRecord {
+				return false, errCorrupt("snapshot geometry n=%d block=%d chunk=%d out of range", hn, blockSize, chunkBlocks)
 			}
-			return 0, nil, nil, 0, err
-		}
-		offset += int64(recordLen(0, chunkBlocks*rowLen))
-		for rI := 0; rI < chunkBlocks && len(ids) < n; rI++ {
-			row := chunk[rI*rowLen : (rI+1)*rowLen]
-			id := binary.LittleEndian.Uint64(row[:8])
-			if store.IsDummyKey(id) {
-				return 0, nil, nil, 0, errCorrupt("snapshot chunk %d carries a dummy id before row %d", c, n)
+			n = int(hn)
+			ids, data = make([]uint64, 0, n), make([]byte, 0, n*blockSize)
+		case n >= 0 && kind == snapKindChunk && len(pt) == 8+chunkBlocks*(8+blockSize) && le.Uint64(pt) == epoch:
+			for row := pt[8:]; len(row) > 0 && len(ids) < n; row = row[8+blockSize:] {
+				id := le.Uint64(row)
+				if store.IsDummyKey(id) {
+					return false, errCorrupt("snapshot chunk %d carries a dummy id before row %d", seq-2, n)
+				}
+				ids, data = append(ids, id), append(data, row[8:8+blockSize]...)
 			}
-			ids = append(ids, id)
-			data = append(data, row[8:]...)
+		default:
+			return false, errCorrupt("snapshot record %d (kind %d, %d bytes) out of place", seq, kind, len(pt))
 		}
+		return len(ids) < n, nil
+	})
+	if err != nil {
+		return 0, nil, nil, 0, err
 	}
-	return hdr.epoch, ids, data, blockSize, nil
+	if len(ids) != n {
+		return 0, nil, nil, 0, errCorrupt("snapshot holds %d of %d objects: %s", len(ids), n, why)
+	}
+	return epoch, ids, data, blockSize, nil
 }

@@ -1,231 +1,72 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"io"
-	"os"
+	"fmt"
 
 	"snoopy/internal/store"
-	"snoopy/internal/trace"
 	"snoopy/internal/wirecode"
 )
 
-// walContext is the AAD context for WAL records.
-const walContext = "snoopy-persist/wal/v1"
+// walContext is the AAD context of write-ahead (and redo) log records; a
+// record's sequence number is the epoch of the batch it holds.
+const walContext = "snoopy-persist/wal/v2"
 
-// walPrefixLen is the stored public prefix of a WAL record:
-// epoch u64 | part u32 | last u8. The prefix is in the clear (the reader
-// cannot know the epoch in advance) but bound through the AAD.
-const walPrefixLen = 8 + 4 + 1
-
-func putWALPrefix(buf []byte, epoch uint64, part uint32, last bool) {
-	binary.LittleEndian.PutUint64(buf[0:8], epoch)
-	binary.LittleEndian.PutUint32(buf[8:12], part)
-	buf[12] = 0
-	if last {
-		buf[12] = 1
-	}
+// walPaddedRows is the row count of the record logging an n-row batch: n
+// rounded up to a positive multiple of walRows.
+func walPaddedRows(n, walRows int) int {
+	return max(1, (n+walRows-1)/walRows) * walRows
 }
 
-// appendWAL appends the sealed log record(s) for one applied batch. Every
-// record carries exactly walRows rows in the wirecode key/value row shape
-// (the same per-record layout the wire codec uses, so durable and wire
-// representations cannot drift); a batch larger than walRows spans multiple
-// parts and a smaller one is padded with dummy rows, so record count and
-// size depend only on the public batch length. Read rows are re-keyed into
-// the dummy space branch-free (the host cannot tell reads from writes), and
-// dummy rows are skipped at replay. The row-staging buffer is reused across
-// batches.
-//
-// The caller fsyncs after all parts are written; the epoch is acknowledged
-// only after the trusted counter advances past it.
-func (d *dir) appendWAL(f *os.File, offset *int64, epoch uint64, reqs *store.Requests, walRows, blockSize int) error {
+// WALRecordLen is the exact number of bytes the log grows by for one n-row
+// batch: a function of public parameters only.
+func WALRecordLen(n, walRows, blockSize int) int {
+	return logRecordLen(walPaddedRows(n, walRows) * wirecode.KVRowLen(blockSize))
+}
+
+// sealWAL builds and seals the log record of one batch; l.write appends it.
+// The record carries every batch row in the wirecode key/value row shape
+// (so durable and wire representations cannot drift), padded with dummy
+// rows to a multiple of walRows: its size depends only on the public batch
+// length. Read rows are re-keyed into the dummy space branch-free (the host
+// cannot tell reads from writes); dummy rows are skipped at replay. The
+// record is a function of the request batch alone — not of the partition's
+// state — so it may be written before, after or during the scan.
+func sealWAL(l *sealedLog, epoch uint64, reqs *store.Requests, walRows, blockSize int) error {
 	rowLen := wirecode.KVRowLen(blockSize)
-	n := reqs.Len()
-	parts := (n + walRows - 1) / walRows
-	if parts == 0 {
-		parts = 1 // an empty batch still logs one (all-dummy) record
+	n, rows := reqs.Len(), walPaddedRows(reqs.Len(), walRows)
+	if rows > (maxRecord-logRecordLen(0))/rowLen {
+		return fmt.Errorf("persist: a batch of %d rows exceeds the %d-byte record limit", n, maxRecord)
 	}
-	if cap(d.walRowsBuf) < walRows*rowLen {
-		d.walRowsBuf = make([]byte, walRows*rowLen)
-	}
-	rows := d.walRowsBuf[:walRows*rowLen]
-	var prefix [walPrefixLen]byte
-	for p := 0; p < parts; p++ {
-		for r := 0; r < walRows; r++ {
-			row := rows[r*rowLen : (r+1)*rowLen]
-			i := p*walRows + r
-			if i < n {
-				// A read contributes no state change: flip it into the dummy
-				// key space with arithmetic on the op bit, not a branch, so
-				// the row layout never depends on the secret op.
-				key := reqs.Key[i] | uint64(reqs.Op[i]^store.OpWrite)<<63
-				wirecode.PutKVRow(row, key, reqs.Block(i))
-			} else {
-				wirecode.PutKVRow(row, store.DummyKeyBit, nil)
-			}
+	rec := l.start(rows * rowLen)
+	rec = rec[:logHdrLen+rows*rowLen]
+	for r := 0; r < rows; r++ {
+		row := rec[logHdrLen+r*rowLen:][:rowLen]
+		if r < n {
+			// A read contributes no state change: flip it into the dummy
+			// key space with arithmetic on the op bit, not a branch, so
+			// the row layout never depends on the secret op.
+			key := reqs.Key[r] | uint64(reqs.Op[r]^store.OpWrite)<<63
+			wirecode.PutKVRow(row, key, reqs.Block(r))
+		} else {
+			wirecode.PutKVRow(row, store.DummyKeyBit, nil)
 		}
-		putWALPrefix(prefix[:], epoch, uint32(p), p == parts-1)
-		rec := d.sealPrefixed(walContext, prefix[:], rows)
-		if _, err := f.Write(rec); err != nil {
-			return err
-		}
-		d.rec.Record(trace.KindFileWrite, int(*offset), len(rec))
-		*offset += int64(len(rec))
 	}
+	l.seal(epoch, 0, rec)
 	return nil
 }
 
-// replayWAL validates the log against the snapshot epoch snapEpoch and the
-// trusted counter epoch ctrEpoch, applying the write rows of every epoch in
-// (snapEpoch, ctrEpoch] through apply. Records must form one contiguous,
-// strictly increasing epoch sequence starting at or before snapEpoch+1
-// (records at or before snapEpoch are authenticated, then skipped — they
-// predate the snapshot). Anything after the counter epoch — valid records,
-// torn bytes, or garbage — belongs to a batch that was never acknowledged
-// and is discarded. The returned validLen is the file length up to and
-// including the last acknowledged record; the caller truncates to it before
-// appending.
-func (d *dir) replayWAL(path string, snapEpoch, ctrEpoch uint64, walRows, blockSize int, apply func(rows []byte)) (validLen int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if snapEpoch == ctrEpoch {
-			return 0, nil
-		}
-		return 0, ErrRollback
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-
+// forEachWrite calls fn for every row of a WAL record that changes state:
+// rows keyed outside the dummy space. Rows whose length does not fit the
+// block size mean the record was written under another geometry.
+func forEachWrite(rows []byte, blockSize int, fn func(key uint64, value []byte)) error {
 	rowLen := wirecode.KVRowLen(blockSize)
-	recLen := int64(recordLen(walPrefixLen, walRows*rowLen))
-	var offset int64
-	applied := snapEpoch // state is complete through this epoch
-	inEpoch := false     // assembling cur's parts
-	var cur uint64       // epoch currently being assembled (when inEpoch)
-	var prev uint64      // last fully completed epoch
-	var nextPart uint32
-	first := true
-	for applied < ctrEpoch {
-		prefix, rows, err := d.readPrefixed(r, walContext, walPrefixLen, walRows*rowLen, offset)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return 0, ErrRollback // acknowledged epochs are missing from the log
-			}
-			return 0, err
-		}
-		epoch := binary.LittleEndian.Uint64(prefix[0:8])
-		part := binary.LittleEndian.Uint32(prefix[8:12])
-		last := prefix[12] == 1
-		switch {
-		case first:
-			if epoch > snapEpoch+1 {
-				return 0, ErrRollback // gap: epochs before the first record are missing
-			}
-		case inEpoch:
-			if epoch != cur {
-				return 0, errCorrupt("epoch %d interleaved into epoch %d", epoch, cur)
-			}
-		default:
-			if epoch != prev+1 {
-				return 0, errCorrupt("wal epoch sequence broken: %d after %d", epoch, prev)
-			}
-		}
-		if !inEpoch {
-			cur, nextPart = epoch, 0
-		}
-		if part != nextPart {
-			return 0, errCorrupt("epoch %d part %d out of order (want %d)", epoch, part, nextPart)
-		}
-		if epoch > ctrEpoch {
-			// A record past the trusted counter is the crash artifact of an
-			// unacknowledged batch; it and everything after it are discarded.
-			return offset, nil
-		}
-		first = false
-		if epoch > snapEpoch {
-			apply(rows)
-		}
-		offset += recLen
-		if last {
-			prev, inEpoch = epoch, false
-			if epoch > snapEpoch {
-				applied = epoch
-			}
-		} else {
-			inEpoch, nextPart = true, part+1
+	if len(rows) == 0 || len(rows)%rowLen != 0 {
+		return errCorrupt("log record of %d bytes is not rows of %d", len(rows), rowLen)
+	}
+	for ; len(rows) > 0; rows = rows[rowLen:] {
+		if key := wirecode.KVRowKey(rows[:rowLen]); !store.IsDummyKey(key) {
+			fn(key, wirecode.KVRowValue(rows[:rowLen]))
 		}
 	}
-	return offset, nil
-}
-
-// collectWAL reads a single-epoch redo log (SegDurable truncates the log at
-// the start of every batch, so it holds at most one batch's record set) and
-// returns the epoch and concatenated rows of the complete record set at its
-// head, if any. Torn tails, tampered records, interleaved epochs, or
-// out-of-order parts all yield complete == false rather than an error: the
-// redo log only ever describes a batch the counter has NOT acknowledged, so
-// an unreadable log means "nothing to roll forward", never an integrity
-// violation — the acknowledged state lives in the segment store, which is
-// verified separately.
-func (d *dir) collectWAL(path string, walRows, blockSize int) (epoch uint64, rows []byte, complete bool, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil, false, nil
-	}
-	if err != nil {
-		return 0, nil, false, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	rowLen := wirecode.KVRowLen(blockSize)
-	recLen := int64(recordLen(walPrefixLen, walRows*rowLen))
-	var offset int64
-	var nextPart uint32
-	first := true
-	for {
-		prefix, rec, err := d.readPrefixed(r, walContext, walPrefixLen, walRows*rowLen, offset)
-		if err != nil {
-			return 0, nil, false, nil
-		}
-		e := binary.LittleEndian.Uint64(prefix[0:8])
-		p := binary.LittleEndian.Uint32(prefix[8:12])
-		last := prefix[12] == 1
-		if first {
-			epoch, first = e, false
-		} else if e != epoch {
-			return 0, nil, false, nil
-		}
-		if p != nextPart {
-			return 0, nil, false, nil
-		}
-		rows = append(rows, rec...)
-		offset += recLen
-		if last {
-			return epoch, rows, true, nil
-		}
-		nextPart = p + 1
-	}
-}
-
-// applyRows folds one WAL record's rows into a partition image: rows whose
-// key is outside the dummy space overwrite the block of the matching
-// object; writes to unknown keys are no-ops (matching batch semantics).
-func applyRows(rows []byte, blockSize int, index map[uint64]int, data []byte) {
-	rowLen := wirecode.KVRowLen(blockSize)
-	for r := 0; r*rowLen < len(rows); r++ {
-		row := rows[r*rowLen : (r+1)*rowLen]
-		key := wirecode.KVRowKey(row)
-		if store.IsDummyKey(key) {
-			continue
-		}
-		if i, ok := index[key]; ok {
-			copy(data[i*blockSize:(i+1)*blockSize], wirecode.KVRowValue(row))
-		}
-	}
+	return nil
 }

@@ -268,7 +268,14 @@ func (s *Store) Format(n int) error {
 		return err
 	}
 	// Seal every segment zeroed at the format epoch. Parity slots for the
-	// format epoch are written; the sibling slots stay zero until first use.
+	// format epoch are written; the sibling slots stay zero until first use,
+	// but the file is sized for both now (sparsely): openData requires the
+	// full length, and a store formatted at an even epoch and reopened before
+	// its first odd-epoch scan would otherwise read as truncated.
+	if err := f.Truncate(int64(segs) * 2 * int64(s.slotBytesFor(reg))); err != nil {
+		f.Close()
+		return err
+	}
 	buf := s.newScanBuf(reg)
 	zero := buf.plain
 	clear(zero)

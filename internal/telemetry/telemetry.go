@@ -582,7 +582,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time, JSON-marshalable view of the registry
-// (consumed by snoopy-bench for results/BENCH_observability.json).
+// (snoopy.TelemetrySnapshot).
 type Snapshot struct {
 	Counters   map[string]uint64   `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges"`

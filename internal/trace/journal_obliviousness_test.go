@@ -207,6 +207,18 @@ func TestJournalTraceIndependentOfSecrets(t *testing.T) {
 	if !bytes.Equal(metricsA, metricsB) {
 		diffLines(t, "/metrics output", metricsA, metricsB)
 	}
+	// The journal's and its counter's sync and byte counts are among the
+	// compared bytes: functions of the epoch schedule and the public record
+	// shape, whatever was journaled.
+	for _, name := range []string{
+		`persist_syncs_total{log="journal"}`, `persist_syncs_total{log="counter"}`,
+		`persist_bytes_written_total{log="journal"}`, `persist_sync_seconds{log="journal"}`,
+		"persist_journal_errors_total",
+	} {
+		if !bytes.Contains(metricsA, []byte(name)) {
+			t.Fatalf("/metrics output has no %s", name)
+		}
+	}
 	if !bytes.Equal(spansA, spansB) {
 		diffLines(t, "/trace/epochs output", spansA, spansB)
 	}

@@ -214,9 +214,14 @@ func TestTelemetryTraceIndependentOfSecretsSequential(t *testing.T) {
 	}
 	// The hash table's shape is among the compared bytes: a function of the
 	// public (batch size, partition size, λ), never of what was requested.
-	for _, gauge := range []string{"suboram_table_slots", "suboram_slots_per_lookup"} {
-		if !bytes.Contains(metricsA, []byte(gauge)) {
-			t.Fatalf("/metrics output has no %s", gauge)
+	// So are the durable partition's sync and byte counts per sealed file.
+	for _, name := range []string{
+		"suboram_table_slots", "suboram_slots_per_lookup",
+		`persist_syncs_total{log="wal"}`, `persist_syncs_total{log="counter"}`,
+		`persist_bytes_written_total{log="wal"}`, `persist_sync_seconds{log="wal"}`,
+	} {
+		if !bytes.Contains(metricsA, []byte(name)) {
+			t.Fatalf("/metrics output has no %s", name)
 		}
 	}
 	if !bytes.Equal(spansA, spansB) {
@@ -307,7 +312,7 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 }
 
 // TestTelemetrySnapshotIndependentOfSecrets: the programmatic export
-// (Registry.Snapshot, what snoopy-bench writes to BENCH_observability.json)
+// (Registry.Snapshot, what snoopy.TelemetrySnapshot hands a caller)
 // is as content-independent as the HTTP surface.
 func TestTelemetrySnapshotIndependentOfSecrets(t *testing.T) {
 	cfg := core.Config{

@@ -6,17 +6,7 @@
 # results/BENCH_dataplane_baseline.json (recorded before the pooled-arena
 # refactor) to see the allocation reduction.
 #
-# Also runs snoopy-bench's instrumented observability deployment and emits
-# results/BENCH_observability.json: a full telemetry snapshot — counters,
-# stage-duration histograms, and the per-epoch stage spans showing where
-# epoch time goes (stage A batching, per-partition stage B, stage C match).
-#
-# Also emits results/BENCH_segstore.json: memory-resident vs
-# disk-resident (internal/segstore) scan throughput across segment sizes,
-# with the steady-state allocation count of the streaming scan loop (must
-# be zero).
-#
-# Finally emits results/BENCH_lbtree.json: monolithic load balancer vs
+# Also emits results/BENCH_lbtree.json: monolithic load balancer vs
 # 1/2/4/8-leaf hierarchical aggregation trees — MakeBatches wall time,
 # steady-state B/op and allocs/op (must be zero), and the root's exact
 # oblivious row-operation count (merge + compaction of the leaf runs) as a
@@ -114,12 +104,6 @@ END {
 ' "$RAWP" > results/BENCH_pipeline.json
 
 echo "wrote results/BENCH_pipeline.json"
-
-go run ./cmd/snoopy-bench -observability results/BENCH_observability.json
-echo "wrote results/BENCH_observability.json"
-
-go run ./cmd/snoopy-bench -segstore results/BENCH_segstore.json
-echo "wrote results/BENCH_segstore.json"
 
 go run ./cmd/snoopy-bench -lbtree results/BENCH_lbtree.json
 echo "wrote results/BENCH_lbtree.json"

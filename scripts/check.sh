@@ -113,6 +113,18 @@ go test -race -short -timeout 15m -count=2 \
   ./internal/ohash/ ./internal/suboram/ ./internal/planner/
 go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./internal/ohash/ -exhaustive
 
+# The durable path's crash-point enumeration under -race: every write, sync,
+# truncate, rename and directory sync of every sealed file of Durable,
+# SegDurable and Journal fails (and tears) in turn, every synced prefix is
+# replayed as a rollback, and the one fuzz target's seeds mangle the rest.
+# Durable writes its log record on a second goroutine while the partition
+# scans — the part -race is for. Then the sync call's portable fallback
+# file, which nothing on a linux/amd64 host otherwise compiles.
+go test -race -timeout 15m -count=2 \
+  -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots' \
+  ./internal/persist/
+GOOS=darwin GOARCH=arm64 go build ./...
+
 # The portable bodies (the purego tag drops every assembly kernel, as a
 # non-amd64 build does): the amd64 host otherwise never runs them. This
 # covers the table-order Extract and the miss zeroing behind it too, and
