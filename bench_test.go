@@ -491,13 +491,14 @@ func BenchmarkFusedAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBucket times the subORAM linear scan — per object: two
-// SipHashes, the key pass and the obliv.FusedBucket block pass over both
-// buckets — at the four (α, objects per partition) shapes of BENCHMARK.json's
-// workloads. ns/object and ns/slot come from the scan's own stopwatch
-// (Stats.Scan): table build and extraction are excluded, the zeroing pass
-// over the table's missed slots is included (it shows at small partitions).
-// Run with `-tags purego` for the portable body's cost.
+// BenchmarkScanBucket times the subORAM linear scan — per object: one
+// SipHash and one obliv.Buckets.Scan (key pass + block pass) per tier — at
+// the four (α, objects per partition) shapes of BENCHMARK.json's workloads
+// and one paper-like shape whose table outgrows L2. ns/object and ns/slot
+// come from the scan's own stopwatch (Stats.Scan): table build and
+// extraction are excluded. The sub-benchmark name ends in the kernel body
+// that ran (obliv.Kernel()), so numbers from different bodies are never
+// compared; run with `-tags purego` for the portable one.
 func BenchmarkScanBucket(b *testing.B) {
 	for _, shape := range []struct {
 		name           string
@@ -507,8 +508,9 @@ func BenchmarkScanBucket(b *testing.B) {
 		{"batch_heavy", 845, 1 << 9},
 		{"remote_durable", 512, 1 << 13},
 		{"open_mixed", 122, 1 << 11},
+		{"paper_like", 1024, 1 << 20}, // off the ledger: a table larger than L2
 	} {
-		b.Run(fmt.Sprintf("%s/alpha=%d/objects=%d", shape.name, shape.alpha, shape.objects), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/alpha=%d/objects=%d/%s", shape.name, shape.alpha, shape.objects, obliv.Kernel()), func(b *testing.B) {
 			pool := arena.NewPool()
 			sub := suboram.New(suboram.Config{BlockSize: benchBlock, Pool: pool})
 			ids := make([]uint64, shape.objects)

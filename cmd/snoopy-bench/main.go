@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"snoopy/internal/figures"
+	"snoopy/internal/obliv"
 )
 
 func main() {
@@ -39,6 +40,7 @@ func main() {
 	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
 	lbtreeOut := flag.String("lbtree", "", "instead of a figure, benchmark the monolithic load balancer against 1/2/4/8-leaf aggregation trees and write the comparison to this JSON file")
 	flag.Parse()
+	fmt.Printf("scan kernel: %s\n", obliv.Kernel())
 
 	if *traffic != "" {
 		err := runTraffic(trafficOptions{

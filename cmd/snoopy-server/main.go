@@ -66,6 +66,7 @@ import (
 	"snoopy/internal/enclave"
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/metrics"
+	"snoopy/internal/obliv"
 	"snoopy/internal/persist"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
@@ -272,6 +273,7 @@ func main() {
 		copy(key[:], raw)
 	}
 	platform := enclave.NewPlatformFromKey(key)
+	fmt.Printf("scan kernel: %s\n", obliv.Kernel())
 
 	// One registry instruments the partition, its durable layer, and the
 	// transport. Every instrument it exposes is keyed on public events

@@ -3,10 +3,8 @@ package snoopy
 import (
 	"time"
 
-	"snoopy/internal/adaptive"
 	"snoopy/internal/cluster"
 	"snoopy/internal/core"
-	"snoopy/internal/pir"
 	"snoopy/internal/planner"
 	"snoopy/internal/replica"
 	"snoopy/internal/store"
@@ -14,8 +12,8 @@ import (
 )
 
 // This file exposes the paper's extension features (§6, §9, Appendix D):
-// access control, fault-tolerant/rollback-protected partitions, PIR-backed
-// partitions, and the latency-minimizing planner.
+// access control, fault-tolerant/rollback-protected partitions, and the
+// latency-minimizing planner.
 
 // Operation codes for ACL rules.
 const (
@@ -132,27 +130,6 @@ type Supervisor = cluster.Supervisor
 // standby, or a node restored from sealed durable state).
 func NewSupervisor(parts int, promote FailoverFunc, policy FailoverPolicy) *Supervisor {
 	return cluster.NewSupervisor(parts, promote, policy)
-}
-
-// NewAdaptiveSubORAM builds a partition that switches between the
-// throughput-optimized linear-scan engine and the latency-optimized DORAM
-// based on observed batch sizes — the adaptive-workload direction §1.1
-// leaves as future work. switchBelow/switchAbove set the hysteresis band
-// in mean batch size (0 picks defaults).
-func NewAdaptiveSubORAM(blockSize, switchBelow, switchAbove int) (SubORAM, error) {
-	return adaptive.New(adaptive.Config{
-		BlockSize:   blockSize,
-		SwitchBelow: switchBelow,
-		SwitchAbove: switchAbove,
-	})
-}
-
-// NewPIRSubORAM builds a partition served by two-server XOR PIR (paper §9
-// "Private Information Retrieval"): reads are information-theoretically
-// private against either (non-colluding) server; writes are applied in the
-// clear, so use it for read-dominated stores such as transparency logs.
-func NewPIRSubORAM(blockSize int) SubORAM {
-	return pir.NewSubORAM(blockSize)
 }
 
 // PlanDeploymentForBudget is the §6 extension planner: given a data size,

@@ -62,24 +62,6 @@ func TestPublicReplicatedDeployment(t *testing.T) {
 	}
 }
 
-func TestPublicPIRDeployment(t *testing.T) {
-	subs := []snoopy.SubORAM{snoopy.NewPIRSubORAM(160), snoopy.NewPIRSubORAM(160)}
-	st, err := snoopy.OpenWithSubORAMs(snoopy.Config{
-		Lambda: 32, Epoch: 2 * time.Millisecond,
-	}, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Load(map[uint64][]byte{5: []byte("pir-value")}); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := st.Read(5)
-	if err != nil || !ok || !bytes.HasPrefix(v, []byte("pir-value")) {
-		t.Fatalf("pir read: %q %v %v", v, ok, err)
-	}
-}
-
 func TestPlanDeploymentForBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs calibration")

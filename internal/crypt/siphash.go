@@ -100,11 +100,22 @@ func SipHash(k SipKey, id uint64) uint64 {
 	return v0 ^ v1 ^ v2 ^ v3
 }
 
-// SipBucket maps id to [0, n) using SipHash with multiply-shift reduction.
+// SipBucket maps id to [0, n) using SipHash with multiply-shift reduction
+// of the output's high word.
 func SipBucket(k SipKey, id uint64, n int) uint32 {
-	if n <= 0 {
-		panic("crypt: SipBucket range must be positive")
+	b, _ := SipBuckets(k, id, n, 1)
+	return b
+}
+
+// SipBuckets maps id to a bucket in [0, n1) and a bucket in [0, n2) from
+// one SipHash: multiply-shift reduction of the output's high word for the
+// first (SipBucket's value) and of its low word for the second. The two
+// words are disjoint bits of one PRF output, so for a fresh key the pair is
+// distributed as two independent hashes would be.
+func SipBuckets(k SipKey, id uint64, n1, n2 int) (b1, b2 uint32) {
+	if n1 <= 0 || n2 <= 0 {
+		panic("crypt: SipBuckets ranges must be positive")
 	}
 	v := SipHash(k, id)
-	return uint32((v >> 32) * uint64(n) >> 32)
+	return uint32((v >> 32) * uint64(n1) >> 32), uint32((v & (1<<32 - 1)) * uint64(n2) >> 32)
 }

@@ -463,8 +463,8 @@ func TestMatchResponsesDegradedEpochs(t *testing.T) {
 // of the plane's requests matched against the whole response set.
 func TestMatchResponsesRealSubORAMs(t *testing.T) {
 	const S, L, objects = 3, 3, 2048
-	pinned := &[2]crypt.SipKey{{1, 2}, {3, 4}}
-	for _, keys := range []*[2]crypt.SipKey{pinned, nil} {
+	pinned := &crypt.SipKey{1, 2}
+	for _, keys := range []*crypt.SipKey{pinned, nil} {
 		rng := rand.New(rand.NewSource(83))
 		key := crypt.MustNewKey()
 		lbs := make([]*LoadBalancer, L)
@@ -480,7 +480,7 @@ func TestMatchResponsesRealSubORAMs(t *testing.T) {
 		pids, pdata, _ := lbs[0].Partition(ids, data)
 		subs := make([]*suboram.SubORAM, S)
 		for p := range subs {
-			subs[p] = suboram.New(suboram.Config{BlockSize: testBlock, TestHashKeys: keys})
+			subs[p] = suboram.New(suboram.Config{BlockSize: testBlock, TestHashKey: keys})
 			if err := subs[p].Init(pids[p], pdata[p]); err != nil {
 				t.Fatal(err)
 			}

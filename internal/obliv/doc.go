@@ -9,9 +9,9 @@
 //     kept as an ablation baseline),
 //   - oblivious distribution, compaction's inverse: elements at the front
 //     of an array are routed to destination slots they carry,
-//   - the subORAM scan's bucket kernel: BucketMasks (key pass) and
-//     FusedBucket (column-major block pass), on AVX2 lanes where CPUID
-//     reports them and in portable Go otherwise.
+//   - the subORAM scan's bucket kernel: Buckets.Scan (key pass and
+//     column-major block pass in one call), on the widest vector body CPUID
+//     reports (AVX-512VL, AVX2) and in portable Go otherwise.
 //
 // Obliviousness contract: every exported algorithm performs a sequence of
 // element accesses (reads, conditional swaps) whose *positions* are a fixed

@@ -6,61 +6,50 @@ package obliv
 // kernels in simd_amd64.s (true here) or the portable scalar fallback.
 const SIMDWordLoops = true
 
-// hasAVX2 selects the 32-byte-lane bodies of BucketMasks and FusedBucket.
-// It is read from CPUID once at package init: a public property of the
-// platform, never of data.
-var hasAVX2 = detectAVX2()
-
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// detectAVX2 reports whether the CPU implements AVX2 and the OS saves the
-// YMM state across context switches.
-func detectAVX2() bool {
+// kernels lists the bucket-kernel bodies this platform can run, narrowest
+// first: the portable one always; AVX2 when the CPU implements it and the OS
+// saves the YMM state across context switches; AVX-512VL when the CPU also
+// has AVX512F and VL and the OS saves the opmask and ZMM state (XCR0 bits
+// 5–7), which the EVEX encoding requires even on 256-bit registers.
+func kernels() []isa {
+	ks := []isa{isaGo}
 	const osxsave, avx = 1 << 27, 1 << 28
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return ks
 	}
 	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
+		return ks
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
+	xcr0, _ := xgetbv()
+	if xcr0&6 != 6 { // XMM and YMM state enabled
+		return ks
 	}
+	const avx2, avx512f, avx512vl = 1 << 5, 1 << 16, 1 << 31
 	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}
-
-//go:noescape
-func bucketMasksAVX2(id uint64, key *uint64, tag, op, aux *uint8, write uint8, n int, mw, mrw *uint64)
-
-// bucketMasksLanes runs BucketMasks' leading multiple-of-four slots on the
-// AVX2 lanes and returns how many slots it covered (0 without AVX2).
-func bucketMasksLanes(id uint64, key []uint64, tag, op, aux []uint8, write uint8, mw, mrw []uint64) int {
-	n := len(key) &^ 3
-	if !hasAVX2 || n == 0 {
-		return 0
+	if b&avx2 == 0 {
+		return ks
 	}
-	bucketMasksAVX2(id, &key[0], &tag[0], &op[0], &aux[0], write, n, &mw[0], &mrw[0])
-	return n
-}
-
-//go:noescape
-func fusedBucketAVX2(obj, slots *byte, n, blockSize, z int, mw, mrw *uint64)
-
-// fusedBucketLanes runs FusedBucket's leading 32-byte-multiple columns on
-// the AVX2 lanes and returns how many bytes of every block it covered (0
-// without AVX2): fusedBucketWords finishes from there.
-func fusedBucketLanes(obj, slots []byte, blockSize int, mw, mrw []uint64) int {
-	n := blockSize &^ 31
-	if !hasAVX2 || n == 0 || len(mw) == 0 {
-		return 0
+	ks = append(ks, isaAVX2)
+	if b&(avx512f|avx512vl) == avx512f|avx512vl && xcr0&0xe0 == 0xe0 {
+		ks = append(ks, isaAVX512VL)
 	}
-	fusedBucketAVX2(&obj[0], &slots[0], n, blockSize, len(mw), &mw[0], &mrw[0])
-	return n
+	return ks
 }
+
+// scanBucketLanes is the vector bodies' share of Buckets.scan for the
+// bucket whose first row is lo: prefetch the z rows from row warm (if not
+// negative), run the key pass over the first lanes slots (a multiple of
+// four; the masks of the rest are already in b.mw/b.mrw), then the block
+// pass over the first blockSize&^31 bytes of obj and of all z slots — with
+// VPTERNLOGQ on 160-byte columns if wide, with and/xor on 128-byte columns
+// if not.
+//
+//go:noescape
+func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool)
 
 //go:noescape
 func fusedAccessAsm(mw, mrw uint64, obj, slot *byte, n int)

@@ -1,9 +1,12 @@
-// SSE2 kernels for the fused oblivious word loops and the AVX2 body of
-// FusedBucket. Every instruction executes unconditionally with
+//go:build !purego
+
+// SSE2 kernels for the fused oblivious word loops and the AVX2 / AVX-512VL
+// bodies of Buckets.Scan. Every instruction executes unconditionally with
 // data-independent control flow: the masks select values, never branches,
 // so the access pattern and the instruction trace are identical whether a
 // condition is 0 or 1.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func fusedAccessAsm(mw, mrw uint64, obj, slot *byte, n int)
@@ -175,24 +178,96 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func bucketMasksAVX2(id uint64, key *uint64, tag, op, aux *uint8, write uint8, n int, mw, mrw *uint64)
-// Requires n > 0 and n%4 == 0. Four slots per step, for j in [0, n):
+// WARM prefetches every cache line of [p, end); p is consumed.
+#define WARM(loop, p, end) \
+	ANDQ $-64, p \
+loop: \
+	PREFETCHT0 (p) \
+	ADDQ $64, p \
+	CMPQ p, end \
+	JLT  loop
+
+// SELECT is the bitwise select dst' = mask ? src : dst as one VPTERNLOGQ:
+// with the destination as operand A, the mask as B and the source as C, the
+// truth table of B ? C : A is 0xB8.
+#define SELECT(src, mask, dst) VPTERNLOGQ $0xB8, src, mask, dst
+
+// func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool)
 //
-//	mrw[j] = (key[j] == id) & (tag[j]&1 == 1)   as all-ones / zero
-//	mw[j]  = mrw[j] & (op[j] == write)
-//	aux[j] = aux[j] ^ (mrw[j] & (aux[j]^1))     on the low byte
+// Three sections, each with loop bounds in b.z, b.blockSize and the
+// arguments lanes, warm and wide only — public shape, never row contents.
 //
-// The loop bound is n only; keys, tags and ops reach compares and ANDs.
-TEXT ·bucketMasksAVX2(SB), NOSPLIT, $0-72
-	MOVQ key+8(FP), SI
-	MOVQ tag+16(FP), R8
-	MOVQ op+24(FP), R9
-	MOVQ aux+32(FP), DI
+// 1. If warm >= 0, PREFETCHT0 rows [warm, warm+z) of key, tag, op, aux and
+//    data.
+// 2. Key pass, four slots per step, for j in [0, lanes) (lanes%4 == 0) and
+//    row = lo+j:
+//
+//	mrw[j]   = (key[row] == id) & (tag[row]&1 == 1)   as all-ones / zero
+//	mw[j]    = mrw[j] & (op[row] == write)
+//	aux[row] = aux[row] ^ (mrw[j] & (aux[row]^1))     on the low byte
+//
+//    Keys, tags and ops reach compares and ANDs.
+// 3. Block pass over the first blockSize&^31 bytes of obj and of each of
+//    the z slots from row lo, column-major: a 160-byte (wide) or 128-byte
+//    column of the object, then 32-byte ones, is held in registers while
+//    every slot's column streams through it in slot order,
+//
+//	slot_j' = mrw[j] ? obj    : slot_j
+//	obj'    = mw[j]  ? slot_j : obj
+//
+//    as two VPTERNLOGQ per register against a renamed copy of slot_j (wide;
+//    the only use of registers 16 and up, so no 512-bit state is touched) or
+//    as d = obj^slot_j, obj ^= mw[j]&d, slot_j ^= mrw[j]&d (not wide), and is
+//    stored once.
+TEXT ·scanBucketLanes(SB), NOSPLIT, $0-57
+	MOVQ b+0(FP), BX
+	MOVQ Buckets_z(BX), R9
+	MOVQ Buckets_blockSize(BX), R8
+	MOVQ Buckets_mw(BX), R12
+	MOVQ Buckets_mrw(BX), R13
+
+	MOVQ warm+48(FP), DX
+	TESTQ DX, DX
+	JLT  keys
+	MOVQ Buckets_key(BX), SI
+	LEAQ (SI)(DX*8), SI
+	LEAQ (SI)(R9*8), DI
+	WARM(warmkey, SI, DI)
+	MOVQ Buckets_tag(BX), SI
+	ADDQ DX, SI
+	LEAQ (SI)(R9*1), DI
+	WARM(warmtag, SI, DI)
+	MOVQ Buckets_op(BX), SI
+	ADDQ DX, SI
+	LEAQ (SI)(R9*1), DI
+	WARM(warmop, SI, DI)
+	MOVQ Buckets_aux(BX), SI
+	ADDQ DX, SI
+	LEAQ (SI)(R9*1), DI
+	WARM(warmaux, SI, DI)
+	MOVQ Buckets_data(BX), SI
+	IMULQ R8, DX
+	ADDQ DX, SI
+	MOVQ R9, DI
+	IMULQ R8, DI
+	ADDQ SI, DI
+	WARM(warmdata, SI, DI)
+
+keys:
+	MOVQ lanes+16(FP), CX
+	TESTQ CX, CX
+	JEQ  blocks
+	MOVQ lo+8(FP), AX
+	MOVQ Buckets_key(BX), SI
+	LEAQ (SI)(AX*8), SI
+	MOVQ Buckets_tag(BX), R10
+	ADDQ AX, R10
+	MOVQ Buckets_op(BX), R11
+	ADDQ AX, R11
+	MOVQ Buckets_aux(BX), DI
+	ADDQ AX, DI
 	MOVBQZX write+40(FP), AX
-	MOVQ n+48(FP), CX
-	MOVQ mw+56(FP), R10
-	MOVQ mrw+64(FP), R11
-	VPBROADCASTQ id+0(FP), Y0
+	VPBROADCASTQ id+24(FP), Y0
 	VMOVQ AX, X2
 	VPBROADCASTQ X2, Y2
 	VPCMPEQQ Y1, Y1, Y1
@@ -201,52 +276,122 @@ TEXT ·bucketMasksAVX2(SB), NOSPLIT, $0-72
 
 masks4:
 	VPCMPEQQ (SI)(AX*8), Y0, Y3
-	VPMOVZXBQ (R8)(AX*1), Y4
-	VPMOVZXBQ (R9)(AX*1), Y5
+	VPMOVZXBQ (R10)(AX*1), Y4
+	VPMOVZXBQ (R11)(AX*1), Y5
 	VPAND Y1, Y4, Y4
 	VPCMPEQQ Y1, Y4, Y4
 	VPCMPEQQ Y2, Y5, Y5
 	VPAND Y4, Y3, Y3
 	VPAND Y3, Y5, Y5
-	VMOVDQU Y3, (R11)(AX*8)
-	VMOVDQU Y5, (R10)(AX*8)
+	VMOVDQU Y3, (R13)(AX*8)
+	VMOVDQU Y5, (R12)(AX*8)
 
 	// One byte per qword of mrw: byte j of DX is 0xFF or 0x00.
 	VPMOVMSKB Y3, DX
-	MOVL (DI)(AX*1), BX
-	MOVL BX, R12
-	XORL $0x01010101, R12
-	ANDL DX, R12
-	XORL BX, R12
-	MOVL R12, (DI)(AX*1)
+	MOVL (DI)(AX*1), R8
+	MOVL R8, R9
+	XORL $0x01010101, R9
+	ANDL DX, R9
+	XORL R8, R9
+	MOVL R9, (DI)(AX*1)
 
 	ADDQ $4, AX
 	CMPQ AX, CX
 	JLT  masks4
 
-	VZEROUPPER
-	RET
+	MOVQ Buckets_z(BX), R9
+	MOVQ Buckets_blockSize(BX), R8
 
-// func fusedBucketAVX2(obj, slots *byte, n, blockSize, z int, mw, mrw *uint64)
-// Requires n > 0, n%32 == 0, n <= blockSize and z > 0. Column-major over the
-// first n bytes of the object and of each of the z slots (slot j starts at
-// slots + j*blockSize): a 128-byte (then 32-byte) column of the object is
-// held in registers while every slot's column streams through it in slot
-// order,
-//
-//	d      = obj ^ slot_j
-//	obj   ^= mw[j]  & d
-//	slot_j ^= mrw[j] & d
-//
-// and is stored once. The loop bounds are n, blockSize and z only.
-TEXT ·fusedBucketAVX2(SB), NOSPLIT, $0-56
-	MOVQ obj+0(FP), SI
-	MOVQ slots+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ blockSize+24(FP), R8
-	MOVQ z+32(FP), R9
-	MOVQ mw+40(FP), R10
-	MOVQ mrw+48(FP), R11
+blocks:
+	MOVQ lo+8(FP), AX
+	IMULQ R8, AX
+	MOVQ Buckets_data(BX), DI
+	ADDQ AX, DI
+	MOVQ obj+32(FP), SI
+	MOVQ R8, CX
+	ANDQ $-32, CX
+	CMPB wide+56(FP), $0
+	JEQ  col128
+
+col160:
+	CMPQ CX, $160
+	JLT  col32w
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y1
+	VMOVDQU 64(SI), Y2
+	VMOVDQU 96(SI), Y3
+	VMOVDQU 128(SI), Y4
+	MOVQ DI, DX
+	XORQ AX, AX
+
+slot160:
+	VPBROADCASTQ (R12)(AX*8), Y8
+	VPBROADCASTQ (R13)(AX*8), Y9
+	VMOVDQU (DX), Y10
+	VMOVDQU 32(DX), Y11
+	VMOVDQU 64(DX), Y12
+	VMOVDQU 96(DX), Y13
+	VMOVDQU 128(DX), Y14
+	VMOVDQA64 Y10, Y16
+	VMOVDQA64 Y11, Y17
+	VMOVDQA64 Y12, Y18
+	VMOVDQA64 Y13, Y19
+	VMOVDQA64 Y14, Y20
+	SELECT(Y0, Y9, Y10)
+	SELECT(Y1, Y9, Y11)
+	SELECT(Y2, Y9, Y12)
+	SELECT(Y3, Y9, Y13)
+	SELECT(Y4, Y9, Y14)
+	SELECT(Y16, Y8, Y0)
+	SELECT(Y17, Y8, Y1)
+	SELECT(Y18, Y8, Y2)
+	SELECT(Y19, Y8, Y3)
+	SELECT(Y20, Y8, Y4)
+	VMOVDQU Y10, (DX)
+	VMOVDQU Y11, 32(DX)
+	VMOVDQU Y12, 64(DX)
+	VMOVDQU Y13, 96(DX)
+	VMOVDQU Y14, 128(DX)
+	ADDQ R8, DX
+	INCQ AX
+	CMPQ AX, R9
+	JLT  slot160
+
+	VMOVDQU Y0, (SI)
+	VMOVDQU Y1, 32(SI)
+	VMOVDQU Y2, 64(SI)
+	VMOVDQU Y3, 96(SI)
+	VMOVDQU Y4, 128(SI)
+	ADDQ $160, SI
+	ADDQ $160, DI
+	SUBQ $160, CX
+	JMP  col160
+
+col32w:
+	CMPQ CX, $32
+	JLT  done
+	VMOVDQU (SI), Y0
+	MOVQ DI, DX
+	XORQ AX, AX
+
+slot32w:
+	VPBROADCASTQ (R12)(AX*8), Y8
+	VPBROADCASTQ (R13)(AX*8), Y9
+	VMOVDQU (DX), Y10
+	VMOVDQA64 Y10, Y16
+	SELECT(Y0, Y9, Y10)
+	SELECT(Y16, Y8, Y0)
+	VMOVDQU Y10, (DX)
+	ADDQ R8, DX
+	INCQ AX
+	CMPQ AX, R9
+	JLT  slot32w
+
+	VMOVDQU Y0, (SI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $32, CX
+	JMP  col32w
 
 col128:
 	CMPQ CX, $128
@@ -259,8 +404,8 @@ col128:
 	XORQ AX, AX
 
 slot128:
-	VPBROADCASTQ (R10)(AX*8), Y8
-	VPBROADCASTQ (R11)(AX*8), Y9
+	VPBROADCASTQ (R12)(AX*8), Y8
+	VPBROADCASTQ (R13)(AX*8), Y9
 	VPXOR (DX), Y0, Y10
 	VPXOR 32(DX), Y1, Y11
 	VPXOR 64(DX), Y2, Y12
@@ -301,14 +446,14 @@ slot128:
 
 col32:
 	CMPQ CX, $32
-	JLT  bucketdone
+	JLT  done
 	VMOVDQU (SI), Y0
 	MOVQ DI, DX
 	XORQ AX, AX
 
 slot32:
-	VPBROADCASTQ (R10)(AX*8), Y8
-	VPBROADCASTQ (R11)(AX*8), Y9
+	VPBROADCASTQ (R12)(AX*8), Y8
+	VPBROADCASTQ (R13)(AX*8), Y9
 	VPXOR (DX), Y0, Y10
 	VPAND Y8, Y10, Y4
 	VPAND Y9, Y10, Y10
@@ -326,6 +471,6 @@ slot32:
 	SUBQ $32, CX
 	JMP  col32
 
-bucketdone:
+done:
 	VZEROUPPER
 	RET

@@ -6,15 +6,14 @@ package obliv
 // (false here: portable scalar fallback).
 const SIMDWordLoops = false
 
-// bucketMasksLanes reports how many leading slots a SIMD body covered: none
-// here, BucketMasks' own loop does them all.
-func bucketMasksLanes(id uint64, key []uint64, tag, op, aux []uint8, write uint8, mw, mrw []uint64) int {
-	return 0
-}
+// kernels lists the bucket-kernel bodies this build can run: the portable
+// one.
+func kernels() []isa { return []isa{isaGo} }
 
-// fusedBucketLanes reports how many leading bytes of every block a SIMD
-// body covered: none here, fusedBucketWords does the whole block.
-func fusedBucketLanes(obj, slots []byte, blockSize int, mw, mrw []uint64) int { return 0 }
+// scanBucketLanes is the vector bodies' entry point; no body here selects it.
+func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool) {
+	panic("obliv: no vector kernel in this build")
+}
 
 // fusedWords applies obj' = obj^(mw&(obj^slot)), slot' = slot^(mrw&(obj^slot))
 // to the first n bytes of both slices. n must be a multiple of 8 and no

@@ -304,9 +304,8 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	return out, nil
 }
 
-// Export returns a copy of the partition contents; used for engine
-// switching (internal/adaptive). The bulk read disables the
-// oblivious-client cost simulation, as migration is an offline phase.
+// Export returns a copy of the partition contents. The bulk read disables
+// the oblivious-client cost simulation, as migration is an offline phase.
 func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

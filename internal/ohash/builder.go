@@ -84,16 +84,16 @@ func ensureBits(buf *[]uint8, n int) []uint8 {
 // Builder's scratch buffers, tier storage, and Table struct. The returned
 // table is valid only until the next Build call.
 func (b *Builder) Build(reqs *store.Requests) (*Table, error) {
-	return b.buildWithKeys(reqs, crypt.MustNewSipKey(), crypt.MustNewSipKey())
+	return b.buildWithKey(reqs, crypt.MustNewSipKey())
 }
 
-func (b *Builder) buildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Table, error) {
+func (b *Builder) buildWithKey(reqs *store.Requests, k crypt.SipKey) (*Table, error) {
 	n := reqs.Len()
 	if n == 0 {
 		return nil, errEmptyBatch
 	}
 	g := b.geometry(n)
-	b.tbl = Table{Geom: g, K1: k1, K2: k2, pool: b.p.pool()}
+	b.tbl = Table{Geom: g, K: k, pool: b.p.pool()}
 	t := &b.tbl
 	// The tiers are built in place: tier 1 starts as the batch itself and
 	// tier 2 as the overflow candidates, each with room to grow into its

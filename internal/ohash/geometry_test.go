@@ -243,22 +243,22 @@ func TestGeometryIsAFunctionOfPublicInputs(t *testing.T) {
 
 // ---- Monte Carlo: the bounds against the events they bound ----
 
-// placement throws keys 0 … g.N−1 at a table of shape g under fresh hash
-// keys, the way the build does — a bucket keeps its Z1 smallest keys, the
-// rest spill, tier 2 takes at most C2 of them at most Z2 to a bucket — and
-// reports whether the build overflows. counts and load are scratch.
-func placement(g Geometry, k1, k2 crypt.SipKey, counts, load []int) bool {
+// placement throws keys 0 … g.N−1 at a table of shape g under a fresh hash
+// key, the way the build does — both buckets of a key from its one hash; a
+// bucket keeps its Z1 smallest keys, the rest spill, tier 2 takes at most C2
+// of them at most Z2 to a bucket — and reports whether the build overflows.
+// counts and load are scratch.
+func placement(g Geometry, k crypt.SipKey, counts, load []int) bool {
 	clear(counts)
 	clear(load)
 	spilled := 0
 	over := false
 	for key := uint64(0); key < uint64(g.N); key++ {
-		b := crypt.SipBucket(k1, key, g.B1)
+		b, b2 := crypt.SipBuckets(k, key, g.B1, g.B2)
 		if counts[b]++; counts[b] <= g.Z1 {
 			continue
 		}
 		spilled++
-		b2 := crypt.SipBucket(k2, key, g.B2)
 		if load[b2]++; load[b2] > g.Z2 {
 			over = true
 		}
@@ -279,15 +279,15 @@ func overflowRate(t *testing.T, g Geometry, rng *rand.Rand, trials, checkEvery i
 	b := NewBuilder(Params{})
 	overflows, builtOverflows := 0, 0
 	for trial := 0; trial < trials; trial++ {
-		k1, k2 := crypt.SipKey{rng.Uint64(), rng.Uint64()}, crypt.SipKey{rng.Uint64(), rng.Uint64()}
-		over := placement(g, k1, k2, counts, load)
+		k := crypt.SipKey{rng.Uint64(), rng.Uint64()}
+		over := placement(g, k, counts, load)
 		if over {
 			overflows++
 		}
 		if trial%checkEvery == 0 || (over && builtOverflows < 50) {
-			_, err := withGeometry(b, g).buildWithKeys(reqs, k1, k2)
+			_, err := withGeometry(b, g).buildWithKey(reqs, k)
 			if over != errors.Is(err, ErrOverflow) || (!over && err != nil) {
-				t.Fatalf("%+v under keys %x %x: placement says overflow=%v, Build says %v", g, k1, k2, over, err)
+				t.Fatalf("%+v under key %x: placement says overflow=%v, Build says %v", g, k, over, err)
 			}
 			if over {
 				builtOverflows++
@@ -306,7 +306,11 @@ func overflowRate(t *testing.T, g Geometry, rng *rand.Rand, trials, checkEvery i
 // capacity the bound computes holds, and the same shape with a quarter of
 // that capacity taken away overflows far more often than 2^-λ — an
 // experiment too weak to see an under-sized table, or a bound that sized it
-// with more than that to spare, fails here.
+// with more than that to spare, fails here. A third shape loads tier 2 to
+// exactly the count its bucket size was computed for, and holds the observed
+// rate to the exact binomial tail from both sides — the check that tier-2
+// placement from the low word of the hash that chose the tier-1 bucket is
+// still uniform given every tier-1 placement.
 func TestOverflowRateWithinBound(t *testing.T) {
 	trials := 100_000
 	if *exhaustive {
@@ -342,6 +346,27 @@ func TestOverflowRateWithinBound(t *testing.T) {
 			t.Fatalf("λ=%d: %+v, under-sized from C2=%d, overflowed only %d times in %d builds: the experiment cannot tell a table that is too small",
 				lambda, small, g.C2, bad, few)
 		}
+
+		// The tier-2 bucket bound where it binds: a tier 1 so loaded (64
+		// buckets of 4 at mean load 16) that, all but certainly, exactly
+		// spill = N − B1·Z1 rows reach tier 2, into B2 = 64 buckets of the Z2
+		// the exact tail gives for that many. Which rows spill is decided by
+		// the high word of each key's hash and where they land by the low
+		// word of the same hash; if the two were dependent the observed rate
+		// would leave the binomial tail it is held to here from both sides
+		// (the union bound over buckets is loose by well under a factor 2).
+		const spill = 1024 - 64*z1Step
+		full := Geometry{N: 1024, B1: 64, Z1: z1Step, C2: 1024, B2: 64}
+		full.Z2 = tier2Bucket(spill, full.B2, float64(lambda+1)*math.Ln2)
+		atSpill := full
+		atSpill.C2 = spill
+		tail, sd := float64(few)*tier2OverflowBound(atSpill), 3*math.Sqrt(float64(few)*tier2OverflowBound(atSpill))
+		got := float64(overflowRate(t, full, rng, few, 5000))
+		if got > tail+sd || got < tail/2-sd {
+			t.Fatalf("λ=%d %+v: %.0f tier-2 bucket overflows in %d builds, the exact tail predicts at most %.0f and no fewer than half",
+				lambda, full, got, few, tail)
+		}
+		t.Logf("λ=%d %+v: %.0f tier-2 bucket overflows in %d builds (exact tail × buckets: %.1f)", lambda, full, got, few, tail)
 	}
 }
 

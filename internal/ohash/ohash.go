@@ -71,9 +71,11 @@ func DefaultParams() Params { return Params{Lambda: 128} }
 // requests. Tier rows use Tag as the occupancy bit (1 = holds a batch
 // request) and Sub as the bucket index.
 type Table struct {
-	Geom  Geometry
-	K1    crypt.SipKey
-	K2    crypt.SipKey
+	Geom Geometry
+	// K is the batch's one hash key: a key's tier-1 bucket is the high word
+	// of its SipHash under K reduced to [0, B1), its tier-2 bucket the low
+	// word reduced to [0, B2) (crypt.SipBuckets).
+	K     crypt.SipKey
 	Tier1 *store.Requests // Geom.B1 × Geom.Z1 rows, bucket-major
 	Tier2 *store.Requests // Geom.B2 × Geom.Z2 rows, bucket-major
 
@@ -82,19 +84,19 @@ type Table struct {
 }
 
 // Build obliviously constructs a table from a batch of requests with
-// distinct keys. The input is not modified. Fresh hash keys are sampled per
+// distinct keys. The input is not modified. A fresh hash key is sampled per
 // call (paper §5: a new key for every batch so the attacker cannot link
 // bucket choices across batches).
 func Build(reqs *store.Requests, p Params) (*Table, error) {
-	return BuildWithKeys(reqs, p, crypt.MustNewSipKey(), crypt.MustNewSipKey())
+	return BuildWithKey(reqs, p, crypt.MustNewSipKey())
 }
 
-// BuildWithKeys is Build with caller-chosen hash keys. It exists so tests
-// can fix the keys and verify that, keys held equal, the construction and
+// BuildWithKey is Build with a caller-chosen hash key. It exists so tests
+// can fix the key and verify that, the key held equal, the construction and
 // scan traces are independent of request contents (the simulator argument
 // of §B.5). Production code must use Build.
-func BuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Table, error) {
-	return NewBuilder(p).buildWithKeys(reqs, k1, k2)
+func BuildWithKey(reqs *store.Requests, p Params, k crypt.SipKey) (*Table, error) {
+	return NewBuilder(p).buildWithKey(reqs, k)
 }
 
 var errEmptyBatch = fmt.Errorf("ohash: empty batch")
@@ -113,7 +115,7 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 
 	// ---- Tier 1 ----
 	for i := 0; i < n; i++ {
-		t1.Sub[i] = crypt.SipBucket(t.K1, t1.Key[i], g.B1)
+		t1.Sub[i] = crypt.SipBucket(t.K, t1.Key[i], g.B1)
 		t1.Tag[i] = 1
 	}
 	obliv.Sort(store.BySubKey{Requests: t1})
@@ -144,7 +146,7 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 	for i := 0; i < c; i++ {
 		// Real overflow rows hash into [0,B2); erased rows go to the
 		// sentinel bucket B2, selected branch-free.
-		h := crypt.SipBucket(t.K2, t2.Key[i], g.B2)
+		_, h := crypt.SipBuckets(t.K, t2.Key[i], g.B1, g.B2)
 		t2.Sub[i] = uint32(obliv.SelectU64(t2.Tag[i], uint64(g.B2), uint64(h)))
 	}
 	obliv.Sort(store.BySubKey{Requests: t2})
@@ -163,23 +165,24 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 	return nil
 }
 
-// Buckets returns the row ranges [lo1,hi1) in Tier1 and [lo2,hi2) in Tier2
-// that a lookup of id must scan in full. The bucket indices are a function
-// of the per-batch secret hash keys and id; revealing them is simulatable
-// from public information because keys are fresh and each id is looked up
-// at most once per batch (paper §5).
-func (t *Table) Buckets(id uint64) (lo1, hi1, lo2, hi2 int) {
-	b1 := int(crypt.SipBucket(t.K1, id, t.Geom.B1))
-	b2 := int(crypt.SipBucket(t.K2, id, t.Geom.B2))
-	return b1 * t.Geom.Z1, (b1 + 1) * t.Geom.Z1, b2 * t.Geom.Z2, (b2 + 1) * t.Geom.Z2
+// Buckets fills b1[i], b2[i] with the tier-1 and tier-2 buckets a lookup of
+// ids[i] must scan in full — one hash per identifier. The bucket indices are
+// a function of the per-batch secret hash key and the identifier; revealing
+// them is simulatable from public information because the key is fresh and
+// each identifier is looked up at most once per batch (paper §5).
+func (t *Table) Buckets(ids []uint64, b1, b2 []uint32) {
+	b1, b2 = b1[:len(ids)], b2[:len(ids)]
+	for i, id := range ids {
+		b1[i], b2[i] = crypt.SipBuckets(t.K, id, t.Geom.B1, t.Geom.B2)
+	}
 }
 
 // Extract obliviously recovers exactly the n batch rows — now carrying
 // whatever responses the subORAM scan deposited in them — in table order:
-// ascending by (tier-1 bucket under K1, key), with Sub holding that bucket.
-// Each tier is compacted in place, which keeps a tier's residents in slot
-// order: tier 1's are then already in table order; the at most C2 tier-2
-// residents are re-bucketed under K1, sorted, and folded in by one merge.
+// ascending by (tier-1 bucket, key), with Sub holding that bucket. Each tier
+// is compacted in place, which keeps a tier's residents in slot order: tier
+// 1's are then already in table order; the at most C2 tier-2 residents are
+// given their tier-1 bucket again, sorted, and folded in by one merge.
 // Vacant rows take the sentinel bucket B1 and one shared key, so they trail
 // every resident and the first n merged rows are the batch. The table is
 // consumed. The result is drawn from the table's arena pool; the caller owns
@@ -210,7 +213,7 @@ func (t *Table) Extract() *store.Requests {
 	out.CopyRowsPlain(0, t.Tier2)
 	out.CopyRowsPlain(c, t.Tier1)
 	for i := 0; i < c; i++ { // tier-1 rows already carry their bucket
-		out.Sub[i] = crypt.SipBucket(t.K1, out.Key[i], g.B1)
+		out.Sub[i] = crypt.SipBucket(t.K, out.Key[i], g.B1)
 	}
 	for i := 0; i < c+n; i++ {
 		out.Sub[i] = uint32(obliv.SelectU64(out.Tag[i], uint64(g.B1), uint64(out.Sub[i])))

@@ -21,10 +21,18 @@ func makeBatch(rng *rand.Rand, n, block int) *store.Requests {
 	return reqs
 }
 
+// bucketRows returns the row ranges of the two buckets a lookup of id scans.
+func bucketRows(t *Table, id uint64) (lo1, hi1, lo2, hi2 int) {
+	var b1, b2 [1]uint32
+	t.Buckets([]uint64{id}, b1[:], b2[:])
+	g := t.Geom
+	return int(b1[0]) * g.Z1, int(b1[0]+1) * g.Z1, int(b2[0]) * g.Z2, int(b2[0]+1) * g.Z2
+}
+
 // findKey scans the buckets for key and returns how many occupied slots
 // match, plus the location of the first match.
 func findKey(t *Table, key uint64) (count int, tier, slot int) {
-	lo1, hi1, lo2, hi2 := t.Buckets(key)
+	lo1, hi1, lo2, hi2 := bucketRows(t, key)
 	for s := lo1; s < hi1; s++ {
 		if t.Tier1.Tag[s] == 1 && t.Tier1.Key[s] == key {
 			count++
@@ -153,7 +161,7 @@ func TestBucketsInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(0); id < 1000; id++ {
-		lo1, hi1, lo2, hi2 := tbl.Buckets(id)
+		lo1, hi1, lo2, hi2 := bucketRows(tbl, id)
 		if lo1 < 0 || hi1 > tbl.Tier1.Len() || hi1-lo1 != tbl.Geom.Z1 {
 			t.Fatalf("tier-1 bucket range bad: [%d,%d)", lo1, hi1)
 		}

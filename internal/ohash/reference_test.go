@@ -36,20 +36,35 @@ func withGeometry(b *Builder, g Geometry) *Builder {
 	return b
 }
 
-// buildInShape is BuildWithKeys under a caller-chosen geometry.
-func buildInShape(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*Table, error) {
-	return withGeometry(NewBuilder(Params{}), g).buildWithKeys(reqs, k1, k2)
+// buildInShape is BuildWithKey under a caller-chosen geometry.
+func buildInShape(reqs *store.Requests, g Geometry, k crypt.SipKey) (*Table, error) {
+	return withGeometry(NewBuilder(Params{}), g).buildWithKey(reqs, k)
 }
 
-// refBuildWithKeys is the pad-and-sort construction this package used
-// before obliv.Distribute: every tier materializes Z padding rows per
-// bucket next to the real rows, sorts the lot by (bucket, key), keeps the
-// first Z of each bucket and compacts. Kept as the specification the
-// scatter construction must reproduce byte for byte, in any geometry
-// (tier-2 padding keys count from 1<<41, as the scatter's do).
-func refBuildWithKeys(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*Table, error) {
+// oneHash and twoKeys are the two placements the reference construction can
+// run under: both buckets of a key from one SipHash under k1 (what the
+// package builds), or tier 1 under k1 and tier 2 under an independent k2 (the
+// construction before it, kept as the differential's other side).
+func oneHash(g Geometry, k crypt.SipKey) func(uint64) (uint32, uint32) {
+	return func(key uint64) (uint32, uint32) { return crypt.SipBuckets(k, key, g.B1, g.B2) }
+}
+
+func twoKeys(g Geometry, k1, k2 crypt.SipKey) func(uint64) (uint32, uint32) {
+	return func(key uint64) (uint32, uint32) {
+		return crypt.SipBucket(k1, key, g.B1), crypt.SipBucket(k2, key, g.B2)
+	}
+}
+
+// refBuild is the pad-and-sort construction this package used before
+// obliv.Distribute: every tier materializes Z padding rows per bucket next
+// to the real rows, sorts the lot by (bucket, key), keeps the first Z of
+// each bucket and compacts. Kept as the specification the scatter
+// construction must reproduce byte for byte, in any geometry (tier-2 padding
+// keys count from 1<<41, as the scatter's do). place gives a key's two
+// buckets; k1 is recorded as the table's key (Extract's order).
+func refBuild(reqs *store.Requests, g Geometry, k1 crypt.SipKey, place func(uint64) (uint32, uint32)) (*Table, error) {
 	n := reqs.Len()
-	t := &Table{Geom: g, K1: k1, K2: k2}
+	t := &Table{Geom: g, K: k1}
 	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
 	t.Tier2 = store.NewRequests(g.B2*g.Z2, reqs.BlockSize)
 	work := store.NewRequests(n+g.B1*g.Z1, reqs.BlockSize)
@@ -62,7 +77,7 @@ func refBuildWithKeys(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*T
 	// ---- Tier 1 ----
 	for i := 0; i < n; i++ {
 		work.CopyRowPlain(i, reqs, i)
-		work.Sub[i] = crypt.SipBucket(t.K1, work.Key[i], g.B1)
+		work.Sub[i], _ = place(work.Key[i])
 		work.Tag[i] = 1
 	}
 	d := n
@@ -98,7 +113,7 @@ func refBuildWithKeys(reqs *store.Requests, g Geometry, k1, k2 crypt.SipKey) (*T
 	cand := spill.View(0, min(g.C2, spill.Len()))
 	for i := 0; i < cand.Len(); i++ {
 		work2.CopyRowPlain(i, cand, i)
-		h := crypt.SipBucket(t.K2, work2.Key[i], g.B2)
+		_, h := place(work2.Key[i])
 		work2.Sub[i] = uint32(obliv.SelectU64(work2.Tag[i], uint64(g.B2), uint64(h)))
 	}
 	d = cand.Len()
@@ -136,7 +151,7 @@ func sameRows(t *testing.T, what string, a, b *store.Requests) {
 // workloads: scan_heavy, batch_heavy, remote_durable, open_mixed.
 var ledgerShapes = [][2]int{{128, 1 << 15}, {845, 1 << 9}, {512, 1 << 13}, {122, 1 << 11}}
 
-// TestBuildMatchesPadAndSortReference: hash keys held equal, the scatter
+// TestBuildMatchesPadAndSortReference: the hash key held equal, the scatter
 // construction and the pad-and-sort one produce byte-identical tiers — same
 // occupied slots, same padding-key numbering — through a reused Builder
 // whose scratch shrinks and grows between batches, in the shapes GeometryFor
@@ -158,12 +173,12 @@ func TestBuildMatchesPadAndSortReference(t *testing.T) {
 		for _, g := range []Geometry{
 			GeometryFor(n, 0, 128), GeometryFor(n, n, 128), GeometryFor(n, 64*n, 128), legacyGeometry(n, 128),
 		} {
-			k1, k2 := crypt.MustNewSipKey(), crypt.MustNewSipKey()
-			want, err := refBuildWithKeys(reqs, g, k1, k2)
+			k := crypt.MustNewSipKey()
+			want, err := refBuild(reqs, g, k, oneHash(g, k))
 			if err != nil {
 				t.Fatalf("%+v: reference: %v", g, err)
 			}
-			got, err := withGeometry(b, g).buildWithKeys(reqs, k1, k2)
+			got, err := withGeometry(b, g).buildWithKey(reqs, k)
 			if err != nil {
 				t.Fatalf("%+v: %v", g, err)
 			}
@@ -176,11 +191,68 @@ func TestBuildMatchesPadAndSortReference(t *testing.T) {
 	}
 }
 
+// TestOneHashMovesOnlyTier2Residents is the differential against the
+// two-key construction the one-hash placement replaced: with the tier-1 key
+// held equal, tier 1 is byte-identical, tier 2 holds exactly the same rows —
+// only in other buckets — and what Extract returns (table order is tier 1's)
+// is byte-identical again, so nothing outside the table can tell the two
+// apart.
+func TestOneHashMovesOnlyTier2Residents(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	moved := 0
+	shapes := []Geometry{legacyGeometry(845, 128), legacyGeometry(2000, 128)} // loaded tier 1, many tier-2 buckets
+	for _, s := range append(ledgerShapes, [2]int{1024, 1 << 20}, [2]int{2048, 1 << 13}) {
+		shapes = append(shapes, GeometryFor(s[0], s[1], 128))
+	}
+	for _, g := range shapes {
+		reqs := makeBatch(rng, g.N, 24)
+		k1, k2 := crypt.MustNewSipKey(), crypt.MustNewSipKey()
+		old, err := refBuild(reqs, g, k1, twoKeys(g, k1, k2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := buildInShape(reqs, g, k1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("%+v tier 1", g), got.Tier1, old.Tier1)
+		residents := func(tbl *Table) map[uint64]int {
+			at := map[uint64]int{}
+			for i, tag := range tbl.Tier2.Tag {
+				if tag == 1 {
+					at[tbl.Tier2.Key[i]] = i / g.Z2
+				}
+			}
+			return at
+		}
+		was, is := residents(old), residents(got)
+		if len(was) != len(is) {
+			t.Fatalf("%+v: tier 2 holds %d rows, the two-key construction's %d", g, len(is), len(was))
+		}
+		for key, b := range was {
+			b2, ok := is[key]
+			if !ok {
+				t.Fatalf("%+v: key %d left tier 2", g, key)
+			}
+			if _, want := crypt.SipBuckets(k1, key, g.B1, g.B2); b2 != int(want) {
+				t.Fatalf("%+v: key %d in tier-2 bucket %d, its hash's low word says %d", g, key, b2, want)
+			}
+			if b2 != b {
+				moved++
+			}
+		}
+		sameRows(t, fmt.Sprintf("%+v extracted", g), got.Extract(), old.Extract())
+	}
+	if moved < 10 {
+		t.Fatalf("only %d tier-2 residents changed bucket: the comparison is vacuous", moved)
+	}
+}
+
 // crafted builds a batch whose keys land where the test wants them under
-// fixed hash keys: counts[b] keys in tier-1 bucket b, of which the ones that
+// a fixed hash key: counts[b] keys in tier-1 bucket b, of which the ones that
 // overflow (the largest; buckets keep their Z1 smallest keys) additionally
 // satisfy tier2 when it is non-nil.
-func crafted(t *testing.T, g Geometry, k1, k2 crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
+func crafted(t *testing.T, g Geometry, k crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
 	t.Helper()
 	n := 0
 	for _, c := range counts {
@@ -197,11 +269,11 @@ func crafted(t *testing.T, g Geometry, k1, k2 crypt.SipKey, counts []int, tier2 
 		if key > 1<<24 {
 			t.Fatal("crafted: key search exhausted")
 		}
-		b := crypt.SipBucket(k1, key, g.B1)
+		b, b2 := crypt.SipBuckets(k, key, g.B1, g.B2)
 		if have[b] == counts[b] {
 			continue
 		}
-		if have[b] >= g.Z1 && tier2 != nil && !tier2(crypt.SipBucket(k2, key, g.B2)) {
+		if have[b] >= g.Z1 && tier2 != nil && !tier2(b2) {
 			continue
 		}
 		have[b]++
@@ -257,15 +329,15 @@ var pinShapes = []struct {
 // keeps its Z1 smallest and spills exactly the largest into tier 2. Both
 // agree with the reference.
 func TestTier1BucketBoundary(t *testing.T) {
-	k1, k2 := crypt.SipKey{1, 2}, crypt.SipKey{3, 4}
+	k := crypt.SipKey{1, 2}
 	for _, shape := range pinShapes {
 		g := GeometryFor(shape.alpha, shape.objects, 128)
 		for _, extra := range []int{0, 1} {
 			// One bucket at Z1 + extra; nothing else overflows.
 			counts := overflowing(t, Geometry{N: g.N - g.Z1 - extra, B1: g.B1 - 1, Z1: g.Z1}, 0)
 			counts = append([]int{g.Z1 + extra}, counts...)
-			reqs := crafted(t, g, k1, k2, counts, nil)
-			tbl, err := buildInShape(reqs, g, k1, k2)
+			reqs := crafted(t, g, k, counts, nil)
+			tbl, err := buildInShape(reqs, g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +350,7 @@ func TestTier1BucketBoundary(t *testing.T) {
 			if extra == 1 {
 				var largest uint64
 				for i := 0; i < reqs.Len(); i++ {
-					if crypt.SipBucket(k1, reqs.Key[i], g.B1) == 0 && reqs.Key[i] > largest {
+					if crypt.SipBucket(k, reqs.Key[i], g.B1) == 0 && reqs.Key[i] > largest {
 						largest = reqs.Key[i]
 					}
 				}
@@ -286,7 +358,7 @@ func TestTier1BucketBoundary(t *testing.T) {
 					t.Fatalf("%s: bucket 0's largest key %d: found %d times, tier %d; want once in tier 2", shape.name, largest, c, tier)
 				}
 			}
-			want, err := refBuildWithKeys(reqs, g, k1, k2)
+			want, err := refBuild(reqs, g, k, oneHash(g, k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +374,7 @@ func TestTier1BucketBoundary(t *testing.T) {
 // tier-2 bucket place, Z2+1 is ErrOverflow (bucket). The reference fails
 // identically.
 func TestTier2Boundaries(t *testing.T) {
-	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
+	k := crypt.SipKey{5, 6}
 	for _, shape := range pinShapes {
 		g := GeometryFor(shape.alpha, shape.objects, 8)
 		if g.B2 < 2 || g.Z2 >= g.C2 {
@@ -310,8 +382,8 @@ func TestTier2Boundaries(t *testing.T) {
 		}
 		check := func(name string, reqs *store.Requests, wantOccupied int, wantErr string) {
 			t.Helper()
-			tbl, err := buildInShape(reqs, g, k1, k2)
-			_, refErr := refBuildWithKeys(reqs, g, k1, k2)
+			tbl, err := buildInShape(reqs, g, k)
+			_, refErr := refBuild(reqs, g, k, oneHash(g, k))
 			if wantErr == "" {
 				if err != nil || refErr != nil {
 					t.Fatalf("%s %s: err %v, reference %v; want both nil", shape.name, name, err, refErr)
@@ -335,14 +407,14 @@ func TestTier2Boundaries(t *testing.T) {
 			load[b2]++
 			return true
 		}
-		check("C2 overflow rows", crafted(t, g, k1, k2, overflowing(t, g, g.C2), spread), g.C2, "")
+		check("C2 overflow rows", crafted(t, g, k, overflowing(t, g, g.C2), spread), g.C2, "")
 		clear(load)
-		check("C2+1 overflow rows", crafted(t, g, k1, k2, overflowing(t, g, g.C2+1), spread), 0,
+		check("C2+1 overflow rows", crafted(t, g, k, overflowing(t, g, g.C2+1), spread), 0,
 			"tier-2 capacity exceeded by 1")
 		// Aim every overflow row at the last tier-2 bucket.
 		one := func(b2 uint32) bool { return int(b2) == g.B2-1 }
-		check("Z2 rows in one tier-2 bucket", crafted(t, g, k1, k2, overflowing(t, g, g.Z2), one), g.Z2, "")
-		check("Z2+1 rows in one tier-2 bucket", crafted(t, g, k1, k2, overflowing(t, g, g.Z2+1), one), 0,
+		check("Z2 rows in one tier-2 bucket", crafted(t, g, k, overflowing(t, g, g.Z2), one), g.Z2, "")
+		check("Z2+1 rows in one tier-2 bucket", crafted(t, g, k, overflowing(t, g, g.Z2+1), one), 0,
 			"tier-2 bucket exceeded by 1")
 	}
 }
@@ -398,7 +470,7 @@ func requireTableOrder(t *testing.T, what string, tbl *Table, got, ref *store.Re
 	if got.Len() != ref.Len() {
 		t.Fatalf("%s: %d rows, reference %d", what, got.Len(), ref.Len())
 	}
-	bucket := func(r *store.Requests, i int) uint32 { return crypt.SipBucket(tbl.K1, r.Key[i], tbl.Geom.B1) }
+	bucket := func(r *store.Requests, i int) uint32 { return crypt.SipBucket(tbl.K, r.Key[i], tbl.Geom.B1) }
 	idx := make([]int, ref.Len())
 	for i := range idx {
 		idx[i] = i
@@ -420,10 +492,10 @@ func requireTableOrder(t *testing.T, what string, tbl *Table, got, ref *store.Re
 // TestExtractMatchesCopyThenCompactInTableOrder: Extract returns exactly the
 // rows the copy-then-compact extraction does — carrying what a scan left in
 // Data and Aux — sorted by (bucket₁, key), for batches crafted under fixed
-// keys to put 0, 1 and C2 rows in tier 2 and to fill a tier-1 bucket to Z1
+// a key to put 0, 1 and C2 rows in tier 2 and to fill a tier-1 bucket to Z1
 // and Z1+1, and for random batches through a reused Builder.
 func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
-	k1, k2 := crypt.SipKey{5, 6}, crypt.SipKey{7, 8}
+	k := crypt.SipKey{5, 6}
 	rng := rand.New(rand.NewSource(63))
 	check := func(what string, tier2Rows int, build func() (*Table, error)) {
 		t.Helper()
@@ -452,8 +524,8 @@ func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
 			what  string
 			spill int
 		}{{"no tier-2 rows", 0}, {"one tier-2 row", 1}, {"C2 tier-2 rows", g.C2}} {
-			reqs := crafted(t, g, k1, k2, overflowing(t, g, c.spill), nil)
-			check(fmt.Sprintf("%+v: %s", g, c.what), c.spill, func() (*Table, error) { return buildInShape(reqs, g, k1, k2) })
+			reqs := crafted(t, g, k, overflowing(t, g, c.spill), nil)
+			check(fmt.Sprintf("%+v: %s", g, c.what), c.spill, func() (*Table, error) { return buildInShape(reqs, g, k) })
 		}
 	}
 
@@ -470,7 +542,7 @@ func TestExtractQuick(t *testing.T) {
 	f := func(seed int64, size uint16, k crypt.SipKey) bool {
 		rng := rand.New(rand.NewSource(seed))
 		reqs := makeBatch(rng, 1+int(size)%700, 8)
-		tbl, err := BuildWithKeys(reqs, DefaultParams(), k, crypt.SipKey{k[1], k[0]})
+		tbl, err := BuildWithKey(reqs, DefaultParams(), k)
 		if err != nil {
 			return errors.Is(err, ErrOverflow) // negligible, but not a wrong answer
 		}
@@ -502,7 +574,7 @@ func extractedInOrder(tbl *Table, reqs, out *store.Requests) bool {
 			return false
 		}
 		delete(want, out.Key[i])
-		if out.Sub[i] != crypt.SipBucket(tbl.K1, out.Key[i], tbl.Geom.B1) {
+		if out.Sub[i] != crypt.SipBucket(tbl.K, out.Key[i], tbl.Geom.B1) {
 			return false
 		}
 		if i > 0 && (out.Sub[i-1] > out.Sub[i] || (out.Sub[i-1] == out.Sub[i] && out.Key[i-1] >= out.Key[i])) {
@@ -534,7 +606,7 @@ func FuzzExtractTableOrder(f *testing.F) {
 			return
 		}
 		reqs.Resize(n)
-		tbl, err := BuildWithKeys(reqs, DefaultParams(), crypt.SipKey{k0, k1}, crypt.SipKey{k1, k0 + 1})
+		tbl, err := BuildWithKey(reqs, DefaultParams(), crypt.SipKey{k0, k1})
 		if err != nil {
 			if errors.Is(err, ErrOverflow) {
 				return

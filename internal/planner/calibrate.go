@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"log"
 	"time"
 
 	"snoopy/internal/crypt"
@@ -79,6 +80,8 @@ func Calibrate(blockSize, lambda int) CostModel {
 	slotNs := (nsA - nsB) / float64(slotsA-slotsB)
 	fixedNs := nsA - slotNs*float64(slotsA)
 	if slotNs <= 0 || fixedNs < 0 { // a disturbed probe: all of the scan on the slots
+		log.Printf("planner: calibration probes disagree (%.0f ns/object at %d slots, %.0f at %d): pricing the scan at %.2f ns per slot and nothing per object",
+			nsA, slotsA, nsB, slotsB, nsA/float64(slotsA))
 		slotNs, fixedNs = nsA/float64(slotsA), 0
 	}
 	return AnalyticModel(opNs, slotNs, fixedNs, lambda)

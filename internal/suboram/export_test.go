@@ -10,6 +10,15 @@ func (s *SubORAM) ScanTable(t *ohash.Table) error {
 	return s.scan(t)
 }
 
+// UseKernel makes every scan worker run the named obliv.Kernels body
+// instead of the platform's widest, for the all-bodies differentials.
+func (s *SubORAM) UseKernel(name string) {
+	for w := range s.scanCtx {
+		s.scanCtx[w].t1.Use(name)
+		s.scanCtx[w].t2.Use(name)
+	}
+}
+
 // Test-only hooks: simulate the untrusted host attacking the sealed
 // external memory (paper §2 integrity threat model).
 

@@ -31,21 +31,23 @@ func refScanBucket(tier *store.Requests, lo, hi int, id uint64, blk []byte) {
 	}
 }
 
-// refScan is the whole linear pass, single-threaded over a plain partition.
+// refScan is the whole linear pass, single-threaded over a plain partition,
+// one hash per object and no stripe.
 func refScan(table *ohash.Table, ids []uint64, data []byte, bs int, rec *trace.Recorder) {
+	g := table.Geom
 	for i, id := range ids {
 		rec.Record(trace.KindTouch, i, 0)
-		lo1, hi1, lo2, hi2 := table.Buckets(id)
+		b1, b2 := crypt.SipBuckets(table.K, id, g.B1, g.B2)
 		blk := data[i*bs : (i+1)*bs]
-		refScanBucket(table.Tier1, lo1, hi1, id, blk)
-		refScanBucket(table.Tier2, lo2, hi2, id, blk)
+		refScanBucket(table.Tier1, int(b1)*g.Z1, int(b1+1)*g.Z1, id, blk)
+		refScanBucket(table.Tier2, int(b2)*g.Z2, int(b2+1)*g.Z2, id, blk)
 	}
 }
 
 // refBatchAccess is batchAccessLocked over the reference scan.
-func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, keys [2]crypt.SipKey, ids []uint64, data []byte) *store.Requests {
+func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, key crypt.SipKey, ids []uint64, data []byte) *store.Requests {
 	t.Helper()
-	table, err := ohash.BuildWithKeys(reqs, hp, keys[0], keys[1])
+	table, err := ohash.BuildWithKey(reqs, hp, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,11 @@ func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, keys [2
 	for i := 0; i < out.Len(); i++ {
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
 	}
-	out.StampOrder(table.K1, table.Geom.B1)
+	out.StampOrder(table.K, table.Geom.B1)
 	return out
 }
 
-var refKeys = [2]crypt.SipKey{{0x0706050403020100, 0x0f0e0d0c0b0a0908}, {0x1716151413121110, 0x1f1e1d1c1b1a1918}}
+var refKey = crypt.SipKey{0x0706050403020100, 0x0f0e0d0c0b0a0908}
 
 // ledgerShapes are BENCHMARK.json's four workloads: the padded batch size α
 // and the partition size N that together fix the table's shape, and the
@@ -125,7 +127,8 @@ func requireSameRows(t *testing.T, what string, got, want *store.Requests) {
 	}
 }
 
-// TestScanMatchesSlotMajorReference: in every storage mode, scanning a
+// TestScanMatchesSlotMajorReference: in every storage mode and on every
+// kernel body this host has (not only the dispatched one), scanning a
 // pinned-key table in each ledger workload's own shape — the one
 // GeometryFor gives its (α, N) — leaves both tiers (every column, Data and
 // Aux included) and the partition byte-identical to the reference scan's,
@@ -147,105 +150,111 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 	}
 	for _, shape := range ledgerShapes {
 		for _, mode := range modes {
-			t.Run(fmt.Sprintf("alpha=%d/%s", shape.alpha, mode.name), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(shape.alpha)))
-				ids, data := refPartition(rng, shape.objects)
-				refData := append([]byte(nil), data...)
+			for _, kernel := range obliv.Kernels() {
+				t.Run(fmt.Sprintf("alpha=%d/%s/%s", shape.alpha, mode.name, kernel), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(shape.alpha)))
+					ids, data := refPartition(rng, shape.objects)
+					refData := append([]byte(nil), data...)
 
-				cfg := mode.cfg
-				cfg.BlockSize = refBlock
-				cfg.TestHashKeys = &refKeys
-				var sub *SubORAM
-				if mode.disk {
-					sub = newStoreBacked(t, cfg, 1) // Init below reformats the store
-				} else {
-					sub = New(cfg)
-				}
-				if err := sub.Init(ids, data); err != nil {
-					t.Fatal(err)
-				}
+					cfg := mode.cfg
+					cfg.BlockSize = refBlock
+					cfg.TestHashKey = &refKey
+					var sub *SubORAM
+					if mode.disk {
+						sub = newStoreBacked(t, cfg, 1) // Init below reformats the store
+					} else {
+						sub = New(cfg)
+					}
+					sub.UseKernel(kernel)
+					if err := sub.Init(ids, data); err != nil {
+						t.Fatal(err)
+					}
 
-				// Scan only, in the ledger's shape: compare the tables slot for slot.
-				hp := ohash.Params{Objects: shape.ledgerObjects}
-				reqs := refBatch(rng, shape.alpha, ids)
-				want, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ohash.BuildWithKeys(reqs, hp, refKeys[0], refKeys[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ledger := ohash.GeometryFor(shape.alpha, shape.ledgerObjects, 0); got.Geom != ledger {
-					t.Fatalf("table shaped %+v, the ledger's is %+v", got.Geom, ledger)
-				}
-				refScan(want, ids, refData, refBlock, nil)
-				if err := sub.scan(got); err != nil {
-					t.Fatal(err)
-				}
-				requireSameRows(t, "tier 1", got.Tier1, want.Tier1)
-				requireSameRows(t, "tier 2", got.Tier2, want.Tier2)
-				if found := bytes.Count(want.Tier1.Aux, []byte{1}) + bytes.Count(want.Tier2.Aux, []byte{1}); found == 0 {
-					t.Fatal("no request matched an object — the comparison is vacuous")
-				}
+					// Scan only, in the ledger's shape: compare the tables slot for slot.
+					hp := ohash.Params{Objects: shape.ledgerObjects}
+					reqs := refBatch(rng, shape.alpha, ids)
+					want, err := ohash.BuildWithKey(reqs, hp, refKey)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ohash.BuildWithKey(reqs, hp, refKey)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ledger := ohash.GeometryFor(shape.alpha, shape.ledgerObjects, 0); got.Geom != ledger {
+						t.Fatalf("table shaped %+v, the ledger's is %+v", got.Geom, ledger)
+					}
+					refScan(want, ids, refData, refBlock, nil)
+					if err := sub.scan(got); err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, "tier 1", got.Tier1, want.Tier1)
+					requireSameRows(t, "tier 2", got.Tier2, want.Tier2)
+					if found := bytes.Count(want.Tier1.Aux, []byte{1}) + bytes.Count(want.Tier2.Aux, []byte{1}); found == 0 {
+						t.Fatal("no request matched an object — the comparison is vacuous")
+					}
 
-				// Whole batch, over the partition the scan above wrote.
-				hp.Objects = len(ids)
-				reqs = refBatch(rng, shape.alpha, ids)
-				wantOut := refBatchAccess(t, reqs, hp, refKeys, ids, refData)
-				gotOut, err := sub.BatchAccess(reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRows(t, "BatchAccess", gotOut, wantOut)
+					// Whole batch, over the partition the scan above wrote.
+					hp.Objects = len(ids)
+					reqs = refBatch(rng, shape.alpha, ids)
+					wantOut := refBatchAccess(t, reqs, hp, refKey, ids, refData)
+					gotOut, err := sub.BatchAccess(reqs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, "BatchAccess", gotOut, wantOut)
 
-				_, gotData, err := sub.Export()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotData, refData) {
-					t.Fatal("partition bytes differ from the slot-major reference")
-				}
-			})
+					_, gotData, err := sub.Export()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gotData, refData) {
+						t.Fatal("partition bytes differ from the slot-major reference")
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestScanTraceMatchesSlotMajorReference: the Rec trace of a whole batch
-// (build, one KindTouch per object then per slot, extraction) is the
-// reference's event for event, and does not move when the batch's secret
-// contents — keys, ops, payloads, hit pattern — change.
+// TestScanTraceMatchesSlotMajorReference: on every kernel body, the Rec
+// trace of a whole batch (build, one KindTouch per object then per slot,
+// extraction) is the reference's event for event, and does not move when the
+// batch's secret contents — keys, ops, payloads, hit pattern — change.
 func TestScanTraceMatchesSlotMajorReference(t *testing.T) {
 	for _, shape := range ledgerShapes {
-		t.Run(fmt.Sprintf("alpha=%d", shape.alpha), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(shape.alpha) + 7))
-			ids, data := refPartition(rng, shape.objects)
-			var first *trace.Recorder
-			for round := 0; round < 3; round++ {
-				reqs := refBatch(rng, shape.alpha, ids)
+		for _, kernel := range obliv.Kernels() {
+			t.Run(fmt.Sprintf("alpha=%d/%s", shape.alpha, kernel), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(shape.alpha) + 7))
+				ids, data := refPartition(rng, shape.objects)
+				var first *trace.Recorder
+				for round := 0; round < 3; round++ {
+					reqs := refBatch(rng, shape.alpha, ids)
 
-				recRef := trace.New()
-				hp := ohash.Params{Objects: len(ids), Rec: recRef}
-				refBatchAccess(t, reqs, hp, refKeys, ids, append([]byte(nil), data...))
+					recRef := trace.New()
+					hp := ohash.Params{Objects: len(ids), Rec: recRef}
+					refBatchAccess(t, reqs, hp, refKey, ids, append([]byte(nil), data...))
 
-				rec := trace.New()
-				sub := New(Config{BlockSize: refBlock, Rec: rec, TestHashKeys: &refKeys})
-				if err := sub.Init(ids, data); err != nil {
-					t.Fatal(err)
+					rec := trace.New()
+					sub := New(Config{BlockSize: refBlock, Rec: rec, TestHashKey: &refKey})
+					sub.UseKernel(kernel)
+					if err := sub.Init(ids, data); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sub.BatchAccess(reqs); err != nil {
+						t.Fatal(err)
+					}
+					if rec.Count() == 0 || !trace.Equal(rec, recRef) {
+						t.Fatalf("round %d: trace (%d events) differs from the slot-major reference (%d events)",
+							round, rec.Count(), recRef.Count())
+					}
+					if first == nil {
+						first = rec
+					} else if !trace.Equal(rec, first) {
+						t.Fatalf("round %d: trace depends on batch contents", round)
+					}
 				}
-				if _, err := sub.BatchAccess(reqs); err != nil {
-					t.Fatal(err)
-				}
-				if rec.Count() == 0 || !trace.Equal(rec, recRef) {
-					t.Fatalf("round %d: trace (%d events) differs from the slot-major reference (%d events)",
-						round, rec.Count(), recRef.Count())
-				}
-				if first == nil {
-					first = rec
-				} else if !trace.Equal(rec, first) {
-					t.Fatalf("round %d: trace depends on batch contents", round)
-				}
-			}
-		})
+			})
+		}
 	}
 }

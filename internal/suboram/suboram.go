@@ -7,8 +7,8 @@
 // targets.
 //
 // Obliviousness: the scan visits every object in a fixed order and, for each
-// object, reads the two hash-table buckets its identifier maps to under
-// fresh per-batch keys, touching every slot in both buckets with
+// object, reads the two hash-table buckets its identifier maps to under a
+// fresh per-batch key, touching every slot in both buckets with
 // branch-free compare-and-set operations. Request contents influence no
 // access position.
 package suboram
@@ -57,17 +57,18 @@ type Config struct {
 	// Rec, when non-nil, records the batch access trace. Test-only;
 	// requires Workers == 1.
 	Rec *trace.Recorder
-	// TestHashKeys pins the per-batch hash keys so obliviousness tests can
+	// TestHashKey pins the per-batch hash key so obliviousness tests can
 	// compare traces across batches. Test-only; production must leave nil.
-	TestHashKeys *[2]crypt.SipKey
+	TestHashKey *crypt.SipKey
 	// Pool supplies per-batch working memory (response sets, worker table
 	// copies). Nil means arena.Default.
 	Pool *arena.Pool
 	// Telemetry, when non-nil, records build/scan/extract durations, batch
-	// and row counters, and the largest table built so far (its slots and
-	// its slots per lookup). One recording per batch, payloads are functions
-	// of the public padded batch size α, partition size and λ — never of
-	// request contents; nil disables recording.
+	// and row counters, the largest table built so far (its slots and its
+	// slots per lookup) and which scan-kernel body the platform selected. One
+	// recording per batch, payloads are functions of the public padded batch
+	// size α, partition size and λ — never of request contents; nil disables
+	// recording.
 	Telemetry *telemetry.Registry
 }
 
@@ -141,13 +142,14 @@ type SubORAM struct {
 	sealedMu   sync.Mutex
 	sealedBufs [][]byte
 
-	// Per-worker scan state (table binding and bucket mask vectors), bound
-	// per batch under mu before workers start.
+	// Per-worker scan state (table binding, kernel views, hashed-ahead
+	// stripe), bound per batch under mu before workers start.
 	scanCtx []scanCtx
-	// Store-scan callbacks: one prebound closure per worker, created once in
-	// New so steady-state store scans allocate nothing. Each reads its table
-	// through scanCtx[w].
-	storeFns []func(i int, blk []byte)
+	// Per-object scan callbacks: one prebound closure pair per worker (plain,
+	// and recording for the test recorders), created once in New so
+	// steady-state scans allocate nothing. Each reads its table through
+	// scanCtx[w].
+	visits [][2]func(i int, blk []byte)
 
 	// Telemetry instruments, resolved once at construction; all nil (and
 	// no-ops) when Config.Telemetry is nil.
@@ -206,31 +208,45 @@ func New(cfg Config) *SubORAM {
 		telSlots:   cfg.Telemetry.Gauge("suboram_table_slots"),
 		telLookup:  cfg.Telemetry.Gauge("suboram_slots_per_lookup"),
 	}
+	// Which body of the scan kernel this platform selected: an info gauge,
+	// constant 1, the body in its label. A public property of the host.
+	cfg.Telemetry.Gauge(`snoopy_kernel_info{isa="` + obliv.Kernel() + `"}`).Set(1)
 	s.setIDs(nil)
-	if cfg.Store != nil {
-		s.storeFns = make([]func(i int, blk []byte), cfg.Workers)
-		for w := range s.storeFns {
-			c := &s.scanCtx[w]
-			s.storeFns[w] = func(i int, blk []byte) { s.scanOne(c, i, blk) }
+	s.visits = make([][2]func(i int, blk []byte), cfg.Workers)
+	for w := range s.visits {
+		c := &s.scanCtx[w]
+		s.visits[w] = [2]func(i int, blk []byte){
+			func(i int, blk []byte) { s.scanOne(c, i, blk) },
+			func(i int, blk []byte) { s.scanOneRecorded(c, i, blk) },
 		}
 	}
 	return s
 }
 
-// scanCtx is one scan worker's per-batch state: the table (copy) it scans
-// and the two mask vectors the key pass fills for each bucket. The vectors
-// are sized from the public geometry, so they grow at most when α does.
+// scanStripe is how many objects' buckets a scan worker hashes at a time,
+// ahead of the kernel: identifiers are public and contiguous, so the hashes
+// of a stripe are independent work the CPU overlaps, and the bucket after
+// the one being scanned is known in time to prefetch it.
+const scanStripe = 64
+
+// scanCtx is one scan worker's per-batch state: the table (copy) it scans,
+// the kernel's view of each tier (which owns the mask scratch, sized from
+// the public geometry), and the buckets of the stripe of objects
+// [base, base+n) it is in.
 type scanCtx struct {
 	table   *ohash.Table
-	mw, mrw []uint64
+	t1, t2  obliv.Buckets
+	base, n int
+	b1, b2  [scanStripe]uint32
 }
 
 // bind points the worker at its table for this batch.
 func (c *scanCtx) bind(table *ohash.Table) {
-	c.table = table
-	if z := max(table.Geom.Z1, table.Geom.Z2); cap(c.mw) < z {
-		c.mw, c.mrw = make([]uint64, z), make([]uint64, z)
-	}
+	c.table, c.n = table, 0
+	g := table.Geom
+	t1, t2 := table.Tier1, table.Tier2
+	c.t1.Bind(t1.Key, t1.Tag, t1.Op, t1.Aux, t1.Data, g.Z1, t1.BlockSize)
+	c.t2.Bind(t2.Key, t2.Tag, t2.Op, t2.Aux, t2.Data, g.Z2, t2.BlockSize)
 }
 
 // pool returns the configured arena, defaulting to the process-wide one.
@@ -381,8 +397,8 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	tt0 := s.cfg.Telemetry.Now()
 	var table *ohash.Table
 	var err error
-	if s.cfg.TestHashKeys != nil {
-		table, err = ohash.BuildWithKeys(reqs, s.cfg.Hash, s.cfg.TestHashKeys[0], s.cfg.TestHashKeys[1])
+	if s.cfg.TestHashKey != nil {
+		table, err = ohash.BuildWithKey(reqs, s.cfg.Hash, *s.cfg.TestHashKey)
 	} else {
 		table, err = s.builder.Build(reqs)
 	}
@@ -408,7 +424,7 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), s.zeroBlk)
 	}
 	// Tell the load balancer the order the rows come back in: the table's.
-	out.StampOrder(table.K1, table.Geom.B1)
+	out.StampOrder(table.K, table.Geom.B1)
 	st.Extract = time.Since(t0)
 	st.TableSlots, st.SlotsPerLookup = table.Geom.Slots(), table.Geom.SlotsScannedPerLookup()
 	s.last = st
@@ -448,7 +464,7 @@ func (s *SubORAM) scan(table *ohash.Table) error {
 	copies := s.workTables[:workers]
 	errs := s.workErrs[:workers]
 	for w := 1; w < workers; w++ {
-		copies[w] = ohash.Table{Geom: table.Geom, K1: table.K1, K2: table.K2}
+		copies[w] = *table // shape and key; the tiers are replaced below
 		copies[w].Tier1 = pool.GetRequests(table.Tier1.Len(), table.Tier1.BlockSize)
 		copies[w].Tier1.CopyPrefix(table.Tier1)
 		copies[w].Tier2 = pool.GetRequests(table.Tier2.Len(), table.Tier2.BlockSize)
@@ -511,30 +527,64 @@ func mergeTier(dst, src *store.Requests) {
 	}
 }
 
-// scanRange scans objects [lo, hi) against the table as worker w.
+// scanRange scans objects [lo, hi) against the table as worker w. The
+// test-only recorders are looked at here, once per range: with one set, every
+// object goes through scanOneRecorded instead of scanOne.
 func (s *SubORAM) scanRange(table *ohash.Table, lo, hi, w int) error {
-	c := &s.scanCtx[w]
-	c.bind(table)
+	s.scanCtx[w].bind(table)
+	visit := s.visits[w][0]
+	if s.cfg.Rec != nil || table.Tier1.Rec != nil || table.Tier2.Rec != nil {
+		visit = s.visits[w][1]
+	}
 	if s.cfg.Store != nil {
-		return s.cfg.Store.Scan(lo, hi, s.storeFns[w])
+		return s.cfg.Store.Scan(lo, hi, visit)
 	}
 	if s.sealed != nil {
-		return s.scanRangeSealed(c, lo, hi)
+		return s.scanRangeSealed(lo, hi, visit)
 	}
 	for i := lo; i < hi; i++ {
-		blk := s.plain[i*s.cfg.BlockSize : (i+1)*s.cfg.BlockSize]
-		s.scanOne(c, i, blk)
+		visit(i, s.plain[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize])
 	}
 	return nil
 }
 
-// scanOne applies one object's bucket scans.
+// locate returns object i's position in the worker's stripe of hashed
+// buckets, hashing the next stripe when i has left the current one.
+func (s *SubORAM) locate(c *scanCtx, i int) int {
+	if j := i - c.base; uint(j) < uint(c.n) {
+		return j
+	}
+	c.base, c.n = i, min(scanStripe, len(s.ids)-i)
+	c.table.Buckets(s.ids[i:i+c.n], c.b1[:], c.b2[:])
+	return 0
+}
+
+// scanOne applies the double oblivious compare-and-set of Fig. 7 step ➋
+// between object i and every slot of the two buckets its identifier hashes
+// to, one obliv.Buckets.Scan per tier. While tier 1 is scanned the kernel
+// prefetches the next object's tier-1 bucket — an address the scan is about
+// to reveal anyway (the stripe's last object warms its own). Tier-2 buckets
+// are not warmed: they are few and large, and prefetching one measured
+// slower than letting the hardware stream it.
 func (s *SubORAM) scanOne(c *scanCtx, i int, blk []byte) {
+	j := s.locate(c, i)
 	id := s.ids[i]
+	c.t1.Scan(int(c.b1[j]), id, blk, store.OpWrite, int(c.b1[min(j+1, c.n-1)]))
+	c.t2.Scan(int(c.b2[j]), id, blk, store.OpWrite, -1)
+}
+
+// scanOneRecorded is scanOne under a test recorder: one touch for the
+// object, then one per slot of its two buckets in slot order, then the scan.
+func (s *SubORAM) scanOneRecorded(c *scanCtx, i int, blk []byte) {
 	s.cfg.Rec.Record(trace.KindTouch, i, 0)
-	lo1, hi1, lo2, hi2 := c.table.Buckets(id)
-	c.scanBucket(c.table.Tier1, lo1, hi1, id, blk)
-	c.scanBucket(c.table.Tier2, lo2, hi2, id, blk)
+	j, g := s.locate(c, i), c.table.Geom
+	for sl := int(c.b1[j]) * g.Z1; sl < (int(c.b1[j])+1)*g.Z1; sl++ {
+		c.table.Tier1.Touch(sl)
+	}
+	for sl := int(c.b2[j]) * g.Z2; sl < (int(c.b2[j])+1)*g.Z2; sl++ {
+		c.table.Tier2.Touch(sl)
+	}
+	s.scanOne(c, i, blk)
 }
 
 // scanRangeSealed implements the paper's §7 paging optimization: a host
@@ -543,7 +593,7 @@ func (s *SubORAM) scanOne(c *scanCtx, i int, blk []byte) {
 // behind it, so the enclave compute loop never stalls on storage. Every
 // block is written back whether or not it changed — ciphertext churn is
 // identical for reads and writes.
-func (s *SubORAM) scanRangeSealed(c *scanCtx, lo, hi int) error {
+func (s *SubORAM) scanRangeSealed(lo, hi int, visit func(i int, blk []byte)) error {
 	type item struct {
 		i   int
 		buf []byte
@@ -590,32 +640,13 @@ func (s *SubORAM) scanRangeSealed(c *scanCtx, lo, hi int) error {
 			continue
 		}
 		if firstErr == nil {
-			s.scanOne(c, it.i, it.buf)
+			visit(it.i, it.buf)
 		}
 		writeback <- it
 	}
 	close(writeback)
 	<-wbDone
 	return firstErr
-}
-
-// scanBucket applies the double oblivious compare-and-set of Fig. 7 step ➋
-// to every slot of bucket [lo, hi) of tier, in two passes whose schedules
-// depend on the public (hi-lo, BlockSize) only. The key pass turns each
-// slot's (Key, Tag, Op) into a mask pair — mrw all-ones iff the slot holds
-// a request for id, mw iff that request is a write — and sets the slot's
-// found bit; the block pass hands the whole bucket to obliv.FusedBucket,
-// which keeps the object in registers while the slots stream through it.
-func (c *scanCtx) scanBucket(tier *store.Requests, lo, hi int, id uint64, blk []byte) {
-	if tier.Rec != nil { // test-only recorder: one touch per slot, in slot order
-		for sl := lo; sl < hi; sl++ {
-			tier.Touch(sl)
-		}
-	}
-	mw, mrw := c.mw[:hi-lo], c.mrw[:hi-lo]
-	obliv.BucketMasks(id, tier.Key[lo:hi], tier.Tag[lo:hi], tier.Op[lo:hi], tier.Aux[lo:hi], store.OpWrite, mw, mrw)
-	bs := tier.BlockSize
-	obliv.FusedBucket(blk, tier.Data[lo*bs:hi*bs], bs, mw, mrw)
 }
 
 func minInt(a, b int) int {
@@ -667,8 +698,7 @@ func (s *SubORAM) RestoreFromStore(ids []uint64) error {
 }
 
 // Export returns a copy of the partition contents (ids and packed data) —
-// the state-migration path used when switching subORAM engines
-// (internal/adaptive) and by replication tooling.
+// the state-migration path used by snapshots and replica resynchronization.
 func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

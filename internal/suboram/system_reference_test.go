@@ -32,8 +32,8 @@ func legacyGeometry(n, lambda int) ohash.Geometry {
 // tableInShape places a batch into a table of shape g by hand — plain Go,
 // nothing oblivious about it: every tier-1 bucket keeps its Z1 smallest
 // keys in ascending order, the rest go to their tier-2 bucket.
-func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k1, k2 crypt.SipKey) *ohash.Table {
-	tbl := &ohash.Table{Geom: g, K1: k1, K2: k2,
+func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k crypt.SipKey) *ohash.Table {
+	tbl := &ohash.Table{Geom: g, K: k,
 		Tier1: store.NewRequests(g.B1*g.Z1, reqs.BlockSize), Tier2: store.NewRequests(g.B2*g.Z2, reqs.BlockSize)}
 	for tier, rows := range []*store.Requests{tbl.Tier1, tbl.Tier2} {
 		for i := range rows.Key {
@@ -48,10 +48,11 @@ func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k1, k2 c
 	fill1, fill2 := make([]int, g.B1), make([]int, g.B2)
 	spilled := 0
 	for _, i := range order {
-		b := int(crypt.SipBucket(k1, reqs.Key[i], g.B1))
+		b1, b2 := crypt.SipBuckets(k, reqs.Key[i], g.B1, g.B2)
+		b := int(b1)
 		rows, slot, bucket := tbl.Tier1, b*g.Z1+fill1[b], b
 		if fill1[b]++; fill1[b] > g.Z1 {
-			b2 := int(crypt.SipBucket(k2, reqs.Key[i], g.B2))
+			b2 := int(b2)
 			rows, slot, bucket = tbl.Tier2, b2*g.Z2+fill2[b2], b2
 			spilled++
 			if fill2[b2]++; fill2[b2] > g.Z2 || spilled > g.C2 {
@@ -69,12 +70,12 @@ func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k1, k2 c
 // around a hand-placed table.
 type legacyShaped struct {
 	*suboram.SubORAM
-	t    *testing.T
-	keys [2]crypt.SipKey
+	t   *testing.T
+	key crypt.SipKey
 }
 
 func (l legacyShaped) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	tbl := tableInShape(l.t, reqs, legacyGeometry(reqs.Len(), 128), l.keys[0], l.keys[1])
+	tbl := tableInShape(l.t, reqs, legacyGeometry(reqs.Len(), 128), l.key)
 	if err := l.ScanTable(tbl); err != nil {
 		return nil, err
 	}
@@ -83,7 +84,7 @@ func (l legacyShaped) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	for i := 0; i < out.Len(); i++ {
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
 	}
-	out.StampOrder(tbl.K1, tbl.Geom.B1)
+	out.StampOrder(tbl.K, tbl.Geom.B1)
 	return out, nil
 }
 
@@ -119,7 +120,7 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 		parts   = 3
 		objects = 900
 	)
-	keys := [2]crypt.SipKey{{11, 12}, {13, 14}}
+	key := crypt.SipKey{11, 12}
 	type stack struct {
 		sys  *core.System
 		subs []*suboram.SubORAM
@@ -154,12 +155,12 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 		}
 		clients := make([]core.SubORAMClient, parts)
 		for p := range clients {
-			sub := suboram.New(suboram.Config{BlockSize: block, TestHashKeys: &keys})
+			sub := suboram.New(suboram.Config{BlockSize: block, TestHashKey: &key})
 			st.subs = append(st.subs, sub)
 			st.recs = append(st.recs, trace.New())
 			var inner persist.Partition = sub
 			if legacy {
-				inner = legacyShaped{SubORAM: sub, t: t, keys: keys}
+				inner = legacyShaped{SubORAM: sub, t: t, key: key}
 			}
 			dur, err := persist.NewDurable(filepath.Join(st.root, fmt.Sprintf("part-%d", p)), inner,
 				persist.Config{BlockSize: block, SnapshotEvery: 4, Rec: st.recs[p]})

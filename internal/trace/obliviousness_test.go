@@ -132,13 +132,13 @@ func TestSubORAMTraceIndependentOfBatchContents(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(1<<21) + uint64(i)
 	}
-	keys := [2]crypt.SipKey{crypt.MustNewSipKey(), crypt.MustNewSipKey()}
+	key := crypt.MustNewSipKey()
 
 	var ref *trace.Recorder
 	for trial := 0; trial < 4; trial++ {
 		rec := trace.New()
 		s := suboram.New(suboram.Config{
-			BlockSize: block, Workers: 1, Rec: rec, TestHashKeys: &keys,
+			BlockSize: block, Workers: 1, Rec: rec, TestHashKey: &key,
 		})
 		if err := s.Init(ids, data); err != nil {
 			t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"snoopy/internal/core"
+	"snoopy/internal/obliv"
 	"snoopy/internal/telemetry"
 )
 
@@ -162,6 +163,9 @@ func diffLines(t *testing.T, what string, a, b []byte) {
 	t.Fatalf("%s differs in length: %d vs %d lines", what, len(al), len(bl))
 }
 
+// kernelInfoGauge is the /metrics line naming the scan-kernel body in use.
+var kernelInfoGauge = `gauge snoopy_kernel_info{isa="` + obliv.Kernel() + `"} 1`
+
 func assertTelemetryIndependent(t *testing.T, cfg core.Config, epochs, perEpoch int) {
 	t.Helper()
 	metricsA, spansA, sinkA := telemetryWorkload(t, cfg, 1001, epochs, perEpoch)
@@ -175,7 +179,8 @@ func assertTelemetryIndependent(t *testing.T, cfg core.Config, epochs, perEpoch 
 	}
 	// The hash table's shape is among the compared bytes: a function of the
 	// public (batch size, partition size, λ), never of what was requested.
-	for _, gauge := range []string{"suboram_table_slots", "suboram_slots_per_lookup"} {
+	// So is the scan-kernel body, a property of the platform.
+	for _, gauge := range []string{"suboram_table_slots", "suboram_slots_per_lookup", kernelInfoGauge} {
 		if !bytes.Contains(metricsA, []byte(gauge)) {
 			t.Fatalf("/metrics output has no %s", gauge)
 		}
@@ -216,7 +221,7 @@ func TestTelemetryTraceIndependentOfSecretsSequential(t *testing.T) {
 	// public (batch size, partition size, λ), never of what was requested.
 	// So are the durable partition's sync and byte counts per sealed file.
 	for _, name := range []string{
-		"suboram_table_slots", "suboram_slots_per_lookup",
+		"suboram_table_slots", "suboram_slots_per_lookup", kernelInfoGauge,
 		`persist_syncs_total{log="wal"}`, `persist_syncs_total{log="counter"}`,
 		`persist_bytes_written_total{log="wal"}`, `persist_sync_seconds{log="wal"}`,
 	} {

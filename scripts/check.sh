@@ -78,12 +78,15 @@ go test -race -timeout 15m -count=2 \
   -run 'Distribute|CompactCost|PadAndSortReference|Boundar|Cost.*Count|ZeroAllocAcrossBatchSizes' \
   ./internal/obliv/ ./internal/ohash/ ./internal/loadbalancer/
 
-# Focused re-run of the scan kernel: obliv.BucketMasks / obliv.FusedBucket
-# against their slot-major references (table, quick, fuzz seeds) and the
-# whole-scan differentials and trace comparison in suboram (plain, sealed,
-# store, Workers > 1 — the worker fan-out is the part -race is for).
+# Focused re-run of the scan kernel on every body this host has (portable,
+# AVX2, AVX-512VL — which one production dispatches to is printed first):
+# obliv.Buckets.Scan against its slot-major reference (table, any mask
+# words, every lane split, quick, fuzz seeds) and the whole-scan
+# differentials and trace comparison in suboram (plain, sealed, store,
+# Workers > 1 — the worker fan-out is the part -race is for).
+go test -run 'KernelIsTheWidestBody' -v ./internal/obliv/ | grep 'bodies on this host'
 go test -race -timeout 15m -count=2 \
-  -run 'FusedBucket|BucketMasks|SlotMajorReference|ZeroAllocSteadyState' \
+  -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SlotMajorReference|ZeroAllocSteadyState' \
   ./internal/obliv/ ./internal/suboram/
 
 # Focused re-run of merge-based response matching: MatchResponses against
@@ -96,7 +99,7 @@ go test -race -timeout 15m -count=2 \
 # across table keys, and the misshapen-response failure path in core.
 go test -race -timeout 15m -count=2 \
   -run 'MatchResponses|Extract|MetaBySubKey|OrderStamp|BySubKeyTag|DigestAgreesAcrossTableKeys|MisshapenResponse|ShardsInFullSystem' \
-  ./internal/loadbalancer/ ./internal/ohash/ ./internal/store/ ./internal/replica/ ./internal/core/ ./internal/oblix/ ./internal/pir/
+  ./internal/loadbalancer/ ./internal/ohash/ ./internal/store/ ./internal/replica/ ./internal/core/ ./internal/oblix/
 
 # The hash table's shape (ohash.GeometryFor): the whole ohash package under
 # -race, then a focused -count=2 re-run of the geometry, bound and overflow
@@ -118,8 +121,9 @@ go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./intern
 # SegDurable and Journal fails (and tears) in turn, every synced prefix is
 # replayed as a rollback, and the one fuzz target's seeds mangle the rest.
 # Durable writes its log record on a second goroutine while the partition
-# scans — the part -race is for. Then the sync call's portable fallback
-# file, which nothing on a linux/amd64 host otherwise compiles.
+# scans — the part -race is for. Then the files nothing on a linux/amd64
+# host otherwise compiles: the sync call's portable fallback and the scan
+# kernel's stubs in obliv/simd_generic.go.
 go test -race -timeout 15m -count=2 \
   -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots' \
   ./internal/persist/
@@ -129,12 +133,18 @@ GOOS=darwin GOARCH=arm64 go build ./...
 # non-amd64 build does): the amd64 host otherwise never runs them. This
 # covers the table-order Extract and the miss zeroing behind it too, and
 # the kernels at every bucket size the geometry grid can pick (Z ≤ 128).
+go vet -tags purego ./internal/obliv/
 go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/
 
 # The leakage suite's canonical exports must not depend on how many
-# threads record spans: run it serial, at two and at four.
+# threads record spans: run it serial, at two and at four — and with it the
+# all-bodies kernel and whole-scan differentials, whose Workers > 1 modes
+# split the partition by that count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -count=1 ./internal/trace/
+  GOMAXPROCS=$procs go test -count=1 \
+    -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|SlotMajorReference' \
+    ./internal/obliv/ ./internal/suboram/
 done
 
 # The benchmark program's own smoke test (a module of its own, so not part
