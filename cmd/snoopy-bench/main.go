@@ -38,7 +38,6 @@ func main() {
 	trafficSubs := flag.Int("suborams", 4, "with -traffic: subORAMs (in-process mode; TCP mode uses one per -servers address)")
 	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
 	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
-	lbtreeOut := flag.String("lbtree", "", "instead of a figure, benchmark the monolithic load balancer against 1/2/4/8-leaf aggregation trees and write the comparison to this JSON file")
 	flag.Parse()
 	fmt.Printf("scan kernel: %s\n", obliv.Kernel())
 
@@ -64,15 +63,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("traffic report written to %s\n", *traffic)
-		return
-	}
-
-	if *lbtreeOut != "" {
-		if err := runLBTree(*lbtreeOut); err != nil {
-			fmt.Fprintf(os.Stderr, "lbtree run: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("lb tree comparison written to %s\n", *lbtreeOut)
 		return
 	}
 

@@ -23,7 +23,6 @@ func main() {
 	subPrice := flag.Float64("sub-price", 420, "subORAM node $/month")
 	maxLB := flag.Int("max-lb", 10, "search bound: load balancers")
 	maxSub := flag.Int("max-sub", 40, "search bound: subORAMs")
-	maxLeaves := flag.Int("max-leaves", 8, "search bound: leaf load balancers per plane (1 = monolithic only)")
 	flag.Parse()
 
 	fmt.Println("calibrating component costs on this machine...")
@@ -35,7 +34,6 @@ func main() {
 		MaxLatency:       *latency,
 		MaxLoadBalancers: *maxLB,
 		MaxSubORAMs:      *maxSub,
-		MaxLBLeaves:      *maxLeaves,
 	}, model, planner.Prices{LoadBalancer: *lbPrice, SubORAM: *subPrice})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

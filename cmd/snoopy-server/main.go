@@ -19,16 +19,6 @@
 //
 //	snoopy-server -listen :7001 -block 160 -data /var/lib/snoopy/part0 -platform ...
 //
-// With -leaf <index>, the process instead hosts one leaf load balancer of a
-// hierarchical (two-level aggregation tree) LB plane: it obliviously sorts
-// and locally dedupes its own clients' requests and forwards the sealed
-// sorted run to the root over the attested channel. The tree shape is
-// public configuration and must match the root's: -lb-leaves leaves with
-// root fan-in -lb-fan-in (0 = leaves), plus the deployment's -suborams,
-// -lambda, and shared -lb-key routing key:
-//
-//	snoopy-server -listen :7002 -leaf 0 -lb-leaves 4 -suborams 8 -lb-key 8899aabb... -platform ...
-//
 // With -standby-root, the process is a warm standby for a load-balancer
 // root that journals its epochs (Config.JournalDir / snoopy-client
 // -journal-dir): it probes the primary root's liveness address every
@@ -64,7 +54,6 @@ import (
 	"snoopy/internal/core"
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
-	"snoopy/internal/loadbalancer"
 	"snoopy/internal/metrics"
 	"snoopy/internal/obliv"
 	"snoopy/internal/persist"
@@ -78,10 +67,6 @@ import (
 // Program is the enclave identity this binary attests to; clients must
 // expect enclave.Measure(Program).
 const Program = "snoopy-suboram-v1"
-
-// LeafProgram is the enclave identity attested in -leaf mode; the root
-// dials leaves expecting enclave.Measure(LeafProgram).
-const LeafProgram = "snoopy-leaf-v1"
 
 // counted wraps the served partition with liveness counters so
 // -health-log can surface serving activity through the process log. The
@@ -101,55 +86,6 @@ func (c *counted) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 		c.rows.Add(n)
 	}
 	return out, err
-}
-
-// serveLeaf hosts one leaf load balancer of a hierarchical LB plane. The
-// tree shape flags are validated against each other exactly as the root
-// validates them, so a misconfigured leaf fails at startup, not mid-epoch.
-func serveLeaf(listen string, index, leaves, fanIn, subORAMs, lambda, block, sortWorkers int,
-	lbKeyHex string, platform *enclave.Platform, reg *telemetry.Registry, opts transport.ServeOptions) {
-	if leaves < 1 {
-		log.Fatal("-leaf requires -lb-leaves ≥ 1")
-	}
-	if index >= leaves {
-		log.Fatalf("-leaf %d out of range for -lb-leaves %d", index, leaves)
-	}
-	if fanIn == 0 {
-		fanIn = leaves
-	}
-	if leaves > fanIn {
-		log.Fatalf("-lb-leaves %d exceed -lb-fan-in %d (two-level tree)", leaves, fanIn)
-	}
-	if subORAMs < 1 {
-		log.Fatal("-leaf requires -suborams ≥ 1")
-	}
-	var lbKey crypt.Key
-	if lbKeyHex == "" {
-		lbKey = crypt.MustNewKey()
-		fmt.Printf("lb key: %s\n", hex.EncodeToString(lbKey[:]))
-	} else {
-		raw, err := hex.DecodeString(lbKeyHex)
-		if err != nil || len(raw) != crypt.KeySize {
-			log.Fatalf("-lb-key must be %d hex chars", 2*crypt.KeySize)
-		}
-		copy(lbKey[:], raw)
-	}
-	leaf := loadbalancer.NewLeaf(loadbalancer.Config{
-		BlockSize:   block,
-		NumSubORAMs: subORAMs,
-		Lambda:      lambda,
-		SortWorkers: sortWorkers,
-		Telemetry:   reg,
-	}, lbKey, index)
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("leaf LB %d/%d serving on %s (fan-in=%d suborams=%d block=%dB lambda=%d measurement=%q)\n",
-		index, leaves, l.Addr(), fanIn, subORAMs, block, lambda, LeafProgram)
-	if err := transport.ServeLeafOptions(l, leaf, platform, enclave.Measure(LeafProgram), opts); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // standbyRoot runs the warm-standby root loop: probe the primary, and on
@@ -244,13 +180,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle this long (0 = keep forever)")
 	healthLog := flag.Duration("health-log", 0, "log serving counters (batches, rows, epoch) this often (0 = off)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /trace/epochs, and /debug/pprof on this address (empty = off)")
-	leafIndex := flag.Int("leaf", -1, "serve leaf load balancer with this index instead of a partition (-1 = partition)")
-	lbLeaves := flag.Int("lb-leaves", 0, "leaf count of the hierarchical LB plane this leaf belongs to (requires -leaf)")
-	lbFanIn := flag.Int("lb-fan-in", 0, "root merge fan-in of the hierarchical LB plane (0 = -lb-leaves; requires -leaf)")
-	subORAMs := flag.Int("suborams", 0, "deployment partition count, for -leaf request routing")
-	lambda := flag.Int("lambda", 128, "batch-sizing security parameter in bits, for -leaf")
-	sortWorkers := flag.Int("sort-workers", 0, "oblivious sort worker threads for -leaf (0 = 1)")
-	lbKeyHex := flag.String("lb-key", "", "shared LB routing key (64 hex chars) for -leaf; empty generates one and prints it")
 	standbyRootMode := flag.Bool("standby-root", false, "run as a warm standby for a journaling LB root instead of a partition")
 	journalDir := flag.String("journal-dir", "", "shared epoch-journal directory for -standby-root (same as the primary root's)")
 	primary := flag.String("primary", "", "primary root liveness address probed by -standby-root (any TCP endpoint it keeps open)")
@@ -259,6 +188,7 @@ func main() {
 	servers := flag.String("servers", "", "comma-separated partition addresses adopted by -standby-root on promotion")
 	lbs := flag.Int("lbs", 2, "load-balancer count for the promoted root (-standby-root; must match the primary's)")
 	epoch := flag.Duration("epoch", 50*time.Millisecond, "epoch duration for the promoted root (-standby-root)")
+	lambda := flag.Int("lambda", 128, "batch-sizing security parameter in bits for the promoted root (-standby-root)")
 	flag.Parse()
 
 	var key crypt.Key
@@ -293,17 +223,6 @@ func main() {
 	if *standbyRootMode {
 		standbyRoot(*primary, *journalDir, *servers, *failAfter, *probeInterval, *epoch,
 			*block, *lbs, *lambda, platform, reg)
-		return
-	}
-
-	if *leafIndex >= 0 {
-		serveLeaf(*listen, *leafIndex, *lbLeaves, *lbFanIn, *subORAMs, *lambda,
-			*block, *sortWorkers, *lbKeyHex, platform, reg, transport.ServeOptions{
-				HandshakeTimeout: *handshakeTimeout,
-				WriteTimeout:     *writeTimeout,
-				IdleTimeout:      *idleTimeout,
-				Telemetry:        reg,
-			})
 		return
 	}
 

@@ -17,10 +17,6 @@ import (
 	"time"
 
 	"snoopy/internal/crypt"
-	"snoopy/internal/enclave"
-	"snoopy/internal/loadbalancer"
-	"snoopy/internal/store"
-	"snoopy/internal/transport"
 )
 
 // TestCommandLineIntegration builds the real binaries and runs a two-server
@@ -304,219 +300,6 @@ func TestTelemetryEndpointIntegration(t *testing.T) {
 	}
 }
 
-// TestLeafServerIntegration runs the real snoopy-server binary in -leaf
-// mode and installs it as one leaf of an in-process aggregation tree: the
-// batches the hybrid tree produces must be row-for-row identical to an
-// all-local tree under the same routing key, proving the binary's leaf role
-// speaks the leaf-run protocol the root expects.
-func TestLeafServerIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	bin := buildCommands(t)
-	pkey := crypt.MustNewKey()
-	lbKey := crypt.MustNewKey()
-
-	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	srv := exec.Command(filepath.Join(bin, "snoopy-server"),
-		"-listen", addr, "-leaf", "1", "-lb-leaves", "2",
-		"-suborams", "4", "-lambda", "32", "-block", "64",
-		"-platform", hex.EncodeToString(pkey[:]),
-		"-lb-key", hex.EncodeToString(lbKey[:]))
-	srv.Stdout = os.Stderr
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Kill()
-		srv.Wait()
-	}()
-	waitListening(t, addr)
-
-	// The server derives its attestation authority from pkey; dial with the
-	// same authority and the leaf role's published measurement.
-	rl, err := transport.DialLeaf(addr, enclave.NewPlatformFromKey(pkey), enclave.Measure("snoopy-leaf-v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rl.Close()
-
-	cfg := loadbalancer.Config{BlockSize: 64, NumSubORAMs: 4, Lambda: 32}
-	newTree := func() *loadbalancer.Tree {
-		tr, err := loadbalancer.NewTree(loadbalancer.TreeConfig{Config: cfg, Leaves: 2}, lbKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	hybrid := newTree()
-	hybrid.ReplaceLeaf(1, rl)
-	local := newTree()
-
-	feeds := func() []*store.Requests {
-		f0 := store.NewRequests(16, 64)
-		f1 := store.NewRequests(16, 64)
-		for j := 0; j < 16; j++ {
-			f0.SetRow(j, store.OpWrite, uint64(j), 0, uint64(j), uint64(j), []byte(fmt.Sprintf("w%d", j)))
-			f1.SetRow(j, store.OpRead, uint64(j+8), 0, uint64(j), uint64(j), nil)
-		}
-		return []*store.Requests{f0, f1}
-	}
-	for epoch := uint64(1); epoch <= 2; epoch++ {
-		bh, feedErrs, err := hybrid.MakeBatches(epoch, feeds())
-		if err != nil || feedErrs != nil {
-			t.Fatalf("hybrid tree epoch %d: %v %v", epoch, err, feedErrs)
-		}
-		bl, _, err := local.MakeBatches(epoch, feeds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bh.PerSub != bl.PerSub || bh.All.Len() != bl.All.Len() {
-			t.Fatalf("shape mismatch: %d×%d vs %d×%d", bh.PerSub, bh.All.Len(), bl.PerSub, bl.All.Len())
-		}
-		for i := 0; i < bh.All.Len(); i++ {
-			if bh.All.Key[i] != bl.All.Key[i] || bh.All.Op[i] != bl.All.Op[i] ||
-				bh.All.Sub[i] != bl.All.Sub[i] || !bytes.Equal(bh.All.Block(i), bl.All.Block(i)) {
-				t.Fatalf("epoch %d row %d differs between binary leaf and local leaf", epoch, i)
-			}
-		}
-		bh.Release()
-		bl.Release()
-	}
-}
-
-// TestLeafKillDummyRunIntegration kills a real `snoopy-server -leaf`
-// process with SIGKILL between two epochs of a hybrid aggregation tree and
-// asserts the root's §9-style degradation: the dead leaf's feed fails (its
-// requests are absent and reported via feedErrs), the root substitutes the
-// neutral all-dummy run for the missing leaf run, and the epoch's public
-// shape — per-partition batch size α and total padded rows — still meets
-// the same Theorem-3 bound a fully healthy tree produces. A host watching
-// batch shapes learns only that a leaf died (which it can already see from
-// the dead process), never anything about surviving requests.
-func TestLeafKillDummyRunIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	bin := buildCommands(t)
-	pkey := crypt.MustNewKey()
-	lbKey := crypt.MustNewKey()
-
-	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	srv := exec.Command(filepath.Join(bin, "snoopy-server"),
-		"-listen", addr, "-leaf", "1", "-lb-leaves", "2",
-		"-suborams", "4", "-lambda", "32", "-block", "64",
-		"-platform", hex.EncodeToString(pkey[:]),
-		"-lb-key", hex.EncodeToString(lbKey[:]))
-	srv.Stdout = os.Stderr
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Kill()
-		srv.Wait()
-	}()
-	waitListening(t, addr)
-
-	// No reconnect budget: once the process is SIGKILLed, the next BuildRun
-	// must fail within the epoch instead of retrying into the outage.
-	rl, err := transport.DialLeafOptions(addr, enclave.NewPlatformFromKey(pkey),
-		enclave.Measure("snoopy-leaf-v1"), transport.Options{}.WithRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rl.Close()
-
-	cfg := loadbalancer.Config{BlockSize: 64, NumSubORAMs: 4, Lambda: 32}
-	newTree := func() *loadbalancer.Tree {
-		tr, err := loadbalancer.NewTree(loadbalancer.TreeConfig{Config: cfg, Leaves: 2}, lbKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	hybrid := newTree()
-	hybrid.ReplaceLeaf(1, rl)
-	healthy := newTree() // reference for the public Theorem-3 shape
-
-	// Feed 0 (local leaf) and feed 1 (the binary leaf) use disjoint key
-	// ranges so the dead leaf's keys are recognizable in the merged batch.
-	feeds := func() []*store.Requests {
-		f0 := store.NewRequests(16, 64)
-		f1 := store.NewRequests(16, 64)
-		for j := 0; j < 16; j++ {
-			f0.SetRow(j, store.OpRead, uint64(j), 0, uint64(j), uint64(j), nil)
-			f1.SetRow(j, store.OpRead, uint64(j+1000), 0, uint64(j), uint64(j), nil)
-		}
-		return []*store.Requests{f0, f1}
-	}
-
-	// Epoch 1: the binary leaf participates; both feeds succeed.
-	b1, feedErrs, err := hybrid.MakeBatches(1, feeds())
-	if err != nil || feedErrs != nil {
-		t.Fatalf("healthy epoch failed: %v %v", err, feedErrs)
-	}
-	wantPerSub, wantRows := b1.PerSub, b1.All.Len()
-	b1.Release()
-
-	// kill -9 the leaf process, then run the next epoch through the root.
-	if err := srv.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Wait()
-
-	b2, feedErrs, err := hybrid.MakeBatches(2, feeds())
-	if err != nil {
-		t.Fatalf("epoch must survive a dead leaf, got: %v", err)
-	}
-	defer b2.Release()
-	if feedErrs == nil || feedErrs[1] == nil {
-		t.Fatalf("dead leaf's feed not reported failed: %v", feedErrs)
-	}
-	if feedErrs[0] != nil {
-		t.Fatalf("healthy feed failed: %v", feedErrs[0])
-	}
-
-	// Public shape: the dummy-run substitution must keep the exact
-	// Theorem-3 shape of a healthy epoch — same per-partition α, same total
-	// padded rows — which the all-local reference tree certifies.
-	bRef, _, err := healthy.MakeBatches(2, feeds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPerSub, refRows := bRef.PerSub, bRef.All.Len()
-	bRef.Release()
-	if b2.PerSub != wantPerSub || b2.All.Len() != wantRows {
-		t.Fatalf("dead-leaf epoch changed the public shape: %d×%d, healthy was %d×%d",
-			b2.PerSub, b2.All.Len(), wantPerSub, wantRows)
-	}
-	if b2.PerSub != refPerSub || b2.All.Len() != refRows {
-		t.Fatalf("dead-leaf epoch misses the Theorem-3 bound: %d×%d, reference %d×%d",
-			b2.PerSub, b2.All.Len(), refPerSub, refRows)
-	}
-
-	// Contents: the dead leaf's keys are gone, the surviving leaf's keys
-	// are all present, and the difference is made up of dummy rows (keys
-	// above MaxKey), i.e. the substituted run is public padding.
-	real := map[uint64]bool{}
-	for i := 0; i < b2.All.Len(); i++ {
-		if k := b2.All.Key[i]; k <= uint64(1)<<63-1 {
-			real[k] = true
-		}
-	}
-	for j := uint64(0); j < 16; j++ {
-		if !real[j] {
-			t.Fatalf("surviving leaf's key %d missing from the merged batch", j)
-		}
-		if real[j+1000] {
-			t.Fatalf("dead leaf's key %d leaked into the merged batch", j+1000)
-		}
-	}
-}
-
-// buildCommands compiles the real binaries once into a temp dir.
 func buildCommands(t *testing.T) string {
 	t.Helper()
 	bin := t.TempDir()

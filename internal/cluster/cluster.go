@@ -117,16 +117,6 @@ func (d *Detector) ObserveHealth(h core.HealthStats) {
 	}
 }
 
-// ObserveLeafHealth feeds the leaf-balancer side of a core health snapshot:
-// each load-balancer feed's consecutive-failure run (a dead leaf of the
-// aggregation tree fails its feed every epoch) is folded in exactly like a
-// partition run. Use a detector sized to the global feed count.
-func (d *Detector) ObserveLeafHealth(h core.HealthStats) {
-	for feed, run := range h.LeafConsecutiveFailures {
-		d.Observe(feed, run == 0)
-	}
-}
-
 // Down reports whether the partition is currently declared down.
 func (d *Detector) Down(part int) bool {
 	d.mu.Lock()
@@ -145,8 +135,6 @@ type ProbeFunc func(timeout time.Duration) error
 type Stats struct {
 	// Trips counts detector down-transitions.
 	Trips uint64
-	// LeafTrips counts leaf-balancer down-transitions (SuperviseLeaves).
-	LeafTrips uint64
 	// Promotions counts successful failovers (replacement promoted).
 	Promotions uint64
 	// PromotionFailures counts failover attempts that returned no
@@ -161,8 +149,8 @@ type Stats struct {
 	MaxTimeToRecovery time.Duration
 
 	// RootTrips counts root-detector down-transitions (SuperviseRoot) —
-	// strictly separate from partition Trips and LeafTrips: a dead root
-	// must never inflate partition failure accounting, and vice versa.
+	// strictly separate from partition Trips: a dead root must never
+	// inflate partition failure accounting, and vice versa.
 	RootTrips uint64
 	// RootPromotions counts standby roots successfully promoted.
 	RootPromotions uint64
@@ -177,8 +165,8 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("trips=%d leaf_trips=%d root_trips=%d promotions=%d promotion_failures=%d recoveries=%d mttr=%v max_ttr=%v root_promotions=%d root_promotion_failures=%d root_recoveries=%d root_mttr=%v root_max_ttr=%v",
-		s.Trips, s.LeafTrips, s.RootTrips, s.Promotions, s.PromotionFailures, s.Recoveries,
+	return fmt.Sprintf("trips=%d root_trips=%d promotions=%d promotion_failures=%d recoveries=%d mttr=%v max_ttr=%v root_promotions=%d root_promotion_failures=%d root_recoveries=%d root_mttr=%v root_max_ttr=%v",
+		s.Trips, s.RootTrips, s.Promotions, s.PromotionFailures, s.Recoveries,
 		s.MeanTimeToRecovery, s.MaxTimeToRecovery,
 		s.RootPromotions, s.RootPromotionFailures, s.RootRecoveries,
 		s.RootMeanTimeToRecovery, s.RootMaxTimeToRecovery)
@@ -199,11 +187,8 @@ type Supervisor struct {
 	det     *Detector
 	promote core.FailoverFunc
 
-	// leafDet supervises load-balancer feeds (leaves of the aggregation
-	// tree) with the same policy; nil until SuperviseLeaves.
-	leafDet *Detector
-	// reg remembers the Instrument registry so SuperviseLeaves can attach
-	// its detector's trip counter whichever call comes first.
+	// reg remembers the Instrument registry so SuperviseRoot can attach its
+	// detector's trip counter whichever call comes first.
 	reg *telemetry.Registry
 
 	promotions        metrics.Counter
@@ -241,11 +226,6 @@ func (s *Supervisor) Instrument(reg *telemetry.Registry) {
 	s.det.mu.Lock()
 	s.det.telTrips = reg.Counter("cluster_detector_trips_total")
 	s.det.mu.Unlock()
-	if s.leafDet != nil {
-		s.leafDet.mu.Lock()
-		s.leafDet.telTrips = reg.Counter("cluster_leaf_trips_total")
-		s.leafDet.mu.Unlock()
-	}
 	s.telPromotions = reg.Counter("cluster_promotions_total")
 	s.telPromFails = reg.Counter("cluster_promotion_failures_total")
 	s.telRecoveryDur = reg.Histogram("cluster_time_to_recovery", nil)
@@ -259,39 +239,6 @@ func (s *Supervisor) Instrument(reg *telemetry.Registry) {
 	s.telRootPromotions = reg.Counter("cluster_root_promotions_total")
 	s.telRootPromFails = reg.Counter("cluster_root_promotion_failures_total")
 	s.telRootRecovery = reg.Histogram("cluster_root_time_to_recovery", nil)
-}
-
-// SuperviseLeaves adds a second detector over the system's feeds (global
-// leaf index plane*feedsPerPlane+leaf, core.HealthStats's leaf layout).
-// onTrip fires exactly once per down-transition — the usual wiring resets
-// or replaces the tripped leaf (core.System.ResetLeaf, or installing a
-// fresh transport.RemoteLeaf via Tree.ReplaceLeaf) — and a healthy
-// observation afterwards re-arms the leaf. Feed the detector once per epoch
-// with ObserveLeafHealth.
-func (s *Supervisor) SuperviseLeaves(feeds int, onTrip func(feed int)) {
-	s.leafDet = NewDetector(feeds, s.policy)
-	if onTrip != nil {
-		s.leafDet.OnTrip(onTrip)
-	}
-	if s.reg != nil {
-		s.leafDet.mu.Lock()
-		s.leafDet.telTrips = s.reg.Counter("cluster_leaf_trips_total")
-		s.leafDet.mu.Unlock()
-	}
-}
-
-// ObserveLeafHealth feeds the per-epoch leaf-failure runs into the leaf
-// detector. No-op until SuperviseLeaves.
-func (s *Supervisor) ObserveLeafHealth(h core.HealthStats) {
-	if s.leafDet != nil {
-		s.leafDet.ObserveLeafHealth(h)
-	}
-}
-
-// LeafDown reports whether feed is currently declared down. False until
-// SuperviseLeaves.
-func (s *Supervisor) LeafDown(feed int) bool {
-	return s.leafDet != nil && s.leafDet.Down(feed)
 }
 
 // NewSupervisor creates a supervisor for parts partitions. promote is the
@@ -393,13 +340,8 @@ func (s *Supervisor) Down(part int) bool { return s.det.Down(part) }
 
 // Stats snapshots the supervision counters.
 func (s *Supervisor) Stats() Stats {
-	var leafTrips uint64
-	if s.leafDet != nil {
-		leafTrips = s.leafDet.Trips()
-	}
 	st := Stats{
 		Trips:              s.det.Trips(),
-		LeafTrips:          leafTrips,
 		Promotions:         s.promotions.Load(),
 		PromotionFailures:  s.promotionFailures.Load(),
 		Recoveries:         s.recovery.Count(),

@@ -249,95 +249,3 @@ func TestSupervisorDrivesCoreFailover(t *testing.T) {
 		}
 	}
 }
-
-// deadLeaf is a leaf balancer whose run-building always fails — the
-// leaf-level analogue of crashable.
-type deadLeaf struct{}
-
-func (deadLeaf) BuildRun(uint64, *store.Requests, int, uint64, *store.Requests) ([]uint64, error) {
-	return nil, errors.New("leaf crashed")
-}
-
-// TestSupervisorLeafTripAndRepair closes the failure loop one level up from
-// partitions: a dead leaf of the load-balancer aggregation tree fails its
-// feed every epoch, the leaf detector trips at the policy threshold, the
-// trip hook resets the leaf in place, and the system converges back to
-// healthy with the trip accounted in Stats and telemetry.
-func TestSupervisorLeafTripAndRepair(t *testing.T) {
-	const blockSize = 32
-	const leaves = 3
-	sup := NewSupervisor(2, nil, Policy{FailAfter: 2})
-	defer sup.Close()
-	reg := telemetry.NewRegistry()
-	sup.Instrument(reg) // before SuperviseLeaves: both orders must work
-
-	sys, err := core.NewLocal(core.Config{
-		BlockSize: blockSize, NumSubORAMs: 2, Lambda: 32, LBLeaves: leaves,
-		Telemetry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	feeds := sys.NumLoadBalancers() * sys.FeedsPerPlane()
-	sup.SuperviseLeaves(feeds, func(feed int) {
-		sys.ResetLeaf(feed/sys.FeedsPerPlane(), feed%sys.FeedsPerPlane())
-	})
-
-	const n = 16
-	ids := make([]uint64, n)
-	data := make([]byte, n*blockSize)
-	for i := range ids {
-		ids[i] = uint64(i)
-		data[i*blockSize] = byte(i + 1)
-	}
-	if err := sys.Init(ids, data); err != nil {
-		t.Fatal(err)
-	}
-
-	const dead = 1
-	sys.LoadBalancerTree(0).ReplaceLeaf(dead, deadLeaf{})
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		waits := make([]func() ([]byte, bool, error), n)
-		for i := range ids {
-			w, err := sys.ReadAsync(ids[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			waits[i] = w
-		}
-		sys.Flush()
-		bad := 0
-		for i, w := range waits {
-			v, found, err := w()
-			if err != nil {
-				bad++
-			} else if !found || v[0] != byte(i+1) {
-				t.Fatalf("key %d: wrong answer v=%v found=%v", i, v, found)
-			}
-		}
-		sup.ObserveLeafHealth(sys.Health())
-		if bad == 0 && sys.Health().Healthy() && sup.Stats().LeafTrips >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never converged: health=%+v stats=%v", sys.Health(), sup.Stats())
-		}
-	}
-
-	st := sup.Stats()
-	if st.LeafTrips < 1 {
-		t.Fatalf("leaf outage not accounted: %v", st)
-	}
-	if st.Trips != 0 {
-		t.Fatalf("leaf outage leaked into partition trips: %v", st)
-	}
-	if sup.LeafDown(dead) {
-		t.Fatal("repaired leaf still declared down")
-	}
-	if got := reg.Snapshot(0).Counters["cluster_leaf_trips_total"]; got != st.LeafTrips {
-		t.Fatalf("telemetry leaf trips %d != supervisor %d", got, st.LeafTrips)
-	}
-}

@@ -19,8 +19,8 @@ import (
 type RootPromoteFunc func(old *core.System) (*core.System, error)
 
 // rootPlane is the supervisor's root-failover state, separate from the
-// partition and leaf detectors so root trips never bleed into partition
-// accounting (and vice versa).
+// partition detector so root trips never bleed into partition accounting
+// (and vice versa).
 type rootPlane struct {
 	det     *Detector
 	promote RootPromoteFunc

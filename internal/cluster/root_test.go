@@ -171,59 +171,47 @@ func TestRootPromotionRetries(t *testing.T) {
 	}
 }
 
-// TestTripPlanesSeparate is the satellite-1 regression: partition trips,
-// leaf trips, and root trips are three separate planes — activity in one
-// must never bleed into another's counters, in Stats or telemetry.
+// TestTripPlanesSeparate is the satellite-1 regression: partition trips
+// and root trips are separate planes — activity in one must never bleed
+// into the other's counters, in Stats or telemetry.
 func TestTripPlanesSeparate(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sup := NewSupervisor(3, nil, Policy{FailAfter: 2})
 	sup.Instrument(reg)
 	defer sup.Close()
-	sup.SuperviseLeaves(4, nil)
 	sup.SuperviseRoot(nil, nil)
 
-	// Trip one leaf and the root; partitions stay healthy.
-	leaf := core.HealthStats{
-		ConsecutiveFailures:     []int{0, 0, 0},
-		LeafConsecutiveFailures: []int{0, 3, 0, 0},
-	}
+	// Trip the root; partitions stay healthy.
+	healthy := core.HealthStats{ConsecutiveFailures: []int{0, 0, 0}}
 	for i := 0; i < 3; i++ {
-		sup.ObserveHealth(leaf)
-		sup.ObserveLeafHealth(leaf)
+		sup.ObserveHealth(healthy)
 		sup.ObserveRootHealth(false)
 	}
 	st := sup.Stats()
 	if st.Trips != 0 {
-		t.Fatalf("leaf/root failures bled into partition trips: %v", st)
+		t.Fatalf("root failures bled into partition trips: %v", st)
 	}
-	if st.LeafTrips != 1 || st.RootTrips != 1 {
-		t.Fatalf("leaf/root trips not recorded: %v", st)
+	if st.RootTrips != 1 {
+		t.Fatalf("root trip not recorded: %v", st)
 	}
 	if got := reg.Counter("cluster_detector_trips_total").Value(); got != 0 {
 		t.Fatalf("partition trip telemetry = %d, want 0", got)
-	}
-	if got := reg.Counter("cluster_leaf_trips_total").Value(); got != 1 {
-		t.Fatalf("leaf trip telemetry = %d, want 1", got)
 	}
 	if got := reg.Counter("cluster_root_trips_total").Value(); got != 1 {
 		t.Fatalf("root trip telemetry = %d, want 1", got)
 	}
 
-	// Now trip a partition; leaf and root counters must not move.
-	part := core.HealthStats{
-		ConsecutiveFailures:     []int{0, 2, 0},
-		LeafConsecutiveFailures: []int{0, 0, 0, 0},
-	}
+	// Now trip a partition; the root counter must not move.
+	part := core.HealthStats{ConsecutiveFailures: []int{0, 2, 0}}
 	for i := 0; i < 3; i++ {
 		sup.ObserveHealth(part)
-		sup.ObserveLeafHealth(part)
 		sup.ObserveRootHealth(true)
 	}
 	st = sup.Stats()
-	if st.Trips != 1 || st.LeafTrips != 1 || st.RootTrips != 1 {
+	if st.Trips != 1 || st.RootTrips != 1 {
 		t.Fatalf("trip separation violated: %v", st)
 	}
-	for _, want := range []string{"root_trips=1", "leaf_trips=1", "trips=1", "root_promotions=0"} {
+	for _, want := range []string{"root_trips=1", "trips=1", "root_promotions=0"} {
 		if !strings.Contains(st.String(), want) {
 			t.Fatalf("Stats.String() %q missing %q", st.String(), want)
 		}

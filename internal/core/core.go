@@ -75,15 +75,6 @@ type Config struct {
 	BlockSize int
 	// NumLoadBalancers is L.
 	NumLoadBalancers int
-	// LBLeaves, when > 1, replaces each monolithic load balancer with a
-	// two-level oblivious aggregation tree: that many leaf balancers each
-	// sort + locally deduplicate their own clients' requests, and a root
-	// merges the already-sorted runs (O(n log n) instead of a fresh
-	// O(n log² n) sort). 0 or 1 keeps the single-balancer plane. The tree
-	// shape is public deployment configuration.
-	LBLeaves int
-	// LBFanIn caps the root's merge fan-in (defaults to LBLeaves). Public.
-	LBFanIn int
 	// NumSubORAMs is S (used only by NewLocal; NewWithSubORAMs infers it).
 	NumSubORAMs int
 	// Lambda is the security parameter for batch sizing.
@@ -156,7 +147,7 @@ type Config struct {
 
 	// JournalDir, when non-empty, makes the root load balancer itself
 	// crash-tolerant: before every epoch's stage-B dispatch the system
-	// durably journals the merged batches, the client→reply routing tables,
+	// durably journals the batches, the client→reply routing tables,
 	// and the per-partition delivery tags to a sealed epoch journal
 	// (internal/persist). On reopen — the same process restarting, or a
 	// standby root promoted over the same directory — journaled-but-
@@ -255,14 +246,10 @@ type pending struct {
 }
 
 type lbState struct {
-	bal loadbalancer.Balancer
+	lb *loadbalancer.LoadBalancer
 
-	mu sync.Mutex
-	// queues holds one pending-request queue per feed: the monolithic
-	// balancer has a single feed, an aggregation tree one per leaf. Clients
-	// are pinned to a (plane, feed) pair at submit, so a dead leaf fails
-	// only its own clients.
-	queues [][]pending
+	mu    sync.Mutex
+	queue []pending
 	// closed (guarded by mu, not the system-wide channel) makes the
 	// enqueue-after-final-drain race impossible: Close sets it under mu
 	// while draining, and submitAs re-checks it under the same mu before
@@ -287,14 +274,6 @@ type HealthStats struct {
 	Failovers []uint64
 	// Repairing[s] reports a failover attempt currently in flight.
 	Repairing []bool
-	// LeafConsecutiveFailures[g] is the current run of epochs in which load
-	// balancer feed g (global index plane*feedsPerPlane+leaf) failed to
-	// build its run; zero-length when the plane is monolithic. A cluster
-	// supervisor watches these to trip leaf-level repair (ResetLeaf or a
-	// replacement RemoteLeaf).
-	LeafConsecutiveFailures []int
-	// LeafTotalFailures[g] counts every epoch in which feed g failed.
-	LeafTotalFailures []uint64
 	// JournalErrors counts completed epochs whose journal completion
 	// (marker append or compaction) failed. The epoch was answered; the
 	// cost is a redundant replay by a successor — and a journal that keeps
@@ -316,11 +295,6 @@ func (h HealthStats) Healthy() bool {
 			return false
 		}
 	}
-	for _, c := range h.LeafConsecutiveFailures {
-		if c != 0 {
-			return false
-		}
-	}
 	return true
 }
 
@@ -328,10 +302,6 @@ func (h HealthStats) Healthy() bool {
 type System struct {
 	cfg Config
 	lbs []*lbState
-	// feedsPerPlane is Balancer.Feeds() of every plane (identical across
-	// planes: one for monolithic, LBLeaves for a tree). Global feed index
-	// g = plane*feedsPerPlane + feed addresses job.queues and leaf health.
-	feedsPerPlane int
 
 	// subsMu guards element swaps in subs: automatic failover (repair)
 	// replaces a dead partition's client in place. Readers snapshot the
@@ -410,7 +380,6 @@ type System struct {
 	telRequests  *telemetry.Counter
 	telOverflow  *telemetry.Counter
 	telPartFails *telemetry.Counter
-	telLeafFails *telemetry.Counter
 	telRepairs   *telemetry.Counter
 	telFailovers *telemetry.Counter
 	stStageA     *telemetry.SpanStage
@@ -586,7 +555,6 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		telRequests:  cfg.Telemetry.Counter("core_requests_total"),
 		telOverflow:  cfg.Telemetry.Counter("core_overflow_dropped_total"),
 		telPartFails: cfg.Telemetry.Counter("core_partition_epoch_failures_total"),
-		telLeafFails: cfg.Telemetry.Counter("core_leaf_epoch_failures_total"),
 		telRepairs:   cfg.Telemetry.Counter("core_repairs_started_total"),
 		telFailovers: cfg.Telemetry.Counter("core_failovers_total"),
 		stStageA:     cfg.Telemetry.Stage("stage_a_batch"),
@@ -608,32 +576,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		Telemetry:   cfg.Telemetry,
 	}
 	for i := 0; i < cfg.NumLoadBalancers; i++ {
-		var bal loadbalancer.Balancer
-		if cfg.LBLeaves > 1 {
-			tree, err := loadbalancer.NewTree(loadbalancer.TreeConfig{
-				Config: lbCfg,
-				Leaves: cfg.LBLeaves,
-				FanIn:  cfg.LBFanIn,
-				Plane:  i,
-			}, key)
-			if err != nil {
-				return nil, err
-			}
-			bal = tree
-		} else {
-			bal = loadbalancer.Monolithic{LB: loadbalancer.New(lbCfg, key)}
-		}
-		sys.lbs = append(sys.lbs, &lbState{
-			bal:    bal,
-			queues: make([][]pending, bal.Feeds()),
-		})
-	}
-	sys.feedsPerPlane = sys.lbs[0].bal.Feeds()
-	if cfg.LBLeaves > 1 {
-		cfg.Telemetry.Gauge("snoopy_config_lb_leaves").Set(int64(sys.feedsPerPlane))
-		totalFeeds := cfg.NumLoadBalancers * sys.feedsPerPlane
-		sys.health.LeafConsecutiveFailures = make([]int, totalFeeds)
-		sys.health.LeafTotalFailures = make([]uint64, totalFeeds)
+		sys.lbs = append(sys.lbs, &lbState{lb: loadbalancer.New(lbCfg, key)})
 	}
 	sys.depth = 1
 	if cfg.Pipeline {
@@ -700,7 +643,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 // Init partitions the object set across subORAMs and loads them (paper
 // Fig. 23). Must be called before any request.
 func (sys *System) Init(ids []uint64, data []byte) error {
-	partIDs, partData, err := sys.lbs[0].bal.Partition(ids, data)
+	partIDs, partData, err := sys.lbs[0].lb.Partition(ids, data)
 	if err != nil {
 		return err
 	}
@@ -759,18 +702,16 @@ func (sys *System) Close() {
 	for _, st := range sys.lbs {
 		st.mu.Lock()
 		st.closed = true
-		qs := st.queues
-		st.queues = make([][]pending, len(qs))
+		q := st.queue
+		st.queue = nil
 		st.mu.Unlock()
 		if crashed {
 			// A crashed root answers nothing — its clients' waits already
 			// resolved to ErrRootDown through the crash channel.
 			continue
 		}
-		for _, q := range qs {
-			for _, p := range q {
-				p.ch <- result{err: ErrClosed}
-			}
+		for _, p := range q {
+			p.ch <- result{err: ErrClosed}
 		}
 	}
 	for _, dur := range sys.owned {
@@ -811,22 +752,18 @@ func (sys *System) submitID(user uint64, op uint8, key uint64, data []byte, id u
 	if len(data) > sys.cfg.BlockSize {
 		return nil, fmt.Errorf("core: value length %d exceeds block size %d", len(data), sys.cfg.BlockSize)
 	}
-	// Clients pick an ingestion point uniformly (paper §4.3). With a tree
-	// plane the choice is over feeds — (plane, leaf) pairs — which the
-	// network adversary observes anyway; with monolithic planes this is the
-	// original uniform plane choice, same rng draw sequence.
+	// Clients pick a load balancer uniformly (paper §4.3); the network
+	// adversary observes the choice anyway.
 	sys.rngMu.Lock()
-	g := sys.rng.Intn(len(sys.lbs) * sys.feedsPerPlane)
+	st := sys.lbs[sys.rng.Intn(len(sys.lbs))]
 	sys.rngMu.Unlock()
-	st := sys.lbs[g/sys.feedsPerPlane]
-	f := g % sys.feedsPerPlane
 	ch := make(chan result, 1)
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return nil, ErrClosed
 	}
-	st.queues[f] = append(st.queues[f], pending{op: op, key: key, user: user, id: id, data: data, ch: ch})
+	st.queue = append(st.queue, pending{op: op, key: key, user: user, id: id, data: data, ch: ch})
 	st.mu.Unlock()
 	return ch, nil
 }
@@ -881,24 +818,17 @@ func (sys *System) WriteAsync(key uint64, value []byte) (func() ([]byte, bool, e
 // batch storage to the arena as soon as the subORAMs are done with it,
 // while stage C still has the numbers for stats.
 type lbEpoch struct {
-	// feedReqs holds the per-feed request snapshots (one for a monolithic
-	// plane, one per leaf for a tree); stage C matches each feed's
-	// responses against its own snapshot.
-	feedReqs []*store.Requests
-	batches  *loadbalancer.Batches
-	// feedErrs, when non-nil, carries per-feed (leaf) failures: feed f's
-	// requests are absent from the batches iff feedErrs[f] != nil, and
-	// stage C fails only that feed's clients.
-	feedErrs []error
-	err      error
-	wall     time.Duration
-	perSub   int
-	dropped  int
-	// droppedKeys are the plane-wide Theorem-3 overflow victims' keys
-	// (normally nil); stage C fails exactly these requests with
-	// ErrOverflow. droppedByFeed[f] adds feed f's leaf-local victims.
-	droppedKeys   []uint64
-	droppedByFeed [][]uint64
+	// reqs is the plane's request snapshot; stage C matches the responses
+	// against it.
+	reqs    *store.Requests
+	batches *loadbalancer.Batches
+	err     error
+	wall    time.Duration
+	perSub  int
+	dropped int
+	// droppedKeys are the Theorem-3 overflow victims' keys (normally nil);
+	// stage C fails exactly these requests with ErrOverflow.
+	droppedKeys []uint64
 }
 
 // epochJob carries one epoch through the processing stages.
@@ -1041,13 +971,17 @@ func (sys *System) failJob(job *epochJob, err error) {
 		}
 	}
 	for i := range job.eps {
-		job.eps[i].batches.Release()
-		job.eps[i].batches = nil
-		for f := range job.eps[i].feedReqs {
-			arena.Default.PutRequests(job.eps[i].feedReqs[f])
-			job.eps[i].feedReqs[f] = nil
-		}
+		job.eps[i].release()
 	}
+}
+
+// release returns the plane's batch storage and request snapshot to the
+// arena.
+func (ep *lbEpoch) release() {
+	ep.batches.Release()
+	ep.batches = nil
+	arena.Default.PutRequests(ep.reqs)
+	ep.reqs = nil
 }
 
 // partitionWorker drains partition s's job queue in FIFO (= epoch) order.
@@ -1087,28 +1021,19 @@ func (sys *System) sequencer() {
 	}
 }
 
-// stageAPlane builds plane i's batches from its snapshotted feed queues.
+// stageAPlane builds plane i's batches from its snapshotted queue.
 func (sys *System) stageAPlane(job *epochJob, i int) {
-	F := sys.feedsPerPlane
 	t := time.Now()
 	ta0 := sys.cfg.Telemetry.Now()
-	feedReqs := make([]*store.Requests, F)
-	for f := 0; f < F; f++ {
-		q := job.queues[i*F+f]
-		reqs := arena.Default.GetRequests(len(q), sys.cfg.BlockSize)
-		for j, p := range q {
-			// Seq and Client are feed-local; a tree balancer shifts
-			// Seq by public per-feed bases for global last-write-wins.
-			reqs.SetRow(j, p.op, p.key, 0, uint64(j), uint64(j), p.data)
-		}
-		feedReqs[f] = reqs
+	q := job.queues[i]
+	reqs := arena.Default.GetRequests(len(q), sys.cfg.BlockSize)
+	for j, p := range q {
+		reqs.SetRow(j, p.op, p.key, 0, uint64(j), uint64(j), p.data)
 	}
-	b, feedErrs, err := sys.lbs[i].bal.MakeBatches(job.id, feedReqs)
-	ep := lbEpoch{feedReqs: feedReqs, batches: b, feedErrs: feedErrs, err: err, wall: time.Since(t)}
+	b, err := sys.lbs[i].lb.MakeBatches(reqs)
+	ep := lbEpoch{reqs: reqs, batches: b, err: err, wall: time.Since(t)}
 	if b != nil {
-		ep.perSub, ep.dropped = b.PerSub, b.Dropped
-		ep.droppedKeys = b.DroppedKeys
-		ep.droppedByFeed = b.DroppedByFeed
+		ep.perSub, ep.dropped, ep.droppedKeys = b.PerSub, b.Dropped, b.DroppedKeys
 	}
 	job.eps[i] = ep
 	// One span per (epoch, load balancer), tagged with the public
@@ -1120,17 +1045,12 @@ func (sys *System) stageAPlane(job *epochJob, i int) {
 // load balancer's batches. Caller holds epochMu.
 func (sys *System) stageA() *epochJob {
 	L := len(sys.lbs)
-	F := sys.feedsPerPlane
 	sys.epoch++
-	// job.queues is flat over global feed index g = plane*F + feed, so the
-	// ACL layer (index-generic over queues) works unchanged.
-	job := &epochJob{id: sys.epoch, t0: time.Now(), t0tel: sys.cfg.Telemetry.Now(), queues: make([][]pending, L*F)}
+	job := &epochJob{id: sys.epoch, t0: time.Now(), t0tel: sys.cfg.Telemetry.Now(), queues: make([][]pending, L)}
 	for i, st := range sys.lbs {
 		st.mu.Lock()
-		for f := 0; f < F; f++ {
-			job.queues[i*F+f] = st.queues[f]
-			st.queues[f] = nil
-		}
+		job.queues[i] = st.queue
+		st.queue = nil
 		st.mu.Unlock()
 	}
 
@@ -1165,32 +1085,7 @@ func (sys *System) stageA() *epochJob {
 		}
 		wg.Wait()
 	}
-	sys.observeLeafHealth(job)
 	return job
-}
-
-// observeLeafHealth folds the epoch's per-feed (leaf) failures into
-// HealthStats so a cluster supervisor can trip leaf-level repair. Stage A
-// runs under epochMu, so consecutive-failure runs are well defined.
-func (sys *System) observeLeafHealth(job *epochJob) {
-	if len(sys.health.LeafConsecutiveFailures) == 0 {
-		return
-	}
-	F := sys.feedsPerPlane
-	sys.statsMu.Lock()
-	for i := range sys.lbs {
-		for f := 0; f < F; f++ {
-			g := i*F + f
-			if job.eps[i].feedErrs != nil && job.eps[i].feedErrs[f] != nil {
-				sys.health.LeafConsecutiveFailures[g]++
-				sys.health.LeafTotalFailures[g]++
-				sys.telLeafFails.Inc()
-			} else {
-				sys.health.LeafConsecutiveFailures[g] = 0
-			}
-		}
-	}
-	sys.statsMu.Unlock()
 }
 
 // partStageB executes one partition's share of an epoch: the L batches in
@@ -1230,14 +1125,16 @@ func (sys *System) partStageB(job *epochJob, s int) {
 		gather = append(gather, v)
 		idxs = append(idxs, i)
 	}
-	// Multi-batch fast path: one exchange (and, remotely, one AEAD seal
-	// and one round trip) for the whole epoch instead of one per load
-	// balancer. All-or-nothing per partition, which matches the error
-	// granularity stage C already applies. With a journal configured the
-	// grouped path is taken even for a single batch, so every journaled
-	// epoch consumes exactly one delivery tag per partition — the
-	// prediction journalBegin records and a successor replays.
-	if bn, ok := sub.(BatchedSubORAMClient); ok && (len(gather) > 1 || (sys.journal != nil && len(gather) >= 1)) {
+	if len(gather) == 0 {
+		return
+	}
+	// Grouped path: one exchange (and, remotely, one AEAD seal and one
+	// round trip) for the whole epoch instead of one per load balancer.
+	// All-or-nothing per partition, which matches the error granularity
+	// stage C already applies. Every epoch therefore consumes exactly one
+	// delivery tag per tagged partition — the prediction journalBegin
+	// records and a successor replays.
+	if bn, ok := sub.(BatchedSubORAMClient); ok {
 		outs, err := bn.BatchAccessN(gather)
 		if err != nil {
 			job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)
@@ -1371,49 +1268,43 @@ func (sys *System) stageC(job *epochJob) {
 }
 
 // stageCPlane matches one plane's responses and replies to its clients.
+// Overflow victims get ErrOverflow, requests routed to a failed partition
+// that partition's error.
 func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) {
-	F := sys.feedsPerPlane
 	S := len(sys.subs)
 	t := time.Now()
 	tc0 := sys.cfg.Telemetry.Now()
-	nreq := 0
-	for f := 0; f < F; f++ {
-		nreq += len(job.queues[i*F+f])
-	}
+	q := job.queues[i]
+	ep := &job.eps[i]
 	// One span per (epoch, load balancer) on every exit path, tagged
 	// with the public per-plane request count.
 	defer func() {
 		matchWall[i] = time.Since(t)
-		sys.stStageC.Record(job.id, i, nreq, tc0, sys.cfg.Telemetry.Now())
+		sys.stStageC.Record(job.id, i, len(q), tc0, sys.cfg.Telemetry.Now())
 	}()
-	// Whatever path this epoch takes, its pooled request snapshots
-	// and subORAM responses go back to the arena at the end.
+	// Whatever path this epoch takes, its pooled request snapshot and
+	// subORAM responses go back to the arena at the end.
 	defer func() {
-		for f := range job.eps[i].feedReqs {
-			arena.Default.PutRequests(job.eps[i].feedReqs[f])
-			job.eps[i].feedReqs[f] = nil
-		}
+		ep.release()
 		for s := 0; s < S; s++ {
 			arena.Default.PutRequests(job.responses[i][s])
 			job.responses[i][s] = nil
 		}
 	}()
-	if nreq == 0 {
+	if len(q) == 0 {
 		return
 	}
-	failAll := func(err error) {
-		for f := 0; f < F; f++ {
-			for _, p := range job.queues[i*F+f] {
-				p.ch <- result{err: err}
-			}
+	fail := func(err error) {
+		for _, p := range q {
+			p.ch <- result{err: err}
 		}
 	}
 	if job.aclErr != nil {
-		failAll(job.aclErr)
+		fail(job.aclErr)
 		return
 	}
-	if job.eps[i].err != nil {
-		failAll(job.eps[i].err)
+	if ep.err != nil {
+		fail(ep.err)
 		return
 	}
 	// Graceful degradation: responses from healthy partitions are
@@ -1425,15 +1316,57 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	for s := 0; s < S; s++ {
 		anyErr = anyErr || job.subErr[s] != nil
 	}
-	all := gatherResponses(job.responses[i], job.subErr, job.eps[i].perSub, sys.cfg.BlockSize)
-	// The plane's aggregate response set is matched back per feed:
-	// each feed gets its own oblivious match against its own request
-	// snapshot, and a failed feed (dead leaf) fails only its own
-	// clients while every other feed completes normally.
-	for f := 0; f < F; f++ {
-		sys.replyFeed(job, i, f, all, anyErr)
-	}
+	all := gatherResponses(job.responses[i], job.subErr, ep.perSub, sys.cfg.BlockSize)
+	matched, err := sys.lbs[i].lb.MatchResponses(all, ep.reqs)
 	arena.Default.PutRequests(all)
+	if err != nil {
+		fail(err)
+		return
+	}
+	var droppedSet map[uint64]struct{}
+	if len(ep.droppedKeys) > 0 {
+		droppedSet = make(map[uint64]struct{}, len(ep.droppedKeys))
+		for _, k := range ep.droppedKeys {
+			droppedSet[k] = struct{}{}
+		}
+	}
+	answered := make([]bool, len(q))
+	for j := 0; j < matched.Len(); j++ {
+		idx := matched.Client[j]
+		p := q[idx]
+		answered[idx] = true
+		if anyErr {
+			if serr := job.subErr[sys.lbs[i].lb.SubORAMFor(matched.Key[j])]; serr != nil {
+				p.ch <- result{err: serr}
+				continue
+			}
+		}
+		if droppedSet != nil {
+			if _, dropped := droppedSet[matched.Key[j]]; dropped {
+				p.ch <- result{err: ErrOverflow}
+				continue
+			}
+		}
+		val := append([]byte(nil), matched.Block(j)...)
+		found := matched.Aux[j]
+		if job.denied != nil && job.denied[i] != nil {
+			nullDenied(val, &found, job.denied[i][idx])
+		}
+		r := result{value: val, found: found == 1}
+		// Park the answer for idempotent retries before delivering it: a
+		// client that saw this root crash a moment later re-asks with the
+		// same ID and gets the original result instead of a re-execution.
+		sys.replyWin.put(p.id, r)
+		p.ch <- r
+	}
+	arena.Default.PutRequests(matched)
+	// Liveness backstop: no queued request may ever be left without a
+	// reply, whatever path the epoch took.
+	for idx := range answered {
+		if !answered[idx] {
+			q[idx].ch <- result{err: ErrOverflow}
+		}
+	}
 }
 
 // stageCStats folds the completed epoch into EpochStats and whole-epoch
@@ -1451,7 +1384,7 @@ func (sys *System) stageCStats(job *epochJob, matchWall []time.Duration) {
 			}
 			st.Dropped += job.eps[i].dropped
 		}
-		lbStats := sys.lbs[i].bal.LastStats()
+		lbStats := sys.lbs[i].lb.LastStats()
 		if lbStats.MakeBatch > st.MakeBatch {
 			st.MakeBatch = lbStats.MakeBatch
 		}
@@ -1484,86 +1417,6 @@ func (sys *System) stageCStats(job *epochJob, matchWall []time.Duration) {
 	sys.telRequests.Add(uint64(st.Requests))
 	sys.telOverflow.Add(uint64(st.Dropped))
 	sys.stEpoch.Record(job.id, -1, st.Requests, job.t0tel, sys.cfg.Telemetry.Now())
-}
-
-// replyFeed matches one feed's responses and replies to its clients. A
-// feed-level failure (dead leaf) fails exactly this feed's queue; overflow
-// victims are the union of the plane-wide dropped keys and this feed's
-// leaf-local drops.
-func (sys *System) replyFeed(job *epochJob, i, f int, all *store.Requests, anyErr bool) {
-	F := sys.feedsPerPlane
-	q := job.queues[i*F+f]
-	if len(q) == 0 {
-		return
-	}
-	ep := &job.eps[i]
-	fail := func(err error) {
-		for _, p := range q {
-			p.ch <- result{err: err}
-		}
-	}
-	if ep.feedErrs != nil && ep.feedErrs[f] != nil {
-		fail(ep.feedErrs[f])
-		return
-	}
-	matched, err := sys.lbs[i].bal.MatchResponses(job.id, all, f, ep.feedReqs[f])
-	if err != nil {
-		fail(err)
-		return
-	}
-	var droppedSet map[uint64]struct{}
-	nd := len(ep.droppedKeys)
-	if ep.droppedByFeed != nil {
-		nd += len(ep.droppedByFeed[f])
-	}
-	if nd > 0 {
-		droppedSet = make(map[uint64]struct{}, nd)
-		for _, k := range ep.droppedKeys {
-			droppedSet[k] = struct{}{}
-		}
-		if ep.droppedByFeed != nil {
-			for _, k := range ep.droppedByFeed[f] {
-				droppedSet[k] = struct{}{}
-			}
-		}
-	}
-	answered := make([]bool, len(q))
-	for j := 0; j < matched.Len(); j++ {
-		idx := matched.Client[j]
-		p := q[idx]
-		answered[idx] = true
-		if anyErr {
-			if serr := job.subErr[sys.lbs[i].bal.SubORAMFor(matched.Key[j])]; serr != nil {
-				p.ch <- result{err: serr}
-				continue
-			}
-		}
-		if droppedSet != nil {
-			if _, dropped := droppedSet[matched.Key[j]]; dropped {
-				p.ch <- result{err: ErrOverflow}
-				continue
-			}
-		}
-		val := append([]byte(nil), matched.Block(j)...)
-		found := matched.Aux[j]
-		if job.denied != nil && job.denied[i*F+f] != nil {
-			nullDenied(val, &found, job.denied[i*F+f][idx])
-		}
-		r := result{value: val, found: found == 1}
-		// Park the answer for idempotent retries before delivering it: a
-		// client that saw this root crash a moment later re-asks with the
-		// same ID and gets the original result instead of a re-execution.
-		sys.replyWin.put(p.id, r)
-		p.ch <- r
-	}
-	arena.Default.PutRequests(matched)
-	// Liveness backstop: no queued request may ever be left without a
-	// reply, whatever path the epoch took.
-	for idx := range answered {
-		if !answered[idx] {
-			q[idx].ch <- result{err: ErrOverflow}
-		}
-	}
 }
 
 // snapshotSubs returns a stable view of the partition clients for one
@@ -1643,13 +1496,11 @@ func (sys *System) Health() HealthStats {
 	sys.statsMu.Lock()
 	defer sys.statsMu.Unlock()
 	return HealthStats{
-		ConsecutiveFailures:     append([]int(nil), sys.health.ConsecutiveFailures...),
-		TotalFailures:           append([]uint64(nil), sys.health.TotalFailures...),
-		Failovers:               append([]uint64(nil), sys.health.Failovers...),
-		Repairing:               append([]bool(nil), sys.health.Repairing...),
-		LeafConsecutiveFailures: append([]int(nil), sys.health.LeafConsecutiveFailures...),
-		LeafTotalFailures:       append([]uint64(nil), sys.health.LeafTotalFailures...),
-		JournalErrors:           sys.health.JournalErrors,
+		ConsecutiveFailures: append([]int(nil), sys.health.ConsecutiveFailures...),
+		TotalFailures:       append([]uint64(nil), sys.health.TotalFailures...),
+		Failovers:           append([]uint64(nil), sys.health.Failovers...),
+		Repairing:           append([]bool(nil), sys.health.Repairing...),
+		JournalErrors:       sys.health.JournalErrors,
 	}
 }
 
@@ -1671,39 +1522,9 @@ func (sys *System) NumSubORAMs() int { return len(sys.subs) }
 // NumLoadBalancers returns L.
 func (sys *System) NumLoadBalancers() int { return len(sys.lbs) }
 
-// FeedsPerPlane returns the number of independent request-ingestion points
-// per load-balancer plane: 1 for a monolithic plane, LBLeaves for a tree.
-func (sys *System) FeedsPerPlane() int { return sys.feedsPerPlane }
-
 // SubORAMFor returns the partition storing id (the oblivious routing is
 // shared across planes).
-func (sys *System) SubORAMFor(id uint64) int { return sys.lbs[0].bal.SubORAMFor(id) }
-
-// LoadBalancerTree returns plane's aggregation tree, or nil when the plane
-// is monolithic (Config.LBLeaves <= 1). Cluster supervisors use it to swap
-// a tripped leaf for a replacement.
-func (sys *System) LoadBalancerTree(plane int) *loadbalancer.Tree {
-	t, _ := sys.lbs[plane].bal.(*loadbalancer.Tree)
-	return t
-}
-
-// ResetLeaf replaces a tripped leaf balancer on plane with a fresh local
-// one — the leaf-level analogue of partition failover. It also clears the
-// feed's consecutive-failure run so health converges once the replacement
-// serves. No-op on a monolithic plane.
-func (sys *System) ResetLeaf(plane, leaf int) {
-	t := sys.LoadBalancerTree(plane)
-	if t == nil {
-		return
-	}
-	t.ResetLeaf(leaf)
-	sys.statsMu.Lock()
-	g := plane*sys.feedsPerPlane + leaf
-	if g < len(sys.health.LeafConsecutiveFailures) {
-		sys.health.LeafConsecutiveFailures[g] = 0
-	}
-	sys.statsMu.Unlock()
-}
+func (sys *System) SubORAMFor(id uint64) int { return sys.lbs[0].lb.SubORAMFor(id) }
 
 // BlockSize returns the configured value size.
 func (sys *System) BlockSize() int { return sys.cfg.BlockSize }

@@ -4,8 +4,8 @@
 //
 // Exactly-once argument, end to end:
 //
-//   - Journal-before-dispatch. An epoch's merged batches, reply routing
-//     tables (client idempotency IDs per feed row), and per-partition
+//   - Journal-before-dispatch. An epoch's batches, reply routing tables
+//     (client idempotency IDs per plane row), and per-partition
 //     delivery tags are durably journaled BEFORE any partition sees the
 //     batches. Not journaled ⇒ never applied, so a client retry of an
 //     unacknowledged request re-executes as a fresh request — safe.
@@ -33,6 +33,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"snoopy/internal/arena"
@@ -141,16 +142,14 @@ func (sys *System) initDispTags() {
 	sys.tagMu.Unlock()
 }
 
-// journalBegin durably journals an epoch before its dispatch: the merged
-// batches, the per-feed reply routing (client idempotency IDs in queue
-// order), and the delivery tags the dispatch will consume. No-op without a
-// journal. Caller holds epochMu, so the tag prediction cannot race another
-// dispatch.
+// journalBegin durably journals an epoch before its dispatch: the batches,
+// the per-plane reply routing (client idempotency IDs in queue order), and
+// the delivery tags the dispatch will consume. No-op without a journal.
+// Caller holds epochMu, so the tag prediction cannot race another dispatch.
 func (sys *System) journalBegin(job *epochJob) error {
 	if sys.journal == nil {
 		return nil
 	}
-	F := sys.feedsPerPlane
 	// The record is scratch reused across epochs (Begin copies everything
 	// it keeps into the sealed log), so steady-state journaling allocates
 	// nothing per epoch.
@@ -158,9 +157,6 @@ func (sys *System) journalBegin(job *epochJob) error {
 	rec.Epoch, rec.BlockSize, rec.ACLOK = job.id, sys.cfg.BlockSize, job.aclErr == nil
 	if rec.Planes == nil {
 		rec.Planes = make([]persist.JournalPlane, len(sys.lbs))
-		for i := range rec.Planes {
-			rec.Planes[i].Feeds = make([]persist.JournalFeed, F)
-		}
 	}
 	sys.tagMu.Lock()
 	rec.Tags = append(rec.Tags[:0], sys.dispTags...)
@@ -177,30 +173,23 @@ func (sys *System) journalBegin(job *epochJob) error {
 			p.Batch = ep.batches.All
 			p.Dropped = ep.droppedKeys
 		}
-		for f := 0; f < F; f++ {
-			fd := &p.Feeds[f]
-			fd.OK = p.OK && (ep.feedErrs == nil || ep.feedErrs[f] == nil)
-			fd.Reqs = ep.feedReqs[f]
-			fd.IDs = fd.IDs[:0]
-			for _, q := range job.queues[i*F+f] {
-				fd.IDs = append(fd.IDs, q.id)
-			}
-			fd.Dropped, fd.Denied = nil, nil
-			if ep.droppedByFeed != nil {
-				fd.Dropped = ep.droppedByFeed[f]
-			}
-			if job.denied != nil {
-				fd.Denied = job.denied[i*F+f]
-			}
+		p.Reqs = ep.reqs
+		p.IDs = p.IDs[:0]
+		for _, q := range job.queues[i] {
+			p.IDs = append(p.IDs, q.id)
+		}
+		p.Denied = nil
+		if job.denied != nil {
+			p.Denied = job.denied[i]
 		}
 	}
 	if err := sys.journal.Begin(rec); err != nil {
 		return err
 	}
 	// The dispatch this record describes will consume exactly one grouped
-	// delivery per partition (partStageB forces BatchAccessN whenever a
-	// journal is configured); advance the predictions to the tags the NEXT
-	// epoch will travel under.
+	// delivery per partition (partStageB takes BatchAccessN whenever the
+	// client has it); advance the predictions to the tags the NEXT epoch
+	// will travel under.
 	if nLive > 0 {
 		sys.tagMu.Lock()
 		for s := range sys.dispTags {
@@ -332,71 +321,35 @@ func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 // each tracked request's result in the reply window.
 func (sys *System) replayPlaneReplies(je *persist.JournalEpoch, i int, resp []*store.Requests, subErr []error) {
 	p := &je.Planes[i]
-	all := gatherResponses(resp, subErr, p.PerSub, je.BlockSize)
-	defer arena.Default.PutRequests(all)
-	var droppedSet map[uint64]struct{}
-	addDropped := func(keys []uint64) {
-		for _, k := range keys {
-			if droppedSet == nil {
-				droppedSet = make(map[uint64]struct{})
-			}
-			droppedSet[k] = struct{}{}
-		}
+	if !slices.ContainsFunc(p.IDs, func(id uint64) bool { return id != 0 }) {
+		return
 	}
-	addDropped(p.Dropped)
-	for f := range p.Feeds {
-		fd := &p.Feeds[f]
-		if !fd.OK || fd.Reqs == nil || fd.Reqs.Len() == 0 {
+	all := gatherResponses(resp, subErr, p.PerSub, je.BlockSize)
+	matched, err := sys.lbs[i].lb.MatchResponses(all, p.Reqs)
+	arena.Default.PutRequests(all)
+	if err != nil {
+		return
+	}
+	defer arena.Default.PutRequests(matched)
+	for j := 0; j < matched.Len(); j++ {
+		idx := matched.Client[j]
+		if idx >= uint64(len(p.IDs)) {
 			continue
 		}
-		tracked := false
-		for _, id := range fd.IDs {
-			if id != 0 {
-				tracked = true
-				break
-			}
-		}
-		if !tracked {
+		id := p.IDs[idx]
+		if id == 0 {
 			continue
 		}
-		feedDropped := droppedSet
-		if len(fd.Dropped) > 0 {
-			feedDropped = make(map[uint64]struct{}, len(droppedSet)+len(fd.Dropped))
-			for k := range droppedSet {
-				feedDropped[k] = struct{}{}
-			}
-			for _, k := range fd.Dropped {
-				feedDropped[k] = struct{}{}
-			}
-		}
-		matched, err := sys.lbs[i].bal.MatchResponses(je.Epoch, all, f, fd.Reqs)
-		if err != nil {
+		key := matched.Key[j]
+		if subErr[sys.lbs[i].lb.SubORAMFor(key)] != nil || slices.Contains(p.Dropped, key) {
 			continue
 		}
-		for j := 0; j < matched.Len(); j++ {
-			idx := matched.Client[j]
-			if idx >= uint64(len(fd.IDs)) {
-				continue
-			}
-			id := fd.IDs[idx]
-			if id == 0 {
-				continue
-			}
-			key := matched.Key[j]
-			if subErr[sys.lbs[i].bal.SubORAMFor(key)] != nil {
-				continue
-			}
-			if _, drop := feedDropped[key]; drop {
-				continue
-			}
-			val := append([]byte(nil), matched.Block(j)...)
-			found := matched.Aux[j]
-			if fd.Denied != nil {
-				nullDenied(val, &found, fd.Denied[idx])
-			}
-			sys.replyWin.put(id, result{value: val, found: found == 1})
+		val := append([]byte(nil), matched.Block(j)...)
+		found := matched.Aux[j]
+		if p.Denied != nil {
+			nullDenied(val, &found, p.Denied[idx])
 		}
-		arena.Default.PutRequests(matched)
+		sys.replyWin.put(id, result{value: val, found: found == 1})
 	}
 }
 
@@ -454,12 +407,7 @@ func (sys *System) crashAfterDispatch(job *epochJob) bool {
 // without replying to anyone — a dead process answers nothing.
 func (sys *System) releaseJobSilently(job *epochJob, withResponses bool) {
 	for i := range job.eps {
-		job.eps[i].batches.Release()
-		job.eps[i].batches = nil
-		for f := range job.eps[i].feedReqs {
-			arena.Default.PutRequests(job.eps[i].feedReqs[f])
-			job.eps[i].feedReqs[f] = nil
-		}
+		job.eps[i].release()
 	}
 	if withResponses {
 		for i := range job.responses {

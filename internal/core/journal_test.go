@@ -347,8 +347,8 @@ func TestJournaledEpochsKeepPlainAPI(t *testing.T) {
 	<-done
 }
 
-// waitForQueued spins until n requests are enqueued across all feeds (the
-// plain API has no async variant handle to rendezvous on).
+// waitForQueued spins until n requests are enqueued across all load
+// balancers (the plain API has no async variant handle to rendezvous on).
 func waitForQueued(t *testing.T, sys *System, n int) {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
@@ -356,9 +356,7 @@ func waitForQueued(t *testing.T, sys *System, n int) {
 		total := 0
 		for _, st := range sys.lbs {
 			st.mu.Lock()
-			for _, q := range st.queues {
-				total += len(q)
-			}
+			total += len(st.queue)
 			st.mu.Unlock()
 		}
 		if total >= n {

@@ -41,7 +41,11 @@ func TestNoFaultsPassThrough(t *testing.T) {
 	c, s := pipePair(t)
 	fc := Wrap(c, NoFaults(), NoFaults())
 	msg := []byte("hello, faultnet")
-	go fc.Write(msg)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fc.Write(msg)
+	}()
 	got := make([]byte, len(msg))
 	if _, err := io.ReadFull(s, got); err != nil {
 		t.Fatal(err)
@@ -49,6 +53,9 @@ func TestNoFaultsPassThrough(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
 	}
+	// The reader can see the bytes before Write returns and advances the
+	// offset: wait for the writer.
+	<-done
 	if fc.WriteOffset() != int64(len(msg)) {
 		t.Fatalf("write offset %d", fc.WriteOffset())
 	}

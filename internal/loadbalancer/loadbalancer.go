@@ -143,16 +143,8 @@ type Batches struct {
 	Dropped int
 	// DroppedKeys holds the dropped requests' keys (nil when Dropped == 0)
 	// so the system can fail exactly those requests with an explicit error
-	// instead of silently answering not-found. These drops are global: the
-	// key is absent from the batches, so every feed that requested it is
-	// affected.
+	// instead of silently answering not-found.
 	DroppedKeys []uint64
-	// DroppedByFeed, set only by the tree balancer, holds leaf-local
-	// overflow victims per feed: a key dropped at leaf f may still have
-	// been served via another leaf, so only feed f's requests for it fail.
-	// nil for monolithic balancers and in the (overwhelmingly common)
-	// no-overflow case.
-	DroppedByFeed [][]uint64
 
 	pool *arena.Pool
 }
@@ -183,61 +175,10 @@ func (b *Batches) Release() {
 	batchesPool.Put(b)
 }
 
-// buildRun assembles one sub-major sorted run for an epoch: reqs copied into
-// pooled scratch with subORAM assignment and a public seqBase offset folded
-// into Seq (global last-write-wins order across tree feeds), obliviously
-// sorted by (subORAM, key, write-first, seq-desc), locally deduplicated to
-// the first α distinct keys per subORAM, and scattered to sub·α + rank of
-// the α·S-row run, whose remaining slots become each subORAM's dummies
-// (numbered 0, 1, … behind its real rows — the order Fig. 5's "append α
-// dummies per subORAM, sort" yields). This is both the body of the monolithic
-// MakeBatches (seqBase 0) and the per-leaf stage of the aggregation tree —
-// a leaf's output run is literally a valid batch set, which is what makes
-// the root's merge-of-runs sound.
-//
-// Returns the pooled α·S-row run (caller releases it to lb's pool) and the
-// run's Theorem-3 overflow victims.
-func (lb *LoadBalancer) buildRun(reqs *store.Requests, alpha int, seqBase uint64) (*store.Requests, []uint64, error) {
-	if reqs.BlockSize != lb.cfg.BlockSize {
-		return nil, nil, fmt.Errorf("loadbalancer: block size %d != %d", reqs.BlockSize, lb.cfg.BlockSize)
-	}
-	n := reqs.Len()
-	s := lb.cfg.NumSubORAMs
-
-	// ➊ Assign each request to its subORAM. The scratch is zeroed through
-	// the run length; only the n real rows take part in the sort.
-	pool := lb.pool()
-	work := pool.GetRequests(max(n, alpha*s), lb.cfg.BlockSize)
-	work.Rec = lb.cfg.Rec
-	work.Resize(n)
-	work.CopyPrefix(reqs)
-	for i := 0; i < n; i++ {
-		work.Sub[i] = uint32(lb.SubORAMFor(work.Key[i]))
-		work.Seq[i] += seqBase
-	}
-
-	// ➋ Group into batches: sort by (subORAM, key, write-first, seq-desc).
-	// Duplicates become adjacent with the last-write-wins representative
-	// first.
-	obliv.SortAdaptive(store.BySubKeyWriteSeq{Requests: work}, lb.cfg.SortWorkers)
-
-	// ➌ Keep the first α distinct keys per subORAM, branch-free; ➍ route
-	// them to their batch slots and number the dummies that fill the rest.
-	keep := pool.GetBits(n)
-	drop := pool.GetBits(n)
-	_, droppedKeys := dedupeKeep(work, alpha, keep, drop)
-	work.ScatterRuns(keep, s, alpha, store.DummyKeyBit, 1<<32)
-	pool.PutBits(keep)
-	pool.PutBits(drop)
-	return work, droppedKeys, nil
-}
-
 // dedupeKeep marks, branch-free, the first α distinct keys of each subORAM
 // group of the (sub, key, write-first, seq-desc)-sorted work into keep, and
 // the distinct real keys that did not fit — Theorem-3 overflow victims —
-// into drop. Shared by the monolithic balancer, the tree's leaves, and the
-// tree's root (where work is the merge of the leaf runs and duplicate keys
-// span leaves). Returns the victim count and keys.
+// into drop. Returns the victim count and keys.
 func dedupeKeep(work *store.Requests, alpha int, keep, drop []uint8) (int, []uint64) {
 	dropped := 0
 	var distinct uint64
@@ -280,24 +221,54 @@ func dedupeKeep(work *store.Requests, alpha int, keep, drop []uint8) (int, []uin
 // the requests received (paper Fig. 5 / Fig. 25 lines 1–14). The caller
 // must have set Seq to the arrival order (for last-write-wins) and Client
 // to its routing cookie. reqs is not modified; duplicates are allowed.
+//
+// The requests are copied into pooled scratch with their subORAM
+// assignment, obliviously sorted by (subORAM, key, write-first, seq-desc),
+// deduplicated to the first α distinct keys per subORAM, and scattered to
+// sub·α + rank of the α·S-row batch set, whose remaining slots become each
+// subORAM's dummies (numbered 0, 1, … behind its real rows — the order
+// Fig. 5's "append α dummies per subORAM, sort" yields).
 func (lb *LoadBalancer) MakeBatches(reqs *store.Requests) (*Batches, error) {
 	t0 := time.Now()
 	tt0 := lb.cfg.Telemetry.Now()
 
+	if reqs.BlockSize != lb.cfg.BlockSize {
+		return nil, fmt.Errorf("loadbalancer: block size %d != %d", reqs.BlockSize, lb.cfg.BlockSize)
+	}
 	n := reqs.Len()
 	s := lb.cfg.NumSubORAMs
 	alpha := batch.Size(n, s, lb.cfg.Lambda)
 	if alpha == 0 {
 		alpha = 1 // an idle epoch still sends one dummy per subORAM
 	}
-	work, droppedKeys, err := lb.buildRun(reqs, alpha, 0)
-	if err != nil {
-		return nil, err
+
+	// ➊ Assign each request to its subORAM. The scratch is zeroed through
+	// the batch set's length; only the n real rows take part in the sort.
+	pool := lb.pool()
+	work := pool.GetRequests(max(n, alpha*s), lb.cfg.BlockSize)
+	work.Rec = lb.cfg.Rec
+	work.Resize(n)
+	work.CopyPrefix(reqs)
+	for i := 0; i < n; i++ {
+		work.Sub[i] = uint32(lb.SubORAMFor(work.Key[i]))
 	}
-	dropped := len(droppedKeys)
+
+	// ➋ Group into batches: sort by (subORAM, key, write-first, seq-desc).
+	// Duplicates become adjacent with the last-write-wins representative
+	// first.
+	obliv.SortAdaptive(store.BySubKeyWriteSeq{Requests: work}, lb.cfg.SortWorkers)
+
+	// ➌ Keep the first α distinct keys per subORAM, branch-free; ➍ route
+	// them to their batch slots and number the dummies that fill the rest.
+	keep := pool.GetBits(n)
+	drop := pool.GetBits(n)
+	dropped, droppedKeys := dedupeKeep(work, alpha, keep, drop)
+	work.ScatterRuns(keep, s, alpha, store.DummyKeyBit, 1<<32)
+	pool.PutBits(keep)
+	pool.PutBits(drop)
 
 	b := batchesPool.Get().(*Batches)
-	*b = Batches{All: work, PerSub: alpha, Dropped: dropped, DroppedKeys: droppedKeys, pool: lb.pool()}
+	*b = Batches{All: work, PerSub: alpha, Dropped: dropped, DroppedKeys: droppedKeys, pool: pool}
 
 	lb.statsMu.Lock()
 	lb.last.MakeBatch = time.Since(t0)
@@ -423,9 +394,9 @@ func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.
 }
 
 // MakeBatchesCost returns the number of oblivious row operations
-// (compare-exchanges and conditional swaps) the monolithic MakeBatches — and
-// a tree leaf's BuildRun — performs on r requests for s subORAMs at batch
-// size alpha: sort and compact the r real rows, distribute into α·s slots.
+// (compare-exchanges and conditional swaps) MakeBatches performs on r
+// requests for s subORAMs at batch size alpha: sort and compact the r real
+// rows, distribute into α·s slots.
 // A pure function of public parameters, for the planner's cost model.
 func MakeBatchesCost(r, s, alpha int) int {
 	return obliv.SortCost(r) + obliv.CompactCost(r) + obliv.DistributeCost(alpha*s)

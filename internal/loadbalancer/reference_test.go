@@ -20,16 +20,15 @@ import (
 // refBuildRun is the pad-and-sort run construction this package used before
 // obliv.Distribute: append α dummies per subORAM to the real rows, sort all
 // R + α·S of them, keep the first α distinct keys per subORAM, compact,
-// truncate. Kept verbatim as the specification buildRun must reproduce byte
-// for byte.
-func refBuildRun(lb *LoadBalancer, reqs *store.Requests, alpha int, seqBase uint64) (*store.Requests, []uint64) {
+// truncate. Kept verbatim as the specification MakeBatches must reproduce
+// byte for byte.
+func refBuildRun(lb *LoadBalancer, reqs *store.Requests, alpha int) (*store.Requests, []uint64) {
 	n := reqs.Len()
 	s := lb.cfg.NumSubORAMs
 	work := store.NewRequests(n+alpha*s, lb.cfg.BlockSize)
 	for i := 0; i < n; i++ {
 		work.CopyRowPlain(i, reqs, i)
 		work.Sub[i] = uint32(lb.SubORAMFor(work.Key[i]))
-		work.Seq[i] = seqBase + reqs.Seq[i]
 	}
 	d := n
 	for sub := 0; sub < s; sub++ {
@@ -72,18 +71,16 @@ func epochReqs(rng *rand.Rand, n, keyspace int) *store.Requests {
 	return reqs
 }
 
-// TestBuildRunMatchesPadAndSortReference: the monolithic MakeBatches and a
-// tree leaf's BuildRun (seqBase ≠ 0) emit runs byte-identical to the
-// pad-and-sort construction's — same occupied slots, same last-write-wins
-// representatives, same dummy-key numbering — across the size edges and
-// random epochs.
+// TestBuildRunMatchesPadAndSortReference: MakeBatches emits batch sets
+// byte-identical to the pad-and-sort construction's — same occupied slots,
+// same last-write-wins representatives, same dummy-key numbering — across
+// the size edges and random epochs.
 func TestBuildRunMatchesPadAndSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const S = 4
 	cfg := Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}
 	key := crypt.MustNewKey()
 	lb := New(cfg, key)
-	leaf := NewLeaf(cfg, key, 2)
 
 	sizes := []int{0, 1, 2, 7, 8, 9, 2048}
 	for _, r := range []int{128, 512} { // R whose α the edge cases straddle
@@ -100,25 +97,12 @@ func TestBuildRunMatchesPadAndSortReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantDropped := refBuildRun(lb, reqs, b.PerSub, 0)
-		sameRows(t, fmt.Sprintf("R=%d monolithic", n), b.All, want)
+		want, wantDropped := refBuildRun(lb, reqs, b.PerSub)
+		sameRows(t, fmt.Sprintf("R=%d", n), b.All, want)
 		if !reflect.DeepEqual(b.DroppedKeys, wantDropped) {
 			t.Fatalf("R=%d: dropped %v, reference %v", n, b.DroppedKeys, wantDropped)
 		}
 		b.Release()
-
-		const seqBase = 1 << 20
-		alpha := max(batch.Size(n, S, cfg.Lambda), 1)
-		dst := store.NewRequests(alpha*S, testBlock)
-		dropped, err := leaf.BuildRun(7, reqs, alpha, seqBase, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantDropped = refBuildRun(lb, reqs, alpha, seqBase)
-		sameRows(t, fmt.Sprintf("R=%d leaf run", n), dst, want)
-		if !reflect.DeepEqual(dropped, wantDropped) {
-			t.Fatalf("R=%d leaf: dropped %v, reference %v", n, dropped, wantDropped)
-		}
 	}
 }
 
@@ -168,7 +152,7 @@ func TestMakeBatchesTheorem3Boundary(t *testing.T) {
 				t.Fatalf("subORAM 2 slot %d holds %#x, want key %d", i, part.Key[i], keys[2][i])
 			}
 		}
-		want, _ := refBuildRun(lb, reqs, alpha, 0)
+		want, _ := refBuildRun(lb, reqs, alpha)
 		sameRows(t, "boundary batches", b.All, want)
 		b.Release()
 	}
@@ -459,8 +443,8 @@ func TestMatchResponsesDegradedEpochs(t *testing.T) {
 
 // TestMatchResponsesRealSubORAMs runs the differential against real
 // subORAMs — under pinned and under fresh hash keys — with three load
-// balancers whose epochs share keys, and with a tree feed: a strict subset
-// of the plane's requests matched against the whole response set.
+// balancers whose epochs share keys, and with a strict subset of the plane's
+// requests matched against the whole response set.
 func TestMatchResponsesRealSubORAMs(t *testing.T) {
 	const S, L, objects = 3, 3, 2048
 	pinned := &crypt.SipKey{1, 2}
@@ -513,15 +497,15 @@ func TestMatchResponsesRealSubORAMs(t *testing.T) {
 					}
 				}
 
-				feed := store.NewRequests(reqs.Len()/3, testBlock)
-				for j := 0; j < feed.Len(); j++ {
-					feed.CopyRowPlain(j, reqs, 3*j)
+				subset := store.NewRequests(reqs.Len()/3, testBlock)
+				for j := 0; j < subset.Len(); j++ {
+					subset.CopyRowPlain(j, reqs, 3*j)
 				}
-				got, err = lbs[i].MatchResponses(responses, feed)
+				got, err = lbs[i].MatchResponses(responses, subset)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameReplies(t, what+" feed subset", got, refMatchResponses(responses, feed), responses, feed)
+				sameReplies(t, what+" subset", got, refMatchResponses(responses, subset), responses, subset)
 			}
 		}
 	}

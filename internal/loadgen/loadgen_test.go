@@ -355,8 +355,10 @@ func (q *queueStore) WriteAsync(uint64, []byte) (func() ([]byte, bool, error), e
 func (q *queueStore) Flush() {}
 
 // TestFindKneeLocatesCapacity sweeps a queue with a known 5000 rps service
-// rate: the knee must land below capacity and the sweep must stop at the
-// first overloaded probe.
+// rate: the knee must bracket capacity and the sweep must stop at the first
+// overloaded probe. The probes sit 4× below and 4× above capacity, so a
+// host running the sleep-paced fake several times slower than real time
+// cannot flip a verdict; the probe past the first overload must never run.
 func TestFindKneeLocatesCapacity(t *testing.T) {
 	const capacity = 5000.0
 	open := func() (loadgen.Store, func(), error) {
@@ -370,17 +372,20 @@ func TestFindKneeLocatesCapacity(t *testing.T) {
 		Seed:     3,
 		Epoch:    25 * time.Millisecond,
 	}
-	rates := []float64{1000, 2000, 4000, 8000, 16000}
-	knee, err := loadgen.FindKnee(open, base, rates, 50*time.Millisecond, 0.9)
+	rates := []float64{capacity / 8, capacity / 4, 4 * capacity, 8 * capacity}
+	// Goodput 0.75: a 0.5 s Poisson schedule at 625 rps carries ~312±18
+	// arrivals, so 0.9 would test the seed's sample, not the server.
+	knee, err := loadgen.FindKnee(open, base, rates, 50*time.Millisecond, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if knee.Rate < 2000 || knee.Rate >= 8000 {
-		t.Fatalf("knee = %.0f rps for a %.0f rps server: %+v", knee.Rate, capacity, knee.Probes)
+	if len(knee.Probes) != 3 {
+		t.Fatalf("sweep ran %d probes, want 3 (stop at the first overload): %+v", len(knee.Probes), knee.Probes)
 	}
 	last := knee.Probes[len(knee.Probes)-1]
-	if last.Sustained {
-		t.Fatalf("sweep ended on a sustained probe without exhausting rates: %+v", knee.Probes)
+	if knee.Rate > capacity || last.Sustained || last.Rate <= capacity {
+		t.Fatalf("knee %.0f rps, first overload %.0f rps (sustained=%v): does not bracket %.0f rps: %+v",
+			knee.Rate, last.Rate, last.Sustained, capacity, knee.Probes)
 	}
 	for _, p := range knee.Probes[:len(knee.Probes)-1] {
 		if !p.Sustained {

@@ -408,7 +408,7 @@ var journalScript = []struct {
 }
 
 func journalCase() crashCase {
-	rec := func(e uint64) *JournalEpoch { return testEpochRec(e, 1, 2, 2, 3, 2, testBlock) }
+	rec := func(e uint64) *JournalEpoch { return testEpochRec(e, 1, 2, 3, 2, testBlock) }
 	return crashCase{
 		run: func(t *testing.T, fs *crashFS, dir string) int {
 			j, _, err := openJournal(fs, dir, nil, nil)

@@ -1,9 +1,9 @@
 // Epoch journal: the root load balancer's sealed, crash-recoverable record
 // of every epoch it is about to dispatch (paper §5's failure story extended
 // to the LB plane). Before stage-B dispatch the root appends one sealed
-// record holding the epoch's merged per-plane batches, the client→reply
-// routing tables (per-feed request metadata plus per-request reply IDs),
-// and the per-partition (lbID, seq) delivery tags the dispatch will use. A
+// record holding the epoch's per-plane batches, the client→reply routing
+// tables (per-plane request metadata plus per-request reply IDs), and the
+// per-partition (lbID, seq) delivery tags the dispatch will use. A
 // standby root that opens the same journal replays the incomplete epochs
 // verbatim: it adopts the journaled delivery tags, so partitions that
 // already applied a batch answer from their replay caches instead of
@@ -16,8 +16,8 @@
 // the crash artifact of an append nobody acknowledged — that epoch was never
 // dispatched — and ends the log.
 //
-// A record holds only what replay reads: the merged batch as a full wire
-// frame (replay re-sends it), a feed's request snapshot as the four metadata
+// A record holds only what replay reads: the batch as a full wire frame
+// (replay re-sends it), a plane's request snapshot as the four metadata
 // columns MatchResponses reads — its value blocks are dead there. A done
 // marker is appended without a sync of its own; the next epoch record's
 // sync carries it. A lost marker only makes the successor replay an epoch
@@ -26,10 +26,10 @@
 //
 // Obliviousness: every record's length is a closed-form function of public
 // parameters only (JournalRecordLen) — the plane count L, partition count
-// S, feed count F, the Theorem-3 batch size α, and the per-feed request
-// counts R_f, all of which the network adversary already observes. Record
-// contents are AEAD-sealed; the journal's I/O trace (offsets and lengths)
-// is bit-identical across request streams that differ only in secrets, and
+// S, the Theorem-3 batch size α, and the per-plane request counts R_i, all
+// of which the network adversary already observes. Record contents are
+// AEAD-sealed; the journal's I/O trace (offsets and lengths) is
+// bit-identical across request streams that differ only in secrets, and
 // internal/trace asserts it.
 package persist
 
@@ -48,7 +48,7 @@ import (
 
 const (
 	journalFile    = "journal"
-	journalContext = "snoopy-persist/journal/v2"
+	journalContext = "snoopy-persist/journal/v3"
 
 	journalKindEpoch = 1
 	journalKindDone  = 2
@@ -71,38 +71,28 @@ type JournalTag struct {
 	Seq  uint64
 }
 
-// JournalFeed is one feed's client→reply routing table: the request
-// snapshot stage A built (row j belongs to queue position j), the reply IDs
-// (0 = no idempotent tracking asked for), and the feed's overflow victims.
-type JournalFeed struct {
-	// OK reports whether the feed's run made it into the batches; a failed
-	// feed's requests were never dispatched.
-	OK bool
-	// Reqs is the feed's request snapshot (Seq = Client = queue index).
-	// Only its metadata columns are journaled: a decoded snapshot has no
-	// value blocks (Data is nil), which MatchResponses never reads.
-	Reqs *store.Requests
-	// IDs[j] is the reply ID of queue position j (len = Reqs.Len()).
-	IDs []uint64
-	// Dropped are the feed's leaf-local Theorem-3 overflow victim keys.
-	Dropped []uint64
-	// Denied, when non-nil, is the per-request ACL denial mask.
-	Denied []uint8
-}
-
-// JournalPlane is one load-balancer plane's stage-A output.
+// JournalPlane is one load-balancer plane's stage-A output and its
+// client→reply routing table.
 type JournalPlane struct {
 	// OK reports whether stage A succeeded for the plane (Batch non-nil).
 	OK bool
 	// PerSub is the plane's Theorem-3 per-partition batch size α.
 	PerSub int
-	// Batch holds the merged α·S batch rows in partition-major order
-	// (partition s owns rows [s·α, (s+1)·α)); nil when !OK.
+	// Batch holds the α·S batch rows in partition-major order (partition s
+	// owns rows [s·α, (s+1)·α)); nil when !OK.
 	Batch *store.Requests
-	// Dropped are the plane-wide overflow victim keys.
+	// Dropped are the plane's Theorem-3 overflow victim keys.
 	Dropped []uint64
-	// Feeds are the per-feed routing tables.
-	Feeds []JournalFeed
+	// Reqs is the plane's request snapshot (row j belongs to queue position
+	// j; Seq = Client = j). Only its metadata columns are journaled: a
+	// decoded snapshot has no value blocks (Data is nil), which
+	// MatchResponses never reads.
+	Reqs *store.Requests
+	// IDs[j] is the reply ID of queue position j (0 = no idempotent
+	// tracking asked for; len = Reqs.Len()).
+	IDs []uint64
+	// Denied, when non-nil, is the per-request ACL denial mask.
+	Denied []uint8
 }
 
 // JournalEpoch is one journaled epoch: everything a standby root needs to
@@ -349,31 +339,29 @@ func releaseAll(es []*JournalEpoch) {
 // --- epoch payload codec -------------------------------------------------
 //
 // Fixed little-endian layout; every length below is a function of the
-// public shape (L, S, F, α, R_f) only:
+// public shape (L, S, α, R_i) only:
 //
-//	u64 epoch | u32 L | u32 S | u32 F | u32 blockSize | u8 aclOK
+//	u64 epoch | u32 L | u32 S | u32 blockSize | u8 aclOK
 //	S × (u64 lbID, u64 seq)
 //	per plane: u8 ok | u32 perSub | u32 rows + [rows > 0: wirecode frame]
 //	           | u32 nDrop + nDrop×u64
-//	  per feed: u8 ok | u32 n | n×u8 op | n×u64 key | n×u64 seq
-//	            | n×u64 client | n×u64 id | u32 nDrop + nDrop×u64
-//	            | u8 hasDenied + [n]u8
+//	           | u32 n | n×u8 op | n×u64 key | n×u64 seq | n×u64 client
+//	           | n×u64 id | u8 hasDenied + [n]u8
 
 const (
-	journalHeaderLen = 8 + 4*4 + 1
-	journalPlaneLen  = 1 + 4 + 4 + 4     // without the batch frame and victims
-	journalFeedLen   = 1 + 4 + 4 + 1     // without the rows, victims and mask
-	journalRowLen    = 1 + 8 + 8 + 8 + 8 // op, key, seq, client, id
+	journalHeaderLen = 8 + 3*4 + 1
+	journalPlaneLen  = 1 + 4 + 4 + 4 + 4 + 1 // without the batch frame, victims, rows and mask
+	journalRowLen    = 1 + 8 + 8 + 8 + 8     // op, key, seq, client, id
 )
 
 // JournalRecordLen is the exact number of bytes the journal grows by when an
-// epoch is journaled: L planes that each built an α·S-row batch from F
-// feeds, feedReqs[g] requests in feed g (global index plane·F + feed) — plus
-// 8 bytes per Theorem-3 overflow victim (public, negligible probability) and
-// a byte per request under an ACL (public configuration).
-func JournalRecordLen(L, S, F, alpha int, feedReqs []int, blockSize int) int {
-	n := journalHeaderLen + 16*S + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize)+F*journalFeedLen)
-	for _, r := range feedReqs {
+// epoch is journaled: L planes that each built an α·S-row batch, planeReqs[i]
+// requests in plane i — plus 8 bytes per Theorem-3 overflow victim (public,
+// negligible probability) and a byte per request under an ACL (public
+// configuration).
+func JournalRecordLen(L, S, alpha int, planeReqs []int, blockSize int) int {
+	n := journalHeaderLen + 16*S + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize))
+	for _, r := range planeReqs {
 		n += r * journalRowLen
 	}
 	return logRecordLen(n)
@@ -394,14 +382,9 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 			b = le.AppendUint64(b, k)
 		}
 	}
-	F := 0
-	if len(e.Planes) > 0 {
-		F = len(e.Planes[0].Feeds)
-	}
 	b = le.AppendUint64(b, e.Epoch)
 	b = le.AppendUint32(b, uint32(len(e.Planes)))
 	b = le.AppendUint32(b, uint32(len(e.Tags)))
-	b = le.AppendUint32(b, uint32(F))
 	b = le.AppendUint32(b, uint32(e.BlockSize))
 	u8(e.ACLOK)
 	for _, t := range e.Tags {
@@ -409,6 +392,10 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
+		if n := p.Reqs.Len(); len(p.IDs) != n || (p.Denied != nil && len(p.Denied) != n) {
+			return nil, fmt.Errorf("persist: journal epoch %d plane %d: %d reply IDs and a %d-row ACL mask for %d requests",
+				e.Epoch, i, len(p.IDs), len(p.Denied), n)
+		}
 		u8(p.OK)
 		b = le.AppendUint32(b, uint32(p.PerSub))
 		if p.OK && p.Batch != nil {
@@ -419,24 +406,14 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 		}
 		b = le.AppendUint32(b, uint32(len(p.Dropped)))
 		keys(p.Dropped)
-		for f := range p.Feeds {
-			fd := &p.Feeds[f]
-			if n := fd.Reqs.Len(); len(fd.IDs) != n || (fd.Denied != nil && len(fd.Denied) != n) {
-				return nil, fmt.Errorf("persist: journal epoch %d: %d reply IDs and a %d-row ACL mask for %d requests",
-					e.Epoch, len(fd.IDs), len(fd.Denied), n)
-			}
-			u8(fd.OK)
-			b = le.AppendUint32(b, uint32(fd.Reqs.Len()))
-			b = append(b, fd.Reqs.Op...)
-			keys(fd.Reqs.Key)
-			keys(fd.Reqs.Seq)
-			keys(fd.Reqs.Client)
-			keys(fd.IDs)
-			b = le.AppendUint32(b, uint32(len(fd.Dropped)))
-			keys(fd.Dropped)
-			u8(fd.Denied != nil)
-			b = append(b, fd.Denied...)
-		}
+		b = le.AppendUint32(b, uint32(p.Reqs.Len()))
+		b = append(b, p.Reqs.Op...)
+		keys(p.Reqs.Key)
+		keys(p.Reqs.Seq)
+		keys(p.Reqs.Client)
+		keys(p.IDs)
+		u8(p.Denied != nil)
+		b = append(b, p.Denied...)
 	}
 	return b, nil
 }
@@ -490,13 +467,13 @@ const maxJournalDim = 1 << 20
 func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 	c := &journalCursor{b: pt}
 	epoch := c.keys(1)
-	L, S, F, blockSize := c.u32(), c.u32(), c.u32(), c.u32()
+	L, S, blockSize := c.u32(), c.u32(), c.u32()
 	aclOK := c.bool()
 	if c.err != nil {
 		return nil, c.err
 	}
-	if L > maxJournalDim || S > maxJournalDim || F > maxJournalDim || blockSize <= 0 || blockSize > maxRecord {
-		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d,%d) out of range", epoch[0], L, S, F, blockSize)
+	if L > maxJournalDim || S > maxJournalDim || blockSize <= 0 || blockSize > maxRecord {
+		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d) out of range", epoch[0], L, S, blockSize)
 	}
 	e = &JournalEpoch{
 		Epoch:     epoch[0],
@@ -534,29 +511,23 @@ func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 			}
 		}
 		p.Dropped = c.keys(c.u32())
-		p.Feeds = make([]JournalFeed, F)
-		for f := range p.Feeds {
-			fd := &p.Feeds[f]
-			fd.OK = c.bool()
-			n := c.u32()
-			if c.err != nil || n > len(c.b)/journalRowLen {
-				return e, errCorrupt("journal: epoch %d plane %d feed %d: %d requests in %d bytes", e.Epoch, i, f, n, len(c.b))
-			}
-			fd.Reqs = &store.Requests{
-				BlockSize: blockSize,
-				Op:        append([]uint8(nil), c.take(n)...),
-				Key:       c.keys(n),
-				Sub:       make([]uint32, n),
-				Tag:       make([]uint8, n),
-				Aux:       make([]uint8, n),
-				Seq:       c.keys(n),
-				Client:    c.keys(n),
-			}
-			fd.IDs = c.keys(n)
-			fd.Dropped = c.keys(c.u32())
-			if c.bool() {
-				fd.Denied = append([]uint8(nil), c.take(n)...)
-			}
+		n := c.u32()
+		if c.err != nil || n > len(c.b)/journalRowLen {
+			return e, errCorrupt("journal: epoch %d plane %d: %d requests in %d bytes", e.Epoch, i, n, len(c.b))
+		}
+		p.Reqs = &store.Requests{
+			BlockSize: blockSize,
+			Op:        append([]uint8(nil), c.take(n)...),
+			Key:       c.keys(n),
+			Sub:       make([]uint32, n),
+			Tag:       make([]uint8, n),
+			Aux:       make([]uint8, n),
+			Seq:       c.keys(n),
+			Client:    c.keys(n),
+		}
+		p.IDs = c.keys(n)
+		if c.bool() {
+			p.Denied = append([]uint8(nil), c.take(n)...)
 		}
 	}
 	if c.err == nil && len(c.b) != 0 {

@@ -12,8 +12,8 @@ import (
 )
 
 // testEpochRec builds a shape-realistic epoch record: L planes, S
-// partitions, F feeds, α rows per partition, R requests per feed.
-func testEpochRec(epoch uint64, L, S, F, alpha, R, blockSize int) *JournalEpoch {
+// partitions, α rows per partition, R requests per plane.
+func testEpochRec(epoch uint64, L, S, alpha, R, blockSize int) *JournalEpoch {
 	e := &JournalEpoch{
 		Epoch:     epoch,
 		BlockSize: blockSize,
@@ -33,20 +33,15 @@ func testEpochRec(epoch uint64, L, S, F, alpha, R, blockSize int) *JournalEpoch 
 			p.Batch.SetRow(j, 1, epoch*1000+uint64(j), uint32(j/alpha), uint64(j), uint64(j), nil)
 		}
 		p.Dropped = []uint64{epoch + 1}
-		p.Feeds = make([]JournalFeed, F)
-		for f := range p.Feeds {
-			fd := &p.Feeds[f]
-			fd.OK = true
-			fd.Reqs = store.NewRequests(R, blockSize)
-			fd.IDs = make([]uint64, R)
-			for j := 0; j < R; j++ {
-				fd.Reqs.SetRow(j, 2, epoch*500+uint64(j), 0, uint64(j), uint64(j), []byte("v"))
-				fd.IDs[j] = epoch<<20 | uint64(f)<<10 | uint64(j)
-			}
-			fd.Denied = make([]uint8, R)
-			if R > 1 {
-				fd.Denied[1] = 1
-			}
+		p.Reqs = store.NewRequests(R, blockSize)
+		p.IDs = make([]uint64, R)
+		for j := 0; j < R; j++ {
+			p.Reqs.SetRow(j, 2, epoch*500+uint64(j), 0, uint64(j), uint64(j), []byte("v"))
+			p.IDs[j] = epoch<<20 | uint64(i)<<10 | uint64(j)
+		}
+		p.Denied = make([]uint8, R)
+		if R > 1 {
+			p.Denied[1] = 1
 		}
 	}
 	return e
@@ -91,23 +86,20 @@ func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 				t.Fatalf("plane %d batch row %d mismatch", i, j)
 			}
 		}
-		for f := range gp.Feeds {
-			gf, wf := &gp.Feeds[f], &wp.Feeds[f]
-			if gf.OK != wf.OK || gf.Reqs.Len() != wf.Reqs.Len() || len(gf.IDs) != len(wf.IDs) {
-				t.Fatalf("plane %d feed %d shape mismatch", i, f)
+		if gp.Reqs.Len() != wp.Reqs.Len() || len(gp.IDs) != len(wp.IDs) {
+			t.Fatalf("plane %d routing table shape mismatch", i)
+		}
+		for j := range gp.IDs {
+			if gp.IDs[j] != wp.IDs[j] || gp.Reqs.Key[j] != wp.Reqs.Key[j] {
+				t.Fatalf("plane %d row %d mismatch", i, j)
 			}
-			for j := range gf.IDs {
-				if gf.IDs[j] != wf.IDs[j] || gf.Reqs.Key[j] != wf.Reqs.Key[j] {
-					t.Fatalf("plane %d feed %d row %d mismatch", i, f, j)
-				}
-			}
-			if (gf.Denied == nil) != (wf.Denied == nil) {
-				t.Fatalf("plane %d feed %d denied mask presence mismatch", i, f)
-			}
-			for j := range gf.Denied {
-				if gf.Denied[j] != wf.Denied[j] {
-					t.Fatalf("plane %d feed %d denied %d mismatch", i, f, j)
-				}
+		}
+		if (gp.Denied == nil) != (wp.Denied == nil) {
+			t.Fatalf("plane %d denied mask presence mismatch", i)
+		}
+		for j := range gp.Denied {
+			if gp.Denied[j] != wp.Denied[j] {
+				t.Fatalf("plane %d denied %d mismatch", i, j)
 			}
 		}
 	}
@@ -122,8 +114,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(pending) != 0 || j.LastEpoch() != 0 {
 		t.Fatalf("fresh journal: pending=%d last=%d", len(pending), j.LastEpoch())
 	}
-	e1 := testEpochRec(1, 2, 3, 2, 4, 5, testBlock)
-	e2 := testEpochRec(2, 2, 3, 2, 4, 5, testBlock)
+	e1 := testEpochRec(1, 2, 3, 4, 5, testBlock)
+	e2 := testEpochRec(2, 2, 3, 4, 5, testBlock)
 	if err := j.Begin(e1); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +150,7 @@ func TestJournalOutOfOrderBegin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Begin(testEpochRec(5, 1, 1, 1, 2, 2, testBlock)); err == nil {
+	if err := j.Begin(testEpochRec(5, 1, 1, 2, 2, testBlock)); err == nil {
 		t.Fatal("Begin(5) on a fresh journal should fail (want epoch 1)")
 	}
 }
@@ -169,7 +161,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 2, 1, 2, 3, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 2, 2, 3, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -226,7 +218,7 @@ func TestJournalTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -251,7 +243,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Complete(1); err != nil {
@@ -283,7 +275,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	// The journal must still be appendable after the torn tail: epoch 2
 	// re-runs as a fresh epoch.
-	if err := j2.Begin(testEpochRec(2, 1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j2.Begin(testEpochRec(2, 1, 1, 2, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -294,13 +286,13 @@ func TestJournalCrashArtifactPastCounterDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	// Append a fully-written epoch-2 record without bumping the counter,
 	// simulating a crash after the append's sync but before the counter
 	// bump: the record authenticates yet was never acknowledged.
-	e2 := testEpochRec(2, 1, 1, 1, 2, 2, testBlock)
+	e2 := testEpochRec(2, 1, 1, 2, 2, testBlock)
 	j.mu.Lock()
 	err = j.append(journalKindEpoch, encodeFor(t, j, e2), true)
 	j.mu.Unlock()
@@ -332,7 +324,7 @@ func TestJournalCompaction(t *testing.T) {
 	var prev int64
 	compacted := false
 	for e := uint64(1); e <= journalCompactEvery+4; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 2, 1, 3, 4, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 2, 3, 4, testBlock)); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Complete(e); err != nil {
@@ -365,7 +357,7 @@ func TestJournalCompaction(t *testing.T) {
 	if j2.LastEpoch() != last {
 		t.Fatalf("LastEpoch = %d, want %d across compaction", j2.LastEpoch(), last)
 	}
-	if err := j2.Begin(testEpochRec(last+1, 1, 2, 1, 3, 4, testBlock)); err != nil {
+	if err := j2.Begin(testEpochRec(last+1, 1, 2, 3, 4, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -387,29 +379,27 @@ func TestJournalRecordLenClosedForm(t *testing.T) {
 		}
 		return int(st.Size())
 	}
-	const L, S, F, alpha, R = 2, 3, 2, 4, 5
-	feedReqs := []int{R, R, R, R}
+	const L, S, alpha, R = 2, 3, 4, 5
+	planeReqs := []int{R, R}
 	for epoch, seed := range []uint64{3, 0xdeadbeef} {
-		e := testEpochRec(uint64(epoch+1), L, S, F, alpha, R, testBlock)
+		e := testEpochRec(uint64(epoch+1), L, S, alpha, R, testBlock)
 		for i := range e.Planes {
 			p := &e.Planes[i]
 			p.Dropped = nil
+			p.Denied = nil
 			for jr := 0; jr < p.Batch.Len(); jr++ {
 				p.Batch.Key[jr] = seed * uint64(jr+1)
 			}
-			for f := range p.Feeds {
-				p.Feeds[f].Denied = nil
-				for jr := range p.Feeds[f].IDs {
-					p.Feeds[f].IDs[jr] = seed<<32 | uint64(jr)
-					p.Feeds[f].Reqs.Key[jr] = seed + uint64(jr)
-				}
+			for jr := range p.IDs {
+				p.IDs[jr] = seed<<32 | uint64(jr)
+				p.Reqs.Key[jr] = seed + uint64(jr)
 			}
 		}
 		before := size()
 		if err := j.Begin(e); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := size()-before, JournalRecordLen(L, S, F, alpha, feedReqs, testBlock); got != want {
+		if got, want := size()-before, JournalRecordLen(L, S, alpha, planeReqs, testBlock); got != want {
 			t.Fatalf("epoch record grew the journal by %d bytes, JournalRecordLen says %d", got, want)
 		}
 		before = size()
@@ -434,7 +424,7 @@ func TestJournalCompleteDoesNotSync(t *testing.T) {
 	syncs := reg.Counter(`persist_syncs_total{log="journal"}`)
 	ctrSyncs := reg.Counter(`persist_syncs_total{log="counter"}`)
 	for e := uint64(1); e <= 3; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 2, 1, 3, 4, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 2, 3, 4, testBlock)); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Complete(e); err != nil {
@@ -465,7 +455,7 @@ func TestJournalCompactionFailureLeavesJournalAppendable(t *testing.T) {
 	failed := 0
 	const epochs = journalCompactEvery/2 + 3
 	for e := uint64(1); e <= epochs; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 1, 1, 2, 2, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 1, 2, 2, testBlock)); err != nil {
 			t.Fatalf("Begin(%d) after %d failed compactions: %v", e, failed, err)
 		}
 		if err := j.Complete(e); err != nil {

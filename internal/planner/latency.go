@@ -23,40 +23,32 @@ func OptimizeLatency(req Requirements, budget float64, m CostModel, prices Price
 	if req.MaxSubORAMs <= 0 {
 		req.MaxSubORAMs = 32
 	}
-	if req.MaxLBLeaves <= 0 {
-		req.MaxLBLeaves = 8
-	}
 	if req.MinThroughput <= 0 || req.Objects <= 0 || budget <= 0 {
 		return Plan{}, fmt.Errorf("planner: throughput, objects and budget must be positive")
 	}
 	var best *Plan
 	for s := 1; s <= req.MaxSubORAMs; s++ {
 		for b := 1; b <= req.MaxLoadBalancers; b++ {
-			for leaves := 1; leaves <= req.MaxLBLeaves; leaves *= 2 {
-				cost := float64(b*planeNodes(leaves))*prices.LoadBalancer + float64(s)*prices.SubORAM
-				if cost > budget {
-					continue
-				}
-				t, ok := minEpoch(req, m, b, s, leaves)
-				if !ok {
-					continue
-				}
-				p := Plan{
-					LoadBalancers: b,
-					SubORAMs:      s,
-					LBLeaves:      leaves,
-					LBFanIn:       leaves,
-					Epoch:         t,
-					AvgLatency:    time.Duration(5 * float64(t) / 2),
-					Throughput:    req.MinThroughput,
-					CostPerMonth:  cost,
-				}
-				if best == nil || p.AvgLatency < best.AvgLatency ||
-					(p.AvgLatency == best.AvgLatency && p.CostPerMonth < best.CostPerMonth) ||
-					(p.AvgLatency == best.AvgLatency && p.CostPerMonth == best.CostPerMonth && p.LBLeaves < best.LBLeaves) {
-					pp := p
-					best = &pp
-				}
+			cost := float64(b)*prices.LoadBalancer + float64(s)*prices.SubORAM
+			if cost > budget {
+				continue
+			}
+			t, ok := minEpoch(req, m, b, s)
+			if !ok {
+				continue
+			}
+			p := Plan{
+				LoadBalancers: b,
+				SubORAMs:      s,
+				Epoch:         t,
+				AvgLatency:    time.Duration(5 * float64(t) / 2),
+				Throughput:    req.MinThroughput,
+				CostPerMonth:  cost,
+			}
+			if best == nil || p.AvgLatency < best.AvgLatency ||
+				(p.AvgLatency == best.AvgLatency && p.CostPerMonth < best.CostPerMonth) {
+				pp := p
+				best = &pp
 			}
 		}
 	}
@@ -70,7 +62,7 @@ func OptimizeLatency(req Requirements, budget float64, m CostModel, prices Price
 // minEpoch binary-searches the smallest epoch T such that the pipeline
 // fits (Eq. 1) at the required load. Processing time grows sublinearly in
 // T while the budget grows linearly, so feasibility is monotone in T.
-func minEpoch(req Requirements, m CostModel, b, s, leaves int) (time.Duration, bool) {
+func minEpoch(req Requirements, m CostModel, b, s int) (time.Duration, bool) {
 	objectsPerSub := (req.Objects + s - 1) / s
 	fits := func(t time.Duration) bool {
 		if t <= 0 {
@@ -78,7 +70,7 @@ func minEpoch(req Requirements, m CostModel, b, s, leaves int) (time.Duration, b
 		}
 		r := int(req.MinThroughput * t.Seconds() / float64(b))
 		alpha := batchSizeAtLeastOne(r, s, req.Lambda)
-		lbT := lbPlaneTime(m, r, s, leaves, req.Lambda)
+		lbT := m.LBTime(r, s)
 		subT := time.Duration(b) * m.SubTime(alpha, objectsPerSub)
 		t0 := lbT
 		if subT > t0 {

@@ -87,86 +87,32 @@ type Requirements struct {
 	// Search bounds (defaults 8/32).
 	MaxLoadBalancers int
 	MaxSubORAMs      int
-	// MaxLBLeaves bounds the hierarchical-plane dimension: each load
-	// balancer may be split into a two-level aggregation tree of up to
-	// this many leaf balancers (powers of two are searched). Default 8;
-	// 1 restricts the search to monolithic planes.
-	MaxLBLeaves int
 }
 
 // Plan is a feasible configuration.
 type Plan struct {
 	LoadBalancers int
 	SubORAMs      int
-	// LBLeaves is the leaf count of each load balancer's aggregation tree
-	// (1 = monolithic plane). With LBLeaves > 1, every plane is LBLeaves
-	// leaf nodes feeding one root node: leaves sort their own clients'
-	// requests in parallel and the root merges the sorted runs.
-	LBLeaves int
-	// LBFanIn is the root's merge fan-in (equals LBLeaves for the
-	// two-level tree the planner searches).
-	LBFanIn      int
-	Epoch        time.Duration
-	AvgLatency   time.Duration
-	Throughput   float64 // sustainable reqs/sec at this epoch
-	CostPerMonth float64
-}
-
-// planeNodes returns the machine count of one LB plane: the root alone for
-// a monolithic plane, root + leaves for a tree.
-func planeNodes(leaves int) int {
-	if leaves <= 1 {
-		return 1
-	}
-	return leaves + 1
+	Epoch         time.Duration
+	AvgLatency    time.Duration
+	Throughput    float64 // sustainable reqs/sec at this epoch
+	CostPerMonth  float64
 }
 
 // Machines returns the total node count.
-func (p Plan) Machines() int { return p.LoadBalancers*planeNodes(p.LBLeaves) + p.SubORAMs }
-
-// TreeShape describes each plane's topology for operator output.
-func (p Plan) TreeShape() string {
-	if p.LBLeaves <= 1 {
-		return "monolithic"
-	}
-	return fmt.Sprintf("%d leaves → root (fan-in %d)", p.LBLeaves, p.LBFanIn)
-}
+func (p Plan) Machines() int { return p.LoadBalancers + p.SubORAMs }
 
 // Format renders the plan the way snoopy-planner prints it (also pinned by
 // the planner's golden-file test).
 func (p Plan) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  load balancers: %d\n", p.LoadBalancers)
-	fmt.Fprintf(&b, "  lb plane:       %s\n", p.TreeShape())
 	fmt.Fprintf(&b, "  subORAMs:       %d\n", p.SubORAMs)
 	fmt.Fprintf(&b, "  epoch:          %v\n", p.Epoch.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  avg latency:    %v\n", p.AvgLatency.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  throughput:     %.0f reqs/s\n", p.Throughput)
 	fmt.Fprintf(&b, "  cost:           $%.0f/month (%d machines)\n", p.CostPerMonth, p.Machines())
 	return b.String()
-}
-
-// lbPlaneTime models one plane's critical-path time at load r. Monolithic
-// planes pay the CostModel's LBTime. A tree plane pays one leaf — building
-// the run for its r/leaves share and matching the α·s responses back to it;
-// leaves run in parallel on their own machines — plus the root's merge and
-// compaction of the leaf runs (loadbalancer.TreeRootCost). Both are exact
-// operation counts, priced at LBTime's own rate per monolithic operation so
-// a measured CostModel calibrates the tree too.
-func lbPlaneTime(m CostModel, r, s, leaves, lambda int) time.Duration {
-	if leaves <= 1 {
-		return m.LBTime(r, s)
-	}
-	rf := (r + leaves - 1) / leaves
-	rates := make([]int, leaves)
-	for f := range rates {
-		rates[f] = rf
-	}
-	alpha := max(batch.Size(r, s, lambda), 1)
-	leaf := loadbalancer.MakeBatchesCost(rf, s, max(batch.Size(rf, s, lambda), 1)) +
-		loadbalancer.MatchResponsesCost(rf, s, alpha)
-	root := loadbalancer.TreeRootCost(rates, s, lambda)
-	return time.Duration(float64(m.LBTime(r, s)) * float64(leaf+root) / float64(lbOps(r, s, lambda)))
 }
 
 // Optimize returns the cheapest feasible plan (ties: fewer machines, then
@@ -181,29 +127,23 @@ func Optimize(req Requirements, m CostModel, prices Prices) (Plan, error) {
 	if req.MaxSubORAMs <= 0 {
 		req.MaxSubORAMs = 32
 	}
-	if req.MaxLBLeaves <= 0 {
-		req.MaxLBLeaves = 8
-	}
 	if req.MinThroughput <= 0 || req.MaxLatency <= 0 || req.Objects <= 0 {
 		return Plan{}, fmt.Errorf("planner: throughput, latency and objects must be positive")
 	}
 	var best *Plan
 	for s := 1; s <= req.MaxSubORAMs; s++ {
 		for b := 1; b <= req.MaxLoadBalancers; b++ {
-			for leaves := 1; leaves <= req.MaxLBLeaves; leaves *= 2 {
-				p, ok := feasible(req, m, b, s, leaves)
-				if !ok {
-					continue
-				}
-				p.CostPerMonth = float64(b*planeNodes(leaves))*prices.LoadBalancer + float64(s)*prices.SubORAM
-				if best == nil ||
-					p.CostPerMonth < best.CostPerMonth ||
-					(p.CostPerMonth == best.CostPerMonth && p.Machines() < best.Machines()) ||
-					(p.CostPerMonth == best.CostPerMonth && p.Machines() == best.Machines() && p.SubORAMs > best.SubORAMs) ||
-					(p.CostPerMonth == best.CostPerMonth && p.Machines() == best.Machines() && p.SubORAMs == best.SubORAMs && p.LBLeaves < best.LBLeaves) {
-					pp := p
-					best = &pp
-				}
+			p, ok := feasible(req, m, b, s)
+			if !ok {
+				continue
+			}
+			p.CostPerMonth = float64(b)*prices.LoadBalancer + float64(s)*prices.SubORAM
+			if best == nil ||
+				p.CostPerMonth < best.CostPerMonth ||
+				(p.CostPerMonth == best.CostPerMonth && p.Machines() < best.Machines()) ||
+				(p.CostPerMonth == best.CostPerMonth && p.Machines() == best.Machines() && p.SubORAMs > best.SubORAMs) {
+				pp := p
+				best = &pp
 			}
 		}
 	}
@@ -217,7 +157,7 @@ func Optimize(req Requirements, m CostModel, prices Prices) (Plan, error) {
 // feasible checks Equations (1)-(2) for a configuration, choosing the
 // largest epoch the latency budget allows (larger epochs amortize dummies
 // best, paper Fig. 3).
-func feasible(req Requirements, m CostModel, b, s, leaves int) (Plan, bool) {
+func feasible(req Requirements, m CostModel, b, s int) (Plan, bool) {
 	// Equation (2): T ≤ 2·L_max/5.
 	tMax := time.Duration(2 * float64(req.MaxLatency) / 5)
 	if tMax <= 0 {
@@ -231,7 +171,7 @@ func feasible(req Requirements, m CostModel, b, s, leaves int) (Plan, bool) {
 		if alpha == 0 {
 			alpha = 1
 		}
-		lbT := lbPlaneTime(m, r, s, leaves, req.Lambda)
+		lbT := m.LBTime(r, s)
 		subT := time.Duration(b) * m.SubTime(alpha, objectsPerSub)
 		if lbT > subT {
 			return lbT <= t
@@ -260,8 +200,6 @@ func feasible(req Requirements, m CostModel, b, s, leaves int) (Plan, bool) {
 	return Plan{
 		LoadBalancers: b,
 		SubORAMs:      s,
-		LBLeaves:      leaves,
-		LBFanIn:       leaves,
 		Epoch:         tMax,
 		AvgLatency:    time.Duration(5 * float64(tMax) / 2),
 		Throughput:    float64(r*b) / tMax.Seconds(),

@@ -125,95 +125,6 @@ func TestMaxThroughputMonotoneInMachines(t *testing.T) {
 	}
 }
 
-func TestTreePlaneTimeBeatsMonolithic(t *testing.T) {
-	// The hierarchical plane's critical path — one leaf's build and match
-	// over its share plus the root's merge-of-runs — must undercut the
-	// monolithic plane at a planner-scale rate once the plane is split at
-	// least four ways (exact operation counts: ~0.7 of the monolithic
-	// plane's at r = 2^17, s = 8).
-	m := AnalyticModel(8, 1, 6, 128)
-	r, s := 1<<17, 8
-	mono := m.LBTime(r, s)
-	prev := mono
-	for _, leaves := range []int{4, 8} {
-		tree := lbPlaneTime(m, r, s, leaves, 128)
-		if tree >= mono {
-			t.Fatalf("%d-leaf plane time %v not below monolithic %v", leaves, tree, mono)
-		}
-		_ = prev
-	}
-	// One leaf is exactly the monolithic plane.
-	if got := lbPlaneTime(m, r, s, 1, 128); got != mono {
-		t.Fatalf("1-leaf plane time %v != monolithic %v", got, mono)
-	}
-}
-
-func TestOptimizeTreeExtendsFeasibleRegion(t *testing.T) {
-	// Sweep the throughput requirement upward from the monolithic single-LB
-	// ceiling: somewhere above it, only a hierarchical plane can keep up,
-	// and the planner must find (and report) that tree rather than fail.
-	m := AnalyticModel(8, 0.0002, 0.001, 128) // LB-bound: scans are nearly free
-	base := Requirements{
-		Objects: 100_000, BlockSize: 160,
-		MaxLatency:       200 * time.Millisecond,
-		MaxLoadBalancers: 1, MaxSubORAMs: 4,
-	}
-	xMono := MaxThroughput(base, m, 1, 4)
-	if xMono <= 0 {
-		t.Fatal("monolithic ceiling is zero; test setup broken")
-	}
-	foundTree := false
-	for _, scale := range []float64{1.05, 1.1, 1.2, 1.3, 1.4, 1.5} {
-		req := base
-		req.MinThroughput = xMono * scale
-		mono := req
-		mono.MaxLBLeaves = 1
-		_, errMono := Optimize(mono, m, DefaultPrices())
-		p, errTree := Optimize(req, m, DefaultPrices())
-		if errMono == nil {
-			continue // monolithic still keeps up at this load
-		}
-		if errTree != nil {
-			continue // beyond what even 8 leaves sustain
-		}
-		if p.LBLeaves <= 1 {
-			t.Fatalf("monolithic infeasible at %.0f reqs/s yet plan claims %s", req.MinThroughput, p.TreeShape())
-		}
-		if p.LBFanIn != p.LBLeaves {
-			t.Fatalf("two-level tree must have fan-in == leaves: %+v", p)
-		}
-		foundTree = true
-	}
-	if !foundTree {
-		t.Fatal("no throughput in the sweep where the tree extends the feasible region")
-	}
-}
-
-func TestOptimizeTreeNeverCostsMoreThanMonolithicSearch(t *testing.T) {
-	// Adding the tree dimension can only enlarge the search space, so the
-	// chosen plan is never more expensive than the monolithic-only search.
-	m := fixedModel()
-	for _, x := range []float64{5_000, 50_000} {
-		req := Requirements{
-			Objects: 100_000, BlockSize: 160,
-			MinThroughput: x, MaxLatency: time.Second,
-		}
-		mono := req
-		mono.MaxLBLeaves = 1
-		pm, err := Optimize(mono, m, DefaultPrices())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := Optimize(req, m, DefaultPrices())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt.CostPerMonth > pm.CostPerMonth {
-			t.Fatalf("tree search worsened cost: $%.0f vs $%.0f", pt.CostPerMonth, pm.CostPerMonth)
-		}
-	}
-}
-
 // TestPlanGolden pins snoopy-planner's exact recommendation output for a few
 // deployments under a fixed analytic model (no calibration). Refresh with
 // `go test ./internal/planner -run TestPlanGolden -update` after a deliberate
@@ -233,18 +144,19 @@ func TestPlanGolden(t *testing.T) {
 			MinThroughput: 100_000, MaxLatency: time.Second,
 			MaxLoadBalancers: 10, MaxSubORAMs: 40,
 		}},
-		// 1 M reqs/s is where one monolithic load balancer stops keeping up
-		// under this model (at 800 K — the bound before MatchResponses
-		// merged instead of sorting — it now does, with 2 subORAMs).
+		// 1 M reqs/s is where one load balancer stops keeping up under this
+		// model (at 800 K — the bound before MatchResponses merged instead of
+		// sorting — it now does, with 2 subORAMs): infeasible on one plane,
+		// bought on the L axis once more planes are allowed.
 		{"lb-bound-single-plane", Requirements{
 			Objects: 100_000, BlockSize: 160,
 			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 1, MaxSubORAMs: 8,
 		}},
-		{"lb-bound-monolithic-only", Requirements{
+		{"lb-bound-more-planes", Requirements{
 			Objects: 100_000, BlockSize: 160,
 			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
-			MaxLoadBalancers: 1, MaxSubORAMs: 8, MaxLBLeaves: 1,
+			MaxLoadBalancers: 8, MaxSubORAMs: 8,
 		}},
 	}
 	var buf strings.Builder

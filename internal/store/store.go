@@ -291,8 +291,8 @@ func (r *Requests) View(lo, hi int) *Requests {
 
 // ViewInto fills dst with the window [lo, hi) of r sharing the same backing
 // arrays — View without the allocation, for callers that keep the window
-// struct in preallocated scratch (the load-balancer tree's per-leaf run
-// segments). Like View, the trace recorder is not shared.
+// struct in preallocated scratch (the epoch engine's per-partition batch
+// windows). Like View, the trace recorder is not shared.
 func (r *Requests) ViewInto(dst *Requests, lo, hi int) {
 	*dst = Requests{
 		BlockSize: r.BlockSize,

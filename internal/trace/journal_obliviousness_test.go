@@ -231,7 +231,7 @@ func TestJournalTraceIndependentOfSecrets(t *testing.T) {
 // TestJournalTraceCrashFreeRunsMatch: without a crash, two secret-differing
 // journaling runs still produce identical journal write traces — the
 // journal-before-dispatch write is one fixed-shape record per epoch, a
-// function of public parameters (α, S, feed counts) only.
+// function of public parameters (α, S, per-plane request counts) only.
 func TestJournalTraceCrashFreeRunsMatch(t *testing.T) {
 	const epochs, perEpoch = 3, 16
 	_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0)

@@ -257,43 +257,6 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 	}, 4, 48)
 }
 
-// TestTelemetryTraceIndependentOfSecretsTree: the hierarchical
-// load-balancer plane. Leaf sorts, the root merge, and the per-level
-// response fan-down add their own instruments (lb_leaf_sort, lb_root_merge,
-// the lb_leaf/lb_root/lb_leaf_match stages); all of them must stay
-// functions of the public tree shape and per-feed request counts. The
-// pinned assignment seed fixes which leaf each client contacts (public —
-// the network adversary sees it); only keys, values, and duplicate
-// structure differ between the runs.
-func TestTelemetryTraceIndependentOfSecretsTree(t *testing.T) {
-	assertTelemetryIndependent(t, core.Config{
-		BlockSize:        block,
-		NumLoadBalancers: 1,
-		NumSubORAMs:      2,
-		Lambda:           32,
-		LBLeaves:         4,
-		SortWorkers:      1,
-		SubORAMWorkers:   1,
-		TestLBChoiceSeed: 99,
-	}, 3, 32)
-}
-
-// TestTelemetryTraceIndependentOfSecretsTreeParallel: same property with
-// parallel leaf sorting and several planes — recording order may vary, but
-// the canonical ordering and multiset digest must not.
-func TestTelemetryTraceIndependentOfSecretsTreeParallel(t *testing.T) {
-	assertTelemetryIndependent(t, core.Config{
-		BlockSize:        block,
-		NumLoadBalancers: 2,
-		NumSubORAMs:      4,
-		Lambda:           32,
-		LBLeaves:         2,
-		SortWorkers:      2,
-		SubORAMWorkers:   2,
-		TestLBChoiceSeed: 99,
-	}, 4, 48)
-}
-
 // TestTelemetryTraceIndependentOfSecretsPipelined: the overlapped epoch
 // engine (Pipeline, depth 4) with epochs deliberately left in flight so
 // stage A of later epochs runs while stage B/C of earlier ones drain. The

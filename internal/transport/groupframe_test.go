@@ -55,8 +55,8 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 		t.Fatalf("in-group ordering lost: batch 2 read %q", outs[2].Block(0))
 	}
 
-	// A later single-batch delivery on the same handle still works: the
-	// framing modes share one delivery-tag sequence.
+	// A later BatchAccess on the same handle — a one-batch delivery —
+	// continues the same delivery-tag sequence.
 	q := store.NewRequests(1, testBlock)
 	q.SetRow(0, store.OpRead, 2, 0, 0, 0, nil)
 	out, err := r.BatchAccess(q)
@@ -64,7 +64,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(out.Block(0), []byte("from-batch-0")) {
-		t.Fatalf("write lost across framing modes: %q", out.Block(0))
+		t.Fatalf("write lost across deliveries: %q", out.Block(0))
 	}
 }
 
@@ -134,12 +134,6 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	misshapen := &message{Kind: "batchN", reqsN: groupOf(2), lbID: 7, seq: 5}
 	if _, _, err := rc.applyN(p, misshapen); !errors.Is(err, ErrStale) {
 		t.Fatalf("misshapen redelivery: err=%v", err)
-	}
-
-	// A single-batch redelivery of a grouped tag is likewise rejected.
-	single := &message{Kind: "batch", reqs: store.NewRequests(1, testBlock), lbID: 7, seq: 5}
-	if _, _, err := rc.apply(p, single); !errors.Is(err, ErrStale) {
-		t.Fatalf("cross-kind redelivery: err=%v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ func (r *RemoteSubORAM) DeliveryTag() (lbID, seq uint64) {
 
 // AdoptDeliveryTag overrides the handle's delivery-stream identity and
 // sequence number. A standby root adopts the journaled tags of the crashed
-// root before replaying an epoch: the next BatchAccess/BatchAccessN then
+// root before replaying an epoch: the next BatchAccessN then
 // travels as (lbID, seq+1), exactly the delivery the dead root issued (or
 // would have issued), and the partition answers from its replay cache if it
 // already applied it.
@@ -85,28 +85,18 @@ func (l *LocalTagged) Init(ids []uint64, data []byte) error {
 	return l.rc.init(l.sub, ids, data)
 }
 
-// BatchAccess implements core.SubORAMClient with tagged delivery: a replay
-// of an already-applied sequence returns the recorded response without
-// touching the partition.
+// BatchAccess implements core.SubORAMClient: a one-batch BatchAccessN.
 func (l *LocalTagged) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	l.mu.Lock()
-	l.seq++
-	m := message{lbID: l.lbID, seq: l.seq, reqs: reqs}
-	l.mu.Unlock()
-	out, replayed, err := l.rc.apply(l.sub, &m)
+	outs, err := l.BatchAccessN([]*store.Requests{reqs})
 	if err != nil {
 		return nil, err
 	}
-	if replayed {
-		// The cache's stored response is its private clone; hand the caller
-		// an arena-backed copy so the usual release path stays valid.
-		out = arenaCopy(out)
-	}
-	return out, nil
+	return outs[0], nil
 }
 
-// BatchAccessN implements core.BatchedSubORAMClient (grouped delivery,
-// all-or-nothing replay).
+// BatchAccessN implements core.BatchedSubORAMClient with tagged delivery
+// (all-or-nothing): a replay of an already-applied sequence returns the
+// recorded responses without touching the partition.
 func (l *LocalTagged) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
 	l.mu.Lock()
 	l.seq++
@@ -117,6 +107,8 @@ func (l *LocalTagged) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, e
 		return nil, err
 	}
 	if replayed {
+		// The cache's stored responses are its private clones; hand the
+		// caller arena-backed copies so the usual release path stays valid.
 		copied := make([]*store.Requests, len(outs))
 		for i, out := range outs {
 			copied[i] = arenaCopy(out)

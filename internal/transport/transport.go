@@ -52,23 +52,17 @@ const maxFrame = 64 << 20
 
 // Envelope tags: the first plaintext byte of every sealed frame selects the
 // payload codec. Control traffic (handshake-adjacent init/ok/err) stays gob
-// — it is rare and schema-flexible; the per-epoch batch and response frames
-// use the fixed-layout wirecode codec, whose frame length is a closed-form
-// function of the public batch size (see internal/wirecode). Batch and
-// response frames carry a fixed 16-byte (lbID, seq) delivery tag between
-// the envelope tag and the wirecode frame, so the frame length stays a
-// function of public parameters only.
+// — it is rare and schema-flexible. Batches travel in one frame form: an
+// epoch's worth of batches (one per load balancer, one for a single-batch
+// call) under a single 16-byte (lbID, seq) delivery tag and a single AEAD
+// seal/open — delivery tag, a u32 batch count, then count length-prefixed
+// fixed-layout wirecode frames. Every length is a closed-form function of
+// the public batch sizes (see internal/wirecode). Tags 0x01 and 0x02, the
+// retired single-batch frames, decode as unknown.
 const (
 	tagControl = 0x00 // gob-encoded message
-	tagBatch   = 0x01 // delivery tag + wirecode request batch
-	tagResp    = 0x02 // delivery tag + wirecode response batch
-	// Grouped frames carry one epoch's worth of batches (one per load
-	// balancer) under a single delivery tag and a single AEAD seal/open:
-	// delivery tag, a u32 batch count, then count length-prefixed wirecode
-	// frames. Every length is a closed-form function of the public batch
-	// sizes, so grouping changes neither the trace shape nor its sizes.
-	tagBatchN = 0x03 // delivery tag + u32 count + count wirecode request batches
-	tagRespN  = 0x04 // delivery tag + u32 count + count wirecode response batches
+	tagBatchN  = 0x03 // delivery tag + u32 count + count wirecode request batches
+	tagRespN   = 0x04 // delivery tag + u32 count + count wirecode response batches
 )
 
 // deliveryTagLen is the fixed (lbID, seq) prefix on batch/response frames.
@@ -195,17 +189,15 @@ func OptionsForEpoch(epoch time.Duration) Options {
 }
 
 // message is the protocol envelope. Only the exported fields travel in gob
-// control frames; reqs carries a batch/response decoded from a wirecode
-// frame (or to be encoded into one) and never passes through gob; reqsN
-// carries the batches of a grouped (tagBatchN/tagRespN) frame. lbID and
-// seq are the delivery tag of batch/response frames.
+// control frames; reqsN carries the batches decoded from a tagBatchN/
+// tagRespN frame (or to be encoded into one) and never passes through gob.
+// lbID and seq are the delivery tag of batch/response frames.
 type message struct {
-	Kind  string // "init" | "batch" | "batchN" | "ok" | "resp" | "respN" | "err"
+	Kind  string // "init" | "ping" | "ok" | "err" | "batchN" | "respN"
 	IDs   []uint64
 	Data  []byte
 	Error string
 
-	reqs  *store.Requests
 	reqsN []*store.Requests
 	lbID  uint64
 	seq   uint64
@@ -249,23 +241,6 @@ func (c *secureConn) send(m *message) error {
 		return err
 	}
 	c.ptBuf = w.b
-	return c.writeSealed(c.ptBuf)
-}
-
-// sendReqs transmits a request or response batch as a delivery-tagged
-// wirecode frame. The plaintext buffer is pre-sized from the known frame
-// length, so steady-state encoding is a pure copy.
-func (c *secureConn) sendReqs(tag byte, lbID, seq uint64, r *store.Requests) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	need := 1 + deliveryTagLen + wirecode.FrameLen(r.Len(), r.BlockSize)
-	if cap(c.ptBuf) < need {
-		c.ptBuf = make([]byte, 0, need)
-	}
-	c.ptBuf = append(c.ptBuf[:0], tag)
-	c.ptBuf = binary.LittleEndian.AppendUint64(c.ptBuf, lbID)
-	c.ptBuf = binary.LittleEndian.AppendUint64(c.ptBuf, seq)
-	c.ptBuf = wirecode.AppendRequests(c.ptBuf, r)
 	return c.writeSealed(c.ptBuf)
 }
 
@@ -337,21 +312,6 @@ func (c *secureConn) recv() (*message, error) {
 			return nil, err
 		}
 		return &m, nil
-	case tagBatch, tagResp:
-		if len(payload) < deliveryTagLen {
-			return nil, fmt.Errorf("transport: frame too short for delivery tag")
-		}
-		lbID := binary.LittleEndian.Uint64(payload)
-		seq := binary.LittleEndian.Uint64(payload[8:])
-		r, err := wirecode.DecodeRequests(payload[deliveryTagLen:], arena.Default)
-		if err != nil {
-			return nil, err
-		}
-		kind := "batch"
-		if tag == tagResp {
-			kind = "resp"
-		}
-		return &message{Kind: kind, reqs: r, lbID: lbID, seq: seq}, nil
 	case tagBatchN, tagRespN:
 		if len(payload) < deliveryTagLen+4 {
 			return nil, fmt.Errorf("transport: frame too short for grouped delivery tag")
@@ -381,6 +341,10 @@ func (c *secureConn) recv() (*message, error) {
 			}
 			rs[i] = r
 			rest = rest[4+fl:]
+		}
+		if len(rest) != 0 {
+			putAll(rs)
+			return nil, fmt.Errorf("transport: grouped frame has %d trailing bytes", len(rest))
 		}
 		kind := "batchN"
 		if tag == tagRespN {
@@ -513,64 +477,32 @@ type ReplayCache struct {
 
 type replayEntry struct {
 	seq   uint64
-	resp  *store.Requests   // private clone, not arena-backed (single delivery)
-	respN []*store.Requests // private clones (grouped delivery)
+	respN []*store.Requests // private clones, not arena-backed
 	used  uint64
 }
 
 // NewReplayCache returns an empty cache.
 func NewReplayCache() *ReplayCache { return &ReplayCache{last: make(map[uint64]*replayEntry)} }
 
-// apply resolves one tagged batch delivery against the cache, holding the
-// cache lock across the partition call so "look up, apply, record" is
-// atomic with respect to other connections:
+// applyN resolves one tagged delivery against the cache, holding the cache
+// lock across the partition calls so "look up, apply, record" is atomic
+// with respect to other connections:
 //
-//   - seq > last applied for this lbID → apply the batch, record the
-//     response, return it;
+//   - seq > last applied for this lbID → apply the batches to the
+//     partition in slice order, record the responses, return them;
 //   - seq == last applied → redelivery after an ambiguous failure: replay
-//     the stored response without touching the partition;
+//     the stored responses without touching the partition (a redelivery
+//     with a different batch count cannot be answered exactly-once and is
+//     rejected);
 //   - seq < last applied → a stale delivery that can no longer be answered
 //     exactly-once; reject it.
-func (rc *ReplayCache) apply(sub Partition, m *message) (*store.Requests, bool, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.tick++
-	e := rc.last[m.lbID]
-	if e != nil {
-		e.used = rc.tick
-		if m.seq == e.seq {
-			if e.resp == nil {
-				return nil, false, fmt.Errorf("%w: batch %d for lb %#x redelivered as a different frame kind", ErrStale, m.seq, m.lbID)
-			}
-			return e.resp, true, nil
-		}
-		if m.seq < e.seq {
-			return nil, false, fmt.Errorf("%w: batch %d for lb %#x (last applied %d)", ErrStale, m.seq, m.lbID, e.seq)
-		}
-	}
-	out, err := sub.BatchAccess(m.reqs)
-	if err != nil {
-		return nil, false, err
-	}
-	if e == nil {
-		e = &replayEntry{used: rc.tick}
-		rc.last[m.lbID] = e
-		rc.evictLocked()
-	}
-	e.seq = m.seq
-	e.resp = out.Clone() // survives the arena release of out
-	e.respN = nil
-	return out, false, nil
-}
-
-// applyN is apply for a grouped delivery: the batches are applied to the
-// partition in slice order under one delivery tag, all-or-nothing from the
-// client's perspective. A partition error after a prefix has been applied
-// is reported as an error for the whole group (the same ambiguous-outcome
-// contract a lost single-batch response already has); the entry is not
-// recorded, so the delivery is never replayed as a success. The returned
-// slice is freshly allocated and owned by the caller; non-replayed
-// responses are arena-backed, replayed ones are the cache's private clones.
+//
+// A partition error after a prefix has been applied is reported as an
+// error for the whole delivery (the same ambiguous-outcome contract a lost
+// response already has); the entry is not recorded, so the delivery is
+// never replayed as a success. The returned slice is freshly allocated and
+// owned by the caller; non-replayed responses are arena-backed, replayed
+// ones are the cache's private clones.
 func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, bool, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -579,7 +511,7 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 	if e != nil {
 		e.used = rc.tick
 		if m.seq == e.seq {
-			if e.respN == nil || len(e.respN) != len(m.reqsN) {
+			if len(e.respN) != len(m.reqsN) {
 				return nil, false, fmt.Errorf("%w: group %d for lb %#x redelivered with a different shape", ErrStale, m.seq, m.lbID)
 			}
 			return e.respN, true, nil
@@ -603,7 +535,6 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 		rc.evictLocked()
 	}
 	e.seq = m.seq
-	e.resp = nil
 	e.respN = make([]*store.Requests, len(outs))
 	for i, out := range outs {
 		e.respN[i] = out.Clone() // survives the arena release of outs
@@ -698,38 +629,11 @@ func serveConn(sc *secureConn, sub Partition, opts ServeOptions) {
 			if err := sc.send(&reply); err != nil {
 				return
 			}
-		case "batch":
-			// One counter bump and one latency observation per batch frame
-			// — events the host already sees on the wire. Replays and stale
-			// rejects (at-most-once bookkeeping) are counted separately.
-			opts.tel.batches.Inc()
-			tb0 := opts.Telemetry.Now()
-			out, replayed, err := opts.Replay.apply(sub, m)
-			arena.Default.PutRequests(m.reqs) // batch consumed
-			if err != nil {
-				if errors.Is(err, ErrStale) {
-					opts.tel.stale.Inc()
-				}
-				if err := sc.send(&message{Kind: "err", Error: err.Error()}); err != nil {
-					return
-				}
-				sc.conn.SetWriteDeadline(time.Time{})
-				continue
-			}
-			if replayed {
-				opts.tel.replays.Inc()
-			}
-			opts.tel.batchDur.Observe(time.Duration(opts.Telemetry.Now() - tb0))
-			sendErr := sc.sendReqs(tagResp, m.lbID, m.seq, out)
-			if !replayed {
-				arena.Default.PutRequests(out)
-			}
-			if sendErr != nil {
-				return
-			}
 		case "batchN":
-			// A grouped frame counts once per contained batch so the served
-			// counter keeps its meaning across framing modes.
+			// Counted once per contained batch, with one latency observation
+			// per frame — events the host already sees on the wire. Replays
+			// and stale rejects (at-most-once bookkeeping) are counted
+			// separately.
 			opts.tel.batches.Add(uint64(len(m.reqsN)))
 			tb0 := opts.Telemetry.Now()
 			outs, replayed, err := opts.Replay.applyN(sub, m)
@@ -1093,70 +997,48 @@ func (r *RemoteSubORAM) Init(ids []uint64, data []byte) error {
 	})
 }
 
-// BatchAccess implements core.SubORAMClient. The returned responses are
-// drawn from the process-wide arena; the caller owns them and may release
-// them back via arena.Default.PutRequests.
-//
-// Each call is one tagged delivery: retries after an ambiguous failure
-// re-send the same (lbID, seq) tag, and a server that already applied the
-// batch replays its stored response instead of re-applying, preserving
-// at-most-once application.
+// BatchAccess implements core.SubORAMClient: a one-batch BatchAccessN. The
+// returned responses are drawn from the process-wide arena; the caller owns
+// them and may release them back via arena.Default.PutRequests.
 func (r *RemoteSubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	seq := r.seq
-	tr0 := r.opts.Telemetry.Now()
-	var out *store.Requests
-	err := r.withRetry(r.opts.RPCTimeout, func(sc *secureConn) error {
-		if err := sc.sendReqs(tagBatch, r.lbID, seq, reqs); err != nil {
-			return err
-		}
-		reply, err := sc.recv()
-		if err != nil {
-			return err
-		}
-		switch reply.Kind {
-		case "resp":
-			if reply.lbID != r.lbID || reply.seq != seq {
-				arena.Default.PutRequests(reply.reqs)
-				return fmt.Errorf("transport: response tag (%#x,%d) does not match batch (%#x,%d)",
-					reply.lbID, reply.seq, r.lbID, seq)
-			}
-			out = reply.reqs
-			return nil
-		case "err":
-			return &RemoteError{Msg: reply.Error}
-		default:
-			return fmt.Errorf("transport: unexpected reply %q", reply.Kind)
-		}
-	})
-	if err != nil {
+	var out [1]*store.Requests
+	if err := r.deliverLocked([]*store.Requests{reqs}, out[:]); err != nil {
 		return nil, err
 	}
-	// End-to-end batch RPC latency including any retries — one observation
-	// per successful epoch delivery.
-	r.telRPC.Observe(time.Duration(r.opts.Telemetry.Now() - tr0))
-	return out, nil
+	return out[0], nil
 }
 
 // BatchAccessN implements core.BatchedSubORAMClient: one epoch's batches
 // travel as a single grouped frame under one delivery tag — one AEAD seal,
 // one round trip, one open, however many load-balancer batches the epoch
 // has. Application on the server is all-or-nothing per the replay cache's
-// grouped-delivery contract; batches are applied in slice order. The
-// returned slice is valid only until the next BatchAccessN call on this
-// handle; the responses in it are arena-backed and owned by the caller.
+// contract; batches are applied in slice order. The returned slice is valid
+// only until the next BatchAccessN call on this handle; the responses in it
+// are arena-backed and owned by the caller.
 func (r *RemoteSubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	seq := r.seq
-	tr0 := r.opts.Telemetry.Now()
 	if cap(r.outScratch) < len(reqs) {
 		r.outScratch = make([]*store.Requests, len(reqs))
 	}
 	outs := r.outScratch[:len(reqs)]
+	if err := r.deliverLocked(reqs, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// deliverLocked sends reqs as one tagged delivery and fills outs with the
+// responses. Retries after an ambiguous failure re-send the same (lbID, seq)
+// tag, and a server that already applied the batches replays its stored
+// responses instead of re-applying, preserving at-most-once application.
+// Caller holds r.mu.
+func (r *RemoteSubORAM) deliverLocked(reqs, outs []*store.Requests) error {
+	r.seq++
+	seq := r.seq
+	tr0 := r.opts.Telemetry.Now()
 	err := r.withRetry(r.opts.RPCTimeout, func(sc *secureConn) error {
 		if err := sc.sendReqsN(tagBatchN, r.lbID, seq, reqs); err != nil {
 			return err
@@ -1181,10 +1063,12 @@ func (r *RemoteSubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests,
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// End-to-end RPC latency including any retries — one observation per
+	// successful epoch delivery.
 	r.telRPC.Observe(time.Duration(r.opts.Telemetry.Now() - tr0))
-	return outs, nil
+	return nil
 }
 
 // Close tears down the connection. It never waits for an in-flight RPC:

@@ -6,13 +6,6 @@
 # results/BENCH_dataplane_baseline.json (recorded before the pooled-arena
 # refactor) to see the allocation reduction.
 #
-# Also emits results/BENCH_lbtree.json: monolithic load balancer vs
-# 1/2/4/8-leaf hierarchical aggregation trees — MakeBatches wall time,
-# steady-state B/op and allocs/op (must be zero), and the root's exact
-# oblivious row-operation count (merge + compaction of the leaf runs) as a
-# fraction of the monolithic build's: the verdict on whether a tree can
-# shorten the plane's critical path at that rate.
-#
 # Usage: scripts/bench.sh [benchtime]   (default 2x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,9 +97,6 @@ END {
 ' "$RAWP" > results/BENCH_pipeline.json
 
 echo "wrote results/BENCH_pipeline.json"
-
-go run ./cmd/snoopy-bench -lbtree results/BENCH_lbtree.json
-echo "wrote results/BENCH_lbtree.json"
 
 # Open-loop traffic harness (in-process deployment, fixed small shape so
 # the numbers are machine-comparable): the full scenario suite at the

@@ -5,7 +5,7 @@
 # with long fault phases under -race: scripted kill/stall/rollback/restart
 # schedules against replicated partitions, plus the root-failover harness
 # that kills the root load balancer at journal crash points (stage-a /
-# journal / dispatch) and kills leaves mid-epoch, promoting a standby root
+# journal / dispatch) and kills partitions mid-epoch, promoting a standby root
 # that replays the sealed epoch journal. Every client history goes through
 # the linearizability checker, every tracked request must be answered
 # exactly once, and the cluster must be back to full health within K epochs

@@ -4,8 +4,8 @@
 # failure detection/failover, the seeded chaos harness, the pooled data
 # plane (arena recycling under the pipelined epoch loop in core, and the
 # pooled hot paths in loadbalancer/ohash), the oblivious sort/merge
-# primitives under parallel leaf sorting (obliv), the trace leakage
-# suite with parallel workers, and the fault-tolerant root plane (epoch
+# primitives under parallel sorting (obliv), the trace leakage suite with
+# parallel workers, and the fault-tolerant root plane (epoch
 # journal, standby promotion, exactly-once replies). The full suite is
 # `go test ./...`; the long multi-seed chaos soak is scripts/chaos.sh.
 set -euo pipefail
@@ -37,6 +37,12 @@ go test -race -timeout 45m \
 # wall-clock capacity and is meaningless under the race detector's ~20x
 # slowdown; it runs in the plain `go test ./...` tier instead.
 go test -race -short -timeout 15m ./internal/loadgen/ ./internal/workload/
+
+# The two wall-clock tests that used to flake on a loaded host, repeated
+# unpinned: the faultnet pass-through offset check (now waits for its writer)
+# and the knee search (now probes 4x below and above the fake's capacity).
+go test -count=5 -run 'TestNoFaultsPassThrough' ./internal/faultnet/
+go test -count=5 -run 'TestFindKneeLocatesCapacity' ./internal/loadgen/
 
 # End-to-end smoke of the TCP traffic path: boots a real loopback cluster
 # of snoopy-server processes and drives 10^5 open-loop sessions through it.
@@ -92,7 +98,7 @@ go test -race -timeout 15m -count=2 \
 # Focused re-run of merge-based response matching: MatchResponses against
 # the sort-based reference kept in the test files (size edges, every traffic
 # shape, key / table / per-partition order, degraded epochs, real subORAMs
-# under pinned and fresh keys, a tree feed's subset), Extract against the
+# under pinned and fresh keys, a request subset), Extract against the
 # copy-then-compact reference in table order (crafted tier-2 and bucket
 # edges, quick, fuzz seeds), both traces as functions of public shape, the
 # narrow metadata sort and the order stamp in store, the replica digest

@@ -49,18 +49,6 @@ type Config struct {
 	// Lambda is the security parameter in bits for batch sizing (default
 	// 128).
 	Lambda int
-	// LBLeaves, when > 1, splits every load balancer into a two-level
-	// oblivious aggregation tree: that many leaf balancers each sort and
-	// locally deduplicate their own clients' requests, and a root merges
-	// the per-leaf sorted runs (O(n log n) per merge level instead of a
-	// monolithic O(n log² n) re-sort), globally deduplicates, and pads to
-	// the same Theorem-3 bound a monolithic balancer would use. The tree
-	// shape is public configuration; 0 or 1 keeps the monolithic plane.
-	LBLeaves int
-	// LBFanIn optionally caps the number of leaf runs merged per root
-	// merge node (0 means merge all leaves in one balanced binary merge
-	// tree). Must be ≥ LBLeaves when set.
-	LBFanIn int
 	// Epoch is the batching interval. Zero means epochs run only when
 	// Flush is called.
 	Epoch time.Duration
@@ -179,8 +167,6 @@ func Open(cfg Config) (*Store, error) {
 		NumLoadBalancers: cfg.LoadBalancers,
 		NumSubORAMs:      cfg.SubORAMs,
 		Lambda:           cfg.Lambda,
-		LBLeaves:         cfg.LBLeaves,
-		LBFanIn:          cfg.LBFanIn,
 		EpochDuration:    cfg.Epoch,
 		SubORAMWorkers:   cfg.SubORAMWorkers,
 		SortWorkers:      cfg.SortWorkers,
@@ -210,8 +196,6 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		BlockSize:        cfg.BlockSize,
 		NumLoadBalancers: cfg.LoadBalancers,
 		Lambda:           cfg.Lambda,
-		LBLeaves:         cfg.LBLeaves,
-		LBFanIn:          cfg.LBFanIn,
 		EpochDuration:    cfg.Epoch,
 		SortWorkers:      cfg.SortWorkers,
 		Pipeline:         cfg.Pipeline,

@@ -46,43 +46,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-func TestPublicAPIHierarchicalLB(t *testing.T) {
-	st, err := snoopy.Open(snoopy.Config{
-		SubORAMs: 2, LoadBalancers: 1, Lambda: 32, Epoch: 2 * time.Millisecond,
-		LBLeaves: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	objects := map[uint64][]byte{}
-	for k := uint64(0); k < 32; k++ {
-		objects[k] = []byte{byte('a' + k%26)}
-	}
-	if err := st.Load(objects); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 32; k++ {
-		v, ok, err := st.Read(k)
-		if err != nil || !ok || v[0] != byte('a'+k%26) {
-			t.Fatalf("tree read %d: %q %v %v", k, v, ok, err)
-		}
-	}
-	if _, _, err := st.Write(3, []byte("tree")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _, _ := st.Read(3); !bytes.HasPrefix(v, []byte("tree")) {
-		t.Fatalf("tree read-after-write: %q", v)
-	}
-
-	// A fan-in below the leaf count cannot form a two-level tree.
-	if _, err := snoopy.Open(snoopy.Config{
-		SubORAMs: 1, Lambda: 32, LBLeaves: 4, LBFanIn: 2,
-	}); err == nil {
-		t.Fatal("LBFanIn < LBLeaves accepted by Open")
-	}
-}
-
 func TestPublicAPIManualEpochs(t *testing.T) {
 	st, err := snoopy.Open(snoopy.Config{SubORAMs: 2, Lambda: 32})
 	if err != nil {
