@@ -572,25 +572,13 @@ func BenchmarkHashTableConstruction(b *testing.B) {
 	})
 }
 
-// ---- Pipelined vs synchronous epochs (§6) ----
+// ---- Epochs in flight (§6): depth 1 runs one epoch at a time ----
 
 func BenchmarkPipelinedEpochs(b *testing.B) {
-	modes := []struct {
-		name     string
-		pipeline bool
-		depth    int
-	}{
-		{"pipeline=false", false, 0},
-		{"pipeline=true", true, 0}, // default depth
-		{"pipeline=true/depth=1", true, 1},
-		{"pipeline=true/depth=2", true, 2},
-		{"pipeline=true/depth=4", true, 4},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, depth := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			st, err := snoopy.Open(snoopy.Config{
-				BlockSize: benchBlock, SubORAMs: 2,
-				Pipeline: mode.pipeline, PipelineDepth: mode.depth,
+				BlockSize: benchBlock, SubORAMs: 2, PipelineDepth: depth,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -605,7 +593,7 @@ func BenchmarkPipelinedEpochs(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Clear heap debt left by earlier benchmarks in the same process
-			// so GC pacing doesn't skew the synchronous/pipelined comparison.
+			// so GC pacing doesn't skew the comparison across depths.
 			runtime.GC()
 			b.ResetTimer()
 			waits := make([]func() ([]byte, bool, error), 0, b.N*64)

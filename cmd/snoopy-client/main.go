@@ -38,8 +38,7 @@ func main() {
 	lbs := flag.Int("lbs", 2, "load balancers")
 	epoch := flag.Duration("epoch", 50*time.Millisecond, "epoch duration")
 	writeFrac := flag.Float64("writes", 0.5, "write fraction")
-	pipeline := flag.Bool("pipeline", false, "overlap epoch stages across epochs (stage A of epoch N+1 runs while stages B/C of earlier epochs drain)")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "max epochs in flight with -pipeline (0 = GOMAXPROCS clamped to [2,4])")
+	pipelineDepth := flag.Int("pipeline-depth", 0, "max epochs in flight: stage A of epoch N+1 runs while stages B/C of earlier epochs drain (0 or 1 = one epoch at a time, at most 16)")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-attempt batch RPC deadline (0 = derive from epoch)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "connect + attested handshake deadline (0 = default 5s)")
 	retries := flag.Int("retries", 0, "reconnect attempts after a failed RPC (0 = default 4, negative = none)")
@@ -99,7 +98,6 @@ func main() {
 		BlockSize:     *block,
 		LoadBalancers: *lbs,
 		Epoch:         *epoch,
-		Pipeline:      *pipeline,
 		PipelineDepth: *pipelineDepth,
 		JournalDir:    *journalDir,
 		ReplyWindow:   *replyWindow,

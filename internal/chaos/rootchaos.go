@@ -72,6 +72,10 @@ type RootConfig struct {
 	Crashes map[int]string
 	// Log, when non-nil, narrates events (e.g. t.Logf).
 	Log func(format string, args ...any)
+
+	// depth is every root incarnation's core.Config.PipelineDepth (the
+	// tests run the harness at 1 and at 4).
+	depth int
 }
 
 func (c *RootConfig) fillDefaults() {
@@ -301,6 +305,7 @@ func (h *rootHarness) newRoot() (*core.System, error) {
 		BlockSize:        h.cfg.BlockSize,
 		NumLoadBalancers: 2,
 		Lambda:           32,
+		PipelineDepth:    h.cfg.depth,
 		JournalDir:       h.cfg.Dir,
 		TestCrashPoint:   h.crashHook,
 	}, clients)
@@ -423,6 +428,12 @@ func (h *rootHarness) runEpoch(epoch int, fresh bool) error {
 		}
 	}
 	cur.Flush()
+	// Resolve the round before looking at the root: with epochs in flight a
+	// "dispatch" crash lands after Flush returns, and a wait returns only
+	// once its epoch has replied or the root has died.
+	for i := range round {
+		h.collect(cur, &round[i])
+	}
 	crashed := cur.Crashed()
 	h.sup.ObserveRootHealth(!crashed)
 	if crashed {
@@ -431,9 +442,6 @@ func (h *rootHarness) runEpoch(epoch int, fresh bool) error {
 			return err
 		}
 		h.event(RootEvent{Epoch: epoch, Kind: "promote", Part: -1})
-	}
-	for i := range round {
-		h.collect(cur, &round[i])
 	}
 	return nil
 }

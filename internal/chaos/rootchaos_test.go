@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -74,11 +75,21 @@ func checkRootTelemetryAccounting(t *testing.T, seed int64, res *RootResult) {
 // TestRootChaosSeededRuns drives a few fixed seeds through the seeded
 // schedule of root kills and partition outages.
 func TestRootChaosSeededRuns(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		res := checkRootRun(t, RootConfig{Seed: seed, Dir: t.TempDir(), Log: t.Logf})
-		t.Logf("seed %d: ops=%d retries=%d failed_attempts=%d dups=%d crashes=%d events=%d ttr=%v",
-			seed, res.Ops, res.Retries, res.FailedAttempts, res.Duplicates,
-			res.RootCrashes, len(res.Events), res.SupStats.RootMeanTimeToRecovery)
+	atDepths(t, func(t *testing.T, depth int) {
+		for _, seed := range []int64{1, 2, 3} {
+			res := checkRootRun(t, RootConfig{Seed: seed, Dir: t.TempDir(), Log: t.Logf, depth: depth})
+			t.Logf("seed %d: ops=%d retries=%d failed_attempts=%d dups=%d crashes=%d events=%d ttr=%v",
+				seed, res.Ops, res.Retries, res.FailedAttempts, res.Duplicates,
+				res.RootCrashes, len(res.Events), res.SupStats.RootMeanTimeToRecovery)
+		}
+	})
+}
+
+// atDepths runs f with one epoch at a time and with four in flight: the
+// root's crash points must hold at every depth.
+func atDepths(t *testing.T, f func(t *testing.T, depth int)) {
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { f(t, depth) })
 	}
 }
 
@@ -87,23 +98,26 @@ func TestRootChaosSeededRuns(t *testing.T) {
 // replay-before-dispatch, replay-after-dispatch) is exercised
 // deterministically regardless of the seeded draw.
 func TestRootChaosCrashEveryPoint(t *testing.T) {
-	res := checkRootRun(t, RootConfig{
-		Seed:   7,
-		Dir:    t.TempDir(),
-		Epochs: 8,
-		Crashes: map[int]string{
-			2: "stage-a",
-			4: "journal",
-			6: "dispatch",
-		},
-		Log: t.Logf,
+	atDepths(t, func(t *testing.T, depth int) {
+		res := checkRootRun(t, RootConfig{
+			Seed:   7,
+			Dir:    t.TempDir(),
+			Epochs: 8,
+			Crashes: map[int]string{
+				2: "stage-a",
+				4: "journal",
+				6: "dispatch",
+			},
+			Log:   t.Logf,
+			depth: depth,
+		})
+		if res.RootCrashes < 3 {
+			t.Fatalf("pinned crashes did not fire: %d crashes, events %v", res.RootCrashes, res.Events)
+		}
+		if res.Retries == 0 {
+			t.Fatal("crashes produced no client retries")
+		}
 	})
-	if res.RootCrashes < 3 {
-		t.Fatalf("pinned crashes did not fire: %d crashes, events %v", res.RootCrashes, res.Events)
-	}
-	if res.Retries == 0 {
-		t.Fatal("crashes produced no client retries")
-	}
 }
 
 // TestRootChaosScheduleDeterministic: the same seed over the same
@@ -113,27 +127,29 @@ func TestRootChaosCrashEveryPoint(t *testing.T) {
 // a different dir routes keys to different partitions, changing which
 // requests a partition outage fails.
 func TestRootChaosScheduleDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	run := func() *RootResult {
-		res, err := RunRoot(RootConfig{Seed: 11, Dir: dir})
-		if err != nil {
-			t.Fatal(err)
+	atDepths(t, func(t *testing.T, depth int) {
+		dir := t.TempDir()
+		run := func() *RootResult {
+			res, err := RunRoot(RootConfig{Seed: 11, Dir: dir, depth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	a, b := run(), run()
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: %d vs %d\n%v\n%v", len(a.Events), len(b.Events), a.Events, b.Events)
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
+		a, b := run(), run()
+		if len(a.Events) != len(b.Events) {
+			t.Fatalf("event counts differ: %d vs %d\n%v\n%v", len(a.Events), len(b.Events), a.Events, b.Events)
 		}
-	}
-	if a.Ops != b.Ops || a.Retries != b.Retries || a.Duplicates != b.Duplicates ||
-		a.RootCrashes != b.RootCrashes || a.FailedAttempts != b.FailedAttempts {
-		t.Fatalf("outcome counters differ:\n%+v\n%+v", a, b)
-	}
+		for i := range a.Events {
+			if a.Events[i] != b.Events[i] {
+				t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
+			}
+		}
+		if a.Ops != b.Ops || a.Retries != b.Retries || a.Duplicates != b.Duplicates ||
+			a.RootCrashes != b.RootCrashes || a.FailedAttempts != b.FailedAttempts {
+			t.Fatalf("outcome counters differ:\n%+v\n%+v", a, b)
+		}
+	})
 }
 
 // TestRootChaosSoak is the long-running root-failover soak (~16 seeds),

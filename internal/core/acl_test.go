@@ -132,7 +132,7 @@ func TestACLInvalidRule(t *testing.T) {
 
 func TestACLWithPipelinedEpochs(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 2, Pipeline: true,
+		NumLoadBalancers: 2, NumSubORAMs: 2, PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, 50)
 	if err := sys.EnableACL([]ACLRule{

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,20 +88,16 @@ type Config struct {
 	Sealed bool
 	// Strict enables debug validation inside subORAMs.
 	Strict bool
-	// Pipeline overlaps epoch stages (paper §6: "we can pipeline the
-	// subORAM and load balancer processing"): while the subORAMs execute
-	// epoch e, the load balancers batch epoch e+1 and match epoch e-1.
-	// Flush then returns once the epoch is *dispatched*; per-request
-	// completion still blocks until its epoch finishes.
-	Pipeline bool
-	// PipelineDepth bounds the number of epochs in flight at once
-	// (dispatched but not yet fully replied) when Pipeline is on. Flush
-	// blocks once the bound is reached — the backpressure that keeps the
-	// arena working set and reply latency bounded. 0 picks a default from
-	// public parameters (GOMAXPROCS, clamped to [2,4]); the depth, like
-	// every scheduling parameter, is public deployment configuration: the
-	// dispatch cadence it produces depends only on epoch timing and batch
-	// sizes the network adversary already observes.
+	// PipelineDepth D bounds the number of epochs in flight at once
+	// (dispatched but not yet fully replied) — the epoch engine's one dial.
+	// Stages overlap across epochs (paper §6: "we can pipeline the subORAM
+	// and load balancer processing"): while the subORAMs execute epoch e,
+	// the load balancers batch epoch e+1 and match epoch e-1. Flush returns
+	// once at most D−1 epochs remain in flight, so 0 or 1 runs one epoch at
+	// a time and Flush returns after its epoch has replied. Capped at 16.
+	// The depth, like every scheduling parameter, is public deployment
+	// configuration: the dispatch cadence it produces depends only on epoch
+	// timing and batch sizes the network adversary already observes.
 	PipelineDepth int
 	// DataDir, when non-empty, makes every local partition durable
 	// (internal/persist): sealed snapshots plus a sealed write-ahead log
@@ -167,13 +162,14 @@ type Config struct {
 	// result instead of re-executing. 0 picks 4096. Public configuration.
 	ReplyWindow int
 
-	// TestCrashPoint, when set, is consulted at named points inside Flush
-	// ("stage-a": after batching, before journaling; "journal": after the
-	// journal commit, before dispatch; "dispatch": after partitions
-	// executed, before any reply). Returning true simulates a root crash at
-	// that point: the system stops silently — no replies, no further epochs
-	// — exactly as a killed process would. Test hook (internal/chaos);
-	// honored only in synchronous (non-Pipeline) mode.
+	// TestCrashPoint, when set, is consulted at named points of every epoch
+	// Flush runs ("stage-a": after batching, before journaling; "journal":
+	// after the journal commit, before dispatch; "dispatch": after
+	// partitions executed, before any reply). Returning true simulates a
+	// root crash at that point: the system stops silently — no replies, not
+	// even for later epochs already in flight, no further epochs — exactly
+	// as a killed process would. Epochs replayed from the journal consult
+	// no hook. Test hook (internal/chaos).
 	TestCrashPoint func(point string, epoch uint64) bool
 
 	// Telemetry, when non-nil, records per-epoch stage spans (stage A
@@ -325,17 +321,16 @@ type System struct {
 	// draining its own FIFO job queue. Per-partition epoch order (required
 	// for last-write-wins linearizability) is the queue order; partitions
 	// drift across epochs independently, so a slow partition no longer
-	// stalls the others' next-epoch scans. In pipelined mode depthSem
-	// bounds the epochs in flight and the sequencer runs the epoch-ordered
-	// completion work (health accounting, batch release, stage C spawn).
-	depth    int              // epochs in flight bound (1 when !Pipeline)
+	// stalls the others' next-epoch scans. depthSem bounds the epochs in
+	// flight and the sequencer runs the epoch-ordered completion work
+	// (crash hook, health accounting, batch release, stage C).
+	depth    int              // epochs in flight bound (Config.PipelineDepth, ≥ 1)
 	partQ    []chan *epochJob // per-partition FIFO job queues, cap depth
 	bDone    chan *epochJob   // completed jobs, in epoch order
 	seqDone  chan struct{}    // sequencer exited
-	depthSem chan struct{}    // pipeline depth tokens
+	depthSem chan struct{}    // one token per epoch in flight
 	workerWG sync.WaitGroup   // partition workers
 	bOnce    sync.Once        // closes bDone exactly once
-	finishMu sync.Mutex       // serializes finishStageB across modes
 	// bGather/bIdx/bView are per-partition scratch for assembling the
 	// live-batch slice handed to BatchAccessN; partition s is only ever
 	// processed by one worker at a time (FIFO queue), so slot s needs no
@@ -345,7 +340,6 @@ type System struct {
 	bGather [][]*store.Requests
 	bIdx    [][]int
 	bView   [][]store.Requests
-	cWG     sync.WaitGroup
 	pipeOff bool // set at Close; guarded by epochMu
 
 	closed   chan struct{}
@@ -550,6 +544,8 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 			Repairing:           make([]bool, len(subs)),
 		},
 		downSince: make([]time.Time, len(subs)),
+		crashedCh: make(chan struct{}),
+		replyWin:  newReplyWindow(cfg.ReplyWindow),
 
 		telEpoch:     cfg.Telemetry.Gauge("core_epoch"),
 		telRequests:  cfg.Telemetry.Counter("core_requests_total"),
@@ -578,21 +574,12 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	for i := 0; i < cfg.NumLoadBalancers; i++ {
 		sys.lbs = append(sys.lbs, &lbState{lb: loadbalancer.New(lbCfg, key)})
 	}
-	sys.depth = 1
-	if cfg.Pipeline {
-		sys.depth = cfg.PipelineDepth
-		if sys.depth <= 0 {
-			sys.depth = defaultPipelineDepth()
-		}
-		if sys.depth > maxPipelineDepth {
-			sys.depth = maxPipelineDepth
-		}
-		sys.depthSem = make(chan struct{}, sys.depth)
-		sys.bDone = make(chan *epochJob, sys.depth+1)
-		sys.seqDone = make(chan struct{})
-		cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
-		go sys.sequencer()
-	}
+	sys.depth = min(max(cfg.PipelineDepth, 1), maxPipelineDepth)
+	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
+	sys.depthSem = make(chan struct{}, sys.depth)
+	sys.bDone = make(chan *epochJob, sys.depth)
+	sys.seqDone = make(chan struct{})
+	go sys.sequencer()
 	sys.partQ = make([]chan *epochJob, len(subs))
 	sys.bGather = make([][]*store.Requests, len(subs))
 	sys.bIdx = make([][]int, len(subs))
@@ -607,8 +594,6 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	for s := range subs {
 		go sys.partitionWorker(s)
 	}
-	sys.crashedCh = make(chan struct{})
-	sys.replyWin = newReplyWindow(cfg.ReplyWindow)
 	if cfg.JournalDir != "" {
 		j, incomplete, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
 		if err != nil {
@@ -619,7 +604,12 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		// stage A's number is safely reused — it was never dispatched).
 		sys.epoch = j.LastEpoch()
 		sys.initDispTags()
-		sys.replayJournal(incomplete)
+		// Re-run a crashed predecessor's journaled-but-incomplete epochs, in
+		// order, before the system serves.
+		for _, je := range incomplete {
+			sys.replayEpoch(je)
+			je.Release()
+		}
 		sys.initDispTags()
 	}
 	if cfg.EpochDuration > 0 {
@@ -664,32 +654,19 @@ func (sys *System) Init(ids []uint64, data []byte) error {
 
 // Close stops the epoch ticker and fails all pending requests.
 func (sys *System) Close() {
-	sys.closeOne.Do(func() {
-		close(sys.closed)
-		if sys.ticker != nil {
-			sys.ticker.Stop()
-		}
-	})
+	sys.halt()
 	sys.wg.Wait()
 	// Shut the stage-B plane down in dependency order: stop new dispatches
-	// (pipeOff under epochMu), close the partition queues so the workers
-	// drain every already-dispatched epoch through stage B, then close the
-	// sequencer's input and wait out the stage-C goroutines it spawned —
-	// a dispatched epoch always completes fully, replies included.
+	// (shutPipe under epochMu), let the workers drain every
+	// already-dispatched epoch through stage B, then close the sequencer's
+	// input and wait for it to run their stage C — a dispatched epoch
+	// always completes fully, replies included.
 	sys.epochMu.Lock()
-	if !sys.pipeOff {
-		sys.pipeOff = true
-		for _, q := range sys.partQ {
-			close(q)
-		}
-	}
+	sys.shutPipe()
 	sys.epochMu.Unlock()
 	sys.workerWG.Wait()
-	if sys.cfg.Pipeline {
-		sys.bOnce.Do(func() { close(sys.bDone) })
-		<-sys.seqDone
-		sys.cWG.Wait()
-	}
+	sys.bOnce.Do(func() { close(sys.bDone) })
+	<-sys.seqDone
 	// No stage B runs after this point, so no new repair can start; wait
 	// out any in-flight attempt (its own dial deadlines bound the wait).
 	sys.repairWG.Wait()
@@ -719,6 +696,28 @@ func (sys *System) Close() {
 	}
 	if sys.journal != nil {
 		sys.journal.Close()
+	}
+}
+
+// halt closes sys.closed — every Flush blocked on a pipeline slot, and the
+// ticker loop, observe it — and stops the ticker, once.
+func (sys *System) halt() {
+	sys.closeOne.Do(func() {
+		close(sys.closed)
+		if sys.ticker != nil {
+			sys.ticker.Stop()
+		}
+	})
+}
+
+// shutPipe closes the partition queues, once: nothing is dispatched after
+// it, and the workers drain what already was. Caller holds epochMu.
+func (sys *System) shutPipe() {
+	if !sys.pipeOff {
+		sys.pipeOff = true
+		for _, q := range sys.partQ {
+			close(q)
+		}
 	}
 }
 
@@ -840,6 +839,10 @@ type epochJob struct {
 	eps    []lbEpoch
 	denied [][]uint8
 	aclErr error
+	// replayed marks an epoch rebuilt from the journal (replayEpoch): its
+	// batches and request snapshots belong to the JournalEpoch, and it
+	// consults no crash hook.
+	replayed bool
 
 	responses [][]*store.Requests // [lb][sub]
 	subWall   []time.Duration
@@ -850,40 +853,25 @@ type epochJob struct {
 	subUsed []SubORAMClient
 
 	// bLeft counts partitions still executing stage B; the worker that
-	// takes it to zero completes the job: synchronous epochs close bFin
-	// (the dispatching Flush is waiting on it), pipelined epochs go to the
-	// sequencer. Completions reach the sequencer in epoch order because
-	// every partition drains its queue FIFO: job N+1 cannot complete
-	// anywhere before every partition finished job N.
+	// takes it to zero hands the job to the sequencer. Completions reach
+	// the sequencer in epoch order because every partition drains its queue
+	// FIFO: job N+1 cannot complete anywhere before every partition
+	// finished job N.
 	bLeft atomic.Int32
-	sync  bool
-	bFin  chan struct{}
 }
 
-// Pipeline depth bounds. The default is sized from public parameters
-// only: the machine's GOMAXPROCS (public deployment shape), clamped so a
-// big machine doesn't balloon the arena working set. maxPipelineDepth
-// caps operator configuration for the same reason.
+// maxPipelineDepth caps Config.PipelineDepth, input from outside the
+// program: every epoch in flight holds its arena working set.
 const maxPipelineDepth = 16
 
-func defaultPipelineDepth() int {
-	d := runtime.GOMAXPROCS(0)
-	if d < 2 {
-		d = 2
-	}
-	if d > 4 {
-		d = 4
-	}
-	return d
-}
-
-// Flush runs one epoch. In the default synchronous mode it batches,
-// executes, matches, and replies before returning. In pipelined mode
-// (Config.Pipeline) it performs stage A (snapshot + batching) and
-// dispatches the rest; stages overlap across epochs exactly as the
-// paper's throughput equation assumes: stage A of epoch N+1 runs while
-// the partition workers scan epoch N and stage C matches epoch N−1, up
-// to PipelineDepth epochs in flight.
+// Flush runs one epoch: stage A (snapshot + batching) under epochMu, the
+// journal, then dispatch to the partition workers; the sequencer finishes
+// stage B and runs stage C. Stages overlap across epochs exactly as the
+// paper's throughput equation assumes — stage A of epoch N+1 runs while
+// the workers scan epoch N and stage C matches epoch N−1 — up to
+// PipelineDepth epochs in flight. Flush returns once at most depth−1
+// epochs remain in flight (or the system closes): at depth 1, after its
+// own epoch has replied.
 func (sys *System) Flush() {
 	select {
 	case <-sys.crashedCh:
@@ -896,97 +884,112 @@ func (sys *System) Flush() {
 	if sys.crashAt("stage-a", job) {
 		return
 	}
-	if sys.pipeOff {
-		// Close already shut the partition queues: nothing will execute
-		// this job, so every snapshotted request gets its ErrClosed reply
-		// here instead of silently never completing.
+	// The epoch's pipeline slot, taken before the journal so a journaled
+	// epoch is always dispatched. Waiting for it is the engine's
+	// backpressure; the wait selects on closed, so a Flush blocked behind a
+	// wedged partition cannot hold Close hostage. Once Close has shut the
+	// partition queues nothing would execute the job: either way every
+	// snapshotted request gets ErrClosed instead of never completing.
+	if sys.pipeOff || !sys.acquire() {
 		sys.epochMu.Unlock()
 		sys.failJob(job, ErrClosed)
 		return
 	}
-	if sys.cfg.Pipeline {
-		// Depth-token acquire applies backpressure when the pipeline is
-		// full. It also selects on closed so a Flush blocked here (e.g.
-		// behind a partition stalled at its RPC deadline) cannot hold
-		// Close hostage: the job is failed, not dispatched.
-		select {
-		case sys.depthSem <- struct{}{}:
-		case <-sys.closed:
-			sys.epochMu.Unlock()
-			sys.failJob(job, ErrClosed)
-			return
-		}
-		// Journal-before-dispatch: once Begin returns, the epoch either
-		// completes here or is replayed by a successor. A Begin failure
-		// means the epoch was never acknowledged — failing it without
-		// dispatch keeps "not journaled ⇒ never applied" true, so clients
-		// can safely retry as fresh requests.
-		if err := sys.journalBegin(job); err != nil {
-			<-sys.depthSem
-			sys.epochMu.Unlock()
-			sys.failJob(job, err)
-			return
-		}
-		sys.dispatch(job)
-		sys.epochMu.Unlock()
-		return
-	}
+	// Journal-before-dispatch: once Begin returns, the epoch either
+	// completes here or is replayed by a successor. A Begin failure means
+	// the epoch was never acknowledged — failing it without dispatch keeps
+	// "not journaled ⇒ never applied" true, so clients can safely retry as
+	// fresh requests.
 	if err := sys.journalBegin(job); err != nil {
+		<-sys.depthSem
 		sys.epochMu.Unlock()
 		sys.failJob(job, err)
 		return
 	}
 	if sys.crashAt("journal", job) {
+		<-sys.depthSem
 		return
 	}
-	job.sync = true
-	job.bFin = make(chan struct{})
 	sys.dispatch(job)
 	sys.epochMu.Unlock()
-	<-job.bFin
-	if sys.crashAfterDispatch(job) {
-		return
+	sys.settle(sys.depth - 1)
+}
+
+// acquire takes a pipeline slot, or reports false once the system closes
+// (a crash closes it too).
+func (sys *System) acquire() bool {
+	select {
+	case sys.depthSem <- struct{}{}:
+		return true
+	case <-sys.closed:
+		return false
 	}
-	sys.finishStageB(job)
-	sys.stageC(job)
+}
+
+// settle blocks until at most n epochs are in flight, or the system closes
+// or crashes: it takes every slot above n and hands them straight back.
+func (sys *System) settle(n int) {
+	held := 0
+	for held < sys.depth-n && sys.acquire() {
+		held++
+	}
+	for ; held > 0; held-- {
+		<-sys.depthSem
+	}
 }
 
 // dispatch hands the job to every partition worker. Caller holds epochMu,
 // so queue order is epoch order. The sends cannot block indefinitely: at
-// most depth jobs hold tokens (pipelined) or one job is in flight per
-// caller (synchronous), matching the queues' capacity.
+// most depth jobs hold slots, matching the queues' capacity.
 func (sys *System) dispatch(job *epochJob) {
 	for s := range sys.partQ {
 		sys.partQ[s] <- job
 	}
 }
 
-// failJob replies ErrClosed (or another terminal error) to every request
-// snapshotted into a job that will never execute, and returns the job's
-// pooled stage-A storage to the arena.
+// failJob replies err to every request of a job that will never reach
+// stage C — nothing once the root has crashed, since a dead process answers
+// nothing — and returns the job's pooled storage to the arena.
 func (sys *System) failJob(job *epochJob, err error) {
-	for _, q := range job.queues {
-		for _, p := range q {
-			p.ch <- result{err: err}
+	if !sys.Crashed() {
+		for _, q := range job.queues {
+			for _, p := range q {
+				p.ch <- result{err: err}
+			}
 		}
 	}
 	for i := range job.eps {
-		job.eps[i].release()
+		job.release(i)
 	}
 }
 
-// release returns the plane's batch storage and request snapshot to the
-// arena.
-func (ep *lbEpoch) release() {
-	ep.batches.Release()
-	ep.batches = nil
-	arena.Default.PutRequests(ep.reqs)
-	ep.reqs = nil
+// releaseBatches returns plane i's batch storage to the arena once no
+// partition reads it any more.
+func (job *epochJob) releaseBatches(i int) {
+	if !job.replayed {
+		job.eps[i].batches.Release()
+	}
+	job.eps[i].batches = nil
+}
+
+// release returns all of plane i's pooled storage — batches, request
+// snapshot, partition responses — to the arena. A replayed epoch's batches
+// and snapshot are only dropped: they belong to its JournalEpoch
+// (je.Release), not the arena.
+func (job *epochJob) release(i int) {
+	job.releaseBatches(i)
+	if !job.replayed {
+		arena.Default.PutRequests(job.eps[i].reqs)
+	}
+	job.eps[i].reqs = nil
+	for s, r := range job.responses[i] {
+		arena.Default.PutRequests(r)
+		job.responses[i][s] = nil
+	}
 }
 
 // partitionWorker drains partition s's job queue in FIFO (= epoch) order.
-// The worker that finishes a job's last partition completes it: a
-// synchronous epoch wakes its Flush, a pipelined one goes to the
+// The worker that finishes a job's last partition hands it to the
 // sequencer. Long-lived workers replace the per-epoch goroutine fan-out —
 // the stage-B pool is bounded by S for the life of the system.
 func (sys *System) partitionWorker(s int) {
@@ -994,31 +997,49 @@ func (sys *System) partitionWorker(s int) {
 	for job := range sys.partQ[s] {
 		sys.partStageB(job, s)
 		if job.bLeft.Add(-1) == 0 {
-			if job.sync {
-				close(job.bFin)
-			} else {
-				sys.bDone <- job
-			}
+			sys.bDone <- job
 		}
 	}
 }
 
-// sequencer runs the epoch-ordered completion work for pipelined epochs:
-// health/failover accounting (consecutive-failure runs are only well
-// defined in epoch order), batch release, and the stage-C spawn. Stage C
-// itself runs concurrently across epochs and releases the depth token
-// when the epoch has fully replied.
+// sequencer runs the epoch-ordered completion work of every epoch: the
+// "dispatch" crash hook, health/failover accounting (consecutive-failure
+// runs are only well defined in epoch order), batch release and stage C.
+// Stage C runs inline: it overlaps the workers' stage B of the next epoch
+// and stage A of the one after, never another stage C. The epoch's slot is
+// freed last, once every reply is out.
 func (sys *System) sequencer() {
 	defer close(sys.seqDone)
 	for job := range sys.bDone {
-		sys.finishStageB(job)
-		sys.cWG.Add(1)
-		go func(job *epochJob) {
-			defer sys.cWG.Done()
+		if sys.Crashed() || sys.crashAfterDispatch(job) {
+			// A dead root answers nothing: neither this epoch nor the later
+			// ones still in flight.
+			sys.failJob(job, ErrRootDown)
+		} else {
+			sys.finishStageB(job)
 			sys.stageC(job)
-			<-sys.depthSem
-		}(job)
+		}
+		<-sys.depthSem
 	}
+}
+
+// newJob allocates epoch id's per-plane and per-partition slots; stage A
+// (or a journal replay) fills in the queues, batches and ACL outcome.
+func (sys *System) newJob(id uint64) *epochJob {
+	L, S := len(sys.lbs), len(sys.subs)
+	job := &epochJob{
+		id: id, t0: time.Now(), t0tel: sys.cfg.Telemetry.Now(),
+		queues: make([][]pending, L), eps: make([]lbEpoch, L),
+		responses: make([][]*store.Requests, L),
+		subWall:   make([]time.Duration, S),
+		subErr:    make([]error, S),
+		subUsed:   make([]SubORAMClient, S),
+	}
+	for i := range job.responses {
+		job.responses[i] = make([]*store.Requests, S)
+	}
+	job.bLeft.Store(int32(S))
+	return job
 }
 
 // stageAPlane builds plane i's batches from its snapshotted queue.
@@ -1044,9 +1065,8 @@ func (sys *System) stageAPlane(job *epochJob, i int) {
 // stageA snapshots the queues, resolves ACL permissions, and builds every
 // load balancer's batches. Caller holds epochMu.
 func (sys *System) stageA() *epochJob {
-	L := len(sys.lbs)
 	sys.epoch++
-	job := &epochJob{id: sys.epoch, t0: time.Now(), t0tel: sys.cfg.Telemetry.Now(), queues: make([][]pending, L)}
+	job := sys.newJob(sys.epoch)
 	for i, st := range sys.lbs {
 		st.mu.Lock()
 		job.queues[i] = st.queue
@@ -1058,20 +1078,9 @@ func (sys *System) stageA() *epochJob {
 	// recursive ACL instance (paper §D: two epochs per operation).
 	job.denied, job.aclErr = sys.applyACL(job.queues)
 
-	S := len(sys.subs)
-	job.responses = make([][]*store.Requests, L)
-	for i := range job.responses {
-		job.responses[i] = make([]*store.Requests, S)
-	}
-	job.subWall = make([]time.Duration, S)
-	job.subErr = make([]error, S)
-	job.subUsed = make([]SubORAMClient, S)
-	job.bLeft.Store(int32(S))
-
-	job.eps = make([]lbEpoch, L)
 	// A single-plane deployment batches inline: spawning a goroutine per
 	// epoch buys nothing and costs a schedule round trip on small epochs.
-	if L == 1 {
+	if len(sys.lbs) == 1 {
 		sys.stageAPlane(job, 0)
 	} else {
 		var wg sync.WaitGroup
@@ -1203,8 +1212,6 @@ func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize in
 // further failing epoch until a replacement is promoted) and the batch
 // release back to the arena.
 func (sys *System) finishStageB(job *epochJob) {
-	sys.finishMu.Lock()
-	defer sys.finishMu.Unlock()
 	now := time.Now()
 	sys.statsMu.Lock()
 	for s := range job.subErr {
@@ -1232,17 +1239,15 @@ func (sys *System) finishStageB(job *epochJob) {
 	}
 	sys.statsMu.Unlock()
 	// Every subORAM is done with its views of the batch storage: return it
-	// to the arena now, before stage C (possibly overlapping the next
-	// epoch's stage B in pipelined mode) runs. Stage C reads the copied
-	// perSub/dropped fields, never the Batches.
+	// to the arena now, before stage C (overlapping the next epoch's stage
+	// B) runs. Stage C reads the copied perSub/dropped fields, never the
+	// Batches.
 	for i := range job.eps {
-		job.eps[i].batches.Release()
-		job.eps[i].batches = nil
+		job.releaseBatches(i)
 	}
 }
 
-// stageC matches responses, replies to clients, and records stats. Safe to
-// run concurrently across epochs.
+// stageC matches responses, replies to clients, and records stats.
 func (sys *System) stageC(job *epochJob) {
 	L := len(sys.lbs)
 	matchWall := make([]time.Duration, L)
@@ -1261,10 +1266,11 @@ func (sys *System) stageC(job *epochJob) {
 		wg.Wait()
 	}
 
-	sys.stageCStats(job, matchWall)
 	// Every reply for this epoch has been issued (and parked): the journal
-	// no longer needs to replay it.
+	// no longer needs to replay it. Stats come last, so an epoch published
+	// in LastEpochStats is also complete in the journal.
 	sys.journalComplete(job.id)
+	sys.stageCStats(job, matchWall)
 }
 
 // stageCPlane matches one plane's responses and replies to its clients.
@@ -1284,13 +1290,7 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	}()
 	// Whatever path this epoch takes, its pooled request snapshot and
 	// subORAM responses go back to the arena at the end.
-	defer func() {
-		ep.release()
-		for s := 0; s < S; s++ {
-			arena.Default.PutRequests(job.responses[i][s])
-			job.responses[i][s] = nil
-		}
-	}()
+	defer job.release(i)
 	if len(q) == 0 {
 		return
 	}
@@ -1370,8 +1370,8 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 }
 
 // stageCStats folds the completed epoch into EpochStats and whole-epoch
-// telemetry. Guarded against out-of-order completion: concurrent stage C
-// of an older epoch may finish after a newer one.
+// telemetry. The sequencer completes epochs in order; the ordering guards
+// below keep a published epoch from ever moving backwards regardless.
 func (sys *System) stageCStats(job *epochJob, matchWall []time.Duration) {
 	st := EpochStats{Epoch: job.id, Wall: time.Since(job.t0)}
 	for _, q := range job.queues {

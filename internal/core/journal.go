@@ -33,10 +33,9 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"sync"
 
-	"snoopy/internal/arena"
+	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
 	"snoopy/internal/store"
 )
@@ -218,160 +217,75 @@ func (sys *System) journalComplete(epoch uint64) {
 	}
 }
 
-// replayJournal re-issues every journaled-but-incomplete epoch of a
-// crashed predecessor, in epoch order, before the system serves. Called
-// from NewWithSubORAMs, before workers accept new epochs.
-func (sys *System) replayJournal(incomplete []*persist.JournalEpoch) {
-	for _, je := range incomplete {
-		sys.replayEpoch(je)
-		sys.journalComplete(je.Epoch)
-		je.Release()
-	}
-}
+// errJournaledFailure stands in, on replay, for a stage-A or ACL error the
+// journal records only as a flag: stage C fails (and parks nothing for) the
+// plane's requests, exactly as the live epoch would have.
+var errJournaledFailure = errors.New("core: journaled epoch failed before dispatch")
 
-// replayEpoch re-runs one journaled epoch: adopt the journaled delivery
-// tags, re-dispatch each partition's batches in fixed plane order (the
-// partitions' replay caches deduplicate already-applied deliveries),
-// re-match the responses against the journaled request snapshots, and park
-// the results in the reply window under the journaled idempotency IDs so
-// retried clients get their answers.
+// replayEpoch runs one journaled epoch through the engine like a live one:
+// adopt the journaled delivery tags (a partition that already applied the
+// delivery answers from its replay cache), rebuild stage A's output from
+// the record, dispatch it, and wait until it completes. Stage C matches
+// under the live rules — failed partitions, Theorem-3 drops and ACL denials
+// included — and parks the answers under the journaled idempotency IDs; the
+// reply channels have no reader. The record's storage stays je's.
 func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 	subs := sys.snapshotSubs()
-	S := len(subs)
-	if len(je.Tags) != S || len(je.Planes) != len(sys.lbs) {
+	if len(je.Tags) != len(subs) || len(je.Planes) != len(sys.lbs) || je.BlockSize != sys.cfg.BlockSize {
 		// A different deployment shape than the journal was written under;
 		// nothing can be replayed meaningfully. Fail closed: skip.
+		sys.journalComplete(je.Epoch)
 		return
 	}
 	for s, sub := range subs {
-		if je.Tags[s] == (persist.JournalTag{}) {
-			continue
-		}
-		if tc, ok := sub.(TaggedClient); ok {
+		if tc, ok := sub.(TaggedClient); ok && je.Tags[s] != (persist.JournalTag{}) {
 			tc.AdoptDeliveryTag(je.Tags[s].LBID, je.Tags[s].Seq)
 		}
 	}
-	live := make([]int, 0, len(je.Planes))
+	job := sys.newJob(je.Epoch)
+	job.replayed = true
+	job.denied = make([][]uint8, len(je.Planes))
+	if !je.ACLOK {
+		job.aclErr = errJournaledFailure
+	}
 	for i := range je.Planes {
-		if je.Planes[i].OK && je.Planes[i].Batch != nil {
-			live = append(live, i)
+		p, ep := &je.Planes[i], &job.eps[i]
+		ep.reqs, ep.perSub, ep.dropped, ep.droppedKeys = p.Reqs, p.PerSub, len(p.Dropped), p.Dropped
+		if !p.OK {
+			ep.err = errJournaledFailure
+		} else if p.Batch != nil {
+			ep.batches = &loadbalancer.Batches{All: p.Batch, PerSub: p.PerSub}
 		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	responses := make([][]*store.Requests, len(je.Planes))
-	for i := range responses {
-		responses[i] = make([]*store.Requests, S)
-	}
-	subErr := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gather := make([]*store.Requests, 0, len(live))
-			for _, i := range live {
-				p := &je.Planes[i]
-				gather = append(gather, p.Batch.View(s*p.PerSub, (s+1)*p.PerSub))
-			}
-			if bn, ok := subs[s].(BatchedSubORAMClient); ok {
-				outs, err := bn.BatchAccessN(gather)
-				if err != nil {
-					subErr[s] = err
-					return
-				}
-				for k, i := range live {
-					responses[i][s] = outs[k]
-					if err := checkResponse(s, outs[k], je.Planes[i].PerSub); err != nil {
-						subErr[s] = err
-					}
-				}
-				return
-			}
-			for k, i := range live {
-				out, err := subs[s].BatchAccess(gather[k])
-				if err == nil {
-					err = checkResponse(s, out, je.Planes[i].PerSub)
-				}
-				if err != nil {
-					subErr[s] = err
-					return
-				}
-				responses[i][s] = out
-			}
-		}()
-	}
-	wg.Wait()
-	if je.ACLOK {
-		for _, i := range live {
-			sys.replayPlaneReplies(je, i, responses[i], subErr)
+		job.queues[i] = make([]pending, len(p.IDs))
+		for j, id := range p.IDs {
+			job.queues[i][j] = pending{id: id, ch: make(chan result, 1)}
 		}
+		job.denied[i] = p.Denied
 	}
-	for i := range responses {
-		for s := range responses[i] {
-			arena.Default.PutRequests(responses[i][s])
-			responses[i][s] = nil
-		}
-	}
-}
-
-// replayPlaneReplies re-matches one plane's replayed responses and parks
-// each tracked request's result in the reply window.
-func (sys *System) replayPlaneReplies(je *persist.JournalEpoch, i int, resp []*store.Requests, subErr []error) {
-	p := &je.Planes[i]
-	if !slices.ContainsFunc(p.IDs, func(id uint64) bool { return id != 0 }) {
-		return
-	}
-	all := gatherResponses(resp, subErr, p.PerSub, je.BlockSize)
-	matched, err := sys.lbs[i].lb.MatchResponses(all, p.Reqs)
-	arena.Default.PutRequests(all)
-	if err != nil {
-		return
-	}
-	defer arena.Default.PutRequests(matched)
-	for j := 0; j < matched.Len(); j++ {
-		idx := matched.Client[j]
-		if idx >= uint64(len(p.IDs)) {
-			continue
-		}
-		id := p.IDs[idx]
-		if id == 0 {
-			continue
-		}
-		key := matched.Key[j]
-		if subErr[sys.lbs[i].lb.SubORAMFor(key)] != nil || slices.Contains(p.Dropped, key) {
-			continue
-		}
-		val := append([]byte(nil), matched.Block(j)...)
-		found := matched.Aux[j]
-		if p.Denied != nil {
-			nullDenied(val, &found, p.Denied[idx])
-		}
-		sys.replyWin.put(id, result{value: val, found: found == 1})
-	}
+	sys.depthSem <- struct{}{} // nothing else is in flight before the system serves
+	sys.dispatch(job)
+	sys.settle(0)
 }
 
 // --- simulated root crash ---------------------------------------------
 
-// crashLocked transitions the system to the crashed state: no replies, no
-// further epochs, submits fail with ErrRootDown — the observable behavior
-// of a killed root process. Caller holds epochMu.
-func (sys *System) crashLocked() {
+// signalCrash transitions the system to the crashed state: submits fail
+// with ErrRootDown, and every wait on closed — a Flush blocked on a
+// pipeline slot included — returns. The observable behavior of a killed
+// root process.
+func (sys *System) signalCrash() {
 	sys.crashOne.Do(func() { close(sys.crashedCh) })
-	sys.closeOne.Do(func() {
-		close(sys.closed)
-		if sys.ticker != nil {
-			sys.ticker.Stop()
-		}
-	})
-	if !sys.pipeOff {
-		sys.pipeOff = true
-		for _, q := range sys.partQ {
-			close(q)
-		}
-	}
+	sys.halt()
+}
+
+// crash is signalCrash plus shutting the partition queues, for a caller
+// not holding epochMu. The signal comes first: a Flush holding epochMu may
+// be blocked on a pipeline slot that only the signal frees.
+func (sys *System) crash() {
+	sys.signalCrash()
+	sys.epochMu.Lock()
+	sys.shutPipe()
+	sys.epochMu.Unlock()
 }
 
 // crashAt consults the test crash hook at a pre-dispatch point. On crash
@@ -379,54 +293,34 @@ func (sys *System) crashLocked() {
 // nothing — clients observe ErrRootDown through the idempotent wait path.
 // Caller holds epochMu; on true it has been released.
 func (sys *System) crashAt(point string, job *epochJob) bool {
-	if sys.cfg.TestCrashPoint == nil || sys.cfg.Pipeline || !sys.cfg.TestCrashPoint(point, job.id) {
+	if sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint(point, job.id) {
 		return false
 	}
-	sys.crashLocked()
+	sys.signalCrash()
+	sys.shutPipe()
 	sys.epochMu.Unlock()
-	sys.releaseJobSilently(job, false)
+	sys.failJob(job, ErrRootDown)
 	return true
 }
 
-// crashAfterDispatch consults the hook at the post-execution point: the
-// partitions applied the epoch, but no reply (and no journal completion)
-// was issued — the window where only the journal keeps the epoch's
-// effects observable.
+// crashAfterDispatch consults the hook at the post-execution point, on the
+// sequencer: the partitions applied the epoch, but no reply (and no journal
+// completion) was issued — the window where only the journal keeps the
+// epoch's effects observable. Replayed epochs do not consult it.
 func (sys *System) crashAfterDispatch(job *epochJob) bool {
-	if sys.cfg.TestCrashPoint == nil || sys.cfg.Pipeline || !sys.cfg.TestCrashPoint("dispatch", job.id) {
+	if job.replayed || sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint("dispatch", job.id) {
 		return false
 	}
-	sys.epochMu.Lock()
-	sys.crashLocked()
-	sys.epochMu.Unlock()
-	sys.releaseJobSilently(job, true)
+	sys.crash()
 	return true
-}
-
-// releaseJobSilently returns a crashed job's pooled storage to the arena
-// without replying to anyone — a dead process answers nothing.
-func (sys *System) releaseJobSilently(job *epochJob, withResponses bool) {
-	for i := range job.eps {
-		job.eps[i].release()
-	}
-	if withResponses {
-		for i := range job.responses {
-			for s := range job.responses[i] {
-				arena.Default.PutRequests(job.responses[i][s])
-				job.responses[i][s] = nil
-			}
-		}
-	}
 }
 
 // Crash simulates a root process death from outside an epoch (the chaos
-// harness's kill switch): the system stops silently, pending requests are
-// never answered, and in-flight idempotent waits return ErrRootDown.
-// Synchronous mode only (like Config.TestCrashPoint).
+// harness's kill switch): the system stops silently, pending requests and
+// epochs in flight are never answered, and in-flight idempotent waits
+// return ErrRootDown.
 func (sys *System) Crash() {
-	sys.epochMu.Lock()
-	sys.crashLocked()
-	sys.epochMu.Unlock()
+	sys.crash()
 	sys.wg.Wait()
 }
 

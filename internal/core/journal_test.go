@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,25 +37,39 @@ func newJournalCluster(t *testing.T, S int) *journalCluster {
 	return c
 }
 
-// root starts one root incarnation over the cluster. crash is the
-// simulated-crash schedule (nil = never).
-func (c *journalCluster) root(t *testing.T, crash func(point string, epoch uint64) bool) *System {
-	t.Helper()
+// tagged returns fresh tagged clients over the cluster's partitions.
+func (c *journalCluster) tagged() []SubORAMClient {
 	clients := make([]SubORAMClient, len(c.subs))
 	for i := range c.subs {
 		clients[i] = transport.NewLocalTagged(c.subs[i], c.rcs[i])
 	}
+	return clients
+}
+
+// root starts one root incarnation over the cluster with up to depth
+// epochs in flight. crash is the simulated-crash schedule (nil = never).
+func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, epoch uint64) bool) *System {
+	t.Helper()
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize:        testBlock,
 		NumLoadBalancers: 2,
 		Lambda:           32,
+		PipelineDepth:    depth,
 		JournalDir:       c.dir,
 		TestCrashPoint:   crash,
-	}, clients)
+	}, c.tagged())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// atDepths runs f at the depths the crash-safety argument must cover: one
+// epoch at a time, and four in flight.
+func atDepths(t *testing.T, f func(t *testing.T, depth int)) {
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { f(t, depth) })
+	}
 }
 
 func (c *journalCluster) initObjects(t *testing.T, sys *System, n int) {
@@ -101,9 +117,13 @@ func runIdemWrite(t *testing.T, sys *System, id, key uint64, val string) ([]byte
 // client's retry with the same ID gets the original answer. The write is
 // applied exactly once.
 func TestJournalCrashAfterDispatchExactlyOnce(t *testing.T) {
+	atDepths(t, testJournalCrashAfterDispatchExactlyOnce)
+}
+
+func testJournalCrashAfterDispatchExactlyOnce(t *testing.T, depth int) {
 	c := newJournalCluster(t, 3)
 
-	r1 := c.root(t, crashOnceAt("dispatch", 2))
+	r1 := c.root(t, depth, crashOnceAt("dispatch", 2))
 	c.initObjects(t, r1, 64)
 	if prev, found, err := runIdemWrite(t, r1, 1, 5, "v1"); err != nil || !found || trimmed(prev) != "init-5" {
 		t.Fatalf("epoch 1 write: prev=%q found=%v err=%v", trimmed(prev), found, err)
@@ -125,7 +145,7 @@ func TestJournalCrashAfterDispatchExactlyOnce(t *testing.T) {
 
 	// Standby promotion: opening the same journal directory replays
 	// epoch 2 and parks its replies.
-	r2 := c.root(t, nil)
+	r2 := c.root(t, depth, nil)
 	defer r2.Close()
 
 	// The client retry returns the ORIGINAL answer: previous value "v1",
@@ -154,9 +174,13 @@ func TestJournalCrashAfterDispatchExactlyOnce(t *testing.T) {
 // undispatched window: the partitions never saw the epoch, so the standby's
 // replay is its first (and only) application.
 func TestJournalCrashBeforeDispatchReplaysOnce(t *testing.T) {
+	atDepths(t, testJournalCrashBeforeDispatchReplaysOnce)
+}
+
+func testJournalCrashBeforeDispatchReplaysOnce(t *testing.T, depth int) {
 	c := newJournalCluster(t, 2)
 
-	r1 := c.root(t, crashOnceAt("journal", 2))
+	r1 := c.root(t, depth, crashOnceAt("journal", 2))
 	c.initObjects(t, r1, 32)
 	if _, _, err := runIdemWrite(t, r1, 10, 7, "seven-a"); err != nil {
 		t.Fatal(err)
@@ -166,7 +190,7 @@ func TestJournalCrashBeforeDispatchReplaysOnce(t *testing.T) {
 	}
 	r1.Close()
 
-	r2 := c.root(t, nil)
+	r2 := c.root(t, depth, nil)
 	defer r2.Close()
 	prev, found, err := r2.WriteIdem(11, 7, []byte("seven-b"))
 	if err != nil || !found || trimmed(prev) != "seven-a" {
@@ -188,9 +212,13 @@ func TestJournalCrashBeforeDispatchReplaysOnce(t *testing.T) {
 // never acknowledged, so nothing is replayed and the retry re-executes as
 // a fresh request.
 func TestJournalCrashBeforeJournalRetriesFresh(t *testing.T) {
+	atDepths(t, testJournalCrashBeforeJournalRetriesFresh)
+}
+
+func testJournalCrashBeforeJournalRetriesFresh(t *testing.T, depth int) {
 	c := newJournalCluster(t, 2)
 
-	r1 := c.root(t, crashOnceAt("stage-a", 2))
+	r1 := c.root(t, depth, crashOnceAt("stage-a", 2))
 	c.initObjects(t, r1, 32)
 	if _, _, err := runIdemWrite(t, r1, 20, 9, "nine-a"); err != nil {
 		t.Fatal(err)
@@ -200,7 +228,7 @@ func TestJournalCrashBeforeJournalRetriesFresh(t *testing.T) {
 	}
 	r1.Close()
 
-	r2 := c.root(t, nil)
+	r2 := c.root(t, depth, nil)
 	defer r2.Close()
 	// Nothing journaled: the retry executes fresh and observes the last
 	// committed value as previous.
@@ -214,17 +242,21 @@ func TestJournalCrashBeforeJournalRetriesFresh(t *testing.T) {
 // epoch sequence instead of restarting at 1 — the partitions' fixed-order
 // linearizability depends on monotone epochs.
 func TestJournalEpochContinuation(t *testing.T) {
+	atDepths(t, testJournalEpochContinuation)
+}
+
+func testJournalEpochContinuation(t *testing.T, depth int) {
 	c := newJournalCluster(t, 2)
-	r1 := c.root(t, nil)
+	r1 := c.root(t, depth, nil)
 	c.initObjects(t, r1, 16)
 	for i := 0; i < 3; i++ {
 		r1.Flush()
 	}
 	r1.Close()
 
-	r2 := c.root(t, nil)
-	defer r2.Close()
+	r2 := c.root(t, depth, nil)
 	r2.Flush()
+	r2.Close() // completes the epoch Flush may have left in flight
 	if ep := r2.LastEpochStats().Epoch; ep != 4 {
 		t.Fatalf("successor's first epoch is %d, want 4", ep)
 	}
@@ -235,7 +267,7 @@ func TestJournalEpochContinuation(t *testing.T) {
 // another epoch.
 func TestReplyWindowStopsReExecution(t *testing.T) {
 	c := newJournalCluster(t, 2)
-	sys := c.root(t, nil)
+	sys := c.root(t, 1, nil)
 	defer sys.Close()
 	c.initObjects(t, sys, 16)
 
@@ -280,8 +312,12 @@ func TestReplyWindowStopsReExecution(t *testing.T) {
 // crash points — silent stop, ErrRootDown on submit, successor replays
 // nothing (no epoch was in flight).
 func TestCrashKillSwitch(t *testing.T) {
+	atDepths(t, testCrashKillSwitch)
+}
+
+func testCrashKillSwitch(t *testing.T, depth int) {
 	c := newJournalCluster(t, 2)
-	r1 := c.root(t, nil)
+	r1 := c.root(t, depth, nil)
 	c.initObjects(t, r1, 16)
 	if _, _, err := runIdemWrite(t, r1, 40, 2, "x"); err != nil {
 		t.Fatal(err)
@@ -295,7 +331,7 @@ func TestCrashKillSwitch(t *testing.T) {
 	}
 	r1.Close()
 
-	r2 := c.root(t, nil)
+	r2 := c.root(t, depth, nil)
 	defer r2.Close()
 	wait, err := r2.ReadIdemAsync(41, 2)
 	if err != nil {
@@ -312,7 +348,7 @@ func TestCrashKillSwitch(t *testing.T) {
 // never parked, never deduplicated.
 func TestJournalUntaggedIDZero(t *testing.T) {
 	c := newJournalCluster(t, 2)
-	sys := c.root(t, nil)
+	sys := c.root(t, 1, nil)
 	defer sys.Close()
 	c.initObjects(t, sys, 8)
 
@@ -330,7 +366,7 @@ func TestJournalUntaggedIDZero(t *testing.T) {
 // (untracked) API's behavior in the same deployment.
 func TestJournaledEpochsKeepPlainAPI(t *testing.T) {
 	c := newJournalCluster(t, 3)
-	sys := c.root(t, nil)
+	sys := c.root(t, 1, nil)
 	defer sys.Close()
 	c.initObjects(t, sys, 64)
 
@@ -370,8 +406,12 @@ func waitForQueued(t *testing.T, sys *System, n int) {
 // interaction: a replayed grouped response must be an independent copy, so
 // the replaying root's stage-C release cannot corrupt the replay cache.
 func TestJournalReplayedResponsesCopied(t *testing.T) {
+	atDepths(t, testJournalReplayedResponsesCopied)
+}
+
+func testJournalReplayedResponsesCopied(t *testing.T, depth int) {
 	c := newJournalCluster(t, 2)
-	r1 := c.root(t, crashOnceAt("dispatch", 2))
+	r1 := c.root(t, depth, crashOnceAt("dispatch", 2))
 	c.initObjects(t, r1, 16)
 	if _, _, err := runIdemWrite(t, r1, 50, 4, "val-a"); err != nil {
 		t.Fatal(err)
@@ -384,13 +424,13 @@ func TestJournalReplayedResponsesCopied(t *testing.T) {
 	// Two successive promotions over the same journal: if the first
 	// replay's storage handling corrupted the caches or the journal, the
 	// second would return garbage.
-	r2 := c.root(t, nil)
+	r2 := c.root(t, depth, nil)
 	if prev, _, err := r2.WriteIdem(51, 4, []byte("val-b")); err != nil || trimmed(prev) != "val-a" {
 		t.Fatalf("first promotion retry: prev=%q err=%v", trimmed(prev), err)
 	}
 	r2.Close()
 
-	r3 := c.root(t, nil)
+	r3 := c.root(t, depth, nil)
 	defer r3.Close()
 	wait, err := r3.ReadIdemAsync(52, 4)
 	if err != nil {
@@ -433,14 +473,14 @@ func TestJournalOverflowKeysNotParked(t *testing.T) {
 // replayed batch would scan the wrong partition.
 func TestJournalRouteKeyPinned(t *testing.T) {
 	c := newJournalCluster(t, 4)
-	r1 := c.root(t, nil)
+	r1 := c.root(t, 1, nil)
 	c.initObjects(t, r1, 32)
 	want := make([]int, 32)
 	for k := 0; k < 32; k++ {
 		want[k] = r1.SubORAMFor(uint64(k))
 	}
 	r1.Close()
-	r2 := c.root(t, nil)
+	r2 := c.root(t, 1, nil)
 	defer r2.Close()
 	for k := 0; k < 32; k++ {
 		if got := r2.SubORAMFor(uint64(k)); got != want[k] {
@@ -459,13 +499,9 @@ var _ = store.OpRead // keep the import when build tags trim tests
 func TestJournalCompleteFailureSurfaces(t *testing.T) {
 	c := newJournalCluster(t, 2)
 	reg := telemetry.NewRegistry()
-	clients := make([]SubORAMClient, len(c.subs))
-	for i := range c.subs {
-		clients[i] = transport.NewLocalTagged(c.subs[i], c.rcs[i])
-	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32, JournalDir: c.dir, Telemetry: reg,
-	}, clients)
+	}, c.tagged())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +522,180 @@ func TestJournalCompleteFailureSurfaces(t *testing.T) {
 	}
 	if got := reg.Counter("persist_journal_errors_total").Value(); got != errs {
 		t.Fatalf("persist_journal_errors_total = %d, Health().JournalErrors = %d", got, errs)
+	}
+}
+
+// TestJournalCrashWithEpochsInFlight: at depth 4 the root crashes at the
+// "dispatch" point of epoch 2 while epochs 3 and 4 are already dispatched
+// behind it. A dead root answers none of the three; the successor replays
+// all three in order, and every tracked request is answered exactly once —
+// from the successor's reply window, each write observing its
+// predecessor's value, so nothing was applied twice.
+func TestJournalCrashWithEpochsInFlight(t *testing.T) {
+	c := newJournalCluster(t, 2)
+	hold := make(chan struct{})
+	r1 := c.root(t, 4, func(point string, epoch uint64) bool {
+		if point != "dispatch" || epoch != 2 {
+			return false
+		}
+		<-hold // keep epoch 2 at its dispatch point until 3 and 4 are out
+		return true
+	})
+	c.initObjects(t, r1, 16)
+	if _, _, err := runIdemWrite(t, r1, 60, 3, "v0"); err != nil {
+		t.Fatal(err)
+	}
+	var waits []func() ([]byte, bool, error)
+	for e := 1; e <= 3; e++ { // epochs 2, 3, 4
+		w, err := r1.WriteIdemAsync(uint64(60+e), 3, []byte(fmt.Sprintf("v%d", e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1.Flush() // returns once dispatched: fewer than 4 epochs in flight
+		waits = append(waits, w)
+	}
+	close(hold)
+	for e, w := range waits {
+		if _, _, err := w(); !errors.Is(err, ErrRootDown) {
+			t.Fatalf("epoch %d in flight at the crash returned %v, want ErrRootDown", e+2, err)
+		}
+	}
+	r1.Close()
+
+	r2 := c.root(t, 4, nil)
+	defer r2.Close()
+	for e := 1; e <= 3; e++ {
+		id := uint64(60 + e)
+		if _, ok := r2.replyWin.get(id); !ok {
+			t.Fatalf("request %d not answered by the successor's replay", id)
+		}
+		prev, found, err := r2.WriteIdem(id, 3, []byte(fmt.Sprintf("v%d", e)))
+		if want := fmt.Sprintf("v%d", e-1); err != nil || !found || trimmed(prev) != want {
+			t.Fatalf("retry %d: prev=%q found=%v err=%v, want prev=%q", id, trimmed(prev), found, err, want)
+		}
+	}
+	wait, err := r2.ReadIdemAsync(70, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.Flush()
+	if got, _, err := wait(); err != nil || trimmed(got) != "v3" {
+		t.Fatalf("read after replay: %q err=%v", trimmed(got), err)
+	}
+}
+
+// TestJournalReplaySharesLiveRules: a replayed epoch runs through the live
+// stage B and stage C, so the live rules decide what it answers. The
+// crashed epoch holds a Theorem-3 victim (α+1 distinct keys pinned to
+// partition 0), and the successor's partition 1 fails during the replay:
+// only healthy, undropped answers are parked, the failure is counted in
+// Health(), and the replayed epoch's spans are on /trace/epochs.
+func TestJournalReplaySharesLiveRules(t *testing.T) {
+	const S, R, objects = 3, 96, 512
+	c := newJournalCluster(t, S)
+	open := func(crash func(string, uint64) bool, reg *telemetry.Registry, clients []SubORAMClient) *System {
+		t.Helper()
+		sys, err := NewWithSubORAMs(Config{
+			BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32,
+			JournalDir: c.dir, TestCrashPoint: crash, Telemetry: reg,
+		}, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	r1 := open(crashOnceAt("journal", 1), nil, c.tagged())
+	c.initObjects(t, r1, objects)
+
+	lb := r1.lbs[0].lb
+	alpha := lb.BatchSize(R)
+	byPart := make([][]uint64, S)
+	for k := uint64(0); k < objects; k++ {
+		byPart[lb.SubORAMFor(k)] = append(byPart[lb.SubORAMFor(k)], k)
+	}
+	if alpha+3 > R || alpha+1 > len(byPart[0]) {
+		t.Fatalf("shape cannot pin α+1 keys: α=%d R=%d, %d keys on partition 0", alpha, R, len(byPart[0]))
+	}
+	keys := append([]uint64(nil), byPart[0][:alpha+1]...)
+	for i := 0; len(keys) < R; i++ {
+		keys = append(keys, byPart[1+i%2][i/2])
+	}
+	var waits []func() ([]byte, bool, error)
+	for j, k := range keys {
+		w, err := r1.ReadIdemAsync(uint64(100+j), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, w)
+	}
+	r1.Flush()
+	for _, w := range waits {
+		if _, _, err := w(); !errors.Is(err, ErrRootDown) {
+			t.Fatalf("crashed epoch returned %v, want ErrRootDown", err)
+		}
+	}
+	r1.Close()
+
+	reg := telemetry.NewRegistry()
+	clients := c.tagged()
+	failing := &flakySub{inner: clients[1]}
+	failing.fail.Store(true)
+	clients[1] = failing
+	r2 := open(nil, reg, clients)
+	defer r2.Close()
+
+	parked := make([]int, S)
+	for j, k := range keys {
+		r, ok := r2.replyWin.get(uint64(100 + j))
+		if !ok {
+			continue
+		}
+		parked[lb.SubORAMFor(k)]++
+		if want := fmt.Sprintf("init-%d", k); !r.found || trimmed(r.value) != want {
+			t.Fatalf("key %d parked %q found=%v, want %q", k, trimmed(r.value), r.found, want)
+		}
+	}
+	want := []int{alpha, 0, 0}
+	for _, k := range keys[alpha+1:] {
+		if lb.SubORAMFor(k) == 2 {
+			want[2]++
+		}
+	}
+	if parked[0] != want[0] || parked[1] != 0 || parked[2] != want[2] {
+		t.Fatalf("parked per partition %v, want %v (α=%d: one victim, partition 1 failed)", parked, want, alpha)
+	}
+	if got := r2.TotalDropped(); got != 1 {
+		t.Fatalf("replay counted %d Theorem-3 drops, want 1", got)
+	}
+	if h := r2.Health(); h.TotalFailures[0] != 0 || h.TotalFailures[1] != 1 || h.TotalFailures[2] != 0 {
+		t.Fatalf("replay failures not counted per partition: %v", h.TotalFailures)
+	}
+	if st := r2.LastEpochStats(); st.Epoch != 1 || st.Requests != R {
+		t.Fatalf("replayed epoch stats: %+v", st)
+	}
+
+	rec := httptest.NewRecorder()
+	telemetry.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/trace/epochs", nil))
+	var spans []telemetry.Span
+	if err := json.Unmarshal(rec.Body.Bytes(), &spans); err != nil {
+		t.Fatal(err)
+	}
+	type spanID struct {
+		stage string
+		part  int
+	}
+	seen := map[spanID]bool{}
+	for _, sp := range spans {
+		if sp.Epoch == 1 {
+			seen[spanID{sp.Stage, sp.Part}] = true
+		}
+	}
+	for _, id := range []spanID{
+		{"stage_b_suboram", 0}, {"stage_b_suboram", 1}, {"stage_b_suboram", 2},
+		{"stage_c_match", 0}, {"epoch", -1},
+	} {
+		if !seen[id] {
+			t.Fatalf("replayed epoch has no %s span for part %d on /trace/epochs: %+v", id.stage, id.part, spans)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 		NumSubORAMs:      3,
 		Lambda:           32,
 		EpochDuration:    time.Millisecond,
-		Pipeline:         true,
+		PipelineDepth:    4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,12 @@ import (
 // TestEpochGaugeMonotoneUnderLateStageC pins the fix for the epoch gauge
 // rollback: stage C of epoch N-1 can finish after stage C of epoch N when
 // epochs overlap, and its gauge update must not drag the published epoch
-// backwards. The stats path has carried an `Epoch >=` guard since the
-// pipelined mode landed; the gauge path used an unguarded Set.
+// backwards. The stats path has carried an `Epoch >=` guard since
+// overlapped epochs landed; the gauge path used an unguarded Set.
 func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := startSystem(t, Config{
-		NumSubORAMs: 2, Pipeline: true, PipelineDepth: 4, Telemetry: reg,
+		NumSubORAMs: 2, PipelineDepth: 4, Telemetry: reg,
 	}, 16)
 
 	var waits []func() ([]byte, bool, error)
@@ -60,10 +60,11 @@ func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 }
 
 // stallSub wedges BatchAccess on a channel, simulating a partition that is
-// alive but not making progress.
+// alive but not making progress. entered (buffered) signals each wedged call.
 type stallSub struct {
 	inner   SubORAMClient
 	stall   atomic.Bool
+	entered chan struct{}
 	release chan struct{}
 }
 
@@ -71,23 +72,27 @@ func (s *stallSub) Init(ids []uint64, data []byte) error { return s.inner.Init(i
 
 func (s *stallSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	if s.stall.Load() {
+		s.entered <- struct{}{}
 		<-s.release
 	}
 	return s.inner.BatchAccess(reqs)
 }
 
 // TestFlushBlockedOnDepthUnblocksOnClose pins the Flush/Close liveness
-// contract: a Flush waiting for a pipeline slot (every slot held by an
-// epoch stalled in stage B) must observe Close, abandon the dispatch, and
-// fail the epoch's requests with ErrClosed instead of blocking forever on
-// an un-cancellable send.
+// contract at depth 1, where Flush returns only once its epoch has replied:
+// a Flush waiting on its own wedged epoch and a Flush waiting for the only
+// pipeline slot both observe Close. The undispatched epoch's requests fail
+// with ErrClosed instead of blocking forever on an un-cancellable send;
+// Close returns once the wedged partition is released, and the dispatched
+// epoch still answers.
 func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
-	stalled := &stallSub{inner: suboram.New(suboram.Config{BlockSize: testBlock}), release: make(chan struct{})}
+	stalled := &stallSub{
+		inner:   suboram.New(suboram.Config{BlockSize: testBlock}),
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
 	subs := []SubORAMClient{stalled, suboram.New(suboram.Config{BlockSize: testBlock})}
-	sys, err := NewWithSubORAMs(Config{
-		BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32,
-		Pipeline: true, PipelineDepth: 1,
-	}, subs)
+	sys, err := NewWithSubORAMs(Config{BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32}, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,63 +100,87 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	if err := sys.Init(ids, make([]byte, len(ids)*testBlock)); err != nil {
 		t.Fatal(err)
 	}
+	flushAsync := func() chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			sys.Flush()
+			close(done)
+		}()
+		return done
+	}
+	resolve := func(w func() ([]byte, bool, error)) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := w()
+			done <- err
+		}()
+		return done
+	}
 
-	// Epoch 1 takes the only pipeline slot and wedges in stage B.
+	// Epoch 1 takes the only pipeline slot and wedges in stage B; its Flush
+	// waits for the epoch to reply.
 	stalled.stall.Store(true)
 	w1, err := sys.ReadAsync(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush()
+	flushed1 := flushAsync()
+	<-stalled.entered
 
 	// Epoch 2's Flush blocks waiting for the slot.
 	w2, err := sys.ReadAsync(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushed := make(chan struct{})
-	go func() {
-		sys.Flush()
-		close(flushed)
-	}()
+	flushed2 := flushAsync()
 	select {
-	case <-flushed:
+	case <-flushed1:
+		t.Fatal("depth-1 Flush returned before its epoch replied")
+	case <-flushed2:
 		t.Fatal("Flush did not block with the pipeline full")
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Close must unblock the waiting Flush; its requests fail with
+	// Close unblocks both Flushes; the waiting epoch's request fails with
 	// ErrClosed rather than hanging.
 	closed := make(chan struct{})
 	go func() {
 		sys.Close()
 		close(closed)
 	}()
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := w2()
-		done <- err
-	}()
+	done2 := resolve(w2)
+	for name, ch := range map[string]chan struct{}{"wedged epoch's Flush": flushed1, "blocked Flush": flushed2} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never observed Close", name)
+		}
+	}
 	select {
-	case err := <-done:
+	case err := <-done2:
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("blocked Flush's request got %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("request of the blocked Flush never resolved")
 	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a dispatched epoch wedged in stage B")
+	case <-time.After(50 * time.Millisecond):
+	}
 
 	// Release the wedged partition: the dispatched epoch drains through
 	// Close and its request still completes.
 	stalled.stall.Store(false)
 	close(stalled.release)
-	if _, _, err := w1(); err != nil {
-		t.Fatalf("dispatched epoch should complete through Close: %v", err)
-	}
 	select {
-	case <-flushed:
+	case err := <-resolve(w1):
+		if err != nil {
+			t.Fatalf("dispatched epoch should complete through Close: %v", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Flush never returned")
+		t.Fatal("dispatched epoch's request never resolved")
 	}
 	select {
 	case <-closed:
@@ -160,7 +189,7 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	}
 }
 
-// TestPipelinedSoakWithStalledRemote hammers a depth-4 pipelined system
+// TestPipelinedSoakWithStalledRemote hammers a depth-4 system
 // with concurrent Flush, LastEpochStats, Health, and client traffic while
 // one of three partitions is a remote whose connection stalls mid-drain
 // (faultnet StallAfter), then closes the system with requests still in
@@ -199,7 +228,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32,
-		Pipeline: true, PipelineDepth: 4,
+		PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, subs)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 func TestPipelinedBasicCorrectness(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, Pipeline: true,
+		NumLoadBalancers: 2, NumSubORAMs: 3, PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, 100)
 	if _, _, err := sys.Write(7, []byte("pipelined")); err != nil {
@@ -25,7 +25,7 @@ func TestPipelinedBasicCorrectness(t *testing.T) {
 }
 
 func TestPipelinedManualFlushDispatches(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, Pipeline: true}, 20)
+	sys := startSystem(t, Config{NumSubORAMs: 2, PipelineDepth: 4}, 20)
 	get, err := sys.ReadAsync(5)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestPipelinedManualFlushDispatches(t *testing.T) {
 func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 	// Writes dispatched in consecutive epochs must apply in epoch order
 	// even while stages overlap.
-	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2, Pipeline: true}, 30)
+	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2, PipelineDepth: 4}, 30)
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 6; e++ {
 		w, err := sys.WriteAsync(3, []byte(fmt.Sprintf("e%d", e)))
@@ -71,7 +71,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 
 func TestPipelinedLinearizable(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, Pipeline: true,
+		NumLoadBalancers: 2, NumSubORAMs: 3, PipelineDepth: 4,
 		EpochDuration: time.Millisecond,
 	}, 8)
 	initial := map[uint64]string{}
@@ -122,7 +122,7 @@ func TestPipelinedLinearizable(t *testing.T) {
 
 func TestPipelinedCloseDrains(t *testing.T) {
 	sys, err := NewLocal(Config{
-		BlockSize: testBlock, NumSubORAMs: 2, Lambda: 32, Pipeline: true,
+		BlockSize: testBlock, NumSubORAMs: 2, Lambda: 32, PipelineDepth: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

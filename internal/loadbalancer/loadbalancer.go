@@ -57,7 +57,7 @@ type Stats struct {
 
 // LoadBalancer assembles and matches oblivious batches. Batch building
 // and response matching of different epochs may run concurrently
-// (pipelined mode); the methods themselves are stateless apart from the
+// (epochs in flight); the methods themselves are stateless apart from the
 // mutex-guarded stats.
 type LoadBalancer struct {
 	cfg    Config

@@ -316,18 +316,22 @@ func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 					done <- reply{err: fmt.Errorf("replica %d busy with an abandoned batch", i), busy: true}
 					return
 				}
-				defer rep.mu.Unlock()
-				if rep.downed {
-					done <- reply{err: fmt.Errorf("replica %d down", i)}
-					return
-				}
-				out, err := rep.client.BatchAccess(cl)
-				if err != nil {
-					done <- reply{err: err}
-					return
-				}
-				rep.epoch++
-				done <- reply{out: out, epoch: rep.epoch}
+				// The member unlocks before its reply is handed back: one
+				// whose call completed must read as idle to the next batch's
+				// TryLock and to heal's donor search as soon as BatchAccess
+				// returns.
+				done <- func() reply {
+					defer rep.mu.Unlock()
+					if rep.downed {
+						return reply{err: fmt.Errorf("replica %d down", i)}
+					}
+					out, err := rep.client.BatchAccess(cl)
+					if err != nil {
+						return reply{err: err}
+					}
+					rep.epoch++
+					return reply{out: out, epoch: rep.epoch}
+				}()
 			}()
 			if g.timeout <= 0 {
 				replies[i] = <-done

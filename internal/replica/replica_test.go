@@ -327,6 +327,25 @@ func TestAutoHealPromotesSpare(t *testing.T) {
 	}
 }
 
+// TestFinishedMemberReadsIdle: a member whose call completed is unlocked by
+// the time BatchAccess returns. Back-to-back batches on an f = 1 group with
+// one member down must never find the healthy member busy — a busy skip
+// there leaves no fresh reply, which is ErrNoQuorum from a healthy group.
+func TestFinishedMemberReadsIdle(t *testing.T) {
+	g, reps := newGroup(t, 1, 0)
+	reps[1].Fail()
+	reqs := store.NewRequests(1, testBlock)
+	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
+	for i := 0; i < 1000; i++ {
+		if _, err := g.BatchAccess(reqs); err != nil {
+			t.Fatalf("batch %d: %v (%+v)", i, err, g.Stats())
+		}
+	}
+	if st := g.Stats(); st.BusySkips != 0 {
+		t.Fatalf("a finished member read as busy %d times", st.BusySkips)
+	}
+}
+
 // TestBusyReplicaSkippedNotBlocked verifies the abandoned-call fix: a
 // wedged BatchAccess holds the member's lock, but later epochs skip the
 // busy member immediately instead of queueing behind it, and once the call

@@ -15,9 +15,11 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"snoopy/internal/core"
 	"snoopy/internal/suboram"
@@ -30,11 +32,12 @@ import (
 // seed: epochs × perEpoch idempotent requests against tagged partitions,
 // with the root crashed at the "dispatch" point of crashEpoch and a
 // standby promoted over the same journal directory (replaying the epoch
-// and answering the clients' retries from its reply window). Returns the
-// exported /metrics and /trace/epochs bytes, the telemetry trace, and the
-// two incarnations' journal I/O recorders.
+// and answering the clients' retries from its reply window). Both
+// incarnations run up to depth epochs in flight. Returns the exported
+// /metrics and /trace/epochs bytes, the telemetry trace, and the two
+// incarnations' journal I/O recorders.
 func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
-	crashEpoch uint64) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
+	crashEpoch uint64, depth int) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -61,6 +64,7 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			NumLoadBalancers: 1,
 			Lambda:           32,
 			SortWorkers:      1,
+			PipelineDepth:    depth,
 			JournalDir:       dir,
 			JournalRec:       rec,
 			Telemetry:        reg,
@@ -135,7 +139,14 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			}
 			waits = append(waits, p)
 		}
+		published := sys.LastEpochStats().Epoch
 		sys.Flush()
+		// Resolve the epoch before looking at the root: with epochs in
+		// flight a "dispatch" crash lands after Flush returns.
+		errs := make([]error, len(waits))
+		for i, p := range waits {
+			_, _, errs[i] = p.wait()
+		}
 		if sys.Crashed() {
 			// Public failover: promote the standby over the same journal
 			// directory (replays the journaled epoch against the tagged
@@ -143,9 +154,9 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			// original idempotency ID — answered from the reply window.
 			sys.Close()
 			sys = open(recStandby)
-			for _, p := range waits {
-				if _, _, err := p.wait(); !errors.Is(err, core.ErrRootDown) {
-					t.Fatalf("in-flight request after root crash: %v", err)
+			for i, p := range waits {
+				if !errors.Is(errs[i], core.ErrRootDown) {
+					t.Fatalf("in-flight request after root crash: %v", errs[i])
 				}
 				var err error
 				if p.write {
@@ -159,10 +170,16 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			}
 			continue
 		}
-		for _, p := range waits {
-			if _, _, err := p.wait(); err != nil {
+		for _, err := range errs {
+			if err != nil {
 				t.Fatal(err)
 			}
+		}
+		// A reply reaches its client before the epoch's journal completion
+		// is appended; wait for the epoch to be published (after its
+		// completion), so the next epoch's record follows it in every run.
+		for sys.LastEpochStats().Epoch == published {
+			time.Sleep(10 * time.Microsecond)
 		}
 	}
 	sys.Close()
@@ -189,10 +206,16 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 // journal replay reads, and the retry traffic — produces byte-identical
 // host-visible I/O and telemetry across secret-differing workloads.
 func TestJournalTraceIndependentOfSecrets(t *testing.T) {
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { testJournalTraceIndependentOfSecrets(t, depth) })
+	}
+}
+
+func testJournalTraceIndependentOfSecrets(t *testing.T, depth int) {
 	const epochs, perEpoch = 4, 24
 	const crashEpoch = 2
-	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch)
-	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch)
+	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch, depth)
+	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch, depth)
 
 	if priA.Count() == 0 || stbA.Count() == 0 {
 		t.Fatalf("journal I/O not captured (primary %d, standby %d events)", priA.Count(), stbA.Count())
@@ -233,16 +256,20 @@ func TestJournalTraceIndependentOfSecrets(t *testing.T) {
 // journal-before-dispatch write is one fixed-shape record per epoch, a
 // function of public parameters (α, S, per-plane request counts) only.
 func TestJournalTraceCrashFreeRunsMatch(t *testing.T) {
-	const epochs, perEpoch = 3, 16
-	_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0)
-	_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0)
-	if priA.Count() == 0 {
-		t.Fatal("journal I/O not captured")
-	}
-	if !trace.Equal(priA, priB) {
-		t.Fatalf("journal I/O depends on secrets (%d vs %d events)", priA.Count(), priB.Count())
-	}
-	if stbA.Count() != 0 || stbB.Count() != 0 {
-		t.Fatal("standby recorder used without a crash")
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			const epochs, perEpoch = 3, 16
+			_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0, depth)
+			_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0, depth)
+			if priA.Count() == 0 {
+				t.Fatal("journal I/O not captured")
+			}
+			if !trace.Equal(priA, priB) {
+				t.Fatalf("journal I/O depends on secrets (%d vs %d events)", priA.Count(), priB.Count())
+			}
+			if stbA.Count() != 0 || stbB.Count() != 0 {
+				t.Fatal("standby recorder used without a crash")
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpo
 			waits = append(waits, w)
 		}
 		sys.Flush()
-		if cfg.Pipeline {
+		if cfg.PipelineDepth > 1 {
 			// Overlapped engine: let epochs pile up in the pipeline and
 			// drain at the end, so stages genuinely overlap while the
 			// trace is captured.
@@ -257,9 +257,9 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 	}, 4, 48)
 }
 
-// TestTelemetryTraceIndependentOfSecretsPipelined: the overlapped epoch
-// engine (Pipeline, depth 4) with epochs deliberately left in flight so
-// stage A of later epochs runs while stage B/C of earlier ones drain. The
+// TestTelemetryTraceIndependentOfSecretsPipelined: the epoch engine at
+// depth 4 with epochs deliberately left in flight so stage A of later
+// epochs runs while stage B/C of earlier ones drain. The
 // dispatch schedule, the per-stage spans, the depth gauge, and the
 // monotone epoch-gauge updates must all stay functions of public
 // parameters: byte-identical /metrics and /trace/epochs, identical
@@ -273,7 +273,6 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 		Lambda:           32,
 		SortWorkers:      2,
 		SubORAMWorkers:   2,
-		Pipeline:         true,
 		PipelineDepth:    4,
 		TestLBChoiceSeed: 99,
 	}, 6, 48)

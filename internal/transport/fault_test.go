@@ -256,9 +256,9 @@ func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 	}
 }
 
-// TestStaleDeliveryRejected hands the server a delivery tag below the last
-// applied one; the server must refuse rather than double-apply or replay the
-// wrong response.
+// TestStaleDeliveryRejected hands the server a delivery tag below its
+// replay window; the server must refuse rather than double-apply or replay
+// the wrong response.
 func TestStaleDeliveryRejected(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
@@ -271,14 +271,14 @@ func TestStaleDeliveryRejected(t *testing.T) {
 	if err := r.Init([]uint64{1}, make([]byte, testBlock)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.BatchAccess(oneReadReq(1)); err != nil {
-		t.Fatal(err)
+	for i := 0; i <= replayWindow; i++ {
+		if _, err := r.BatchAccess(oneReadReq(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := r.BatchAccess(oneReadReq(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Rewind the client's delivery counter: the next batch carries a stale
-	// tag and must be rejected by the server as a RemoteError.
+	// Rewind the client's delivery counter: the next batch carries a tag
+	// older than the server's replay window and must be rejected as a
+	// RemoteError.
 	r.mu.Lock()
 	r.seq = 0
 	r.mu.Unlock()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"snoopy/internal/enclave"
@@ -121,17 +122,26 @@ func TestLocalTaggedReplayTwice(t *testing.T) {
 func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
 	lbID, _ := h1.DeliveryTag()
-	if _, err := h1.BatchAccess(oneWrite(2, "a")); err != nil {
-		t.Fatal(err)
+	for i := 0; i <= replayWindow; i++ {
+		if _, err := h1.BatchAccess(oneWrite(2, fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := h1.BatchAccess(oneWrite(2, "b")); err != nil {
-		t.Fatal(err)
-	}
-	// A delivery two sequences behind can no longer be answered
+	// A delivery older than the replay window can no longer be answered
 	// exactly-once; it must be rejected, not applied.
 	h2.AdoptDeliveryTag(lbID, 0)
 	if _, err := h2.BatchAccess(oneWrite(2, "stale")); err == nil {
 		t.Fatal("stale delivery accepted")
+	}
+	// Every delivery inside the window is answered again from the cache —
+	// what a successor root replaying several epochs in flight relies on.
+	h2.AdoptDeliveryTag(lbID, 1)
+	out, err := h2.BatchAccess(oneWrite(2, "replayed"))
+	if err != nil {
+		t.Fatalf("delivery inside the replay window: %v", err)
+	}
+	if got := string(bytes.TrimRight(out.Block(0), "\x00")); got != "v0" {
+		t.Fatalf("replayed delivery 2 answered previous value %q, want %q", got, "v0")
 	}
 }
 

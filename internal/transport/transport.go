@@ -76,11 +76,11 @@ const maxBatchesPerFrame = 1024
 // ErrClosed is returned for RPCs on a RemoteSubORAM after Close.
 var ErrClosed = errors.New("transport: connection closed")
 
-// ErrStale marks a batch delivery whose (lbID, seq) tag is older than the
-// last tag the server applied for that load balancer — it can no longer be
-// answered exactly-once, so it is rejected rather than re-applied. Distinct
-// from partition errors so the server's telemetry can count stale rejects
-// separately from real failures.
+// ErrStale marks a batch delivery whose (lbID, seq) tag the server already
+// applied but can no longer answer — older than its replay window, or
+// redelivered with a different batch count — so it is rejected rather than
+// re-applied. Distinct from partition errors so the server's telemetry can
+// count stale rejects separately from real failures.
 var ErrStale = errors.New("transport: stale batch delivery")
 
 // RemoteError is an application-level error reported by the server's
@@ -461,14 +461,21 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	return o
 }
 
-// maxTrackedLBs bounds the replay cache: one stored response per load
+// maxTrackedLBs bounds the replay cache: one delivery window per load
 // balancer, evicting the least recently delivered entry beyond the cap.
 const maxTrackedLBs = 64
 
+// replayWindow is how many of a load balancer's latest deliveries the cache
+// can answer again. A root with up to that many epochs in flight (core caps
+// its pipeline depth at 16) may crash after the partitions applied all of
+// them; its successor replays each one.
+const replayWindow = 16
+
 // ReplayCache is the server's at-most-once delivery record: the highest
-// delivery tag applied per load balancer, with the stored response that a
-// redelivery of the same tag replays. It also serializes partition access
-// across connections, which the paper's fixed batch order requires anyway.
+// delivery tag applied per load balancer, with the stored responses of the
+// last replayWindow deliveries that a redelivery of one of those tags
+// replays. It also serializes partition access across connections, which
+// the paper's fixed batch order requires anyway.
 type ReplayCache struct {
 	mu   sync.Mutex
 	last map[uint64]*replayEntry
@@ -476,9 +483,14 @@ type ReplayCache struct {
 }
 
 type replayEntry struct {
-	seq   uint64
-	respN []*store.Requests // private clones, not arena-backed
-	used  uint64
+	seq uint64 // last applied
+	// recent[q%replayWindow] holds delivery q's responses (private clones,
+	// not arena-backed) for the applied q in (seq−replayWindow, seq].
+	recent [replayWindow]struct {
+		seq   uint64
+		respN []*store.Requests
+	}
+	used uint64
 }
 
 // NewReplayCache returns an empty cache.
@@ -490,11 +502,11 @@ func NewReplayCache() *ReplayCache { return &ReplayCache{last: make(map[uint64]*
 //
 //   - seq > last applied for this lbID → apply the batches to the
 //     partition in slice order, record the responses, return them;
-//   - seq == last applied → redelivery after an ambiguous failure: replay
-//     the stored responses without touching the partition (a redelivery
-//     with a different batch count cannot be answered exactly-once and is
-//     rejected);
-//   - seq < last applied → a stale delivery that can no longer be answered
+//   - seq applied within the replay window → redelivery after an ambiguous
+//     failure or by a successor root: replay the stored responses without
+//     touching the partition (a redelivery with a different batch count
+//     cannot be answered exactly-once and is rejected);
+//   - any older seq → a stale delivery that can no longer be answered
 //     exactly-once; reject it.
 //
 // A partition error after a prefix has been applied is reported as an
@@ -510,14 +522,15 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 	e := rc.last[m.lbID]
 	if e != nil {
 		e.used = rc.tick
-		if m.seq == e.seq {
-			if len(e.respN) != len(m.reqsN) {
+		if m.seq <= e.seq {
+			r := &e.recent[m.seq%replayWindow]
+			if r.seq != m.seq || r.respN == nil {
+				return nil, false, fmt.Errorf("%w: group %d for lb %#x (last applied %d)", ErrStale, m.seq, m.lbID, e.seq)
+			}
+			if len(r.respN) != len(m.reqsN) {
 				return nil, false, fmt.Errorf("%w: group %d for lb %#x redelivered with a different shape", ErrStale, m.seq, m.lbID)
 			}
-			return e.respN, true, nil
-		}
-		if m.seq < e.seq {
-			return nil, false, fmt.Errorf("%w: group %d for lb %#x (last applied %d)", ErrStale, m.seq, m.lbID, e.seq)
+			return r.respN, true, nil
 		}
 	}
 	outs := make([]*store.Requests, len(m.reqsN))
@@ -535,9 +548,10 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 		rc.evictLocked()
 	}
 	e.seq = m.seq
-	e.respN = make([]*store.Requests, len(outs))
+	r := &e.recent[m.seq%replayWindow]
+	r.seq, r.respN = m.seq, make([]*store.Requests, len(outs))
 	for i, out := range outs {
-		e.respN[i] = out.Clone() // survives the arena release of outs
+		r.respN[i] = out.Clone() // survives the arena release of outs
 	}
 	return outs, false, nil
 }

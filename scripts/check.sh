@@ -2,7 +2,7 @@
 # Pre-commit check: vet the whole module, then race-test the subsystems with
 # the trickiest concurrency surface — persistence, replication, transport,
 # failure detection/failover, the seeded chaos harness, the pooled data
-# plane (arena recycling under the pipelined epoch loop in core, and the
+# plane (arena recycling across the epochs in flight in core, and the
 # pooled hot paths in loadbalancer/ohash), the oblivious sort/merge
 # primitives under parallel sorting (obliv), the trace leakage suite with
 # parallel workers, and the fault-tolerant root plane (epoch
@@ -38,21 +38,24 @@ go test -race -timeout 45m \
 # slowdown; it runs in the plain `go test ./...` tier instead.
 go test -race -short -timeout 15m ./internal/loadgen/ ./internal/workload/
 
-# The two wall-clock tests that used to flake on a loaded host, repeated
-# unpinned: the faultnet pass-through offset check (now waits for its writer)
-# and the knee search (now probes 4x below and above the fake's capacity).
+# The wall-clock tests that used to flake on a loaded host, repeated
+# unpinned: the faultnet pass-through offset check (now waits for its writer),
+# the knee search (now probes 4x below and above the fake's capacity), and
+# the replica group's back-to-back batches and spare promotion (a finished
+# member now unlocks before its reply is handed back).
 go test -count=5 -run 'TestNoFaultsPassThrough' ./internal/faultnet/
 go test -count=5 -run 'TestFindKneeLocatesCapacity' ./internal/loadgen/
+go test -count=5 -run 'TestFinishedMemberReadsIdle|TestAutoHealPromotesSpare' ./internal/replica/
 
 # End-to-end smoke of the TCP traffic path: boots a real loopback cluster
 # of snoopy-server processes and drives 10^5 open-loop sessions through it.
 scripts/traffic.sh smoke
 
-# Focused re-run of the overlapped epoch engine's highest-risk surface at
-# pipeline depth > 1: the Flush/Close/stats soak with a faultnet-stalled
-# partition mid-drain, the depth-token liveness test, arena isolation
-# across in-flight epochs, and the leakage suite with the pipeline on
-# (Pipeline=true, PipelineDepth=4). These run above as part of their
+# Focused re-run of the epoch engine's highest-risk surface: the
+# Flush/Close/stats soak at depth 4 with a faultnet-stalled partition
+# mid-drain, the Flush/Close liveness test at depth 1, arena isolation
+# across epochs in flight, the zero-alloc stage-B dispatch, and the leakage
+# suite at depth 4 (PipelineDepth: 4). These run above as part of their
 # packages; re-running them -count=2 shakes out schedule-dependent
 # interleavings the single pass can miss.
 go test -race -timeout 15m -count=2 \
@@ -63,12 +66,13 @@ go test -race -timeout 15m -count=2 \
   ./internal/trace/
 
 # Focused re-run of the fault-tolerant root plane: journal append/replay
-# and crash-point recovery in core, root-supervisor promotion races in
-# cluster, the seeded root-kill chaos harness, and the journal/standby
-# leakage tests. Schedule-sensitive by construction (promotion races a
-# probing watchdog), so shake them with -count=2 as well.
+# and every crash point at depth 1 and 4 (a "dispatch" crash with epochs in
+# flight behind it included) in core, root-supervisor promotion races in
+# cluster, the seeded root-kill chaos harness at both depths, and the
+# journal/standby leakage tests. Schedule-sensitive by construction
+# (promotion races a probing watchdog), so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
-  -run 'TestJournal|TestRootPromotion|TestTripPlanesSeparate|TestRootChaos' \
+  -run 'TestJournal|TestCrashKillSwitch|TestRootPromotion|TestTripPlanesSeparate|TestRootChaos' \
   ./internal/core/ ./internal/cluster/ ./internal/chaos/
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \

@@ -58,17 +58,14 @@ type Config struct {
 	// Sealed keeps partitions in enclave-external authenticated-encrypted
 	// memory (the paper's §7 deployment mode).
 	Sealed bool
-	// Pipeline overlaps epoch stages across epochs (paper §6), raising
-	// sustained throughput when load balancers and subORAMs would
-	// otherwise idle waiting for each other.
-	Pipeline bool
-	// PipelineDepth bounds how many epochs may be in flight at once when
-	// Pipeline is set: stage A of epoch N+1 may start while stage B of
-	// epoch N and stage C of epoch N-1 are still running, up to this many
-	// unfinished epochs. Zero picks a default from GOMAXPROCS (clamped to
-	// [2,4]). The depth is public deployment configuration — backpressure
-	// depends only on it and the epoch schedule, never on request
-	// contents. Ignored when Pipeline is false.
+	// PipelineDepth bounds how many epochs may be in flight at once (paper
+	// §6 pipelines load-balancer and subORAM processing): stage A of epoch
+	// N+1 may start while stage B of epoch N and stage C of epoch N-1 are
+	// still running, up to this many unfinished epochs, and Flush returns
+	// once at most PipelineDepth−1 remain. Zero or one runs one epoch at a
+	// time (Flush returns after the epoch replied); at most 16. The depth
+	// is public deployment configuration — backpressure depends only on it
+	// and the epoch schedule, never on request contents.
 	PipelineDepth int
 	// DataDir, when non-empty, makes the deployment durable: every
 	// partition keeps sealed snapshots and a sealed write-ahead log under
@@ -171,7 +168,6 @@ func Open(cfg Config) (*Store, error) {
 		SubORAMWorkers:   cfg.SubORAMWorkers,
 		SortWorkers:      cfg.SortWorkers,
 		Sealed:           cfg.Sealed,
-		Pipeline:         cfg.Pipeline,
 		PipelineDepth:    cfg.PipelineDepth,
 		DataDir:          cfg.DataDir,
 		DiskResident:     cfg.DiskResident,
@@ -198,7 +194,6 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		Lambda:           cfg.Lambda,
 		EpochDuration:    cfg.Epoch,
 		SortWorkers:      cfg.SortWorkers,
-		Pipeline:         cfg.Pipeline,
 		PipelineDepth:    cfg.PipelineDepth,
 		JournalDir:       cfg.JournalDir,
 		ReplyWindow:      cfg.ReplyWindow,
