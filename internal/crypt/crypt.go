@@ -7,7 +7,6 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -225,16 +224,9 @@ func (h *Hasher) Bucket(id uint64, n int) uint32 {
 	return uint32((v >> 32) * uint64(n) >> 32)
 }
 
-// Digest is a SHA-256 content digest used for integrity of enclave-external
-// memory (paper §2: "for memory outside the enclave, we store a digest of
-// each block inside the enclave").
+// Digest is a SHA-256 content digest: an attested channel key's fingerprint
+// and the handshake transcript it binds.
 type Digest [sha256.Size]byte
 
 // DigestOf computes the digest of b.
 func DigestOf(b []byte) Digest { return sha256.Sum256(b) }
-
-// Verify reports whether b matches the digest, in constant time.
-func (d Digest) Verify(b []byte) bool {
-	got := sha256.Sum256(b)
-	return hmac.Equal(got[:], d[:])
-}

@@ -102,11 +102,11 @@ func TestBucketRangeAndBalance(t *testing.T) {
 func TestDigest(t *testing.T) {
 	b := []byte("block contents")
 	d := DigestOf(b)
-	if !d.Verify(b) {
-		t.Fatal("digest should verify")
+	if DigestOf(b) != d {
+		t.Fatal("digest is not a function of the contents")
 	}
 	b[0] ^= 1
-	if d.Verify(b) {
-		t.Fatal("digest verified tampered block")
+	if DigestOf(b) == d {
+		t.Fatal("tampered block has the same digest")
 	}
 }

@@ -4,16 +4,12 @@
 // patterns — but cannot see data inside the processor.
 //
 // Since Go has no production SGX runtime, this package *is* the substrate
-// substitution recorded in DESIGN.md: it provides
-//
-//   - SealedStore: enclave-external block storage, encrypted with
-//     authenticated encryption and integrity-checked against digests kept
-//     "inside" the enclave (paper §2 "Data integrity", §7 paging
-//     optimization), and
-//   - simulated remote attestation: a measurement-binding report a client
-//     verifies before keying a channel (paper §3.1).
-//
-// The access-pattern side of the model is exercised by internal/trace.
+// substitution recorded in DESIGN.md: it provides simulated remote
+// attestation — a measurement-binding report a client verifies before keying
+// a channel (paper §3.1) — and ErrIntegrity, the class of every failure the
+// host can cause in sealed enclave-external state. That state itself (paper
+// §2 "Data integrity", §7 paging) is internal/segstore over internal/hostfs;
+// the access-pattern side of the model is exercised by internal/trace.
 package enclave
 
 import (
@@ -21,7 +17,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sync"
 
 	"snoopy/internal/crypt"
 )
@@ -29,121 +24,6 @@ import (
 // ErrIntegrity is returned when external memory fails authentication — the
 // untrusted host tampered with or rolled back a block.
 var ErrIntegrity = errors.New("enclave: external memory integrity violation")
-
-// SealedStore is a fixed-geometry array of value blocks held in untrusted
-// (enclave-external) memory. Every block is encrypted and authenticated; a
-// per-block digest of the current ciphertext lives in trusted memory, so
-// replaying an old (validly encrypted) block is detected — the freshness
-// check the paper performs with in-enclave digests.
-//
-// Reads and writes of distinct blocks may proceed concurrently.
-type SealedStore struct {
-	blockSize int
-	n         int
-
-	sealer *crypt.Sealer
-
-	// Untrusted region: ciphertexts, fixed stride.
-	ext []byte
-	// Trusted region: per-block digests of the current ciphertext.
-	digests []crypt.Digest
-	// Per-block write locks (digest+ciphertext must update atomically).
-	locks []sync.Mutex
-}
-
-const sealedStride = crypt.Overhead
-
-// NewSealedStore creates a store of n zeroed blocks of blockSize bytes,
-// sealed under a fresh key.
-func NewSealedStore(n, blockSize int) (*SealedStore, error) {
-	if n < 0 || blockSize <= 0 {
-		return nil, fmt.Errorf("enclave: invalid store geometry n=%d block=%d", n, blockSize)
-	}
-	sealer, err := crypt.NewSealer(crypt.MustNewKey(), 0)
-	if err != nil {
-		return nil, err
-	}
-	s := &SealedStore{
-		blockSize: blockSize,
-		n:         n,
-		sealer:    sealer,
-		ext:       make([]byte, n*(blockSize+sealedStride)),
-		digests:   make([]crypt.Digest, n),
-		locks:     make([]sync.Mutex, n),
-	}
-	zero := make([]byte, blockSize)
-	for i := 0; i < n; i++ {
-		s.writeLocked(i, zero)
-	}
-	return s, nil
-}
-
-// NumBlocks returns the number of blocks.
-func (s *SealedStore) NumBlocks() int { return s.n }
-
-// BlockSize returns the block size in bytes.
-func (s *SealedStore) BlockSize() int { return s.blockSize }
-
-func (s *SealedStore) slot(i int) []byte {
-	stride := s.blockSize + sealedStride
-	return s.ext[i*stride : (i+1)*stride]
-}
-
-func aadFor(i int) []byte {
-	return []byte(fmt.Sprintf("block/%d", i))
-}
-
-// Read decrypts block i into dst (len >= blockSize), verifying both the
-// AEAD tag and the freshness digest.
-func (s *SealedStore) Read(i int, dst []byte) error {
-	s.locks[i].Lock()
-	ct := append([]byte(nil), s.slot(i)...)
-	d := s.digests[i]
-	s.locks[i].Unlock()
-	if !d.Verify(ct) {
-		return fmt.Errorf("%w: block %d replayed or corrupted", ErrIntegrity, i)
-	}
-	pt, err := s.sealer.Open(ct, aadFor(i))
-	if err != nil {
-		return fmt.Errorf("%w: block %d: %v", ErrIntegrity, i, err)
-	}
-	copy(dst, pt)
-	return nil
-}
-
-// Write re-encrypts block i with src. Every scan writes every block back
-// (whether or not it changed), so ciphertext churn is data-independent.
-func (s *SealedStore) Write(i int, src []byte) {
-	s.locks[i].Lock()
-	s.writeLocked(i, src)
-	s.locks[i].Unlock()
-}
-
-func (s *SealedStore) writeLocked(i int, src []byte) {
-	ct := s.sealer.Seal(src[:s.blockSize], aadFor(i))
-	copy(s.slot(i), ct)
-	s.digests[i] = crypt.DigestOf(ct)
-}
-
-// Corrupt flips a bit in the external ciphertext of block i — a test hook
-// standing in for host tampering.
-func (s *SealedStore) Corrupt(i int) { s.slot(i)[3] ^= 1 }
-
-// Rollback restores the external bytes of block i to a previously captured
-// snapshot without updating the trusted digest — a replay attack. Returns
-// the current external bytes for later replay.
-func (s *SealedStore) Snapshot(i int) []byte {
-	s.locks[i].Lock()
-	defer s.locks[i].Unlock()
-	return append([]byte(nil), s.slot(i)...)
-}
-
-// Replay overwrites block i's external bytes with a snapshot.
-func (s *SealedStore) Replay(i int, snap []byte) {
-	s.locks[i].Lock()
-	copy(s.slot(i), snap)
-	s.locks[i].Unlock()
-}
 
 // ---- Simulated remote attestation ----
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"snoopy/internal/crypt"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/trace"
 )
 
@@ -44,7 +45,7 @@ const (
 type FileCounter struct {
 	mu  sync.Mutex
 	d   *dir
-	f   file
+	f   hostfs.File
 	m   ioMeter
 	val uint64
 	err error // sticky persistence failure, surfaced by the Durable wrapper

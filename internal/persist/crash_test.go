@@ -22,15 +22,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
-	"snoopy/internal/segstore"
 	"snoopy/internal/store"
-	"snoopy/internal/suboram"
 )
 
 // crashCase is one structure's scenario and its checks.
@@ -42,10 +39,6 @@ type crashCase struct {
 	// reports that the image is a rollback candidate, to be judged against
 	// the scenario's end rather than against a crash.
 	check func(t *testing.T, fs *crashFS, dir string, acked int, final bool) error
-	// snapshot and restore carry state that lives outside the crashFS (the
-	// segment store's real files) through the rollback enumeration.
-	snapshot func(dir string) any
-	restore  func(t *testing.T, dir string, snap any)
 }
 
 func enumerateCrashes(t *testing.T, c crashCase) {
@@ -86,18 +79,8 @@ func enumerateCrashes(t *testing.T, c crashCase) {
 func enumerateRollbacks(t *testing.T, c crashCase) {
 	dir := t.TempDir()
 	fs := newCrashFS()
-	type image struct {
-		fs    *crashFS
-		extra any
-	}
-	var images []image
-	fs.onSync = func() {
-		img := image{fs: fs.kept(false)}
-		if c.snapshot != nil {
-			img.extra = c.snapshot(dir)
-		}
-		images = append(images, img)
-	}
+	var images []*crashFS
+	fs.onSync = func() { images = append(images, fs.kept(false)) }
 	total := c.run(t, fs, dir)
 	fs.onSync = nil
 	counter := fs.read(filepath.Join(dir, counterFile))
@@ -105,13 +88,14 @@ func enumerateRollbacks(t *testing.T, c crashCase) {
 	for i, img := range images {
 		at := t.TempDir()
 		host := newCrashFS()
-		for name, ino := range img.fs.names {
-			host.put(filepath.Join(at, filepath.Base(name)), ino.data)
+		for name, ino := range img.names {
+			rel, err := filepath.Rel(dir, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			host.put(filepath.Join(at, rel), ino.data)
 		}
 		host.put(filepath.Join(at, counterFile), counter) // the one file the host cannot rewind
-		if c.restore != nil {
-			c.restore(t, at, img.extra)
-		}
 		err := c.check(t, host, at, total, true)
 		switch {
 		case err == nil:
@@ -211,52 +195,9 @@ func TestRollbackPrefixesDurable(t *testing.T) { enumerateRollbacks(t, durableCa
 
 // ---- SegDurable ----
 
-// faultStore puts the segment store's calls into the crashFS's operation
-// index space: the store itself writes real files, so a crash is injected
-// before a call (or, for a scan, after its first half) rather than inside
-// it. Torn slots and registry commits are segstore's own fuzz target's.
-type faultStore struct {
-	*segstore.Store
-	fs *crashFS
-}
-
-func (s faultStore) Format(n int) error {
-	if _, err := s.fs.Tick("segstore format", false); err != nil {
-		return err
-	}
-	return s.Store.Format(n)
-}
-
-func (s faultStore) LoadRange(start int, data []byte) error {
-	if _, err := s.fs.Tick("segstore load", false); err != nil {
-		return err
-	}
-	return s.Store.LoadRange(start, data)
-}
-
-func (s faultStore) Scan(lo, hi int, fn func(i int, blk []byte)) error {
-	half, err := s.fs.Tick("segstore scan", true)
-	if err != nil {
-		return err
-	}
-	if half {
-		mid := lo + (hi-lo)/2/s.ScanAlign()*s.ScanAlign()
-		if err := s.Store.Scan(lo, mid, fn); err != nil {
-			return err
-		}
-		return errCrash
-	}
-	return s.Store.Scan(lo, hi, fn)
-}
-
 func segCase() crashCase {
 	cfg := func(fs *crashFS) SegConfig {
 		return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4, WALRows: 4, Key: &crashKey, fs: fs}
-	}
-	build := func(fs *crashFS) func(*segstore.Store) StorePartition {
-		return func(ss *segstore.Store) StorePartition {
-			return suboram.New(suboram.Config{BlockSize: segTestBlock, Store: faultStore{ss, fs}})
-		}
 	}
 	const n = 10 // 3 segments
 	image := func(version int) ([]uint64, []byte) {
@@ -288,7 +229,7 @@ func segCase() crashCase {
 	}
 	return crashCase{
 		run: func(t *testing.T, fs *crashFS, dir string) int {
-			sd, err := NewSegDurable(dir, build(fs), cfg(fs))
+			sd, err := NewSegDurable(dir, segBuild, cfg(fs))
 			if err != nil {
 				return 0
 			}
@@ -318,8 +259,7 @@ func segCase() crashCase {
 			return acked
 		},
 		check: func(t *testing.T, fs *crashFS, dir string, acked int, final bool) error {
-			live := newCrashFS() // the reopened store's calls are not injected
-			sd, err := NewSegDurable(dir, build(live), cfg(fs))
+			sd, err := NewSegDurable(dir, segBuild, cfg(fs))
 			if err != nil {
 				// A crash inside Init or Restore leaves a directory that must
 				// be refused, by name, and wiped; nothing was acknowledged
@@ -365,27 +305,6 @@ func segCase() crashCase {
 				}
 			}
 			return fmt.Errorf("reopened at epoch %d holding neither of the states %d acknowledged steps allow", epoch, acked)
-		},
-		snapshot: func(dir string) any {
-			files := map[string][]byte{}
-			entries, _ := os.ReadDir(filepath.Join(dir, segStoreDir))
-			for _, e := range entries {
-				b, err := os.ReadFile(filepath.Join(dir, segStoreDir, e.Name()))
-				if err == nil {
-					files[e.Name()] = b
-				}
-			}
-			return files
-		},
-		restore: func(t *testing.T, dir string, snap any) {
-			if err := os.MkdirAll(filepath.Join(dir, segStoreDir), 0o700); err != nil {
-				t.Fatal(err)
-			}
-			for name, b := range snap.(map[string][]byte) {
-				if err := os.WriteFile(filepath.Join(dir, segStoreDir, name), b, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			}
 		},
 	}
 }

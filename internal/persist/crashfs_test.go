@@ -7,20 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"snoopy/internal/hostfs"
 )
 
-// crashFS is the file-system seam's test double: an in-memory file system
-// that models what a host does to a process that dies.
+// crashFS is the hostfs.FS test double: an in-memory file system that
+// models what a host does to a process that dies.
 //
 // Every file has a volatile image (what reads see: the page cache) and a
 // durable image (what a power loss leaves), brought together by Sync; the
 // namespace likewise is volatile until SyncDir. Every mutating operation —
-// create, write, truncate, sync, rename, remove, directory sync, and
-// whatever else a test ticks — has an index. At index failAt the operation
-// fails without effect (or, torn, after half its effect) and the file
-// system is dead: every later operation fails too, as it would for a dead
-// process. kept then yields what the host still has, as a live file system
-// a successor can open.
+// create, write, truncate, sync, rename, remove, directory sync — has an
+// index. At index failAt the operation fails without effect (or, torn, after
+// half its effect) and the file system is dead: every later operation fails
+// too, as it would for a dead process. kept then yields what the host still
+// has, as a live file system a successor can open.
 type crashFS struct {
 	mu      sync.Mutex
 	names   map[string]*inode // volatile namespace
@@ -66,15 +67,7 @@ func (c *crashFS) tick(what string, tearable bool) (half bool, err error) {
 	return false, errCrash
 }
 
-// Tick lets a test put operations of its own (segment store calls) into the
-// same index space.
-func (c *crashFS) Tick(what string, tearable bool) (half bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tick(what, tearable)
-}
-
-func (c *crashFS) OpenFile(name string, flag int) (file, error) {
+func (c *crashFS) OpenFile(name string, flag int) (hostfs.File, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ino := c.names[name]
@@ -129,6 +122,9 @@ func (c *crashFS) Remove(name string) error {
 	delete(c.names, name)
 	return nil
 }
+
+// MkdirAll has nothing to do: directories are only name prefixes here.
+func (c *crashFS) MkdirAll(string) error { return nil }
 
 func (c *crashFS) SyncDir(path string) error {
 	c.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"snoopy/internal/crypt"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/replica"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
@@ -71,7 +72,7 @@ type Config struct {
 	// recordings per batch / snapshot, no request-dependent payloads.
 	Telemetry *telemetry.Registry
 
-	fs fsys // nil: the host file system (crash-point tests substitute one)
+	fs hostfs.FS // nil: the host file system (crash-point tests substitute one)
 }
 
 func (c *Config) fillDefaults() {

@@ -40,6 +40,7 @@ import (
 	"sync"
 
 	"snoopy/internal/arena"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
@@ -142,7 +143,7 @@ func OpenJournal(dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (
 	return openJournal(nil, dirPath, rec, reg)
 }
 
-func openJournal(fs fsys, dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (*Journal, []*JournalEpoch, error) {
+func openJournal(fs hostfs.FS, dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (*Journal, []*JournalEpoch, error) {
 	st, _, err := openState(fs, dirPath, nil, rec, reg, journalFile, journalContext, "journal")
 	if err != nil {
 		return nil, nil, err

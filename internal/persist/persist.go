@@ -42,6 +42,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
@@ -73,7 +74,7 @@ const maxRecord = 64 << 20
 // dir is the sealed-file substrate of one state directory: it seals and
 // traces every read and write, through the file-system seam.
 type dir struct {
-	fs     fsys
+	fs     hostfs.FS
 	path   string
 	key    crypt.Key
 	sealer *crypt.RandomSealer
@@ -85,11 +86,11 @@ type dir struct {
 // or creates seal.key, which models the hardware sealing-key derivation: a
 // real enclave would re-derive the key from its measurement, never storing
 // it where the host can read it. A nil fs is the host's.
-func openDir(fs fsys, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry) (*dir, error) {
+func openDir(fs hostfs.FS, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry) (*dir, error) {
 	if fs == nil {
-		fs = osFS{}
+		fs = hostfs.OS
 	}
-	if err := os.MkdirAll(path, 0o700); err != nil {
+	if err := fs.MkdirAll(path); err != nil {
 		return nil, err
 	}
 	d := &dir{fs: fs, path: path, rec: rec, tel: tel}
@@ -132,7 +133,7 @@ type state struct {
 	log *sealedLog // nil once closed
 }
 
-func openState(fs fsys, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry,
+func openState(fs hostfs.FS, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry,
 	logName, context, label string) (s state, counterExisted bool, err error) {
 	if s.d, err = openDir(fs, path, key, rec, tel); err != nil {
 		return s, false, err
@@ -188,52 +189,20 @@ func (s *state) close() error {
 	return errors.Join(err, s.ctr.close())
 }
 
-// readFile returns a whole file. os.ErrNotExist passes through.
+// readFile returns a whole file, bounded by the record limit. os.ErrNotExist
+// passes through.
 func (d *dir) readFile(name string) ([]byte, error) {
-	f, err := d.fs.OpenFile(d.file(name), os.O_RDONLY)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	n, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxRecord {
-		return nil, errCorrupt("%s is %d bytes, beyond the %d-byte record limit", name, n, maxRecord)
-	}
-	b := make([]byte, n)
-	if got, err := f.ReadAt(b, 0); got < len(b) {
-		return nil, err
-	}
-	return b, nil
+	return hostfs.ReadFile(d.fs, d.file(name), maxRecord)
 }
 
-// writeFileAtomic writes a whole file via tmp + sync + rename + dir sync, so
-// a crash leaves either the old or the new version, never a torn one. It is
-// the set-up and compaction path; no steady-state epoch takes it.
+// writeFileAtomic replaces a whole file, crash-atomically. It is the set-up
+// and compaction path; no steady-state epoch takes it.
 func (d *dir) writeFileAtomic(name string, content []byte) error {
-	tmp := d.file(name + ".tmp")
-	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(content, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := d.fs.Rename(tmp, d.file(name)); err != nil {
+	if err := hostfs.WriteFileAtomic(d.fs, d.file(name), content); err != nil {
 		return err
 	}
 	d.rec.Record(trace.KindFileWrite, 0, len(content))
-	return d.fs.SyncDir(d.path)
+	return nil
 }
 
 // sealFile seals plaintext as one whole-file record, nonce||ciphertext||tag

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"snoopy/internal/crypt"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/trace"
 )
 
@@ -34,7 +35,7 @@ import (
 type sealedLog struct {
 	d    *dir
 	m    ioMeter
-	f    file
+	f    hostfs.File
 	off  int64  // append offset: the length of the valid prefix
 	next uint64 // sequence number the next record must carry; 0 = any
 	tail bool   // bytes beyond off await truncation (set by replay)

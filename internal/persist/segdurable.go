@@ -10,6 +10,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
@@ -97,7 +98,7 @@ type SegConfig struct {
 	// segment store) segment read/write bytes and scan spans.
 	Telemetry *telemetry.Registry
 
-	fs fsys // nil: the host file system (crash-point tests substitute one)
+	fs hostfs.FS // nil: the host file system (crash-point tests substitute one)
 }
 
 func (c *SegConfig) fillDefaults() {
@@ -145,6 +146,7 @@ func NewSegDurable(path string, build func(ss *segstore.Store) StorePartition, c
 		BlockSize:     cfg.BlockSize,
 		SegmentBlocks: cfg.SegmentBlocks,
 		Key:           st.d.key,
+		FS:            st.d.fs,
 		Rec:           cfg.Rec,
 		Telemetry:     cfg.Telemetry,
 	})
@@ -219,7 +221,7 @@ func (sd *SegDurable) recover(counterExisted bool) error {
 		// logged rows — an idempotent absolute-write replay, streamed with
 		// the same fixed whole-store I/O shape as any scan. The replay
 		// authenticates every segment as it goes.
-		if err := sd.rollForward(ids, logged, epoch+1); err != nil {
+		if err := sd.rollForward(ids, logged); err != nil {
 			return err
 		}
 		sd.rolledFwd = true
@@ -239,12 +241,13 @@ func (sd *SegDurable) recover(counterExisted bool) error {
 }
 
 // rollForward completes a logged-but-uncommitted batch: rows are the
-// fixed-shape log rows of epoch next; write rows are applied as absolute
+// fixed-shape log rows of the epoch after the committed one (the one the
+// store's Begin opens); write rows are applied as absolute
 // values over the previous epoch's slots and the result committed and
 // acknowledged. Rows for dummy keys (including re-keyed reads) and unknown
 // keys are skipped — matching batch semantics — inside the enclave; the host
 // observes only the fixed full-store streaming pass.
-func (sd *SegDurable) rollForward(ids []uint64, rows []byte, next uint64) error {
+func (sd *SegDurable) rollForward(ids []uint64, rows []byte) error {
 	index := make(map[uint64]int, len(ids))
 	for i, id := range ids {
 		index[id] = i
@@ -257,8 +260,8 @@ func (sd *SegDurable) rollForward(ids []uint64, rows []byte, next uint64) error 
 	}); err != nil {
 		return err
 	}
-	sd.ss.BeginEpoch(next)
-	if err := sd.ss.Rewrite(func(i int, blk []byte) {
+	sd.ss.Begin()
+	if err := sd.ss.Scan(0, sd.ss.NumBlocks(), func(i int, blk []byte) {
 		if v, ok := pending[i]; ok {
 			copy(blk, v)
 		}
@@ -302,8 +305,9 @@ func (sd *SegDurable) Epoch() uint64 { return sd.ctr.Current() }
 // Counter exposes the trusted monotonic counter (replication wiring).
 func (sd *SegDurable) Counter() *FileCounter { return sd.ctr }
 
-// Init loads the partition: the store is formatted and streamed full at the
-// current epoch and committed, then the identifier set is sealed beside it.
+// Init loads the partition: the partition formats the store and streams it
+// full at the committed epoch — the counter's — then the identifier set is
+// sealed beside it.
 // Init is not crash-atomic the way a batch is — nothing is acknowledged
 // until it returns — but it fails closed: the identifier set is removed
 // first and written last, so a directory a crash left mid-Init holds a
@@ -326,7 +330,6 @@ func (sd *SegDurable) initLocked(ids []uint64, data []byte, restore bool) error 
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	sd.ss.BeginEpoch(epoch)
 	var err error
 	if restore {
 		err = restoreInto(sd.inner, ids, data)
@@ -334,9 +337,6 @@ func (sd *SegDurable) initLocked(ids []uint64, data []byte, restore bool) error 
 		err = sd.inner.Init(ids, data)
 	}
 	if err != nil {
-		return err
-	}
-	if err := sd.ss.Commit(); err != nil {
 		return err
 	}
 	if err := sd.log.cut(0, 0); err != nil {
@@ -350,10 +350,10 @@ func (sd *SegDurable) initLocked(ids []uint64, data []byte, restore bool) error 
 }
 
 // BatchAccess applies one batch with redo durability: the batch's sealed
-// log record is synced before the scan mutates any slot, the scan streams
-// the partition into the new epoch's parity slots, the registry commit
-// publishes them, and the trusted counter acknowledges the epoch — only
-// then is the response released.
+// log record is synced before the scan mutates any slot, the partition's scan
+// streams it into the new epoch's parity slots and commits the registry that
+// publishes them (the partition brackets its own scan), and the trusted
+// counter acknowledges the epoch — only then is the response released.
 func (sd *SegDurable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
@@ -375,13 +375,12 @@ func (sd *SegDurable) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	if err := sd.log.write(true); err != nil {
 		return nil, err
 	}
-	sd.ss.BeginEpoch(epoch)
 	out, err := sd.inner.BatchAccess(reqs)
 	if err != nil {
 		return nil, err
 	}
-	if err := sd.ss.Commit(); err != nil {
-		return nil, err
+	if got := sd.ss.Epoch(); got != epoch {
+		return nil, fmt.Errorf("persist: batch left the segment store at epoch %d, want %d", got, epoch)
 	}
 	if err := sd.ack(); err != nil {
 		return nil, err

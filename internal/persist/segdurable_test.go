@@ -157,8 +157,8 @@ func TestSegDurableCommitBeforeCounterCrash(t *testing.T) {
 	// Advance the segment store one epoch behind the persistence layer's
 	// back (contents unchanged), leaving the counter at epoch.
 	ss := sd.ss
-	ss.BeginEpoch(epoch + 1)
-	if err := ss.Rewrite(func(int, []byte) {}); err != nil {
+	ss.Begin()
+	if err := ss.Scan(0, ss.NumBlocks(), func(int, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Commit(); err != nil {

@@ -35,8 +35,8 @@ func FuzzRegistryDecoder(f *testing.F) {
 		idsEpoch:      7,
 		gen:           1,
 		entries: []segEntry{
-			{phys: 1, epoch: 7}, {phys: 2, epoch: 7}, {phys: 5, epoch: 7},
-			{phys: 6, epoch: 6}, {phys: 9, epoch: 7},
+			{epoch: 7, nonce: [12]byte{1}}, {epoch: 7, nonce: [12]byte{2}}, {epoch: 7, nonce: [12]byte{3}},
+			{epoch: 6, nonce: [12]byte{4}}, {epoch: 7, nonce: [12]byte{5}},
 		},
 	})
 	f.Add(valid)
@@ -79,7 +79,6 @@ func FuzzStoreMutation(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.BeginEpoch(1)
 		if err := s.Format(n); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func FuzzStoreMutation(f *testing.F) {
 		}
 		regPath := filepath.Join(dir, registryFile)
 		dataPath := s.dataPath(1)
-		// Stale-but-authentic copies of epoch 1, for the rollback op.
+		// Stale-but-authentic copies of epoch 0, for the rollback op.
 		staleReg, err := os.ReadFile(regPath)
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +97,7 @@ func FuzzStoreMutation(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.BeginEpoch(2)
+		s.Begin()
 		if err := s.Scan(0, n, func(i int, blk []byte) {
 			binary.LittleEndian.PutUint64(blk, binary.LittleEndian.Uint64(blk)+1000)
 		}); err != nil {
@@ -137,7 +136,7 @@ func FuzzStoreMutation(f *testing.F) {
 			for i := 0; i < int(pos%64)+1; i++ {
 				b = append(b, val)
 			}
-		case 4: // roll back to the authentic epoch-1 copy
+		case 4: // roll back to the authentic epoch-0 copy
 			b = stale
 		}
 		if err := os.WriteFile(path, b, 0o600); err != nil {
@@ -154,33 +153,28 @@ func FuzzStoreMutation(f *testing.F) {
 		}
 		defer s2.Close()
 		// Rolling the registry back alone is indistinguishable from a crash
-		// before the epoch-2 commit at this layer: the registry is authentic
-		// and self-consistent at epoch 1. Catching it is the trusted
+		// before the epoch-1 commit at this layer: the registry is authentic
+		// and self-consistent at epoch 0. Catching it is the trusted
 		// counter's job — persist.SegDurable fails RequireEpoch. Everything
 		// segstore accepts must at least be an authentic committed state.
-		wantEpoch := uint64(2)
+		wantEpoch := uint64(1)
 		wantSalt := uint64(1000)
 		if fileIdx%2 == 0 && op%5 == 4 {
-			wantEpoch, wantSalt = 1, 0
+			wantEpoch, wantSalt = 0, 0
 		}
 		if got := s2.Epoch(); got != wantEpoch {
 			t.Fatalf("mutating %s (op %d): silently loaded epoch %d, want %d",
 				filepath.Base(path), op%5, got, wantEpoch)
 		}
-		blk := make([]byte, blockSize)
-		for i := 0; i < n; i++ {
-			err := s2.ReadBlock(i, blk)
-			if err != nil {
-				if !errors.Is(err, enclave.ErrIntegrity) {
-					t.Fatalf("read after mutating %s (op %d): error outside the integrity class: %v",
-						filepath.Base(path), op%5, err)
-				}
-				return
-			}
+		err = s2.Verify(0, n, func(i int, blk []byte) {
 			if got := binary.LittleEndian.Uint64(blk); got != uint64(i)+wantSalt {
 				t.Fatalf("mutating %s (op %d): block %d silently corrupted to %d",
 					filepath.Base(path), op%5, i, got)
 			}
+		})
+		if err != nil && !errors.Is(err, enclave.ErrIntegrity) {
+			t.Fatalf("read after mutating %s (op %d): error outside the integrity class: %v",
+				filepath.Base(path), op%5, err)
 		}
 	})
 }

@@ -6,14 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"snoopy/internal/crypt"
+	"snoopy/internal/hostfs"
 )
 
 // The registry is the store's sealed root of trust on disk: one record
 // naming the geometry, the committed store epoch, the data-file generation,
-// and — per logical segment — the physical slot holding its current image
-// and the epoch that image must authenticate at. It is rewritten atomically
-// (tmp + fsync + rename + dir fsync) at every commit, so the host either
-// observes the previous registry or the new one, never a torn mix.
+// and — per logical segment — the epoch its current image must authenticate
+// at (which also names its parity slot) and the nonce that image was sealed
+// under, so no other sealing of the segment passes. It is rewritten atomically
+// (hostfs.WriteFileAtomic) at every commit, so the host either observes the
+// previous registry or the new one, never a torn mix.
 //
 // Freshness of the registry itself is NOT self-certifying — a malicious
 // host can always serve yesterday's registry together with yesterday's
@@ -25,12 +29,12 @@ import (
 const registryFile = "registry"
 
 // regContext is the registry record's AAD context.
-const regContext = "snoopy-segstore/registry/v1"
+const regContext = "snoopy-segstore/registry/v2"
 
 // regMagic / regVersion identify the plaintext layout.
 const (
 	regMagic   = uint32(0x5347_5247) // "SGRG"
-	regVersion = uint32(1)
+	regVersion = uint32(2)
 )
 
 // regHeaderLen is the fixed plaintext header:
@@ -38,8 +42,8 @@ const (
 // numBlocks u64 | storeEpoch u64 | idsEpoch u64 | gen u64 | numSegments u32.
 const regHeaderLen = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4
 
-// regEntryLen is one per-segment entry: phys u64 | epoch u64.
-const regEntryLen = 8 + 8
+// regEntryLen is one per-segment entry: epoch u64 | nonce.
+const regEntryLen = 8 + crypt.NonceSize
 
 // maxRegistrySegments bounds the segment count a decoder will accept before
 // allocating, so a corrupt length field cannot drive an OOM. 2^26 segments
@@ -47,10 +51,10 @@ const regEntryLen = 8 + 8
 // partition.
 const maxRegistrySegments = 1 << 26
 
-// segEntry is one logical segment's registry entry.
+// segEntry is one logical segment's registry entry: its current seal.
 type segEntry struct {
-	phys  uint64 // physical slot index in the data file
-	epoch uint64 // epoch the slot's seal must authenticate at
+	epoch uint64                // epoch the seal authenticates at; its parity names the slot
+	nonce [crypt.NonceSize]byte // the seal's nonce: every sealing has its own
 }
 
 // registry is the in-memory registry state.
@@ -79,8 +83,8 @@ func marshalRegistry(dst []byte, r registry) []byte {
 	dst = append(dst, hdr[:]...)
 	var ent [regEntryLen]byte
 	for _, e := range r.entries {
-		binary.LittleEndian.PutUint64(ent[0:8], e.phys)
-		binary.LittleEndian.PutUint64(ent[8:16], e.epoch)
+		binary.LittleEndian.PutUint64(ent[0:8], e.epoch)
+		copy(ent[8:], e.nonce[:])
 		dst = append(dst, ent[:]...)
 	}
 	return dst
@@ -124,25 +128,23 @@ func unmarshalRegistry(b []byte) (registry, error) {
 	r.entries = make([]segEntry, n)
 	for i := range r.entries {
 		off := regHeaderLen + i*regEntryLen
-		r.entries[i].phys = binary.LittleEndian.Uint64(b[off : off+8])
-		r.entries[i].epoch = binary.LittleEndian.Uint64(b[off+8 : off+16])
-		// A slot index outside the segment's own pair means the sealed
-		// record was forged under a different geometry or spliced.
-		if r.entries[i].phys != uint64(2*i) && r.entries[i].phys != uint64(2*i)+1 {
-			return registry{}, errCorrupt("registry maps segment %d to foreign slot %d", i, r.entries[i].phys)
-		}
-		if r.entries[i].epoch > r.storeEpoch+1 {
+		r.entries[i].epoch = binary.LittleEndian.Uint64(b[off : off+8])
+		copy(r.entries[i].nonce[:], b[off+8:off+regEntryLen])
+		if r.entries[i].epoch > r.storeEpoch {
 			return registry{}, errCorrupt("registry entry %d at epoch %d, beyond store epoch %d", i, r.entries[i].epoch, r.storeEpoch)
 		}
 	}
 	return r, nil
 }
 
+// maxRegistryBytes bounds the sealed registry file a reader will load.
+const maxRegistryBytes = regHeaderLen + maxRegistrySegments*regEntryLen + crypt.Overhead
+
 // readRegistry loads and opens the sealed registry record. os.ErrNotExist
 // passes through untouched (unformatted store); every other failure is in
 // the ErrIntegrity class.
 func (s *Store) readRegistry() (registry, error) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, registryFile))
+	raw, err := hostfs.ReadFile(s.fs, filepath.Join(s.dir, registryFile), maxRegistryBytes)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return registry{}, err
@@ -156,45 +158,11 @@ func (s *Store) readRegistry() (registry, error) {
 	return unmarshalRegistry(plain)
 }
 
-// commitRegistryLocked seals and atomically replaces the registry record
-// for the current in-memory state. Caller holds s.mu. Scratch buffers are
-// reused across commits; the file dance (create, write, fsync, rename, dir
-// fsync) is the commit point that makes an epoch's slots authoritative.
-func (s *Store) commitRegistryLocked() error {
-	s.regPlain = marshalRegistry(s.regPlain[:0], s.reg)
+// commitRegistryLocked seals r and atomically replaces the registry record
+// with it — the commit point that makes an epoch's slots authoritative.
+// Caller holds s.mu; the scratch buffers are reused across commits.
+func (s *Store) commitRegistryLocked(r registry) error {
+	s.regPlain = marshalRegistry(s.regPlain[:0], r)
 	s.regSealed = s.sealer.SealAppend(s.regSealed[:0], s.regPlain, []byte(regContext))
-	path := filepath.Join(s.dir, registryFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(s.regSealed); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return hostfs.WriteFileAtomic(s.fs, filepath.Join(s.dir, registryFile), s.regSealed)
 }

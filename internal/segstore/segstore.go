@@ -1,24 +1,25 @@
-// Package segstore is the disk-resident sealed partition store: it lets one
-// subORAM node serve a partition orders of magnitude larger than its memory
-// by keeping the blocks on disk in fixed-shape, AEAD-sealed segments and
-// streaming the oblivious linear scan over them.
+// Package segstore is the sealed partition store: a subORAM partition kept
+// outside the enclave in fixed-shape, AEAD-sealed segments, with the
+// oblivious linear scan streamed over them one segment at a time. Where the
+// segments live is a choice of hostfs.FS: host memory (the sealed in-memory
+// partition of paper §7) or disk (a partition orders of magnitude larger
+// than the node's memory).
 //
 // The key observation (the external-memory framing of "Oblivious Storage
 // with Low I/O Overhead", PAPERS.md) is that Snoopy's subORAM already pays
 // for a full linear pass over the partition per batch — and a sequential
 // full-segment read/write pass is *naturally* data-independent. Moving the
-// partition to disk therefore costs bandwidth, never obliviousness: every
-// scan reads and rewrites every segment in fixed order, whatever the batch
-// contains.
+// partition out of the enclave therefore costs bandwidth, never
+// obliviousness: every scan reads and rewrites every segment in fixed order,
+// whatever the batch contains.
 //
-// On-disk layout of a store directory:
+// Layout of a store directory:
 //
 //	registry           — one sealed record: geometry (block size, segment
 //	                     blocks, block count), the store epoch, the data-file
 //	                     generation, the ids-file epoch, and one entry per
-//	                     logical segment mapping it to a physical slot and
-//	                     recording the epoch it was last sealed at. Written
-//	                     atomically (tmp + fsync + rename) at each commit.
+//	                     logical segment recording the epoch and the nonce of
+//	                     its current seal. Written atomically at each commit.
 //	segments-<gen>.dat — the segment slots. Each logical segment owns two
 //	                     physical slots (double buffering): a write at epoch
 //	                     e lands in slot parity e%2, so the previous epoch's
@@ -34,19 +35,26 @@
 // typed error in the enclave.ErrIntegrity class — never a panic, never
 // silently wrong data.
 //
-// Freshness: the registry records the epoch every segment must authenticate
-// at. The registry itself is untrusted storage; its freshness is anchored by
-// the caller (internal/persist's trusted monotonic counter) comparing the
-// registry's store epoch against the counter at open. Within a batch, the
-// caller brackets the scan with BeginEpoch/Commit; a crash between them
-// leaves the previous epoch's slots and registry intact, and the write-ahead
-// log (persist) rolls the batch forward.
+// Freshness: the enclave keeps, per segment, the epoch and the nonce of the
+// one seal it accepts (20 bytes of trusted state; every write is a fresh
+// sealing, so no two share a nonce), and every batch's scan is bracketed by
+// Begin/Commit, which advance the epoch by one. A slot replayed from any
+// earlier batch fails the next one as stale, even one whose plaintext is
+// identical, and so does any other sealing of the same segment and epoch —
+// the zeroed slot Format wrote before a load overwrote it, an earlier data
+// generation's, or an aborted epoch's write. Begin discards an aborted
+// epoch's entries, so its writes are never read either.
+// The registry on the host records the same entries for reopening; its own
+// freshness is anchored by the caller (internal/persist's trusted monotonic
+// counter) comparing the registry's store epoch against the counter at open.
+// A crash between Begin and Commit leaves the previous epoch's slots and
+// registry intact, and the write-ahead log (persist) rolls the batch forward.
 //
-// Obliviousness of the store's own I/O: every operation the host disk
-// observes is a full-slot read or write whose (offset, length) is a function
-// of public parameters only — partition size, segment geometry, and the
-// (public) epoch number. internal/trace records the stream and the trace
-// tests assert it is bit-identical across secret-differing workloads.
+// Obliviousness of the store's own I/O: every operation the host observes is
+// a full-slot read or write whose (offset, length) is a function of public
+// parameters only — partition size, segment geometry, and the (public) epoch
+// number. internal/trace records the stream and the trace tests assert it is
+// bit-identical across secret-differing workloads.
 package segstore
 
 import (
@@ -55,11 +63,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
@@ -70,8 +80,9 @@ import (
 var ErrIntegrity = fmt.Errorf("segstore: %w", enclave.ErrIntegrity)
 
 // ErrSegmentRollback is returned when a segment slot authenticates as an
-// older epoch than the registry requires — the host replayed stale sealed
-// state. It is in the ErrIntegrity class.
+// older epoch than the registry requires, or as a seal of that epoch other
+// than the one it names — the host replayed stale sealed state. It is in the
+// ErrIntegrity class.
 var ErrSegmentRollback = fmt.Errorf("%w: segment rolled back to a stale epoch", ErrIntegrity)
 
 // ErrRegistryRollback is returned by the caller-driven freshness check
@@ -115,6 +126,8 @@ type Options struct {
 	// directory). Required: segstore never invents keys, so a recovered
 	// store opens under the same key that sealed it.
 	Key crypt.Key
+	// FS is where the segments live; nil means the host file system.
+	FS hostfs.FS
 	// Rec, when non-nil, records the host-visible segment I/O trace
 	// (offset, length of every slot read/write). Test-only; requires
 	// single-threaded scans.
@@ -143,19 +156,23 @@ type scanBuf struct {
 	aad    []byte // segContext || segment u32 || epoch u64
 }
 
-// Store is a disk-resident sealed partition store.
+// Store is a sealed partition store.
 type Store struct {
 	dir    string
+	fs     hostfs.FS
 	opts   Options
 	sealer *crypt.RandomSealer
 
-	mu  sync.Mutex // guards registry state, formatting, and commit
-	reg registry
-	f   *os.File // segments-<gen>.dat (nil until formatted)
+	mu  sync.Mutex  // guards registry state, formatting, and commit
+	reg registry    // entries as written so far; the rest as committed
+	f   hostfs.File // segments-<gen>.dat (nil until formatted)
+	// committed is the entries of the committed registry, which Begin
+	// restores: an epoch that failed before its Commit is forgotten.
+	committed []segEntry
 
-	// writeEpoch is the epoch subsequent scan write-backs seal at
-	// (BeginEpoch). Guarded by mu; read by scan workers only between
-	// BeginEpoch and Commit, which the caller serializes with scans.
+	// writeEpoch is the epoch subsequent scan write-backs seal at: the
+	// committed epoch, or one past it between Begin and Commit. Guarded by
+	// mu; the caller serializes Begin and Commit with scans.
 	writeEpoch uint64
 
 	// Scan buffer free list. bufMu (not mu) guards it because concurrent
@@ -184,7 +201,11 @@ type Store struct {
 // an unformatted store; call Format before use.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.fillDefaults()
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	fs := opts.FS
+	if fs == nil {
+		fs = hostfs.OS
+	}
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
 	sealer, err := crypt.NewRandomSealer(opts.Key)
@@ -193,6 +214,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:    dir,
+		fs:     fs,
 		opts:   opts,
 		sealer: sealer,
 
@@ -213,7 +235,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if int(reg.segmentBlocks) != opts.SegmentBlocks {
 			return nil, fmt.Errorf("segstore: store sealed with %d blocks/segment, configured %d", reg.segmentBlocks, opts.SegmentBlocks)
 		}
-		s.reg = reg
+		s.reg, s.committed = reg, slices.Clone(reg.entries)
 		s.writeEpoch = reg.storeEpoch
 		if err := s.openData(reg.gen); err != nil {
 			return nil, err
@@ -236,7 +258,7 @@ func (s *Store) Formatted() bool {
 }
 
 // Format sizes a fresh (or re-sizes an existing) store for n blocks, writing
-// zeroed sealed segments at the current write epoch (BeginEpoch) and
+// zeroed sealed segments at the committed epoch (0 for a fresh store) and
 // committing the registry. An existing store is replaced under a new
 // data-file generation, so a crash mid-Format leaves the previous generation
 // fully intact.
@@ -246,13 +268,7 @@ func (s *Store) Format(n int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	epoch := s.writeEpoch
-	gen := uint64(1)
-	oldGen := uint64(0)
-	if s.f != nil {
-		oldGen = s.reg.gen
-		gen = s.reg.gen + 1
-	}
+	epoch, gen := s.reg.storeEpoch, s.reg.gen+1
 	segs := (n + s.opts.SegmentBlocks - 1) / s.opts.SegmentBlocks
 	reg := registry{
 		blockSize:     uint32(s.opts.BlockSize),
@@ -263,7 +279,7 @@ func (s *Store) Format(n int) error {
 		gen:           gen,
 		entries:       make([]segEntry, segs),
 	}
-	f, err := os.OpenFile(s.dataPath(gen), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := s.fs.OpenFile(s.dataPath(gen), os.O_RDWR|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
@@ -280,8 +296,7 @@ func (s *Store) Format(n int) error {
 	zero := buf.plain
 	clear(zero)
 	for seg := 0; seg < segs; seg++ {
-		reg.entries[seg] = segEntry{phys: physSlot(seg, epoch), epoch: epoch}
-		if err := s.writeSlot(f, reg, seg, epoch, zero, buf); err != nil {
+		if reg.entries[seg], err = s.writeSlot(f, reg, seg, epoch, zero, buf); err != nil {
 			f.Close()
 			return err
 		}
@@ -290,17 +305,15 @@ func (s *Store) Format(n int) error {
 		f.Close()
 		return err
 	}
-	old := s.f
-	s.f = f
-	s.reg = reg
-	s.writeEpoch = epoch
-	if err := s.commitRegistryLocked(); err != nil {
+	if err := s.commitRegistryLocked(reg); err != nil {
+		f.Close()
 		return err
 	}
-	if old != nil {
-		old.Close()
-		os.Remove(s.dataPath(oldGen))
+	if s.f != nil {
+		s.f.Close()
+		s.fs.Remove(s.dataPath(s.reg.gen))
 	}
+	s.f, s.reg, s.committed, s.writeEpoch = f, reg, slices.Clone(reg.entries), epoch
 	// Geometry changed: drop stale-sized scan buffers.
 	s.bufMu.Lock()
 	s.bufs = nil
@@ -313,21 +326,21 @@ func (s *Store) dataPath(gen uint64) string {
 }
 
 func (s *Store) openData(gen uint64) error {
-	f, err := os.OpenFile(s.dataPath(gen), os.O_RDWR, 0o600)
+	f, err := s.fs.OpenFile(s.dataPath(gen), os.O_RDWR)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return errCorrupt("registry names data file generation %d, which is missing", gen)
 		}
 		return err
 	}
-	st, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return err
 	}
-	if want := int64(len(s.reg.entries)) * 2 * int64(s.slotBytesFor(s.reg)); st.Size() < want {
+	if want := int64(len(s.reg.entries)) * 2 * int64(s.slotBytesFor(s.reg)); size < want {
 		f.Close()
-		return errCorrupt("data file truncated: %d bytes, want at least %d", st.Size(), want)
+		return errCorrupt("data file truncated: %d bytes, want at least %d", size, want)
 	}
 	s.f = f
 	return nil
@@ -458,13 +471,15 @@ func slotAAD(b *scanBuf, seg int, epoch uint64) []byte {
 	return b.aad[:n+12]
 }
 
-// readSlot reads and opens segment seg at the given epoch into b.plain.
-// The slot's public prefix is checked before decryption: a prefix carrying
-// an older epoch is reported as ErrSegmentRollback, everything else that
-// fails authentication as corruption. Callers hold no lock; the data file
-// supports concurrent ReadAt.
-func (s *Store) readSlot(f *os.File, reg registry, seg int, epoch uint64, b *scanBuf) error {
-	slotBytes := len(b.sealed)
+// readSlot reads and opens segment seg's seal `want` into b.plain. The
+// slot's public prefix is checked before decryption: a prefix carrying an
+// older epoch is reported as ErrSegmentRollback, everything else that fails
+// authentication as corruption. A slot that authenticates but under another
+// nonce is another of the enclave's own sealings of the segment at that
+// epoch — a superseded one the host kept — and is a rollback too. Callers
+// hold no lock; the data file supports concurrent ReadAt.
+func (s *Store) readSlot(f hostfs.File, reg registry, seg int, want segEntry, b *scanBuf) error {
+	slotBytes, epoch := len(b.sealed), want.epoch
 	off := int64(physSlot(seg, epoch)) * int64(slotBytes)
 	if _, err := f.ReadAt(b.sealed, off); err != nil {
 		return errCorrupt("segment %d slot read at %d: %v", seg, off, err)
@@ -486,18 +501,19 @@ func (s *Store) readSlot(f *os.File, reg registry, seg int, epoch uint64, b *sca
 		return errCorrupt("segment %d slot from future epoch %d (registry at %d)", seg, gotEpoch, epoch)
 	}
 	ct := b.sealed[slotPrefixLen : slotPrefixLen+s.segPlainBytes(reg)+crypt.Overhead]
-	pt, err := s.sealer.OpenAppend(b.plain[:0], ct, slotAAD(b, seg, epoch))
-	if err != nil {
+	if _, err := s.sealer.OpenAppend(b.plain[:0], ct, slotAAD(b, seg, epoch)); err != nil {
 		return errCorrupt("segment %d authentication failed at epoch %d", seg, epoch)
 	}
-	_ = pt // decrypted in place into b.plain
+	if [crypt.NonceSize]byte(ct) != want.nonce {
+		return fmt.Errorf("%w (segment %d holds a superseded seal of epoch %d)", ErrSegmentRollback, seg, epoch)
+	}
 	return nil
 }
 
-// writeSlot seals b.plain (or the provided plaintext) as segment seg at the
-// given epoch and writes the full slot. The caller fsyncs (Commit) before
-// the epoch is acknowledged.
-func (s *Store) writeSlot(f *os.File, reg registry, seg int, epoch uint64, plain []byte, b *scanBuf) error {
+// writeSlot seals plain as segment seg at the given epoch, writes the full
+// slot and returns the entry naming this seal. The caller syncs (Commit)
+// before the epoch is acknowledged.
+func (s *Store) writeSlot(f hostfs.File, reg registry, seg int, epoch uint64, plain []byte, b *scanBuf) (segEntry, error) {
 	slotBytes := len(b.sealed)
 	binary.LittleEndian.PutUint32(b.sealed[0:4], slotMagic)
 	binary.LittleEndian.PutUint32(b.sealed[4:8], uint32(seg))
@@ -508,23 +524,26 @@ func (s *Store) writeSlot(f *os.File, reg registry, seg int, epoch uint64, plain
 	clear(b.sealed[slotPrefixLen+len(ct):])
 	off := int64(physSlot(seg, epoch)) * int64(slotBytes)
 	if _, err := f.WriteAt(b.sealed, off); err != nil {
-		return err
+		return segEntry{}, err
 	}
 	s.opts.Rec.Record(trace.KindSegWrite, int(off), slotBytes)
 	s.telSegWrites.Inc()
 	s.telWriteBytes.Add(uint64(slotBytes))
-	return nil
+	return segEntry{epoch: epoch, nonce: [crypt.NonceSize]byte(ct)}, nil
 }
 
 // ---- Epoch bracket ----
 
-// BeginEpoch sets the epoch subsequent Scan write-backs seal at. The
-// persistence layer calls it after the batch's WAL record is durable and
-// before the scan; segments then move to the new epoch slot by slot while
-// the previous epoch's slots stay intact for crash recovery.
-func (s *Store) BeginEpoch(e uint64) {
+// Begin opens the next epoch: subsequent Scan write-backs seal at the
+// committed epoch plus one, into each segment's other parity slot, while the
+// committed epoch's slots stay intact for crash recovery. The subORAM calls
+// it, and Commit, around every batch's scan. Writes since the last Commit —
+// an epoch that failed part-way — are discarded: the new epoch reads the
+// committed seals, and the discarded ones are refused from then on.
+func (s *Store) Begin() {
 	s.mu.Lock()
-	s.writeEpoch = e
+	copy(s.reg.entries, s.committed)
+	s.writeEpoch = s.reg.storeEpoch + 1
 	s.mu.Unlock()
 }
 
@@ -540,8 +559,14 @@ func (s *Store) Commit() error {
 	if err := s.f.Sync(); err != nil {
 		return err
 	}
+	next := s.reg
+	next.storeEpoch = s.writeEpoch
+	if err := s.commitRegistryLocked(next); err != nil {
+		return err
+	}
 	s.reg.storeEpoch = s.writeEpoch
-	return s.commitRegistryLocked()
+	copy(s.committed, s.reg.entries)
+	return nil
 }
 
 // A scan callback visits one block during a streaming pass: i is the global
@@ -557,23 +582,28 @@ func (s *Store) Commit() error {
 // disjoint ranges are safe; each takes its own buffer pair from the free
 // list. The I/O sequence is a function of (lo, hi, geometry, epoch) only.
 func (s *Store) Scan(lo, hi int, fn func(i int, blk []byte)) error {
-	s.mu.Lock()
-	if s.f == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("segstore: scan on unformatted store")
-	}
-	reg := s.reg
-	epoch := s.writeEpoch
-	f := s.f
-	s.mu.Unlock()
+	return s.stream(lo, hi, fn, true)
+}
 
-	segBlocks := int(reg.segmentBlocks)
-	n := int(reg.numBlocks)
-	if lo < 0 || hi > n || lo > hi {
-		return fmt.Errorf("segstore: scan range [%d,%d) outside [0,%d)", lo, hi, n)
+// Verify streams a read-only authentication pass over blocks [lo, hi),
+// optionally applying fn to each block (fn mutations are NOT written back):
+// the export path, and recovery's check that fails closed on any corrupt or
+// rolled-back segment before serving. Its I/O is a scan's read half.
+func (s *Store) Verify(lo, hi int, fn func(i int, blk []byte)) error {
+	return s.stream(lo, hi, fn, false)
+}
+
+// stream is Scan (write) and Verify (!write).
+func (s *Store) stream(lo, hi int, fn func(i int, blk []byte), write bool) error {
+	s.mu.Lock()
+	reg, epoch, f := s.reg, s.writeEpoch, s.f
+	s.mu.Unlock()
+	if f == nil {
+		return fmt.Errorf("segstore: pass over an unformatted store")
 	}
-	if lo%segBlocks != 0 || (hi%segBlocks != 0 && hi != n) {
-		return fmt.Errorf("segstore: scan range [%d,%d) not aligned to %d-block segments", lo, hi, segBlocks)
+	segBlocks, n := int(reg.segmentBlocks), int(reg.numBlocks)
+	if lo < 0 || hi > n || lo > hi || lo%segBlocks != 0 || (hi%segBlocks != 0 && hi != n) {
+		return fmt.Errorf("segstore: range [%d,%d) is not a run of %d-block segments of [0,%d)", lo, hi, segBlocks, n)
 	}
 	b := s.takeScanBuf()
 	defer s.returnScanBuf(b)
@@ -581,78 +611,38 @@ func (s *Store) Scan(lo, hi int, fn func(i int, blk []byte)) error {
 	t0 := s.opts.Telemetry.Now()
 	for seg := lo / segBlocks; seg*segBlocks < hi; seg++ {
 		ts0 := s.opts.Telemetry.Now()
-		// Read at the segment's current epoch (registry entry), write back
-		// at the scan's write epoch: during a batch these differ by one and
-		// the write lands in the sibling parity slot.
-		if err := s.readSlot(f, reg, seg, s.entryEpoch(seg), b); err != nil {
+		// Read the segment's current seal (registry entry), write back at
+		// the scan's write epoch: during a batch these differ by one and the
+		// write lands in the sibling parity slot.
+		if err := s.readSlot(f, reg, seg, s.entry(seg), b); err != nil {
 			return err
 		}
 		base := seg * segBlocks
-		limit := minInt(base+segBlocks, n)
-		for i := base; i < limit; i++ {
+		for i := base; fn != nil && i < min(base+segBlocks, n); i++ {
 			fn(i, b.plain[(i-base)*blockSize:(i-base+1)*blockSize])
 		}
-		if err := s.writeSlot(f, reg, seg, epoch, b.plain, b); err != nil {
+		if !write {
+			continue
+		}
+		e, err := s.writeSlot(f, reg, seg, epoch, b.plain, b)
+		if err != nil {
 			return err
 		}
-		s.setEntry(seg, segEntry{phys: physSlot(seg, epoch), epoch: epoch})
+		s.setEntry(seg, e)
 		s.telScanSeg.Observe(time.Duration(s.opts.Telemetry.Now() - ts0))
 	}
-	s.telScans.Inc()
-	s.stScan.Record(epoch, lo/segBlocks, (hi-lo+segBlocks-1)/segBlocks, t0, s.opts.Telemetry.Now())
-	return nil
-}
-
-// Verify streams a read-only authentication pass over blocks [lo, hi),
-// optionally applying fn to each block (fn mutations are NOT written back).
-// Used by recovery to fail closed on any corrupt or rolled-back segment
-// before serving, with the same fixed sequential I/O shape as a scan's read
-// half.
-func (s *Store) Verify(lo, hi int, fn func(i int, blk []byte)) error {
-	s.mu.Lock()
-	if s.f == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("segstore: verify on unformatted store")
-	}
-	reg := s.reg
-	f := s.f
-	s.mu.Unlock()
-	segBlocks := int(reg.segmentBlocks)
-	n := int(reg.numBlocks)
-	if lo%segBlocks != 0 || (hi%segBlocks != 0 && hi != n) || lo < 0 || hi > n {
-		return fmt.Errorf("segstore: verify range [%d,%d) invalid", lo, hi)
-	}
-	b := s.takeScanBuf()
-	defer s.returnScanBuf(b)
-	blockSize := int(reg.blockSize)
-	for seg := lo / segBlocks; seg*segBlocks < hi; seg++ {
-		if err := s.readSlot(f, reg, seg, s.entryEpoch(seg), b); err != nil {
-			return err
-		}
-		if fn != nil {
-			base := seg * segBlocks
-			limit := minInt(base+segBlocks, n)
-			for i := base; i < limit; i++ {
-				fn(i, b.plain[(i-base)*blockSize:(i-base+1)*blockSize])
-			}
-		}
+	if write {
+		s.telScans.Inc()
+		s.stScan.Record(epoch, lo/segBlocks, (hi-lo+segBlocks-1)/segBlocks, t0, s.opts.Telemetry.Now())
 	}
 	return nil
 }
 
-// Rewrite streams a read-modify-write pass like Scan but applies fn and
-// reseals at the write epoch unconditionally over the whole store — the
-// recovery roll-forward primitive. Unlike Scan it is always whole-store, so
-// a crash-interrupted batch is re-applied with one fixed I/O shape.
-func (s *Store) Rewrite(fn func(i int, blk []byte)) error {
-	return s.Scan(0, s.NumBlocks(), fn)
-}
-
-// entryEpoch returns segment seg's registry epoch.
-func (s *Store) entryEpoch(seg int) uint64 {
+// entry returns segment seg's registry entry: the seal reads must find.
+func (s *Store) entry(seg int) segEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reg.entries[seg].epoch
+	return s.reg.entries[seg]
 }
 
 // setEntry updates segment seg's registry entry (in memory; Commit
@@ -663,36 +653,12 @@ func (s *Store) setEntry(seg int, e segEntry) {
 	s.mu.Unlock()
 }
 
-// ---- Random access (load, export, recovery — not the batch hot path) ----
-
-// ReadBlock reads block i into dst (len >= BlockSize) by streaming its
-// containing segment. Intended for export/tests; the batch path never reads
-// single blocks.
-func (s *Store) ReadBlock(i int, dst []byte) error {
-	s.mu.Lock()
-	reg := s.reg
-	f := s.f
-	s.mu.Unlock()
-	if f == nil || i < 0 || i >= int(reg.numBlocks) {
-		return fmt.Errorf("segstore: block %d out of range", i)
-	}
-	segBlocks := int(reg.segmentBlocks)
-	seg := i / segBlocks
-	b := s.takeScanBuf()
-	defer s.returnScanBuf(b)
-	if err := s.readSlot(f, reg, seg, s.entryEpoch(seg), b); err != nil {
-		return err
-	}
-	blockSize := int(reg.blockSize)
-	copy(dst, b.plain[(i-seg*segBlocks)*blockSize:(i-seg*segBlocks+1)*blockSize])
-	return nil
-}
+// ---- Bulk load ----
 
 // LoadRange bulk-writes blocks [start, start+len(data)/BlockSize) from
 // packed data, streaming whole segments: unaligned edges read-modify-write
 // their segment, aligned interiors are sealed directly from data. Slots are
-// written at the current write epoch; call Commit (or Format's epoch
-// discipline) afterwards.
+// written at the current write epoch; call Commit afterwards.
 func (s *Store) LoadRange(start int, data []byte) error {
 	s.mu.Lock()
 	reg := s.reg
@@ -716,24 +682,25 @@ func (s *Store) LoadRange(start int, data []byte) error {
 	defer s.returnScanBuf(b)
 	for seg := start / segBlocks; seg*segBlocks < start+count; seg++ {
 		base := seg * segBlocks
-		limit := minInt(base+segBlocks, n)
+		limit := min(base+segBlocks, n)
 		full := start <= base && base+segBlocks <= start+count
 		if !full {
 			// Partial segment: merge over the existing contents.
-			if err := s.readSlot(f, reg, seg, s.entryEpoch(seg), b); err != nil {
+			if err := s.readSlot(f, reg, seg, s.entry(seg), b); err != nil {
 				return err
 			}
 		} else {
 			clear(b.plain)
 		}
-		for i := maxInt(base, start); i < minInt(limit, start+count); i++ {
+		for i := max(base, start); i < min(limit, start+count); i++ {
 			copy(b.plain[(i-base)*blockSize:(i-base+1)*blockSize],
 				data[(i-start)*blockSize:(i-start+1)*blockSize])
 		}
-		if err := s.writeSlot(f, reg, seg, epoch, b.plain, b); err != nil {
+		e, err := s.writeSlot(f, reg, seg, epoch, b.plain, b)
+		if err != nil {
 			return err
 		}
-		s.setEntry(seg, segEntry{phys: physSlot(seg, epoch), epoch: epoch})
+		s.setEntry(seg, e)
 	}
 	return nil
 }
@@ -749,18 +716,4 @@ func (s *Store) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

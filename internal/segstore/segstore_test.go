@@ -9,6 +9,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/hostfs"
 )
 
 func testStore(t *testing.T, dir string, key crypt.Key, blockSize, segBlocks int) *Store {
@@ -33,13 +34,21 @@ func fillPattern(t *testing.T, s *Store, n, blockSize int, salt byte) {
 	}
 }
 
-func checkPattern(t *testing.T, s *Store, n, blockSize int, salt byte) {
+// readAll returns every block's contents, read back through one Verify pass.
+func readAll(t *testing.T, s *Store) [][]byte {
 	t.Helper()
-	blk := make([]byte, blockSize)
-	for i := 0; i < n; i++ {
-		if err := s.ReadBlock(i, blk); err != nil {
-			t.Fatalf("ReadBlock(%d): %v", i, err)
-		}
+	blocks := make([][]byte, s.NumBlocks())
+	if err := s.Verify(0, len(blocks), func(i int, blk []byte) {
+		blocks[i] = append([]byte(nil), blk...)
+	}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	return blocks
+}
+
+func checkPattern(t *testing.T, s *Store, n int, salt byte) {
+	t.Helper()
+	for i, blk := range readAll(t, s) {
 		if got := binary.LittleEndian.Uint64(blk); got != uint64(i) {
 			t.Fatalf("block %d holds index %d", i, got)
 		}
@@ -50,64 +59,64 @@ func checkPattern(t *testing.T, s *Store, n, blockSize int, salt byte) {
 }
 
 func TestFormatScanCommitReopen(t *testing.T) {
-	dir := t.TempDir()
-	key := crypt.MustNewKey()
-	const blockSize, segBlocks, n = 32, 4, 19 // deliberately non-multiple of segBlocks
-	s := testStore(t, dir, key, blockSize, segBlocks)
-	if s.Formatted() {
-		t.Fatal("fresh store reports formatted")
-	}
-	s.BeginEpoch(1)
-	if err := s.Format(n); err != nil {
-		t.Fatalf("Format: %v", err)
-	}
-	fillPattern(t, s, n, blockSize, 0xAA)
-	if err := s.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	checkPattern(t, s, n, blockSize, 0xAA)
-
-	// One epoch of scanning: increment every block's low word.
-	s.BeginEpoch(2)
-	if err := s.Scan(0, n, func(i int, blk []byte) {
-		binary.LittleEndian.PutUint64(blk, binary.LittleEndian.Uint64(blk)+100)
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	if got := s.Epoch(); got != 2 {
-		t.Fatalf("Epoch = %d, want 2", got)
-	}
-	s.Close()
-
-	// Reopen: contents and epoch survive.
-	s2 := testStore(t, dir, key, blockSize, segBlocks)
-	if !s2.Formatted() {
-		t.Fatal("reopened store reports unformatted")
-	}
-	if got := s2.Epoch(); got != 2 {
-		t.Fatalf("reopened Epoch = %d, want 2", got)
-	}
-	blk := make([]byte, blockSize)
-	for i := 0; i < n; i++ {
-		if err := s2.ReadBlock(i, blk); err != nil {
-			t.Fatalf("ReadBlock(%d): %v", i, err)
+	for _, fs := range []hostfs.FS{hostfs.OS, hostfs.NewMem()} {
+		dir := t.TempDir()
+		key := crypt.MustNewKey()
+		const blockSize, segBlocks, n = 32, 4, 19 // deliberately non-multiple of segBlocks
+		open := func() *Store {
+			s, err := Open(dir, Options{BlockSize: blockSize, SegmentBlocks: segBlocks, Key: key, FS: fs})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			return s
 		}
-		if got := binary.LittleEndian.Uint64(blk); got != uint64(i+100) {
-			t.Fatalf("block %d holds %d, want %d", i, got, i+100)
+		s := open()
+		if s.Formatted() {
+			t.Fatal("fresh store reports formatted")
 		}
+		if err := s.Format(n); err != nil {
+			t.Fatalf("Format: %v", err)
+		}
+		fillPattern(t, s, n, blockSize, 0xAA)
+		if err := s.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		checkPattern(t, s, n, 0xAA)
+
+		// One epoch of scanning: increment every block's low word.
+		s.Begin()
+		if err := s.Scan(0, n, func(i int, blk []byte) {
+			binary.LittleEndian.PutUint64(blk, binary.LittleEndian.Uint64(blk)+100)
+		}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		if got := s.Epoch(); got != 1 {
+			t.Fatalf("Epoch = %d, want 1", got)
+		}
+		s.Close()
+
+		// Reopen: contents and epoch survive.
+		s2 := open()
+		if !s2.Formatted() {
+			t.Fatal("reopened store reports unformatted")
+		}
+		if got := s2.Epoch(); got != 1 {
+			t.Fatalf("reopened Epoch = %d, want 1", got)
+		}
+		for i, blk := range readAll(t, s2) {
+			if got := binary.LittleEndian.Uint64(blk); got != uint64(i+100) {
+				t.Fatalf("block %d holds %d, want %d", i, got, i+100)
+			}
+		}
+		s2.Close()
 	}
-	if err := s2.Verify(0, n, nil); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	s2.Close()
 }
 
 func TestScanAlignmentEnforced(t *testing.T) {
 	s := testStore(t, t.TempDir(), crypt.MustNewKey(), 16, 4)
-	s.BeginEpoch(1)
 	if err := s.Format(16); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,6 @@ func TestScanAlignmentEnforced(t *testing.T) {
 func TestWrongKeyFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	s := testStore(t, dir, crypt.MustNewKey(), 16, 4)
-	s.BeginEpoch(1)
 	if err := s.Format(8); err != nil {
 		t.Fatal(err)
 	}
@@ -138,23 +146,19 @@ func TestSegmentRollbackDetected(t *testing.T) {
 	key := crypt.MustNewKey()
 	const blockSize, segBlocks, n = 16, 4, 8
 	s := testStore(t, dir, key, blockSize, segBlocks)
-	s.BeginEpoch(1)
 	if err := s.Format(n); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot the epoch-1 data file, advance two epochs (so both parity
-	// slots move past epoch 1), then restore the stale file under the fresh
+	// Snapshot the epoch-0 data file, advance two epochs (so both parity
+	// slots move past epoch 0), then restore the stale file under the fresh
 	// registry: every segment must be reported rolled back.
 	dataPath := s.dataPath(1)
 	stale, err := os.ReadFile(dataPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := uint64(2); e <= 3; e++ {
-		s.BeginEpoch(e)
+	for e := 1; e <= 2; e++ {
+		s.Begin()
 		if err := s.Scan(0, n, func(int, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +183,17 @@ func TestSegmentRollbackDetected(t *testing.T) {
 
 func TestRequireEpoch(t *testing.T) {
 	s := testStore(t, t.TempDir(), crypt.MustNewKey(), 16, 4)
-	s.BeginEpoch(5)
 	if err := s.Format(8); err != nil {
 		t.Fatal(err)
+	}
+	for e := 1; e <= 5; e++ {
+		s.Begin()
+		if err := s.Scan(0, 8, func(int, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.RequireEpoch(5, 6); err != nil {
 		t.Fatalf("in-range epoch rejected: %v", err)
@@ -198,7 +210,6 @@ func TestTamperedRegistryFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	key := crypt.MustNewKey()
 	s := testStore(t, dir, key, 16, 4)
-	s.BeginEpoch(1)
 	if err := s.Format(8); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +232,6 @@ func TestTamperedRegistryFailsClosed(t *testing.T) {
 func TestLoadRangeUnaligned(t *testing.T) {
 	const blockSize, segBlocks, n = 16, 4, 12
 	s := testStore(t, t.TempDir(), crypt.MustNewKey(), blockSize, segBlocks)
-	s.BeginEpoch(1)
 	if err := s.Format(n); err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +244,7 @@ func TestLoadRangeUnaligned(t *testing.T) {
 	if err := s.LoadRange(3, data); err != nil {
 		t.Fatal(err)
 	}
-	blk := make([]byte, blockSize)
-	for i := 0; i < n; i++ {
-		if err := s.ReadBlock(i, blk); err != nil {
-			t.Fatal(err)
-		}
+	for i, blk := range readAll(t, s) {
 		want := uint64(i)
 		if i >= 3 && i < 9 {
 			want = uint64(1000 + i - 3)

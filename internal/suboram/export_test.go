@@ -1,6 +1,13 @@
 package suboram
 
-import "snoopy/internal/ohash"
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"snoopy/internal/hostfs"
+	"snoopy/internal/ohash"
+)
 
 // ScanTable runs the linear scan against a table the caller built, for the
 // external tests that put a table of another shape through the real scan.
@@ -19,11 +26,45 @@ func (s *SubORAM) UseKernel(name string) {
 	}
 }
 
-// Test-only hooks: simulate the untrusted host attacking the sealed
-// external memory (paper §2 integrity threat model).
+// Test-only hooks: the untrusted host reading and rewriting a sealed
+// partition's memory (paper §2 integrity threat model).
 
-func (s *SubORAM) corruptSealedBlock(i int) { s.sealed.Corrupt(i) }
+// sealedData names the sealed partition's data file in host memory. The
+// store keeps exactly one, segments-<generation>.dat: every load starts the
+// next generation and removes the previous one.
+func sealedData(t *testing.T, mem *hostfs.Mem) string {
+	t.Helper()
+	var names []string
+	for gen := 1; gen <= 64; gen++ {
+		name := fmt.Sprintf("segments-%d.dat", gen)
+		if _, err := mem.OpenFile(name, os.O_RDONLY); err == nil {
+			names = append(names, name)
+		}
+	}
+	if len(names) != 1 {
+		t.Fatalf("host memory holds data files %q, want exactly one", names)
+	}
+	return names[0]
+}
 
-func (s *SubORAM) replaySealedBlock(i int, snap []byte) { s.sealed.Replay(i, snap) }
+// hostBytes returns a copy of the sealed partition's bytes in host memory.
+func hostBytes(t *testing.T, mem *hostfs.Mem) []byte {
+	t.Helper()
+	b, err := hostfs.ReadFile(mem, sealedData(t, mem), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
-func (s *SubORAM) snapshotSealedBlock(i int) []byte { return s.sealed.Snapshot(i) }
+// setHostBytes overwrites the sealed partition's bytes in host memory.
+func setHostBytes(t *testing.T, mem *hostfs.Mem, b []byte) {
+	t.Helper()
+	f, err := mem.OpenFile(sealedData(t, mem), os.O_RDWR)
+	if err == nil {
+		_, err = f.WriteAt(b, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"snoopy/internal/crypt"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
+	"snoopy/internal/telemetry"
 )
 
 // storeSegBlocks is the segment geometry for disk-resident tests: with
@@ -182,5 +183,28 @@ func TestStoreExportAndRestore(t *testing.T) {
 	// Shape mismatch fails closed.
 	if err := s.RestoreFromStore(ids[:10]); err == nil {
 		t.Fatal("RestoreFromStore accepted a mis-sized identifier set")
+	}
+}
+
+// TestStoreExportReadsEachSegmentOnce: Export streams the partition in one
+// pass, opening every sealed segment once — not once per block it holds.
+func TestStoreExportReadsEachSegmentOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ss, _ := sealedMemory(Config{BlockSize: testBlock, Telemetry: reg}, storeSegBlocks)
+	const n = 50
+	s := newLoaded(t, Config{Store: ss}, n)
+	reads := reg.Counter("segstore_segment_reads_total")
+	before := reads.Value()
+	_, data, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reads.Value()-before, uint64(ss.NumSegments()); got != want {
+		t.Fatalf("Export read %d segments, want %d (one pass)", got, want)
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(data[i*testBlock:(i+1)*testBlock], value(uint64(i*3), 0)) {
+			t.Fatalf("export of object %d does not hold its value", i)
+		}
 	}
 }

@@ -20,9 +20,10 @@ import (
 
 	"snoopy/internal/arena"
 	"snoopy/internal/crypt"
-	"snoopy/internal/enclave"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/obliv"
 	"snoopy/internal/ohash"
+	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
@@ -43,16 +44,18 @@ type Config struct {
 	// incoming batches; production deployments rely on the load balancer's
 	// guarantee (paper Definition 2).
 	Strict bool
-	// Sealed stores the partition in enclave-external encrypted memory with
-	// in-enclave digests (paper §7). Slower, but models the real deployment
-	// where the partition exceeds the EPC.
+	// Sealed keeps the partition in enclave-external memory (paper §7): New
+	// sets Store to the segment store over host memory, under a fresh key.
+	// Slower, but models the real deployment where the partition exceeds
+	// the EPC. Mutually exclusive with Store.
 	Sealed bool
-	// Store, when non-nil, keeps the partition in a disk-resident sealed
-	// block store (internal/segstore) instead of memory: the linear scan
-	// streams sealed segments through a pooled buffer, so the partition can
-	// exceed memory by orders of magnitude. Mutually exclusive with Sealed.
-	// Only object identifiers stay resident. The scan's I/O pattern remains
-	// a function of public parameters (partition size, segment geometry).
+	// Store, when non-nil, keeps the partition outside the enclave in a
+	// sealed block store (internal/segstore, over host memory or disk): the
+	// linear scan streams sealed segments through a pooled buffer, so the
+	// partition can exceed enclave memory, or on disk all memory, by orders
+	// of magnitude. Only object identifiers stay resident. The scan's I/O
+	// pattern remains a function of public parameters (partition size,
+	// segment geometry).
 	Store BlockStore
 	// Rec, when non-nil, records the batch access trace. Test-only;
 	// requires Workers == 1.
@@ -72,15 +75,15 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// BlockStore is the contract a disk-resident partition backend must meet
+// BlockStore is the contract a sealed partition backend must meet
 // (satisfied by *segstore.Store). The scan callback signature is spelled
 // literally so implementations need no types from this package.
 //
-// Obliviousness contract: Scan must stream blocks [lo, hi) in a fixed order
-// with an I/O pattern that is a function of (lo, hi) and public geometry
-// only — never of block contents or of what fn does to them — and must
-// invoke fn on every block exactly once, writing every block back whether
-// or not fn changed it.
+// Obliviousness contract: Scan and Verify must stream blocks [lo, hi) in a
+// fixed order with an I/O pattern that is a function of (lo, hi) and public
+// geometry only — never of block contents or of what fn does to them — and
+// must invoke fn on every block exactly once; Scan writes every block back
+// whether or not fn changed it.
 type BlockStore interface {
 	// Format sizes the store for n blocks (zeroed); prior contents are
 	// replaced.
@@ -90,16 +93,21 @@ type BlockStore interface {
 	// ScanAlign returns the block alignment scan ranges must honor; worker
 	// splits round to it so each segment is streamed by exactly one worker.
 	ScanAlign() int
+	// Begin and Commit bracket one batch's scans: every block written
+	// between them is sealed under the next epoch, and Commit makes that
+	// the epoch every block must authenticate at.
+	Begin()
+	Commit() error
 	// Scan streams blocks [lo, hi), applying fn to each block in place and
 	// writing every block back. lo and hi must be ScanAlign()-aligned
 	// (hi == NumBlocks() is always allowed). Concurrent calls over disjoint
 	// aligned ranges must be safe.
 	Scan(lo, hi int, fn func(i int, blk []byte)) error
+	// Verify streams blocks [lo, hi) read-only, authenticating each segment
+	// once and handing every block to fn.
+	Verify(lo, hi int, fn func(i int, blk []byte)) error
 	// LoadRange bulk-writes packed block data starting at block index start.
 	LoadRange(start int, data []byte) error
-	// ReadBlock copies block i into dst (export/recovery path, not the
-	// batch hot path).
-	ReadBlock(i int, dst []byte) error
 }
 
 // Stats reports where a batch spent its time (paper Fig. 12's "SubORAM
@@ -123,11 +131,10 @@ type SubORAM struct {
 	cfg     Config
 	builder *ohash.Builder // scratch reuse across batches (guarded by mu); rebuilt by setIDs
 
-	mu     sync.Mutex // serializes batches (paper: fixed batch order)
-	ids    []uint64
-	plain  []byte               // plain mode: n×BlockSize
-	sealed *enclave.SealedStore // sealed mode
-	last   Stats
+	mu    sync.Mutex // serializes batches (paper: fixed batch order)
+	ids   []uint64
+	plain []byte // n×BlockSize, unless the partition lives in cfg.Store
+	last  Stats
 
 	// Per-batch scratch, reused across batches (guarded by mu):
 	zeroBlk    []byte        // the all-zero miss response block
@@ -136,11 +143,6 @@ type SubORAM struct {
 	// noutScratch backs BatchAccessN's returned slice (valid until the
 	// next call, like every other per-batch scratch here).
 	noutScratch []*store.Requests
-
-	// Sealed-scan streaming buffers; sealedMu (not mu) guards them because
-	// scan workers run while mu is held by BatchAccess.
-	sealedMu   sync.Mutex
-	sealedBufs [][]byte
 
 	// Per-worker scan state (table binding, kernel views, hashed-ahead
 	// stripe), bound per batch under mu before workers start.
@@ -162,28 +164,6 @@ type SubORAM struct {
 	telLookup  *telemetry.Gauge
 }
 
-// takeSealedBufs pops n block buffers off the sealed-scan free list,
-// growing it as needed.
-func (s *SubORAM) takeSealedBufs(n int) [][]byte {
-	s.sealedMu.Lock()
-	defer s.sealedMu.Unlock()
-	for len(s.sealedBufs) < n {
-		s.sealedBufs = append(s.sealedBufs, make([]byte, s.cfg.BlockSize))
-	}
-	// Copy the popped entries out: the tail slots are reused by later
-	// appends, so handing out an aliasing subslice would race.
-	bufs := make([][]byte, n)
-	copy(bufs, s.sealedBufs[len(s.sealedBufs)-n:])
-	s.sealedBufs = s.sealedBufs[:len(s.sealedBufs)-n]
-	return bufs
-}
-
-func (s *SubORAM) returnSealedBufs(bufs [][]byte) {
-	s.sealedMu.Lock()
-	s.sealedBufs = append(s.sealedBufs, bufs...)
-	s.sealedMu.Unlock()
-}
-
 // New creates an empty subORAM.
 func New(cfg Config) *SubORAM {
 	if cfg.BlockSize <= 0 {
@@ -192,8 +172,11 @@ func New(cfg Config) *SubORAM {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.Store != nil && cfg.Sealed {
-		panic("suboram: Store and Sealed are mutually exclusive")
+	if cfg.Sealed {
+		if cfg.Store != nil {
+			panic("suboram: Store and Sealed are mutually exclusive")
+		}
+		cfg.Store, _ = sealedMemory(cfg, 0)
 	}
 	cfg.Hash.Rec, cfg.Hash.Pool = cfg.Rec, cfg.Pool
 	s := &SubORAM{
@@ -291,35 +274,21 @@ func (s *SubORAM) load(ids []uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.setIDs(ids)
-	if s.cfg.Store != nil {
-		// Disk-resident: size the store for the partition and stream the
-		// values in. Only the identifiers stay memory-resident (they drive
-		// the bucket addressing and must not hit the disk in the clear).
-		if err := s.cfg.Store.Format(len(ids)); err != nil {
-			return err
-		}
-		if err := s.cfg.Store.LoadRange(0, data); err != nil {
-			return err
-		}
-		s.plain = nil
-		s.sealed = nil
+	if s.cfg.Store == nil {
+		s.plain = append([]byte(nil), data...)
 		return nil
 	}
-	if s.cfg.Sealed {
-		st, err := enclave.NewSealedStore(len(ids), s.cfg.BlockSize)
-		if err != nil {
-			return err
-		}
-		for i := range ids {
-			st.Write(i, data[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize])
-		}
-		s.sealed = st
-		s.plain = nil
-	} else {
-		s.plain = append([]byte(nil), data...)
-		s.sealed = nil
+	// Size the store for the partition and stream the values in, at the
+	// committed epoch. Only the identifiers stay enclave-resident (they drive
+	// the bucket addressing and must not leave it in the clear).
+	s.plain = nil
+	if err := s.cfg.Store.Format(len(ids)); err != nil {
+		return err
 	}
-	return nil
+	if err := s.cfg.Store.LoadRange(0, data); err != nil {
+		return err
+	}
+	return s.cfg.Store.Commit()
 }
 
 // NumObjects returns the partition size.
@@ -440,15 +409,29 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	return out, nil
 }
 
-// scan runs the linear pass over the partition, fanning out across workers.
-// Each worker owns a disjoint object range and a private copy of the hash
-// table; copies are obliviously merged by found-bit afterwards, so
-// concurrent workers never race on table slots.
+// scan runs the linear pass over the partition. A store-backed partition's
+// pass is one store epoch, bracketed here and nowhere else: every segment is
+// resealed under the next epoch, so a slot the host replays from any earlier
+// batch fails this one's successor.
 func (s *SubORAM) scan(table *ohash.Table) error {
+	if s.cfg.Store == nil {
+		return s.fanOut(table)
+	}
+	s.cfg.Store.Begin()
+	if err := s.fanOut(table); err != nil {
+		return err
+	}
+	return s.cfg.Store.Commit()
+}
+
+// fanOut runs the pass across workers. Each worker owns a disjoint object
+// range and a private copy of the hash table; copies are obliviously merged
+// by found-bit afterwards, so concurrent workers never race on table slots.
+func (s *SubORAM) fanOut(table *ohash.Table) error {
 	n := len(s.ids)
 	workers := s.cfg.Workers
 	if workers > n {
-		workers = maxInt(1, n)
+		workers = max(1, n)
 	}
 	if workers <= 1 || n == 0 {
 		return s.scanRange(table, 0, n, 0)
@@ -480,7 +463,7 @@ func (s *SubORAM) scan(table *ohash.Table) error {
 		per = (per + align - 1) / align * align
 	}
 	for w := 0; w < workers; w++ {
-		lo, hi := w*per, minInt((w+1)*per, n)
+		lo, hi := w*per, min((w+1)*per, n)
 		if lo >= hi {
 			errs[w] = nil
 			continue
@@ -539,9 +522,6 @@ func (s *SubORAM) scanRange(table *ohash.Table, lo, hi, w int) error {
 	if s.cfg.Store != nil {
 		return s.cfg.Store.Scan(lo, hi, visit)
 	}
-	if s.sealed != nil {
-		return s.scanRangeSealed(lo, hi, visit)
-	}
 	for i := lo; i < hi; i++ {
 		visit(i, s.plain[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize])
 	}
@@ -587,82 +567,6 @@ func (s *SubORAM) scanOneRecorded(c *scanCtx, i int, blk []byte) {
 	s.scanOne(c, i, blk)
 }
 
-// scanRangeSealed implements the paper's §7 paging optimization: a host
-// loader thread streams (decrypts) upcoming blocks into a shared buffer
-// ahead of the scan, and a write-back thread re-seals processed blocks
-// behind it, so the enclave compute loop never stalls on storage. Every
-// block is written back whether or not it changed — ciphertext churn is
-// identical for reads and writes.
-func (s *SubORAM) scanRangeSealed(lo, hi int, visit func(i int, blk []byte)) error {
-	type item struct {
-		i   int
-		buf []byte
-		err error
-	}
-	const depth = 16
-	// The streaming buffers live on the SubORAM and are reused by every
-	// sealed scan; with Workers > 1 each concurrent range takes its own
-	// disjoint set from the shared free list.
-	bufs := s.takeSealedBufs(depth)
-	defer s.returnSealedBufs(bufs)
-	free := make(chan []byte, depth)
-	for _, b := range bufs {
-		free <- b
-	}
-	loaded := make(chan item, depth)
-	go func() { // host loader thread
-		for i := lo; i < hi; i++ {
-			buf := <-free
-			if err := s.sealed.Read(i, buf); err != nil {
-				loaded <- item{err: err}
-				close(loaded)
-				return
-			}
-			loaded <- item{i: i, buf: buf}
-		}
-		close(loaded)
-	}()
-	writeback := make(chan item, depth)
-	wbDone := make(chan struct{})
-	go func() { // write-back thread
-		defer close(wbDone)
-		for it := range writeback {
-			s.sealed.Write(it.i, it.buf)
-			free <- it.buf
-		}
-	}()
-	var firstErr error
-	for it := range loaded {
-		if it.err != nil {
-			if firstErr == nil {
-				firstErr = it.err
-			}
-			continue
-		}
-		if firstErr == nil {
-			visit(it.i, it.buf)
-		}
-		writeback <- it
-	}
-	close(writeback)
-	<-wbDone
-	return firstErr
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Restore loads the partition from a trusted state image, skipping Init's
 // duplicate/dummy-space validation: the import hook internal/persist uses
 // for crash recovery, where the image was authenticated (sealed by this
@@ -693,7 +597,6 @@ func (s *SubORAM) RestoreFromStore(ids []uint64) error {
 	defer s.mu.Unlock()
 	s.setIDs(ids)
 	s.plain = nil
-	s.sealed = nil
 	return nil
 }
 
@@ -704,22 +607,34 @@ func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {
 	defer s.mu.Unlock()
 	ids = append([]uint64(nil), s.ids...)
 	data = make([]byte, len(s.ids)*s.cfg.BlockSize)
-	if s.cfg.Store != nil {
-		for i := range s.ids {
-			if err := s.cfg.Store.ReadBlock(i, data[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize]); err != nil {
-				return nil, nil, err
-			}
-		}
+	if s.cfg.Store == nil {
+		copy(data, s.plain)
 		return ids, data, nil
 	}
-	if s.sealed != nil {
-		for i := range s.ids {
-			if err := s.sealed.Read(i, data[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize]); err != nil {
-				return nil, nil, err
-			}
-		}
-		return ids, data, nil
+	// One streaming pass: each segment is opened once, not once per block.
+	bs := s.cfg.BlockSize
+	if err := s.cfg.Store.Verify(0, len(s.ids), func(i int, blk []byte) {
+		copy(data[i*bs:(i+1)*bs], blk)
+	}); err != nil {
+		return nil, nil, err
 	}
-	copy(data, s.plain)
 	return ids, data, nil
+}
+
+// sealedMemory is the Sealed placement: the segment store over host memory,
+// formatted empty, under a key that never leaves this subORAM. It returns
+// the host memory too, which only the tests playing the host look at.
+// segBlocks is the segment size in blocks; 0 means the store's default.
+func sealedMemory(cfg Config, segBlocks int) (*segstore.Store, *hostfs.Mem) {
+	mem := hostfs.NewMem()
+	st, err := segstore.Open("", segstore.Options{
+		BlockSize: cfg.BlockSize, SegmentBlocks: segBlocks, Key: crypt.MustNewKey(), FS: mem, Telemetry: cfg.Telemetry,
+	})
+	if err == nil {
+		err = st.Format(0)
+	}
+	if err != nil {
+		panic("suboram: sealed memory store: " + err.Error()) // host memory cannot fail
+	}
+	return st, mem
 }

@@ -234,9 +234,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSealedMatchesPlain: a round trip through the sealed placement, with two
+// scan workers streaming disjoint segments of one memory file at once (the
+// part -race is for).
 func TestSealedMatchesPlain(t *testing.T) {
 	plain := newLoaded(t, Config{}, 60)
-	sealed := newLoaded(t, Config{Sealed: true, Workers: 2}, 60)
+	sealed, _ := newSealed(t, Config{Workers: 2}, 60)
 	reqs := batchOf(
 		[3]interface{}{store.OpWrite, uint64(9), value(9, 5)},
 		[3]interface{}{store.OpRead, uint64(12), nil},

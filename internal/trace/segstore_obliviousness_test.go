@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"snoopy/internal/crypt"
+	"snoopy/internal/hostfs"
 	"snoopy/internal/persist"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
@@ -11,15 +13,18 @@ import (
 	"snoopy/internal/trace"
 )
 
-// TestSegstoreTraceIndependentOfContents checks the disk-resident
-// partition's obliviousness claim end to end: the host-visible I/O — every
-// (kind, offset, length) the disk observes across segment slot reads and
-// writes, WAL appends, and registry commits — is byte-identical across
-// workloads that differ only in secrets (which objects exist, which are
-// accessed, the read/write mix, the stored values) while sharing the same
-// public shape (object count, block size, segment geometry, batch length,
-// epoch count). Workers stays 1: the Recorder is not concurrency-safe, and
-// one worker keeps the interleaving canonical.
+// TestSegstoreTraceIndependentOfContents checks the segment store's
+// obliviousness claim end to end, in both places a partition can live
+// sealed: the host-visible I/O — every (kind, offset, length) the host
+// observes across segment slot reads and writes, WAL appends, and registry
+// commits — is byte-identical across workloads that differ only in secrets
+// (which objects exist, which are accessed, the read/write mix, the stored
+// values) while sharing the same public shape (object count, block size,
+// segment geometry, batch length, epoch count). The placements: the
+// disk-resident partition under persist.SegDurable (and its recovery), and
+// the Sealed placement — the store over host memory, no persistence. Workers
+// stays 1: the Recorder is not concurrency-safe, and one worker keeps the
+// interleaving canonical.
 func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 	const (
 		n         = 64 // objects per partition (public)
@@ -28,26 +33,9 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 		segBlocks = 8 // 8 segments of 8 blocks; buffer is 1/8 the partition
 	)
 	rng := rand.New(rand.NewSource(97))
-
-	var refWrite, refRecover *trace.Recorder
-	for trial := 0; trial < 4; trial++ {
-		dir := t.TempDir()
-		rec := trace.New()
-		cfg := persist.SegConfig{
-			BlockSize: block, SegmentBlocks: segBlocks, WALRows: 16, Rec: rec,
-		}
-		build := func(ss *segstore.Store) persist.StorePartition {
-			return suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss})
-		}
-		sd, err := persist.NewSegDurable(dir, build, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, data := randomImage(rng, n)
-		if err := sd.Init(ids, data); err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < epochs; e++ {
+	workload := func(ids []uint64) []*store.Requests {
+		batches := make([]*store.Requests, epochs)
+		for e := range batches {
 			reqs := store.NewRequests(m, block)
 			perm := rng.Perm(1 << 20)
 			for i := 0; i < m; i++ {
@@ -70,17 +58,52 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 				}
 				reqs.SetRow(i, op, key, 0, uint64(i), uint64(i), val)
 			}
-			if _, err := sd.BatchAccess(reqs); err != nil {
+			batches[e] = reqs
+		}
+		return batches
+	}
+	type partition interface {
+		Init(ids []uint64, data []byte) error
+		BatchAccess(*store.Requests) (*store.Requests, error)
+	}
+	run := func(p partition, ids []uint64, data []byte, batches []*store.Requests) {
+		if err := p.Init(ids, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, reqs := range batches {
+			if _, err := p.BatchAccess(reqs); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sd.Close()
+	}
+	same := func(trial int, ref **trace.Recorder, rec *trace.Recorder, what string) {
 		if trial == 0 {
-			refWrite = rec
-		} else if !trace.Equal(refWrite, rec) {
-			t.Fatalf("trial %d: disk-resident I/O trace depends on secrets (%d events vs %d)",
-				trial, rec.Count(), refWrite.Count())
+			*ref = rec
+		} else if !trace.Equal(*ref, rec) {
+			t.Fatalf("trial %d: %s depends on secrets (%d events vs %d)", trial, what, rec.Count(), (*ref).Count())
 		}
+	}
+
+	var refWrite, refRecover, refMem *trace.Recorder
+	for trial := 0; trial < 4; trial++ {
+		ids, data := randomImage(rng, n)
+		batches := workload(ids)
+
+		dir := t.TempDir()
+		rec := trace.New()
+		cfg := persist.SegConfig{
+			BlockSize: block, SegmentBlocks: segBlocks, WALRows: 16, Rec: rec,
+		}
+		build := func(ss *segstore.Store) persist.StorePartition {
+			return suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss})
+		}
+		sd, err := persist.NewSegDurable(dir, build, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(sd, ids, data, batches)
+		sd.Close()
+		same(trial, &refWrite, rec, "disk-resident I/O trace")
 
 		// Recovery: reopening the directory streams a verification pass
 		// whose (offset, length) sequence must be content-independent too.
@@ -95,14 +118,20 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 			t.Fatal("reopen did not recover")
 		}
 		sd2.Close()
-		if trial == 0 {
-			refRecover = rrec
-		} else if !trace.Equal(refRecover, rrec) {
-			t.Fatalf("trial %d: disk-resident recovery trace depends on stored contents (%d events vs %d)",
-				trial, rrec.Count(), refRecover.Count())
+		same(trial, &refRecover, rrec, "disk-resident recovery trace")
+
+		// The Sealed placement: the same store over host memory.
+		mrec := trace.New()
+		ss, err := segstore.Open("", segstore.Options{
+			BlockSize: block, SegmentBlocks: segBlocks, Key: crypt.MustNewKey(), FS: hostfs.NewMem(), Rec: mrec,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		run(suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss}), ids, data, batches)
+		same(trial, &refMem, mrec, "sealed-memory slot trace")
 	}
-	if refWrite.Count() == 0 || refRecover.Count() == 0 {
-		t.Fatal("disk-resident partition recorded no I/O events")
+	if refWrite.Count() == 0 || refRecover.Count() == 0 || refMem.Count() == 0 {
+		t.Fatal("a placement recorded no I/O events")
 	}
 }

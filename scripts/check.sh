@@ -15,6 +15,7 @@ go vet ./...
 # -race slows the branch-free oblivious scans ~20x; the core package alone
 # needs well over go test's default 10m, hence the explicit timeout.
 go test -race -timeout 45m \
+  ./internal/hostfs/... \
   ./internal/persist/... \
   ./internal/segstore/... \
   ./internal/replica/... \
@@ -93,10 +94,11 @@ go test -race -timeout 15m -count=2 \
 # obliv.Buckets.Scan against its slot-major reference (table, any mask
 # words, every lane split, quick, fuzz seeds) and the whole-scan
 # differentials and trace comparison in suboram (plain, sealed, store,
-# Workers > 1 — the worker fan-out is the part -race is for).
+# Workers > 1 — the worker fan-out is the part -race is for), and the sealed
+# placement's tamper, replay and two-worker tests over host memory.
 go test -run 'KernelIsTheWidestBody' -v ./internal/obliv/ | grep 'bodies on this host'
 go test -race -timeout 15m -count=2 \
-  -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SlotMajorReference|ZeroAllocSteadyState' \
+  -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SlotMajorReference|ZeroAllocSteadyState|Sealed' \
   ./internal/obliv/ ./internal/suboram/
 
 # Focused re-run of merge-based response matching: MatchResponses against
@@ -128,12 +130,13 @@ go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./intern
 
 # The durable path's crash-point enumeration under -race: every write, sync,
 # truncate, rename and directory sync of every sealed file of Durable,
-# SegDurable and Journal fails (and tears) in turn, every synced prefix is
-# replayed as a rollback, and the one fuzz target's seeds mangle the rest.
-# Durable writes its log record on a second goroutine while the partition
-# scans — the part -race is for. Then the files nothing on a linux/amd64
-# host otherwise compiles: the sync call's portable fallback and the scan
-# kernel's stubs in obliv/simd_generic.go.
+# SegDurable (segment slots, data file and registry included) and Journal
+# fails (and tears) in turn, every synced prefix is replayed as a rollback,
+# and the one fuzz target's seeds mangle the rest. Durable writes its log
+# record on a second goroutine while the partition scans — the part -race is
+# for. Then the files nothing on a linux/amd64 host otherwise compiles:
+# hostfs's portable sync fallback and the scan kernel's stubs in
+# obliv/simd_generic.go.
 go test -race -timeout 15m -count=2 \
   -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots' \
   ./internal/persist/

@@ -56,7 +56,8 @@ type Config struct {
 	SubORAMWorkers int
 	SortWorkers    int
 	// Sealed keeps partitions in enclave-external authenticated-encrypted
-	// memory (the paper's §7 deployment mode).
+	// memory (the paper's §7 deployment mode): the segment store over host
+	// memory.
 	Sealed bool
 	// PipelineDepth bounds how many epochs may be in flight at once (paper
 	// §6 pipelines load-balancer and subORAM processing): stage A of epoch
@@ -83,9 +84,8 @@ type Config struct {
 	// segments (internal/segstore) instead of resident memory, so a
 	// partition can be far larger than RAM: each batch streams every
 	// segment through a small pooled buffer. Requires DataDir and is
-	// mutually exclusive with Sealed (the segment store is already
-	// enclave-external sealed storage). The I/O schedule is a function of
-	// public parameters only.
+	// mutually exclusive with Sealed (the same segment store, over host
+	// memory). The I/O schedule is a function of public parameters only.
 	DiskResident bool
 	// SegmentBytes is the approximate sealed-segment payload size in bytes
 	// for DiskResident deployments (rounded down to a whole number of
