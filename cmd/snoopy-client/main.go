@@ -107,18 +107,18 @@ func main() {
 		*retryBackoff = *epoch
 	}
 
-	// With -standbys, a supervisor promotes the next unused standby when a
+	// With -standbys, the store promotes the next unused standby when a
 	// partition fails -failover-after consecutive epochs; the threshold is
 	// public configuration, so repair timing reveals nothing about request
 	// contents.
-	var sup *snoopy.Supervisor
 	if *standbys != "" {
 		addrs := strings.Split(*standbys, ",")
 		pool := make(chan string, len(addrs))
 		for _, addr := range addrs {
 			pool <- strings.TrimSpace(addr)
 		}
-		promote := func(part int, old snoopy.SubORAM) (snoopy.SubORAM, error) {
+		cfg.FailoverAfter = *failoverAfter
+		cfg.Failover = func(part int, old snoopy.SubORAM) (snoopy.SubORAM, error) {
 			select {
 			case addr := <-pool:
 				if c, ok := old.(interface{ Close() error }); ok {
@@ -134,12 +134,6 @@ func main() {
 				return nil, fmt.Errorf("partition %d: no standbys left", part)
 			}
 		}
-		sup = snoopy.NewSupervisor(len(subs), promote, snoopy.FailoverPolicy{FailAfter: *failoverAfter})
-		sup.Instrument(reg)
-		defer sup.Close()
-		cfg.FailoverAfter = *failoverAfter
-		cfg.Failover = sup.Failover()
-		cfg.OnFailover = sup.OnFailover()
 	}
 
 	st, err := snoopy.OpenWithSubORAMs(cfg, subs)
@@ -211,13 +205,13 @@ func main() {
 				}
 				if err != nil {
 					failed.Inc()
-					if sup == nil && !idem {
+					if *standbys == "" && !idem {
 						log.Printf("op failed: %v", err)
 						return
 					}
 					// An op routed to a dead partition fails within its
-					// deadline; the supervisor is promoting a standby, so
-					// keep driving load through the outage.
+					// deadline; the store is promoting a standby, so keep
+					// driving load through the outage.
 					continue
 				}
 				lat.Add(time.Since(t0))
@@ -238,9 +232,9 @@ func main() {
 	if n := retried.Load(); n > 0 {
 		fmt.Printf("idempotent retries: %d (duplicate answers suppressed: %d)\n", n, suppressed.Load())
 	}
-	if sup != nil {
+	if *standbys != "" {
 		h := st.Health()
-		fmt.Printf("failover:   %s healthy=%v failovers=%v\n", sup.Stats(), h.Healthy(), h.Failovers)
+		fmt.Printf("failover:   healthy=%v failovers=%v failed_epochs=%v\n", h.Healthy(), h.Failovers, h.TotalFailures)
 	}
 	if reg != nil && *telemetryHold > 0 {
 		fmt.Printf("holding telemetry endpoint for %v...\n", *telemetryHold)

@@ -105,11 +105,7 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 	m := enclave.Measure(Program)
 	addrs := strings.Split(servers, ",")
 
-	sup := cluster.NewSupervisor(len(addrs), nil, cluster.Policy{
-		FailAfter:     failAfter,
-		ProbeInterval: probeInterval,
-		ProbeTimeout:  probeInterval,
-	})
+	sup := cluster.NewSupervisor(cluster.Policy{FailAfter: failAfter, ProbeInterval: probeInterval})
 	if reg != nil {
 		sup.Instrument(reg)
 	}
@@ -142,8 +138,7 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 	}
 	sup.SuperviseRoot(nil, promote)
 	// Until promoted, liveness is the primary's TCP endpoint; after, it is
-	// our own (now-primary) root. Probe outcomes feed the same
-	// consecutive-miss detector partitions use.
+	// our own (now-primary) root.
 	sup.WatchRoot(func(sys *core.System, timeout time.Duration) error {
 		if sys != nil {
 			if sys.Crashed() {

@@ -3,7 +3,6 @@ package snoopy
 import (
 	"time"
 
-	"snoopy/internal/cluster"
 	"snoopy/internal/core"
 	"snoopy/internal/planner"
 	"snoopy/internal/replica"
@@ -13,7 +12,8 @@ import (
 
 // This file exposes the paper's extension features (§6, §9, Appendix D):
 // access control, fault-tolerant/rollback-protected partitions, and the
-// latency-minimizing planner.
+// latency-minimizing planner. Partition failover needs nothing here:
+// Config.FailoverAfter and Config.Failover drive it from the epochs.
 
 // Operation codes for ACL rules.
 const (
@@ -104,32 +104,6 @@ func NewReplicatedSubORAMOptions(blockSize int, opt ReplicaOptions) (SubORAM, er
 		g.AddSpare(newRep())
 	}
 	return g, nil
-}
-
-// ---- Failure detection and failover supervision (internal/cluster) ----
-
-// FailoverPolicy sets the failure detector's thresholds. All fields are
-// public deployment parameters: detection and repair timing depend only on
-// them, never on request contents.
-type FailoverPolicy = cluster.Policy
-
-// SupervisorStats aggregates a supervisor's repair activity: detector
-// trips, promotions and failed promotions, recoveries, and
-// time-to-recovery.
-type SupervisorStats = cluster.Stats
-
-// Supervisor drives automatic failover: a consecutive-miss failure
-// detector (fed by epoch health and optional liveness probes) that calls a
-// promote hook when a partition trips, with full repair accounting. Wire
-// its Failover/OnFailover into Config, feed Store.Health() to
-// ObserveHealth each epoch (or run Watch probe loops), and read Stats.
-type Supervisor = cluster.Supervisor
-
-// NewSupervisor builds a Supervisor over parts partitions; promote
-// supplies the replacement client for a tripped partition (a dialed
-// standby, or a node restored from sealed durable state).
-func NewSupervisor(parts int, promote FailoverFunc, policy FailoverPolicy) *Supervisor {
-	return cluster.NewSupervisor(parts, promote, policy)
 }
 
 // PlanDeploymentForBudget is the §6 extension planner: given a data size,

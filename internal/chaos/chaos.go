@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"snoopy/internal/cluster"
 	"snoopy/internal/core"
 	"snoopy/internal/history"
 	"snoopy/internal/replica"
@@ -134,12 +133,10 @@ type Result struct {
 	GroupStats []replica.GroupStats
 	// Health is core's final per-partition health snapshot.
 	Health core.HealthStats
-	// SupStats is the failure-detector supervisor's own accounting, and
 	// Telemetry is the final snapshot of the run's telemetry registry
-	// (wired through core, every replica group, and the supervisor). The
-	// telemetry is a mirror of the same events, so the two must agree
-	// exactly — the harness's tests assert it for every seed.
-	SupStats  cluster.Stats
+	// (wired through core and every replica group). It mirrors the events
+	// GroupStats and Health count, so they must agree exactly — the
+	// harness's tests assert it for every seed.
 	Telemetry telemetry.Snapshot
 }
 
@@ -210,7 +207,6 @@ type harness struct {
 	groups  []*replica.Group
 	members [][]*member
 	reg     *telemetry.Registry
-	sup     *cluster.Supervisor
 
 	ops     []history.Op
 	perKey  []int
@@ -282,21 +278,15 @@ func Run(cfg Config) (*Result, error) {
 		h.res.GroupStats = append(h.res.GroupStats, g.Stats())
 	}
 	h.res.Health = h.sys.Health()
-	h.sup.Close()
-	h.res.SupStats = h.sup.Stats()
 	h.res.Telemetry = h.reg.Snapshot(0)
 	return h.res, nil
 }
 
 func (h *harness) build() error {
 	cfg := h.cfg
-	// One registry observes the whole stack; a supervisor (fed from core's
-	// per-epoch health, promotion unused here — groups self-heal) runs its
-	// failure detector alongside, so the soak can check that telemetry's
-	// failover accounting never drifts from the supervisor's own.
+	// One registry observes the whole stack, so the soak can check that
+	// telemetry never drifts from the groups' and core's own accounting.
 	h.reg = telemetry.NewRegistry()
-	h.sup = cluster.NewSupervisor(cfg.Parts, nil, cluster.Policy{})
-	h.sup.Instrument(h.reg)
 	subs := make([]core.SubORAMClient, cfg.Parts)
 	for p := 0; p < cfg.Parts; p++ {
 		n := cfg.F + cfg.R + 1
@@ -453,7 +443,6 @@ func (h *harness) runEpoch(epoch int) error {
 		pend = append(pend, pendOp{op: op, wait: wait})
 	}
 	h.sys.Flush()
-	h.sup.ObserveHealth(h.sys.Health())
 	for _, p := range pend {
 		v, found, err := p.wait()
 		h.res.Ops++

@@ -29,33 +29,14 @@ func checkRun(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// checkTelemetryAccounting asserts that the telemetry registry's failover
-// and replication counters match, exactly, the accounting the components
-// keep for themselves (Supervisor.Stats, replica.GroupStats,
-// core.HealthStats). Telemetry is an export path over the same events — any
-// drift means a recording site was added, dropped, or double-fired.
+// checkTelemetryAccounting asserts that the telemetry registry's
+// replication and failover counters match, exactly, the accounting the
+// components keep for themselves (replica.GroupStats, core.HealthStats).
+// Telemetry is an export path over the same events — any drift means a
+// recording site was added, dropped, or double-fired.
 func checkTelemetryAccounting(t *testing.T, seed int64, res *Result) {
 	t.Helper()
 	c := res.Telemetry.Counters
-
-	if got, want := c["cluster_detector_trips_total"], res.SupStats.Trips; got != want {
-		t.Fatalf("seed %d: telemetry reports %d detector trips, supervisor counted %d", seed, got, want)
-	}
-	if got, want := c["cluster_promotions_total"], res.SupStats.Promotions; got != want {
-		t.Fatalf("seed %d: telemetry reports %d promotions, supervisor counted %d", seed, got, want)
-	}
-	if got, want := c["cluster_promotion_failures_total"], res.SupStats.PromotionFailures; got != want {
-		t.Fatalf("seed %d: telemetry reports %d promotion failures, supervisor counted %d", seed, got, want)
-	}
-	var recoveries uint64
-	for _, h := range res.Telemetry.Histograms {
-		if h.Name == "cluster_time_to_recovery" {
-			recoveries = h.Count
-		}
-	}
-	if got, want := recoveries, uint64(res.SupStats.Recoveries); got != want {
-		t.Fatalf("seed %d: telemetry recorded %d recoveries, supervisor counted %d", seed, got, want)
-	}
 
 	var stale, busy, resyncs, resyncBytes, promos uint64
 	for _, g := range res.GroupStats {

@@ -125,8 +125,8 @@ type RootResult struct {
 	// answered exactly once, and every duplicate answer was suppressed
 	// and byte-identical to the first.
 	ExactlyOnce bool
-	// SupStats carries the supervisor's root-plane accounting (trips,
-	// promotions, time-to-recovery).
+	// SupStats carries the supervisor's accounting (trips, promotions,
+	// time-to-recovery).
 	SupStats cluster.Stats
 	// Telemetry is the final registry snapshot, for drift checks against
 	// SupStats.
@@ -280,9 +280,7 @@ func (h *rootHarness) build() error {
 		return err
 	}
 	h.reg = telemetry.NewRegistry()
-	h.sup = cluster.NewSupervisor(cfg.Parts, nil, cluster.Policy{
-		FailAfter: 1, ProbeInterval: time.Millisecond,
-	})
+	h.sup = cluster.NewSupervisor(cluster.Policy{FailAfter: 1, ProbeInterval: time.Millisecond})
 	h.sup.Instrument(h.reg)
 	h.sup.SuperviseRoot(root, func(old *core.System) (*core.System, error) {
 		if old != nil {

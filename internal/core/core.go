@@ -86,8 +86,6 @@ type Config struct {
 	SortWorkers    int
 	// Sealed stores partitions in enclave-external encrypted memory.
 	Sealed bool
-	// Strict enables debug validation inside subORAMs.
-	Strict bool
 	// PipelineDepth D bounds the number of epochs in flight at once
 	// (dispatched but not yet fully replied) — the epoch engine's one dial.
 	// Stages overlap across epochs (paper §6: "we can pipeline the subORAM
@@ -120,7 +118,9 @@ type Config struct {
 	SegmentBytes int
 
 	// FailoverAfter trips automatic failover for a partition after that
-	// many consecutive failed epochs (0 disables). Like every timing and
+	// many consecutive failed epochs (0 disables). Every epoch sends every
+	// partition a batch, so the epoch is the partition heartbeat and this
+	// is the one place a partition is declared down. Like every timing and
 	// threshold parameter in the system, it is public deployment
 	// configuration — failover timing reveals only that a partition is
 	// down, which the epoch schedule already makes public.
@@ -132,13 +132,10 @@ type Config struct {
 	// partition from the next epoch on. Returning an error (or nil) leaves
 	// the old client in place; the attempt is retried while the partition
 	// keeps failing. The old client is passed so the hook can close it or
-	// salvage state.
+	// salvage state. Telemetry counts attempts (core_repairs_started_total),
+	// successes (core_failovers_total) and, per success, the time from the
+	// outage's first failed epoch (core_time_to_recovery).
 	Failover FailoverFunc
-	// OnFailover, when set, observes every failover attempt: took is the
-	// time from the partition's first failed epoch of this outage (the
-	// time-to-recovery on success), err is nil when a replacement was
-	// promoted.
-	OnFailover func(part int, took time.Duration, err error)
 
 	// JournalDir, when non-empty, makes the root load balancer itself
 	// crash-tolerant: before every epoch's stage-B dispatch the system
@@ -312,9 +309,10 @@ type System struct {
 	lastEp     EpochStats
 	totalDrops uint64
 	health     HealthStats
-	// downSince[s] is when partition s's current consecutive-failure run
-	// began (zero when healthy) — the base for time-to-recovery reporting.
-	downSince []time.Time
+	// downSince[s] is the telemetry-clock reading at which partition s's
+	// latest consecutive-failure run began — the base of
+	// core_time_to_recovery.
+	downSince []int64
 	repairWG  sync.WaitGroup
 
 	// Stage-B execution plane: one long-lived worker per partition, each
@@ -376,6 +374,7 @@ type System struct {
 	telPartFails *telemetry.Counter
 	telRepairs   *telemetry.Counter
 	telFailovers *telemetry.Counter
+	telRecovery  *telemetry.Histogram
 	stStageA     *telemetry.SpanStage
 	stStageB     *telemetry.SpanStage
 	stStageC     *telemetry.SpanStage
@@ -425,7 +424,6 @@ func NewLocal(cfg Config) (*System, error) {
 					return suboram.New(suboram.Config{
 						BlockSize: cfg.BlockSize,
 						Workers:   cfg.SubORAMWorkers,
-						Strict:    cfg.Strict,
 						Store:     ss,
 						Telemetry: cfg.Telemetry,
 					})
@@ -445,7 +443,6 @@ func NewLocal(cfg Config) (*System, error) {
 		sub := suboram.New(suboram.Config{
 			BlockSize: cfg.BlockSize,
 			Workers:   cfg.SubORAMWorkers,
-			Strict:    cfg.Strict,
 			Sealed:    cfg.Sealed,
 			Telemetry: cfg.Telemetry,
 		})
@@ -543,7 +540,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 			Failovers:           make([]uint64, len(subs)),
 			Repairing:           make([]bool, len(subs)),
 		},
-		downSince: make([]time.Time, len(subs)),
+		downSince: make([]int64, len(subs)),
 		crashedCh: make(chan struct{}),
 		replyWin:  newReplyWindow(cfg.ReplyWindow),
 
@@ -553,6 +550,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		telPartFails: cfg.Telemetry.Counter("core_partition_epoch_failures_total"),
 		telRepairs:   cfg.Telemetry.Counter("core_repairs_started_total"),
 		telFailovers: cfg.Telemetry.Counter("core_failovers_total"),
+		telRecovery:  cfg.Telemetry.Histogram("core_time_to_recovery", nil),
 		stStageA:     cfg.Telemetry.Stage("stage_a_batch"),
 		stStageB:     cfg.Telemetry.Stage("stage_b_suboram"),
 		stStageC:     cfg.Telemetry.Stage("stage_c_match"),
@@ -1206,18 +1204,18 @@ func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize in
 }
 
 // finishStageB runs the epoch-completion work that must happen in epoch
-// order once every partition finished: health/failover accounting (a
-// partition whose consecutive-failure run reaches Config.FailoverAfter
-// trips automatic failover — one repair attempt at a time, retried each
-// further failing epoch until a replacement is promoted) and the batch
-// release back to the arena.
+// order once every partition finished: health/failover accounting and the
+// batch release back to the arena. This is the system's one partition
+// failure detector: the epoch is the heartbeat, and a partition whose
+// consecutive-failure run reaches Config.FailoverAfter trips automatic
+// failover — one repair attempt at a time, retried each further failing
+// epoch until a replacement is promoted.
 func (sys *System) finishStageB(job *epochJob) {
-	now := time.Now()
 	sys.statsMu.Lock()
 	for s := range job.subErr {
 		if job.subErr[s] != nil {
 			if sys.health.ConsecutiveFailures[s] == 0 {
-				sys.downSince[s] = now
+				sys.downSince[s] = sys.cfg.Telemetry.Now()
 			}
 			sys.health.ConsecutiveFailures[s]++
 			sys.health.TotalFailures[s]++
@@ -1232,9 +1230,6 @@ func (sys *System) finishStageB(job *epochJob) {
 			}
 		} else {
 			sys.health.ConsecutiveFailures[s] = 0
-			if !sys.health.Repairing[s] {
-				sys.downSince[s] = time.Time{}
-			}
 		}
 	}
 	sys.statsMu.Unlock()
@@ -1434,17 +1429,10 @@ func (sys *System) snapshotSubs() []SubORAMClient {
 func (sys *System) repair(s int, old SubORAMClient) {
 	defer sys.repairWG.Done()
 	repl, err := sys.cfg.Failover(s, old)
-	if err == nil && repl == nil {
-		err = fmt.Errorf("core: failover for partition %d returned no client", s)
-	}
-	if err != nil {
+	if err != nil || repl == nil {
 		sys.statsMu.Lock()
-		down := sys.downSince[s]
 		sys.health.Repairing[s] = false
 		sys.statsMu.Unlock()
-		if sys.cfg.OnFailover != nil {
-			sys.cfg.OnFailover(s, sinceDown(down), err)
-		}
 		return
 	}
 	sys.subsMu.Lock()
@@ -1460,24 +1448,13 @@ func (sys *System) repair(s int, old SubORAMClient) {
 		sys.dispTags[s] = tagOf(repl)
 		sys.tagMu.Unlock()
 	}
-	sys.telFailovers.Inc()
 	sys.statsMu.Lock()
+	sys.telFailovers.Inc()
+	sys.telRecovery.Observe(time.Duration(sys.cfg.Telemetry.Now() - sys.downSince[s]))
 	sys.health.ConsecutiveFailures[s] = 0
 	sys.health.Failovers[s]++
 	sys.health.Repairing[s] = false
-	down := sys.downSince[s]
-	sys.downSince[s] = time.Time{}
 	sys.statsMu.Unlock()
-	if sys.cfg.OnFailover != nil {
-		sys.cfg.OnFailover(s, sinceDown(down), nil)
-	}
-}
-
-func sinceDown(t0 time.Time) time.Duration {
-	if t0.IsZero() {
-		return 0
-	}
-	return time.Since(t0)
 }
 
 // LastEpochStats returns statistics for the most recent completed epoch.

@@ -15,6 +15,7 @@ import (
 	"snoopy/internal/persist"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
+	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
 )
 
@@ -306,28 +307,30 @@ func TestOverflowReturnsErrOverflow(t *testing.T) {
 	}
 }
 
-// TestFailoverPromotesStandby trips the automatic failover path: a
-// partition failing FailoverAfter consecutive epochs invokes the hook, a
-// failed first attempt is retried, and the promoted standby (here: the
-// flaky wrapper's healthy inner partition, standing in for a replica.Group
-// spare) serves the partition's original data from then on.
-func TestFailoverPromotesStandby(t *testing.T) {
-	const S, n = 2, 24
+// newFailoverSystem builds a two-partition system over flaky partitions,
+// loaded with keys 0..n-1 (key i holds byte i+1), whose failover hook
+// promotes partition 1's healthy inner partition — standing in for a
+// replica.Group spare. The first failFirst hook attempts error, so the
+// retry path runs; attempts counts every call.
+func newFailoverSystem(t *testing.T, n int, failFirst int32, reg *telemetry.Registry) (*System, []*flakySub, *atomic.Int32, []uint64) {
+	t.Helper()
+	const S = 2
 	flaky := make([]*flakySub, S)
 	subs := make([]SubORAMClient, S)
 	for i := range subs {
 		flaky[i] = &flakySub{inner: suboram.New(suboram.Config{BlockSize: faultBlock})}
 		subs[i] = flaky[i]
 	}
-	var attempts atomic.Int32
+	attempts := new(atomic.Int32)
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: faultBlock, NumLoadBalancers: 1, Lambda: 32,
+		Telemetry:     reg,
 		FailoverAfter: 2,
 		Failover: func(part int, old SubORAMClient) (SubORAMClient, error) {
 			if part != 1 {
 				return nil, errors.New("failover for a healthy partition")
 			}
-			if attempts.Add(1) == 1 {
+			if attempts.Add(1) <= failFirst {
 				return nil, errors.New("standby not ready yet")
 			}
 			return old.(*flakySub).inner, nil
@@ -338,39 +341,72 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	}
 	t.Cleanup(sys.Close)
 	keys := make([]uint64, n)
-	ids := make([]uint64, n)
 	data := make([]byte, n*faultBlock)
-	for i := range ids {
+	for i := range keys {
 		keys[i] = uint64(i)
-		ids[i] = uint64(i)
 		data[i*faultBlock] = byte(i + 1)
 	}
-	if err := sys.Init(ids, data); err != nil {
+	if err := sys.Init(keys, data); err != nil {
 		t.Fatal(err)
 	}
+	return sys, flaky, attempts, keys
+}
 
-	flaky[1].fail.Store(true)
-	// Epochs routed to partition 1 fail until the detector trips (2
-	// consecutive failures), the first hook attempt errors, a later failing
-	// epoch retries, and the promotion lands. The repair is asynchronous, so
-	// poll epochs until the system is whole again.
+// awaitFailover reads every key once an epoch until all answer and the
+// system is healthy. An answer is an error or the key's own value, never
+// anything else. The repair is asynchronous, and the swap precedes the
+// health update, so an epoch can succeed on the standby a moment before
+// Health counts the failover: both conditions are polled.
+func awaitFailover(t *testing.T, sys *System, keys []uint64) {
+	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		outcome := flushAsync(t, sys, keys)
+		waits := make([]func() ([]byte, bool, error), len(keys))
+		for i, k := range keys {
+			w, err := sys.ReadAsync(k)
+			if err != nil {
+				t.Fatalf("submit %d: %v", k, err)
+			}
+			waits[i] = w
+		}
+		sys.Flush()
 		bad := 0
-		for _, err := range outcome {
+		for i, w := range waits {
+			v, found, err := w()
 			if err != nil {
 				bad++
+			} else if !found || v[0] != byte(keys[i]+1) {
+				t.Fatalf("key %d: wrong answer v=%v found=%v", keys[i], v, found)
 			}
 		}
-		if bad == 0 {
-			break
+		if bad == 0 && sys.Health().Healthy() {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("failover never promoted the standby (health %+v)", sys.Health())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// recoveryHistogram returns the core_time_to_recovery snapshot, or nil.
+func recoveryHistogram(snap telemetry.Snapshot) *telemetry.HistogramSnapshot {
+	for i := range snap.Histograms {
+		if snap.Histograms[i].Name == "core_time_to_recovery" {
+			return &snap.Histograms[i]
+		}
+	}
+	return nil
+}
+
+// TestFailoverPromotesStandby trips the automatic failover path: a
+// partition failing FailoverAfter consecutive epochs invokes the hook, a
+// failed first attempt is retried, and the promoted standby serves the
+// partition's original data from then on.
+func TestFailoverPromotesStandby(t *testing.T) {
+	sys, flaky, attempts, keys := newFailoverSystem(t, 24, 1, nil)
+	flaky[1].fail.Store(true)
+	awaitFailover(t, sys, keys)
 	h := sys.Health()
 	if h.Failovers[1] < 1 {
 		t.Fatalf("no failover recorded for partition 1: %+v", h)
@@ -397,6 +433,69 @@ func TestFailoverPromotesStandby(t *testing.T) {
 		if err != nil || !found || v[0] != byte(k+1) {
 			t.Fatalf("key %d after promotion: v=%v found=%v err=%v", k, v, found, err)
 		}
+	}
+}
+
+// TestFailoverAccounting pins the outage ledger core keeps where it detects
+// the outage: a promotion that fails once and then succeeds is two repairs
+// started, one failover of that partition, and one positive time-to-recovery
+// observation, and the system is healthy afterwards.
+func TestFailoverAccounting(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sys, flaky, attempts, keys := newFailoverSystem(t, 24, 1, reg)
+	flaky[1].fail.Store(true)
+	awaitFailover(t, sys, keys)
+	h := sys.Health()
+	if h.Failovers[0] != 0 || h.Failovers[1] != 1 {
+		t.Fatalf("want exactly one failover, of partition 1: %+v", h)
+	}
+	if attempts.Load() != 2 {
+		t.Fatalf("want a failed first attempt and a successful retry, got %d attempts", attempts.Load())
+	}
+	if !h.Healthy() {
+		t.Fatalf("system not healthy after promotion: %+v", h)
+	}
+	snap := reg.Snapshot(0)
+	if got := snap.Counters["core_repairs_started_total"]; got != 2 {
+		t.Fatalf("core_repairs_started_total = %d, want 2", got)
+	}
+	if got := snap.Counters["core_failovers_total"]; got != 1 {
+		t.Fatalf("core_failovers_total = %d, want 1", got)
+	}
+	if ttr := recoveryHistogram(snap); ttr == nil || ttr.Count != 1 || ttr.SumNS <= 0 {
+		t.Fatalf("core_time_to_recovery = %+v, want one positive observation", ttr)
+	}
+}
+
+// TestFailoverTelemetryMatchesHealth crashes a partition under a hook that
+// promotes on its first try: no epoch answers a key wrongly while the
+// partition is down, the system converges to healthy, and the telemetry
+// export agrees exactly with core's own Health ledger — one recovery
+// observation per failover, and repairs started minus failovers equal to the
+// hook's failed attempts (none here).
+func TestFailoverTelemetryMatchesHealth(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sys, flaky, attempts, keys := newFailoverSystem(t, 16, 0, reg)
+	flaky[1].fail.Store(true)
+	awaitFailover(t, sys, keys)
+	h := sys.Health()
+	var failovers uint64
+	for _, f := range h.Failovers {
+		failovers += f
+	}
+	if failovers < 1 {
+		t.Fatalf("outage not accounted: %+v", h)
+	}
+	snap := reg.Snapshot(0)
+	if got := snap.Counters["core_failovers_total"]; got != failovers {
+		t.Fatalf("core_failovers_total = %d, Health counts %d failovers", got, failovers)
+	}
+	if got := snap.Counters["core_repairs_started_total"]; got != uint64(attempts.Load()) || got != failovers {
+		t.Fatalf("core_repairs_started_total = %d, want %d hook calls, all successful (%d failovers)",
+			got, attempts.Load(), failovers)
+	}
+	if ttr := recoveryHistogram(snap); ttr == nil || ttr.Count != failovers || ttr.SumNS <= 0 {
+		t.Fatalf("core_time_to_recovery = %+v, want %d positive observations", ttr, failovers)
 	}
 }
 

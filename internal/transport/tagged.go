@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"sync"
-	"time"
 
 	"snoopy/internal/arena"
 	"snoopy/internal/store"
@@ -117,10 +116,6 @@ func (l *LocalTagged) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, e
 	}
 	return outs, nil
 }
-
-// Ping implements the health-probe hook; an in-process partition is
-// reachable by construction.
-func (l *LocalTagged) Ping(time.Duration) error { return nil }
 
 // Close implements core's optional closer hook.
 func (l *LocalTagged) Close() error { return nil }

@@ -193,7 +193,7 @@ func OptionsForEpoch(epoch time.Duration) Options {
 // tagRespN frame (or to be encoded into one) and never passes through gob.
 // lbID and seq are the delivery tag of batch/response frames.
 type message struct {
-	Kind  string // "init" | "ping" | "ok" | "err" | "batchN" | "respN"
+	Kind  string // "init" | "ok" | "err" | "batchN" | "respN"
 	IDs   []uint64
 	Data  []byte
 	Error string
@@ -418,7 +418,7 @@ type ServeOptions struct {
 	// Nil creates a fresh cache.
 	Replay *ReplayCache
 	// Telemetry, when non-nil, records server-side serving counters
-	// (connections, batches, replays, stale rejects, pings, inits) and
+	// (connections, batches, replays, stale rejects, inits) and
 	// batch service latency. Every site fires once per protocol message —
 	// events the host already observes on the wire.
 	Telemetry *telemetry.Registry
@@ -434,7 +434,6 @@ type serveTel struct {
 	batches  *telemetry.Counter
 	replays  *telemetry.Counter
 	stale    *telemetry.Counter
-	pings    *telemetry.Counter
 	inits    *telemetry.Counter
 	batchDur *telemetry.Histogram
 }
@@ -454,7 +453,6 @@ func (o ServeOptions) withDefaults() ServeOptions {
 		batches:  o.Telemetry.Counter("transport_batches_served_total"),
 		replays:  o.Telemetry.Counter("transport_replays_total"),
 		stale:    o.Telemetry.Counter("transport_stale_rejects_total"),
-		pings:    o.Telemetry.Counter("transport_pings_total"),
 		inits:    o.Telemetry.Counter("transport_init_total"),
 		batchDur: o.Telemetry.Histogram("transport_batch_serve", nil),
 	}
@@ -626,14 +624,6 @@ func serveConn(sc *secureConn, sub Partition, opts ServeOptions) {
 		sc.conn.SetReadDeadline(time.Time{})
 		sc.conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
 		switch m.Kind {
-		case "ping":
-			// Liveness probe for the failure detector: proves the attested
-			// channel and the serve loop are alive. Carries and reveals
-			// nothing — probe timing is public deployment configuration.
-			opts.tel.pings.Inc()
-			if err := sc.send(&message{Kind: "ok"}); err != nil {
-				return
-			}
 		case "init":
 			opts.tel.inits.Inc()
 			reply := message{Kind: "ok"}
@@ -943,51 +933,6 @@ func clientHandshake(conn net.Conn, platform *enclave.Platform, want enclave.Mea
 		return nil, err
 	}
 	return &secureConn{conn: conn, br: br, seal: sealOut, open: sealIn}, nil
-}
-
-// Ping performs one lightweight liveness probe over the attested channel,
-// redialing (with the full attested handshake) if the channel is down.
-// timeout bounds the whole probe; zero uses DialTimeout. A failed probe is
-// reported, never retried — the failure detector layered above owns the
-// probe schedule, and probe timing derives from public configuration only.
-func (r *RemoteSubORAM) Ping(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = r.opts.DialTimeout
-	}
-	if r.isClosed() {
-		return ErrClosed
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sc := r.sc
-	if sc == nil {
-		var err error
-		sc, err = r.connect()
-		if err != nil {
-			return err
-		}
-		r.setConn(sc)
-	}
-	sc.setDeadline(timeout)
-	err := func() error {
-		if err := sc.send(&message{Kind: "ping"}); err != nil {
-			return err
-		}
-		reply, err := sc.recv()
-		if err != nil {
-			return err
-		}
-		if reply.Kind != "ok" {
-			return fmt.Errorf("transport: unexpected ping reply %q", reply.Kind)
-		}
-		return nil
-	}()
-	sc.setDeadline(0)
-	if err != nil {
-		sc.conn.Close()
-		r.setConn(nil)
-	}
-	return err
 }
 
 // Init implements core.SubORAMClient. Init is idempotent on the server (it

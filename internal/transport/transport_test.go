@@ -10,7 +10,6 @@ import (
 	"snoopy/internal/core"
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
-	"snoopy/internal/faultnet"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -75,53 +74,38 @@ func TestRemoteSubORAMRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPingProbesLiveness exercises the failure detector's heartbeat RPC: a
-// live server answers promptly, a dead one fails the probe within its
-// deadline, and a restarted one answers again after the probe's redial.
-func TestPingProbesLiveness(t *testing.T) {
-	platform := enclave.NewPlatform()
-	m := enclave.Measure("snoopy-suboram")
-	sub := suboram.New(suboram.Config{BlockSize: testBlock})
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
+// TestUnknownControlKindFailsClosed: a control message the server does not
+// serve — including the retired liveness probe — is answered "err" and
+// the connection keeps serving.
+func TestUnknownControlKindFailsClosed(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := raw.Addr().String()
-	l := faultnet.WrapListener(raw, nil)
-	go ServeSubORAM(l, sub, platform, m)
-
-	r, err := DialOptions(addr, platform, m, Options{DialTimeout: 2 * time.Second}.NoRetries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Ping(time.Second); err != nil {
-		t.Fatalf("ping against live server: %v", err)
-	}
-
-	// Kill the server: listener and every live connection die at once.
-	l.Kill()
-	if err := r.Ping(500 * time.Millisecond); err == nil {
-		t.Fatal("ping against dead server succeeded")
-	}
-
-	// Restart on the same address: the probe's single redial re-attests and
-	// succeeds again.
-	l2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("cannot rebind %s: %v", addr, err)
-	}
-	defer l2.Close()
-	go ServeSubORAM(l2, sub, platform, m)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := r.Ping(time.Second); err == nil {
-			break
+	defer l.Close()
+	c, s := tcpPair(t, l)
+	defer c.Close()
+	cc, sc := loopbackSecure(t, c, s)
+	go func() {
+		defer s.Close()
+		serveConn(sc, &recordingPartition{}, ServeOptions{}.withDefaults())
+	}()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, kind := range []string{"ping", "bogus", "ok", "init"} {
+		if err := cc.send(&message{Kind: kind}); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("ping never recovered after server restart")
+		reply, err := cc.recv()
+		if err != nil {
+			t.Fatalf("%q: %v", kind, err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		want := "err"
+		if kind == "init" { // the connection still serves what it knows
+			want = "ok"
+		}
+		if reply.Kind != want {
+			t.Fatalf("%q answered %q, want %q", kind, reply.Kind, want)
+		}
 	}
 }
 

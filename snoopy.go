@@ -125,13 +125,9 @@ type Config struct {
 	// typically a dialed standby server or a node restored from sealed
 	// durable state. At most one attempt per partition is in flight at a
 	// time; an error leaves the partition degraded and the attempt is
-	// retried on the next failing epoch. NewSupervisor wires a
-	// probe-driven detector around this hook.
+	// retried on the next failing epoch. Health reports the outcome, and
+	// Telemetry counts attempts, failovers and time-to-recovery.
 	Failover FailoverFunc
-	// OnFailover, if set, observes each completed failover attempt: took
-	// is the outage duration (first failed epoch to successful swap) and
-	// err is nil on success.
-	OnFailover func(part int, took time.Duration, err error)
 	// Telemetry, when non-nil, receives the deployment's counters,
 	// histograms, and per-epoch stage spans (see NewTelemetry). Every
 	// instrument name, bucket boundary, and recording site is a function
@@ -176,7 +172,6 @@ func Open(cfg Config) (*Store, error) {
 		ReplyWindow:      cfg.ReplyWindow,
 		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
-		OnFailover:       cfg.OnFailover,
 		Telemetry:        cfg.Telemetry,
 	})
 	if err != nil {
@@ -199,7 +194,6 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		ReplyWindow:      cfg.ReplyWindow,
 		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
-		OnFailover:       cfg.OnFailover,
 		Telemetry:        cfg.Telemetry,
 	}, subs)
 	if err != nil {
