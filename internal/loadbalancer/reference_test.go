@@ -190,12 +190,14 @@ func TestCostFunctionsCountTheEpoch(t *testing.T) {
 // responses (Tag=0) before the requests (Tag=1) they answer.
 type byKeyTag struct{ *store.Requests }
 
-func (s byKeyTag) Greater(i, j int) uint8 {
+func (s byKeyTag) GreaterRun(g []uint8, i, j int) {
 	r := s.Requests
-	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
-	keyEq := obliv.EqU64(r.Key[i], r.Key[j])
-	tagGt := obliv.GtU64(uint64(r.Tag[i]), uint64(r.Tag[j]))
-	return obliv.Or(keyGt, obliv.And(keyEq, tagGt))
+	for t := range g {
+		keyGt := obliv.GtU64(r.Key[i+t], r.Key[j+t])
+		keyEq := obliv.EqU64(r.Key[i+t], r.Key[j+t])
+		tagGt := obliv.GtU64(uint64(r.Tag[i+t]), uint64(r.Tag[j+t]))
+		g[t] = obliv.Or(keyGt, obliv.And(keyEq, tagGt))
+	}
 }
 
 // refMatchResponses is the sort-based matching this package used before the

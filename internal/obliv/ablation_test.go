@@ -30,6 +30,7 @@ func CompactLogShift(s Swapper, marks []uint8) {
 	// Both arrays are swapped alongside the payload, branch-free.
 	dist := make([]uint64, n)
 	live := make([]uint8, n)
+	one := make([]uint8, 1) // its pairs overlap one another: each is a run of one
 	rank := uint64(0)
 	for i := 0; i < n; i++ {
 		mi := marks[i]
@@ -46,10 +47,11 @@ func CompactLogShift(s Swapper, marks []uint8) {
 			// Move the element at j left by step iff it is live and bit k
 			// of its remaining distance is set.
 			c := live[j] & uint8((dist[j]>>uint(k))&1)
-			s.OSwap(c, j-step, j)
+			one[0] = c
+			s.SwapRun(one, j-step, j)
 			// Swap metadata with the same condition.
 			CondSwapU64(c, &dist[j-step], &dist[j])
-			CondSwapU8(c, &live[j-step], &live[j])
+			SwapRunU8(one, live[j-step:], live[j:])
 			// Clear the routed bit on the element now at j-step.
 			CondSetU64(c, &dist[j-step], dist[j-step]&^bit)
 		}
@@ -67,9 +69,9 @@ const wideBlock = 160
 
 func (w wideRows) Len() int { return len(w.key) }
 
-func (w wideRows) OSwap(c uint8, i, j int) {
-	CondSwapU64(c, &w.key[i], &w.key[j])
-	CondSwapBytes(c, w.data[i*wideBlock:(i+1)*wideBlock], w.data[j*wideBlock:(j+1)*wideBlock])
+func (w wideRows) SwapRun(c []uint8, i, j int) {
+	SwapRunU64(c, w.key[i:], w.key[j:])
+	SwapRunBlocks(c, w.data[i*wideBlock:], w.data[j*wideBlock:], wideBlock)
 }
 
 func BenchmarkCompaction(b *testing.B) {

@@ -119,16 +119,18 @@ func TestCompactQuick(t *testing.T) {
 	}
 }
 
-// traceSwapper records OSwap positions to verify the compaction trace is a
+// traceSwapper records swap positions to verify the compaction trace is a
 // function of length only — not of the mark bits.
 type traceSwapper struct {
 	U64Slice
 	ops []int64
 }
 
-func (ts *traceSwapper) OSwap(c uint8, i, j int) {
-	ts.ops = append(ts.ops, int64(i)<<32|int64(j))
-	ts.U64Slice.OSwap(c, i, j)
+func (ts *traceSwapper) SwapRun(c []uint8, i, j int) {
+	for t := range c {
+		ts.ops = append(ts.ops, int64(i+t)<<32|int64(j+t))
+	}
+	ts.U64Slice.SwapRun(c, i, j)
 }
 
 func TestCompactTraceOblivious(t *testing.T) {

@@ -1,5 +1,7 @@
 package obliv
 
+import "math/bits"
+
 // Constant-time predicates and conditional moves. All functions in this file
 // are branch-free: control flow never depends on argument values. Conditions
 // are uint8 values that must be exactly 0 or 1.
@@ -10,18 +12,18 @@ func Mask64(c uint8) uint64 { return -uint64(c & 1) }
 // MaskByte expands a 0/1 condition to an 8-bit mask (0x00 or 0xFF).
 func MaskByte(c uint8) byte { return -(c & 1) }
 
-// LtU64 returns 1 if x < y, else 0, without branching.
+// LtU64 returns 1 if x < y, else 0: the borrow of x − y, one SUB/SBB pair
+// whose execution time does not depend on the operands.
 func LtU64(x, y uint64) uint8 {
-	// Standard borrow-propagation trick: the top bit of
-	// (~x & y) | ((~x | y) & (x - y)) is the borrow of x - y.
-	return uint8(((^x & y) | ((^x | y) & (x - y))) >> 63)
+	_, b := bits.Sub64(x, y, 0)
+	return uint8(b)
 }
 
 // GtU64 returns 1 if x > y, else 0.
 func GtU64(x, y uint64) uint8 { return LtU64(y, x) }
 
 // GeU64 returns 1 if x >= y, else 0.
-func GeU64(x, y uint64) uint8 { return 1 - LtU64(x, y) }
+func GeU64(x, y uint64) uint8 { return LtU64(x, y) ^ 1 }
 
 // EqU64 returns 1 if x == y, else 0.
 func EqU64(x, y uint64) uint8 {
@@ -105,24 +107,6 @@ func CondCopyBytes(c uint8, dst, src []byte) {
 	mb := MaskByte(c)
 	for i := n; i < len(dst); i++ {
 		dst[i] ^= mb & (dst[i] ^ src[i])
-	}
-}
-
-// CondSwapBytes exchanges a and b if c == 1. len(a) must equal len(b).
-func CondSwapBytes(c uint8, a, b []byte) {
-	if len(a) != len(b) {
-		panic("obliv: CondSwapBytes length mismatch")
-	}
-	// A conditional swap is the fused access with both masks equal:
-	// a' = a^(m&(a^b)), b' = b^(m&(a^b)).
-	m := Mask64(c)
-	n := len(a) &^ 7
-	fusedWords(m, m, a, b, n)
-	mb := MaskByte(c)
-	for i := n; i < len(a); i++ {
-		t := mb & (a[i] ^ b[i])
-		a[i] ^= t
-		b[i] ^= t
 	}
 }
 

@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// refLtU64 is the five-operation borrow formula LtU64 used before it took
+// the borrow of bits.Sub64: the top bit of (¬x ∧ y) ∨ ((¬x ∨ y) ∧ (x − y)).
+func refLtU64(x, y uint64) uint8 {
+	return uint8(((^x & y) | ((^x | y) & (x - y))) >> 63)
+}
+
 func TestLtU64(t *testing.T) {
 	cases := []struct {
 		x, y uint64
@@ -23,6 +29,18 @@ func TestLtU64(t *testing.T) {
 			t.Errorf("LtU64(%d,%d) = %d, want %d", c.x, c.y, got, c.want)
 		}
 	}
+	// Every pair of the edges 0, 1, 2, 2⁶³−1, 2⁶³, 2⁶⁴−1 against the formula.
+	edges := []uint64{0, 1, 2, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for _, x := range edges {
+		for _, y := range edges {
+			if got, want := LtU64(x, y), refLtU64(x, y); got != want {
+				t.Errorf("LtU64(%#x,%#x) = %d, formula says %d", x, y, got, want)
+			}
+			if GtU64(x, y) != refLtU64(y, x) || GeU64(x, y) != 1-refLtU64(x, y) {
+				t.Errorf("GtU64/GeU64(%#x,%#x) disagree with the formula", x, y)
+			}
+		}
+	}
 }
 
 func TestPredicatesQuick(t *testing.T) {
@@ -33,7 +51,8 @@ func TestPredicatesQuick(t *testing.T) {
 		eq := EqU64(x, y) == 1
 		ne := NeqU64(x, y) == 1
 		return lt == (x < y) && gt == (x > y) &&
-			ge == (x >= y) && eq == (x == y) && ne == (x != y)
+			ge == (x >= y) && eq == (x == y) && ne == (x != y) &&
+			LtU64(x, y) == refLtU64(x, y) && GtU64(x, y) == refLtU64(y, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -90,13 +109,13 @@ func TestCondBytes(t *testing.T) {
 		}
 
 		a = append([]byte(nil), a0...)
-		CondSwapBytes(0, a, b)
+		SwapRunBlocks([]uint8{0}, a, b, n)
 		if !bytes.Equal(a, a0) || !bytes.Equal(b, b0) {
-			t.Fatalf("n=%d: CondSwapBytes(0) modified operands", n)
+			t.Fatalf("n=%d: SwapRunBlocks([0]) modified operands", n)
 		}
-		CondSwapBytes(1, a, b)
+		SwapRunBlocks([]uint8{1}, a, b, n)
 		if !bytes.Equal(a, b0) || !bytes.Equal(b, a0) {
-			t.Fatalf("n=%d: CondSwapBytes(1) did not swap", n)
+			t.Fatalf("n=%d: SwapRunBlocks([1]) did not swap", n)
 		}
 	}
 }

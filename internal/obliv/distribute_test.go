@@ -8,18 +8,20 @@ import (
 )
 
 // routed is the reference Router: values with their destinations alongside,
-// recording every OSwap position.
+// recording every swap position.
 type routed struct {
 	val, tgt []uint64
 	ops      []int64
 }
 
-func (r *routed) Len() int            { return len(r.val) }
-func (r *routed) Target(i int) uint64 { return r.tgt[i] }
-func (r *routed) OSwap(c uint8, i, j int) {
-	r.ops = append(r.ops, int64(i)<<32|int64(j))
-	CondSwapU64(c, &r.val[i], &r.val[j])
-	CondSwapU64(c, &r.tgt[i], &r.tgt[j])
+func (r *routed) Len() int                    { return len(r.val) }
+func (r *routed) Targets(dst []uint64, i int) { copy(dst, r.tgt[i:i+len(dst)]) }
+func (r *routed) SwapRun(c []uint8, i, j int) {
+	for t, ct := range c {
+		r.ops = append(r.ops, int64(i+t)<<32|int64(j+t))
+		CondSwapU64(ct, &r.val[i+t], &r.val[j+t])
+		CondSwapU64(ct, &r.tgt[i+t], &r.tgt[j+t])
+	}
 }
 
 const fillerBit = uint64(1) << 40
@@ -62,7 +64,7 @@ func checkScatter(t testing.TB, occ []bool) {
 		}
 	}
 	if got, want := len(r.ops), CompactCost(len(occ)); got != want {
-		t.Fatalf("m=%d: %d OSwaps, CompactCost says %d", len(occ), got, want)
+		t.Fatalf("m=%d: %d swaps, CompactCost says %d", len(occ), got, want)
 	}
 }
 
@@ -138,7 +140,7 @@ func TestDistributeInvertsCompact(t *testing.T) {
 	}
 }
 
-// The OSwap position sequence is a function of Len() alone: destination
+// The swap position sequence is a function of Len() alone: destination
 // sets of every density — secret in every caller — leave it unchanged.
 func TestDistributeTraceOblivious(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -172,7 +174,7 @@ func TestCompactCostCountsCompact(t *testing.T) {
 		ts := &traceSwapper{U64Slice: make(U64Slice, n)}
 		Compact(ts, make([]uint8, n))
 		if len(ts.ops) != CompactCost(n) {
-			t.Fatalf("n=%d: Compact did %d OSwaps, CompactCost says %d", n, len(ts.ops), CompactCost(n))
+			t.Fatalf("n=%d: Compact did %d swaps, CompactCost says %d", n, len(ts.ops), CompactCost(n))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import "math/bits"
 // values: run lengths are public parameters, so the schedule leaks nothing.
 //
 // Like Sort, MergeSorted is not stable; callers that need a deterministic
-// order for equal keys must fold a tiebreaker into Greater.
+// order for equal keys must fold a tiebreaker into GreaterRun.
 func MergeSorted(s Sorter, runs []int) {
 	total := 0
 	for _, r := range runs {
@@ -23,13 +23,15 @@ func MergeSorted(s Sorter, runs []int) {
 	if total != s.Len() {
 		panic("obliv: MergeSorted run lengths do not cover the sequence")
 	}
-	mergeRuns(s, 0, runs)
+	b := getRunBuf()
+	mergeRuns(s, b, 0, runs)
+	b.release()
 }
 
 // mergeRuns merges the consecutive runs starting at lo via a balanced binary
 // tree of two-run merges: left half of the runs, right half, then the pair.
 // The tree shape depends only on len(runs), keeping the schedule public.
-func mergeRuns(s Sorter, lo int, runs []int) int {
+func mergeRuns(s Sorter, b *runBuf, lo int, runs []int) int {
 	switch len(runs) {
 	case 0:
 		return 0
@@ -37,15 +39,16 @@ func mergeRuns(s Sorter, lo int, runs []int) int {
 		return runs[0]
 	}
 	h := len(runs) / 2
-	a := mergeRuns(s, lo, runs[:h])
-	b := mergeRuns(s, lo+a, runs[h:])
-	mergeTwoRuns(s, lo, a, b)
-	return a + b
+	x := mergeRuns(s, b, lo, runs[:h])
+	y := mergeRuns(s, b, lo+x, runs[h:])
+	mergeTwoRuns(s, b, lo, x, y)
+	return x + y
 }
 
 // mergeTwoRuns merges the ascending runs s[lo:lo+a] and s[lo+a:lo+a+b] into
 // one ascending run. It first reverses the left run with unconditional swaps
-// (a fixed permutation — no data-dependent access), turning the concatenation
+// (a fixed permutation — no data-dependent access; its pairs do not form a
+// run, so each is a run of one), turning the concatenation
 // into a "v-shaped" sequence (descending then ascending, with an arbitrary
 // inflection point). Lang's arbitrary-length bitonicMerge sorts exactly that
 // class: at every level the m = 2^⌊log n⌋ window compare-exchanges push the
@@ -54,14 +57,16 @@ func mergeRuns(s Sorter, lo int, runs []int) int {
 // directly forms a Λ-shaped sequence, which the arbitrary-length network does
 // NOT sort (e.g. [2,3,1] stays broken); see TestMergeTwoRunsZeroOne for the
 // exhaustive 0/1-principle check of the v-shaped claim.
-func mergeTwoRuns(s Sorter, lo, a, b int) {
+func mergeTwoRuns(s Sorter, buf *runBuf, lo, a, b int) {
 	if a == 0 || b == 0 {
 		return
 	}
+	one := buf.c[:1]
+	one[0] = 1
 	for i := 0; i < a/2; i++ {
-		s.OSwap(1, lo+i, lo+a-1-i)
+		s.SwapRun(one, lo+i, lo+a-1-i)
 	}
-	bitonicMerge(s, lo, a+b, true)
+	bitonicMerge(s, buf, lo, a+b, true)
 }
 
 // MergeSortedCost returns the number of row operations MergeSorted will

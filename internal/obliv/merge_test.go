@@ -114,7 +114,7 @@ func TestMergeTwoRunsZeroOne(t *testing.T) {
 						u[i] = 1
 						ones++
 					}
-					mergeTwoRuns(u, 0, a, b)
+					mergeTwoRuns(u, getRunBuf(), 0, a, b)
 					for i := range u {
 						want := uint64(0)
 						if i >= n-ones {
@@ -130,24 +130,28 @@ func TestMergeTwoRunsZeroOne(t *testing.T) {
 	}
 }
 
-// mergeTraceSorter records the position sequence of every Greater and OSwap call —
-// but not values or swap conditions — so tests can prove the schedule is a
-// function of the run lengths alone.
+// mergeTraceSorter records the position sequence of every compared and every
+// swapped pair — but not values or swap conditions — so tests can prove the
+// schedule is a function of the run lengths alone.
 type mergeTraceSorter struct {
 	u     U64Slice
-	trace [][3]int // {op (0=Greater, 1=OSwap), i, j}
+	trace [][3]int // {op (0=compare, 1=swap), i, j}
 }
 
 func (ts *mergeTraceSorter) Len() int { return len(ts.u) }
 
-func (ts *mergeTraceSorter) OSwap(c uint8, i, j int) {
-	ts.trace = append(ts.trace, [3]int{1, i, j})
-	ts.u.OSwap(c, i, j)
+func (ts *mergeTraceSorter) SwapRun(c []uint8, i, j int) {
+	for t := range c {
+		ts.trace = append(ts.trace, [3]int{1, i + t, j + t})
+	}
+	ts.u.SwapRun(c, i, j)
 }
 
-func (ts *mergeTraceSorter) Greater(i, j int) uint8 {
-	ts.trace = append(ts.trace, [3]int{0, i, j})
-	return ts.u.Greater(i, j)
+func (ts *mergeTraceSorter) GreaterRun(g []uint8, i, j int) {
+	for t := range g {
+		ts.trace = append(ts.trace, [3]int{0, i + t, j + t})
+	}
+	ts.u.GreaterRun(g, i, j)
 }
 
 // TestMergeSortedTraceFixed: two secret-differing inputs with the same public
@@ -185,10 +189,10 @@ func TestMergeSortedTraceFixed(t *testing.T) {
 }
 
 // TestMergeSortedCostAccounting pins the cost model to reality: the number of
-// OSwap calls MergeSorted makes (one per compare-exchange, one per reversal
-// swap) equals MergeSortedCost, the number of Greater calls Sort makes
-// equals SortCost, and at >=4 equal runs merging is strictly cheaper than
-// re-sorting — the tentpole's asymptotic claim, checked concretely.
+// pairs MergeSorted swaps (one per compare-exchange, one per reversal swap)
+// equals MergeSortedCost, the number of pairs Sort compares equals SortCost,
+// and at >=4 equal runs merging is strictly cheaper than re-sorting — the
+// tentpole's asymptotic claim, checked concretely.
 func TestMergeSortedCostAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, runs := range [][]int{{100, 100}, {64, 64, 64, 64}, {33, 57, 12, 90, 41}} {

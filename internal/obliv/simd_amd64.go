@@ -51,6 +51,25 @@ func kernels() []isa {
 //go:noescape
 func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool)
 
+// swapBlocksVec is the vector block pass of SwapRunBlocks: for t < n, the
+// first size&^31 bytes of blocks t of a and b are exchanged iff c[t] == 1.
+//
+//go:noescape
+func swapBlocksVec(c, a, b *byte, n, size int)
+
+// swapU64sVec, swapU32sVec and swapU8sVec are the vector column passes of
+// SwapRunU64, SwapRunU32 and SwapRunU8 over the first n elements; n must be
+// a positive multiple of 4, 8 and 8 respectively.
+//
+//go:noescape
+func swapU64sVec(c *byte, a, b *uint64, n int)
+
+//go:noescape
+func swapU32sVec(c *byte, a, b *uint32, n int)
+
+//go:noescape
+func swapU8sVec(c, a, b *byte, n int)
+
 //go:noescape
 func fusedAccessAsm(mw, mrw uint64, obj, slot *byte, n int)
 

@@ -159,6 +159,136 @@ copy8:
 copydone:
 	RET
 
+// func swapU64sVec(c *byte, a, b *uint64, n int)
+// func swapU32sVec(c *byte, a, b *uint32, n int)
+// func swapU8sVec(c *byte, a, b *byte, n int)
+// For t < n (n > 0 and a multiple of 4, 8 and 8 lanes respectively), with
+// the lane mask m = -c[t] widened to the element:
+//
+//	d = (a[t]^b[t]) & m;  a[t] ^= d;  b[t] ^= d
+#define SWAPLANES(scale) \
+	VMOVDQU (SI)(AX*scale), Y1 \
+	VMOVDQU (DI)(AX*scale), Y2 \
+	VPXOR Y1, Y2, Y3 \
+	VPAND Y0, Y3, Y3 \
+	VPXOR Y3, Y1, Y1 \
+	VPXOR Y3, Y2, Y2 \
+	VMOVDQU Y1, (SI)(AX*scale) \
+	VMOVDQU Y2, (DI)(AX*scale)
+
+TEXT ·swapU64sVec(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ n+24(FP), CX
+	VPXOR Y7, Y7, Y7
+	XORQ AX, AX
+
+u64s:
+	VPMOVZXBQ (R8)(AX*1), Y0
+	VPSUBQ Y0, Y7, Y0
+	SWAPLANES(8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  u64s
+	VZEROUPPER
+	RET
+
+TEXT ·swapU32sVec(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ n+24(FP), CX
+	VPXOR Y7, Y7, Y7
+	XORQ AX, AX
+
+u32s:
+	VPMOVZXBD (R8)(AX*1), Y0
+	VPSUBD Y0, Y7, Y0
+	SWAPLANES(4)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  u32s
+	VZEROUPPER
+	RET
+
+TEXT ·swapU8sVec(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ CX, R9
+	ANDQ $-32, R9
+	VPXOR Y7, Y7, Y7
+	XORQ AX, AX
+	JMP  u8next
+
+u8s:
+	VMOVDQU (R8)(AX*1), Y0
+	VPSUBB Y0, Y7, Y0
+	SWAPLANES(1)
+	ADDQ $32, AX
+
+u8next:
+	CMPQ AX, R9
+	JLT  u8s
+
+	// Eight lanes at a time in a general register: c·0xFF is 0x00 or 0xFF
+	// in every byte.
+u8w:
+	CMPQ AX, CX
+	JGE  u8done
+	MOVQ (R8)(AX*1), BX
+	IMULQ $0xff, BX
+	MOVQ (SI)(AX*1), R10
+	MOVQ (DI)(AX*1), R11
+	MOVQ R10, DX
+	XORQ R11, DX
+	ANDQ BX, DX
+	XORQ DX, R10
+	XORQ DX, R11
+	MOVQ R10, (SI)(AX*1)
+	MOVQ R11, (DI)(AX*1)
+	ADDQ $8, AX
+	JMP  u8w
+
+u8done:
+	VZEROUPPER
+	RET
+
+// func swapBlocksVec(c, a, b *byte, n, size int)
+// For t < n, with m = -c[t] in every lane and blocks size bytes apart
+// (size >= 32), the first size&^31 bytes of block t of a and of b are
+// exchanged under m, as in the column passes above.
+TEXT ·swapBlocksVec(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ size+32(FP), DX
+	MOVQ DX, R9
+	ANDQ $-32, R9
+
+blkrow:
+	MOVBQZX (R8), BX
+	NEGQ BX
+	VMOVQ BX, X0
+	VPBROADCASTQ X0, Y0
+	XORQ AX, AX
+
+blkcol:
+	SWAPLANES(1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  blkcol
+	ADDQ DX, SI
+	ADDQ DX, DI
+	INCQ R8
+	DECQ CX
+	JNE  blkrow
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

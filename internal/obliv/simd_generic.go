@@ -15,6 +15,16 @@ func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint
 	panic("obliv: no vector kernel in this build")
 }
 
+// swapBlocksVec is the vector block pass; no body here selects it.
+func swapBlocksVec(c, a, b *byte, n, size int) {
+	panic("obliv: no vector kernel in this build")
+}
+
+// The vector column passes; no body here selects them.
+func swapU64sVec(c *byte, a, b *uint64, n int) { panic("obliv: no vector kernel in this build") }
+func swapU32sVec(c *byte, a, b *uint32, n int) { panic("obliv: no vector kernel in this build") }
+func swapU8sVec(c, a, b *byte, n int)          { panic("obliv: no vector kernel in this build") }
+
 // fusedWords applies obj' = obj^(mw&(obj^slot)), slot' = slot^(mrw&(obj^slot))
 // to the first n bytes of both slices. n must be a multiple of 8 and no
 // larger than either length.

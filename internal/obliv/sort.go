@@ -5,64 +5,94 @@ import (
 	"sync"
 )
 
-// Swapper is a collection supporting oblivious conditional swaps. OSwap must
-// exchange elements i and j iff cond == 1, touching both elements with an
-// access pattern independent of cond.
+// Swapper is a collection an oblivious network exchanges a run at a time.
+// Every layer of every network in this package is a run of pairs
+// (i+t, j+t), t < n, at public positions; SwapRun exchanges elements i+t
+// and j+t iff c[t] == 1, for every t < len(c), touching all of them whatever
+// the conditions. The two halves of a run never overlap (i+len(c) <= j), and
+// SwapRun must not write c.
 type Swapper interface {
 	Len() int
-	OSwap(cond uint8, i, j int)
+	SwapRun(c []uint8, i, j int)
 }
 
-// Sorter extends Swapper with a branch-free ordering predicate: Greater
-// returns 1 iff element i must be placed strictly after element j.
+// Sorter extends Swapper with a branch-free ordering predicate: GreaterRun
+// sets g[t] = 1 iff element i+t must be placed strictly after element j+t,
+// else 0, for every t < len(g).
 type Sorter interface {
 	Swapper
-	Greater(i, j int) uint8
+	GreaterRun(g []uint8, i, j int)
 }
+
+// runLen is the longest run a network hands a collection in one call; a
+// longer layer goes in chunks of this public length, so the conditions of
+// one call stay in L1 beside the rows they steer.
+const runLen = 256
+
+// runBuf is a network's condition scratch. It comes from a pool rather than
+// the stack: a slice passed to an interface method escapes, so a local array
+// would cost an allocation per network call.
+type runBuf struct {
+	c   [runLen]uint8
+	tgt [2 * runLen]uint64 // Distribute's targets: both halves of a run
+}
+
+var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
+
+func getRunBuf() *runBuf { return runBufs.Get().(*runBuf) }
+
+func (b *runBuf) release() { runBufs.Put(b) }
 
 // Sort obliviously sorts s in ascending order using Batcher's bitonic
 // network, generalized to arbitrary lengths (H.W. Lang's variant). The
 // sequence of (i, j) compare-exchange positions depends only on s.Len();
 // it performs O(n log² n) compare-exchanges. Sorting is not stable; callers
-// that need stability must fold a tiebreaker into Greater.
+// that need stability must fold a tiebreaker into GreaterRun.
 func Sort(s Sorter) {
-	bitonicSort(s, 0, s.Len(), true)
+	b := getRunBuf()
+	bitonicSort(s, b, 0, s.Len(), true)
+	b.release()
 }
 
 // bitonicSort sorts s[lo:lo+n] ascending if up, descending otherwise.
-func bitonicSort(s Sorter, lo, n int, up bool) {
+func bitonicSort(s Sorter, b *runBuf, lo, n int, up bool) {
 	if n <= 1 {
 		return
 	}
 	m := n / 2
-	bitonicSort(s, lo, m, !up)
-	bitonicSort(s, lo+m, n-m, up)
-	bitonicMerge(s, lo, n, up)
+	bitonicSort(s, b, lo, m, !up)
+	bitonicSort(s, b, lo+m, n-m, up)
+	bitonicMerge(s, b, lo, n, up)
 }
 
 // bitonicMerge merges the bitonic sequence s[lo:lo+n] into ascending
 // (up) or descending order.
-func bitonicMerge(s Sorter, lo, n int, up bool) {
+func bitonicMerge(s Sorter, b *runBuf, lo, n int, up bool) {
 	if n <= 1 {
 		return
 	}
 	m := greatestPowerOfTwoLessThan(n)
-	for i := lo; i < lo+n-m; i++ {
-		compareSwap(s, i, i+m, up)
-	}
-	bitonicMerge(s, lo, m, up)
-	bitonicMerge(s, lo+m, n-m, up)
+	compareExchange(s, b, lo, lo+m, n-m, up)
+	bitonicMerge(s, b, lo, m, up)
+	bitonicMerge(s, b, lo+m, n-m, up)
 }
 
-func compareSwap(s Sorter, i, j int, up bool) {
-	g := s.Greater(i, j) // 1 if element i belongs after element j
-	var dir uint8
-	if up {
-		dir = 1
+// compareExchange runs the n compare-exchanges (i+t, j+t) of one layer.
+func compareExchange(s Sorter, b *runBuf, i, j, n int, up bool) {
+	for n > 0 {
+		k := min(n, runLen)
+		c := b.c[:k]
+		s.GreaterRun(c, i, j) // 1 where element i+t belongs after j+t
+		if !up {
+			// Ascending swaps where i+t is greater, descending where it is
+			// not. The branch depends only on the public direction.
+			for t := range c {
+				c[t] ^= 1
+			}
+		}
+		s.SwapRun(c, i, j)
+		i, j, n = i+k, j+k, n-k
 	}
-	// Ascending: swap when i is greater. Descending: swap when i is not
-	// greater. The branch above depends only on the public direction.
-	s.OSwap(g^dir^1, i, j)
 }
 
 func greatestPowerOfTwoLessThan(n int) int {
@@ -82,11 +112,10 @@ func SortParallel(s Sorter, workers int) {
 		Sort(s)
 		return
 	}
-	sem := make(chan struct{}, workers-1)
-	var p parSorter
-	p.s = s
-	p.sem = sem
-	p.sort(0, s.Len(), true)
+	p := parSorter{s: s, sem: make(chan struct{}, workers-1)}
+	b := getRunBuf()
+	p.sort(b, 0, s.Len(), true)
+	b.release()
 }
 
 // parallelGrain is the subproblem size below which the parallel sorter stops
@@ -98,46 +127,48 @@ type parSorter struct {
 	sem chan struct{}
 }
 
-// tryGo runs f on a fresh goroutine if a worker slot is free, signalling wg;
-// otherwise it runs f inline and returns false.
-func (p *parSorter) tryGo(wg *sync.WaitGroup, f func()) {
+// tryGo runs f on a fresh goroutine, with a condition buffer of its own, if
+// a worker slot is free, signalling wg; otherwise it runs f inline on b.
+func (p *parSorter) tryGo(wg *sync.WaitGroup, b *runBuf, f func(*runBuf)) {
 	select {
 	case p.sem <- struct{}{}:
 		wg.Add(1)
 		go func() {
+			own := getRunBuf()
 			defer func() {
+				own.release()
 				<-p.sem
 				wg.Done()
 			}()
-			f()
+			f(own)
 		}()
 	default:
-		f()
+		f(b)
 	}
 }
 
-func (p *parSorter) sort(lo, n int, up bool) {
+func (p *parSorter) sort(b *runBuf, lo, n int, up bool) {
 	if n <= 1 {
 		return
 	}
 	if n < parallelGrain {
-		bitonicSort(p.s, lo, n, up)
+		bitonicSort(p.s, b, lo, n, up)
 		return
 	}
 	m := n / 2
 	var wg sync.WaitGroup
-	p.tryGo(&wg, func() { p.sort(lo, m, !up) })
-	p.sort(lo+m, n-m, up)
+	p.tryGo(&wg, b, func(b *runBuf) { p.sort(b, lo, m, !up) })
+	p.sort(b, lo+m, n-m, up)
 	wg.Wait()
-	p.merge(lo, n, up)
+	p.merge(b, lo, n, up)
 }
 
-func (p *parSorter) merge(lo, n int, up bool) {
+func (p *parSorter) merge(b *runBuf, lo, n int, up bool) {
 	if n <= 1 {
 		return
 	}
 	if n < parallelGrain {
-		bitonicMerge(p.s, lo, n, up)
+		bitonicMerge(p.s, b, lo, n, up)
 		return
 	}
 	m := greatestPowerOfTwoLessThan(n)
@@ -149,27 +180,17 @@ func (p *parSorter) merge(lo, n int, up bool) {
 	}
 	var wg sync.WaitGroup
 	for off := 0; off < span; off += chunk {
-		end := off + chunk
-		if end > span {
-			end = span
-		}
-		lo, m, off, end := lo, m, off, end
-		if end < span {
-			p.tryGo(&wg, func() {
-				for i := lo + off; i < lo+end; i++ {
-					compareSwap(p.s, i, i+m, up)
-				}
-			})
+		i, k := lo+off, min(chunk, span-off)
+		if off+k < span {
+			p.tryGo(&wg, b, func(b *runBuf) { compareExchange(p.s, b, i, i+m, k, up) })
 		} else {
-			for i := lo + off; i < lo+end; i++ {
-				compareSwap(p.s, i, i+m, up)
-			}
+			compareExchange(p.s, b, i, i+m, k, up)
 		}
 	}
 	wg.Wait()
 	var wg2 sync.WaitGroup
-	p.tryGo(&wg2, func() { p.merge(lo, m, up) })
-	p.merge(lo+m, n-m, up)
+	p.tryGo(&wg2, b, func(b *runBuf) { p.merge(b, lo, m, up) })
+	p.merge(b, lo+m, n-m, up)
 	wg2.Wait()
 }
 
@@ -198,6 +219,11 @@ type U64Slice []uint64
 
 func (u U64Slice) Len() int { return len(u) }
 
-func (u U64Slice) OSwap(c uint8, i, j int) { CondSwapU64(c, &u[i], &u[j]) }
+func (u U64Slice) SwapRun(c []uint8, i, j int) { SwapRunU64(c, u[i:], u[j:]) }
 
-func (u U64Slice) Greater(i, j int) uint8 { return GtU64(u[i], u[j]) }
+func (u U64Slice) GreaterRun(g []uint8, i, j int) {
+	a, b := u[i:i+len(g)], u[j:j+len(g)]
+	for t := range g {
+		g[t] = GtU64(a[t], b[t])
+	}
+}

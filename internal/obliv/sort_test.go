@@ -15,12 +15,12 @@ type traceSorter struct {
 	ops []int64
 }
 
-func (ts *traceSorter) OSwap(c uint8, i, j int) {
-	ts.ops = append(ts.ops, int64(i)<<32|int64(j))
-	ts.Sorter.OSwap(c, i, j)
+func (ts *traceSorter) SwapRun(c []uint8, i, j int) {
+	for t := range c {
+		ts.ops = append(ts.ops, int64(i+t)<<32|int64(j+t))
+	}
+	ts.Sorter.SwapRun(c, i, j)
 }
-
-func (ts *traceSorter) Greater(i, j int) uint8 { return ts.Sorter.Greater(i, j) }
 
 func randU64s(rng *rand.Rand, n int) U64Slice {
 	u := make(U64Slice, n)
@@ -151,16 +151,18 @@ type recSorter struct {
 
 func (s *recSorter) Len() int { return len(s.r) }
 
-func (s *recSorter) OSwap(c uint8, i, j int) {
-	CondSwapU64(c, &s.r[i].key, &s.r[j].key)
-	CondSwapU64(c, &s.r[i].seq, &s.r[j].seq)
+func (s *recSorter) SwapRun(c []uint8, i, j int) {
+	for t, ct := range c {
+		CondSwapU64(ct, &s.r[i+t].key, &s.r[j+t].key)
+		CondSwapU64(ct, &s.r[i+t].seq, &s.r[j+t].seq)
+	}
 }
 
-func (s *recSorter) Greater(i, j int) uint8 {
-	keyGt := GtU64(s.r[i].key, s.r[j].key)
-	keyEq := EqU64(s.r[i].key, s.r[j].key)
-	seqLt := LtU64(s.r[i].seq, s.r[j].seq)
-	return Or(keyGt, And(keyEq, seqLt))
+func (s *recSorter) GreaterRun(g []uint8, i, j int) {
+	for t := range g {
+		a, b := s.r[i+t], s.r[j+t]
+		g[t] = Or(GtU64(a.key, b.key), And(EqU64(a.key, b.key), LtU64(a.seq, b.seq)))
+	}
 }
 
 func max(a, b int) int {

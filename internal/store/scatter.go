@@ -7,11 +7,16 @@ import (
 
 // BySlot routes records for obliv.Distribute: Sub holds the destination
 // slot plus one, zero meaning none, so the destination travels with the
-// record through every OSwap at no extra cost.
+// record through every swap at no extra cost.
 type BySlot struct{ *Requests }
 
-// Target implements obliv.Router; Sub == 0 wraps to obliv.NoTarget.
-func (s BySlot) Target(i int) uint64 { return uint64(s.Sub[i]) - 1 }
+// Targets implements obliv.Router; Sub == 0 wraps to obliv.NoTarget.
+func (s BySlot) Targets(dst []uint64, i int) {
+	sub := s.Sub[i : i+len(dst)]
+	for t := range dst {
+		dst[t] = uint64(sub[t]) - 1
+	}
+}
 
 // OClearRow obliviously zeroes record i — making it a dummy read of key 0 —
 // iff c == 1.
@@ -47,7 +52,7 @@ func (r *Requests) OClearRow(c uint8, i int) {
 // Obliviousness: Compact and Distribute run fixed schedules in the public
 // lengths; both linear passes touch every record in index order. The kept
 // count, ranks and destination slots — all secret — only feed branch-free
-// masks and OSwap conditions.
+// masks and swap conditions.
 func (r *Requests) ScatterRuns(keep []uint8, groups, z int, padBase, padStride uint64) {
 	var kept uint64
 	for _, k := range keep {

@@ -10,6 +10,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 
 	"snoopy/internal/obliv"
 	"snoopy/internal/trace"
@@ -195,17 +196,54 @@ func (r *Requests) Block(i int) []byte {
 	return r.Data[i*r.BlockSize : (i+1)*r.BlockSize]
 }
 
-// OSwap obliviously exchanges records i and j iff c == 1.
-func (r *Requests) OSwap(c uint8, i, j int) {
-	r.Rec.Record(trace.KindSwap, i, j)
-	obliv.CondSwapU8(c, &r.Op[i], &r.Op[j])
-	obliv.CondSwapU64(c, &r.Key[i], &r.Key[j])
-	obliv.CondSwapU32(c, &r.Sub[i], &r.Sub[j])
-	obliv.CondSwapU8(c, &r.Tag[i], &r.Tag[j])
-	obliv.CondSwapU8(c, &r.Aux[i], &r.Aux[j])
-	obliv.CondSwapU64(c, &r.Seq[i], &r.Seq[j])
-	obliv.CondSwapU64(c, &r.Client[i], &r.Client[j])
-	obliv.CondSwapBytes(c, r.Block(i), r.Block(j))
+// SwapRun implements obliv.Swapper: records i+t and j+t are exchanged iff
+// c[t] == 1, for every t < len(c).
+func (r *Requests) SwapRun(c []uint8, i, j int) { r.swapRun(c, i, j, true) }
+
+// shortRun is the run length below which swapRun exchanges metadata row by
+// row: a streaming pass costs each column a call and its setup, which runs
+// of one to a few pairs — the bottom layers of every network — do not pay
+// back.
+const shortRun = 8
+
+// swapRun exchanges a run of records: Op, Key, Sub, Seq and Client, and if
+// wide also Tag, Aux and the value blocks. A long run moves each column in
+// one streaming pass under the run's masks; the value blocks always move by
+// one kernel call per run. Which path runs depends on len(c) alone.
+func (r *Requests) swapRun(c []uint8, i, j int, wide bool) {
+	if r.Rec != nil {
+		for t := range c {
+			r.Rec.Record(trace.KindSwap, i+t, j+t)
+		}
+	}
+	if len(c) < shortRun {
+		for t, ct := range c {
+			x, y := i+t, j+t
+			obliv.CondSwapU8(ct, &r.Op[x], &r.Op[y])
+			obliv.CondSwapU64(ct, &r.Key[x], &r.Key[y])
+			obliv.CondSwapU32(ct, &r.Sub[x], &r.Sub[y])
+			obliv.CondSwapU64(ct, &r.Seq[x], &r.Seq[y])
+			obliv.CondSwapU64(ct, &r.Client[x], &r.Client[y])
+			if wide {
+				obliv.CondSwapU8(ct, &r.Tag[x], &r.Tag[y])
+				obliv.CondSwapU8(ct, &r.Aux[x], &r.Aux[y])
+			}
+		}
+	} else {
+		obliv.SwapRunU8(c, r.Op[i:], r.Op[j:])
+		obliv.SwapRunU64(c, r.Key[i:], r.Key[j:])
+		obliv.SwapRunU32(c, r.Sub[i:], r.Sub[j:])
+		obliv.SwapRunU64(c, r.Seq[i:], r.Seq[j:])
+		obliv.SwapRunU64(c, r.Client[i:], r.Client[j:])
+		if wide {
+			obliv.SwapRunU8(c, r.Tag[i:], r.Tag[j:])
+			obliv.SwapRunU8(c, r.Aux[i:], r.Aux[j:])
+		}
+	}
+	if wide {
+		bs := r.BlockSize
+		obliv.SwapRunBlocks(c, r.Data[i*bs:], r.Data[j*bs:], bs)
+	}
 }
 
 // OCopyRow obliviously sets record dst = record src iff c == 1.
@@ -337,6 +375,14 @@ func Concat(a, b *Requests) *Requests {
 	return out
 }
 
+// The orderings below decide a run of compare-exchanges with one borrow
+// chain per pair: element i+t belongs after element j+t iff its key tuple is
+// greater, i.e. iff subtracting it from j+t's tuple — least significant word
+// first, bits.Sub64 carrying the borrow — borrows out of the most
+// significant word. Every word of both tuples is read and the same
+// instructions run whatever they hold, so execution time does not depend on
+// the inputs.
+
 // BySubKeyWriteSeq orders records for load-balancer batch construction
 // (paper Fig. 5 step ➌): by subORAM, then key — dummy keys carry the top
 // bit, so dummies sink to the end of each subORAM group while duplicates
@@ -345,20 +391,21 @@ func Concat(a, b *Requests) *Requests {
 // last-write-wins representative.
 type BySubKeyWriteSeq struct{ *Requests }
 
-// Greater implements obliv.Sorter.
-func (s BySubKeyWriteSeq) Greater(i, j int) uint8 {
-	r := s.Requests
-	subGt := obliv.GtU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	subEq := obliv.EqU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
-	keyEq := obliv.EqU64(r.Key[i], r.Key[j])
-	// Within a duplicate run: writes (Op=1) first → i after j if Op_i < Op_j.
-	opLt := obliv.LtU64(uint64(r.Op[i]), uint64(r.Op[j]))
-	opEq := obliv.EqU64(uint64(r.Op[i]), uint64(r.Op[j]))
-	seqLt := obliv.LtU64(r.Seq[i], r.Seq[j])
-	inner := obliv.Or(opLt, obliv.And(opEq, seqLt))
-	return obliv.Or(subGt,
-		obliv.And(subEq, obliv.Or(keyGt, obliv.And(keyEq, inner))))
+// GreaterRun implements obliv.Sorter over the tuple (Sub, Key, ^Op, ^Seq):
+// a higher Op (a write) and a higher Seq come first.
+func (s BySubKeyWriteSeq) GreaterRun(g []uint8, i, j int) {
+	r, n := s.Requests, len(g)
+	subI, subJ := r.Sub[i:i+n], r.Sub[j:j+n]
+	keyI, keyJ := r.Key[i:i+n], r.Key[j:j+n]
+	opI, opJ := r.Op[i:i+n], r.Op[j:j+n]
+	seqI, seqJ := r.Seq[i:i+n], r.Seq[j:j+n]
+	for t := range g {
+		_, b := bits.Sub64(^seqJ[t], ^seqI[t], 0)
+		_, b = bits.Sub64(uint64(^opJ[t]), uint64(^opI[t]), b)
+		_, b = bits.Sub64(keyJ[t], keyI[t], b)
+		_, b = bits.Sub64(uint64(subJ[t]), uint64(subI[t]), b)
+		g[t] = uint8(b)
+	}
 }
 
 // BySubKeyTag orders records for response matching (paper Fig. 6 step ➋):
@@ -367,29 +414,36 @@ func (s BySubKeyWriteSeq) Greater(i, j int) uint8 {
 // they answer.
 type BySubKeyTag struct{ *Requests }
 
-// Greater implements obliv.Sorter.
-func (s BySubKeyTag) Greater(i, j int) uint8 {
-	r := s.Requests
-	subGt := obliv.GtU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	subEq := obliv.EqU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
-	keyEq := obliv.EqU64(r.Key[i], r.Key[j])
-	tagGt := obliv.GtU64(uint64(r.Tag[i]), uint64(r.Tag[j]))
-	return obliv.Or(subGt,
-		obliv.And(subEq, obliv.Or(keyGt, obliv.And(keyEq, tagGt))))
+// GreaterRun implements obliv.Sorter over the tuple (Sub, Key, Tag).
+func (s BySubKeyTag) GreaterRun(g []uint8, i, j int) {
+	r, n := s.Requests, len(g)
+	subI, subJ := r.Sub[i:i+n], r.Sub[j:j+n]
+	keyI, keyJ := r.Key[i:i+n], r.Key[j:j+n]
+	tagI, tagJ := r.Tag[i:i+n], r.Tag[j:j+n]
+	for t := range g {
+		_, b := bits.Sub64(uint64(tagJ[t]), uint64(tagI[t]), 0)
+		_, b = bits.Sub64(keyJ[t], keyI[t], b)
+		_, b = bits.Sub64(uint64(subJ[t]), uint64(subI[t]), b)
+		g[t] = uint8(b)
+	}
 }
 
 // BySubKey orders records by (Sub, Key); used by hash-table construction
 // where Sub holds the bucket index and dummy keys must sink within buckets.
 type BySubKey struct{ *Requests }
 
-// Greater implements obliv.Sorter.
-func (s BySubKey) Greater(i, j int) uint8 {
-	r := s.Requests
-	subGt := obliv.GtU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	subEq := obliv.EqU64(uint64(r.Sub[i]), uint64(r.Sub[j]))
-	keyGt := obliv.GtU64(r.Key[i], r.Key[j])
-	return obliv.Or(subGt, obliv.And(subEq, keyGt))
+// GreaterRun implements obliv.Sorter over the tuple (Sub, Key).
+func (s BySubKey) GreaterRun(g []uint8, i, j int) { greaterSubKey(s.Requests, g, i, j) }
+
+func greaterSubKey(r *Requests, g []uint8, i, j int) {
+	n := len(g)
+	subI, subJ := r.Sub[i:i+n], r.Sub[j:j+n]
+	keyI, keyJ := r.Key[i:i+n], r.Key[j:j+n]
+	for t := range g {
+		_, b := bits.Sub64(keyJ[t], keyI[t], 0)
+		_, b = bits.Sub64(uint64(subJ[t]), uint64(subI[t]), b)
+		g[t] = uint8(b)
+	}
 }
 
 // MetaBySubKey orders records like BySubKey but exchanges only a request's
@@ -399,19 +453,11 @@ func (s BySubKey) Greater(i, j int) uint8 {
 // cost of the narrow columns alone.
 type MetaBySubKey struct{ *Requests }
 
-// Greater implements obliv.Sorter.
-func (s MetaBySubKey) Greater(i, j int) uint8 { return BySubKey(s).Greater(i, j) }
+// GreaterRun implements obliv.Sorter over the tuple (Sub, Key).
+func (s MetaBySubKey) GreaterRun(g []uint8, i, j int) { greaterSubKey(s.Requests, g, i, j) }
 
-// OSwap implements obliv.Swapper over the metadata columns.
-func (s MetaBySubKey) OSwap(c uint8, i, j int) {
-	r := s.Requests
-	r.Rec.Record(trace.KindSwap, i, j)
-	obliv.CondSwapU8(c, &r.Op[i], &r.Op[j])
-	obliv.CondSwapU64(c, &r.Key[i], &r.Key[j])
-	obliv.CondSwapU32(c, &r.Sub[i], &r.Sub[j])
-	obliv.CondSwapU64(c, &r.Seq[i], &r.Seq[j])
-	obliv.CondSwapU64(c, &r.Client[i], &r.Client[j])
-}
+// SwapRun implements obliv.Swapper over the metadata columns.
+func (s MetaBySubKey) SwapRun(c []uint8, i, j int) { s.swapRun(c, i, j, false) }
 
 // StampOrder declares the row order of a response batch to the load
 // balancer that will match it: the rows ascend by (bucket, key), where

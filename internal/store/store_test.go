@@ -12,16 +12,16 @@ func TestOSwapAndCopy(t *testing.T) {
 	r.SetRow(0, OpWrite, 10, 3, 100, 7, []byte("alpha"))
 	r.SetRow(1, OpRead, 20, 5, 200, 8, []byte("beta"))
 
-	r.OSwap(0, 0, 1)
+	r.SwapRun([]uint8{0}, 0, 1)
 	if r.Key[0] != 10 || r.Key[1] != 20 {
-		t.Fatal("OSwap(0) swapped")
+		t.Fatal("SwapRun([0]) swapped")
 	}
-	r.OSwap(1, 0, 1)
+	r.SwapRun([]uint8{1}, 0, 1)
 	if r.Key[0] != 20 || r.Key[1] != 10 || r.Op[0] != OpRead || r.Op[1] != OpWrite {
-		t.Fatal("OSwap(1) failed")
+		t.Fatal("SwapRun([1]) failed")
 	}
 	if !bytes.HasPrefix(r.Block(0), []byte("beta")) || !bytes.HasPrefix(r.Block(1), []byte("alpha")) {
-		t.Fatal("OSwap(1) did not swap data blocks")
+		t.Fatal("SwapRun([1]) did not swap data blocks")
 	}
 
 	r.OCopyRow(1, 0, 1)

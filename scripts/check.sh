@@ -144,10 +144,12 @@ GOOS=darwin GOARCH=arm64 go build ./...
 
 # The portable bodies (the purego tag drops every assembly kernel, as a
 # non-amd64 build does): the amd64 host otherwise never runs them. This
-# covers the table-order Extract and the miss zeroing behind it too, and
-# the kernels at every bucket size the geometry grid can pick (Z ≤ 128).
+# covers the table-order Extract and the miss zeroing behind it too, the
+# kernels at every bucket size the geometry grid can pick (Z ≤ 128), and
+# the portable row kernels under the networks' per-pair differential and
+# the load-balancer suites.
 go vet -tags purego ./internal/obliv/
-go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/
+go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/ ./internal/store/ ./internal/loadbalancer/
 
 # The leakage suite's canonical exports must not depend on how many
 # threads record spans: run it serial, at two and at four — and with it the
