@@ -43,65 +43,20 @@ func (s *Store) WriteAs(user, key uint64, value []byte) (previous []byte, ok boo
 }
 
 // NewReplicatedSubORAM builds a partition replicated across f+r+1 local
-// nodes, tolerating f crashes and r rollback attacks, with a trusted
-// monotonic counter detecting stale replicas (paper §9). The result plugs
-// into OpenWithSubORAMs like any partition.
+// nodes, tolerating f crashed or stalled nodes and r rollback attacks, with
+// a trusted monotonic counter detecting stale replicas (paper §9). A stale
+// node is restored from a current one at the next batch; losing more than
+// f nodes fails the partition, which Config.Failover handles. The result
+// plugs into OpenWithSubORAMs like any partition.
 func NewReplicatedSubORAM(blockSize, f, r int, sealed bool) (SubORAM, error) {
-	return NewReplicatedSubORAMOptions(blockSize, ReplicaOptions{F: f, R: r, Sealed: sealed})
-}
-
-// ReplicaOptions configures a self-healing replicated partition. Every
-// field is public deployment configuration.
-type ReplicaOptions struct {
-	// F and R are the tolerated crash and rollback counts; the group has
-	// F+R+1 members.
-	F, R int
-	// Spares adds standby members that hold no state until promoted; when
-	// auto-heal finds a member unreachable it promotes a spare in its
-	// place and resynchronizes it from a fresh peer.
-	Spares int
-	// AutoHealAfter, when > 0, resynchronizes stale members and promotes
-	// spares for unreachable ones after a member misses that many
-	// consecutive batches. The resync transfer is a whole sealed
-	// partition image — its size is a public function of partition
-	// geometry, so rejoin leaks nothing beyond what Theorem 3 already
-	// makes public.
-	AutoHealAfter int
-	// ReplyTimeout bounds each member's reply per batch (0 = wait
-	// forever); members that miss it are counted failed for that batch
-	// and the quorum proceeds without them.
-	ReplyTimeout time.Duration
-	// Sealed keeps member partitions in enclave-external sealed memory.
-	Sealed bool
-}
-
-// NewReplicatedSubORAMOptions is NewReplicatedSubORAM with self-healing
-// knobs: standby spares, automatic resync/promotion, and a per-batch reply
-// deadline (paper §9 plus the repair loop that returns a faulted group to
-// full health).
-func NewReplicatedSubORAMOptions(blockSize int, opt ReplicaOptions) (SubORAM, error) {
-	n := opt.F + opt.R + 1
-	newRep := func() *replica.Replica {
-		return replica.NewReplica(suboram.New(suboram.Config{
-			BlockSize: blockSize, Sealed: opt.Sealed,
-		}))
+	// NewGroup rejects negative bounds; max keeps make from panicking first.
+	members := make([]replica.Client, max(f+r+1, 0))
+	for i := range members {
+		members[i] = replica.NewNode(suboram.New(suboram.Config{BlockSize: blockSize, Sealed: sealed}))
 	}
-	reps := make([]*replica.Replica, n)
-	for i := range reps {
-		reps[i] = newRep()
-	}
-	g, err := replica.NewGroup(reps, nil, opt.F, opt.R)
+	g, err := replica.NewGroup(members, nil, f, r)
 	if err != nil {
 		return nil, err
-	}
-	if opt.ReplyTimeout > 0 {
-		g.SetTimeout(opt.ReplyTimeout)
-	}
-	if opt.AutoHealAfter > 0 {
-		g.SetAutoHeal(opt.AutoHealAfter)
-	}
-	for i := 0; i < opt.Spares; i++ {
-		g.AddSpare(newRep())
 	}
 	return g, nil
 }

@@ -1,25 +1,28 @@
 // Package chaos is a deterministic, seeded fault-injection harness for the
 // full self-healing stack: a core.System over replicated partitions
-// (replica.Group with auto-heal and spares) is driven through a seeded
-// schedule of kill / stall / rollback / restart events while client
-// operations run, and the recorded history is checked for linearizability
-// (internal/history). The harness also checks the convergence invariant:
-// within K epochs of the last fault, every partition reports healthy again.
+// (replica.Group quorums) is driven through a seeded schedule of kill /
+// stall / rollback / restart events while client operations run, and the
+// recorded history is checked for linearizability (internal/history). The
+// harness also checks the convergence invariant: within K epochs of the
+// last fault, every partition reports healthy again.
 //
-// The schedule is a pure function of Config.Seed: which member fails, how,
-// and at which epoch boundary depends only on the seeded generator and the
-// harness's own bookkeeping — never on wall-clock timing — so a failing
-// seed replays exactly. (Reply timing and therefore per-epoch miss counts
-// do vary run to run; the invariants checked are timing-independent.)
+// Faults live in the harness's node wrapper, not in replica: a killed node
+// fails every call, a stalled one holds its batches until released, and a
+// rolled-back one is restored to its initial sealed image and epoch. The
+// schedule is a pure function of Config.Seed, and at every epoch boundary
+// the harness waits until each unstalled member has answered every batch
+// issued, so the outcome replays too: a seed gives the same failed
+// operations, convergence epoch and group counters on every run.
 //
 // Socket-level fault injection (severed attested channels, stalled frames)
 // is exercised separately by internal/faultnet with the transport and core
-// failover tests; this harness drives the replica-layer hooks, where the §9
-// failure model (crashes and sealed-state rollbacks) lives.
+// failover tests; this harness drives member faults, where the §9 failure
+// model (crashes and sealed-state rollbacks) lives.
 package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,11 +43,9 @@ type Config struct {
 	// Parts is the number of logical partitions, each a replica.Group.
 	Parts int
 	// F and R are each group's fault bounds: the schedule keeps at most F
-	// concurrent crash-type faults (kill, stall) and R concurrent
-	// rollbacks per group, matching the f+r+1 sizing of §9.
+	// members killed or stalled and at most R rolled back or restarted but
+	// not yet re-admitted, matching the f+r+1 sizing of §9.
 	F, R int
-	// Spares is the number of standby replicas registered per group.
-	Spares int
 	// Keys is the object count; BlockSize the value size.
 	Keys, BlockSize int
 	// Epochs is the fault phase length; OpsPerEpoch the client load.
@@ -52,10 +53,6 @@ type Config struct {
 	// K is the convergence budget: after the recovery actions that follow
 	// the fault phase, every partition must be healthy within K epochs.
 	K int
-	// HealAfter is the groups' auto-heal threshold (consecutive misses).
-	HealAfter int
-	// Timeout is the groups' per-member reply deadline.
-	Timeout time.Duration
 	// Seed drives the event schedule and the workload.
 	Seed int64
 	// Log, when non-nil, narrates events (e.g. t.Logf).
@@ -72,11 +69,6 @@ func (c *Config) fillDefaults() {
 	if c.R <= 0 {
 		c.R = 1
 	}
-	if c.Spares < 0 {
-		c.Spares = 0
-	} else if c.Spares == 0 {
-		c.Spares = 1
-	}
 	if c.Keys <= 0 {
 		c.Keys = 16
 	}
@@ -92,21 +84,6 @@ func (c *Config) fillDefaults() {
 	if c.K <= 0 {
 		c.K = 6
 	}
-	if c.HealAfter <= 0 {
-		c.HealAfter = 2
-	}
-	if c.Timeout <= 0 {
-		// Generous enough that a healthy member never misses it (a
-		// miss-everything epoch can leave every member stale with no fresh
-		// donor — a real outage beyond the f+r bound, which no group
-		// recovers from); small enough that the one full-deadline wait each
-		// stall event costs stays cheap. The race detector slows batches by
-		// an order of magnitude, so its deadline scales accordingly.
-		c.Timeout = 500 * time.Millisecond
-		if raceEnabled {
-			c.Timeout = 2 * time.Second
-		}
-	}
 }
 
 // Event is one scheduled fault or recovery action.
@@ -119,7 +96,7 @@ type Event struct {
 // Result summarizes one run.
 type Result struct {
 	// Ops and FailedOps count completed client operations and those that
-	// returned errors (expected during outages; each still got a reply).
+	// returned errors (none while every group stays within its budget).
 	Ops, FailedOps int
 	// Events is the full schedule that ran, in order.
 	Events []Event
@@ -129,7 +106,7 @@ type Result struct {
 	// partition to report healthy, or -1 if the K budget ran out.
 	ConvergedAfter int
 	// GroupStats are the per-partition replication counters at the end
-	// (stale replies, busy skips, resyncs/bytes/epochs, promotions).
+	// (stale replies, resyncs/bytes/epochs, fresh members).
 	GroupStats []replica.GroupStats
 	// Health is core's final per-partition health snapshot.
 	Health core.HealthStats
@@ -140,73 +117,109 @@ type Result struct {
 	Telemetry telemetry.Snapshot
 }
 
-// node is a chaos-controllable partition replica: a real subORAM whose
-// BatchAccess can be stalled indefinitely (wedged enclave, dead host behind
-// a live session) and released later. Export/Restore pass through so the
-// node works as a resync donor and receiver.
+var errDown = errors.New("chaos: node down")
+
+// node is a chaos-controllable group member: a replica.Node whose host can
+// be killed (every call fails), stalled (batches and restores wait until
+// released: a wedged enclave, a dead host behind a live session) or rolled
+// back (the initial sealed image and its epoch come back together).
 type node struct {
-	inner *suboram.SubORAM
+	*replica.Node
+	ids  []uint64
+	data []byte
 
 	mu   sync.Mutex
-	gate chan struct{}
+	dead bool
+	gate chan struct{} // non-nil while stalled
 }
 
 func newNode(blockSize int) *node {
-	return &node{inner: suboram.New(suboram.Config{BlockSize: blockSize})}
+	return &node{Node: replica.NewNode(suboram.New(suboram.Config{BlockSize: blockSize}))}
 }
 
-func (n *node) stall() {
+// set kills or stalls the node, or with neither brings it back up and
+// releases a stalled call.
+func (n *node) set(killed, stalled bool) {
 	n.mu.Lock()
-	if n.gate == nil {
+	defer n.mu.Unlock()
+	n.dead = killed
+	if stalled && n.gate == nil {
 		n.gate = make(chan struct{})
-	}
-	n.mu.Unlock()
-}
-
-func (n *node) unstall() {
-	n.mu.Lock()
-	if n.gate != nil {
+	} else if !stalled && n.gate != nil {
 		close(n.gate)
 		n.gate = nil
 	}
-	n.mu.Unlock()
 }
 
-func (n *node) Init(ids []uint64, data []byte) error { return n.inner.Init(ids, data) }
-
-func (n *node) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+// enter waits out a stall, then fails if the node is killed.
+func (n *node) enter() error {
 	n.mu.Lock()
 	gate := n.gate
 	n.mu.Unlock()
 	if gate != nil {
 		<-gate
 	}
-	return n.inner.BatchAccess(reqs)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.dead {
+		return errDown
+	}
+	return nil
 }
 
-func (n *node) Export() (ids []uint64, data []byte, err error) { return n.inner.Export() }
+func (n *node) Init(ids []uint64, data []byte) error {
+	n.ids, n.data = append([]uint64(nil), ids...), append([]byte(nil), data...)
+	return n.Node.Init(ids, data)
+}
 
-func (n *node) Restore(ids []uint64, data []byte) error { return n.inner.Restore(ids, data) }
+func (n *node) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	if err := n.enter(); err != nil {
+		return nil, err
+	}
+	return n.Node.BatchAccess(reqs)
+}
 
-// member tracks the harness's deterministic view of one original group
-// member. (Auto-heal may promote a spare in a member's place; events aimed
-// at a replaced member are harmless no-ops on the group.)
+func (n *node) Restore(ids []uint64, data []byte, epoch uint64) error {
+	if err := n.enter(); err != nil {
+		return err
+	}
+	return n.Node.Restore(ids, data, epoch)
+}
+
+// Export fails on a killed or stalled node instead of waiting: a stale
+// member waits for its donor's export, and settle waits on every unstalled
+// member, so a stalled donor must not hold one. (The group itself survives
+// a donor whose Export blocks; replica's tests cover that.)
+func (n *node) Export() ([]uint64, []byte, uint64, error) {
+	n.mu.Lock()
+	down := n.dead || n.gate != nil
+	n.mu.Unlock()
+	if down {
+		return nil, nil, 0, errDown
+	}
+	return n.Node.Export()
+}
+
+// rollback is the §9 attack: the host restarts the enclave from its initial
+// sealed image, so state and sealed epoch revert together.
+func (n *node) rollback() error { return n.Node.Restore(n.ids, n.data, 0) }
+
+// member is the harness's deterministic view of one group member.
 type member struct {
-	rep  *replica.Replica
-	node *node
-
+	*node
 	killed, stalled bool
-	rolled          bool
-	rolledEpoch     int
+	// pending: rolled back or restarted, until the group re-admits it.
+	pending bool
 }
 
 type harness struct {
-	cfg     Config
-	rng     *rand.Rand
-	sys     *core.System
-	groups  []*replica.Group
-	members [][]*member
-	reg     *telemetry.Registry
+	cfg      Config
+	rng      *rand.Rand
+	sys      *core.System
+	groups   []*replica.Group
+	counters []*replica.TrustedCounter
+	members  [][]*member
+	reg      *telemetry.Registry
 
 	ops     []history.Op
 	perKey  []int
@@ -215,9 +228,9 @@ type harness struct {
 }
 
 // Run executes one seeded chaos run: fault phase, recovery actions, and
-// the convergence window, returning the checked result. Run never hangs: a
-// stalled member is abandoned at the group's deadline, so every epoch —
-// and thus every client op — completes.
+// the convergence window, returning the checked result. Within the budgets
+// every batch reaches its quorum, so every epoch — and every client op —
+// completes.
 func Run(cfg Config) (*Result, error) {
 	cfg.fillDefaults()
 	h := &harness{
@@ -229,7 +242,15 @@ func Run(cfg Config) (*Result, error) {
 	if err := h.build(); err != nil {
 		return nil, err
 	}
-	defer h.sys.Close()
+	defer func() {
+		// Release stalled members so no member goroutine outlives the run.
+		for _, ms := range h.members {
+			for _, m := range ms {
+				m.set(false, false)
+			}
+		}
+		h.sys.Close()
+	}()
 
 	// Fault phase: seeded events at each epoch boundary, client ops inside.
 	epoch := 0
@@ -242,26 +263,20 @@ func Run(cfg Config) (*Result, error) {
 
 	// Recovery actions: the operator restarts every crashed node and every
 	// wedged one comes back — the last faults the convergence clock starts
-	// from. (Members replaced by a promoted spare rejoin nothing; the
-	// group already healed around them.)
+	// from.
 	for p, ms := range h.members {
 		for i, m := range ms {
 			if m.killed {
-				m.rep.Recover()
-				m.killed = false
-				h.event(Event{Epoch: epoch, Kind: "restart", Part: p, Member: i})
+				h.restart(p, i, epoch)
 			}
 			if m.stalled {
-				m.node.unstall()
-				m.stalled = false
-				h.event(Event{Epoch: epoch, Kind: "unstall", Part: p, Member: i})
+				h.unstall(p, i, epoch)
 			}
 		}
 	}
 
-	// Convergence window: within K epochs every partition must be healthy —
-	// stale members resynced (or replaced), no consecutive failures, all
-	// replies fresh.
+	// Convergence window: within K epochs every partition must be healthy,
+	// with every member re-admitted.
 	for k := 1; k <= cfg.K; k++ {
 		if err := h.runEpoch(epoch); err != nil {
 			return nil, err
@@ -289,25 +304,20 @@ func (h *harness) build() error {
 	h.reg = telemetry.NewRegistry()
 	subs := make([]core.SubORAMClient, cfg.Parts)
 	for p := 0; p < cfg.Parts; p++ {
-		n := cfg.F + cfg.R + 1
-		reps := make([]*replica.Replica, n)
-		ms := make([]*member, n)
-		for i := range reps {
-			nd := newNode(cfg.BlockSize)
-			reps[i] = replica.NewReplica(nd)
-			ms[i] = &member{rep: reps[i], node: nd}
+		ms := make([]*member, cfg.F+cfg.R+1)
+		cs := make([]replica.Client, len(ms))
+		for i := range ms {
+			ms[i] = &member{node: newNode(cfg.BlockSize)}
+			cs[i] = ms[i].node
 		}
-		g, err := replica.NewGroup(reps, nil, cfg.F, cfg.R)
+		ctr := &replica.TrustedCounter{}
+		g, err := replica.NewGroup(cs, ctr, cfg.F, cfg.R)
 		if err != nil {
 			return err
 		}
-		g.SetTimeout(cfg.Timeout)
-		g.SetAutoHeal(cfg.HealAfter)
 		g.SetTelemetry(h.reg)
-		for s := 0; s < cfg.Spares; s++ {
-			g.AddSpare(replica.NewReplica(newNode(cfg.BlockSize)))
-		}
 		h.groups = append(h.groups, g)
+		h.counters = append(h.counters, ctr)
 		h.members = append(h.members, ms)
 		subs[p] = g
 	}
@@ -333,9 +343,21 @@ func (h *harness) event(e Event) {
 	}
 }
 
-// crashActive counts concurrent crash-type faults (kill, stall) in a part;
-// rollActive counts rollbacks not yet presumed healed. Both are computed
-// from harness bookkeeping only, keeping the schedule deterministic.
+// settle waits until every unstalled member has answered every batch
+// issued, so faults land at a batch boundary and the group's counters are
+// final for the epoch. Which members to wait on is harness bookkeeping;
+// nothing here reads a clock.
+func (h *harness) settle() {
+	for p, ms := range h.members {
+		for i, m := range ms {
+			if !m.stalled {
+				h.groups[p].WaitIdle(i)
+			}
+		}
+	}
+}
+
+// crashActive counts a part's killed or stalled members (the f budget).
 func (h *harness) crashActive(p int) int {
 	n := 0
 	for _, m := range h.members[p] {
@@ -346,21 +368,34 @@ func (h *harness) crashActive(p int) int {
 	return n
 }
 
-func (h *harness) rollActive(p, epoch int) int {
+// pendingActive counts a part's rolled-back or restarted members the group
+// has not yet re-admitted (the r budget): a member is back once its sealed
+// epoch is the counter's again.
+func (h *harness) pendingActive(p int) int {
 	n := 0
 	for _, m := range h.members[p] {
-		// A rollback is presumed repaired once auto-heal has had a full
-		// threshold of epochs to resync the member. This is a scheduling
-		// assumption, not a checked invariant; if heal is slower, the group
-		// briefly exceeds its rollback budget and simply degrades (epoch
-		// errors), which the history and convergence checks still cover.
-		if m.rolled && epoch-m.rolledEpoch <= h.cfg.HealAfter+1 {
+		if m.pending && m.Epoch() == h.counters[p].Current() {
+			m.pending = false
+		}
+		if m.pending {
 			n++
-		} else if m.rolled {
-			m.rolled = false
 		}
 	}
 	return n
+}
+
+func (h *harness) restart(p, i, epoch int) {
+	m := h.members[p][i]
+	m.set(false, false)
+	m.killed, m.pending = false, true
+	h.event(Event{Epoch: epoch, Kind: "restart", Part: p, Member: i})
+}
+
+func (h *harness) unstall(p, i, epoch int) {
+	m := h.members[p][i]
+	m.set(false, false)
+	m.stalled = false
+	h.event(Event{Epoch: epoch, Kind: "unstall", Part: p, Member: i})
 }
 
 // schedule draws this epoch's fault events (0–2) from the seeded generator.
@@ -371,36 +406,31 @@ func (h *harness) schedule(epoch int) {
 		m := h.members[p][i]
 		switch {
 		case m.killed:
-			if h.rng.Intn(2) == 0 {
-				m.rep.Recover()
-				m.killed = false
-				h.event(Event{Epoch: epoch, Kind: "restart", Part: p, Member: i})
+			if h.rng.Intn(2) == 0 && h.pendingActive(p) < h.cfg.R {
+				h.restart(p, i, epoch)
 			}
 		case m.stalled:
 			if h.rng.Intn(2) == 0 {
-				m.node.unstall()
-				m.stalled = false
-				h.event(Event{Epoch: epoch, Kind: "unstall", Part: p, Member: i})
+				h.unstall(p, i, epoch)
 			}
 		default:
 			switch h.rng.Intn(3) {
 			case 0:
 				if h.crashActive(p) < h.cfg.F {
-					m.rep.Fail()
+					m.set(true, false)
 					m.killed = true
 					h.event(Event{Epoch: epoch, Kind: "kill", Part: p, Member: i})
 				}
 			case 1:
 				if h.crashActive(p) < h.cfg.F {
-					m.node.stall()
+					m.set(false, true)
 					m.stalled = true
 					h.event(Event{Epoch: epoch, Kind: "stall", Part: p, Member: i})
 				}
 			case 2:
-				if h.rollActive(p, epoch) < h.cfg.R {
-					if err := m.rep.Rollback(); err == nil {
-						m.rolled = true
-						m.rolledEpoch = epoch
+				if h.pendingActive(p) < h.cfg.R {
+					if err := m.rollback(); err == nil {
+						m.pending = true
 						h.event(Event{Epoch: epoch, Kind: "rollback", Part: p, Member: i})
 					}
 				}
@@ -416,6 +446,9 @@ func (h *harness) runEpoch(epoch int) error {
 		op   history.Op
 		wait func() ([]byte, bool, error)
 	}
+	// Members a fault event just released catch up before the batch.
+	h.settle()
+	defer h.settle()
 	var pend []pendOp
 	for j := 0; j < h.cfg.OpsPerEpoch; j++ {
 		key := uint64(h.rng.Intn(h.cfg.Keys))
@@ -474,15 +507,13 @@ func (h *harness) runEpoch(epoch int) error {
 }
 
 // converged reports the invariant: core sees no failing or repairing
-// partition, and every group's last batch got fresh replies from all
-// members.
+// partition, and no group has a stale member.
 func (h *harness) converged() bool {
 	if !h.sys.Health().Healthy() {
 		return false
 	}
 	for _, g := range h.groups {
-		st := g.Stats()
-		if st.Fresh != st.Members {
+		if st := g.Stats(); st.Fresh != st.Members {
 			return false
 		}
 	}

@@ -521,14 +521,11 @@ func (h *rootHarness) dupRetry(cur *core.System, p *rootPend, ans string, found 
 }
 
 // awaitPromotion blocks until the supervisor serves a root other than the
-// crashed one, under a generous deadline (the promotion loop itself
-// retries every ProbeInterval).
+// crashed one (the promotion loop itself retries every ProbeInterval). The
+// deadline bounds only a run that is already failing, so it is generous
+// enough for the race detector's slowdown.
 func (h *rootHarness) awaitPromotion(dead *core.System) error {
-	limit := 30 * time.Second
-	if raceEnabled {
-		limit = 90 * time.Second
-	}
-	deadline := time.Now().Add(limit)
+	deadline := time.Now().Add(90 * time.Second)
 	for {
 		if cur := h.sup.Root(); cur != nil && cur != dead && !h.sup.RootDown() {
 			return nil

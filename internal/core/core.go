@@ -127,8 +127,8 @@ type Config struct {
 	FailoverAfter int
 	// Failover is invoked, at most once in flight per partition, when a
 	// partition trips the detector. It returns a replacement client
-	// (typically a standby replica promoted via internal/replica, or a node
-	// freshly restored from internal/persist sealed state) that serves the
+	// (typically a dialed standby, or a node freshly restored from
+	// internal/persist sealed state) that serves the
 	// partition from the next epoch on. Returning an error (or nil) leaves
 	// the old client in place; the attempt is retried while the partition
 	// keeps failing. The old client is passed so the hook can close it or

@@ -310,7 +310,7 @@ func TestOverflowReturnsErrOverflow(t *testing.T) {
 // newFailoverSystem builds a two-partition system over flaky partitions,
 // loaded with keys 0..n-1 (key i holds byte i+1), whose failover hook
 // promotes partition 1's healthy inner partition — standing in for a
-// replica.Group spare. The first failFirst hook attempts error, so the
+// standby. The first failFirst hook attempts error, so the
 // retry path runs; attempts counts every call.
 func newFailoverSystem(t *testing.T, n int, failFirst int32, reg *telemetry.Registry) (*System, []*flakySub, *atomic.Int32, []uint64) {
 	t.Helper()

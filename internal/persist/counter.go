@@ -24,11 +24,8 @@ const (
 	counterFileLen    = 2 * counterSlotStride
 )
 
-// FileCounter is the trusted monotonic epoch counter of paper §9, persisted
-// to the state directory. It implements the same Increment/Current contract
-// as internal/replica's Counter abstraction (ROTE / the SGX counter
-// service), so a replicated deployment can drive its rollback detection
-// from the durable partition counter instead of a volatile one.
+// FileCounter is the trusted monotonic epoch counter of paper §9 (the ROTE
+// / SGX counter service), persisted to the state directory.
 //
 // An increment is one positional write over the older slot and one
 // fdatasync — no file is created or renamed once the counter exists. A

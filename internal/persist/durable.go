@@ -9,15 +9,10 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/hostfs"
-	"snoopy/internal/replica"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
-
-// FileCounter satisfies the §9 trusted-counter contract internal/replica
-// defines, so a replica.Group can share a durable partition's counter.
-var _ replica.Counter = (*FileCounter)(nil)
 
 // Partition is the in-process subORAM interface Durable wraps. It is
 // satisfied by *suboram.SubORAM. BatchAccess must not modify its input: the
@@ -211,10 +206,6 @@ func (dur *Durable) ReplayedEpochs() int { return dur.replayed }
 
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (dur *Durable) Epoch() uint64 { return dur.ctr.Current() }
-
-// Counter exposes the partition's trusted monotonic counter for §9
-// replication (replica.NewGroup).
-func (dur *Durable) Counter() *FileCounter { return dur.ctr }
 
 // Init loads the partition and seals the full image as the new snapshot.
 func (dur *Durable) Init(ids []uint64, data []byte) error {

@@ -302,9 +302,6 @@ func (sd *SegDurable) RolledForward() bool { return sd.rolledFwd }
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (sd *SegDurable) Epoch() uint64 { return sd.ctr.Current() }
 
-// Counter exposes the trusted monotonic counter (replication wiring).
-func (sd *SegDurable) Counter() *FileCounter { return sd.ctr }
-
 // Init loads the partition: the partition formats the store and streams it
 // full at the committed epoch — the counter's — then the identifier set is
 // sealed beside it.

@@ -1,21 +1,25 @@
 // Package replica implements the fault-tolerance and rollback-protection
 // extension the paper sketches in §9: each logical subORAM is replicated
-// to f+r+1 nodes, where f bounds crash failures and r bounds replicas an
-// attacker can roll back to stale (but validly sealed) state. A trusted
-// monotonic counter (the ROTE / SGX-counter abstraction, invoked once per
-// epoch exactly as §9 prescribes) identifies the current epoch; every
-// replica's reply carries the epoch its state reflects, so stale replies
-// from rolled-back replicas are detected and discarded. Surviving replies
-// are cross-checked for agreement before one is returned.
+// to f+r+1 members, where f bounds members that crash or stall and r bounds
+// members an attacker can roll back to stale (but validly sealed) state. A
+// trusted monotonic counter (the ROTE / SGX-counter abstraction, advanced
+// once per epoch as §9 prescribes) numbers the batches. Each member's
+// enclave seals the epoch its state reflects together with the state, so a
+// reply whose epoch is not its batch's counter value comes from a stale
+// lineage and is discarded.
 //
-// Beyond masking faults, a Group closes the failure loop: a stale or
-// recovered member is resynchronized from a fresh peer (Resync, or
-// automatically via SetAutoHeal) — the transfer is a whole sealed
-// partition whose size is a public function of partition size, so rejoin
-// leaks nothing beyond what Theorem 3 already makes public — and a member
-// that stays unreachable is replaced by a registered standby (AddSpare /
-// Promote). A resynced or promoted member is re-admitted only once its
-// reply epoch matches the trusted counter again.
+// The group is a quorum, not a clock. Every member gets every batch, in
+// counter order, through a queue of its own: a slow member is behind, never
+// skipped. BatchAccess returns once n − f members have answered and one
+// answer is fresh; every fresh answer, however late, is checked against the
+// one served. A member is stale because of its lineage — an error, a reply
+// epoch that is not its batch's, or a backlog dropped past backlogCap —
+// never because it is slow. It is re-admitted by a restore queued in its
+// own order, which waits for an export queued in an idle current member's
+// order; the transfer is one whole partition image, whose size is a public
+// function of partition size. No member is called under the group's lock,
+// so a member that blocks holds up only its own queue and the restores
+// waiting on its export.
 //
 // Group implements core.SubORAMClient, so a replicated partition drops
 // into the system wherever a plain subORAM does.
@@ -30,42 +34,102 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
 
-// Client is the subORAM interface being replicated (kept structural to
-// avoid an import cycle with core).
+// Client is one group member: a subORAM whose enclave seals, together with
+// its state, the epoch that state reflects. An applied batch advances Epoch
+// by one, Export returns the state image with its epoch, Restore loads such
+// an image, and a host that rolls the sealed state back rolls Epoch back
+// with it. The group calls one method of a member at a time.
 type Client interface {
 	Init(ids []uint64, data []byte) error
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	Export() (ids []uint64, data []byte, epoch uint64, err error)
+	Restore(ids []uint64, data []byte, epoch uint64) error
+	Epoch() uint64
 }
 
-// exporter is the optional whole-partition state read used as the donor
-// side of resynchronization. *suboram.SubORAM and *persist.Durable both
-// implement it.
-type exporter interface {
+// Partition is the plain subORAM a Node runs (*suboram.SubORAM).
+type Partition interface {
+	Init(ids []uint64, data []byte) error
+	BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	Export() (ids []uint64, data []byte, err error)
-}
-
-// restorer is the optional fast-path state import used as the receiving
-// side of resynchronization; clients without it fall back to Init.
-type restorer interface {
 	Restore(ids []uint64, data []byte) error
 }
 
-// ErrNoQuorum is returned when no replica produced a fresh, valid reply.
+// Node is a member enclave in process: a partition and the epoch its state
+// reflects, which Init resets, each applied batch advances and Restore sets.
+type Node struct {
+	mu    sync.Mutex
+	p     Partition
+	epoch uint64
+}
+
+// NewNode wraps a partition as a group member.
+func NewNode(p Partition) *Node { return &Node{p: p} }
+
+// Init loads the partition at epoch 0.
+func (n *Node) Init(ids []uint64, data []byte) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.epoch = 0
+	return n.p.Init(ids, data)
+}
+
+// BatchAccess applies one batch; only an applied batch advances the epoch.
+func (n *Node) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out, err := n.p.BatchAccess(reqs)
+	if err == nil {
+		n.epoch++
+	}
+	return out, err
+}
+
+// Export copies the partition's state image and the epoch it reflects.
+func (n *Node) Export() (ids []uint64, data []byte, epoch uint64, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ids, data, err = n.p.Export()
+	return ids, data, n.epoch, err
+}
+
+// Restore loads an image sealed at epoch.
+func (n *Node) Restore(ids []uint64, data []byte, epoch uint64) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.p.Restore(ids, data); err != nil {
+		return err
+	}
+	n.epoch = epoch
+	return nil
+}
+
+// Epoch reports the epoch the node's state reflects.
+func (n *Node) Epoch() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.epoch
+}
+
+// ErrNoQuorum is returned when every member resolved a batch without a
+// fresh reply.
 var ErrNoQuorum = errors.New("replica: no fresh replica reply available")
 
 // ErrDivergence is returned when fresh replicas disagree — state
 // corruption that replication cannot mask.
 var ErrDivergence = errors.New("replica: fresh replicas disagree")
 
-// ErrNoDonor is returned by Resync when no fresh, idle replica exists to
-// export state from.
-var ErrNoDonor = errors.New("replica: no fresh donor replica for resync")
+// backlogCap bounds the batches a member may have queued: past it, one
+// whole-partition restore is cheaper than replaying the backlog, and the
+// member stops pinning that many batch clones in memory. Overflow drops the
+// backlog and makes the member stale. The value is a memory bound, not
+// derived from anything else.
+const backlogCap = 16
 
 // Counter is the trusted monotonic counter abstraction of §9 (ROTE or the
 // SGX counter service). Increment is called once per epoch.
@@ -83,516 +147,382 @@ func (c *TrustedCounter) Increment() uint64 { return c.v.Add(1) }
 // Current returns the counter without advancing it.
 func (c *TrustedCounter) Current() uint64 { return c.v.Load() }
 
-// Replica wraps one replicated node: the node's enclave binds each reply
-// to the epoch its sealed state reflects.
-type Replica struct {
-	mu     sync.Mutex
-	client Client
-	epoch  uint64
-	downed bool
-
-	// initState allows the test hooks to simulate rollback (restoring
-	// stale-but-valid sealed state).
-	initIDs  []uint64
-	initData []byte
-}
-
-// NewReplica wraps a node.
-func NewReplica(c Client) *Replica { return &Replica{client: c} }
-
-// Fail marks the replica crashed (test / chaos hook).
-func (r *Replica) Fail() {
-	r.mu.Lock()
-	r.downed = true
-	r.mu.Unlock()
-}
-
-// Recover brings a crashed replica back — with whatever state it has,
-// which may be stale; the epoch check handles that (and Resync repairs it).
-func (r *Replica) Recover() {
-	r.mu.Lock()
-	r.downed = false
-	r.mu.Unlock()
-}
-
-// Rollback simulates the §9 attack: the host restarts the enclave from an
-// old sealed snapshot. State and the sealed epoch both revert.
-func (r *Replica) Rollback() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.client.Init(r.initIDs, r.initData); err != nil {
-		return err
-	}
-	r.epoch = 0
-	return nil
-}
-
-// Epoch returns the epoch the replica's state reflects (test / chaos hook).
-func (r *Replica) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// GroupStats counts the group's failure-handling events. All counters are
+// GroupStats counts the group's failure-handling events. The counters are
 // cumulative since the group was created.
 type GroupStats struct {
-	// StaleReplies counts replies discarded because their sealed epoch
-	// lagged the trusted counter (rolled-back or catch-up members).
+	// StaleReplies counts replies discarded because their sealed epoch was
+	// not their batch's counter value.
 	StaleReplies uint64
-	// BusySkips counts batches that skipped a member because a previous
-	// (abandoned) call was still running on it.
-	BusySkips uint64
-	// Resyncs counts members re-admitted by sealed state transfer;
-	// ResyncBytes and ResyncEpochs total the transferred partition bytes
-	// and the epochs of lag repaired.
+	// Resyncs counts members re-admitted by restoring a current member's
+	// export; ResyncBytes and ResyncEpochs total the image bytes moved and
+	// the epochs of lag repaired.
 	Resyncs      uint64
 	ResyncBytes  uint64
 	ResyncEpochs uint64
-	// Promotions counts standby replicas promoted into the group.
-	Promotions uint64
-	// Fresh is the number of members whose reply matched the trusted
-	// counter in the most recent batch; Members and Spares size the group.
-	Fresh   int
-	Members int
-	Spares  int
+	// Fresh is the number of members that are not stale (in the counter's
+	// lineage, possibly behind); Members sizes the group.
+	Fresh, Members int
 }
 
 // Group is a replicated logical subORAM.
 type Group struct {
 	counter Counter
-	f, r    int
-	timeout time.Duration
+	f       int
 
-	// gmu guards membership, the miss ledger, the init snapshot, and stats.
-	gmu       sync.Mutex
-	replicas  []*Replica
-	spares    []*Replica
-	misses    []int // consecutive batches each member missed
-	healAfter int   // 0 disables auto-heal
-	initIDs   []uint64
-	initData  []byte
-	stats     GroupStats
+	// mu orders jobs into the members' queues and guards member state and
+	// stats; idle is signalled on it when a member settles.
+	mu      sync.Mutex
+	idle    sync.Cond
+	members []*member
+	stats   GroupStats
+	// diverged: two fresh replies to one batch differed. No reply can be
+	// trusted after that, so every later batch fails with ErrDivergence.
+	diverged atomic.Bool
 
 	// Telemetry counters mirroring GroupStats, bumped at the same sites;
 	// all nil (no-ops) until SetTelemetry.
 	telStale       *telemetry.Counter
-	telBusy        *telemetry.Counter
 	telResyncs     *telemetry.Counter
 	telResyncBytes *telemetry.Counter
-	telPromotions  *telemetry.Counter
+}
+
+// member is one Client and the jobs it works through in counter order, on
+// a goroutine that runs only while the queue is not empty.
+type member struct {
+	c       Client
+	queue   []job
+	running bool
+	// stale: the member's lineage left the counter's; only a restore clears
+	// it, and until then each of its batches is answered, not fresh, when
+	// queued. down: its last call failed, so no restore is sent until it
+	// answers again. restoring: the image of its queued restore.
+	stale, down bool
+	restoring   *image
+}
+
+// image is a donor's export at epoch. The donor fills it and closes done;
+// ok reports that the export succeeded at that epoch.
+type image struct {
+	epoch uint64
+	done  chan struct{}
+	ok    bool
+	ids   []uint64
+	data  []byte
+}
+
+// job is one batch at its counter epoch, answered on b (nil once answered),
+// or an export or restore of an image.
+type job struct {
+	epoch           uint64
+	reqs            *store.Requests
+	b               *batch
+	export, restore *image
+}
+
+// batch is one BatchAccess's reply channel and the digest of its first fresh
+// reply — the one served — which every later fresh reply is checked against.
+type batch struct {
+	replies chan reply
+	digest  [sha256.Size]byte
+	fresh   bool
+}
+
+// reply is one member's answer: out is set when it is fresh, err when the
+// member failed to answer.
+type reply struct {
+	out *store.Requests
+	err error
 }
 
 // SetTelemetry mirrors the group's failure-handling counters (stale
-// replies, busy skips, resyncs and bytes transferred, promotions) into a
-// telemetry registry. Every event already appears in GroupStats; this adds
-// no new observation, only an export path.
+// replies, resyncs and bytes transferred) into a telemetry registry. Every
+// event already appears in GroupStats; this adds no new observation, only
+// an export path.
 func (g *Group) SetTelemetry(reg *telemetry.Registry) {
-	g.gmu.Lock()
+	g.mu.Lock()
 	g.telStale = reg.Counter("replica_stale_replies_total")
-	g.telBusy = reg.Counter("replica_busy_skips_total")
 	g.telResyncs = reg.Counter("replica_resyncs_total")
 	g.telResyncBytes = reg.Counter("replica_resync_bytes_total")
-	g.telPromotions = reg.Counter("replica_promotions_total")
-	g.gmu.Unlock()
+	g.mu.Unlock()
 }
 
-// SetTimeout bounds each replica's per-batch reply time; a replica that
-// misses the deadline is counted as failed for that batch, so one stalled
-// replica cannot stall the whole quorum. The abandoned call keeps running
-// on its own; until it finishes, later batches skip that member (busy)
-// instead of queueing behind it, and once it finishes the member rejoins
-// — stale, until Resync or auto-heal catches it up. Zero (the default)
-// waits forever. The timeout is public deployment configuration, like
-// every other timing parameter in the system.
-func (g *Group) SetTimeout(d time.Duration) { g.timeout = d }
-
-// SetAutoHeal enables self-healing: after a member misses that many
-// consecutive batches (crashed, stalled, rolled back, or lagging), the
-// group repairs it at the next epoch boundary — resynchronizing it from a
-// fresh peer when the member is reachable, or promoting a registered spare
-// in its place when it is not. The threshold is public deployment
-// configuration. Zero disables (the default).
-func (g *Group) SetAutoHeal(afterMisses int) {
-	g.gmu.Lock()
-	g.healAfter = afterMisses
-	g.gmu.Unlock()
-}
-
-// AddSpare registers a standby node. Spares hold no state until promoted;
-// promotion loads them from a fresh member's sealed state.
-func (g *Group) AddSpare(rep *Replica) {
-	g.gmu.Lock()
-	g.spares = append(g.spares, rep)
-	g.stats.Spares = len(g.spares)
-	g.gmu.Unlock()
-}
-
-// NewGroup builds a group tolerating f crashes and r rollbacks; it
-// requires exactly f+r+1 replicas (paper §9).
-func NewGroup(replicas []*Replica, counter Counter, f, r int) (*Group, error) {
+// NewGroup builds a group tolerating f crashed or stalled members and r
+// rolled-back ones; it requires exactly f+r+1 members (paper §9).
+func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
 	if f < 0 || r < 0 {
 		return nil, fmt.Errorf("replica: negative fault bounds")
 	}
-	if len(replicas) != f+r+1 {
-		return nil, fmt.Errorf("replica: need f+r+1 = %d replicas, have %d", f+r+1, len(replicas))
+	if len(members) != f+r+1 {
+		return nil, fmt.Errorf("replica: need f+r+1 = %d replicas, have %d", f+r+1, len(members))
 	}
 	if counter == nil {
 		counter = &TrustedCounter{}
 	}
-	g := &Group{replicas: replicas, counter: counter, f: f, r: r}
-	g.misses = make([]int, len(replicas))
-	g.stats.Members = len(replicas)
+	g := &Group{counter: counter, f: f}
+	g.idle.L = &g.mu
+	for _, c := range members {
+		g.members = append(g.members, &member{c: c})
+	}
 	return g, nil
 }
 
-// Init loads all replicas and records the snapshot rollbacks revert to.
+// Init loads every member. Call it before the first batch.
 func (g *Group) Init(ids []uint64, data []byte) error {
-	g.gmu.Lock()
-	g.initIDs = append([]uint64(nil), ids...)
-	g.initData = append([]byte(nil), data...)
-	reps := append([]*Replica(nil), g.replicas...)
-	g.gmu.Unlock()
-	var errs []error
-	for _, rep := range reps {
-		rep.mu.Lock()
-		rep.initIDs = append([]uint64(nil), ids...)
-		rep.initData = append([]byte(nil), data...)
-		rep.epoch = 0
-		err := rep.client.Init(ids, data)
-		rep.mu.Unlock()
-		if err != nil {
-			errs = append(errs, err)
-		}
+	errs := make([]error, len(g.members))
+	for i, m := range g.members {
+		errs[i] = m.c.Init(ids, data)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, m := range g.members {
+		m.stale = errs[i] != nil
 	}
 	return errors.Join(errs...)
 }
 
-// Stats returns the group's cumulative failure-handling counters.
+// Stats returns the group's failure-handling counters.
 func (g *Group) Stats() GroupStats {
-	g.gmu.Lock()
-	defer g.gmu.Unlock()
-	return g.stats
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	st := g.stats
+	st.Members = len(g.members)
+	for _, m := range g.members {
+		if !m.stale {
+			st.Fresh++
+		}
+	}
+	return st
 }
 
-// BatchAccess executes the batch on every live replica, advances the
-// trusted counter, discards stale or crashed replies, verifies the
-// remainder agree, and returns one of them. With auto-heal enabled,
-// persistently missing members are repaired afterwards, at the epoch
-// boundary.
+// WaitIdle blocks until member i has no job queued or running, so every
+// batch issued so far has been answered and counted. A member blocked in a
+// call, or restoring from a donor that is, never goes idle: wait only on
+// members that can answer.
+func (g *Group) WaitIdle(i int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.members[i].running {
+		g.idle.Wait()
+	}
+}
+
+// BatchAccess queues the batch to every member at the next counter epoch
+// and returns the first fresh reply once n − f members have answered and
+// one answer is fresh. A stale member answers, not fresh, as the batch is
+// queued, so only current members are waited on. It returns ErrNoQuorum
+// only when every member resolved the batch without a fresh reply. Every
+// fresh reply, including those arriving after the return, is checked
+// against the one served: a difference the quorum saw fails this batch,
+// and one seen later fails every later batch, with ErrDivergence.
 func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	if g.diverged.Load() {
+		return nil, ErrDivergence
+	}
+	// Each member reads its own copy: the caller may reuse reqs' storage as
+	// soon as this returns, while members behind the quorum still need it.
+	clones := make([]*store.Requests, len(g.members))
+	for i := range clones {
+		clones[i] = reqs.Clone()
+	}
+	b := &batch{replies: make(chan reply, len(g.members))}
+	g.mu.Lock()
 	epoch := g.counter.Increment()
-	g.gmu.Lock()
-	reps := append([]*Replica(nil), g.replicas...)
-	g.gmu.Unlock()
-
-	type reply struct {
-		out   *store.Requests
-		epoch uint64
-		err   error
-		busy  bool
-	}
-	replies := make([]reply, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		i, rep := i, rep
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Clone the batch before anything can be abandoned: the caller
-			// may release reqs' storage (arena reuse) as soon as BatchAccess
-			// returns, and an abandoned call outlives that return — it must
-			// never touch the shared batch after the deadline.
-			cl := reqs.Clone()
-			// The replica's work runs in its own goroutine so a stalled
-			// replica (deadlocked enclave, dead host behind a live TCP
-			// session) can be abandoned at the deadline; the abandoned call
-			// finishes — or not — on its own, and its reply is discarded.
-			// TryLock keeps later batches from queueing behind an abandoned
-			// call: a busy member is skipped for this batch, not blocked on.
-			done := make(chan reply, 1)
-			go func() {
-				if !rep.mu.TryLock() {
-					done <- reply{err: fmt.Errorf("replica %d busy with an abandoned batch", i), busy: true}
-					return
-				}
-				// The member unlocks before its reply is handed back: one
-				// whose call completed must read as idle to the next batch's
-				// TryLock and to heal's donor search as soon as BatchAccess
-				// returns.
-				done <- func() reply {
-					defer rep.mu.Unlock()
-					if rep.downed {
-						return reply{err: fmt.Errorf("replica %d down", i)}
-					}
-					out, err := rep.client.BatchAccess(cl)
-					if err != nil {
-						return reply{err: err}
-					}
-					rep.epoch++
-					return reply{out: out, epoch: rep.epoch}
-				}()
-			}()
-			if g.timeout <= 0 {
-				replies[i] = <-done
-				return
-			}
-			timer := time.NewTimer(g.timeout)
-			defer timer.Stop()
-			select {
-			case rp := <-done:
-				replies[i] = rp
-			case <-timer.C:
-				replies[i] = reply{err: fmt.Errorf("replica %d: no reply within %v", i, g.timeout)}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Keep only replies whose sealed epoch matches the trusted counter, and
-	// settle the per-member miss ledger that drives auto-heal.
-	var fresh []*store.Requests
-	g.gmu.Lock()
-	for i, rp := range replies {
-		miss := true
-		switch {
-		case rp.err == nil && rp.epoch == epoch:
-			miss = false
-			fresh = append(fresh, rp.out)
-		case rp.err == nil:
-			g.stats.StaleReplies++
-			g.telStale.Inc()
-		case rp.busy:
-			g.stats.BusySkips++
-			g.telBusy.Inc()
-		}
-		// Membership may have changed since the snapshot (concurrent
-		// promotion); only account members still in place.
-		if i < len(g.replicas) && g.replicas[i] == reps[i] {
-			if miss {
-				g.misses[i]++
-			} else {
-				g.misses[i] = 0
-			}
+	// Drop overflowing backlogs before placing restores, so no restore
+	// placed at this boundary is dropped by it.
+	for _, m := range g.members {
+		if len(m.queue) >= backlogCap {
+			g.dropLocked(m)
 		}
 	}
-	g.stats.Fresh = len(fresh)
-	heal := g.healAfter > 0 && len(fresh) > 0
-	g.gmu.Unlock()
-
-	if heal {
-		g.heal()
+	g.readmitLocked(epoch - 1)
+	for i, m := range g.members {
+		g.pushLocked(m, job{epoch: epoch, reqs: clones[i], b: b})
 	}
-	if len(fresh) == 0 {
+	g.mu.Unlock()
+
+	var out *store.Requests
+	answered := 0
+	for range g.members {
+		r := <-b.replies
+		if r.err == nil {
+			answered++
+		}
+		if out == nil {
+			out = r.out
+		}
+		if answered >= len(g.members)-g.f && out != nil {
+			break
+		}
+	}
+	switch {
+	case g.diverged.Load():
+		return nil, ErrDivergence
+	case out == nil:
 		return nil, ErrNoQuorum
 	}
-	want := digestResponses(fresh[0])
-	for _, out := range fresh[1:] {
-		if digestResponses(out) != want {
-			return nil, ErrDivergence
-		}
-	}
-	return fresh[0], nil
+	return out, nil
 }
 
-// Resync copies a fresh member's whole sealed state into every reachable
-// stale member, re-admitting it at the current trusted-counter epoch. The
-// transfer is one full partition image — its size is a public function of
-// partition size, so a rejoin leaks nothing beyond what Theorem 3 already
-// makes public. Members that are down or busy are left for a later pass
-// (or for spare promotion). It returns how many members were resynced and
-// the bytes transferred.
-func (g *Group) Resync() (synced int, bytes int, err error) {
-	g.gmu.Lock()
-	reps := append([]*Replica(nil), g.replicas...)
-	g.gmu.Unlock()
-	ids, data, donor, err := g.exportFresh(reps)
-	if err != nil {
-		return 0, 0, err
+// staleLocked marks m stale and answers its queued batches, not fresh.
+func (g *Group) staleLocked(m *member) {
+	m.stale = true
+	for i := range m.queue {
+		m.queue[i].answerStale()
 	}
-	for i, rep := range reps {
-		if rep == donor {
-			continue
-		}
-		if n, ok := g.resyncMember(rep, ids, data); ok {
-			synced++
-			bytes += n
-			g.gmu.Lock()
-			if i < len(g.misses) && g.replicas[i] == rep {
-				g.misses[i] = 0
-			}
-			g.gmu.Unlock()
-		}
-	}
-	return synced, bytes, nil
 }
 
-// exportFresh locates a fresh, idle member and exports its state.
-func (g *Group) exportFresh(reps []*Replica) (ids []uint64, data []byte, donor *Replica, err error) {
-	cur := g.counter.Current()
-	for _, rep := range reps {
-		if !rep.mu.TryLock() {
-			continue
-		}
-		if rep.downed || rep.epoch != cur {
-			rep.mu.Unlock()
-			continue
-		}
-		exp, ok := rep.client.(exporter)
-		if !ok {
-			rep.mu.Unlock()
-			return nil, nil, nil, fmt.Errorf("replica: donor does not support state export")
-		}
-		ids, data, err = exp.Export()
-		rep.mu.Unlock()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return ids, data, rep, nil
+func (j *job) answerStale() {
+	if j.b != nil {
+		j.b.replies <- reply{}
+		j.b = nil
 	}
-	return nil, nil, nil, ErrNoDonor
 }
 
-// resyncMember loads donor state into rep if it is reachable and stale,
-// re-admitting it at the current epoch. Reports whether a transfer ran and
-// how many bytes it moved.
-func (g *Group) resyncMember(rep *Replica, ids []uint64, data []byte) (int, bool) {
-	cur := g.counter.Current()
-	if !rep.mu.TryLock() {
-		return 0, false
-	}
-	defer rep.mu.Unlock()
-	if rep.downed || rep.epoch == cur {
-		return 0, false
-	}
-	if err := restoreClient(rep.client, ids, data); err != nil {
-		return 0, false
-	}
-	lag := cur - rep.epoch
-	rep.epoch = cur
-	g.gmu.Lock()
-	g.stats.Resyncs++
-	g.stats.ResyncBytes += uint64(len(data))
-	g.stats.ResyncEpochs += lag
-	g.telResyncs.Inc()
-	g.telResyncBytes.Add(uint64(len(data)))
-	g.gmu.Unlock()
-	return len(data), true
-}
-
-// Promote replaces member i with a registered spare, loading the spare
-// from a fresh member's sealed state first so it joins at the current
-// epoch. The replaced member is discarded (it may still be wedged in an
-// abandoned call; nothing waits for it).
-func (g *Group) Promote(i int) error {
-	g.gmu.Lock()
-	if i < 0 || i >= len(g.replicas) {
-		g.gmu.Unlock()
-		return fmt.Errorf("replica: promote index %d out of range", i)
-	}
-	if len(g.spares) == 0 {
-		g.gmu.Unlock()
-		return fmt.Errorf("replica: no spare to promote")
-	}
-	reps := append([]*Replica(nil), g.replicas...)
-	g.gmu.Unlock()
-
-	ids, data, _, err := g.exportFresh(reps)
-	if err != nil {
-		return err
-	}
-	g.gmu.Lock()
-	if len(g.spares) == 0 {
-		g.gmu.Unlock()
-		return fmt.Errorf("replica: no spare to promote")
-	}
-	spare := g.spares[0]
-	g.spares = g.spares[1:]
-	initIDs := append([]uint64(nil), g.initIDs...)
-	initData := append([]byte(nil), g.initData...)
-	g.gmu.Unlock()
-
-	spare.mu.Lock()
-	err = restoreClient(spare.client, ids, data)
-	if err == nil {
-		spare.epoch = g.counter.Current()
-		spare.downed = false
-		spare.initIDs = initIDs
-		spare.initData = initData
-	}
-	spare.mu.Unlock()
-	if err != nil {
-		// Put the unused spare back.
-		g.gmu.Lock()
-		g.spares = append([]*Replica{spare}, g.spares...)
-		g.stats.Spares = len(g.spares)
-		g.gmu.Unlock()
-		return err
-	}
-
-	g.gmu.Lock()
-	g.replicas[i] = spare
-	g.misses[i] = 0
-	g.stats.Promotions++
-	g.telPromotions.Inc()
-	g.stats.Spares = len(g.spares)
-	g.gmu.Unlock()
-	return nil
-}
-
-// heal repairs members whose miss run reached the auto-heal threshold:
-// reachable stale members are resynced from a fresh peer; unreachable ones
-// are replaced by a spare when one is registered.
-func (g *Group) heal() {
-	g.gmu.Lock()
-	threshold := g.healAfter
-	reps := append([]*Replica(nil), g.replicas...)
-	victims := make([]int, 0, len(reps))
-	for i, m := range g.misses {
-		if threshold > 0 && m >= threshold {
-			victims = append(victims, i)
+// readmitLocked queues, for every stale member that is up and restoring
+// nothing, a restore in its own queue, and an export of the image at epoch
+// in an idle current member's queue: having answered fresh every batch
+// through epoch, that member is at it. Without one the members wait for a
+// later boundary.
+func (g *Group) readmitLocked(epoch uint64) {
+	var donor *member
+	for _, d := range g.members {
+		if !d.running && !d.stale {
+			donor = d
+			break
 		}
 	}
-	hasSpare := len(g.spares) > 0
-	g.gmu.Unlock()
-	if len(victims) == 0 {
+	if donor == nil {
 		return
 	}
-	ids, data, donor, err := g.exportFresh(reps)
-	if err != nil {
-		return // no fresh donor this epoch; try again next epoch
+	var img *image
+	for _, m := range g.members {
+		if m.stale && !m.down && m.restoring == nil {
+			if img == nil {
+				img = &image{epoch: epoch, done: make(chan struct{})}
+			}
+			m.restoring = img
+			g.pushLocked(m, job{restore: img})
+		}
 	}
-	for _, i := range victims {
-		rep := reps[i]
-		if rep == donor {
-			continue
-		}
-		if _, ok := g.resyncMember(rep, ids, data); ok {
-			g.gmu.Lock()
-			if i < len(g.misses) && g.replicas[i] == rep {
-				g.misses[i] = 0
-			}
-			g.gmu.Unlock()
-			continue
-		}
-		// Unreachable (down or wedged): promote a standby in its place.
-		if hasSpare {
-			if err := g.Promote(i); err == nil {
-				g.gmu.Lock()
-				hasSpare = len(g.spares) > 0
-				g.gmu.Unlock()
-			}
-		}
+	if img != nil {
+		g.pushLocked(donor, job{export: img})
 	}
 }
 
-// restoreClient imports a state image via the fast Restore path when the
-// client supports it, falling back to a full Init.
-func restoreClient(c Client, ids []uint64, data []byte) error {
-	if r, ok := c.(restorer); ok {
-		return r.Restore(ids, data)
+// dropLocked discards m's backlog and makes it stale. A dropped export
+// fails, so no restore waits on it.
+func (g *Group) dropLocked(m *member) {
+	g.staleLocked(m)
+	for _, j := range m.queue {
+		if j.export != nil {
+			close(j.export.done)
+		}
 	}
-	return c.Init(ids, data)
+	m.queue, m.restoring = nil, nil
+}
+
+func (g *Group) pushLocked(m *member, j job) {
+	if m.stale {
+		j.answerStale()
+	}
+	m.queue = append(m.queue, j)
+	if !m.running {
+		m.running = true
+		go g.drain(m)
+	}
+}
+
+// drain works through m's queue in order and exits once it is empty. A
+// member call that never returns holds this goroutine, and a restore waits
+// here for its donor's export: neither holds up another member's queue.
+func (g *Group) drain(m *member) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for len(m.queue) > 0 {
+		j := m.queue[0]
+		m.queue = m.queue[1:]
+		g.mu.Unlock()
+		switch {
+		case j.export != nil:
+			// An image not at its epoch means the donor was rolled back since
+			// its last reply: the restore fails, and a later boundary retries.
+			img := j.export
+			var epoch uint64
+			var err error
+			img.ids, img.data, epoch, err = m.c.Export()
+			img.ok = err == nil && epoch == img.epoch
+			close(img.done)
+			g.mu.Lock()
+		case j.restore != nil:
+			img := j.restore
+			<-img.done
+			var before uint64
+			var err error
+			if img.ok {
+				before = m.c.Epoch()
+				err = m.c.Restore(img.ids, img.data, img.epoch)
+			}
+			g.mu.Lock()
+			g.restoredLocked(m, img, before, err)
+		default:
+			out, err := m.c.BatchAccess(j.reqs)
+			fresh := err == nil && m.c.Epoch() == j.epoch
+			var digest [sha256.Size]byte
+			if fresh && j.b != nil && len(g.members) > 1 {
+				digest = digestResponses(out)
+			}
+			g.mu.Lock()
+			g.answeredLocked(m, j, out, fresh, digest, err)
+		}
+	}
+	m.running = false
+	g.idle.Broadcast()
+}
+
+// answeredLocked settles one batch a member ran. Its reply is fresh when
+// the member applied the batch at the batch's counter epoch; an error or
+// any other epoch makes the member stale. The first fresh reply to a batch
+// is the one served, and a later one that differs marks the group diverged.
+func (g *Group) answeredLocked(m *member, j job, out *store.Requests, fresh bool, digest [sha256.Size]byte, err error) {
+	m.down = err != nil
+	if !fresh && !m.stale {
+		if err == nil {
+			g.stats.StaleReplies++
+			g.telStale.Inc()
+		}
+		g.staleLocked(m)
+	}
+	if j.b == nil {
+		return
+	}
+	r := reply{err: err}
+	if fresh {
+		r.out = out
+		if !j.b.fresh {
+			j.b.digest, j.b.fresh = digest, true
+		} else if digest != j.b.digest {
+			g.diverged.Store(true)
+		}
+	}
+	j.b.replies <- r
+}
+
+// restoredLocked re-admits m unless its backlog was dropped since the
+// restore was queued. A failed restore marks it down until it answers.
+func (g *Group) restoredLocked(m *member, img *image, before uint64, err error) {
+	if m.restoring != img {
+		return
+	}
+	m.restoring, m.down = nil, err != nil
+	if !img.ok || err != nil {
+		return
+	}
+	m.stale = false
+	g.stats.Resyncs++
+	g.stats.ResyncBytes += uint64(len(img.data))
+	g.stats.ResyncEpochs += img.epoch - before
+	g.telResyncs.Inc()
+	g.telResyncBytes.Add(uint64(len(img.data)))
 }
 
 // digestResponses hashes the response contents (key → value/found

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/store"
@@ -14,14 +14,110 @@ import (
 
 const testBlock = 16
 
-func newGroup(t *testing.T, f, r int) (*Group, []*Replica) {
-	t.Helper()
-	n := f + r + 1
-	reps := make([]*Replica, n)
-	for i := range reps {
-		reps[i] = NewReplica(suboram.New(suboram.Config{BlockSize: testBlock}))
+var errDown = errors.New("member down")
+
+// fault is a test member: a Node whose host can be killed (every call
+// fails), gated (batches, exports and restores wait until released) or
+// rolled back to its initial image and epoch.
+type fault struct {
+	*Node
+	ids  []uint64
+	data []byte
+
+	mu      sync.Mutex
+	killed  bool
+	gate    chan struct{}
+	exports int
+}
+
+func newFault() *fault {
+	return &fault{Node: NewNode(suboram.New(suboram.Config{BlockSize: testBlock}))}
+}
+
+func (f *fault) Init(ids []uint64, data []byte) error {
+	f.ids, f.data = append([]uint64(nil), ids...), append([]byte(nil), data...)
+	return f.Node.Init(ids, data)
+}
+
+func (f *fault) enter() error {
+	f.mu.Lock()
+	gate := f.gate
+	f.mu.Unlock()
+	if gate != nil {
+		<-gate
 	}
-	g, err := NewGroup(reps, nil, f, r)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.killed {
+		return errDown
+	}
+	return nil
+}
+
+func (f *fault) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	if err := f.enter(); err != nil {
+		return nil, err
+	}
+	return f.Node.BatchAccess(reqs)
+}
+
+func (f *fault) Restore(ids []uint64, data []byte, epoch uint64) error {
+	if err := f.enter(); err != nil {
+		return err
+	}
+	return f.Node.Restore(ids, data, epoch)
+}
+
+func (f *fault) Export() ([]uint64, []byte, uint64, error) {
+	f.mu.Lock()
+	f.exports++
+	f.mu.Unlock()
+	if err := f.enter(); err != nil {
+		return nil, nil, 0, err
+	}
+	return f.Node.Export()
+}
+
+func (f *fault) setKilled(k bool) {
+	f.mu.Lock()
+	f.killed = k
+	f.mu.Unlock()
+}
+
+func (f *fault) stall(t *testing.T) {
+	f.mu.Lock()
+	f.gate = make(chan struct{})
+	f.mu.Unlock()
+	t.Cleanup(f.release)
+}
+
+func (f *fault) release() {
+	f.mu.Lock()
+	if f.gate != nil {
+		close(f.gate)
+		f.gate = nil
+	}
+	f.mu.Unlock()
+}
+
+// rollback is the §9 attack: the host restarts the enclave from its old
+// sealed image, so state and sealed epoch revert together.
+func (f *fault) rollback(t *testing.T) {
+	t.Helper()
+	if err := f.Node.Restore(f.ids, f.data, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newGroup(t *testing.T, f, r int) (*Group, []*fault) {
+	t.Helper()
+	ms := make([]*fault, f+r+1)
+	cs := make([]Client, len(ms))
+	for i := range ms {
+		ms[i] = newFault()
+		cs[i] = ms[i]
+	}
+	g, err := NewGroup(cs, nil, f, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +128,30 @@ func newGroup(t *testing.T, f, r int) (*Group, []*Replica) {
 	if err := g.Init(ids, data); err != nil {
 		t.Fatal(err)
 	}
-	return g, reps
+	return g, ms
+}
+
+// settle waits until every member has answered every batch issued, so a
+// fault injected next lands at a batch boundary for all of them.
+func settle(g *Group) {
+	for i := range g.members {
+		g.WaitIdle(i)
+	}
 }
 
 func readKey(t *testing.T, g *Group, key uint64) ([]byte, bool) {
 	t.Helper()
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, key, 0, 0, 0, nil)
-	out, err := g.BatchAccess(reqs)
+	out, err := g.BatchAccess(readReq(key))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out.Block(0), out.Aux[0] == 1
+}
+
+func readReq(key uint64) *store.Requests {
+	reqs := store.NewRequests(1, testBlock)
+	reqs.SetRow(0, store.OpRead, key, 0, 0, 0, nil)
+	return reqs
 }
 
 func writeKey(t *testing.T, g *Group, key uint64, val []byte) {
@@ -69,10 +177,11 @@ func TestGroupBasicOperation(t *testing.T) {
 }
 
 func TestGroupSurvivesCrashes(t *testing.T) {
-	g, reps := newGroup(t, 2, 0)
+	g, ms := newGroup(t, 2, 0)
 	writeKey(t, g, 1, []byte("before"))
-	reps[0].Fail()
-	reps[2].Fail()
+	settle(g)
+	ms[0].setKilled(true)
+	ms[2].setKilled(true)
 	v, found := readKey(t, g, 1)
 	if !found || !bytes.HasPrefix(v, []byte("before")) {
 		t.Fatalf("read with 2 crashed replicas: %q %v", v, found)
@@ -80,14 +189,12 @@ func TestGroupSurvivesCrashes(t *testing.T) {
 }
 
 func TestGroupDetectsRollback(t *testing.T) {
-	g, reps := newGroup(t, 0, 1)
+	g, ms := newGroup(t, 0, 1)
 	writeKey(t, g, 3, []byte("v1"))
-	// Roll one replica back to its initial sealed snapshot. Its reply
-	// epoch will lag the trusted counter, so it must be excluded; the
-	// fresh replica serves the correct value.
-	if err := reps[1].Rollback(); err != nil {
-		t.Fatal(err)
-	}
+	// Roll one replica back to its initial sealed image. Its reply epoch
+	// lags the trusted counter, so it is excluded; the fresh replica serves
+	// the correct value.
+	ms[1].rollback(t)
 	v, found := readKey(t, g, 3)
 	if !found || !bytes.HasPrefix(v, []byte("v1")) {
 		t.Fatalf("rolled-back replica leaked stale data: %q %v", v, found)
@@ -95,50 +202,46 @@ func TestGroupDetectsRollback(t *testing.T) {
 }
 
 func TestGroupAllStaleIsNoQuorum(t *testing.T) {
-	g, reps := newGroup(t, 0, 0) // single replica, no tolerance
+	g, ms := newGroup(t, 0, 0) // single replica, no tolerance
 	writeKey(t, g, 1, []byte("x"))
-	if err := reps[0].Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
-	if _, err := g.BatchAccess(reqs); !errors.Is(err, ErrNoQuorum) {
+	ms[0].rollback(t)
+	if _, err := g.BatchAccess(readReq(1)); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("expected ErrNoQuorum, got %v", err)
 	}
 }
 
+// TestGroupAllCrashedIsNoQuorum: more than f members down fails the batch —
+// the partition's failure, which core's epoch detector handles.
 func TestGroupAllCrashedIsNoQuorum(t *testing.T) {
-	g, reps := newGroup(t, 1, 0)
-	for _, r := range reps {
-		r.Fail()
+	g, ms := newGroup(t, 1, 0)
+	for _, m := range ms {
+		m.setKilled(true)
 	}
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
-	if _, err := g.BatchAccess(reqs); !errors.Is(err, ErrNoQuorum) {
+	if _, err := g.BatchAccess(readReq(1)); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("expected ErrNoQuorum, got %v", err)
 	}
 }
 
 func TestGroupRecoveredStaleReplicaStaysExcluded(t *testing.T) {
-	g, reps := newGroup(t, 1, 1)
+	g, ms := newGroup(t, 1, 1)
 	writeKey(t, g, 1, []byte("fresh"))
-	reps[0].Fail()
+	settle(g)
+	ms[0].setKilled(true)
 	writeKey(t, g, 1, []byte("fresher")) // replica 0 misses this epoch
-	reps[0].Recover()
-	// Replica 0's epoch now lags; its replies are stale until resynced.
+	settle(g)
+	ms[0].setKilled(false)
+	// Replica 0's epoch now lags; its replies are stale until restored.
 	v, found := readKey(t, g, 1)
 	if !found || !bytes.HasPrefix(v, []byte("fresher")) {
 		t.Fatalf("stale recovered replica served: %q %v", v, found)
 	}
 }
 
-// divergentClient wraps a subORAM and corrupts every response.
-type divergentClient struct{ inner Client }
-
-func (d divergentClient) Init(ids []uint64, data []byte) error { return d.inner.Init(ids, data) }
+// divergentClient wraps a member and corrupts every response.
+type divergentClient struct{ *Node }
 
 func (d divergentClient) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	out, err := d.inner.BatchAccess(reqs)
+	out, err := d.Node.BatchAccess(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -148,27 +251,36 @@ func (d divergentClient) BatchAccess(reqs *store.Requests) (*store.Requests, err
 	return out, nil
 }
 
+// TestGroupDetectsDivergence: with f = 1 the quorum is one answer, so the
+// corrupt member's reply may be the one served; the other member's fresh
+// reply is still checked against it when it lands, and from then on every
+// batch fails. With f = 0 the quorum holds both replies and the batch
+// itself fails.
 func TestGroupDetectsDivergence(t *testing.T) {
-	reps := []*Replica{
-		NewReplica(suboram.New(suboram.Config{BlockSize: testBlock})),
-		NewReplica(divergentClient{suboram.New(suboram.Config{BlockSize: testBlock})}),
-	}
-	g, err := NewGroup(reps, nil, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Init([]uint64{1}, make([]byte, testBlock)); err != nil {
-		t.Fatal(err)
-	}
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
-	if _, err := g.BatchAccess(reqs); !errors.Is(err, ErrDivergence) {
-		t.Fatalf("expected ErrDivergence, got %v", err)
+	for _, f := range []int{1, 0} {
+		g, err := NewGroup([]Client{
+			NewNode(suboram.New(suboram.Config{BlockSize: testBlock})),
+			divergentClient{NewNode(suboram.New(suboram.Config{BlockSize: testBlock}))},
+		}, nil, f, 1-f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Init([]uint64{1}, make([]byte, testBlock)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = g.BatchAccess(readReq(1))
+		if !errors.Is(err, ErrDivergence) && (f == 0 || err != nil) {
+			t.Fatalf("f=%d: first batch: %v", f, err)
+		}
+		settle(g)
+		if _, err := g.BatchAccess(readReq(1)); !errors.Is(err, ErrDivergence) {
+			t.Fatalf("f=%d: expected ErrDivergence after both replies, got %v", f, err)
+		}
 	}
 }
 
 func TestGroupSizeValidation(t *testing.T) {
-	if _, err := NewGroup([]*Replica{NewReplica(nil)}, nil, 1, 1); err == nil {
+	if _, err := NewGroup([]Client{NewNode(nil)}, nil, 1, 1); err == nil {
 		t.Fatal("wrong replica count accepted")
 	}
 	if _, err := NewGroup(nil, nil, -1, 0); err == nil {
@@ -191,221 +303,177 @@ func TestTrustedCounterMonotone(t *testing.T) {
 	}
 }
 
-// stalledClient wedges every BatchAccess until released — a replica whose
-// host is alive but whose enclave never answers.
-type stalledClient struct {
-	Client
-	release chan struct{}
-}
-
-func (s *stalledClient) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	<-s.release
-	return s.Client.BatchAccess(reqs)
-}
-
 // TestRollbackNeverServedBeforeResync is the §9 rejoin trace test: a
-// rolled-back member is excluded (stale epoch) until Resync completes, and
-// only then serves clients again — with post-rollback state, not the stale
-// snapshot.
+// rolled-back member is excluded (stale epoch) until a restore re-admits
+// it, and only then serves clients again — with current state, not the
+// stale image.
 func TestRollbackNeverServedBeforeResync(t *testing.T) {
-	g, reps := newGroup(t, 0, 1)
+	// With the only current member down there is no donor, so the answer
+	// is ErrNoQuorum — never the rolled-back member's stale state.
+	g, ms := newGroup(t, 0, 1)
 	writeKey(t, g, 3, []byte("v1"))
-	if err := reps[1].Rollback(); err != nil {
-		t.Fatal(err)
+	ms[1].rollback(t)
+	ms[0].setKilled(true)
+	for i := 0; i < 2; i++ {
+		if _, err := g.BatchAccess(readReq(3)); !errors.Is(err, ErrNoQuorum) {
+			t.Fatalf("rolled-back replica served before restore: err=%v", err)
+		}
 	}
 
-	// While rolled back and unsynced, the member must never be served back
-	// to clients: with the only fresh member down, the answer is ErrNoQuorum
-	// — not the rolled-back member's stale state.
-	reps[0].Fail()
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, 3, 0, 0, 0, nil)
-	if _, err := g.BatchAccess(reqs); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("rolled-back replica served before resync: err=%v", err)
-	}
-	reps[0].Recover()
-	// Replica 0 missed one epoch while down, so it is stale too; resync
-	// needs a fresh donor. Run one clean epoch first? No — no member is
-	// fresh. Resync must report that honestly.
-	if _, _, err := g.Resync(); !errors.Is(err, ErrNoDonor) {
-		t.Fatalf("resync without a fresh donor: err=%v", err)
-	}
-
-	// Catch replica 0 up by reinitializing the group state path: roll it
-	// forward via rollback+resync is impossible without a donor, so rebuild
-	// freshness the way a deployment would — replica 0 rejoins by serving
-	// batches once its epoch matches again. Here we reset via Rollback (back
-	// to epoch 0 state) and replay nothing: instead verify the donor-based
-	// path on a 3-member group below.
-	g2, reps2 := newGroup(t, 1, 1)
+	g2, ms2 := newGroup(t, 1, 1)
 	writeKey(t, g2, 3, []byte("v2"))
-	if err := reps2[2].Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	st := g2.Stats()
-	if st.Fresh != 3 {
-		t.Fatalf("expected 3 fresh members before rollback batch, got %+v", st)
-	}
+	settle(g2)
+	ms2[2].rollback(t)
 	// One batch: the rolled-back member replies with a stale epoch and is
 	// discarded.
 	v, found := readKey(t, g2, 3)
 	if !found || !bytes.HasPrefix(v, []byte("v2")) {
 		t.Fatalf("stale member leaked: %q %v", v, found)
 	}
-	st = g2.Stats()
-	if st.StaleReplies == 0 {
-		t.Fatalf("stale reply not counted: %+v", st)
+	settle(g2)
+	if st := g2.Stats(); st.StaleReplies != 1 || st.Fresh != 2 || st.Resyncs != 0 {
+		t.Fatalf("rolled-back member not caught by its reply: %+v", st)
 	}
-	if st.Fresh != 2 {
-		t.Fatalf("rolled-back member counted fresh: %+v", st)
+	// The next boundary restores it from a current member's export, ahead
+	// of the batch in its own queue; then it alone serves the current value.
+	readKey(t, g2, 3)
+	settle(g2)
+	if st := g2.Stats(); st.Resyncs != 1 || st.ResyncEpochs != 1 || st.ResyncBytes == 0 || st.Fresh != 3 {
+		t.Fatalf("restore stats: %+v", st)
 	}
-	// Resync re-admits it with post-rollback state.
-	synced, bytes3, err := g2.Resync()
-	if err != nil || synced != 1 || bytes3 == 0 {
-		t.Fatalf("resync: synced=%d bytes=%d err=%v", synced, bytes3, err)
-	}
-	// Now the resynced member alone must serve the *current* value.
-	reps2[0].Fail()
-	reps2[1].Fail()
+	ms2[0].setKilled(true)
+	ms2[1].setKilled(true)
 	v, found = readKey(t, g2, 3)
 	if !found || !bytes.HasPrefix(v, []byte("v2")) {
-		t.Fatalf("resynced member served wrong state: %q %v", v, found)
-	}
-	if st := g2.Stats(); st.Resyncs != 1 || st.ResyncEpochs == 0 {
-		t.Fatalf("resync stats: %+v", st)
+		t.Fatalf("restored member served wrong state: %q %v", v, found)
 	}
 }
 
-// TestAutoHealResyncsLaggingReplica crashes a member for a few epochs;
-// with auto-heal enabled, the recovered (now stale) member is resynced
-// from a fresh peer without any operator call.
+// TestAutoHealResyncsLaggingReplica crashes a member for a few epochs; once
+// it answers again its stale reply marks it, and the next boundary restores
+// it from a current peer without any operator call.
 func TestAutoHealResyncsLaggingReplica(t *testing.T) {
-	g, reps := newGroup(t, 1, 0)
-	g.SetAutoHeal(2)
-	reps[1].Fail()
+	g, ms := newGroup(t, 1, 0)
+	ms[1].setKilled(true)
 	writeKey(t, g, 1, []byte("a"))
 	writeKey(t, g, 1, []byte("b"))
-	reps[1].Recover()
-	// Recovered but stale: the next batches trip the miss threshold and
-	// auto-heal resyncs it at the epoch boundary.
-	writeKey(t, g, 1, []byte("c"))
-	if st := g.Stats(); st.Resyncs == 0 {
-		t.Fatalf("auto-heal did not resync the lagging member: %+v", st)
+	settle(g)
+	// A member whose last batch failed is down: no partition image is
+	// exported for it until it answers again.
+	if n := ms[0].exports + ms[1].exports; n != 0 {
+		t.Fatalf("%d exports for a member that is down", n)
 	}
-	// The healed member alone serves the latest value.
-	reps[0].Fail()
+	ms[1].setKilled(false)
+	writeKey(t, g, 1, []byte("c"))
+	settle(g) // it answers "c" (stale), so it is up again
+	readKey(t, g, 1)
+	settle(g)
+	if st := g.Stats(); st.Resyncs != 1 || st.ResyncEpochs != 2 {
+		t.Fatalf("lagging member not restored: %+v", st)
+	}
+	// The restored member alone serves the latest value.
+	ms[0].setKilled(true)
 	v, found := readKey(t, g, 1)
 	if !found || !bytes.HasPrefix(v, []byte("c")) {
-		t.Fatalf("healed member state: %q %v", v, found)
-	}
-	if st := g.Stats(); st.Fresh != 1 {
-		t.Fatalf("healed member not fresh: %+v", st)
+		t.Fatalf("restored member state: %q %v", v, found)
 	}
 }
 
-// TestAutoHealPromotesSpare kills a member permanently; auto-heal promotes
-// a registered standby, loads it from a fresh peer, and the group returns
-// to full strength.
-func TestAutoHealPromotesSpare(t *testing.T) {
-	g, reps := newGroup(t, 1, 0)
-	g.SetAutoHeal(2)
-	g.AddSpare(NewReplica(suboram.New(suboram.Config{BlockSize: testBlock})))
-	reps[1].Fail() // never recovers
-	writeKey(t, g, 2, []byte("x1"))
-	writeKey(t, g, 2, []byte("x2"))
-	writeKey(t, g, 2, []byte("x3"))
-	st := g.Stats()
-	if st.Promotions != 1 || st.Spares != 0 {
-		t.Fatalf("spare not promoted: %+v", st)
-	}
-	// The promoted member must be fully fresh: it alone serves the latest
-	// value when the original survivor fails.
-	reps[0].Fail()
-	v, found := readKey(t, g, 2)
-	if !found || !bytes.HasPrefix(v, []byte("x3")) {
-		t.Fatalf("promoted spare state: %q %v", v, found)
-	}
-}
-
-// TestFinishedMemberReadsIdle: a member whose call completed is unlocked by
-// the time BatchAccess returns. Back-to-back batches on an f = 1 group with
-// one member down must never find the healthy member busy — a busy skip
-// there leaves no fresh reply, which is ErrNoQuorum from a healthy group.
+// TestFinishedMemberReadsIdle: back-to-back batches on an f = 1 group with
+// one member down always reach n − f answers from the live member.
 func TestFinishedMemberReadsIdle(t *testing.T) {
-	g, reps := newGroup(t, 1, 0)
-	reps[1].Fail()
-	reqs := store.NewRequests(1, testBlock)
-	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
+	g, ms := newGroup(t, 1, 0)
+	ms[1].setKilled(true)
+	reqs := readReq(1)
 	for i := 0; i < 1000; i++ {
 		if _, err := g.BatchAccess(reqs); err != nil {
 			t.Fatalf("batch %d: %v (%+v)", i, err, g.Stats())
 		}
 	}
-	if st := g.Stats(); st.BusySkips != 0 {
-		t.Fatalf("a finished member read as busy %d times", st.BusySkips)
+}
+
+// TestGatedMemberCatchesUpInOrder: a stalled member never holds a batch —
+// the quorum answers without it — and once released it works through its
+// backlog in counter order and is current again with no restore.
+func TestGatedMemberCatchesUpInOrder(t *testing.T) {
+	g, ms := newGroup(t, 1, 0)
+	ms[1].stall(t)
+	for i := byte(0); i < 5; i++ {
+		writeKey(t, g, 1, []byte{'a' + i})
+	}
+	if st := g.Stats(); st.Fresh != 2 {
+		t.Fatalf("a member that is only behind was marked stale: %+v", st)
+	}
+	ms[1].release()
+	settle(g)
+	if st := g.Stats(); st.Resyncs != 0 || st.StaleReplies != 0 || st.Fresh != 2 {
+		t.Fatalf("caught-up member needed repair: %+v", st)
+	}
+	if got := ms[1].Epoch(); got != 5 {
+		t.Fatalf("caught-up member at epoch %d, want 5", got)
+	}
+	ms[0].setKilled(true)
+	v, found := readKey(t, g, 1)
+	if !found || v[0] != 'e' {
+		t.Fatalf("caught-up member state: %q %v", v, found)
 	}
 }
 
-// TestBusyReplicaSkippedNotBlocked verifies the abandoned-call fix: a
-// wedged BatchAccess holds the member's lock, but later epochs skip the
-// busy member immediately instead of queueing behind it, and once the call
-// unwedges the member rejoins via resync.
-func TestBusyReplicaSkippedNotBlocked(t *testing.T) {
-	release := make(chan struct{})
-	stuck := &stalledClient{
-		Client:  suboram.New(suboram.Config{BlockSize: testBlock}),
-		release: release,
+// TestOverflowedMemberRestored: a member stalled past backlogCap batches has
+// its backlog dropped and turns stale; the restore queued at that boundary
+// re-admits it once released.
+func TestOverflowedMemberRestored(t *testing.T) {
+	g, ms := newGroup(t, 1, 0)
+	ms[1].stall(t)
+	// Batch 1 is held in the call, 2…backlogCap+1 queue up, the next one
+	// overflows.
+	for i := 0; i < backlogCap+2; i++ {
+		writeKey(t, g, 1, []byte{byte('A' + i)})
 	}
-	live := NewReplica(suboram.New(suboram.Config{BlockSize: testBlock}))
-	wedged := NewReplica(stuck)
-	g, err := NewGroup([]*Replica{live, wedged}, nil, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	if st := g.Stats(); st.Fresh != 1 {
+		t.Fatalf("overflowed member not stale: %+v", st)
 	}
-	ids := []uint64{1}
-	data := make([]byte, testBlock)
-	copy(data, []byte("one"))
-	if err := g.Init(ids, data); err != nil {
-		t.Fatal(err)
+	ms[1].release()
+	settle(g)
+	if st := g.Stats(); st.Resyncs != 1 || st.ResyncEpochs != backlogCap || st.Fresh != 2 {
+		t.Fatalf("overflowed member not restored: %+v", st)
 	}
-	g.SetTimeout(200 * time.Millisecond)
-
-	// First batch abandons the wedged member at the deadline; it keeps
-	// holding its lock inside the stalled call.
-	writeKey(t, g, 1, []byte("two"))
-	// Later batches must return promptly (busy skip, not a 200ms deadline
-	// wait behind the held lock) and still serve from the live member.
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		v, found := readKey(t, g, 1)
-		if !found || !bytes.HasPrefix(v, []byte("two")) {
-			t.Fatalf("read during wedge: %q %v", v, found)
-		}
-		if d := time.Since(t0); d > 5*time.Second {
-			t.Fatalf("batch %d blocked %v behind a wedged member", i, d)
-		}
-	}
-	if st := g.Stats(); st.BusySkips == 0 {
-		t.Fatalf("busy member was not skipped: %+v", st)
-	}
-
-	// Unwedge: the abandoned call completes, the member is reachable again
-	// (stale), and resync re-admits it.
-	close(release)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if synced, _, err := g.Resync(); err == nil && synced == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("wedged member never became resyncable after release")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	live.Fail()
+	ms[0].setKilled(true)
 	v, found := readKey(t, g, 1)
-	if !found || !bytes.HasPrefix(v, []byte("two")) {
-		t.Fatalf("rejoined member state: %q %v", v, found)
+	if !found || v[0] != byte('A'+backlogCap+1) {
+		t.Fatalf("restored member state: %q %v", v, found)
+	}
+}
+
+// TestBlockedDonorExport: the donor picked for a rolled-back member is idle
+// but wedged, so its Export blocks. That holds up only the donor's queue and
+// the restore waiting on it — one stalled and one rolled-back member, within
+// f = r = 1 — and the group keeps answering; released, the export lands and
+// the member is restored.
+func TestBlockedDonorExport(t *testing.T) {
+	g, ms := newGroup(t, 1, 1)
+	writeKey(t, g, 1, []byte("a"))
+	settle(g)
+	ms[2].rollback(t)
+	readKey(t, g, 1) // its stale reply marks member 2
+	settle(g)
+	ms[0].stall(t) // the first idle current member: the next donor
+	for i := byte(0); i < 3; i++ {
+		writeKey(t, g, 1, []byte{'b' + i})
+	}
+	if st := g.Stats(); st.Resyncs != 0 || st.Fresh != 2 {
+		t.Fatalf("restore ran before the donor's export: %+v", st)
+	}
+	ms[0].release()
+	settle(g)
+	if st := g.Stats(); st.Resyncs != 1 || st.Fresh != 3 {
+		t.Fatalf("member not restored once the export landed: %+v", st)
+	}
+	ms[0].setKilled(true)
+	ms[1].setKilled(true)
+	v, found := readKey(t, g, 1)
+	if !found || v[0] != 'd' {
+		t.Fatalf("restored member state: %q %v", v, found)
 	}
 }
 
@@ -469,39 +537,5 @@ func TestDigestAgreesAcrossTableKeys(t *testing.T) {
 	outs[1].Block(7)[1] ^= 1
 	if digestResponses(outs[0]) == digestResponses(outs[1]) {
 		t.Fatal("response digest missed a differing value")
-	}
-}
-
-func TestGroupTimeoutSkipsStalledReplica(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	live := NewReplica(suboram.New(suboram.Config{BlockSize: testBlock}))
-	stuck := NewReplica(&stalledClient{
-		Client:  suboram.New(suboram.Config{BlockSize: testBlock}),
-		release: release,
-	})
-	g, err := NewGroup([]*Replica{live, stuck}, nil, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Init goes through the stalled wrapper's embedded client directly, so
-	// it completes; only BatchAccess stalls.
-	ids := []uint64{1}
-	data := make([]byte, testBlock)
-	copy(data, []byte("one"))
-	if err := g.Init(ids, data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Generous deadline: the live replica must comfortably beat it even
-	// under the race detector, while the stalled one never answers.
-	g.SetTimeout(2 * time.Second)
-	t0 := time.Now()
-	v, found := readKey(t, g, 1)
-	if d := time.Since(t0); d > 10*time.Second {
-		t.Fatalf("stalled replica held the batch for %v despite the deadline", d)
-	}
-	if !found || !bytes.HasPrefix(v, []byte("one")) {
-		t.Fatalf("read with stalled replica: %q %v", v, found)
 	}
 }

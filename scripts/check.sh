@@ -39,14 +39,19 @@ go test -race -timeout 45m \
 # slowdown; it runs in the plain `go test ./...` tier instead.
 go test -race -short -timeout 15m ./internal/loadgen/ ./internal/workload/
 
-# The wall-clock tests that used to flake on a loaded host, repeated
-# unpinned: the faultnet pass-through offset check (now waits for its writer),
-# the knee search (now probes 4x below and above the fake's capacity), and
-# the replica group's back-to-back batches and spare promotion (a finished
-# member now unlocks before its reply is handed back).
+# The tests that used to flake on a loaded host, repeated unpinned: the
+# faultnet pass-through offset check (now waits for its writer), the knee
+# search (now probes 4x below and above the fake's capacity), and the seeded
+# chaos runs beside two busy-loop burners (the replica group waits for a
+# quorum, not a reply deadline, so CPU load cannot change an outcome).
 go test -count=5 -run 'TestNoFaultsPassThrough' ./internal/faultnet/
 go test -count=5 -run 'TestFindKneeLocatesCapacity' ./internal/loadgen/
-go test -count=5 -run 'TestFinishedMemberReadsIdle|TestAutoHealPromotesSpare' ./internal/replica/
+(while :; do :; done) & burn1=$!
+(while :; do :; done) & burn2=$!
+trap 'kill $burn1 $burn2 2>/dev/null' EXIT
+go test -count=20 -run TestChaosSeededRuns ./internal/chaos/
+kill $burn1 $burn2
+trap - EXIT
 
 # End-to-end smoke of the TCP traffic path: boots a real loopback cluster
 # of snoopy-server processes and drives 10^5 open-loop sessions through it.
