@@ -458,12 +458,11 @@ func BenchmarkPlaintextStore(b *testing.B) {
 // ---- Figure 14: planner ----
 
 func BenchmarkPlannerOptimize(b *testing.B) {
-	model := planner.AnalyticModel(8, 1, 10, 128)
+	model := planner.AnalyticModel(8, 1, 10, benchBlock, 128, planner.Testbed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := planner.Optimize(planner.Requirements{
-			Objects: 1_000_000, BlockSize: benchBlock,
-			MinThroughput: 50_000, MaxLatency: time.Second,
+			Objects: 1_000_000, MinThroughput: 50_000, MaxLatency: time.Second,
 		}, model, planner.DefaultPrices())
 		if err != nil {
 			b.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -39,7 +40,7 @@ func main() {
 	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
 	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
 	flag.Parse()
-	fmt.Printf("scan kernel: %s\n", obliv.Kernel())
+	fmt.Println(host())
 
 	if *traffic != "" {
 		err := runTraffic(trafficOptions{
@@ -104,4 +105,20 @@ func main() {
 		os.Exit(2)
 	}
 	run()
+}
+
+// host names what the run measures on: the CPU model, the CPUs this process
+// may use, GOMAXPROCS and the scan kernel's body.
+func host() string {
+	model := runtime.GOARCH
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("# host: %s, %d usable CPU(s), GOMAXPROCS %d, scan kernel %s",
+		model, runtime.NumCPU(), runtime.GOMAXPROCS(0), obliv.Kernel())
 }

@@ -256,18 +256,20 @@ func runTraffic(opt trafficOptions) error {
 func runTrafficKnee(opt trafficOptions, open func() (loadgen.Store, func(), error), rep *trafficReport) error {
 	lambda := 128 // core.Config default; public deployment parameter
 	fmt.Printf("calibrating cost model (block=%d lambda=%d)...\n", opt.block, lambda)
-	model := planner.Calibrate(opt.block, lambda)
+	model, err := planner.Calibrate(opt.block, lambda, planner.Link{}) // in process
+	if err != nil {
+		return fmt.Errorf("calibration: %w", err)
+	}
 	plannerRPS := planner.MaxThroughput(planner.Requirements{
-		Objects:   opt.objects,
-		BlockSize: opt.block,
+		Objects: opt.objects,
 		// Pin Eq. 2's latency bound to 5T/2 so the closed form prices
 		// exactly the deployed epoch.
 		MaxLatency: 5 * opt.epoch / 2,
 		Lambda:     lambda,
 	}, model, opt.lbs, opt.subs)
 	simnetRPS, err := simnet.MaxStableThroughput(simnet.Config{
-		LBs: opt.lbs, Subs: opt.subs, Objects: opt.objects, Block: opt.block,
-		Lambda: lambda, Epoch: opt.epoch, Model: model, Epochs: 40, Seed: 1,
+		LBs: opt.lbs, Subs: opt.subs, Objects: opt.objects, Lambda: lambda,
+		Epoch: opt.epoch, Model: model, Epochs: 40, Seed: 1,
 	}, 0)
 	if err != nil {
 		return fmt.Errorf("simnet prediction: %w", err)

@@ -1,6 +1,7 @@
 // Command snoopy-planner runs the paper's §6 deployment planner: given a
 // data size and performance targets, it calibrates component costs on this
-// machine and prints the cheapest configuration.
+// machine and prints the cheapest configuration of machines joined by the
+// paper's testbed link (1 Gbps, 0.5 ms round trip).
 //
 //	snoopy-planner -objects 2000000 -block 160 -throughput 50000 -latency 1s
 package main
@@ -26,10 +27,13 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("calibrating component costs on this machine...")
-	model := planner.Calibrate(*block, 128)
+	model, err := planner.Calibrate(*block, 128, planner.Testbed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	plan, err := planner.Optimize(planner.Requirements{
 		Objects:          *objects,
-		BlockSize:        *block,
 		MinThroughput:    *throughput,
 		MaxLatency:       *latency,
 		MaxLoadBalancers: *maxLB,

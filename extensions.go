@@ -63,12 +63,15 @@ func NewReplicatedSubORAM(blockSize, f, r int, sealed bool) (SubORAM, error) {
 
 // PlanDeploymentForBudget is the §6 extension planner: given a data size,
 // a throughput target, and a monthly budget, it returns the configuration
-// minimizing average latency.
+// minimizing average latency, its machines joined by the paper's testbed
+// link.
 func PlanDeploymentForBudget(objects, blockSize int, minThroughput, monthlyBudget float64) (Plan, error) {
-	model := planner.Calibrate(blockSize, 128)
+	model, err := planner.Calibrate(blockSize, 128, planner.Testbed)
+	if err != nil {
+		return Plan{}, err
+	}
 	return planner.OptimizeLatency(planner.Requirements{
 		Objects:       objects,
-		BlockSize:     blockSize,
 		MinThroughput: minThroughput,
 		MaxLatency:    time.Hour, // bounded by the budget search instead
 	}, monthlyBudget, model, planner.DefaultPrices())

@@ -114,7 +114,7 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		sys2.partStageB(job, 0)
 		releaseResponses(job, S)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("stage-B per-batch dispatch allocates %.1f per epoch, want 0", allocs)
 	}
 }

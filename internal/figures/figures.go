@@ -2,6 +2,8 @@ package figures
 
 import (
 	"io"
+	"math"
+	"sort"
 	"time"
 
 	"snoopy/internal/batch"
@@ -58,31 +60,45 @@ func Table8(w io.Writer) {
 	}
 }
 
+// machineCounts are Fig. 9a's and 9b's x-axis and latencyBounds their
+// three series.
+var (
+	machineCounts = []int{4, 6, 8, 10, 12, 14, 16, 18}
+	latencyBounds = []time.Duration{300 * time.Millisecond, 500 * time.Millisecond, time.Second}
+)
+
+// fig9a is Fig. 9a's Snoopy series over a store of the given size: the best
+// split at each machine count (rows) under each latency bound (columns).
+func fig9a(objects, lambda int, m planner.CostModel) [][]split {
+	rows := make([][]split, len(machineCounts))
+	for i, machines := range machineCounts {
+		for _, bound := range latencyBounds {
+			req := planner.Requirements{Objects: objects, MaxLatency: bound, Lambda: lambda}
+			rows[i] = append(rows[i], bestSplit(req, m, machines))
+		}
+	}
+	return rows
+}
+
 // Fig9a — throughput vs. machine count for latency bounds 300 ms / 500 ms
 // / 1 s, against Obladi (2 machines) and Oblix (1 machine). Component
-// costs measured, machine scaling via Eq. (1)–(2).
+// costs from the calibrated model, machine scaling via Eq. (1)–(2).
 func Fig9a(w io.Writer, sc Scale) {
 	fprintf(w, "# Figure 9a: throughput (reqs/s) vs machines — %d objects x %dB (paper: 2M x 160B)\n",
 		sc.Objects, sc.Block)
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	obladiX, _ := measureObladi(minInt(sc.Objects, 1<<17), sc.Block)
-	oblixX, _ := measureOblix(minInt(sc.Objects, 1<<15), sc.Block)
+	rows := fig9a(sc.Objects, sc.Lambda, calibrated(sc.Block, sc.Lambda))
+	obladiX, _ := measureObladi(min(sc.Objects, 1<<17), sc.Block)
+	oblixX, _ := measureOblix(min(sc.Objects, 1<<15), sc.Block)
 
 	fprintf(w, "%9s  %22s %22s %22s %10s %10s\n",
 		"machines", "snoopy@300ms (L+S)", "snoopy@500ms (L+S)", "snoopy@1s (L+S)", "obladi", "oblix")
-	bounds := []time.Duration{300 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	for machines := 4; machines <= 18; machines += 2 {
-		fprintf(w, "%9d ", machines)
-		for _, bound := range bounds {
-			req := planner.Requirements{
-				Objects: sc.Objects, BlockSize: sc.Block,
-				MaxLatency: bound, Lambda: sc.Lambda,
-			}
-			lbs, subs, x := bestSplit(req, model, machines)
-			if x <= 0 {
+	for i, row := range rows {
+		fprintf(w, "%9d ", machineCounts[i])
+		for _, p := range row {
+			if p.x <= 0 {
 				fprintf(w, " %12s       ", "infeasible")
 			} else {
-				fprintf(w, " %12.0f (%d+%2d)", x, lbs, subs)
+				fprintf(w, " %12.0f (%d+%2d)", p.x, p.lbs, p.subs)
 			}
 		}
 		fprintf(w, " %10.0f %10.1f\n", obladiX, oblixX)
@@ -99,16 +115,11 @@ func Fig9b(w io.Writer, sc Scale) {
 	const ktBlock = 32
 	fprintf(w, "# Figure 9b: key transparency, %d users (%d objects x %dB), %d accesses per lookup\n",
 		users, objects, ktBlock, accesses)
-	model := measureModel(ktBlock, sc.Lambda, sc.Workers)
 	fprintf(w, "%9s  %18s %18s %18s\n", "machines", "KT-ops/s @300ms", "KT-ops/s @500ms", "KT-ops/s @1s")
-	for machines := 4; machines <= 18; machines += 2 {
-		fprintf(w, "%9d ", machines)
-		for _, bound := range []time.Duration{300 * time.Millisecond, 500 * time.Millisecond, time.Second} {
-			req := planner.Requirements{
-				Objects: objects, BlockSize: ktBlock, MaxLatency: bound, Lambda: sc.Lambda,
-			}
-			_, _, x := bestSplit(req, model, machines)
-			fprintf(w, " %18.0f", x/float64(accesses))
+	for i, row := range fig9a(objects, sc.Lambda, calibrated(ktBlock, sc.Lambda)) {
+		fprintf(w, "%9d ", machineCounts[i])
+		for _, p := range row {
+			fprintf(w, " %18.0f", p.x/float64(accesses))
 		}
 		fprintf(w, "\n")
 	}
@@ -118,27 +129,21 @@ func Fig9b(w io.Writer, sc Scale) {
 // Fig10 — Snoopy with Oblix as the subORAM: the load balancer design
 // scales Oblix past one machine; the linear-scan subORAM still beats it.
 func Fig10(w io.Writer, sc Scale) {
-	objects := minInt(sc.Objects, 1<<15) // oblix partitions are expensive to build
+	objects := min(sc.Objects, 1<<15) // oblix partitions are expensive to build
 	fprintf(w, "# Figure 10: Snoopy-Oblix throughput vs machines — %d objects x %dB\n", objects, sc.Block)
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	oblixX, _ := measureOblix(minInt(objects, 1<<14), sc.Block)
+	model := calibrated(sc.Block, sc.Lambda)
+	oblixX, _ := measureOblix(min(objects, 1<<14), sc.Block)
 
-	// Replace the subORAM cost with the measured oblix per-batch cost.
-	oblixModel := planner.CostModel{
-		LBTime: model.LBTime,
-		SubTime: func(batchSize, objectsPerSub int) time.Duration {
-			return measureOblixSubORAMCached(objectsPerSub, batchSize, sc.Block)
-		},
+	// The same model with the measured oblix per-batch cost as the subORAM's.
+	oblixModel := model
+	oblixModel.SubTime = func(batchSize, objectsPerSub int) time.Duration {
+		return measureOblixSubORAMCached(objectsPerSub, batchSize, sc.Block)
 	}
+	req := planner.Requirements{Objects: objects, MaxLatency: 500 * time.Millisecond, Lambda: sc.Lambda}
 	fprintf(w, "%9s  %24s %24s %14s\n", "machines", "snoopy-oblix@500ms (L+S)", "snoopy-native@500ms", "vanilla oblix")
 	for machines := 3; machines <= 17; machines += 2 {
-		req := planner.Requirements{
-			Objects: objects, BlockSize: sc.Block,
-			MaxLatency: 500 * time.Millisecond, Lambda: sc.Lambda,
-		}
-		lbs, subs, x := bestSplit(req, oblixModel, machines)
-		nl, ns, nx := bestSplit(req, model, machines)
-		fprintf(w, "%9d  %14.0f (%d+%2d) %16.0f (%d+%2d) %14.1f\n", machines, x, lbs, subs, nx, nl, ns, oblixX)
+		o, n := bestSplit(req, oblixModel, machines), bestSplit(req, model, machines)
+		fprintf(w, "%9d  %14.0f (%d+%2d) %16.0f (%d+%2d) %14.1f\n", machines, o.x, o.lbs, o.subs, n.x, n.lbs, n.subs, oblixX)
 	}
 	fprintf(w, "# paper shape: Snoopy-Oblix scales with machines (15.6x vanilla at 17); the\n")
 	fprintf(w, "# linear-scan subORAM (Fig 9a) still beats Snoopy-Oblix (paper: 4.85x at 17 machines)\n")
@@ -161,7 +166,7 @@ func measureOblixSubORAMCached(objectsPerSub, alpha, block int) time.Duration {
 			base = measureOblixSubORAM(1<<15, 1, block)
 			oblixSubCache[[2]int{1 << 15, block}] = base
 		}
-		f := log2(float64(p)) / 15
+		f := math.Log2(float64(p)) / 15
 		return time.Duration(float64(alpha) * float64(base) * f * f)
 	}
 	per, ok := oblixSubCache[[2]int{p, block}]
@@ -172,88 +177,67 @@ func measureOblixSubORAMCached(objectsPerSub, alpha, block int) time.Duration {
 	return time.Duration(alpha) * per
 }
 
+// Fig. 11's deployment: one load balancer in front of 1…15 subORAMs at a
+// constant offered load; 11a bounds the mean latency by the US–Europe RTT.
+const (
+	fig11Load   = 2000.0 // reqs/s
+	fig11Subs   = 15
+	fig11aBound = 160 * time.Millisecond
+)
+
+// fig11a is Fig. 11a's series: for each subORAM count, the most objects
+// whose epoch fits (Eq. 1) within the mean-latency bound (Eq. 2).
+func fig11a(lambda int, m planner.CostModel) []int {
+	epoch := 2 * fig11aBound / 5
+	out := make([]int, fig11Subs)
+	for s := 1; s <= fig11Subs; s++ {
+		perSub := sort.Search(1<<28, func(n int) bool {
+			req := planner.Requirements{Objects: n * s, MinThroughput: fig11Load, Lambda: lambda}
+			return !planner.Fits(req, m, 1, s, epoch)
+		})
+		out[s-1] = max(perSub-1, 0) * s
+	}
+	return out
+}
+
 // Fig11a — data size supported per subORAM count with mean latency under
 // 160 ms (US–Europe RTT), 1 load balancer, constant load.
 func Fig11a(w io.Writer, sc Scale) {
-	const load = 2000.0 // reqs/s, constant offered load
-	bound := 160 * time.Millisecond
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	fprintf(w, "# Figure 11a: max objects vs subORAMs (mean latency <=160ms, 1 LB, %.0f reqs/s)\n", load)
+	fprintf(w, "# Figure 11a: max objects vs subORAMs (mean latency <=%v, 1 LB, %.0f reqs/s)\n", fig11aBound, fig11Load)
 	fprintf(w, "%10s %14s\n", "subORAMs", "max objects")
-	epoch := time.Duration(2 * float64(bound) / 5)
-	r := int(load * epoch.Seconds())
-	for s := 1; s <= 15; s++ {
-		alpha := batch.Size(r, s, sc.Lambda)
-		if alpha == 0 {
-			alpha = 1
-		}
-		// Largest per-sub partition with processing under the epoch.
-		lo, hi := 0, 1<<28
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			t := model.SubTime(alpha, mid)
-			if lb := model.LBTime(r, s); lb > t {
-				t = lb
-			}
-			if t <= epoch {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		fprintf(w, "%10d %14d\n", s, lo*s)
+	for i, objects := range fig11a(sc.Lambda, calibrated(sc.Block, sc.Lambda)) {
+		fprintf(w, "%10d %14d\n", i+1, objects)
 	}
 	fprintf(w, "# paper shape: supported data size grows ~linearly with subORAMs (191K objects per subORAM on Azure)\n")
+}
+
+// fig11b is Fig. 11b's series: for each subORAM count, the mean latency 5T/2
+// (Eq. 2) of the shortest epoch T that fits (Eq. 1); zero if none does.
+func fig11b(objects, lambda int, m planner.CostModel) []time.Duration {
+	req := planner.Requirements{Objects: objects, MinThroughput: fig11Load, Lambda: lambda}
+	out := make([]time.Duration, fig11Subs)
+	for s := 1; s <= fig11Subs; s++ {
+		t, _ := planner.MinEpoch(req, m, 1, s)
+		out[s-1] = 5 * t / 2
+	}
+	return out
 }
 
 // Fig11b — mean latency vs subORAM count at fixed data size and load,
 // with Obladi and Oblix reference latencies.
 func Fig11b(w io.Writer, sc Scale) {
-	const load = 2000.0
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	_, obladiLat := measureObladi(minInt(sc.Objects, 1<<16), sc.Block)
-	_, oblixLat := measureOblix(minInt(sc.Objects, 1<<15), sc.Block)
-	fprintf(w, "# Figure 11b: mean latency vs subORAMs (%d objects, 1 LB, %.0f reqs/s)\n", sc.Objects, load)
+	_, obladiLat := measureObladi(min(sc.Objects, 1<<16), sc.Block)
+	_, oblixLat := measureOblix(min(sc.Objects, 1<<15), sc.Block)
+	fprintf(w, "# Figure 11b: mean latency vs subORAMs (%d objects, 1 LB, %.0f reqs/s)\n", sc.Objects, fig11Load)
 	fprintf(w, "%10s %14s\n", "subORAMs", "mean latency")
-	for s := 1; s <= 15; s++ {
-		// Fixed point: T = max(LB(X·T), Sub(f(X·T,S), N/S)).
-		t := 10 * time.Millisecond
-		for i := 0; i < 30; i++ {
-			r := int(load * t.Seconds())
-			alpha := batch.Size(r, s, sc.Lambda)
-			if alpha == 0 {
-				alpha = 1
-			}
-			nt := model.SubTime(alpha, sc.Objects/s)
-			if lb := model.LBTime(r, s); lb > nt {
-				nt = lb
-			}
-			if nt <= 0 {
-				nt = time.Millisecond
-			}
-			if absDur(nt-t) < time.Millisecond {
-				t = nt
-				break
-			}
-			t = (t + nt) / 2
+	for i, lat := range fig11b(sc.Objects, sc.Lambda, calibrated(sc.Block, sc.Lambda)) {
+		if lat == 0 {
+			fprintf(w, "%10d %14s\n", i+1, "infeasible")
+		} else {
+			fprintf(w, "%10d %14v\n", i+1, lat.Round(time.Millisecond))
 		}
-		fprintf(w, "%10d %14v\n", s, (5 * t / 2).Round(time.Millisecond))
 	}
 	fprintf(w, "# references: obladi batch latency %v, oblix access latency %v\n",
 		obladiLat.Round(time.Millisecond), oblixLat.Round(time.Microsecond))
 	fprintf(w, "# paper shape: latency falls as subORAMs parallelize the scan, with diminishing returns\n")
-}
-
-func absDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -26,32 +26,82 @@ func TestAnalyticFigures(t *testing.T) {
 	}
 }
 
-func TestMeasuredModelShape(t *testing.T) {
-	m := measureModel(32, 64, 2)
-	if m.LBTime(1000, 4) <= 0 {
-		t.Fatal("LBTime degenerate")
-	}
-	small := m.SubTime(256, 1<<12)
-	big := m.SubTime(256, 1<<16)
-	if big <= small {
-		t.Fatalf("scan cost not increasing: %v vs %v", small, big)
-	}
-	if m.LBTime(10000, 4) <= m.LBTime(100, 4) {
-		t.Fatal("LB cost not increasing in load")
-	}
+// fixedModel is a deterministic stand-in for planner.Calibrate's model: the
+// analytic model at fixed constants, every frame over the testbed link.
+func fixedModel(sc Scale) planner.CostModel {
+	return planner.AnalyticModel(8, 1, 6, sc.Block, sc.Lambda, planner.Testbed)
 }
 
 func TestBestSplitPrefersFeasible(t *testing.T) {
-	m := measureModel(32, 64, 2)
-	req := planner.Requirements{Objects: 1 << 14, BlockSize: 32, MaxLatency: time.Second, Lambda: 64}
-	lbs, subs, x := bestSplit(req, m, 6)
-	if lbs < 1 || subs < 1 || lbs+subs != 6 || x <= 0 {
-		t.Fatalf("bad split: %d+%d x=%f", lbs, subs, x)
+	sc := tinyScale()
+	m := fixedModel(sc)
+	req := planner.Requirements{Objects: 1 << 14, MaxLatency: time.Second, Lambda: sc.Lambda}
+	p := bestSplit(req, m, 6)
+	if p.lbs < 1 || p.subs < 1 || p.lbs+p.subs != 6 || p.x <= 0 {
+		t.Fatalf("bad split: %+v", p)
 	}
-	// Throughput should not decrease with more machines.
-	_, _, x12 := bestSplit(req, m, 12)
-	if x12 < x {
-		t.Fatalf("throughput fell with more machines: %f -> %f", x, x12)
+	if p12 := bestSplit(req, m, 12); p12.x < p.x {
+		t.Fatalf("throughput fell with more machines: %+v -> %+v", p, p12)
+	}
+}
+
+// TestFig9aThroughputGrowsWithMachines: under every latency bound, the best
+// split's throughput never falls as machines are added.
+func TestFig9aThroughputGrowsWithMachines(t *testing.T) {
+	sc := tinyScale()
+	rows := fig9a(sc.Objects, sc.Lambda, fixedModel(sc))
+	for j, bound := range latencyBounds {
+		for i := range rows {
+			if rows[i][j].x <= 0 || i > 0 && rows[i][j].x < rows[i-1][j].x {
+				t.Fatalf("@%v: %d machines give %+v after %+v", bound, machineCounts[i], rows[i][j], rows[max(i-1, 0)][j])
+			}
+		}
+	}
+}
+
+// TestFig9aSimWithinTwiceClosedForm is Fig. 9a-sim's own claim: at every
+// machine count the simulated cluster sustains within 2× of the closed form.
+func TestFig9aSimWithinTwiceClosedForm(t *testing.T) {
+	sc := tinyScale()
+	for i, row := range fig9aSim(sc.Objects, sc.Lambda, fixedModel(sc)) {
+		if ratio := row[0].x / row[1].x; !(ratio >= 0.5 && ratio <= 2) {
+			t.Fatalf("%d machines: simulated %+v, closed form %+v", machineCounts[i], row[0], row[1])
+		}
+	}
+}
+
+// TestFig11Shapes: more subORAMs hold more objects at the latency bound
+// (11a) and answer no slower at a fixed size (11b).
+func TestFig11Shapes(t *testing.T) {
+	sc := tinyScale()
+	m := fixedModel(sc)
+	objects, latency := fig11a(sc.Lambda, m), fig11b(sc.Objects, sc.Lambda, m)
+	for s := 1; s < fig11Subs; s++ {
+		if objects[s] < objects[s-1] || objects[0] <= 0 {
+			t.Fatalf("11a: %d subORAMs hold %d objects, %d hold %d", s+1, objects[s], s, objects[s-1])
+		}
+		if latency[s] > latency[s-1] || latency[s] <= 0 {
+			t.Fatalf("11b: %d subORAMs answer in %v, %d in %v", s+1, latency[s], s, latency[s-1])
+		}
+	}
+}
+
+// TestFig14Shapes: at each throughput target the larger store needs at least
+// as many subORAMs, and at each size cost never falls as the target rises.
+func TestFig14Shapes(t *testing.T) {
+	sc := tinyScale()
+	rows := fig14(sc.Lambda, fixedModel(sc))
+	half := len(rows) / 2
+	for i, r := range rows {
+		if r.err != nil {
+			t.Fatalf("%d objects at %.0f rps: %v", r.objects, r.x, r.err)
+		}
+		if i < half && rows[i+half].plan.SubORAMs < r.plan.SubORAMs {
+			t.Fatalf("at %.0f rps: %+v for %d objects, %+v for %d", r.x, rows[i+half].plan, rows[i+half].objects, r.plan, r.objects)
+		}
+		if i%half > 0 && r.plan.CostPerMonth < rows[i-1].plan.CostPerMonth {
+			t.Fatalf("%d objects: $%.0f at %.0f rps after $%.0f at %.0f", r.objects, r.plan.CostPerMonth, r.x, rows[i-1].plan.CostPerMonth, rows[i-1].x)
+		}
 	}
 }
 
@@ -63,7 +113,9 @@ func TestFig12And13Run(t *testing.T) {
 	sc := tinyScale()
 	Fig12(&b, sc)
 	Fig13a(&b, sc)
-	if !strings.Contains(b.String(), "make batch") || !strings.Contains(b.String(), "adaptive") {
+	Fig13b(&b, sc)
+	if !strings.Contains(b.String(), "make batch") || !strings.Contains(b.String(), "adaptive") ||
+		!strings.Contains(b.String(), "4 threads") {
 		t.Fatalf("figure output malformed:\n%s", b.String())
 	}
 }
@@ -83,31 +135,5 @@ func TestBaselineMeasurements(t *testing.T) {
 	// Oblix is sequential: per-request latency low, throughput low.
 	if x2 > x*100 {
 		t.Fatalf("oblix throughput suspiciously high: %f vs obladi %f", x2, x)
-	}
-}
-
-// TestRemainingFiguresRun smoke-tests every figure function at tiny scale
-// so harness regressions show up in `go test` rather than only in the CLI.
-func TestRemainingFiguresRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured figures")
-	}
-	sc := tinyScale()
-	for _, f := range []struct {
-		name string
-		run  func(*strings.Builder)
-	}{
-		{"Fig9b", func(b *strings.Builder) { Fig9b(b, sc) }},
-		{"Fig11a", func(b *strings.Builder) { Fig11a(b, sc) }},
-		{"Fig11b", func(b *strings.Builder) { Fig11b(b, sc) }},
-		{"Fig13b", func(b *strings.Builder) { Fig13b(b, sc) }},
-		{"Fig14", func(b *strings.Builder) { Fig14(b, sc) }},
-		{"Headline", func(b *strings.Builder) { Headline(b, sc) }},
-	} {
-		var b strings.Builder
-		f.run(&b)
-		if len(b.String()) < 50 || !strings.Contains(b.String(), "#") {
-			t.Fatalf("%s produced implausible output:\n%s", f.name, b.String())
-		}
 	}
 }

@@ -120,25 +120,41 @@ func Fig13b(w io.Writer, sc Scale) {
 	fprintf(w, "# paper shape: added threads cut the linear-scan time roughly proportionally\n")
 }
 
-// Fig14 — planner outputs: optimal machine allocation (a) and monthly cost
-// (b) as the throughput requirement rises, for two data sizes.
-func Fig14(w io.Writer, sc Scale) {
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	prices := planner.DefaultPrices()
-	fprintf(w, "# Figure 14: planner — optimal configuration vs throughput (max latency 1s)\n")
-	fprintf(w, "%12s %12s %6s %6s %12s\n", "objects", "target rps", "LBs", "subs", "cost $/mo")
+// fig14Point is one row of Fig. 14: the cheapest plan for a data size and
+// throughput target, or why there is none.
+type fig14Point struct {
+	objects int
+	x       float64
+	plan    planner.Plan
+	err     error
+}
+
+// fig14 is Fig. 14's table: the planner's cheapest configuration at a 1 s
+// latency bound for two data sizes as the throughput target rises.
+func fig14(lambda int, m planner.CostModel) []fig14Point {
+	var out []fig14Point
 	for _, objects := range []int{10_000, 1_000_000} {
 		for _, x := range []float64{5_000, 20_000, 40_000, 80_000, 120_000} {
 			p, err := planner.Optimize(planner.Requirements{
-				Objects: objects, BlockSize: sc.Block,
-				MinThroughput: x, MaxLatency: time.Second, Lambda: sc.Lambda,
+				Objects: objects, MinThroughput: x, MaxLatency: time.Second, Lambda: lambda,
 				MaxLoadBalancers: 10, MaxSubORAMs: 40,
-			}, model, prices)
-			if err != nil {
-				fprintf(w, "%12d %12.0f %13s\n", objects, x, "infeasible")
-				continue
-			}
-			fprintf(w, "%12d %12.0f %6d %6d %12.0f\n", objects, x, p.LoadBalancers, p.SubORAMs, p.CostPerMonth)
+			}, m, planner.DefaultPrices())
+			out = append(out, fig14Point{objects, x, p, err})
+		}
+	}
+	return out
+}
+
+// Fig14 — planner outputs: optimal machine allocation (a) and monthly cost
+// (b) as the throughput requirement rises, for two data sizes.
+func Fig14(w io.Writer, sc Scale) {
+	fprintf(w, "# Figure 14: planner — optimal configuration vs throughput (max latency 1s)\n")
+	fprintf(w, "%12s %12s %6s %6s %12s\n", "objects", "target rps", "LBs", "subs", "cost $/mo")
+	for _, r := range fig14(sc.Lambda, calibrated(sc.Block, sc.Lambda)) {
+		if r.err != nil {
+			fprintf(w, "%12d %12.0f %13s\n", r.objects, r.x, "infeasible")
+		} else {
+			fprintf(w, "%12d %12.0f %6d %6d %12.0f\n", r.objects, r.x, r.plan.LoadBalancers, r.plan.SubORAMs, r.plan.CostPerMonth)
 		}
 	}
 	fprintf(w, "# paper shape: larger data favors more subORAMs per LB; cost rises with data size and throughput\n")
@@ -146,15 +162,11 @@ func Fig14(w io.Writer, sc Scale) {
 
 // Headline — the paper's summary claim: Snoopy at 18 machines vs Obladi.
 func Headline(w io.Writer, sc Scale) {
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
-	req := planner.Requirements{
-		Objects: sc.Objects, BlockSize: sc.Block,
-		MaxLatency: 500 * time.Millisecond, Lambda: sc.Lambda,
-	}
-	lbs, subs, snoopyX := bestSplit(req, model, 18)
-	obladiX, obladiLat := measureObladi(minInt(sc.Objects, 1<<17), sc.Block)
+	req := planner.Requirements{Objects: sc.Objects, MaxLatency: 500 * time.Millisecond, Lambda: sc.Lambda}
+	snoopy := bestSplit(req, calibrated(sc.Block, sc.Lambda), 18)
+	obladiX, obladiLat := measureObladi(min(sc.Objects, 1<<17), sc.Block)
 	fprintf(w, "# Headline (§8.2): 18 machines, %d objects x %dB, latency <= 500ms\n", sc.Objects, sc.Block)
-	fprintf(w, "snoopy:  %10.0f reqs/s  (%d LBs + %d subORAMs)\n", snoopyX, lbs, subs)
+	fprintf(w, "snoopy:  %10.0f reqs/s  (%d LBs + %d subORAMs)\n", snoopy.x, snoopy.lbs, snoopy.subs)
 	fprintf(w, "obladi:  %10.0f reqs/s  (2 machines, batch latency %v)\n", obladiX, obladiLat.Round(time.Millisecond))
-	fprintf(w, "speedup: %10.1fx   (paper: 92K vs 6.7K = 13.7x at 2M objects)\n", snoopyX/obladiX)
+	fprintf(w, "speedup: %10.1fx   (paper: 92K vs 6.7K = 13.7x at 2M objects)\n", snoopy.x/obladiX)
 }

@@ -8,45 +8,44 @@ import (
 	"snoopy/internal/simnet"
 )
 
-// Fig9aSim cross-checks Fig. 9a with the discrete-event cluster simulator
-// (internal/simnet): same measured component costs, but throughput found
-// by actually scheduling pipelined epochs over simulated machines and
-// links instead of the closed-form Eq. (1). Agreement between the two
-// columns validates the methodology used for the multi-machine figures.
-func Fig9aSim(w io.Writer, sc Scale) {
-	fprintf(w, "# Figure 9a (simulated cluster): throughput vs machines — %d objects x %dB, latency <= 500ms\n",
-		sc.Objects, sc.Block)
-	model := measureModel(sc.Block, sc.Lambda, sc.Workers)
+// fig9aSim is Fig. 9a's 500 ms series twice over, from one cost model: at
+// each machine count, the best split the discrete-event simulator sustains
+// beside the best split of the closed form (Eq. 1).
+func fig9aSim(objects, lambda int, m planner.CostModel) [][2]split {
 	bound := 500 * time.Millisecond
-	epoch := time.Duration(2 * float64(bound) / 5)
-
-	fprintf(w, "%9s  %20s %20s\n", "machines", "simulated (L+S)", "closed-form (L+S)")
-	for machines := 4; machines <= 18; machines += 2 {
-		var bestX float64
-		var bestL, bestS int
+	rows := make([][2]split, len(machineCounts))
+	for i, machines := range machineCounts {
 		for b := 1; b < machines; b++ {
-			s := machines - b
 			x, err := simnet.MaxStableThroughput(simnet.Config{
-				LBs: b, Subs: s, Objects: sc.Objects, Block: sc.Block,
-				Lambda: sc.Lambda, Epoch: epoch, Model: model,
-				NetRTT: netRTT, NetBytesPerSec: netBytesPerSec,
-				Epochs: 40, Seed: int64(machines*100 + b),
+				LBs: b, Subs: machines - b, Objects: objects, Lambda: lambda,
+				Epoch: 2 * bound / 5, Model: m, Epochs: 40, Seed: int64(machines*100 + b),
 			}, bound)
 			if err != nil {
 				panic(err)
 			}
-			if x > bestX {
-				bestX, bestL, bestS = x, b, s
+			if x > rows[i][0].x {
+				rows[i][0] = split{b, machines - b, x}
 			}
 		}
-		cfL, cfS, cfX := bestSplit(reqFor(sc, bound), model, machines)
+		rows[i][1] = bestSplit(planner.Requirements{Objects: objects, MaxLatency: bound, Lambda: lambda}, m, machines)
+	}
+	return rows
+}
+
+// Fig9aSim cross-checks Fig. 9a with the discrete-event cluster simulator
+// (internal/simnet): the same cost model, but throughput found by actually
+// scheduling pipelined epochs over simulated machines and links instead of
+// the closed-form Eq. (1). Agreement between the two columns validates the
+// methodology used for the multi-machine figures.
+func Fig9aSim(w io.Writer, sc Scale) {
+	fprintf(w, "# Figure 9a (simulated cluster): throughput vs machines — %d objects x %dB, latency <= 500ms\n",
+		sc.Objects, sc.Block)
+	fprintf(w, "%9s  %20s %20s\n", "machines", "simulated (L+S)", "closed-form (L+S)")
+	for i, row := range fig9aSim(sc.Objects, sc.Lambda, calibrated(sc.Block, sc.Lambda)) {
+		sim, cf := row[0], row[1]
 		fprintf(w, "%9d  %12.0f (%d+%2d) %12.0f (%d+%2d)\n",
-			machines, bestX, bestL, bestS, cfX, cfL, cfS)
+			machineCounts[i], sim.x, sim.lbs, sim.subs, cf.x, cf.lbs, cf.subs)
 	}
 	fprintf(w, "# the simulator schedules real pipelined epochs; columns agreeing within ~2x\n")
 	fprintf(w, "# validates the closed-form methodology used in Fig 9a/9b/10/11\n")
-}
-
-func reqFor(sc Scale, bound time.Duration) planner.Requirements {
-	return planner.Requirements{Objects: sc.Objects, BlockSize: sc.Block, MaxLatency: bound, Lambda: sc.Lambda}
 }

@@ -40,7 +40,7 @@ func TestMakeBatchesZeroAllocSteadyState(t *testing.T) {
 		}
 		b.Release()
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("warm MakeBatches allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -86,7 +86,7 @@ func TestMatchResponsesZeroAllocSteadyState(t *testing.T) {
 		}
 		pool.PutRequests(m)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("warm MatchResponses allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -131,7 +131,7 @@ func TestEpochZeroAllocWithTelemetry(t *testing.T) {
 		}
 		b.Release()
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("instrumented warm MakeBatches allocated %.1f times per run, want 0", allocs)
 	}
 	if reg.Counter("lb_batches_total").Value() == 0 {

@@ -37,9 +37,12 @@ func TestKneeCrossValidatesSimnet(t *testing.T) {
 		lambda  = 64
 		epoch   = 50 * time.Millisecond
 	)
-	model := planner.Calibrate(block, lambda)
+	model, err := planner.Calibrate(block, lambda, planner.Link{}) // in process
+	if err != nil {
+		t.Fatal(err)
+	}
 	predicted, err := simnet.MaxStableThroughput(simnet.Config{
-		LBs: lbs, Subs: subs, Objects: objects, Block: block, Lambda: lambda,
+		LBs: lbs, Subs: subs, Objects: objects, Lambda: lambda,
 		Epoch: epoch, Model: model, Epochs: 40, Seed: 1,
 	}, 0)
 	if err != nil {

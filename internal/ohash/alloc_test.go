@@ -30,7 +30,7 @@ func TestBuilderBuildZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("warm Builder.Build allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -59,7 +59,7 @@ func TestBuildExtractCycleZeroAllocSteadyState(t *testing.T) {
 		}
 		pool.PutRequests(tbl.Extract())
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("warm Build+Extract allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -89,7 +89,7 @@ func TestBuilderZeroAllocAcrossBatchSizes(t *testing.T) {
 		}
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 && !raceEnabled {
 		t.Fatalf("alternating batch sizes allocated %.1f times per cycle, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"log"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 // Calibrate measures this machine's actual component costs by running the
 // real load balancer and subORAM at a probe size, then fits the analytic
 // model's constants to the measurements (paper §8.5: "the planner takes as
-// input microbenchmarks"). blockSize is the deployment's object size.
-func Calibrate(blockSize, lambda int) CostModel {
+// input microbenchmarks"). blockSize is the deployment's object size and
+// link the network between its machines (zero when they share a process).
+// Every probe is the quickest of three runs: the least disturbed.
+func Calibrate(blockSize, lambda int, link Link) (CostModel, error) {
 	const (
 		probeReqs = 2048
 		probeSubs = 4
@@ -32,16 +35,23 @@ func Calibrate(blockSize, lambda int) CostModel {
 	for i := 0; i < probeReqs; i++ {
 		reqs.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
 	}
-	t0 := time.Now()
-	batches, err := lb.MakeBatches(reqs)
-	if err != nil {
-		return fallbackModel(lambda)
+	var lbWall time.Duration
+	var perSub int
+	for rep := 0; rep < 3; rep++ {
+		t0 := time.Now()
+		batches, err := lb.MakeBatches(reqs)
+		if err != nil {
+			return CostModel{}, err
+		}
+		batches.All.StampKeyOrder() // the batches stand in for their own responses
+		if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
+			return CostModel{}, err
+		}
+		if d := time.Since(t0); rep == 0 || d < lbWall {
+			lbWall = d
+		}
+		perSub = batches.PerSub
 	}
-	batches.All.StampKeyOrder() // the batches stand in for their own responses
-	if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
-		return fallbackModel(lambda)
-	}
-	lbWall := time.Since(t0)
 	opNs := float64(lbWall.Nanoseconds()) / float64(lbOps(probeReqs, probeSubs, lambda))
 
 	// --- SubORAM probe ---
@@ -54,28 +64,35 @@ func Calibrate(blockSize, lambda int) CostModel {
 		ids[i] = uint64(i)
 	}
 	if err := sub.Init(ids, make([]byte, probeObjs*blockSize)); err != nil {
-		return fallbackModel(lambda)
+		return CostModel{}, err
 	}
-	probe := func(alpha int) (nsPerObject float64, slots int, ok bool) {
+	probe := func(alpha int) (nsPerObject float64, slots int, err error) {
 		batch := store.NewRequests(alpha, blockSize)
 		for i := 0; i < alpha; i++ {
 			batch.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
 		}
 		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ { // the quickest of three: the least disturbed
+		for rep := 0; rep < 3; rep++ {
 			if _, err := sub.BatchAccess(batch); err != nil {
-				return 0, 0, false
+				return 0, 0, err
 			}
 			if st := sub.LastStats(); rep == 0 || st.Scan < best {
 				best, slots = st.Scan, st.SlotsPerLookup
 			}
 		}
-		return float64(best.Nanoseconds()) / probeObjs, slots, true
+		return float64(best.Nanoseconds()) / probeObjs, slots, nil
 	}
-	nsA, slotsA, okA := probe(batches.PerSub)
-	nsB, slotsB, okB := probe(probeSmallBatch)
-	if !okA || !okB || slotsA == slotsB {
-		return fallbackModel(lambda)
+	nsA, slotsA, err := probe(perSub)
+	if err != nil {
+		return CostModel{}, err
+	}
+	nsB, slotsB, err := probe(probeSmallBatch)
+	if err != nil {
+		return CostModel{}, err
+	}
+	if slotsA == slotsB {
+		return CostModel{}, fmt.Errorf("planner: calibration batches of %d and %d rows both scan %d slots per object",
+			perSub, probeSmallBatch, slotsA)
 	}
 	slotNs := (nsA - nsB) / float64(slotsA-slotsB)
 	fixedNs := nsA - slotNs*float64(slotsA)
@@ -84,9 +101,5 @@ func Calibrate(blockSize, lambda int) CostModel {
 			nsA, slotsA, nsB, slotsB, nsA/float64(slotsA))
 		slotNs, fixedNs = nsA/float64(slotsA), 0
 	}
-	return AnalyticModel(opNs, slotNs, fixedNs, lambda)
+	return AnalyticModel(opNs, slotNs, fixedNs, blockSize, lambda, link), nil
 }
-
-// fallbackModel is the conservative model Calibrate returns when a probe
-// fails.
-func fallbackModel(lambda int) CostModel { return AnalyticModel(8, 1, 10, lambda) }

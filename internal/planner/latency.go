@@ -3,8 +3,6 @@ package planner
 import (
 	"fmt"
 	"time"
-
-	"snoopy/internal/batch"
 )
 
 // OptimizeLatency is the planner variant the paper's §6 proposes as an
@@ -33,7 +31,7 @@ func OptimizeLatency(req Requirements, budget float64, m CostModel, prices Price
 			if cost > budget {
 				continue
 			}
-			t, ok := minEpoch(req, m, b, s)
+			t, ok := MinEpoch(req, m, b, s)
 			if !ok {
 				continue
 			}
@@ -59,28 +57,13 @@ func OptimizeLatency(req Requirements, budget float64, m CostModel, prices Price
 	return *best, nil
 }
 
-// minEpoch binary-searches the smallest epoch T such that the pipeline
-// fits (Eq. 1) at the required load. Processing time grows sublinearly in
-// T while the budget grows linearly, so feasibility is monotone in T.
-func minEpoch(req Requirements, m CostModel, b, s int) (time.Duration, bool) {
-	objectsPerSub := (req.Objects + s - 1) / s
-	fits := func(t time.Duration) bool {
-		if t <= 0 {
-			return false
-		}
-		r := int(req.MinThroughput * t.Seconds() / float64(b))
-		alpha := batchSizeAtLeastOne(r, s, req.Lambda)
-		lbT := m.LBTime(r, s)
-		subT := time.Duration(b) * m.SubTime(alpha, objectsPerSub)
-		t0 := lbT
-		if subT > t0 {
-			t0 = subT
-		}
-		return t0 <= t
-	}
+// MinEpoch binary-searches the smallest epoch T at which Equation (1) holds
+// (Fits) at the required load. Processing time grows sublinearly in T while
+// the budget grows linearly, so feasibility is monotone in T.
+func MinEpoch(req Requirements, m CostModel, b, s int) (time.Duration, bool) {
 	// Exponential probe for an upper bound, capped at one hour.
 	hi := time.Millisecond
-	for !fits(hi) {
+	for !Fits(req, m, b, s, hi) {
 		hi *= 2
 		if hi > time.Hour {
 			return 0, false
@@ -89,19 +72,11 @@ func minEpoch(req Requirements, m CostModel, b, s int) (time.Duration, bool) {
 	lo := time.Duration(0)
 	for i := 0; i < 40 && hi-lo > 10*time.Microsecond; i++ {
 		mid := lo + (hi-lo)/2
-		if fits(mid) {
+		if Fits(req, m, b, s, mid) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	return hi, true
-}
-
-func batchSizeAtLeastOne(r, s, lambda int) int {
-	a := batch.Size(r, s, lambda)
-	if a < 1 {
-		a = 1
-	}
-	return a
 }

@@ -4,14 +4,15 @@
 // S) for the cheapest one that meets the targets, using the paper's three
 // relationships:
 //
-//	(1) T ≥ max( L_LB(X·T/B, S),  B · L_S(f(X·T/B, S), N/S) )
+//	(1) T ≥ max( L_LB(X·T/B, S),  B · (L_S(α, N/S) + 2·L_net(α)) ),  α = f(X·T/B, S)
 //	(2) L_sys ≤ 5T/2
 //	(3) C_sys = B·C_LB + S·C_S
 //
-// where T is the epoch length, X the offered load, and f the Theorem-3
-// batch size. Component latencies L_LB and L_S come from a CostModel —
-// either the analytic model calibrated against this implementation's
-// microbenchmarks, or caller-supplied measurements.
+// where T is the epoch length, X the offered load, f the Theorem-3 batch
+// size and L_net one batch frame's trip over the load balancer–subORAM link.
+// All three component latencies come from one CostModel: AnalyticModel's
+// closed forms over the implementation's exact operation and frame-byte
+// counts, with constants that Calibrate measures on this machine.
 package planner
 
 import (
@@ -22,7 +23,18 @@ import (
 	"snoopy/internal/batch"
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/ohash"
+	"snoopy/internal/wirecode"
 )
+
+// Link is the network between a load balancer and a subORAM. The zero Link
+// is in-process: a transfer costs nothing.
+type Link struct {
+	RTT         time.Duration
+	BytesPerSec float64
+}
+
+// Testbed is the paper's testbed link: 1 Gbps with a 0.5 ms round trip.
+var Testbed = Link{RTT: 500 * time.Microsecond, BytesPerSec: 125e6}
 
 // CostModel supplies component processing times.
 type CostModel struct {
@@ -32,6 +44,20 @@ type CostModel struct {
 	// SubTime is the subORAM time to process one batch of the given size
 	// against objectsPerSub stored objects.
 	SubTime func(batchSize, objectsPerSub int) time.Duration
+
+	link  Link
+	block int
+}
+
+// Link is the one-way time of a batch frame of the given number of rows:
+// half the round trip plus the frame's wirecode.FrameLen bytes at the link's
+// bandwidth. It is zero on an in-process link.
+func (m CostModel) Link(rows int) time.Duration {
+	t := m.link.RTT / 2
+	if m.link.BytesPerSec > 0 {
+		t += time.Duration(float64(wirecode.FrameLen(rows, m.block)) / m.link.BytesPerSec * 1e9)
+	}
+	return t
 }
 
 // AnalyticModel builds a CostModel from per-unit constants and the
@@ -47,8 +73,8 @@ type CostModel struct {
 // ohash.GeometryFor over the same public (batch size, partition size, λ) —
 // as that table's BuildCost + ExtractCost row operations plus, for every
 // stored object, fixedNs and slotNs for each of the Z1 + Z2 slots a lookup
-// scans.
-func AnalyticModel(opNs, slotNs, fixedNs float64, lambda int) CostModel {
+// scans. Frames of block-byte objects cross link.
+func AnalyticModel(opNs, slotNs, fixedNs float64, block, lambda int, link Link) CostModel {
 	lb := func(r, s int) time.Duration {
 		return time.Duration(opNs * float64(lbOps(r, s, lambda)))
 	}
@@ -57,7 +83,7 @@ func AnalyticModel(opNs, slotNs, fixedNs float64, lambda int) CostModel {
 		scan := float64(objectsPerSub) * (fixedNs + slotNs*float64(g.SlotsScannedPerLookup()))
 		return time.Duration(opNs*float64(g.BuildCost()+g.ExtractCost()) + scan)
 	}
-	return CostModel{LBTime: lb, SubTime: sub}
+	return CostModel{LBTime: lb, SubTime: sub, link: link, block: block}
 }
 
 // lbOps is the monolithic load balancer's oblivious row-operation count for
@@ -80,7 +106,6 @@ func DefaultPrices() Prices { return Prices{LoadBalancer: 420, SubORAM: 420} }
 // Requirements is the planner input.
 type Requirements struct {
 	Objects       int
-	BlockSize     int
 	MinThroughput float64 // requests/second
 	MaxLatency    time.Duration
 	Lambda        int
@@ -113,6 +138,24 @@ func (p Plan) Format() string {
 	fmt.Fprintf(&b, "  throughput:     %.0f reqs/s\n", p.Throughput)
 	fmt.Fprintf(&b, "  cost:           $%.0f/month (%d machines)\n", p.CostPerMonth, p.Machines())
 	return b.String()
+}
+
+// Fits is Equation (1): whether an epoch of length t holds the pipeline's
+// bottleneck stage when req.MinThroughput requests a second arrive at b load
+// balancers in front of s subORAMs. Each load balancer takes r = X·t/b
+// requests an epoch and sends every subORAM a batch of α = max(f(r, s), 1)
+// rows, and each subORAM serves the b batches one after another, each a
+// frame there and a frame back:
+//
+//	max( LBTime(r, s), b·(SubTime(α, ⌈N/s⌉) + 2·Link(α)) ) ≤ t
+func Fits(req Requirements, m CostModel, b, s int, t time.Duration) bool {
+	if t <= 0 {
+		return false
+	}
+	r := int(req.MinThroughput * t.Seconds() / float64(b))
+	alpha := max(batch.Size(r, s, req.Lambda), 1)
+	sub := m.SubTime(alpha, (req.Objects+s-1)/s) + 2*m.Link(alpha)
+	return max(m.LBTime(r, s), time.Duration(b)*sub) <= t
 }
 
 // Optimize returns the cheapest feasible plan (ties: fewer machines, then
@@ -158,52 +201,26 @@ func Optimize(req Requirements, m CostModel, prices Prices) (Plan, error) {
 // largest epoch the latency budget allows (larger epochs amortize dummies
 // best, paper Fig. 3).
 func feasible(req Requirements, m CostModel, b, s int) (Plan, bool) {
-	// Equation (2): T ≤ 2·L_max/5.
+	// Equation (2): T ≤ 2·L_max/5. Processing time grows sublinearly in T
+	// (batch size grows ~T), so if the largest allowed epoch does not fit,
+	// none will — except when the per-epoch fixed cost dominates; probe
+	// smaller epochs to be sure.
 	tMax := time.Duration(2 * float64(req.MaxLatency) / 5)
-	if tMax <= 0 {
-		return Plan{}, false
+	for _, frac := range []float64{1, 0.5, 0.25, 0.1} {
+		t := time.Duration(float64(tMax) * frac)
+		if !Fits(req, m, b, s, t) {
+			continue
+		}
+		r := int(req.MinThroughput * t.Seconds() / float64(b))
+		return Plan{
+			LoadBalancers: b,
+			SubORAMs:      s,
+			Epoch:         t,
+			AvgLatency:    time.Duration(5 * float64(t) / 2),
+			Throughput:    float64(r*b) / t.Seconds(),
+		}, true
 	}
-	objectsPerSub := (req.Objects + s - 1) / s
-	// Equation (1) at epoch T: processing must fit within T.
-	fits := func(t time.Duration) bool {
-		r := int(req.MinThroughput * t.Seconds() / float64(b)) // per-LB epoch load
-		alpha := batch.Size(r, s, req.Lambda)
-		if alpha == 0 {
-			alpha = 1
-		}
-		lbT := m.LBTime(r, s)
-		subT := time.Duration(b) * m.SubTime(alpha, objectsPerSub)
-		if lbT > subT {
-			return lbT <= t
-		}
-		return subT <= t
-	}
-	if !fits(tMax) {
-		// Processing time grows sublinearly in T (batch size grows ~T),
-		// so if the largest allowed epoch does not fit, none will —
-		// except when the per-epoch fixed cost dominates; probe smaller
-		// epochs to be sure.
-		ok := false
-		for _, frac := range []float64{0.5, 0.25, 0.1} {
-			t := time.Duration(float64(tMax) * frac)
-			if t > 0 && fits(t) {
-				tMax = t
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return Plan{}, false
-		}
-	}
-	r := int(req.MinThroughput * tMax.Seconds() / float64(b))
-	return Plan{
-		LoadBalancers: b,
-		SubORAMs:      s,
-		Epoch:         tMax,
-		AvgLatency:    time.Duration(5 * float64(tMax) / 2),
-		Throughput:    float64(r*b) / tMax.Seconds(),
-	}, true
+	return Plan{}, false
 }
 
 // MaxThroughput inverts the planner: for a fixed configuration and latency
@@ -214,23 +231,9 @@ func MaxThroughput(req Requirements, m CostModel, b, s int) float64 {
 		req.Lambda = 128
 	}
 	tEpoch := time.Duration(2 * float64(req.MaxLatency) / 5)
-	if tEpoch <= 0 {
-		return 0
-	}
-	objectsPerSub := (req.Objects + s - 1) / s
 	fits := func(x float64) bool {
-		r := int(x * tEpoch.Seconds() / float64(b))
-		alpha := batch.Size(r, s, req.Lambda)
-		if alpha == 0 {
-			alpha = 1
-		}
-		lbT := m.LBTime(r, s)
-		subT := time.Duration(b) * m.SubTime(alpha, objectsPerSub)
-		t := lbT
-		if subT > t {
-			t = subT
-		}
-		return t <= tEpoch
+		req.MinThroughput = x
+		return Fits(req, m, b, s, tEpoch)
 	}
 	if !fits(1) {
 		return 0

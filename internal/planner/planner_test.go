@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"snoopy/internal/batch"
 	"snoopy/internal/ohash"
+	"snoopy/internal/wirecode"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -30,8 +32,7 @@ func fixedModel() CostModel {
 
 func TestOptimizeFindsFeasiblePlan(t *testing.T) {
 	p, err := Optimize(Requirements{
-		Objects: 100000, BlockSize: 160,
-		MinThroughput: 2000, MaxLatency: time.Second, Lambda: 128,
+		Objects: 100000, MinThroughput: 2000, MaxLatency: time.Second, Lambda: 128,
 	}, fixedModel(), DefaultPrices())
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +50,7 @@ func TestOptimizeFindsFeasiblePlan(t *testing.T) {
 
 func TestOptimizeInfeasible(t *testing.T) {
 	_, err := Optimize(Requirements{
-		Objects: 10_000_000, BlockSize: 160,
-		MinThroughput: 1e12, MaxLatency: time.Millisecond,
+		Objects: 10_000_000, MinThroughput: 1e12, MaxLatency: time.Millisecond,
 		MaxLoadBalancers: 2, MaxSubORAMs: 2,
 	}, fixedModel(), DefaultPrices())
 	if err == nil {
@@ -68,15 +68,13 @@ func TestMoreDataNeedsMoreSubORAMs(t *testing.T) {
 	// Paper Fig. 14a: larger data sizes shift the optimum toward more
 	// subORAMs (the linear scan must be partitioned).
 	small, err := Optimize(Requirements{
-		Objects: 10_000, BlockSize: 160,
-		MinThroughput: 50_000, MaxLatency: time.Second,
+		Objects: 10_000, MinThroughput: 50_000, MaxLatency: time.Second,
 	}, fixedModel(), DefaultPrices())
 	if err != nil {
 		t.Fatal(err)
 	}
 	large, err := Optimize(Requirements{
-		Objects: 1_000_000, BlockSize: 160,
-		MinThroughput: 50_000, MaxLatency: time.Second,
+		Objects: 1_000_000, MinThroughput: 50_000, MaxLatency: time.Second,
 	}, fixedModel(), DefaultPrices())
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +94,7 @@ func TestHigherThroughputCostsMore(t *testing.T) {
 	prev := 0.0
 	for _, x := range []float64{5_000, 20_000, 80_000} {
 		p, err := Optimize(Requirements{
-			Objects: 100_000, BlockSize: 160,
-			MinThroughput: x, MaxLatency: time.Second,
+			Objects: 100_000, MinThroughput: x, MaxLatency: time.Second,
 		}, fixedModel(), DefaultPrices())
 		if err != nil {
 			t.Fatalf("throughput %g: %v", x, err)
@@ -110,7 +107,7 @@ func TestHigherThroughputCostsMore(t *testing.T) {
 }
 
 func TestMaxThroughputMonotoneInMachines(t *testing.T) {
-	req := Requirements{Objects: 200_000, BlockSize: 160, MaxLatency: time.Second, Lambda: 128}
+	req := Requirements{Objects: 200_000, MaxLatency: time.Second, Lambda: 128}
 	m := fixedModel()
 	prev := 0.0
 	for s := 1; s <= 8; s++ {
@@ -130,18 +127,16 @@ func TestMaxThroughputMonotoneInMachines(t *testing.T) {
 // `go test ./internal/planner -run TestPlanGolden -update` after a deliberate
 // cost-model change, and review the diff like any other behavioral change.
 func TestPlanGolden(t *testing.T) {
-	m := AnalyticModel(8, 1, 6, 128)
+	m := AnalyticModel(8, 1, 6, 160, 128, Link{})
 	cases := []struct {
 		name string
 		req  Requirements
 	}{
 		{"small-low-load", Requirements{
-			Objects: 100_000, BlockSize: 160,
-			MinThroughput: 10_000, MaxLatency: time.Second,
+			Objects: 100_000, MinThroughput: 10_000, MaxLatency: time.Second,
 		}},
 		{"paper-scale", Requirements{
-			Objects: 2_000_000, BlockSize: 160,
-			MinThroughput: 100_000, MaxLatency: time.Second,
+			Objects: 2_000_000, MinThroughput: 100_000, MaxLatency: time.Second,
 			MaxLoadBalancers: 10, MaxSubORAMs: 40,
 		}},
 		// 1 M reqs/s is where one load balancer stops keeping up under this
@@ -149,13 +144,11 @@ func TestPlanGolden(t *testing.T) {
 		// sorting — it now does, with 2 subORAMs): infeasible on one plane,
 		// bought on the L axis once more planes are allowed.
 		{"lb-bound-single-plane", Requirements{
-			Objects: 100_000, BlockSize: 160,
-			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
+			Objects: 100_000, MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 1, MaxSubORAMs: 8,
 		}},
 		{"lb-bound-more-planes", Requirements{
-			Objects: 100_000, BlockSize: 160,
-			MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
+			Objects: 100_000, MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 8, MaxSubORAMs: 8,
 		}},
 	}
@@ -194,7 +187,7 @@ func TestPlanGolden(t *testing.T) {
 // so a larger partition is priced at a shorter lookup, not only more of them.
 func TestSubTimePricesTheGeometryTheSubORAMBuilds(t *testing.T) {
 	const opNs, slotNs, fixedNs = 8.0, 1.0, 6.0
-	m := AnalyticModel(opNs, slotNs, fixedNs, 128)
+	m := AnalyticModel(opNs, slotNs, fixedNs, 160, 128, Link{})
 	for _, s := range [][2]int{{128, 1 << 15}, {845, 1 << 9}, {512, 1 << 13}, {122, 1 << 11}, {1, 1}, {0, 5}} {
 		g := ohash.GeometryFor(s[0], s[1], 128)
 		want := time.Duration(opNs*float64(g.BuildCost()+g.ExtractCost()) +
@@ -210,11 +203,60 @@ func TestSubTimePricesTheGeometryTheSubORAMBuilds(t *testing.T) {
 	}
 }
 
+// TestLinkIsTheFrameOnTheWire: a one-way transfer of a batch is half the round
+// trip plus the bytes of its wirecode frame at the link's bandwidth, and the
+// zero Link, in process, costs nothing.
+func TestLinkIsTheFrameOnTheWire(t *testing.T) {
+	m := AnalyticModel(8, 1, 6, 160, 128, Testbed)
+	for _, rows := range []int{0, 1, 128, 845} {
+		// 125 MB/s is 8 ns a byte.
+		want := 250*time.Microsecond + time.Duration(8*wirecode.FrameLen(rows, 160))
+		if got := m.Link(rows); got < want-1 || got > want+1 {
+			t.Fatalf("Link(%d) = %v, the %d-byte frame takes %v", rows, got, wirecode.FrameLen(rows, 160), want)
+		}
+	}
+	if got := AnalyticModel(8, 1, 6, 160, 128, Link{}).Link(845); got != 0 {
+		t.Fatalf("an in-process link charges %v", got)
+	}
+}
+
+// TestFitsIsEquationOne pins the one Eq. 1 predicate against the stage time
+// worked out by hand: an epoch fits exactly when it is at least
+// max(LBTime(r, s), b·(SubTime(α, ⌈N/s⌉) + 2·Link(α))).
+func TestFitsIsEquationOne(t *testing.T) {
+	const b, s, r, objects = 2, 4, 500, 1001
+	alpha := batch.Size(r, s, 128)
+	for _, link := range []Link{{}, {RTT: time.Millisecond, BytesPerSec: 1e7}} {
+		m := fixedModel() // LB r·10 µs, subORAM α·20 µs + N/s·1 µs
+		m.link, m.block = link, 100
+		oneWay := time.Duration(0)
+		if link.RTT > 0 { // 10 MB/s is 100 ns a byte
+			oneWay = 500*time.Microsecond + time.Duration(100*wirecode.FrameLen(alpha, 100))
+		}
+		lb := r * 10 * time.Microsecond
+		sub := time.Duration(alpha)*20*time.Microsecond + 251*time.Microsecond
+		stage := max(lb, b*(sub+2*oneWay))
+		for _, c := range []struct {
+			t    time.Duration
+			fits bool
+		}{{stage + time.Microsecond, true}, {stage - time.Microsecond, false}} {
+			// The load that gives each load balancer r requests in c.t.
+			req := Requirements{Objects: objects, MinThroughput: (r + 0.5) * b / c.t.Seconds(), Lambda: 128}
+			if got := Fits(req, m, b, s, c.t); got != c.fits {
+				t.Fatalf("link %+v: Fits at %v = %v; by hand the stage takes %v", link, c.t, got, stage)
+			}
+		}
+	}
+}
+
 func TestCalibrateProducesUsableModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs real components")
 	}
-	m := Calibrate(160, 128)
+	m, err := Calibrate(160, 128, Link{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lb := m.LBTime(1000, 4)
 	sub := m.SubTime(500, 100_000)
 	if lb <= 0 || sub <= 0 {
@@ -228,7 +270,7 @@ func TestCalibrateProducesUsableModel(t *testing.T) {
 
 func TestOptimizeLatency(t *testing.T) {
 	m := fixedModel()
-	req := Requirements{Objects: 100_000, BlockSize: 160, MinThroughput: 10_000}
+	req := Requirements{Objects: 100_000, MinThroughput: 10_000}
 	p, err := OptimizeLatency(req, 5000, m, DefaultPrices())
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +301,7 @@ func TestOptimizeLatency(t *testing.T) {
 func TestOptimizeLatencyRespectsThroughput(t *testing.T) {
 	m := fixedModel()
 	p, err := OptimizeLatency(Requirements{
-		Objects: 50_000, BlockSize: 160, MinThroughput: 30_000,
+		Objects: 50_000, MinThroughput: 30_000,
 	}, 8400, m, DefaultPrices())
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package simnet is a discrete-event simulator of a Snoopy deployment: L
-// load-balancer machines and S subORAM machines exchanging epoch batches
-// over finite-bandwidth links, fed by Poisson client arrivals. Component
-// processing times come from a measured cost model (internal/planner), so
-// the simulator independently validates the closed-form pipeline equations
-// (paper §6, Eq. 1–2) that the figure harness uses — including the
-// queueing and pipelining effects the closed form abstracts away
-// ("We can pipeline the subORAM and load balancer processing", §6).
+// load-balancer machines and S subORAM machines exchanging epoch batches,
+// fed by Poisson client arrivals. Every cost — each stage's processing time
+// and each batch frame's trip over the link — comes from the one
+// planner.CostModel that prices the closed-form pipeline equations (paper §6,
+// Eq. 1–2), so the simulator checks what the closed form abstracts away:
+// queueing and pipelining ("We can pipeline the subORAM and load balancer
+// processing", §6).
 //
 // The simulation is epoch-stepped: stage start times respect both data
 // dependencies (batches must arrive before processing) and resource
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"snoopy/internal/batch"
@@ -27,22 +26,19 @@ import (
 
 // Config describes the simulated deployment and offered load.
 type Config struct {
-	LBs, Subs      int
-	Objects        int
-	Block          int
-	Lambda         int
-	Epoch          time.Duration
-	Arrival        float64 // offered load, requests/second
-	Model          planner.CostModel
-	NetRTT         time.Duration
-	NetBytesPerSec float64
-	Epochs         int // simulated epochs (default 50)
-	Seed           int64
+	LBs, Subs int
+	Objects   int
+	Lambda    int
+	Epoch     time.Duration
+	Arrival   float64 // offered load, requests/second
+	Model     planner.CostModel
+	Epochs    int // simulated epochs (default 50)
+	Seed      int64
 }
 
 func (c *Config) fill() error {
-	if c.LBs <= 0 || c.Subs <= 0 || c.Objects <= 0 || c.Block <= 0 {
-		return fmt.Errorf("simnet: LBs, Subs, Objects, Block must be positive")
+	if c.LBs <= 0 || c.Subs <= 0 || c.Objects <= 0 {
+		return fmt.Errorf("simnet: LBs, Subs, Objects must be positive")
 	}
 	if c.Lambda <= 0 {
 		c.Lambda = 128
@@ -64,7 +60,6 @@ type Result struct {
 	Completed   int
 	Throughput  float64 // completed requests / simulated duration
 	MeanLatency time.Duration
-	P50, P99    time.Duration
 	// Lag is the final pipeline lag (completion time minus epoch close);
 	// unbounded growth means the offered load exceeds capacity.
 	Lag    time.Duration
@@ -80,75 +75,49 @@ func Run(cfg Config) (Result, error) {
 	T := cfg.Epoch.Seconds()
 	objectsPerSub := (cfg.Objects + cfg.Subs - 1) / cfg.Subs
 
-	net := func(bytes int) time.Duration {
-		if cfg.NetBytesPerSec <= 0 {
-			return cfg.NetRTT
-		}
-		return cfg.NetRTT + time.Duration(float64(bytes)/cfg.NetBytesPerSec*1e9)
-	}
-
 	lbFree := make([]float64, cfg.LBs) // seconds
 	subFree := make([]float64, cfg.Subs)
-	var latencies []float64
-	var midLag, endLag float64
+	perLB := make([]int, cfg.LBs)
+	makeDone := make([]float64, cfg.LBs)
+	alpha := make([]int, cfg.LBs)
+	subT := make([]float64, cfg.LBs)
+	respReady := make([]float64, cfg.LBs)
+	var latencySum, midLag, endLag float64
 	completed := 0
 
 	for k := 0; k < cfg.Epochs; k++ {
 		epochClose := float64(k+1) * T
-		// Poisson arrivals for this epoch, split across LBs.
-		perLB := make([]int, cfg.LBs)
-		total := poisson(rng, cfg.Arrival*T)
-		for i := 0; i < total; i++ {
-			perLB[rng.Intn(cfg.LBs)]++
-		}
-
 		// Stage 1: each LB builds its batches once the epoch closes and the
-		// machine is free. The measured LBTime covers make+match; split it
-		// between the two stages.
-		makeDone := make([]float64, cfg.LBs)
-		alpha := make([]int, cfg.LBs)
+		// machine is free. The modelled LBTime covers make+match; split it
+		// between the two stages. A Poisson stream split uniformly over the
+		// LBs is an independent Poisson stream at each.
 		for i := 0; i < cfg.LBs; i++ {
-			a := batch.Size(perLB[i], cfg.Subs, cfg.Lambda)
-			if a == 0 {
-				a = 1
-			}
-			alpha[i] = a
-			lbT := cfg.Model.LBTime(perLB[i], cfg.Subs).Seconds() / 2
-			start := maxf(epochClose, lbFree[i])
-			makeDone[i] = start + lbT
+			perLB[i] = poisson(rng, cfg.Arrival*T/float64(cfg.LBs))
+			alpha[i] = max(batch.Size(perLB[i], cfg.Subs, cfg.Lambda), 1)
+			subT[i] = cfg.Model.SubTime(alpha[i], objectsPerSub).Seconds()
+			makeDone[i] = max(epochClose, lbFree[i]) + cfg.Model.LBTime(perLB[i], cfg.Subs).Seconds()/2
 			lbFree[i] = makeDone[i]
+			respReady[i] = 0
 		}
 
-		// Stage 2: each subORAM processes the L batches in LB order.
-		respArrive := make([][]float64, cfg.LBs)
-		for i := range respArrive {
-			respArrive[i] = make([]float64, cfg.Subs)
-		}
+		// Stage 2: each subORAM processes the L batches in LB order; each
+		// batch and its responses cross the link as one frame of α rows.
 		for s := 0; s < cfg.Subs; s++ {
 			for i := 0; i < cfg.LBs; i++ {
-				arrive := makeDone[i] + net(alpha[i]*(cfg.Block+64)).Seconds()
-				start := maxf(arrive, subFree[s])
-				done := start + cfg.Model.SubTime(alpha[i], objectsPerSub).Seconds()
+				link := cfg.Model.Link(alpha[i]).Seconds()
+				done := max(makeDone[i]+link, subFree[s]) + subT[i]
 				subFree[s] = done
-				respArrive[i][s] = done + net(alpha[i]*(cfg.Block+64)).Seconds()
+				respReady[i] = max(respReady[i], done+link)
 			}
 		}
 
 		// Stage 3: each LB matches once all its responses are in.
 		for i := 0; i < cfg.LBs; i++ {
-			ready := 0.0
-			for s := 0; s < cfg.Subs; s++ {
-				ready = maxf(ready, respArrive[i][s])
-			}
-			start := maxf(ready, lbFree[i])
-			done := start + cfg.Model.LBTime(perLB[i], cfg.Subs).Seconds()/2
+			done := max(respReady[i], lbFree[i]) + cfg.Model.LBTime(perLB[i], cfg.Subs).Seconds()/2
 			lbFree[i] = done
-
-			// Requests arrived uniformly within the epoch window.
-			for r := 0; r < perLB[i]; r++ {
-				arrival := float64(k)*T + rng.Float64()*T
-				latencies = append(latencies, done-arrival)
-			}
+			// Requests arrived uniformly within the epoch window, so their
+			// mean arrival is the window's midpoint.
+			latencySum += float64(perLB[i]) * (done - (float64(k)*T + T/2))
 			completed += perLB[i]
 			lag := done - epochClose
 			if k == cfg.Epochs/2 && lag > midLag {
@@ -167,20 +136,13 @@ func Run(cfg Config) (Result, error) {
 	// Stable if the pipeline lag stopped growing between the midpoint and
 	// the end (allowing one epoch of jitter).
 	res.Stable = endLag-midLag < T*float64(cfg.Epochs)/2*0.1 && endLag < 20*T
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanLatency = time.Duration(sum / float64(len(latencies)) * 1e9)
-		res.P50 = time.Duration(latencies[len(latencies)/2] * 1e9)
-		res.P99 = time.Duration(latencies[len(latencies)*99/100] * 1e9)
+	if completed > 0 {
+		res.MeanLatency = time.Duration(latencySum / float64(completed) * 1e9)
 	}
 	return res, nil
 }
 
-// MaxStableThroughput binary-searches the largest offered load the
+// MaxStableThroughput binary-searches, to 0.1 %, the largest offered load the
 // deployment sustains with bounded lag and mean latency within bound.
 func MaxStableThroughput(cfg Config, latencyBound time.Duration) (float64, error) {
 	if err := cfg.fill(); err != nil {
@@ -202,7 +164,7 @@ func MaxStableThroughput(cfg Config, latencyBound time.Duration) (float64, error
 	for ok(hi) && hi < 1e9 {
 		lo, hi = hi, hi*2
 	}
-	for i := 0; i < 30; i++ {
+	for hi-lo > lo/1000 {
 		mid := (lo + hi) / 2
 		if ok(mid) {
 			lo = mid
@@ -234,11 +196,4 @@ func poisson(rng *rand.Rand, mean float64) int {
 		}
 		k++
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

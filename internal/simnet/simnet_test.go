@@ -21,10 +21,9 @@ func testModel() planner.CostModel {
 
 func baseConfig(arrival float64) Config {
 	return Config{
-		LBs: 2, Subs: 4, Objects: 100_000, Block: 160, Lambda: 64,
+		LBs: 2, Subs: 4, Objects: 100_000, Lambda: 64,
 		Epoch: 100 * time.Millisecond, Arrival: arrival,
-		Model: testModel(), NetRTT: 500 * time.Microsecond, NetBytesPerSec: 125e6,
-		Epochs: 60, Seed: 1,
+		Model: testModel(), Epochs: 60, Seed: 1,
 	}
 }
 
@@ -86,24 +85,28 @@ func TestSimulatorAgreesWithClosedForm(t *testing.T) {
 	// The simulated capacity should be within ~3x of the planner's
 	// closed-form MaxThroughput for the same model (the closed form
 	// ignores queueing, the simulator ignores nothing; they must agree on
-	// order of magnitude and direction).
-	cfg := baseConfig(0)
-	sim, err := MaxStableThroughput(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := planner.Requirements{
-		Objects: cfg.Objects, BlockSize: cfg.Block,
-		MaxLatency: 250 * time.Millisecond, // epoch 100ms = 2/5 of this
-		Lambda:     cfg.Lambda,
-	}
-	closed := planner.MaxThroughput(req, cfg.Model, cfg.LBs, cfg.Subs)
-	if closed <= 0 || sim <= 0 {
-		t.Fatalf("degenerate: sim=%g closed=%g", sim, closed)
-	}
-	ratio := sim / closed
-	if ratio < 0.3 || ratio > 3.5 {
-		t.Fatalf("simulator and closed form diverge: sim=%g closed=%g ratio=%.2f", sim, closed, ratio)
+	// order of magnitude and direction) — in process, and with every batch
+	// frame crossing the paper's testbed link both ways.
+	for _, m := range []planner.CostModel{testModel(), planner.AnalyticModel(8, 1, 6, 160, 64, planner.Testbed)} {
+		cfg := baseConfig(0)
+		cfg.Model = m
+		sim, err := MaxStableThroughput(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := planner.Requirements{
+			Objects:    cfg.Objects,
+			MaxLatency: 250 * time.Millisecond, // epoch 100ms = 2/5 of this
+			Lambda:     cfg.Lambda,
+		}
+		closed := planner.MaxThroughput(req, cfg.Model, cfg.LBs, cfg.Subs)
+		if closed <= 0 || sim <= 0 {
+			t.Fatalf("degenerate: sim=%g closed=%g", sim, closed)
+		}
+		ratio := sim / closed
+		if ratio < 0.3 || ratio > 3.5 {
+			t.Fatalf("simulator and closed form diverge: sim=%g closed=%g ratio=%.2f", sim, closed, ratio)
+		}
 	}
 }
 

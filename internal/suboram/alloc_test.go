@@ -73,7 +73,7 @@ func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 		}
 		pool.PutRequests(out)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("warm BatchAccess allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -118,7 +118,7 @@ func TestBatchAccessZeroAllocVaryingBatchSize(t *testing.T) {
 	if len(shapes) < 2 {
 		t.Fatal("every batch size got the same table — the guard is vacuous")
 	}
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 && !raceEnabled {
 		t.Fatalf("a warm cycle of varying batch sizes allocated %.1f times, want 0", allocs)
 	}
 }
@@ -161,7 +161,7 @@ func TestBatchAccessZeroAllocWithTelemetry(t *testing.T) {
 		}
 		pool.PutRequests(out)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("instrumented warm BatchAccess allocated %.1f times per run, want 0", allocs)
 	}
 	if reg.Counter("suboram_batches_total").Value() == 0 {

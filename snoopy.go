@@ -431,12 +431,15 @@ type Plan = planner.Plan
 // PlanDeployment runs the paper's §6 planner: it calibrates component
 // costs on this machine, then returns the cheapest (load balancers,
 // subORAMs) configuration that sustains minThroughput requests/second
-// under the average-latency bound for the given data size.
+// under the average-latency bound for the given data size, its machines
+// joined by the paper's testbed link.
 func PlanDeployment(objects, blockSize int, minThroughput float64, maxLatency time.Duration) (Plan, error) {
-	model := planner.Calibrate(blockSize, 128)
+	model, err := planner.Calibrate(blockSize, 128, planner.Testbed)
+	if err != nil {
+		return Plan{}, err
+	}
 	return planner.Optimize(planner.Requirements{
 		Objects:       objects,
-		BlockSize:     blockSize,
 		MinThroughput: minThroughput,
 		MaxLatency:    maxLatency,
 	}, model, planner.DefaultPrices())
