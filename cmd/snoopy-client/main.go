@@ -24,7 +24,6 @@ import (
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
 	"snoopy/internal/metrics"
-	"snoopy/internal/transport"
 	"snoopy/internal/workload"
 )
 
@@ -157,7 +156,7 @@ func main() {
 		*ops, *clients, 100**writeFrac)
 	gen := workload.Mix(workload.Uniform(*objects), *writeFrac)
 	var lat metrics.Latencies
-	var failed, retried, suppressed metrics.Counter
+	var failed, retried metrics.Counter
 	th := metrics.NewThroughput()
 	var wg sync.WaitGroup
 	perClient := (*ops + *clients - 1) / *clients
@@ -165,11 +164,9 @@ func main() {
 	// retried under that same ID after a failure: a retry of a request the
 	// root already answered (including one replayed from the journal by a
 	// promoted standby) returns the original parked answer instead of
-	// re-executing. The dedup window is the client-side half: if an answer
-	// somehow arrives twice, only the first delivery counts.
+	// re-executing.
 	idem := *journalDir != ""
 	var nextID atomic.Uint64
-	dedup := transport.NewReplyDedup(*replyWindow)
 	for c := 0; c < *clients; c++ {
 		c := c
 		wg.Add(1)
@@ -179,29 +176,17 @@ func main() {
 			for i := 0; i < perClient; i++ {
 				op := gen(rng)
 				t0 := time.Now()
-				var err error
+				req := snoopy.Op{Write: op.Write, Key: op.Key, Value: []byte(fmt.Sprintf("w-%d-%d", c, i))}
 				if idem {
-					id := nextID.Add(1)
-					for attempt := 0; ; attempt++ {
-						if op.Write {
-							_, _, err = st.WriteIdem(id, op.Key, []byte(fmt.Sprintf("w-%d-%d", c, i)))
-						} else {
-							_, _, err = st.ReadIdem(id, op.Key)
-						}
-						if err == nil || attempt >= *opRetries {
-							break
-						}
-						retried.Inc()
-						time.Sleep(*retryBackoff)
+					req.ID = nextID.Add(1)
+				}
+				var err error
+				for attempt := 0; ; attempt++ {
+					if err = st.Do([]snoopy.Op{req})[0].Err; err == nil || !idem || attempt >= *opRetries {
+						break
 					}
-					if err == nil && !dedup.Deliver(id) {
-						suppressed.Inc()
-						continue // duplicate answer; already counted
-					}
-				} else if op.Write {
-					_, _, err = st.Write(op.Key, []byte(fmt.Sprintf("w-%d-%d", c, i)))
-				} else {
-					_, _, err = st.Read(op.Key)
+					retried.Inc()
+					time.Sleep(*retryBackoff)
 				}
 				if err != nil {
 					failed.Inc()
@@ -230,7 +215,7 @@ func main() {
 		fmt.Printf("failed ops: %d\n", n)
 	}
 	if n := retried.Load(); n > 0 {
-		fmt.Printf("idempotent retries: %d (duplicate answers suppressed: %d)\n", n, suppressed.Load())
+		fmt.Printf("idempotent retries: %d\n", n)
 	}
 	if *standbys != "" {
 		h := st.Health()

@@ -79,10 +79,12 @@ func ExampleStore_EnableACL() {
 		{User: 1, Object: 7, Op: snoopy.OpRead},
 	}, 1)
 
-	_, ok, _ := st.ReadAs(1, 7) // granted
-	fmt.Println("user 1:", ok)
-	_, ok, _ = st.ReadAs(2, 7) // denied, indistinguishably
-	fmt.Println("user 2:", ok)
+	res := st.Do([]snoopy.Op{
+		{Key: 7, User: 1}, // granted
+		{Key: 7, User: 2}, // denied, indistinguishably
+	})
+	fmt.Println("user 1:", res[0].Found)
+	fmt.Println("user 2:", res[1].Found)
 	// Output:
 	// user 1: true
 	// user 2: false

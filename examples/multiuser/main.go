@@ -63,15 +63,15 @@ func main() {
 	fmt.Printf("store up: 2 replicated partitions (f=1, r=1), %d ACL rules\n", len(rules))
 
 	show := func(who string, user, doc uint64) {
-		v, ok, err := st.ReadAs(user, doc)
-		if err != nil {
-			log.Fatal(err)
+		r := st.Do([]snoopy.Op{{Key: doc, User: user}})[0]
+		if r.Err != nil {
+			log.Fatal(r.Err)
 		}
-		if !ok {
+		if !r.Found {
 			fmt.Printf("  %-5s read doc %d -> DENIED (null response)\n", who, doc)
 			return
 		}
-		fmt.Printf("  %-5s read doc %d -> %q\n", who, doc, trim(v))
+		fmt.Printf("  %-5s read doc %d -> %q\n", who, doc, trim(r.Value))
 	}
 
 	show("alice", alice, payrollDoc)
@@ -80,16 +80,16 @@ func main() {
 	show("eve", eve, payrollDoc) // denied — and the provider can't tell
 
 	// Eve tries to vandalize the wiki; the write is obliviously suppressed.
-	if _, ok, err := st.WriteAs(eve, wikiDoc, []byte("pwned")); err != nil {
-		log.Fatal(err)
-	} else if ok {
+	if r := st.Do([]snoopy.Op{{Write: true, Key: wikiDoc, Value: []byte("pwned"), User: eve}})[0]; r.Err != nil {
+		log.Fatal(r.Err)
+	} else if r.Found {
 		log.Fatal("eve's write should have been denied")
 	}
 	show("bob", bob, wikiDoc) // unchanged
 
 	// Bob updates the wiki legitimately.
-	if _, _, err := st.WriteAs(bob, wikiDoc, []byte("lunch menu: ramen")); err != nil {
-		log.Fatal(err)
+	if r := st.Do([]snoopy.Op{{Write: true, Key: wikiDoc, Value: []byte("lunch menu: ramen"), User: bob}})[0]; r.Err != nil {
+		log.Fatal(r.Err)
 	}
 	show("bob", bob, wikiDoc)
 	fmt.Println("every request above flowed through fixed-size oblivious batches;")

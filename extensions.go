@@ -26,20 +26,11 @@ type ACLRule = core.ACLRule
 
 // EnableACL installs an access-control matrix, served obliviously by an
 // internal recursive Snoopy instance (paper §D). Call before submitting
-// requests; afterwards use ReadAs/WriteAs. Plain Read/Write run as user 0.
+// requests; afterwards name the user in Do's Op.User (denied reads return
+// zeroes with Found == false, denied writes change nothing). Plain
+// Read/Write run as user 0.
 func (s *Store) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 	return s.sys.EnableACL(rules, aclSubORAMs)
-}
-
-// ReadAs reads key on behalf of user; denied reads return zeroes with
-// ok == false, indistinguishable (to the storage) from permitted ones.
-func (s *Store) ReadAs(user, key uint64) (value []byte, ok bool, err error) {
-	return s.sys.ReadAs(user, key)
-}
-
-// WriteAs writes key on behalf of user; denied writes change nothing.
-func (s *Store) WriteAs(user, key uint64, value []byte) (previous []byte, ok bool, err error) {
-	return s.sys.WriteAs(user, key, value)
 }
 
 // NewReplicatedSubORAM builds a partition replicated across f+r+1 local

@@ -22,14 +22,14 @@ func TestPublicACL(t *testing.T) {
 	}, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := st.ReadAs(7, 10)
-	if err != nil || !ok || !bytes.HasPrefix(v, []byte("secret")) {
-		t.Fatalf("granted read: %q %v %v", v, ok, err)
+	res := st.Do([]snoopy.Op{{Key: 10, User: 7}})
+	if r := res[0]; r.Err != nil || !r.Found || !bytes.HasPrefix(r.Value, []byte("secret")) {
+		t.Fatalf("granted read: %q %v %v", r.Value, r.Found, r.Err)
 	}
-	if _, ok, _ := st.ReadAs(8, 10); ok {
+	if res := st.Do([]snoopy.Op{{Key: 10, User: 8}}); res[0].Found {
 		t.Fatal("ungranted user read succeeded")
 	}
-	if _, ok, _ := st.WriteAs(7, 10, []byte("x")); ok {
+	if res := st.Do([]snoopy.Op{{Write: true, Key: 10, Value: []byte("x"), User: 7}}); res[0].Found {
 		t.Fatal("read-only grant allowed write")
 	}
 }
@@ -86,7 +86,7 @@ func TestDoBatch(t *testing.T) {
 	}
 	res := st.Do([]snoopy.Op{
 		{Key: 1},
-		{Write: true, Key: 2, Value: []byte("B")},
+		{Write: true, Key: 2, Value: []byte("B"), ID: 7},
 		{Key: 999},
 	})
 	if len(res) != 3 {
@@ -104,5 +104,10 @@ func TestDoBatch(t *testing.T) {
 	res = st.Do([]snoopy.Op{{Key: 2}})
 	if res[0].Value[0] != 'B' {
 		t.Fatal("batched write lost")
+	}
+	// A retry under the same ID returns the original answer, unexecuted.
+	res = st.Do([]snoopy.Op{{Write: true, Key: 2, Value: []byte("C"), ID: 7}, {Key: 2}})
+	if res[0].Err != nil || res[0].Value[0] != 'b' || res[1].Value[0] != 'B' {
+		t.Fatalf("retry of ID 7 re-executed: %+v", res)
 	}
 }

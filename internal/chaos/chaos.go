@@ -457,18 +457,16 @@ func (h *harness) runEpoch(epoch int) error {
 		}
 		write := h.rng.Intn(2) == 0
 		op := history.Op{Key: key, Write: write, Start: time.Now().UnixNano()}
-		var wait func() ([]byte, bool, error)
-		var err error
+		req := core.Request{Op: store.OpRead, Key: key}
 		if write {
 			h.nextVal++
 			op.Input = fmt.Sprintf("v%d", h.nextVal)
 			// Batched writes return the epoch-start value, not the
 			// immediate predecessor — exclude the output, keep the effect.
 			op.IgnoreOutput = true
-			wait, err = h.sys.WriteAsync(key, []byte(op.Input))
-		} else {
-			wait, err = h.sys.ReadAsync(key)
+			req.Op, req.Value = store.OpWrite, []byte(op.Input)
 		}
+		wait, err := h.sys.Submit(req)
 		if err != nil {
 			return fmt.Errorf("chaos: submit failed: %w", err)
 		}

@@ -15,8 +15,7 @@
 //   - every tracked request is answered exactly once: retries of
 //     unanswered requests produce exactly one answer (journal replay or
 //     fresh execution, never both), and deliberate duplicate retries of
-//     answered requests return byte-identical parked answers that the
-//     client-side ReplyDedup window suppresses;
+//     answered requests return byte-identical parked answers;
 //   - every root crash is matched by exactly one supervisor promotion,
 //     with a measured time-to-recovery.
 //
@@ -111,7 +110,7 @@ type RootResult struct {
 	// error (root down or partition down) before the retry succeeded.
 	Ops, Retries, FailedAttempts int
 	// Duplicates counts deliberate duplicate retries of already-answered
-	// requests whose second answer the ReplyDedup window suppressed.
+	// requests whose parked answer matched the first.
 	Duplicates int
 	// RootCrashes is the number of root kills; Unanswered the number of
 	// tracked requests still unanswered after the drain phase (0 on a
@@ -122,8 +121,8 @@ type RootResult struct {
 	// Linearizable is the history.CheckLinearizable verdict.
 	Linearizable bool
 	// ExactlyOnce reports the reply invariant: every tracked request was
-	// answered exactly once, and every duplicate answer was suppressed
-	// and byte-identical to the first.
+	// answered exactly once, and every duplicate retry's parked answer was
+	// byte-identical to the first.
 	ExactlyOnce bool
 	// SupStats carries the supervisor's accounting (trips, promotions,
 	// time-to-recovery).
@@ -162,6 +161,15 @@ type rootPend struct {
 	wait func() ([]byte, bool, error)
 }
 
+// request is the pend's client operation under its idempotency ID.
+func (p *rootPend) request() core.Request {
+	r := core.Request{Op: store.OpRead, Key: p.op.Key, ID: p.id}
+	if p.op.Write {
+		r.Op, r.Value = store.OpWrite, []byte(p.op.Input)
+	}
+	return r
+}
+
 type rootHarness struct {
 	cfg RootConfig
 	rng *rand.Rand
@@ -177,7 +185,6 @@ type rootHarness struct {
 	mu    sync.Mutex
 	armed string
 
-	dedup    *transport.ReplyDedup
 	answered map[uint64]int    // successful answers per tracked ID
 	firstAns map[uint64]string // first answer, for duplicate comparison
 
@@ -204,7 +211,6 @@ func RunRoot(cfg RootConfig) (*RootResult, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		res:       &RootResult{},
-		dedup:     transport.NewReplyDedup(0),
 		answered:  make(map[uint64]int),
 		firstAns:  make(map[uint64]string),
 		downUntil: make([]int, cfg.Parts),
@@ -373,12 +379,7 @@ func (h *rootHarness) schedule(epoch int) {
 // idempotency ID and history window across retries.
 func (h *rootHarness) submit(sys *core.System, p *rootPend) error {
 	var err error
-	if p.op.Write {
-		p.wait, err = sys.WriteIdemAsync(p.id, p.op.Key, []byte(p.op.Input))
-	} else {
-		p.wait, err = sys.ReadIdemAsync(p.id, p.op.Key)
-	}
-	if err != nil {
+	if p.wait, err = sys.Submit(p.request()); err != nil {
 		// Root crashed between promotion and submit: keep the pend, a
 		// later round retries it.
 		p.wait = nil
@@ -465,11 +466,6 @@ func (h *rootHarness) collect(cur *core.System, p *rootPend) {
 		ans = string(bytes.TrimRight(v, "\x00"))
 	}
 	h.answered[p.id]++
-	if !h.dedup.Deliver(p.id) {
-		// We only wait once per attempt and never retry answered IDs, so
-		// a suppressed first delivery means the window lied.
-		h.exactly = false
-	}
 	h.firstAns[p.id] = ans
 	op := p.op
 	op.End = time.Now().UnixNano()
@@ -480,25 +476,21 @@ func (h *rootHarness) collect(cur *core.System, p *rootPend) {
 
 	// Deliberate duplicate: re-ask a deterministic subset of answered
 	// requests under the same ID, modeling a reply lost between root and
-	// client. The parked answer must be byte-identical and the client
-	// window must suppress the second delivery.
+	// client. The parked answer must be byte-identical to the first.
 	if p.id%5 == 3 && !cur.Crashed() {
 		h.dupRetry(cur, p, ans, found)
 	}
 }
 
 func (h *rootHarness) dupRetry(cur *core.System, p *rootPend, ans string, found bool) {
-	var v2 []byte
-	var found2 bool
-	var err error
-	if p.op.Write {
-		v2, found2, err = cur.WriteIdem(p.id, p.op.Key, []byte(p.op.Input))
-	} else {
-		v2, found2, err = cur.ReadIdem(p.id, p.op.Key)
-	}
+	wait, err := cur.Submit(p.request())
 	if err != nil {
 		// The root died between the answer and the duplicate; nothing to
 		// check — the original answer already counted.
+		return
+	}
+	v2, found2, err := wait()
+	if err != nil {
 		return
 	}
 	ans2 := ""
@@ -511,9 +503,6 @@ func (h *rootHarness) dupRetry(cur *core.System, p *rootPend, ans string, found 
 			h.cfg.Log("request %d: duplicate answer %q/%v differs from first %q/%v",
 				p.id, ans2, found2, ans, found)
 		}
-	}
-	if h.dedup.Deliver(p.id) {
-		h.exactly = false // the window must suppress the second delivery
 	} else {
 		h.res.Duplicates++
 	}

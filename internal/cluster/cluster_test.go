@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"snoopy/internal/core"
+	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
@@ -133,7 +134,7 @@ func TestRootPromotionOnTrip(t *testing.T) {
 		}
 	}
 	// The promoted root serves.
-	wait, err := p.ReadIdemAsync(99, 1)
+	wait, err := p.Submit(core.Request{Op: store.OpRead, Key: 1, ID: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

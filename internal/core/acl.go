@@ -41,8 +41,7 @@ func (a *aclState) key(user, object uint64, op uint8) uint64 {
 
 // EnableACL installs an access-control matrix, served by an internal
 // recursive Snoopy deployment with aclSubORAMs partitions. Must be called
-// before requests are submitted. Requests without an explicit user (Read/
-// Write) run as user 0.
+// before requests are submitted. Requests without a User run as user 0.
 func (sys *System) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 	if aclSubORAMs <= 0 {
 		aclSubORAMs = 1
@@ -85,28 +84,6 @@ func (sys *System) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 	return nil
 }
 
-// ReadAs submits a read on behalf of user; with ACL enabled, denied reads
-// return a zero value with found == false.
-func (sys *System) ReadAs(user, key uint64) (value []byte, found bool, err error) {
-	ch, err := sys.submitAs(user, store.OpRead, key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	r := <-ch
-	return r.value, r.found, r.err
-}
-
-// WriteAs submits a write on behalf of user; with ACL enabled, denied
-// writes change nothing and return found == false.
-func (sys *System) WriteAs(user, key uint64, value []byte) (previous []byte, found bool, err error) {
-	ch, err := sys.submitAs(user, store.OpWrite, key, value)
-	if err != nil {
-		return nil, false, err
-	}
-	r := <-ch
-	return r.value, r.found, r.err
-}
-
 // applyACL performs the recursive permission lookups for one epoch's
 // pending queues and rewrites the requests branch-free: denied writes
 // become reads, and every denied request is flagged so its response is
@@ -120,29 +97,29 @@ func (sys *System) applyACL(queues [][]pending) ([][]uint8, error) {
 	// Phase 1: submit all ACL lookups, run one recursive epoch.
 	type lookup struct {
 		q, i int
-		wait chan result
+		wait func() ([]byte, bool, error)
 	}
 	var lookups []lookup
 	for qi, q := range queues {
 		denied[qi] = make([]uint8, len(q))
 		for i, p := range q {
-			ch, err := a.sys.submit(store.OpRead, a.key(p.user, p.key, p.op), nil)
+			wait, err := a.sys.Submit(Request{Op: store.OpRead, Key: a.key(p.User, p.Key, p.Op)})
 			if err != nil {
 				return nil, err
 			}
-			lookups = append(lookups, lookup{q: qi, i: i, wait: ch})
+			lookups = append(lookups, lookup{q: qi, i: i, wait: wait})
 		}
 	}
 	a.sys.Flush()
 	// Phase 2: apply permissions branch-free.
 	for _, l := range lookups {
-		r := <-l.wait
-		if r.err != nil {
-			return nil, r.err
+		value, found, err := l.wait()
+		if err != nil {
+			return nil, err
 		}
 		var granted uint8
-		if r.found && len(r.value) > 0 {
-			granted = r.value[0] & 1
+		if found && len(value) > 0 {
+			granted = value[0] & 1
 		}
 		p := &queues[l.q][l.i]
 		deny := obliv.Not(granted)
@@ -150,9 +127,9 @@ func (sys *System) applyACL(queues [][]pending) ([][]uint8, error) {
 		// A denied write must not mutate state: flip its op to read. The
 		// flip is a conditional set on a secret bit, not a branch on the
 		// access path.
-		op := uint64(p.op)
+		op := uint64(p.Op)
 		obliv.CondSetU64(deny, &op, uint64(store.OpRead))
-		p.op = uint8(op)
+		p.Op = uint8(op)
 	}
 	return denied, nil
 }
@@ -169,22 +146,4 @@ func (sys *System) closeACL() {
 	if sys.acl != nil {
 		sys.acl.sys.Close()
 	}
-}
-
-// ReadAsAsync submits a read for user without blocking.
-func (sys *System) ReadAsAsync(user, key uint64) (func() ([]byte, bool, error), error) {
-	ch, err := sys.submitAs(user, store.OpRead, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) { r := <-ch; return r.value, r.found, r.err }, nil
-}
-
-// WriteAsAsync submits a write for user without blocking.
-func (sys *System) WriteAsAsync(user, key uint64, value []byte) (func() ([]byte, bool, error), error) {
-	ch, err := sys.submitAs(user, store.OpWrite, key, value)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) { r := <-ch; return r.value, r.found, r.err }, nil
 }

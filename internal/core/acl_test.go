@@ -28,17 +28,17 @@ func startACLSystem(t *testing.T) *System {
 
 func TestACLPermittedOperations(t *testing.T) {
 	sys := startACLSystem(t)
-	v, found, err := sys.ReadAs(1, 10)
+	v, found, err := do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
 	if err != nil || !found {
 		t.Fatalf("permitted read denied: %v %v", err, found)
 	}
 	if trimmed(v) != "init-10" {
 		t.Fatalf("permitted read got %q", trimmed(v))
 	}
-	if _, found, err = sys.WriteAs(1, 10, []byte("by-user-1")); err != nil || !found {
+	if _, found, err = do(sys, Request{Op: store.OpWrite, Key: 10, Value: []byte("by-user-1"), User: 1}); err != nil || !found {
 		t.Fatalf("permitted write denied: %v %v", err, found)
 	}
-	v, _, _ = sys.ReadAs(1, 10)
+	v, _, _ = do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
 	if trimmed(v) != "by-user-1" {
 		t.Fatalf("write did not apply: %q", trimmed(v))
 	}
@@ -46,7 +46,7 @@ func TestACLPermittedOperations(t *testing.T) {
 
 func TestACLDeniedReadReturnsNull(t *testing.T) {
 	sys := startACLSystem(t)
-	v, found, err := sys.ReadAs(3, 10) // user 3 has no rights
+	v, found, err := do(sys, Request{Op: store.OpRead, Key: 10, User: 3}) // user 3 has no rights
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestACLDeniedReadReturnsNull(t *testing.T) {
 
 func TestACLDeniedWriteChangesNothing(t *testing.T) {
 	sys := startACLSystem(t)
-	if _, found, err := sys.WriteAs(2, 10, []byte("evil")); err != nil || found {
+	if _, found, err := do(sys, Request{Op: store.OpWrite, Key: 10, Value: []byte("evil"), User: 2}); err != nil || found {
 		t.Fatalf("denied write: err=%v found=%v (should be nil,false)", err, found)
 	}
-	v, found, err := sys.ReadAs(1, 10)
+	v, found, err := do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -74,20 +74,20 @@ func TestACLDeniedWriteChangesNothing(t *testing.T) {
 
 func TestACLWriteOnlyGrantDoesNotAllowRead(t *testing.T) {
 	sys := startACLSystem(t)
-	if _, found, _ := sys.ReadAs(2, 20); found {
+	if _, found, _ := do(sys, Request{Op: store.OpRead, Key: 20, User: 2}); found {
 		t.Fatal("write-only grant allowed a read")
 	}
-	if _, found, err := sys.WriteAs(2, 20, []byte("ok")); err != nil || !found {
+	if _, found, err := do(sys, Request{Op: store.OpWrite, Key: 20, Value: []byte("ok"), User: 2}); err != nil || !found {
 		t.Fatalf("granted write denied: %v %v", err, found)
 	}
-	v, _, _ := sys.ReadAs(1, 10) // unrelated sanity
+	v, _, _ := do(sys, Request{Op: store.OpRead, Key: 10, User: 1}) // unrelated sanity
 	_ = v
 }
 
 func TestACLDefaultUserZero(t *testing.T) {
 	sys := startACLSystem(t)
 	// Plain Read runs as user 0, which has no grants.
-	if _, found, _ := sys.Read(10); found {
+	if _, found, _ := read(sys, 10); found {
 		t.Fatal("user 0 should be denied without a rule")
 	}
 }
@@ -105,11 +105,11 @@ func TestACLManyUsersConcurrent(t *testing.T) {
 	for u := uint64(1); u <= 8; u++ {
 		u := u
 		go func() {
-			if _, found, err := sys.ReadAs(u, u); err != nil || !found {
+			if _, found, err := do(sys, Request{Op: store.OpRead, Key: u, User: u}); err != nil || !found {
 				errs <- fmt.Errorf("user %d own-object read failed: %v %v", u, err, found)
 				return
 			}
-			if _, found, _ := sys.ReadAs(u, (u%8)+1); found && (u%8)+1 != u {
+			if _, found, _ := do(sys, Request{Op: store.OpRead, Key: (u % 8) + 1, User: u}); found && (u%8)+1 != u {
 				errs <- fmt.Errorf("user %d read another user's object", u)
 				return
 			}
@@ -141,14 +141,14 @@ func TestACLWithPipelinedEpochs(t *testing.T) {
 	}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, err := sys.WriteAs(1, 10, []byte("piped")); err != nil || !found {
+	if _, found, err := do(sys, Request{Op: store.OpWrite, Key: 10, Value: []byte("piped"), User: 1}); err != nil || !found {
 		t.Fatalf("pipelined ACL write: %v %v", err, found)
 	}
-	v, found, err := sys.ReadAs(1, 10)
+	v, found, err := do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
 	if err != nil || !found || trimmed(v) != "piped" {
 		t.Fatalf("pipelined ACL read: %q %v %v", trimmed(v), found, err)
 	}
-	if _, found, _ := sys.ReadAs(2, 10); found {
+	if _, found, _ := do(sys, Request{Op: store.OpRead, Key: 10, User: 2}); found {
 		t.Fatal("pipelined ACL denied read leaked")
 	}
 }

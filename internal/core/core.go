@@ -219,25 +219,6 @@ type EpochStats struct {
 	SubORAMWall []time.Duration
 }
 
-// result is what a waiting client receives.
-type result struct {
-	value []byte
-	found bool
-	err   error
-}
-
-type pending struct {
-	op   uint8
-	key  uint64
-	user uint64
-	// id is the client-chosen idempotency ID (0 = untracked): successful
-	// results are parked in the reply window under it, and it travels into
-	// the epoch journal so a successor root can route the reply.
-	id   uint64
-	data []byte
-	ch   chan result
-}
-
 type lbState struct {
 	lb *loadbalancer.LoadBalancer
 
@@ -245,7 +226,7 @@ type lbState struct {
 	queue []pending
 	// closed (guarded by mu, not the system-wide channel) makes the
 	// enqueue-after-final-drain race impossible: Close sets it under mu
-	// while draining, and submitAs re-checks it under the same mu before
+	// while draining, and enqueue re-checks it under the same mu before
 	// appending, so no request can slip into a queue nobody will flush.
 	closed bool
 }
@@ -719,97 +700,6 @@ func (sys *System) shutPipe() {
 	}
 }
 
-// submit enqueues a request with a uniformly chosen load balancer (paper
-// §4.3: "clients randomly choose one load balancer to contact").
-func (sys *System) submit(op uint8, key uint64, data []byte) (chan result, error) {
-	return sys.submitAs(0, op, key, data)
-}
-
-func (sys *System) submitAs(user uint64, op uint8, key uint64, data []byte) (chan result, error) {
-	return sys.submitID(user, op, key, data, 0)
-}
-
-// submitID is submitAs carrying an idempotency ID (0 = untracked).
-func (sys *System) submitID(user uint64, op uint8, key uint64, data []byte, id uint64) (chan result, error) {
-	select {
-	case <-sys.crashedCh:
-		// A crashed root refuses, distinguishably from a clean shutdown:
-		// the client's move is to retry against the promoted successor.
-		return nil, ErrRootDown
-	default:
-	}
-	select {
-	case <-sys.closed:
-		return nil, ErrClosed
-	default:
-	}
-	if key >= store.DummyKeyBit {
-		return nil, fmt.Errorf("core: key %#x in reserved dummy space", key)
-	}
-	if len(data) > sys.cfg.BlockSize {
-		return nil, fmt.Errorf("core: value length %d exceeds block size %d", len(data), sys.cfg.BlockSize)
-	}
-	// Clients pick a load balancer uniformly (paper §4.3); the network
-	// adversary observes the choice anyway.
-	sys.rngMu.Lock()
-	st := sys.lbs[sys.rng.Intn(len(sys.lbs))]
-	sys.rngMu.Unlock()
-	ch := make(chan result, 1)
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return nil, ErrClosed
-	}
-	st.queue = append(st.queue, pending{op: op, key: key, user: user, id: id, data: data, ch: ch})
-	st.mu.Unlock()
-	return ch, nil
-}
-
-// Read submits a read and blocks until its epoch completes. found reports
-// whether the key exists in the store.
-func (sys *System) Read(key uint64) (value []byte, found bool, err error) {
-	ch, err := sys.submit(store.OpRead, key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	r := <-ch
-	return r.value, r.found, r.err
-}
-
-// Write submits a write and blocks until its epoch completes. The returned
-// previous value is the object's value at the start of the write's epoch
-// (the paper's OStoreBatchAccess semantics: every deduplicated request for
-// a key shares one response carrying the pre-batch value) — NOT an atomic
-// read-modify-write. Writes to keys not loaded at Init are no-ops with
-// found == false.
-func (sys *System) Write(key uint64, value []byte) (previous []byte, found bool, err error) {
-	ch, err := sys.submit(store.OpWrite, key, value)
-	if err != nil {
-		return nil, false, err
-	}
-	r := <-ch
-	return r.value, r.found, r.err
-}
-
-// ReadAsync and WriteAsync submit without blocking; the returned function
-// blocks for the outcome. Used by throughput benchmarks.
-func (sys *System) ReadAsync(key uint64) (func() ([]byte, bool, error), error) {
-	ch, err := sys.submit(store.OpRead, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) { r := <-ch; return r.value, r.found, r.err }, nil
-}
-
-// WriteAsync submits a write without blocking.
-func (sys *System) WriteAsync(key uint64, value []byte) (func() ([]byte, bool, error), error) {
-	ch, err := sys.submit(store.OpWrite, key, value)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) { r := <-ch; return r.value, r.found, r.err }, nil
-}
-
 // lbEpoch is one load balancer's stage-A output for an epoch. perSub and
 // dropped are copied out of the Batches so that stage B can release the
 // batch storage to the arena as soon as the subORAMs are done with it,
@@ -1047,7 +937,7 @@ func (sys *System) stageAPlane(job *epochJob, i int) {
 	q := job.queues[i]
 	reqs := arena.Default.GetRequests(len(q), sys.cfg.BlockSize)
 	for j, p := range q {
-		reqs.SetRow(j, p.op, p.key, 0, uint64(j), uint64(j), p.data)
+		reqs.SetRow(j, p.Op, p.Key, 0, uint64(j), uint64(j), p.Value)
 	}
 	b, err := sys.lbs[i].lb.MakeBatches(reqs)
 	ep := lbEpoch{reqs: reqs, batches: b, err: err, wall: time.Since(t)}
@@ -1351,7 +1241,7 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 		// Park the answer for idempotent retries before delivering it: a
 		// client that saw this root crash a moment later re-asks with the
 		// same ID and gets the original result instead of a re-execution.
-		sys.replyWin.put(p.id, r)
+		sys.replyWin.put(p.ID, r)
 		p.ch <- r
 	}
 	arena.Default.PutRequests(matched)

@@ -42,25 +42,43 @@ func startSystem(t *testing.T, cfg Config, nObjects int) *System {
 
 func trimmed(b []byte) string { return strings.TrimRight(string(b), "\x00") }
 
+// do submits r and blocks for its answer; read and write are its plain
+// forms.
+func do(sys *System, r Request) ([]byte, bool, error) {
+	wait, err := sys.Submit(r)
+	if err != nil {
+		return nil, false, err
+	}
+	return wait()
+}
+
+func read(sys *System, key uint64) ([]byte, bool, error) {
+	return do(sys, Request{Op: store.OpRead, Key: key})
+}
+
+func write(sys *System, key uint64, value []byte) ([]byte, bool, error) {
+	return do(sys, Request{Op: store.OpWrite, Key: key, Value: value})
+}
+
 func TestReadWriteSingleEpochTicker(t *testing.T) {
 	sys := startSystem(t, Config{
 		NumLoadBalancers: 2, NumSubORAMs: 3, EpochDuration: 2 * time.Millisecond,
 	}, 100)
-	v, found, err := sys.Read(7)
+	v, found, err := read(sys, 7)
 	if err != nil || !found {
 		t.Fatalf("read failed: %v found=%v", err, found)
 	}
 	if trimmed(v) != "init-7" {
 		t.Fatalf("read got %q", trimmed(v))
 	}
-	prev, found, err := sys.Write(7, []byte("updated"))
+	prev, found, err := write(sys, 7, []byte("updated"))
 	if err != nil || !found {
 		t.Fatalf("write failed: %v found=%v", err, found)
 	}
 	if trimmed(prev) != "init-7" {
 		t.Fatalf("write returned %q, want pre-write value", trimmed(prev))
 	}
-	v, _, _ = sys.Read(7)
+	v, _, _ = read(sys, 7)
 	if trimmed(v) != "updated" {
 		t.Fatalf("read after write got %q", trimmed(v))
 	}
@@ -68,34 +86,34 @@ func TestReadWriteSingleEpochTicker(t *testing.T) {
 
 func TestAbsentKey(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 2, EpochDuration: time.Millisecond}, 10)
-	_, found, err := sys.Read(9999)
+	_, found, err := read(sys, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if found {
 		t.Fatal("absent key reported found")
 	}
-	if _, found, _ := sys.Write(9999, []byte("x")); found {
+	if _, found, _ := write(sys, 9999, []byte("x")); found {
 		t.Fatal("write to absent key reported found")
 	}
-	if _, found, _ := sys.Read(9999); found {
+	if _, found, _ := read(sys, 9999); found {
 		t.Fatal("write materialized an absent key")
 	}
 }
 
 func TestRejectsReservedKeysAndOversizedValues(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 1, EpochDuration: time.Millisecond}, 4)
-	if _, _, err := sys.Read(store.DummyKeyBit | 1); err == nil {
+	if _, _, err := read(sys, store.DummyKeyBit|1); err == nil {
 		t.Fatal("reserved key accepted")
 	}
-	if _, _, err := sys.Write(1, make([]byte, testBlock+1)); err == nil {
+	if _, _, err := write(sys, 1, make([]byte, testBlock+1)); err == nil {
 		t.Fatal("oversized value accepted")
 	}
 }
 
 func TestManualFlush(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 2}, 20) // no ticker
-	get, err := sys.ReadAsync(5)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +138,11 @@ func TestSameEpochSemantics(t *testing.T) {
 	// the pre-epoch value (reads linearize before writes within a batch,
 	// paper §C), and the write's previous-value response matches it.
 	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2}, 50)
-	rd, err := sys.ReadAsync(3)
+	rd, err := sys.Submit(Request{Op: store.OpRead, Key: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := sys.WriteAsync(3, []byte("new"))
+	wr, err := sys.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte("new")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +170,7 @@ func TestLastWriteWinsWithinEpoch(t *testing.T) {
 	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2}, 50)
 	var fns []func() ([]byte, bool, error)
 	for i := 0; i < 5; i++ {
-		fn, err := sys.WriteAsync(9, []byte(fmt.Sprintf("w%d", i)))
+		fn, err := sys.Submit(Request{Op: store.OpWrite, Key: 9, Value: []byte(fmt.Sprintf("w%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +180,7 @@ func TestLastWriteWinsWithinEpoch(t *testing.T) {
 	for _, fn := range fns {
 		fn()
 	}
-	get, err := sys.ReadAsync(9)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +214,7 @@ func TestConcurrentClientsLinearizable(t *testing.T) {
 				start := time.Now().UnixNano()
 				var op history.Op
 				if rng.Intn(2) == 0 {
-					v, _, err := sys.Read(key)
+					v, _, err := read(sys, key)
 					if err != nil {
 						t.Error(err)
 						return
@@ -204,7 +222,7 @@ func TestConcurrentClientsLinearizable(t *testing.T) {
 					op = history.Op{Key: key, Output: trimmed(v)}
 				} else {
 					val := fmt.Sprintf("c%d-%d", c, i)
-					prev, _, err := sys.Write(key, []byte(val))
+					prev, _, err := write(sys, key, []byte(val))
 					if err != nil {
 						t.Error(err)
 						return
@@ -236,12 +254,12 @@ func TestValuesSurviveManyEpochs(t *testing.T) {
 		key := uint64(rng.Intn(200))
 		if rng.Intn(2) == 0 {
 			val := fmt.Sprintf("r%d", round)
-			if _, _, err := sys.Write(key, []byte(val)); err != nil {
+			if _, _, err := write(sys, key, []byte(val)); err != nil {
 				t.Fatal(err)
 			}
 			shadow[key] = val
 		} else {
-			v, found, err := sys.Read(key)
+			v, found, err := read(sys, key)
 			if err != nil || !found {
 				t.Fatalf("read %d: %v %v", key, err, found)
 			}
@@ -258,7 +276,7 @@ func TestValuesSurviveManyEpochs(t *testing.T) {
 
 func TestCloseFailsPending(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 1}, 4) // manual epochs only
-	get, err := sys.ReadAsync(1)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +284,7 @@ func TestCloseFailsPending(t *testing.T) {
 	if _, _, err := get(); err == nil {
 		t.Fatal("pending request should fail on Close")
 	}
-	if _, _, err := sys.Read(1); err == nil {
+	if _, _, err := read(sys, 1); err == nil {
 		t.Fatal("post-close request accepted")
 	}
 }
@@ -275,7 +293,7 @@ func TestEpochStatsShape(t *testing.T) {
 	sys := startSystem(t, Config{NumLoadBalancers: 2, NumSubORAMs: 3}, 64)
 	var fns []func() ([]byte, bool, error)
 	for i := 0; i < 40; i++ {
-		fn, err := sys.ReadAsync(uint64(i))
+		fn, err := sys.Submit(Request{Op: store.OpRead, Key: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,10 +319,10 @@ func TestEpochStatsShape(t *testing.T) {
 
 func TestSealedSystem(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 2, Sealed: true, EpochDuration: time.Millisecond}, 30)
-	if _, _, err := sys.Write(5, []byte("sealed!")); err != nil {
+	if _, _, err := write(sys, 5, []byte("sealed!")); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := sys.Read(5)
+	v, found, err := read(sys, 5)
 	if err != nil || !found || trimmed(v) != "sealed!" {
 		t.Fatalf("sealed round trip: %q %v %v", trimmed(v), found, err)
 	}
@@ -320,7 +338,7 @@ func TestManyValuesIntegrity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := c * 40; i < c*40+40; i++ {
-				if _, _, err := sys.Write(uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if _, _, err := write(sys, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -329,7 +347,7 @@ func TestManyValuesIntegrity(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < 160; i++ {
-		v, found, err := sys.Read(uint64(i))
+		v, found, err := read(sys, uint64(i))
 		if err != nil || !found {
 			t.Fatal(err, found)
 		}

@@ -79,7 +79,7 @@ func flushAsync(t *testing.T, sys *System, keys []uint64) map[uint64]error {
 	t.Helper()
 	waits := make(map[uint64]func() ([]byte, bool, error), len(keys))
 	for _, k := range keys {
-		w, err := sys.ReadAsync(k)
+		w, err := sys.Submit(Request{Op: store.OpRead, Key: k})
 		if err != nil {
 			t.Fatalf("submit %d: %v", k, err)
 		}
@@ -363,7 +363,7 @@ func awaitFailover(t *testing.T, sys *System, keys []uint64) {
 	for {
 		waits := make([]func() ([]byte, bool, error), len(keys))
 		for i, k := range keys {
-			w, err := sys.ReadAsync(k)
+			w, err := sys.Submit(Request{Op: store.OpRead, Key: k})
 			if err != nil {
 				t.Fatalf("submit %d: %v", k, err)
 			}
@@ -423,7 +423,7 @@ func TestFailoverPromotesStandby(t *testing.T) {
 			continue
 		}
 		v, found, err := func() ([]byte, bool, error) {
-			w, err := sys.ReadAsync(k)
+			w, err := sys.Submit(Request{Op: store.OpRead, Key: k})
 			if err != nil {
 				return nil, false, err
 			}
@@ -508,7 +508,7 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
 	dir := t.TempDir()
-	opts := transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 2 * time.Second}.NoRetries()
+	opts := transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 2 * time.Second, MaxRetries: -1}
 
 	startNode := func() (*faultnet.Listener, *persist.Durable, string, error) {
 		sub := suboram.New(suboram.Config{BlockSize: faultBlock})
@@ -572,7 +572,7 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 	if err := sys.Init(ids, make([]byte, len(ids)*faultBlock)); err != nil {
 		t.Fatal(err)
 	}
-	w, err := sys.WriteAsync(3, []byte("durable-v1"))
+	w, err := sys.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte("durable-v1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 	}
 	// The pre-crash acknowledged write survived sealed recovery into the
 	// replacement node.
-	rw, err := sys.ReadAsync(3)
+	rw, err := sys.Submit(Request{Op: store.OpRead, Key: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +641,7 @@ func TestSubmitCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					wait, err := sys.ReadAsync(uint64(g % len(ids)))
+					wait, err := sys.Submit(Request{Op: store.OpRead, Key: uint64(g % len(ids))})
 					if err != nil {
 						if !errors.Is(err, ErrClosed) {
 							t.Errorf("submit: %v", err)

@@ -1,6 +1,6 @@
 // Root fault tolerance (Config.JournalDir): the sealed epoch journal, the
-// standby-replay path, the reply-dedupe window behind the idempotent API,
-// and the simulated-crash machinery the chaos harness drives.
+// standby-replay path, and the simulated-crash machinery the chaos harness
+// drives.
 //
 // Exactly-once argument, end to end:
 //
@@ -17,9 +17,9 @@
 //   - Reply window. Successful results of idempotent requests are parked
 //     under their client-chosen IDs (on the original root at reply time,
 //     on a successor at replay time), so a retry of an already-answered
-//     request returns the original result. The client's own ReplyDedup
-//     window (internal/transport) suppresses the duplicate if both
-//     incarnations manage to answer.
+//     request returns the original result. A crashed root answers nothing
+//     (every wait on it returns ErrRootDown), so one attempt never yields
+//     two answers.
 //
 // Known degradations (documented, exercised by internal/chaos): a
 // partition failover that replaces a tagged client between the crash and
@@ -33,17 +33,10 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
-	"snoopy/internal/store"
 )
-
-// ErrRootDown is returned for requests submitted to (or in flight on) a
-// crashed root load balancer. Clients retry against the promoted standby
-// with the same idempotency ID.
-var ErrRootDown = errors.New("core: root load balancer down")
 
 // TaggedClient is the optional partition-client hook root fault tolerance
 // builds on: the journal records each client's delivery tag before
@@ -56,60 +49,6 @@ type TaggedClient interface {
 	// AdoptDeliveryTag overrides both, so the next dispatch replays the
 	// predecessor's delivery.
 	AdoptDeliveryTag(lbID, seq uint64)
-}
-
-// replyWindow parks successful results of idempotent requests under their
-// client-chosen IDs, bounded FIFO like transport.ReplyDedup: it needs to
-// cover the client retry horizon, not the session.
-type replyWindow struct {
-	mu   sync.Mutex
-	seen map[uint64]result
-	ring []uint64
-	next int
-}
-
-func newReplyWindow(n int) *replyWindow {
-	if n <= 0 {
-		n = 4096
-	}
-	return &replyWindow{seen: make(map[uint64]result, n), ring: make([]uint64, n)}
-}
-
-// put parks a successful result under id. Errors are not parked: a failed
-// request was not answered, and the client's retry should re-execute it.
-func (w *replyWindow) put(id uint64, r result) {
-	if id == 0 || r.err != nil {
-		return
-	}
-	// The caller may hand the same value slice to the live client; park a
-	// private copy so a later retry cannot observe client mutations.
-	r.value = append([]byte(nil), r.value...)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, dup := w.seen[id]; dup {
-		return
-	}
-	if old := w.ring[w.next]; old != 0 {
-		delete(w.seen, old)
-	}
-	w.ring[w.next] = id
-	w.next = (w.next + 1) % len(w.ring)
-	w.seen[id] = r
-}
-
-func (w *replyWindow) get(id uint64) (result, bool) {
-	if id == 0 {
-		return result{}, false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	r, ok := w.seen[id]
-	if ok {
-		// Hand out a copy: the caller owns its answer, and a later retry
-		// must not observe the first retry's mutations.
-		r.value = append([]byte(nil), r.value...)
-	}
-	return r, ok
 }
 
 // tagOf resolves the journaled delivery tag for one partition client: only
@@ -175,7 +114,7 @@ func (sys *System) journalBegin(job *epochJob) error {
 		p.Reqs = ep.reqs
 		p.IDs = p.IDs[:0]
 		for _, q := range job.queues[i] {
-			p.IDs = append(p.IDs, q.id)
+			p.IDs = append(p.IDs, q.ID)
 		}
 		p.Denied = nil
 		if job.denied != nil {
@@ -258,7 +197,7 @@ func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 		}
 		job.queues[i] = make([]pending, len(p.IDs))
 		for j, id := range p.IDs {
-			job.queues[i][j] = pending{id: id, ch: make(chan result, 1)}
+			job.queues[i][j] = pending{Request: Request{ID: id}, ch: make(chan result, 1)}
 		}
 		job.denied[i] = p.Denied
 	}
@@ -290,7 +229,7 @@ func (sys *System) crash() {
 
 // crashAt consults the test crash hook at a pre-dispatch point. On crash
 // it marks the system dead, releases the job's storage, and answers
-// nothing — clients observe ErrRootDown through the idempotent wait path.
+// nothing — every client wait observes ErrRootDown through await.
 // Caller holds epochMu; on true it has been released.
 func (sys *System) crashAt(point string, job *epochJob) bool {
 	if sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint(point, job.id) {
@@ -317,8 +256,8 @@ func (sys *System) crashAfterDispatch(job *epochJob) bool {
 
 // Crash simulates a root process death from outside an epoch (the chaos
 // harness's kill switch): the system stops silently, pending requests and
-// epochs in flight are never answered, and in-flight idempotent waits
-// return ErrRootDown.
+// epochs in flight are never answered, and every wait on them returns
+// ErrRootDown.
 func (sys *System) Crash() {
 	sys.crash()
 	sys.wg.Wait()
@@ -332,99 +271,4 @@ func (sys *System) Crashed() bool {
 	default:
 		return false
 	}
-}
-
-// --- idempotent client API --------------------------------------------
-
-// await waits for a request's result, preferring an already-delivered
-// result over the crash signal (the reply channel is buffered, so a reply
-// issued before the crash is never lost).
-func (sys *System) await(ch chan result) result {
-	select {
-	case r := <-ch:
-		return r
-	case <-sys.crashedCh:
-		select {
-		case r := <-ch:
-			return r
-		default:
-			return result{err: ErrRootDown}
-		}
-	}
-}
-
-// submitIdem is submitAs with a client-chosen idempotency ID: if the
-// window already holds id's answer (this incarnation answered it, or a
-// predecessor's journaled epoch was replayed here), it is returned without
-// re-executing.
-func (sys *System) submitIdem(user uint64, op uint8, key uint64, data []byte, id uint64) (chan result, *result, error) {
-	if r, ok := sys.replyWin.get(id); ok {
-		return nil, &r, nil
-	}
-	ch, err := sys.submitID(user, op, key, data, id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ch, nil, nil
-}
-
-// ReadIdem is Read with exactly-once semantics across root crashes: a
-// retry with the same non-zero id (against this root or its promoted
-// successor over the same journal directory) returns the original answer
-// instead of re-executing. id 0 degrades to plain Read.
-func (sys *System) ReadIdem(id, key uint64) (value []byte, found bool, err error) {
-	ch, parked, err := sys.submitIdem(0, store.OpRead, key, nil, id)
-	if err != nil {
-		return nil, false, err
-	}
-	if parked != nil {
-		return parked.value, parked.found, parked.err
-	}
-	r := sys.await(ch)
-	return r.value, r.found, r.err
-}
-
-// WriteIdem is Write with the same exactly-once contract as ReadIdem: a
-// journaled epoch's write is applied exactly once however many times the
-// client retries across a root crash.
-func (sys *System) WriteIdem(id, key uint64, value []byte) (previous []byte, found bool, err error) {
-	ch, parked, err := sys.submitIdem(0, store.OpWrite, key, value, id)
-	if err != nil {
-		return nil, false, err
-	}
-	if parked != nil {
-		return parked.value, parked.found, parked.err
-	}
-	r := sys.await(ch)
-	return r.value, r.found, r.err
-}
-
-// ReadIdemAsync submits without blocking; the returned function waits.
-func (sys *System) ReadIdemAsync(id, key uint64) (func() ([]byte, bool, error), error) {
-	ch, parked, err := sys.submitIdem(0, store.OpRead, key, nil, id)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) {
-		if parked != nil {
-			return parked.value, parked.found, parked.err
-		}
-		r := sys.await(ch)
-		return r.value, r.found, r.err
-	}, nil
-}
-
-// WriteIdemAsync submits without blocking; the returned function waits.
-func (sys *System) WriteIdemAsync(id, key uint64, value []byte) (func() ([]byte, bool, error), error) {
-	ch, parked, err := sys.submitIdem(0, store.OpWrite, key, value, id)
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, bool, error) {
-		if parked != nil {
-			return parked.value, parked.found, parked.err
-		}
-		r := sys.await(ch)
-		return r.value, r.found, r.err
-	}, nil
 }

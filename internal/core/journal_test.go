@@ -102,7 +102,7 @@ func crashOnceAt(point string, epoch uint64) func(string, uint64) bool {
 // the outcome.
 func runIdemWrite(t *testing.T, sys *System, id, key uint64, val string) ([]byte, bool, error) {
 	t.Helper()
-	wait, err := sys.WriteIdemAsync(id, key, []byte(val))
+	wait, err := sys.Submit(Request{Op: store.OpWrite, Key: key, Value: []byte(val), ID: id})
 	if err != nil {
 		return nil, false, err
 	}
@@ -138,7 +138,7 @@ func testJournalCrashAfterDispatchExactlyOnce(t *testing.T, depth int) {
 		t.Fatal("root did not crash at the dispatch point")
 	}
 	// New submissions are refused distinguishably.
-	if _, _, err := r1.Read(5); !errors.Is(err, ErrRootDown) {
+	if _, _, err := read(r1, 5); !errors.Is(err, ErrRootDown) {
 		t.Fatalf("submit on crashed root returned %v, want ErrRootDown", err)
 	}
 	r1.Close()
@@ -151,7 +151,7 @@ func testJournalCrashAfterDispatchExactlyOnce(t *testing.T, depth int) {
 	// The client retry returns the ORIGINAL answer: previous value "v1",
 	// proving the replayed epoch was not applied a second time (a fresh
 	// re-execution would observe previous "v2").
-	prev, found, err := r2.WriteIdem(2, 5, []byte("v2"))
+	prev, found, err := do(r2, Request{Op: store.OpWrite, Key: 5, Value: []byte("v2"), ID: 2})
 	if err != nil || !found {
 		t.Fatalf("retry after promotion: found=%v err=%v", found, err)
 	}
@@ -159,7 +159,7 @@ func testJournalCrashAfterDispatchExactlyOnce(t *testing.T, depth int) {
 		t.Fatalf("retry observed previous %q, want %q (exactly-once violated)", trimmed(prev), "v1")
 	}
 
-	wait, err := r2.ReadIdemAsync(3, 5)
+	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 5, ID: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func testJournalCrashBeforeDispatchReplaysOnce(t *testing.T, depth int) {
 
 	r2 := c.root(t, depth, nil)
 	defer r2.Close()
-	prev, found, err := r2.WriteIdem(11, 7, []byte("seven-b"))
+	prev, found, err := do(r2, Request{Op: store.OpWrite, Key: 7, Value: []byte("seven-b"), ID: 11})
 	if err != nil || !found || trimmed(prev) != "seven-a" {
 		t.Fatalf("retry: prev=%q found=%v err=%v, want prev=%q", trimmed(prev), found, err, "seven-a")
 	}
-	wait, err := r2.ReadIdemAsync(12, 7)
+	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 7, ID: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestReplyWindowStopsReExecution(t *testing.T) {
 		t.Fatalf("first write: prev=%q err=%v", trimmed(prev), err)
 	}
 	// Same ID, different payload, no Flush: answered from the window.
-	prev2, found, err := sys.WriteIdem(30, 3, []byte("second"))
+	prev2, found, err := do(sys, Request{Op: store.OpWrite, Key: 3, Value: []byte("second"), ID: 30})
 	if err != nil || !found {
 		t.Fatalf("retry: found=%v err=%v", found, err)
 	}
@@ -284,7 +284,7 @@ func TestReplyWindowStopsReExecution(t *testing.T) {
 		t.Fatalf("retry observed previous %q, want the original answer %q", trimmed(prev2), "init-3")
 	}
 	// The duplicate never executed.
-	wait, err := sys.ReadIdemAsync(31, 3)
+	wait, err := sys.Submit(Request{Op: store.OpRead, Key: 3, ID: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestReplyWindowStopsReExecution(t *testing.T) {
 	for i := range prev2 {
 		prev2[i] = 0xee
 	}
-	prev3, _, err := sys.WriteIdem(30, 3, []byte("third"))
+	prev3, _, err := do(sys, Request{Op: store.OpWrite, Key: 3, Value: []byte("third"), ID: 30})
 	if err != nil || trimmed(prev3) != "init-3" {
 		t.Fatalf("second retry: prev=%q err=%v", trimmed(prev3), err)
 	}
@@ -326,14 +326,14 @@ func testCrashKillSwitch(t *testing.T, depth int) {
 	if !r1.Crashed() {
 		t.Fatal("Crash did not mark the root crashed")
 	}
-	if _, _, err := r1.Read(2); !errors.Is(err, ErrRootDown) {
+	if _, _, err := read(r1, 2); !errors.Is(err, ErrRootDown) {
 		t.Fatalf("submit after Crash returned %v, want ErrRootDown", err)
 	}
 	r1.Close()
 
 	r2 := c.root(t, depth, nil)
 	defer r2.Close()
-	wait, err := r2.ReadIdemAsync(41, 2)
+	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 2, ID: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +341,67 @@ func testCrashKillSwitch(t *testing.T, depth int) {
 	got, _, err := wait()
 	if err != nil || trimmed(got) != "x" {
 		t.Fatalf("successor read: %q err=%v", trimmed(got), err)
+	}
+}
+
+// TestCrashResolvesEveryWait: a crashed root answers nothing, so every
+// wait on it — untracked (ID 0) included — returns ErrRootDown instead of
+// blocking: a request queued before Crash(), and requests whose epoch is in
+// flight across a "dispatch" crash (the partitions applied it, no reply
+// left the root).
+func TestCrashResolvesEveryWait(t *testing.T) {
+	atDepths(t, testCrashResolvesEveryWait)
+}
+
+func testCrashResolvesEveryWait(t *testing.T, depth int) {
+	c := newJournalCluster(t, 2)
+	r1 := c.root(t, depth, nil)
+	c.initObjects(t, r1, 16)
+	wait, err := r1.Submit(Request{Op: store.OpRead, Key: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Crash()
+	expectRootDown(t, "request queued before Crash", wait)
+	r1.Close()
+
+	r2 := c.root(t, depth, crashOnceAt("dispatch", 0))
+	defer r2.Close()
+	var waits []func() ([]byte, bool, error)
+	for key := uint64(0); key < 4; key++ {
+		for _, r := range []Request{{Op: store.OpRead, Key: key}, {Op: store.OpWrite, Key: key + 8, Value: []byte("w")}} {
+			wait, err := r2.Submit(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits = append(waits, wait)
+		}
+	}
+	r2.Flush()
+	for _, wait := range waits {
+		expectRootDown(t, "request in flight across a dispatch crash", wait)
+	}
+	if !r2.Crashed() {
+		t.Fatal("root did not crash at the dispatch point")
+	}
+}
+
+// expectRootDown fails unless wait returns ErrRootDown within a deadline
+// far above any epoch here, race detector included.
+func expectRootDown(t *testing.T, what string, wait func() ([]byte, bool, error)) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := wait()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRootDown) {
+			t.Fatalf("%s: wait returned %v, want ErrRootDown", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: wait still blocked 10s after the root crashed", what)
 	}
 }
 
@@ -362,44 +423,22 @@ func TestJournalUntaggedIDZero(t *testing.T) {
 	}
 }
 
-// TestJournaledEpochsKeepPlainAPI: the journal must not disturb the plain
-// (untracked) API's behavior in the same deployment.
+// TestJournaledEpochsKeepPlainAPI: the journal must not disturb an
+// untracked (ID 0) request in the same deployment.
 func TestJournaledEpochsKeepPlainAPI(t *testing.T) {
 	c := newJournalCluster(t, 3)
 	sys := c.root(t, 1, nil)
 	defer sys.Close()
 	c.initObjects(t, sys, 64)
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, found, err := sys.Read(12)
-		if err != nil || !found || trimmed(v) != "init-12" {
-			t.Errorf("plain read: %q found=%v err=%v", trimmed(v), found, err)
-		}
-	}()
-	waitForQueued(t, sys, 1)
-	sys.Flush()
-	<-done
-}
-
-// waitForQueued spins until n requests are enqueued across all load
-// balancers (the plain API has no async variant handle to rendezvous on).
-func waitForQueued(t *testing.T, sys *System, n int) {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		time.Sleep(100 * time.Microsecond)
-		total := 0
-		for _, st := range sys.lbs {
-			st.mu.Lock()
-			total += len(st.queue)
-			st.mu.Unlock()
-		}
-		if total >= n {
-			return
-		}
+	wait, err := sys.Submit(Request{Op: store.OpRead, Key: 12})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("request never enqueued")
+	sys.Flush()
+	if v, found, err := wait(); err != nil || !found || trimmed(v) != "init-12" {
+		t.Fatalf("plain read: %q found=%v err=%v", trimmed(v), found, err)
+	}
 }
 
 // TestJournalReplayedResponsesCopied guards the LocalTagged arena
@@ -425,14 +464,14 @@ func testJournalReplayedResponsesCopied(t *testing.T, depth int) {
 	// replay's storage handling corrupted the caches or the journal, the
 	// second would return garbage.
 	r2 := c.root(t, depth, nil)
-	if prev, _, err := r2.WriteIdem(51, 4, []byte("val-b")); err != nil || trimmed(prev) != "val-a" {
+	if prev, _, err := do(r2, Request{Op: store.OpWrite, Key: 4, Value: []byte("val-b"), ID: 51}); err != nil || trimmed(prev) != "val-a" {
 		t.Fatalf("first promotion retry: prev=%q err=%v", trimmed(prev), err)
 	}
 	r2.Close()
 
 	r3 := c.root(t, depth, nil)
 	defer r3.Close()
-	wait, err := r3.ReadIdemAsync(52, 4)
+	wait, err := r3.Submit(Request{Op: store.OpRead, Key: 4, ID: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +586,7 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 	}
 	var waits []func() ([]byte, bool, error)
 	for e := 1; e <= 3; e++ { // epochs 2, 3, 4
-		w, err := r1.WriteIdemAsync(uint64(60+e), 3, []byte(fmt.Sprintf("v%d", e)))
+		w, err := r1.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("v%d", e)), ID: uint64(60 + e)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,12 +608,12 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 		if _, ok := r2.replyWin.get(id); !ok {
 			t.Fatalf("request %d not answered by the successor's replay", id)
 		}
-		prev, found, err := r2.WriteIdem(id, 3, []byte(fmt.Sprintf("v%d", e)))
+		prev, found, err := do(r2, Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("v%d", e)), ID: id})
 		if want := fmt.Sprintf("v%d", e-1); err != nil || !found || trimmed(prev) != want {
 			t.Fatalf("retry %d: prev=%q found=%v err=%v, want prev=%q", id, trimmed(prev), found, err, want)
 		}
 	}
-	wait, err := r2.ReadIdemAsync(70, 3)
+	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 3, ID: 70})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +661,7 @@ func TestJournalReplaySharesLiveRules(t *testing.T) {
 	}
 	var waits []func() ([]byte, bool, error)
 	for j, k := range keys {
-		w, err := r1.ReadIdemAsync(uint64(100+j), k)
+		w, err := r1.Submit(Request{Op: store.OpRead, Key: k, ID: uint64(100 + j)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				key := uint64((g*16 + i) % nKeys)
 				val := fmt.Sprintf("w-%03d-g%d-i%02d", key, g, i)
-				if _, _, err := sys.Write(key, []byte(val)); err != nil {
+				if _, _, err := write(sys, key, []byte(val)); err != nil {
 					errCh <- err
 					return
 				}
@@ -63,7 +63,7 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				key := uint64(i % nKeys)
-				v, found, err := sys.Read(key)
+				v, found, err := read(sys, key)
 				if err != nil {
 					errCh <- err
 					return

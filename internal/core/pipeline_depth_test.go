@@ -29,7 +29,7 @@ func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 12; e++ {
-		w, err := sys.ReadAsync(uint64(e % 16))
+		w, err := sys.Submit(Request{Op: store.OpRead, Key: uint64(e % 16)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	// Epoch 1 takes the only pipeline slot and wedges in stage B; its Flush
 	// waits for the epoch to reply.
 	stalled.stall.Store(true)
-	w1, err := sys.ReadAsync(1)
+	w1, err := sys.Submit(Request{Op: store.OpRead, Key: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	<-stalled.entered
 
 	// Epoch 2's Flush blocks waiting for the slot.
-	w2, err := sys.ReadAsync(2)
+	w2, err := sys.Submit(Request{Op: store.OpRead, Key: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	go transport.ServeSubORAM(l, sub, platform, m)
 
 	remote, err := transport.DialOptions(raw.Addr().String(), platform, m,
-		transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 300 * time.Millisecond}.NoRetries())
+		transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 300 * time.Millisecond, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +259,9 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 				}
 				key := uint64((g*11 + i) % nKeys)
 				if i%2 == 0 {
-					sys.Read(key)
+					read(sys, key)
 				} else {
-					sys.Write(key, []byte{byte(g), byte(i)})
+					write(sys, key, []byte{byte(g), byte(i)})
 				}
 			}
 		}()

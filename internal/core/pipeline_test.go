@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"snoopy/internal/history"
+	"snoopy/internal/store"
 )
 
 func TestPipelinedBasicCorrectness(t *testing.T) {
@@ -15,10 +16,10 @@ func TestPipelinedBasicCorrectness(t *testing.T) {
 		NumLoadBalancers: 2, NumSubORAMs: 3, PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, 100)
-	if _, _, err := sys.Write(7, []byte("pipelined")); err != nil {
+	if _, _, err := write(sys, 7, []byte("pipelined")); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := sys.Read(7)
+	v, found, err := read(sys, 7)
 	if err != nil || !found || trimmed(v) != "pipelined" {
 		t.Fatalf("pipelined round trip: %q %v %v", trimmed(v), found, err)
 	}
@@ -26,7 +27,7 @@ func TestPipelinedBasicCorrectness(t *testing.T) {
 
 func TestPipelinedManualFlushDispatches(t *testing.T) {
 	sys := startSystem(t, Config{NumSubORAMs: 2, PipelineDepth: 4}, 20)
-	get, err := sys.ReadAsync(5)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2, PipelineDepth: 4}, 30)
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 6; e++ {
-		w, err := sys.WriteAsync(3, []byte(fmt.Sprintf("e%d", e)))
+		w, err := sys.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("e%d", e))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	get, err := sys.ReadAsync(3)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPipelinedLinearizable(t *testing.T) {
 				start := time.Now().UnixNano()
 				var op history.Op
 				if rng.Intn(2) == 0 {
-					v, _, err := sys.Read(key)
+					v, _, err := read(sys, key)
 					if err != nil {
 						t.Error(err)
 						return
@@ -100,7 +101,7 @@ func TestPipelinedLinearizable(t *testing.T) {
 					op = history.Op{Key: key, Output: trimmed(v)}
 				} else {
 					val := fmt.Sprintf("p%d-%d", c, i)
-					if _, _, err := sys.Write(key, []byte(val)); err != nil {
+					if _, _, err := write(sys, key, []byte(val)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -131,7 +132,7 @@ func TestPipelinedCloseDrains(t *testing.T) {
 	if err := sys.Init(ids, make([]byte, testBlock)); err != nil {
 		t.Fatal(err)
 	}
-	get, err := sys.ReadAsync(1)
+	get, err := sys.Submit(Request{Op: store.OpRead, Key: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPipelinedCloseDrains(t *testing.T) {
 	if _, _, err := get(); err != nil {
 		t.Fatalf("dispatched request should complete through Close: %v", err)
 	}
-	if _, _, err := sys.Read(1); err == nil {
+	if _, _, err := read(sys, 1); err == nil {
 		t.Fatal("post-close request accepted")
 	}
 }

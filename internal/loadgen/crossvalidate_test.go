@@ -73,7 +73,7 @@ func TestKneeCrossValidatesSimnet(t *testing.T) {
 			sys.Close()
 			return nil, nil, err
 		}
-		return sys, func() { sys.Close() }, nil
+		return coreStore{sys}, func() { sys.Close() }, nil
 	}
 
 	base := loadgen.Config{

@@ -70,7 +70,7 @@ func runSoak(t *testing.T, keys loadgen.KeyPattern) ([]byte, []byte, *telemetry.
 		t.Fatal(err)
 	}
 
-	rep, err := loadgen.Run(sys, cfg)
+	rep, err := loadgen.Run(coreStore{sys}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

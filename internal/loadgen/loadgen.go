@@ -35,8 +35,8 @@ import (
 )
 
 // Store is the driven surface: the async submit half of a Snoopy
-// deployment. Both *snoopy.Store (in-process or over dialed TCP subORAMs)
-// and *core.System satisfy it. Flush is used only in virtual-time mode;
+// deployment. *snoopy.Store (in-process or over dialed TCP subORAMs)
+// satisfies it. Flush is used only in virtual-time mode;
 // real-time runs rely on the store's own epoch ticker.
 type Store interface {
 	ReadAsync(key uint64) (func() ([]byte, bool, error), error)

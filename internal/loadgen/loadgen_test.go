@@ -9,6 +9,7 @@ import (
 	"snoopy/internal/core"
 	"snoopy/internal/loadgen"
 	"snoopy/internal/metrics"
+	"snoopy/internal/store"
 )
 
 func baseCfg() loadgen.Config {
@@ -134,7 +135,18 @@ func TestPlanUpdatesCountTwice(t *testing.T) {
 	}
 }
 
-func newCoreStore(t *testing.T, objects, blockSize int) *core.System {
+// coreStore drives a core.System through loadgen's Store surface.
+type coreStore struct{ *core.System }
+
+func (c coreStore) ReadAsync(k uint64) (func() ([]byte, bool, error), error) {
+	return c.Submit(core.Request{Op: store.OpRead, Key: k})
+}
+
+func (c coreStore) WriteAsync(k uint64, v []byte) (func() ([]byte, bool, error), error) {
+	return c.Submit(core.Request{Op: store.OpWrite, Key: k, Value: v})
+}
+
+func newCoreStore(t *testing.T, objects, blockSize int) coreStore {
 	t.Helper()
 	sys, err := core.NewLocal(core.Config{BlockSize: blockSize, NumSubORAMs: 2, Lambda: 32})
 	if err != nil {
@@ -150,7 +162,7 @@ func newCoreStore(t *testing.T, objects, blockSize int) *core.System {
 	if err := sys.Init(ids, data); err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return coreStore{sys}
 }
 
 // TestRunVirtualAgainstCore drives the real oblivious system in virtual

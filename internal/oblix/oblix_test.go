@@ -159,16 +159,25 @@ func TestOblixShardsInFullSystem(t *testing.T) {
 	if err := sys.Init(ids, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.Write(41, []byte("w41")); err != nil {
+	if _, _, err := do(sys, core.Request{Op: store.OpWrite, Key: 41, Value: []byte("w41")}); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[uint64]string{0: "v0", 41: "w41", 89: "v89"} {
-		v, found, err := sys.Read(key)
+		v, found, err := do(sys, core.Request{Op: store.OpRead, Key: key})
 		if err != nil || !found || !bytes.HasPrefix(v, []byte(want)) {
 			t.Fatalf("key %d: %q %v %v, want %q", key, v, found, err, want)
 		}
 	}
-	if _, found, _ := sys.Read(5000); found {
+	if _, found, _ := do(sys, core.Request{Op: store.OpRead, Key: 5000}); found {
 		t.Fatal("absent key found through DORAM shards")
 	}
+}
+
+// do submits r to sys and blocks for its answer.
+func do(sys *core.System, r core.Request) ([]byte, bool, error) {
+	wait, err := sys.Submit(r)
+	if err != nil {
+		return nil, false, err
+	}
+	return wait()
 }

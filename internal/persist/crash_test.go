@@ -128,7 +128,7 @@ func durableModel(n int) map[uint64]uint64 {
 
 func durableCase() crashCase {
 	cfg := func(fs *crashFS) Config {
-		return Config{BlockSize: testBlock, WALRows: 4, ChunkBlocks: 4, SnapshotEvery: 2, Key: &crashKey, fs: fs}
+		return Config{BlockSize: testBlock, ChunkBlocks: 4, SnapshotEvery: 2, Key: &crashKey, fs: fs}
 	}
 	return crashCase{
 		run: func(t *testing.T, fs *crashFS, dir string) int {
@@ -197,7 +197,7 @@ func TestRollbackPrefixesDurable(t *testing.T) { enumerateRollbacks(t, durableCa
 
 func segCase() crashCase {
 	cfg := func(fs *crashFS) SegConfig {
-		return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4, WALRows: 4, Key: &crashKey, fs: fs}
+		return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4, Key: &crashKey, fs: fs}
 	}
 	const n = 10 // 3 segments
 	image := func(version int) ([]uint64, []byte) {

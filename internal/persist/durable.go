@@ -48,10 +48,6 @@ type Config struct {
 	// (default 256). Chunk size — a public parameter — trades sealing
 	// overhead against write granularity.
 	ChunkBlocks int
-	// WALRows is the row granularity of a sealed WAL record (default 512):
-	// a batch is logged as one record padded to a multiple of it. Record
-	// size is public; row contents are not.
-	WALRows int
 	// SnapshotEvery bounds the epochs between snapshots (default 64):
 	// recovery replays at most SnapshotEvery WAL epochs.
 	SnapshotEvery int
@@ -76,9 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ChunkBlocks <= 0 {
 		c.ChunkBlocks = 256
-	}
-	if c.WALRows <= 0 {
-		c.WALRows = 512
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
@@ -248,7 +241,7 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	}
 	epoch := dur.ctr.Current() + 1
 	before := dur.log.off
-	if err := sealWAL(dur.log, epoch, reqs, dur.cfg.WALRows, dur.cfg.BlockSize); err != nil {
+	if err := sealWAL(dur.log, epoch, reqs, dur.cfg.BlockSize); err != nil {
 		return nil, err
 	}
 	dur.walGo <- struct{}{}
@@ -267,8 +260,8 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 		}
 		return nil, err
 	}
-	// Once per acknowledged batch. WAL records are fixed-shape (padded to
-	// WALRows), so the counter carries no request contents.
+	// Once per acknowledged batch. A WAL record's shape is the public batch
+	// length, so the counter carries no request contents.
 	dur.telWALEpochs.Inc()
 	if err := dur.ack(); err != nil {
 		return nil, err

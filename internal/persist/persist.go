@@ -26,9 +26,8 @@
 //
 // Obliviousness of the persistence path itself: every file operation's
 // offset and length depend only on public parameters — partition size,
-// block size, batch row count, epoch count. WAL rows are padded to a fixed
-// count and carry every batch row (reads re-keyed into the dummy space
-// branch-free), so the host cannot infer the read/write mix or which
+// block size, batch row count, epoch count. A WAL record carries every
+// batch row (reads re-keyed into the dummy space branch-free), so the host cannot infer the read/write mix or which
 // objects a batch touched from the I/O shape. internal/trace records the
 // (offset, length) stream and the obliviousness tests assert it is
 // bit-identical across request streams that differ only in contents.

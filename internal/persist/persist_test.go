@@ -191,7 +191,7 @@ func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
 	fillValue(val, 2, 99)
 	reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
 	dur.mu.Lock()
-	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, dur.cfg.WALRows, testBlock); err != nil {
+	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
 		t.Fatal(err)
 	}
 	if err := dur.log.write(true); err != nil {
@@ -326,33 +326,49 @@ func TestTamperDetected(t *testing.T) {
 	}
 }
 
-func TestLargeBatchPadsToWALRows(t *testing.T) {
+// TestPaddedWALRecordReplays pins that a log written when records were
+// padded with dummy rows to a multiple of a row granularity still opens:
+// replay skips the padding as it skips any dummy row, and the batch's read
+// rows stay reads.
+func TestPaddedWALRecordReplays(t *testing.T) {
 	dirPath := t.TempDir()
-	cfg := Config{BlockSize: testBlock, WALRows: 4}
-	dur, err := NewDurable(dirPath, newPartition(t), cfg)
+	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loadObjects(t, dur, 16)
-	// One batch of 10 rows (> WALRows: one record of 12): writes to every
-	// other key, reads interleaved.
-	reqs := store.NewRequests(10, testBlock)
+	// A 10-row batch, writes to every other key and reads interleaved,
+	// padded to 12 rows exactly as a granularity of 4 padded it; logged and
+	// acknowledged behind the partition's back, as a crash after the
+	// counter write leaves it.
+	reqs := store.NewRequests(12, testBlock)
 	val := make([]byte, testBlock)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 12; i++ {
 		key := uint64(i + 1)
-		if i%2 == 0 {
+		switch {
+		case i >= 10:
+			reqs.SetRow(i, store.OpWrite, store.DummyKeyBit, 0, uint64(i), 0, nil)
+		case i%2 == 0:
 			fillValue(val, key, 11)
 			reqs.SetRow(i, store.OpWrite, key, 0, uint64(i), 0, val)
-		} else {
+		default:
 			reqs.SetRow(i, store.OpRead, key, 0, uint64(i), 0, nil)
 		}
 	}
-	if _, err := dur.BatchAccess(reqs); err != nil {
+	dur.mu.Lock()
+	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
 		t.Fatal(err)
 	}
+	if err := dur.log.write(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.ack(); err != nil {
+		t.Fatal(err)
+	}
+	dur.mu.Unlock()
 	dur.Close()
 
-	dur2, err := NewDurable(dirPath, newPartition(t), cfg)
+	dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -84,9 +84,6 @@ type SegConfig struct {
 	// SegmentBlocks is the segment geometry in blocks (default 512); the
 	// streaming scan buffer is one segment. Public parameter.
 	SegmentBlocks int
-	// WALRows is the row granularity of a sealed log record (default 512),
-	// exactly as in Config.
-	WALRows int
 	// Key overrides the sealing key; nil loads/creates seal.key in the
 	// partition directory.
 	Key *crypt.Key
@@ -107,9 +104,6 @@ func (c *SegConfig) fillDefaults() {
 	}
 	if c.SegmentBlocks <= 0 {
 		c.SegmentBlocks = 512
-	}
-	if c.WALRows <= 0 {
-		c.WALRows = 512
 	}
 }
 
@@ -366,7 +360,7 @@ func (sd *SegDurable) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	if err := sd.log.cut(0, epoch); err != nil {
 		return nil, err
 	}
-	if err := sealWAL(sd.log, epoch, reqs, sd.cfg.WALRows, sd.cfg.BlockSize); err != nil {
+	if err := sealWAL(sd.log, epoch, reqs, sd.cfg.BlockSize); err != nil {
 		return nil, err
 	}
 	if err := sd.log.write(true); err != nil {

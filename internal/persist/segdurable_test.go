@@ -17,7 +17,7 @@ import (
 const segTestBlock = 32
 
 func segTestCfg() SegConfig {
-	return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4, WALRows: 8}
+	return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4}
 }
 
 func segBuild(ss *segstore.Store) StorePartition {
@@ -118,7 +118,7 @@ func TestSegDurableRollForwardFromWAL(t *testing.T) {
 	if err := sd.log.cut(0, epoch+1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sealWAL(sd.log, epoch+1, reqs, sd.cfg.WALRows, segTestBlock); err != nil {
+	if err := sealWAL(sd.log, epoch+1, reqs, segTestBlock); err != nil {
 		t.Fatal(err)
 	}
 	if err := sd.log.write(true); err != nil {

@@ -24,16 +24,16 @@ func (s stubPartition) BatchAccess(*store.Requests) (*store.Requests, error) {
 func (stubPartition) Export() ([]uint64, []byte, error) { return nil, nil, nil }
 
 func TestWALRecordLenClosedForm(t *testing.T) {
-	for _, tc := range []struct{ rows, walRows int }{{1, 4}, {4, 4}, {5, 4}, {10, 4}, {0, 8}, {24, 16}} {
+	for _, rows := range []int{0, 1, 5, 24} {
 		dir := t.TempDir()
-		dur, err := NewDurable(dir, stubPartition{}, Config{BlockSize: testBlock, WALRows: tc.walRows})
+		dur, err := NewDurable(dir, stubPartition{}, Config{BlockSize: testBlock})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := dur.Init(nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dur.BatchAccess(store.NewRequests(tc.rows, testBlock)); err != nil {
+		if _, err := dur.BatchAccess(store.NewRequests(rows, testBlock)); err != nil {
 			t.Fatal(err)
 		}
 		dur.Close()
@@ -41,8 +41,8 @@ func TestWALRecordLenClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int(st.Size()), WALRecordLen(tc.rows, tc.walRows, testBlock); got != want {
-			t.Fatalf("%d rows at granularity %d: wal holds %d bytes, WALRecordLen says %d", tc.rows, tc.walRows, got, want)
+		if got, want := int(st.Size()), WALRecordLen(rows, testBlock); got != want {
+			t.Fatalf("%d rows: wal holds %d bytes, WALRecordLen says %d", rows, got, want)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	out := store.NewRequests(8, testBlock)
-	dur, err := NewDurable(dir, stubPartition{out}, Config{BlockSize: testBlock, WALRows: 8, SnapshotEvery: 1 << 30, Telemetry: reg})
+	dur, err := NewDurable(dir, stubPartition{out}, Config{BlockSize: testBlock, SnapshotEvery: 1 << 30, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 	if w, c := wal.Value()-w0, ctr.Value()-c0; w != runs+1 || c != runs+1 {
 		t.Fatalf("%d epochs cost %d wal syncs and %d counter syncs, want %d each", runs+1, w, c, runs+1)
 	}
-	if got := reg.Counter(`persist_bytes_written_total{log="wal"}`).Value(); got != uint64((runs+2)*WALRecordLen(8, 8, testBlock)) {
-		t.Fatalf("persist_bytes_written_total{wal} = %d after %d records of %d bytes", got, runs+2, WALRecordLen(8, 8, testBlock))
+	if got := reg.Counter(`persist_bytes_written_total{log="wal"}`).Value(); got != uint64((runs+2)*WALRecordLen(8, testBlock)) {
+		t.Fatalf("persist_bytes_written_total{wal} = %d after %d records of %d bytes", got, runs+2, WALRecordLen(8, testBlock))
 	}
 	after, _ := os.ReadDir(dir)
 	if len(after) != len(before) {

@@ -204,9 +204,9 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 				var w func() ([]byte, bool, error)
 				var err error
 				if rng.Intn(3) == 0 {
-					w, err = st.sys.WriteAsync(key, []byte(fmt.Sprintf("epoch-%d-write-%d", epoch, i)))
+					w, err = st.sys.Submit(core.Request{Op: store.OpWrite, Key: key, Value: []byte(fmt.Sprintf("epoch-%d-write-%d", epoch, i))})
 				} else {
-					w, err = st.sys.ReadAsync(key)
+					w, err = st.sys.Submit(core.Request{Op: store.OpRead, Key: key})
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"snoopy/internal/core"
+	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
@@ -130,9 +131,9 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			if p.write {
 				p.val = make([]byte, block)
 				rng.Read(p.val)
-				p.wait, err = sys.WriteIdemAsync(p.id, p.key, p.val)
+				p.wait, err = sys.Submit(core.Request{Op: store.OpWrite, Key: p.key, Value: p.val, ID: p.id})
 			} else {
-				p.wait, err = sys.ReadIdemAsync(p.id, p.key)
+				p.wait, err = sys.Submit(core.Request{Op: store.OpRead, Key: p.key, ID: p.id})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -160,9 +161,9 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 				}
 				var err error
 				if p.write {
-					_, _, err = sys.WriteIdem(p.id, p.key, p.val)
+					_, _, err = do(sys, core.Request{Op: store.OpWrite, Key: p.key, Value: p.val, ID: p.id})
 				} else {
-					_, _, err = sys.ReadIdem(p.id, p.key)
+					_, _, err = do(sys, core.Request{Op: store.OpRead, Key: p.key, ID: p.id})
 				}
 				if err != nil {
 					t.Fatalf("idempotent retry after promotion: %v", err)
@@ -272,4 +273,13 @@ func TestJournalTraceCrashFreeRunsMatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// do submits r to sys and blocks for its answer.
+func do(sys *core.System, r core.Request) ([]byte, bool, error) {
+	wait, err := sys.Submit(r)
+	if err != nil {
+		return nil, false, err
+	}
+	return wait()
 }

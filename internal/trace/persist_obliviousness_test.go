@@ -41,7 +41,7 @@ func TestPersistenceTraceIndependentOfRequests(t *testing.T) {
 		epochs = 7  // crosses a SnapshotEvery boundary mid-stream
 	)
 	cfg := persist.Config{
-		BlockSize: block, ChunkBlocks: 8, WALRows: 16, SnapshotEvery: 3,
+		BlockSize: block, ChunkBlocks: 8, SnapshotEvery: 3,
 	}
 	rng := rand.New(rand.NewSource(91))
 

@@ -92,7 +92,7 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 		dir := t.TempDir()
 		rec := trace.New()
 		cfg := persist.SegConfig{
-			BlockSize: block, SegmentBlocks: segBlocks, WALRows: 16, Rec: rec,
+			BlockSize: block, SegmentBlocks: segBlocks, Rec: rec,
 		}
 		build := func(ss *segstore.Store) persist.StorePartition {
 			return suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss})

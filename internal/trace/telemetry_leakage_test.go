@@ -22,6 +22,7 @@ import (
 
 	"snoopy/internal/core"
 	"snoopy/internal/obliv"
+	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
 
@@ -78,11 +79,11 @@ func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpo
 			var w func() ([]byte, bool, error)
 			var err error
 			if i%2 == 0 {
-				w, err = sys.ReadAsync(key)
+				w, err = sys.Submit(core.Request{Op: store.OpRead, Key: key})
 			} else {
 				secret := make([]byte, cfg.BlockSize)
 				rng.Read(secret)
-				w, err = sys.WriteAsync(key, secret)
+				w, err = sys.Submit(core.Request{Op: store.OpWrite, Key: key, Value: secret})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -313,7 +314,7 @@ func TestTelemetrySnapshotIndependentOfSecrets(t *testing.T) {
 		for e := 0; e < 2; e++ {
 			waits := make([]func() ([]byte, bool, error), 0, 16)
 			for i := 0; i < 16; i++ {
-				w, err := sys.WriteAsync(ids[rng.Intn(len(ids))], []byte{byte(rng.Intn(256))})
+				w, err := sys.Submit(core.Request{Op: store.OpWrite, Key: ids[rng.Intn(len(ids))], Value: []byte{byte(rng.Intn(256))}})
 				if err != nil {
 					t.Fatal(err)
 				}

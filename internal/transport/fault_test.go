@@ -25,6 +25,13 @@ func fastRetry() Options {
 	}
 }
 
+// noRetry is fastRetry with retries disabled (a negative MaxRetries).
+func noRetry() Options {
+	o := fastRetry()
+	o.MaxRetries = -1
+	return o
+}
+
 // faultDialer wraps the first dialed connection in a faultnet.Conn (handed
 // to the test through the channel) and passes later reconnects through
 // untouched.
@@ -77,7 +84,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := startServer(t, platform, m)
 			firstCh := make(chan *faultnet.Conn, 1)
-			opts := fastRetry().NoRetries()
+			opts := noRetry()
 			opts.Dialer = faultDialer(firstCh)
 			r, err := DialOptions(addr, platform, m, opts)
 			if err != nil {
@@ -110,7 +117,7 @@ func TestHandshakeTornMidReport(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
 	addr := startServer(t, platform, m)
-	opts := fastRetry().NoRetries()
+	opts := noRetry()
 	opts.Dialer = func(network, a string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout(network, a, timeout)
 		if err != nil {
@@ -162,7 +169,7 @@ func TestRPCDeadlineFiresOnUnresponsiveServer(t *testing.T) {
 		}
 	}()
 
-	opts := fastRetry().NoRetries()
+	opts := noRetry()
 	opts.RPCTimeout = 300 * time.Millisecond
 	r, err := DialOptions(l.Addr().String(), platform, m, opts)
 	if err != nil {
@@ -263,7 +270,7 @@ func TestStaleDeliveryRejected(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
 	addr := startServer(t, platform, m)
-	r, err := DialOptions(addr, platform, m, fastRetry().NoRetries())
+	r, err := DialOptions(addr, platform, m, noRetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +364,8 @@ func TestKillAndRestartServerResumes(t *testing.T) {
 	go ServeSubORAMOptions(fl, sub, platform, m, ServeOptions{Replay: rc})
 	addr := inner.Addr().String()
 
-	opts := fastRetry().WithRetries(20)
+	opts := fastRetry()
+	opts.MaxRetries = 20
 	r, err := DialOptions(addr, platform, m, opts)
 	if err != nil {
 		t.Fatal(err)

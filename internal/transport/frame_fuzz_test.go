@@ -222,7 +222,7 @@ func FuzzDialBatchNReply(f *testing.F) {
 			}
 		}()
 
-		r, err := DialOptions(l.Addr().String(), platform, m, Options{RPCTimeout: 5 * time.Second}.NoRetries())
+		r, err := DialOptions(l.Addr().String(), platform, m, Options{RPCTimeout: 5 * time.Second, MaxRetries: -1})
 		if err != nil {
 			t.Skip() // listener race; nothing to check
 		}

@@ -125,46 +125,3 @@ func arenaCopy(src *store.Requests) *store.Requests {
 	dst.CopyRowsPlain(0, src)
 	return dst
 }
-
-// ReplyDedup is the client-side half of exactly-once: a bounded window of
-// recently delivered reply IDs. A client that retried a request against a
-// promoted standby may receive the answer twice (once from each root
-// incarnation's reply path); Deliver admits only the first. The window is
-// bounded (FIFO eviction) so a long-lived client cannot grow it without
-// limit — it need only cover the retry horizon, not the session.
-type ReplyDedup struct {
-	mu   sync.Mutex
-	seen map[uint64]struct{}
-	ring []uint64
-	next int
-}
-
-// NewReplyDedup returns a window remembering the last n delivered IDs
-// (n defaults to 4096 when <= 0).
-func NewReplyDedup(n int) *ReplyDedup {
-	if n <= 0 {
-		n = 4096
-	}
-	return &ReplyDedup{seen: make(map[uint64]struct{}, n), ring: make([]uint64, n)}
-}
-
-// Deliver reports whether a reply with this ID should be delivered to the
-// application: true exactly once per ID within the window. ID 0 is
-// reserved for untracked requests and always delivers.
-func (d *ReplyDedup) Deliver(id uint64) bool {
-	if id == 0 {
-		return true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, dup := d.seen[id]; dup {
-		return false
-	}
-	if old := d.ring[d.next]; old != 0 {
-		delete(d.seen, old)
-	}
-	d.ring[d.next] = id
-	d.next = (d.next + 1) % len(d.ring)
-	d.seen[id] = struct{}{}
-	return true
-}

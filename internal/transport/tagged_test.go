@@ -183,29 +183,3 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 		t.Fatalf("server re-applied replayed delivery: %q", got.Block(0))
 	}
 }
-
-func TestReplyDedup(t *testing.T) {
-	d := NewReplyDedup(4)
-	if !d.Deliver(10) {
-		t.Fatal("first delivery suppressed")
-	}
-	if d.Deliver(10) {
-		t.Fatal("duplicate delivered")
-	}
-	if !d.Deliver(0) || !d.Deliver(0) {
-		t.Fatal("untracked id 0 must always deliver")
-	}
-	for id := uint64(11); id <= 14; id++ {
-		if !d.Deliver(id) {
-			t.Fatalf("fresh id %d suppressed", id)
-		}
-	}
-	// 10 has been evicted from the 4-entry window: a delivery outside the
-	// retry horizon is the application's problem, not the window's.
-	if !d.Deliver(10) {
-		t.Fatal("evicted id treated as duplicate")
-	}
-	if d.Deliver(14) {
-		t.Fatal("in-window duplicate delivered")
-	}
-}

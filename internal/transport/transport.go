@@ -121,24 +121,6 @@ type Options struct {
 	// per retry attempt — a function of the public epoch schedule and of
 	// connection failures the network adversary observes directly.
 	Telemetry *telemetry.Registry
-
-	maxRetriesSet bool // distinguishes MaxRetries 0 = default from "no retries"
-}
-
-// NoRetries returns o with the retry budget set to zero attempts beyond
-// the first.
-func (o Options) NoRetries() Options {
-	o.MaxRetries = 0
-	o.maxRetriesSet = true
-	return o
-}
-
-// WithRetries returns o with an explicit retry budget (0 is honored, unlike
-// assigning the field directly, where 0 means "default").
-func (o Options) WithRetries(n int) Options {
-	o.MaxRetries = n
-	o.maxRetriesSet = true
-	return o
 }
 
 func (o Options) withDefaults() Options {
@@ -154,7 +136,7 @@ func (o Options) withDefaults() Options {
 			o.InitTimeout = o.RPCTimeout
 		}
 	}
-	if o.MaxRetries == 0 && !o.maxRetriesSet {
+	if o.MaxRetries == 0 {
 		o.MaxRetries = 4
 	}
 	if o.MaxRetries < 0 {

@@ -174,10 +174,10 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err := sys.Init(ids, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.Write(7, []byte("over-tcp")); err != nil {
+	if _, _, err := do(sys, core.Request{Op: store.OpWrite, Key: 7, Value: []byte("over-tcp")}); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := sys.Read(7)
+	v, found, err := do(sys, core.Request{Op: store.OpRead, Key: 7})
 	if err != nil || !found || !bytes.HasPrefix(v, []byte("over-tcp")) {
 		t.Fatalf("tcp system read: %q %v %v", v, found, err)
 	}
@@ -311,4 +311,13 @@ func TestRemoteConcurrentCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// do submits r to sys and blocks for its answer.
+func do(sys *core.System, r core.Request) ([]byte, bool, error) {
+	wait, err := sys.Submit(r)
+	if err != nil {
+		return nil, false, err
+	}
+	return wait()
 }

@@ -73,12 +73,13 @@ go test -race -timeout 15m -count=2 \
 
 # Focused re-run of the fault-tolerant root plane: journal append/replay
 # and every crash point at depth 1 and 4 (a "dispatch" crash with epochs in
-# flight behind it included) in core, standby-root promotion in cluster,
+# flight behind it included), every client wait resolving on a crash, in
+# core, standby-root promotion in cluster,
 # the seeded root-kill chaos harness at both depths, and the
 # journal/standby leakage tests. Schedule-sensitive by construction
 # (promotion races a probing watchdog), so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
-  -run 'TestJournal|TestCrashKillSwitch|TestRootPromotion|TestRootChaos' \
+  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestRootPromotion|TestRootChaos' \
   ./internal/core/ ./internal/cluster/ ./internal/chaos/
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \

@@ -28,6 +28,7 @@ import (
 	"snoopy/internal/core"
 	"snoopy/internal/enclave"
 	"snoopy/internal/planner"
+	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
@@ -101,7 +102,7 @@ type Config struct {
 	// epochs under the dead root's delivery tags — partition-side replay
 	// caches deduplicate re-deliveries — and parks the recovered answers
 	// for clients retrying under their original idempotency IDs (see
-	// ReadIdem/WriteIdem). The journal also pins the oblivious routing
+	// Op.ID). The journal also pins the oblivious routing
 	// key, so every incarnation routes identically. Journal shape and
 	// write timing are functions of public parameters only. See DESIGN.md
 	// §14 for the promotion protocol and the exactly-once argument.
@@ -227,59 +228,41 @@ func (s *Store) LoadSlices(ids []uint64, data []byte) error {
 // Read returns the value stored under key. ok is false if the key was not
 // part of the loaded object set.
 func (s *Store) Read(key uint64) (value []byte, ok bool, err error) {
-	return s.sys.Read(key)
+	return wait(s.ReadAsync(key))
 }
 
 // Write replaces the value under key, returning the value the object had
 // at the start of the write's epoch. Writes to unknown keys are no-ops
 // with ok == false.
 func (s *Store) Write(key uint64, value []byte) (previous []byte, ok bool, err error) {
-	return s.sys.Write(key, value)
+	return wait(s.WriteAsync(key, value))
 }
 
 // ReadAsync submits without blocking; the returned function waits.
 func (s *Store) ReadAsync(key uint64) (func() ([]byte, bool, error), error) {
-	return s.sys.ReadAsync(key)
+	return s.sys.Submit(core.Request{Op: store.OpRead, Key: key})
 }
 
 // WriteAsync submits without blocking; the returned function waits.
 func (s *Store) WriteAsync(key uint64, value []byte) (func() ([]byte, bool, error), error) {
-	return s.sys.WriteAsync(key, value)
+	return s.sys.Submit(core.Request{Op: store.OpWrite, Key: key, Value: value})
+}
+
+// wait blocks on a submitted request's answer, or returns its submit error.
+func wait(w func() ([]byte, bool, error), err error) ([]byte, bool, error) {
+	if err != nil {
+		return nil, false, err
+	}
+	return w()
 }
 
 // ErrRootDown is returned by requests in flight when the load-balancer
 // root crashes. With Config.JournalDir set, retry the request with the
-// same idempotency ID against the promoted standby (a store Opened on the
+// same idempotency ID (Op.ID) against the promoted standby (a store Opened on the
 // same JournalDir): if the dead root had journaled the epoch, the standby
 // replays it and returns the original answer; if not, the request was
 // never applied and the retry executes it exactly once.
 var ErrRootDown = core.ErrRootDown
-
-// ReadIdem is Read with an idempotency ID for exactly-once retry across
-// root failover (requires Config.JournalDir; id must be unique per
-// logical request and non-zero — 0 means untracked, at-least-once). A
-// retry of an already-answered ID returns the original answer from the
-// root's reply window instead of re-executing.
-func (s *Store) ReadIdem(id, key uint64) (value []byte, ok bool, err error) {
-	return s.sys.ReadIdem(id, key)
-}
-
-// WriteIdem is Write with an idempotency ID (see ReadIdem): a retry of an
-// already-applied write returns the original previous-value answer
-// without applying the write a second time.
-func (s *Store) WriteIdem(id, key uint64, value []byte) (previous []byte, ok bool, err error) {
-	return s.sys.WriteIdem(id, key, value)
-}
-
-// ReadIdemAsync submits without blocking; the returned function waits.
-func (s *Store) ReadIdemAsync(id, key uint64) (func() ([]byte, bool, error), error) {
-	return s.sys.ReadIdemAsync(id, key)
-}
-
-// WriteIdemAsync submits without blocking; the returned function waits.
-func (s *Store) WriteIdemAsync(id, key uint64, value []byte) (func() ([]byte, bool, error), error) {
-	return s.sys.WriteIdemAsync(id, key, value)
-}
 
 // Flush processes one epoch immediately (useful with Epoch == 0).
 func (s *Store) Flush() { s.sys.Flush() }
@@ -369,16 +352,11 @@ func DialSubORAMConfig(addr string, p *Platform, want Measurement, cfg DialConfi
 		DialTimeout: cfg.DialTimeout,
 		RPCTimeout:  cfg.RPCTimeout,
 		InitTimeout: cfg.InitTimeout,
+		MaxRetries:  cfg.Retries,
 		Telemetry:   cfg.Telemetry,
 	}
 	if opts.RPCTimeout <= 0 && cfg.Epoch > 0 {
 		opts.RPCTimeout = transport.OptionsForEpoch(cfg.Epoch).RPCTimeout
-	}
-	switch {
-	case cfg.Retries < 0:
-		opts = opts.WithRetries(0)
-	case cfg.Retries > 0:
-		opts = opts.WithRetries(cfg.Retries)
 	}
 	return transport.DialOptions(addr, p, want, opts)
 }
@@ -447,13 +425,19 @@ func PlanDeployment(objects, blockSize int, minThroughput float64, maxLatency ti
 
 // ---- Batched client API ----
 
-// Op is one operation in a batch submitted via Do.
+// Op is one operation submitted via Do.
 type Op struct {
 	Write bool
 	Key   uint64
 	Value []byte // writes only
 	// User is the ACL principal (0 when access control is disabled).
 	User uint64
+	// ID is an idempotency ID for exactly-once retry across root failover
+	// (Config.JournalDir): unique per logical request and non-zero — 0
+	// means untracked, at-least-once. A retry of an already-answered ID
+	// returns the original answer from the root's reply window instead of
+	// re-executing.
+	ID uint64
 }
 
 // Result is the outcome of one Op: Value is the object's value at the
@@ -467,18 +451,17 @@ type Result struct {
 
 // Do submits all ops and waits for their epoch(s) to complete, returning
 // one Result per op in order. Ops land in the same epoch when submitted
-// between flushes, so a Do batch typically completes together.
+// between flushes, so a Do batch typically completes together. Do is the
+// one way to carry an ACL user or an idempotency ID.
 func (s *Store) Do(ops []Op) []Result {
 	waits := make([]func() ([]byte, bool, error), len(ops))
 	results := make([]Result, len(ops))
 	for i, op := range ops {
-		var w func() ([]byte, bool, error)
-		var err error
+		r := core.Request{Op: store.OpRead, Key: op.Key, User: op.User, ID: op.ID}
 		if op.Write {
-			w, err = s.sys.WriteAsAsync(op.User, op.Key, op.Value)
-		} else {
-			w, err = s.sys.ReadAsAsync(op.User, op.Key)
+			r.Op, r.Value = store.OpWrite, op.Value
 		}
+		w, err := s.sys.Submit(r)
 		if err != nil {
 			results[i] = Result{Err: err}
 			continue
