@@ -38,7 +38,6 @@ func main() {
 	trafficLBs := flag.Int("lbs", 2, "with -traffic: load balancers")
 	trafficSubs := flag.Int("suborams", 4, "with -traffic: subORAMs (in-process mode; TCP mode uses one per -servers address)")
 	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
-	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
 	flag.Parse()
 	fmt.Println(host())
 
@@ -57,7 +56,6 @@ func main() {
 			lbs:       *trafficLBs,
 			subs:      *trafficSubs,
 			knee:      *trafficKnee,
-			baseline:  *trafficBaseline,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "traffic run: %v\n", err)

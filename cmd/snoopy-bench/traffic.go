@@ -6,7 +6,7 @@
 // compares it against the paper's Eq. 1–2 closed form (internal/planner)
 // and the discrete-event simulator (internal/simnet), both built from a
 // cost model calibrated on this machine. Results go to a JSON report
-// (results/BENCH_traffic.json via scripts/traffic.sh).
+// (results/TRAFFIC_<mode>.json via scripts/traffic.sh).
 //
 // Latency is coordinated-omission-safe: every sample is measured from the
 // request's intended send time on the precomputed schedule, so server
@@ -40,10 +40,6 @@ import (
 // the report for trend tracking.
 const kneeToleranceFactor = 8.0
 
-// p99RegressionSlack is the baseline gate: p99 at the reference load may
-// not regress more than 10% against the committed baseline report.
-const p99RegressionSlack = 0.10
-
 type trafficOptions struct {
 	out       string
 	servers   string // comma-separated TCP subORAM addresses; empty = in-process
@@ -58,7 +54,6 @@ type trafficOptions struct {
 	lbs       int
 	subs      int
 	knee      bool
-	baseline  string
 }
 
 type trafficConfig struct {
@@ -243,14 +238,7 @@ func runTraffic(opt trafficOptions) error {
 			return err
 		}
 	}
-	if err := os.WriteFile(opt.out, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-
-	if opt.baseline != "" {
-		return gateTrafficBaseline(opt, rep)
-	}
-	return nil
+	return os.WriteFile(opt.out, append(raw, '\n'), 0o644)
 }
 
 func runTrafficKnee(opt trafficOptions, open func() (loadgen.Store, func(), error), rep *trafficReport) error {
@@ -315,42 +303,6 @@ func runTrafficKnee(opt trafficOptions, open func() (loadgen.Store, func(), erro
 	if !pred.WithinTolerance {
 		return fmt.Errorf("measured knee %.0f rps is outside the %gx tolerance band around the simnet prediction %.0f rps",
 			knee.Rate, kneeToleranceFactor, simnetRPS)
-	}
-	return nil
-}
-
-// gateTrafficBaseline fails the run if p99 at the reference load regressed
-// more than p99RegressionSlack against the committed baseline report. The
-// reference point is the first scenario both reports share (the suite
-// leads with poisson-uniform).
-func gateTrafficBaseline(opt trafficOptions, rep trafficReport) error {
-	raw, err := os.ReadFile(opt.baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base trafficReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", opt.baseline, err)
-	}
-	baseP99 := make(map[string]float64, len(base.Scenarios))
-	for _, s := range base.Scenarios {
-		baseP99[s.Scenario] = s.Latency.P99
-	}
-	compared := 0
-	for _, s := range rep.Scenarios {
-		old, ok := baseP99[s.Scenario]
-		if !ok || old <= 0 {
-			continue
-		}
-		compared++
-		if s.Latency.P99 > old*(1+p99RegressionSlack) {
-			return fmt.Errorf("p99 regression in %s: %.2fms vs baseline %.2fms (>%.0f%% slack)",
-				s.Scenario, s.Latency.P99, old, p99RegressionSlack*100)
-		}
-		fmt.Printf("baseline gate %-16s p99 %.2fms vs %.2fms: ok\n", s.Scenario, s.Latency.P99, old)
-	}
-	if compared == 0 {
-		return fmt.Errorf("baseline %s shares no scenarios with this run", opt.baseline)
 	}
 	return nil
 }

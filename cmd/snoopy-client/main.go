@@ -46,7 +46,6 @@ func main() {
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /trace/epochs, and /debug/pprof on this address (empty = off)")
 	telemetryHold := flag.Duration("telemetry-hold", 0, "keep the process (and its telemetry endpoint) alive this long after the workload finishes")
 	journalDir := flag.String("journal-dir", "", "epoch-journal directory for a fault-tolerant root (shared with snoopy-server -standby-root); enables idempotent ops")
-	replyWindow := flag.Int("reply-window", 0, "root reply-dedupe window in requests (0 = default 4096; used with -journal-dir)")
 	opRetries := flag.Int("op-retries", 3, "retries per op under the same idempotency ID after a root/partition failure (with -journal-dir)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay between idempotent op retries (0 = one epoch)")
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 		Epoch:         *epoch,
 		PipelineDepth: *pipelineDepth,
 		JournalDir:    *journalDir,
-		ReplyWindow:   *replyWindow,
 		Telemetry:     reg,
 	}
 	if *retryBackoff <= 0 {

@@ -25,8 +25,8 @@
 // -probe-interval, and after -fail-after consecutive misses it promotes
 // itself — it attests to the partition servers, opens the shared journal
 // directory (which replays any journaled-but-incomplete epochs under the
-// dead root's delivery tags; the partitions' replay caches make the
-// re-dispatch exactly-once), and serves epochs from then on. The scope is
+// dead root's (stream, epoch) delivery tags; the partitions' replay caches
+// make the re-dispatch exactly-once), and serves epochs from then on. The scope is
 // honest about what this binary can and cannot recover: replayed answers
 // are parked in the promoted root's reply window for clients that retry
 // under their original idempotency IDs, but client connections themselves
@@ -132,7 +132,7 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("promoted: serving as root over journal %s (incomplete epochs replayed, delivery tags adopted)",
+		log.Printf("promoted: serving as root over journal %s (incomplete epochs replayed)",
 			journalDir)
 		return sys, nil
 	}

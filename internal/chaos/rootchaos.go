@@ -136,9 +136,7 @@ var errPartDown = errors.New("chaos: partition down")
 
 // killPart is a plain subORAM with a kill switch: while down, every batch
 // errors before touching state, modeling a crashed partition server whose
-// replay cache and store survive (the gate sits inside the partition, so
-// the LocalTagged wrapper still consumes its delivery sequence and the
-// root's journaled tag predictions stay aligned).
+// replay cache and store survive.
 type killPart struct {
 	inner *suboram.SubORAM
 	down  atomic.Bool

@@ -132,10 +132,11 @@ type replyWindow struct {
 	next int
 }
 
+// replyWindowSize is how many answered IDs the window remembers: the client
+// retry horizon, public configuration.
+const replyWindowSize = 4096
+
 func newReplyWindow(n int) *replyWindow {
-	if n <= 0 {
-		n = 4096
-	}
 	return &replyWindow{seen: make(map[uint64]result, n), ring: make([]uint64, n)}
 }
 

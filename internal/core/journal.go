@@ -4,16 +4,19 @@
 //
 // Exactly-once argument, end to end:
 //
-//   - Journal-before-dispatch. An epoch's batches, reply routing tables
-//     (client idempotency IDs per plane row), and per-partition
-//     delivery tags are durably journaled BEFORE any partition sees the
-//     batches. Not journaled ⇒ never applied, so a client retry of an
-//     unacknowledged request re-executes as a fresh request — safe.
-//   - Tagged delivery. Every dispatch travels under the journaled
-//     (lbID, seq) tag; partitions keep a replay cache keyed by it. A
-//     successor root replaying a journaled epoch re-issues the identical
-//     delivery, and a partition that already applied it answers from its
-//     cache instead of applying twice. Journaled ⇒ applied at most once.
+//   - Journal-before-dispatch. An epoch's batches and reply routing tables
+//     (client idempotency IDs per plane row) are durably journaled BEFORE
+//     any partition sees the batches. Not journaled ⇒ never applied, so a
+//     client retry of an unacknowledged request re-executes as a fresh
+//     request — safe.
+//   - Tagged delivery. Every delivery of epoch E travels under the tag
+//     (stream, E); the stream is derived from the routing key the journal
+//     pins, so every root incarnation derives the same one. Partitions keep
+//     a replay cache keyed by the tag. A successor replaying a journaled
+//     epoch re-issues the identical delivery, on whichever client handle
+//     now serves the partition, and a partition that already applied it
+//     answers from its cache instead of applying twice. Journaled ⇒ applied
+//     at most once.
 //   - Reply window. Successful results of idempotent requests are parked
 //     under their client-chosen IDs (on the original root at reply time,
 //     on a successor at replay time), so a retry of an already-answered
@@ -21,69 +24,40 @@
 //     (every wait on it returns ErrRootDown), so one attempt never yields
 //     two answers.
 //
-// Known degradations (documented, exercised by internal/chaos): a
-// partition failover that replaces a tagged client between the crash and
-// the replay presents a fresh replay cache, so that partition's share of
-// the epoch degrades to at-least-once (last-write-wins makes re-applying
-// a journaled batch idempotent at the storage layer for writes of the
-// same epoch, but the guarantee is formally weakened); and requests that
-// carry no idempotency ID (id 0) keep the original at-least-once
-// semantics throughout.
+// Known degradations: a partition server that applied an epoch and then lost
+// its replay cache (restarted, or replaced by a standby) re-applies the
+// epoch on replay, so that partition's share degrades to at-least-once; and
+// requests that carry no idempotency ID (id 0) keep at-least-once semantics
+// throughout.
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
 )
 
-// TaggedClient is the optional partition-client hook root fault tolerance
-// builds on: the journal records each client's delivery tag before
-// dispatch, and a successor adopts the recorded tags before replaying.
-// transport.RemoteSubORAM and transport.LocalTagged implement it.
-type TaggedClient interface {
-	// DeliveryTag returns the delivery-stream identity and last consumed
-	// sequence number.
-	DeliveryTag() (lbID, seq uint64)
-	// AdoptDeliveryTag overrides both, so the next dispatch replays the
-	// predecessor's delivery.
+// stampedClient is a partition client whose delivery tag the root sets
+// (transport.RemoteSubORAM, transport.LocalTagged): after
+// AdoptDeliveryTag(lbID, seq) its next BatchAccessN travels as (lbID, seq+1).
+type stampedClient interface {
 	AdoptDeliveryTag(lbID, seq uint64)
 }
 
-// tagOf resolves the journaled delivery tag for one partition client: only
-// clients that are both tagged and batched get a real tag (the journal
-// predicts exactly one BatchAccessN per partition per epoch). The zero tag
-// marks an untagged client, whose replay is at-least-once.
-func tagOf(sub SubORAMClient) persist.JournalTag {
-	if tc, ok := sub.(TaggedClient); ok {
-		if _, ok := sub.(BatchedSubORAMClient); ok {
-			lbID, seq := tc.DeliveryTag()
-			return persist.JournalTag{LBID: lbID, Seq: seq}
-		}
-	}
-	return persist.JournalTag{}
+// deliveryStream derives the journaled root's delivery-stream identity from
+// the routing key the journal pins: every incarnation over the same journal
+// directory derives the same stream.
+func deliveryStream(key crypt.Key) uint64 {
+	d := crypt.DigestOf(append([]byte("snoopy-core/delivery-stream/v1"), key[:]...))
+	return binary.LittleEndian.Uint64(d[:])
 }
 
-// initDispTags (re)loads the per-partition dispatch-tag predictions from
-// the live clients — at open, and again after a journal replay consumed
-// sequence numbers.
-func (sys *System) initDispTags() {
-	subs := sys.snapshotSubs()
-	sys.tagMu.Lock()
-	if sys.dispTags == nil {
-		sys.dispTags = make([]persist.JournalTag, len(subs))
-	}
-	for s, sub := range subs {
-		sys.dispTags[s] = tagOf(sub)
-	}
-	sys.tagMu.Unlock()
-}
-
-// journalBegin durably journals an epoch before its dispatch: the batches,
-// the per-plane reply routing (client idempotency IDs in queue order), and
-// the delivery tags the dispatch will consume. No-op without a journal.
-// Caller holds epochMu, so the tag prediction cannot race another dispatch.
+// journalBegin durably journals an epoch before its dispatch: the batches
+// and the per-plane reply routing (client idempotency IDs in queue order).
+// No-op without a journal. Caller holds epochMu.
 func (sys *System) journalBegin(job *epochJob) error {
 	if sys.journal == nil {
 		return nil
@@ -93,20 +67,16 @@ func (sys *System) journalBegin(job *epochJob) error {
 	// nothing per epoch.
 	rec := &sys.jrec
 	rec.Epoch, rec.BlockSize, rec.ACLOK = job.id, sys.cfg.BlockSize, job.aclErr == nil
+	rec.Partitions = len(sys.subs)
 	if rec.Planes == nil {
 		rec.Planes = make([]persist.JournalPlane, len(sys.lbs))
 	}
-	sys.tagMu.Lock()
-	rec.Tags = append(rec.Tags[:0], sys.dispTags...)
-	sys.tagMu.Unlock()
-	nLive := 0
 	for i := range job.eps {
 		ep := &job.eps[i]
 		p := &rec.Planes[i]
 		p.OK = ep.err == nil && ep.batches != nil
 		p.PerSub, p.Batch, p.Dropped = 0, nil, nil
 		if p.OK {
-			nLive++
 			p.PerSub = ep.perSub
 			p.Batch = ep.batches.All
 			p.Dropped = ep.droppedKeys
@@ -121,23 +91,7 @@ func (sys *System) journalBegin(job *epochJob) error {
 			p.Denied = job.denied[i]
 		}
 	}
-	if err := sys.journal.Begin(rec); err != nil {
-		return err
-	}
-	// The dispatch this record describes will consume exactly one grouped
-	// delivery per partition (partStageB takes BatchAccessN whenever the
-	// client has it); advance the predictions to the tags the NEXT epoch
-	// will travel under.
-	if nLive > 0 {
-		sys.tagMu.Lock()
-		for s := range sys.dispTags {
-			if sys.dispTags[s] != (persist.JournalTag{}) {
-				sys.dispTags[s].Seq++
-			}
-		}
-		sys.tagMu.Unlock()
-	}
-	return nil
+	return sys.journal.Begin(rec)
 }
 
 // journalComplete marks an epoch fully replied; the journal drops it from
@@ -162,24 +116,18 @@ func (sys *System) journalComplete(epoch uint64) {
 var errJournaledFailure = errors.New("core: journaled epoch failed before dispatch")
 
 // replayEpoch runs one journaled epoch through the engine like a live one:
-// adopt the journaled delivery tags (a partition that already applied the
-// delivery answers from its replay cache), rebuild stage A's output from
-// the record, dispatch it, and wait until it completes. Stage C matches
+// rebuild stage A's output from the record, dispatch it — under the same
+// (stream, epoch) tags, so a partition that already applied it answers from
+// its replay cache — and wait until it completes. Stage C matches
 // under the live rules — failed partitions, Theorem-3 drops and ACL denials
 // included — and parks the answers under the journaled idempotency IDs; the
 // reply channels have no reader. The record's storage stays je's.
 func (sys *System) replayEpoch(je *persist.JournalEpoch) {
-	subs := sys.snapshotSubs()
-	if len(je.Tags) != len(subs) || len(je.Planes) != len(sys.lbs) || je.BlockSize != sys.cfg.BlockSize {
+	if je.Partitions != len(sys.subs) || len(je.Planes) != len(sys.lbs) || je.BlockSize != sys.cfg.BlockSize {
 		// A different deployment shape than the journal was written under;
 		// nothing can be replayed meaningfully. Fail closed: skip.
 		sys.journalComplete(je.Epoch)
 		return
-	}
-	for s, sub := range subs {
-		if tc, ok := sub.(TaggedClient); ok && je.Tags[s] != (persist.JournalTag{}) {
-			tc.AdoptDeliveryTag(je.Tags[s].LBID, je.Tags[s].Seq)
-		}
 	}
 	job := sys.newJob(je.Epoch)
 	job.replayed = true

@@ -23,8 +23,8 @@ import (
 // through goroutine scheduling, the epoch ticker's phase, and allocator
 // noise on a shared CI machine — agreement here is about catching
 // order-of-magnitude planner/simulator drift, not percentage error. The
-// BENCH_traffic.json harness records the exact measured-vs-predicted ratio
-// for trend tracking.
+// traffic harness (scripts/traffic.sh full) records the exact
+// measured-vs-predicted ratio in its report.
 func TestKneeCrossValidatesSimnet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation sweeps real-time probes; skipped in -short")

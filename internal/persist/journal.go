@@ -1,13 +1,13 @@
 // Epoch journal: the root load balancer's sealed, crash-recoverable record
 // of every epoch it is about to dispatch (paper §5's failure story extended
 // to the LB plane). Before stage-B dispatch the root appends one sealed
-// record holding the epoch's per-plane batches, the client→reply routing
-// tables (per-plane request metadata plus per-request reply IDs), and the
-// per-partition (lbID, seq) delivery tags the dispatch will use. A
-// standby root that opens the same journal replays the incomplete epochs
-// verbatim: it adopts the journaled delivery tags, so partitions that
-// already applied a batch answer from their replay caches instead of
-// re-applying — the epoch is all-or-nothing across root crashes.
+// record holding the epoch's per-plane batches and the client→reply routing
+// tables (per-plane request metadata plus per-request reply IDs). A standby
+// root that opens the same journal replays the incomplete epochs verbatim.
+// The record holds no delivery tag: the root tags epoch E's delivery
+// (stream, E), which a successor derives again, so partitions that already
+// applied a batch answer from their replay caches instead of re-applying —
+// the epoch is all-or-nothing across root crashes.
 //
 // The journal is a sealed log (sealedlog.go) of epoch records, done markers
 // and checkpoints. The trusted FileCounter is bumped after each epoch record
@@ -17,8 +17,9 @@
 // dispatched — and ends the log.
 //
 // A record holds only what replay reads: the batch as a full wire frame
-// (replay re-sends it), a plane's request snapshot as the four metadata
-// columns MatchResponses reads — its value blocks are dead there. A done
+// (replay re-sends it), a plane's request snapshot as the two metadata
+// columns MatchResponses reads that are not derivable — its value blocks
+// are dead there, and its Seq and Client columns are the row index. A done
 // marker is appended without a sync of its own; the next epoch record's
 // sync carries it. A lost marker only makes the successor replay an epoch
 // that had completed, which the partitions' replay caches and the reply
@@ -49,7 +50,7 @@ import (
 
 const (
 	journalFile    = "journal"
-	journalContext = "snoopy-persist/journal/v3"
+	journalContext = "snoopy-persist/journal/v4"
 
 	journalKindEpoch = 1
 	journalKindDone  = 2
@@ -61,16 +62,6 @@ const (
 	// once in 64 epochs. Public: a function of the epoch schedule.
 	journalCompactEvery = 128
 )
-
-// JournalTag is the (lbID, seq) delivery-tag state of one partition client
-// immediately before an epoch's dispatch: Seq is the last consumed sequence
-// number, so the epoch's delivery travels as Seq+1. A zero tag marks a
-// partition client without replay-tagged delivery (replay is then
-// at-least-once for that partition).
-type JournalTag struct {
-	LBID uint64
-	Seq  uint64
-}
 
 // JournalPlane is one load-balancer plane's stage-A output and its
 // client→reply routing table.
@@ -85,9 +76,9 @@ type JournalPlane struct {
 	// Dropped are the plane's Theorem-3 overflow victim keys.
 	Dropped []uint64
 	// Reqs is the plane's request snapshot (row j belongs to queue position
-	// j; Seq = Client = j). Only its metadata columns are journaled: a
-	// decoded snapshot has no value blocks (Data is nil), which
-	// MatchResponses never reads.
+	// j; Seq = Client = j, which Begin checks). Only its Op and Key columns
+	// are journaled: a decoded snapshot has Seq and Client rebuilt and no
+	// value blocks (Data is nil), which MatchResponses never reads.
 	Reqs *store.Requests
 	// IDs[j] is the reply ID of queue position j (0 = no idempotent
 	// tracking asked for; len = Reqs.Len()).
@@ -104,9 +95,9 @@ type JournalEpoch struct {
 	// ACLOK is false when the epoch's ACL resolution failed (stage C would
 	// have failed every request; replay parks nothing).
 	ACLOK bool
-	// Tags[s] is partition s's delivery-tag state before this dispatch.
-	Tags   []JournalTag
-	Planes []JournalPlane
+	// Partitions is S, the partition count the batches are laid out for.
+	Partitions int
+	Planes     []JournalPlane
 }
 
 // Release returns the epoch's decoded batch storage to the arena. Call it
@@ -343,16 +334,14 @@ func releaseAll(es []*JournalEpoch) {
 // public shape (L, S, α, R_i) only:
 //
 //	u64 epoch | u32 L | u32 S | u32 blockSize | u8 aclOK
-//	S × (u64 lbID, u64 seq)
 //	per plane: u8 ok | u32 perSub | u32 rows + [rows > 0: wirecode frame]
 //	           | u32 nDrop + nDrop×u64
-//	           | u32 n | n×u8 op | n×u64 key | n×u64 seq | n×u64 client
-//	           | n×u64 id | u8 hasDenied + [n]u8
+//	           | u32 n | n×u8 op | n×u64 key | n×u64 id | u8 hasDenied + [n]u8
 
 const (
 	journalHeaderLen = 8 + 3*4 + 1
 	journalPlaneLen  = 1 + 4 + 4 + 4 + 4 + 1 // without the batch frame, victims, rows and mask
-	journalRowLen    = 1 + 8 + 8 + 8 + 8     // op, key, seq, client, id
+	journalRowLen    = 1 + 8 + 8             // op, key, id
 )
 
 // JournalRecordLen is the exact number of bytes the journal grows by when an
@@ -361,7 +350,7 @@ const (
 // negligible probability) and a byte per request under an ACL (public
 // configuration).
 func JournalRecordLen(L, S, alpha int, planeReqs []int, blockSize int) int {
-	n := journalHeaderLen + 16*S + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize))
+	n := journalHeaderLen + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize))
 	for _, r := range planeReqs {
 		n += r * journalRowLen
 	}
@@ -385,17 +374,20 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 	}
 	b = le.AppendUint64(b, e.Epoch)
 	b = le.AppendUint32(b, uint32(len(e.Planes)))
-	b = le.AppendUint32(b, uint32(len(e.Tags)))
+	b = le.AppendUint32(b, uint32(e.Partitions))
 	b = le.AppendUint32(b, uint32(e.BlockSize))
 	u8(e.ACLOK)
-	for _, t := range e.Tags {
-		b = le.AppendUint64(le.AppendUint64(b, t.LBID), t.Seq)
-	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
 		if n := p.Reqs.Len(); len(p.IDs) != n || (p.Denied != nil && len(p.Denied) != n) {
 			return nil, fmt.Errorf("persist: journal epoch %d plane %d: %d reply IDs and a %d-row ACL mask for %d requests",
 				e.Epoch, i, len(p.IDs), len(p.Denied), n)
+		}
+		for j := range p.IDs {
+			if p.Reqs.Seq[j] != uint64(j) || p.Reqs.Client[j] != uint64(j) {
+				return nil, fmt.Errorf("persist: journal epoch %d plane %d row %d: Seq %d, Client %d are not the row index",
+					e.Epoch, i, j, p.Reqs.Seq[j], p.Reqs.Client[j])
+			}
 		}
 		u8(p.OK)
 		b = le.AppendUint32(b, uint32(p.PerSub))
@@ -410,8 +402,6 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(p.Reqs.Len()))
 		b = append(b, p.Reqs.Op...)
 		keys(p.Reqs.Key)
-		keys(p.Reqs.Seq)
-		keys(p.Reqs.Client)
 		keys(p.IDs)
 		u8(p.Denied != nil)
 		b = append(b, p.Denied...)
@@ -477,11 +467,11 @@ func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d) out of range", epoch[0], L, S, blockSize)
 	}
 	e = &JournalEpoch{
-		Epoch:     epoch[0],
-		BlockSize: blockSize,
-		ACLOK:     aclOK,
-		Tags:      make([]JournalTag, S),
-		Planes:    make([]JournalPlane, L),
+		Epoch:      epoch[0],
+		BlockSize:  blockSize,
+		ACLOK:      aclOK,
+		Partitions: S,
+		Planes:     make([]JournalPlane, L),
 	}
 	defer func() {
 		if err == nil {
@@ -492,13 +482,6 @@ func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 			e = nil
 		}
 	}()
-	for s := range e.Tags {
-		tag := c.keys(2)
-		if c.err != nil {
-			return e, c.err
-		}
-		e.Tags[s] = JournalTag{LBID: tag[0], Seq: tag[1]}
-	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
 		p.OK = c.bool()
@@ -523,8 +506,11 @@ func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
 			Sub:       make([]uint32, n),
 			Tag:       make([]uint8, n),
 			Aux:       make([]uint8, n),
-			Seq:       c.keys(n),
-			Client:    c.keys(n),
+			Seq:       make([]uint64, n),
+			Client:    make([]uint64, n),
+		}
+		for j := range n {
+			p.Reqs.Seq[j], p.Reqs.Client[j] = uint64(j), uint64(j)
 		}
 		p.IDs = c.keys(n)
 		if c.bool() {

@@ -9,20 +9,18 @@ import (
 	"snoopy/internal/enclave"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
+	"snoopy/internal/wirecode"
 )
 
 // testEpochRec builds a shape-realistic epoch record: L planes, S
 // partitions, α rows per partition, R requests per plane.
 func testEpochRec(epoch uint64, L, S, alpha, R, blockSize int) *JournalEpoch {
 	e := &JournalEpoch{
-		Epoch:     epoch,
-		BlockSize: blockSize,
-		ACLOK:     true,
-		Tags:      make([]JournalTag, S),
-		Planes:    make([]JournalPlane, L),
-	}
-	for s := range e.Tags {
-		e.Tags[s] = JournalTag{LBID: 0x1000 + uint64(s), Seq: epoch * 7}
+		Epoch:      epoch,
+		BlockSize:  blockSize,
+		ACLOK:      true,
+		Partitions: S,
+		Planes:     make([]JournalPlane, L),
 	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
@@ -59,16 +57,9 @@ func encodeFor(t *testing.T, j *Journal, e *JournalEpoch) []byte {
 
 func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 	t.Helper()
-	if got.Epoch != want.Epoch || got.BlockSize != want.BlockSize || got.ACLOK != want.ACLOK {
+	if got.Epoch != want.Epoch || got.BlockSize != want.BlockSize || got.ACLOK != want.ACLOK ||
+		got.Partitions != want.Partitions {
 		t.Fatalf("header mismatch: got %+v want %+v", got, want)
-	}
-	if len(got.Tags) != len(want.Tags) {
-		t.Fatalf("tags: got %d want %d", len(got.Tags), len(want.Tags))
-	}
-	for s := range got.Tags {
-		if got.Tags[s] != want.Tags[s] {
-			t.Fatalf("tag %d: got %+v want %+v", s, got.Tags[s], want.Tags[s])
-		}
 	}
 	if len(got.Planes) != len(want.Planes) {
 		t.Fatalf("planes: got %d want %d", len(got.Planes), len(want.Planes))
@@ -90,7 +81,8 @@ func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 			t.Fatalf("plane %d routing table shape mismatch", i)
 		}
 		for j := range gp.IDs {
-			if gp.IDs[j] != wp.IDs[j] || gp.Reqs.Key[j] != wp.Reqs.Key[j] {
+			if gp.IDs[j] != wp.IDs[j] || gp.Reqs.Key[j] != wp.Reqs.Key[j] || gp.Reqs.Op[j] != wp.Reqs.Op[j] ||
+				gp.Reqs.Seq[j] != wp.Reqs.Seq[j] || gp.Reqs.Client[j] != wp.Reqs.Client[j] {
 				t.Fatalf("plane %d row %d mismatch", i, j)
 			}
 		}
@@ -409,6 +401,34 @@ func TestJournalRecordLenClosedForm(t *testing.T) {
 		if got, want := size()-before, logRecordLen(8); got != want {
 			t.Fatalf("done marker grew the journal by %d bytes, want %d", got, want)
 		}
+	}
+}
+
+// TestJournalRecordDropsDerivableColumns pins what the v4 record no longer
+// stores against the v3 layout: the S per-partition (lbID, seq) delivery
+// tags, and each request's Seq and Client columns, which are the row index
+// and rebuilt on decode — 16·S + 16·ΣR bytes. Begin refuses a plane whose
+// columns are not that identity rather than journal what decode cannot
+// rebuild.
+func TestJournalRecordDropsDerivableColumns(t *testing.T) {
+	const L, S, alpha = 2, 3, 4
+	planeReqs := []int{5, 7}
+	const sumR = 5 + 7
+	frame := wirecode.FrameLen(alpha*S, testBlock)
+	v3 := logRecordLen(21 + 16*S + L*(18+frame) + 33*sumR)
+	if got, want := v3-JournalRecordLen(L, S, alpha, planeReqs, testBlock), 16*S+16*sumR; got != want {
+		t.Fatalf("v4 record is %d bytes shorter than v3, want 16·S + 16·ΣR = %d", got, want)
+	}
+
+	j, _, err := OpenJournal(t.TempDir(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e := testEpochRec(1, 1, S, alpha, 3, testBlock)
+	e.Planes[0].Reqs.Client[1] = 2
+	if err := j.Begin(e); err == nil {
+		t.Fatal("Begin journaled a plane whose Client column is not the row index")
 	}
 }
 

@@ -9,22 +9,12 @@ import (
 	"snoopy/internal/store"
 )
 
-// DeliveryTag returns this handle's delivery-stream identity and the last
-// consumed sequence number. The root journals the pair before each epoch's
-// dispatch so a standby can re-issue the epoch under the same tags and have
-// the partition's ReplayCache deduplicate an already-applied batch.
-func (r *RemoteSubORAM) DeliveryTag() (lbID, seq uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lbID, r.seq
-}
-
 // AdoptDeliveryTag overrides the handle's delivery-stream identity and
-// sequence number. A standby root adopts the journaled tags of the crashed
-// root before replaying an epoch: the next BatchAccessN then
-// travels as (lbID, seq+1), exactly the delivery the dead root issued (or
-// would have issued), and the partition answers from its replay cache if it
-// already applied it.
+// sequence number: the next BatchAccessN travels as (lbID, seq+1). A
+// journaled root stamps (stream, epoch) this way before every dispatch, so
+// a successor re-issuing an epoch sends exactly the delivery the dead root
+// issued, and the partition answers from its replay cache if it already
+// applied it.
 func (r *RemoteSubORAM) AdoptDeliveryTag(lbID, seq uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -62,14 +52,7 @@ func NewLocalTagged(sub Partition, rc *ReplayCache) *LocalTagged {
 	return &LocalTagged{sub: sub, rc: rc, lbID: randomLBID()}
 }
 
-// DeliveryTag implements the journaling hook (see RemoteSubORAM.DeliveryTag).
-func (l *LocalTagged) DeliveryTag() (lbID, seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lbID, l.seq
-}
-
-// AdoptDeliveryTag implements the standby-replay hook (see
+// AdoptDeliveryTag implements the root's delivery stamp (see
 // RemoteSubORAM.AdoptDeliveryTag).
 func (l *LocalTagged) AdoptDeliveryTag(lbID, seq uint64) {
 	l.mu.Lock()

@@ -20,6 +20,11 @@ func taggedPair(t *testing.T) (*LocalTagged, *LocalTagged, *suboram.SubORAM) {
 	return NewLocalTagged(sub, rc), NewLocalTagged(sub, rc), sub
 }
 
+// streamID and seq0 are the tag a test's first handle adopts before its
+// first delivery, as a journaled root stamps (stream, epoch−1); the
+// successor handle adopts the same pair to re-issue that delivery.
+const streamID, seq0 = 0x5eed, 41
+
 func oneWrite(key uint64, val string) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpWrite, key, 0, 0, 0, []byte(val))
@@ -34,20 +39,20 @@ func oneRead(key uint64) *store.Requests {
 
 // TestLocalTaggedReplayAcrossIncarnations is the standby-root scenario in
 // miniature: incarnation 1 applies a tagged write and crashes; incarnation
-// 2 adopts the journaled tag and re-issues the delivery. The partition
+// 2 adopts the same tag and re-issues the delivery. The partition
 // must not apply it twice — the replay cache answers with the recorded
 // response, even though incarnation 2's payload differs.
 func TestLocalTaggedReplayAcrossIncarnations(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
 
-	lbID, seq0 := h1.DeliveryTag()
+	h1.AdoptDeliveryTag(streamID, seq0)
 	if _, err := h1.BatchAccess(oneWrite(2, "first")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Incarnation 2 replays the journaled delivery (lbID, seq0) — its next
-	// BatchAccess travels as seq0+1, the tag incarnation 1 already used.
-	h2.AdoptDeliveryTag(lbID, seq0)
+	// Incarnation 2 replays the delivery: its next BatchAccess travels as
+	// (streamID, seq0+1), the tag incarnation 1 already used.
+	h2.AdoptDeliveryTag(streamID, seq0)
 	out, err := h2.BatchAccess(oneWrite(2, "SECOND"))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +74,7 @@ func TestLocalTaggedReplayAcrossIncarnations(t *testing.T) {
 func TestLocalTaggedGroupedReplay(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
 
-	lbID, seq0 := h1.DeliveryTag()
+	h1.AdoptDeliveryTag(streamID, seq0)
 	outs, err := h1.BatchAccessN([]*store.Requests{oneWrite(1, "alpha"), oneWrite(3, "gamma")})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +83,7 @@ func TestLocalTaggedGroupedReplay(t *testing.T) {
 		t.Fatalf("got %d grouped responses", len(outs))
 	}
 
-	h2.AdoptDeliveryTag(lbID, seq0)
+	h2.AdoptDeliveryTag(streamID, seq0)
 	replayed, err := h2.BatchAccessN([]*store.Requests{oneWrite(1, "EVIL"), oneWrite(3, "EVIL")})
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +106,12 @@ func TestLocalTaggedGroupedReplay(t *testing.T) {
 // later replay of the same entry.
 func TestLocalTaggedReplayTwice(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
-	lbID, seq0 := h1.DeliveryTag()
+	h1.AdoptDeliveryTag(streamID, seq0)
 	if _, err := h1.BatchAccess(oneWrite(2, "stable")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		h2.AdoptDeliveryTag(lbID, seq0)
+		h2.AdoptDeliveryTag(streamID, seq0)
 		out, err := h2.BatchAccess(oneWrite(2, "x"))
 		if err != nil {
 			t.Fatalf("replay %d: %v", i, err)
@@ -121,7 +126,7 @@ func TestLocalTaggedReplayTwice(t *testing.T) {
 
 func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
-	lbID, _ := h1.DeliveryTag()
+	h1.AdoptDeliveryTag(streamID, 0)
 	for i := 0; i <= replayWindow; i++ {
 		if _, err := h1.BatchAccess(oneWrite(2, fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -129,13 +134,13 @@ func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 	}
 	// A delivery older than the replay window can no longer be answered
 	// exactly-once; it must be rejected, not applied.
-	h2.AdoptDeliveryTag(lbID, 0)
+	h2.AdoptDeliveryTag(streamID, 0)
 	if _, err := h2.BatchAccess(oneWrite(2, "stale")); err == nil {
 		t.Fatal("stale delivery accepted")
 	}
 	// Every delivery inside the window is answered again from the cache —
 	// what a successor root replaying several epochs in flight relies on.
-	h2.AdoptDeliveryTag(lbID, 1)
+	h2.AdoptDeliveryTag(streamID, 1)
 	out, err := h2.BatchAccess(oneWrite(2, "replayed"))
 	if err != nil {
 		t.Fatalf("delivery inside the replay window: %v", err)
@@ -146,7 +151,7 @@ func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 }
 
 // TestRemoteDeliveryTagAdoption runs the same standby scenario over the
-// real attested wire: handle 2 adopts handle 1's tag and the server's
+// real attested wire: both handles adopt the same tag and the server's
 // replay cache deduplicates.
 func TestRemoteDeliveryTagAdoption(t *testing.T) {
 	platform := enclave.NewPlatform()
@@ -161,7 +166,7 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 	if err := r1.Init([]uint64{1, 2, 3}, make([]byte, 3*testBlock)); err != nil {
 		t.Fatal(err)
 	}
-	lbID, seq0 := r1.DeliveryTag()
+	r1.AdoptDeliveryTag(streamID, seq0)
 	if _, err := r1.BatchAccess(oneWrite(2, "orig")); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +176,7 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	r2.AdoptDeliveryTag(lbID, seq0)
+	r2.AdoptDeliveryTag(streamID, seq0)
 	if _, err := r2.BatchAccess(oneWrite(2, "DUPL")); err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,9 @@ go test -race -timeout 15m -count=2 \
 
 # Focused re-run of the fault-tolerant root plane: journal append/replay
 # and every crash point at depth 1 and 4 (a "dispatch" crash with epochs in
-# flight behind it included), every client wait resolving on a crash, in
-# core, standby-root promotion in cluster,
+# flight behind it, and a partition failover landing between an epoch's
+# journal and its dispatch, included — TestJournal matches both), every
+# client wait resolving on a crash, in core, standby-root promotion in cluster,
 # the seeded root-kill chaos harness at both depths, and the
 # journal/standby leakage tests. Schedule-sensitive by construction
 # (promotion races a probing watchdog), so shake them with -count=2 as well.

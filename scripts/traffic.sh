@@ -8,14 +8,9 @@
 #                              # scenarios, no knee sweep (~10s)
 #   scripts/traffic.sh full    # 4 servers, 10^6 sessions, the whole
 #                              # scenario suite plus the knee sweep vs the
-#                              # calibrated Eq. 1-2 / simnet prediction,
-#                              # then the in-process p99 baseline gate
+#                              # calibrated Eq. 1-2 / simnet prediction
 #
-# Writes results/TRAFFIC_<mode>.json. `full` also writes
-# results/BENCH_traffic.json from an in-process deployment (no loopback
-# networking noise) and fails if p99 at the reference load regresses >10%
-# against results/BENCH_traffic_baseline.json — the latency there is
-# dominated by the public epoch quantum, so the gate is stable across hosts.
+# Writes results/TRAFFIC_<mode>.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,12 +87,5 @@ bin/snoopy-bench -traffic "results/TRAFFIC_$MODE.json" \
   -scenarios "$SCENARIOS" -sessions "$SESSIONS" -rate "$RATE" \
   -duration "$DURATION" -epoch "$EPOCH" -objects 1024 -block "$BLOCK" \
   -lbs 1 -knee="$KNEE"
-
-if [ "$MODE" = full ]; then
-  bin/snoopy-bench -traffic results/BENCH_traffic.json \
-    -sessions 100000 -rate 1500 -duration 1200ms -epoch 25ms \
-    -objects 1024 -block 64 -lbs 1 -suborams 2 \
-    -baseline results/BENCH_traffic_baseline.json
-fi
 
 echo "traffic.sh ($MODE): OK — results/TRAFFIC_$MODE.json"

@@ -95,24 +95,19 @@ type Config struct {
 	SegmentBytes int
 	// JournalDir, when non-empty, makes the load-balancer root itself
 	// fault tolerant: before any epoch's batches are dispatched to
-	// partitions, the root seals the epoch's merged batches, reply
-	// routing tables, and per-partition delivery tags into a fixed-shape
-	// journal under this directory (internal/persist). A standby root
-	// that Opens the same JournalDir replays journaled-but-incomplete
-	// epochs under the dead root's delivery tags — partition-side replay
+	// partitions, the root seals the epoch's merged batches and reply
+	// routing tables into a fixed-shape journal under this directory
+	// (internal/persist). Epoch E's deliveries travel under the tag
+	// (stream, E), the stream derived from the oblivious routing key the
+	// journal pins, so every incarnation routes and tags identically. A
+	// standby root that Opens the same JournalDir replays journaled-but-
+	// incomplete epochs under those same tags — partition-side replay
 	// caches deduplicate re-deliveries — and parks the recovered answers
 	// for clients retrying under their original idempotency IDs (see
-	// Op.ID). The journal also pins the oblivious routing
-	// key, so every incarnation routes identically. Journal shape and
-	// write timing are functions of public parameters only. See DESIGN.md
-	// §14 for the promotion protocol and the exactly-once argument.
+	// Op.ID). Journal shape and write timing are functions of public
+	// parameters only. See DESIGN.md §14 for the promotion protocol and
+	// the exactly-once argument.
 	JournalDir string
-	// ReplyWindow bounds the root's reply-deduplication window: how many
-	// recently answered idempotency IDs the root keeps parked so a client
-	// retry of an already-answered request returns the original answer
-	// instead of re-executing (default 4096, used when JournalDir is
-	// set). Public configuration.
-	ReplyWindow int
 	// FailoverAfter, together with Failover, enables automatic partition
 	// repair: after a partition fails this many consecutive epochs, the
 	// store calls Failover in the background to obtain a replacement
@@ -170,7 +165,6 @@ func Open(cfg Config) (*Store, error) {
 		DiskResident:     cfg.DiskResident,
 		SegmentBytes:     cfg.SegmentBytes,
 		JournalDir:       cfg.JournalDir,
-		ReplyWindow:      cfg.ReplyWindow,
 		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
 		Telemetry:        cfg.Telemetry,
@@ -192,7 +186,6 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		SortWorkers:      cfg.SortWorkers,
 		PipelineDepth:    cfg.PipelineDepth,
 		JournalDir:       cfg.JournalDir,
-		ReplyWindow:      cfg.ReplyWindow,
 		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
 		Telemetry:        cfg.Telemetry,
