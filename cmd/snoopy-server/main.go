@@ -9,13 +9,17 @@
 // Then point snoopy-client (or snoopy.DialSubORAM) at it with the same
 // platform secret.
 //
-// With -data <dir>, the partition is durable (internal/persist): sealed
-// snapshots plus a sealed write-ahead log live in <dir>, every acknowledged
-// batch is on disk before its response leaves the enclave, and a restarted
-// server — including after kill -9 — recovers the partition and resumes
-// serving without re-initialization. If the host tampered with or rolled
-// back any file in <dir>, startup fails loudly with an integrity error
-// instead of serving corrupt or stale state:
+// With -data <dir>, the partition is durable (internal/persist): a sealed
+// segment-store image of the partition plus a sealed write-ahead log of the
+// batches since it live in <dir>, every acknowledged batch is on disk
+// before its response leaves the enclave, and a restarted server —
+// including after kill -9 — recovers the partition and resumes serving
+// without re-initialization. With -disk-resident as well, the partition's
+// values live in the image itself, which every batch's scan rewrites and
+// commits, and no log is kept. -segment-bytes sets the image's segment size
+// either way. If the host tampered with or rolled back any file in <dir>,
+// startup fails loudly with an integrity error instead of serving corrupt
+// or stale state:
 //
 //	snoopy-server -listen :7001 -block 160 -data /var/lib/snoopy/part0 -platform ...
 //
@@ -57,7 +61,6 @@ import (
 	"snoopy/internal/metrics"
 	"snoopy/internal/obliv"
 	"snoopy/internal/persist"
-	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
@@ -168,7 +171,7 @@ func main() {
 	sealed := flag.Bool("sealed", false, "store partition in sealed enclave-external memory")
 	dataDir := flag.String("data", "", "directory for sealed durable state (empty = in-memory only)")
 	diskResident := flag.Bool("disk-resident", false, "keep partition contents on disk in sealed segments (requires -data, excludes -sealed)")
-	segmentBytes := flag.Int("segment-bytes", 0, "sealed segment payload size in bytes for -disk-resident (0 = 512 blocks)")
+	segmentBytes := flag.Int("segment-bytes", 0, "sealed segment payload size in bytes of the -data image (0 = 512 blocks)")
 	platformHex := flag.String("platform", "", "shared platform root key (64 hex chars); empty generates one and prints it")
 	handshakeTimeout := flag.Duration("handshake-timeout", 10*time.Second, "attested handshake deadline per connection")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "per-response write deadline")
@@ -229,44 +232,28 @@ func main() {
 	}
 
 	var sub *suboram.SubORAM
+	newSub := func(disk suboram.BlockStore) *suboram.SubORAM {
+		sub = suboram.New(suboram.Config{BlockSize: *block, Workers: *workers, Sealed: *sealed, Store: disk, Telemetry: reg})
+		return sub
+	}
 	var serve transport.Partition
 	epochOf := func() uint64 { return 0 }
-	switch {
-	case *diskResident:
-		sd, err := persist.NewSegDurable(*dataDir,
-			func(ss *segstore.Store) persist.StorePartition {
-				sub = suboram.New(suboram.Config{BlockSize: *block, Workers: *workers, Store: ss, Telemetry: reg})
-				return sub
-			},
-			persist.SegConfig{BlockSize: *block, SegmentBlocks: *segmentBytes / *block, Telemetry: reg})
-		if err != nil {
-			log.Fatalf("disk-resident state in %s unusable: %v", *dataDir, err)
-		}
-		if sd.Recovered() {
-			fmt.Printf("recovered disk-resident partition from %s: %d objects at epoch %d (rolled forward: %v)\n",
-				*dataDir, sub.NumObjects(), sd.Epoch(), sd.RolledForward())
-		} else {
-			fmt.Printf("disk-resident state in %s (fresh partition)\n", *dataDir)
-		}
-		serve = sd
-		epochOf = sd.Epoch
-	case *dataDir != "":
-		sub = suboram.New(suboram.Config{BlockSize: *block, Workers: *workers, Sealed: *sealed, Telemetry: reg})
-		dur, err := persist.NewDurable(*dataDir, sub, persist.Config{BlockSize: *block, Telemetry: reg})
+	if *dataDir == "" {
+		serve = newSub(nil)
+	} else {
+		dur, err := persist.NewDurable(*dataDir, persist.Config{
+			BlockSize: *block, SegmentBlocks: *segmentBytes / *block, Disk: *diskResident, Telemetry: reg,
+		}, func(disk suboram.BlockStore) persist.Partition { return newSub(disk) })
 		if err != nil {
 			log.Fatalf("durable state in %s unusable: %v", *dataDir, err)
 		}
 		if dur.Recovered() {
 			fmt.Printf("recovered partition from %s: %d objects at epoch %d (replayed %d WAL epochs)\n",
-				*dataDir, sub.NumObjects(), dur.Epoch(), dur.ReplayedEpochs())
+				*dataDir, sub.NumObjects(), dur.Epoch(), dur.Replayed())
 		} else {
 			fmt.Printf("durable state in %s (fresh partition)\n", *dataDir)
 		}
-		serve = dur
-		epochOf = dur.Epoch
-	default:
-		sub = suboram.New(suboram.Config{BlockSize: *block, Workers: *workers, Sealed: *sealed, Telemetry: reg})
-		serve = sub
+		serve, epochOf = dur, dur.Epoch
 	}
 	if *healthLog > 0 {
 		c := &counted{Partition: serve}

@@ -26,7 +26,6 @@ import (
 	"snoopy/internal/crypt"
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
-	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
@@ -96,23 +95,24 @@ type Config struct {
 	// timing and batch sizes the network adversary already observes.
 	PipelineDepth int
 	// DataDir, when non-empty, makes every local partition durable
-	// (internal/persist): sealed snapshots plus a sealed write-ahead log
-	// under DataDir/part-NNN, the oblivious routing key sealed at
+	// (internal/persist): a sealed segment-store image plus, for a
+	// memory-resident partition, a sealed write-ahead log under
+	// DataDir/part-NNN, the oblivious routing key sealed at
 	// DataDir/route.key, and automatic crash recovery when the directory
 	// already holds state. Only NewLocal honors it; remote partitions
 	// persist on their own hosts (snoopy-server -data).
 	DataDir string
-	// DiskResident keeps partition block values on disk in sealed segments
-	// (internal/segstore) instead of memory, letting a partition exceed RAM
-	// by orders of magnitude: batches stream the oblivious scan over the
-	// sealed segment file with redo-log durability. Requires DataDir.
-	// Mutually exclusive with Sealed.
+	// DiskResident keeps partition block values on disk, in the durable
+	// image itself (internal/segstore), instead of memory, letting a
+	// partition exceed RAM by orders of magnitude: every batch streams the
+	// oblivious scan over the sealed segments and commits the image.
+	// Requires DataDir. Mutually exclusive with Sealed.
 	DiskResident bool
-	// SegmentBytes is the disk-resident segment size in bytes (default
-	// 512 blocks' worth): the streaming-scan buffer and write-back
-	// granularity, rounded down to a whole number of blocks. A public
-	// parameter — the scan's I/O shape is a function of it and the
-	// partition size only.
+	// SegmentBytes is the durable image's segment size in bytes (default
+	// 512 blocks' worth), for either placement: the unit of image I/O and
+	// the disk-resident streaming-scan buffer, rounded down to a whole
+	// number of blocks. A public parameter — the image's I/O shape is a
+	// function of it and the partition size only.
 	SegmentBytes int
 
 	// FailoverAfter trips automatic failover for a partition after that
@@ -313,9 +313,8 @@ type System struct {
 	// recovered reports whether any durable partition restored persisted
 	// state at startup (Config.DataDir).
 	recovered bool
-	// owned holds durable partitions NewLocal created (memory-resident
-	// Durable and disk-resident SegDurable alike), closed with the system.
-	// Caller-provided partitions are never closed here.
+	// owned holds the durable partitions NewLocal created, closed with the
+	// system. Caller-provided partitions are never closed here.
 	owned []io.Closer
 }
 
@@ -341,66 +340,40 @@ func NewLocal(cfg Config) (*System, error) {
 	if cfg.DiskResident && cfg.Sealed {
 		return nil, fmt.Errorf("core: DiskResident and Sealed are mutually exclusive")
 	}
-	subs := make([]SubORAMClient, cfg.NumSubORAMs)
-	recovered := false
-	for i := range subs {
-		path := ""
-		if cfg.DataDir != "" {
-			path = filepath.Join(cfg.DataDir, fmt.Sprintf("part-%03d", i))
-		}
-		if cfg.DiskResident {
-			sd, err := persist.NewSegDurable(path,
-				func(ss *segstore.Store) persist.StorePartition {
-					return suboram.New(suboram.Config{
-						BlockSize: cfg.BlockSize,
-						Workers:   cfg.SubORAMWorkers,
-						Store:     ss,
-						Telemetry: cfg.Telemetry,
-					})
-				},
-				persist.SegConfig{
-					BlockSize:     cfg.BlockSize,
-					SegmentBlocks: cfg.SegmentBytes / cfg.BlockSize,
-					Telemetry:     cfg.Telemetry,
-				})
-			if err != nil {
-				return nil, fmt.Errorf("core: partition %d: %w", i, err)
-			}
-			recovered = recovered || sd.Recovered()
-			subs[i] = sd
-			continue
-		}
-		sub := suboram.New(suboram.Config{
+	newSub := func(disk suboram.BlockStore) *suboram.SubORAM {
+		return suboram.New(suboram.Config{
 			BlockSize: cfg.BlockSize,
 			Workers:   cfg.SubORAMWorkers,
 			Sealed:    cfg.Sealed,
+			Store:     disk,
 			Telemetry: cfg.Telemetry,
 		})
-		if path == "" {
-			subs[i] = sub
+	}
+	subs := make([]SubORAMClient, cfg.NumSubORAMs)
+	var owned []io.Closer
+	recovered := false
+	for i := range subs {
+		if cfg.DataDir == "" {
+			subs[i] = newSub(nil)
 			continue
 		}
-		dur, err := persist.NewDurable(
-			path, sub, persist.Config{BlockSize: cfg.BlockSize, Telemetry: cfg.Telemetry})
+		dur, err := persist.NewDurable(filepath.Join(cfg.DataDir, fmt.Sprintf("part-%03d", i)), persist.Config{
+			BlockSize:     cfg.BlockSize,
+			SegmentBlocks: cfg.SegmentBytes / cfg.BlockSize,
+			Disk:          cfg.DiskResident,
+			Telemetry:     cfg.Telemetry,
+		}, func(disk suboram.BlockStore) persist.Partition { return newSub(disk) })
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
 		recovered = recovered || dur.Recovered()
-		subs[i] = dur
+		subs[i], owned = dur, append(owned, dur)
 	}
 	sys, err := NewWithSubORAMs(cfg, subs)
 	if err != nil {
 		return nil, err
 	}
-	sys.recovered = recovered
-	for _, sub := range subs {
-		switch dur := sub.(type) {
-		case *persist.Durable:
-			sys.owned = append(sys.owned, dur)
-		case *persist.SegDurable:
-			sys.owned = append(sys.owned, dur)
-		}
-	}
+	sys.recovered, sys.owned = recovered, owned
 	return sys, nil
 }
 

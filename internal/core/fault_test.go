@@ -511,8 +511,9 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 	opts := transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 2 * time.Second, MaxRetries: -1}
 
 	startNode := func() (*faultnet.Listener, *persist.Durable, string, error) {
-		sub := suboram.New(suboram.Config{BlockSize: faultBlock})
-		dur, err := persist.NewDurable(dir, sub, persist.Config{BlockSize: faultBlock})
+		dur, err := persist.NewDurable(dir, persist.Config{BlockSize: faultBlock}, func(scan suboram.BlockStore) persist.Partition {
+			return suboram.New(suboram.Config{BlockSize: faultBlock, Store: scan})
+		})
 		if err != nil {
 			return nil, nil, "", err
 		}

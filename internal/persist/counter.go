@@ -25,20 +25,16 @@ const (
 )
 
 // FileCounter is the trusted monotonic epoch counter of paper §9 (the ROTE
-// / SGX counter service), persisted to the state directory.
-//
-// An increment is one positional write over the older slot and one
-// fdatasync — no file is created or renamed once the counter exists. A
-// crash mid-write leaves that slot unauthentic and the other, holding the
-// previous value, intact: the state of an increment that never returned.
+// / SGX counter service), persisted to the state directory. An increment is
+// one positional write over the older slot and one fdatasync; a crash
+// mid-write leaves the other slot, holding the previous value, intact: an
+// increment that never returned.
 //
 // The counter is a file of its own, never a record in the log it guards,
-// because it stands in for hardware: the slots' *contents* are sealed, but
-// *monotonicity* across restarts is what real counter hardware provides and
-// this simulation assumes — the host cannot revert this file together with
-// the data files to a consistent stale pair. A counter inside the log would
-// be rewound by the very truncation it exists to detect. Log first, then
-// counter, is therefore the floor: two syncs per process per epoch.
+// because it stands in for hardware: *monotonicity* across restarts is what
+// real counter hardware provides and this simulation assumes, so the host
+// cannot revert this file together with the data files. A counter inside the
+// log would be rewound by the very truncation it exists to detect.
 type FileCounter struct {
 	mu  sync.Mutex
 	d   *dir
@@ -55,21 +51,20 @@ type FileCounter struct {
 func counterAAD(slot byte) []byte { return aad(counterContext, []byte{slot}) }
 
 // openCounter loads the counter file, creating it at zero when absent.
-func openCounter(d *dir) (*FileCounter, bool, error) {
+func openCounter(d *dir) (*FileCounter, error) {
 	c := &FileCounter{d: d, m: newIOMeter(d.tel, "counter"), aad: [2][]byte{counterAAD(0), counterAAD(1)}}
 	raw, err := d.readFile(counterFile)
-	existed := err == nil
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		raw = make([]byte, counterFileLen)
 		copy(raw, d.sealer.Seal(c.pt[:], c.aad[0]))
 		if err := d.writeFileAtomic(counterFile, raw); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	case err != nil:
-		return nil, false, err
+		return nil, err
 	case len(raw) != counterFileLen:
-		return nil, false, errCorrupt("epoch counter file has %d bytes, want %d", len(raw), counterFileLen)
+		return nil, errCorrupt("epoch counter file has %d bytes, want %d", len(raw), counterFileLen)
 	}
 	d.rec.Record(trace.KindFileRead, 0, len(raw))
 	authentic := false
@@ -83,12 +78,12 @@ func openCounter(d *dir) (*FileCounter, bool, error) {
 		}
 	}
 	if !authentic {
-		return nil, false, errCorrupt("epoch counter file holds no authentic slot")
+		return nil, errCorrupt("epoch counter file holds no authentic slot")
 	}
 	if c.f, err = d.fs.OpenFile(d.file(counterFile), os.O_RDWR); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return c, existed, nil
+	return c, nil
 }
 
 // Increment advances the counter by one, durably — slot val%2 is overwritten

@@ -3,8 +3,8 @@ package persist
 // Crash-point enumeration: every sealed file of every durable structure,
 // every mutating file operation, in turn — not a sample.
 //
-// For each structure (Durable, SegDurable, Journal) a fixed scenario runs
-// once on a crashFS to count its operations. It is then re-run once per
+// For each structure (Durable in either placement, Journal) a fixed scenario
+// runs once on a crashFS to count its operations. It is then re-run once per
 // operation index with that operation failing — clean, and again torn where
 // a write can tear — and the dead file system is reopened twice: as the host
 // that kept everything the process wrote (the process died) and as the host
@@ -114,191 +114,98 @@ func enumerateRollbacks(t *testing.T, c crashCase) {
 
 var crashKey = crypt.Key{1, 2, 3}
 
-const crashObjects = 6
+// The partition scenario, in either placement: Init, three batches, a second
+// Init over live state, three more batches. Batch v writes version v to key
+// 3v; the second Init's image holds version 100 everywhere. With an image
+// every second logged epoch, the memory placement writes one before batch 3
+// and one before batch 6, besides the two Inits'.
+const crashObjects = 10 // three 4-block segments, the last one partial
 
-// durableModel is the value version of each key after the first n batches
-// of the scenario: batch v writes version v to key 1+v%3.
-func durableModel(n int) map[uint64]uint64 {
-	m := map[uint64]uint64{}
-	for v := 1; v <= n; v++ {
-		m[uint64(1+v%3)] = uint64(v)
+// crashStep is a scenario step: a batch (its version) or, 0, an Init.
+var crashSteps = []int{0, 1, 2, 3, 0, 4, 5, 6}
+
+func crashImage(version int) ([]uint64, []byte) {
+	ids := make([]uint64, crashObjects)
+	data := make([]byte, crashObjects*testBlock)
+	for i := range ids {
+		ids[i] = uint64(i * 3)
+		fillValue(data[i*testBlock:(i+1)*testBlock], ids[i], uint64(version))
 	}
-	return m
+	return ids, data
 }
 
-func durableCase() crashCase {
+// crashModel is every key's version after the first steps of the scenario,
+// and the epoch (the batches acknowledged) it is at.
+func crashModel(steps int) (map[uint64]uint64, int) {
+	m, batches := map[uint64]uint64{}, 0
+	for i, v := range crashSteps[:steps] {
+		if v == 0 {
+			for j := 0; j < crashObjects; j++ {
+				m[uint64(j*3)] = map[bool]uint64{true: 0, false: 100}[i == 0]
+			}
+			continue
+		}
+		m[uint64(3*v)] = uint64(v)
+		batches++
+	}
+	return m, batches
+}
+
+func durableCase(disk bool) crashCase {
 	cfg := func(fs *crashFS) Config {
-		return Config{BlockSize: testBlock, ChunkBlocks: 4, SnapshotEvery: 2, Key: &crashKey, fs: fs}
+		c := testConfig(disk)
+		c.SnapshotEvery, c.Key, c.fs = 2, &crashKey, fs
+		return c
 	}
 	return crashCase{
 		run: func(t *testing.T, fs *crashFS, dir string) int {
-			dur, err := NewDurable(dir, newPartition(t), cfg(fs))
+			dur, err := NewDurable(dir, cfg(fs), newPartition)
 			if err != nil {
 				return 0
 			}
 			defer dur.Close()
-			ids := make([]uint64, crashObjects)
-			data := make([]byte, crashObjects*testBlock)
-			for i := range ids {
-				ids[i] = uint64(i + 1)
-				fillValue(data[i*testBlock:(i+1)*testBlock], ids[i], 0)
-			}
-			if dur.Init(ids, data) != nil {
-				return 0
-			}
-			acked := 1
-			for v := uint64(1); v <= 5; v++ { // crosses two snapshot compactions
-				reqs := store.NewRequests(2, testBlock)
-				val := make([]byte, testBlock)
-				fillValue(val, 1+v%3, v)
-				reqs.SetRow(0, store.OpWrite, 1+v%3, 0, 0, 0, val)
-				reqs.SetRow(1, store.OpRead, 4, 0, 1, 1, nil)
-				if _, err := dur.BatchAccess(reqs); err != nil {
+			for acked, v := range crashSteps {
+				if v == 0 {
+					err = dur.Init(crashImage(map[bool]int{true: 0, false: 100}[acked == 0]))
+				} else {
+					reqs := store.NewRequests(2, testBlock)
+					val := make([]byte, testBlock)
+					fillValue(val, uint64(3*v), uint64(v))
+					reqs.SetRow(0, store.OpWrite, uint64(3*v), 0, 0, 0, val)
+					reqs.SetRow(1, store.OpRead, 0, 0, 1, 1, nil)
+					_, err = dur.BatchAccess(reqs)
+				}
+				if err != nil {
 					return acked
 				}
-				acked++
 			}
-			return acked
+			return len(crashSteps)
 		},
 		check: func(t *testing.T, fs *crashFS, dir string, acked int, final bool) error {
-			dur, err := NewDurable(dir, newPartition(t), cfg(fs))
+			dur, err := NewDurable(dir, cfg(fs), newPartition)
 			if err != nil {
 				return err
 			}
 			defer dur.Close()
-			if acked == 0 && !dur.Recovered() {
-				return nil // Init was never acknowledged: a fresh partition is right
-			}
 			if !dur.Recovered() {
-				return errors.New("acknowledged Init lost: partition reopened fresh")
-			}
-			epoch := int(dur.Epoch())
-			if lo := max(acked-1, 0); epoch < lo || epoch > lo+1 || (final && epoch != lo) {
-				return fmt.Errorf("reopened at epoch %d with %d batches acknowledged", epoch, lo)
-			}
-			model := durableModel(epoch)
-			for key := uint64(1); key <= crashObjects; key++ {
-				want := make([]byte, testBlock)
-				fillValue(want, key, model[key])
-				if got := readBack(t, dur, key); !bytes.Equal(got, want) {
-					return fmt.Errorf("epoch %d: key %d is not at version %d", epoch, key, model[key])
-				}
-			}
-			return nil
-		},
-	}
-}
-
-func TestCrashPointsDurable(t *testing.T) { enumerateCrashes(t, durableCase()) }
-
-func TestRollbackPrefixesDurable(t *testing.T) { enumerateRollbacks(t, durableCase()) }
-
-// ---- SegDurable ----
-
-func segCase() crashCase {
-	cfg := func(fs *crashFS) SegConfig {
-		return SegConfig{BlockSize: segTestBlock, SegmentBlocks: 4, Key: &crashKey, fs: fs}
-	}
-	const n = 10 // 3 segments
-	image := func(version int) ([]uint64, []byte) {
-		ids := make([]uint64, n)
-		data := make([]byte, n*segTestBlock)
-		for i := range ids {
-			ids[i] = uint64(i * 3)
-			copy(data[i*segTestBlock:], segValue(ids[i], version))
-		}
-		return ids, data
-	}
-	// Steps: Init, batches 1-2, Restore (a second Init over live state, at
-	// the same epoch), batch 3. The model after `batches` batches, `restored`
-	// saying whether the Restore image (version 100) is underneath.
-	model := func(batches int, restored bool) map[uint64]int {
-		m := map[uint64]int{}
-		for i := 0; i < n; i++ {
-			m[uint64(i*3)] = 0
-			if restored {
-				m[uint64(i*3)] = 100
-			}
-		}
-		for v := 1; v <= batches; v++ {
-			if !restored || v > 2 { // the restored image replaced batches 1-2
-				m[uint64(3*v)] = v
-			}
-		}
-		return m
-	}
-	return crashCase{
-		run: func(t *testing.T, fs *crashFS, dir string) int {
-			sd, err := NewSegDurable(dir, segBuild, cfg(fs))
-			if err != nil {
-				return 0
-			}
-			defer sd.Close()
-			if sd.Init(image(0)) != nil {
-				return 0
-			}
-			acked := 1
-			batch := func(v int) bool {
-				reqs := store.NewRequests(2, segTestBlock)
-				reqs.SetRow(0, store.OpWrite, uint64(3*v), 0, 0, 0, segValue(uint64(3*v), v))
-				reqs.SetRow(1, store.OpRead, 0, 0, 1, 1, nil)
-				_, err := sd.BatchAccess(reqs)
-				return err == nil
-			}
-			for _, step := range []func() bool{
-				func() bool { return batch(1) },
-				func() bool { return batch(2) },
-				func() bool { return sd.Restore(image(100)) == nil },
-				func() bool { return batch(3) },
-			} {
-				if !step() {
-					return acked
-				}
-				acked++
-			}
-			return acked
-		},
-		check: func(t *testing.T, fs *crashFS, dir string, acked int, final bool) error {
-			sd, err := NewSegDurable(dir, segBuild, cfg(fs))
-			if err != nil {
-				// A crash inside Init or Restore leaves a directory that must
-				// be refused, by name, and wiped; nothing was acknowledged
-				// that the refusal loses... except across a Restore, which
-				// replaces acknowledged state and so is as unrecoverable
-				// mid-way as a first Init.
-				if (acked == 0 || acked == 3) && !final && errors.Is(err, ErrInitIncomplete) {
-					return nil
-				}
-				return err
-			}
-			defer sd.Close()
-			if !sd.Recovered() {
 				if acked == 0 {
-					return nil
+					return nil // Init was never acknowledged: a fresh partition is right
 				}
 				return errors.New("acknowledged Init lost: partition reopened fresh")
 			}
-			// Steps acknowledged → (batches, restored): 1→(0,-) 2→(1,-)
-			// 3→(2,-) 4→(2,R) 5→(3,R); an in-flight step may have landed.
-			type state struct {
-				batches  int
-				restored bool
-			}
-			states := []state{{0, false}, {0, false}, {1, false}, {2, false}, {2, true}, {3, true}}
-			ok := []state{states[acked]}
-			if !final && acked+1 < len(states) {
-				ok = append(ok, states[acked+1])
-			}
-			epoch := int(sd.Epoch()) // before the reads below, which are batches too
-			for _, st := range ok {
-				if epoch != st.batches {
+			// The acknowledged steps' state, or — a crash, not a rollback —
+			// the one the step in flight leads to, which may have landed.
+			epoch := int(dur.Epoch()) // before the reads below, which are batches too
+			for steps := max(acked, 1); steps <= acked+1 && steps <= len(crashSteps); steps++ {
+				model, batches := crashModel(steps)
+				if epoch != batches || (final && steps != acked) {
 					continue
 				}
 				good := true
-				for key, version := range model(st.batches, st.restored) {
-					if !bytes.Equal(segRead(t, sd, key), segValue(key, version)) {
-						good = false
-					}
+				for key, version := range model {
+					want := make([]byte, testBlock)
+					fillValue(want, key, version)
+					good = good && bytes.Equal(readBack(t, dur, key), want)
 				}
 				if good {
 					return nil
@@ -309,9 +216,17 @@ func segCase() crashCase {
 	}
 }
 
-func TestCrashPointsSegDurable(t *testing.T) { enumerateCrashes(t, segCase()) }
+func TestCrashPointsDurable(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) { enumerateCrashes(t, durableCase(pl.disk)) })
+	}
+}
 
-func TestRollbackPrefixesSegDurable(t *testing.T) { enumerateRollbacks(t, segCase()) }
+func TestRollbackPrefixesDurable(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) { enumerateRollbacks(t, durableCase(pl.disk)) })
+	}
+}
 
 // ---- Journal ----
 

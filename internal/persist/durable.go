@@ -1,55 +1,49 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/hostfs"
+	"snoopy/internal/segstore"
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
 
-// Partition is the in-process subORAM interface Durable wraps. It is
-// satisfied by *suboram.SubORAM. BatchAccess must not modify its input: the
-// batch is being sealed into the log while it runs.
+// Partition is the in-process subORAM interface Durable wraps, satisfied by
+// *suboram.SubORAM. BatchAccess must not modify its input: the batch is
+// being sealed into the log while it runs. Restore adopts a trusted image
+// without Init's validation — data nil: the values already in the store the
+// partition scans.
 type Partition interface {
-	Init(ids []uint64, data []byte) error
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	Export() (ids []uint64, data []byte, err error)
-}
-
-// restorer is the fast-path state-import hook: partitions that implement it
-// load recovered state without re-running Init's validation (the snapshot
-// was authenticated and was written by this same enclave).
-type restorer interface {
 	Restore(ids []uint64, data []byte) error
 }
 
-// restoreInto imports a trusted image into p, by Restore where it has one.
-func restoreInto(p Partition, ids []uint64, data []byte) error {
-	if r, ok := p.(restorer); ok {
-		return r.Restore(ids, data)
-	}
-	return p.Init(ids, data)
-}
-
-// Config tunes a Durable wrapper. The zero value works: every field has a
-// default.
+// Config tunes a Durable. The zero value works: the memory placement, every
+// other field defaulted.
 type Config struct {
-	// BlockSize is the partition's object value size in bytes (default 160,
-	// matching snoopy.Config). Must match the wrapped partition.
+	// BlockSize is the object value size in bytes (default 160). Must match
+	// the wrapped partition.
 	BlockSize int
-	// ChunkBlocks is the number of objects per sealed snapshot chunk
-	// (default 256). Chunk size — a public parameter — trades sealing
-	// overhead against write granularity.
-	ChunkBlocks int
-	// SnapshotEvery bounds the epochs between snapshots (default 64):
-	// recovery replays at most SnapshotEvery WAL epochs.
+	// SegmentBlocks is the image's segment size in blocks (default 512), a
+	// public parameter fixed for the directory's life: the unit of image I/O
+	// and the disk placement's streaming scan buffer.
+	SegmentBlocks int
+	// Disk selects the disk placement: the partition's values live in the
+	// image, which its own scan commits every epoch. Otherwise (memory) every
+	// batch is logged to the wal while the partition scans, and the image is
+	// rewritten from the partition every SnapshotEvery (default 64) epochs.
+	Disk          bool
 	SnapshotEvery int
 	// Key overrides the sealing key. When nil, the key is loaded from (or
 	// created at) seal.key in the partition directory — the simulation's
@@ -59,8 +53,8 @@ type Config struct {
 	// length of every file read/write) for the obliviousness tests.
 	Rec *trace.Recorder
 	// Telemetry, when non-nil, records sync latency, sync and byte counts
-	// per sealed file, and epoch/snapshot counters: a fixed number of
-	// recordings per batch / snapshot, no request-dependent payloads.
+	// per sealed file, epoch and checkpoint counters and (through the image)
+	// segment I/O: fixed recordings per batch, no request-dependent payloads.
 	Telemetry *telemetry.Registry
 
 	fs hostfs.FS // nil: the host file system (crash-point tests substitute one)
@@ -70,28 +64,41 @@ func (c *Config) fillDefaults() {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 160
 	}
-	if c.ChunkBlocks <= 0 {
-		c.ChunkBlocks = 256
+	if c.SegmentBlocks <= 0 {
+		c.SegmentBlocks = 512
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
 	}
 }
 
-// Durable wraps a partition with sealed, crash-recoverable durability. It
-// implements the same Init/BatchAccess surface as the partition itself
-// (core.SubORAMClient), so it drops into a deployment wherever a plain
-// subORAM does. Every acknowledged batch is on disk — sealed, bound to the
-// trusted epoch counter — before BatchAccess returns.
+// The image is a segment store in imageDir, and its sealed identifier set in
+// the file named by (and AAD-bound to) the store's data-file generation: one
+// registry commit publishes both.
+const (
+	imageDir   = "segments"
+	idsContext = "snoopy-persist/ids/v3"
+)
+
+func idsFile(gen uint64) string { return fmt.Sprintf("ids-%d", gen) }
+
+// Durable wraps a partition with sealed, crash-recoverable durability, behind
+// the partition's own Init/BatchAccess surface (core.SubORAMClient). Every
+// acknowledged batch is on disk — sealed, bound to the trusted epoch counter —
+// before BatchAccess returns. The state is an image, a segment store marked
+// with the partition epoch it holds, plus the memory placement's wal of the
+// batches since. The placement decides only when the image is written;
+// recovery is one rule for both (recover).
 type Durable struct {
 	cfg   Config
 	inner Partition
-	state // the directory, the trusted counter and the write-ahead log
+	state // the directory, the trusted counter and (memory placement) the wal
+	image *segstore.Store
 
 	mu        sync.Mutex
-	walEpochs int // complete epochs in the WAL since the last snapshot
+	walEpochs int // complete epochs in the wal since the image
 	recovered bool
-	replayed  int // WAL epochs replayed during recovery (observability)
+	replayed  int // wal epochs recovery applied to the image (observability)
 
 	// The log writer: one goroutine that appends and syncs the record
 	// BatchAccess sealed while BatchAccess scans. walGo hands it a record,
@@ -100,123 +107,204 @@ type Durable struct {
 	walDone chan error
 
 	// Telemetry instruments; all nil (no-ops) when Config.Telemetry is nil.
-	telWALEpochs *telemetry.Counter
-	telSnapshots *telemetry.Counter
+	telWALEpochs   *telemetry.Counter
+	telCheckpoints *telemetry.Counter
 }
 
-// NewDurable opens (or creates) the partition directory and wraps inner.
-// When the directory holds state, it is recovered into inner: the snapshot
-// is loaded, the WAL replayed up to the trusted counter, and any
-// unacknowledged tail discarded — so a process killed at any point resumes
-// exactly at its last acknowledged batch. Sealed-state tampering and
-// rollback surface here as enclave.ErrIntegrity / ErrRollback errors.
-func NewDurable(path string, inner Partition, cfg Config) (*Durable, error) {
+// NewDurable opens (or creates) the partition directory and wraps the
+// partition build returns. build is called once, before recovery, with the
+// store the partition must scan: the image itself in the disk placement, nil
+// in the memory placement.
+//
+// When the directory holds state, it is recovered into the partition — a
+// process killed at any point resumes at its last acknowledged batch, or one
+// past it. Sealed-state tampering and rollback surface here as
+// enclave.ErrIntegrity / ErrRollback errors.
+func NewDurable(path string, cfg Config, build func(scan suboram.BlockStore) Partition) (*Durable, error) {
 	cfg.fillDefaults()
-	st, counterExisted, err := openState(cfg.fs, path, cfg.Key, cfg.Rec, cfg.Telemetry, walFile, walContext, "wal")
+	logName := walFile
+	if cfg.Disk {
+		logName = ""
+	}
+	st, err := openState(cfg.fs, path, cfg.Key, cfg.Rec, cfg.Telemetry, logName, walContext, "wal")
 	if err != nil {
 		return nil, err
 	}
-	dur := &Durable{
-		cfg: cfg, inner: inner, state: st,
-		walGo: make(chan struct{}), walDone: make(chan error),
-		telWALEpochs: cfg.Telemetry.Counter("persist_wal_epochs_total"),
-		telSnapshots: cfg.Telemetry.Counter("persist_snapshots_total"),
+	image, err := segstore.Open(filepath.Join(path, imageDir), segstore.Options{
+		BlockSize:     cfg.BlockSize,
+		SegmentBlocks: cfg.SegmentBlocks,
+		Key:           st.d.key,
+		FS:            st.d.fs,
+		Rec:           cfg.Rec,
+		Telemetry:     cfg.Telemetry,
+	})
+	if err != nil {
+		st.close()
+		return nil, err
 	}
-	if err := dur.recover(counterExisted); err != nil {
-		dur.close()
+	var scan suboram.BlockStore
+	if cfg.Disk {
+		scan = image
+	}
+	dur := &Durable{
+		cfg: cfg, inner: build(scan), state: st, image: image,
+		walGo: make(chan struct{}), walDone: make(chan error),
+		telWALEpochs:   cfg.Telemetry.Counter("persist_wal_epochs_total"),
+		telCheckpoints: cfg.Telemetry.Counter("persist_checkpoints_total"),
+	}
+	if err := dur.recover(); err != nil {
+		dur.Close()
 		return nil, err
 	}
 	cfg.Telemetry.Counter("persist_recovered_epochs_total").Add(uint64(dur.replayed))
-	go func() {
-		for range dur.walGo {
-			dur.walDone <- dur.log.write(true)
-		}
-	}()
+	if dur.log != nil {
+		go func() {
+			for range dur.walGo {
+				dur.walDone <- dur.log.write(true)
+			}
+		}()
+	}
 	return dur, nil
 }
 
-// recover loads the snapshot and replays the log up to the trusted counter.
-func (dur *Durable) recover(counterExisted bool) error {
-	cfg, epoch := dur.cfg, dur.ctr.Current()
-	snapEpoch, ids, data, blockSize, err := dur.d.readSnapshot()
-	if errors.Is(err, os.ErrNotExist) {
-		return dur.requireFresh(counterExisted, "snapshot")
+// recover is the one recovery rule. (1) Open the image at the epoch e it is
+// marked with, the counter at E: e ≤ E+1, and at E+1 the image's commit
+// outran the counter's bump, which happens now. (2) Apply the wal's records
+// in (e, E]; a log that does not reach E was rolled back. (3) Drop every
+// record past E: an unanswered epoch's. (4) Hand the image to the partition.
+// Every segment is authenticated first, in one pass that also reads the
+// memory placement's values out.
+func (dur *Durable) recover() error {
+	if !dur.image.Formatted() {
+		// Legitimate only before the first Init, whose image precedes every
+		// epoch (and cuts whatever a host put in the wal).
+		if epoch := dur.ctr.Current(); epoch != 0 {
+			return fmt.Errorf("%w (no image, counter at epoch %d)", ErrRollback, epoch)
+		}
+		return nil
 	}
+	e, epoch := dur.image.Mark(), dur.ctr.Current()
+	if e > epoch+1 {
+		return errCorrupt("image at epoch %d, past the trusted counter's %d", e, epoch)
+	}
+	ids, err := dur.readIDs()
 	if err != nil {
 		return err
 	}
-	if blockSize != cfg.BlockSize {
-		return fmt.Errorf("persist: partition sealed with block size %d, configured %d", blockSize, cfg.BlockSize)
+	bs := dur.cfg.BlockSize
+	var data []byte
+	var take func(i int, blk []byte)
+	if !dur.cfg.Disk {
+		data = make([]byte, len(ids)*bs)
+		take = func(i int, blk []byte) { copy(data[i*bs:], blk) }
 	}
-	if snapEpoch > epoch {
-		return fmt.Errorf("%w (snapshot at epoch %d, counter at %d)", ErrRollback, snapEpoch, epoch)
+	if err := dur.image.Verify(0, len(ids), take); err != nil {
+		return err
 	}
-	// Records at or before the snapshot epoch predate it (a crash between
-	// the snapshot's rename and the log reset leaves them) and are skipped;
-	// records past the counter are an unacknowledged batch's and end the log.
-	index := make(map[uint64]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-	}
-	applied := snapEpoch
-	why, err := dur.log.replay(func(seq uint64, _ uint8, rows []byte) (bool, error) {
-		if seq > epoch || (applied == snapEpoch && seq > snapEpoch+1) {
-			return false, nil
+	if e == epoch+1 {
+		if err := dur.ack(); err != nil {
+			return err
 		}
-		if seq <= snapEpoch {
-			return true, nil
+		epoch++
+	}
+	applied, why := e, "no wal"
+	if dur.log != nil {
+		index := make(map[uint64]int, len(ids))
+		for i, id := range ids {
+			index[id] = i
 		}
-		applied = seq
-		return true, forEachWrite(rows, cfg.BlockSize, func(key uint64, value []byte) {
-			// Writes to unknown keys are no-ops (matching batch semantics).
-			if i, ok := index[key]; ok {
-				copy(data[i*cfg.BlockSize:(i+1)*cfg.BlockSize], value)
+		// Records at or before e predate the image (a crash before the log's
+		// cut leaves them); records past the counter end the log.
+		why, err = dur.log.replay(func(seq uint64, _ uint8, rows []byte) (bool, error) {
+			if seq > epoch || (applied == e && seq > e+1) {
+				return false, nil
 			}
+			if seq <= e {
+				return true, nil
+			}
+			applied = seq
+			return true, forEachWrite(rows, bs, func(key uint64, value []byte) {
+				// Writes to unknown keys are no-ops (matching batch semantics).
+				if i, ok := index[key]; ok {
+					copy(data[i*bs:(i+1)*bs], value)
+				}
+			})
 		})
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	if applied != epoch {
-		return fmt.Errorf("%w (wal reaches epoch %d: %s; counter at %d)", ErrRollback, applied, why, epoch)
+		return fmt.Errorf("%w (image at epoch %d, wal reaches epoch %d: %s; counter at %d)", ErrRollback, e, applied, why, epoch)
 	}
-	if err := restoreInto(dur.inner, ids, data); err != nil {
+	if err := dur.inner.Restore(ids, data); err != nil {
 		return err
 	}
-	dur.walEpochs = int(epoch - snapEpoch)
+	dur.walEpochs = int(epoch - e)
 	dur.replayed = dur.walEpochs
 	dur.recovered = true
 	return nil
 }
 
+// readIDs opens the image's identifier set: the file of the committed
+// generation, sized by its block count.
+func (dur *Durable) readIDs() ([]uint64, error) {
+	gen, n := dur.image.Generation(), dur.image.NumBlocks()
+	pt, err := dur.d.openSealedFile(idsFile(gen), idsContext, genAAD(gen), 8*n)
+	if errors.Is(err, os.ErrNotExist) {
+		err = errCorrupt("the image's identifier set %s is missing", idsFile(gen))
+	}
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = binary.LittleEndian.Uint64(pt[i*8:])
+	}
+	return ids, nil
+}
+
+func genAAD(gen uint64) []byte { return binary.LittleEndian.AppendUint64(nil, gen) }
+
 // Recovered reports whether the directory held state that was restored into
 // the wrapped partition.
 func (dur *Durable) Recovered() bool { return dur.recovered }
 
-// ReplayedEpochs reports how many sealed WAL epochs recovery replayed on
-// top of the snapshot when the directory was opened (0 for a fresh one).
-func (dur *Durable) ReplayedEpochs() int { return dur.replayed }
+// Replayed reports how many logged epochs recovery applied on top of the
+// image (0 for a fresh directory, and always in the disk placement).
+func (dur *Durable) Replayed() int { return dur.replayed }
 
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (dur *Durable) Epoch() uint64 { return dur.ctr.Current() }
 
-// Init loads the partition and seals the full image as the new snapshot.
+// Init loads the partition: it writes the image whole, which the partition
+// then adopts. A crash anywhere in Init reopens at the image before it or
+// the one after, so Init over live state is crash-atomic.
 func (dur *Durable) Init(ids []uint64, data []byte) error {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	if err := dur.inner.Init(ids, data); err != nil {
+	if len(data) != len(ids)*dur.cfg.BlockSize {
+		return fmt.Errorf("persist: data length %d != %d objects × %d bytes", len(data), len(ids), dur.cfg.BlockSize)
+	}
+	if err := store.CheckIDs(ids); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := dur.writeImage(ids, data, true); err != nil {
 		return err
 	}
-	return dur.snapshotLocked(ids, data)
+	if dur.cfg.Disk {
+		data = nil // the values are in the image, which the partition scans
+	}
+	return dur.inner.Restore(ids, data)
 }
 
-// BatchAccess applies one batch and makes it durable before returning: the
-// batch is sealed into the WAL, the trusted counter advances, and only then
-// is the response released. The partition's scan changes nothing on disk and
-// the log record is a function of the request batch alone, so the record is
-// written and synced *while* the partition scans; the counter is bumped once
-// both are done. Every SnapshotEvery epochs the pre-batch state is first
-// compacted into a fresh snapshot and the WAL reset, bounding recovery.
+// BatchAccess applies one batch and makes it durable — its write synced, the
+// counter bumped — before the response is released. Disk: the partition's
+// scan rewrites the image into the other parity slots and commits it, marked
+// with the epoch. Memory: the scan changes nothing on disk and the wal record
+// is a function of the batch alone, so it is written and synced *while* the
+// partition scans; every SnapshotEvery epochs the pre-batch state is first
+// written as the image, bounding recovery.
 func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
@@ -226,20 +314,30 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	if err := dur.ready(); err != nil {
 		return nil, err
 	}
+	epoch := dur.ctr.Current() + 1
+	if dur.cfg.Disk {
+		before := dur.image.Epoch()
+		dur.image.SetMark(epoch)
+		out, err := dur.inner.BatchAccess(reqs)
+		if err != nil {
+			return nil, err
+		}
+		if got := dur.image.Epoch(); got != before+1 {
+			return nil, fmt.Errorf("persist: the batch left the image at store epoch %d, want %d", got, before+1)
+		}
+		return out, dur.ack()
+	}
 	if dur.walEpochs >= dur.cfg.SnapshotEvery {
-		// Snapshot the pre-batch state (all acknowledged epochs). Doing it
-		// before the batch — never after — means a crash between the
-		// snapshot rename and the WAL reset leaves only redundant log
-		// records, not an unacknowledged state image.
+		// Before the batch, never after: the image holds no unacknowledged
+		// epoch.
 		ids, data, err := dur.inner.Export()
 		if err != nil {
 			return nil, err
 		}
-		if err := dur.snapshotLocked(ids, data); err != nil {
+		if err := dur.writeImage(ids, data, false); err != nil {
 			return nil, err
 		}
 	}
-	epoch := dur.ctr.Current() + 1
 	before := dur.log.off
 	if err := sealWAL(dur.log, epoch, reqs, dur.cfg.BlockSize); err != nil {
 		return nil, err
@@ -260,9 +358,7 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 		}
 		return nil, err
 	}
-	// Once per acknowledged batch. A WAL record's shape is the public batch
-	// length, so the counter carries no request contents.
-	dur.telWALEpochs.Inc()
+	dur.telWALEpochs.Inc() // once per acknowledged batch: no request contents
 	if err := dur.ack(); err != nil {
 		return nil, err
 	}
@@ -270,42 +366,52 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	return out, nil
 }
 
-// snapshotLocked seals the given image at the current epoch and resets the
-// WAL. Caller holds mu.
-func (dur *Durable) snapshotLocked(ids []uint64, data []byte) error {
+// writeImage writes the image at the current epoch and drops the log it
+// supersedes: Init's (fresh) as a new data-file generation with a new
+// identifier set, a checkpoint's into the other parity slots — never over the
+// committed image, which a crash before the commit finds intact. A failure
+// leaves the image's in-process state unknown, so it is sticky. Caller holds
+// mu.
+func (dur *Durable) writeImage(ids []uint64, data []byte, fresh bool) error {
 	if err := dur.ready(); err != nil {
 		return err
 	}
-	epoch := dur.ctr.Current()
-	if err := dur.d.writeSnapshot(epoch, ids, data, dur.cfg.BlockSize, dur.cfg.ChunkBlocks); err != nil {
+	epoch, img, retired := dur.ctr.Current(), dur.image, dur.image.Generation()
+	var err error
+	if fresh {
+		pt := make([]byte, 0, 8*len(ids))
+		for _, id := range ids {
+			pt = binary.LittleEndian.AppendUint64(pt, id)
+		}
+		if err = img.Reset(len(ids)); err == nil {
+			gen := img.Generation()
+			err = dur.d.sealFile(idsFile(gen), idsContext, genAAD(gen), pt)
+		}
+	} else {
+		img.Begin()
+	}
+	if err == nil {
+		err = img.LoadRange(0, data)
+	}
+	if err == nil {
+		img.SetMark(epoch)
+		err = img.Commit()
+	}
+	if err != nil {
+		dur.broken = err
 		return err
 	}
-	if err := dur.log.cut(0, epoch+1); err != nil {
-		return err
+	if fresh && retired != 0 { // superseded; a crash may keep it, unread
+		dur.d.fs.Remove(dur.d.file(idsFile(retired)))
 	}
-	dur.telSnapshots.Inc()
+	if dur.log != nil {
+		if err := dur.log.cut(0, epoch+1); err != nil {
+			return err
+		}
+	}
+	dur.telCheckpoints.Inc()
 	dur.walEpochs = 0
 	return nil
-}
-
-// Export passes through to the wrapped partition, so a Durable composes
-// anywhere a Partition does (replication, engine migration).
-func (dur *Durable) Export() (ids []uint64, data []byte, err error) {
-	return dur.inner.Export()
-}
-
-// Restore imports a trusted state image — the receiving side of a §9
-// replica resynchronization: the image came sealed from a fresh peer's
-// enclave, so it skips Init's validation where the partition supports
-// that, and it is immediately sealed as the new on-disk snapshot (WAL
-// reset) so the rejoin itself is crash-consistent.
-func (dur *Durable) Restore(ids []uint64, data []byte) error {
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	if err := restoreInto(dur.inner, ids, data); err != nil {
-		return err
-	}
-	return dur.snapshotLocked(ids, data)
 }
 
 // Close stops the log writer and releases the file handles. State already
@@ -317,5 +423,5 @@ func (dur *Durable) Close() error {
 	if dur.log != nil {
 		close(dur.walGo)
 	}
-	return dur.close()
+	return errors.Join(dur.close(), dur.image.Close())
 }

@@ -5,10 +5,11 @@ package persist
 // replayed or excised records, appended garbage, in the log or in the sealed
 // files beside it — reopening must either fail in the enclave.ErrIntegrity
 // class or load exactly the acknowledged state. It must never panic and
-// never silently load something else. The three owners of a sealed log
-// (Durable's WAL, SegDurable's redo log, the root journal) share the target:
-// each runs its crash-enumeration scenario to the end, the fuzzer picks the
-// file and the damage, and the scenario's own check is the judge.
+// never silently load something else. The three owners of sealed state (a
+// Durable in the memory and in the disk placement, the root journal) share
+// the target: each runs its crash-enumeration scenario to the end, the
+// fuzzer picks the file and the damage, and the scenario's own check is the
+// judge.
 //
 // The trusted counter is not a target: rewinding it is outside the model
 // (TestCounterSlots pins what damage to it does).
@@ -26,7 +27,7 @@ import (
 
 func FuzzSealedState(f *testing.F) {
 	for owner := byte(0); owner < 3; owner++ {
-		for file := byte(0); file < 2; file++ {
+		for file := byte(0); file < 3; file++ {
 			for op := byte(0); op < 6; op++ {
 				f.Add(owner, file, op, uint32(0), byte(0xff))
 				f.Add(owner, file, op, uint32(1<<30), byte(1))
@@ -38,8 +39,9 @@ func FuzzSealedState(f *testing.F) {
 		c     crashCase
 		files []string
 	}{
-		{durableCase(), []string{walFile, snapshotFile}},
-		{segCase(), []string{walFile, segIDsFile}},
+		// The scenario's second Init leaves the image at generation 2.
+		{durableCase(false), []string{walFile, idsFile(2), "segments/registry"}},
+		{durableCase(true), []string{idsFile(2), "segments/registry"}},
 		{journalCase(), []string{journalFile, sealKeyFile}},
 	}
 	f.Fuzz(func(t *testing.T, owner, file, op byte, pos uint32, val byte) {

@@ -8,7 +8,7 @@ import (
 )
 
 // ioMeter counts one sealed file's writes and syncs under a fixed public
-// label (log ∈ {wal, journal, counter, snapshot}), so "syncs per epoch" is
+// label (log ∈ {wal, journal, counter}), so "syncs per epoch" is
 // readable from /metrics. Payloads are byte counts and durations of
 // fixed-shape I/O.
 type ioMeter struct {

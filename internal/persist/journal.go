@@ -135,7 +135,7 @@ func OpenJournal(dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (
 }
 
 func openJournal(fs hostfs.FS, dirPath string, rec *trace.Recorder, reg *telemetry.Registry) (*Journal, []*JournalEpoch, error) {
-	st, _, err := openState(fs, dirPath, nil, rec, reg, journalFile, journalContext, "journal")
+	st, err := openState(fs, dirPath, nil, rec, reg, journalFile, journalContext, "journal")
 	if err != nil {
 		return nil, nil, err
 	}

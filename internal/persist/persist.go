@@ -5,32 +5,32 @@
 // answer"), stored by the untrusted host but unable to be read, tampered
 // with, or rolled back without detection. DESIGN.md §8 is the full account.
 //
-// Two mechanisms carry every durable epoch:
+// Three mechanisms carry every durable epoch:
 //
+//	the image — a partition's contents as a segment store (internal/segstore)
+//	            marked with the partition epoch it holds.
 //	the sealed log (sealedlog.go) — an append-only stream of AEAD-sealed,
-//	            length-framed, consecutively numbered records: the partition
-//	            write-ahead log, the disk-resident partition's redo log, the
-//	            root's epoch journal and the snapshot file. One reader, one
-//	            rule: the first record that fails authentication or is not
-//	            last+1 ends the log.
+//	            length-framed, consecutively numbered records: the memory
+//	            placement's write-ahead log and the root's epoch journal. One
+//	            reader, one rule: the first record that fails authentication
+//	            or is not last+1 ends the log.
 //	epoch.ctr — the trusted monotonic epoch counter: two sealed parity slots
-//	            overwritten in place. It decides what a log's end means:
-//	            records past it are the crash tail of an epoch nobody was
-//	            answered for; a log that ends before it was rolled back
-//	            (ErrRollback, in the enclave.ErrIntegrity class).
+//	            overwritten in place. State past it is the crash tail of an
+//	            epoch nobody was answered for; state that ends before it was
+//	            rolled back (ErrRollback, in the enclave.ErrIntegrity class).
 //
-// An epoch is log append + sync, then counter write + sync, then the answer:
-// two syncs per process, no file created or renamed. seal.key stands in for
-// the hardware sealing key (in SGX, derived from MRENCLAVE; the host cannot
-// use it); everything is AES-GCM sealed under it with fresh random nonces.
+// An epoch is its write (a log append, or the image's commit) + sync, then
+// counter write + sync, then the answer. seal.key stands in for the hardware
+// sealing key (in SGX, derived from MRENCLAVE); everything is AES-GCM sealed
+// under it with fresh random nonces.
 //
-// Obliviousness of the persistence path itself: every file operation's
-// offset and length depend only on public parameters — partition size,
-// block size, batch row count, epoch count. A WAL record carries every
-// batch row (reads re-keyed into the dummy space branch-free), so the host cannot infer the read/write mix or which
-// objects a batch touched from the I/O shape. internal/trace records the
-// (offset, length) stream and the obliviousness tests assert it is
-// bit-identical across request streams that differ only in contents.
+// Every file operation's offset and length depend only on public parameters
+// — partition, block and segment size, batch row count, epoch count. A WAL
+// record carries every batch row (reads re-keyed into the dummy space
+// branch-free) and every image pass covers every segment, so the host learns
+// neither the read/write mix nor which objects a batch touched; the
+// internal/trace tests assert the (offset, length) stream is bit-identical
+// across request streams that differ only in contents.
 package persist
 
 import (
@@ -61,7 +61,6 @@ func errCorrupt(format string, args ...any) error {
 const (
 	sealKeyFile  = "seal.key"
 	counterFile  = "epoch.ctr"
-	snapshotFile = "snapshot"
 	walFile      = "wal"
 	routeKeyFile = "route.key"
 )
@@ -125,48 +124,41 @@ func openDir(fs hostfs.FS, path string, key *crypt.Key, rec *trace.Recorder, tel
 func (d *dir) file(name string) string { return filepath.Join(d.path, name) }
 
 // state is what every durable structure here stands on: a state directory,
-// its trusted counter, and the one sealed log the counter guards.
+// its trusted counter, and the sealed log the counter guards, if any.
 type state struct {
-	d   *dir
-	ctr *FileCounter
-	log *sealedLog // nil once closed
+	d      *dir
+	ctr    *FileCounter
+	log    *sealedLog // nil for an owner that keeps none, and once closed
+	broken error      // sticky: what left the owner's state on disk unknown
+	closed bool
 }
 
+// openState opens the directory, its counter and, unless logName is empty,
+// its log.
 func openState(fs hostfs.FS, path string, key *crypt.Key, rec *trace.Recorder, tel *telemetry.Registry,
-	logName, context, label string) (s state, counterExisted bool, err error) {
+	logName, context, label string) (s state, err error) {
 	if s.d, err = openDir(fs, path, key, rec, tel); err != nil {
-		return s, false, err
+		return s, err
 	}
-	if s.ctr, counterExisted, err = openCounter(s.d); err != nil {
-		return s, false, err
+	if s.ctr, err = openCounter(s.d); err != nil || logName == "" {
+		return s, err
 	}
-	if s.log, err = s.d.openLog(logName, context, label, true); err != nil {
+	if s.log, err = s.d.openLog(logName, context, label); err != nil {
 		s.ctr.close()
 	}
-	return s, counterExisted, err
-}
-
-// requireFresh vets a directory that holds no state image (no snapshot, no
-// segment registry): legitimate only for a partition that never completed an
-// Init — the counter must still be at zero and the log empty.
-func (s *state) requireFresh(counterExisted bool, image string) error {
-	if epoch := s.ctr.Current(); counterExisted && epoch != 0 {
-		return fmt.Errorf("%w (no %s, counter at epoch %d)", ErrRollback, image, epoch)
-	}
-	if size, err := s.log.f.Size(); err != nil || size != 0 {
-		return errCorrupt("write-ahead log present without a %s", image)
-	}
-	return nil
+	return s, err
 }
 
 // ready reports why no further epoch can be made durable, if none can.
 func (s *state) ready() error {
 	switch {
-	case s.log == nil:
+	case s.closed:
 		return errors.New("persist: closed")
+	case s.broken != nil:
+		return fmt.Errorf("persist: state on disk lost track: %w", s.broken)
 	case s.ctr.Err() != nil:
 		return fmt.Errorf("persist: epoch counter lost durability: %w", s.ctr.Err())
-	case s.log.err != nil:
+	case s.log != nil && s.log.err != nil:
 		return fmt.Errorf("persist: sealed log lost durability: %w", s.log.err)
 	}
 	return nil
@@ -180,11 +172,15 @@ func (s *state) ack() error {
 
 // close releases the file handles; closing twice is harmless.
 func (s *state) close() error {
-	if s.log == nil {
+	if s.closed {
 		return nil
 	}
-	err := s.log.close()
-	s.log = nil
+	s.closed = true
+	var err error
+	if s.log != nil {
+		err = s.log.close()
+		s.log = nil
+	}
 	return errors.Join(err, s.ctr.close())
 }
 

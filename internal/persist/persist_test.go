@@ -3,8 +3,10 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"snoopy/internal/enclave"
@@ -14,9 +16,30 @@ import (
 
 const testBlock = 32
 
-func newPartition(t *testing.T) *suboram.SubORAM {
+// placements are the two ways a Durable keeps its partition: the tests of a
+// behaviour both share run over both.
+var placements = []struct {
+	name string
+	disk bool
+}{{"memory", false}, {"disk", true}}
+
+// testConfig is a placement's test configuration: 4-block segments, so a
+// handful of objects spans several segments and ends in a partial one.
+func testConfig(disk bool) Config { return Config{BlockSize: testBlock, SegmentBlocks: 4, Disk: disk} }
+
+// newPartition is the subORAM a Durable wraps, scanning the store it is
+// given (the image, in the disk placement).
+func newPartition(scan suboram.BlockStore) Partition {
+	return suboram.New(suboram.Config{BlockSize: testBlock, Store: scan})
+}
+
+func openDurable(t *testing.T, dir string, cfg Config) *Durable {
 	t.Helper()
-	return suboram.New(suboram.Config{BlockSize: testBlock})
+	dur, err := NewDurable(dir, cfg, newPartition)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	return dur
 }
 
 // loadObjects initializes dur with n objects whose value encodes their id.
@@ -74,253 +97,309 @@ func expectValue(t *testing.T, dur *Durable, key, version uint64) {
 }
 
 func TestDurableRoundTrip(t *testing.T) {
-	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dur.Recovered() {
-		t.Fatal("fresh directory reported recovered")
-	}
-	loadObjects(t, dur, 10)
-	writeBatch(t, dur, 3, 1)
-	writeBatch(t, dur, 7, 2)
-	writeBatch(t, dur, 3, 5)
-	if got := dur.Epoch(); got != 3 {
-		t.Fatalf("epoch = %d, want 3", got)
-	}
-	if err := dur.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, testConfig(pl.disk))
+			if dur.Recovered() {
+				t.Fatal("fresh directory reported recovered")
+			}
+			loadObjects(t, dur, 10)
+			writeBatch(t, dur, 3, 1)
+			writeBatch(t, dur, 7, 2)
+			writeBatch(t, dur, 3, 5)
+			if got := dur.Epoch(); got != 3 {
+				t.Fatalf("epoch = %d, want 3", got)
+			}
+			if err := dur.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Reopen with a fresh in-memory partition: state must come from disk.
-	dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+			// Reopen with a fresh partition: state must come from disk.
+			dur2 := openDurable(t, dir, testConfig(pl.disk))
+			defer dur2.Close()
+			if !dur2.Recovered() {
+				t.Fatal("reopen did not recover")
+			}
+			if got, want := dur2.Replayed(), map[bool]int{false: 3, true: 0}[pl.disk]; got != want {
+				t.Fatalf("replayed %d logged epochs, want %d", got, want)
+			}
+			if got := dur2.Epoch(); got != 3 {
+				t.Fatalf("recovered epoch = %d, want 3", got)
+			}
+			expectValue(t, dur2, 3, 5)
+			expectValue(t, dur2, 7, 2)
+			expectValue(t, dur2, 1, 0) // untouched object keeps its load-time value
+		})
 	}
-	defer dur2.Close()
-	if !dur2.Recovered() {
-		t.Fatal("reopen did not recover")
-	}
-	if got := dur2.Epoch(); got != 3 {
-		t.Fatalf("recovered epoch = %d, want 3", got)
-	}
-	expectValue(t, dur2, 3, 5)
-	expectValue(t, dur2, 7, 2)
-	expectValue(t, dur2, 1, 0) // untouched object keeps its load-time value
 }
 
-// TestRestoreSealsStateAndSurvivesCrash: Restore (the replica-resync
-// import path) must leave the partition serving the imported state AND
-// seal it on disk, so a crash right after a resync recovers the resynced
-// state, not the pre-resync one.
-func TestRestoreSealsStateAndSurvivesCrash(t *testing.T) {
-	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
+// TestInitRefusesInvalidIDs: Init validates the identifier set before it
+// writes anything, so a refused Init leaves the partition as it was.
+func TestInitRefusesInvalidIDs(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dur := openDurable(t, t.TempDir(), testConfig(pl.disk))
+			defer dur.Close()
+			loadObjects(t, dur, 4)
+			writeBatch(t, dur, 2, 1)
+			for _, ids := range [][]uint64{{1, 2, 1}, {1, store.DummyKeyBit | 2, 3}} {
+				if err := dur.Init(ids, make([]byte, len(ids)*testBlock)); err == nil {
+					t.Fatalf("Init(%v) accepted", ids)
+				}
+			}
+			expectValue(t, dur, 2, 1)
+		})
 	}
-	loadObjects(t, dur, 4)
-	writeBatch(t, dur, 2, 1)
-
-	// Import a peer's image: same ids, different versions.
-	n := 4
-	ids := make([]uint64, n)
-	data := make([]byte, n*testBlock)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-		fillValue(data[i*testBlock:(i+1)*testBlock], uint64(i+1), 9)
-	}
-	if err := dur.Restore(ids, data); err != nil {
-		t.Fatal(err)
-	}
-	expectValue(t, dur, 2, 9)
-	if dur.ReplayedEpochs() != 0 {
-		t.Fatalf("fresh open reported replayed epochs: %d", dur.ReplayedEpochs())
-	}
-	// Crash (no Close) and recover: the restored image is the durable one.
-	dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatalf("reopen after restore: %v", err)
-	}
-	defer dur2.Close()
-	if !dur2.Recovered() {
-		t.Fatal("reopen did not recover")
-	}
-	expectValue(t, dur2, 2, 9)
-	expectValue(t, dur2, 4, 9)
 }
 
 func TestRecoveryAcrossSnapshots(t *testing.T) {
-	dirPath := t.TempDir()
-	cfg := Config{BlockSize: testBlock, SnapshotEvery: 2}
-	dur, err := NewDurable(dirPath, newPartition(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	cfg := testConfig(false)
+	cfg.SnapshotEvery = 2
+	dur := openDurable(t, dir, cfg)
 	loadObjects(t, dur, 8)
 	for v := uint64(1); v <= 7; v++ {
 		writeBatch(t, dur, 1+v%3, v)
 	}
 	dur.Close()
 
-	dur2, err := NewDurable(dirPath, newPartition(t), cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	dur2 := openDurable(t, dir, cfg)
 	defer dur2.Close()
+	if got := dur2.Replayed(); got != 1 { // images before batches 3, 5 and 7
+		t.Fatalf("replayed %d logged epochs, want 1", got)
+	}
 	// Last writes: v=7→key 2, v=6→key 1, v=5→key 3.
 	expectValue(t, dur2, 2, 7)
 	expectValue(t, dur2, 1, 6)
 	expectValue(t, dur2, 3, 5)
 }
 
+// TestRecoveryDiscardsUnacknowledgedTail: what a crash leaves of a batch
+// nobody was answered for — its logged record past the counter (memory), or
+// its scan's uncommitted writes to the image's other parity slots (disk) —
+// is dropped: the partition reopens at the counter, and goes on from there.
 func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
-	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadObjects(t, dur, 4)
-	writeBatch(t, dur, 2, 1)
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, testConfig(pl.disk))
+			loadObjects(t, dur, 4)
+			writeBatch(t, dur, 2, 1)
+			dur.mu.Lock()
+			if pl.disk {
+				dur.image.Begin()
+				if err := dur.image.Scan(0, 4, func(i int, blk []byte) { fillValue(blk, uint64(i+1), 99) }); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				reqs := store.NewRequests(1, testBlock)
+				val := make([]byte, testBlock)
+				fillValue(val, 2, 99)
+				reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
+				if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
+					t.Fatal(err)
+				}
+				if err := dur.log.write(true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dur.mu.Unlock()
+			dur.Close()
 
-	// Simulate a crash after the WAL fsync but before the counter bump: the
-	// record for epoch 2 is on disk, but epoch 2 was never acknowledged.
-	reqs := store.NewRequests(1, testBlock)
-	val := make([]byte, testBlock)
-	fillValue(val, 2, 99)
-	reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
-	dur.mu.Lock()
-	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
+			dur2 := openDurable(t, dir, testConfig(pl.disk))
+			defer dur2.Close()
+			if got := dur2.Epoch(); got != 1 {
+				t.Fatalf("recovered epoch = %d, want 1", got)
+			}
+			expectValue(t, dur2, 2, 1) // the unacknowledged version 99 must not surface
+
+			// The discarded tail must not get in the way of what follows.
+			writeBatch(t, dur2, 2, 2)
+			dur2.Close()
+			dur3 := openDurable(t, dir, testConfig(pl.disk))
+			defer dur3.Close()
+			expectValue(t, dur3, 2, 2)
+		})
+	}
+}
+
+// TestRecoveryAcknowledgesImageAheadOfCounter: a crash between the disk
+// placement's image commit and the counter's bump leaves the image one epoch
+// ahead; that epoch is applied in full, so recovery acknowledges it.
+func TestRecoveryAcknowledgesImageAheadOfCounter(t *testing.T) {
+	dir := t.TempDir()
+	dur := openDurable(t, dir, testConfig(true))
+	loadObjects(t, dur, 6)
+	writeBatch(t, dur, 5, 1)
+	// The partition's next scan, behind the counter's back.
+	dur.image.SetMark(dur.Epoch() + 1)
+	dur.image.Begin()
+	if err := dur.image.Scan(0, 6, func(i int, blk []byte) {
+		if i == 2 {
+			fillValue(blk, 3, 4)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dur.log.write(true); err != nil {
+	if err := dur.image.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	dur.mu.Unlock()
 	dur.Close()
 
-	dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	dur2 := openDurable(t, dir, testConfig(true))
 	defer dur2.Close()
-	if got := dur2.Epoch(); got != 1 {
-		t.Fatalf("recovered epoch = %d, want 1", got)
+	if got := dur2.Epoch(); got != 2 {
+		t.Fatalf("epoch %d, want 2 (the committed epoch acknowledged)", got)
 	}
-	expectValue(t, dur2, 2, 1) // the unacknowledged version 99 must not surface
+	expectValue(t, dur2, 3, 4)
+	expectValue(t, dur2, 5, 1)
+}
 
-	// The discarded tail must also be gone from the file, so new appends
-	// stay contiguous.
-	writeBatch(t, dur2, 2, 2)
-	dur2.Close()
-	dur3, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
+// stateFiles reads every file under dir but the trusted counter — or only
+// the one named only, when it is not empty: what a host rolling the
+// partition back would keep.
+func stateFiles(t *testing.T, dir, only string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() == counterFile || (only != "" && d.Name() != only) {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = b
+		return err
+	})
 	if err != nil {
-		t.Fatalf("second reopen: %v", err)
+		t.Fatal(err)
 	}
-	defer dur3.Close()
-	expectValue(t, dur3, 2, 2)
+	return files
 }
 
 func TestRollbackDetected(t *testing.T) {
-	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadObjects(t, dur, 4)
-	writeBatch(t, dur, 1, 1)
+	for _, row := range []struct {
+		name string
+		disk bool
+		only string
+	}{
+		{"memory", false, ""}, {"disk", true, ""},
+		// A stale image under the current log, which starts past it.
+		{"memory/image", false, "registry"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig(row.disk)
+			cfg.SnapshotEvery = 2 // an image before batch 3
+			dur := openDurable(t, dir, cfg)
+			loadObjects(t, dur, 10)
+			writeBatch(t, dur, 1, 1)
 
-	// Host stashes a validly-sealed copy of the mutable state...
-	stale := map[string][]byte{}
-	for _, name := range []string{snapshotFile, walFile} {
-		b, err := os.ReadFile(filepath.Join(dirPath, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stale[name] = b
-	}
-	writeBatch(t, dur, 1, 2)
-	writeBatch(t, dur, 1, 3)
-	dur.Close()
+			// Host stashes a validly-sealed copy of the state...
+			stale := stateFiles(t, dir, row.only)
+			writeBatch(t, dur, 1, 2)
+			writeBatch(t, dur, 1, 3)
+			dur.Close()
 
-	// ...and serves it after more epochs were acknowledged.
-	for name, b := range stale {
-		if err := os.WriteFile(filepath.Join(dirPath, name), b, 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err = NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if !errors.Is(err, ErrRollback) {
-		t.Fatalf("stale state: err = %v, want ErrRollback", err)
-	}
-	if !errors.Is(err, enclave.ErrIntegrity) {
-		t.Fatalf("ErrRollback must be in the ErrIntegrity class, got %v", err)
+			// ...and serves it after more epochs were acknowledged.
+			for path, b := range stale {
+				if err := os.WriteFile(path, b, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := NewDurable(dir, cfg, newPartition)
+			if !errors.Is(err, ErrRollback) {
+				t.Fatalf("stale state: err = %v, want ErrRollback", err)
+			}
+			if !errors.Is(err, enclave.ErrIntegrity) {
+				t.Fatalf("ErrRollback must be in the ErrIntegrity class, got %v", err)
+			}
+		})
 	}
 }
 
+// damageCases are the files of a state directory after loadObjects(10) and
+// one batch, under the placement that has them: the memory rows keep the
+// file's name, the disk rows are prefixed with disk/.
+var damageCases = []struct {
+	file string
+	disk bool
+}{
+	{walFile, false}, {counterFile, false},
+	{idsFile(1), false}, {"segments/registry", false}, {"segments/segments-1.dat", false},
+	{idsFile(1), true}, {"segments/registry", true}, {"segments/segments-1.dat", true},
+}
+
+func damageName(file string, disk bool) string {
+	if disk {
+		return "disk/" + file
+	}
+	return file
+}
+
 func TestMissingFilesDetected(t *testing.T) {
-	for _, name := range []string{snapshotFile, walFile, counterFile} {
-		t.Run(name, func(t *testing.T) {
-			dirPath := t.TempDir()
-			dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadObjects(t, dur, 4)
+	for _, c := range damageCases {
+		t.Run(damageName(c.file, c.disk), func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, testConfig(c.disk))
+			loadObjects(t, dur, 10)
 			writeBatch(t, dur, 1, 1)
 			dur.Close()
-			if err := os.Remove(filepath.Join(dirPath, name)); err != nil {
+			if err := os.Remove(filepath.Join(dir, c.file)); err != nil {
 				t.Fatal(err)
 			}
-			dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
+			dur2, err := NewDurable(dir, testConfig(c.disk), newPartition)
 			if err == nil {
 				dur2.Close()
 				// Deleting epoch.ctr models destroying the trusted counter —
 				// real counter hardware cannot be erased by the host, so the
 				// simulation accepts a silently-fresh counter only when it
 				// never reaches this branch.
-				if name != counterFile {
-					t.Fatalf("deleting %s went undetected", name)
+				if c.file != counterFile {
+					t.Fatalf("deleting %s went undetected", c.file)
 				}
 				t.Skip("counter deletion is outside the modeled threat (hardware counter)")
 			}
 			if !errors.Is(err, enclave.ErrIntegrity) {
-				t.Fatalf("deleting %s: err = %v, want ErrIntegrity class", name, err)
+				t.Fatalf("deleting %s: err = %v, want ErrIntegrity class", c.file, err)
 			}
 		})
 	}
 }
 
 func TestTamperDetected(t *testing.T) {
-	for _, name := range []string{snapshotFile, walFile, counterFile} {
-		t.Run(name, func(t *testing.T) {
-			dirPath := t.TempDir()
-			dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadObjects(t, dur, 4)
+	for _, c := range damageCases {
+		t.Run(damageName(c.file, c.disk), func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, testConfig(c.disk))
+			loadObjects(t, dur, 10)
 			writeBatch(t, dur, 1, 1)
 			dur.Close()
 
-			path := filepath.Join(dirPath, name)
+			path := filepath.Join(dir, c.file)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b[len(b)/2] ^= 0x40
-			if name == counterFile {
+			switch {
+			case c.file == counterFile:
 				// One damaged slot is what a crash mid-increment leaves (see
 				// TestCounterSlots); tampering is damage to both.
-				b[0] ^= 0x40
+				b[5] ^= 0x40
+				b[counterSlotStride+5] ^= 0x40
+			case strings.HasSuffix(c.file, ".dat"):
+				// Half the slots are the other parity's: damage every slot.
+				for off := 20; off < len(b); off += 4096 {
+					b[off] ^= 0x40
+				}
+			default:
+				b[len(b)/2] ^= 0x40
 			}
 			if err := os.WriteFile(path, b, 0o600); err != nil {
 				t.Fatal(err)
 			}
-			_, err = NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
+			_, err = NewDurable(dir, testConfig(c.disk), newPartition)
 			if !errors.Is(err, enclave.ErrIntegrity) {
-				t.Fatalf("tampering %s: err = %v, want ErrIntegrity class", name, err)
+				t.Fatalf("tampering %s: err = %v, want ErrIntegrity class", c.file, err)
 			}
 		})
 	}
@@ -332,10 +411,7 @@ func TestTamperDetected(t *testing.T) {
 // rows stay reads.
 func TestPaddedWALRecordReplays(t *testing.T) {
 	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dur := openDurable(t, dirPath, testConfig(false))
 	loadObjects(t, dur, 16)
 	// A 10-row batch, writes to every other key and reads interleaved,
 	// padded to 12 rows exactly as a granularity of 4 padded it; logged and
@@ -368,10 +444,7 @@ func TestPaddedWALRecordReplays(t *testing.T) {
 	dur.mu.Unlock()
 	dur.Close()
 
-	dur2, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	dur2 := openDurable(t, dirPath, testConfig(false))
 	defer dur2.Close()
 	for i := 0; i < 10; i++ {
 		key := uint64(i + 1)
@@ -385,13 +458,12 @@ func TestPaddedWALRecordReplays(t *testing.T) {
 
 func TestBlockSizeMismatchRejected(t *testing.T) {
 	dirPath := t.TempDir()
-	dur, err := NewDurable(dirPath, newPartition(t), Config{BlockSize: testBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dur := openDurable(t, dirPath, testConfig(false))
 	loadObjects(t, dur, 2)
 	dur.Close()
-	_, err = NewDurable(dirPath, suboram.New(suboram.Config{BlockSize: 64}), Config{BlockSize: 64})
+	_, err := NewDurable(dirPath, Config{BlockSize: 64}, func(scan suboram.BlockStore) Partition {
+		return suboram.New(suboram.Config{BlockSize: 64, Store: scan})
+	})
 	if err == nil {
 		t.Fatal("block size mismatch went undetected")
 	}
@@ -403,24 +475,24 @@ func TestCounterDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr, existed, err := openCounter(d)
+	ctr, err := openCounter(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if existed {
-		t.Fatal("fresh counter reported as existing")
+	if ctr.Current() != 0 {
+		t.Fatalf("fresh counter = %d, want 0", ctr.Current())
 	}
 	for i := uint64(1); i <= 5; i++ {
 		if got := ctr.Increment(); got != i {
 			t.Fatalf("Increment = %d, want %d", got, i)
 		}
 	}
-	ctr2, existed, err := openCounter(d)
+	ctr2, err := openCounter(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !existed || ctr2.Current() != 5 {
-		t.Fatalf("reloaded counter = %d (existed=%v), want 5", ctr2.Current(), existed)
+	if ctr2.Current() != 5 {
+		t.Fatalf("reloaded counter = %d, want 5", ctr2.Current())
 	}
 }
 
@@ -435,7 +507,7 @@ func TestCounterSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr, _, err := openCounter(d)
+	ctr, err := openCounter(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,8 +543,7 @@ func TestCounterSlots(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		c, _, err := openCounter(d)
-		return c, err
+		return openCounter(d)
 	}
 	torn := append([]byte(nil), prev...)
 	torn[5] ^= 1 // slot 0 holds 4, the newer value

@@ -14,8 +14,7 @@ import (
 )
 
 // sealedLog is the one append-only sealed record stream under the partition
-// write-ahead log, the disk-resident partition's redo log, the root's epoch
-// journal and the snapshot file. A record is
+// write-ahead log and the root's epoch journal. A record is
 //
 //	u32 n | u64 seq | u8 kind | nonce | ciphertext | tag        (n counts what follows it)
 //
@@ -26,12 +25,9 @@ import (
 //
 // One reader, one rule (replay): records must authenticate and carry
 // consecutive sequence numbers; the first one that does not ends the log.
-// Whether that end is the crash tail of an unacknowledged epoch or a
-// rollback is not the log's to say — its owner compares where the log ended
-// with the trusted counter.
-//
-// Records are encoded and sealed in one reused buffer, so a steady-state
-// append allocates nothing.
+// Whether that end is a crash tail or a rollback is for its owner to say,
+// against the trusted counter. Records are sealed in one reused buffer, so a
+// steady-state append allocates nothing.
 type sealedLog struct {
 	d    *dir
 	m    ioMeter
@@ -55,13 +51,13 @@ const (
 // logRecordLen is the framed size of a record with an n-byte plaintext.
 func logRecordLen(n int) int { return 4 + logPrefixLen + n + crypt.Overhead }
 
-// openLog opens the named log; create makes an absent one (durably: a log
-// whose directory entry a power loss could take reads as rolled back)
-// rather than passing os.ErrNotExist through. label is the public telemetry
-// label of its I/O counters. Nothing is read until replay.
-func (d *dir) openLog(name, context, label string, create bool) (*sealedLog, error) {
+// openLog opens the named log, making an absent one durably (a log whose
+// directory entry a power loss could take reads as rolled back). label is
+// the public telemetry label of its I/O counters. Nothing is read until
+// replay.
+func (d *dir) openLog(name, context, label string) (*sealedLog, error) {
 	f, err := d.fs.OpenFile(d.file(name), os.O_RDWR)
-	if create && errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, os.ErrNotExist) {
 		if f, err = d.fs.OpenFile(d.file(name), os.O_RDWR|os.O_CREATE); err == nil {
 			if err = d.fs.SyncDir(d.path); err != nil {
 				f.Close()
@@ -77,11 +73,11 @@ func (d *dir) openLog(name, context, label string, create bool) (*sealedLog, err
 }
 
 // replaceLog atomically replaces the named log with the one fill builds in
-// name.tmp, records numbered from first: the compaction and snapshot path,
-// the only one that creates or renames a file. The returned log (non-nil
+// name.tmp, records numbered from first: the journal's compaction path, the
+// only one that creates or renames a log. The returned log (non-nil
 // once the rename happened) appends to the new file.
 func (d *dir) replaceLog(name, context, label string, first uint64, fill func(*sealedLog) error) (*sealedLog, error) {
-	l, err := d.openLog(name+".tmp", context, label, true)
+	l, err := d.openLog(name+".tmp", context, label)
 	if err != nil {
 		return nil, err
 	}

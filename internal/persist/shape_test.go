@@ -2,37 +2,53 @@ package persist
 
 // Leakage and allocation guards of the per-epoch durable path: the bytes
 // written are the exported closed forms of public parameters, a steady-state
-// epoch allocates nothing, and it costs exactly two syncs per process.
+// logged epoch allocates nothing, and it costs exactly two syncs per process.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 )
 
 // stubPartition answers every batch with one preallocated response, so what
-// AllocsPerRun sees around it is the persistence step alone.
-type stubPartition struct{ out *store.Requests }
+// AllocsPerRun sees around it is the persistence step alone. Over an image
+// (the disk placement) it commits one store epoch per batch, as a scan does.
+type stubPartition struct {
+	out   *store.Requests
+	image suboram.BlockStore
+}
 
-func (stubPartition) Init([]uint64, []byte) error { return nil }
 func (s stubPartition) BatchAccess(*store.Requests) (*store.Requests, error) {
+	if s.image != nil {
+		s.image.Begin()
+		return s.out, s.image.Commit()
+	}
 	return s.out, nil
 }
 func (stubPartition) Export() ([]uint64, []byte, error) { return nil, nil, nil }
+func (stubPartition) Restore([]uint64, []byte) error    { return nil }
+
+func openStub(t *testing.T, dir string, cfg Config, out *store.Requests) *Durable {
+	t.Helper()
+	dur, err := NewDurable(dir, cfg, func(scan suboram.BlockStore) Partition { return stubPartition{out, scan} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Init(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return dur
+}
 
 func TestWALRecordLenClosedForm(t *testing.T) {
 	for _, rows := range []int{0, 1, 5, 24} {
 		dir := t.TempDir()
-		dur, err := NewDurable(dir, stubPartition{}, Config{BlockSize: testBlock})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dur.Init(nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		dur := openStub(t, dir, Config{BlockSize: testBlock}, nil)
 		if _, err := dur.BatchAccess(store.NewRequests(rows, testBlock)); err != nil {
 			t.Fatal(err)
 		}
@@ -47,45 +63,49 @@ func TestWALRecordLenClosedForm(t *testing.T) {
 	}
 }
 
-// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccess is one
-// log sync and one counter sync, creates and renames nothing, and allocates
-// nothing.
+// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccess
+// creates and renames nothing and costs one counter sync. In the memory
+// placement that follows one wal sync and allocates nothing; the disk
+// placement keeps no wal at all (its image commit is the store's).
 func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	out := store.NewRequests(8, testBlock)
-	dur, err := NewDurable(dir, stubPartition{out}, Config{BlockSize: testBlock, SnapshotEvery: 1 << 30, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dur.Close()
-	if err := dur.Init(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	reqs := store.NewRequests(8, testBlock)
-	step := func() {
-		if _, err := dur.BatchAccess(reqs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // grows the record buffer once
-	before, _ := os.ReadDir(dir)
-	wal, ctr := reg.Counter(`persist_syncs_total{log="wal"}`), reg.Counter(`persist_syncs_total{log="counter"}`)
-	w0, c0 := wal.Value(), ctr.Value()
-	const runs = 20
-	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
-		t.Fatalf("steady-state Durable.BatchAccess allocates %.1f times per epoch", allocs)
-	}
-	// AllocsPerRun runs the function once more than it reports, to warm up.
-	if w, c := wal.Value()-w0, ctr.Value()-c0; w != runs+1 || c != runs+1 {
-		t.Fatalf("%d epochs cost %d wal syncs and %d counter syncs, want %d each", runs+1, w, c, runs+1)
-	}
-	if got := reg.Counter(`persist_bytes_written_total{log="wal"}`).Value(); got != uint64((runs+2)*WALRecordLen(8, testBlock)) {
-		t.Fatalf("persist_bytes_written_total{wal} = %d after %d records of %d bytes", got, runs+2, WALRecordLen(8, testBlock))
-	}
-	after, _ := os.ReadDir(dir)
-	if len(after) != len(before) {
-		t.Fatalf("steady-state epochs changed the directory: %d entries, then %d", len(before), len(after))
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			dur := openStub(t, dir, Config{BlockSize: testBlock, Disk: pl.disk, SnapshotEvery: 1 << 30, Telemetry: reg},
+				store.NewRequests(8, testBlock))
+			defer dur.Close()
+			reqs := store.NewRequests(8, testBlock)
+			step := func() {
+				if _, err := dur.BatchAccess(reqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // grows the record buffer once
+			before, _ := os.ReadDir(dir)
+			wal, ctr := reg.Counter(`persist_syncs_total{log="wal"}`), reg.Counter(`persist_syncs_total{log="counter"}`)
+			w0, c0 := wal.Value(), ctr.Value()
+			const runs = 20
+			if allocs := testing.AllocsPerRun(runs, step); allocs != 0 && !pl.disk {
+				t.Fatalf("steady-state Durable.BatchAccess allocates %.1f times per epoch", allocs)
+			}
+			// AllocsPerRun runs the function once more than it reports, to warm up.
+			wantWAL := map[bool]uint64{false: runs + 1, true: 0}[pl.disk]
+			if w, c := wal.Value()-w0, ctr.Value()-c0; w != wantWAL || c != runs+1 {
+				t.Fatalf("%d epochs cost %d wal syncs and %d counter syncs, want %d and %d", runs+1, w, c, wantWAL, runs+1)
+			}
+			wantBytes := map[bool]uint64{false: uint64((runs + 2) * WALRecordLen(8, testBlock)), true: 0}[pl.disk]
+			if got := reg.Counter(`persist_bytes_written_total{log="wal"}`).Value(); got != wantBytes {
+				t.Fatalf("persist_bytes_written_total{wal} = %d after %d epochs, want %d", got, runs+2, wantBytes)
+			}
+			if _, err := os.Stat(filepath.Join(dir, walFile)); pl.disk != errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("wal file: %v, disk placement %v", err, pl.disk)
+			}
+			after, _ := os.ReadDir(dir)
+			if len(after) != len(before) {
+				t.Fatalf("steady-state epochs changed the directory: %d entries, then %d", len(before), len(after))
+			}
+		})
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"snoopy/internal/wirecode"
 )
 
-// walContext is the AAD context of write-ahead (and redo) log records; a
-// record's sequence number is the epoch of the batch it holds.
+// walContext is the AAD context of write-ahead log records; a record's
+// sequence number is the epoch of the batch it holds.
 const walContext = "snoopy-persist/wal/v2"
 
 // WALRecordLen is the exact number of bytes the log grows by for one n-row

@@ -32,7 +32,7 @@ func FuzzRegistryDecoder(f *testing.F) {
 		segmentBlocks: 4,
 		numBlocks:     19,
 		storeEpoch:    7,
-		idsEpoch:      7,
+		mark:          7,
 		gen:           1,
 		entries: []segEntry{
 			{epoch: 7, nonce: [12]byte{1}}, {epoch: 7, nonce: [12]byte{2}}, {epoch: 7, nonce: [12]byte{3}},
@@ -155,8 +155,9 @@ func FuzzStoreMutation(f *testing.F) {
 		// Rolling the registry back alone is indistinguishable from a crash
 		// before the epoch-1 commit at this layer: the registry is authentic
 		// and self-consistent at epoch 0. Catching it is the trusted
-		// counter's job — persist.SegDurable fails RequireEpoch. Everything
-		// segstore accepts must at least be an authentic committed state.
+		// counter's job — persist.Durable fails an image marked behind it.
+		// Everything segstore accepts must at least be an authentic committed
+		// state.
 		wantEpoch := uint64(1)
 		wantSalt := uint64(1000)
 		if fileIdx%2 == 0 && op%5 == 4 {

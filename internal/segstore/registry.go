@@ -12,18 +12,19 @@ import (
 )
 
 // The registry is the store's sealed root of trust on disk: one record
-// naming the geometry, the committed store epoch, the data-file generation,
-// and — per logical segment — the epoch its current image must authenticate
-// at (which also names its parity slot) and the nonce that image was sealed
-// under, so no other sealing of the segment passes. It is rewritten atomically
-// (hostfs.WriteFileAtomic) at every commit, so the host either observes the
-// previous registry or the new one, never a torn mix.
+// naming the geometry, the committed store epoch, the owner's mark, the
+// data-file generation, and — per logical segment — the epoch its current
+// image must authenticate at (which also names its parity slot) and the
+// nonce that image was sealed under, so no other sealing of the segment
+// passes. It is rewritten atomically (hostfs.WriteFileAtomic) at every
+// commit, so the host either observes the previous registry or the new one,
+// never a torn mix.
 //
 // Freshness of the registry itself is NOT self-certifying — a malicious
 // host can always serve yesterday's registry together with yesterday's
 // (internally consistent) slots. The enclosing persistence layer anchors it
-// by comparing the registry's store epoch against the trusted monotonic
-// counter (RequireEpoch).
+// by comparing the epoch it marked the registry with (SetMark) against the
+// trusted monotonic counter.
 
 // registryFile is the registry record's file name within the store dir.
 const registryFile = "registry"
@@ -34,12 +35,12 @@ const regContext = "snoopy-segstore/registry/v2"
 // regMagic / regVersion identify the plaintext layout.
 const (
 	regMagic   = uint32(0x5347_5247) // "SGRG"
-	regVersion = uint32(2)
+	regVersion = uint32(3)
 )
 
 // regHeaderLen is the fixed plaintext header:
 // magic u32 | version u32 | blockSize u32 | segmentBlocks u32 |
-// numBlocks u64 | storeEpoch u64 | idsEpoch u64 | gen u64 | numSegments u32.
+// numBlocks u64 | storeEpoch u64 | mark u64 | gen u64 | numSegments u32.
 const regHeaderLen = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4
 
 // regEntryLen is one per-segment entry: epoch u64 | nonce.
@@ -63,7 +64,7 @@ type registry struct {
 	segmentBlocks uint32
 	numBlocks     uint64
 	storeEpoch    uint64
-	idsEpoch      uint64
+	mark          uint64 // the owner's, committed with the registry (SetMark)
 	gen           uint64
 	entries       []segEntry
 }
@@ -77,7 +78,7 @@ func marshalRegistry(dst []byte, r registry) []byte {
 	binary.LittleEndian.PutUint32(hdr[12:16], r.segmentBlocks)
 	binary.LittleEndian.PutUint64(hdr[16:24], r.numBlocks)
 	binary.LittleEndian.PutUint64(hdr[24:32], r.storeEpoch)
-	binary.LittleEndian.PutUint64(hdr[32:40], r.idsEpoch)
+	binary.LittleEndian.PutUint64(hdr[32:40], r.mark)
 	binary.LittleEndian.PutUint64(hdr[40:48], r.gen)
 	binary.LittleEndian.PutUint32(hdr[48:52], uint32(len(r.entries)))
 	dst = append(dst, hdr[:]...)
@@ -109,7 +110,7 @@ func unmarshalRegistry(b []byte) (registry, error) {
 	r.segmentBlocks = binary.LittleEndian.Uint32(b[12:16])
 	r.numBlocks = binary.LittleEndian.Uint64(b[16:24])
 	r.storeEpoch = binary.LittleEndian.Uint64(b[24:32])
-	r.idsEpoch = binary.LittleEndian.Uint64(b[32:40])
+	r.mark = binary.LittleEndian.Uint64(b[32:40])
 	r.gen = binary.LittleEndian.Uint64(b[40:48])
 	n := binary.LittleEndian.Uint32(b[48:52])
 	if r.blockSize == 0 || r.segmentBlocks == 0 {

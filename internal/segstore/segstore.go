@@ -16,8 +16,8 @@
 // Layout of a store directory:
 //
 //	registry           — one sealed record: geometry (block size, segment
-//	                     blocks, block count), the store epoch, the data-file
-//	                     generation, the ids-file epoch, and one entry per
+//	                     blocks, block count), the store epoch, the owner's
+//	                     mark, the data-file generation, and one entry per
 //	                     logical segment recording the epoch and the nonce of
 //	                     its current seal. Written atomically at each commit.
 //	segments-<gen>.dat — the segment slots. Each logical segment owns two
@@ -46,9 +46,11 @@
 // epoch's entries, so its writes are never read either.
 // The registry on the host records the same entries for reopening; its own
 // freshness is anchored by the caller (internal/persist's trusted monotonic
-// counter) comparing the registry's store epoch against the counter at open.
-// A crash between Begin and Commit leaves the previous epoch's slots and
-// registry intact, and the write-ahead log (persist) rolls the batch forward.
+// counter) comparing the epoch it marked the registry with against the
+// counter at open. A crash between Begin and Commit leaves the previous
+// epoch's slots and registry intact: the epoch is lost, never half-applied.
+// A reload (Reset, LoadRange, Commit) fills a new data-file generation, which
+// the registry commit publishes in place of the old one.
 //
 // Obliviousness of the store's own I/O: every operation the host observes is
 // a full-slot read or write whose (offset, length) is a function of public
@@ -169,6 +171,12 @@ type Store struct {
 	// committed is the entries of the committed registry, which Begin
 	// restores: an epoch that failed before its Commit is forgotten.
 	committed []segEntry
+	// reset says reg and f are a Reset's new generation, which the next
+	// Commit publishes; retired is then the committed generation's data file
+	// (nil for a store never formatted), which that Commit removes.
+	reset      bool
+	retired    hostfs.File
+	retiredGen uint64
 
 	// writeEpoch is the epoch subsequent scan write-backs seal at: the
 	// committed epoch, or one past it between Begin and Commit. Guarded by
@@ -259,10 +267,31 @@ func (s *Store) Formatted() bool {
 
 // Format sizes a fresh (or re-sizes an existing) store for n blocks, writing
 // zeroed sealed segments at the committed epoch (0 for a fresh store) and
-// committing the registry. An existing store is replaced under a new
-// data-file generation, so a crash mid-Format leaves the previous generation
-// fully intact.
+// committing the registry: a Reset, a zeroed load and a Commit.
 func (s *Store) Format(n int) error {
+	if err := s.Reset(n); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	reg, f, epoch := s.reg, s.f, s.writeEpoch
+	s.mu.Unlock()
+	buf := s.newScanBuf(reg)
+	for seg := range reg.entries {
+		e, err := s.writeSlot(f, reg, seg, epoch, buf.plain, buf)
+		if err != nil {
+			return err
+		}
+		s.setEntry(seg, e)
+	}
+	return s.Commit()
+}
+
+// Reset starts a new data-file generation sized for n blocks, at the
+// committed epoch, for LoadRange to fill; the next Commit publishes it in
+// place of the committed generation and removes that one. Until then a
+// reopen finds the committed generation, so a crash part-way through a
+// reload loses nothing. Every block must be loaded before that Commit.
+func (s *Store) Reset(n int) error {
 	if n < 0 {
 		return fmt.Errorf("segstore: negative block count %d", n)
 	}
@@ -275,7 +304,7 @@ func (s *Store) Format(n int) error {
 		segmentBlocks: uint32(s.opts.SegmentBlocks),
 		numBlocks:     uint64(n),
 		storeEpoch:    epoch,
-		idsEpoch:      epoch,
+		mark:          s.reg.mark,
 		gen:           gen,
 		entries:       make([]segEntry, segs),
 	}
@@ -283,37 +312,21 @@ func (s *Store) Format(n int) error {
 	if err != nil {
 		return err
 	}
-	// Seal every segment zeroed at the format epoch. Parity slots for the
-	// format epoch are written; the sibling slots stay zero until first use,
-	// but the file is sized for both now (sparsely): openData requires the
-	// full length, and a store formatted at an even epoch and reopened before
-	// its first odd-epoch scan would otherwise read as truncated.
+	// The file is sized for both parity slots now (sparsely): openData
+	// requires the full length, and a store loaded at an even epoch and
+	// reopened before its first odd-epoch scan would otherwise read as
+	// truncated.
 	if err := f.Truncate(int64(segs) * 2 * int64(s.slotBytesFor(reg))); err != nil {
 		f.Close()
 		return err
 	}
-	buf := s.newScanBuf(reg)
-	zero := buf.plain
-	clear(zero)
-	for seg := 0; seg < segs; seg++ {
-		if reg.entries[seg], err = s.writeSlot(f, reg, seg, epoch, zero, buf); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := s.commitRegistryLocked(reg); err != nil {
-		f.Close()
-		return err
-	}
-	if s.f != nil {
+	if s.reset { // an earlier Reset that was never committed
 		s.f.Close()
 		s.fs.Remove(s.dataPath(s.reg.gen))
+	} else {
+		s.retired, s.retiredGen = s.f, s.reg.gen
 	}
-	s.f, s.reg, s.committed, s.writeEpoch = f, reg, slices.Clone(reg.entries), epoch
+	s.f, s.reg, s.writeEpoch, s.reset = f, reg, epoch, true
 	// Geometry changed: drop stale-sized scan buffers.
 	s.bufMu.Lock()
 	s.bufs = nil
@@ -380,18 +393,27 @@ func (s *Store) Epoch() uint64 {
 	return s.reg.storeEpoch
 }
 
-// IDsEpoch returns the epoch the sealed ids image was last rewritten at —
-// the freshness anchor the persistence layer binds into the ids file's AAD.
-func (s *Store) IDsEpoch() uint64 {
+// Generation returns the data-file generation: the committed one, or a
+// Reset's until the Commit that publishes it.
+func (s *Store) Generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reg.idsEpoch
+	return s.reg.gen
 }
 
-// SetIDsEpoch records a fresh ids image epoch; committed with the registry.
-func (s *Store) SetIDsEpoch(e uint64) {
+// Mark returns the owner's mark: the committed one, or the one SetMark set
+// since. internal/persist marks the registry with the partition epoch the
+// store's contents hold.
+func (s *Store) Mark() uint64 {
 	s.mu.Lock()
-	s.reg.idsEpoch = e
+	defer s.mu.Unlock()
+	return s.reg.mark
+}
+
+// SetMark sets the owner's mark the next Commit records.
+func (s *Store) SetMark(e uint64) {
+	s.mu.Lock()
+	s.reg.mark = e
 	s.mu.Unlock()
 }
 
@@ -548,8 +570,9 @@ func (s *Store) Begin() {
 }
 
 // Commit makes the current epoch's slots durable and atomically publishes
-// the registry recording them. After Commit returns, every segment
-// authenticates at the committed epoch and recovery needs no roll-forward.
+// the registry recording them (and a Reset's generation, retiring the
+// previous one). After Commit returns, every segment authenticates at the
+// committed epoch.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -565,7 +588,14 @@ func (s *Store) Commit() error {
 		return err
 	}
 	s.reg.storeEpoch = s.writeEpoch
-	copy(s.committed, s.reg.entries)
+	s.committed = append(s.committed[:0], s.reg.entries...)
+	if s.reset {
+		if s.retired != nil {
+			s.retired.Close()
+			s.fs.Remove(s.dataPath(s.retiredGen))
+		}
+		s.reset, s.retired = false, nil
+	}
 	return nil
 }
 
@@ -657,8 +687,9 @@ func (s *Store) setEntry(seg int, e segEntry) {
 
 // LoadRange bulk-writes blocks [start, start+len(data)/BlockSize) from
 // packed data, streaming whole segments: unaligned edges read-modify-write
-// their segment, aligned interiors are sealed directly from data. Slots are
-// written at the current write epoch; call Commit afterwards.
+// their segment, segments it covers (up to the partition's end) are sealed
+// directly from data. Slots are written at the current write epoch; call
+// Commit afterwards.
 func (s *Store) LoadRange(start int, data []byte) error {
 	s.mu.Lock()
 	reg := s.reg
@@ -683,7 +714,7 @@ func (s *Store) LoadRange(start int, data []byte) error {
 	for seg := start / segBlocks; seg*segBlocks < start+count; seg++ {
 		base := seg * segBlocks
 		limit := min(base+segBlocks, n)
-		full := start <= base && base+segBlocks <= start+count
+		full := start <= base && limit <= start+count
 		if !full {
 			// Partial segment: merge over the existing contents.
 			if err := s.readSlot(f, reg, seg, s.entry(seg), b); err != nil {
@@ -714,6 +745,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	err := s.f.Close()
-	s.f = nil
+	if s.retired != nil {
+		s.retired.Close()
+	}
+	s.f, s.retired = nil, nil
 	return err
 }

@@ -36,6 +36,22 @@ func IsDummyKey(key uint64) bool { return key&DummyKeyBit != 0 }
 // DummyMark returns 1 if key is a dummy key, else 0, branch-free.
 func DummyMark(key uint64) uint8 { return uint8(key >> 63) }
 
+// CheckIDs reports why ids cannot be a partition's identifier set, if they
+// cannot: an identifier in the dummy space, or one named twice.
+func CheckIDs(ids []uint64) error {
+	seen := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		if IsDummyKey(id) {
+			return fmt.Errorf("object id %#x in dummy key space", id)
+		}
+		if seen[id] {
+			return fmt.Errorf("duplicate object id %d", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
 // Requests is a columnar set of n request/response records with a fixed
 // value block size. Columns:
 //

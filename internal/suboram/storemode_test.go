@@ -167,8 +167,8 @@ func TestStoreExportAndRestore(t *testing.T) {
 		t.Fatal("export missed the written value")
 	}
 
-	// RestoreFromStore adopts the on-disk contents without re-streaming.
-	if err := s.RestoreFromStore(ids); err != nil {
+	// Restore without data adopts the on-disk contents without re-streaming.
+	if err := s.Restore(ids, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := batchOf([3]interface{}{store.OpRead, uint64(6), nil})
@@ -177,12 +177,12 @@ func TestStoreExportAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Block(0), value(6, 1)) {
-		t.Fatal("RestoreFromStore lost the partition contents")
+		t.Fatal("Restore(ids, nil) lost the partition contents")
 	}
 
 	// Shape mismatch fails closed.
-	if err := s.RestoreFromStore(ids[:10]); err == nil {
-		t.Fatal("RestoreFromStore accepted a mis-sized identifier set")
+	if err := s.Restore(ids[:10], nil); err == nil {
+		t.Fatal("Restore(ids, nil) accepted a mis-sized identifier set")
 	}
 }
 

@@ -248,15 +248,8 @@ func (s *SubORAM) Init(ids []uint64, data []byte) error {
 		return fmt.Errorf("suboram: data length %d != %d objects × %d bytes",
 			len(data), len(ids), s.cfg.BlockSize)
 	}
-	seen := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		if id >= store.DummyKeyBit {
-			return fmt.Errorf("suboram: object id %#x in dummy key space", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("suboram: duplicate object id %d", id)
-		}
-		seen[id] = true
+	if err := store.CheckIDs(ids); err != nil {
+		return fmt.Errorf("suboram: %w", err)
 	}
 	return s.load(ids, data)
 }
@@ -567,12 +560,22 @@ func (s *SubORAM) scanOneRecorded(c *scanCtx, i int, blk []byte) {
 	s.scanOne(c, i, blk)
 }
 
-// Restore loads the partition from a trusted state image, skipping Init's
-// duplicate/dummy-space validation: the import hook internal/persist uses
-// for crash recovery, where the image was authenticated (sealed by this
-// same enclave) and already validated when first loaded. Behaviour is
-// otherwise identical to Init.
+// Restore adopts a trusted state image, skipping Init's duplicate and
+// dummy-space validation: the import hook internal/persist uses for Init and
+// crash recovery, where the image was validated when first loaded and
+// authenticated since. data nil adopts the values already in the configured
+// Store (the disk placement, whose store is the image) without re-streaming
+// them; otherwise behaviour is identical to Init.
 func (s *SubORAM) Restore(ids []uint64, data []byte) error {
+	if data == nil && s.cfg.Store != nil {
+		if got := s.cfg.Store.NumBlocks(); got != len(ids) {
+			return fmt.Errorf("suboram: store holds %d blocks, identifier set names %d", got, len(ids))
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.setIDs(ids)
+		return nil
+	}
 	if len(data) != len(ids)*s.cfg.BlockSize {
 		return fmt.Errorf("suboram: data length %d != %d objects × %d bytes",
 			len(data), len(ids), s.cfg.BlockSize)
@@ -580,28 +583,8 @@ func (s *SubORAM) Restore(ids []uint64, data []byte) error {
 	return s.load(ids, data)
 }
 
-// RestoreFromStore adopts an already-populated disk-resident partition: the
-// block values live in the configured Store (authenticated and
-// rollback-checked by the persistence layer before this call) and only the
-// identifier set is loaded. This is the crash-recovery path for store-mode
-// partitions, where re-streaming every value through Restore would double
-// the recovery I/O for no benefit.
-func (s *SubORAM) RestoreFromStore(ids []uint64) error {
-	if s.cfg.Store == nil {
-		return fmt.Errorf("suboram: RestoreFromStore without a configured store")
-	}
-	if got := s.cfg.Store.NumBlocks(); got != len(ids) {
-		return fmt.Errorf("suboram: store holds %d blocks, identifier set names %d", got, len(ids))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setIDs(ids)
-	s.plain = nil
-	return nil
-}
-
 // Export returns a copy of the partition contents (ids and packed data) —
-// the state-migration path used by snapshots and replica resynchronization.
+// the state-migration path used by checkpoints and replica resynchronization.
 func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

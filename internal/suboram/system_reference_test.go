@@ -162,8 +162,9 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 			if legacy {
 				inner = legacyShaped{SubORAM: sub, t: t, key: key}
 			}
-			dur, err := persist.NewDurable(filepath.Join(st.root, fmt.Sprintf("part-%d", p)), inner,
-				persist.Config{BlockSize: block, SnapshotEvery: 4, Rec: st.recs[p]})
+			dur, err := persist.NewDurable(filepath.Join(st.root, fmt.Sprintf("part-%d", p)),
+				persist.Config{BlockSize: block, SnapshotEvery: 4, Rec: st.recs[p]},
+				func(suboram.BlockStore) persist.Partition { return inner })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,32 +29,41 @@ func randomImage(rng *rand.Rand, n int) (ids []uint64, data []byte) {
 }
 
 // TestPersistenceTraceIndependentOfRequests checks the durability layer's
-// own obliviousness claim: the host-visible file I/O — every (offset,
-// length) the disk observes, for WAL appends, snapshot writes, and recovery
-// reads — depends only on public parameters (object count, block size,
-// batch length, epoch count), never on which objects are accessed, the
-// read/write mix, or the stored values.
+// own obliviousness claim, in both placements: the host-visible file I/O —
+// every (offset, length) the disk observes, for WAL appends, image writes,
+// and recovery reads — depends only on public parameters (object count,
+// block size, segment size, batch length, epoch count), never on which
+// objects are accessed, the read/write mix, or the stored values.
 func TestPersistenceTraceIndependentOfRequests(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "disk"}[disk], func(t *testing.T) {
+			persistenceTrace(t, persist.Config{BlockSize: block, SegmentBlocks: 8, SnapshotEvery: 3, Disk: disk})
+		})
+	}
+}
+
+func persistenceTrace(t *testing.T, cfg persist.Config) {
 	const (
 		n      = 64 // objects per partition
 		m      = 24 // requests per batch (public)
 		epochs = 7  // crosses a SnapshotEvery boundary mid-stream
 	)
-	cfg := persist.Config{
-		BlockSize: block, ChunkBlocks: 8, SnapshotEvery: 3,
-	}
 	rng := rand.New(rand.NewSource(91))
+	build := func(scan suboram.BlockStore) persist.Partition {
+		return suboram.New(suboram.Config{BlockSize: block, Store: scan})
+	}
 
 	var refWrite, refRecover *trace.Recorder
 	for trial := 0; trial < 4; trial++ {
 		dir := t.TempDir()
-		// Only the persistence layer is traced: the subORAM's in-memory scan
-		// trace is covered by its own test, and tracing it here would mix in
-		// the per-trial (public) hash keys.
+		// Only the persistence layer is traced (on disk, that includes the
+		// scan's segment I/O): the subORAM's in-memory scan trace is covered
+		// by its own test, and tracing it here would mix in the per-trial
+		// (public) hash keys.
 		rec := trace.New()
 		tcfg := cfg
 		tcfg.Rec = rec
-		dur, err := persist.NewDurable(dir, suboram.New(suboram.Config{BlockSize: block}), tcfg)
+		dur, err := persist.NewDurable(dir, tcfg, build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +111,7 @@ func TestPersistenceTraceIndependentOfRequests(t *testing.T) {
 		rrec := trace.New()
 		rcfg := cfg
 		rcfg.Rec = rrec
-		dur2, err := persist.NewDurable(dir, suboram.New(suboram.Config{BlockSize: block}), rcfg)
+		dur2, err := persist.NewDurable(dir, rcfg, build)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,11 +21,11 @@ import (
 // commits — is byte-identical across workloads that differ only in secrets
 // (which objects exist, which are accessed, the read/write mix, the stored
 // values) while sharing the same public shape (object count, block size,
-// segment geometry, batch length, epoch count). The placements: the
-// disk-resident partition under persist.SegDurable (and its recovery), and
-// the Sealed placement — the store over host memory, no persistence. Workers
-// stays 1: the Recorder is not concurrency-safe, and one worker keeps the
-// interleaving canonical.
+// segment geometry, batch length, epoch count). The placements: a durable
+// partition (persist.Durable, and its recovery) in memory and on disk, whose
+// image is the store, and the Sealed placement — the store over host memory,
+// no persistence. Workers stays 1: the Recorder is not concurrency-safe, and
+// one worker keeps the interleaving canonical.
 func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 	const (
 		n         = 64 // objects per partition (public)
@@ -84,41 +85,41 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 		}
 	}
 
-	var refWrite, refRecover, refMem *trace.Recorder
+	var refWrite, refRecover [2]*trace.Recorder
+	var refMem *trace.Recorder
 	for trial := 0; trial < 4; trial++ {
 		ids, data := randomImage(rng, n)
 		batches := workload(ids)
 
-		dir := t.TempDir()
-		rec := trace.New()
-		cfg := persist.SegConfig{
-			BlockSize: block, SegmentBlocks: segBlocks, Rec: rec,
-		}
-		build := func(ss *segstore.Store) persist.StorePartition {
-			return suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss})
-		}
-		sd, err := persist.NewSegDurable(dir, build, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(sd, ids, data, batches)
-		sd.Close()
-		same(trial, &refWrite, rec, "disk-resident I/O trace")
+		for p, disk := range []bool{false, true} {
+			dir := t.TempDir()
+			rec := trace.New()
+			cfg := persist.Config{BlockSize: block, SegmentBlocks: segBlocks, Disk: disk, SnapshotEvery: 2, Rec: rec}
+			build := func(scan suboram.BlockStore) persist.Partition {
+				return suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: scan})
+			}
+			dur, err := persist.NewDurable(dir, cfg, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(dur, ids, data, batches)
+			dur.Close()
+			same(trial, &refWrite[p], rec, fmt.Sprintf("durable (disk=%v) I/O trace", disk))
 
-		// Recovery: reopening the directory streams a verification pass
-		// whose (offset, length) sequence must be content-independent too.
-		rrec := trace.New()
-		rcfg := cfg
-		rcfg.Rec = rrec
-		sd2, err := persist.NewSegDurable(dir, build, rcfg)
-		if err != nil {
-			t.Fatal(err)
+			// Recovery: reopening the directory streams a verification pass
+			// whose (offset, length) sequence must be content-independent too.
+			rrec := trace.New()
+			cfg.Rec = rrec
+			dur2, err := persist.NewDurable(dir, cfg, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dur2.Recovered() {
+				t.Fatal("reopen did not recover")
+			}
+			dur2.Close()
+			same(trial, &refRecover[p], rrec, fmt.Sprintf("durable (disk=%v) recovery trace", disk))
 		}
-		if !sd2.Recovered() {
-			t.Fatal("reopen did not recover")
-		}
-		sd2.Close()
-		same(trial, &refRecover, rrec, "disk-resident recovery trace")
 
 		// The Sealed placement: the same store over host memory.
 		mrec := trace.New()
@@ -131,7 +132,8 @@ func TestSegstoreTraceIndependentOfContents(t *testing.T) {
 		run(suboram.New(suboram.Config{BlockSize: block, Workers: 1, Store: ss}), ids, data, batches)
 		same(trial, &refMem, mrec, "sealed-memory slot trace")
 	}
-	if refWrite.Count() == 0 || refRecover.Count() == 0 || refMem.Count() == 0 {
+	if refWrite[0].Count() == 0 || refWrite[1].Count() == 0 || refRecover[0].Count() == 0 ||
+		refRecover[1].Count() == 0 || refMem.Count() == 0 {
 		t.Fatal("a placement recorded no I/O events")
 	}
 }

@@ -16,11 +16,15 @@ import (
 )
 
 // TestServerSurvivesKill9 builds the real snoopy-server binary, runs it with
-// -data, kills it with SIGKILL mid-deployment, restarts it on the same
-// directory, and verifies the last acknowledged write is still readable —
-// the tentpole durability claim, exercised through the real process
-// boundary. It then tampers with the sealed state and verifies the server
-// refuses to start.
+// -data — in memory, and with -disk-resident on disk, where the partition is
+// 16× larger than the streaming buffer — kills it with SIGKILL
+// mid-deployment, restarts it on the same directory, and verifies the last
+// acknowledged write is still readable: the tentpole durability claim,
+// exercised through the real process boundary. It then attacks the sealed
+// state and verifies the server refuses to start: in memory with a bit flip
+// in the image's segment file, on disk by rolling the segment file back to
+// an authentic-but-stale copy under the current registry — the per-segment
+// rollback the epoch-stamped slots exist to catch.
 func TestServerSurvivesKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -30,6 +34,42 @@ func TestServerSurvivesKill9(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build snoopy-server: %v\n%s", err, out)
 	}
+	for _, row := range []struct {
+		name    string
+		flags   []string
+		objects uint64
+		// attack damages the state dir; stale is the segment file as the
+		// crash left it, epochs behind the reads after the restart.
+		attack func(t *testing.T, seg string, stale []byte)
+	}{
+		{"memory", nil, 100, func(t *testing.T, seg string, _ []byte) {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One segment, two parity slots: damage both.
+			b[20] ^= 0x80
+			b[len(b)/2+20] ^= 0x80
+			if err := os.WriteFile(seg, b, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// 2048-byte segments of 64-byte blocks = 32 blocks per streaming
+		// buffer; 512 objects make the partition 16× larger than the buffer.
+		{"disk", []string{"-disk-resident", "-segment-bytes", "2048"}, 512, func(t *testing.T, seg string, stale []byte) {
+			if err := os.WriteFile(seg, stale, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			serverSurvivesKill9(t, filepath.Join(bin, "snoopy-server"), row.flags, row.objects, row.attack)
+		})
+	}
+}
+
+func serverSurvivesKill9(t *testing.T, server string, flags []string, objects uint64,
+	attack func(t *testing.T, seg string, stale []byte)) {
 	key := crypt.MustNewKey()
 	platformHex := hex.EncodeToString(key[:])
 	// The library-side platform shares the binary's root key, so attestation
@@ -40,8 +80,8 @@ func TestServerSurvivesKill9(t *testing.T) {
 
 	startServer := func(addr string) (*exec.Cmd, *bytes.Buffer) {
 		var log bytes.Buffer
-		srv := exec.Command(filepath.Join(bin, "snoopy-server"),
-			"-listen", addr, "-block", "64", "-platform", platformHex, "-data", dataDir)
+		srv := exec.Command(server, append([]string{
+			"-listen", addr, "-block", "64", "-platform", platformHex, "-data", dataDir}, flags...)...)
 		srv.Stdout = &log
 		srv.Stderr = &log
 		if err := srv.Start(); err != nil {
@@ -60,17 +100,24 @@ func TestServerSurvivesKill9(t *testing.T) {
 		}
 		return st
 	}
+	segPath := func() string {
+		matches, err := filepath.Glob(filepath.Join(dataDir, "segments", "segments-*.dat"))
+		if err != nil || len(matches) != 1 {
+			t.Fatalf("segment data file: matches=%v err=%v", matches, err)
+		}
+		return matches[0]
+	}
 
 	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	srv, _ := startServer(addr)
 	waitListening(t, addr)
 
 	st := openStore(addr)
-	objects := map[uint64][]byte{}
-	for id := uint64(1); id <= 100; id++ {
-		objects[id] = []byte(fmt.Sprintf("object-%d-initial", id))
+	load := map[uint64][]byte{}
+	for id := uint64(1); id <= objects; id++ {
+		load[id] = []byte(fmt.Sprintf("object-%d-initial", id))
 	}
-	if err := st.Load(objects); err != nil {
+	if err := st.Load(load); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	// The acknowledged write the crash must not lose.
@@ -78,6 +125,10 @@ func TestServerSurvivesKill9(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	st.Close()
+	stale, err := os.ReadFile(segPath())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// kill -9: no shutdown path runs.
 	if err := srv.Process.Kill(); err != nil {
@@ -107,18 +158,10 @@ func TestServerSurvivesKill9(t *testing.T) {
 		t.Fatalf("restarted server did not report recovery:\n%s", log2.String())
 	}
 
-	// Tampering any sealed file must make the next start fail loudly.
+	// The attacked state must make the next start fail loudly.
 	srv2.Process.Kill()
 	srv2.Wait()
-	snapPath := filepath.Join(dataDir, "snapshot")
-	b, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/3] ^= 0x80
-	if err := os.WriteFile(snapPath, b, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	attack(t, segPath(), stale)
 	addr3 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	srv3, log3 := startServer(addr3)
 	done := make(chan error, 1)
@@ -126,13 +169,13 @@ func TestServerSurvivesKill9(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatalf("server started on tampered state:\n%s", log3.String())
+			t.Fatalf("server started on attacked state:\n%s", log3.String())
 		}
 	case <-time.After(10 * time.Second):
 		srv3.Process.Kill()
-		t.Fatalf("server did not exit on tampered state:\n%s", log3.String())
+		t.Fatalf("server did not exit on attacked state:\n%s", log3.String())
 	}
 	if !bytes.Contains(log3.Bytes(), []byte("unusable")) {
-		t.Fatalf("tampered-state failure not reported:\n%s", log3.String())
+		t.Fatalf("attacked-state failure not reported:\n%s", log3.String())
 	}
 }

@@ -136,16 +136,18 @@ go test -race -short -timeout 15m -count=2 \
 go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./internal/ohash/ -exhaustive
 
 # The durable path's crash-point enumeration under -race: every write, sync,
-# truncate, rename and directory sync of every sealed file of Durable,
-# SegDurable (segment slots, data file and registry included) and Journal
-# fails (and tears) in turn, every synced prefix is replayed as a rollback,
-# and the one fuzz target's seeds mangle the rest. Durable writes its log
+# truncate, rename and directory sync of every sealed file of Durable — in
+# the memory and the disk placement, the image's segment slots, data file,
+# registry and identifier set included — and of Journal fails (and tears) in
+# turn, every synced prefix is replayed as a rollback, the one fuzz target's
+# seeds mangle the rest, and one recovery rule is checked against what a
+# crash leaves of an unanswered batch. The memory placement writes its log
 # record on a second goroutine while the partition scans — the part -race is
 # for. Then the files nothing on a linux/amd64 host otherwise compiles:
 # hostfs's portable sync fallback and the scan kernel's stubs in
 # obliv/simd_generic.go.
 go test -race -timeout 15m -count=2 \
-  -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots' \
+  -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots|Recovery' \
   ./internal/persist/
 GOOS=darwin GOARCH=arm64 go build ./...
 

@@ -70,7 +70,8 @@ type Config struct {
 	// and the epoch schedule, never on request contents.
 	PipelineDepth int
 	// DataDir, when non-empty, makes the deployment durable: every
-	// partition keeps sealed snapshots and a sealed write-ahead log under
+	// partition keeps a sealed segment-store image and (unless
+	// DiskResident) a sealed write-ahead log of the batches since it under
 	// this directory (internal/persist), every acknowledged write is on
 	// disk before its epoch completes, and Open recovers the store
 	// automatically when the directory already holds state — after a crash
@@ -81,17 +82,20 @@ type Config struct {
 	// subORAMs (OpenWithSubORAMs) persist on their own hosts via
 	// `snoopy-server -data`.
 	DataDir string
-	// DiskResident keeps partition contents on disk in sealed fixed-shape
-	// segments (internal/segstore) instead of resident memory, so a
-	// partition can be far larger than RAM: each batch streams every
-	// segment through a small pooled buffer. Requires DataDir and is
-	// mutually exclusive with Sealed (the same segment store, over host
-	// memory). The I/O schedule is a function of public parameters only.
+	// DiskResident keeps partition contents on disk, in the durable image's
+	// sealed fixed-shape segments (internal/segstore), instead of resident
+	// memory, so a partition can be far larger than RAM: each batch streams
+	// every segment through a small pooled buffer and commits the image.
+	// Requires DataDir and is mutually exclusive with Sealed (the same
+	// segment store, over host memory). The I/O schedule is a function of
+	// public parameters only.
 	DiskResident bool
 	// SegmentBytes is the approximate sealed-segment payload size in bytes
-	// for DiskResident deployments (rounded down to a whole number of
-	// blocks; default 512 blocks' worth). It is a public tuning parameter
-	// trading scan-buffer memory against per-segment I/O overhead.
+	// of the durable image (DataDir), in memory and DiskResident
+	// deployments alike (rounded down to a whole number of blocks; default
+	// 512 blocks' worth). It is a public tuning parameter trading
+	// scan-buffer memory against per-segment I/O overhead, fixed for a
+	// DataDir's life.
 	SegmentBytes int
 	// JournalDir, when non-empty, makes the load-balancer root itself
 	// fault tolerant: before any epoch's batches are dispatched to
