@@ -1,5 +1,5 @@
 // Package chaos is a deterministic, seeded fault-injection harness for the
-// full self-healing stack: a core.System over replicated partitions
+// partition plane: a core.System over replicated partitions
 // (replica.Group quorums) is driven through a seeded schedule of kill /
 // stall / rollback / restart events while client operations run, and the
 // recorded history is checked for linearizability (internal/history). The

@@ -121,7 +121,7 @@ func NewSupervisor(policy Policy) *Supervisor {
 // failed promotions, and the time-to-recovery distribution — into a
 // telemetry registry. Every value is already tracked internally (Stats);
 // Instrument adds an export path, not a new observation, so the two agree
-// exactly (asserted by the root chaos harness). Call it before the
+// exactly (asserted by TestRootPromotionOnTrip). Call it before the
 // supervisor is wired into a running system.
 func (s *Supervisor) Instrument(reg *telemetry.Registry) {
 	s.telTrips = reg.Counter("cluster_root_trips_total")

@@ -16,11 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snoopy/internal/crypt"
@@ -151,16 +151,6 @@ type Config struct {
 	// byte-identical across secret-differing workloads.
 	JournalRec *trace.Recorder
 
-	// TestCrashPoint, when set, is consulted at named points of every epoch
-	// Flush runs ("stage-a": after batching, before journaling; "journal":
-	// after the journal commit, before dispatch; "dispatch": after
-	// partitions executed, before any reply). Returning true simulates a
-	// root crash at that point: the system stops silently — no replies, not
-	// even for later epochs already in flight, no further epochs — exactly
-	// as a killed process would. Epochs replayed from the journal consult
-	// no hook. Test hook (internal/chaos).
-	TestCrashPoint func(point string, epoch uint64) bool
-
 	// Telemetry, when non-nil, records per-epoch stage spans (stage A
 	// batching, per-partition stage B, stage C match/reply, the whole
 	// epoch) and system counters, and is threaded into every component the
@@ -168,13 +158,6 @@ type Config struct {
 	// Every span tag is a public parameter: epoch number, partition index,
 	// batch size α, request count R. Nil disables recording everywhere.
 	Telemetry *telemetry.Registry
-
-	// TestLBChoiceSeed, when non-zero, seeds the random client→load-balancer
-	// assignment deterministically. That choice is public (paper §4.3:
-	// clients randomly pick a load balancer, and the network adversary sees
-	// which one each contacts); the leakage tests pin it so two runs differ
-	// only in secrets. Production deployments leave it zero.
-	TestLBChoiceSeed int64
 
 	// routeKey pins the load balancers' partition-assignment key; set by
 	// NewLocal when recovering a durable deployment so recovered objects
@@ -281,16 +264,19 @@ type System struct {
 	// epoch journal; stream is the delivery-stream identity every journaled
 	// dispatch travels under, as (stream, epoch). replyWin parks successful
 	// results of idempotent requests; crashedCh is closed by a simulated
-	// root crash (TestCrashPoint / Crash).
+	// root crash (Crash, or crashHook). crashHook, set only by tests, is
+	// consulted at the named points of every live epoch (crashAt).
 	journal   *persist.Journal
 	jrec      persist.JournalEpoch // journalBegin's record, reused (epochMu)
 	stream    uint64
 	replyWin  *replyWindow
 	crashedCh chan struct{}
 	crashOne  sync.Once
+	crashHook func(point string, epoch uint64) bool
 
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	// nextLB picks the load balancer for each submitted request, round
+	// robin (enqueue).
+	nextLB atomic.Uint64
 
 	// acl, when set, enforces the Appendix-D access-control matrix via a
 	// recursive Snoopy instance.
@@ -428,15 +414,10 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 			return nil, err
 		}
 	}
-	lbSeed := time.Now().UnixNano()
-	if cfg.TestLBChoiceSeed != 0 {
-		lbSeed = cfg.TestLBChoiceSeed
-	}
 	sys := &System{
 		cfg:    cfg,
 		subs:   subs,
 		closed: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(lbSeed)),
 		health: HealthStats{
 			ConsecutiveFailures: make([]int, len(subs)),
 			TotalFailures:       make([]uint64, len(subs)),

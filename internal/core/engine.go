@@ -456,9 +456,15 @@ func (sys *System) stageC(job *epochJob) {
 	}
 
 	// Every reply for this epoch has been issued (and parked): the journal
-	// no longer needs to replay it. Stats come last, so an epoch published
-	// in LastEpochStats is also complete in the journal.
-	sys.journalComplete(job.id)
+	// no longer needs to replay it — unless the root died meanwhile. A dead
+	// root completes nothing: a client whose wait already returned
+	// ErrRootDown retries, and only the successor's replay of the still-open
+	// epoch answers that retry without applying it twice. Stats come last,
+	// so an epoch published in LastEpochStats is also complete in the
+	// journal.
+	if !sys.Crashed() {
+		sys.journalComplete(job.id)
+	}
 	sys.stageCStats(job, matchWall)
 }
 

@@ -76,10 +76,13 @@ func (sys *System) Submit(r Request) (func() ([]byte, bool, error), error) {
 	return func() ([]byte, bool, error) { return sys.await(ch) }, nil
 }
 
-// enqueue queues p with a uniformly chosen load balancer (paper §4.3:
-// "clients randomly choose one load balancer to contact"; the network
-// adversary observes the choice anyway), or refuses once the root has
-// crashed or closed.
+// enqueue queues p with the next load balancer in round-robin order, or
+// refuses once the root has crashed or closed. The paper's clients pick a
+// load balancer at random because they do not coordinate (§4.3); here one
+// root assigns every request, so it spreads them evenly instead. Either way
+// the choice is public — the network adversary sees which load balancer
+// each request reaches — and round robin makes each load balancer's
+// request count a function of the request count alone.
 func (sys *System) enqueue(p pending) error {
 	if sys.Crashed() {
 		// A crashed root refuses, distinguishably from a clean shutdown
@@ -92,9 +95,7 @@ func (sys *System) enqueue(p pending) error {
 		return ErrClosed
 	default:
 	}
-	sys.rngMu.Lock()
-	st := sys.lbs[sys.rng.Intn(len(sys.lbs))]
-	sys.rngMu.Unlock()
+	st := sys.lbs[(sys.nextLB.Add(1)-1)%uint64(len(sys.lbs))]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {

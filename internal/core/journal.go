@@ -1,6 +1,6 @@
 // Root fault tolerance (Config.JournalDir): the sealed epoch journal, the
-// standby-replay path, and the simulated-crash machinery the chaos harness
-// drives.
+// standby-replay path, and the simulated root crash (Crash, and the
+// crash-point hook the exactly-once table drives).
 //
 // Exactly-once argument, end to end:
 //
@@ -22,13 +22,17 @@
 //     on a successor at replay time), so a retry of an already-answered
 //     request returns the original result. A crashed root answers nothing
 //     (every wait on it returns ErrRootDown), so one attempt never yields
-//     two answers.
+//     two answers — and completes nothing in its journal, so an epoch whose
+//     replies a crash cut short is replayed and parked by the successor.
 //
-// Known degradations: a partition server that applied an epoch and then lost
-// its replay cache (restarted, or replaced by a standby) re-applies the
-// epoch on replay, so that partition's share degrades to at-least-once; and
-// requests that carry no idempotency ID (id 0) keep at-least-once semantics
-// throughout.
+// TestJournalExactlyOnce enumerates every crash point against every
+// partition fate at depths 1 and 4. Known degradations: a partition server
+// that applied an epoch and then lost its replay cache (restarted, or
+// replaced by a standby) re-applies the epoch on replay; a partition error
+// after a prefix of an epoch's L batches was applied is ambiguous
+// (ReplayCache.applyN records nothing), so the prefix is applied again by
+// the retries. Those shares degrade to at-least-once, as do requests that
+// carry no idempotency ID (id 0).
 package core
 
 import (
@@ -175,12 +179,14 @@ func (sys *System) crash() {
 	sys.epochMu.Unlock()
 }
 
-// crashAt consults the test crash hook at a pre-dispatch point. On crash
-// it marks the system dead, releases the job's storage, and answers
-// nothing — every client wait observes ErrRootDown through await.
-// Caller holds epochMu; on true it has been released.
+// crashAt consults the crash hook at a pre-dispatch point: "stage-a"
+// (after batching, before journaling) or "journal" (after the journal
+// commit, before dispatch). On crash it marks the system dead, releases
+// the job's storage, and answers nothing — every client wait observes
+// ErrRootDown through await. Caller holds epochMu; on true it has been
+// released.
 func (sys *System) crashAt(point string, job *epochJob) bool {
-	if sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint(point, job.id) {
+	if sys.crashHook == nil || !sys.crashHook(point, job.id) {
 		return false
 	}
 	sys.signalCrash()
@@ -195,17 +201,17 @@ func (sys *System) crashAt(point string, job *epochJob) bool {
 // completion) was issued — the window where only the journal keeps the
 // epoch's effects observable. Replayed epochs do not consult it.
 func (sys *System) crashAfterDispatch(job *epochJob) bool {
-	if job.replayed || sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint("dispatch", job.id) {
+	if job.replayed || sys.crashHook == nil || !sys.crashHook("dispatch", job.id) {
 		return false
 	}
 	sys.crash()
 	return true
 }
 
-// Crash simulates a root process death from outside an epoch (the chaos
-// harness's kill switch): the system stops silently, pending requests and
-// epochs in flight are never answered, and every wait on them returns
-// ErrRootDown.
+// Crash simulates a root process death from outside an epoch (a test's
+// kill switch): the system stops silently, pending requests and epochs in
+// flight are never answered, their epochs stay open in the journal, and
+// every wait on them returns ErrRootDown.
 func (sys *System) Crash() {
 	sys.crash()
 	sys.wg.Wait()

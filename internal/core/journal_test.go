@@ -56,12 +56,11 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 		Lambda:           32,
 		PipelineDepth:    depth,
 		JournalDir:       c.dir,
-		TestCrashPoint:   crash,
 	}, c.tagged())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys.setCrashHook(crash)
 }
 
 // atDepths runs f at the depths the crash-safety argument must cover: one
@@ -108,134 +107,6 @@ func runIdemWrite(t *testing.T, sys *System, id, key uint64, val string) ([]byte
 	}
 	sys.Flush()
 	return wait()
-}
-
-// TestJournalCrashAfterDispatchExactlyOnce is the tentpole scenario: the
-// root crashes after the partitions applied an epoch but before any reply
-// or journal completion. The promoted standby replays the journaled epoch
-// — the partitions' replay caches deduplicate the delivery — and the
-// client's retry with the same ID gets the original answer. The write is
-// applied exactly once.
-func TestJournalCrashAfterDispatchExactlyOnce(t *testing.T) {
-	atDepths(t, testJournalCrashAfterDispatchExactlyOnce)
-}
-
-func testJournalCrashAfterDispatchExactlyOnce(t *testing.T, depth int) {
-	c := newJournalCluster(t, 3)
-
-	r1 := c.root(t, depth, crashOnceAt("dispatch", 2))
-	c.initObjects(t, r1, 64)
-	if prev, found, err := runIdemWrite(t, r1, 1, 5, "v1"); err != nil || !found || trimmed(prev) != "init-5" {
-		t.Fatalf("epoch 1 write: prev=%q found=%v err=%v", trimmed(prev), found, err)
-	}
-
-	// Epoch 2 crashes post-execution: the waiter must see the root die,
-	// not hang and not get an answer.
-	if _, _, err := runIdemWrite(t, r1, 2, 5, "v2"); !errors.Is(err, ErrRootDown) {
-		t.Fatalf("crashed epoch returned %v, want ErrRootDown", err)
-	}
-	if !r1.Crashed() {
-		t.Fatal("root did not crash at the dispatch point")
-	}
-	// New submissions are refused distinguishably.
-	if _, _, err := read(r1, 5); !errors.Is(err, ErrRootDown) {
-		t.Fatalf("submit on crashed root returned %v, want ErrRootDown", err)
-	}
-	r1.Close()
-
-	// Standby promotion: opening the same journal directory replays
-	// epoch 2 and parks its replies.
-	r2 := c.root(t, depth, nil)
-	defer r2.Close()
-
-	// The client retry returns the ORIGINAL answer: previous value "v1",
-	// proving the replayed epoch was not applied a second time (a fresh
-	// re-execution would observe previous "v2").
-	prev, found, err := do(r2, Request{Op: store.OpWrite, Key: 5, Value: []byte("v2"), ID: 2})
-	if err != nil || !found {
-		t.Fatalf("retry after promotion: found=%v err=%v", found, err)
-	}
-	if trimmed(prev) != "v1" {
-		t.Fatalf("retry observed previous %q, want %q (exactly-once violated)", trimmed(prev), "v1")
-	}
-
-	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 5, ID: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Flush()
-	got, found, err := wait()
-	if err != nil || !found || trimmed(got) != "v2" {
-		t.Fatalf("post-promotion read: %q found=%v err=%v", trimmed(got), found, err)
-	}
-}
-
-// TestJournalCrashBeforeDispatchReplaysOnce covers the journaled-but-
-// undispatched window: the partitions never saw the epoch, so the standby's
-// replay is its first (and only) application.
-func TestJournalCrashBeforeDispatchReplaysOnce(t *testing.T) {
-	atDepths(t, testJournalCrashBeforeDispatchReplaysOnce)
-}
-
-func testJournalCrashBeforeDispatchReplaysOnce(t *testing.T, depth int) {
-	c := newJournalCluster(t, 2)
-
-	r1 := c.root(t, depth, crashOnceAt("journal", 2))
-	c.initObjects(t, r1, 32)
-	if _, _, err := runIdemWrite(t, r1, 10, 7, "seven-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := runIdemWrite(t, r1, 11, 7, "seven-b"); !errors.Is(err, ErrRootDown) {
-		t.Fatalf("crashed epoch returned %v, want ErrRootDown", err)
-	}
-	r1.Close()
-
-	r2 := c.root(t, depth, nil)
-	defer r2.Close()
-	prev, found, err := do(r2, Request{Op: store.OpWrite, Key: 7, Value: []byte("seven-b"), ID: 11})
-	if err != nil || !found || trimmed(prev) != "seven-a" {
-		t.Fatalf("retry: prev=%q found=%v err=%v, want prev=%q", trimmed(prev), found, err, "seven-a")
-	}
-	wait, err := r2.Submit(Request{Op: store.OpRead, Key: 7, ID: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Flush()
-	got, _, err := wait()
-	if err != nil || trimmed(got) != "seven-b" {
-		t.Fatalf("read after replay: %q err=%v", trimmed(got), err)
-	}
-}
-
-// TestJournalCrashBeforeJournalRetriesFresh covers the unjournaled window:
-// a crash after stage A but before the journal commit means the epoch was
-// never acknowledged, so nothing is replayed and the retry re-executes as
-// a fresh request.
-func TestJournalCrashBeforeJournalRetriesFresh(t *testing.T) {
-	atDepths(t, testJournalCrashBeforeJournalRetriesFresh)
-}
-
-func testJournalCrashBeforeJournalRetriesFresh(t *testing.T, depth int) {
-	c := newJournalCluster(t, 2)
-
-	r1 := c.root(t, depth, crashOnceAt("stage-a", 2))
-	c.initObjects(t, r1, 32)
-	if _, _, err := runIdemWrite(t, r1, 20, 9, "nine-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := runIdemWrite(t, r1, 21, 9, "nine-b"); !errors.Is(err, ErrRootDown) {
-		t.Fatalf("crashed epoch returned %v, want ErrRootDown", err)
-	}
-	r1.Close()
-
-	r2 := c.root(t, depth, nil)
-	defer r2.Close()
-	// Nothing journaled: the retry executes fresh and observes the last
-	// committed value as previous.
-	prev, found, err := runIdemWrite(t, r2, 21, 9, "nine-b")
-	if err != nil || !found || trimmed(prev) != "nine-a" {
-		t.Fatalf("fresh retry: prev=%q found=%v err=%v", trimmed(prev), found, err)
-	}
 }
 
 // TestJournalEpochContinuation: a successor continues the predecessor's
@@ -636,12 +507,12 @@ func TestJournalReplaySharesLiveRules(t *testing.T) {
 		t.Helper()
 		sys, err := NewWithSubORAMs(Config{
 			BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32,
-			JournalDir: c.dir, TestCrashPoint: crash, Telemetry: reg,
+			JournalDir: c.dir, Telemetry: reg,
 		}, clients)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		return sys.setCrashHook(crash)
 	}
 	r1 := open(crashOnceAt("journal", 1), nil, c.tagged())
 	c.initObjects(t, r1, objects)

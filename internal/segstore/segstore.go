@@ -87,11 +87,6 @@ var ErrIntegrity = fmt.Errorf("segstore: %w", enclave.ErrIntegrity)
 // ErrIntegrity class.
 var ErrSegmentRollback = fmt.Errorf("%w: segment rolled back to a stale epoch", ErrIntegrity)
 
-// ErrRegistryRollback is returned by the caller-driven freshness check
-// (RequireEpoch) when the whole registry is older than the trusted counter
-// allows. It is in the ErrIntegrity class.
-var ErrRegistryRollback = fmt.Errorf("%w: registry rolled back behind the trusted epoch", ErrIntegrity)
-
 // errCorrupt wraps a decode/authentication failure into the ErrIntegrity
 // class.
 func errCorrupt(format string, args ...any) error {
@@ -415,22 +410,6 @@ func (s *Store) SetMark(e uint64) {
 	s.mu.Lock()
 	s.reg.mark = e
 	s.mu.Unlock()
-}
-
-// RequireEpoch anchors the registry's freshness to the caller's trusted
-// epoch: the committed store epoch must be at least min (the trusted
-// counter) — anything older is replayed stale state — and no more than max
-// (counter+1, the single batch that can be in flight across a crash).
-func (s *Store) RequireEpoch(min, max uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.reg.storeEpoch < min {
-		return fmt.Errorf("%w (registry at epoch %d, trusted counter at %d)", ErrRegistryRollback, s.reg.storeEpoch, min)
-	}
-	if s.reg.storeEpoch > max {
-		return errCorrupt("registry at epoch %d, beyond the trusted bound %d", s.reg.storeEpoch, max)
-	}
-	return nil
 }
 
 // ---- Slot geometry ----

@@ -181,31 +181,6 @@ func TestSegmentRollbackDetected(t *testing.T) {
 	s2.Close()
 }
 
-func TestRequireEpoch(t *testing.T) {
-	s := testStore(t, t.TempDir(), crypt.MustNewKey(), 16, 4)
-	if err := s.Format(8); err != nil {
-		t.Fatal(err)
-	}
-	for e := 1; e <= 5; e++ {
-		s.Begin()
-		if err := s.Scan(0, 8, func(int, []byte) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RequireEpoch(5, 6); err != nil {
-		t.Fatalf("in-range epoch rejected: %v", err)
-	}
-	if err := s.RequireEpoch(6, 7); !errors.Is(err, ErrRegistryRollback) {
-		t.Fatalf("stale registry: got %v, want ErrRegistryRollback", err)
-	}
-	if err := s.RequireEpoch(2, 3); !errors.Is(err, enclave.ErrIntegrity) {
-		t.Fatalf("future registry: got %v, want ErrIntegrity class", err)
-	}
-}
-
 func TestTamperedRegistryFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	key := crypt.MustNewKey()

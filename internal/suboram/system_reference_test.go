@@ -172,7 +172,7 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 			clients[p] = dur
 		}
 		sys, err := core.NewWithSubORAMs(core.Config{
-			BlockSize: block, NumLoadBalancers: 2, JournalDir: journal, JournalRec: st.jrn, TestLBChoiceSeed: 68,
+			BlockSize: block, NumLoadBalancers: 2, JournalDir: journal, JournalRec: st.jrn,
 		}, clients)
 		if err != nil {
 			t.Fatal(err)

@@ -29,6 +29,28 @@ import (
 	"snoopy/internal/transport"
 )
 
+// crashAfter kills the root right after the partition it wraps applied
+// epoch crash: the epoch is dispatched to every partition and no reply has
+// left the root — its "dispatch" crash point, reached from outside.
+type crashAfter struct {
+	*transport.LocalTagged
+	root         **core.System
+	epoch, crash uint64
+}
+
+func (c *crashAfter) AdoptDeliveryTag(stream, seq uint64) {
+	c.epoch = seq + 1
+	c.LocalTagged.AdoptDeliveryTag(stream, seq)
+}
+
+func (c *crashAfter) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := c.LocalTagged.BatchAccessN(reqs)
+	if c.epoch == c.crash {
+		(*c.root).Crash()
+	}
+	return outs, err
+}
+
 // journalWorkload drives a journaling deployment with secrets derived from
 // seed: epochs × perEpoch idempotent requests against tagged partitions,
 // with the root crashed at the "dispatch" point of crashEpoch and a
@@ -55,12 +77,18 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 		rcs[i] = transport.NewReplayCache()
 	}
 	recPrimary, recStandby := trace.New(), trace.New()
+	var sys *core.System
 	open := func(rec *trace.Recorder) *core.System {
 		clients := make([]core.SubORAMClient, parts)
 		for i := range clients {
 			clients[i] = transport.NewLocalTagged(subs[i], rcs[i])
 		}
-		sys, err := core.NewWithSubORAMs(core.Config{
+		if rec == recPrimary {
+			// The crash schedule is public: both runs kill the root at the
+			// same epoch and protocol point.
+			clients[0] = &crashAfter{LocalTagged: transport.NewLocalTagged(subs[0], rcs[0]), root: &sys, crash: crashEpoch}
+		}
+		s, err := core.NewWithSubORAMs(core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: 1,
 			Lambda:           32,
@@ -69,18 +97,13 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			JournalDir:       dir,
 			JournalRec:       rec,
 			Telemetry:        reg,
-			// The crash schedule is public: both runs kill the root at the
-			// same epoch and protocol point.
-			TestCrashPoint: func(point string, epoch uint64) bool {
-				return point == "dispatch" && epoch == crashEpoch
-			},
 		}, clients)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		return s
 	}
-	sys := open(recPrimary)
+	sys = open(recPrimary)
 	closed := false
 	defer func() {
 		if !closed {

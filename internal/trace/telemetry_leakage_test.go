@@ -251,10 +251,6 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 		Lambda:           32,
 		SortWorkers:      2,
 		SubORAMWorkers:   2,
-		// Pin the public client→LB assignment so both runs present the
-		// same per-LB request counts (that assignment is visible to the
-		// network adversary; only the secrets may differ between runs).
-		TestLBChoiceSeed: 99,
 	}, 4, 48)
 }
 
@@ -275,7 +271,6 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 		SortWorkers:      2,
 		SubORAMWorkers:   2,
 		PipelineDepth:    4,
-		TestLBChoiceSeed: 99,
 	}, 6, 48)
 }
 

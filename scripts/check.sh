@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Pre-commit check: vet the whole module, then race-test the subsystems with
 # the trickiest concurrency surface — persistence, replication, transport,
-# failure detection/failover, the seeded chaos harness, the pooled data
-# plane (arena recycling across the epochs in flight in core, and the
+# failure detection/failover, the seeded partition chaos harness, the pooled
+# data plane (arena recycling across the epochs in flight in core, and the
 # pooled hot paths in loadbalancer/ohash), the oblivious sort/merge
 # primitives under parallel sorting (obliv), the trace leakage suite with
-# parallel workers, and the fault-tolerant root plane (epoch
-# journal, standby promotion, exactly-once replies). The full suite is
+# parallel workers, and the fault-tolerant root plane (epoch journal,
+# standby promotion, the exactly-once crash × fate table). The full suite is
 # `go test ./...`; the long multi-seed chaos soak is scripts/chaos.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,17 +71,16 @@ go test -race -timeout 15m -count=2 \
   -run 'TestTelemetryTraceIndependentOfSecretsPipelined' \
   ./internal/trace/
 
-# Focused re-run of the fault-tolerant root plane: journal append/replay
-# and every crash point at depth 1 and 4 (a "dispatch" crash with epochs in
-# flight behind it, and a partition failover landing between an epoch's
-# journal and its dispatch, included — TestJournal matches both), every
-# client wait resolving on a crash, in core, standby-root promotion in cluster,
-# the seeded root-kill chaos harness at both depths, and the
-# journal/standby leakage tests. Schedule-sensitive by construction
-# (promotion races a probing watchdog), so shake them with -count=2 as well.
+# Focused re-run of the fault-tolerant root plane: journal append/replay,
+# the exactly-once table (every crash point × every partition fate at depth
+# 1 and 4 — TestJournal matches it, and the "dispatch" crash with epochs in
+# flight behind it), every client wait resolving on a crash, in core,
+# standby-root promotion in cluster, and the journal/standby leakage tests.
+# Schedule-sensitive by construction (promotion races a probing watchdog),
+# so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
-  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestRootPromotion|TestRootChaos' \
-  ./internal/core/ ./internal/cluster/ ./internal/chaos/
+  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestRootPromotion' \
+  ./internal/core/ ./internal/cluster/
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/
