@@ -88,12 +88,26 @@ func (sys *System) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 // pending queues and rewrites the requests branch-free: denied writes
 // become reads, and every denied request is flagged so its response is
 // nulled after matching. Returns per-queue denial flags.
-func (sys *System) applyACL(queues [][]pending) ([][]uint8, error) {
+//
+// A resolution that fails fails closed: every request of the epoch is
+// denied before batching — all writes become reads — and stage C fails
+// them with the error, so no write of an unchecked user reaches a
+// partition.
+func (sys *System) applyACL(queues [][]pending) (denied [][]uint8, err error) {
 	a := sys.acl
-	denied := make([][]uint8, len(queues))
+	denied = make([][]uint8, len(queues))
 	if a == nil {
 		return denied, nil
 	}
+	defer func() {
+		if err != nil {
+			for _, q := range queues {
+				for i := range q {
+					q[i].Op = store.OpRead
+				}
+			}
+		}
+	}()
 	// Phase 1: submit all ACL lookups, run one recursive epoch.
 	type lookup struct {
 		q, i int

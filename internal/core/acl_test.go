@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -41,6 +42,26 @@ func TestACLPermittedOperations(t *testing.T) {
 	v, _, _ = do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
 	if trimmed(v) != "by-user-1" {
 		t.Fatalf("write did not apply: %q", trimmed(v))
+	}
+}
+
+// TestACLResolutionFailsClosed: when the permission lookup itself fails —
+// here the ACL instance is closed — the epoch is denied before batching: a
+// write from a user with no grant fails with the resolution error and
+// changes nothing.
+func TestACLResolutionFailsClosed(t *testing.T) {
+	sys := startACLSystem(t)
+	sys.acl.sys.Close()
+	if _, _, err := do(sys, Request{Op: store.OpWrite, Key: 10, Value: []byte("bbbbbbbb"), User: 3}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write under a failed ACL resolution: err = %v, want %v", err, ErrClosed)
+	}
+	// A working ACL instance again, to read what the partition holds.
+	if err := sys.EnableACL([]ACLRule{{User: 1, Object: 10, Op: store.OpRead}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	v, found, err := do(sys, Request{Op: store.OpRead, Key: 10, User: 1})
+	if err != nil || !found || trimmed(v) != "init-10" {
+		t.Fatalf("after a failed ACL resolution key 10 holds %q (found=%v, err=%v), want \"init-10\"", trimmed(v), found, err)
 	}
 }
 

@@ -137,14 +137,16 @@ type Config struct {
 
 	// JournalDir, when non-empty, makes the root load balancer itself
 	// crash-tolerant: before every epoch's stage-B dispatch the system
-	// durably journals the batches and the client→reply routing tables to a
-	// sealed epoch journal (internal/persist). Every delivery of epoch E
-	// travels under the tag (stream, E), the stream derived from the
+	// durably journals the epoch's requests and client→reply routing tables
+	// to a sealed epoch journal (internal/persist). Every delivery of epoch
+	// E travels under the tag (stream, E), the stream derived from the
 	// routing key the journal pins (JournalDir/route.key). On reopen — the
 	// same process restarting, or a standby root promoted over the same
-	// directory — journaled-but-incomplete epochs are dispatched again under
-	// the same tags, so partitions that already applied a batch answer from
-	// their replay caches and the epoch commits exactly once.
+	// directory — journaled-but-incomplete epochs are re-run and dispatched
+	// again under the same tags, so partitions that already applied a batch
+	// answer from their replay caches and the epoch commits exactly once.
+	// An incomplete epoch journaled under another shape (L, S, BlockSize,
+	// Lambda) fails the open.
 	JournalDir string
 	// JournalRec, when non-nil, receives the journal's host-visible I/O
 	// trace (offsets and lengths) — the leakage suite asserts it is
@@ -456,6 +458,23 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	for i := 0; i < cfg.NumLoadBalancers; i++ {
 		sys.lbs = append(sys.lbs, &lbState{lb: loadbalancer.New(lbCfg, key)})
 	}
+	var incomplete []*persist.JournalEpoch
+	if cfg.JournalDir != "" {
+		j, open, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
+		if err != nil {
+			return nil, err
+		}
+		for _, je := range open {
+			if err := sys.checkJournalShape(je); err != nil {
+				j.Close()
+				return nil, err
+			}
+		}
+		sys.journal, sys.stream, incomplete = j, deliveryStream(key), open
+		// Continue the predecessor's epoch sequence (a crashed, unjournaled
+		// stage A's number is safely reused — it was never dispatched).
+		sys.epoch = j.LastEpoch()
+	}
 	sys.depth = min(max(cfg.PipelineDepth, 1), maxPipelineDepth)
 	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
 	sys.depthSem = make(chan struct{}, sys.depth)
@@ -476,21 +495,10 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	for s := range subs {
 		go sys.partitionWorker(s)
 	}
-	if cfg.JournalDir != "" {
-		j, incomplete, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-		sys.journal, sys.stream = j, deliveryStream(key)
-		// Continue the predecessor's epoch sequence (a crashed, unjournaled
-		// stage A's number is safely reused — it was never dispatched).
-		sys.epoch = j.LastEpoch()
-		// Re-run a crashed predecessor's journaled-but-incomplete epochs, in
-		// order, before the system serves.
-		for _, je := range incomplete {
-			sys.replayEpoch(je)
-			je.Release()
-		}
+	// Re-run a crashed predecessor's journaled-but-incomplete epochs, in
+	// order, before the system serves.
+	for _, je := range incomplete {
+		sys.replayEpoch(je)
 	}
 	if cfg.EpochDuration > 0 {
 		sys.ticker = time.NewTicker(cfg.EpochDuration)

@@ -52,8 +52,7 @@ type epochJob struct {
 	eps    []lbEpoch
 	denied [][]uint8
 	aclErr error
-	// replayed marks an epoch rebuilt from the journal (replayEpoch): its
-	// batches and request snapshots belong to the JournalEpoch, and it
+	// replayed marks an epoch re-run from the journal (replayEpoch): it
 	// consults no crash hook.
 	replayed bool
 
@@ -179,21 +178,15 @@ func (sys *System) failJob(job *epochJob, err error) {
 // releaseBatches returns plane i's batch storage to the arena once no
 // partition reads it any more.
 func (job *epochJob) releaseBatches(i int) {
-	if !job.replayed {
-		job.eps[i].batches.Release()
-	}
+	job.eps[i].batches.Release()
 	job.eps[i].batches = nil
 }
 
 // release returns all of plane i's pooled storage — batches, request
-// snapshot, partition responses — to the arena. A replayed epoch's batches
-// and snapshot are only dropped: they belong to its JournalEpoch
-// (je.Release), not the arena.
+// snapshot, partition responses — to the arena.
 func (job *epochJob) release(i int) {
 	job.releaseBatches(i)
-	if !job.replayed {
-		arena.Default.PutRequests(job.eps[i].reqs)
-	}
+	arena.Default.PutRequests(job.eps[i].reqs)
 	job.eps[i].reqs = nil
 	for s, r := range job.responses[i] {
 		arena.Default.PutRequests(r)
@@ -255,7 +248,9 @@ func (sys *System) newJob(id uint64) *epochJob {
 	return job
 }
 
-// stageAPlane builds plane i's batches from its snapshotted queue.
+// stageAPlane builds plane i's batches from its snapshotted queue — a pure
+// function of the queue, the routing key, S, λ and the block size, which
+// journal replay relies on.
 func (sys *System) stageAPlane(job *epochJob, i int) {
 	t := time.Now()
 	ta0 := sys.cfg.Telemetry.Now()

@@ -4,11 +4,17 @@
 //
 // Exactly-once argument, end to end:
 //
-//   - Journal-before-dispatch. An epoch's batches and reply routing tables
+//   - Journal-before-dispatch. What an epoch's stage A read — each plane's
+//     request snapshot, after the ACL flip — and its reply routing tables
 //     (client idempotency IDs per plane row) are durably journaled BEFORE
 //     any partition sees the batches. Not journaled ⇒ never applied, so a
 //     client retry of an unacknowledged request re-executes as a fresh
 //     request — safe.
+//   - Replay is a live epoch. Stage A is a pure function of the request
+//     snapshot, the pinned routing key, S, λ and the block size (the batch
+//     sort order is total: Seq is the row index), so a successor that
+//     re-runs stage A over the journaled snapshot builds byte-identical
+//     batches, and a journal written under another shape fails the open.
 //   - Tagged delivery. Every delivery of epoch E travels under the tag
 //     (stream, E); the stream is derived from the routing key the journal
 //     pins, so every root incarnation derives the same one. Partitions keep
@@ -38,9 +44,9 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"snoopy/internal/crypt"
-	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
 )
 
@@ -59,9 +65,9 @@ func deliveryStream(key crypt.Key) uint64 {
 	return binary.LittleEndian.Uint64(d[:])
 }
 
-// journalBegin durably journals an epoch before its dispatch: the batches
-// and the per-plane reply routing (client idempotency IDs in queue order).
-// No-op without a journal. Caller holds epochMu.
+// journalBegin durably journals an epoch before its dispatch: each plane's
+// request snapshot and reply routing (client idempotency IDs in queue
+// order). No-op without a journal. Caller holds epochMu.
 func (sys *System) journalBegin(job *epochJob) error {
 	if sys.journal == nil {
 		return nil
@@ -70,22 +76,14 @@ func (sys *System) journalBegin(job *epochJob) error {
 	// it keeps into the sealed log), so steady-state journaling allocates
 	// nothing per epoch.
 	rec := &sys.jrec
-	rec.Epoch, rec.BlockSize, rec.ACLOK = job.id, sys.cfg.BlockSize, job.aclErr == nil
-	rec.Partitions = len(sys.subs)
+	rec.Epoch, rec.ACLOK = job.id, job.aclErr == nil
+	rec.BlockSize, rec.Lambda, rec.Partitions = sys.cfg.BlockSize, sys.cfg.Lambda, len(sys.subs)
 	if rec.Planes == nil {
 		rec.Planes = make([]persist.JournalPlane, len(sys.lbs))
 	}
 	for i := range job.eps {
-		ep := &job.eps[i]
 		p := &rec.Planes[i]
-		p.OK = ep.err == nil && ep.batches != nil
-		p.PerSub, p.Batch, p.Dropped = 0, nil, nil
-		if p.OK {
-			p.PerSub = ep.perSub
-			p.Batch = ep.batches.All
-			p.Dropped = ep.droppedKeys
-		}
-		p.Reqs = ep.reqs
+		p.Reqs = job.eps[i].reqs
 		p.IDs = p.IDs[:0]
 		for _, q := range job.queues[i] {
 			p.IDs = append(p.IDs, q.ID)
@@ -96,6 +94,18 @@ func (sys *System) journalBegin(job *epochJob) error {
 		}
 	}
 	return sys.journal.Begin(rec)
+}
+
+// checkJournalShape refuses an open epoch journaled under another shape:
+// its batches cannot be rebuilt here, and completing it unreplayed would
+// let client retries apply its writes a second time.
+func (sys *System) checkJournalShape(je *persist.JournalEpoch) error {
+	if len(je.Planes) == len(sys.lbs) && je.Partitions == len(sys.subs) &&
+		je.BlockSize == sys.cfg.BlockSize && je.Lambda == sys.cfg.Lambda {
+		return nil
+	}
+	return fmt.Errorf("core: journal epoch %d is open under L=%d S=%d block=%d λ=%d, but this root is L=%d S=%d block=%d λ=%d; reopen it under the journal's shape to drain it",
+		je.Epoch, len(je.Planes), je.Partitions, je.BlockSize, je.Lambda, len(sys.lbs), len(sys.subs), sys.cfg.BlockSize, sys.cfg.Lambda)
 }
 
 // journalComplete marks an epoch fully replied; the journal drops it from
@@ -114,25 +124,20 @@ func (sys *System) journalComplete(epoch uint64) {
 	}
 }
 
-// errJournaledFailure stands in, on replay, for a stage-A or ACL error the
-// journal records only as a flag: stage C fails (and parks nothing for) the
-// plane's requests, exactly as the live epoch would have.
+// errJournaledFailure stands in, on replay, for an ACL error the journal
+// records only as a flag: stage C fails (and parks nothing for) the epoch's
+// requests, exactly as the live epoch would have.
 var errJournaledFailure = errors.New("core: journaled epoch failed before dispatch")
 
 // replayEpoch runs one journaled epoch through the engine like a live one:
-// rebuild stage A's output from the record, dispatch it — under the same
-// (stream, epoch) tags, so a partition that already applied it answers from
-// its replay cache — and wait until it completes. Stage C matches
-// under the live rules — failed partitions, Theorem-3 drops and ACL denials
-// included — and parks the answers under the journaled idempotency IDs; the
-// reply channels have no reader. The record's storage stays je's.
+// restore each plane's queue from the record, re-run stage A over it,
+// dispatch — under the same (stream, epoch) tags, so a partition that
+// already applied it answers from its replay cache — and wait until it
+// completes. Stage C matches under the live rules — failed partitions,
+// Theorem-3 drops and ACL denials included — and parks the answers under
+// the journaled idempotency IDs; the reply channels have no reader. The
+// shape was checked when the journal opened (checkJournalShape).
 func (sys *System) replayEpoch(je *persist.JournalEpoch) {
-	if je.Partitions != len(sys.subs) || len(je.Planes) != len(sys.lbs) || je.BlockSize != sys.cfg.BlockSize {
-		// A different deployment shape than the journal was written under;
-		// nothing can be replayed meaningfully. Fail closed: skip.
-		sys.journalComplete(je.Epoch)
-		return
-	}
 	job := sys.newJob(je.Epoch)
 	job.replayed = true
 	job.denied = make([][]uint8, len(je.Planes))
@@ -140,18 +145,13 @@ func (sys *System) replayEpoch(je *persist.JournalEpoch) {
 		job.aclErr = errJournaledFailure
 	}
 	for i := range je.Planes {
-		p, ep := &je.Planes[i], &job.eps[i]
-		ep.reqs, ep.perSub, ep.dropped, ep.droppedKeys = p.Reqs, p.PerSub, len(p.Dropped), p.Dropped
-		if !p.OK {
-			ep.err = errJournaledFailure
-		} else if p.Batch != nil {
-			ep.batches = &loadbalancer.Batches{All: p.Batch, PerSub: p.PerSub}
-		}
-		job.queues[i] = make([]pending, len(p.IDs))
+		p := &je.Planes[i]
+		q := make([]pending, len(p.IDs))
 		for j, id := range p.IDs {
-			job.queues[i][j] = pending{Request: Request{ID: id}, ch: make(chan result, 1)}
+			q[j] = pending{Request: Request{Op: p.Reqs.Op[j], Key: p.Reqs.Key[j], Value: p.Reqs.Block(j), ID: id}, ch: make(chan result, 1)}
 		}
-		job.denied[i] = p.Denied
+		job.queues[i], job.denied[i] = q, p.Denied
+		sys.stageAPlane(job, i)
 	}
 	sys.depthSem <- struct{}{} // nothing else is in flight before the system serves
 	sys.dispatch(job)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -396,6 +397,50 @@ func TestJournalRouteKeyPinned(t *testing.T) {
 		if got := r2.SubORAMFor(uint64(k)); got != want[k] {
 			t.Fatalf("key %d routed to %d by successor, %d by predecessor", k, got, want[k])
 		}
+	}
+}
+
+// TestJournalShapeMismatchFailsOpen: an epoch left open at L = 2, S = 2,
+// λ = 32 cannot be rebuilt by a root of another shape. Opening fails,
+// naming both shapes, instead of completing the epoch unreplayed — which
+// would let the client's retry apply its write a second time. A root of the
+// journal's own shape then drains it: the retry gets the parked answer.
+func TestJournalShapeMismatchFailsOpen(t *testing.T) {
+	c := newJournalCluster(t, 2)
+	r1 := c.root(t, 1, crashOnceAt("journal", 0))
+	c.initObjects(t, r1, 16)
+	wait, err := r1.Submit(Request{Op: store.OpWrite, Key: 2, Value: []byte("x"), ID: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Flush()
+	expectRootDown(t, "write journaled before the crash", wait)
+	r1.Close()
+
+	for _, shape := range []struct {
+		L, S, lambda int
+		want         string
+	}{{1, 2, 32, "L=1 S=2 block=32 λ=32"}, {2, 1, 32, "L=2 S=1 block=32 λ=32"}, {2, 2, 64, "L=2 S=2 block=32 λ=64"}} {
+		_, err := NewWithSubORAMs(Config{
+			BlockSize: testBlock, NumLoadBalancers: shape.L, Lambda: shape.lambda, JournalDir: c.dir,
+		}, c.tagged()[:shape.S])
+		if err == nil || !strings.Contains(err.Error(), "L=2 S=2 block=32 λ=32") || !strings.Contains(err.Error(), shape.want) {
+			t.Fatalf("open at %s over an epoch journaled at L=2 S=2 block=32 λ=32: err = %v", shape.want, err)
+		}
+	}
+
+	r2 := c.root(t, 1, nil)
+	defer r2.Close()
+	got, _, err := runIdemWrite(t, r2, 50, 2, "x")
+	if err != nil || trimmed(got) != "init-2" {
+		t.Fatalf("retry after the drain: %q err=%v, want the parked answer \"init-2\"", trimmed(got), err)
+	}
+	if wait, err = r2.Submit(Request{Op: store.OpRead, Key: 2}); err != nil {
+		t.Fatal(err)
+	}
+	r2.Flush()
+	if got, _, err := wait(); err != nil || trimmed(got) != "x" {
+		t.Fatalf("read after the drain: %q err=%v", trimmed(got), err)
 	}
 }
 

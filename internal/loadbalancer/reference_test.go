@@ -74,13 +74,19 @@ func epochReqs(rng *rand.Rand, n, keyspace int) *store.Requests {
 // TestBuildRunMatchesPadAndSortReference: MakeBatches emits batch sets
 // byte-identical to the pad-and-sort construction's — same occupied slots,
 // same last-write-wins representatives, same dummy-key numbering — across
-// the size edges and random epochs.
+// the size edges and random epochs. The batches are a function of the
+// requests, the key, S and λ alone: at 4 sort workers, and from a second
+// load balancer over the same key, they are the same bytes. A root journal's
+// replay rebuilds an epoch's batches on that.
 func TestBuildRunMatchesPadAndSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const S = 4
 	cfg := Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 32, SortWorkers: 1}
 	key := crypt.MustNewKey()
 	lb := New(cfg, key)
+	parallel := cfg
+	parallel.SortWorkers = 4
+	twins := []*LoadBalancer{New(parallel, key), New(cfg, key)}
 
 	sizes := []int{0, 1, 2, 7, 8, 9, 2048}
 	for _, r := range []int{128, 512} { // R whose α the edge cases straddle
@@ -101,6 +107,18 @@ func TestBuildRunMatchesPadAndSortReference(t *testing.T) {
 		sameRows(t, fmt.Sprintf("R=%d", n), b.All, want)
 		if !reflect.DeepEqual(b.DroppedKeys, wantDropped) {
 			t.Fatalf("R=%d: dropped %v, reference %v", n, b.DroppedKeys, wantDropped)
+		}
+		for k, twin := range twins {
+			tb, err := twin.MakeBatches(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("R=%d, twin %d", n, k), tb.All, b.All)
+			if tb.PerSub != b.PerSub || !reflect.DeepEqual(tb.DroppedKeys, b.DroppedKeys) {
+				t.Fatalf("R=%d, twin %d: α %d dropped %v, first load balancer α %d dropped %v",
+					n, k, tb.PerSub, tb.DroppedKeys, b.PerSub, b.DroppedKeys)
+			}
+			tb.Release()
 		}
 		b.Release()
 	}

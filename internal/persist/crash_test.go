@@ -242,7 +242,7 @@ var journalScript = []struct {
 }
 
 func journalCase() crashCase {
-	rec := func(e uint64) *JournalEpoch { return testEpochRec(e, 1, 2, 3, 2, testBlock) }
+	rec := func(e uint64) *JournalEpoch { return testEpochRec(e, 1, 2, 2, testBlock) }
 	return crashCase{
 		run: func(t *testing.T, fs *crashFS, dir string) int {
 			j, _, err := openJournal(fs, dir, nil, nil)
@@ -272,7 +272,6 @@ func journalCase() crashCase {
 				return err
 			}
 			defer j.Close()
-			defer releaseAll(pending)
 			// What the acknowledged steps, plus possibly the one in flight,
 			// require: begun is the last epoch whose Begin returned, and an
 			// epoch must be pending unless its Complete was at least called.

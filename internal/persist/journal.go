@@ -1,10 +1,13 @@
 // Epoch journal: the root load balancer's sealed, crash-recoverable record
 // of every epoch it is about to dispatch (paper §5's failure story extended
 // to the LB plane). Before stage-B dispatch the root appends one sealed
-// record holding the epoch's per-plane batches and the client→reply routing
-// tables (per-plane request metadata plus per-request reply IDs). A standby
-// root that opens the same journal replays the incomplete epochs verbatim.
-// The record holds no delivery tag: the root tags epoch E's delivery
+// record holding what the epoch's stage A read: each plane's request
+// snapshot (after the ACL flip), its per-request reply IDs and ACL mask,
+// and the public shape (L, S, block size, λ) the batches were built under.
+// A load balancer's batches are a deterministic function of that snapshot
+// and the pinned routing key (paper §4.1), so a standby root that opens the
+// same journal re-runs stage A and re-issues byte-identical batches. The
+// record holds no delivery tag: the root tags epoch E's delivery
 // (stream, E), which a successor derives again, so partitions that already
 // applied a batch answer from their replay caches instead of re-applying —
 // the epoch is all-or-nothing across root crashes.
@@ -16,21 +19,16 @@
 // the crash artifact of an append nobody acknowledged — that epoch was never
 // dispatched — and ends the log.
 //
-// A record holds only what replay reads: the batch as a full wire frame
-// (replay re-sends it), a plane's request snapshot as the two metadata
-// columns MatchResponses reads that are not derivable — its value blocks
-// are dead there, and its Seq and Client columns are the row index. A done
-// marker is appended without a sync of its own; the next epoch record's
-// sync carries it. A lost marker only makes the successor replay an epoch
-// that had completed, which the partitions' replay caches and the reply
-// window already make idempotent (DESIGN.md §8).
+// A done marker is appended without a sync of its own; the next epoch
+// record's sync carries it. A lost marker only makes the successor replay
+// an epoch that had completed, which the partitions' replay caches and the
+// reply window already make idempotent (DESIGN.md §8).
 //
 // Obliviousness: every record's length is a closed-form function of public
-// parameters only (JournalRecordLen) — the plane count L, partition count
-// S, the Theorem-3 batch size α, and the per-plane request counts R_i, all
-// of which the network adversary already observes. Record contents are
-// AEAD-sealed; the journal's I/O trace (offsets and lengths) is
-// bit-identical across request streams that differ only in secrets, and
+// parameters only (JournalRecordLen) — the per-plane request counts R_i,
+// which the network adversary already observes, and the block size. Record
+// contents are AEAD-sealed; the journal's I/O trace (offsets and lengths)
+// is bit-identical across request streams that differ only in secrets, and
 // internal/trace asserts it.
 package persist
 
@@ -40,17 +38,15 @@ import (
 	"slices"
 	"sync"
 
-	"snoopy/internal/arena"
 	"snoopy/internal/hostfs"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
-	"snoopy/internal/wirecode"
 )
 
 const (
 	journalFile    = "journal"
-	journalContext = "snoopy-persist/journal/v4"
+	journalContext = "snoopy-persist/journal/v5"
 
 	journalKindEpoch = 1
 	journalKindDone  = 2
@@ -63,22 +59,13 @@ const (
 	journalCompactEvery = 128
 )
 
-// JournalPlane is one load-balancer plane's stage-A output and its
+// JournalPlane is one load-balancer plane's stage-A input and its
 // client→reply routing table.
 type JournalPlane struct {
-	// OK reports whether stage A succeeded for the plane (Batch non-nil).
-	OK bool
-	// PerSub is the plane's Theorem-3 per-partition batch size α.
-	PerSub int
-	// Batch holds the α·S batch rows in partition-major order (partition s
-	// owns rows [s·α, (s+1)·α)); nil when !OK.
-	Batch *store.Requests
-	// Dropped are the plane's Theorem-3 overflow victim keys.
-	Dropped []uint64
-	// Reqs is the plane's request snapshot (row j belongs to queue position
-	// j; Seq = Client = j, which Begin checks). Only its Op and Key columns
-	// are journaled: a decoded snapshot has Seq and Client rebuilt and no
-	// value blocks (Data is nil), which MatchResponses never reads.
+	// Reqs is the plane's request snapshot as stage A read it: row j is
+	// queue position j (Seq = Client = j, which Begin checks), its Op the
+	// one after the ACL flip. Op, Key and the value blocks are journaled;
+	// a decoded snapshot has Seq and Client rebuilt.
 	Reqs *store.Requests
 	// IDs[j] is the reply ID of queue position j (0 = no idempotent
 	// tracking asked for; len = Reqs.Len()).
@@ -88,25 +75,18 @@ type JournalPlane struct {
 }
 
 // JournalEpoch is one journaled epoch: everything a standby root needs to
-// re-issue the epoch and route the replies.
+// re-run the epoch and route the replies.
 type JournalEpoch struct {
 	Epoch     uint64
 	BlockSize int
-	// ACLOK is false when the epoch's ACL resolution failed (stage C would
-	// have failed every request; replay parks nothing).
+	// Lambda is the security parameter the batches were sized under.
+	Lambda int
+	// ACLOK is false when the epoch's ACL resolution failed (stage C fails
+	// every request; replay parks nothing).
 	ACLOK bool
 	// Partitions is S, the partition count the batches are laid out for.
 	Partitions int
 	Planes     []JournalPlane
-}
-
-// Release returns the epoch's decoded batch storage to the arena. Call it
-// after replay.
-func (e *JournalEpoch) Release() {
-	for i := range e.Planes {
-		arena.Default.PutRequests(e.Planes[i].Batch)
-		e.Planes[i].Batch = nil
-	}
 }
 
 // Journal is the root's sealed epoch journal. All methods are safe for
@@ -125,8 +105,7 @@ type Journal struct {
 
 // OpenJournal opens (or creates) the epoch journal in dirPath, verifies it
 // against the trusted counter, and returns the journaled-but-incomplete
-// epochs in ascending order — the epochs a standby root must replay. The
-// caller owns the returned epochs' storage (JournalEpoch.Release). rec,
+// epochs in ascending order — the epochs a standby root must replay. rec,
 // when non-nil, traces every file operation for the obliviousness tests;
 // reg, when non-nil, counts the journal's and its counter's writes and
 // syncs, and Complete's failures (persist_journal_errors_total).
@@ -265,12 +244,6 @@ func (j *Journal) recover() (pending []*JournalEpoch, err error) {
 	base := uint64(0) // every epoch through base is complete (checkpoint)
 	reached := uint64(0)
 	first := true
-	defer func() {
-		if err != nil {
-			releaseAll(pending)
-			pending = nil
-		}
-	}()
 	why, err := j.log.replay(func(_ uint64, kind uint8, pt []byte) (bool, error) {
 		if len(pt) < 8 {
 			return false, errCorrupt("journal: record of %d bytes", len(pt))
@@ -298,7 +271,6 @@ func (j *Journal) recover() (pending []*JournalEpoch, err error) {
 			pending = append(pending, je)
 		case journalKindDone:
 			if i := slices.IndexFunc(pending, func(je *JournalEpoch) bool { return je.Epoch == epoch }); i >= 0 {
-				pending[i].Release()
 				pending = slices.Delete(pending, i, i+1)
 			}
 		default:
@@ -308,12 +280,12 @@ func (j *Journal) recover() (pending []*JournalEpoch, err error) {
 		return true, nil
 	})
 	if err != nil {
-		return pending, err
+		return nil, err
 	}
 	// Every acknowledged epoch in (base, ctr] must be present: a journal
 	// that ends before the counter was rolled back.
 	if base > ctr || reached != ctr {
-		return pending, fmt.Errorf("%w (journal reaches epoch %d: %s; counter at %d)", ErrRollback, reached, why, ctr)
+		return nil, fmt.Errorf("%w (journal reaches epoch %d: %s; counter at %d)", ErrRollback, reached, why, ctr)
 	}
 	j.last = ctr
 	for _, je := range pending {
@@ -322,37 +294,28 @@ func (j *Journal) recover() (pending []*JournalEpoch, err error) {
 	return pending, nil
 }
 
-func releaseAll(es []*JournalEpoch) {
-	for _, e := range es {
-		e.Release()
-	}
-}
-
 // --- epoch payload codec -------------------------------------------------
 //
 // Fixed little-endian layout; every length below is a function of the
-// public shape (L, S, α, R_i) only:
+// public shape (L, R_i, blockSize) only:
 //
-//	u64 epoch | u32 L | u32 S | u32 blockSize | u8 aclOK
-//	per plane: u8 ok | u32 perSub | u32 rows + [rows > 0: wirecode frame]
-//	           | u32 nDrop + nDrop×u64
-//	           | u32 n | n×u8 op | n×u64 key | n×u64 id | u8 hasDenied + [n]u8
+//	u64 epoch | u32 L | u32 S | u32 blockSize | u32 λ | u8 aclOK
+//	per plane: u32 n | n×u8 op | n×u64 key | n×u64 id | n×blockSize value
+//	           | u8 hasDenied + [n]u8
 
 const (
-	journalHeaderLen = 8 + 3*4 + 1
-	journalPlaneLen  = 1 + 4 + 4 + 4 + 4 + 1 // without the batch frame, victims, rows and mask
-	journalRowLen    = 1 + 8 + 8             // op, key, id
+	journalHeaderLen = 8 + 4*4 + 1
+	journalPlaneLen  = 4 + 1     // without the rows and the mask
+	journalRowLen    = 1 + 8 + 8 // op, key, id (the value block comes on top)
 )
 
 // JournalRecordLen is the exact number of bytes the journal grows by when an
-// epoch is journaled: L planes that each built an α·S-row batch, planeReqs[i]
-// requests in plane i — plus 8 bytes per Theorem-3 overflow victim (public,
-// negligible probability) and a byte per request under an ACL (public
-// configuration).
-func JournalRecordLen(L, S, alpha int, planeReqs []int, blockSize int) int {
-	n := journalHeaderLen + L*(journalPlaneLen+wirecode.FrameLen(alpha*S, blockSize))
+// epoch is journaled: planeReqs[i] requests in plane i of blockSize-byte
+// values — plus a byte per request under an ACL (public configuration).
+func JournalRecordLen(planeReqs []int, blockSize int) int {
+	n := journalHeaderLen + len(planeReqs)*journalPlaneLen
 	for _, r := range planeReqs {
-		n += r * journalRowLen
+		n += r * (journalRowLen + blockSize)
 	}
 	return logRecordLen(n)
 }
@@ -376,33 +339,26 @@ func (e *JournalEpoch) encode(b []byte) ([]byte, error) {
 	b = le.AppendUint32(b, uint32(len(e.Planes)))
 	b = le.AppendUint32(b, uint32(e.Partitions))
 	b = le.AppendUint32(b, uint32(e.BlockSize))
+	b = le.AppendUint32(b, uint32(e.Lambda))
 	u8(e.ACLOK)
 	for i := range e.Planes {
 		p := &e.Planes[i]
-		if n := p.Reqs.Len(); len(p.IDs) != n || (p.Denied != nil && len(p.Denied) != n) {
-			return nil, fmt.Errorf("persist: journal epoch %d plane %d: %d reply IDs and a %d-row ACL mask for %d requests",
-				e.Epoch, i, len(p.IDs), len(p.Denied), n)
+		n := p.Reqs.Len()
+		if len(p.IDs) != n || (p.Denied != nil && len(p.Denied) != n) || p.Reqs.BlockSize != e.BlockSize {
+			return nil, fmt.Errorf("persist: journal epoch %d plane %d: %d reply IDs and a %d-row ACL mask for %d requests of %d-byte blocks (epoch block %d)",
+				e.Epoch, i, len(p.IDs), len(p.Denied), n, p.Reqs.BlockSize, e.BlockSize)
 		}
-		for j := range p.IDs {
+		for j := range n {
 			if p.Reqs.Seq[j] != uint64(j) || p.Reqs.Client[j] != uint64(j) {
 				return nil, fmt.Errorf("persist: journal epoch %d plane %d row %d: Seq %d, Client %d are not the row index",
 					e.Epoch, i, j, p.Reqs.Seq[j], p.Reqs.Client[j])
 			}
 		}
-		u8(p.OK)
-		b = le.AppendUint32(b, uint32(p.PerSub))
-		if p.OK && p.Batch != nil {
-			b = le.AppendUint32(b, uint32(p.Batch.Len()))
-			b = wirecode.AppendRequests(b, p.Batch)
-		} else {
-			b = le.AppendUint32(b, 0)
-		}
-		b = le.AppendUint32(b, uint32(len(p.Dropped)))
-		keys(p.Dropped)
-		b = le.AppendUint32(b, uint32(p.Reqs.Len()))
+		b = le.AppendUint32(b, uint32(n))
 		b = append(b, p.Reqs.Op...)
 		keys(p.Reqs.Key)
 		keys(p.IDs)
+		b = append(b, p.Reqs.Data[:n*e.BlockSize]...)
 		u8(p.Denied != nil)
 		b = append(b, p.Denied...)
 	}
@@ -436,8 +392,12 @@ func (c *journalCursor) u32() int {
 	return int(binary.LittleEndian.Uint32(raw))
 }
 
+// bool decodes a flag byte, which encode writes as 0 or 1 only.
 func (c *journalCursor) bool() bool {
 	raw := c.take(1)
+	if raw != nil && raw[0] > 1 {
+		c.err = errCorrupt("journal: flag byte %d", raw[0])
+	}
 	return raw != nil && raw[0] == 1
 }
 
@@ -451,74 +411,53 @@ func (c *journalCursor) keys(n int) []uint64 {
 	return ks
 }
 
-// maxJournalDim bounds the decoded shape fields so a corrupted payload
-// cannot force huge allocations before the cross-checks below run.
+// maxJournalDim bounds the decoded partition count; the plane and request
+// counts are bounded by the bytes left, so a corrupted payload cannot force
+// huge allocations.
 const maxJournalDim = 1 << 20
 
-func decodeJournalEpoch(pt []byte) (e *JournalEpoch, err error) {
+func decodeJournalEpoch(pt []byte) (*JournalEpoch, error) {
 	c := &journalCursor{b: pt}
 	epoch := c.keys(1)
-	L, S, blockSize := c.u32(), c.u32(), c.u32()
+	L, S, blockSize, lambda := c.u32(), c.u32(), c.u32(), c.u32()
 	aclOK := c.bool()
 	if c.err != nil {
 		return nil, c.err
 	}
-	if L > maxJournalDim || S > maxJournalDim || blockSize <= 0 || blockSize > maxRecord {
+	if L > len(c.b)/journalPlaneLen || S > maxJournalDim || blockSize <= 0 || blockSize > maxRecord {
 		return nil, errCorrupt("journal: epoch %d shape (%d,%d,%d) out of range", epoch[0], L, S, blockSize)
 	}
-	e = &JournalEpoch{
+	e := &JournalEpoch{
 		Epoch:      epoch[0],
 		BlockSize:  blockSize,
+		Lambda:     lambda,
 		ACLOK:      aclOK,
 		Partitions: S,
 		Planes:     make([]JournalPlane, L),
 	}
-	defer func() {
-		if err == nil {
-			err = c.err
-		}
-		if err != nil {
-			e.Release()
-			e = nil
-		}
-	}()
 	for i := range e.Planes {
 		p := &e.Planes[i]
-		p.OK = c.bool()
-		p.PerSub = c.u32()
-		if rows := c.u32(); rows > maxJournalDim {
-			return e, errCorrupt("journal: epoch %d plane %d batch of %d rows", e.Epoch, i, rows)
-		} else if rows > 0 {
-			p.Batch, err = wirecode.DecodeRequests(c.take(wirecode.FrameLen(rows, blockSize)), nil)
-			if err != nil {
-				return e, errCorrupt("journal: epoch %d plane %d batch: %v", e.Epoch, i, err)
-			}
-		}
-		p.Dropped = c.keys(c.u32())
 		n := c.u32()
-		if c.err != nil || n > len(c.b)/journalRowLen {
-			return e, errCorrupt("journal: epoch %d plane %d: %d requests in %d bytes", e.Epoch, i, n, len(c.b))
+		if c.err != nil || n > len(c.b)/(journalRowLen+blockSize) {
+			return nil, errCorrupt("journal: epoch %d plane %d: %d requests in %d bytes", e.Epoch, i, n, len(c.b))
 		}
-		p.Reqs = &store.Requests{
-			BlockSize: blockSize,
-			Op:        append([]uint8(nil), c.take(n)...),
-			Key:       c.keys(n),
-			Sub:       make([]uint32, n),
-			Tag:       make([]uint8, n),
-			Aux:       make([]uint8, n),
-			Seq:       make([]uint64, n),
-			Client:    make([]uint64, n),
-		}
+		p.Reqs = store.NewRequests(n, blockSize)
+		copy(p.Reqs.Op, c.take(n))
+		p.Reqs.Key = c.keys(n)
+		p.IDs = c.keys(n)
+		copy(p.Reqs.Data, c.take(n*blockSize))
 		for j := range n {
 			p.Reqs.Seq[j], p.Reqs.Client[j] = uint64(j), uint64(j)
 		}
-		p.IDs = c.keys(n)
 		if c.bool() {
-			p.Denied = append([]uint8(nil), c.take(n)...)
+			p.Denied = append(make([]uint8, 0, n), c.take(n)...)
 		}
 	}
-	if c.err == nil && len(c.b) != 0 {
-		return e, errCorrupt("journal: epoch %d payload has %d trailing bytes", e.Epoch, len(c.b))
+	if c.err != nil {
+		return nil, c.err
+	}
+	if len(c.b) != 0 {
+		return nil, errCorrupt("journal: epoch %d payload has %d trailing bytes", e.Epoch, len(c.b))
 	}
 	return e, nil
 }

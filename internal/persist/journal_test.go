@@ -4,37 +4,31 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"snoopy/internal/enclave"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
-	"snoopy/internal/wirecode"
 )
 
-// testEpochRec builds a shape-realistic epoch record: L planes, S
-// partitions, α rows per partition, R requests per plane.
-func testEpochRec(epoch uint64, L, S, alpha, R, blockSize int) *JournalEpoch {
+// testEpochRec builds a shape-realistic epoch record: L planes of R
+// requests each, batched for S partitions.
+func testEpochRec(epoch uint64, L, S, R, blockSize int) *JournalEpoch {
 	e := &JournalEpoch{
 		Epoch:      epoch,
 		BlockSize:  blockSize,
+		Lambda:     32,
 		ACLOK:      true,
 		Partitions: S,
 		Planes:     make([]JournalPlane, L),
 	}
 	for i := range e.Planes {
 		p := &e.Planes[i]
-		p.OK = true
-		p.PerSub = alpha
-		p.Batch = store.NewRequests(alpha*S, blockSize)
-		for j := 0; j < p.Batch.Len(); j++ {
-			p.Batch.SetRow(j, 1, epoch*1000+uint64(j), uint32(j/alpha), uint64(j), uint64(j), nil)
-		}
-		p.Dropped = []uint64{epoch + 1}
 		p.Reqs = store.NewRequests(R, blockSize)
 		p.IDs = make([]uint64, R)
 		for j := 0; j < R; j++ {
-			p.Reqs.SetRow(j, 2, epoch*500+uint64(j), 0, uint64(j), uint64(j), []byte("v"))
+			p.Reqs.SetRow(j, 2, epoch*500+uint64(j), 0, uint64(j), uint64(j), []byte{'v', byte(i), byte(j)})
 			p.IDs[j] = epoch<<20 | uint64(i)<<10 | uint64(j)
 		}
 		p.Denied = make([]uint8, R)
@@ -57,8 +51,8 @@ func encodeFor(t *testing.T, j *Journal, e *JournalEpoch) []byte {
 
 func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 	t.Helper()
-	if got.Epoch != want.Epoch || got.BlockSize != want.BlockSize || got.ACLOK != want.ACLOK ||
-		got.Partitions != want.Partitions {
+	if got.Epoch != want.Epoch || got.BlockSize != want.BlockSize || got.Lambda != want.Lambda ||
+		got.ACLOK != want.ACLOK || got.Partitions != want.Partitions {
 		t.Fatalf("header mismatch: got %+v want %+v", got, want)
 	}
 	if len(got.Planes) != len(want.Planes) {
@@ -66,33 +60,9 @@ func sameEpochRec(t *testing.T, got, want *JournalEpoch) {
 	}
 	for i := range got.Planes {
 		gp, wp := &got.Planes[i], &want.Planes[i]
-		if gp.OK != wp.OK || gp.PerSub != wp.PerSub {
-			t.Fatalf("plane %d header mismatch", i)
-		}
-		if gp.Batch.Len() != wp.Batch.Len() {
-			t.Fatalf("plane %d batch len: got %d want %d", i, gp.Batch.Len(), wp.Batch.Len())
-		}
-		for j := 0; j < gp.Batch.Len(); j++ {
-			if gp.Batch.Key[j] != wp.Batch.Key[j] || gp.Batch.Op[j] != wp.Batch.Op[j] {
-				t.Fatalf("plane %d batch row %d mismatch", i, j)
-			}
-		}
-		if gp.Reqs.Len() != wp.Reqs.Len() || len(gp.IDs) != len(wp.IDs) {
-			t.Fatalf("plane %d routing table shape mismatch", i)
-		}
-		for j := range gp.IDs {
-			if gp.IDs[j] != wp.IDs[j] || gp.Reqs.Key[j] != wp.Reqs.Key[j] || gp.Reqs.Op[j] != wp.Reqs.Op[j] ||
-				gp.Reqs.Seq[j] != wp.Reqs.Seq[j] || gp.Reqs.Client[j] != wp.Reqs.Client[j] {
-				t.Fatalf("plane %d row %d mismatch", i, j)
-			}
-		}
-		if (gp.Denied == nil) != (wp.Denied == nil) {
-			t.Fatalf("plane %d denied mask presence mismatch", i)
-		}
-		for j := range gp.Denied {
-			if gp.Denied[j] != wp.Denied[j] {
-				t.Fatalf("plane %d denied %d mismatch", i, j)
-			}
+		if !reflect.DeepEqual(gp.Reqs, wp.Reqs) || !reflect.DeepEqual(gp.IDs, wp.IDs) ||
+			!reflect.DeepEqual(gp.Denied, wp.Denied) {
+			t.Fatalf("plane %d mismatch:\n got %+v\nwant %+v", i, gp, wp)
 		}
 	}
 }
@@ -106,8 +76,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(pending) != 0 || j.LastEpoch() != 0 {
 		t.Fatalf("fresh journal: pending=%d last=%d", len(pending), j.LastEpoch())
 	}
-	e1 := testEpochRec(1, 2, 3, 4, 5, testBlock)
-	e2 := testEpochRec(2, 2, 3, 4, 5, testBlock)
+	e1 := testEpochRec(1, 2, 3, 5, testBlock)
+	e2 := testEpochRec(2, 2, 3, 5, testBlock)
 	if err := j.Begin(e1); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +103,6 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("pending = %d epochs, want 1 (epoch 2)", len(pending))
 	}
 	sameEpochRec(t, pending[0], e2)
-	pending[0].Release()
 }
 
 func TestJournalOutOfOrderBegin(t *testing.T) {
@@ -142,7 +111,7 @@ func TestJournalOutOfOrderBegin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Begin(testEpochRec(5, 1, 1, 2, 2, testBlock)); err == nil {
+	if err := j.Begin(testEpochRec(5, 1, 1, 2, testBlock)); err == nil {
 		t.Fatal("Begin(5) on a fresh journal should fail (want epoch 1)")
 	}
 }
@@ -153,7 +122,7 @@ func TestJournalRollbackDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 2, 2, 3, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 2, 3, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -200,7 +169,6 @@ func TestJournalRollbackDetection(t *testing.T) {
 		if len(pending) != 1 || pending[0].Epoch != 1 {
 			t.Fatalf("pending = %v, want epoch 1", pending)
 		}
-		pending[0].Release()
 	})
 }
 
@@ -210,7 +178,7 @@ func TestJournalTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -235,7 +203,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Complete(1); err != nil {
@@ -267,7 +235,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	// The journal must still be appendable after the torn tail: epoch 2
 	// re-runs as a fresh epoch.
-	if err := j2.Begin(testEpochRec(2, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j2.Begin(testEpochRec(2, 1, 1, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -278,13 +246,13 @@ func TestJournalCrashArtifactPastCounterDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(testEpochRec(1, 1, 1, 2, 2, testBlock)); err != nil {
+	if err := j.Begin(testEpochRec(1, 1, 1, 2, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 	// Append a fully-written epoch-2 record without bumping the counter,
 	// simulating a crash after the append's sync but before the counter
 	// bump: the record authenticates yet was never acknowledged.
-	e2 := testEpochRec(2, 1, 1, 2, 2, testBlock)
+	e2 := testEpochRec(2, 1, 1, 2, testBlock)
 	j.mu.Lock()
 	err = j.append(journalKindEpoch, encodeFor(t, j, e2), true)
 	j.mu.Unlock()
@@ -304,7 +272,6 @@ func TestJournalCrashArtifactPastCounterDropped(t *testing.T) {
 	if len(pending) != 1 || pending[0].Epoch != 1 {
 		t.Fatalf("pending = %v, want exactly epoch 1", pending)
 	}
-	pending[0].Release()
 }
 
 func TestJournalCompaction(t *testing.T) {
@@ -316,7 +283,7 @@ func TestJournalCompaction(t *testing.T) {
 	var prev int64
 	compacted := false
 	for e := uint64(1); e <= journalCompactEvery+4; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 2, 3, 4, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 2, 4, testBlock)); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Complete(e); err != nil {
@@ -349,14 +316,14 @@ func TestJournalCompaction(t *testing.T) {
 	if j2.LastEpoch() != last {
 		t.Fatalf("LastEpoch = %d, want %d across compaction", j2.LastEpoch(), last)
 	}
-	if err := j2.Begin(testEpochRec(last+1, 1, 2, 3, 4, testBlock)); err != nil {
+	if err := j2.Begin(testEpochRec(last+1, 1, 2, 4, testBlock)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestJournalRecordLenClosedForm: the bytes Begin writes equal
 // JournalRecordLen over the public shape, whatever the secrets — keys,
-// values, reply IDs — and Complete's marker is the fixed 8-byte record.
+// values, ops, reply IDs — and Complete's marker is the fixed 8-byte record.
 func TestJournalRecordLenClosedForm(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := OpenJournal(dir, nil, nil)
@@ -371,27 +338,25 @@ func TestJournalRecordLenClosedForm(t *testing.T) {
 		}
 		return int(st.Size())
 	}
-	const L, S, alpha, R = 2, 3, 4, 5
+	const L, S, R = 2, 3, 5
 	planeReqs := []int{R, R}
 	for epoch, seed := range []uint64{3, 0xdeadbeef} {
-		e := testEpochRec(uint64(epoch+1), L, S, alpha, R, testBlock)
+		e := testEpochRec(uint64(epoch+1), L, S, R, testBlock)
 		for i := range e.Planes {
 			p := &e.Planes[i]
-			p.Dropped = nil
 			p.Denied = nil
-			for jr := 0; jr < p.Batch.Len(); jr++ {
-				p.Batch.Key[jr] = seed * uint64(jr+1)
-			}
 			for jr := range p.IDs {
 				p.IDs[jr] = seed<<32 | uint64(jr)
 				p.Reqs.Key[jr] = seed + uint64(jr)
+				p.Reqs.Op[jr] = uint8(seed>>jr) & 1
+				p.Reqs.Block(jr)[0] = byte(seed >> jr)
 			}
 		}
 		before := size()
 		if err := j.Begin(e); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := size()-before, JournalRecordLen(L, S, alpha, planeReqs, testBlock); got != want {
+		if got, want := size()-before, JournalRecordLen(planeReqs, testBlock); got != want {
 			t.Fatalf("epoch record grew the journal by %d bytes, JournalRecordLen says %d", got, want)
 		}
 		before = size()
@@ -404,28 +369,29 @@ func TestJournalRecordLenClosedForm(t *testing.T) {
 	}
 }
 
-// TestJournalRecordDropsDerivableColumns pins what the v4 record no longer
-// stores against the v3 layout: the S per-partition (lbID, seq) delivery
-// tags, and each request's Seq and Client columns, which are the row index
-// and rebuilt on decode — 16·S + 16·ΣR bytes. Begin refuses a plane whose
-// columns are not that identity rather than journal what decode cannot
-// rebuild.
-func TestJournalRecordDropsDerivableColumns(t *testing.T) {
-	const L, S, alpha = 2, 3, 4
-	planeReqs := []int{5, 7}
-	const sumR = 5 + 7
-	frame := wirecode.FrameLen(alpha*S, testBlock)
-	v3 := logRecordLen(21 + 16*S + L*(18+frame) + 33*sumR)
-	if got, want := v3-JournalRecordLen(L, S, alpha, planeReqs, testBlock), 16*S+16*sumR; got != want {
-		t.Fatalf("v4 record is %d bytes shorter than v3, want 16·S + 16·ΣR = %d", got, want)
-	}
-
+// TestJournalRecordLenIndependentOfBatchShape: the record holds what stage
+// A read, not the batches it built, so its length moves with the request
+// counts alone — neither the partition count S nor λ (and with them the
+// Theorem-3 batch size α) changes it. Begin refuses a plane whose Seq and
+// Client columns are not the row index rather than journal what decode
+// cannot rebuild.
+func TestJournalRecordLenIndependentOfBatchShape(t *testing.T) {
 	j, _, err := OpenJournal(t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	e := testEpochRec(1, 1, S, alpha, 3, testBlock)
+	want := JournalRecordLen([]int{7}, testBlock)
+	for _, shape := range []struct{ S, lambda int }{{1, 32}, {4, 32}, {64, 32}, {4, 128}, {4, 8}} {
+		e := testEpochRec(1, 1, shape.S, 7, testBlock)
+		e.Lambda = shape.lambda
+		e.Planes[0].Denied = nil // the ACL mask's byte per request is on top
+		if got := logRecordLen(len(encodeFor(t, j, e)) - logHdrLen); got != want {
+			t.Fatalf("S=%d λ=%d: record of %d bytes, want %d", shape.S, shape.lambda, got, want)
+		}
+	}
+
+	e := testEpochRec(1, 1, 3, 3, testBlock)
 	e.Planes[0].Reqs.Client[1] = 2
 	if err := j.Begin(e); err == nil {
 		t.Fatal("Begin journaled a plane whose Client column is not the row index")
@@ -444,7 +410,7 @@ func TestJournalCompleteDoesNotSync(t *testing.T) {
 	syncs := reg.Counter(`persist_syncs_total{log="journal"}`)
 	ctrSyncs := reg.Counter(`persist_syncs_total{log="counter"}`)
 	for e := uint64(1); e <= 3; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 2, 3, 4, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 2, 4, testBlock)); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Complete(e); err != nil {
@@ -475,7 +441,7 @@ func TestJournalCompactionFailureLeavesJournalAppendable(t *testing.T) {
 	failed := 0
 	const epochs = journalCompactEvery/2 + 3
 	for e := uint64(1); e <= epochs; e++ {
-		if err := j.Begin(testEpochRec(e, 1, 1, 2, 2, testBlock)); err != nil {
+		if err := j.Begin(testEpochRec(e, 1, 1, 2, testBlock)); err != nil {
 			t.Fatalf("Begin(%d) after %d failed compactions: %v", e, failed, err)
 		}
 		if err := j.Complete(e); err != nil {

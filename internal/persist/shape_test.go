@@ -118,7 +118,7 @@ func TestJournalEpochNoAllocs(t *testing.T) {
 	}
 	defer j.Close()
 	j.compactEvery = 1 << 30
-	rec := testEpochRec(1, 1, 2, 16, 24, testBlock)
+	rec := testEpochRec(1, 1, 2, 24, testBlock)
 	step := func() {
 		if err := j.Begin(rec); err != nil {
 			t.Fatal(err)

@@ -6,8 +6,9 @@
 # pooled hot paths in loadbalancer/ohash), the oblivious sort/merge
 # primitives under parallel sorting (obliv), the trace leakage suite with
 # parallel workers, and the fault-tolerant root plane (epoch journal,
-# standby promotion, the exactly-once crash × fate table). The full suite is
-# `go test ./...`; the long multi-seed chaos soak is scripts/chaos.sh.
+# standby promotion, the exactly-once crash × fate table), plus 20 s of
+# fuzzing the journal's epoch codec. The full suite is `go test ./...`; the
+# long multi-seed chaos soak is scripts/chaos.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,12 +75,13 @@ go test -race -timeout 15m -count=2 \
 # Focused re-run of the fault-tolerant root plane: journal append/replay,
 # the exactly-once table (every crash point × every partition fate at depth
 # 1 and 4 — TestJournal matches it, and the "dispatch" crash with epochs in
-# flight behind it), every client wait resolving on a crash, in core,
+# flight behind it; a journal open under another shape), every client wait
+# resolving on a crash, an ACL resolution failing closed, in core,
 # standby-root promotion in cluster, and the journal/standby leakage tests.
 # Schedule-sensitive by construction (promotion races a probing watchdog),
 # so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
-  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestRootPromotion' \
+  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion' \
   ./internal/core/ ./internal/cluster/
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
@@ -138,7 +140,7 @@ go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./intern
 # truncate, rename and directory sync of every sealed file of Durable — in
 # the memory and the disk placement, the image's segment slots, data file,
 # registry and identifier set included — and of Journal fails (and tears) in
-# turn, every synced prefix is replayed as a rollback, the one fuzz target's
+# turn, every synced prefix is replayed as a rollback, FuzzSealedState's
 # seeds mangle the rest, and one recovery rule is checked against what a
 # crash leaves of an unanswered batch. The memory placement writes its log
 # record on a second goroutine while the partition scans — the part -race is
@@ -148,6 +150,9 @@ go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./intern
 go test -race -timeout 15m -count=2 \
   -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots|Recovery' \
   ./internal/persist/
+# The journal's epoch codec, fuzzed: decoding never panics, and a payload
+# that decodes re-encodes byte for byte.
+go test -run '^$' -fuzz FuzzJournalEpochDecode -fuzztime 20s ./internal/persist/
 GOOS=darwin GOARCH=arm64 go build ./...
 
 # The portable bodies (the purego tag drops every assembly kernel, as a

@@ -99,8 +99,8 @@ type Config struct {
 	SegmentBytes int
 	// JournalDir, when non-empty, makes the load-balancer root itself
 	// fault tolerant: before any epoch's batches are dispatched to
-	// partitions, the root seals the epoch's merged batches and reply
-	// routing tables into a fixed-shape journal under this directory
+	// partitions, the root seals the epoch's requests and reply routing
+	// tables into a fixed-shape journal under this directory
 	// (internal/persist). Epoch E's deliveries travel under the tag
 	// (stream, E), the stream derived from the oblivious routing key the
 	// journal pins, so every incarnation routes and tags identically. A
