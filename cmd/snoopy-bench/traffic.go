@@ -2,11 +2,10 @@
 // million-session traffic harness. It drives the scenario suite
 // (internal/loadgen) at a reference offered load against either an
 // in-process deployment or a real TCP cluster of snoopy-server processes,
-// then sweeps offered rates to locate the sustained-throughput knee and
-// compares it against the paper's Eq. 1–2 closed form (internal/planner)
-// and the discrete-event simulator (internal/simnet), both built from a
-// cost model calibrated on this machine. Results go to a JSON report
-// (results/TRAFFIC_<mode>.json via scripts/traffic.sh).
+// then searches offered rates upward from that load for the
+// sustained-throughput knee and compares it with the paper's Eq. 1
+// (internal/planner) over a cost model calibrated on this machine. Results
+// go to a JSON report (results/TRAFFIC_<mode>.json via scripts/traffic.sh).
 //
 // Latency is coordinated-omission-safe: every sample is measured from the
 // request's intended send time on the precomputed schedule, so server
@@ -20,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,17 +28,20 @@ import (
 	"snoopy/internal/enclave"
 	"snoopy/internal/loadgen"
 	"snoopy/internal/planner"
-	"snoopy/internal/simnet"
 )
 
 // kneeToleranceFactor is the documented agreement band between the
-// measured knee and the simnet prediction: within a factor of 8 each way.
-// The simulator prices only the modeled pipeline stages; the harness
-// measures end-to-end through client-side goroutine scheduling and the
-// epoch ticker's phase, so this is an order-of-magnitude drift alarm, not
-// a percentage gate. The exact measured/predicted ratio is recorded in
-// the report for trend tracking.
+// measured knee and the Eq. 1 prediction: within a factor of 8 each way.
+// Eq. 1 prices only the modeled pipeline stages; the harness measures end
+// to end, with the load generator and the submit/reply path sharing the
+// cores, so this is an order-of-magnitude drift alarm, not a percentage
+// gate. The exact measured/predicted ratio is recorded in the report for
+// trend tracking.
 const kneeToleranceFactor = 8.0
+
+// calibrations is how many cost models the prediction is the median of:
+// one calibration is a single draw from a spread wider than ±15 %.
+const calibrations = 5
 
 type trafficOptions struct {
 	out       string
@@ -70,18 +73,18 @@ type trafficConfig struct {
 }
 
 type trafficPrediction struct {
-	// PlannerRPS is the Eq. 1–2 closed-form capacity (MaxLatency pinned
-	// to 5T/2 so the epoch equals the deployed epoch).
-	PlannerRPS float64 `json:"planner_eq12_rps"`
-	// SimnetRPS is the discrete-event simulator's knee for the same
-	// calibrated cost model and deployment shape.
-	SimnetRPS float64 `json:"simnet_rps"`
+	// PredictedRPS is Eq. 1's capacity (MaxLatency pinned to 5T/2 so the
+	// epoch equals the deployed epoch), the median over the calibrations;
+	// PredictedMinRPS and PredictedMaxRPS are their extremes.
+	PredictedRPS    float64 `json:"predicted_rps"`
+	PredictedMinRPS float64 `json:"predicted_min_rps"`
+	PredictedMaxRPS float64 `json:"predicted_max_rps"`
 	// MeasuredKneeRPS is the open-loop harness's sustained-throughput
-	// knee from the rate sweep.
-	MeasuredKneeRPS    float64 `json:"measured_knee_rps"`
-	MeasuredOverSimnet float64 `json:"measured_over_simnet"`
-	ToleranceFactor    float64 `json:"tolerance_factor"`
-	WithinTolerance    bool    `json:"within_tolerance"`
+	// knee from the rate search.
+	MeasuredKneeRPS       float64 `json:"measured_knee_rps"`
+	MeasuredOverPredicted float64 `json:"measured_over_predicted"`
+	ToleranceFactor       float64 `json:"tolerance_factor"`
+	WithinTolerance       bool    `json:"within_tolerance"`
 }
 
 type trafficReport struct {
@@ -185,11 +188,11 @@ func runTraffic(opt trafficOptions) error {
 	if opt.scenarios != "" && opt.scenarios != "all" {
 		var picked []loadgen.Scenario
 		for _, name := range strings.Split(opt.scenarios, ",") {
-			sc, ok := loadgen.Named(strings.TrimSpace(name), opt.epoch)
-			if !ok {
+			i := slices.IndexFunc(suite, func(sc loadgen.Scenario) bool { return sc.Name == strings.TrimSpace(name) })
+			if i < 0 {
 				return fmt.Errorf("unknown scenario %q (want one of the suite names)", name)
 			}
-			picked = append(picked, sc)
+			picked = append(picked, suite[i])
 		}
 		suite = picked
 	}
@@ -222,7 +225,7 @@ func runTraffic(opt trafficOptions) error {
 		rep.Scenarios = append(rep.Scenarios, r)
 	}
 
-	// --- Knee sweep vs Eq. 1–2 / simnet prediction ---
+	// --- Knee search vs the Eq. 1 prediction ---
 	if opt.knee {
 		if err := runTrafficKnee(opt, open, &rep); err != nil {
 			return err
@@ -233,45 +236,42 @@ func runTraffic(opt trafficOptions) error {
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(opt.out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+	if err := os.MkdirAll(filepath.Dir(opt.out), 0o755); err != nil {
+		return err
 	}
 	return os.WriteFile(opt.out, append(raw, '\n'), 0o644)
 }
 
 func runTrafficKnee(opt trafficOptions, open func() (loadgen.Store, func(), error), rep *trafficReport) error {
 	lambda := 128 // core.Config default; public deployment parameter
-	fmt.Printf("calibrating cost model (block=%d lambda=%d)...\n", opt.block, lambda)
-	model, err := planner.Calibrate(opt.block, lambda, planner.Link{}) // in process
-	if err != nil {
-		return fmt.Errorf("calibration: %w", err)
+	fmt.Printf("calibrating the cost model %d times (block=%d lambda=%d)...\n", calibrations, opt.block, lambda)
+	predictions := make([]float64, calibrations)
+	for i := range predictions {
+		model, err := planner.Calibrate(opt.block, lambda, planner.Link{}) // in process
+		if err != nil {
+			return fmt.Errorf("calibration: %w", err)
+		}
+		predictions[i] = planner.MaxThroughput(planner.Requirements{
+			Objects: opt.objects,
+			// Pin Eq. 2's latency bound to 5T/2 so the closed form prices
+			// exactly the deployed epoch.
+			MaxLatency: 5 * opt.epoch / 2,
+			Lambda:     lambda,
+		}, model, opt.lbs, opt.subs)
 	}
-	plannerRPS := planner.MaxThroughput(planner.Requirements{
-		Objects: opt.objects,
-		// Pin Eq. 2's latency bound to 5T/2 so the closed form prices
-		// exactly the deployed epoch.
-		MaxLatency: 5 * opt.epoch / 2,
-		Lambda:     lambda,
-	}, model, opt.lbs, opt.subs)
-	simnetRPS, err := simnet.MaxStableThroughput(simnet.Config{
-		LBs: opt.lbs, Subs: opt.subs, Objects: opt.objects, Lambda: lambda,
-		Epoch: opt.epoch, Model: model, Epochs: 40, Seed: 1,
-	}, 0)
-	if err != nil {
-		return fmt.Errorf("simnet prediction: %w", err)
+	slices.Sort(predictions)
+	predicted := predictions[calibrations/2]
+	if predicted <= 0 {
+		return fmt.Errorf("Eq. 1 predicts zero capacity for this deployment shape")
 	}
-	if simnetRPS <= 0 {
-		return fmt.Errorf("simnet predicts zero capacity for this deployment shape")
-	}
-	fmt.Printf("predicted capacity: planner Eq.1-2 %.0f rps, simnet %.0f rps\n", plannerRPS, simnetRPS)
+	fmt.Printf("predicted capacity: Eq. 1 %.0f rps (median of %d calibrations, %.0f-%.0f)\n",
+		predicted, calibrations, predictions[0], predictions[calibrations-1])
 
-	// Geometric sweep bracketing the prediction. The p99 gate is 5T —
-	// twice Eq. 2's 5T/2 bound, leaving room for stochastic queueing right
-	// at the knee; the goodput gate requires 90% of the offered load to
-	// complete within the run.
-	rates := []float64{simnetRPS / 4, simnetRPS / 2, simnetRPS, 2 * simnetRPS}
+	// The search starts at the reference load the scenario suite just
+	// sustained. The p99 gate is 5T — twice Eq. 2's 5T/2 bound, leaving
+	// room for stochastic queueing right at the knee; the goodput gate
+	// requires 90% of the offered load to complete per second of the
+	// probe's wall time.
 	base := loadgen.Config{
 		Scenario: loadgen.Scenario{Name: "knee-poisson-uniform", WriteFrac: 0.5},
 		Sessions: opt.sessions,
@@ -280,29 +280,30 @@ func runTrafficKnee(opt trafficOptions, open func() (loadgen.Store, func(), erro
 		Seed:     17,
 		Epoch:    opt.epoch,
 	}
-	knee, err := loadgen.FindKnee(open, base, rates, 5*opt.epoch, 0.9)
+	knee, err := loadgen.FindKnee(open, base, opt.rate, 5*opt.epoch, 0.9)
 	if err != nil {
-		return fmt.Errorf("knee sweep: %w", err)
+		return fmt.Errorf("knee search: %w", err)
 	}
 	for _, p := range knee.Probes {
 		fmt.Printf("knee probe %8.0f rps: achieved %.0f rps p99=%.1fms sustained=%v\n",
 			p.Rate, p.Achieved, p.P99ms, p.Sustained)
 	}
-	ratio := knee.Rate / simnetRPS
+	ratio := knee.Rate / predicted
 	pred := &trafficPrediction{
-		PlannerRPS:         plannerRPS,
-		SimnetRPS:          simnetRPS,
-		MeasuredKneeRPS:    knee.Rate,
-		MeasuredOverSimnet: ratio,
-		ToleranceFactor:    kneeToleranceFactor,
-		WithinTolerance:    ratio >= 1/kneeToleranceFactor && ratio <= kneeToleranceFactor,
+		PredictedRPS:          predicted,
+		PredictedMinRPS:       predictions[0],
+		PredictedMaxRPS:       predictions[calibrations-1],
+		MeasuredKneeRPS:       knee.Rate,
+		MeasuredOverPredicted: ratio,
+		ToleranceFactor:       kneeToleranceFactor,
+		WithinTolerance:       ratio >= 1/kneeToleranceFactor && ratio <= kneeToleranceFactor,
 	}
 	rep.Knee = &knee
 	rep.Predicted = pred
-	fmt.Printf("measured knee %.0f rps (%.2fx simnet prediction)\n", knee.Rate, ratio)
+	fmt.Printf("measured knee %.0f rps, failed at %.0f rps (%.2fx the Eq. 1 prediction)\n", knee.Rate, knee.Failed(), ratio)
 	if !pred.WithinTolerance {
-		return fmt.Errorf("measured knee %.0f rps is outside the %gx tolerance band around the simnet prediction %.0f rps",
-			knee.Rate, kneeToleranceFactor, simnetRPS)
+		return fmt.Errorf("measured knee %.0f rps is outside the %gx tolerance band around the Eq. 1 prediction %.0f rps",
+			knee.Rate, kneeToleranceFactor, predicted)
 	}
 	return nil
 }

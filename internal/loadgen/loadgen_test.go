@@ -366,11 +366,11 @@ func (q *queueStore) WriteAsync(uint64, []byte) (func() ([]byte, bool, error), e
 }
 func (q *queueStore) Flush() {}
 
-// TestFindKneeLocatesCapacity sweeps a queue with a known 5000 rps service
-// rate: the knee must bracket capacity and the sweep must stop at the first
-// overloaded probe. The probes sit 4× below and 4× above capacity, so a
-// host running the sleep-paced fake several times slower than real time
-// cannot flip a verdict; the probe past the first overload must never run.
+// TestFindKneeLocatesCapacity searches a queue with a known 5000 rps
+// service rate. From far below capacity the search must bracket it within
+// 10 %. From twice capacity the first probe fails, so there is no knee, and
+// that probe reports what the queue served over the wall time it took to
+// drain, not what was offered.
 func TestFindKneeLocatesCapacity(t *testing.T) {
 	const capacity = 5000.0
 	open := func() (loadgen.Store, func(), error) {
@@ -379,29 +379,39 @@ func TestFindKneeLocatesCapacity(t *testing.T) {
 	base := loadgen.Config{
 		Scenario: loadgen.Scenario{Name: "knee", WriteFrac: 0.5},
 		Sessions: 200,
-		Duration: 500 * time.Millisecond,
+		Duration: 250 * time.Millisecond,
 		Objects:  64,
 		Seed:     3,
 		Epoch:    25 * time.Millisecond,
 	}
-	rates := []float64{capacity / 8, capacity / 4, 4 * capacity, 8 * capacity}
-	// Goodput 0.75: a 0.5 s Poisson schedule at 625 rps carries ~312±18
-	// arrivals, so 0.9 would test the seed's sample, not the server.
-	knee, err := loadgen.FindKnee(open, base, rates, 50*time.Millisecond, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(knee.Probes) != 3 {
-		t.Fatalf("sweep ran %d probes, want 3 (stop at the first overload): %+v", len(knee.Probes), knee.Probes)
-	}
-	last := knee.Probes[len(knee.Probes)-1]
-	if knee.Rate > capacity || last.Sustained || last.Rate <= capacity {
-		t.Fatalf("knee %.0f rps, first overload %.0f rps (sustained=%v): does not bracket %.0f rps: %+v",
-			knee.Rate, last.Rate, last.Sustained, capacity, knee.Probes)
-	}
-	for _, p := range knee.Probes[:len(knee.Probes)-1] {
-		if !p.Sustained {
-			t.Fatalf("non-final probe unsustained: %+v", knee.Probes)
-		}
+	for _, c := range []struct {
+		name  string
+		start float64
+	}{{"far-below", capacity / 8}, {"above", 2 * capacity}} {
+		t.Run(c.name, func(t *testing.T) {
+			// The p99 gate binds first: past capacity the backlog grows at
+			// r − capacity, so by the end of a 0.25 s schedule p99 passes
+			// 12.5 ms near 1.05× capacity. Goodput 0.75 only catches
+			// deeper overload: a 0.25 s Poisson schedule at 625 rps
+			// carries ~156±12 arrivals, so 0.9 would test the seed's
+			// sample, not the server.
+			knee, err := loadgen.FindKnee(open, base, c.start, 12500*time.Microsecond, 0.75)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.start > capacity {
+				if knee.Rate != 0 || len(knee.Probes) != 1 || knee.Failed() != c.start {
+					t.Fatalf("knee %.0f rps from an overloaded start: %+v", knee.Rate, knee.Probes)
+				}
+				if got := knee.Probes[0].Achieved; got > 1.1*capacity {
+					t.Fatalf("overloaded probe reports %.0f rps achieved, the queue serves %.0f: %+v", got, capacity, knee.Probes)
+				}
+				return
+			}
+			if knee.Rate < 0.9*capacity || knee.Rate > 1.1*capacity || knee.Failed() > 1.1*knee.Rate {
+				t.Fatalf("knee %.0f rps, first failure %.0f rps: not within 10 %% of %.0f rps: %+v",
+					knee.Rate, knee.Failed(), capacity, knee.Probes)
+			}
+		})
 	}
 }

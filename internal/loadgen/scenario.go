@@ -61,13 +61,3 @@ func Suite(epoch time.Duration) []Scenario {
 		},
 	}
 }
-
-// Named returns the suite scenario with the given name, or false.
-func Named(name string, epoch time.Duration) (Scenario, bool) {
-	for _, s := range Suite(epoch) {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"time"
 
 	"snoopy/internal/crypt"
@@ -16,8 +17,10 @@ import (
 // real load balancer and subORAM at a probe size, then fits the analytic
 // model's constants to the measurements (paper §8.5: "the planner takes as
 // input microbenchmarks"). blockSize is the deployment's object size and
-// link the network between its machines (zero when they share a process).
-// Every probe is the quickest of three runs: the least disturbed.
+// link the network between its machines. The zero link means every stage
+// shares this process, so the model also records the cores it was measured
+// on and Fits prices the stages sharing them. Every probe is the quickest of
+// three runs: the least disturbed.
 func Calibrate(blockSize, lambda int, link Link) (CostModel, error) {
 	const (
 		probeReqs = 2048
@@ -101,5 +104,9 @@ func Calibrate(blockSize, lambda int, link Link) (CostModel, error) {
 			nsA, slotsA, nsB, slotsB, nsA/float64(slotsA))
 		slotNs, fixedNs = nsA/float64(slotsA), 0
 	}
-	return AnalyticModel(opNs, slotNs, fixedNs, blockSize, lambda, link), nil
+	m := AnalyticModel(opNs, slotNs, fixedNs, blockSize, lambda, link)
+	if link == (Link{}) {
+		m.cores = runtime.GOMAXPROCS(0)
+	}
+	return m, nil
 }

@@ -12,15 +12,7 @@ import (
 // still sustains the required throughput, and returns the one with the
 // lowest resulting average latency (5T/2, Eq. 2).
 func OptimizeLatency(req Requirements, budget float64, m CostModel, prices Prices) (Plan, error) {
-	if req.Lambda <= 0 {
-		req.Lambda = 128
-	}
-	if req.MaxLoadBalancers <= 0 {
-		req.MaxLoadBalancers = 8
-	}
-	if req.MaxSubORAMs <= 0 {
-		req.MaxSubORAMs = 32
-	}
+	req = req.withDefaults()
 	if req.MinThroughput <= 0 || req.Objects <= 0 || budget <= 0 {
 		return Plan{}, fmt.Errorf("planner: throughput, objects and budget must be positive")
 	}

@@ -12,7 +12,9 @@
 // size and L_net one batch frame's trip over the load balancer–subORAM link.
 // All three component latencies come from one CostModel: AnalyticModel's
 // closed forms over the implementation's exact operation and frame-byte
-// counts, with constants that Calibrate measures on this machine.
+// counts, with constants that Calibrate measures on this machine. A model
+// calibrated in process also prices (1)'s stages sharing that process's
+// cores (see Fits).
 package planner
 
 import (
@@ -47,6 +49,9 @@ type CostModel struct {
 
 	link  Link
 	block int
+	// cores is the CPU count every stage shares, or 0 when each stage has a
+	// machine of its own (the paper's testbed).
+	cores int
 }
 
 // Link is the one-way time of a batch frame of the given number of rows:
@@ -114,6 +119,21 @@ type Requirements struct {
 	MaxSubORAMs      int
 }
 
+// withDefaults fills what a zero Requirements leaves open: λ = 128 and the
+// 8 × 32 search bounds.
+func (req Requirements) withDefaults() Requirements {
+	if req.Lambda <= 0 {
+		req.Lambda = 128
+	}
+	if req.MaxLoadBalancers <= 0 {
+		req.MaxLoadBalancers = 8
+	}
+	if req.MaxSubORAMs <= 0 {
+		req.MaxSubORAMs = 32
+	}
+	return req
+}
+
 // Plan is a feasible configuration.
 type Plan struct {
 	LoadBalancers int
@@ -148,28 +168,29 @@ func (p Plan) Format() string {
 // frame there and a frame back:
 //
 //	max( LBTime(r, s), b·(SubTime(α, ⌈N/s⌉) + 2·Link(α)) ) ≤ t
+//
+// When the model's stages share c cores (a model calibrated in process), the
+// epoch must also hold all of their work spread over those cores:
+//
+//	(b·LBTime(r, s) + b·s·SubTime(α, ⌈N/s⌉)) / c ≤ t
 func Fits(req Requirements, m CostModel, b, s int, t time.Duration) bool {
 	if t <= 0 {
 		return false
 	}
 	r := int(req.MinThroughput * t.Seconds() / float64(b))
 	alpha := max(batch.Size(r, s, req.Lambda), 1)
-	sub := m.SubTime(alpha, (req.Objects+s-1)/s) + 2*m.Link(alpha)
-	return max(m.LBTime(r, s), time.Duration(b)*sub) <= t
+	lb, sub := m.LBTime(r, s), m.SubTime(alpha, (req.Objects+s-1)/s)
+	stage := max(lb, time.Duration(b)*(sub+2*m.Link(alpha)))
+	if m.cores > 0 {
+		stage = max(stage, time.Duration(b)*(lb+time.Duration(s)*sub)/time.Duration(m.cores))
+	}
+	return stage <= t
 }
 
 // Optimize returns the cheapest feasible plan (ties: fewer machines, then
 // more subORAMs, mirroring the paper's preference for partitioning).
 func Optimize(req Requirements, m CostModel, prices Prices) (Plan, error) {
-	if req.Lambda <= 0 {
-		req.Lambda = 128
-	}
-	if req.MaxLoadBalancers <= 0 {
-		req.MaxLoadBalancers = 8
-	}
-	if req.MaxSubORAMs <= 0 {
-		req.MaxSubORAMs = 32
-	}
+	req = req.withDefaults()
 	if req.MinThroughput <= 0 || req.MaxLatency <= 0 || req.Objects <= 0 {
 		return Plan{}, fmt.Errorf("planner: throughput, latency and objects must be positive")
 	}
@@ -227,9 +248,7 @@ func feasible(req Requirements, m CostModel, b, s int) (Plan, bool) {
 // budget, it returns the highest offered load (reqs/sec) that Equation (1)
 // still satisfies — the quantity plotted on the y-axis of Fig. 9a.
 func MaxThroughput(req Requirements, m CostModel, b, s int) float64 {
-	if req.Lambda <= 0 {
-		req.Lambda = 128
-	}
+	req = req.withDefaults()
 	tEpoch := time.Duration(2 * float64(req.MaxLatency) / 5)
 	fits := func(x float64) bool {
 		req.MinThroughput = x

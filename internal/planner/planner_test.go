@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -249,6 +250,31 @@ func TestFitsIsEquationOne(t *testing.T) {
 	}
 }
 
+// TestFitsPricesSharedCores: stages that share c cores must also fit their
+// summed work, b·LBTime + b·s·SubTime, in c epochs. On one core that term
+// binds and the prediction drops. On b + s cores (one per stage) it never
+// can, so Fits is Eq. 1 unchanged.
+func TestFitsPricesSharedCores(t *testing.T) {
+	req := Requirements{Objects: 200_000, MaxLatency: time.Second, Lambda: 128}
+	separate := AnalyticModel(8, 1, 6, 160, 128, Link{})
+	for _, c := range []struct{ b, s int }{{1, 1}, {1, 4}, {2, 4}, {4, 8}} {
+		shared, perStage := separate, separate
+		shared.cores, perStage.cores = 1, c.b+c.s
+		x := MaxThroughput(req, separate, c.b, c.s)
+		if got := MaxThroughput(req, shared, c.b, c.s); !(got < x) {
+			t.Fatalf("L=%d S=%d: one shared core sustains %.0f reqs/s, one machine per stage %.0f", c.b, c.s, got, x)
+		}
+		for _, load := range []float64{x / 4, x / 2, x * 0.99, x * 1.01, 2 * x} {
+			req.MinThroughput = load
+			for _, epoch := range []time.Duration{50 * time.Millisecond, 400 * time.Millisecond} {
+				if Fits(req, perStage, c.b, c.s, epoch) != Fits(req, separate, c.b, c.s, epoch) {
+					t.Fatalf("L=%d S=%d at %.0f reqs/s, %v: %d cores change Eq. 1", c.b, c.s, load, epoch, c.b+c.s)
+				}
+			}
+		}
+	}
+}
+
 func TestCalibrateProducesUsableModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs real components")
@@ -256,6 +282,9 @@ func TestCalibrateProducesUsableModel(t *testing.T) {
 	m, err := Calibrate(160, 128, Link{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.cores != runtime.GOMAXPROCS(0) {
+		t.Fatalf("an in-process model prices %d shared cores, measured on %d", m.cores, runtime.GOMAXPROCS(0))
 	}
 	lb := m.LBTime(1000, 4)
 	sub := m.SubTime(500, 100_000)

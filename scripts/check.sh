@@ -35,14 +35,15 @@ go test -race -timeout 45m \
 # The open-loop traffic harness under -race: the scenario-matrix soak, the
 # coordinated-omission regression test, and the workload-independence soak
 # (byte-identical telemetry across secret-differing key patterns). -short
-# skips only the real-time simnet cross-validation sweep, which measures
-# wall-clock capacity and is meaningless under the race detector's ~20x
-# slowdown; it runs in the plain `go test ./...` tier instead.
+# skips only the real-time Eq. 1 cross-validation knee search, which
+# measures wall-clock capacity and is meaningless under the race detector's
+# ~20x slowdown; it runs in the plain `go test ./...` tier instead.
 go test -race -short -timeout 15m ./internal/loadgen/ ./internal/workload/
 
 # The tests that used to flake on a loaded host, repeated unpinned: the
 # faultnet pass-through offset check (now waits for its writer), the knee
-# search (now probes 4x below and above the fake's capacity), and the seeded
+# search (from 1/8 of the fake's capacity it must bracket it within 10 %,
+# and from twice capacity it must find no knee), and the seeded
 # chaos runs beside two busy-loop burners (the replica group waits for a
 # quorum, not a reply deadline, so CPU load cannot change an outcome).
 go test -count=5 -run 'TestNoFaultsPassThrough' ./internal/faultnet/

@@ -5,10 +5,10 @@
 # precomputed coordinated-omission-safe schedule (see internal/loadgen).
 #
 #   scripts/traffic.sh smoke   # CI mode: 2 servers, 10^5 sessions, two
-#                              # scenarios, no knee sweep (~10s)
+#                              # scenarios, no knee search (~10s)
 #   scripts/traffic.sh full    # 4 servers, 10^6 sessions, the whole
-#                              # scenario suite plus the knee sweep vs the
-#                              # calibrated Eq. 1-2 / simnet prediction
+#                              # scenario suite plus the knee search vs
+#                              # the calibrated Eq. 1 prediction
 #
 # Writes results/TRAFFIC_<mode>.json.
 set -euo pipefail
