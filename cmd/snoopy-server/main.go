@@ -16,10 +16,10 @@
 // including after kill -9 — recovers the partition and resumes serving
 // without re-initialization. With -disk-resident as well, the partition's
 // values live in the image itself, which every batch's scan rewrites and
-// commits, and no log is kept. -segment-bytes sets the image's segment size
-// either way. If the host tampered with or rolled back any file in <dir>,
-// startup fails loudly with an integrity error instead of serving corrupt
-// or stale state:
+// commits, and no log is kept (persist.NewPartition builds the partition in
+// its placement and rejects -disk-resident without -data or with -sealed).
+// If the host tampered with or rolled back any file in <dir>, startup fails
+// loudly with an integrity error instead of serving corrupt or stale state:
 //
 //	snoopy-server -listen :7001 -block 160 -data /var/lib/snoopy/part0 -platform ...
 //
@@ -62,7 +62,6 @@ import (
 	"snoopy/internal/obliv"
 	"snoopy/internal/persist"
 	"snoopy/internal/store"
-	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
 )
@@ -171,7 +170,6 @@ func main() {
 	sealed := flag.Bool("sealed", false, "store partition in sealed enclave-external memory")
 	dataDir := flag.String("data", "", "directory for sealed durable state (empty = in-memory only)")
 	diskResident := flag.Bool("disk-resident", false, "keep partition contents on disk in sealed segments (requires -data, excludes -sealed)")
-	segmentBytes := flag.Int("segment-bytes", 0, "sealed segment payload size in bytes of the -data image (0 = 512 blocks)")
 	platformHex := flag.String("platform", "", "shared platform root key (64 hex chars); empty generates one and prints it")
 	handshakeTimeout := flag.Duration("handshake-timeout", 10*time.Second, "attested handshake deadline per connection")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "per-response write deadline")
@@ -224,36 +222,20 @@ func main() {
 		return
 	}
 
-	if *diskResident && *dataDir == "" {
-		log.Fatal("-disk-resident requires -data")
+	part, recovered, _, err := persist.NewPartition(*block, *workers, *sealed, *dataDir, *diskResident, reg)
+	if err != nil {
+		log.Fatalf("partition unusable: %v", err)
 	}
-	if *diskResident && *sealed {
-		log.Fatal("-disk-resident and -sealed are mutually exclusive")
-	}
-
-	var sub *suboram.SubORAM
-	newSub := func(disk suboram.BlockStore) *suboram.SubORAM {
-		sub = suboram.New(suboram.Config{BlockSize: *block, Workers: *workers, Sealed: *sealed, Store: disk, Telemetry: reg})
-		return sub
-	}
-	var serve transport.Partition
+	var serve transport.Partition = part
 	epochOf := func() uint64 { return 0 }
-	if *dataDir == "" {
-		serve = newSub(nil)
-	} else {
-		dur, err := persist.NewDurable(*dataDir, persist.Config{
-			BlockSize: *block, SegmentBlocks: *segmentBytes / *block, Disk: *diskResident, Telemetry: reg,
-		}, func(disk suboram.BlockStore) persist.Partition { return newSub(disk) })
-		if err != nil {
-			log.Fatalf("durable state in %s unusable: %v", *dataDir, err)
-		}
-		if dur.Recovered() {
+	if dur, ok := part.(*persist.Durable); ok {
+		if recovered {
 			fmt.Printf("recovered partition from %s: %d objects at epoch %d (replayed %d WAL epochs)\n",
-				*dataDir, sub.NumObjects(), dur.Epoch(), dur.Replayed())
+				*dataDir, part.NumObjects(), dur.Epoch(), dur.Replayed())
 		} else {
 			fmt.Printf("durable state in %s (fresh partition)\n", *dataDir)
 		}
-		serve, epochOf = dur, dur.Epoch
+		epochOf = dur.Epoch
 	}
 	if *healthLog > 0 {
 		c := &counted{Partition: serve}
@@ -261,7 +243,7 @@ func main() {
 		go func() {
 			for range time.Tick(*healthLog) {
 				log.Printf("health: batches=%d rows=%d epoch=%d objects=%d",
-					c.batches.Load(), c.rows.Load(), epochOf(), sub.NumObjects())
+					c.batches.Load(), c.rows.Load(), epochOf(), part.NumObjects())
 			}
 		}()
 	}

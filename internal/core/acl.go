@@ -6,6 +6,7 @@ import (
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
 )
 
 // Access control (paper Appendix D): the access-control matrix is stored
@@ -46,12 +47,13 @@ func (sys *System) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 	if aclSubORAMs <= 0 {
 		aclSubORAMs = 1
 	}
-	aclSys, err := NewLocal(Config{
-		BlockSize:   8, // a permission record: one byte used
-		NumSubORAMs: aclSubORAMs,
-		Lambda:      sys.cfg.Lambda,
-		// Manual epochs: the outer Flush drives the recursive instance.
-	})
+	const aclBlock = 8 // a permission record: one byte used
+	subs := make([]SubORAMClient, aclSubORAMs)
+	for i := range subs {
+		subs[i] = suboram.New(suboram.Config{BlockSize: aclBlock})
+	}
+	// Manual epochs: the outer Flush drives the recursive instance.
+	aclSys, err := NewWithSubORAMs(Config{BlockSize: aclBlock, Lambda: sys.cfg.Lambda}, subs)
 	if err != nil {
 		return err
 	}
@@ -70,9 +72,9 @@ func (sys *System) EnableACL(rules []ACLRule, aclSubORAMs int) error {
 		seen[k] = true
 		ids = append(ids, k)
 	}
-	data := make([]byte, len(ids)*8)
+	data := make([]byte, len(ids)*aclBlock)
 	for i := range ids {
-		data[i*8] = 1 // granted
+		data[i*aclBlock] = 1 // granted
 	}
 	if err := aclSys.Init(ids, data); err != nil {
 		return err

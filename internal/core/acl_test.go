@@ -13,8 +13,8 @@ import (
 func startACLSystem(t *testing.T) *System {
 	t.Helper()
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 2, EpochDuration: 2 * time.Millisecond,
-	}, 50)
+		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+	}, localSubs(2), 50)
 	rules := []ACLRule{
 		{User: 1, Object: 10, Op: store.OpRead},
 		{User: 1, Object: 10, Op: store.OpWrite},
@@ -114,7 +114,7 @@ func TestACLDefaultUserZero(t *testing.T) {
 }
 
 func TestACLManyUsersConcurrent(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, EpochDuration: 2 * time.Millisecond}, 100)
+	sys := startSystem(t, Config{EpochDuration: 2 * time.Millisecond}, localSubs(2), 100)
 	var rules []ACLRule
 	for u := uint64(1); u <= 8; u++ {
 		rules = append(rules, ACLRule{User: u, Object: u, Op: store.OpRead})
@@ -145,7 +145,7 @@ func TestACLManyUsersConcurrent(t *testing.T) {
 }
 
 func TestACLInvalidRule(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 1}, 4)
+	sys := startSystem(t, Config{}, localSubs(1), 4)
 	if err := sys.EnableACL([]ACLRule{{User: 1, Object: 1, Op: 9}}, 1); err == nil {
 		t.Fatal("invalid op accepted")
 	}
@@ -153,9 +153,9 @@ func TestACLInvalidRule(t *testing.T) {
 
 func TestACLWithPipelinedEpochs(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 2, PipelineDepth: 4,
+		NumLoadBalancers: 2, PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
-	}, 50)
+	}, localSubs(2), 50)
 	if err := sys.EnableACL([]ACLRule{
 		{User: 1, Object: 10, Op: store.OpRead},
 		{User: 1, Object: 10, Op: store.OpWrite},

@@ -15,10 +15,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +23,6 @@ import (
 	"snoopy/internal/loadbalancer"
 	"snoopy/internal/persist"
 	"snoopy/internal/store"
-	"snoopy/internal/suboram"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
 )
@@ -71,18 +66,13 @@ type Config struct {
 	BlockSize int
 	// NumLoadBalancers is L.
 	NumLoadBalancers int
-	// NumSubORAMs is S (used only by NewLocal; NewWithSubORAMs infers it).
-	NumSubORAMs int
 	// Lambda is the security parameter for batch sizing.
 	Lambda int
 	// EpochDuration is the batching interval. Zero disables the internal
 	// ticker; epochs then run only via Flush (deterministic tests).
 	EpochDuration time.Duration
-	// SubORAMWorkers and SortWorkers bound per-node parallelism.
-	SubORAMWorkers int
-	SortWorkers    int
-	// Sealed stores partitions in enclave-external encrypted memory.
-	Sealed bool
+	// SortWorkers bounds the load balancers' sort parallelism.
+	SortWorkers int
 	// PipelineDepth D bounds the number of epochs in flight at once
 	// (dispatched but not yet fully replied) — the epoch engine's one dial.
 	// Stages overlap across epochs (paper §6: "we can pipeline the subORAM
@@ -94,27 +84,6 @@ type Config struct {
 	// configuration: the dispatch cadence it produces depends only on epoch
 	// timing and batch sizes the network adversary already observes.
 	PipelineDepth int
-	// DataDir, when non-empty, makes every local partition durable
-	// (internal/persist): a sealed segment-store image plus, for a
-	// memory-resident partition, a sealed write-ahead log under
-	// DataDir/part-NNN, the oblivious routing key sealed at
-	// DataDir/route.key, and automatic crash recovery when the directory
-	// already holds state. Only NewLocal honors it; remote partitions
-	// persist on their own hosts (snoopy-server -data).
-	DataDir string
-	// DiskResident keeps partition block values on disk, in the durable
-	// image itself (internal/segstore), instead of memory, letting a
-	// partition exceed RAM by orders of magnitude: every batch streams the
-	// oblivious scan over the sealed segments and commits the image.
-	// Requires DataDir. Mutually exclusive with Sealed.
-	DiskResident bool
-	// SegmentBytes is the durable image's segment size in bytes (default
-	// 512 blocks' worth), for either placement: the unit of image I/O and
-	// the disk-resident streaming-scan buffer, rounded down to a whole
-	// number of blocks. A public parameter — the image's I/O shape is a
-	// function of it and the partition size only.
-	SegmentBytes int
-
 	// FailoverAfter trips automatic failover for a partition after that
 	// many consecutive failed epochs (0 disables). Every epoch sends every
 	// partition a batch, so the epoch is the partition heartbeat and this
@@ -156,15 +125,16 @@ type Config struct {
 	// Telemetry, when non-nil, records per-epoch stage spans (stage A
 	// batching, per-partition stage B, stage C match/reply, the whole
 	// epoch) and system counters, and is threaded into every component the
-	// system builds (load balancers, local subORAMs, durable wrappers).
+	// system builds (the load balancers and the journal).
 	// Every span tag is a public parameter: epoch number, partition index,
 	// batch size α, request count R. Nil disables recording everywhere.
 	Telemetry *telemetry.Registry
 
-	// routeKey pins the load balancers' partition-assignment key; set by
-	// NewLocal when recovering a durable deployment so recovered objects
-	// stay reachable at their original partitions.
-	routeKey *crypt.Key
+	// RouteKey, when non-nil, pins the load balancers' partition-assignment
+	// key, so objects recovered from durable partitions stay reachable where
+	// they were persisted. When nil, a JournalDir pins its own key
+	// (JournalDir/route.key); otherwise the key is fresh.
+	RouteKey *crypt.Key
 }
 
 func (c *Config) fillDefaults() {
@@ -173,9 +143,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.NumLoadBalancers <= 0 {
 		c.NumLoadBalancers = 1
-	}
-	if c.NumSubORAMs <= 0 {
-		c.NumSubORAMs = 1
 	}
 	if c.Lambda <= 0 {
 		c.Lambda = 128
@@ -297,95 +264,6 @@ type System struct {
 	stStageB     *telemetry.SpanStage
 	stStageC     *telemetry.SpanStage
 	stEpoch      *telemetry.SpanStage
-
-	// recovered reports whether any durable partition restored persisted
-	// state at startup (Config.DataDir).
-	recovered bool
-	// owned holds the durable partitions NewLocal created, closed with the
-	// system. Caller-provided partitions are never closed here.
-	owned []io.Closer
-}
-
-// NewLocal creates a deployment whose subORAMs run in-process. With
-// Config.DataDir set, each partition is wrapped for sealed durability and
-// any state already in the directory is recovered before the system starts
-// (no Init needed on reopen).
-func NewLocal(cfg Config) (*System, error) {
-	cfg.fillDefaults()
-	if cfg.DataDir != "" {
-		if err := checkPartitionCount(cfg.DataDir, cfg.NumSubORAMs); err != nil {
-			return nil, err
-		}
-		key, err := persist.LoadOrCreateRoutingKey(cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
-		cfg.routeKey = &key
-	}
-	if cfg.DiskResident && cfg.DataDir == "" {
-		return nil, fmt.Errorf("core: DiskResident requires DataDir")
-	}
-	if cfg.DiskResident && cfg.Sealed {
-		return nil, fmt.Errorf("core: DiskResident and Sealed are mutually exclusive")
-	}
-	newSub := func(disk suboram.BlockStore) *suboram.SubORAM {
-		return suboram.New(suboram.Config{
-			BlockSize: cfg.BlockSize,
-			Workers:   cfg.SubORAMWorkers,
-			Sealed:    cfg.Sealed,
-			Store:     disk,
-			Telemetry: cfg.Telemetry,
-		})
-	}
-	subs := make([]SubORAMClient, cfg.NumSubORAMs)
-	var owned []io.Closer
-	recovered := false
-	for i := range subs {
-		if cfg.DataDir == "" {
-			subs[i] = newSub(nil)
-			continue
-		}
-		dur, err := persist.NewDurable(filepath.Join(cfg.DataDir, fmt.Sprintf("part-%03d", i)), persist.Config{
-			BlockSize:     cfg.BlockSize,
-			SegmentBlocks: cfg.SegmentBytes / cfg.BlockSize,
-			Disk:          cfg.DiskResident,
-			Telemetry:     cfg.Telemetry,
-		}, func(disk suboram.BlockStore) persist.Partition { return newSub(disk) })
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", i, err)
-		}
-		recovered = recovered || dur.Recovered()
-		subs[i], owned = dur, append(owned, dur)
-	}
-	sys, err := NewWithSubORAMs(cfg, subs)
-	if err != nil {
-		return nil, err
-	}
-	sys.recovered, sys.owned = recovered, owned
-	return sys, nil
-}
-
-// checkPartitionCount rejects reopening a data directory with a different
-// subORAM count: objects would be unreachable at their persisted partitions.
-// A directory with no partitions yet (fresh deployment) passes.
-func checkPartitionCount(dataDir string, want int) error {
-	entries, err := os.ReadDir(dataDir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	have := 0
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "part-") {
-			have++
-		}
-	}
-	if have != 0 && have != want {
-		return fmt.Errorf("core: data dir %s holds %d partitions, configured %d", dataDir, have, want)
-	}
-	return nil
 }
 
 // NewWithSubORAMs creates a deployment over caller-provided partitions
@@ -395,8 +273,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("core: need at least one subORAM")
 	}
-	cfg.NumSubORAMs = len(subs)
-	if cfg.JournalDir != "" && cfg.routeKey == nil {
+	if cfg.JournalDir != "" && cfg.RouteKey == nil {
 		// A successor root must route and match exactly like its
 		// predecessor: pin the oblivious routing key in the journal
 		// directory.
@@ -404,11 +281,11 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.routeKey = &key
+		cfg.RouteKey = &key
 	}
 	var key crypt.Key
-	if cfg.routeKey != nil {
-		key = *cfg.routeKey
+	if cfg.RouteKey != nil {
+		key = *cfg.RouteKey
 	} else {
 		var err error
 		key, err = crypt.NewKey()
@@ -445,12 +322,12 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	// The deployment shape is the public configuration every other label is
 	// derived from; export it so an operator can interpret the rest.
 	cfg.Telemetry.Gauge("snoopy_config_lbs").Set(int64(cfg.NumLoadBalancers))
-	cfg.Telemetry.Gauge("snoopy_config_suborams").Set(int64(cfg.NumSubORAMs))
+	cfg.Telemetry.Gauge("snoopy_config_suborams").Set(int64(len(subs)))
 	cfg.Telemetry.Gauge("snoopy_config_lambda").Set(int64(cfg.Lambda))
 	cfg.Telemetry.Gauge("snoopy_config_block_bytes").Set(int64(cfg.BlockSize))
 	lbCfg := loadbalancer.Config{
 		BlockSize:   cfg.BlockSize,
-		NumSubORAMs: cfg.NumSubORAMs,
+		NumSubORAMs: len(subs),
 		Lambda:      cfg.Lambda,
 		SortWorkers: cfg.SortWorkers,
 		Telemetry:   cfg.Telemetry,
@@ -579,9 +456,6 @@ func (sys *System) Close() {
 			p.ch <- result{err: ErrClosed}
 		}
 	}
-	for _, dur := range sys.owned {
-		dur.Close()
-	}
 	if sys.journal != nil {
 		sys.journal.Close()
 	}
@@ -621,10 +495,6 @@ func (sys *System) TotalDropped() uint64 {
 	defer sys.statsMu.Unlock()
 	return sys.totalDrops
 }
-
-// Recovered reports whether the deployment restored partition state from
-// Config.DataDir at startup (in which case Init is not needed).
-func (sys *System) Recovered() bool { return sys.recovered }
 
 // NumSubORAMs returns S.
 func (sys *System) NumSubORAMs() int { return len(sys.subs) }

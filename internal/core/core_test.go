@@ -11,11 +11,21 @@ import (
 
 	"snoopy/internal/history"
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
 )
 
 const testBlock = 32
 
-func startSystem(t *testing.T, cfg Config, nObjects int) *System {
+// localSubs builds n in-process partitions of testBlock-byte objects.
+func localSubs(n int) []SubORAMClient {
+	subs := make([]SubORAMClient, n)
+	for i := range subs {
+		subs[i] = suboram.New(suboram.Config{BlockSize: testBlock})
+	}
+	return subs
+}
+
+func startSystem(t *testing.T, cfg Config, subs []SubORAMClient, nObjects int) *System {
 	t.Helper()
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = testBlock
@@ -23,7 +33,7 @@ func startSystem(t *testing.T, cfg Config, nObjects int) *System {
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 32
 	}
-	sys, err := NewLocal(cfg)
+	sys, err := NewWithSubORAMs(cfg, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +72,8 @@ func write(sys *System, key uint64, value []byte) ([]byte, bool, error) {
 
 func TestReadWriteSingleEpochTicker(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, EpochDuration: 2 * time.Millisecond,
-	}, 100)
+		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+	}, localSubs(3), 100)
 	v, found, err := read(sys, 7)
 	if err != nil || !found {
 		t.Fatalf("read failed: %v found=%v", err, found)
@@ -85,7 +95,7 @@ func TestReadWriteSingleEpochTicker(t *testing.T) {
 }
 
 func TestAbsentKey(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, EpochDuration: time.Millisecond}, 10)
+	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(2), 10)
 	_, found, err := read(sys, 9999)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +112,7 @@ func TestAbsentKey(t *testing.T) {
 }
 
 func TestRejectsReservedKeysAndOversizedValues(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 1, EpochDuration: time.Millisecond}, 4)
+	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(1), 4)
 	if _, _, err := read(sys, store.DummyKeyBit|1); err == nil {
 		t.Fatal("reserved key accepted")
 	}
@@ -112,7 +122,7 @@ func TestRejectsReservedKeysAndOversizedValues(t *testing.T) {
 }
 
 func TestManualFlush(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2}, 20) // no ticker
+	sys := startSystem(t, Config{}, localSubs(2), 20) // no ticker
 	get, err := sys.Submit(Request{Op: store.OpRead, Key: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +147,7 @@ func TestSameEpochSemantics(t *testing.T) {
 	// A read and a write to the same key in the same epoch: the read sees
 	// the pre-epoch value (reads linearize before writes within a batch,
 	// paper §C), and the write's previous-value response matches it.
-	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2}, 50)
+	sys := startSystem(t, Config{NumLoadBalancers: 1}, localSubs(2), 50)
 	rd, err := sys.Submit(Request{Op: store.OpRead, Key: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +177,7 @@ func TestSameEpochSemantics(t *testing.T) {
 }
 
 func TestLastWriteWinsWithinEpoch(t *testing.T) {
-	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2}, 50)
+	sys := startSystem(t, Config{NumLoadBalancers: 1}, localSubs(2), 50)
 	var fns []func() ([]byte, bool, error)
 	for i := 0; i < 5; i++ {
 		fn, err := sys.Submit(Request{Op: store.OpWrite, Key: 9, Value: []byte(fmt.Sprintf("w%d", i))})
@@ -193,8 +203,8 @@ func TestLastWriteWinsWithinEpoch(t *testing.T) {
 
 func TestConcurrentClientsLinearizable(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, EpochDuration: time.Millisecond,
-	}, 8)
+		NumLoadBalancers: 2, EpochDuration: time.Millisecond,
+	}, localSubs(3), 8)
 	initial := map[uint64]string{}
 	for i := uint64(0); i < 8; i++ {
 		initial[i] = fmt.Sprintf("init-%d", i)
@@ -247,7 +257,7 @@ func TestConcurrentClientsLinearizable(t *testing.T) {
 }
 
 func TestValuesSurviveManyEpochs(t *testing.T) {
-	sys := startSystem(t, Config{NumLoadBalancers: 2, NumSubORAMs: 4, EpochDuration: time.Millisecond}, 200)
+	sys := startSystem(t, Config{NumLoadBalancers: 2, EpochDuration: time.Millisecond}, localSubs(4), 200)
 	rng := rand.New(rand.NewSource(60))
 	shadow := map[uint64]string{}
 	for round := 0; round < 30; round++ {
@@ -275,7 +285,7 @@ func TestValuesSurviveManyEpochs(t *testing.T) {
 }
 
 func TestCloseFailsPending(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 1}, 4) // manual epochs only
+	sys := startSystem(t, Config{}, localSubs(1), 4) // manual epochs only
 	get, err := sys.Submit(Request{Op: store.OpRead, Key: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +300,7 @@ func TestCloseFailsPending(t *testing.T) {
 }
 
 func TestEpochStatsShape(t *testing.T) {
-	sys := startSystem(t, Config{NumLoadBalancers: 2, NumSubORAMs: 3}, 64)
+	sys := startSystem(t, Config{NumLoadBalancers: 2}, localSubs(3), 64)
 	var fns []func() ([]byte, bool, error)
 	for i := 0; i < 40; i++ {
 		fn, err := sys.Submit(Request{Op: store.OpRead, Key: uint64(i)})
@@ -318,7 +328,8 @@ func TestEpochStatsShape(t *testing.T) {
 }
 
 func TestSealedSystem(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, Sealed: true, EpochDuration: time.Millisecond}, 30)
+	sealed := func() SubORAMClient { return suboram.New(suboram.Config{BlockSize: testBlock, Sealed: true}) }
+	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, []SubORAMClient{sealed(), sealed()}, 30)
 	if _, _, err := write(sys, 5, []byte("sealed!")); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +341,7 @@ func TestSealedSystem(t *testing.T) {
 
 func TestManyValuesIntegrity(t *testing.T) {
 	// Sized to stay fast under -race on small hosts.
-	sys := startSystem(t, Config{NumLoadBalancers: 2, NumSubORAMs: 3, EpochDuration: time.Millisecond}, 200)
+	sys := startSystem(t, Config{NumLoadBalancers: 2, EpochDuration: time.Millisecond}, localSubs(3), 200)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		c := c
@@ -358,7 +369,7 @@ func TestManyValuesIntegrity(t *testing.T) {
 }
 
 func TestDoubleCloseAndConcurrentFlush(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, EpochDuration: time.Millisecond}, 10)
+	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(2), 10)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -375,7 +386,7 @@ func TestDoubleCloseAndConcurrentFlush(t *testing.T) {
 func TestFlushWithNoSubscribers(t *testing.T) {
 	// Idle epochs (no pending requests) must still run cleanly — each
 	// subORAM gets one dummy per LB (obliviousness of request presence).
-	sys := startSystem(t, Config{NumLoadBalancers: 2, NumSubORAMs: 3}, 10)
+	sys := startSystem(t, Config{NumLoadBalancers: 2}, localSubs(3), 10)
 	for i := 0; i < 5; i++ {
 		sys.Flush()
 	}

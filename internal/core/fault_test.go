@@ -624,10 +624,10 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 // none may be stranded in a queue nobody will flush.
 func TestSubmitCloseRace(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
-		sys, err := NewLocal(Config{
-			BlockSize: faultBlock, NumLoadBalancers: 2, NumSubORAMs: 2,
+		sys, err := NewWithSubORAMs(Config{
+			BlockSize: faultBlock, NumLoadBalancers: 2,
 			Lambda: 32, EpochDuration: time.Millisecond,
-		})
+		}, localSubs(2))
 		if err != nil {
 			t.Fatal(err)
 		}

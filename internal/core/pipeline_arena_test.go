@@ -15,15 +15,14 @@ import (
 // would surface here as cross-epoch (or cross-key) value bleed — and, under
 // -race, as a data race on the recycled backing arrays.
 func TestPipelinedEpochsArenaIsolation(t *testing.T) {
-	const block = 32
-	sys, err := NewLocal(Config{
+	const block = testBlock
+	sys, err := NewWithSubORAMs(Config{
 		BlockSize:        block,
 		NumLoadBalancers: 2,
-		NumSubORAMs:      3,
 		Lambda:           32,
 		EpochDuration:    time.Millisecond,
 		PipelineDepth:    4,
-	})
+	}, localSubs(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := startSystem(t, Config{
-		NumSubORAMs: 2, PipelineDepth: 4, Telemetry: reg,
-	}, 16)
+		PipelineDepth: 4, Telemetry: reg,
+	}, localSubs(2), 16)
 
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 12; e++ {

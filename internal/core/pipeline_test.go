@@ -13,9 +13,9 @@ import (
 
 func TestPipelinedBasicCorrectness(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, PipelineDepth: 4,
+		NumLoadBalancers: 2, PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
-	}, 100)
+	}, localSubs(3), 100)
 	if _, _, err := write(sys, 7, []byte("pipelined")); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPipelinedBasicCorrectness(t *testing.T) {
 }
 
 func TestPipelinedManualFlushDispatches(t *testing.T) {
-	sys := startSystem(t, Config{NumSubORAMs: 2, PipelineDepth: 4}, 20)
+	sys := startSystem(t, Config{PipelineDepth: 4}, localSubs(2), 20)
 	get, err := sys.Submit(Request{Op: store.OpRead, Key: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestPipelinedManualFlushDispatches(t *testing.T) {
 func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 	// Writes dispatched in consecutive epochs must apply in epoch order
 	// even while stages overlap.
-	sys := startSystem(t, Config{NumLoadBalancers: 1, NumSubORAMs: 2, PipelineDepth: 4}, 30)
+	sys := startSystem(t, Config{NumLoadBalancers: 1, PipelineDepth: 4}, localSubs(2), 30)
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 6; e++ {
 		w, err := sys.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("e%d", e))})
@@ -72,9 +72,9 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 
 func TestPipelinedLinearizable(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, NumSubORAMs: 3, PipelineDepth: 4,
+		NumLoadBalancers: 2, PipelineDepth: 4,
 		EpochDuration: time.Millisecond,
-	}, 8)
+	}, localSubs(3), 8)
 	initial := map[uint64]string{}
 	for i := uint64(0); i < 8; i++ {
 		initial[i] = fmt.Sprintf("init-%d", i)
@@ -122,9 +122,9 @@ func TestPipelinedLinearizable(t *testing.T) {
 }
 
 func TestPipelinedCloseDrains(t *testing.T) {
-	sys, err := NewLocal(Config{
-		BlockSize: testBlock, NumSubORAMs: 2, Lambda: 32, PipelineDepth: 4,
-	})
+	sys, err := NewWithSubORAMs(Config{
+		BlockSize: testBlock, Lambda: 32, PipelineDepth: 4,
+	}, localSubs(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,13 +46,12 @@ func TestKneeCrossValidatesModel(t *testing.T) {
 	}
 
 	open := func() (loadgen.Store, func(), error) {
-		sys, err := core.NewLocal(core.Config{
+		sys, err := core.NewWithSubORAMs(core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: lbs,
-			NumSubORAMs:      subs,
 			Lambda:           lambda,
 			EpochDuration:    epoch,
-		})
+		}, localSubs(subs, block, nil))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -49,13 +49,12 @@ func runSoak(t *testing.T, keys loadgen.KeyPattern) ([]byte, []byte, *telemetry.
 	sink := telemetry.NewTraceSink()
 	reg.SetTrace(sink)
 
-	sys, err := core.NewLocal(core.Config{
+	sys, err := core.NewWithSubORAMs(core.Config{
 		BlockSize:   blockSize,
-		NumSubORAMs: 2,
 		Lambda:      32,
-		SortWorkers: 1, SubORAMWorkers: 1,
-		Telemetry: reg,
-	})
+		SortWorkers: 1,
+		Telemetry:   reg,
+	}, localSubs(2, blockSize, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

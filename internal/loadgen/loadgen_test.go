@@ -10,6 +10,8 @@ import (
 	"snoopy/internal/loadgen"
 	"snoopy/internal/metrics"
 	"snoopy/internal/store"
+	"snoopy/internal/suboram"
+	"snoopy/internal/telemetry"
 )
 
 func baseCfg() loadgen.Config {
@@ -146,9 +148,18 @@ func (c coreStore) WriteAsync(k uint64, v []byte) (func() ([]byte, bool, error),
 	return c.Submit(core.Request{Op: store.OpWrite, Key: k, Value: v})
 }
 
+// localSubs builds n in-process partitions, instrumented by reg.
+func localSubs(n, blockSize int, reg *telemetry.Registry) []core.SubORAMClient {
+	subs := make([]core.SubORAMClient, n)
+	for i := range subs {
+		subs[i] = suboram.New(suboram.Config{BlockSize: blockSize, Telemetry: reg})
+	}
+	return subs
+}
+
 func newCoreStore(t *testing.T, objects, blockSize int) coreStore {
 	t.Helper()
-	sys, err := core.NewLocal(core.Config{BlockSize: blockSize, NumSubORAMs: 2, Lambda: 32})
+	sys, err := core.NewWithSubORAMs(core.Config{BlockSize: blockSize, Lambda: 32}, localSubs(2, blockSize, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

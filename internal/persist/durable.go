@@ -167,6 +167,42 @@ func NewDurable(path string, cfg Config, build func(scan suboram.BlockStore) Par
 	return dur, nil
 }
 
+// Client is an in-process partition as a root drives it
+// (core.SubORAMClient), and its size.
+type Client interface {
+	Init(ids []uint64, data []byte) error
+	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	NumObjects() int
+}
+
+// NewPartition builds one in-process partition in its placement: in memory,
+// sealed over host memory if asked; or, with a directory, durable
+// (NewDurable), its values in memory or, with disk, in the image on disk.
+// Its error is the one check of the placement rule: disk needs a directory
+// and excludes sealed. recovered reports whether the directory held state,
+// now restored (no Init needed); closer releases the directory.
+func NewPartition(blockSize, workers int, sealed bool, dir string, disk bool, tel *telemetry.Registry) (p Client, recovered bool, closer func() error, err error) {
+	if disk && dir == "" {
+		return nil, false, nil, errors.New("persist: a disk-resident partition needs a data directory")
+	}
+	if disk && sealed {
+		return nil, false, nil, errors.New("persist: a disk-resident partition cannot also be sealed")
+	}
+	cfg := Config{BlockSize: blockSize, Disk: disk, Telemetry: tel}
+	cfg.fillDefaults()
+	build := func(scan suboram.BlockStore) *suboram.SubORAM {
+		return suboram.New(suboram.Config{BlockSize: cfg.BlockSize, Workers: workers, Sealed: sealed, Store: scan, Telemetry: tel})
+	}
+	if dir == "" {
+		return build(nil), false, func() error { return nil }, nil
+	}
+	dur, err := NewDurable(dir, cfg, func(scan suboram.BlockStore) Partition { return build(scan) })
+	if err != nil {
+		return nil, false, nil, err
+	}
+	return dur, dur.recovered, dur.Close, nil
+}
+
 // recover is the one recovery rule. (1) Open the image at the epoch e it is
 // marked with, the counter at E: e ≤ E+1, and at E+1 the image's commit
 // outran the counter's bump, which happens now. (2) Apply the wal's records
@@ -273,6 +309,9 @@ func (dur *Durable) Recovered() bool { return dur.recovered }
 // Replayed reports how many logged epochs recovery applied on top of the
 // image (0 for a fresh directory, and always in the disk placement).
 func (dur *Durable) Replayed() int { return dur.replayed }
+
+// NumObjects returns the partition size: the image's block count.
+func (dur *Durable) NumObjects() int { return dur.image.NumBlocks() }
 
 // Epoch returns the trusted counter: the number of acknowledged batches.
 func (dur *Durable) Epoch() uint64 { return dur.ctr.Current() }

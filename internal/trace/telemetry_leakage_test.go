@@ -15,13 +15,16 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"snoopy/internal/core"
 	"snoopy/internal/obliv"
+	"snoopy/internal/persist"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
@@ -30,7 +33,7 @@ import (
 // epochs × perEpoch requests, half reads, half writes, with duplicate keys
 // sprinkled in (dedup depth is secret). Returns the exported /metrics body,
 // the /trace/epochs body, and the raw recording-site trace.
-func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpoch int) ([]byte, []byte, *telemetry.TraceSink) {
+func telemetryWorkload(t *testing.T, cfg core.Config, parts local, seed int64, epochs, perEpoch int) ([]byte, []byte, *telemetry.TraceSink) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -40,10 +43,7 @@ func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpo
 	reg.SetTrace(sink)
 	cfg.Telemetry = reg
 
-	sys, err := core.NewLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := parts.open(t, cfg)
 	defer sys.Close()
 
 	// Secret object set: same size both runs, different keys and values.
@@ -148,6 +148,36 @@ func telemetryWorkload(t *testing.T, cfg core.Config, seed int64, epochs, perEpo
 	return mrec.Body.Bytes(), trec.Body.Bytes(), sink
 }
 
+// local is the partition side of a leakage deployment: n in-process
+// partitions of workers scan workers each, durable under dir when it is set,
+// built by the one partition constructor on the deployment's registry.
+type local struct {
+	n, workers int
+	dir        string
+}
+
+func (l local) open(t *testing.T, cfg core.Config) *core.System {
+	t.Helper()
+	subs := make([]core.SubORAMClient, l.n)
+	for i := range subs {
+		dir := ""
+		if l.dir != "" {
+			dir = filepath.Join(l.dir, fmt.Sprintf("part-%03d", i))
+		}
+		sub, _, closer, err := persist.NewPartition(cfg.BlockSize, l.workers, false, dir, false, cfg.Telemetry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closer() })
+		subs[i] = sub
+	}
+	sys, err := core.NewWithSubORAMs(cfg, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // diffLines pinpoints the first differing line for a readable failure.
 func diffLines(t *testing.T, what string, a, b []byte) {
 	t.Helper()
@@ -167,10 +197,10 @@ func diffLines(t *testing.T, what string, a, b []byte) {
 // kernelInfoGauge is the /metrics line naming the scan-kernel body in use.
 var kernelInfoGauge = `gauge snoopy_kernel_info{isa="` + obliv.Kernel() + `"} 1`
 
-func assertTelemetryIndependent(t *testing.T, cfg core.Config, epochs, perEpoch int) {
+func assertTelemetryIndependent(t *testing.T, cfg core.Config, parts local, epochs, perEpoch int) {
 	t.Helper()
-	metricsA, spansA, sinkA := telemetryWorkload(t, cfg, 1001, epochs, perEpoch)
-	metricsB, spansB, sinkB := telemetryWorkload(t, cfg, 2002, epochs, perEpoch)
+	metricsA, spansA, sinkA := telemetryWorkload(t, cfg, parts, 1001, epochs, perEpoch)
+	metricsB, spansB, sinkB := telemetryWorkload(t, cfg, parts, 2002, epochs, perEpoch)
 
 	if sinkA.Count() == 0 {
 		t.Fatal("telemetry trace captured nothing — instrumentation broken")
@@ -203,12 +233,9 @@ func TestTelemetryTraceIndependentOfSecretsSequential(t *testing.T) {
 		return telemetryWorkload(t, core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: 1,
-			NumSubORAMs:      1,
 			Lambda:           32,
 			SortWorkers:      1,
-			SubORAMWorkers:   1,
-			DataDir:          dir,
-		}, seed, 3, 24)
+		}, local{n: 1, workers: 1, dir: dir}, seed, 3, 24)
 	}
 	metricsA, spansA, sinkA := run(1001, t.TempDir())
 	metricsB, spansB, sinkB := run(2002, t.TempDir())
@@ -247,11 +274,9 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 	assertTelemetryIndependent(t, core.Config{
 		BlockSize:        block,
 		NumLoadBalancers: 2,
-		NumSubORAMs:      4,
 		Lambda:           32,
 		SortWorkers:      2,
-		SubORAMWorkers:   2,
-	}, 4, 48)
+	}, local{n: 4, workers: 2}, 4, 48)
 }
 
 // TestTelemetryTraceIndependentOfSecretsPipelined: the epoch engine at
@@ -266,12 +291,10 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 	assertTelemetryIndependent(t, core.Config{
 		BlockSize:        block,
 		NumLoadBalancers: 2,
-		NumSubORAMs:      4,
 		Lambda:           32,
 		SortWorkers:      2,
-		SubORAMWorkers:   2,
 		PipelineDepth:    4,
-	}, 6, 48)
+	}, local{n: 4, workers: 2}, 6, 48)
 }
 
 // TestTelemetrySnapshotIndependentOfSecrets: the programmatic export
@@ -281,20 +304,15 @@ func TestTelemetrySnapshotIndependentOfSecrets(t *testing.T) {
 	cfg := core.Config{
 		BlockSize:        block,
 		NumLoadBalancers: 1,
-		NumSubORAMs:      2,
 		Lambda:           32,
 		SortWorkers:      1,
-		SubORAMWorkers:   1,
 	}
 	runSnap := func(seed int64) telemetry.Snapshot {
 		reg := telemetry.NewRegistry()
 		reg.SetClock(func() int64 { return 0 })
 		c := cfg
 		c.Telemetry = reg
-		sys, err := core.NewLocal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := local{n: 2, workers: 1}.open(t, c)
 		defer sys.Close()
 		rng := rand.New(rand.NewSource(seed))
 		ids := make([]uint64, 64)

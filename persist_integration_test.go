@@ -17,7 +17,7 @@ import (
 
 // TestServerSurvivesKill9 builds the real snoopy-server binary, runs it with
 // -data — in memory, and with -disk-resident on disk, where the partition is
-// 16× larger than the streaming buffer — kills it with SIGKILL
+// twice the streaming buffer — kills it with SIGKILL
 // mid-deployment, restarts it on the same directory, and verifies the last
 // acknowledged write is still readable: the tentpole durability claim,
 // exercised through the real process boundary. It then attacks the sealed
@@ -54,9 +54,9 @@ func TestServerSurvivesKill9(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// 2048-byte segments of 64-byte blocks = 32 blocks per streaming
-		// buffer; 512 objects make the partition 16× larger than the buffer.
-		{"disk", []string{"-disk-resident", "-segment-bytes", "2048"}, 512, func(t *testing.T, seg string, stale []byte) {
+		// Segments of 512 blocks are the streaming buffer; 1024 objects make
+		// the partition two of them.
+		{"disk", []string{"-disk-resident"}, 1024, func(t *testing.T, seg string, stale []byte) {
 			if err := os.WriteFile(seg, stale, 0o600); err != nil {
 				t.Fatal(err)
 			}
@@ -154,13 +154,14 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 		t.Fatalf("Read(7) after restart = %q ok=%v err=%v", got, ok, err)
 	}
 	st2.Close()
+	// Wait returns once the server's output is copied into log2.
+	srv2.Process.Kill()
+	srv2.Wait()
 	if !bytes.Contains(log2.Bytes(), []byte("recovered partition")) {
 		t.Fatalf("restarted server did not report recovery:\n%s", log2.String())
 	}
 
 	// The attacked state must make the next start fail loudly.
-	srv2.Process.Kill()
-	srv2.Wait()
 	attack(t, segPath(), stale)
 	addr3 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	srv3, log3 := startServer(addr3)

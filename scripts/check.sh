@@ -78,12 +78,14 @@ go test -race -timeout 15m -count=2 \
 # 1 and 4 — TestJournal matches it, and the "dispatch" crash with epochs in
 # flight behind it; a journal open under another shape), every client wait
 # resolving on a crash, an ACL resolution failing closed, in core,
-# standby-root promotion in cluster, and the journal/standby leakage tests.
+# standby-root promotion in cluster, the journal/standby leakage tests, and
+# snoopy.Open refusing a journal over volatile in-process partitions.
 # Schedule-sensitive by construction (promotion races a probing watchdog),
 # so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
   -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion' \
   ./internal/core/ ./internal/cluster/
+go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir' .
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/

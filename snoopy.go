@@ -22,11 +22,18 @@
 package snoopy
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"snoopy/internal/core"
+	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/persist"
 	"snoopy/internal/planner"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
@@ -90,25 +97,21 @@ type Config struct {
 	// segment store, over host memory). The I/O schedule is a function of
 	// public parameters only.
 	DiskResident bool
-	// SegmentBytes is the approximate sealed-segment payload size in bytes
-	// of the durable image (DataDir), in memory and DiskResident
-	// deployments alike (rounded down to a whole number of blocks; default
-	// 512 blocks' worth). It is a public tuning parameter trading
-	// scan-buffer memory against per-segment I/O overhead, fixed for a
-	// DataDir's life.
-	SegmentBytes int
 	// JournalDir, when non-empty, makes the load-balancer root itself
 	// fault tolerant: before any epoch's batches are dispatched to
 	// partitions, the root seals the epoch's requests and reply routing
 	// tables into a fixed-shape journal under this directory
 	// (internal/persist). Epoch E's deliveries travel under the tag
-	// (stream, E), the stream derived from the oblivious routing key the
-	// journal pins, so every incarnation routes and tags identically. A
-	// standby root that Opens the same JournalDir replays journaled-but-
-	// incomplete epochs under those same tags — partition-side replay
-	// caches deduplicate re-deliveries — and parks the recovered answers
-	// for clients retrying under their original idempotency IDs (see
-	// Op.ID). Journal shape and write timing are functions of public
+	// (stream, E), the stream derived from the pinned oblivious routing key
+	// (DataDir/route.key under Open, else JournalDir/route.key), so every
+	// incarnation routes and tags identically. A standby root that opens
+	// the same JournalDir replays journaled-but-incomplete epochs under
+	// those same tags and parks the recovered answers for clients retrying
+	// under their original idempotency IDs (see Op.ID). Remote partitions'
+	// replay caches make that exactly-once; Open's in-process partitions
+	// keep none, so for them it is at-least-once (a retried write answers
+	// with its own value), and Open requires DataDir, which they replay
+	// onto. Journal shape and write timing are functions of public
 	// parameters only. See DESIGN.md §14 for the promotion protocol and
 	// the exactly-once argument.
 	JournalDir string
@@ -144,7 +147,9 @@ type FailoverFunc = core.FailoverFunc
 
 // Store is a running Snoopy deployment.
 type Store struct {
-	sys *core.System
+	sys       *core.System
+	closers   []func() error // Open's partitions, closed after the engine drains
+	recovered bool           // some partition restored state from DataDir
 }
 
 // EpochStats re-exports per-epoch timing (see core.EpochStats).
@@ -153,36 +158,67 @@ type EpochStats = core.EpochStats
 // SubORAM is the interface remote partitions implement.
 type SubORAM = core.SubORAMClient
 
-// Open starts an in-process deployment.
+// Open starts an in-process deployment: SubORAMs partitions built by
+// persist.NewPartition, under DataDir/part-NNN when DataDir is set.
 func Open(cfg Config) (*Store, error) {
-	sys, err := core.NewLocal(core.Config{
-		BlockSize:        cfg.BlockSize,
-		NumLoadBalancers: cfg.LoadBalancers,
-		NumSubORAMs:      cfg.SubORAMs,
-		Lambda:           cfg.Lambda,
-		EpochDuration:    cfg.Epoch,
-		SubORAMWorkers:   cfg.SubORAMWorkers,
-		SortWorkers:      cfg.SortWorkers,
-		Sealed:           cfg.Sealed,
-		PipelineDepth:    cfg.PipelineDepth,
-		DataDir:          cfg.DataDir,
-		DiskResident:     cfg.DiskResident,
-		SegmentBytes:     cfg.SegmentBytes,
-		JournalDir:       cfg.JournalDir,
-		FailoverAfter:    cfg.FailoverAfter,
-		Failover:         cfg.Failover,
-		Telemetry:        cfg.Telemetry,
-	})
+	if cfg.JournalDir != "" && cfg.DataDir == "" {
+		return nil, errors.New("snoopy: JournalDir requires DataDir: a journaled root replays onto partitions that survive it")
+	}
+	n := max(cfg.SubORAMs, 1)
+	var routeKey *crypt.Key
+	if cfg.DataDir != "" {
+		// Objects are reachable only at the partitions they persisted in.
+		entries, _ := os.ReadDir(cfg.DataDir)
+		have := 0
+		for _, e := range entries {
+			if e.IsDir() && strings.HasPrefix(e.Name(), "part-") {
+				have++
+			}
+		}
+		if have != 0 && have != n {
+			return nil, fmt.Errorf("snoopy: data dir %s holds %d partitions, configured %d", cfg.DataDir, have, n)
+		}
+		key, err := persist.LoadOrCreateRoutingKey(cfg.DataDir)
+		if err != nil {
+			return nil, err
+		}
+		routeKey = &key
+	}
+	st := &Store{}
+	subs := make([]SubORAM, n)
+	for i := range subs {
+		dir := ""
+		if cfg.DataDir != "" {
+			dir = filepath.Join(cfg.DataDir, fmt.Sprintf("part-%03d", i))
+		}
+		sub, recovered, closer, err := persist.NewPartition(cfg.BlockSize, cfg.SubORAMWorkers, cfg.Sealed, dir, cfg.DiskResident, cfg.Telemetry)
+		if err != nil {
+			st.closeParts()
+			return nil, fmt.Errorf("snoopy: partition %d: %w", i, err)
+		}
+		subs[i], st.recovered, st.closers = sub, st.recovered || recovered, append(st.closers, closer)
+	}
+	var err error
+	if st.sys, err = newRoot(cfg, subs, routeKey); err != nil {
+		st.closeParts()
+		return nil, err
+	}
+	return st, nil
+}
+
+// OpenWithSubORAMs starts a deployment over caller-provided partitions —
+// typically transport.RemoteSubORAM handles from DialSubORAM.
+func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
+	sys, err := newRoot(cfg, subs, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Store{sys: sys}, nil
 }
 
-// OpenWithSubORAMs starts a deployment over caller-provided partitions —
-// typically transport.RemoteSubORAM handles from DialSubORAM.
-func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
-	sys, err := core.NewWithSubORAMs(core.Config{
+// newRoot starts the root over subs, routing by routeKey when it is set.
+func newRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) (*core.System, error) {
+	return core.NewWithSubORAMs(core.Config{
 		BlockSize:        cfg.BlockSize,
 		NumLoadBalancers: cfg.LoadBalancers,
 		Lambda:           cfg.Lambda,
@@ -193,11 +229,8 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
 		Telemetry:        cfg.Telemetry,
+		RouteKey:         routeKey,
 	}, subs)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{sys: sys}, nil
 }
 
 // Load initializes the store's object set (call once, before requests).
@@ -285,13 +318,23 @@ func (s *Store) Health() HealthStats { return s.sys.Health() }
 // Recovered reports whether Open restored partition state from
 // Config.DataDir. A recovered store is ready to serve requests without
 // Load; calling Load anyway replaces the recovered object set.
-func (s *Store) Recovered() bool { return s.sys.Recovered() }
+func (s *Store) Recovered() bool { return s.recovered }
 
 // BlockSize returns the configured object size.
 func (s *Store) BlockSize() int { return s.sys.BlockSize() }
 
 // Close stops the deployment; pending requests fail with an error.
-func (s *Store) Close() { s.sys.Close() }
+func (s *Store) Close() {
+	s.sys.Close()
+	s.closeParts()
+}
+
+// closeParts releases the partitions Open built.
+func (s *Store) closeParts() {
+	for _, c := range s.closers {
+		c()
+	}
+}
 
 // ---- Remote deployment helpers ----
 
