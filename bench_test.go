@@ -19,7 +19,6 @@ import (
 	"snoopy/internal/obladi"
 	"snoopy/internal/obliv"
 	"snoopy/internal/oblix"
-	"snoopy/internal/ohash"
 	"snoopy/internal/pathoram"
 	"snoopy/internal/plaintext"
 	"snoopy/internal/planner"
@@ -69,31 +68,10 @@ func BenchmarkBitonicSort(b *testing.B) {
 // BenchmarkCompaction lives in internal/obliv (ablation_test.go), beside the
 // alternative it measures.
 
-// ---- Ablation 2: two-tier vs single-tier hash table bucket sizes ----
-
-func BenchmarkHashTableTiers(b *testing.B) {
-	const n = 4096
-	reqs := store.NewRequests(n, benchBlock)
-	for i := 0; i < n; i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i*3+1), 0, uint64(i), uint64(i), nil)
-	}
-	tbl, err := ohash.Build(reqs, ohash.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := tbl.Geom
-	single := ohash.SingleTierBucketSize(n, 128)
-	b.ReportMetric(float64(g.Z1), "tier1-bucket")
-	b.ReportMetric(float64(g.Z2), "tier2-bucket")
-	b.ReportMetric(float64(single), "single-tier-bucket")
-	b.ReportMetric(float64(single)/float64(g.Z1), "tier1-shrinkage")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ohash.Build(reqs, ohash.DefaultParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// ---- Ablation 2: two-tier vs single-tier hash table ----
+// BenchmarkHashTableTiers and BenchmarkHashTableConstruction live in
+// internal/ohash (ablation_test.go), beside the single-tier table they
+// compare against.
 
 // ---- Figure 12: component costs ----
 
@@ -132,7 +110,8 @@ func BenchmarkLoadBalancerMatchResponses(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	batches.All.StampKeyOrder() // the batches stand in for their own responses
+	// The batches stand in for their own responses: in the order sent,
+	// echoing their keys.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matched, err := lb.MatchResponses(batches.All, reqs)
@@ -545,30 +524,6 @@ func BenchmarkScanBucket(b *testing.B) {
 			b.ReportMetric(perObject/float64(sub.LastStats().SlotsPerLookup), "ns/slot")
 		})
 	}
-}
-
-// ---- Ablation: two-tier construction vs Signal-style quadratic (§5) ----
-
-func BenchmarkHashTableConstruction(b *testing.B) {
-	const n = 1024
-	reqs := store.NewRequests(n, benchBlock)
-	for i := 0; i < n; i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i*7+3), 0, uint64(i), uint64(i), nil)
-	}
-	b.Run("two-tier", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ohash.Build(reqs, ohash.DefaultParams()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("signal-quadratic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ohash.BuildSingleTierQuadratic(reqs, 128); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- Epochs in flight (§6): depth 1 runs one epoch at a time ----

@@ -17,6 +17,8 @@ import (
 	"log"
 	"time"
 
+	"snoopy/internal/crypt"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -50,8 +52,11 @@ func main() {
 	}
 	batch := store.NewRequests(len(contacts), blockSize)
 	for i, c := range contacts {
-		batch.SetRow(i, store.OpRead, phoneID(c), 0, uint64(i), uint64(i), nil)
+		batch.SetRow(i, store.OpRead, phoneID(c), 0, 0, 0, nil)
 	}
+	// A batch says what order it is in: stamped with a fresh table key and
+	// sorted into that key's table order.
+	ohash.Order(batch, crypt.MustNewSipKey())
 
 	t0 := time.Now()
 	out, err := eng.BatchAccess(batch)

@@ -33,9 +33,9 @@ type SubORAMClient interface {
 	// Init loads the partition contents.
 	Init(ids []uint64, data []byte) error
 	// BatchAccess executes one batch of distinct requests and returns one
-	// response row per request, in an order the rows declare
-	// (store.StampOrder): an engine that answers in the order received
-	// stamps key order, which is how a load balancer's batch arrives.
+	// response row per request in the order received, echoing the table key
+	// the batch's rows carry (store.StampKey). A response that echoes
+	// another key fails the epoch closed.
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
 }
 
@@ -235,13 +235,16 @@ type System struct {
 	// results of idempotent requests; crashedCh is closed by a simulated
 	// root crash (Crash, or crashHook). crashHook, set only by tests, is
 	// consulted at the named points of every live epoch (crashAt).
-	journal   *persist.Journal
-	jrec      persist.JournalEpoch // journalBegin's record, reused (epochMu)
-	stream    uint64
-	replyWin  *replyWindow
-	crashedCh chan struct{}
-	crashOne  sync.Once
-	crashHook func(point string, epoch uint64) bool
+	journal *persist.Journal
+	// tableSecret keys every batch's table order (loadbalancer.TableKey):
+	// fresh per System, or derived from a journal's pinned key (§17).
+	tableSecret crypt.Key
+	jrec        persist.JournalEpoch // journalBegin's record, reused (epochMu)
+	stream      uint64
+	replyWin    *replyWindow
+	crashedCh   chan struct{}
+	crashOne    sync.Once
+	crashHook   func(point string, epoch uint64) bool
 
 	// nextLB picks the load balancer for each submitted request, round
 	// robin (enqueue).
@@ -336,6 +339,12 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		sys.lbs = append(sys.lbs, &lbState{lb: loadbalancer.New(lbCfg, key)})
 	}
 	var incomplete []*persist.JournalEpoch
+	// Without a journal the epoch numbers start again with every System, so
+	// the table-key secret must not come from a pinned key.
+	var err error
+	if sys.tableSecret, err = crypt.NewKey(); err != nil {
+		return nil, err
+	}
 	if cfg.JournalDir != "" {
 		j, open, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
 		if err != nil {
@@ -348,6 +357,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 			}
 		}
 		sys.journal, sys.stream, incomplete = j, deliveryStream(key), open
+		sys.tableSecret = tableSecret(key)
 		// Continue the predecessor's epoch sequence (a crashed, unjournaled
 		// stage A's number is safely reused — it was never dispatched).
 		sys.epoch = j.LastEpoch()

@@ -25,15 +25,17 @@ func (sys *System) shutPipe() {
 	}
 }
 
-// lbEpoch is one load balancer's stage-A output for an epoch. perSub and
-// dropped are copied out of the Batches so that stage B can release the
-// batch storage to the arena as soon as the subORAMs are done with it,
-// while stage C still has the numbers for stats.
+// lbEpoch is one load balancer's stage-A output for an epoch. The match
+// data, perSub and dropped are taken out of the Batches so that stage B can
+// release the batch storage to the arena as soon as the subORAMs are done
+// with it, while stage C still has them.
 type lbEpoch struct {
-	// reqs is the plane's request snapshot; stage C matches the responses
-	// against it.
+	// reqs is the plane's request snapshot (what the journal records).
 	reqs    *store.Requests
 	batches *loadbalancer.Batches
+	// match is the sorted request metadata stage C matches the responses
+	// against, and the keys the batches were stamped with.
+	match   *loadbalancer.Match
 	err     error
 	wall    time.Duration
 	perSub  int
@@ -182,10 +184,12 @@ func (job *epochJob) releaseBatches(i int) {
 	job.eps[i].batches = nil
 }
 
-// release returns all of plane i's pooled storage — batches, request
-// snapshot, partition responses — to the arena.
+// release returns all of plane i's pooled storage — batches, match data,
+// request snapshot, partition responses — to the arena.
 func (job *epochJob) release(i int) {
 	job.releaseBatches(i)
+	job.eps[i].match.Release()
+	job.eps[i].match = nil
 	arena.Default.PutRequests(job.eps[i].reqs)
 	job.eps[i].reqs = nil
 	for s, r := range job.responses[i] {
@@ -249,8 +253,8 @@ func (sys *System) newJob(id uint64) *epochJob {
 }
 
 // stageAPlane builds plane i's batches from its snapshotted queue — a pure
-// function of the queue, the routing key, S, λ and the block size, which
-// journal replay relies on.
+// function of the queue, the routing key, the table-key secret, the epoch
+// number, S, λ and the block size, which journal replay relies on.
 func (sys *System) stageAPlane(job *epochJob, i int) {
 	t := time.Now()
 	ta0 := sys.cfg.Telemetry.Now()
@@ -259,9 +263,10 @@ func (sys *System) stageAPlane(job *epochJob, i int) {
 	for j, p := range q {
 		reqs.SetRow(j, p.Op, p.Key, 0, uint64(j), uint64(j), p.Value)
 	}
-	b, err := sys.lbs[i].lb.MakeBatches(reqs)
+	b, err := sys.lbs[i].lb.MakeEpochBatches(reqs, sys.tableSecret, i, job.id)
 	ep := lbEpoch{reqs: reqs, batches: b, err: err, wall: time.Since(t)}
 	if b != nil {
+		ep.match, b.Match = b.Match, nil
 		ep.perSub, ep.dropped, ep.droppedKeys = b.PerSub, b.Dropped, b.DroppedKeys
 	}
 	job.eps[i] = ep
@@ -396,12 +401,11 @@ func checkResponse(s int, out *store.Requests, alpha int) error {
 }
 
 // gatherResponses lays one plane's partition responses out in exactly α·S
-// rows, partition s in rows [s·α, (s+1)·α): MatchResponses reads each
-// partition's order stamp at s·α. A failed partition — which one is already
-// public — contributes α blank rows in key order, under dummy keys no
-// request carries, so the epoch's shape does not depend on the failure. The
-// caller releases the result to arena.Default.
-func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize int) *store.Requests {
+// rows, partition s in rows [s·α, (s+1)·α). A failed partition — which one
+// is already public — contributes α blank rows under dummy keys no request
+// carries and the key its batch was sent with, so the epoch's shape does not
+// depend on the failure. The caller releases the result to arena.Default.
+func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize int, m *loadbalancer.Match) *store.Requests {
 	all := arena.Default.GetRequests(alpha*len(resp), blockSize)
 	for s, r := range resp {
 		if subErr[s] == nil && r != nil {
@@ -412,7 +416,7 @@ func gatherResponses(resp []*store.Requests, subErr []error, alpha, blockSize in
 		for j := range blank.Key {
 			blank.Key[j] = store.DummyKeyBit | uint64(s)<<32 | uint64(j)
 		}
-		blank.StampKeyOrder()
+		blank.StampKey(m.Key(s))
 	}
 	return all
 }
@@ -424,8 +428,8 @@ func (sys *System) finishStageB(job *epochJob) {
 	sys.detect(job)
 	// Every subORAM is done with its views of the batch storage: return it
 	// to the arena now, before stage C (overlapping the next epoch's stage
-	// B) runs. Stage C reads the copied perSub/dropped fields, never the
-	// Batches.
+	// B) runs. Stage C reads the match data and the copied perSub/dropped
+	// fields, never the Batches.
 	for i := range job.eps {
 		job.releaseBatches(i)
 	}
@@ -506,8 +510,9 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	for s := 0; s < S; s++ {
 		anyErr = anyErr || job.subErr[s] != nil
 	}
-	all := gatherResponses(job.responses[i], job.subErr, ep.perSub, sys.cfg.BlockSize)
-	matched, err := sys.lbs[i].lb.MatchResponses(all, ep.reqs)
+	all := gatherResponses(job.responses[i], job.subErr, ep.perSub, sys.cfg.BlockSize, ep.match)
+	matched, err := sys.lbs[i].lb.Match(ep.match, all)
+	ep.match = nil
 	arena.Default.PutRequests(all)
 	if err != nil {
 		fail(err)

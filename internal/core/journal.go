@@ -65,6 +65,13 @@ func deliveryStream(key crypt.Key) uint64 {
 	return binary.LittleEndian.Uint64(d[:])
 }
 
+// tableSecret derives a journaled root's table-key secret from the routing
+// key the journal pins: every incarnation re-running epoch E derives the
+// same K(l, s, E) and rebuilds E's batches byte for byte.
+func tableSecret(key crypt.Key) crypt.Key {
+	return crypt.Key(crypt.DigestOf(append([]byte("snoopy-core/table-key/v1"), key[:]...)))
+}
+
 // journalBegin durably journals an epoch before its dispatch: each plane's
 // request snapshot and reply routing (client idempotency IDs in queue
 // order). No-op without a journal. Caller holds epochMu.

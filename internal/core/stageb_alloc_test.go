@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"snoopy/internal/arena"
+	"snoopy/internal/crypt"
 	"snoopy/internal/loadbalancer"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -106,6 +108,7 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		for r := 0; r < all.Len(); r++ {
 			all.SetRow(r, store.OpRead, uint64(r+1), 0, uint64(r), uint64(r), nil)
 		}
+		ohash.Order(all, crypt.SipKey{1, 2}) // S = 1: the set is one batch
 	}
 	sys2.partStageB(job, 0)
 	releaseResponses(job, S)

@@ -3,43 +3,20 @@ package crypt
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"sync"
 )
 
 // SipKey is a 128-bit key for SipHash-2-4.
 type SipKey [2]uint64
 
-// sipEntropy buffers CSPRNG output for SipKey sampling. A fresh pair of
-// keys is drawn for every batch (paper §5), which puts key sampling on the
-// steady-state epoch path; reading the kernel CSPRNG in 4 KiB gulps into a
-// fixed global buffer keeps that path allocation-free (crypto/rand.Read
-// forces its destination to escape) and amortizes the syscall.
-var sipEntropy struct {
-	mu  sync.Mutex
-	buf [4096]byte
-	off int // bytes consumed; starts "empty" via init below
-}
-
-func init() { sipEntropy.off = len(sipEntropy.buf) }
-
-// NewSipKey samples a SipHash key from 16 buffered CSPRNG bytes.
+// NewSipKey samples a SipHash key from the CSPRNG. Batches are keyed by the
+// load balancer's derived keys, not by this; it keys tables built outside
+// an epoch (calibration probes, the single-tier comparison).
 func NewSipKey() (SipKey, error) {
-	e := &sipEntropy
-	e.mu.Lock()
-	if e.off+16 > len(e.buf) {
-		if _, err := rand.Read(e.buf[:]); err != nil {
-			e.mu.Unlock()
-			return SipKey{}, err
-		}
-		e.off = 0
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return SipKey{}, err
 	}
-	k := SipKey{
-		binary.LittleEndian.Uint64(e.buf[e.off : e.off+8]),
-		binary.LittleEndian.Uint64(e.buf[e.off+8 : e.off+16]),
-	}
-	e.off += 16
-	e.mu.Unlock()
-	return k, nil
+	return SipKey{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}, nil
 }
 
 // MustNewSipKey panics on entropy failure.
@@ -52,9 +29,10 @@ func MustNewSipKey() SipKey {
 }
 
 // SipHash computes SipHash-2-4 of an 8-byte message (the object identifier).
-// It is the fast keyed PRF used to assign requests to hash-table buckets;
-// the key is resampled for every batch (paper §5: "for every batch we sample
-// a new key ... for the keyed hash function assigning objects to buckets").
+// It is the fast keyed PRF used to assign requests to hash-table buckets,
+// under a new key for every batch (paper §5: "for every batch we sample a
+// new key ... for the keyed hash function assigning objects to buckets"),
+// which the load balancer derives (loadbalancer.TableKey).
 func SipHash(k SipKey, id uint64) uint64 {
 	v0 := k[0] ^ 0x736f6d6570736575
 	v1 := k[1] ^ 0x646f72616e646f6d

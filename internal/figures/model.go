@@ -16,8 +16,10 @@ import (
 	"io"
 	"time"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/obladi"
 	"snoopy/internal/oblix"
+	"snoopy/internal/ohash"
 	"snoopy/internal/planner"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
@@ -98,8 +100,9 @@ func timeSubORAM(block, workers, objects, batchSize int) time.Duration {
 	}
 	reqs := store.NewRequests(batchSize, block)
 	for i := 0; i < batchSize; i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i*7+1), 0, uint64(i), uint64(i), nil)
+		reqs.SetRow(i, store.OpRead, uint64(i*7+1), 0, 0, 0, nil)
 	}
+	ohash.Order(reqs, crypt.MustNewSipKey())
 	t0 := time.Now()
 	if _, err := sub.BatchAccess(reqs); err != nil {
 		panic(err)

@@ -10,15 +10,19 @@
 package loadbalancer
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snoopy/internal/arena"
 	"snoopy/internal/batch"
 	"snoopy/internal/crypt"
 	"snoopy/internal/obliv"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/trace"
@@ -62,6 +66,11 @@ type Stats struct {
 type LoadBalancer struct {
 	cfg    Config
 	hasher *crypt.Hasher
+	// secret and calls key the batches of MakeBatches, which runs outside
+	// any engine epoch: call c's partition s is ordered under
+	// TableKey(secret, 0, s, c).
+	secret crypt.Key
+	calls  atomic.Uint64
 
 	statsMu sync.Mutex
 	last    Stats
@@ -88,6 +97,7 @@ func New(cfg Config, key crypt.Key) *LoadBalancer {
 	return &LoadBalancer{
 		cfg:          cfg,
 		hasher:       crypt.NewHasher(key),
+		secret:       crypt.MustNewKey(),
 		telMakeBatch: cfg.Telemetry.Histogram("lb_make_batch", nil),
 		telMatch:     cfg.Telemetry.Histogram("lb_match", nil),
 		telBatches:   cfg.Telemetry.Counter("lb_batches_total"),
@@ -145,6 +155,9 @@ type Batches struct {
 	// so the system can fail exactly those requests with an explicit error
 	// instead of silently answering not-found.
 	DroppedKeys []uint64
+	// Match is the epoch's match data, for LoadBalancer.Match. A caller
+	// that takes it sets the field to nil; else Release releases it.
+	Match *Match
 
 	pool *arena.Pool
 }
@@ -170,6 +183,7 @@ func (b *Batches) Release() {
 	if b == nil || b.All == nil {
 		return
 	}
+	b.Match.Release()
 	b.pool.PutRequests(b.All)
 	*b = Batches{}
 	batchesPool.Put(b)
@@ -217,18 +231,116 @@ func dedupeKeep(work *store.Requests, alpha int, keep, drop []uint8) (int, []uin
 	return dropped, droppedKeys
 }
 
+// TableKey is K(l, s, E), the SipHash key that orders load balancer l's
+// batch for partition s in epoch E: a PRF of the three under secret. No
+// secret may key two different batches under one (l, s, E) (DESIGN.md §17).
+func TableKey(secret crypt.Key, l, s int, epoch uint64) crypt.SipKey {
+	msg := [len(tableKeyLabel) + crypt.KeySize + 24]byte{}
+	n := copy(msg[:], tableKeyLabel) + copy(msg[len(tableKeyLabel):], secret[:])
+	binary.LittleEndian.PutUint64(msg[n:], uint64(l))
+	binary.LittleEndian.PutUint64(msg[n+8:], uint64(s))
+	binary.LittleEndian.PutUint64(msg[n+16:], epoch)
+	d := sha256.Sum256(msg[:])
+	return crypt.SipKey{binary.LittleEndian.Uint64(d[0:8]), binary.LittleEndian.Uint64(d[8:16])}
+}
+
+const tableKeyLabel = "snoopy-lb/table-key/v1|"
+
+// Match is an epoch's match data: the request metadata (Op, Key, Seq,
+// Client) in table order in the first rows of the record set the matching
+// merge runs in, each request's rank, and the key each partition's batch
+// was stamped with. The orderings live here so that handing one to a
+// network does not allocate.
+type Match struct {
+	x         *store.Requests
+	rank      []uint64
+	keys      []crypt.SipKey
+	alpha     int
+	pool      *arena.Pool
+	byRank    store.ByRank
+	byRankTag store.ByRankTag
+}
+
+var matchPool = sync.Pool{New: func() any { return new(Match) }}
+
+// newMatch draws match data for r requests against s batches of alpha rows.
+func newMatch(pool *arena.Pool, r, s, alpha, blockSize int) *Match {
+	m := matchPool.Get().(*Match)
+	m.x = pool.GetRequests(r+alpha*s, blockSize)
+	m.x.Resize(r)
+	if cap(m.rank) < r+alpha*s || cap(m.keys) < s {
+		m.rank, m.keys = make([]uint64, r+alpha*s), make([]crypt.SipKey, s)
+	}
+	m.rank, m.keys, m.alpha, m.pool = m.rank[:r], m.keys[:s], alpha, pool
+	return m
+}
+
+// Key returns the key partition s's batch was stamped with.
+func (m *Match) Key(s int) crypt.SipKey { return m.keys[s] }
+
+// Release returns the match data's storage. A nil Match is a no-op.
+func (m *Match) Release() {
+	if m == nil {
+		return
+	}
+	if m.x != nil {
+		m.pool.PutRequests(m.x)
+	}
+	m.x, m.pool, m.byRank, m.byRankTag = nil, nil, store.ByRank{}, store.ByRankTag{}
+	matchPool.Put(m)
+}
+
+// rank gives rows [0, len(m.rank)) of x their partition in Sub and their
+// rank under that partition's key. The partition is secret, so its key is
+// picked by a branch-free scan over all S.
+func (lb *LoadBalancer) rank(m *Match, x *store.Requests) {
+	for i := range m.rank {
+		sub := lb.SubORAMFor(x.Key[i])
+		var k crypt.SipKey
+		for p := range m.keys {
+			c := obliv.EqU64(uint64(sub), uint64(p))
+			obliv.CondSetU64(c, &k[0], m.keys[p][0])
+			obliv.CondSetU64(c, &k[1], m.keys[p][1])
+		}
+		x.Sub[i] = uint32(sub)
+		m.rank[i] = ohash.Rank(sub, ohash.Hash(k, x.Key[i]))
+	}
+}
+
+// takeMeta copies src's request metadata into m's request rows.
+func (m *Match) takeMeta(src *store.Requests) {
+	copy(m.x.Op, src.Op)
+	copy(m.x.Key, src.Key)
+	copy(m.x.Sub, src.Sub)
+	copy(m.x.Seq, src.Seq)
+	copy(m.x.Client, src.Client)
+	for i := range m.x.Tag {
+		m.x.Tag[i] = 1
+	}
+}
+
 // MakeBatches obliviously builds the per-subORAM batches for one epoch from
-// the requests received (paper Fig. 5 / Fig. 25 lines 1–14). The caller
-// must have set Seq to the arrival order (for last-write-wins) and Client
-// to its routing cookie. reqs is not modified; duplicates are allowed.
-//
-// The requests are copied into pooled scratch with their subORAM
-// assignment, obliviously sorted by (subORAM, key, write-first, seq-desc),
-// deduplicated to the first α distinct keys per subORAM, and scattered to
-// sub·α + rank of the α·S-row batch set, whose remaining slots become each
-// subORAM's dummies (numbered 0, 1, … behind its real rows — the order
-// Fig. 5's "append α dummies per subORAM, sort" yields).
+// the requests received (paper Fig. 5 / Fig. 25 lines 1–14), outside any
+// engine epoch: each call's batches are keyed by the load balancer's own
+// secret and a call counter. The caller must have set Seq to the arrival
+// order (for last-write-wins) and Client to its routing cookie. reqs is not
+// modified; duplicates are allowed.
 func (lb *LoadBalancer) MakeBatches(reqs *store.Requests) (*Batches, error) {
+	return lb.MakeEpochBatches(reqs, lb.secret, 0, lb.calls.Add(1))
+}
+
+// MakeEpochBatches is MakeBatches for plane l of an engine epoch: partition
+// s's batch is ordered under TableKey(secret, l, s, epoch).
+//
+// The requests are copied into pooled scratch, ranked by (subORAM, H of the
+// key under its key), obliviously sorted once by (rank, key, write-first,
+// seq-desc), deduplicated to the first α distinct keys per subORAM, and
+// scattered to sub·α + rank of the α·S-row batch set, whose remaining slots
+// become each subORAM's dummies (numbered 0, 1, … behind its real rows).
+// Every row of partition s's batch carries its key (store.StampKey), so
+// the partition builds its table from that order without sorting. The
+// sorted metadata stays behind as the epoch's match data (Batches.Match).
+func (lb *LoadBalancer) MakeEpochBatches(reqs *store.Requests, secret crypt.Key, l int, epoch uint64) (*Batches, error) {
 	t0 := time.Now()
 	tt0 := lb.cfg.Telemetry.Now()
 
@@ -241,34 +353,40 @@ func (lb *LoadBalancer) MakeBatches(reqs *store.Requests) (*Batches, error) {
 	if alpha == 0 {
 		alpha = 1 // an idle epoch still sends one dummy per subORAM
 	}
-
-	// ➊ Assign each request to its subORAM. The scratch is zeroed through
-	// the batch set's length; only the n real rows take part in the sort.
 	pool := lb.pool()
+	m := newMatch(pool, n, s, alpha, lb.cfg.BlockSize)
+	for p := range m.keys {
+		m.keys[p] = TableKey(secret, l, p, epoch)
+	}
+
+	// ➊ Rank each request; ➋ sort into table order: duplicates become
+	// adjacent with the last-write-wins representative first. The scratch
+	// is zeroed through the batch set's length; only the n real rows take
+	// part in the sort. Their sorted metadata is the match data.
 	work := pool.GetRequests(max(n, alpha*s), lb.cfg.BlockSize)
 	work.Rec = lb.cfg.Rec
 	work.Resize(n)
 	work.CopyPrefix(reqs)
-	for i := 0; i < n; i++ {
-		work.Sub[i] = uint32(lb.SubORAMFor(work.Key[i]))
-	}
-
-	// ➋ Group into batches: sort by (subORAM, key, write-first, seq-desc).
-	// Duplicates become adjacent with the last-write-wins representative
-	// first.
-	obliv.SortAdaptive(store.BySubKeyWriteSeq{Requests: work}, lb.cfg.SortWorkers)
+	lb.rank(m, work)
+	m.byRank = store.ByRank{Requests: work, Rank: m.rank}
+	obliv.SortAdaptive(&m.byRank, lb.cfg.SortWorkers)
+	m.takeMeta(work)
 
 	// ➌ Keep the first α distinct keys per subORAM, branch-free; ➍ route
-	// them to their batch slots and number the dummies that fill the rest.
+	// them to their batch slots and number the dummies that fill the rest;
+	// ➎ stamp every batch with its key.
 	keep := pool.GetBits(n)
 	drop := pool.GetBits(n)
 	dropped, droppedKeys := dedupeKeep(work, alpha, keep, drop)
 	work.ScatterRuns(keep, s, alpha, store.DummyKeyBit, 1<<32)
 	pool.PutBits(keep)
 	pool.PutBits(drop)
+	for i := range work.Key {
+		work.Seq[i], work.Client[i] = m.keys[i/alpha][0], m.keys[i/alpha][1]
+	}
 
 	b := batchesPool.Get().(*Batches)
-	*b = Batches{All: work, PerSub: alpha, Dropped: dropped, DroppedKeys: droppedKeys, pool: pool}
+	*b = Batches{All: work, PerSub: alpha, Dropped: dropped, DroppedKeys: droppedKeys, Match: m, pool: pool}
 
 	lb.statsMu.Lock()
 	lb.last.MakeBatch = time.Since(t0)
@@ -282,87 +400,56 @@ func (lb *LoadBalancer) MakeBatches(reqs *store.Requests) (*Batches, error) {
 	return b, nil
 }
 
-// MatchResponses obliviously propagates subORAM responses to the original
-// client requests (paper Fig. 6 / Fig. 25 lines 18–26). responses holds every
-// subORAM's response batch, partition s in rows [s·α, (s+1)·α), each batch
-// ascending in the order its stamp declares (store.StampOrder); reqs is the
-// epoch's original request list (duplicates included), or any subset of it.
-// The result has one row per original request — same Key, Op, Seq, and
-// Client cookie, with Data (and the Aux found bit) carrying the response,
-// zero for a key no response row answers — in unspecified order. Its storage
-// is drawn from the arena; the caller owns it and may release it.
+// ErrKeyEcho is returned for responses that do not echo the key their
+// batch was stamped with: a partition that ordered them some other way.
+var ErrKeyEcho = errors.New("loadbalancer: response does not echo its batch's table key")
+
+// Match obliviously propagates subORAM responses to the requests of m's
+// epoch (paper Fig. 6 / Fig. 25 lines 18–26) and consumes m. responses holds
+// every subORAM's response batch, partition s in rows [s·α, (s+1)·α), in
+// the order its batch was sent — residents in table order, then vacant rows
+// — echoing its key; a response that echoes another key fails the match
+// closed. The result has one row per request — same Key, Op, Seq and Client
+// cookie, with Data (and the Aux found bit) carrying the response, zero for
+// a key no response row answers — in unspecified order. Its storage is drawn
+// from the arena; the caller owns it and may release it.
 //
-// Both inputs are nearly in order, so instead of sorting their union the
-// requests' metadata alone is sorted into the responses' order — a request's
-// value block is dead here — and one merge of the two runs makes every
-// response adjacent to the requests it answers.
-func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.Requests, error) {
-	t0 := time.Now()
-	tt0 := lb.cfg.Telemetry.Now()
-
-	if responses.BlockSize != lb.cfg.BlockSize || reqs.BlockSize != lb.cfg.BlockSize {
-		return nil, fmt.Errorf("loadbalancer: block size mismatch")
+// Both runs are in one order already, so one merge, with no sort, makes
+// every response adjacent to the requests it answers.
+func (lb *LoadBalancer) Match(m *Match, responses *store.Requests) (*store.Requests, error) {
+	defer m.Release()
+	t0, tt0 := time.Now(), lb.cfg.Telemetry.Now()
+	s, alpha := len(m.keys), m.alpha
+	if responses.BlockSize != lb.cfg.BlockSize || responses.Len() != alpha*s {
+		return nil, fmt.Errorf("loadbalancer: %d response rows are not %d subORAMs' batches of %d", responses.Len(), s, alpha)
 	}
-	s := lb.cfg.NumSubORAMs
-	r, m := reqs.Len(), responses.Len()
-	if m == 0 || m%s != 0 {
-		return nil, fmt.Errorf("loadbalancer: %d response rows are not one batch per each of %d subORAMs", m, s)
+	var bad uint64
+	for i := range responses.Key {
+		k := m.keys[i/alpha]
+		bad |= (responses.Seq[i] ^ k[0]) | (responses.Client[i] ^ k[1])
 	}
-	alpha := m / s
-	buckets := 0 // Σ B1 over partitions, the range of a row's rank: public, like α
-	for p := 0; p < s; p++ {
-		_, b1 := responses.OrderStamp(p * alpha)
-		buckets += b1
-	}
-	if buckets > math.MaxUint32 {
-		return nil, fmt.Errorf("loadbalancer: response stamps declare %d buckets", buckets)
+	if bad != 0 {
+		return nil, ErrKeyEcho
 	}
 
-	// ➊ Rank every request by (partition, bucket of its key under that
-	// partition's stamp) in Sub, and sort the metadata by (Sub, Key). The
-	// partition is secret, so its stamp is picked by a scan over all S.
-	pool := lb.pool()
-	x := pool.GetRequests(r+m, lb.cfg.BlockSize)
+	// ➊ Lay the responses out behind the requests under the same rank —
+	// vacant and blank rows last in their partition — tagged 0 so each
+	// precedes the requests it answers, and merge the two runs.
+	x, r, rows := m.x, m.x.Len(), responses.Len()
+	rank := m.rank[:r+rows]
 	x.Rec = lb.cfg.Rec
-	x.Resize(r)
-	copy(x.Op, reqs.Op)
-	copy(x.Key, reqs.Key)
-	copy(x.Seq, reqs.Seq)
-	copy(x.Client, reqs.Client)
-	for i := 0; i < r; i++ {
-		sub := uint64(lb.SubORAMFor(x.Key[i]))
-		var k crypt.SipKey
-		var b1, base, first uint64
-		for p := 0; p < s; p++ {
-			kp, bp := responses.OrderStamp(p * alpha)
-			c := obliv.EqU64(sub, uint64(p))
-			obliv.CondSetU64(c, &k[0], kp[0])
-			obliv.CondSetU64(c, &k[1], kp[1])
-			obliv.CondSetU64(c, &b1, uint64(bp))
-			obliv.CondSetU64(c, &base, first)
-			first += uint64(bp)
-		}
-		x.Sub[i] = uint32(base) + crypt.SipBucket(k, x.Key[i], int(b1))
-		x.Tag[i] = 1
-	}
-	obliv.SortAdaptive(store.MetaBySubKey{Requests: x}, lb.cfg.SortWorkers)
-
-	// ➋ Lay the responses out behind them under the same rank, tagged 0 so
-	// each precedes the requests it answers, and merge the two runs.
-	x.Resize(r + m)
+	x.Resize(r + rows)
 	x.CopyRowsPlain(r, responses)
-	first := uint32(0)
-	for p := 0; p < s; p++ {
-		k, b1 := responses.OrderStamp(p * alpha)
-		for i := r + p*alpha; i < r+(p+1)*alpha; i++ {
-			x.Sub[i] = first + crypt.SipBucket(k, x.Key[i], b1)
-			x.Tag[i] = 0
-		}
-		first += uint32(b1)
+	for i := r; i < r+rows; i++ {
+		p := (i - r) / alpha
+		rank[i] = obliv.SelectU64(store.DummyMark(x.Key[i]), ohash.Rank(p, ohash.Hash(m.keys[p], x.Key[i])), ohash.DummyRank(p))
+		x.Tag[i] = 0
 	}
-	obliv.MergeSorted(store.BySubKeyTag{Requests: x}, []int{r, m})
+	m.byRankTag = store.ByRankTag{Requests: x, Rank: rank}
+	obliv.MergeSorted(&m.byRankTag, []int{r, rows})
 
-	// ➌ Propagate response data to the request rows that follow it.
+	// ➋ Propagate response data to the request rows that follow it.
+	pool := lb.pool()
 	prevKey := ^uint64(0)
 	var prevFound uint8
 	prevData := pool.GetBlock(lb.cfg.BlockSize)
@@ -376,21 +463,43 @@ func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.
 		obliv.CondCopyBytes(match, x.Block(i), prevData)
 		obliv.CondSetU8(match, &x.Aux[i], prevFound)
 	}
-
 	pool.PutBlock(prevData)
 
-	// ➍ Compact out the response rows, leaving the answered requests.
+	// ➌ Compact out the response rows, leaving the answered requests.
 	marks := pool.GetBits(x.Len())
 	copy(marks, x.Tag)
 	obliv.Compact(x, marks)
 	pool.PutBits(marks)
-	x.Resize(reqs.Len())
+	x.Resize(r)
+	m.x = nil // the caller's now
 
 	lb.statsMu.Lock()
 	lb.last.Match = time.Since(t0)
 	lb.statsMu.Unlock()
 	lb.telMatch.Observe(time.Duration(lb.cfg.Telemetry.Now() - tt0))
 	return x, nil
+}
+
+// MatchResponses is Match for responses whose requests were batched
+// elsewhere: reqs is the epoch's original request list (duplicates
+// included), or any subset of it, and each partition's key is read from
+// its responses' echo. The requests' metadata alone — their value blocks
+// are dead here — is sorted narrowly into table order under those keys.
+func (lb *LoadBalancer) MatchResponses(responses, reqs *store.Requests) (*store.Requests, error) {
+	s, rows := lb.cfg.NumSubORAMs, responses.Len()
+	if reqs.BlockSize != lb.cfg.BlockSize || rows == 0 || rows%s != 0 {
+		return nil, fmt.Errorf("loadbalancer: %d response rows are not one batch per each of %d subORAMs", rows, s)
+	}
+	m := newMatch(lb.pool(), reqs.Len(), s, rows/s, lb.cfg.BlockSize)
+	for p := range m.keys {
+		m.keys[p] = responses.KeyStamp(p * m.alpha)
+	}
+	m.x.Rec = lb.cfg.Rec
+	m.takeMeta(reqs)
+	lb.rank(m, m.x)
+	m.byRank = store.ByRank{Requests: m.x, Rank: m.rank, Narrow: true}
+	obliv.SortAdaptive(&m.byRank, lb.cfg.SortWorkers)
+	return lb.Match(m, responses)
 }
 
 // MakeBatchesCost returns the number of oblivious row operations
@@ -402,11 +511,11 @@ func MakeBatchesCost(r, s, alpha int) int {
 	return obliv.SortCost(r) + obliv.CompactCost(r) + obliv.DistributeCost(alpha*s)
 }
 
-// MatchResponsesCost is MakeBatchesCost's counterpart for MatchResponses:
-// sort the r requests' metadata (narrow row operations, about half the price
-// of the rest), merge them with the α·s responses, compact the r + α·s rows.
+// MatchResponsesCost is MakeBatchesCost's counterpart for Match: merge the r
+// requests with the α·s responses, compact the r + α·s rows. Nothing is
+// sorted.
 func MatchResponsesCost(r, s, alpha int) int {
-	return obliv.SortCost(r) + obliv.MergeSortedCost([]int{r, alpha * s}) + obliv.CompactCost(r+alpha*s)
+	return obliv.MergeSortedCost([]int{r, alpha * s}) + obliv.CompactCost(r+alpha*s)
 }
 
 // LastStats returns the timing breakdown of the most recent epoch.

@@ -44,6 +44,21 @@ type Store interface {
 	Flush()
 }
 
+// Clock is the open loop's time source: it paces the schedule and stamps
+// every latency sample. A Store that is also a Clock runs in its own time —
+// a test fake's simulated one, under which a run depends on the seed alone;
+// any other Store runs on the wall clock.
+type Clock interface {
+	Now() time.Time
+	// SleepUntil returns once the clock reads t or later.
+	SleepUntil(t time.Time)
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time         { return time.Now() }
+func (wallClock) SleepUntil(t time.Time) { time.Sleep(time.Until(t)) }
+
 // ArrivalShape selects the arrival schedule family.
 type ArrivalShape string
 
@@ -445,43 +460,53 @@ func runVirtual(st Store, cfg Config, events []Event, info PlanInfo, rep Report)
 	return rep, nil
 }
 
-// runOpenLoop paces the schedule on the wall clock. Submission is
-// non-blocking; one waiter goroutine per in-flight request collects the
-// completion and records latency from the intended send time.
+// runOpenLoop paces the schedule on the store's Clock, or the wall clock.
+// Submission is non-blocking; one waiter goroutine per in-flight request
+// collects the completion and records latency from the intended send time.
+// The run lasts until its last completion (or the drain deadline), so its
+// achieved rate counts the drain.
 func runOpenLoop(st Store, cfg Config, events []Event, info PlanInfo, rep Report) (Report, error) {
+	clk, ok := st.(Clock)
+	if !ok {
+		clk = wallClock{}
+	}
 	var (
 		lat       metrics.Latencies
-		mu        sync.Mutex // completed / failed / slowCompleted
+		mu        sync.Mutex // the counts, last and lat
 		completed int
 		failed    int
 		slowDone  int
+		collected int       // completions, whatever their outcome
+		last      time.Time // the latest completion
 	)
 	sem := make(chan struct{}, cfg.MaxInFlight)
-	var wg sync.WaitGroup
-	start := time.Now()
+	start := clk.Now()
 
 	collect := func(w func() ([]byte, bool, error), intended time.Time, slow bool) {
-		defer wg.Done()
 		defer func() { <-sem }()
 		if slow {
 			// A slow client leaves the reply unread; the server-side
 			// epoch schedule must not care.
-			time.Sleep(cfg.Scenario.SlowDelay)
+			clk.SleepUntil(clk.Now().Add(cfg.Scenario.SlowDelay))
 		}
 		_, _, err := w()
-		done := time.Now()
+		// Stamped and counted under mu, so whoever holds mu next sees
+		// every completion the clock has reached.
 		mu.Lock()
+		done := clk.Now()
+		collected++
+		if done.After(last) {
+			last = done
+		}
 		if err != nil {
 			failed++
 		} else if slow {
 			slowDone++
 		} else {
 			completed++
-		}
-		mu.Unlock()
-		if err == nil && !slow {
 			lat.Add(done.Sub(intended))
 		}
+		mu.Unlock()
 	}
 
 	submit := func(ev Event, intended time.Time, write bool, seq int) {
@@ -500,7 +525,6 @@ func runOpenLoop(st Store, cfg Config, events []Event, info PlanInfo, rep Report
 		}
 		rep.Submitted++
 		sem <- struct{}{}
-		wg.Add(1)
 		go collect(w, intended, ev.Slow)
 	}
 
@@ -508,34 +532,43 @@ func runOpenLoop(st Store, cfg Config, events []Event, info PlanInfo, rep Report
 		intended := start.Add(ev.At)
 		// Coarse pacing: sleep only when comfortably ahead; absolute
 		// targets keep the error from accumulating.
-		if d := time.Until(intended); d > time.Millisecond {
-			time.Sleep(d)
+		if intended.Sub(clk.Now()) > time.Millisecond {
+			clk.SleepUntil(intended)
 		}
 		submit(ev, intended, ev.Write, seq)
 		if ev.Update {
 			submit(ev, intended, true, seq)
 		}
 	}
+	end := clk.Now()
 
 	// Drain with a deadline so a wedged deployment yields a report
 	// instead of a hang.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(cfg.DrainTimeout):
-		rep.TimedOut = true
+	for deadline := end.Add(cfg.DrainTimeout); clk.Now().Before(deadline); {
+		mu.Lock()
+		drained := collected == rep.Submitted
+		mu.Unlock()
+		if drained {
+			break
+		}
+		clk.SleepUntil(clk.Now().Add(time.Millisecond))
 	}
 
 	mu.Lock()
 	rep.Completed = completed
 	rep.Failed = failed
 	rep.SlowCompleted = slowDone
+	rep.TimedOut = collected < rep.Submitted
+	if rep.TimedOut {
+		end = clk.Now()
+	} else if last.After(end) {
+		end = last
+	}
+	rep.Latency = toMillis(lat.Snapshot())
 	mu.Unlock()
-	rep.WallSeconds = time.Since(start).Seconds()
+	rep.WallSeconds = end.Sub(start).Seconds()
 	if rep.WallSeconds > 0 {
 		rep.AchievedRate = float64(rep.Completed+rep.SlowCompleted) / rep.WallSeconds
 	}
-	rep.Latency = toMillis(lat.Snapshot())
 	return rep, nil
 }

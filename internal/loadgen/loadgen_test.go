@@ -2,6 +2,8 @@ package loadgen_test
 
 import (
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -347,26 +349,97 @@ func TestCoordinatedOmissionStall(t *testing.T) {
 
 // ---- Knee search ----
 
-// queueStore is a single-server queue with a fixed service rate:
-// completions are spaced 1/capacity apart, so offered load below capacity
-// sees small latency and offered load above it sees unbounded queueing.
+// simClock is a discrete-event clock for the open loop: time moves only
+// when the dispatcher sleeps, from one scheduled completion to the next, and
+// each completion it wakes reads the clock at its own instant before time
+// moves on. A run over it depends on the seed alone, not on the host.
+type simClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	timers []simTimer // from head on, ascending by instant, then scheduling order
+	head   int
+	waking bool          // a woken completion has not read the clock yet
+	acked  chan struct{} // it has
+}
+
+type simTimer struct {
+	at time.Time
+	ch chan struct{}
+}
+
+func newSimClock() *simClock {
+	return &simClock{now: time.Unix(1e9, 0), acked: make(chan struct{}, 1)}
+}
+
+// Now reads the clock; the first read by a woken completion releases the
+// dispatcher to move time on.
+func (c *simClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.waking {
+		c.waking = false
+		c.acked <- struct{}{}
+	}
+	return c.now
+}
+
+// SleepUntil fires, in order, every completion scheduled up to t, then
+// sets the clock to t. Only the dispatcher sleeps.
+func (c *simClock) SleepUntil(t time.Time) {
+	for {
+		c.mu.Lock()
+		if c.head == len(c.timers) || c.timers[c.head].at.After(t) {
+			if t.After(c.now) {
+				c.now = t
+			}
+			c.mu.Unlock()
+			return
+		}
+		tm := c.timers[c.head]
+		c.head++
+		c.now = tm.at
+		c.waking = true
+		close(tm.ch)
+		c.mu.Unlock()
+		<-c.acked
+	}
+}
+
+// at schedules a completion at t: the returned channel closes when the
+// clock reaches it.
+func (c *simClock) at(t time.Time) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tm := simTimer{t, make(chan struct{})}
+	if c.head > len(c.timers)/2 { // drop the fired timers
+		c.timers = append(c.timers[:0], c.timers[c.head:]...)
+		c.head = 0
+	}
+	i := c.head + sort.Search(len(c.timers)-c.head, func(i int) bool { return c.timers[c.head+i].at.After(t) })
+	c.timers = append(c.timers, simTimer{})
+	copy(c.timers[i+1:], c.timers[i:])
+	c.timers[i] = tm
+	return tm.ch
+}
+
+// queueStore is a single-server queue with a fixed service rate, in
+// simulated time: completions are spaced 1/capacity apart, so offered load
+// below capacity sees small latency and offered load above it sees
+// unbounded queueing.
 type queueStore struct {
-	mu   sync.Mutex
+	*simClock
 	next time.Time
 	per  time.Duration
 }
 
 func (q *queueStore) waiter() (func() ([]byte, bool, error), error) {
-	q.mu.Lock()
-	now := time.Now()
-	if q.next.Before(now) {
+	if now := q.Now(); q.next.Before(now) {
 		q.next = now
 	}
 	q.next = q.next.Add(q.per)
-	done := q.next
-	q.mu.Unlock()
+	done := q.at(q.next)
 	return func() ([]byte, bool, error) {
-		time.Sleep(time.Until(done))
+		<-done
 		return nil, true, nil
 	}, nil
 }
@@ -378,14 +451,18 @@ func (q *queueStore) WriteAsync(uint64, []byte) (func() ([]byte, bool, error), e
 func (q *queueStore) Flush() {}
 
 // TestFindKneeLocatesCapacity searches a queue with a known 5000 rps
-// service rate. From far below capacity the search must bracket it within
-// 10 %. From twice capacity the first probe fails, so there is no knee, and
-// that probe reports what the queue served over the wall time it took to
-// drain, not what was offered.
+// service rate, in simulated time: every probe, and so the knee, is a
+// function of the seed. From far below capacity the search must bracket it
+// within 10 %. From twice capacity the first probe fails, so there is no
+// knee, and that probe reports what the queue served over the time it took
+// to drain, not what was offered.
 func TestFindKneeLocatesCapacity(t *testing.T) {
+	// In simulated time parallelism buys nothing, and on one P every
+	// completion's hand-off to the dispatcher stays on one thread.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const capacity = 5000.0
 	open := func() (loadgen.Store, func(), error) {
-		return &queueStore{per: time.Duration(float64(time.Second) / capacity)}, func() {}, nil
+		return &queueStore{simClock: newSimClock(), per: time.Duration(float64(time.Second) / capacity)}, func() {}, nil
 	}
 	base := loadgen.Config{
 		Scenario: loadgen.Scenario{Name: "knee", WriteFrac: 0.5},
@@ -409,6 +486,9 @@ func TestFindKneeLocatesCapacity(t *testing.T) {
 			knee, err := loadgen.FindKnee(open, base, c.start, 12500*time.Microsecond, 0.75)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, p := range knee.Probes {
+				t.Logf("offered %.0f rps: achieved %.0f, p99 %.2f ms, sustained %v", p.Rate, p.Achieved, p.P99ms, p.Sustained)
 			}
 			if c.start > capacity {
 				if knee.Rate != 0 || len(knee.Probes) != 1 || knee.Failed() != c.start {

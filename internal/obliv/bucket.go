@@ -113,7 +113,7 @@ func (b *Buckets) Use(name string) {
 // they hold; keys, tags and ops reach only compare and AND operands, masks
 // only AND or bitwise-select operands. The addresses touched are those of
 // bucket and warm, which the scan reveals by design (a bucket index is a
-// PRF output under a fresh per-batch key).
+// PRF output under the batch's own key).
 //
 // len(obj) must equal the bound block size; bucket must be in range and
 // warm at most the last bucket.

@@ -298,9 +298,7 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 		copy(out.Block(i), v)
 		out.Aux[i] = 1
 	}
-	// Answered in the order received, which for a load balancer's batch is
-	// key order.
-	out.StampKeyOrder()
+	// Answered in the order received; the clone echoes the batch's key.
 	return out, nil
 }
 

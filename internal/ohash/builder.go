@@ -1,6 +1,8 @@
 package ohash
 
 import (
+	"fmt"
+
 	"snoopy/internal/crypt"
 	"snoopy/internal/store"
 )
@@ -80,17 +82,22 @@ func ensureBits(buf *[]uint8, n int) []uint8 {
 	return b
 }
 
-// Build constructs a table like the package-level Build but reusing the
-// Builder's scratch buffers, tier storage, and Table struct. The returned
-// table is valid only until the next Build call.
+// Build obliviously constructs a table from a batch of requests with
+// distinct keys, reusing the Builder's scratch buffers, tier storage, and
+// Table struct. The batch says what order it is in: its rows carry the hash
+// key the load balancer derived for it (store.StampKey; paper §5's fresh
+// key for every batch) and ascend in table order under that key, dummies
+// last; a batch that does not fails with ErrOrder, and one without a key
+// is refused. The input is not modified. The returned table is valid only
+// until the next Build call.
 func (b *Builder) Build(reqs *store.Requests) (*Table, error) {
-	return b.buildWithKey(reqs, crypt.MustNewSipKey())
-}
-
-func (b *Builder) buildWithKey(reqs *store.Requests, k crypt.SipKey) (*Table, error) {
 	n := reqs.Len()
 	if n == 0 {
 		return nil, errEmptyBatch
+	}
+	k := crypt.SipKey(reqs.KeyStamp(0))
+	if k == (crypt.SipKey{}) {
+		return nil, fmt.Errorf("%w: no table key", ErrOrder)
 	}
 	g := b.geometry(n)
 	b.tbl = Table{Geom: g, K: k, pool: b.p.pool()}

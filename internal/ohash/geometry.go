@@ -249,12 +249,13 @@ func tier2Bucket(c2, b2 int, budget float64) int {
 
 // BuildCost returns the number of oblivious row operations (compare-
 // exchanges and conditional swaps) constructing a table of this geometry
-// performs: per tier, sort and compact the real rows and distribute them
-// into the tier's slots, plus the compaction that isolates the tier-1
-// overflow. A pure function of public parameters, for the planner.
+// performs: per tier, compact the real rows and distribute them into the
+// tier's slots — tier 1's arrive in table order, tier 2's are sorted first —
+// plus the compaction that isolates the tier-1 overflow. A pure function of
+// public parameters, for the planner.
 func (g Geometry) BuildCost() int {
 	c := min(g.C2, g.N)
-	return obliv.SortCost(g.N) + 2*obliv.CompactCost(g.N) + obliv.DistributeCost(g.B1*g.Z1) +
+	return 2*obliv.CompactCost(g.N) + obliv.DistributeCost(g.B1*g.Z1) +
 		obliv.SortCost(c) + obliv.CompactCost(c) + obliv.DistributeCost(g.B2*g.Z2)
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snoopy/internal/crypt"
@@ -230,6 +231,7 @@ func TestGeometryIsAFunctionOfPublicInputs(t *testing.T) {
 				}
 				reqs.SetRow(i, uint8(rng.Intn(2)), key, 0, rng.Uint64(), rng.Uint64(), []byte{byte(rng.Intn(256))})
 			}
+			Order(reqs, crypt.SipKey{rng.Uint64() | 1, rng.Uint64()})
 			tbl, err := b.Build(reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -245,25 +247,63 @@ func TestGeometryIsAFunctionOfPublicInputs(t *testing.T) {
 
 // placement throws keys 0 … g.N−1 at a table of shape g under a fresh hash
 // key, the way the build does — both buckets of a key from its one hash; a
-// bucket keeps its Z1 smallest keys, the rest spill, tier 2 takes at most C2
-// of them at most Z2 to a bucket — and reports whether the build overflows.
-// counts and load are scratch.
-func placement(g Geometry, k crypt.SipKey, counts, load []int) bool {
+// bucket keeps its Z1 first keys in table order, the rest spill, tier 2
+// takes at most C2 of them at most Z2 to a bucket — and reports whether the
+// build overflows. counts, load, hs (capacity 2·N) and b2s are scratch.
+func placement(g Geometry, k crypt.SipKey, counts, load []int, hs *[]uint64, b2s []uint32) bool {
 	clear(counts)
 	clear(load)
-	spilled := 0
-	over := false
+	h := (*hs)[:0]
 	for key := uint64(0); key < uint64(g.N); key++ {
-		b, b2 := crypt.SipBuckets(k, key, g.B1, g.B2)
-		if counts[b]++; counts[b] <= g.Z1 {
-			continue
-		}
-		spilled++
-		if load[b2]++; load[b2] > g.Z2 {
-			over = true
+		v := crypt.SipHash(k, key)
+		counts[(v>>32)*uint64(g.B1)>>32]++
+		b2s[key] = uint32((v & (1<<32 - 1)) * uint64(g.B2) >> 32)
+		h = append(h, v&^(1<<32-1)|key)
+	}
+	// How many spill does not depend on which keys do; where they land in
+	// tier 2 does, unless tier 2 is one bucket.
+	spilled := 0
+	for _, c := range counts {
+		spilled += max(c-g.Z1, 0)
+	}
+	if spilled > g.C2 || g.B2 == 1 {
+		*hs = h
+		return spilled > min(g.C2, g.Z2)
+	}
+	// Buckets fill in table order, (H, key): group the keys of overfull
+	// buckets by bucket (a counting sort), then order each group.
+	spill, at := (*hs)[len(h):cap(*hs)][:0], 0
+	starts := make([]int, 0, g.B1)
+	for _, c := range counts {
+		starts = append(starts, at)
+		if c > g.Z1 {
+			at += c
 		}
 	}
-	return over || spilled > g.C2
+	spill = spill[:at]
+	for _, v := range h {
+		if b := (v >> 32) * uint64(g.B1) >> 32; counts[b] > g.Z1 {
+			spill[starts[b]] = v
+			starts[b]++
+		}
+	}
+	*hs = h
+	over := false
+	for b, end := 0, 0; b < g.B1; b++ {
+		if counts[b] <= g.Z1 {
+			continue
+		}
+		group := spill[end : end+counts[b]]
+		end += counts[b]
+		slices.Sort(group)
+		for _, v := range group[g.Z1:] {
+			b2 := b2s[v&(1<<32-1)]
+			if load[b2]++; load[b2] > g.Z2 {
+				over = true
+			}
+		}
+	}
+	return over
 }
 
 // overflowRate runs trials placements of shape g under keys drawn from rng
@@ -271,7 +311,7 @@ func placement(g Geometry, k crypt.SipKey, counts, load []int) bool {
 // overflowing one up to a cap, is also built for real, which must agree.
 func overflowRate(t *testing.T, g Geometry, rng *rand.Rand, trials, checkEvery int) int {
 	t.Helper()
-	counts, load := make([]int, g.B1), make([]int, g.B2)
+	counts, load, hs, b2s := make([]int, g.B1), make([]int, g.B2), make([]uint64, 0, 2*g.N), make([]uint32, g.N)
 	reqs := store.NewRequests(g.N, 8)
 	for i := 0; i < g.N; i++ {
 		reqs.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
@@ -280,12 +320,12 @@ func overflowRate(t *testing.T, g Geometry, rng *rand.Rand, trials, checkEvery i
 	overflows, builtOverflows := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		k := crypt.SipKey{rng.Uint64(), rng.Uint64()}
-		over := placement(g, k, counts, load)
+		over := placement(g, k, counts, load, &hs, b2s)
 		if over {
 			overflows++
 		}
 		if trial%checkEvery == 0 || (over && builtOverflows < 50) {
-			_, err := withGeometry(b, g).buildWithKey(reqs, k)
+			_, err := withGeometry(b, g).Build(ordered(reqs, k))
 			if over != errors.Is(err, ErrOverflow) || (!over && err != nil) {
 				t.Fatalf("%+v under key %x: placement says overflow=%v, Build says %v", g, k, over, err)
 			}

@@ -21,6 +21,9 @@ package ohash
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 
 	"snoopy/internal/arena"
 	"snoopy/internal/crypt"
@@ -67,14 +70,56 @@ func (p Params) pool() *arena.Pool {
 // DefaultParams mirrors the deployment default: λ = 128.
 func DefaultParams() Params { return Params{Lambda: 128} }
 
+// Hash is H(K, key), the high 32 bits of SipHash(K, key): the word
+// crypt.SipBucket reduces by multiply-shift, so a key's tier-1 bucket
+// ⌊H·B1/2³²⌋ never decreases as H grows, whatever B1 is.
+func Hash(k crypt.SipKey, key uint64) uint32 { return uint32(crypt.SipHash(k, key) >> 32) }
+
+// Rank places a request of partition part whose key hashes to h in the
+// load balancer's order. Ascending (Rank, key) is table order — ascending
+// (H, key), hence a bucket order for every geometry — within each
+// partition, partition-major; DummyRank trails every real row of its
+// partition.
+func Rank(part int, h uint32) uint64 { return uint64(part)<<33 | uint64(h) }
+
+// DummyRank is the rank of a dummy or vacant row of partition part.
+func DummyRank(part int) uint64 { return uint64(part)<<33 | 1<<32 }
+
+// ErrOrder is returned for a batch that does not say what order it is in:
+// its rows carry no table key, or differing ones, or its real rows do not
+// strictly ascend in table order ahead of its dummies.
+var ErrOrder = errors.New("ohash: batch is not in the table order its key declares")
+
+// Order stamps reqs with k and puts its rows in the table order Build
+// expects — real rows ascending by (H, key), dummies after them in key
+// order — by a plain, non-oblivious sort. It is for batches whose contents
+// are public (calibration probes, tests); the load balancer orders real
+// batches obliviously.
+func Order(reqs *store.Requests, k crypt.SipKey) {
+	src, perm, rank := reqs.Clone(), make([]int, reqs.Len()), make([]uint64, reqs.Len())
+	for i := range perm {
+		perm[i] = i
+		rank[i] = obliv.SelectU64(store.DummyMark(src.Key[i]), Rank(0, Hash(k, src.Key[i])), DummyRank(0))
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		ra, rb := rank[perm[a]], rank[perm[b]]
+		return ra < rb || ra == rb && src.Key[perm[a]] < src.Key[perm[b]]
+	})
+	for i, j := range perm {
+		reqs.CopyRowPlain(i, src, j)
+	}
+	reqs.StampKey(k)
+}
+
 // Table is a constructed two-tier oblivious hash table over a batch of
 // requests. Tier rows use Tag as the occupancy bit (1 = holds a batch
 // request) and Sub as the bucket index.
 type Table struct {
 	Geom Geometry
-	// K is the batch's one hash key: a key's tier-1 bucket is the high word
-	// of its SipHash under K reduced to [0, B1), its tier-2 bucket the low
-	// word reduced to [0, B2) (crypt.SipBuckets).
+	// K is the batch's one hash key, stamped in its rows by the load
+	// balancer (store.StampKey): a key's tier-1 bucket is the high word of
+	// its SipHash under K reduced to [0, B1), its tier-2 bucket the low word
+	// reduced to [0, B2) (crypt.SipBuckets).
 	K     crypt.SipKey
 	Tier1 *store.Requests // Geom.B1 × Geom.Z1 rows, bucket-major
 	Tier2 *store.Requests // Geom.B2 × Geom.Z2 rows, bucket-major
@@ -83,30 +128,17 @@ type Table struct {
 	pool *arena.Pool
 }
 
-// Build obliviously constructs a table from a batch of requests with
-// distinct keys. The input is not modified. A fresh hash key is sampled per
-// call (paper §5: a new key for every batch so the attacker cannot link
-// bucket choices across batches).
-func Build(reqs *store.Requests, p Params) (*Table, error) {
-	return BuildWithKey(reqs, p, crypt.MustNewSipKey())
-}
-
-// BuildWithKey is Build with a caller-chosen hash key. It exists so tests
-// can fix the key and verify that, the key held equal, the construction and
-// scan traces are independent of request contents (the simulator argument
-// of §B.5). Production code must use Build.
-func BuildWithKey(reqs *store.Requests, p Params, k crypt.SipKey) (*Table, error) {
-	return NewBuilder(p).buildWithKey(reqs, k)
-}
-
 var errEmptyBatch = fmt.Errorf("ohash: empty batch")
 
 // build runs the oblivious construction in place: t.Tier1 arrives holding
 // the n batch rows and t.Tier2 sized for the tier-2 candidates, both zeroed
 // through their table size (see Builder); spill and keep are n-row scratch.
-// Each tier is "sort the real rows by (bucket, key), mark the first Z of
-// every bucket, scatter them to bucket·Z + rank" — the padding slots are
-// never sorted, only numbered.
+// The batch is in table order already — its real rows ascend by (H, key),
+// its load-balancer dummies trail them — so tier 1 is "mark the first Z1
+// real rows of every bucket, scatter them to bucket·Z1 + rank" with no
+// sort; the dummies take the sentinel bucket B1 and never enter the table.
+// Tier 2 sorts its at most C2 candidates and scatters them the same way.
+// The padding slots are never sorted, only numbered.
 func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) error {
 	g := t.Geom
 	n := g.N
@@ -114,22 +146,41 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 	t1.Rec, t2.Rec, spill.Rec = rec, rec, rec
 
 	// ---- Tier 1 ----
+	// One pass checks the order branch-free and buckets the rows: a real row
+	// follows a real row it strictly exceeds in table order, and every row
+	// carries the key.
+	var bad uint8
+	prevH, prevKey, prevReal := uint32(0), uint64(0), uint8(1)
 	for i := 0; i < n; i++ {
-		t1.Sub[i] = crypt.SipBucket(t.K, t1.Key[i], g.B1)
-		t1.Tag[i] = 1
+		key := t1.Key[i]
+		real := obliv.Not(store.DummyMark(key))
+		h := Hash(t.K, key)
+		_, b := bits.Sub64(prevKey, key, 0) // borrows iff (prevH, prevKey) < (h, key)
+		_, b = bits.Sub64(uint64(prevH), uint64(h), b)
+		bad |= real & obliv.Not(obliv.Or(obliv.EqU64(uint64(i), 0), prevReal&uint8(b)))
+		bad |= obliv.NeqU64((t1.Seq[i]^t.K[0])|(t1.Client[i]^t.K[1]), 0)
+		t1.Sub[i] = uint32(obliv.SelectU64(real, uint64(g.B1), uint64(h)*uint64(g.B1)>>32))
+		t1.Tag[i] = real
+		prevH, prevKey, prevReal = h, key, real
 	}
-	obliv.Sort(store.BySubKey{Requests: t1})
+	if bad != 0 {
+		return ErrOrder
+	}
 	markRuns(t1.Sub, g.Z1, keep)
+	for i := range keep {
+		keep[i] &= t1.Tag[i] // the dummies' sentinel run is never placed
+	}
 	spill.CopyPrefix(t1)
 	t1.ScatterRuns(keep, g.B1, g.Z1, padKey(uint64(n)), uint64(g.Z1))
 
 	// ---- Tier 2 ----
-	// Erase the placed rows of the spill copy, then compact the overflow to
-	// the front and truncate to the public capacity C2.
+	// Erase the placed rows of the spill copy, then compact the overflow —
+	// the real rows tier 1 did not place — to the front and truncate to the
+	// public capacity C2.
 	for i := range keep {
 		obliv.CondSetU64(keep[i], &spill.Key[i], padKey(uint64(1<<40)+uint64(i)))
 		obliv.CondSetU8(keep[i], &spill.Tag[i], 0)
-		keep[i] ^= 1 // from here on: the overflow marks
+		keep[i] = spill.Tag[i] // from here on: the overflow marks
 	}
 	obliv.Compact(spill, keep)
 	// Any occupied row past C2 is lost: the negligible failure event.
@@ -177,14 +228,14 @@ func (t *Table) Buckets(ids []uint64, b1, b2 []uint32) {
 	}
 }
 
-// Extract obliviously recovers exactly the n batch rows — now carrying
-// whatever responses the subORAM scan deposited in them — in table order:
-// ascending by (tier-1 bucket, key), with Sub holding that bucket. Each tier
-// is compacted in place, which keeps a tier's residents in slot order: tier
-// 1's are then already in table order; the at most C2 tier-2 residents are
-// given their tier-1 bucket again, sorted, and folded in by one merge.
-// Vacant rows take the sentinel bucket B1 and one shared key, so they trail
-// every resident and the first n merged rows are the batch. The table is
+// Extract obliviously recovers the batch's real rows — now carrying
+// whatever responses the subORAM scan deposited in them — in the batch's
+// own order: ascending by (H, key), followed by vacant rows where the batch
+// had its dummies, n rows in all, with Sub holding each resident's H. Each
+// tier is compacted in place, which keeps a tier's residents in slot order:
+// tier 1's are then already in table order; the at most C2 tier-2 residents
+// are sorted by (H, key) and folded in by one merge. Vacant rows take H =
+// 2³²−1 and one shared dummy key, so they trail every resident. The table is
 // consumed. The result is drawn from the table's arena pool; the caller owns
 // it and may release it.
 //
@@ -212,11 +263,8 @@ func (t *Table) Extract() *store.Requests {
 	out.Rec = t.Tier1.Rec
 	out.CopyRowsPlain(0, t.Tier2)
 	out.CopyRowsPlain(c, t.Tier1)
-	for i := 0; i < c; i++ { // tier-1 rows already carry their bucket
-		out.Sub[i] = crypt.SipBucket(t.K, out.Key[i], g.B1)
-	}
 	for i := 0; i < c+n; i++ {
-		out.Sub[i] = uint32(obliv.SelectU64(out.Tag[i], uint64(g.B1), uint64(out.Sub[i])))
+		out.Sub[i] = uint32(obliv.SelectU64(out.Tag[i], math.MaxUint32, uint64(Hash(t.K, out.Key[i]))))
 		out.Key[i] = obliv.SelectU64(out.Tag[i], padKey(0), out.Key[i])
 	}
 	out.Resize(c)

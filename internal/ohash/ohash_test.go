@@ -1,13 +1,17 @@
 package ohash
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/store"
 )
 
+// makeBatch returns n distinct keys as a load balancer sends them: stamped
+// with a table key drawn from rng and in that key's table order.
 func makeBatch(rng *rand.Rand, n, block int) *store.Requests {
 	reqs := store.NewRequests(n, block)
 	perm := rng.Perm(n * 10)
@@ -18,8 +22,19 @@ func makeBatch(rng *rand.Rand, n, block int) *store.Requests {
 		}
 		reqs.SetRow(i, op, uint64(perm[i]), 0, uint64(i), uint64(i), []byte{byte(i)})
 	}
+	Order(reqs, crypt.SipKey{rng.Uint64() | 1, rng.Uint64()})
 	return reqs
 }
+
+// ordered returns a copy of reqs stamped with k and in its table order.
+func ordered(reqs *store.Requests, k crypt.SipKey) *store.Requests {
+	c := reqs.Clone()
+	Order(c, k)
+	return c
+}
+
+// build builds a batch in table order with a fresh Builder.
+func build(reqs *store.Requests, p Params) (*Table, error) { return NewBuilder(p).Build(reqs) }
 
 // bucketRows returns the row ranges of the two buckets a lookup of id scans.
 func bucketRows(t *Table, id uint64) (lo1, hi1, lo2, hi2 int) {
@@ -52,7 +67,7 @@ func TestBuildAndLookupAllKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 5, 64, 512, 1500} {
 		reqs := makeBatch(rng, n, 16)
-		tbl, err := Build(reqs, DefaultParams())
+		tbl, err := build(reqs, DefaultParams())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -68,7 +83,7 @@ func TestBuildAndLookupAllKeys(t *testing.T) {
 func TestBuildPreservesRecordFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	reqs := makeBatch(rng, 200, 16)
-	tbl, err := Build(reqs, DefaultParams())
+	tbl, err := build(reqs, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +109,16 @@ func TestBuildManySeedsNoOverflow(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 100 + rng.Intn(2000)
 		reqs := makeBatch(rng, n, 8)
-		if _, err := Build(reqs, DefaultParams()); err != nil {
+		if _, err := build(reqs, DefaultParams()); err != nil {
 			t.Fatalf("trial %d n=%d: %v", trial, n, err)
 		}
 	}
 }
 
 func TestBuildWithLoadBalancerDummies(t *testing.T) {
-	// LB dummy keys (DummyKeyBit set, TableDummyBit clear) must be placed
-	// and findable like real keys.
+	// LB dummy keys (DummyKeyBit set, TableDummyBit clear) trail the real
+	// rows and never enter the table: the real keys are found once, the
+	// dummies not at all, and Extract answers them with vacant rows.
 	reqs := store.NewRequests(100, 8)
 	for i := 0; i < 50; i++ {
 		reqs.SetRow(i, store.OpRead, uint64(i), 0, 0, 0, nil)
@@ -110,13 +126,63 @@ func TestBuildWithLoadBalancerDummies(t *testing.T) {
 	for i := 50; i < 100; i++ {
 		reqs.SetRow(i, store.OpRead, store.DummyKeyBit|uint64(i), 0, 0, 0, nil)
 	}
-	tbl, err := Build(reqs, DefaultParams())
+	Order(reqs, crypt.SipKey{3, 4})
+	tbl, err := build(reqs, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if c, _, _ := findKey(tbl, reqs.Key[i]); c != 1 {
-			t.Fatalf("key %x found %d times", reqs.Key[i], c)
+		want := 1 - int(store.DummyMark(reqs.Key[i]))
+		if c, _, _ := findKey(tbl, reqs.Key[i]); c != want {
+			t.Fatalf("key %x found %d times, want %d", reqs.Key[i], c, want)
+		}
+	}
+	out := tbl.Extract()
+	for i := 0; i < out.Len(); i++ {
+		if vacant := out.Tag[i] == 0; vacant != (i >= 50) || out.Key[i] != reqs.Key[i] && !vacant {
+			t.Fatalf("extracted row %d: key %x tag %d; want the batch's real rows, then vacant rows", i, out.Key[i], out.Tag[i])
+		}
+	}
+}
+
+// TestBuildRefusesMisorderedBatch is the order check's negative control: a
+// batch with two real rows swapped, a real row after a dummy, rows under
+// two keys, or no key at all is refused; the batch as sent builds.
+func TestBuildRefusesMisorderedBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	k := crypt.SipKey{7, 8}
+	base := store.NewRequests(64, 8)
+	for i := 0; i < 64; i++ {
+		key := uint64(rng.Intn(1 << 20))
+		if i >= 48 {
+			key = store.DummyKeyBit | uint64(i)
+		}
+		base.SetRow(i, store.OpRead, key, 0, 0, 0, nil)
+	}
+	Order(base, k)
+	b := NewBuilder(DefaultParams())
+	if _, err := b.Build(base); err != nil {
+		t.Fatalf("the batch as sent: %v", err)
+	}
+	swap := func(r *store.Requests, i, j int) {
+		tmp := r.Clone()
+		r.CopyRowPlain(i, tmp, j)
+		r.CopyRowPlain(j, tmp, i)
+	}
+	for _, c := range []struct {
+		name string
+		mend func(r *store.Requests)
+	}{
+		{"two real rows swapped", func(r *store.Requests) { swap(r, 10, 11) }},
+		{"first and last real row swapped", func(r *store.Requests) { swap(r, 0, 47) }},
+		{"a real row after a dummy", func(r *store.Requests) { swap(r, 47, 48) }},
+		{"a row under another key", func(r *store.Requests) { r.Client[20]++ }},
+		{"no key", func(r *store.Requests) { r.StampKey([2]uint64{}) }},
+	} {
+		r := base.Clone()
+		c.mend(r)
+		if _, err := b.Build(r); !errors.Is(err, ErrOrder) {
+			t.Fatalf("%s: Build says %v, want ErrOrder", c.name, err)
 		}
 	}
 }
@@ -124,7 +190,7 @@ func TestBuildWithLoadBalancerDummies(t *testing.T) {
 func TestExtractRecoversBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	reqs := makeBatch(rng, 300, 16)
-	tbl, err := Build(reqs, DefaultParams())
+	tbl, err := build(reqs, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +215,14 @@ func TestExtractRecoversBatch(t *testing.T) {
 }
 
 func TestBuildEmptyBatchErrors(t *testing.T) {
-	if _, err := Build(store.NewRequests(0, 8), DefaultParams()); err == nil {
+	if _, err := build(store.NewRequests(0, 8), DefaultParams()); err == nil {
 		t.Fatal("empty batch should error")
 	}
 }
 
 func TestBucketsInRange(t *testing.T) {
 	reqs := makeBatch(rand.New(rand.NewSource(24)), 128, 8)
-	tbl, err := Build(reqs, DefaultParams())
+	tbl, err := build(reqs, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +271,7 @@ func TestTwoTierConstructionBeatsQuadratic(t *testing.T) {
 	reqs := makeBatch(rng, n, 32)
 
 	start := time.Now()
-	if _, err := Build(reqs, DefaultParams()); err != nil {
+	if _, err := build(reqs, DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
 	twoTier := time.Since(start)

@@ -36,9 +36,9 @@ func withGeometry(b *Builder, g Geometry) *Builder {
 	return b
 }
 
-// buildInShape is BuildWithKey under a caller-chosen geometry.
+// buildInShape builds reqs, put in table order under k, in shape g.
 func buildInShape(reqs *store.Requests, g Geometry, k crypt.SipKey) (*Table, error) {
-	return withGeometry(NewBuilder(Params{}), g).buildWithKey(reqs, k)
+	return withGeometry(NewBuilder(Params{}), g).Build(ordered(reqs, k))
 }
 
 // oneHash and twoKeys are the two placements the reference construction can
@@ -55,14 +55,17 @@ func twoKeys(g Geometry, k1, k2 crypt.SipKey) func(uint64) (uint32, uint32) {
 	}
 }
 
-// refBuild is the pad-and-sort construction this package used before
-// obliv.Distribute: every tier materializes Z padding rows per bucket next
-// to the real rows, sorts the lot by (bucket, key), keeps the first Z of
-// each bucket and compacts. Kept as the specification the scatter
-// construction must reproduce byte for byte, in any geometry (tier-2 padding
-// keys count from 1<<41, as the scatter's do). place gives a key's two
+// refBuild is the construction this package used before the load balancer
+// sent its batches in table order: every tier materializes Z padding rows
+// per bucket next to the real rows, sorts the lot — tier 1 by (bucket, H,
+// key), tier 2 by (bucket, key) — keeps the first Z of each bucket and
+// compacts. Kept as the specification the sort-free construction must
+// reproduce byte for byte, in any geometry (tier-2 padding keys count from
+// 1<<41, as the scatter's do). The batch is put in table order under k1 and
+// stamped with it first; its dummies take no slot. place gives a key's two
 // buckets; k1 is recorded as the table's key (Extract's order).
 func refBuild(reqs *store.Requests, g Geometry, k1 crypt.SipKey, place func(uint64) (uint32, uint32)) (*Table, error) {
+	reqs = ordered(reqs, k1)
 	n := reqs.Len()
 	t := &Table{Geom: g, K: k1}
 	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
@@ -79,6 +82,9 @@ func refBuild(reqs *store.Requests, g Geometry, k1 crypt.SipKey, place func(uint
 		work.CopyRowPlain(i, reqs, i)
 		work.Sub[i], _ = place(work.Key[i])
 		work.Tag[i] = 1
+		if store.IsDummyKey(work.Key[i]) {
+			work.Sub[i], work.Tag[i] = uint32(g.B1), 0
+		}
 	}
 	d := n
 	for b := 0; b < g.B1; b++ {
@@ -87,9 +93,16 @@ func refBuild(reqs *store.Requests, g Geometry, k1 crypt.SipKey, place func(uint
 			d++
 		}
 	}
-	obliv.Sort(store.BySubKey{Requests: work})
+	// Tier-1 order: by bucket, then real rows by (H, key), padding by key.
+	rank := make([]uint64, work.Len())
+	for i := range rank {
+		pad := store.DummyMark(work.Key[i])
+		rank[i] = uint64(work.Sub[i])<<33 | obliv.SelectU64(pad, uint64(Hash(k1, work.Key[i])), 1<<32)
+	}
+	obliv.Sort(store.ByRank{Requests: work, Rank: rank})
 	markRuns(work.Sub, g.Z1, keep)
 	for i := range over {
+		keep[i] &= obliv.LtU64(uint64(work.Sub[i]), uint64(g.B1))
 		over[i] = work.Tag[i] & obliv.Not(keep[i])
 	}
 	spill.CopyPrefix(work)
@@ -147,38 +160,57 @@ func sameRows(t *testing.T, what string, a, b *store.Requests) {
 	}
 }
 
+// withDummies turns the last d rows of reqs into load-balancer dummies
+// (numbered as the load balancer numbers them) and puts the batch back in
+// table order under k.
+func withDummies(reqs *store.Requests, d int, k crypt.SipKey) *store.Requests {
+	for j, i := 0, reqs.Len()-d; i < reqs.Len(); i, j = i+1, j+1 {
+		reqs.SetRow(i, store.OpRead, store.DummyKeyBit|uint64(j), 0, 0, 0, nil)
+	}
+	Order(reqs, k)
+	return reqs
+}
+
 // ledgerShapes are the (batch size, partition size) of BENCHMARK.json's four
 // workloads: scan_heavy, batch_heavy, remote_durable, open_mixed.
 var ledgerShapes = [][2]int{{128, 1 << 15}, {845, 1 << 9}, {512, 1 << 13}, {122, 1 << 11}}
 
-// TestBuildMatchesPadAndSortReference: the hash key held equal, the scatter
+// TestBuildMatchesPadAndSortReference: the hash key held equal, the sort-free
 // construction and the pad-and-sort one produce byte-identical tiers — same
-// occupied slots, same padding-key numbering — through a reused Builder
-// whose scratch shrinks and grows between batches, in the shapes GeometryFor
-// gives a batch against no partition, a small one and a large one, and in
-// the legacy shape.
+// occupied slots, same padding-key numbering — and so identical extracts,
+// for batches in load-balancer order with up to half their rows dummies,
+// through a reused Builder whose scratch shrinks and grows between batches,
+// in the shapes GeometryFor gives a batch against no partition, a small one
+// and a large one (at λ = 128 and 40), in every ledger shape, and in the
+// legacy shape.
 func TestBuildMatchesPadAndSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	b := NewBuilder(Params{})
-	sizes := []int{1, 2, 4, 5, 16, 17, 127, 128, 844, 845, 511, 512, 513}
+	sizes := []int{1, 2, 4, 5, 16, 17, 121, 122, 127, 128, 844, 845, 511, 512, 513}
 	for trial := 0; trial < 20; trial++ {
 		sizes = append(sizes, 1+rng.Intn(1200))
 	}
 	for _, n := range sizes {
-		reqs := makeBatch(rng, n, 24)
+		reqs := withDummies(makeBatch(rng, n, 24), rng.Intn(n/2+1), crypt.SipKey{1, 1})
 		for i := 0; i < n; i++ {
 			reqs.Aux[i] = uint8(rng.Intn(2))
 			rng.Read(reqs.Block(i))
 		}
-		for _, g := range []Geometry{
-			GeometryFor(n, 0, 128), GeometryFor(n, n, 128), GeometryFor(n, 64*n, 128), legacyGeometry(n, 128),
-		} {
+		shapes := []Geometry{
+			GeometryFor(n, 0, 128), GeometryFor(n, n, 128), GeometryFor(n, 64*n, 128), GeometryFor(n, n, 40), legacyGeometry(n, 128),
+		}
+		for _, l := range ledgerShapes {
+			if l[0] == n {
+				shapes = append(shapes, GeometryFor(n, l[1], 128))
+			}
+		}
+		for _, g := range shapes {
 			k := crypt.MustNewSipKey()
 			want, err := refBuild(reqs, g, k, oneHash(g, k))
 			if err != nil {
 				t.Fatalf("%+v: reference: %v", g, err)
 			}
-			got, err := withGeometry(b, g).buildWithKey(reqs, k)
+			got, err := withGeometry(b, g).Build(ordered(reqs, k))
 			if err != nil {
 				t.Fatalf("%+v: %v", g, err)
 			}
@@ -187,6 +219,7 @@ func TestBuildMatchesPadAndSortReference(t *testing.T) {
 			}
 			sameRows(t, fmt.Sprintf("%+v tier 1", g), got.Tier1, want.Tier1)
 			sameRows(t, fmt.Sprintf("%+v tier 2", g), got.Tier2, want.Tier2)
+			sameRows(t, fmt.Sprintf("%+v extracted", g), got.Extract(), want.Extract())
 		}
 	}
 }
@@ -250,8 +283,9 @@ func TestOneHashMovesOnlyTier2Residents(t *testing.T) {
 
 // crafted builds a batch whose keys land where the test wants them under
 // a fixed hash key: counts[b] keys in tier-1 bucket b, of which the ones that
-// overflow (the largest; buckets keep their Z1 smallest keys) additionally
-// satisfy tier2 when it is non-nil.
+// overflow (a bucket keeps its Z1 first in table order) additionally satisfy
+// tier2 when it is non-nil. Kept keys hash to the lower half of their
+// bucket's range of H, overflowing ones to the upper half.
 func crafted(t *testing.T, g Geometry, k crypt.SipKey, counts []int, tier2 func(b2 uint32) bool) *store.Requests {
 	t.Helper()
 	n := 0
@@ -262,24 +296,26 @@ func crafted(t *testing.T, g Geometry, k crypt.SipKey, counts []int, tier2 func(
 		t.Fatalf("crafted: %d keys in %d buckets for %+v", n, len(counts), g)
 	}
 	reqs := store.NewRequests(n, 8)
-	have := make([]int, g.B1)
+	kept, spilt := make([]int, g.B1), make([]int, g.B1)
 	row := 0
-	// Keys ascend, so a bucket's first Z1 keys are the ones it keeps.
 	for key := uint64(1); row < n; key++ {
 		if key > 1<<24 {
 			t.Fatal("crafted: key search exhausted")
 		}
 		b, b2 := crypt.SipBuckets(k, key, g.B1, g.B2)
-		if have[b] == counts[b] {
+		upper := uint64(Hash(k, key))*uint64(2*g.B1)>>32 == uint64(2*b+1)
+		switch {
+		case !upper && kept[b] < min(counts[b], g.Z1):
+			kept[b]++
+		case upper && spilt[b] < counts[b]-g.Z1 && (tier2 == nil || tier2(b2)):
+			spilt[b]++
+		default:
 			continue
 		}
-		if have[b] >= g.Z1 && tier2 != nil && !tier2(b2) {
-			continue
-		}
-		have[b]++
-		reqs.SetRow(row, store.OpWrite, key, 0, uint64(row), uint64(row), []byte{byte(key)})
+		reqs.SetRow(row, store.OpWrite, key, 0, 0, 0, []byte{byte(key)})
 		row++
 	}
+	Order(reqs, k)
 	return reqs
 }
 
@@ -326,8 +362,8 @@ var pinShapes = []struct {
 
 // TestTier1BucketBoundary pins the tier-1 edge in the shapes GeometryFor
 // picks: a bucket offered exactly Z1 keys keeps them all; offered Z1+1 it
-// keeps its Z1 smallest and spills exactly the largest into tier 2. Both
-// agree with the reference.
+// keeps its Z1 first in table order and spills exactly the last into tier
+// 2. Both agree with the reference.
 func TestTier1BucketBoundary(t *testing.T) {
 	k := crypt.SipKey{1, 2}
 	for _, shape := range pinShapes {
@@ -348,14 +384,15 @@ func TestTier1BucketBoundary(t *testing.T) {
 				t.Fatalf("%s extra=%d: tier 2 holds %d rows, want %d", shape.name, extra, got, extra)
 			}
 			if extra == 1 {
-				var largest uint64
+				var last uint64
+				var lastH uint32
 				for i := 0; i < reqs.Len(); i++ {
-					if crypt.SipBucket(k, reqs.Key[i], g.B1) == 0 && reqs.Key[i] > largest {
-						largest = reqs.Key[i]
+					if h := Hash(k, reqs.Key[i]); crypt.SipBucket(k, reqs.Key[i], g.B1) == 0 && h >= lastH {
+						last, lastH = reqs.Key[i], h
 					}
 				}
-				if c, tier, _ := findKey(tbl, largest); c != 1 || tier != 2 {
-					t.Fatalf("%s: bucket 0's largest key %d: found %d times, tier %d; want once in tier 2", shape.name, largest, c, tier)
+				if c, tier, _ := findKey(tbl, last); c != 1 || tier != 2 {
+					t.Fatalf("%s: bucket 0's last key %d: found %d times, tier %d; want once in tier 2", shape.name, last, c, tier)
 				}
 			}
 			want, err := refBuild(reqs, g, k, oneHash(g, k))
@@ -450,50 +487,57 @@ func TestBuildCostCountsTheBuild(t *testing.T) {
 // refExtract is the copy-then-compact extraction this package used before
 // Extract answered in table order: both tiers copied whole into one record
 // set, one compaction by occupancy over the B1·Z1 + B2·Z2 rows. It leaves
-// the tiers intact and the batch in slot order (tier 1's residents, then
-// tier 2's) — the specification of *which* rows Extract must return.
+// the tiers intact and the residents in slot order (tier 1's, then tier
+// 2's) — the specification of *which* rows Extract must return.
 func refExtract(t *Table) *store.Requests {
 	n1, n2 := t.Tier1.Len(), t.Tier2.Len()
 	all := store.NewRequests(n1+n2, t.Tier1.BlockSize)
 	all.CopyRowsPlain(0, t.Tier1)
 	all.CopyRowsPlain(n1, t.Tier2)
 	obliv.Compact(all, append([]uint8(nil), all.Tag...))
-	all.Resize(t.Geom.N)
+	all.Resize(occupied(all, 0, all.Len()))
 	return all
 }
 
-// requireTableOrder fails unless got is exactly the reference's rows —
-// every column but Sub, Data included — ascending by (tier-1 bucket, key)
-// with Sub holding that bucket.
+// requireTableOrder fails unless got is exactly the reference's residents —
+// every column but Sub, Data included — ascending by (H, key) with Sub
+// holding H, then vacant rows (Tag 0, H and key past every resident's) up
+// to the table's batch size.
 func requireTableOrder(t *testing.T, what string, tbl *Table, got, ref *store.Requests) {
 	t.Helper()
-	if got.Len() != ref.Len() {
-		t.Fatalf("%s: %d rows, reference %d", what, got.Len(), ref.Len())
+	if got.Len() != tbl.Geom.N {
+		t.Fatalf("%s: %d rows, the batch has %d", what, got.Len(), tbl.Geom.N)
 	}
-	bucket := func(r *store.Requests, i int) uint32 { return crypt.SipBucket(tbl.K, r.Key[i], tbl.Geom.B1) }
 	idx := make([]int, ref.Len())
 	for i := range idx {
 		idx[i] = i
 	}
+	hash := func(i int) uint32 { return Hash(tbl.K, ref.Key[i]) }
 	sort.Slice(idx, func(a, b int) bool {
-		if ba, bb := bucket(ref, idx[a]), bucket(ref, idx[b]); ba != bb {
-			return ba < bb
+		if ha, hb := hash(idx[a]), hash(idx[b]); ha != hb {
+			return ha < hb
 		}
 		return ref.Key[idx[a]] < ref.Key[idx[b]]
 	})
 	want := store.NewRequests(ref.Len(), ref.BlockSize)
 	for i, j := range idx {
 		want.CopyRowPlain(i, ref, j)
-		want.Sub[i] = bucket(ref, j)
+		want.Sub[i] = hash(j)
 	}
-	sameRows(t, what, got, want)
+	sameRows(t, what, got.View(0, ref.Len()), want)
+	for i := ref.Len(); i < got.Len(); i++ {
+		if got.Tag[i] != 0 || got.Sub[i] != 1<<32-1 || got.Key[i] != padKey(0) {
+			t.Fatalf("%s: row %d (tag %d, H %#x, key %#x) is not vacant", what, i, got.Tag[i], got.Sub[i], got.Key[i])
+		}
+	}
 }
 
 // TestExtractMatchesCopyThenCompactInTableOrder: Extract returns exactly the
 // rows the copy-then-compact extraction does — carrying what a scan left in
-// Data and Aux — sorted by (bucket₁, key), for batches crafted under fixed
-// a key to put 0, 1 and C2 rows in tier 2 and to fill a tier-1 bucket to Z1
-// and Z1+1, and for random batches through a reused Builder.
+// Data and Aux — sorted by (H, key), then vacant rows, for batches crafted
+// under a fixed key to put 0, 1 and C2 rows in tier 2 and to fill a tier-1
+// bucket to Z1 and Z1+1, and for random batches, with and without
+// load-balancer dummies, through a reused Builder.
 func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
 	k := crypt.SipKey{5, 6}
 	rng := rand.New(rand.NewSource(63))
@@ -531,8 +575,10 @@ func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
 
 	b := NewBuilder(Params{Objects: 4096})
 	for _, n := range []int{1, 2, 9, 127, 128, 845, 300, 1200} {
-		reqs := makeBatch(rng, n, 24)
-		check(fmt.Sprintf("n=%d reused builder", n), -1, func() (*Table, error) { return b.Build(reqs) })
+		for _, dummies := range []int{0, n / 3} {
+			reqs := withDummies(makeBatch(rng, n, 24), dummies, crypt.SipKey{uint64(n), 9})
+			check(fmt.Sprintf("n=%d, %d dummies, reused builder", n, dummies), -1, func() (*Table, error) { return b.Build(reqs) })
+		}
 	}
 }
 
@@ -541,8 +587,9 @@ func TestExtractMatchesCopyThenCompactInTableOrder(t *testing.T) {
 func TestExtractQuick(t *testing.T) {
 	f := func(seed int64, size uint16, k crypt.SipKey) bool {
 		rng := rand.New(rand.NewSource(seed))
-		reqs := makeBatch(rng, 1+int(size)%700, 8)
-		tbl, err := BuildWithKey(reqs, DefaultParams(), k)
+		k[0] |= 1
+		reqs := ordered(makeBatch(rng, 1+int(size)%700, 8), k)
+		tbl, err := build(reqs, DefaultParams())
 		if err != nil {
 			return errors.Is(err, ErrOverflow) // negligible, but not a wrong answer
 		}
@@ -554,7 +601,8 @@ func TestExtractQuick(t *testing.T) {
 }
 
 // extractedInOrder reports whether out holds exactly reqs' rows (by key →
-// seq, op, first data byte), ascending by (bucket₁, key), Sub = bucket₁.
+// seq, op, first data byte), in reqs' order, with Sub = H — the batch as
+// sent, without dummies.
 func extractedInOrder(tbl *Table, reqs, out *store.Requests) bool {
 	if out.Len() != reqs.Len() {
 		return false
@@ -574,10 +622,7 @@ func extractedInOrder(tbl *Table, reqs, out *store.Requests) bool {
 			return false
 		}
 		delete(want, out.Key[i])
-		if out.Sub[i] != crypt.SipBucket(tbl.K, out.Key[i], tbl.Geom.B1) {
-			return false
-		}
-		if i > 0 && (out.Sub[i-1] > out.Sub[i] || (out.Sub[i-1] == out.Sub[i] && out.Key[i-1] >= out.Key[i])) {
+		if out.Sub[i] != Hash(tbl.K, out.Key[i]) || out.Key[i] != reqs.Key[i] {
 			return false
 		}
 	}
@@ -606,7 +651,11 @@ func FuzzExtractTableOrder(f *testing.F) {
 			return
 		}
 		reqs.Resize(n)
-		tbl, err := BuildWithKey(reqs, DefaultParams(), crypt.SipKey{k0, k1})
+		if k0|k1 == 0 {
+			k0 = 1
+		}
+		Order(reqs, crypt.SipKey{k0, k1})
+		tbl, err := build(reqs, DefaultParams())
 		if err != nil {
 			if errors.Is(err, ErrOverflow) {
 				return
@@ -627,7 +676,7 @@ func TestExtractTraceIsPublic(t *testing.T) {
 	for _, n := range []int{1, 9, 120, 845} {
 		var first *trace.Recorder
 		for trial := 0; trial < 3; trial++ {
-			tbl, err := Build(makeBatch(rng, n, 8), DefaultParams())
+			tbl, err := build(makeBatch(rng, n, 8), DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}

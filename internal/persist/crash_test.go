@@ -173,7 +173,7 @@ func durableCase(disk bool) crashCase {
 					fillValue(val, uint64(3*v), uint64(v))
 					reqs.SetRow(0, store.OpWrite, uint64(3*v), 0, 0, 0, val)
 					reqs.SetRow(1, store.OpRead, 0, 0, 1, 1, nil)
-					_, err = dur.BatchAccess(reqs)
+					_, err = dur.BatchAccess(sendable(reqs))
 				}
 				if err != nil {
 					return acked

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -63,6 +65,13 @@ func fillValue(dst []byte, id, version uint64) {
 	}
 }
 
+// sendable stamps reqs with a table key and puts it in that key's table
+// order, as a load balancer sends a batch. It returns reqs.
+func sendable(reqs *store.Requests) *store.Requests {
+	ohash.Order(reqs, crypt.SipKey{1, 2})
+	return reqs
+}
+
 // writeBatch applies a single-row write batch for (key, version).
 func writeBatch(t *testing.T, dur *Durable, key, version uint64) {
 	t.Helper()
@@ -70,7 +79,7 @@ func writeBatch(t *testing.T, dur *Durable, key, version uint64) {
 	val := make([]byte, testBlock)
 	fillValue(val, key, version)
 	reqs.SetRow(0, store.OpWrite, key, 0, 1, 0, val)
-	if _, err := dur.BatchAccess(reqs); err != nil {
+	if _, err := dur.BatchAccess(sendable(reqs)); err != nil {
 		t.Fatalf("write batch key=%d: %v", key, err)
 	}
 }
@@ -80,7 +89,7 @@ func readBack(t *testing.T, dur *Durable, key uint64) []byte {
 	t.Helper()
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpRead, key, 0, 1, 0, nil)
-	out, err := dur.BatchAccess(reqs)
+	out, err := dur.BatchAccess(sendable(reqs))
 	if err != nil {
 		t.Fatalf("read batch key=%d: %v", key, err)
 	}

@@ -46,8 +46,11 @@ func Calibrate(blockSize, lambda int, link Link) (CostModel, error) {
 		if err != nil {
 			return CostModel{}, err
 		}
-		batches.All.StampKeyOrder() // the batches stand in for their own responses
-		if _, err := lb.MatchResponses(batches.All, reqs); err != nil {
+		// The batches stand in for their own responses: they are in the
+		// order sent and carry their keys.
+		m := batches.Match
+		batches.Match = nil
+		if _, err := lb.Match(m, batches.All); err != nil {
 			return CostModel{}, err
 		}
 		if d := time.Since(t0); rep == 0 || d < lbWall {
@@ -72,8 +75,9 @@ func Calibrate(blockSize, lambda int, link Link) (CostModel, error) {
 	probe := func(alpha int) (nsPerObject float64, slots int, err error) {
 		batch := store.NewRequests(alpha, blockSize)
 		for i := 0; i < alpha; i++ {
-			batch.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
+			batch.SetRow(i, store.OpRead, uint64(i), 0, 0, 0, nil)
 		}
+		ohash.Order(batch, crypt.MustNewSipKey())
 		best := time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
 			if _, err := sub.BatchAccess(batch); err != nil {

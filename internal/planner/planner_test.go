@@ -140,16 +140,16 @@ func TestPlanGolden(t *testing.T) {
 			Objects: 2_000_000, MinThroughput: 100_000, MaxLatency: time.Second,
 			MaxLoadBalancers: 10, MaxSubORAMs: 40,
 		}},
-		// 1 M reqs/s is where one load balancer stops keeping up under this
-		// model (at 800 K — the bound before MatchResponses merged instead of
-		// sorting — it now does, with 2 subORAMs): infeasible on one plane,
-		// bought on the L axis once more planes are allowed.
+		// 1.4 M reqs/s is where one load balancer stops keeping up under
+		// this model (at 1 M — the bound before the match stopped sorting
+		// the requests — it now does, with one subORAM): infeasible on one
+		// plane, bought on the L axis once more planes are allowed.
 		{"lb-bound-single-plane", Requirements{
-			Objects: 100_000, MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
+			Objects: 100_000, MinThroughput: 1_400_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 1, MaxSubORAMs: 8,
 		}},
 		{"lb-bound-more-planes", Requirements{
-			Objects: 100_000, MinThroughput: 1_000_000, MaxLatency: 200 * time.Millisecond,
+			Objects: 100_000, MinThroughput: 1_400_000, MaxLatency: 200 * time.Millisecond,
 			MaxLoadBalancers: 8, MaxSubORAMs: 8,
 		}},
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"snoopy/internal/crypt"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -151,13 +152,18 @@ func readKey(t *testing.T, g *Group, key uint64) ([]byte, bool) {
 func readReq(key uint64) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpRead, key, 0, 0, 0, nil)
+	reqs.StampKey(testTableKey) // one row: in any key's table order
 	return reqs
 }
+
+// testTableKey is the table key the tests' batches are sent under.
+var testTableKey = [2]uint64{1, 2}
 
 func writeKey(t *testing.T, g *Group, key uint64, val []byte) {
 	t.Helper()
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpWrite, key, 0, 0, 0, val)
+	reqs.StampKey(testTableKey)
 	if _, err := g.BatchAccess(reqs); err != nil {
 		t.Fatal(err)
 	}
@@ -501,10 +507,10 @@ func TestDigestDuplicateSensitive(t *testing.T) {
 	}
 }
 
-// TestDigestAgreesAcrossTableKeys: replicas draw their own per-batch hash
-// keys, so the same batch comes back in a different row order under a
-// different order stamp from each; the digest — key, found bit and value,
-// folded order-free — still agrees, and still tells a differing value apart.
+// TestDigestAgreesAcrossTableKeys: the same requests ordered under two
+// table keys come back in a different row order under a different echoed
+// key; the digest — key, found bit and value, folded order-free — still
+// agrees, and still tells a differing value apart.
 func TestDigestAgreesAcrossTableKeys(t *testing.T) {
 	ids := make([]uint64, 200)
 	data := make([]byte, len(ids)*testBlock)
@@ -517,12 +523,14 @@ func TestDigestAgreesAcrossTableKeys(t *testing.T) {
 		reqs.SetRow(i, uint8(i%2), uint64(i*3), 0, uint64(i), uint64(i), []byte{0xee})
 	}
 	var outs []*store.Requests
-	for _, key := range []*crypt.SipKey{{1, 2}, {5, 6}} {
-		sub := suboram.New(suboram.Config{BlockSize: testBlock, TestHashKey: key})
+	for _, key := range []crypt.SipKey{{1, 2}, {5, 6}} {
+		sub := suboram.New(suboram.Config{BlockSize: testBlock})
 		if err := sub.Init(ids, data); err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.BatchAccess(reqs)
+		batch := reqs.Clone()
+		ohash.Order(batch, key)
+		out, err := sub.BatchAccess(batch)
 		if err != nil {
 			t.Fatal(err)
 		}

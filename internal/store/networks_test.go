@@ -15,6 +15,7 @@ import (
 func BenchmarkNetworks(b *testing.B) {
 	const bs = 160
 	merge := []int{2048, 3380}
+	rank := make([]uint64, 5428) // ranks held equal: the networks' cost does not read them
 	for _, nw := range []struct {
 		name  string
 		rows  int
@@ -26,14 +27,16 @@ func BenchmarkNetworks(b *testing.B) {
 			func(r *Requests, _ []uint8) { obliv.Sort(BySubKeyWriteSeq{r}) }},
 		{"Sort/BySubKey/n=845", 845, obliv.SortCost(845), false,
 			func(r *Requests, _ []uint8) { obliv.Sort(BySubKey{r}) }},
-		{"Sort/MetaBySubKey/n=2048", 2048, obliv.SortCost(2048), false,
-			func(r *Requests, _ []uint8) { obliv.Sort(MetaBySubKey{r}) }},
+		{"Sort/ByRank/n=2048", 2048, obliv.SortCost(2048), false,
+			func(r *Requests, _ []uint8) { obliv.Sort(ByRank{r, rank, false}) }},
+		{"Sort/ByRank/narrow/n=2048", 2048, obliv.SortCost(2048), false,
+			func(r *Requests, _ []uint8) { obliv.Sort(ByRank{r, rank, true}) }},
 		{"Compact/n=2048", 2048, obliv.CompactCost(2048), false,
 			func(r *Requests, marks []uint8) { obliv.Compact(r, marks) }},
 		{"Distribute/n=3380", 3380, obliv.DistributeCost(3380), true,
 			func(r *Requests, _ []uint8) { obliv.Distribute(BySlot{r}) }},
-		{"MergeSorted/BySubKeyTag/runs=2048+3380", 5428, obliv.MergeSortedCost(merge), false,
-			func(r *Requests, _ []uint8) { obliv.MergeSorted(BySubKeyTag{r}, merge) }},
+		{"MergeSorted/ByRankTag/runs=2048+3380", 5428, obliv.MergeSortedCost(merge), false,
+			func(r *Requests, _ []uint8) { obliv.MergeSorted(ByRankTag{r, rank}, merge) }},
 	} {
 		for _, body := range obliv.Kernels() {
 			b.Run(fmt.Sprintf("%s/%s", nw.name, body), func(b *testing.B) {

@@ -277,8 +277,6 @@ var orderings = []ordering{
 		func(r *Requests) pairRows { return pairRows{r, false, gtSubKeyTag} }},
 	{"BySubKey", func(r *Requests) obliv.Sorter { return BySubKey{r} },
 		func(r *Requests) pairRows { return pairRows{r, false, gtSubKey} }},
-	{"MetaBySubKey", func(r *Requests) obliv.Sorter { return MetaBySubKey{r} },
-		func(r *Requests) pairRows { return pairRows{r, true, gtSubKey} }},
 	{"BySlot", nil, func(r *Requests) pairRows { return pairRows{r, false, nil} }},
 }
 
@@ -472,7 +470,7 @@ func checkU64(n int) string {
 // the same network's runs across goroutines; the rows come out the same.
 func TestSortParallelMatchesPerPairReference(t *testing.T) {
 	for _, n := range []int{845, 2048, 3380} {
-		for _, o := range orderings[:4] {
+		for _, o := range orderings[:3] {
 			rng := rand.New(rand.NewSource(int64(n)))
 			got := randomRows(rng, n, 160, false)
 			want := got.Clone()
@@ -501,6 +499,47 @@ func TestDifferentialCatchesADroppedSwap(t *testing.T) {
 		drop := func(s obliv.Sorter) obliv.Sorter { return dropLast{s, last, &made} }
 		if d := checkNetwork(nw, orderings[0], 70, 70, drop); d == "" {
 			t.Fatalf("%s: dropping exchange %d went unnoticed", nw.name, last)
+		}
+	}
+}
+
+// refOClearRow is OClearRow as it was before it cleared the value block a
+// word at a time: one byte per loop iteration.
+func refOClearRow(r *Requests, c uint8, i int) {
+	m8, m64 := obliv.MaskByte(c^1), obliv.Mask64(c^1)
+	r.Op[i] &= m8
+	r.Key[i] &= m64
+	r.Sub[i] &= uint32(m64)
+	r.Tag[i] &= m8
+	r.Aux[i] &= m8
+	r.Seq[i] &= m64
+	r.Client[i] &= m64
+	b := r.Block(i)
+	for k := range b {
+		b[k] &= m8
+	}
+}
+
+// TestOClearRowMatchesByteReference: clearing under the mask a word at a
+// time leaves every column of every row as the byte loop did, at block
+// sizes with and without a tail, and records one copy per row.
+func TestOClearRowMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for _, bs := range []int{1, 7, 8, 13, 64, 160, 161} {
+		got := randomRows(rng, 40, bs, false)
+		want := got.Clone()
+		rec := trace.New()
+		got.Rec = rec
+		for i := 0; i < got.Len(); i++ {
+			c := uint8(rng.Intn(2))
+			got.OClearRow(c, i)
+			refOClearRow(want, c, i)
+		}
+		if d := sameRows(got, want); d != "" {
+			t.Fatalf("block %d: %s", bs, d)
+		}
+		if rec.Count() != uint64(got.Len()) {
+			t.Fatalf("block %d: %d events recorded, want one per row", bs, rec.Count())
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+
 	"snoopy/internal/obliv"
 	"snoopy/internal/trace"
 )
@@ -30,8 +32,13 @@ func (r *Requests) OClearRow(c uint8, i int) {
 	r.Aux[i] &= m8
 	r.Seq[i] &= m64
 	r.Client[i] &= m64
+	// The value block a word at a time, then its tail.
 	b := r.Block(i)
-	for k := range b {
+	w := len(b) &^ 7
+	for k := 0; k < w; k += 8 {
+		binary.LittleEndian.PutUint64(b[k:], binary.LittleEndian.Uint64(b[k:])&m64)
+	}
+	for k := w; k < len(b); k++ {
 		b[k] &= m8
 	}
 }

@@ -58,15 +58,15 @@ func CheckIDs(ids []uint64) error {
 //	Op     — OpRead or OpWrite
 //	Key    — object identifier (or dummy key)
 //	Sub    — scratch routing tag: subORAM index at the load balancer,
-//	         hash-table bucket at the subORAM; in a response batch, the
-//	         order stamp's bucket count (see StampOrder)
+//	         hash-table bucket at the subORAM
 //	Tag    — scratch 0/1 mark bit for compaction passes
 //	Aux    — second scratch 0/1 mark bit (e.g. the subORAM found bit)
 //	Seq    — arrival sequence number (last-write-wins tiebreak); in a
-//	         response batch, the first word of the order stamp's hash key
+//	         batch and its responses, the first word of the batch's table
+//	         key (see StampKey)
 //	Client — opaque routing cookie, carried alongside but never inspected
-//	         by oblivious passes; in a response batch, the second word of
-//	         the order stamp's hash key
+//	         by oblivious passes; in a batch and its responses, the second
+//	         word of the table key
 //	Data   — n fixed-size value blocks, flattened
 type Requests struct {
 	BlockSize int
@@ -424,10 +424,9 @@ func (s BySubKeyWriteSeq) GreaterRun(g []uint8, i, j int) {
 	}
 }
 
-// BySubKeyTag orders records for response matching (paper Fig. 6 step ➋):
-// by Sub — the rank MatchResponses gives a row's (partition, bucket) — then
-// key, then tag bit: responses (Tag=0) before the client requests (Tag=1)
-// they answer.
+// BySubKeyTag orders records by Sub, then key, then tag bit: Tag=0 rows
+// before Tag=1 rows of the same key (the matching merge's order with a
+// 32-bit rank; the sort micro-benchmarks time it).
 type BySubKeyTag struct{ *Requests }
 
 // GreaterRun implements obliv.Sorter over the tuple (Sub, Key, Tag).
@@ -462,36 +461,74 @@ func greaterSubKey(r *Requests, g []uint8, i, j int) {
 	}
 }
 
-// MetaBySubKey orders records like BySubKey but exchanges only a request's
-// metadata — Op, Key, Sub, Seq, Client — leaving Tag, Aux and Data where
-// they are. It sorts record sets in which those three are uniform (the
-// request rows of response matching, whose value blocks are dead), at the
-// cost of the narrow columns alone.
-type MetaBySubKey struct{ *Requests }
+// ByRank orders records by (Rank, Key, write-first, Seq descending), Rank a
+// column every exchange carries along: the load balancer's table order
+// (ohash.Rank). Narrow exchanges only Op, Key, Sub, Seq and Client, for
+// record sets whose Tag, Aux and value blocks are uniform.
+type ByRank struct {
+	*Requests
+	Rank   []uint64
+	Narrow bool
+}
 
-// GreaterRun implements obliv.Sorter over the tuple (Sub, Key).
-func (s MetaBySubKey) GreaterRun(g []uint8, i, j int) { greaterSubKey(s.Requests, g, i, j) }
-
-// SwapRun implements obliv.Swapper over the metadata columns.
-func (s MetaBySubKey) SwapRun(c []uint8, i, j int) { s.swapRun(c, i, j, false) }
-
-// StampOrder declares the row order of a response batch to the load
-// balancer that will match it: the rows ascend by (bucket, key), where
-// bucket is the SipHash bucket of the key under k among buckets buckets.
-// The stamp rides in every row's Seq, Client and Sub — columns a response
-// has no other use for, since MatchResponses answers with the request rows'
-// own — so it changes no wire, log or cache format.
-func (r *Requests) StampOrder(k [2]uint64, buckets int) {
-	for i := range r.Key {
-		r.Seq[i], r.Client[i], r.Sub[i] = k[0], k[1], uint32(buckets)
+// GreaterRun implements obliv.Sorter over the tuple (Rank, Key, ^Op, ^Seq).
+func (s ByRank) GreaterRun(g []uint8, i, j int) {
+	r, n := s.Requests, len(g)
+	rankI, rankJ := s.Rank[i:i+n], s.Rank[j:j+n]
+	keyI, keyJ := r.Key[i:i+n], r.Key[j:j+n]
+	opI, opJ := r.Op[i:i+n], r.Op[j:j+n]
+	seqI, seqJ := r.Seq[i:i+n], r.Seq[j:j+n]
+	for t := range g {
+		_, b := bits.Sub64(^seqJ[t], ^seqI[t], 0)
+		_, b = bits.Sub64(uint64(^opJ[t]), uint64(^opI[t]), b)
+		_, b = bits.Sub64(keyJ[t], keyI[t], b)
+		_, b = bits.Sub64(rankJ[t], rankI[t], b)
+		g[t] = uint8(b)
 	}
 }
 
-// StampKeyOrder declares plain ascending key order: one bucket.
-func (r *Requests) StampKeyOrder() { r.StampOrder([2]uint64{}, 1) }
-
-// OrderStamp reads the stamp StampOrder left on row i. A bucket count of
-// zero — a row nobody stamped — reads as one: key order.
-func (r *Requests) OrderStamp(i int) (k [2]uint64, buckets int) {
-	return [2]uint64{r.Seq[i], r.Client[i]}, max(int(r.Sub[i]), 1)
+// SwapRun implements obliv.Swapper: the records and their Rank.
+func (s ByRank) SwapRun(c []uint8, i, j int) {
+	s.swapRun(c, i, j, !s.Narrow)
+	obliv.SwapRunU64(c, s.Rank[i:], s.Rank[j:])
 }
+
+// ByRankTag orders records for response matching (paper Fig. 6 step ➋) by
+// (Rank, Key, Tag): responses (Tag=0) before the requests (Tag=1) they
+// answer.
+type ByRankTag struct {
+	*Requests
+	Rank []uint64
+}
+
+// GreaterRun implements obliv.Sorter over the tuple (Rank, Key, Tag).
+func (s ByRankTag) GreaterRun(g []uint8, i, j int) {
+	r, n := s.Requests, len(g)
+	rankI, rankJ := s.Rank[i:i+n], s.Rank[j:j+n]
+	keyI, keyJ := r.Key[i:i+n], r.Key[j:j+n]
+	tagI, tagJ := r.Tag[i:i+n], r.Tag[j:j+n]
+	for t := range g {
+		_, b := bits.Sub64(uint64(tagJ[t]), uint64(tagI[t]), 0)
+		_, b = bits.Sub64(keyJ[t], keyI[t], b)
+		_, b = bits.Sub64(rankJ[t], rankI[t], b)
+		g[t] = uint8(b)
+	}
+}
+
+// SwapRun implements obliv.Swapper: the records and their Rank.
+func (s ByRankTag) SwapRun(c []uint8, i, j int) {
+	s.swapRun(c, i, j, true)
+	obliv.SwapRunU64(c, s.Rank[i:], s.Rank[j:])
+}
+
+// StampKey writes a batch's table key into every row's Seq and Client —
+// columns a partition never reads — so the key travels inside the batch
+// and back, echoed, on its responses, in no new wire, log or cache format.
+func (r *Requests) StampKey(k [2]uint64) {
+	for i := range r.Key {
+		r.Seq[i], r.Client[i] = k[0], k[1]
+	}
+}
+
+// KeyStamp reads the key StampKey left on row i.
+func (r *Requests) KeyStamp(i int) [2]uint64 { return [2]uint64{r.Seq[i], r.Client[i]} }

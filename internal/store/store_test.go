@@ -151,47 +151,50 @@ func TestBySubKeyTagOrdering(t *testing.T) {
 	}
 }
 
-// TestMetaBySubKeyMovesOnlyMetadata: the narrow sort orders like BySubKey
-// and carries Op, Seq and Client along, while Tag, Aux and Data stay put.
-func TestMetaBySubKeyMovesOnlyMetadata(t *testing.T) {
-	r := NewRequests(3, 8)
-	r.SetRow(0, OpWrite, 7, 1, 70, 700, []byte{0})
-	r.SetRow(1, OpRead, 9, 0, 90, 900, []byte{1})
-	r.SetRow(2, OpRead, 3, 1, 30, 300, []byte{2})
-	r.Tag[0], r.Aux[1] = 1, 1
+// TestByRankNarrowMovesOnlyMetadata: the narrow sort orders by (Rank, Key,
+// write-first, Seq descending) and carries Op, Key, Sub, Seq, Client and the
+// rank along, while Tag, Aux and Data stay put; the wide sort moves them too.
+func TestByRankNarrowMovesOnlyMetadata(t *testing.T) {
+	for _, narrow := range []bool{true, false} {
+		r := NewRequests(4, 8)
+		r.SetRow(0, OpWrite, 7, 1, 70, 700, []byte{0})
+		r.SetRow(1, OpRead, 9, 0, 90, 900, []byte{1})
+		r.SetRow(2, OpRead, 3, 1, 30, 300, []byte{2})
+		r.SetRow(3, OpWrite, 3, 1, 20, 200, []byte{3})
+		r.Tag[0], r.Aux[1] = 1, 1
+		rank := []uint64{5, 1 << 40, 5, 5} // Rank outranks Key
 
-	obliv.Sort(MetaBySubKey{r})
-	for i, w := range []struct {
-		op          uint8
-		key         uint64
-		sub         uint32
-		seq, client uint64
-	}{{OpRead, 9, 0, 90, 900}, {OpRead, 3, 1, 30, 300}, {OpWrite, 7, 1, 70, 700}} {
-		if r.Op[i] != w.op || r.Key[i] != w.key || r.Sub[i] != w.sub || r.Seq[i] != w.seq || r.Client[i] != w.client {
-			t.Fatalf("slot %d: op=%d key=%d sub=%d seq=%d client=%d", i, r.Op[i], r.Key[i], r.Sub[i], r.Seq[i], r.Client[i])
+		obliv.Sort(ByRank{r, rank, narrow})
+		for i, w := range []struct {
+			op          uint8
+			key         uint64
+			sub         uint32
+			seq, client uint64
+			rank        uint64
+			from        int
+		}{{OpWrite, 3, 1, 20, 200, 5, 3}, {OpRead, 3, 1, 30, 300, 5, 2}, {OpWrite, 7, 1, 70, 700, 5, 0}, {OpRead, 9, 0, 90, 900, 1 << 40, 1}} {
+			if r.Op[i] != w.op || r.Key[i] != w.key || r.Sub[i] != w.sub || r.Seq[i] != w.seq || r.Client[i] != w.client || rank[i] != w.rank {
+				t.Fatalf("narrow=%v slot %d: op=%d key=%d sub=%d seq=%d client=%d rank=%d", narrow, i, r.Op[i], r.Key[i], r.Sub[i], r.Seq[i], r.Client[i], rank[i])
+			}
+			if from := int(r.Block(i)[0]); narrow && from != i || !narrow && from != w.from {
+				t.Fatalf("narrow=%v slot %d: value block of row %d", narrow, i, from)
+			}
 		}
-		if r.Block(i)[0] != byte(i) {
-			t.Fatalf("slot %d: value block moved", i)
+		if narrow && (r.Tag[0] != 1 || r.Aux[1] != 1) {
+			t.Fatal("Tag/Aux moved")
 		}
-	}
-	if r.Tag[0] != 1 || r.Aux[1] != 1 {
-		t.Fatal("Tag/Aux moved")
 	}
 }
 
-func TestOrderStampRoundTrip(t *testing.T) {
+func TestStampKeyRoundTrip(t *testing.T) {
 	r := NewRequests(3, 8)
-	if k, b := r.OrderStamp(0); k != [2]uint64{} || b != 1 {
-		t.Fatalf("unstamped row reads (%v, %d), want key order", k, b)
+	if k := r.KeyStamp(0); k != [2]uint64{} {
+		t.Fatalf("unstamped row reads %v", k)
 	}
-	r.StampOrder([2]uint64{11, 22}, 5)
+	r.StampKey([2]uint64{11, 22})
 	for i := 0; i < r.Len(); i++ {
-		if k, b := r.OrderStamp(i); k != [2]uint64{11, 22} || b != 5 {
-			t.Fatalf("row %d stamp (%v, %d)", i, k, b)
+		if k := r.KeyStamp(i); k != [2]uint64{11, 22} || r.Seq[i] != 11 || r.Client[i] != 22 {
+			t.Fatalf("row %d stamp %v", i, k)
 		}
-	}
-	r.StampKeyOrder()
-	if k, b := r.OrderStamp(2); k != [2]uint64{} || b != 1 {
-		t.Fatalf("key-order stamp reads (%v, %d)", k, b)
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"snoopy/internal/arena"
-	"snoopy/internal/crypt"
-	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
 
 // TestBatchAccessZeroAllocSteadyState: with a warm arena, processing a
-// batch — table build, linear scan, extraction in table order (in-place
-// tier compaction, tier-2 sort, merge), miss zeroing, order stamp — performs
+// batch — table build, linear scan, extraction in batch order (in-place
+// tier compaction, tier-2 sort, merge), miss zeroing, key echo — performs
 // zero heap allocations. Workers is pinned to 1; the parallel scan spawns
 // goroutines, which allocate by nature.
 func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
@@ -42,24 +40,18 @@ func TestBatchAccessZeroAllocSteadyState(t *testing.T) {
 		}
 		reqs.SetRow(i, uint8(i%2), key, 0, uint64(i), uint64(i), []byte{0xee})
 	}
+	sendable(reqs)
 
 	out, err := sub.BatchAccess(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What is measured below is the table-order path: stamped rows ascending
-	// by (bucket, key), misses zeroed.
-	k, b1 := out.OrderStamp(0)
-	if want := ohash.GeometryFor(reqs.Len(), sub.NumObjects(), sub.cfg.Hash.Lambda).B1; b1 != want {
-		t.Fatalf("stamped %d buckets, want B1 = %d", b1, want)
-	}
-	prevB, prevK := uint32(0), uint64(0)
+	// What is measured below is the batch-order path: rows as sent,
+	// echoing the key, misses zeroed.
 	for i := 0; i < out.Len(); i++ {
-		b := crypt.SipBucket(k, out.Key[i], b1)
-		if i > 0 && (b < prevB || (b == prevB && out.Key[i] <= prevK)) {
-			t.Fatalf("row %d out of table order", i)
+		if out.Key[i] != reqs.Key[i] || out.KeyStamp(i) != testKey {
+			t.Fatalf("row %d (key %d, stamp %v) is not the batch's row %d", i, out.Key[i], out.KeyStamp(i), i)
 		}
-		prevB, prevK = b, out.Key[i]
 		if absent := out.Key[i] >= uint64(nObj); absent != (out.Aux[i] == 0) || (absent && out.Block(i)[0] != 0) {
 			t.Fatalf("row %d (key %d): aux=%d block[0]=%#x", i, out.Key[i], out.Aux[i], out.Block(i)[0])
 		}
@@ -101,7 +93,7 @@ func TestBatchAccessZeroAllocVaryingBatchSize(t *testing.T) {
 		for i := 0; i < alpha; i++ {
 			reqs.SetRow(i, uint8(i%2), uint64(i*7%nObj), 0, uint64(i), uint64(i), []byte{0xee})
 		}
-		batches = append(batches, reqs)
+		batches = append(batches, sendable(reqs))
 	}
 	cycle := func() {
 		for _, reqs := range batches {
@@ -148,6 +140,7 @@ func TestBatchAccessZeroAllocWithTelemetry(t *testing.T) {
 	for i := 0; i < reqs.Len(); i++ {
 		reqs.SetRow(i, store.OpRead, uint64(i), 0, uint64(i), uint64(i), nil)
 	}
+	sendable(reqs)
 	out, err := sub.BatchAccess(reqs)
 	if err != nil {
 		t.Fatal(err)

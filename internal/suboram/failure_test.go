@@ -41,11 +41,11 @@ func TestSealedCorruptionFailsBatch(t *testing.T) {
 // batch after that reports.
 func replayAfter(t *testing.T, s *SubORAM, mem *hostfs.Mem, first, second *store.Requests) error {
 	t.Helper()
-	if _, err := s.BatchAccess(first); err != nil {
+	if _, err := s.BatchAccess(sendable(first)); err != nil {
 		t.Fatal(err)
 	}
 	snap := hostBytes(t, mem)
-	if _, err := s.BatchAccess(second); err != nil {
+	if _, err := s.BatchAccess(sendable(second)); err != nil {
 		t.Fatal(err)
 	}
 	setHostBytes(t, mem, snap)

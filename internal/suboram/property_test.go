@@ -29,7 +29,7 @@ func TestBatchAccessPropertyInvariants(t *testing.T) {
 			used[key] = true
 			reqs.SetRow(i, store.OpRead, key, 0, uint64(i), uint64(i), nil)
 		}
-		out, err := s.BatchAccess(reqs)
+		out, err := s.BatchAccess(sendable(reqs))
 		if err != nil || out.Len() != n {
 			return false
 		}

@@ -45,9 +45,9 @@ func refScan(table *ohash.Table, ids []uint64, data []byte, bs int, rec *trace.R
 }
 
 // refBatchAccess is batchAccessLocked over the reference scan.
-func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, key crypt.SipKey, ids []uint64, data []byte) *store.Requests {
+func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, ids []uint64, data []byte) *store.Requests {
 	t.Helper()
-	table, err := ohash.BuildWithKey(reqs, hp, key)
+	table, err := ohash.NewBuilder(hp).Build(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func refBatchAccess(t *testing.T, reqs *store.Requests, hp ohash.Params, key cry
 	for i := 0; i < out.Len(); i++ {
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
 	}
-	out.StampOrder(table.K, table.Geom.B1)
+	out.StampKey(table.K)
 	return out
 }
 
@@ -105,6 +105,7 @@ func refBatch(rng *rand.Rand, alpha int, ids []uint64) *store.Requests {
 		rng.Read(payload)
 		reqs.SetRow(i, uint8(rng.Intn(2)), key, 0, uint64(i), uint64(1000+i), payload)
 	}
+	ohash.Order(reqs, refKey)
 	return reqs
 }
 
@@ -158,7 +159,6 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 
 					cfg := mode.cfg
 					cfg.BlockSize = refBlock
-					cfg.TestHashKey = &refKey
 					var sub *SubORAM
 					if mode.disk {
 						sub = newStoreBacked(t, cfg, 1) // Init below reformats the store
@@ -173,11 +173,11 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 					// Scan only, in the ledger's shape: compare the tables slot for slot.
 					hp := ohash.Params{Objects: shape.ledgerObjects}
 					reqs := refBatch(rng, shape.alpha, ids)
-					want, err := ohash.BuildWithKey(reqs, hp, refKey)
+					want, err := ohash.NewBuilder(hp).Build(reqs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := ohash.BuildWithKey(reqs, hp, refKey)
+					got, err := ohash.NewBuilder(hp).Build(reqs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -197,7 +197,7 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 					// Whole batch, over the partition the scan above wrote.
 					hp.Objects = len(ids)
 					reqs = refBatch(rng, shape.alpha, ids)
-					wantOut := refBatchAccess(t, reqs, hp, refKey, ids, refData)
+					wantOut := refBatchAccess(t, reqs, hp, ids, refData)
 					gotOut, err := sub.BatchAccess(reqs)
 					if err != nil {
 						t.Fatal(err)
@@ -233,10 +233,10 @@ func TestScanTraceMatchesSlotMajorReference(t *testing.T) {
 
 					recRef := trace.New()
 					hp := ohash.Params{Objects: len(ids), Rec: recRef}
-					refBatchAccess(t, reqs, hp, refKey, ids, append([]byte(nil), data...))
+					refBatchAccess(t, reqs, hp, ids, append([]byte(nil), data...))
 
 					rec := trace.New()
-					sub := New(Config{BlockSize: refBlock, Rec: rec, TestHashKey: &refKey})
+					sub := New(Config{BlockSize: refBlock, Rec: rec})
 					sub.UseKernel(kernel)
 					if err := sub.Init(ids, data); err != nil {
 						t.Fatal(err)

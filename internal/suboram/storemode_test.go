@@ -43,8 +43,8 @@ func TestStoreMatchesPlain(t *testing.T) {
 		[3]interface{}{store.OpRead, uint64(12), nil},
 		[3]interface{}{store.OpRead, uint64(1), nil}, // absent
 	)
-	o1, err1 := plain.BatchAccess(reqs.Clone())
-	o2, err2 := disk.BatchAccess(reqs.Clone())
+	o1, err1 := plain.BatchAccess(sendable(reqs).Clone())
+	o2, err2 := disk.BatchAccess(sendable(reqs).Clone())
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -54,7 +54,7 @@ func TestStoreMatchesPlain(t *testing.T) {
 		}
 	}
 	r := batchOf([3]interface{}{store.OpRead, uint64(9), nil})
-	o3, err := disk.BatchAccess(r)
+	o3, err := disk.BatchAccess(sendable(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStoreRandomizedAgainstShadow(t *testing.T) {
 			}
 			expect[key] = shadow[key]
 		}
-		out, err := s.BatchAccess(reqs)
+		out, err := s.BatchAccess(sendable(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func TestStoreParallelMatchesSerial(t *testing.T) {
 				reqs.SetRow(i, store.OpRead, key, 0, uint64(i), uint64(i), nil)
 			}
 		}
-		o1, err1 := serial.BatchAccess(reqs.Clone())
-		o2, err2 := par.BatchAccess(reqs.Clone())
+		o1, err1 := serial.BatchAccess(sendable(reqs).Clone())
+		o2, err2 := par.BatchAccess(sendable(reqs).Clone())
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -136,8 +136,8 @@ func TestStoreParallelMatchesSerial(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			check.SetRow(i, store.OpRead, uint64(i*3), 0, uint64(i), uint64(i), nil)
 		}
-		c1, _ := serial.BatchAccess(check.Clone())
-		c2, _ := par.BatchAccess(check.Clone())
+		c1, _ := serial.BatchAccess(sendable(check).Clone())
+		c2, _ := par.BatchAccess(sendable(check).Clone())
 		m = map[uint64][]byte{}
 		for i := 0; i < c1.Len(); i++ {
 			m[c1.Key[i]] = c1.Block(i)
@@ -153,7 +153,7 @@ func TestStoreParallelMatchesSerial(t *testing.T) {
 func TestStoreExportAndRestore(t *testing.T) {
 	s := newStoreBacked(t, Config{}, 50)
 	w := batchOf([3]interface{}{store.OpWrite, uint64(6), value(6, 1)})
-	if _, err := s.BatchAccess(w); err != nil {
+	if _, err := s.BatchAccess(sendable(w)); err != nil {
 		t.Fatal(err)
 	}
 	ids, data, err := s.Export()
@@ -172,7 +172,7 @@ func TestStoreExportAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := batchOf([3]interface{}{store.OpRead, uint64(6), nil})
-	out, err := s.BatchAccess(r)
+	out, err := s.BatchAccess(sendable(r))
 	if err != nil {
 		t.Fatal(err)
 	}

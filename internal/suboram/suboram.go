@@ -7,8 +7,8 @@
 // targets.
 //
 // Obliviousness: the scan visits every object in a fixed order and, for each
-// object, reads the two hash-table buckets its identifier maps to under a
-// fresh per-batch key, touching every slot in both buckets with
+// object, reads the two hash-table buckets its identifier maps to under the
+// batch's own key, touching every slot in both buckets with
 // branch-free compare-and-set operations. Request contents influence no
 // access position.
 package suboram
@@ -60,9 +60,6 @@ type Config struct {
 	// Rec, when non-nil, records the batch access trace. Test-only;
 	// requires Workers == 1.
 	Rec *trace.Recorder
-	// TestHashKey pins the per-batch hash key so obliviousness tests can
-	// compare traces across batches. Test-only; production must leave nil.
-	TestHashKey *crypt.SipKey
 	// Pool supplies per-batch working memory (response sets, worker table
 	// copies). Nil means arena.Default.
 	Pool *arena.Pool
@@ -302,9 +299,11 @@ func (s *SubORAM) LastStats() Stats {
 // one response row per request (paper Fig. 19). Read responses carry the
 // object value; write responses carry the pre-write value (§C); requests
 // for absent keys (including load-balancer dummies) come back zeroed with
-// Aux == 0. Rows come back in the hash table's order, which the response's
-// Seq, Client and Sub columns declare (store.StampOrder). The input batch is
-// not modified.
+// Aux == 0. The batch says what order it is in (ohash.Builder.Build): its
+// rows carry the table key the load balancer derived for it and ascend in
+// that key's table order. Rows come back in the order received — the
+// residents, then vacant rows where the batch had its dummies — echoing the
+// key in their Seq and Client columns. The input batch is not modified.
 func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,13 +356,7 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	var st Stats
 	t0 := time.Now()
 	tt0 := s.cfg.Telemetry.Now()
-	var table *ohash.Table
-	var err error
-	if s.cfg.TestHashKey != nil {
-		table, err = ohash.BuildWithKey(reqs, s.cfg.Hash, *s.cfg.TestHashKey)
-	} else {
-		table, err = s.builder.Build(reqs)
-	}
+	table, err := s.builder.Build(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -385,8 +378,9 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	for i := 0; i < out.Len(); i++ {
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), s.zeroBlk)
 	}
-	// Tell the load balancer the order the rows come back in: the table's.
-	out.StampOrder(table.K, table.Geom.B1)
+	// The rows come back in the order received; echo the key that ordered
+	// them.
+	out.StampKey(table.K)
 	st.Extract = time.Since(t0)
 	st.TableSlots, st.SlotsPerLookup = table.Geom.Slots(), table.Geom.SlotsScannedPerLookup()
 	s.last = st

@@ -29,10 +29,12 @@ func legacyGeometry(n, lambda int) ohash.Geometry {
 	return g
 }
 
-// tableInShape places a batch into a table of shape g by hand — plain Go,
-// nothing oblivious about it: every tier-1 bucket keeps its Z1 smallest
-// keys in ascending order, the rest go to their tier-2 bucket.
-func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k crypt.SipKey) *ohash.Table {
+// tableInShape places a batch into a table of shape g by hand, under the
+// key the batch carries — plain Go, nothing oblivious about it: every
+// tier-1 bucket keeps its Z1 first real keys in table order, the rest go to
+// their tier-2 bucket, the dummies nowhere.
+func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry) *ohash.Table {
+	k := crypt.SipKey(reqs.KeyStamp(0))
 	tbl := &ohash.Table{Geom: g, K: k,
 		Tier1: store.NewRequests(g.B1*g.Z1, reqs.BlockSize), Tier2: store.NewRequests(g.B2*g.Z2, reqs.BlockSize)}
 	for tier, rows := range []*store.Requests{tbl.Tier1, tbl.Tier2} {
@@ -40,11 +42,16 @@ func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k crypt.
 			rows.Key[i] = store.DummyKeyBit | ohash.TableDummyBit | uint64(tier)<<40 | uint64(i)
 		}
 	}
-	order := make([]int, reqs.Len())
-	for i := range order {
-		order[i] = i
+	var order []int
+	for i := range reqs.Key {
+		if !store.IsDummyKey(reqs.Key[i]) {
+			order = append(order, i)
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return reqs.Key[order[a]] < reqs.Key[order[b]] })
+	sort.Slice(order, func(a, b int) bool {
+		ha, hb := ohash.Hash(k, reqs.Key[order[a]]), ohash.Hash(k, reqs.Key[order[b]])
+		return ha < hb || ha == hb && reqs.Key[order[a]] < reqs.Key[order[b]]
+	})
 	fill1, fill2 := make([]int, g.B1), make([]int, g.B2)
 	spilled := 0
 	for _, i := range order {
@@ -66,16 +73,15 @@ func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry, k crypt.
 }
 
 // legacyShaped is a subORAM that answers every batch through a table of the
-// legacy shape: the real scan, extraction, miss zeroing and order stamp
-// around a hand-placed table.
+// legacy shape: the real scan, extraction, miss zeroing and key echo around
+// a hand-placed table.
 type legacyShaped struct {
 	*suboram.SubORAM
-	t   *testing.T
-	key crypt.SipKey
+	t *testing.T
 }
 
 func (l legacyShaped) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	tbl := tableInShape(l.t, reqs, legacyGeometry(reqs.Len(), 128), l.key)
+	tbl := tableInShape(l.t, reqs, legacyGeometry(reqs.Len(), 128))
 	if err := l.ScanTable(tbl); err != nil {
 		return nil, err
 	}
@@ -84,7 +90,7 @@ func (l legacyShaped) BatchAccess(reqs *store.Requests) (*store.Requests, error)
 	for i := 0; i < out.Len(); i++ {
 		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
 	}
-	out.StampOrder(tbl.K, tbl.Geom.B1)
+	out.StampKey(tbl.K)
 	return out, nil
 }
 
@@ -107,7 +113,7 @@ func fileShapes(t *testing.T, root string) []string {
 
 // TestSystemMatchesLegacyGeometry is the legacy-vs-new system differential:
 // two deployments — journaled root, two load balancers, three durable
-// partitions, pinned table keys, one routing key — differ only in the shape
+// partitions, one routing key and so the same table keys — differ only in the shape
 // of the subORAMs' hash tables (GeometryFor's against the legacy (8, 4, 8)
 // one), and are driven by the same reads and writes over epochs of varying
 // size. Every reply (after MatchResponses), every partition's bytes, and
@@ -120,7 +126,6 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 		parts   = 3
 		objects = 900
 	)
-	key := crypt.SipKey{11, 12}
 	type stack struct {
 		sys  *core.System
 		subs []*suboram.SubORAM
@@ -155,12 +160,12 @@ func TestSystemMatchesLegacyGeometry(t *testing.T) {
 		}
 		clients := make([]core.SubORAMClient, parts)
 		for p := range clients {
-			sub := suboram.New(suboram.Config{BlockSize: block, TestHashKey: &key})
+			sub := suboram.New(suboram.Config{BlockSize: block})
 			st.subs = append(st.subs, sub)
 			st.recs = append(st.recs, trace.New())
 			var inner persist.Partition = sub
 			if legacy {
-				inner = legacyShaped{SubORAM: sub, t: t, key: key}
+				inner = legacyShaped{SubORAM: sub, t: t}
 			}
 			dur, err := persist.NewDurable(filepath.Join(st.root, fmt.Sprintf("part-%d", p)),
 				persist.Config{BlockSize: block, SnapshotEvery: 4, Rec: st.recs[p]},

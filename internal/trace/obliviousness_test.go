@@ -11,6 +11,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/loadbalancer"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/trace"
@@ -138,7 +139,7 @@ func TestSubORAMTraceIndependentOfBatchContents(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		rec := trace.New()
 		s := suboram.New(suboram.Config{
-			BlockSize: block, Workers: 1, Rec: rec, TestHashKey: &key,
+			BlockSize: block, Workers: 1, Rec: rec,
 		})
 		if err := s.Init(ids, data); err != nil {
 			t.Fatal(err)
@@ -150,6 +151,7 @@ func TestSubORAMTraceIndependentOfBatchContents(t *testing.T) {
 			reqs.Key[i] = ids[rng.Intn(nObjects)] // ensure hits, distinct? may collide
 		}
 		dedup(reqs)
+		ohash.Order(reqs, key) // the key held equal across the trials
 		if _, err := s.BatchAccess(reqs); err != nil {
 			t.Fatal(err)
 		}

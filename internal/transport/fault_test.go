@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
 	"snoopy/internal/faultnet"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 )
@@ -58,6 +60,13 @@ func faultDialer(firstCh chan<- *faultnet.Conn) func(network, addr string, timeo
 func oneReadReq(key uint64) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpRead, key, 0, 0, 0, nil)
+	return sendable(reqs)
+}
+
+// sendable stamps reqs with a table key and puts it in that key's table
+// order, as a load balancer sends a batch. It returns reqs.
+func sendable(reqs *store.Requests) *store.Requests {
+	ohash.Order(reqs, crypt.SipKey{1, 2})
 	return reqs
 }
 
@@ -229,6 +238,7 @@ func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 	// Batch 1 goes through cleanly.
 	w1 := store.NewRequests(1, testBlock)
 	w1.SetRow(0, store.OpWrite, 1, 0, 0, 0, []byte("v1"))
+	sendable(w1)
 	if _, err := r.BatchAccess(w1); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +250,7 @@ func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 	fc.SetReadPlan(plan)
 	w2 := store.NewRequests(1, testBlock)
 	w2.SetRow(0, store.OpWrite, 1, 0, 0, 0, []byte("v2"))
+	sendable(w2)
 	out, err := r.BatchAccess(w2)
 	if err != nil {
 		t.Fatalf("retried delivery failed: %v", err)
@@ -376,6 +387,7 @@ func TestKillAndRestartServerResumes(t *testing.T) {
 	}
 	w := store.NewRequests(1, testBlock)
 	w.SetRow(0, store.OpWrite, 1, 0, 0, 0, []byte("pre-crash"))
+	sendable(w)
 	if _, err := r.BatchAccess(w); err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,9 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 	b1.SetRow(0, store.OpRead, 1, 0, 0, 1, nil)
 	b2 := store.NewRequests(1, testBlock)
 	b2.SetRow(0, store.OpRead, 2, 0, 0, 2, nil)
+	sendable(b0)
+	sendable(b1)
+	sendable(b2)
 
 	outs, err := r.BatchAccessN([]*store.Requests{b0, b1, b2})
 	if err != nil {
@@ -59,6 +62,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 	// continues the same delivery-tag sequence.
 	q := store.NewRequests(1, testBlock)
 	q.SetRow(0, store.OpRead, 2, 0, 0, 0, nil)
+	sendable(q)
 	out, err := r.BatchAccess(q)
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +95,7 @@ func groupOf(n int) []*store.Requests {
 	for i := range rs {
 		rs[i] = store.NewRequests(1, testBlock)
 		rs[i].SetRow(0, store.OpRead, uint64(i+1), 0, 0, 0, nil)
+		sendable(rs[i])
 	}
 	return rs
 }

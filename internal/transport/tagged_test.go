@@ -28,13 +28,13 @@ const streamID, seq0 = 0x5eed, 41
 func oneWrite(key uint64, val string) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpWrite, key, 0, 0, 0, []byte(val))
-	return reqs
+	return sendable(reqs)
 }
 
 func oneRead(key uint64) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpRead, key, 0, 0, 0, nil)
-	return reqs
+	return sendable(reqs)
 }
 
 // TestLocalTaggedReplayAcrossIncarnations is the standby-root scenario in

@@ -49,7 +49,7 @@ func TestRemoteSubORAMRoundTrip(t *testing.T) {
 	reqs := store.NewRequests(2, testBlock)
 	reqs.SetRow(0, store.OpRead, 2, 0, 0, 0, nil)
 	reqs.SetRow(1, store.OpWrite, 3, 0, 1, 1, []byte("three!"))
-	out, err := r.BatchAccess(reqs)
+	out, err := r.BatchAccess(sendable(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRemoteSubORAMRoundTrip(t *testing.T) {
 	// The write persisted.
 	reqs2 := store.NewRequests(1, testBlock)
 	reqs2.SetRow(0, store.OpRead, 3, 0, 0, 0, nil)
-	out2, err := r.BatchAccess(reqs2)
+	out2, err := r.BatchAccess(sendable(reqs2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestServerDeathSurfacesAsError(t *testing.T) {
 	r.sc.conn.Close()
 	reqs := store.NewRequests(1, testBlock)
 	reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
-	if _, err := r.BatchAccess(reqs); err == nil {
+	if _, err := r.BatchAccess(sendable(reqs)); err == nil {
 		t.Fatal("dead connection produced a response")
 	}
 	// A fresh server and Dial recovers (listener is gone, so start anew).
@@ -298,7 +298,7 @@ func TestRemoteConcurrentCallers(t *testing.T) {
 				reqs := store.NewRequests(2, testBlock)
 				reqs.SetRow(0, store.OpRead, uint64((g*5+i)%64), 0, 0, 0, nil)
 				reqs.SetRow(1, store.OpRead, uint64((g*5+i+32)%64), 0, 1, 1, nil)
-				if _, err := r.BatchAccess(reqs); err != nil {
+				if _, err := r.BatchAccess(sendable(reqs)); err != nil {
 					done <- err
 					return
 				}

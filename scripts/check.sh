@@ -76,29 +76,34 @@ go test -race -timeout 15m -count=2 \
 # Focused re-run of the fault-tolerant root plane: journal append/replay,
 # the exactly-once table (every crash point × every partition fate at depth
 # 1 and 4 — TestJournal matches it, and the "dispatch" crash with epochs in
-# flight behind it; a journal open under another shape), every client wait
-# resolving on a crash, an ACL resolution failing closed, in core,
+# flight behind it; a journal open under another shape; a successor's
+# replay rebuilding the crashed epoch's batches byte for byte), table keys
+# never ordering two batches, a partition echoing a foreign table key
+# failing its epoch closed, every client wait resolving on a crash, an ACL
+# resolution failing closed, in core,
 # standby-root promotion in cluster, the journal/standby leakage tests, and
 # snoopy.Open refusing a journal over volatile in-process partitions.
 # Schedule-sensitive by construction (promotion races a probing watchdog),
 # so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
-  -run 'TestJournal|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion' \
+  -run 'TestJournal|TestTableKeysNeverRepeat|TestEngineRefusesForeignKeyEcho|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion' \
   ./internal/core/ ./internal/cluster/
 go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir' .
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/
 
-# Focused re-run of the sort-then-distribute construction: obliv.Distribute
-# against its scatter reference (exhaustive, quick, fuzz seeds, trace), the
+# Focused re-run of the sort-free table build: obliv.Distribute against its
+# scatter reference (exhaustive, quick, fuzz seeds, trace), the
 # byte-for-byte differentials against the pad-and-sort reference kept in
-# the test files, the overflow edges (α / α+1 keys into one subORAM, Z1 /
-# Z1+1, C2 / C2+1, Z2 / Z2+1), the cost functions against recorded traces,
-# and the zero-alloc guard over varying batch sizes.
+# the test files, the build's order check refusing a misordered, unkeyed or
+# mixed-key batch, the overflow edges (α / α+1 keys into one subORAM, Z1 /
+# Z1+1, C2 / C2+1, Z2 / Z2+1), the cost functions against recorded traces
+# and at batch_heavy's shape, the word-at-a-time row clear against its byte
+# reference, and the zero-alloc guard over varying batch sizes.
 go test -race -timeout 15m -count=2 \
-  -run 'Distribute|CompactCost|PadAndSortReference|Boundar|Cost.*Count|ZeroAllocAcrossBatchSizes' \
-  ./internal/obliv/ ./internal/ohash/ ./internal/loadbalancer/
+  -run 'Distribute|CompactCost|PadAndSortReference|RefusesMisordered|Boundar|Cost.*Count|RowOpsAtBatchHeavy|OClearRow|ZeroAllocAcrossBatchSizes' \
+  ./internal/obliv/ ./internal/ohash/ ./internal/loadbalancer/ ./internal/store/
 
 # Focused re-run of the scan kernel on every body this host has (portable,
 # AVX2, AVX-512VL — which one production dispatches to is printed first):
@@ -112,16 +117,17 @@ go test -race -timeout 15m -count=2 \
   -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SlotMajorReference|ZeroAllocSteadyState|Sealed' \
   ./internal/obliv/ ./internal/suboram/
 
-# Focused re-run of merge-based response matching: MatchResponses against
-# the sort-based reference kept in the test files (size edges, every traffic
-# shape, key / table / per-partition order, degraded epochs, real subORAMs
-# under pinned and fresh keys, a request subset), Extract against the
-# copy-then-compact reference in table order (crafted tier-2 and bucket
-# edges, quick, fuzz seeds), both traces as functions of public shape, the
-# narrow metadata sort and the order stamp in store, the replica digest
-# across table keys, and the misshapen-response failure path in core.
+# Focused re-run of sort-free response matching: Match and MatchResponses,
+# byte-identical to each other, against the sort-based reference kept in the
+# test files (size edges, S, λ, every traffic shape, degraded epochs, real
+# subORAMs, a request subset), the echo check refusing another key, Extract
+# against the copy-then-compact reference in batch order (crafted tier-2
+# and bucket edges, dummies, quick, fuzz seeds), both traces as functions
+# of public shape, the rank orderings and the key stamp in store, the
+# replica digest across table keys, and the misshapen-response failure path
+# in core.
 go test -race -timeout 15m -count=2 \
-  -run 'MatchResponses|Extract|MetaBySubKey|OrderStamp|BySubKeyTag|DigestAgreesAcrossTableKeys|MisshapenResponse|ShardsInFullSystem' \
+  -run 'MatchResponses|RefusesAnotherKey|Extract|ByRank|StampKey|BySubKeyTag|DigestAgreesAcrossTableKeys|MisshapenResponse|ShardsInFullSystem' \
   ./internal/loadbalancer/ ./internal/ohash/ ./internal/store/ ./internal/replica/ ./internal/core/ ./internal/oblix/
 
 # The hash table's shape (ohash.GeometryFor): the whole ohash package under
