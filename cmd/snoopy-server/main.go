@@ -11,12 +11,12 @@
 //
 // With -data <dir>, the partition is durable (internal/persist): a sealed
 // segment-store image of the partition plus a sealed write-ahead log of the
-// batches since it live in <dir>, every acknowledged batch is on disk
-// before its response leaves the enclave, and a restarted server —
-// including after kill -9 — recovers the partition and resumes serving
-// without re-initialization. With -disk-resident as well, the partition's
-// values live in the image itself, which every batch's scan rewrites and
-// commits, and no log is kept (persist.NewPartition builds the partition in
+// deliveries since (a delivery is an epoch's batches, applied whole) live in
+// <dir>, every acknowledged delivery is on disk before its responses leave
+// the enclave, and a restarted server — including after kill -9 — recovers
+// the partition and resumes serving without re-initialization. With
+// -disk-resident as well, the partition's values live in the image itself,
+// which every delivery's scans rewrite and commit once, and no log is kept (persist.NewPartition builds the partition in
 // its placement and rejects -disk-resident without -data or with -sealed).
 // If the host tampered with or rolled back any file in <dir>, startup fails
 // loudly with an integrity error instead of serving corrupt or stale state:
@@ -58,10 +58,8 @@ import (
 	"snoopy/internal/core"
 	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
-	"snoopy/internal/metrics"
 	"snoopy/internal/obliv"
 	"snoopy/internal/persist"
-	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 	"snoopy/internal/transport"
 )
@@ -69,26 +67,6 @@ import (
 // Program is the enclave identity this binary attests to; clients must
 // expect enclave.Measure(Program).
 const Program = "snoopy-suboram-v1"
-
-// counted wraps the served partition with liveness counters so
-// -health-log can surface serving activity through the process log. The
-// counters observe only batch counts and the (public, Theorem-3-sized) row
-// counts — nothing content-dependent.
-type counted struct {
-	transport.Partition
-	batches metrics.Counter
-	rows    metrics.Counter
-}
-
-func (c *counted) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	n := uint64(reqs.Len())
-	out, err := c.Partition.BatchAccess(reqs)
-	if err == nil {
-		c.batches.Inc()
-		c.rows.Add(n)
-	}
-	return out, err
-}
 
 // standbyRoot runs the warm-standby root loop: probe the primary, and on
 // a trip promote by opening the shared journal directory over attested
@@ -202,12 +180,15 @@ func main() {
 	fmt.Printf("scan kernel: %s\n", obliv.Kernel())
 
 	// One registry instruments the partition, its durable layer, and the
-	// transport. Every instrument it exposes is keyed on public events
-	// only (batches, epochs, connections), so serving it leaks nothing
-	// beyond what the network adversary already sees.
+	// transport; -health-log prints from it. Every instrument it exposes is
+	// keyed on public events only (batches, epochs, connections), so
+	// serving it leaks nothing beyond what the network adversary already
+	// sees.
 	var reg *telemetry.Registry
-	if *telemetryAddr != "" {
+	if *telemetryAddr != "" || *healthLog > 0 {
 		reg = telemetry.NewRegistry()
+	}
+	if *telemetryAddr != "" {
 		addr, stop, err := telemetry.Serve(*telemetryAddr, reg)
 		if err != nil {
 			log.Fatalf("telemetry listener on %s: %v", *telemetryAddr, err)
@@ -226,7 +207,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("partition unusable: %v", err)
 	}
-	var serve transport.Partition = part
 	epochOf := func() uint64 { return 0 }
 	if dur, ok := part.(*persist.Durable); ok {
 		if recovered {
@@ -238,12 +218,11 @@ func main() {
 		epochOf = dur.Epoch
 	}
 	if *healthLog > 0 {
-		c := &counted{Partition: serve}
-		serve = c
+		batches, rows := reg.Counter("transport_batches_served_total"), reg.Counter("suboram_rows_total")
 		go func() {
 			for range time.Tick(*healthLog) {
 				log.Printf("health: batches=%d rows=%d epoch=%d objects=%d",
-					c.batches.Load(), c.rows.Load(), epochOf(), part.NumObjects())
+					batches.Value(), rows.Value(), epochOf(), part.NumObjects())
 			}
 		}()
 	}
@@ -253,7 +232,7 @@ func main() {
 	}
 	fmt.Printf("subORAM serving on %s (block=%dB sealed=%v measurement=%q)\n",
 		l.Addr(), *block, *sealed, Program)
-	err = transport.ServeSubORAMOptions(l, serve, platform, enclave.Measure(Program), transport.ServeOptions{
+	err = transport.ServeSubORAMOptions(l, part, platform, enclave.Measure(Program), transport.ServeOptions{
 		HandshakeTimeout: *handshakeTimeout,
 		WriteTimeout:     *writeTimeout,
 		IdleTimeout:      *idleTimeout,

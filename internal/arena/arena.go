@@ -88,10 +88,16 @@ func NewPool() *Pool {
 // GetRequests returns a zeroed record set of exactly n records with the
 // given block size, backed by pooled storage when available.
 func (p *Pool) GetRequests(n, blockSize int) *store.Requests {
-	if n < 0 || blockSize <= 0 {
-		panic(fmt.Sprintf("arena: invalid GetRequests dims n=%d block=%d", n, blockSize))
+	return p.GetRequestsRoom(n, n, blockSize)
+}
+
+// GetRequestsRoom is GetRequests with room to Resize to room records; only
+// the n are zeroed, so the caller writes each one past them before reading.
+func (p *Pool) GetRequestsRoom(n, room, blockSize int) *store.Requests {
+	if n < 0 || room < n || blockSize <= 0 {
+		panic(fmt.Sprintf("arena: invalid GetRequests dims n=%d room=%d block=%d", n, room, blockSize))
 	}
-	c := reqClass{rows: classRows(n), block: blockSize}
+	c := reqClass{rows: classRows(room), block: blockSize}
 	var r *store.Requests
 	p.mu.Lock()
 	if list := p.reqs[c]; len(list) > 0 {

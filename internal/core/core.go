@@ -39,16 +39,48 @@ type SubORAMClient interface {
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
 }
 
-// BatchedSubORAMClient is the optional fast path for clients that can
-// execute a whole epoch's worth of batches (one per load balancer) in a
-// single exchange — a remote partition turns L round trips and L AEAD
-// seals into one of each. Batches must be applied in slice order (the
-// fixed load-balancer order linearizability depends on). The returned
-// slice itself (not the Requests it points at) is only valid until the
-// next BatchAccessN call on the same client.
+// BatchedSubORAMClient is a partition as stage B drives it: BatchAccessN,
+// the engine's one call into a partition, applies an epoch's batches (one
+// per load balancer, in the order linearizability depends on) whole or not
+// at all; its slice is valid until the next call.
 type BatchedSubORAMClient interface {
 	SubORAMClient
 	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
+}
+
+// perBatch adapts a client without BatchAccessN: batches in turn, so a
+// failure after the first leaves that prefix applied.
+type perBatch struct {
+	SubORAMClient
+	outs []*store.Requests
+}
+
+func (p *perBatch) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	p.outs = p.outs[:0]
+	for _, r := range reqs {
+		out, err := p.BatchAccess(r)
+		if err != nil {
+			return nil, err
+		}
+		p.outs = append(p.outs, out)
+	}
+	return p.outs, nil
+}
+
+// delivering is c as stage B drives it: itself, or adapted.
+func delivering(c SubORAMClient) BatchedSubORAMClient {
+	if n, ok := c.(BatchedSubORAMClient); ok {
+		return n
+	}
+	return &perBatch{SubORAMClient: c}
+}
+
+// given is the client the caller gave, which a Failover hook sees.
+func given(n BatchedSubORAMClient) SubORAMClient {
+	if p, ok := n.(*perBatch); ok {
+		return p.SubORAMClient
+	}
+	return n
 }
 
 // ErrClosed is returned for requests submitted after Close.
@@ -184,7 +216,7 @@ type System struct {
 	// replaces a dead partition's client in place. Readers snapshot the
 	// slice; the length never changes.
 	subsMu sync.RWMutex
-	subs   []SubORAMClient
+	subs   []BatchedSubORAMClient
 
 	epochMu sync.Mutex // serializes epoch rounds (stage A)
 	epoch   uint64
@@ -298,7 +330,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	}
 	sys := &System{
 		cfg:    cfg,
-		subs:   subs,
+		subs:   make([]BatchedSubORAMClient, len(subs)),
 		closed: make(chan struct{}),
 		health: HealthStats{
 			ConsecutiveFailures: make([]int, len(subs)),
@@ -321,6 +353,9 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		stStageB:     cfg.Telemetry.Stage("stage_b_suboram"),
 		stStageC:     cfg.Telemetry.Stage("stage_c_match"),
 		stEpoch:      cfg.Telemetry.Stage("epoch"),
+	}
+	for s, c := range subs {
+		sys.subs[s] = delivering(c)
 	}
 	// The deployment shape is the public configuration every other label is
 	// derived from; export it so an operator can interpret the rest.
@@ -485,10 +520,10 @@ func (sys *System) halt() {
 // snapshotSubs returns a stable view of the partition clients for one
 // epoch (or Init): repair may swap an element concurrently, and a batch
 // must go entirely to one client.
-func (sys *System) snapshotSubs() []SubORAMClient {
+func (sys *System) snapshotSubs() []BatchedSubORAMClient {
 	sys.subsMu.RLock()
 	defer sys.subsMu.RUnlock()
-	return append([]SubORAMClient(nil), sys.subs...)
+	return append([]BatchedSubORAMClient(nil), sys.subs...)
 }
 
 // LastEpochStats returns statistics for the most recent completed epoch.

@@ -64,7 +64,7 @@ type epochJob struct {
 	// subUsed[s] is the client that served partition s this epoch (the
 	// snapshot repair needs as its "old" argument — the table may have
 	// been swapped by the time accounting runs).
-	subUsed []SubORAMClient
+	subUsed []BatchedSubORAMClient
 
 	// bLeft counts partitions still executing stage B; the worker that
 	// takes it to zero hands the job to the sequencer. Completions reach
@@ -243,7 +243,7 @@ func (sys *System) newJob(id uint64) *epochJob {
 		responses: make([][]*store.Requests, L),
 		subWall:   make([]time.Duration, S),
 		subErr:    make([]error, S),
-		subUsed:   make([]SubORAMClient, S),
+		subUsed:   make([]BatchedSubORAMClient, S),
 	}
 	for i := range job.responses {
 		job.responses[i] = make([]*store.Requests, S)
@@ -312,8 +312,9 @@ func (sys *System) stageA() *epochJob {
 
 // partStageB executes one partition's share of an epoch: the L batches in
 // fixed load-balancer order (the order linearizability's last-write-wins
-// depends on). Invoked only from partition s's worker, so per-partition
-// epoch order is the queue order and the scratch slot needs no lock.
+// depends on), as one delivery. Invoked only from partition s's worker, so
+// per-partition epoch order is the queue order and the scratch slot needs
+// no lock.
 //
 // A failed partition does not fail the epoch: its error is recorded with
 // its partition index (and counted in HealthStats), and stage C fails only
@@ -350,42 +351,22 @@ func (sys *System) partStageB(job *epochJob, s int) {
 	if len(gather) == 0 {
 		return
 	}
-	// Grouped path: one exchange (and, remotely, one AEAD seal and one
-	// round trip) for the whole epoch instead of one per load balancer.
-	// All-or-nothing per partition, which matches the error granularity
-	// stage C already applies.
-	if bn, ok := sub.(BatchedSubORAMClient); ok {
-		if st, ok := sub.(stampedClient); ok && sys.journal != nil {
-			// A journaled epoch travels as (stream, epoch) from every root
-			// incarnation and on whichever client serves s: a partition
-			// that already applied it answers from its replay cache.
-			st.AdoptDeliveryTag(sys.stream, job.id-1)
-		}
-		outs, err := bn.BatchAccessN(gather)
-		if err != nil {
-			job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)
-			return
-		}
-		for k, i := range idxs {
-			rows += job.eps[i].perSub
-			job.responses[i][s] = outs[k]
-			if err := checkResponse(s, outs[k], job.eps[i].perSub); err != nil {
-				job.subErr[s] = err
-			}
-		}
+	if st, ok := sub.(stampedClient); ok && sys.journal != nil {
+		// A journaled epoch travels as (stream, epoch) from every root
+		// incarnation and on whichever client serves s: a partition that
+		// already applied it answers from its replay cache.
+		st.AdoptDeliveryTag(sys.stream, job.id-1)
+	}
+	outs, err := sub.BatchAccessN(gather)
+	if err != nil {
+		job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)
 		return
 	}
 	for k, i := range idxs {
-		out, err := sub.BatchAccess(gather[k])
-		if err != nil {
-			job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)
-			return
-		}
 		rows += job.eps[i].perSub
-		job.responses[i][s] = out
-		if err := checkResponse(s, out, job.eps[i].perSub); err != nil {
+		job.responses[i][s] = outs[k]
+		if err := checkResponse(s, outs[k], job.eps[i].perSub); err != nil {
 			job.subErr[s] = err
-			return
 		}
 	}
 }

@@ -79,9 +79,9 @@ func (sys *System) detect(job *epochJob) {
 // repair runs one failover attempt for partition s. On success the
 // replacement client serves the partition from the next dispatched epoch;
 // on failure the Repairing flag clears so a later failing epoch retries.
-func (sys *System) repair(s int, old SubORAMClient) {
+func (sys *System) repair(s int, old BatchedSubORAMClient) {
 	defer sys.repairWG.Done()
-	repl, err := sys.cfg.Failover(s, old)
+	repl, err := sys.cfg.Failover(s, given(old))
 	if err != nil || repl == nil {
 		sys.statsMu.Lock()
 		sys.health.Repairing[s] = false
@@ -89,7 +89,7 @@ func (sys *System) repair(s int, old SubORAMClient) {
 		return
 	}
 	sys.subsMu.Lock()
-	sys.subs[s] = repl
+	sys.subs[s] = delivering(repl)
 	sys.subsMu.Unlock()
 	sys.statsMu.Lock()
 	sys.telFailovers.Inc()

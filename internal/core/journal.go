@@ -31,14 +31,13 @@
 //     two answers — and completes nothing in its journal, so an epoch whose
 //     replies a crash cut short is replayed and parked by the successor.
 //
+// A partition applies a delivery — the epoch's L batches under one tag —
+// whole or not at all, so one it fails leaves nothing to apply twice.
 // TestJournalExactlyOnce enumerates every crash point against every
-// partition fate at depths 1 and 4. Known degradations: a partition server
+// partition fate at depths 1 and 4. Known degradation: a partition server
 // that applied an epoch and then lost its replay cache (restarted, or
-// replaced by a standby) re-applies the epoch on replay; a partition error
-// after a prefix of an epoch's L batches was applied is ambiguous
-// (ReplayCache.applyN records nothing), so the prefix is applied again by
-// the retries. Those shares degrade to at-least-once, as do requests that
-// carry no idempotency ID (id 0).
+// replaced by a standby) re-applies it on replay — at-least-once, as are
+// requests that carry no idempotency ID (id 0).
 package core
 
 import (

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"snoopy/internal/arena"
+	"snoopy/internal/crypt"
 	"snoopy/internal/history"
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/transport"
@@ -27,12 +29,15 @@ var (
 	//   - twice: it receives each delivery of C twice under the same tag;
 	//   - failover: the root fails it over to a fresh handle, over the same
 	//     partition and replay cache, between C's journal record and its
-	//     dispatch.
-	tableFates = []string{"serves", "fails", "twice", "failover"}
+	//     dispatch;
+	//   - prefix: its first delivery of C fails after the first of its two
+	//     batches reached the partition — the second, its table key cleared,
+	//     is one the partition's own order check refuses.
+	tableFates = []string{"serves", "fails", "twice", "failover", "prefix"}
 )
 
 // TestJournalExactlyOnce enumerates depth {1, 4} × crash epoch C ∈ {1, 2, 3}
-// × crash site × partition-0 fate (96 rows) over S = 2 partitions and L = 2
+// × crash site × partition-0 fate (120 rows) over S = 2 partitions and L = 2
 // load balancers. Epochs 1–3 are submitted back to back; after a crash a
 // successor root opens the same journal directory over fresh tagged
 // handles, and clients retry only the requests they never saw answered,
@@ -81,7 +86,7 @@ type tableRow struct {
 	parts  []*markerPart
 	rcs    []*transport.ReplayCache
 	stream uint64      // the first incarnation's delivery stream
-	failed atomic.Bool // fate "fails": the one failure was played
+	failed atomic.Bool // fate "fails" or "prefix": the one failure was played
 
 	mu      sync.Mutex
 	batches map[[2]uint64][sha256.Size]byte // (partition, epoch) → batch digest
@@ -97,22 +102,20 @@ type markerPart struct {
 	applied map[string]int
 }
 
-func (p *markerPart) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	var markers []string
-	for j := 0; j < reqs.Len(); j++ {
-		if reqs.Op[j] == store.OpWrite && reqs.Key[j]&store.DummyKeyBit == 0 {
-			markers = append(markers, trimmed(reqs.Block(j)))
-		}
-	}
-	out, err := p.SubORAM.BatchAccess(reqs)
+func (p *markerPart) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := p.SubORAM.BatchAccessN(reqs)
 	if err == nil {
 		p.mu.Lock()
-		for _, m := range markers {
-			p.applied[m]++
+		for _, r := range reqs {
+			for j := 0; j < r.Len(); j++ {
+				if r.Op[j] == store.OpWrite && r.Key[j]&store.DummyKeyBit == 0 {
+					p.applied[trimmed(r.Block(j))]++
+				}
+			}
 		}
 		p.mu.Unlock()
 	}
-	return out, err
+	return outs, err
 }
 
 // fateHandle is one root incarnation's tagged client for a partition: it
@@ -141,6 +144,12 @@ func (h *fateHandle) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, er
 		case "fails":
 			if h.row.failed.CompareAndSwap(false, true) {
 				return nil, errInjected
+			}
+		case "prefix":
+			if h.row.failed.CompareAndSwap(false, true) {
+				unkeyed := reqs[len(reqs)-1].Clone()
+				unkeyed.StampKey(crypt.SipKey{})
+				return h.LocalTagged.BatchAccessN(append(reqs[:len(reqs)-1:len(reqs)-1], unkeyed))
 			}
 		case "twice":
 			outs, err := h.LocalTagged.BatchAccessN(reqs)
@@ -369,7 +378,7 @@ func (row *tableRow) run(t *testing.T) {
 		}
 		// Journaled ⇒ replayed and parked: a crash at or after C's journal
 		// record leaves all of C's answers to the successor's replay.
-		if row.site != "stage-a" && row.fate != "fails" {
+		if row.site != "stage-a" && row.fate != "fails" && row.fate != "prefix" {
 			for _, tr := range all {
 				if tr.epoch != row.crash {
 					continue
@@ -449,14 +458,15 @@ func (row *tableRow) run(t *testing.T) {
 }
 
 // failedAttempt records an attempt's error, which must be the root's death
-// or partition 0's injected failure (a stale replay of a delivery that
-// failed included).
+// or partition 0's injected failure (a refused batch, and a stale replay of
+// a delivery that failed, included).
 func (row *tableRow) failedAttempt(t *testing.T, tr *tracked, err error) {
 	t.Helper()
 	if tr.first == nil {
 		tr.first = err
 	}
-	if !errors.Is(err, ErrRootDown) && !(tr.part == 0 && (errors.Is(err, errInjected) || errors.Is(err, transport.ErrStale))) {
+	injected := errors.Is(err, errInjected) || errors.Is(err, ohash.ErrOrder) || errors.Is(err, transport.ErrStale)
+	if !errors.Is(err, ErrRootDown) && !(tr.part == 0 && injected) {
 		t.Fatalf("request %d of epoch %d: %v", tr.req.ID, tr.epoch, err)
 	}
 }

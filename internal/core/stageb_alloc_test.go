@@ -34,10 +34,10 @@ func (s *stubBatched) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, e
 
 // TestPartStageBZeroAlloc guards the stage-B worker-pool dispatch path:
 // gathering an epoch's live batches into the per-partition scratch,
-// handing them to the partition (batched fast path), and scattering the
-// responses must allocate nothing — the PR 2 zero-alloc contract extended
-// to the overlapped engine. Both the BatchAccessN fast path (L > 1) and
-// the per-batch fallback are pinned.
+// handing them to the partition as one delivery, and scattering the
+// responses must allocate nothing — the zero-alloc contract extended to
+// the overlapped engine. Both a client with its own BatchAccessN (L > 1)
+// and one adapted from BatchAccess are pinned.
 func TestPartStageBZeroAlloc(t *testing.T) {
 	const L, S, perSub = 3, 1, 4
 	stub := &stubBatched{}
@@ -58,7 +58,7 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		responses: make([][]*store.Requests, L),
 		subWall:   make([]time.Duration, S),
 		subErr:    make([]error, S),
-		subUsed:   make([]SubORAMClient, S),
+		subUsed:   make([]BatchedSubORAMClient, S),
 	}
 	for i := range job.eps {
 		job.eps[i].batches = &loadbalancer.Batches{
@@ -75,16 +75,16 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		sys.partStageB(job, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("stage-B batched dispatch allocates %.1f per epoch, want 0", allocs)
+		t.Fatalf("stage-B dispatch allocates %.1f per epoch, want 0", allocs)
 	}
 	if stub.nCalls == 0 {
-		t.Fatal("batched fast path never taken — guard is vacuous")
+		t.Fatal("the client's BatchAccessN never called — guard is vacuous")
 	}
 	if job.responses[L-1][0] != stub.outs[L-1] {
 		t.Fatal("responses not scattered positionally")
 	}
 
-	// Per-batch fallback (a client without BatchAccessN): same contract.
+	// A client without BatchAccessN, adapted: same contract.
 	for i := range job.eps {
 		job.eps[i].err = nil
 	}
@@ -118,12 +118,11 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		releaseResponses(job, S)
 	})
 	if allocs != 0 && !raceEnabled {
-		t.Fatalf("stage-B per-batch dispatch allocates %.1f per epoch, want 0", allocs)
+		t.Fatalf("stage-B dispatch to an adapted client allocates %.1f per epoch, want 0", allocs)
 	}
 }
 
-// noBatchN hides a partition's BatchAccessN so the engine takes the
-// per-batch fallback.
+// noBatchN hides a partition's BatchAccessN so the engine adapts it.
 type noBatchN struct{ inner *suboram.SubORAM }
 
 func (n *noBatchN) Init(ids []uint64, data []byte) error { return n.inner.Init(ids, data) }

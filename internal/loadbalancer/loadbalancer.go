@@ -263,11 +263,12 @@ type Match struct {
 
 var matchPool = sync.Pool{New: func() any { return new(Match) }}
 
-// newMatch draws match data for r requests against s batches of alpha rows.
+// newMatch draws match data for r requests against s batches of alpha rows:
+// r zeroed request rows, with room for the response rows Match copies in
+// behind them.
 func newMatch(pool *arena.Pool, r, s, alpha, blockSize int) *Match {
 	m := matchPool.Get().(*Match)
-	m.x = pool.GetRequests(r+alpha*s, blockSize)
-	m.x.Resize(r)
+	m.x = pool.GetRequestsRoom(r, r+alpha*s, blockSize)
 	if cap(m.rank) < r+alpha*s || cap(m.keys) < s {
 		m.rank, m.keys = make([]uint64, r+alpha*s), make([]crypt.SipKey, s)
 	}

@@ -114,15 +114,19 @@ func enumerateRollbacks(t *testing.T, c crashCase) {
 
 var crashKey = crypt.Key{1, 2, 3}
 
-// The partition scenario, in either placement: Init, three batches, a second
-// Init over live state, three more batches. Batch v writes version v to key
-// 3v; the second Init's image holds version 100 everywhere. With an image
-// every second logged epoch, the memory placement writes one before batch 3
-// and one before batch 6, besides the two Inits'.
+// The partition scenario, in either placement: Init, three deliveries, a
+// second Init over live state, three more deliveries, the last of two
+// batches (L = 2). Batch v writes version v to key 3v; the second Init's
+// image holds version 100 everywhere. With an image every second logged
+// epoch, the memory placement writes one before delivery 3 and one before
+// the two-batch delivery, besides the two Inits'. A reopen between the
+// two-batch delivery's batches would hold key 18 at version 6 and key 21
+// at 100: neither state the check allows.
 const crashObjects = 10 // three 4-block segments, the last one partial
 
-// crashStep is a scenario step: a batch (its version) or, 0, an Init.
-var crashSteps = []int{0, 1, 2, 3, 0, 4, 5, 6}
+// crashSteps are the scenario's steps: a delivery (its batches' versions)
+// or, {0}, an Init.
+var crashSteps = [][]int{{0}, {1}, {2}, {3}, {0}, {4}, {5}, {6, 7}}
 
 func crashImage(version int) ([]uint64, []byte) {
 	ids := make([]uint64, crashObjects)
@@ -134,21 +138,38 @@ func crashImage(version int) ([]uint64, []byte) {
 	return ids, data
 }
 
+// crashDelivery is a delivery step's batches: batch v writes version v to
+// key 3v and reads key 0.
+func crashDelivery(step []int) []*store.Requests {
+	var delivery []*store.Requests
+	for _, v := range step {
+		reqs := store.NewRequests(2, testBlock)
+		val := make([]byte, testBlock)
+		fillValue(val, uint64(3*v), uint64(v))
+		reqs.SetRow(0, store.OpWrite, uint64(3*v), 0, 0, 0, val)
+		reqs.SetRow(1, store.OpRead, 0, 0, 1, 1, nil)
+		delivery = append(delivery, sendable(reqs))
+	}
+	return delivery
+}
+
 // crashModel is every key's version after the first steps of the scenario,
-// and the epoch (the batches acknowledged) it is at.
+// and the epoch (the deliveries acknowledged) it is at.
 func crashModel(steps int) (map[uint64]uint64, int) {
-	m, batches := map[uint64]uint64{}, 0
-	for i, v := range crashSteps[:steps] {
-		if v == 0 {
+	m, deliveries := map[uint64]uint64{}, 0
+	for i, step := range crashSteps[:steps] {
+		if step[0] == 0 {
 			for j := 0; j < crashObjects; j++ {
 				m[uint64(j*3)] = map[bool]uint64{true: 0, false: 100}[i == 0]
 			}
 			continue
 		}
-		m[uint64(3*v)] = uint64(v)
-		batches++
+		for _, v := range step {
+			m[uint64(3*v)] = uint64(v)
+		}
+		deliveries++
 	}
-	return m, batches
+	return m, deliveries
 }
 
 func durableCase(disk bool) crashCase {
@@ -164,16 +185,11 @@ func durableCase(disk bool) crashCase {
 				return 0
 			}
 			defer dur.Close()
-			for acked, v := range crashSteps {
-				if v == 0 {
+			for acked, step := range crashSteps {
+				if step[0] == 0 {
 					err = dur.Init(crashImage(map[bool]int{true: 0, false: 100}[acked == 0]))
 				} else {
-					reqs := store.NewRequests(2, testBlock)
-					val := make([]byte, testBlock)
-					fillValue(val, uint64(3*v), uint64(v))
-					reqs.SetRow(0, store.OpWrite, uint64(3*v), 0, 0, 0, val)
-					reqs.SetRow(1, store.OpRead, 0, 0, 1, 1, nil)
-					_, err = dur.BatchAccess(sendable(reqs))
+					_, err = dur.BatchAccessN(crashDelivery(step))
 				}
 				if err != nil {
 					return acked
@@ -195,10 +211,10 @@ func durableCase(disk bool) crashCase {
 			}
 			// The acknowledged steps' state, or — a crash, not a rollback —
 			// the one the step in flight leads to, which may have landed.
-			epoch := int(dur.Epoch()) // before the reads below, which are batches too
+			epoch := int(dur.Epoch()) // before the reads below, which are deliveries too
 			for steps := max(acked, 1); steps <= acked+1 && steps <= len(crashSteps); steps++ {
-				model, batches := crashModel(steps)
-				if epoch != batches || (final && steps != acked) {
+				model, deliveries := crashModel(steps)
+				if epoch != deliveries || (final && steps != acked) {
 					continue
 				}
 				good := true

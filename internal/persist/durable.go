@@ -19,12 +19,12 @@ import (
 )
 
 // Partition is the in-process subORAM interface Durable wraps, satisfied by
-// *suboram.SubORAM. BatchAccess must not modify its input: the batch is
-// being sealed into the log while it runs. Restore adopts a trusted image
-// without Init's validation — data nil: the values already in the store the
-// partition scans.
+// *suboram.SubORAM. BatchAccessN applies a delivery whole or not at all and
+// must not modify its input: the batches are being sealed into the log while
+// it runs. Restore adopts a trusted image without Init's validation — data
+// nil: the values already in the store the partition scans.
 type Partition interface {
-	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
 	Export() (ids []uint64, data []byte, err error)
 	Restore(ids []uint64, data []byte) error
 }
@@ -41,8 +41,8 @@ type Config struct {
 	SegmentBlocks int
 	// Disk selects the disk placement: the partition's values live in the
 	// image, which its own scan commits every epoch. Otherwise (memory) every
-	// batch is logged to the wal while the partition scans, and the image is
-	// rewritten from the partition every SnapshotEvery (default 64) epochs.
+	// delivery is logged to the wal while the partition scans, and the image
+	// is rewritten from the partition every SnapshotEvery (default 64) epochs.
 	Disk          bool
 	SnapshotEvery int
 	// Key overrides the sealing key. When nil, the key is loaded from (or
@@ -54,7 +54,7 @@ type Config struct {
 	Rec *trace.Recorder
 	// Telemetry, when non-nil, records sync latency, sync and byte counts
 	// per sealed file, epoch and checkpoint counters and (through the image)
-	// segment I/O: fixed recordings per batch, no request-dependent payloads.
+	// segment I/O: fixed recordings per delivery, no request contents.
 	Telemetry *telemetry.Registry
 
 	fs hostfs.FS // nil: the host file system (crash-point tests substitute one)
@@ -83,12 +83,12 @@ const (
 func idsFile(gen uint64) string { return fmt.Sprintf("ids-%d", gen) }
 
 // Durable wraps a partition with sealed, crash-recoverable durability, behind
-// the partition's own Init/BatchAccess surface (core.SubORAMClient). Every
-// acknowledged batch is on disk — sealed, bound to the trusted epoch counter —
-// before BatchAccess returns. The state is an image, a segment store marked
-// with the partition epoch it holds, plus the memory placement's wal of the
-// batches since. The placement decides only when the image is written;
-// recovery is one rule for both (recover).
+// the partition's own Init/BatchAccessN surface. An epoch is one delivery,
+// on disk — sealed, bound to the trusted epoch counter — before BatchAccessN
+// returns. The state is an image, a segment store marked with the partition
+// epoch it holds, plus the memory placement's wal of the deliveries since.
+// The placement decides only when the image is written; recovery is one rule
+// for both (recover).
 type Durable struct {
 	cfg   Config
 	inner Partition
@@ -101,7 +101,7 @@ type Durable struct {
 	replayed  int // wal epochs recovery applied to the image (observability)
 
 	// The log writer: one goroutine that appends and syncs the record
-	// BatchAccess sealed while BatchAccess scans. walGo hands it a record,
+	// BatchAccessN sealed while the partition scans. walGo hands it a record,
 	// walDone returns the outcome; Close stops it.
 	walGo   chan struct{}
 	walDone chan error
@@ -117,8 +117,8 @@ type Durable struct {
 // in the memory placement.
 //
 // When the directory holds state, it is recovered into the partition — a
-// process killed at any point resumes at its last acknowledged batch, or one
-// past it. Sealed-state tampering and rollback surface here as
+// process killed at any point resumes at its last acknowledged delivery, or
+// one past it. Sealed-state tampering and rollback surface here as
 // enclave.ErrIntegrity / ErrRollback errors.
 func NewDurable(path string, cfg Config, build func(scan suboram.BlockStore) Partition) (*Durable, error) {
 	cfg.fillDefaults()
@@ -168,10 +168,11 @@ func NewDurable(path string, cfg Config, build func(scan suboram.BlockStore) Par
 }
 
 // Client is an in-process partition as a root drives it
-// (core.SubORAMClient), and its size.
+// (core.BatchedSubORAMClient), and its size.
 type Client interface {
 	Init(ids []uint64, data []byte) error
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
 	NumObjects() int
 }
 
@@ -313,7 +314,7 @@ func (dur *Durable) Replayed() int { return dur.replayed }
 // NumObjects returns the partition size: the image's block count.
 func (dur *Durable) NumObjects() int { return dur.image.NumBlocks() }
 
-// Epoch returns the trusted counter: the number of acknowledged batches.
+// Epoch returns the trusted counter: the number of acknowledged deliveries.
 func (dur *Durable) Epoch() uint64 { return dur.ctr.Current() }
 
 // Init loads the partition: it writes the image whole, which the partition
@@ -337,18 +338,39 @@ func (dur *Durable) Init(ids []uint64, data []byte) error {
 	return dur.inner.Restore(ids, data)
 }
 
-// BatchAccess applies one batch and makes it durable — its write synced, the
-// counter bumped — before the response is released. Disk: the partition's
-// scan rewrites the image into the other parity slots and commits it, marked
-// with the epoch. Memory: the scan changes nothing on disk and the wal record
-// is a function of the batch alone, so it is written and synced *while* the
-// partition scans; every SnapshotEvery epochs the pre-batch state is first
-// written as the image, bounding recovery.
+// BatchAccess applies one batch as a delivery of its own (BatchAccessN).
 func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	if reqs.BlockSize != dur.cfg.BlockSize {
-		return nil, fmt.Errorf("persist: batch block size %d != %d", reqs.BlockSize, dur.cfg.BlockSize)
+	outs, err := dur.deliver([]*store.Requests{reqs})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// BatchAccessN applies one delivery — an epoch's batches, in order — and
+// makes it durable as one epoch before answering: one image commit (disk),
+// or one wal record synced while the partition scans (memory), then one
+// counter bump. A partition error in the disk placement (the image may have
+// committed) and a failed wal write or counter bump leave the Durable
+// refusing deliveries until reopened at the delivery's start. The returned
+// slice is valid until the next call.
+func (dur *Durable) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	dur.mu.Lock()
+	defer dur.mu.Unlock()
+	return dur.deliver(reqs)
+}
+
+// deliver is BatchAccessN; the caller holds mu while it reads the scratch.
+func (dur *Durable) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
+	if len(reqs) == 0 || !dur.image.Formatted() {
+		return nil, errors.New("persist: a delivery needs a batch and an initialized partition")
+	}
+	for _, r := range reqs {
+		if r.BlockSize != dur.cfg.BlockSize {
+			return nil, fmt.Errorf("persist: batch block size %d != %d", r.BlockSize, dur.cfg.BlockSize)
+		}
 	}
 	if err := dur.ready(); err != nil {
 		return nil, err
@@ -357,18 +379,19 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	if dur.cfg.Disk {
 		before := dur.image.Epoch()
 		dur.image.SetMark(epoch)
-		out, err := dur.inner.BatchAccess(reqs)
+		outs, err := dur.inner.BatchAccessN(reqs)
+		if got := dur.image.Epoch(); err == nil && got != before+1 {
+			err = fmt.Errorf("persist: the delivery left the image at store epoch %d, want %d", got, before+1)
+		}
 		if err != nil {
+			dur.broken = err
 			return nil, err
 		}
-		if got := dur.image.Epoch(); got != before+1 {
-			return nil, fmt.Errorf("persist: the batch left the image at store epoch %d, want %d", got, before+1)
-		}
-		return out, dur.ack()
+		return outs, dur.ack()
 	}
 	if dur.walEpochs >= dur.cfg.SnapshotEvery {
-		// Before the batch, never after: the image holds no unacknowledged
-		// epoch.
+		// Before the delivery, never after: the image holds no
+		// unacknowledged epoch.
 		ids, data, err := dur.inner.Export()
 		if err != nil {
 			return nil, err
@@ -385,24 +408,24 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	// Let the writer reach its fdatasync before the scan takes the CPU: on
 	// a single P it would otherwise first run when the scan is over.
 	runtime.Gosched()
-	out, err := dur.inner.BatchAccess(reqs)
+	outs, err := dur.inner.BatchAccessN(reqs)
 	if werr := <-dur.walDone; werr != nil {
-		return nil, werr
+		return nil, werr // sticky in the log: the scans' effects are not durable
 	}
 	if err != nil {
-		// The record describes a batch that was not applied and will not be
-		// acknowledged; the next batch takes its place and its epoch.
+		// The record describes a delivery that was not applied and will not
+		// be acknowledged; the next delivery takes its place and its epoch.
 		if cerr := dur.log.cut(before, epoch); cerr != nil {
 			return nil, cerr
 		}
 		return nil, err
 	}
-	dur.telWALEpochs.Inc() // once per acknowledged batch: no request contents
+	dur.telWALEpochs.Inc() // once per acknowledged delivery: no request contents
 	if err := dur.ack(); err != nil {
 		return nil, err
 	}
 	dur.walEpochs++
-	return out, nil
+	return outs, nil
 }
 
 // writeImage writes the image at the current epoch and drops the log it

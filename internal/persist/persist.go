@@ -19,14 +19,15 @@
 //	            epoch nobody was answered for; state that ends before it was
 //	            rolled back (ErrRollback, in the enclave.ErrIntegrity class).
 //
-// An epoch is its write (a log append, or the image's commit) + sync, then
-// counter write + sync, then the answer. seal.key stands in for the hardware
+// An epoch is one delivery (a partition's batches from every load balancer)
+// made durable whole: its write (one log record, or one image commit) +
+// sync, then one counter write + sync, then the answer. seal.key stands in for the hardware
 // sealing key (in SGX, derived from MRENCLAVE); everything is AES-GCM sealed
 // under it with fresh random nonces.
 //
 // Every file operation's offset and length depend only on public parameters
 // — partition, block and segment size, batch row count, epoch count. A WAL
-// record carries every batch row (reads re-keyed into the dummy space
+// record carries every row of the delivery's batches (reads re-keyed into the dummy space
 // branch-free) and every image pass covers every segment, so the host learns
 // neither the read/write mix nor which objects a batch touched; the
 // internal/trace tests assert the (offset, length) stream is bit-identical

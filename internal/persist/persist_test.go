@@ -206,7 +206,7 @@ func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
 				val := make([]byte, testBlock)
 				fillValue(val, 2, 99)
 				reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
-				if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
+				if err := sealWAL(dur.log, dur.ctr.Current()+1, []*store.Requests{reqs}, testBlock); err != nil {
 					t.Fatal(err)
 				}
 				if err := dur.log.write(true); err != nil {
@@ -441,7 +441,7 @@ func TestPaddedWALRecordReplays(t *testing.T) {
 		}
 	}
 	dur.mu.Lock()
-	if err := sealWAL(dur.log, dur.ctr.Current()+1, reqs, testBlock); err != nil {
+	if err := sealWAL(dur.log, dur.ctr.Current()+1, []*store.Requests{reqs}, testBlock); err != nil {
 		t.Fatal(err)
 	}
 	if err := dur.log.write(true); err != nil {

@@ -17,25 +17,31 @@ import (
 
 // stubPartition answers every batch with one preallocated response, so what
 // AllocsPerRun sees around it is the persistence step alone. Over an image
-// (the disk placement) it commits one store epoch per batch, as a scan does.
+// (the disk placement) it commits one store epoch per delivery, as the scans
+// do.
 type stubPartition struct {
 	out   *store.Requests
+	outs  []*store.Requests
 	image suboram.BlockStore
 }
 
-func (s stubPartition) BatchAccess(*store.Requests) (*store.Requests, error) {
+func (s *stubPartition) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	s.outs = s.outs[:0]
+	for range reqs {
+		s.outs = append(s.outs, s.out)
+	}
 	if s.image != nil {
 		s.image.Begin()
-		return s.out, s.image.Commit()
+		return s.outs, s.image.Commit()
 	}
-	return s.out, nil
+	return s.outs, nil
 }
-func (stubPartition) Export() ([]uint64, []byte, error) { return nil, nil, nil }
-func (stubPartition) Restore([]uint64, []byte) error    { return nil }
+func (*stubPartition) Export() ([]uint64, []byte, error) { return nil, nil, nil }
+func (*stubPartition) Restore([]uint64, []byte) error    { return nil }
 
 func openStub(t *testing.T, dir string, cfg Config, out *store.Requests) *Durable {
 	t.Helper()
-	dur, err := NewDurable(dir, cfg, func(scan suboram.BlockStore) Partition { return stubPartition{out, scan} })
+	dur, err := NewDurable(dir, cfg, func(scan suboram.BlockStore) Partition { return &stubPartition{out: out, image: scan} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestWALRecordLenClosedForm(t *testing.T) {
 	}
 }
 
-// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccess
+// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccessN
 // creates and renames nothing and costs one counter sync. In the memory
 // placement that follows one wal sync and allocates nothing; the disk
 // placement keeps no wal at all (its image commit is the store's).
@@ -75,9 +81,9 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 			dur := openStub(t, dir, Config{BlockSize: testBlock, Disk: pl.disk, SnapshotEvery: 1 << 30, Telemetry: reg},
 				store.NewRequests(8, testBlock))
 			defer dur.Close()
-			reqs := store.NewRequests(8, testBlock)
+			reqs := []*store.Requests{store.NewRequests(8, testBlock)}
 			step := func() {
-				if _, err := dur.BatchAccess(reqs); err != nil {
+				if _, err := dur.BatchAccessN(reqs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -87,7 +93,7 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 			w0, c0 := wal.Value(), ctr.Value()
 			const runs = 20
 			if allocs := testing.AllocsPerRun(runs, step); allocs != 0 && !pl.disk {
-				t.Fatalf("steady-state Durable.BatchAccess allocates %.1f times per epoch", allocs)
+				t.Fatalf("steady-state Durable.BatchAccessN allocates %.1f times per epoch", allocs)
 			}
 			// AllocsPerRun runs the function once more than it reports, to warm up.
 			wantWAL := map[bool]uint64{false: runs + 1, true: 0}[pl.disk]
@@ -131,5 +137,93 @@ func TestJournalEpochNoAllocs(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Fatalf("steady-state Journal.Begin + Complete allocates %.1f times per epoch", allocs)
+	}
+}
+
+// TestDeliveryIsOneEpoch: an L = 2 delivery is one epoch in either
+// placement — one counter bump — not one per batch. The memory placement
+// grows the wal by one record of WALRecordLen(2α) bytes and syncs twice in
+// all (wal, counter); the disk placement commits the image once and syncs
+// four times in all (data, registry, directory, counter). Both batches are
+// applied, in order.
+func TestDeliveryIsOneEpoch(t *testing.T) {
+	const alpha = 3
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			fs, reg := newCrashFS(), telemetry.NewRegistry()
+			cfg := testConfig(pl.disk)
+			cfg.fs, cfg.Telemetry = fs, reg
+			dur, err := NewDurable(t.TempDir(), cfg, newPartition)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dur.Close()
+			loadObjects(t, dur, 10)
+			delivery := make([]*store.Requests, 2)
+			for b := range delivery {
+				reqs := store.NewRequests(alpha, testBlock)
+				for r := 0; r < alpha; r++ {
+					key := uint64(1 + b*alpha + r)
+					val := make([]byte, testBlock)
+					fillValue(val, key, 7)
+					reqs.SetRow(r, store.OpWrite, key, 0, uint64(r), uint64(r), val)
+				}
+				delivery[b] = sendable(reqs)
+			}
+			epoch, storeEpoch, walBytes := dur.Epoch(), dur.image.Epoch(), walOff(dur)
+			ctr := reg.Counter(`persist_syncs_total{log="counter"}`)
+			c0, syncs := ctr.Value(), 0
+			fs.onSync = func() { syncs++ }
+			outs, err := dur.BatchAccessN(delivery)
+			fs.onSync = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != 2 || dur.Epoch() != epoch+1 || ctr.Value() != c0+1 {
+				t.Fatalf("%d responses; epoch %d → %d, counter syncs +%d: want 2, one epoch, one counter bump",
+					len(outs), epoch, dur.Epoch(), ctr.Value()-c0)
+			}
+			wantSyncs, wantWAL, wantStore := 2, int64(WALRecordLen(2*alpha, testBlock)), storeEpoch
+			if pl.disk {
+				wantSyncs, wantWAL, wantStore = 4, 0, storeEpoch+1
+			}
+			if syncs != wantSyncs || walOff(dur)-walBytes != wantWAL || dur.image.Epoch() != wantStore {
+				t.Fatalf("one delivery: %d syncs, wal +%d B, store epoch %d → %d; want %d, +%d B, %d",
+					syncs, walOff(dur)-walBytes, storeEpoch, dur.image.Epoch(), wantSyncs, wantWAL, wantStore)
+			}
+			for key := uint64(1); key <= 2*alpha; key++ {
+				expectValue(t, dur, key, 7)
+			}
+		})
+	}
+}
+
+// walOff is the wal's length, 0 in the disk placement, which keeps none.
+func walOff(dur *Durable) int64 {
+	if dur.log == nil {
+		return 0
+	}
+	return dur.log.off
+}
+
+// TestDeliveryBeforeInitRefused: a partition with no image refuses a
+// delivery in either placement, so its counter stays at 0 and it reopens
+// fresh; an acknowledged epoch with no image would reopen as a rollback.
+func TestDeliveryBeforeInitRefused(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dur := openDurable(t, dir, testConfig(pl.disk))
+			reqs := store.NewRequests(1, testBlock)
+			reqs.SetRow(0, store.OpRead, 1, 0, 0, 0, nil)
+			if _, err := dur.BatchAccess(sendable(reqs)); err == nil || dur.Epoch() != 0 {
+				t.Fatalf("delivery before Init: err=%v, epoch %d", err, dur.Epoch())
+			}
+			dur.Close()
+			dur = openDurable(t, dir, testConfig(pl.disk))
+			defer dur.Close()
+			loadObjects(t, dur, 4)
+			expectValue(t, dur, 2, 0)
+		})
 	}
 }

@@ -8,39 +8,45 @@ import (
 )
 
 // walContext is the AAD context of write-ahead log records; a record's
-// sequence number is the epoch of the batch it holds.
+// sequence number is the epoch of the delivery it holds.
 const walContext = "snoopy-persist/wal/v2"
 
-// WALRecordLen is the exact number of bytes the log grows by for one n-row
-// batch: a function of public parameters only (a partition's batch length
-// is the public α).
+// WALRecordLen is the exact number of bytes the log grows by for one
+// delivery of n rows in all (L batches of the public α): a function of
+// public parameters only.
 func WALRecordLen(n, blockSize int) int {
 	return logRecordLen(n * wirecode.KVRowLen(blockSize))
 }
 
-// sealWAL builds and seals the log record of one batch; l.write appends it.
-// The record carries every batch row in the wirecode key/value row shape
-// (so durable and wire representations cannot drift), so its size depends
-// only on the public batch length. Read rows are re-keyed into the dummy
-// space branch-free (the host cannot tell reads from writes); dummy rows
-// are skipped at replay — which is also what keeps logs written when
-// records were padded with dummy rows readable. The record is a function
-// of the request batch alone — not of the partition's state — so it may be
-// written before, after or during the scan.
-func sealWAL(l *sealedLog, epoch uint64, reqs *store.Requests, blockSize int) error {
+// sealWAL builds and seals the log record of one delivery, its batches'
+// rows in order (replay applies them as the partition did); l.write appends
+// it. Every row is in the wirecode key/value row shape (durable and wire
+// representations cannot drift), so the size depends only on the public
+// batch lengths. Read rows are re-keyed into the dummy space branch-free
+// (the host cannot tell reads from writes); dummy rows are skipped at
+// replay. The record is a function of the requests alone, not of the
+// partition's state, so it may be written during the scans.
+func sealWAL(l *sealedLog, epoch uint64, reqs []*store.Requests, blockSize int) error {
 	rowLen := wirecode.KVRowLen(blockSize)
-	n := reqs.Len()
+	n := 0
+	for _, r := range reqs {
+		n += r.Len()
+	}
 	if n > (maxRecord-logRecordLen(0))/rowLen {
-		return fmt.Errorf("persist: a batch of %d rows exceeds the %d-byte record limit", n, maxRecord)
+		return fmt.Errorf("persist: a delivery of %d rows exceeds the %d-byte record limit", n, maxRecord)
 	}
 	rec := l.start(n * rowLen)
 	rec = rec[:logHdrLen+n*rowLen]
-	for r := 0; r < n; r++ {
-		// A read contributes no state change: flip it into the dummy key
-		// space with arithmetic on the op bit, not a branch, so the row
-		// layout never depends on the secret op.
-		key := reqs.Key[r] | uint64(reqs.Op[r]^store.OpWrite)<<63
-		wirecode.PutKVRow(rec[logHdrLen+r*rowLen:][:rowLen], key, reqs.Block(r))
+	row := rec[logHdrLen:]
+	for _, r := range reqs {
+		for i := 0; i < r.Len(); i++ {
+			// A read contributes no state change: flip it into the dummy key
+			// space with arithmetic on the op bit, not a branch, so the row
+			// layout never depends on the secret op.
+			key := r.Key[i] | uint64(r.Op[i]^store.OpWrite)<<63
+			wirecode.PutKVRow(row[:rowLen], key, r.Block(i))
+			row = row[rowLen:]
+		}
 	}
 	l.seal(epoch, 0, rec)
 	return nil

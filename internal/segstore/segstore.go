@@ -373,10 +373,6 @@ func (s *Store) NumSegments() int {
 	return len(s.reg.entries)
 }
 
-// SegmentBlocks returns the blocks-per-segment geometry — the scan
-// alignment and the streaming buffer size in blocks.
-func (s *Store) SegmentBlocks() int { return s.opts.SegmentBlocks }
-
 // ScanAlign returns the block alignment scans must honor: worker ranges
 // split on segment boundaries so each segment is streamed exactly once.
 func (s *Store) ScanAlign() int { return s.opts.SegmentBlocks }

@@ -14,7 +14,7 @@ import (
 func (s *SubORAM) ScanTable(t *ohash.Table) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scan(t)
+	return s.scan([]*ohash.Table{t}, &Stats{})
 }
 
 // UseKernel makes every scan worker run the named obliv.Kernels body

@@ -185,7 +185,7 @@ func TestScanMatchesSlotMajorReference(t *testing.T) {
 						t.Fatalf("table shaped %+v, the ledger's is %+v", got.Geom, ledger)
 					}
 					refScan(want, ids, refData, refBlock, nil)
-					if err := sub.scan(got); err != nil {
+					if err := sub.scan([]*ohash.Table{got}, &Stats{}); err != nil {
 						t.Fatal(err)
 					}
 					requireSameRows(t, "tier 1", got.Tier1, want.Tier1)

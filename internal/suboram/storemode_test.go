@@ -66,7 +66,7 @@ func TestStoreMatchesPlain(t *testing.T) {
 func TestStoreRandomizedAgainstShadow(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 200
-	s := newStoreBacked(t, Config{Strict: true}, n)
+	s := newStoreBacked(t, Config{}, n)
 	shadow := map[uint64][]byte{}
 	for i := 0; i < n; i++ {
 		shadow[uint64(i*3)] = value(uint64(i*3), 0)

@@ -40,10 +40,6 @@ type Config struct {
 	Hash ohash.Params
 	// Workers bounds scan parallelism (paper Fig. 13b). 0 means 1.
 	Workers int
-	// Strict enables a (non-oblivious, debug-only) duplicate-key check on
-	// incoming batches; production deployments rely on the load balancer's
-	// guarantee (paper Definition 2).
-	Strict bool
 	// Sealed keeps the partition in enclave-external memory (paper §7): New
 	// sets Store to the segment store over host memory, under a fresh key.
 	// Slower, but models the real deployment where the partition exceeds
@@ -125,8 +121,8 @@ func (s Stats) Total() time.Duration { return s.Build + s.Scan + s.Extract }
 
 // SubORAM holds one data partition.
 type SubORAM struct {
-	cfg     Config
-	builder *ohash.Builder // scratch reuse across batches (guarded by mu); rebuilt by setIDs
+	cfg      Config
+	builders []*ohash.Builder // builders[i] builds a delivery's i-th table (guarded by mu)
 
 	mu    sync.Mutex // serializes batches (paper: fixed batch order)
 	ids   []uint64
@@ -137,9 +133,10 @@ type SubORAM struct {
 	zeroBlk    []byte        // the all-zero miss response block
 	workTables []ohash.Table // scan-worker table copies (structs reused)
 	workErrs   []error
-	// noutScratch backs BatchAccessN's returned slice (valid until the
-	// next call, like every other per-batch scratch here).
-	noutScratch []*store.Requests
+	// A delivery's tables between build and scan, and BatchAccessN's
+	// returned slice (valid until the next call, like all scratch here).
+	tables []*ohash.Table
+	outs   []*store.Requests
 
 	// Per-worker scan state (table binding, kernel views, hashed-ahead
 	// stripe), bound per batch under mu before workers start.
@@ -174,6 +171,9 @@ func New(cfg Config) *SubORAM {
 			panic("suboram: Store and Sealed are mutually exclusive")
 		}
 		cfg.Store, _ = sealedMemory(cfg, 0)
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = arena.Default
 	}
 	cfg.Hash.Rec, cfg.Hash.Pool = cfg.Rec, cfg.Pool
 	s := &SubORAM{
@@ -229,14 +229,6 @@ func (c *scanCtx) bind(table *ohash.Table) {
 	c.t2.Bind(t2.Key, t2.Tag, t2.Op, t2.Aux, t2.Data, g.Z2, t2.BlockSize)
 }
 
-// pool returns the configured arena, defaulting to the process-wide one.
-func (s *SubORAM) pool() *arena.Pool {
-	if s.cfg.Pool != nil {
-		return s.cfg.Pool
-	}
-	return arena.Default
-}
-
 // Init loads the partition: object i has identifier ids[i] and value
 // data[i*BlockSize:(i+1)*BlockSize]. Identifiers must be distinct and below
 // store.DummyKeyBit.
@@ -257,7 +249,8 @@ func (s *SubORAM) Init(ids []uint64, data []byte) error {
 func (s *SubORAM) setIDs(ids []uint64) {
 	s.ids = append([]uint64(nil), ids...)
 	s.cfg.Hash.Objects = len(ids)
-	s.builder = ohash.NewBuilder(s.cfg.Hash)
+	clear(s.builders)
+	s.builders = s.builders[:0]
 }
 
 func (s *SubORAM) load(ids []uint64, data []byte) error {
@@ -288,7 +281,8 @@ func (s *SubORAM) NumObjects() int {
 	return len(s.ids)
 }
 
-// LastStats returns the timing breakdown of the most recent batch.
+// LastStats returns the timing breakdown of the most recent delivery, summed
+// over its batches; the table shape is its last batch's.
 func (s *SubORAM) LastStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,112 +297,97 @@ func (s *SubORAM) LastStats() Stats {
 // rows carry the table key the load balancer derived for it and ascend in
 // that key's table order. Rows come back in the order received — the
 // residents, then vacant rows where the batch had its dummies — echoing the
-// key in their Seq and Client columns. The input batch is not modified.
+// key in their Seq and Client columns. The input is not modified.
 func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.batchAccessLocked(reqs)
-}
-
-// BatchAccessN executes a whole epoch's batches — one per load balancer,
-// in the fixed load-balancer order linearizability depends on — under a
-// single lock acquisition (core.BatchedSubORAMClient). The returned slice
-// is internal scratch reused by the next call; the *store.Requests it
-// points at are the caller's to release as usual.
-func (s *SubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cap(s.noutScratch) < len(reqs) {
-		s.noutScratch = make([]*store.Requests, len(reqs))
-	}
-	outs := s.noutScratch[:len(reqs)]
-	for i, r := range reqs {
-		out, err := s.batchAccessLocked(r)
-		if err != nil {
-			// All-or-nothing for the caller: already-produced responses
-			// would never be matched, so give them back to the arena.
-			pool := s.pool()
-			for j := 0; j < i; j++ {
-				pool.PutRequests(outs[j])
-				outs[j] = nil
-			}
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
-}
-
-func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, error) {
-	if reqs.BlockSize != s.cfg.BlockSize {
-		return nil, fmt.Errorf("suboram: batch block size %d != %d", reqs.BlockSize, s.cfg.BlockSize)
-	}
-	if s.cfg.Strict {
-		seen := make(map[uint64]bool, reqs.Len())
-		for _, k := range reqs.Key {
-			if seen[k] {
-				return nil, fmt.Errorf("suboram: duplicate request key %#x in batch", k)
-			}
-			seen[k] = true
-		}
-	}
-
-	var st Stats
-	t0 := time.Now()
-	tt0 := s.cfg.Telemetry.Now()
-	table, err := s.builder.Build(reqs)
+	one := [1]*store.Requests{reqs}
+	outs, err := s.deliver(one[:])
 	if err != nil {
 		return nil, err
 	}
-	st.Build = time.Since(t0)
-	tt1 := s.cfg.Telemetry.Now()
-	s.telBuild.Observe(time.Duration(tt1 - tt0))
-
-	t0 = time.Now()
-	if err := s.scan(table); err != nil {
-		return nil, err
-	}
-	st.Scan = time.Since(t0)
-	tt2 := s.cfg.Telemetry.Now()
-	s.telScan.Observe(time.Duration(tt2 - tt1))
-
-	t0 = time.Now()
-	out := table.Extract()
-	// Requests whose key matched no stored object return zeroes.
-	for i := 0; i < out.Len(); i++ {
-		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), s.zeroBlk)
-	}
-	// The rows come back in the order received; echo the key that ordered
-	// them.
-	out.StampKey(table.K)
-	st.Extract = time.Since(t0)
-	st.TableSlots, st.SlotsPerLookup = table.Geom.Slots(), table.Geom.SlotsScannedPerLookup()
-	s.last = st
-	// One recording per batch; the row payload is the public padded batch
-	// size α, identical across workloads with the same public parameters.
-	s.telExtract.Observe(time.Duration(s.cfg.Telemetry.Now() - tt2))
-	s.telBatches.Inc()
-	s.telRows.Add(uint64(reqs.Len()))
-	// High-water marks: partitions share the registry, and a last-writer
-	// gauge would read whichever worker happened to finish last.
-	s.telSlots.SetMax(int64(st.TableSlots))
-	s.telLookup.SetMax(int64(st.SlotsPerLookup))
-	return out, nil
+	return outs[0], nil
 }
 
-// scan runs the linear pass over the partition. A store-backed partition's
-// pass is one store epoch, bracketed here and nowhere else: every segment is
-// resealed under the next epoch, so a slot the host replays from any earlier
-// batch fails this one's successor.
-func (s *SubORAM) scan(table *ohash.Table) error {
-	if s.cfg.Store == nil {
-		return s.fanOut(table)
+// BatchAccessN applies one delivery — an epoch's batches in load-balancer
+// order — whole or not at all: every table is built (every check that can
+// refuse a batch: block size, order, overflow) before any scan. Tables are
+// functions of the requests alone, so batch i+1's scan still sees batch
+// i's writes. The returned slice is scratch reused by the next call.
+func (s *SubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deliver(reqs)
+}
+
+// deliver is BatchAccessN; the caller holds mu while it reads the scratch.
+func (s *SubORAM) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
+	var st Stats
+	s.tables = s.tables[:0]
+	for i, r := range reqs {
+		if r.BlockSize != s.cfg.BlockSize {
+			return nil, fmt.Errorf("suboram: batch block size %d != %d", r.BlockSize, s.cfg.BlockSize)
+		}
+		if i == len(s.builders) {
+			s.builders = append(s.builders, ohash.NewBuilder(s.cfg.Hash))
+		}
+		t0, tt0 := time.Now(), s.cfg.Telemetry.Now()
+		table, err := s.builders[i].Build(r) // valid until builder i's next Build
+		if err != nil {
+			return nil, err
+		}
+		st.Build += time.Since(t0)
+		s.telBuild.Observe(time.Duration(s.cfg.Telemetry.Now() - tt0))
+		s.tables = append(s.tables, table)
 	}
-	s.cfg.Store.Begin()
-	if err := s.fanOut(table); err != nil {
-		return err
+	if err := s.scan(s.tables, &st); err != nil {
+		return nil, err
 	}
-	return s.cfg.Store.Commit()
+	// Answer each batch in the order received, misses zeroed, echoing its
+	// key; one recording per batch, its payload the public padded size α.
+	s.outs = s.outs[:0]
+	for _, table := range s.tables {
+		t0, tt0 := time.Now(), s.cfg.Telemetry.Now()
+		out := table.Extract()
+		for i := 0; i < out.Len(); i++ {
+			obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), s.zeroBlk)
+		}
+		out.StampKey(table.K)
+		st.Extract += time.Since(t0)
+		st.TableSlots, st.SlotsPerLookup = table.Geom.Slots(), table.Geom.SlotsScannedPerLookup()
+		s.telExtract.Observe(time.Duration(s.cfg.Telemetry.Now() - tt0))
+		s.telBatches.Inc()
+		s.telRows.Add(uint64(out.Len()))
+		// High-water marks: partitions share the registry, and a last-writer
+		// gauge would read whichever worker happened to finish last.
+		s.telSlots.SetMax(int64(st.TableSlots))
+		s.telLookup.SetMax(int64(st.SlotsPerLookup))
+		s.outs = append(s.outs, out)
+	}
+	s.last = st
+	return s.outs, nil
+}
+
+// scan runs the linear pass once per table, in order; a store-backed
+// partition's passes are one store epoch, bracketed here and nowhere else,
+// so a slot replayed from any earlier delivery fails.
+func (s *SubORAM) scan(tables []*ohash.Table, st *Stats) error {
+	if s.cfg.Store != nil {
+		s.cfg.Store.Begin()
+	}
+	for i, table := range tables {
+		t0, tt0 := time.Now(), s.cfg.Telemetry.Now()
+		err := s.fanOut(table)
+		if err == nil && s.cfg.Store != nil && i == len(tables)-1 {
+			err = s.cfg.Store.Commit()
+		}
+		if err != nil {
+			return err
+		}
+		st.Scan += time.Since(t0)
+		s.telScan.Observe(time.Duration(s.cfg.Telemetry.Now() - tt0))
+	}
+	return nil
 }
 
 // fanOut runs the pass across workers. Each worker owns a disjoint object
@@ -426,7 +405,7 @@ func (s *SubORAM) fanOut(table *ohash.Table) error {
 
 	// Worker table copies come from the arena (the structs themselves are
 	// reused across batches); worker 0 scans the primary table in place.
-	pool := s.pool()
+	pool := s.cfg.Pool
 	if cap(s.workTables) < workers {
 		s.workTables = make([]ohash.Table, workers)
 		s.workErrs = make([]error, workers)

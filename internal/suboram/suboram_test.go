@@ -73,7 +73,7 @@ func respFor(t *testing.T, out *store.Requests, key uint64) int {
 }
 
 func TestReadsReturnStoredValues(t *testing.T) {
-	s := newLoaded(t, Config{Strict: true}, 100)
+	s := newLoaded(t, Config{}, 100)
 	reqs := batchOf(
 		[3]interface{}{store.OpRead, uint64(0), nil},
 		[3]interface{}{store.OpRead, uint64(3), nil},
@@ -98,7 +98,7 @@ func TestReadsReturnStoredValues(t *testing.T) {
 }
 
 func TestWriteThenReadAcrossBatches(t *testing.T) {
-	s := newLoaded(t, Config{Strict: true}, 50)
+	s := newLoaded(t, Config{}, 50)
 	w := batchOf([3]interface{}{store.OpWrite, uint64(6), value(6, 1)})
 	out, err := s.BatchAccess(sendable(w))
 	if err != nil {
@@ -119,7 +119,7 @@ func TestWriteThenReadAcrossBatches(t *testing.T) {
 }
 
 func TestAbsentKeysReturnZeroes(t *testing.T) {
-	s := newLoaded(t, Config{Strict: true}, 20)
+	s := newLoaded(t, Config{}, 20)
 	reqs := batchOf(
 		[3]interface{}{store.OpRead, uint64(1), nil}, // not stored (ids are multiples of 3)
 		[3]interface{}{store.OpWrite, uint64(2), value(2, 9)},
@@ -154,7 +154,7 @@ func TestAbsentKeysReturnZeroes(t *testing.T) {
 func TestMixedLargeBatchRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 400
-	s := newLoaded(t, Config{Strict: true}, n)
+	s := newLoaded(t, Config{}, n)
 	shadow := map[uint64][]byte{}
 	for i := 0; i < n; i++ {
 		shadow[uint64(i*3)] = value(uint64(i*3), 0)
@@ -191,14 +191,16 @@ func TestMixedLargeBatchRandomized(t *testing.T) {
 	}
 }
 
+// TestStrictRejectsDuplicates: the build's order check, under which real
+// rows must strictly ascend, refuses a batch that repeats a key.
 func TestStrictRejectsDuplicates(t *testing.T) {
-	s := newLoaded(t, Config{Strict: true}, 10)
+	s := newLoaded(t, Config{}, 10)
 	reqs := batchOf(
 		[3]interface{}{store.OpRead, uint64(3), nil},
 		[3]interface{}{store.OpRead, uint64(3), nil},
 	)
 	if _, err := s.BatchAccess(sendable(reqs)); err == nil {
-		t.Fatal("duplicate batch accepted in strict mode")
+		t.Fatal("duplicate batch accepted: the order check must refuse it")
 	}
 }
 

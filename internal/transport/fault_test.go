@@ -195,16 +195,16 @@ func TestRPCDeadlineFiresOnUnresponsiveServer(t *testing.T) {
 	}
 }
 
-// countingPartition counts BatchAccess applications so replay tests can
+// countingPartition counts the batches it applies so replay tests can
 // assert at-most-once delivery.
 type countingPartition struct {
 	Partition
 	batches atomic.Int64
 }
 
-func (p *countingPartition) BatchAccess(r *store.Requests) (*store.Requests, error) {
-	p.batches.Add(1)
-	return p.Partition.BatchAccess(r)
+func (p *countingPartition) BatchAccessN(rs []*store.Requests) ([]*store.Requests, error) {
+	p.batches.Add(int64(len(rs)))
+	return p.Partition.BatchAccessN(rs)
 }
 
 // TestReconnectReplaysDuplicateDelivery loses a response in flight after the

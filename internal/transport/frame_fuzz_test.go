@@ -84,9 +84,13 @@ type recordingPartition struct{ applied []*store.Requests }
 
 func (p *recordingPartition) Init([]uint64, []byte) error { return nil }
 
-func (p *recordingPartition) BatchAccess(r *store.Requests) (*store.Requests, error) {
-	p.applied = append(p.applied, r.Clone())
-	return r.Clone(), nil
+func (p *recordingPartition) BatchAccessN(rs []*store.Requests) ([]*store.Requests, error) {
+	outs := make([]*store.Requests, len(rs))
+	for i, r := range rs {
+		p.applied = append(p.applied, r.Clone())
+		outs[i] = r.Clone()
+	}
+	return outs, nil
 }
 
 // FuzzServeBatchNDecoder throws mangled batch frames at serveConn: a count

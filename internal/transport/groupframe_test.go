@@ -72,7 +72,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 	}
 }
 
-// groupPartition records BatchAccess calls and can fail at a chosen
+// groupPartition records BatchAccessN calls and can fail at a chosen
 // call index, for exercising the replay cache's grouped-delivery contract
 // without a network.
 type groupPartition struct {
@@ -82,12 +82,16 @@ type groupPartition struct {
 
 func (p *groupPartition) Init(ids []uint64, data []byte) error { return nil }
 
-func (p *groupPartition) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+func (p *groupPartition) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
 	p.calls++
 	if p.failAt > 0 && p.calls == p.failAt {
 		return nil, errors.New("injected partition failure")
 	}
-	return reqs.Clone(), nil
+	outs := make([]*store.Requests, len(reqs))
+	for i, r := range reqs {
+		outs[i] = r.Clone()
+	}
+	return outs, nil
 }
 
 func groupOf(n int) []*store.Requests {
@@ -113,8 +117,8 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	if err != nil || replayed {
 		t.Fatalf("first delivery: outs=%v replayed=%v err=%v", outs, replayed, err)
 	}
-	if p.calls != 3 {
-		t.Fatalf("partition saw %d calls, want 3", p.calls)
+	if p.calls != 1 {
+		t.Fatalf("partition saw %d calls for one delivery, want 1", p.calls)
 	}
 
 	// Redelivery of the same tag: replayed, partition untouched.
@@ -122,7 +126,7 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	if err != nil || !replayed {
 		t.Fatalf("redelivery: replayed=%v err=%v", replayed, err)
 	}
-	if p.calls != 3 {
+	if p.calls != 1 {
 		t.Fatalf("replay touched the partition (%d calls)", p.calls)
 	}
 	if len(outs2) != 3 {
@@ -142,12 +146,12 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	}
 }
 
-// TestApplyNPartialFailureNotRecorded: a partition error mid-group reports
-// the whole delivery as failed and records nothing, so the tag is not
+// TestApplyNPartialFailureNotRecorded: a partition that fails a delivery
+// fails it whole, and the cache records nothing, so the tag is not
 // replayable as a phantom success.
 func TestApplyNPartialFailureNotRecorded(t *testing.T) {
 	rc := NewReplayCache()
-	p := &groupPartition{failAt: 2}
+	p := &groupPartition{failAt: 1}
 
 	m := &message{Kind: "batchN", reqsN: groupOf(3), lbID: 9, seq: 1}
 	if _, _, err := rc.applyN(p, m); err == nil {

@@ -100,9 +100,6 @@ func (l *LocalTagged) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, e
 	return outs, nil
 }
 
-// Close implements core's optional closer hook.
-func (l *LocalTagged) Close() error { return nil }
-
 func arenaCopy(src *store.Requests) *store.Requests {
 	dst := arena.Default.GetRequests(src.Len(), src.BlockSize)
 	dst.CopyRowsPlain(0, src)

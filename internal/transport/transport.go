@@ -376,11 +376,11 @@ func deriveKeys(secret []byte) (clientToServer, serverToClient crypt.Key) {
 	return crypt.Key(a), crypt.Key(b)
 }
 
-// Partition is the server-side subORAM surface: a plain *suboram.SubORAM
-// or a durability-wrapped one (*persist.Durable).
+// Partition is the server-side subORAM surface: a plain *suboram.SubORAM or
+// a durable one (*persist.Durable), each applying a delivery whole or not.
 type Partition interface {
 	Init(ids []uint64, data []byte) error
-	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
 }
 
 // ServeOptions sets the server-side failure-handling parameters.
@@ -477,11 +477,11 @@ type replayEntry struct {
 func NewReplayCache() *ReplayCache { return &ReplayCache{last: make(map[uint64]*replayEntry)} }
 
 // applyN resolves one tagged delivery against the cache, holding the cache
-// lock across the partition calls so "look up, apply, record" is atomic
+// lock across the partition call so "look up, apply, record" is atomic
 // with respect to other connections:
 //
-//   - seq > last applied for this lbID → apply the batches to the
-//     partition in slice order, record the responses, return them;
+//   - seq > last applied for this lbID → hand the delivery to the
+//     partition in one call, record the responses, return them;
 //   - seq applied within the replay window → redelivery after an ambiguous
 //     failure or by a successor root: replay the stored responses without
 //     touching the partition (a redelivery with a different batch count
@@ -489,12 +489,11 @@ func NewReplayCache() *ReplayCache { return &ReplayCache{last: make(map[uint64]*
 //   - any older seq → a stale delivery that can no longer be answered
 //     exactly-once; reject it.
 //
-// A partition error after a prefix has been applied is reported as an
-// error for the whole delivery (the same ambiguous-outcome contract a lost
-// response already has); the entry is not recorded, so the delivery is
-// never replayed as a success. The returned slice is freshly allocated and
-// owned by the caller; non-replayed responses are arena-backed, replayed
-// ones are the cache's private clones.
+// A delivery the partition fails is not recorded, so it is never replayed
+// as a success; the partition applied none of it, so a retry under the same
+// tag applies it afresh. The returned slice is freshly allocated and owned
+// by the caller; non-replayed responses are arena-backed, replayed ones are
+// the cache's private clones.
 func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, bool, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -513,15 +512,11 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 			return r.respN, true, nil
 		}
 	}
-	outs := make([]*store.Requests, len(m.reqsN))
-	for i, r := range m.reqsN {
-		out, err := sub.BatchAccess(r)
-		if err != nil {
-			putAll(outs[:i])
-			return nil, false, fmt.Errorf("batch %d of %d: %w", i, len(m.reqsN), err)
-		}
-		outs[i] = out
+	applied, err := sub.BatchAccessN(m.reqsN)
+	if err != nil {
+		return nil, false, err
 	}
+	outs := append([]*store.Requests(nil), applied...)
 	if e == nil {
 		e = &replayEntry{used: rc.tick}
 		rc.last[m.lbID] = e
