@@ -7,7 +7,6 @@ package snoopy_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -257,7 +256,6 @@ func BenchmarkSnoopyEndToEnd(b *testing.B) {
 		b.Run(fmt.Sprintf("L=%d/S=%d", cfg.lbs, cfg.subs), func(b *testing.B) {
 			st, err := snoopy.Open(snoopy.Config{
 				BlockSize: benchBlock, LoadBalancers: cfg.lbs, SubORAMs: cfg.subs,
-				SubORAMWorkers: 2,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -298,7 +296,7 @@ func BenchmarkSnoopyEndToEnd(b *testing.B) {
 
 func BenchmarkSnoopyKeyTransparency(b *testing.B) {
 	const users = 1 << 12
-	st, err := snoopy.Open(snoopy.Config{BlockSize: 32, SubORAMs: 4, SubORAMWorkers: 2})
+	st, err := snoopy.Open(snoopy.Config{BlockSize: 32, SubORAMs: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,50 +520,6 @@ func BenchmarkScanBucket(b *testing.B) {
 			perObject := float64(scan.Nanoseconds()) / float64(b.N) / float64(shape.objects)
 			b.ReportMetric(perObject, "ns/object")
 			b.ReportMetric(perObject/float64(sub.LastStats().SlotsPerLookup), "ns/slot")
-		})
-	}
-}
-
-// ---- Epochs in flight (§6): depth 1 runs one epoch at a time ----
-
-func BenchmarkPipelinedEpochs(b *testing.B) {
-	for _, depth := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			st, err := snoopy.Open(snoopy.Config{
-				BlockSize: benchBlock, SubORAMs: 2, PipelineDepth: depth,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			const objects = 1 << 13
-			ids := make([]uint64, objects)
-			for i := range ids {
-				ids[i] = uint64(i)
-			}
-			if err := st.LoadSlices(ids, make([]byte, objects*benchBlock)); err != nil {
-				b.Fatal(err)
-			}
-			// Clear heap debt left by earlier benchmarks in the same process
-			// so GC pacing doesn't skew the comparison across depths.
-			runtime.GC()
-			b.ResetTimer()
-			waits := make([]func() ([]byte, bool, error), 0, b.N*64)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 64; j++ {
-					w, err := st.ReadAsync(uint64((i*64 + j) % objects))
-					if err != nil {
-						b.Fatal(err)
-					}
-					waits = append(waits, w)
-				}
-				st.Flush()
-			}
-			for _, w := range waits {
-				if _, _, err := w(); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

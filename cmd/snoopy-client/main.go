@@ -1,7 +1,9 @@
 // Command snoopy-client drives a Snoopy deployment whose subORAMs run as
 // snoopy-server processes: it attests and connects to each server, loads a
 // synthetic object set, runs a mixed read/write workload, and reports
-// throughput and latency percentiles.
+// throughput and latency percentiles. The store runs its own -epoch ticker
+// with two epochs in flight, and with -standbys it replaces a partition that
+// fails 3 consecutive epochs with the next standby.
 //
 //	snoopy-server -listen :7001 -platform <hex> &
 //	snoopy-server -listen :7002 -platform <hex> &
@@ -37,12 +39,10 @@ func main() {
 	lbs := flag.Int("lbs", 2, "load balancers")
 	epoch := flag.Duration("epoch", 50*time.Millisecond, "epoch duration")
 	writeFrac := flag.Float64("writes", 0.5, "write fraction")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "max epochs in flight: stage A of epoch N+1 runs while stages B/C of earlier epochs drain (0 or 1 = one epoch at a time, at most 16)")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-attempt batch RPC deadline (0 = derive from epoch)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "connect + attested handshake deadline (0 = default 5s)")
 	retries := flag.Int("retries", 0, "reconnect attempts after a failed RPC (0 = default 4, negative = none)")
-	standbys := flag.String("standbys", "", "comma-separated standby subORAM addresses, promoted in order when a partition trips the failure detector")
-	failoverAfter := flag.Int("failover-after", 3, "consecutive failed epochs before promoting a standby (used with -standbys)")
+	standbys := flag.String("standbys", "", "comma-separated standby subORAM addresses, promoted in order when a partition fails 3 consecutive epochs")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /trace/epochs, and /debug/pprof on this address (empty = off)")
 	telemetryHold := flag.Duration("telemetry-hold", 0, "keep the process (and its telemetry endpoint) alive this long after the workload finishes")
 	journalDir := flag.String("journal-dir", "", "epoch-journal directory for a fault-tolerant root (shared with snoopy-server -standby-root); enables idempotent ops")
@@ -96,7 +96,6 @@ func main() {
 		BlockSize:     *block,
 		LoadBalancers: *lbs,
 		Epoch:         *epoch,
-		PipelineDepth: *pipelineDepth,
 		JournalDir:    *journalDir,
 		Telemetry:     reg,
 	}
@@ -105,16 +104,14 @@ func main() {
 	}
 
 	// With -standbys, the store promotes the next unused standby when a
-	// partition fails -failover-after consecutive epochs; the threshold is
-	// public configuration, so repair timing reveals nothing about request
-	// contents.
+	// partition fails 3 consecutive epochs; the threshold is public, so
+	// repair timing reveals nothing about request contents.
 	if *standbys != "" {
 		addrs := strings.Split(*standbys, ",")
 		pool := make(chan string, len(addrs))
 		for _, addr := range addrs {
 			pool <- strings.TrimSpace(addr)
 		}
-		cfg.FailoverAfter = *failoverAfter
 		cfg.Failover = func(part int, old snoopy.SubORAM) (snoopy.SubORAM, error) {
 			select {
 			case addr := <-pool:

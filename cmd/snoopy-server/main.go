@@ -1,5 +1,6 @@
 // Command snoopy-server hosts one subORAM partition behind an attested,
-// encrypted TCP endpoint (the paper's per-machine subORAM process).
+// encrypted TCP endpoint (the paper's per-machine subORAM process). The
+// partition is the process's only one, so its scan uses GOMAXPROCS workers.
 //
 // The simulated attestation platform is keyed by a shared hex secret so
 // that separately started processes agree on one authority:
@@ -51,6 +52,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"runtime"
 	"strings"
 	"time"
 
@@ -144,7 +146,6 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 func main() {
 	listen := flag.String("listen", ":7001", "address to listen on")
 	block := flag.Int("block", 160, "object size in bytes")
-	workers := flag.Int("workers", 0, "scan worker threads (0 = 1)")
 	sealed := flag.Bool("sealed", false, "store partition in sealed enclave-external memory")
 	dataDir := flag.String("data", "", "directory for sealed durable state (empty = in-memory only)")
 	diskResident := flag.Bool("disk-resident", false, "keep partition contents on disk in sealed segments (requires -data, excludes -sealed)")
@@ -203,7 +204,7 @@ func main() {
 		return
 	}
 
-	part, recovered, _, err := persist.NewPartition(*block, *workers, *sealed, *dataDir, *diskResident, reg)
+	part, recovered, _, err := persist.NewPartition(*block, runtime.GOMAXPROCS(0), *sealed, *dataDir, *diskResident, reg)
 	if err != nil {
 		log.Fatalf("partition unusable: %v", err)
 	}

@@ -13,7 +13,8 @@ import (
 // This file exposes the paper's extension features (§6, §9, Appendix D):
 // access control, fault-tolerant/rollback-protected partitions, and the
 // latency-minimizing planner. Partition failover needs nothing here:
-// Config.FailoverAfter and Config.Failover drive it from the epochs.
+// Config.Failover drives it from the epochs, tripping after 3 consecutive
+// failed ones.
 
 // Operation codes for ACL rules.
 const (

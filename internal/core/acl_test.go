@@ -153,8 +153,7 @@ func TestACLInvalidRule(t *testing.T) {
 
 func TestACLWithPipelinedEpochs(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, PipelineDepth: 4,
-		EpochDuration: 2 * time.Millisecond,
+		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
 	}, localSubs(2), 50)
 	if err := sys.EnableACL([]ACLRule{
 		{User: 1, Object: 10, Op: store.OpRead},

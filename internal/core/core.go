@@ -101,39 +101,28 @@ type Config struct {
 	// Lambda is the security parameter for batch sizing.
 	Lambda int
 	// EpochDuration is the batching interval. Zero disables the internal
-	// ticker; epochs then run only via Flush (deterministic tests).
+	// ticker; epochs then run only via Flush. It also sets D, the epochs in
+	// flight (dispatched, not yet replied; paper §6 pipelines load-balancer
+	// and subORAM processing): tickerDepth with a ticker, else 1, so Flush
+	// returns after its own epoch replied. D is a function of public
+	// configuration only, like the dispatch cadence it produces.
 	EpochDuration time.Duration
 	// SortWorkers bounds the load balancers' sort parallelism.
 	SortWorkers int
-	// PipelineDepth D bounds the number of epochs in flight at once
-	// (dispatched but not yet fully replied) — the epoch engine's one dial.
-	// Stages overlap across epochs (paper §6: "we can pipeline the subORAM
-	// and load balancer processing"): while the subORAMs execute epoch e,
-	// the load balancers batch epoch e+1 and match epoch e-1. Flush returns
-	// once at most D−1 epochs remain in flight, so 0 or 1 runs one epoch at
-	// a time and Flush returns after its epoch has replied. Capped at 16.
-	// The depth, like every scheduling parameter, is public deployment
-	// configuration: the dispatch cadence it produces depends only on epoch
-	// timing and batch sizes the network adversary already observes.
-	PipelineDepth int
-	// FailoverAfter trips automatic failover for a partition after that
-	// many consecutive failed epochs (0 disables). Every epoch sends every
-	// partition a batch, so the epoch is the partition heartbeat and this
-	// is the one place a partition is declared down. Like every timing and
-	// threshold parameter in the system, it is public deployment
-	// configuration — failover timing reveals only that a partition is
-	// down, which the epoch schedule already makes public.
-	FailoverAfter int
 	// Failover is invoked, at most once in flight per partition, when a
-	// partition trips the detector. It returns a replacement client
-	// (typically a dialed standby, or a node freshly restored from
-	// internal/persist sealed state) that serves the
-	// partition from the next epoch on. Returning an error (or nil) leaves
-	// the old client in place; the attempt is retried while the partition
-	// keeps failing. The old client is passed so the hook can close it or
-	// salvage state. Telemetry counts attempts (core_repairs_started_total),
-	// successes (core_failovers_total) and, per success, the time from the
-	// outage's first failed epoch (core_time_to_recovery).
+	// partition fails failoverAfter consecutive epochs. Every epoch sends
+	// every partition a batch, so the epoch is the partition heartbeat and
+	// this is the one place a partition is declared down; failover timing
+	// reveals only that a partition is down, which the epoch schedule
+	// already makes public. It returns a replacement client (typically a
+	// dialed standby, or a node freshly restored from internal/persist
+	// sealed state) that serves the partition from the next epoch on.
+	// Returning an error (or nil) leaves the old client in place; the
+	// attempt is retried while the partition keeps failing. The old client
+	// is passed so the hook can close it or salvage state. Telemetry counts
+	// attempts (core_repairs_started_total), successes
+	// (core_failovers_total) and, per success, the time from the outage's
+	// first failed epoch (core_time_to_recovery). Nil disables failover.
 	Failover FailoverFunc
 
 	// JournalDir, when non-empty, makes the root load balancer itself
@@ -238,7 +227,7 @@ type System struct {
 	// stalls the others' next-epoch scans. depthSem bounds the epochs in
 	// flight and the sequencer runs the epoch-ordered completion work
 	// (crash hook, health accounting, batch release, stage C).
-	depth    int              // epochs in flight bound (Config.PipelineDepth, ≥ 1)
+	depth    int              // epochs in flight bound D (Config.EpochDuration)
 	partQ    []chan *epochJob // per-partition FIFO job queues, cap depth
 	bDone    chan *epochJob   // completed jobs, in epoch order
 	seqDone  chan struct{}    // sequencer exited
@@ -397,7 +386,10 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		// stage A's number is safely reused — it was never dispatched).
 		sys.epoch = j.LastEpoch()
 	}
-	sys.depth = min(max(cfg.PipelineDepth, 1), maxPipelineDepth)
+	sys.depth = 1
+	if cfg.EpochDuration > 0 {
+		sys.depth = tickerDepth
+	}
 	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
 	sys.depthSem = make(chan struct{}, sys.depth)
 	sys.bDone = make(chan *epochJob, sys.depth)

@@ -74,18 +74,18 @@ type epochJob struct {
 	bLeft atomic.Int32
 }
 
-// maxPipelineDepth caps Config.PipelineDepth, input from outside the
-// program: every epoch in flight holds its arena working set.
-const maxPipelineDepth = 16
+// tickerDepth is D for an engine that runs its own ticker: the paper's
+// load-balancer/subORAM overlap, two epochs in flight. A ticker-less engine
+// runs one (Config.EpochDuration).
+const tickerDepth = 2
 
 // Flush runs one epoch: stage A (snapshot + batching) under epochMu, the
 // journal, then dispatch to the partition workers; the sequencer finishes
 // stage B and runs stage C. Stages overlap across epochs exactly as the
 // paper's throughput equation assumes — stage A of epoch N+1 runs while
-// the workers scan epoch N and stage C matches epoch N−1 — up to
-// PipelineDepth epochs in flight. Flush returns once at most depth−1
-// epochs remain in flight (or the system closes): at depth 1, after its
-// own epoch has replied.
+// the workers scan epoch N and stage C matches epoch N−1 — up to D epochs
+// in flight. Flush returns once at most D−1 epochs remain in flight (or the
+// system closes): without a ticker, after its own epoch has replied.
 func (sys *System) Flush() {
 	select {
 	case <-sys.crashedCh:

@@ -5,8 +5,12 @@ package core
 
 import "time"
 
+// failoverAfter is the consecutive-failed-epoch run that trips failover, the
+// same threshold as the root's liveness probe (cluster.Policy).
+const failoverAfter = 3
+
 // FailoverFunc produces a replacement client for a partition whose
-// consecutive-failure run tripped the detector (Config.FailoverAfter).
+// consecutive-failure run tripped the detector (failoverAfter).
 type FailoverFunc func(part int, old SubORAMClient) (SubORAMClient, error)
 
 // HealthStats reports per-partition failure state, so operators (and the
@@ -48,7 +52,7 @@ func (h HealthStats) Healthy() bool {
 
 // detect is the system's one partition failure detector: the epoch is the
 // heartbeat, and a partition whose consecutive-failure run reaches
-// Config.FailoverAfter trips automatic failover — one repair attempt at a
+// failoverAfter trips automatic failover — one repair attempt at a
 // time, retried each further failing epoch until a replacement is promoted.
 // Runs on the sequencer, in epoch order.
 func (sys *System) detect(job *epochJob) {
@@ -61,8 +65,8 @@ func (sys *System) detect(job *epochJob) {
 			sys.health.ConsecutiveFailures[s]++
 			sys.health.TotalFailures[s]++
 			sys.telPartFails.Inc()
-			if sys.cfg.FailoverAfter > 0 && sys.cfg.Failover != nil &&
-				sys.health.ConsecutiveFailures[s] >= sys.cfg.FailoverAfter &&
+			if sys.cfg.Failover != nil &&
+				sys.health.ConsecutiveFailures[s] >= failoverAfter &&
 				!sys.health.Repairing[s] {
 				sys.health.Repairing[s] = true
 				sys.telRepairs.Inc()

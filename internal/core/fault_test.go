@@ -324,8 +324,7 @@ func newFailoverSystem(t *testing.T, n int, failFirst int32, reg *telemetry.Regi
 	attempts := new(atomic.Int32)
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: faultBlock, NumLoadBalancers: 1, Lambda: 32,
-		Telemetry:     reg,
-		FailoverAfter: 2,
+		Telemetry: reg,
 		Failover: func(part int, old SubORAMClient) (SubORAMClient, error) {
 			if part != 1 {
 				return nil, errors.New("failover for a healthy partition")
@@ -400,7 +399,7 @@ func recoveryHistogram(snap telemetry.Snapshot) *telemetry.HistogramSnapshot {
 }
 
 // TestFailoverPromotesStandby trips the automatic failover path: a
-// partition failing FailoverAfter consecutive epochs invokes the hook, a
+// partition failing 3 consecutive epochs invokes the hook, a
 // failed first attempt is retried, and the promoted standby serves the
 // partition's original data from then on.
 func TestFailoverPromotesStandby(t *testing.T) {
@@ -539,7 +538,6 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 	var promoted atomic.Int32
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: faultBlock, NumLoadBalancers: 1, Lambda: 32,
-		FailoverAfter: 1,
 		Failover: func(part int, old SubORAMClient) (SubORAMClient, error) {
 			if rc, ok := old.(*transport.RemoteSubORAM); ok {
 				rc.Close()

@@ -19,7 +19,7 @@ import (
 )
 
 // The exactly-once table: every crash site of a journaled root against
-// every fate partition 0 can meet in the crash epoch C, at depths 1 and 4.
+// every fate partition 0 can meet in the crash epoch C, at depths 1 and 2.
 var (
 	// tableSites are where the root dies in epoch C ("none": it lives).
 	tableSites = []string{"none", "stage-a", "journal", "dispatch"}
@@ -36,7 +36,7 @@ var (
 	tableFates = []string{"serves", "fails", "twice", "failover", "prefix"}
 )
 
-// TestJournalExactlyOnce enumerates depth {1, 4} × crash epoch C ∈ {1, 2, 3}
+// TestJournalExactlyOnce enumerates depth {1, 2} × crash epoch C ∈ {1, 2, 3}
 // × crash site × partition-0 fate (120 rows) over S = 2 partitions and L = 2
 // load balancers. Epochs 1–3 are submitted back to back; after a crash a
 // successor root opens the same journal directory over fresh tagged
@@ -199,7 +199,7 @@ func (row *tableRow) open(t *testing.T) *System {
 		handles[p] = row.handle(p)
 	}
 	sys, err := NewWithSubORAMs(Config{
-		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32, PipelineDepth: row.depth, JournalDir: row.dir,
+		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32, EpochDuration: epochFor(row.depth), JournalDir: row.dir,
 		Failover: func(p int, _ SubORAMClient) (SubORAMClient, error) { return row.handle(p), nil },
 	}, handles)
 	if err != nil {

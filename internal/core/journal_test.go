@@ -55,7 +55,7 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 		BlockSize:        testBlock,
 		NumLoadBalancers: 2,
 		Lambda:           32,
-		PipelineDepth:    depth,
+		EpochDuration:    epochFor(depth),
 		JournalDir:       c.dir,
 	}, c.tagged())
 	if err != nil {
@@ -64,11 +64,29 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 	return sys.setCrashHook(crash)
 }
 
+// neverTicks is an epoch ticker no test outlives: the engine runs at its
+// ticker depth while the test drives every epoch with Flush.
+const neverTicks = time.Hour
+
+// epochFor is the EpochDuration that runs the engine at depth D: no ticker
+// for D = 1, one that never fires for D = 2.
+func epochFor(depth int) time.Duration {
+	if depth > 1 {
+		return neverTicks
+	}
+	return 0
+}
+
 // atDepths runs f at the depths the crash-safety argument must cover: one
-// epoch at a time, and four in flight.
+// epoch at a time, and the ticker engine's two in flight. The D = 2
+// subtests keep the label "depth=4" from when the depth was a setting and
+// these ran at 4, so their test IDs stay comparable across the change.
 func atDepths(t *testing.T, f func(t *testing.T, depth int)) {
-	for _, depth := range []int{1, 4} {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { f(t, depth) })
+	for _, d := range []struct {
+		label string
+		depth int
+	}{{"depth=1", 1}, {"depth=4", tickerDepth}} {
+		t.Run(d.label, func(t *testing.T) { f(t, d.depth) })
 	}
 }
 
@@ -480,36 +498,54 @@ func TestJournalCompleteFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestJournalCrashWithEpochsInFlight: at depth 4 the root crashes at the
-// "dispatch" point of epoch 2 while epochs 3 and 4 are already dispatched
-// behind it. A dead root answers none of the three; the successor replays
-// all three in order, and every tracked request is answered exactly once —
-// from the successor's reply window, each write observing its
-// predecessor's value, so nothing was applied twice.
+// TestJournalCrashWithEpochsInFlight: on a ticker engine (D = 2) the root
+// crashes at the "dispatch" point of epoch 2 while epoch 3 is already
+// dispatched behind it. A dead root answers neither; the successor replays
+// both in order, and every tracked request is answered exactly once — from
+// the successor's reply window, each write observing its predecessor's
+// value, so nothing was applied twice.
 func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 	c := newJournalCluster(t, 2)
 	hold := make(chan struct{})
-	r1 := c.root(t, 4, func(point string, epoch uint64) bool {
-		if point != "dispatch" || epoch != 2 {
-			return false
+	journaled3 := make(chan struct{})
+	r1 := c.root(t, tickerDepth, func(point string, epoch uint64) bool {
+		switch {
+		case point == "journal" && epoch == 3:
+			close(journaled3)
+		case point == "dispatch" && epoch == 2:
+			<-hold // keep epoch 2 at its dispatch point until 3 is out
+			return true
 		}
-		<-hold // keep epoch 2 at its dispatch point until 3 and 4 are out
-		return true
+		return false
 	})
 	c.initObjects(t, r1, 16)
 	if _, _, err := runIdemWrite(t, r1, 60, 3, "v0"); err != nil {
 		t.Fatal(err)
 	}
 	var waits []func() ([]byte, bool, error)
-	for e := 1; e <= 3; e++ { // epochs 2, 3, 4
+	flushed := make(chan struct{})
+	for e := 1; e <= 2; e++ { // epochs 2, 3
 		w, err := r1.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("v%d", e)), ID: uint64(60 + e)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1.Flush() // returns once dispatched: fewer than 4 epochs in flight
 		waits = append(waits, w)
+		if e == 1 {
+			r1.Flush() // returns once dispatched: one epoch in flight
+			continue
+		}
+		// Epoch 3's Flush waits for epoch 2 to leave the pipeline, which it
+		// does only by crashing: run it aside.
+		go func() {
+			r1.Flush()
+			close(flushed)
+		}()
 	}
+	<-journaled3
+	r1.epochMu.Lock() // epoch 3 is dispatched under the lock it holds
+	r1.epochMu.Unlock()
 	close(hold)
+	<-flushed
 	for e, w := range waits {
 		if _, _, err := w(); !errors.Is(err, ErrRootDown) {
 			t.Fatalf("epoch %d in flight at the crash returned %v, want ErrRootDown", e+2, err)
@@ -517,9 +553,9 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 	}
 	r1.Close()
 
-	r2 := c.root(t, 4, nil)
+	r2 := c.root(t, tickerDepth, nil)
 	defer r2.Close()
-	for e := 1; e <= 3; e++ {
+	for e := 1; e <= 2; e++ {
 		id := uint64(60 + e)
 		if _, ok := r2.replyWin.get(id); !ok {
 			t.Fatalf("request %d not answered by the successor's replay", id)
@@ -534,7 +570,7 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Flush()
-	if got, _, err := wait(); err != nil || trimmed(got) != "v3" {
+	if got, _, err := wait(); err != nil || trimmed(got) != "v2" {
 		t.Fatalf("read after replay: %q err=%v", trimmed(got), err)
 	}
 }

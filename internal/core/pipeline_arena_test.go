@@ -21,7 +21,6 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 		NumLoadBalancers: 2,
 		Lambda:           32,
 		EpochDuration:    time.Millisecond,
-		PipelineDepth:    4,
 	}, localSubs(3))
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := startSystem(t, Config{
-		PipelineDepth: 4, Telemetry: reg,
+		EpochDuration: neverTicks, Telemetry: reg,
 	}, localSubs(2), 16)
 
 	var waits []func() ([]byte, bool, error)
@@ -60,17 +60,28 @@ func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 }
 
 // stallSub wedges BatchAccess on a channel, simulating a partition that is
-// alive but not making progress. entered (buffered) signals each wedged call.
+// alive but not making progress. entered (buffered) signals each wedged call;
+// calls counts every call.
 type stallSub struct {
 	inner   SubORAMClient
 	stall   atomic.Bool
+	calls   atomic.Int64
 	entered chan struct{}
 	release chan struct{}
+}
+
+func newStallSub() *stallSub {
+	return &stallSub{
+		inner:   suboram.New(suboram.Config{BlockSize: testBlock}),
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
 }
 
 func (s *stallSub) Init(ids []uint64, data []byte) error { return s.inner.Init(ids, data) }
 
 func (s *stallSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	s.calls.Add(1)
 	if s.stall.Load() {
 		s.entered <- struct{}{}
 		<-s.release
@@ -86,11 +97,7 @@ func (s *stallSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // Close returns once the wedged partition is released, and the dispatched
 // epoch still answers.
 func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
-	stalled := &stallSub{
-		inner:   suboram.New(suboram.Config{BlockSize: testBlock}),
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
+	stalled := newStallSub()
 	subs := []SubORAMClient{stalled, suboram.New(suboram.Config{BlockSize: testBlock})}
 	sys, err := NewWithSubORAMs(Config{BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32}, subs)
 	if err != nil {
@@ -189,7 +196,7 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	}
 }
 
-// TestPipelinedSoakWithStalledRemote hammers a depth-4 system
+// TestPipelinedSoakWithStalledRemote hammers a ticker-driven (depth-2) system
 // with concurrent Flush, LastEpochStats, Health, and client traffic while
 // one of three partitions is a remote whose connection stalls mid-drain
 // (faultnet StallAfter), then closes the system with requests still in
@@ -228,7 +235,6 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32,
-		PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, subs)
 	if err != nil {
@@ -316,4 +322,69 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close wedged mid-drain")
 	}
+}
+
+// TestTickerOverlapsEpochs pins the engine's depth rule. With its own
+// ticker the engine keeps two epochs in flight: while partition 0 holds
+// epoch N in stage B, epoch N+1 reaches partition 1 before N replies, and
+// no third epoch is dispatched. Driven by Flush alone it runs one epoch at a
+// time: Flush returns only after its own epoch replied.
+func TestTickerOverlapsEpochs(t *testing.T) {
+	t.Run("ticker", func(t *testing.T) {
+		p0, p1 := newStallSub(), newStallSub()
+		startSystem(t, Config{EpochDuration: time.Millisecond}, []SubORAMClient{p0, p1}, 8)
+		defer close(p0.release) // before the Close that startSystem registered
+		p0.stall.Store(true)
+		<-p0.entered
+		p0.stall.Store(false)
+		// Every epoch reaches every partition in epoch order, one batch
+		// each, so partition 1's n-th call is epoch N and its (n+1)-th N+1.
+		n := p0.calls.Load()
+		deadline := time.Now().Add(5 * time.Second)
+		for p1.calls.Load() < n+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("partition 1 got %d deliveries while partition 0 held delivery %d: the next epoch never reached stage B",
+					p1.calls.Load(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // a third epoch would have had ~20 ticks
+		if got := p1.calls.Load(); got != n+1 {
+			t.Fatalf("partition 1 got delivery %d while partition 0 held %d: more than two epochs in flight", got, n)
+		}
+	})
+	t.Run("flush", func(t *testing.T) {
+		p0, p1 := newStallSub(), newStallSub()
+		sys := startSystem(t, Config{}, []SubORAMClient{p0, p1}, 8)
+		w, err := sys.Submit(Request{Op: store.OpRead, Key: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0.stall.Store(true)
+		flushed := make(chan struct{})
+		go func() {
+			sys.Flush()
+			close(flushed)
+		}()
+		<-p0.entered
+		select {
+		case <-flushed:
+			t.Fatal("Flush returned while its epoch was held in stage B")
+		case <-time.After(20 * time.Millisecond):
+		}
+		p0.stall.Store(false)
+		close(p0.release)
+		select {
+		case <-flushed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Flush never returned after its epoch was released")
+		}
+		// Stats are published after every reply of the epoch is out.
+		if got := sys.LastEpochStats().Epoch; got != 1 {
+			t.Fatalf("Flush returned with epoch %d published, want its own epoch 1", got)
+		}
+		if v, found, err := w(); err != nil || !found || trimmed(v) != "init-1" {
+			t.Fatalf("read: %q %v %v", trimmed(v), found, err)
+		}
+	})
 }

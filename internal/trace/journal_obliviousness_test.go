@@ -15,7 +15,6 @@ package trace_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -51,16 +50,26 @@ func (c *crashAfter) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, er
 	return outs, err
 }
 
+// engines are the epoch engines the journal suites run: driven by Flush
+// alone (D = 1), and with a ticker that never fires within a test, so that
+// Flush still drives every epoch at the ticker depth D = 2. The D = 2
+// subtests keep the label "depth=4" from when the depth was a setting and
+// these ran at 4, so their test IDs stay comparable across the change.
+var engines = []struct {
+	label string
+	epoch time.Duration
+}{{"depth=1", 0}, {"depth=4", time.Hour}}
+
 // journalWorkload drives a journaling deployment with secrets derived from
 // seed: epochs × perEpoch idempotent requests against tagged partitions,
 // with the root crashed at the "dispatch" point of crashEpoch and a
 // standby promoted over the same journal directory (replaying the epoch
 // and answering the clients' retries from its reply window). Both
-// incarnations run up to depth epochs in flight. Returns the exported
+// incarnations run the engine driven by epoch (engines). Returns the exported
 // /metrics and /trace/epochs bytes, the telemetry trace, and the two
 // incarnations' journal I/O recorders.
 func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
-	crashEpoch uint64, depth int) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
+	crashEpoch uint64, epoch time.Duration) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -93,7 +102,7 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			NumLoadBalancers: 1,
 			Lambda:           32,
 			SortWorkers:      1,
-			PipelineDepth:    depth,
+			EpochDuration:    epoch,
 			JournalDir:       dir,
 			JournalRec:       rec,
 			Telemetry:        reg,
@@ -230,16 +239,16 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 // journal replay reads, and the retry traffic — produces byte-identical
 // host-visible I/O and telemetry across secret-differing workloads.
 func TestJournalTraceIndependentOfSecrets(t *testing.T) {
-	for _, depth := range []int{1, 4} {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { testJournalTraceIndependentOfSecrets(t, depth) })
+	for _, e := range engines {
+		t.Run(e.label, func(t *testing.T) { testJournalTraceIndependentOfSecrets(t, e.epoch) })
 	}
 }
 
-func testJournalTraceIndependentOfSecrets(t *testing.T, depth int) {
+func testJournalTraceIndependentOfSecrets(t *testing.T, epoch time.Duration) {
 	const epochs, perEpoch = 4, 24
 	const crashEpoch = 2
-	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch, depth)
-	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch, depth)
+	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch, epoch)
+	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch, epoch)
 
 	if priA.Count() == 0 || stbA.Count() == 0 {
 		t.Fatalf("journal I/O not captured (primary %d, standby %d events)", priA.Count(), stbA.Count())
@@ -280,11 +289,11 @@ func testJournalTraceIndependentOfSecrets(t *testing.T, depth int) {
 // journal-before-dispatch write is one fixed-shape record per epoch, a
 // function of public parameters (α, S, per-plane request counts) only.
 func TestJournalTraceCrashFreeRunsMatch(t *testing.T) {
-	for _, depth := range []int{1, 4} {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.label, func(t *testing.T) {
 			const epochs, perEpoch = 3, 16
-			_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0, depth)
-			_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0, depth)
+			_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0, e.epoch)
+			_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0, e.epoch)
 			if priA.Count() == 0 {
 				t.Fatal("journal I/O not captured")
 			}

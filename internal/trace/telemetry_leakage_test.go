@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"snoopy/internal/core"
 	"snoopy/internal/obliv"
@@ -91,7 +92,7 @@ func telemetryWorkload(t *testing.T, cfg core.Config, parts local, seed int64, e
 			waits = append(waits, w)
 		}
 		sys.Flush()
-		if cfg.PipelineDepth > 1 {
+		if cfg.EpochDuration > 0 {
 			// Overlapped engine: let epochs pile up in the pipeline and
 			// drain at the end, so stages genuinely overlap while the
 			// trace is captured.
@@ -279,9 +280,10 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 	}, local{n: 4, workers: 2}, 4, 48)
 }
 
-// TestTelemetryTraceIndependentOfSecretsPipelined: the epoch engine at
-// depth 4 with epochs deliberately left in flight so stage A of later
-// epochs runs while stage B/C of earlier ones drain. The
+// TestTelemetryTraceIndependentOfSecretsPipelined: the ticker-driven epoch
+// engine (D = 2; the ticker never fires, Flush drives every epoch) with
+// epochs deliberately left in flight so stage A of later epochs runs while
+// stage B/C of earlier ones drain. The
 // dispatch schedule, the per-stage spans, the depth gauge, and the
 // monotone epoch-gauge updates must all stay functions of public
 // parameters: byte-identical /metrics and /trace/epochs, identical
@@ -293,7 +295,7 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 		NumLoadBalancers: 2,
 		Lambda:           32,
 		SortWorkers:      2,
-		PipelineDepth:    4,
+		EpochDuration:    time.Hour,
 	}, local{n: 4, workers: 2}, 6, 48)
 }
 

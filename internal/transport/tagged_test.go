@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
+	"snoopy/internal/core"
 	"snoopy/internal/enclave"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
+	"snoopy/internal/telemetry"
 )
 
 func taggedPair(t *testing.T) (*LocalTagged, *LocalTagged, *suboram.SubORAM) {
@@ -186,5 +189,25 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 	}
 	if !bytes.HasPrefix(got.Block(0), []byte("orig")) {
 		t.Fatalf("server re-applied replayed delivery: %q", got.Block(0))
+	}
+}
+
+// TestReplayWindowCoversEpochsInFlight pins the replay window to the epoch
+// engine's in-flight bound, read from the depth gauge each engine exports:
+// a successor root replays every epoch its predecessor had in flight, so the
+// window must answer at least that many deliveries again.
+func TestReplayWindowCoversEpochsInFlight(t *testing.T) {
+	for _, epoch := range []time.Duration{0, time.Hour} {
+		reg := telemetry.NewRegistry()
+		sys, err := core.NewWithSubORAMs(core.Config{BlockSize: testBlock, EpochDuration: epoch, Telemetry: reg},
+			[]core.SubORAMClient{suboram.New(suboram.Config{BlockSize: testBlock})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Close()
+		depth := reg.Gauge("snoopy_config_pipeline_depth").Value()
+		if depth < 1 || depth > replayWindow {
+			t.Fatalf("epoch %v: %d epochs in flight, replay window %d", epoch, depth, replayWindow)
+		}
 	}
 }

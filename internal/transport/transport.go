@@ -446,10 +446,10 @@ func (o ServeOptions) withDefaults() ServeOptions {
 const maxTrackedLBs = 64
 
 // replayWindow is how many of a load balancer's latest deliveries the cache
-// can answer again. A root with up to that many epochs in flight (core caps
-// its pipeline depth at 16) may crash after the partitions applied all of
-// them; its successor replays each one.
-const replayWindow = 16
+// can answer again. A root with up to that many epochs in flight (core runs
+// at most two, with its ticker) may crash after the partitions applied all
+// of them; its successor replays each one.
+const replayWindow = 2
 
 // ReplayCache is the server's at-most-once delivery record: the highest
 // delivery tag applied per load balancer, with the stored responses of the

@@ -78,16 +78,28 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 	measurement := snoopy.Measure("snoopy-suboram-v1")
 	dataDir := filepath.Join(t.TempDir(), "part0")
 
-	startServer := func(addr string) (*exec.Cmd, *bytes.Buffer) {
-		var log bytes.Buffer
-		srv := exec.Command(server, append([]string{
+	// startServer starts a child that exited closes on exit, once its
+	// output is in log. However the test ends, its cleanup kills the child
+	// and waits for it.
+	startServer := func(addr string) (srv *exec.Cmd, log *bytes.Buffer, exited <-chan struct{}) {
+		log = new(bytes.Buffer)
+		srv = exec.Command(server, append([]string{
 			"-listen", addr, "-block", "64", "-platform", platformHex, "-data", dataDir}, flags...)...)
-		srv.Stdout = &log
-		srv.Stderr = &log
+		srv.Stdout = log
+		srv.Stderr = log
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
-		return srv, &log
+		done := make(chan struct{})
+		go func() {
+			srv.Wait()
+			close(done)
+		}()
+		t.Cleanup(func() {
+			srv.Process.Kill()
+			<-done
+		})
+		return srv, log, done
 	}
 	openStore := func(addr string) *snoopy.Store {
 		sub, err := snoopy.DialSubORAM(addr, platform, measurement)
@@ -109,7 +121,7 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 	}
 
 	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	srv, _ := startServer(addr)
+	srv, _, exited := startServer(addr)
 	waitListening(t, addr)
 
 	st := openStore(addr)
@@ -134,11 +146,10 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 	if err := srv.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Wait()
+	<-exited
 
 	addr2 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	srv2, log2 := startServer(addr2)
-	defer func() { srv2.Process.Kill(); srv2.Wait() }()
+	srv2, log2, exited2 := startServer(addr2)
 	waitListening(t, addr2)
 
 	st2 := openStore(addr2)
@@ -154,9 +165,8 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 		t.Fatalf("Read(7) after restart = %q ok=%v err=%v", got, ok, err)
 	}
 	st2.Close()
-	// Wait returns once the server's output is copied into log2.
 	srv2.Process.Kill()
-	srv2.Wait()
+	<-exited2
 	if !bytes.Contains(log2.Bytes(), []byte("recovered partition")) {
 		t.Fatalf("restarted server did not report recovery:\n%s", log2.String())
 	}
@@ -164,17 +174,14 @@ func serverSurvivesKill9(t *testing.T, server string, flags []string, objects ui
 	// The attacked state must make the next start fail loudly.
 	attack(t, segPath(), stale)
 	addr3 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	srv3, log3 := startServer(addr3)
-	done := make(chan error, 1)
-	go func() { done <- srv3.Wait() }()
+	srv3, log3, exited3 := startServer(addr3)
 	select {
-	case err := <-done:
-		if err == nil {
+	case <-exited3:
+		if srv3.ProcessState.Success() {
 			t.Fatalf("server started on attacked state:\n%s", log3.String())
 		}
 	case <-time.After(10 * time.Second):
-		srv3.Process.Kill()
-		t.Fatalf("server did not exit on attacked state:\n%s", log3.String())
+		t.Fatalf("server did not exit on attacked state")
 	}
 	if !bytes.Contains(log3.Bytes(), []byte("unusable")) {
 		t.Fatalf("attacked-state failure not reported:\n%s", log3.String())

@@ -59,15 +59,16 @@ trap - EXIT
 # of snoopy-server processes and drives 10^5 open-loop sessions through it.
 scripts/traffic.sh smoke
 
-# Focused re-run of the epoch engine's highest-risk surface: the
-# Flush/Close/stats soak at depth 4 with a faultnet-stalled partition
-# mid-drain, the Flush/Close liveness test at depth 1, arena isolation
-# across epochs in flight, the zero-alloc stage-B dispatch, and the leakage
-# suite at depth 4 (PipelineDepth: 4). These run above as part of their
-# packages; re-running them -count=2 shakes out schedule-dependent
-# interleavings the single pass can miss.
+# Focused re-run of the epoch engine's highest-risk surface: the depth
+# rule (a ticker engine overlaps two epochs, a Flush-driven one returns
+# after its epoch replied), the Flush/Close/stats soak on a ticker engine
+# with a faultnet-stalled partition mid-drain, the Flush/Close liveness
+# test at depth 1, arena isolation across epochs in flight, the zero-alloc
+# stage-B dispatch, and the leakage suite with epochs left in flight. These
+# run above as part of their packages; re-running them -count=2 shakes out
+# schedule-dependent interleavings the single pass can miss.
 go test -race -timeout 15m -count=2 \
-  -run 'TestPipelinedSoakWithStalledRemote|TestFlushBlockedOnDepthUnblocksOnClose|TestPipelinedEpochsArenaIsolation|TestPartStageBZeroAlloc' \
+  -run 'TestTickerOverlapsEpochs|TestPipelinedSoakWithStalledRemote|TestFlushBlockedOnDepthUnblocksOnClose|TestPipelinedEpochsArenaIsolation|TestPartStageBZeroAlloc' \
   ./internal/core/
 go test -race -timeout 15m -count=2 \
   -run 'TestTelemetryTraceIndependentOfSecretsPipelined' \
@@ -75,7 +76,7 @@ go test -race -timeout 15m -count=2 \
 
 # Focused re-run of the fault-tolerant root plane: journal append/replay,
 # the exactly-once table (every crash point × every partition fate at depth
-# 1 and 4 — TestJournal matches it, and the "dispatch" crash with epochs in
+# 1 and 2 — TestJournal matches it, and the "dispatch" crash with epochs in
 # flight behind it; a journal open under another shape; a successor's
 # replay rebuilding the crashed epoch's batches byte for byte), table keys
 # never ordering two batches, a partition echoing a foreign table key

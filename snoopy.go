@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -58,24 +59,18 @@ type Config struct {
 	// 128).
 	Lambda int
 	// Epoch is the batching interval. Zero means epochs run only when
-	// Flush is called.
+	// Flush is called. It also sets how many epochs may be in flight (paper
+	// §6 pipelines load-balancer and subORAM processing): with a ticker,
+	// stage A of epoch N+1 may start while epoch N is still at the
+	// partitions, two epochs in flight; without one, epochs run one at a
+	// time and Flush returns after its epoch replied. Either way the
+	// schedule is a function of public configuration only, never of request
+	// contents.
 	Epoch time.Duration
-	// SubORAMWorkers and SortWorkers bound per-node parallelism.
-	SubORAMWorkers int
-	SortWorkers    int
 	// Sealed keeps partitions in enclave-external authenticated-encrypted
 	// memory (the paper's §7 deployment mode): the segment store over host
 	// memory.
 	Sealed bool
-	// PipelineDepth bounds how many epochs may be in flight at once (paper
-	// §6 pipelines load-balancer and subORAM processing): stage A of epoch
-	// N+1 may start while stage B of epoch N and stage C of epoch N-1 are
-	// still running, up to this many unfinished epochs, and Flush returns
-	// once at most PipelineDepth−1 remain. Zero or one runs one epoch at a
-	// time (Flush returns after the epoch replied); at most 16. The depth
-	// is public deployment configuration — backpressure depends only on it
-	// and the epoch schedule, never on request contents.
-	PipelineDepth int
 	// DataDir, when non-empty, makes the deployment durable: every
 	// partition keeps a sealed segment-store image and (unless
 	// DiskResident) a sealed write-ahead log of the batches since it under
@@ -115,21 +110,17 @@ type Config struct {
 	// parameters only. See DESIGN.md §14 for the promotion protocol and
 	// the exactly-once argument.
 	JournalDir string
-	// FailoverAfter, together with Failover, enables automatic partition
-	// repair: after a partition fails this many consecutive epochs, the
-	// store calls Failover in the background to obtain a replacement
-	// client and swaps it in, so the next epochs succeed instead of
-	// failing that partition's requests forever. Zero disables failover.
-	// The threshold is public deployment configuration — repair timing
-	// depends only on it and the epoch schedule, never on request
-	// contents.
-	FailoverAfter int
-	// Failover supplies a replacement client for a tripped partition —
-	// typically a dialed standby server or a node restored from sealed
-	// durable state. At most one attempt per partition is in flight at a
-	// time; an error leaves the partition degraded and the attempt is
-	// retried on the next failing epoch. Health reports the outcome, and
-	// Telemetry counts attempts, failovers and time-to-recovery.
+	// Failover, when non-nil, enables automatic partition repair: after a
+	// partition fails 3 consecutive epochs, the store calls Failover in the
+	// background to obtain a replacement client — typically a dialed
+	// standby server or a node restored from sealed durable state — and
+	// swaps it in, so the next epochs succeed instead of failing that
+	// partition's requests forever. Repair timing depends only on the epoch
+	// schedule, never on request contents. At most one attempt per
+	// partition is in flight at a time; an error leaves the partition
+	// degraded and the attempt is retried on the next failing epoch. Health
+	// reports the outcome, and Telemetry counts attempts, failovers and
+	// time-to-recovery.
 	Failover FailoverFunc
 	// Telemetry, when non-nil, receives the deployment's counters,
 	// histograms, and per-epoch stage spans (see NewTelemetry). Every
@@ -159,7 +150,8 @@ type EpochStats = core.EpochStats
 type SubORAM = core.SubORAMClient
 
 // Open starts an in-process deployment: SubORAMs partitions built by
-// persist.NewPartition, under DataDir/part-NNN when DataDir is set.
+// persist.NewPartition, under DataDir/part-NNN when DataDir is set, each
+// scanning with its share of GOMAXPROCS.
 func Open(cfg Config) (*Store, error) {
 	if cfg.JournalDir != "" && cfg.DataDir == "" {
 		return nil, errors.New("snoopy: JournalDir requires DataDir: a journaled root replays onto partitions that survive it")
@@ -185,13 +177,14 @@ func Open(cfg Config) (*Store, error) {
 		routeKey = &key
 	}
 	st := &Store{}
+	workers := max(1, runtime.GOMAXPROCS(0)/n)
 	subs := make([]SubORAM, n)
 	for i := range subs {
 		dir := ""
 		if cfg.DataDir != "" {
 			dir = filepath.Join(cfg.DataDir, fmt.Sprintf("part-%03d", i))
 		}
-		sub, recovered, closer, err := persist.NewPartition(cfg.BlockSize, cfg.SubORAMWorkers, cfg.Sealed, dir, cfg.DiskResident, cfg.Telemetry)
+		sub, recovered, closer, err := persist.NewPartition(cfg.BlockSize, workers, cfg.Sealed, dir, cfg.DiskResident, cfg.Telemetry)
 		if err != nil {
 			st.closeParts()
 			return nil, fmt.Errorf("snoopy: partition %d: %w", i, err)
@@ -223,10 +216,7 @@ func newRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) (*core.System, err
 		NumLoadBalancers: cfg.LoadBalancers,
 		Lambda:           cfg.Lambda,
 		EpochDuration:    cfg.Epoch,
-		SortWorkers:      cfg.SortWorkers,
-		PipelineDepth:    cfg.PipelineDepth,
 		JournalDir:       cfg.JournalDir,
-		FailoverAfter:    cfg.FailoverAfter,
 		Failover:         cfg.Failover,
 		Telemetry:        cfg.Telemetry,
 		RouteKey:         routeKey,
@@ -294,7 +284,9 @@ func wait(w func() ([]byte, bool, error), err error) ([]byte, bool, error) {
 // never applied and the retry executes it exactly once.
 var ErrRootDown = core.ErrRootDown
 
-// Flush processes one epoch immediately (useful with Epoch == 0).
+// Flush processes one epoch immediately (useful with Epoch == 0). Without a
+// ticker it returns after the epoch has replied; with one, once at most one
+// epoch is still in flight.
 func (s *Store) Flush() { s.sys.Flush() }
 
 // Stats returns the most recent epoch's timing breakdown.

@@ -24,7 +24,7 @@ func TestBurstySoak(t *testing.T) {
 	const objects = 4096
 	st, err := snoopy.Open(snoopy.Config{
 		BlockSize: 32, LoadBalancers: 2, SubORAMs: 3, Lambda: 64,
-		Epoch: 10 * time.Millisecond, PipelineDepth: 4,
+		Epoch: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
