@@ -120,7 +120,7 @@ type Result struct {
 var errDown = errors.New("chaos: node down")
 
 // node is a chaos-controllable group member: a replica.Node whose host can
-// be killed (every call fails), stalled (batches and restores wait until
+// be killed (every call fails), stalled (deliveries and restores wait until
 // released: a wedged enclave, a dead host behind a live session) or rolled
 // back (the initial sealed image and its epoch come back together).
 type node struct {
@@ -172,11 +172,11 @@ func (n *node) Init(ids []uint64, data []byte) error {
 	return n.Node.Init(ids, data)
 }
 
-func (n *node) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+func (n *node) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if err := n.enter(); err != nil {
 		return nil, err
 	}
-	return n.Node.BatchAccess(reqs)
+	return n.Node.Deliver(tag, reqs)
 }
 
 func (n *node) Restore(ids []uint64, data []byte, epoch uint64) error {

@@ -27,60 +27,17 @@ import (
 	"snoopy/internal/trace"
 )
 
-// SubORAMClient is the interface the system needs from a partition: local
-// (in-process) subORAMs and remote (transport-backed) ones both satisfy it.
+// SubORAMClient is a partition as the engine drives it: in-process,
+// durable, replicated and remote partitions all satisfy it.
 type SubORAMClient interface {
 	// Init loads the partition contents.
 	Init(ids []uint64, data []byte) error
-	// BatchAccess executes one batch of distinct requests and returns one
-	// response row per request in the order received, echoing the table key
-	// the batch's rows carry (store.StampKey). A response that echoes
-	// another key fails the epoch closed.
-	BatchAccess(reqs *store.Requests) (*store.Requests, error)
-}
-
-// BatchedSubORAMClient is a partition as stage B drives it: BatchAccessN,
-// the engine's one call into a partition, applies an epoch's batches (one
-// per load balancer, in the order linearizability depends on) whole or not
-// at all; its slice is valid until the next call.
-type BatchedSubORAMClient interface {
-	SubORAMClient
-	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
-}
-
-// perBatch adapts a client without BatchAccessN: batches in turn, so a
-// failure after the first leaves that prefix applied.
-type perBatch struct {
-	SubORAMClient
-	outs []*store.Requests
-}
-
-func (p *perBatch) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
-	p.outs = p.outs[:0]
-	for _, r := range reqs {
-		out, err := p.BatchAccess(r)
-		if err != nil {
-			return nil, err
-		}
-		p.outs = append(p.outs, out)
-	}
-	return p.outs, nil
-}
-
-// delivering is c as stage B drives it: itself, or adapted.
-func delivering(c SubORAMClient) BatchedSubORAMClient {
-	if n, ok := c.(BatchedSubORAMClient); ok {
-		return n
-	}
-	return &perBatch{SubORAMClient: c}
-}
-
-// given is the client the caller gave, which a Failover hook sees.
-func given(n BatchedSubORAMClient) SubORAMClient {
-	if p, ok := n.(*perBatch); ok {
-		return p.SubORAMClient
-	}
-	return n
+	// Deliver, the engine's one call into a partition, applies an epoch's
+	// batches, one per load balancer in the order linearizability depends
+	// on, whole or not at all. It answers each batch row for row, echoing
+	// the table key its rows carry (store.StampKey; another key fails the
+	// epoch closed), in a slice valid until the next call.
+	Deliver(tag store.DeliveryTag, batches []*store.Requests) ([]*store.Requests, error)
 }
 
 // ErrClosed is returned for requests submitted after Close.
@@ -205,7 +162,7 @@ type System struct {
 	// replaces a dead partition's client in place. Readers snapshot the
 	// slice; the length never changes.
 	subsMu sync.RWMutex
-	subs   []BatchedSubORAMClient
+	subs   []SubORAMClient
 
 	epochMu sync.Mutex // serializes epoch rounds (stage A)
 	epoch   uint64
@@ -235,7 +192,7 @@ type System struct {
 	workerWG sync.WaitGroup   // partition workers
 	bOnce    sync.Once        // closes bDone exactly once
 	// bGather/bIdx/bView are per-partition scratch for assembling the
-	// live-batch slice handed to BatchAccessN; partition s is only ever
+	// live-batch slice handed to Deliver; partition s is only ever
 	// processed by one worker at a time (FIFO queue), so slot s needs no
 	// lock. bView[s] holds the per-plane batch window structs so the scan
 	// dispatch allocates nothing per epoch (the views are consumed within
@@ -251,9 +208,10 @@ type System struct {
 	wg       sync.WaitGroup
 
 	// Root fault-tolerance plane (Config.JournalDir). journal is the sealed
-	// epoch journal; stream is the delivery-stream identity every journaled
-	// dispatch travels under, as (stream, epoch). replyWin parks successful
-	// results of idempotent requests; crashedCh is closed by a simulated
+	// epoch journal; stream is the delivery-stream identity every dispatch
+	// travels under, as (stream, epoch), drawn at random or derived from the
+	// journal's pinned key. replyWin parks successful results of idempotent
+	// requests; crashedCh is closed by a simulated
 	// root crash (Crash, or crashHook). crashHook, set only by tests, is
 	// consulted at the named points of every live epoch (crashAt).
 	journal *persist.Journal
@@ -319,7 +277,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	}
 	sys := &System{
 		cfg:    cfg,
-		subs:   make([]BatchedSubORAMClient, len(subs)),
+		subs:   append([]SubORAMClient(nil), subs...),
 		closed: make(chan struct{}),
 		health: HealthStats{
 			ConsecutiveFailures: make([]int, len(subs)),
@@ -343,9 +301,6 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		stStageC:     cfg.Telemetry.Stage("stage_c_match"),
 		stEpoch:      cfg.Telemetry.Stage("epoch"),
 	}
-	for s, c := range subs {
-		sys.subs[s] = delivering(c)
-	}
 	// The deployment shape is the public configuration every other label is
 	// derived from; export it so an operator can interpret the rest.
 	cfg.Telemetry.Gauge("snoopy_config_lbs").Set(int64(cfg.NumLoadBalancers))
@@ -364,11 +319,13 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	}
 	var incomplete []*persist.JournalEpoch
 	// Without a journal the epoch numbers start again with every System, so
-	// the table-key secret must not come from a pinned key.
-	var err error
-	if sys.tableSecret, err = crypt.NewKey(); err != nil {
+	// neither the table-key secret nor the delivery stream may come from a
+	// pinned key.
+	fresh, err := crypt.NewKey()
+	if err != nil {
 		return nil, err
 	}
+	sys.tableSecret, sys.stream = fresh, deliveryStream(fresh)
 	if cfg.JournalDir != "" {
 		j, open, err := persist.OpenJournal(cfg.JournalDir, cfg.JournalRec, cfg.Telemetry)
 		if err != nil {
@@ -512,10 +469,10 @@ func (sys *System) halt() {
 // snapshotSubs returns a stable view of the partition clients for one
 // epoch (or Init): repair may swap an element concurrently, and a batch
 // must go entirely to one client.
-func (sys *System) snapshotSubs() []BatchedSubORAMClient {
+func (sys *System) snapshotSubs() []SubORAMClient {
 	sys.subsMu.RLock()
 	defer sys.subsMu.RUnlock()
-	return append([]BatchedSubORAMClient(nil), sys.subs...)
+	return append([]SubORAMClient(nil), sys.subs...)
 }
 
 // LastEpochStats returns statistics for the most recent completed epoch.

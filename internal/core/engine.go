@@ -64,7 +64,7 @@ type epochJob struct {
 	// subUsed[s] is the client that served partition s this epoch (the
 	// snapshot repair needs as its "old" argument — the table may have
 	// been swapped by the time accounting runs).
-	subUsed []BatchedSubORAMClient
+	subUsed []SubORAMClient
 
 	// bLeft counts partitions still executing stage B; the worker that
 	// takes it to zero hands the job to the sequencer. Completions reach
@@ -243,7 +243,7 @@ func (sys *System) newJob(id uint64) *epochJob {
 		responses: make([][]*store.Requests, L),
 		subWall:   make([]time.Duration, S),
 		subErr:    make([]error, S),
-		subUsed:   make([]BatchedSubORAMClient, S),
+		subUsed:   make([]SubORAMClient, S),
 	}
 	for i := range job.responses {
 		job.responses[i] = make([]*store.Requests, S)
@@ -351,13 +351,10 @@ func (sys *System) partStageB(job *epochJob, s int) {
 	if len(gather) == 0 {
 		return
 	}
-	if st, ok := sub.(stampedClient); ok && sys.journal != nil {
-		// A journaled epoch travels as (stream, epoch) from every root
-		// incarnation and on whichever client serves s: a partition that
-		// already applied it answers from its replay cache.
-		st.AdoptDeliveryTag(sys.stream, job.id-1)
-	}
-	outs, err := sub.BatchAccessN(gather)
+	// Epoch E travels as (stream, E) on whichever client serves s, and a
+	// journaled root's every incarnation shares the stream: a partition
+	// that already applied the delivery answers from its replay cache.
+	outs, err := sub.Deliver(store.DeliveryTag{Stream: sys.stream, Epoch: job.id}, gather)
 	if err != nil {
 		job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)
 		return

@@ -83,9 +83,9 @@ func (sys *System) detect(job *epochJob) {
 // repair runs one failover attempt for partition s. On success the
 // replacement client serves the partition from the next dispatched epoch;
 // on failure the Repairing flag clears so a later failing epoch retries.
-func (sys *System) repair(s int, old BatchedSubORAMClient) {
+func (sys *System) repair(s int, old SubORAMClient) {
 	defer sys.repairWG.Done()
-	repl, err := sys.cfg.Failover(s, given(old))
+	repl, err := sys.cfg.Failover(s, old)
 	if err != nil || repl == nil {
 		sys.statsMu.Lock()
 		sys.health.Repairing[s] = false
@@ -93,7 +93,7 @@ func (sys *System) repair(s int, old BatchedSubORAMClient) {
 		return
 	}
 	sys.subsMu.Lock()
-	sys.subs[s] = delivering(repl)
+	sys.subs[s] = repl
 	sys.subsMu.Unlock()
 	sys.statsMu.Lock()
 	sys.telFailovers.Inc()

@@ -34,14 +34,14 @@ type flakySub struct {
 
 func (f *flakySub) Init(ids []uint64, data []byte) error { return f.inner.Init(ids, data) }
 
-func (f *flakySub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+func (f *flakySub) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if f.fail.Load() {
 		if f.failDelay > 0 {
 			time.Sleep(f.failDelay)
 		}
 		return nil, errInjected
 	}
-	return f.inner.BatchAccess(reqs)
+	return f.inner.Deliver(tag, reqs)
 }
 
 // newFlakySystem builds an S-partition system over flaky local subORAMs,
@@ -164,12 +164,14 @@ type shortSub struct {
 
 func (f *shortSub) Init(ids []uint64, data []byte) error { return f.inner.Init(ids, data) }
 
-func (f *shortSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	out, err := f.inner.BatchAccess(reqs)
+func (f *shortSub) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := f.inner.Deliver(tag, reqs)
 	if err == nil && f.short.Load() {
-		out.Resize(out.Len() - 1)
+		for _, out := range outs {
+			out.Resize(out.Len() - 1)
+		}
 	}
-	return out, err
+	return outs, err
 }
 
 // TestMisshapenResponseFailsItsPartition: stage C hands MatchResponses

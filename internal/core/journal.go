@@ -34,7 +34,7 @@
 // A partition applies a delivery — the epoch's L batches under one tag —
 // whole or not at all, so one it fails leaves nothing to apply twice.
 // TestJournalExactlyOnce enumerates every crash point against every
-// partition fate at depths 1 and 4. Known degradation: a partition server
+// partition fate at depths 1 and 2. Known degradation: a partition server
 // that applied an epoch and then lost its replay cache (restarted, or
 // replaced by a standby) re-applies it on replay — at-least-once, as are
 // requests that carry no idempotency ID (id 0).
@@ -48,13 +48,6 @@ import (
 	"snoopy/internal/crypt"
 	"snoopy/internal/persist"
 )
-
-// stampedClient is a partition client whose delivery tag the root sets
-// (transport.RemoteSubORAM, transport.LocalTagged): after
-// AdoptDeliveryTag(lbID, seq) its next BatchAccessN travels as (lbID, seq+1).
-type stampedClient interface {
-	AdoptDeliveryTag(lbID, seq uint64)
-}
 
 // deliveryStream derives the journaled root's delivery-stream identity from
 // the routing key the journal pins: every incarnation over the same journal

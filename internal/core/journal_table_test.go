@@ -102,8 +102,8 @@ type markerPart struct {
 	applied map[string]int
 }
 
-func (p *markerPart) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
-	outs, err := p.SubORAM.BatchAccessN(reqs)
+func (p *markerPart) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := p.SubORAM.Deliver(tag, reqs)
 	if err == nil {
 		p.mu.Lock()
 		for _, r := range reqs {
@@ -125,21 +125,11 @@ type fateHandle struct {
 	*transport.LocalTagged
 	row  *tableRow
 	part int
-
-	stamped     bool
-	stream, seq uint64
 }
 
-func (h *fateHandle) AdoptDeliveryTag(stream, seq uint64) {
-	h.stamped, h.stream, h.seq = true, stream, seq
-	h.LocalTagged.AdoptDeliveryTag(stream, seq)
-}
-
-func (h *fateHandle) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
-	epoch := h.seq + 1
-	h.row.delivered(h.part, h.stamped, h.stream, epoch, reqs)
-	h.stamped = false
-	if h.part == 0 && epoch == h.row.crash {
+func (h *fateHandle) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	h.row.delivered(h.part, tag, reqs)
+	if h.part == 0 && tag.Epoch == h.row.crash {
 		switch h.row.fate {
 		case "fails":
 			if h.row.failed.CompareAndSwap(false, true) {
@@ -149,25 +139,24 @@ func (h *fateHandle) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, er
 			if h.row.failed.CompareAndSwap(false, true) {
 				unkeyed := reqs[len(reqs)-1].Clone()
 				unkeyed.StampKey(crypt.SipKey{})
-				return h.LocalTagged.BatchAccessN(append(reqs[:len(reqs)-1:len(reqs)-1], unkeyed))
+				return h.LocalTagged.Deliver(tag, append(reqs[:len(reqs)-1:len(reqs)-1], unkeyed))
 			}
 		case "twice":
-			outs, err := h.LocalTagged.BatchAccessN(reqs)
+			outs, err := h.LocalTagged.Deliver(tag, reqs)
 			if err != nil {
 				return nil, err
 			}
 			for _, out := range outs {
 				arena.Default.PutRequests(out)
 			}
-			h.LocalTagged.AdoptDeliveryTag(h.stream, h.seq)
 		}
 	}
-	return h.LocalTagged.BatchAccessN(reqs)
+	return h.LocalTagged.Deliver(tag, reqs)
 }
 
-// delivered checks one delivery's tag: stamped with the root's stream, and
-// carrying the same batch as every other delivery under that tag.
-func (row *tableRow) delivered(part int, stamped bool, stream, epoch uint64, reqs []*store.Requests) {
+// delivered checks one delivery's tag: on the root's stream, and carrying
+// the same batch as every other delivery under that tag.
+func (row *tableRow) delivered(part int, tag store.DeliveryTag, reqs []*store.Requests) {
 	h := sha256.New()
 	for _, r := range reqs {
 		for j := 0; j < r.Len(); j++ {
@@ -179,14 +168,14 @@ func (row *tableRow) delivered(part int, stamped bool, stream, epoch uint64, req
 	h.Sum(sum[:0])
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	switch prev, seen := row.batches[[2]uint64{uint64(part), epoch}]; {
-	case !stamped || stream != row.stream:
-		row.tagErr = fmt.Errorf("partition %d: epoch %d travelled as (%#x, %d) stamped=%v, want stream %#x",
-			part, epoch, stream, epoch, stamped, row.stream)
+	switch prev, seen := row.batches[[2]uint64{uint64(part), tag.Epoch}]; {
+	case tag.Stream != row.stream:
+		row.tagErr = fmt.Errorf("partition %d: epoch %d travelled as (%#x, %d), want stream %#x",
+			part, tag.Epoch, tag.Stream, tag.Epoch, row.stream)
 	case seen && prev != sum:
-		row.tagErr = fmt.Errorf("partition %d: tag (stream, %d) carried two different batches", part, epoch)
+		row.tagErr = fmt.Errorf("partition %d: tag (stream, %d) carried two different batches", part, tag.Epoch)
 	default:
-		row.batches[[2]uint64{uint64(part), epoch}] = sum
+		row.batches[[2]uint64{uint64(part), tag.Epoch}] = sum
 	}
 }
 

@@ -64,6 +64,31 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 	return sys.setCrashHook(crash)
 }
 
+// TestUnjournaledRootsTagTheirOwnStreams: a root without a journal draws
+// its delivery stream at random, so a second root over the same partition
+// servers, its epoch numbers starting again at 1, is not answered from the
+// replay cache the first one filled.
+func TestUnjournaledRootsTagTheirOwnStreams(t *testing.T) {
+	c := newJournalCluster(t, 1)
+	for i, val := range []string{"first", "second"} {
+		sys, err := NewWithSubORAMs(Config{BlockSize: testBlock, Lambda: 32, EpochDuration: time.Millisecond}, c.tagged())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 { // Init clears the replay cache; the second root must not
+			if err := sys.Init([]uint64{1}, make([]byte, testBlock)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err = write(sys, 1, []byte(val))
+		v, _, rerr := read(sys, 1)
+		sys.Close()
+		if err != nil || rerr != nil || trimmed(v) != val {
+			t.Fatalf("root %d wrote %q (%v), read %q (%v)", i+1, val, err, v, rerr)
+		}
+	}
+}
+
 // neverTicks is an epoch ticker no test outlives: the engine runs at its
 // ticker depth while the test drives every epoch with Flush.
 const neverTicks = time.Hour

@@ -59,7 +59,7 @@ func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	}
 }
 
-// stallSub wedges BatchAccess on a channel, simulating a partition that is
+// stallSub wedges Deliver on a channel, simulating a partition that is
 // alive but not making progress. entered (buffered) signals each wedged call;
 // calls counts every call.
 type stallSub struct {
@@ -80,13 +80,13 @@ func newStallSub() *stallSub {
 
 func (s *stallSub) Init(ids []uint64, data []byte) error { return s.inner.Init(ids, data) }
 
-func (s *stallSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+func (s *stallSub) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.calls.Add(1)
 	if s.stall.Load() {
 		s.entered <- struct{}{}
 		<-s.release
 	}
-	return s.inner.BatchAccess(reqs)
+	return s.inner.Deliver(tag, reqs)
 }
 
 // TestFlushBlockedOnDepthUnblocksOnClose pins the Flush/Close liveness

@@ -12,22 +12,16 @@ import (
 	"snoopy/internal/suboram"
 )
 
-// stubBatched is a BatchedSubORAMClient that answers from preallocated
-// responses, isolating the engine's dispatch overhead from partition work.
-type stubBatched struct {
+// stubPartition answers every delivery from preallocated responses,
+// isolating the engine's dispatch overhead from partition work.
+type stubPartition struct {
 	outs   []*store.Requests
 	nCalls int
-	one    int
 }
 
-func (s *stubBatched) Init(ids []uint64, data []byte) error { return nil }
+func (s *stubPartition) Init(ids []uint64, data []byte) error { return nil }
 
-func (s *stubBatched) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	s.one++
-	return s.outs[0], nil
-}
-
-func (s *stubBatched) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+func (s *stubPartition) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.nCalls++
 	return s.outs[:len(reqs)], nil
 }
@@ -36,11 +30,11 @@ func (s *stubBatched) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, e
 // gathering an epoch's live batches into the per-partition scratch,
 // handing them to the partition as one delivery, and scattering the
 // responses must allocate nothing — the zero-alloc contract extended to
-// the overlapped engine. Both a client with its own BatchAccessN (L > 1)
-// and one adapted from BatchAccess are pinned.
+// the overlapped engine. Both a stub and a real partition are pinned, at
+// L = 3: one Deliver call carries all three batches.
 func TestPartStageBZeroAlloc(t *testing.T) {
 	const L, S, perSub = 3, 1, 4
-	stub := &stubBatched{}
+	stub := &stubPartition{}
 	for i := 0; i < L; i++ {
 		stub.outs = append(stub.outs, store.NewRequests(perSub, testBlock))
 	}
@@ -58,7 +52,7 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		responses: make([][]*store.Requests, L),
 		subWall:   make([]time.Duration, S),
 		subErr:    make([]error, S),
-		subUsed:   make([]BatchedSubORAMClient, S),
+		subUsed:   make([]SubORAMClient, S),
 	}
 	for i := range job.eps {
 		job.eps[i].batches = &loadbalancer.Batches{
@@ -78,13 +72,13 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		t.Fatalf("stage-B dispatch allocates %.1f per epoch, want 0", allocs)
 	}
 	if stub.nCalls == 0 {
-		t.Fatal("the client's BatchAccessN never called — guard is vacuous")
+		t.Fatal("the client's Deliver never called — guard is vacuous")
 	}
 	if job.responses[L-1][0] != stub.outs[L-1] {
 		t.Fatal("responses not scattered positionally")
 	}
 
-	// A client without BatchAccessN, adapted: same contract.
+	// A real partition: same contract.
 	for i := range job.eps {
 		job.eps[i].err = nil
 	}
@@ -98,7 +92,7 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 	}
 	sys2, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: L, Lambda: 32,
-	}, []SubORAMClient{&noBatchN{plain}})
+	}, []SubORAMClient{plain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,16 +112,8 @@ func TestPartStageBZeroAlloc(t *testing.T) {
 		releaseResponses(job, S)
 	})
 	if allocs != 0 && !raceEnabled {
-		t.Fatalf("stage-B dispatch to an adapted client allocates %.1f per epoch, want 0", allocs)
+		t.Fatalf("stage-B dispatch to a real partition allocates %.1f per epoch, want 0", allocs)
 	}
-}
-
-// noBatchN hides a partition's BatchAccessN so the engine adapts it.
-type noBatchN struct{ inner *suboram.SubORAM }
-
-func (n *noBatchN) Init(ids []uint64, data []byte) error { return n.inner.Init(ids, data) }
-func (n *noBatchN) BatchAccess(r *store.Requests) (*store.Requests, error) {
-	return n.inner.BatchAccess(r)
 }
 
 func releaseResponses(job *epochJob, S int) {

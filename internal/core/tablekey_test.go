@@ -29,20 +29,11 @@ func (r *recorder) record(reqs *store.Requests) {
 
 func (r *recorder) Init(ids []uint64, data []byte) error { return r.inner.Init(ids, data) }
 
-func (r *recorder) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	r.record(reqs)
-	return r.inner.BatchAccess(reqs)
-}
-
-func (r *recorder) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+func (r *recorder) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	for _, b := range reqs {
 		r.record(b)
 	}
-	return r.inner.(BatchedSubORAMClient).BatchAccessN(reqs)
-}
-
-func (r *recorder) AdoptDeliveryTag(lbID, seq uint64) {
-	r.inner.(stampedClient).AdoptDeliveryTag(lbID, seq)
+	return r.inner.Deliver(tag, reqs)
 }
 
 // batches decodes what was sent.
@@ -230,12 +221,12 @@ func TestTableKeysNeverRepeat(t *testing.T) {
 // sent with — a partition that orders its answers some other way.
 type echoing struct{ SubORAMClient }
 
-func (e echoing) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	out, err := e.SubORAMClient.BatchAccess(reqs)
-	if err == nil {
+func (e echoing) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := e.SubORAMClient.Deliver(tag, reqs)
+	for _, out := range outs {
 		out.StampKey(crypt.MustNewSipKey())
 	}
-	return out, err
+	return outs, err
 }
 
 // TestEngineRefusesForeignKeyEcho: responses that echo a key the load

@@ -302,6 +302,20 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	return out, nil
 }
 
+// Deliver executes a delivery's batches in turn. Its only refusal, an
+// uninitialized adapter's, comes at the first batch, so a delivery applies
+// whole or not at all; with no replay cache, it ignores the tag.
+func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs := make([]*store.Requests, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if outs[i], err = s.BatchAccess(r); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // Export returns a copy of the partition contents. The bulk read disables
 // the oblivious-client cost simulation, as migration is an offline phase.
 func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {

@@ -189,7 +189,7 @@ func durableCase(disk bool) crashCase {
 				if step[0] == 0 {
 					err = dur.Init(crashImage(map[bool]int{true: 0, false: 100}[acked == 0]))
 				} else {
-					_, err = dur.BatchAccessN(crashDelivery(step))
+					_, err = dur.Deliver(store.DeliveryTag{}, crashDelivery(step))
 				}
 				if err != nil {
 					return acked

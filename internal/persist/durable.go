@@ -19,12 +19,12 @@ import (
 )
 
 // Partition is the in-process subORAM interface Durable wraps, satisfied by
-// *suboram.SubORAM. BatchAccessN applies a delivery whole or not at all and
+// *suboram.SubORAM. Deliver applies a delivery whole or not at all and
 // must not modify its input: the batches are being sealed into the log while
 // it runs. Restore adopts a trusted image without Init's validation — data
 // nil: the values already in the store the partition scans.
 type Partition interface {
-	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
+	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 	Export() (ids []uint64, data []byte, err error)
 	Restore(ids []uint64, data []byte) error
 }
@@ -83,8 +83,8 @@ const (
 func idsFile(gen uint64) string { return fmt.Sprintf("ids-%d", gen) }
 
 // Durable wraps a partition with sealed, crash-recoverable durability, behind
-// the partition's own Init/BatchAccessN surface. An epoch is one delivery,
-// on disk — sealed, bound to the trusted epoch counter — before BatchAccessN
+// the partition's own Init/Deliver surface. An epoch is one delivery, on
+// disk — sealed, bound to the trusted epoch counter — before Deliver
 // returns. The state is an image, a segment store marked with the partition
 // epoch it holds, plus the memory placement's wal of the deliveries since.
 // The placement decides only when the image is written; recovery is one rule
@@ -101,7 +101,7 @@ type Durable struct {
 	replayed  int // wal epochs recovery applied to the image (observability)
 
 	// The log writer: one goroutine that appends and syncs the record
-	// BatchAccessN sealed while the partition scans. walGo hands it a record,
+	// Deliver sealed while the partition scans. walGo hands it a record,
 	// walDone returns the outcome; Close stops it.
 	walGo   chan struct{}
 	walDone chan error
@@ -168,11 +168,12 @@ func NewDurable(path string, cfg Config, build func(scan suboram.BlockStore) Par
 }
 
 // Client is an in-process partition as a root drives it
-// (core.BatchedSubORAMClient), and its size.
+// (core.SubORAMClient), as a Failover hook receives it (snoopy.SubORAM),
+// and its size.
 type Client interface {
 	Init(ids []uint64, data []byte) error
 	BatchAccess(reqs *store.Requests) (*store.Requests, error)
-	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
+	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 	NumObjects() int
 }
 
@@ -338,32 +339,33 @@ func (dur *Durable) Init(ids []uint64, data []byte) error {
 	return dur.inner.Restore(ids, data)
 }
 
-// BatchAccess applies one batch as a delivery of its own (BatchAccessN).
+// BatchAccess applies one batch as a delivery of its own (Deliver).
 func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	outs, err := dur.deliver([]*store.Requests{reqs})
+	outs, err := dur.deliver(store.DeliveryTag{}, []*store.Requests{reqs})
 	if err != nil {
 		return nil, err
 	}
 	return outs[0], nil
 }
 
-// BatchAccessN applies one delivery — an epoch's batches, in order — and
+// Deliver applies one delivery — an epoch's batches, in order — and
 // makes it durable as one epoch before answering: one image commit (disk),
 // or one wal record synced while the partition scans (memory), then one
 // counter bump. A partition error in the disk placement (the image may have
 // committed) and a failed wal write or counter bump leave the Durable
 // refusing deliveries until reopened at the delivery's start. The returned
-// slice is valid until the next call.
-func (dur *Durable) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+// slice is valid until the next call. The tag is handed to the partition;
+// the epoch counted here is the Durable's own.
+func (dur *Durable) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
-	return dur.deliver(reqs)
+	return dur.deliver(tag, reqs)
 }
 
-// deliver is BatchAccessN; the caller holds mu while it reads the scratch.
-func (dur *Durable) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
+// deliver is Deliver; the caller holds mu while it reads the scratch.
+func (dur *Durable) deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if len(reqs) == 0 || !dur.image.Formatted() {
 		return nil, errors.New("persist: a delivery needs a batch and an initialized partition")
 	}
@@ -379,7 +381,7 @@ func (dur *Durable) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
 	if dur.cfg.Disk {
 		before := dur.image.Epoch()
 		dur.image.SetMark(epoch)
-		outs, err := dur.inner.BatchAccessN(reqs)
+		outs, err := dur.inner.Deliver(tag, reqs)
 		if got := dur.image.Epoch(); err == nil && got != before+1 {
 			err = fmt.Errorf("persist: the delivery left the image at store epoch %d, want %d", got, before+1)
 		}
@@ -408,7 +410,7 @@ func (dur *Durable) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
 	// Let the writer reach its fdatasync before the scan takes the CPU: on
 	// a single P it would otherwise first run when the scan is over.
 	runtime.Gosched()
-	outs, err := dur.inner.BatchAccessN(reqs)
+	outs, err := dur.inner.Deliver(tag, reqs)
 	if werr := <-dur.walDone; werr != nil {
 		return nil, werr // sticky in the log: the scans' effects are not durable
 	}

@@ -25,7 +25,7 @@ type stubPartition struct {
 	image suboram.BlockStore
 }
 
-func (s *stubPartition) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+func (s *stubPartition) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.outs = s.outs[:0]
 	for range reqs {
 		s.outs = append(s.outs, s.out)
@@ -69,7 +69,7 @@ func TestWALRecordLenClosedForm(t *testing.T) {
 	}
 }
 
-// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.BatchAccessN
+// TestDurableEpochTwoSyncsNoAllocs: a steady-state Durable.Deliver
 // creates and renames nothing and costs one counter sync. In the memory
 // placement that follows one wal sync and allocates nothing; the disk
 // placement keeps no wal at all (its image commit is the store's).
@@ -83,7 +83,7 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 			defer dur.Close()
 			reqs := []*store.Requests{store.NewRequests(8, testBlock)}
 			step := func() {
-				if _, err := dur.BatchAccessN(reqs); err != nil {
+				if _, err := dur.Deliver(store.DeliveryTag{}, reqs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -93,7 +93,7 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 			w0, c0 := wal.Value(), ctr.Value()
 			const runs = 20
 			if allocs := testing.AllocsPerRun(runs, step); allocs != 0 && !pl.disk {
-				t.Fatalf("steady-state Durable.BatchAccessN allocates %.1f times per epoch", allocs)
+				t.Fatalf("steady-state Durable.Deliver allocates %.1f times per epoch", allocs)
 			}
 			// AllocsPerRun runs the function once more than it reports, to warm up.
 			wantWAL := map[bool]uint64{false: runs + 1, true: 0}[pl.disk]
@@ -174,7 +174,7 @@ func TestDeliveryIsOneEpoch(t *testing.T) {
 			ctr := reg.Counter(`persist_syncs_total{log="counter"}`)
 			c0, syncs := ctr.Value(), 0
 			fs.onSync = func() { syncs++ }
-			outs, err := dur.BatchAccessN(delivery)
+			outs, err := dur.Deliver(store.DeliveryTag{}, delivery)
 			fs.onSync = nil
 			if err != nil {
 				t.Fatal(err)

@@ -3,17 +3,18 @@
 // to f+r+1 members, where f bounds members that crash or stall and r bounds
 // members an attacker can roll back to stale (but validly sealed) state. A
 // trusted monotonic counter (the ROTE / SGX-counter abstraction, advanced
-// once per epoch as §9 prescribes) numbers the batches. Each member's
-// enclave seals the epoch its state reflects together with the state, so a
-// reply whose epoch is not its batch's counter value comes from a stale
-// lineage and is discarded.
+// once per epoch as §9 prescribes) numbers the deliveries: an epoch's
+// batches, one per load balancer, which every member applies whole or not
+// at all in one call. Each member's enclave seals the epoch its state
+// reflects together with the state, so a reply whose epoch is not its
+// delivery's counter value comes from a stale lineage and is discarded.
 //
-// The group is a quorum, not a clock. Every member gets every batch, in
+// The group is a quorum, not a clock. Every member gets every delivery, in
 // counter order, through a queue of its own: a slow member is behind, never
-// skipped. BatchAccess returns once n − f members have answered and one
-// answer is fresh; every fresh answer, however late, is checked against the
-// one served. A member is stale because of its lineage — an error, a reply
-// epoch that is not its batch's, or a backlog dropped past backlogCap —
+// skipped. Deliver returns once n − f members have answered and one answer
+// is fresh; every fresh answer, however late, is checked against the one
+// served. A member is stale because of its lineage — an error, a reply
+// epoch that is not its delivery's, or a backlog dropped past backlogCap —
 // never because it is slow. It is re-admitted by a restore queued in its
 // own order, which waits for an export queued in an idle current member's
 // order; the transfer is one whole partition image, whose size is a public
@@ -40,13 +41,14 @@ import (
 )
 
 // Client is one group member: a subORAM whose enclave seals, together with
-// its state, the epoch that state reflects. An applied batch advances Epoch
-// by one, Export returns the state image with its epoch, Restore loads such
+// its state, the epoch that state reflects. An applied delivery advances
+// Epoch by one, Export returns the state image with its epoch, Restore
+// loads such
 // an image, and a host that rolls the sealed state back rolls Epoch back
 // with it. The group calls one method of a member at a time.
 type Client interface {
 	Init(ids []uint64, data []byte) error
-	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 	Export() (ids []uint64, data []byte, epoch uint64, err error)
 	Restore(ids []uint64, data []byte, epoch uint64) error
 	Epoch() uint64
@@ -55,13 +57,13 @@ type Client interface {
 // Partition is the plain subORAM a Node runs (*suboram.SubORAM).
 type Partition interface {
 	Init(ids []uint64, data []byte) error
-	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 	Export() (ids []uint64, data []byte, err error)
 	Restore(ids []uint64, data []byte) error
 }
 
 // Node is a member enclave in process: a partition and the epoch its state
-// reflects, which Init resets, each applied batch advances and Restore sets.
+// reflects, which Init resets, each applied delivery advances, Restore sets.
 type Node struct {
 	mu    sync.Mutex
 	p     Partition
@@ -79,15 +81,15 @@ func (n *Node) Init(ids []uint64, data []byte) error {
 	return n.p.Init(ids, data)
 }
 
-// BatchAccess applies one batch; only an applied batch advances the epoch.
-func (n *Node) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+// Deliver applies one delivery; only an applied one advances the epoch.
+func (n *Node) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out, err := n.p.BatchAccess(reqs)
+	outs, err := n.p.Deliver(tag, reqs)
 	if err == nil {
 		n.epoch++
 	}
-	return out, err
+	return outs, err
 }
 
 // Export copies the partition's state image and the epoch it reflects.
@@ -116,7 +118,7 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// ErrNoQuorum is returned when every member resolved a batch without a
+// ErrNoQuorum is returned when every member resolved a delivery without a
 // fresh reply.
 var ErrNoQuorum = errors.New("replica: no fresh replica reply available")
 
@@ -124,7 +126,7 @@ var ErrNoQuorum = errors.New("replica: no fresh replica reply available")
 // corruption that replication cannot mask.
 var ErrDivergence = errors.New("replica: fresh replicas disagree")
 
-// backlogCap bounds the batches a member may have queued: past it, one
+// backlogCap bounds the deliveries a member may have queued: past it, one
 // whole-partition restore is cheaper than replaying the backlog, and the
 // member stops pinning that many batch clones in memory. Overflow drops the
 // backlog and makes the member stale. The value is a memory bound, not
@@ -151,7 +153,7 @@ func (c *TrustedCounter) Current() uint64 { return c.v.Load() }
 // cumulative since the group was created.
 type GroupStats struct {
 	// StaleReplies counts replies discarded because their sealed epoch was
-	// not their batch's counter value.
+	// not their delivery's counter value.
 	StaleReplies uint64
 	// Resyncs counts members re-admitted by restoring a current member's
 	// export; ResyncBytes and ResyncEpochs total the image bytes moved and
@@ -175,8 +177,8 @@ type Group struct {
 	idle    sync.Cond
 	members []*member
 	stats   GroupStats
-	// diverged: two fresh replies to one batch differed. No reply can be
-	// trusted after that, so every later batch fails with ErrDivergence.
+	// diverged: two fresh replies to one delivery differed. No reply can be
+	// trusted after that, so every later delivery fails with ErrDivergence.
 	diverged atomic.Bool
 
 	// Telemetry counters mirroring GroupStats, bumped at the same sites;
@@ -193,7 +195,7 @@ type member struct {
 	queue   []job
 	running bool
 	// stale: the member's lineage left the counter's; only a restore clears
-	// it, and until then each of its batches is answered, not fresh, when
+	// it, and until then each of its deliveries is answered, not fresh, when
 	// queued. down: its last call failed, so no restore is sent until it
 	// answers again. restoring: the image of its queued restore.
 	stale, down bool
@@ -210,28 +212,29 @@ type image struct {
 	data  []byte
 }
 
-// job is one batch at its counter epoch, answered on b (nil once answered),
-// or an export or restore of an image.
+// job is one delivery at its counter epoch, answered on d (nil once
+// answered), or an export or restore of an image.
 type job struct {
 	epoch           uint64
-	reqs            *store.Requests
-	b               *batch
+	tag             store.DeliveryTag
+	reqs            []*store.Requests
+	d               *delivery
 	export, restore *image
 }
 
-// batch is one BatchAccess's reply channel and the digest of its first fresh
+// delivery is one Deliver's reply channel and the digest of its first fresh
 // reply — the one served — which every later fresh reply is checked against.
-type batch struct {
+type delivery struct {
 	replies chan reply
 	digest  [sha256.Size]byte
 	fresh   bool
 }
 
-// reply is one member's answer: out is set when it is fresh, err when the
+// reply is one member's answer: outs is set when it is fresh, err when the
 // member failed to answer.
 type reply struct {
-	out *store.Requests
-	err error
+	outs []*store.Requests
+	err  error
 }
 
 // SetTelemetry mirrors the group's failure-handling counters (stale
@@ -266,7 +269,7 @@ func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
 	return g, nil
 }
 
-// Init loads every member. Call it before the first batch.
+// Init loads every member. Call it before the first delivery.
 func (g *Group) Init(ids []uint64, data []byte) error {
 	errs := make([]error, len(g.members))
 	for i, m := range g.members {
@@ -295,7 +298,7 @@ func (g *Group) Stats() GroupStats {
 }
 
 // WaitIdle blocks until member i has no job queued or running, so every
-// batch issued so far has been answered and counted. A member blocked in a
+// delivery issued so far has been answered and counted. A member blocked in a
 // call, or restoring from a donor that is, never goes idle: wait only on
 // members that can answer.
 func (g *Group) WaitIdle(i int) {
@@ -306,25 +309,29 @@ func (g *Group) WaitIdle(i int) {
 	}
 }
 
-// BatchAccess queues the batch to every member at the next counter epoch
-// and returns the first fresh reply once n − f members have answered and
-// one answer is fresh. A stale member answers, not fresh, as the batch is
-// queued, so only current members are waited on. It returns ErrNoQuorum
-// only when every member resolved the batch without a fresh reply. Every
-// fresh reply, including those arriving after the return, is checked
-// against the one served: a difference the quorum saw fails this batch,
-// and one seen later fails every later batch, with ErrDivergence.
-func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+// Deliver queues the delivery to every member at the next counter epoch —
+// one increment per delivery, whatever its batch count — and returns the
+// first fresh reply once n − f members have answered and one answer is
+// fresh. A stale member answers, not fresh, as the delivery is queued, so
+// only current members are waited on. It returns ErrNoQuorum only when
+// every member resolved the delivery without a fresh reply. Every fresh
+// reply, including those arriving after the return, is checked against the
+// one served: a difference the quorum saw fails this delivery, and one seen
+// later fails every later delivery, with ErrDivergence.
+func (g *Group) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if g.diverged.Load() {
 		return nil, ErrDivergence
 	}
 	// Each member reads its own copy: the caller may reuse reqs' storage as
 	// soon as this returns, while members behind the quorum still need it.
-	clones := make([]*store.Requests, len(g.members))
+	clones := make([][]*store.Requests, len(g.members))
 	for i := range clones {
-		clones[i] = reqs.Clone()
+		clones[i] = make([]*store.Requests, len(reqs))
+		for b, r := range reqs {
+			clones[i][b] = r.Clone()
+		}
 	}
-	b := &batch{replies: make(chan reply, len(g.members))}
+	d := &delivery{replies: make(chan reply, len(g.members))}
 	g.mu.Lock()
 	epoch := g.counter.Increment()
 	// Drop overflowing backlogs before placing restores, so no restore
@@ -336,34 +343,43 @@ func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	}
 	g.readmitLocked(epoch - 1)
 	for i, m := range g.members {
-		g.pushLocked(m, job{epoch: epoch, reqs: clones[i], b: b})
+		g.pushLocked(m, job{epoch: epoch, tag: tag, reqs: clones[i], d: d})
 	}
 	g.mu.Unlock()
 
-	var out *store.Requests
+	var outs []*store.Requests
 	answered := 0
 	for range g.members {
-		r := <-b.replies
+		r := <-d.replies
 		if r.err == nil {
 			answered++
 		}
-		if out == nil {
-			out = r.out
+		if outs == nil {
+			outs = r.outs
 		}
-		if answered >= len(g.members)-g.f && out != nil {
+		if answered >= len(g.members)-g.f && outs != nil {
 			break
 		}
 	}
 	switch {
 	case g.diverged.Load():
 		return nil, ErrDivergence
-	case out == nil:
+	case outs == nil:
 		return nil, ErrNoQuorum
 	}
-	return out, nil
+	return outs, nil
 }
 
-// staleLocked marks m stale and answers its queued batches, not fresh.
+// BatchAccess is a delivery of one batch.
+func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	outs, err := g.Deliver(store.DeliveryTag{}, []*store.Requests{reqs})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// staleLocked marks m stale and answers its queued deliveries, not fresh.
 func (g *Group) staleLocked(m *member) {
 	m.stale = true
 	for i := range m.queue {
@@ -372,15 +388,15 @@ func (g *Group) staleLocked(m *member) {
 }
 
 func (j *job) answerStale() {
-	if j.b != nil {
-		j.b.replies <- reply{}
-		j.b = nil
+	if j.d != nil {
+		j.d.replies <- reply{}
+		j.d = nil
 	}
 }
 
 // readmitLocked queues, for every stale member that is up and restoring
 // nothing, a restore in its own queue, and an export of the image at epoch
-// in an idle current member's queue: having answered fresh every batch
+// in an idle current member's queue: having answered fresh every delivery
 // through epoch, that member is at it. Without one the members wait for a
 // later boundary.
 func (g *Group) readmitLocked(epoch uint64) {
@@ -465,25 +481,30 @@ func (g *Group) drain(m *member) {
 			g.mu.Lock()
 			g.restoredLocked(m, img, before, err)
 		default:
-			out, err := m.c.BatchAccess(j.reqs)
+			outs, err := m.c.Deliver(j.tag, j.reqs)
 			fresh := err == nil && m.c.Epoch() == j.epoch
 			var digest [sha256.Size]byte
-			if fresh && j.b != nil && len(g.members) > 1 {
-				digest = digestResponses(out)
+			if fresh && j.d != nil {
+				// The member reuses its slice on its next delivery, which
+				// may start before the caller is done with this one.
+				outs = append([]*store.Requests(nil), outs...)
+				if len(g.members) > 1 {
+					digest = digestResponses(outs)
+				}
 			}
 			g.mu.Lock()
-			g.answeredLocked(m, j, out, fresh, digest, err)
+			g.answeredLocked(m, j, outs, fresh, digest, err)
 		}
 	}
 	m.running = false
 	g.idle.Broadcast()
 }
 
-// answeredLocked settles one batch a member ran. Its reply is fresh when
-// the member applied the batch at the batch's counter epoch; an error or
-// any other epoch makes the member stale. The first fresh reply to a batch
+// answeredLocked settles one delivery a member ran. Its reply is fresh when
+// the member applied the delivery at its counter epoch; an error or any
+// other epoch makes the member stale. The first fresh reply to a delivery
 // is the one served, and a later one that differs marks the group diverged.
-func (g *Group) answeredLocked(m *member, j job, out *store.Requests, fresh bool, digest [sha256.Size]byte, err error) {
+func (g *Group) answeredLocked(m *member, j job, outs []*store.Requests, fresh bool, digest [sha256.Size]byte, err error) {
 	m.down = err != nil
 	if !fresh && !m.stale {
 		if err == nil {
@@ -492,19 +513,19 @@ func (g *Group) answeredLocked(m *member, j job, out *store.Requests, fresh bool
 		}
 		g.staleLocked(m)
 	}
-	if j.b == nil {
+	if j.d == nil {
 		return
 	}
 	r := reply{err: err}
 	if fresh {
-		r.out = out
-		if !j.b.fresh {
-			j.b.digest, j.b.fresh = digest, true
-		} else if digest != j.b.digest {
+		r.outs = outs
+		if !j.d.fresh {
+			j.d.digest, j.d.fresh = digest, true
+		} else if digest != j.d.digest {
 			g.diverged.Store(true)
 		}
 	}
-	j.b.replies <- r
+	j.d.replies <- r
 }
 
 // restoredLocked re-admits m unless its backlog was dropped since the
@@ -525,21 +546,24 @@ func (g *Group) restoredLocked(m *member, img *image, before uint64, err error) 
 	g.telResyncBytes.Add(uint64(len(img.data)))
 }
 
-// digestResponses hashes the response contents (key → value/found
-// mapping). Row order is not semantically meaningful, so per-row digests
-// are sorted before the final fold — unlike an XOR fold, this is
-// duplicate-sensitive: response sets differing by a duplicated row pair
-// hash differently.
-func digestResponses(out *store.Requests) [sha256.Size]byte {
-	rows := make([][sha256.Size]byte, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		h := sha256.New()
-		var kb [9]byte
-		binary.LittleEndian.PutUint64(kb[:8], out.Key[i])
-		kb[8] = out.Aux[i]
-		h.Write(kb[:])
-		h.Write(out.Block(i))
-		h.Sum(rows[i][:0])
+// digestResponses hashes a delivery's response contents (batch → key →
+// value/found mapping). Row order is not semantically meaningful, so
+// per-row digests are sorted before the final fold — unlike an XOR fold,
+// this is duplicate-sensitive: response sets differing by a duplicated row
+// pair hash differently.
+func digestResponses(outs []*store.Requests) [sha256.Size]byte {
+	var rows [][sha256.Size]byte
+	for b, out := range outs {
+		for i := 0; i < out.Len(); i++ {
+			h := sha256.New()
+			var kb [17]byte
+			binary.LittleEndian.PutUint64(kb[:8], uint64(b))
+			binary.LittleEndian.PutUint64(kb[8:16], out.Key[i])
+			kb[16] = out.Aux[i]
+			h.Write(kb[:])
+			h.Write(out.Block(i))
+			rows = append(rows, [sha256.Size]byte(h.Sum(nil)))
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i][:], rows[j][:]) < 0 })
 	h := sha256.New()

@@ -55,11 +55,11 @@ func (f *fault) enter() error {
 	return nil
 }
 
-func (f *fault) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+func (f *fault) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if err := f.enter(); err != nil {
 		return nil, err
 	}
-	return f.Node.BatchAccess(reqs)
+	return f.Node.Deliver(tag, reqs)
 }
 
 func (f *fault) Restore(ids []uint64, data []byte, epoch uint64) error {
@@ -246,15 +246,15 @@ func TestGroupRecoveredStaleReplicaStaysExcluded(t *testing.T) {
 // divergentClient wraps a member and corrupts every response.
 type divergentClient struct{ *Node }
 
-func (d divergentClient) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	out, err := d.Node.BatchAccess(reqs)
+func (d divergentClient) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := d.Node.Deliver(tag, reqs)
 	if err != nil {
 		return nil, err
 	}
-	if out.Len() > 0 {
-		out.Block(0)[0] ^= 0xFF
+	if outs[0].Len() > 0 {
+		outs[0].Block(0)[0] ^= 0xFF
 	}
-	return out, nil
+	return outs, nil
 }
 
 // TestGroupDetectsDivergence: with f = 1 the quorum is one answer, so the
@@ -495,14 +495,14 @@ func TestDigestDuplicateSensitive(t *testing.T) {
 	dup.SetRow(1, store.OpRead, 11, 0, 0, 0, []byte("bb"))
 	dup.SetRow(2, store.OpRead, 12, 0, 0, 0, []byte("cc"))
 	dup.SetRow(3, store.OpRead, 12, 0, 0, 0, []byte("cc"))
-	if digestResponses(base) == digestResponses(dup) {
+	if digestResponses([]*store.Requests{base}) == digestResponses([]*store.Requests{dup}) {
 		t.Fatal("duplicated row pair cancelled out of the response digest")
 	}
 	// Order-independence must survive the fix: same rows, swapped order.
 	swapped := store.NewRequests(2, testBlock)
 	swapped.SetRow(0, store.OpRead, 11, 0, 0, 0, []byte("bb"))
 	swapped.SetRow(1, store.OpRead, 10, 0, 0, 0, []byte("aa"))
-	if digestResponses(base) != digestResponses(swapped) {
+	if digestResponses([]*store.Requests{base}) != digestResponses([]*store.Requests{swapped}) {
 		t.Fatal("response digest became order-sensitive")
 	}
 }
@@ -539,11 +539,11 @@ func TestDigestAgreesAcrossTableKeys(t *testing.T) {
 	if reflect.DeepEqual(outs[0].Key, outs[1].Key) || outs[0].Seq[0] == outs[1].Seq[0] {
 		t.Fatal("different table keys gave the same row order and stamp — the comparison is vacuous")
 	}
-	if digestResponses(outs[0]) != digestResponses(outs[1]) {
+	if digestResponses([]*store.Requests{outs[0]}) != digestResponses([]*store.Requests{outs[1]}) {
 		t.Fatal("response digest depends on the replica's table key")
 	}
 	outs[1].Block(7)[1] ^= 1
-	if digestResponses(outs[0]) == digestResponses(outs[1]) {
+	if digestResponses([]*store.Requests{outs[0]}) == digestResponses([]*store.Requests{outs[1]}) {
 		t.Fatal("response digest missed a differing value")
 	}
 }

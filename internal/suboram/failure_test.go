@@ -3,13 +3,10 @@ package suboram
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
-	"snoopy/internal/crypt"
 	"snoopy/internal/enclave"
 	"snoopy/internal/hostfs"
-	"snoopy/internal/ohash"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 )
@@ -114,54 +111,5 @@ func TestSealedBytesHidePlaintext(t *testing.T) {
 	}
 	if bytes.Contains(hostBytes(t, mem), secret[:8]) {
 		t.Fatal("written plaintext visible in host memory")
-	}
-}
-
-// TestDeliveryAppliedWholeOrNotAtAll: a delivery whose second batch the
-// partition refuses — its table key cleared, so the order check fails —
-// applies nothing, in memory and over a sealed store; a delivery that
-// passes applies its batches in order, the second seeing the first's
-// write, and a store-backed partition commits it as one store epoch.
-func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
-	for _, sealed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sealed=%v", sealed), func(t *testing.T) {
-			s := newLoaded(t, Config{Sealed: sealed}, 40)
-			epoch := func() uint64 {
-				if !sealed {
-					return 0
-				}
-				return s.cfg.Store.(*segstore.Store).Epoch()
-			}
-			_, before, err := s.Export()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e0 := epoch()
-			unkeyed := batchOf([3]interface{}{store.OpRead, uint64(9), nil})
-			unkeyed.StampKey(crypt.SipKey{})
-			first := batchOf([3]interface{}{store.OpWrite, uint64(6), value(6, 1)})
-			if _, err := s.BatchAccessN([]*store.Requests{first, unkeyed}); !errors.Is(err, ohash.ErrOrder) {
-				t.Fatalf("delivery with an unkeyed batch: %v, want ErrOrder", err)
-			}
-			_, after, err := s.Export()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(after, before) || epoch() != e0 {
-				t.Fatal("a refused delivery changed the partition")
-			}
-
-			read := batchOf([3]interface{}{store.OpRead, uint64(6), nil})
-			outs, err := s.BatchAccessN([]*store.Requests{first, read})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := outs[1].Block(respFor(t, outs[1], 6)); !bytes.Equal(got, value(6, 1)) {
-				t.Fatalf("second batch read %q, want the first batch's write", got)
-			}
-			if sealed && epoch() != e0+1 {
-				t.Fatalf("a two-batch delivery moved the store from epoch %d to %d, want one epoch", e0, epoch())
-			}
-		})
 	}
 }

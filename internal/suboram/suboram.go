@@ -133,7 +133,7 @@ type SubORAM struct {
 	zeroBlk    []byte        // the all-zero miss response block
 	workTables []ohash.Table // scan-worker table copies (structs reused)
 	workErrs   []error
-	// A delivery's tables between build and scan, and BatchAccessN's
+	// A delivery's tables between build and scan, and Deliver's
 	// returned slice (valid until the next call, like all scratch here).
 	tables []*ohash.Table
 	outs   []*store.Requests
@@ -309,18 +309,19 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	return outs[0], nil
 }
 
-// BatchAccessN applies one delivery — an epoch's batches in load-balancer
+// Deliver applies one delivery — an epoch's batches in load-balancer
 // order — whole or not at all: every table is built (every check that can
 // refuse a batch: block size, order, overflow) before any scan. Tables are
 // functions of the requests alone, so batch i+1's scan still sees batch
-// i's writes. The returned slice is scratch reused by the next call.
-func (s *SubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+// i's writes. The partition keeps no replay cache, so it ignores the tag.
+// The returned slice is scratch reused by the next call.
+func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deliver(reqs)
 }
 
-// deliver is BatchAccessN; the caller holds mu while it reads the scratch.
+// deliver is Deliver; the caller holds mu while it reads the scratch.
 func (s *SubORAM) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
 	var st Stats
 	s.tables = s.tables[:0]

@@ -72,26 +72,30 @@ func tableInShape(t *testing.T, reqs *store.Requests, g ohash.Geometry) *ohash.T
 	return tbl
 }
 
-// legacyShaped is a subORAM that answers every batch through a table of the
-// legacy shape: the real scan, extraction, miss zeroing and key echo around
-// a hand-placed table.
+// legacyShaped is a subORAM that answers every batch of a delivery, in
+// order, through a table of the legacy shape: the real scan, extraction,
+// miss zeroing and key echo around a hand-placed table.
 type legacyShaped struct {
 	*suboram.SubORAM
 	t *testing.T
 }
 
-func (l legacyShaped) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
-	tbl := tableInShape(l.t, reqs, legacyGeometry(reqs.Len(), 128))
-	if err := l.ScanTable(tbl); err != nil {
-		return nil, err
+func (l legacyShaped) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs := make([]*store.Requests, len(reqs))
+	for b, r := range reqs {
+		tbl := tableInShape(l.t, r, legacyGeometry(r.Len(), 128))
+		if err := l.ScanTable(tbl); err != nil {
+			return nil, err
+		}
+		out := tbl.Extract()
+		zero := make([]byte, r.BlockSize)
+		for i := 0; i < out.Len(); i++ {
+			obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
+		}
+		out.StampKey(tbl.K)
+		outs[b] = out
 	}
-	out := tbl.Extract()
-	zero := make([]byte, reqs.BlockSize)
-	for i := 0; i < out.Len(); i++ {
-		obliv.CondCopyBytes(obliv.Not(out.Aux[i]), out.Block(i), zero)
-	}
-	out.StampKey(tbl.K)
-	return out, nil
+	return outs, nil
 }
 
 // fileShapes lists a directory tree's files as "relative path: size".

@@ -33,18 +33,13 @@ import (
 // left the root — its "dispatch" crash point, reached from outside.
 type crashAfter struct {
 	*transport.LocalTagged
-	root         **core.System
-	epoch, crash uint64
+	root  **core.System
+	crash uint64
 }
 
-func (c *crashAfter) AdoptDeliveryTag(stream, seq uint64) {
-	c.epoch = seq + 1
-	c.LocalTagged.AdoptDeliveryTag(stream, seq)
-}
-
-func (c *crashAfter) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
-	outs, err := c.LocalTagged.BatchAccessN(reqs)
-	if c.epoch == c.crash {
+func (c *crashAfter) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	outs, err := c.LocalTagged.Deliver(tag, reqs)
+	if tag.Epoch == c.crash {
 		(*c.root).Crash()
 	}
 	return outs, err

@@ -202,9 +202,9 @@ type countingPartition struct {
 	batches atomic.Int64
 }
 
-func (p *countingPartition) BatchAccessN(rs []*store.Requests) ([]*store.Requests, error) {
+func (p *countingPartition) Deliver(tag store.DeliveryTag, rs []*store.Requests) ([]*store.Requests, error) {
 	p.batches.Add(int64(len(rs)))
-	return p.Partition.BatchAccessN(rs)
+	return p.Partition.Deliver(tag, rs)
 }
 
 // TestReconnectReplaysDuplicateDelivery loses a response in flight after the

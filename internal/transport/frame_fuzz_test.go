@@ -84,7 +84,7 @@ type recordingPartition struct{ applied []*store.Requests }
 
 func (p *recordingPartition) Init([]uint64, []byte) error { return nil }
 
-func (p *recordingPartition) BatchAccessN(rs []*store.Requests) ([]*store.Requests, error) {
+func (p *recordingPartition) Deliver(_ store.DeliveryTag, rs []*store.Requests) ([]*store.Requests, error) {
 	outs := make([]*store.Requests, len(rs))
 	for i, r := range rs {
 		p.applied = append(p.applied, r.Clone())
@@ -173,7 +173,7 @@ func FuzzServeBatchNDecoder(f *testing.F) {
 }
 
 // FuzzDialBatchNReply plays a malicious partition server against
-// RemoteSubORAM.BatchAccessN: a reply with the wrong (lbID, seq), the wrong
+// RemoteSubORAM.Deliver: a reply with the wrong (lbID, seq), the wrong
 // batch count, garbage bytes, or a retired 0x02 single-batch frame must be
 // an error — never a panic, never an accepted response — and the honest
 // reply must be accepted.
@@ -232,14 +232,14 @@ func FuzzDialBatchNReply(f *testing.F) {
 		}
 		defer r.Close()
 
-		outs, err := r.BatchAccessN(groupOf(2))
+		outs, err := r.Deliver(store.DeliveryTag{Stream: 7, Epoch: 1}, groupOf(2))
 		tampered := mode != honest || lbDelta != 0 || seqDelta != 0 || replyCount != 2
 		if tampered && err == nil {
-			t.Fatalf("BatchAccessN accepted a tampered reply (lbΔ=%d seqΔ=%d count=%d mode=%d)",
+			t.Fatalf("Deliver accepted a tampered reply (lbΔ=%d seqΔ=%d count=%d mode=%d)",
 				lbDelta, seqDelta, replyCount, mode)
 		}
 		if !tampered && (err != nil || len(outs) != 2) {
-			t.Fatalf("BatchAccessN rejected the honest reply: %d batches, %v", len(outs), err)
+			t.Fatalf("Deliver rejected the honest reply: %d batches, %v", len(outs), err)
 		}
 		if err == nil {
 			putAll(outs)

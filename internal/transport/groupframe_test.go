@@ -44,7 +44,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 	sendable(b1)
 	sendable(b2)
 
-	outs, err := r.BatchAccessN([]*store.Requests{b0, b1, b2})
+	outs, err := r.Deliver(store.DeliveryTag{Stream: 1, Epoch: 1}, []*store.Requests{b0, b1, b2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 		t.Fatalf("in-group ordering lost: batch 2 read %q", outs[2].Block(0))
 	}
 
-	// A later BatchAccess on the same handle — a one-batch delivery —
-	// continues the same delivery-tag sequence.
+	// A later BatchAccess on the same handle — a one-batch delivery on the
+	// handle's own stream — sees the delivery's write.
 	q := store.NewRequests(1, testBlock)
 	q.SetRow(0, store.OpRead, 2, 0, 0, 0, nil)
 	sendable(q)
@@ -72,7 +72,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 	}
 }
 
-// groupPartition records BatchAccessN calls and can fail at a chosen
+// groupPartition records Deliver calls and can fail at a chosen
 // call index, for exercising the replay cache's grouped-delivery contract
 // without a network.
 type groupPartition struct {
@@ -82,7 +82,7 @@ type groupPartition struct {
 
 func (p *groupPartition) Init(ids []uint64, data []byte) error { return nil }
 
-func (p *groupPartition) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+func (p *groupPartition) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	p.calls++
 	if p.failAt > 0 && p.calls == p.failAt {
 		return nil, errors.New("injected partition failure")

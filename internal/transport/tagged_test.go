@@ -23,10 +23,23 @@ func taggedPair(t *testing.T) (*LocalTagged, *LocalTagged, *suboram.SubORAM) {
 	return NewLocalTagged(sub, rc), NewLocalTagged(sub, rc), sub
 }
 
-// streamID and seq0 are the tag a test's first handle adopts before its
-// first delivery, as a journaled root stamps (stream, epoch−1); the
-// successor handle adopts the same pair to re-issue that delivery.
-const streamID, seq0 = 0x5eed, 41
+// streamID and epoch0 tag a test's first delivery, as a root tags epoch E
+// of its stream; a successor handle re-issues that delivery under the same
+// tag.
+const streamID, epoch0 = 0x5eed, 42
+
+func tagAt(epoch uint64) store.DeliveryTag { return store.DeliveryTag{Stream: streamID, Epoch: epoch} }
+
+// deliverOne hands c a one-batch delivery under tag.
+func deliverOne(c interface {
+	Deliver(store.DeliveryTag, []*store.Requests) ([]*store.Requests, error)
+}, tag store.DeliveryTag, reqs *store.Requests) (*store.Requests, error) {
+	outs, err := c.Deliver(tag, []*store.Requests{reqs})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
 
 func oneWrite(key uint64, val string) *store.Requests {
 	reqs := store.NewRequests(1, testBlock)
@@ -42,21 +55,19 @@ func oneRead(key uint64) *store.Requests {
 
 // TestLocalTaggedReplayAcrossIncarnations is the standby-root scenario in
 // miniature: incarnation 1 applies a tagged write and crashes; incarnation
-// 2 adopts the same tag and re-issues the delivery. The partition
+// 2 re-issues the delivery under the same tag. The partition
 // must not apply it twice — the replay cache answers with the recorded
 // response, even though incarnation 2's payload differs.
 func TestLocalTaggedReplayAcrossIncarnations(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
 
-	h1.AdoptDeliveryTag(streamID, seq0)
-	if _, err := h1.BatchAccess(oneWrite(2, "first")); err != nil {
+	if _, err := deliverOne(h1, tagAt(epoch0), oneWrite(2, "first")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Incarnation 2 replays the delivery: its next BatchAccess travels as
-	// (streamID, seq0+1), the tag incarnation 1 already used.
-	h2.AdoptDeliveryTag(streamID, seq0)
-	out, err := h2.BatchAccess(oneWrite(2, "SECOND"))
+	// Incarnation 2 replays the delivery under the tag incarnation 1
+	// already used.
+	out, err := deliverOne(h2, tagAt(epoch0), oneWrite(2, "SECOND"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,7 @@ func TestLocalTaggedReplayAcrossIncarnations(t *testing.T) {
 	}
 
 	// The partition kept the first application.
-	got, err := h2.BatchAccess(oneRead(2))
+	got, err := deliverOne(h2, tagAt(epoch0+1), oneRead(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +88,7 @@ func TestLocalTaggedReplayAcrossIncarnations(t *testing.T) {
 func TestLocalTaggedGroupedReplay(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
 
-	h1.AdoptDeliveryTag(streamID, seq0)
-	outs, err := h1.BatchAccessN([]*store.Requests{oneWrite(1, "alpha"), oneWrite(3, "gamma")})
+	outs, err := h1.Deliver(tagAt(epoch0), []*store.Requests{oneWrite(1, "alpha"), oneWrite(3, "gamma")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +96,7 @@ func TestLocalTaggedGroupedReplay(t *testing.T) {
 		t.Fatalf("got %d grouped responses", len(outs))
 	}
 
-	h2.AdoptDeliveryTag(streamID, seq0)
-	replayed, err := h2.BatchAccessN([]*store.Requests{oneWrite(1, "EVIL"), oneWrite(3, "EVIL")})
+	replayed, err := h2.Deliver(tagAt(epoch0), []*store.Requests{oneWrite(1, "EVIL"), oneWrite(3, "EVIL")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestLocalTaggedGroupedReplay(t *testing.T) {
 		t.Fatalf("replay returned %d responses", len(replayed))
 	}
 
-	got, err := h2.BatchAccess(oneRead(1))
+	got, err := deliverOne(h2, tagAt(epoch0+1), oneRead(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +118,11 @@ func TestLocalTaggedGroupedReplay(t *testing.T) {
 // later replay of the same entry.
 func TestLocalTaggedReplayTwice(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
-	h1.AdoptDeliveryTag(streamID, seq0)
-	if _, err := h1.BatchAccess(oneWrite(2, "stable")); err != nil {
+	if _, err := deliverOne(h1, tagAt(epoch0), oneWrite(2, "stable")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		h2.AdoptDeliveryTag(streamID, seq0)
-		out, err := h2.BatchAccess(oneWrite(2, "x"))
+		out, err := deliverOne(h2, tagAt(epoch0), oneWrite(2, "x"))
 		if err != nil {
 			t.Fatalf("replay %d: %v", i, err)
 		}
@@ -129,22 +136,19 @@ func TestLocalTaggedReplayTwice(t *testing.T) {
 
 func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 	h1, h2, _ := taggedPair(t)
-	h1.AdoptDeliveryTag(streamID, 0)
 	for i := 0; i <= replayWindow; i++ {
-		if _, err := h1.BatchAccess(oneWrite(2, fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := deliverOne(h1, tagAt(uint64(i+1)), oneWrite(2, fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A delivery older than the replay window can no longer be answered
 	// exactly-once; it must be rejected, not applied.
-	h2.AdoptDeliveryTag(streamID, 0)
-	if _, err := h2.BatchAccess(oneWrite(2, "stale")); err == nil {
+	if _, err := deliverOne(h2, tagAt(1), oneWrite(2, "stale")); err == nil {
 		t.Fatal("stale delivery accepted")
 	}
 	// Every delivery inside the window is answered again from the cache —
 	// what a successor root replaying several epochs in flight relies on.
-	h2.AdoptDeliveryTag(streamID, 1)
-	out, err := h2.BatchAccess(oneWrite(2, "replayed"))
+	out, err := deliverOne(h2, tagAt(2), oneWrite(2, "replayed"))
 	if err != nil {
 		t.Fatalf("delivery inside the replay window: %v", err)
 	}
@@ -154,8 +158,8 @@ func TestLocalTaggedStaleDeliveryRejected(t *testing.T) {
 }
 
 // TestRemoteDeliveryTagAdoption runs the same standby scenario over the
-// real attested wire: both handles adopt the same tag and the server's
-// replay cache deduplicates.
+// real attested wire: both handles deliver under the same tag and the
+// server's replay cache deduplicates.
 func TestRemoteDeliveryTagAdoption(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
@@ -169,8 +173,7 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 	if err := r1.Init([]uint64{1, 2, 3}, make([]byte, 3*testBlock)); err != nil {
 		t.Fatal(err)
 	}
-	r1.AdoptDeliveryTag(streamID, seq0)
-	if _, err := r1.BatchAccess(oneWrite(2, "orig")); err != nil {
+	if _, err := deliverOne(r1, tagAt(epoch0), oneWrite(2, "orig")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,11 +182,10 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	r2.AdoptDeliveryTag(streamID, seq0)
-	if _, err := r2.BatchAccess(oneWrite(2, "DUPL")); err != nil {
+	if _, err := deliverOne(r2, tagAt(epoch0), oneWrite(2, "DUPL")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r2.BatchAccess(oneRead(2))
+	got, err := deliverOne(r2, tagAt(epoch0+1), oneRead(2))
 	if err != nil {
 		t.Fatal(err)
 	}

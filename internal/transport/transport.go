@@ -13,11 +13,11 @@
 // Failure model (§3.1, §9: machines fail): every RPC runs under a deadline,
 // and a RemoteSubORAM that loses its connection redials and re-runs the
 // full attested handshake under exponential backoff with jitter, within a
-// bounded retry budget. Batch frames carry an (lbID, seq) delivery tag; the
-// server remembers the last response per load balancer and answers a
-// redelivered batch by replaying the stored response instead of re-applying
-// it, so an ambiguous failure (response lost in flight) cannot double-apply
-// writes — the at-most-once property linearizability needs. All timeout and
+// bounded retry budget. Batch frames carry the root's delivery tag (on the
+// wire as lbID, seq); the server remembers the last responses per stream
+// and answers a redelivered batch by replaying the stored response instead
+// of re-applying it, so an ambiguous failure (response lost in flight)
+// cannot double-apply writes — the at-most-once property linearizability needs. All timeout and
 // retry parameters derive from public configuration (Options), never from
 // request contents, so retry timing leaks nothing the batch schedule does
 // not already make public.
@@ -98,7 +98,7 @@ type Options struct {
 	// DialTimeout bounds TCP connect plus the attested handshake
 	// (default 5s).
 	DialTimeout time.Duration
-	// RPCTimeout bounds one BatchAccess attempt — send, remote execution,
+	// RPCTimeout bounds one delivery attempt — send, remote execution,
 	// and response read (default 30s).
 	RPCTimeout time.Duration
 	// InitTimeout bounds one Init attempt; Init ships the whole partition,
@@ -380,7 +380,7 @@ func deriveKeys(secret []byte) (clientToServer, serverToClient crypt.Key) {
 // a durable one (*persist.Durable), each applying a delivery whole or not.
 type Partition interface {
 	Init(ids []uint64, data []byte) error
-	BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error)
+	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 }
 
 // ServeOptions sets the server-side failure-handling parameters.
@@ -512,7 +512,7 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 			return r.respN, true, nil
 		}
 	}
-	applied, err := sub.BatchAccessN(m.reqsN)
+	applied, err := sub.Deliver(store.DeliveryTag{Stream: m.lbID, Epoch: m.seq}, m.reqsN)
 	if err != nil {
 		return nil, false, err
 	}
@@ -531,8 +531,8 @@ func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, boo
 	return outs, false, nil
 }
 
-// initLocked serializes Init against in-flight batches and resets the
-// delivery record: a re-initialized partition starts a fresh history.
+// init serializes Init against in-flight batches and resets the delivery
+// record: a re-initialized partition starts a fresh history.
 func (rc *ReplayCache) init(sub Partition, ids []uint64, data []byte) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -695,20 +695,21 @@ func serverHandshake(conn net.Conn, platform *enclave.Platform, m enclave.Measur
 // RemoteSubORAM is a core.SubORAMClient reached over an attested channel.
 // On connection failure it redials and re-attests under exponential backoff
 // within Options' retry budget; redelivered batches are answered from the
-// server's replay cache, never re-applied.
+// server's replay cache, never re-applied. Deliver's frames carry the
+// caller's tag; BatchAccess's, the handle's own stream.
 type RemoteSubORAM struct {
 	addr     string
 	platform *enclave.Platform
 	want     enclave.Measurement
 	opts     Options
 
-	lbID uint64 // this handle's delivery-stream identity
+	lbID uint64 // the delivery stream of BatchAccess's deliveries
 
 	mu  sync.Mutex // serializes RPCs (incl. reconnects) on the channel
 	sc  *secureConn
-	seq uint64 // delivery tag of the batch in flight
+	seq uint64 // BatchAccess's last delivery on lbID
 
-	outScratch []*store.Requests // BatchAccessN result slice, reused under mu
+	outScratch []*store.Requests // Deliver's result slice, reused under mu
 
 	connMu    sync.Mutex // guards sc swaps against Close (which skips mu)
 	closed    chan struct{}
@@ -933,50 +934,49 @@ func (r *RemoteSubORAM) Init(ids []uint64, data []byte) error {
 	})
 }
 
-// BatchAccess implements core.SubORAMClient: a one-batch BatchAccessN. The
+// BatchAccess is a one-batch delivery on the handle's own stream. The
 // returned responses are drawn from the process-wide arena; the caller owns
 // them and may release them back via arena.Default.PutRequests.
 func (r *RemoteSubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seq++
 	var out [1]*store.Requests
-	if err := r.deliverLocked([]*store.Requests{reqs}, out[:]); err != nil {
+	if err := r.deliverLocked(store.DeliveryTag{Stream: r.lbID, Epoch: r.seq}, []*store.Requests{reqs}, out[:]); err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// BatchAccessN implements core.BatchedSubORAMClient: one epoch's batches
-// travel as a single grouped frame under one delivery tag — one AEAD seal,
-// one round trip, one open, however many load-balancer batches the epoch
-// has. Application on the server is all-or-nothing per the replay cache's
-// contract; batches are applied in slice order. The returned slice is valid
-// only until the next BatchAccessN call on this handle; the responses in it
-// are arena-backed and owned by the caller.
-func (r *RemoteSubORAM) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+// Deliver implements core.SubORAMClient: one epoch's batches travel as a
+// single grouped frame under tag — one AEAD seal, one round trip, one open,
+// however many load-balancer batches the epoch has. Application on the
+// server is all-or-nothing per the replay cache's contract; batches are
+// applied in slice order. The returned slice is valid only until the next
+// Deliver call on this handle; the responses in it are arena-backed and
+// owned by the caller.
+func (r *RemoteSubORAM) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if cap(r.outScratch) < len(reqs) {
 		r.outScratch = make([]*store.Requests, len(reqs))
 	}
 	outs := r.outScratch[:len(reqs)]
-	if err := r.deliverLocked(reqs, outs); err != nil {
+	if err := r.deliverLocked(tag, reqs, outs); err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
-// deliverLocked sends reqs as one tagged delivery and fills outs with the
-// responses. Retries after an ambiguous failure re-send the same (lbID, seq)
-// tag, and a server that already applied the batches replays its stored
+// deliverLocked sends reqs as one delivery under tag and fills outs with
+// the responses. Retries after an ambiguous failure re-send the same tag,
+// and a server that already applied the batches replays its stored
 // responses instead of re-applying, preserving at-most-once application.
 // Caller holds r.mu.
-func (r *RemoteSubORAM) deliverLocked(reqs, outs []*store.Requests) error {
-	r.seq++
-	seq := r.seq
+func (r *RemoteSubORAM) deliverLocked(tag store.DeliveryTag, reqs, outs []*store.Requests) error {
 	tr0 := r.opts.Telemetry.Now()
 	err := r.withRetry(r.opts.RPCTimeout, func(sc *secureConn) error {
-		if err := sc.sendReqsN(tagBatchN, r.lbID, seq, reqs); err != nil {
+		if err := sc.sendReqsN(tagBatchN, tag.Stream, tag.Epoch, reqs); err != nil {
 			return err
 		}
 		reply, err := sc.recv()
@@ -985,10 +985,10 @@ func (r *RemoteSubORAM) deliverLocked(reqs, outs []*store.Requests) error {
 		}
 		switch reply.Kind {
 		case "respN":
-			if reply.lbID != r.lbID || reply.seq != seq || len(reply.reqsN) != len(reqs) {
+			if reply.lbID != tag.Stream || reply.seq != tag.Epoch || len(reply.reqsN) != len(reqs) {
 				putAll(reply.reqsN)
 				return fmt.Errorf("transport: grouped response tag (%#x,%d,%d) does not match batch (%#x,%d,%d)",
-					reply.lbID, reply.seq, len(reply.reqsN), r.lbID, seq, len(reqs))
+					reply.lbID, reply.seq, len(reply.reqsN), tag.Stream, tag.Epoch, len(reqs))
 			}
 			copy(outs, reply.reqsN)
 			return nil

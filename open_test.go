@@ -2,12 +2,14 @@ package snoopy_test
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"snoopy"
+	"snoopy/internal/store"
 )
 
 // TestOpenRefusesJournalWithoutDataDir: a journaled root replays a crashed
@@ -112,5 +114,121 @@ func TestOpenPlacements(t *testing.T) {
 				readOK(re, 9, "\x09")
 			}
 		})
+	}
+}
+
+// oneBatchOnly is a SubORAM with BatchAccess alone: it hides the Deliver of
+// the partition it wraps.
+type oneBatchOnly struct{ snoopy.SubORAM }
+
+// TestOneBatchSubORAMOnlyAtOneLoadBalancer: OpenWithSubORAMs drives a
+// SubORAM without Deliver only at L = 1, where an epoch's delivery is
+// exactly one batch. At L = 2 it refuses one, naming Deliver, rather than
+// apply an epoch's batches one at a time; a partition with Deliver opens.
+func TestOneBatchSubORAMOnlyAtOneLoadBalancer(t *testing.T) {
+	const block = 32
+	local := func() snoopy.SubORAM { return snoopy.NewLocalSubORAM(block, 1, false) }
+	st, err := snoopy.OpenWithSubORAMs(snoopy.Config{BlockSize: block, LoadBalancers: 2},
+		[]snoopy.SubORAM{local(), oneBatchOnly{local()}})
+	if err == nil {
+		st.Close()
+		t.Fatal("a one-batch SubORAM accepted at L = 2")
+	}
+	if !strings.Contains(err.Error(), "Deliver") {
+		t.Fatalf("error %q does not name Deliver", err)
+	}
+	for _, row := range []struct {
+		lbs  int
+		subs []snoopy.SubORAM
+	}{
+		{1, []snoopy.SubORAM{oneBatchOnly{local()}, oneBatchOnly{local()}}},
+		{2, []snoopy.SubORAM{local(), local()}},
+	} {
+		st, err := snoopy.OpenWithSubORAMs(snoopy.Config{BlockSize: block, Lambda: 32, LoadBalancers: row.lbs}, row.subs)
+		if err != nil {
+			t.Fatalf("L = %d: %v", row.lbs, err)
+		}
+		if err := st.Load(map[uint64][]byte{1: []byte("one"), 2: []byte("two")}); err != nil {
+			t.Fatal(err)
+		}
+		put, err := st.WriteAsync(2, []byte("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		get, err := st.ReadAsync(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Flush()
+		if _, _, err := put(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := get(); err != nil || !ok || !bytes.HasPrefix(v, []byte("one")) {
+			t.Fatalf("L = %d: read %q %v %v", row.lbs, v, ok, err)
+		}
+		get, err = st.ReadAsync(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Flush()
+		if v, ok, err := get(); err != nil || !ok || !bytes.HasPrefix(v, []byte("new")) {
+			t.Fatalf("L = %d: read %q %v %v after a write", row.lbs, v, ok, err)
+		}
+		st.Close()
+	}
+}
+
+// downSubORAM is a one-batch SubORAM whose every batch fails.
+type downSubORAM struct{ snoopy.SubORAM }
+
+func (downSubORAM) BatchAccess(*store.Requests) (*store.Requests, error) {
+	return nil, errors.New("partition down")
+}
+
+// TestFailoverHandsBackTheGivenSubORAM: a Failover hook receives as old the
+// SubORAM it was given, not the store's wrapper around a one-batch one, and
+// its replacement serves the next epochs.
+func TestFailoverHandsBackTheGivenSubORAM(t *testing.T) {
+	const block = 32
+	dead := downSubORAM{snoopy.NewLocalSubORAM(block, 1, false)}
+	olds := make(chan snoopy.SubORAM, 1)
+	st, err := snoopy.OpenWithSubORAMs(snoopy.Config{BlockSize: block, Lambda: 32,
+		Failover: func(_ int, old snoopy.SubORAM) (snoopy.SubORAM, error) {
+			olds <- old
+			return oneBatchOnly{snoopy.NewLocalSubORAM(block, 1, false)}, nil
+		}}, []snoopy.SubORAM{dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Load(map[uint64][]byte{1: []byte("one")}); err != nil {
+		t.Fatal(err)
+	}
+	read := func() error {
+		get, err := st.ReadAsync(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Flush()
+		_, _, err = get()
+		return err
+	}
+	for epoch := 0; epoch < 3; epoch++ { // the failed epochs that trip failover
+		if read() == nil {
+			t.Fatal("a dead partition answered")
+		}
+	}
+	select {
+	case old := <-olds:
+		if old != dead {
+			t.Fatalf("the hook received %T, want the SubORAM it was given", old)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("failover never called")
+	}
+	for deadline := time.Now().Add(10 * time.Second); read() != nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("the replacement never answered")
+		}
 	}
 }

@@ -81,19 +81,21 @@ go test -race -timeout 15m -count=2 \
 # replay rebuilding the crashed epoch's batches byte for byte), table keys
 # never ordering two batches, a partition echoing a foreign table key
 # failing its epoch closed, every client wait resolving on a crash, an ACL
-# resolution failing closed, stage B's one zero-alloc call into a partition
-# (its own BatchAccessN, or one adapted from BatchAccess), in core,
-# standby-root promotion in cluster, the journal/standby leakage tests,
-# snoopy.Open refusing a journal over volatile in-process partitions, and
-# the delivery as a partition's one unit: applied whole or not at all in
-# suboram, one wal record or image commit and one counter bump in persist,
-# whose crash points never reopen between a delivery's batches.
+# resolution failing closed, stage B's one zero-alloc call into a partition,
+# in core, standby-root promotion in cluster, the journal/standby leakage
+# tests, snoopy.Open refusing a journal over volatile in-process partitions
+# and OpenWithSubORAMs taking a SubORAM without Deliver only at L = 1, and
+# the delivery as a partition's one unit: applied whole or not at all by
+# every kind of partition (plain and sealed suboram, Durable in memory and
+# on disk, remote, replica.Group), one wal record or image commit and one
+# counter bump in persist, whose crash points never reopen between a
+# delivery's batches.
 # Schedule-sensitive by construction (promotion races a probing watchdog),
 # so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
   -run 'TestJournal|TestTableKeysNeverRepeat|TestEngineRefusesForeignKeyEcho|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion|TestPartStageBZeroAlloc' \
   ./internal/core/ ./internal/cluster/
-go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir' .
+go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir|TestOneBatchSubORAMOnlyAtOneLoadBalancer' .
 go test -race -timeout 15m -count=2 \
   -run 'TestDeliveryAppliedWholeOrNotAtAll|TestDeliveryIsOneEpoch|TestCrashPointsDurable' \
   ./internal/suboram/ ./internal/persist/

@@ -133,8 +133,9 @@ type Config struct {
 }
 
 // FailoverFunc produces a replacement client for failed partition part;
-// old is the client being replaced (close it if it holds resources).
-type FailoverFunc = core.FailoverFunc
+// old is the client being replaced (close it if it holds resources). The
+// replacement obeys the same L rule as OpenWithSubORAMs' partitions.
+type FailoverFunc func(part int, old SubORAM) (SubORAM, error)
 
 // Store is a running Snoopy deployment.
 type Store struct {
@@ -146,8 +147,41 @@ type Store struct {
 // EpochStats re-exports per-epoch timing (see core.EpochStats).
 type EpochStats = core.EpochStats
 
-// SubORAM is the interface remote partitions implement.
-type SubORAM = core.SubORAMClient
+// SubORAM is a partition a caller hands OpenWithSubORAMs. Each epoch the
+// store hands it one delivery, the batches of all L load balancers, to apply
+// whole or not at all in one call to its method Deliver(tag, batches), as
+// core.SubORAMClient declares it; every partition this package returns has
+// it. A SubORAM without Deliver serves only LoadBalancers = 1, where a
+// delivery is exactly one batch, which BatchAccess answers.
+type SubORAM interface {
+	Init(ids []uint64, data []byte) error
+	BatchAccess(reqs *store.Requests) (*store.Requests, error)
+}
+
+// oneBatch drives a SubORAM without Deliver at L = 1, where a delivery is
+// exactly one batch.
+type oneBatch struct {
+	SubORAM
+	out [1]*store.Requests
+}
+
+func (o *oneBatch) Deliver(_ store.DeliveryTag, batches []*store.Requests) ([]*store.Requests, error) {
+	var err error
+	o.out[0], err = o.BatchAccess(batches[0])
+	return o.out[:], err
+}
+
+// partition is sub as the engine drives it: through its own Deliver, or, at
+// L = 1 only, through BatchAccess.
+func partition(sub SubORAM, lbs int) (core.SubORAMClient, error) {
+	if d, ok := sub.(core.SubORAMClient); ok {
+		return d, nil
+	}
+	if lbs > 1 {
+		return nil, fmt.Errorf("snoopy: a SubORAM without Deliver serves only LoadBalancers = 1, not %d: an epoch's %d batches must apply whole or not at all", lbs, lbs)
+	}
+	return &oneBatch{SubORAM: sub}, nil
+}
 
 // Open starts an in-process deployment: SubORAMs partitions built by
 // persist.NewPartition, under DataDir/part-NNN when DataDir is set, each
@@ -211,16 +245,38 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 
 // newRoot starts the root over subs, routing by routeKey when it is set.
 func newRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) (*core.System, error) {
+	lbs := max(cfg.LoadBalancers, 1)
+	parts := make([]core.SubORAMClient, len(subs))
+	for i, sub := range subs {
+		var err error
+		if parts[i], err = partition(sub, lbs); err != nil {
+			return nil, err
+		}
+	}
+	var failover core.FailoverFunc
+	if cfg.Failover != nil {
+		failover = func(part int, old core.SubORAMClient) (core.SubORAMClient, error) {
+			given, _ := old.(SubORAM) // every partition came through partition
+			if o, ok := old.(*oneBatch); ok {
+				given = o.SubORAM
+			}
+			repl, err := cfg.Failover(part, given)
+			if err != nil || repl == nil {
+				return nil, err
+			}
+			return partition(repl, lbs)
+		}
+	}
 	return core.NewWithSubORAMs(core.Config{
 		BlockSize:        cfg.BlockSize,
-		NumLoadBalancers: cfg.LoadBalancers,
+		NumLoadBalancers: lbs,
 		Lambda:           cfg.Lambda,
 		EpochDuration:    cfg.Epoch,
 		JournalDir:       cfg.JournalDir,
-		Failover:         cfg.Failover,
+		Failover:         failover,
 		Telemetry:        cfg.Telemetry,
 		RouteKey:         routeKey,
-	}, subs)
+	}, parts)
 }
 
 // Load initializes the store's object set (call once, before requests).
