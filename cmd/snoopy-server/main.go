@@ -84,6 +84,9 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 	if servers == "" {
 		log.Fatal("-standby-root requires -servers (the partition endpoints to adopt on promotion)")
 	}
+	if epoch <= 0 {
+		log.Fatal("-standby-root requires -epoch > 0: the promoted root's ticker is its one epoch source")
+	}
 	m := enclave.Measure(Program)
 	addrs := strings.Split(servers, ",")
 
@@ -91,9 +94,13 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 	if reg != nil {
 		sup.Instrument(reg)
 	}
+	// One promotion runs at a time; each root gets its own epoch ticker,
+	// stopped when that root is superseded.
+	var ticker *time.Ticker
 	promote := func(old *core.System) (*core.System, error) {
 		if old != nil {
 			old.Close()
+			ticker.Stop()
 		}
 		subs := make([]core.SubORAMClient, len(addrs))
 		for i, addr := range addrs {
@@ -103,17 +110,20 @@ func standbyRoot(primary, journalDir, servers string, failAfter int, probeInterv
 			}
 			subs[i] = sub
 		}
+		t := time.NewTicker(epoch)
 		sys, err := core.NewWithSubORAMs(core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: lbs,
 			Lambda:           lambda,
-			EpochDuration:    epoch,
+			Ticks:            t.C,
 			JournalDir:       journalDir,
 			Telemetry:        reg,
 		}, subs)
 		if err != nil {
+			t.Stop()
 			return nil, err
 		}
+		ticker = t
 		log.Printf("promoted: serving as root over journal %s (incomplete epochs replayed)",
 			journalDir)
 		return sys, nil

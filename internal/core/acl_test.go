@@ -13,7 +13,7 @@ import (
 func startACLSystem(t *testing.T) *System {
 	t.Helper()
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, 2*time.Millisecond),
 	}, localSubs(2), 50)
 	rules := []ACLRule{
 		{User: 1, Object: 10, Op: store.OpRead},
@@ -114,7 +114,7 @@ func TestACLDefaultUserZero(t *testing.T) {
 }
 
 func TestACLManyUsersConcurrent(t *testing.T) {
-	sys := startSystem(t, Config{EpochDuration: 2 * time.Millisecond}, localSubs(2), 100)
+	sys := startSystem(t, Config{Ticks: every(t, 2*time.Millisecond)}, localSubs(2), 100)
 	var rules []ACLRule
 	for u := uint64(1); u <= 8; u++ {
 		rules = append(rules, ACLRule{User: u, Object: u, Op: store.OpRead})
@@ -153,7 +153,7 @@ func TestACLInvalidRule(t *testing.T) {
 
 func TestACLWithPipelinedEpochs(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, 2*time.Millisecond),
 	}, localSubs(2), 50)
 	if err := sys.EnableACL([]ACLRule{
 		{User: 1, Object: 10, Op: store.OpRead},

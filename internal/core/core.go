@@ -57,13 +57,14 @@ type Config struct {
 	NumLoadBalancers int
 	// Lambda is the security parameter for batch sizing.
 	Lambda int
-	// EpochDuration is the batching interval. Zero disables the internal
-	// ticker; epochs then run only via Flush. It also sets D, the epochs in
-	// flight (dispatched, not yet replied; paper §6 pipelines load-balancer
-	// and subORAM processing): tickerDepth with a ticker, else 1, so Flush
-	// returns after its own epoch replied. D is a function of public
-	// configuration only, like the dispatch cadence it produces.
-	EpochDuration time.Duration
+	// Ticks, when non-nil, is the engine's one epoch source: every value
+	// received runs one epoch, with up to tickerDepth epochs in flight
+	// (dispatched, not yet replied; paper §6 pipelines load-balancer and
+	// subORAM processing), and Flush starts nothing. Nil runs an epoch only
+	// on Flush, one at a time. A fixed-period ticker (time.NewTicker(d).C)
+	// makes the schedule, and D with it, a function of public configuration
+	// only; the caller owns it and stops it after Close.
+	Ticks <-chan time.Time
 	// SortWorkers bounds the load balancers' sort parallelism.
 	SortWorkers int
 	// Failover is invoked, at most once in flight per partition, when a
@@ -166,6 +167,9 @@ type System struct {
 
 	epochMu sync.Mutex // serializes epoch rounds (stage A)
 	epoch   uint64
+	// nextFlush is the channel a ticked engine's Flush calls wait on:
+	// stage A hands it to its epoch, whose reply closes it.
+	nextFlush chan struct{}
 
 	statsMu    sync.Mutex
 	lastEp     EpochStats
@@ -184,7 +188,7 @@ type System struct {
 	// stalls the others' next-epoch scans. depthSem bounds the epochs in
 	// flight and the sequencer runs the epoch-ordered completion work
 	// (crash hook, health accounting, batch release, stage C).
-	depth    int              // epochs in flight bound D (Config.EpochDuration)
+	depth    int              // epochs in flight bound D (Config.Ticks)
 	partQ    []chan *epochJob // per-partition FIFO job queues, cap depth
 	bDone    chan *epochJob   // completed jobs, in epoch order
 	seqDone  chan struct{}    // sequencer exited
@@ -204,8 +208,7 @@ type System struct {
 
 	closed   chan struct{}
 	closeOne sync.Once
-	ticker   *time.Ticker
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the tick loop
 
 	// Root fault-tolerance plane (Config.JournalDir). journal is the sealed
 	// epoch journal; stream is the delivery-stream identity every dispatch
@@ -287,6 +290,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		},
 		downSince: make([]int64, len(subs)),
 		crashedCh: make(chan struct{}),
+		nextFlush: make(chan struct{}),
 		replyWin:  newReplyWindow(replyWindowSize),
 
 		telEpoch:     cfg.Telemetry.Gauge("core_epoch"),
@@ -344,7 +348,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		sys.epoch = j.LastEpoch()
 	}
 	sys.depth = 1
-	if cfg.EpochDuration > 0 {
+	if cfg.Ticks != nil {
 		sys.depth = tickerDepth
 	}
 	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
@@ -371,20 +375,9 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 	for _, je := range incomplete {
 		sys.replayEpoch(je)
 	}
-	if cfg.EpochDuration > 0 {
-		sys.ticker = time.NewTicker(cfg.EpochDuration)
+	if cfg.Ticks != nil {
 		sys.wg.Add(1)
-		go func() {
-			defer sys.wg.Done()
-			for {
-				select {
-				case <-sys.closed:
-					return
-				case <-sys.ticker.C:
-					sys.Flush()
-				}
-			}
-		}()
+		go sys.tickLoop()
 	}
 	return sys, nil
 }
@@ -411,7 +404,7 @@ func (sys *System) Init(ids []uint64, data []byte) error {
 	return errors.Join(errs...)
 }
 
-// Close stops the epoch ticker and fails all pending requests.
+// Close stops the tick loop and fails all pending requests.
 func (sys *System) Close() {
 	sys.halt()
 	sys.wg.Wait()
@@ -455,15 +448,10 @@ func (sys *System) Close() {
 	}
 }
 
-// halt closes sys.closed — every Flush blocked on a pipeline slot, and the
-// ticker loop, observe it — and stops the ticker, once.
+// halt closes sys.closed, once: every Flush blocked on a pipeline slot or
+// waiting for a tick, and the tick loop, observe it.
 func (sys *System) halt() {
-	sys.closeOne.Do(func() {
-		close(sys.closed)
-		if sys.ticker != nil {
-			sys.ticker.Stop()
-		}
-	})
+	sys.closeOne.Do(func() { close(sys.closed) })
 }
 
 // snapshotSubs returns a stable view of the partition clients for one

@@ -25,6 +25,13 @@ func localSubs(n int) []SubORAMClient {
 	return subs
 }
 
+// every is a real epoch ticker of period d, stopped when the test ends.
+func every(t *testing.T, d time.Duration) <-chan time.Time {
+	tk := time.NewTicker(d)
+	t.Cleanup(tk.Stop)
+	return tk.C
+}
+
 func startSystem(t *testing.T, cfg Config, subs []SubORAMClient, nObjects int) *System {
 	t.Helper()
 	if cfg.BlockSize == 0 {
@@ -72,7 +79,7 @@ func write(sys *System, key uint64, value []byte) ([]byte, bool, error) {
 
 func TestReadWriteSingleEpochTicker(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, 2*time.Millisecond),
 	}, localSubs(3), 100)
 	v, found, err := read(sys, 7)
 	if err != nil || !found {
@@ -95,7 +102,7 @@ func TestReadWriteSingleEpochTicker(t *testing.T) {
 }
 
 func TestAbsentKey(t *testing.T) {
-	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(2), 10)
+	sys := startSystem(t, Config{Ticks: every(t, time.Millisecond)}, localSubs(2), 10)
 	_, found, err := read(sys, 9999)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +119,7 @@ func TestAbsentKey(t *testing.T) {
 }
 
 func TestRejectsReservedKeysAndOversizedValues(t *testing.T) {
-	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(1), 4)
+	sys := startSystem(t, Config{Ticks: every(t, time.Millisecond)}, localSubs(1), 4)
 	if _, _, err := read(sys, store.DummyKeyBit|1); err == nil {
 		t.Fatal("reserved key accepted")
 	}
@@ -203,7 +210,7 @@ func TestLastWriteWinsWithinEpoch(t *testing.T) {
 
 func TestConcurrentClientsLinearizable(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, time.Millisecond),
 	}, localSubs(3), 8)
 	initial := map[uint64]string{}
 	for i := uint64(0); i < 8; i++ {
@@ -257,7 +264,7 @@ func TestConcurrentClientsLinearizable(t *testing.T) {
 }
 
 func TestValuesSurviveManyEpochs(t *testing.T) {
-	sys := startSystem(t, Config{NumLoadBalancers: 2, EpochDuration: time.Millisecond}, localSubs(4), 200)
+	sys := startSystem(t, Config{NumLoadBalancers: 2, Ticks: every(t, time.Millisecond)}, localSubs(4), 200)
 	rng := rand.New(rand.NewSource(60))
 	shadow := map[uint64]string{}
 	for round := 0; round < 30; round++ {
@@ -329,7 +336,7 @@ func TestEpochStatsShape(t *testing.T) {
 
 func TestSealedSystem(t *testing.T) {
 	sealed := func() SubORAMClient { return suboram.New(suboram.Config{BlockSize: testBlock, Sealed: true}) }
-	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, []SubORAMClient{sealed(), sealed()}, 30)
+	sys := startSystem(t, Config{Ticks: every(t, time.Millisecond)}, []SubORAMClient{sealed(), sealed()}, 30)
 	if _, _, err := write(sys, 5, []byte("sealed!")); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +348,7 @@ func TestSealedSystem(t *testing.T) {
 
 func TestManyValuesIntegrity(t *testing.T) {
 	// Sized to stay fast under -race on small hosts.
-	sys := startSystem(t, Config{NumLoadBalancers: 2, EpochDuration: time.Millisecond}, localSubs(3), 200)
+	sys := startSystem(t, Config{NumLoadBalancers: 2, Ticks: every(t, time.Millisecond)}, localSubs(3), 200)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		c := c
@@ -369,7 +376,7 @@ func TestManyValuesIntegrity(t *testing.T) {
 }
 
 func TestDoubleCloseAndConcurrentFlush(t *testing.T) {
-	sys := startSystem(t, Config{EpochDuration: time.Millisecond}, localSubs(2), 10)
+	sys := startSystem(t, Config{Ticks: every(t, time.Millisecond)}, localSubs(2), 10)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

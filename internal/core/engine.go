@@ -1,6 +1,6 @@
-// The epoch engine: Flush, stage A batching, the per-partition stage-B
-// workers and their dispatch, the epoch-ordered sequencer, and stage C
-// matching and replies.
+// The epoch engine: Flush and the tick loop, stage A batching, the
+// per-partition stage-B workers and their dispatch, the epoch-ordered
+// sequencer, and stage C matching and replies.
 package core
 
 import (
@@ -57,6 +57,9 @@ type epochJob struct {
 	// replayed marks an epoch re-run from the journal (replayEpoch): it
 	// consults no crash hook.
 	replayed bool
+	// flushed closes once the epoch replied or failed; on a ticked engine
+	// the Flush calls waiting for its tick hold it (stageA).
+	flushed chan struct{}
 
 	responses [][]*store.Requests // [lb][sub]
 	subWall   []time.Duration
@@ -74,19 +77,51 @@ type epochJob struct {
 	bLeft atomic.Int32
 }
 
-// tickerDepth is D for an engine that runs its own ticker: the paper's
-// load-balancer/subORAM overlap, two epochs in flight. A ticker-less engine
-// runs one (Config.EpochDuration).
+// tickerDepth is D for an engine driven by Config.Ticks: the paper's
+// load-balancer/subORAM overlap, two epochs in flight. A Flush-driven
+// engine runs one.
 const tickerDepth = 2
 
-// Flush runs one epoch: stage A (snapshot + batching) under epochMu, the
+// Flush, on an engine without Config.Ticks, runs one epoch and returns once
+// it has replied (or the system closes). On a ticked engine it starts
+// nothing: it returns once the next epoch a tick runs — the first whose
+// stage A begins after the call — has replied, so every request submitted
+// before the call is answered, or once the system closes or crashes.
+func (sys *System) Flush() {
+	if sys.cfg.Ticks == nil {
+		sys.runEpoch()
+		return
+	}
+	sys.epochMu.Lock()
+	next := sys.nextFlush
+	sys.epochMu.Unlock()
+	select {
+	case <-next:
+	case <-sys.closed:
+	}
+}
+
+// tickLoop runs one epoch per tick until the system closes.
+func (sys *System) tickLoop() {
+	defer sys.wg.Done()
+	for {
+		select {
+		case <-sys.closed:
+			return
+		case <-sys.cfg.Ticks:
+			sys.runEpoch()
+		}
+	}
+}
+
+// runEpoch runs one epoch: stage A (snapshot + batching) under epochMu, the
 // journal, then dispatch to the partition workers; the sequencer finishes
 // stage B and runs stage C. Stages overlap across epochs exactly as the
 // paper's throughput equation assumes — stage A of epoch N+1 runs while
 // the workers scan epoch N and stage C matches epoch N−1 — up to D epochs
-// in flight. Flush returns once at most D−1 epochs remain in flight (or the
-// system closes): without a ticker, after its own epoch has replied.
-func (sys *System) Flush() {
+// in flight. It returns once at most D−1 epochs remain in flight (or the
+// system closes): at D = 1, after its own epoch has replied.
+func (sys *System) runEpoch() {
 	select {
 	case <-sys.crashedCh:
 		// A crashed root does nothing — silently, like a killed process.
@@ -100,7 +135,7 @@ func (sys *System) Flush() {
 	}
 	// The epoch's pipeline slot, taken before the journal so a journaled
 	// epoch is always dispatched. Waiting for it is the engine's
-	// backpressure; the wait selects on closed, so a Flush blocked behind a
+	// backpressure; the wait selects on closed, so an epoch blocked behind a
 	// wedged partition cannot hold Close hostage. Once Close has shut the
 	// partition queues nothing would execute the job: either way every
 	// snapshotted request gets ErrClosed instead of never completing.
@@ -175,6 +210,7 @@ func (sys *System) failJob(job *epochJob, err error) {
 	for i := range job.eps {
 		job.release(i)
 	}
+	close(job.flushed)
 }
 
 // releaseBatches returns plane i's batch storage to the arena once no
@@ -228,6 +264,7 @@ func (sys *System) sequencer() {
 		} else {
 			sys.finishStageB(job)
 			sys.stageC(job)
+			close(job.flushed)
 		}
 		<-sys.depthSem
 	}
@@ -240,6 +277,7 @@ func (sys *System) newJob(id uint64) *epochJob {
 	job := &epochJob{
 		id: id, t0: time.Now(), t0tel: sys.cfg.Telemetry.Now(),
 		queues: make([][]pending, L), eps: make([]lbEpoch, L),
+		flushed:   make(chan struct{}),
 		responses: make([][]*store.Requests, L),
 		subWall:   make([]time.Duration, S),
 		subErr:    make([]error, S),
@@ -280,6 +318,9 @@ func (sys *System) stageAPlane(job *epochJob, i int) {
 func (sys *System) stageA() *epochJob {
 	sys.epoch++
 	job := sys.newJob(sys.epoch)
+	// The Flush calls made so far wait for this epoch, which snapshots every
+	// request submitted before them; later ones wait for the next.
+	job.flushed, sys.nextFlush = sys.nextFlush, job.flushed
 	for i, st := range sys.lbs {
 		st.mu.Lock()
 		job.queues[i] = st.queue

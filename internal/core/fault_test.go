@@ -626,7 +626,7 @@ func TestSubmitCloseRace(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		sys, err := NewWithSubORAMs(Config{
 			BlockSize: faultBlock, NumLoadBalancers: 2,
-			Lambda: 32, EpochDuration: time.Millisecond,
+			Lambda: 32, Ticks: every(t, time.Millisecond),
 		}, localSubs(2))
 		if err != nil {
 			t.Fatal(err)

@@ -188,7 +188,7 @@ func (row *tableRow) open(t *testing.T) *System {
 		handles[p] = row.handle(p)
 	}
 	sys, err := NewWithSubORAMs(Config{
-		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32, EpochDuration: epochFor(row.depth), JournalDir: row.dir,
+		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32, Ticks: ticksFor(row.depth), JournalDir: row.dir,
 		Failover: func(p int, _ SubORAMClient) (SubORAMClient, error) { return row.handle(p), nil },
 	}, handles)
 	if err != nil {
@@ -304,7 +304,7 @@ func (row *tableRow) run(t *testing.T) {
 			}
 		}
 		if len(dups) > 0 {
-			sys.Flush()
+			step(sys)
 		}
 		for i, tr := range answered {
 			if v, found, err := dups[i](); err != nil || !found || trimmed(v) != tr.op.Output {
@@ -332,7 +332,7 @@ func (row *tableRow) run(t *testing.T) {
 			}
 		}
 		submit(r1, round)
-		r1.Flush()
+		step(r1)
 	}
 	collect(r1, all)
 
@@ -385,7 +385,7 @@ func (row *tableRow) run(t *testing.T) {
 			break
 		}
 		submit(r2, retry)
-		r2.Flush()
+		step(r2)
 		collect(r2, retry)
 	}
 	for _, tr := range all {
@@ -408,7 +408,7 @@ func (row *tableRow) run(t *testing.T) {
 		}
 	}
 	submit(r2, final)
-	r2.Flush()
+	step(r2)
 	collect(r2, final)
 	for _, tr := range final {
 		want, ok := last[tr.req.Key]

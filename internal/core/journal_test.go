@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 		BlockSize:        testBlock,
 		NumLoadBalancers: 2,
 		Lambda:           32,
-		EpochDuration:    epochFor(depth),
+		Ticks:            ticksFor(depth),
 		JournalDir:       c.dir,
 	}, c.tagged())
 	if err != nil {
@@ -71,7 +72,7 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 func TestUnjournaledRootsTagTheirOwnStreams(t *testing.T) {
 	c := newJournalCluster(t, 1)
 	for i, val := range []string{"first", "second"} {
-		sys, err := NewWithSubORAMs(Config{BlockSize: testBlock, Lambda: 32, EpochDuration: time.Millisecond}, c.tagged())
+		sys, err := NewWithSubORAMs(Config{BlockSize: testBlock, Lambda: 32, Ticks: every(t, time.Millisecond)}, c.tagged())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,29 +90,57 @@ func TestUnjournaledRootsTagTheirOwnStreams(t *testing.T) {
 	}
 }
 
-// neverTicks is an epoch ticker no test outlives: the engine runs at its
-// ticker depth while the test drives every epoch with Flush.
-const neverTicks = time.Hour
+// testTicks maps each test-owned epoch source, as an engine's Config.Ticks
+// holds it, to its send side.
+var testTicks sync.Map
 
-// epochFor is the EpochDuration that runs the engine at depth D: no ticker
-// for D = 1, one that never fires for D = 2.
-func epochFor(depth int) time.Duration {
-	if depth > 1 {
-		return neverTicks
+// ticksFor is the Config.Ticks that runs the engine at depth D: none for
+// D = 1, where Flush runs every epoch; for D = 2 a channel only step ticks.
+func ticksFor(depth int) <-chan time.Time {
+	if depth == 1 {
+		return nil
 	}
-	return 0
+	ch := make(chan time.Time)
+	testTicks.Store((<-chan time.Time)(ch), ch)
+	return ch
+}
+
+// step runs one epoch on sys the way its engine takes them. A Flush-driven
+// engine runs it in Flush. A test-ticked engine (ticksFor) gets one tick,
+// which its tick loop runs exactly as it runs a production ticker's; step
+// returns once that epoch is dispatched and at most D−1 epochs are in
+// flight, or the root is down.
+func step(sys *System) {
+	ch, ok := testTicks.Load(sys.cfg.Ticks)
+	if !ok {
+		sys.Flush()
+		return
+	}
+	e := staged(sys)
+	select {
+	case ch.(chan time.Time) <- time.Now():
+	case <-sys.closed:
+		return
+	}
+	for staged(sys) == e && !sys.Crashed() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	sys.settle(sys.depth - 1)
+}
+
+// staged is the last epoch stage A has taken (and, once epochMu is free,
+// journaled and dispatched, or failed).
+func staged(sys *System) uint64 {
+	sys.epochMu.Lock()
+	defer sys.epochMu.Unlock()
+	return sys.epoch
 }
 
 // atDepths runs f at the depths the crash-safety argument must cover: one
-// epoch at a time, and the ticker engine's two in flight. The D = 2
-// subtests keep the label "depth=4" from when the depth was a setting and
-// these ran at 4, so their test IDs stay comparable across the change.
+// epoch at a time, run by Flush, and the ticked engine's two in flight.
 func atDepths(t *testing.T, f func(t *testing.T, depth int)) {
-	for _, d := range []struct {
-		label string
-		depth int
-	}{{"depth=1", 1}, {"depth=4", tickerDepth}} {
-		t.Run(d.label, func(t *testing.T) { f(t, d.depth) })
+	for _, depth := range []int{1, tickerDepth} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { f(t, depth) })
 	}
 }
 
@@ -149,7 +178,7 @@ func runIdemWrite(t *testing.T, sys *System, id, key uint64, val string) ([]byte
 	if err != nil {
 		return nil, false, err
 	}
-	sys.Flush()
+	step(sys)
 	return wait()
 }
 
@@ -165,13 +194,13 @@ func testJournalEpochContinuation(t *testing.T, depth int) {
 	r1 := c.root(t, depth, nil)
 	c.initObjects(t, r1, 16)
 	for i := 0; i < 3; i++ {
-		r1.Flush()
+		step(r1)
 	}
 	r1.Close()
 
 	r2 := c.root(t, depth, nil)
-	r2.Flush()
-	r2.Close() // completes the epoch Flush may have left in flight
+	step(r2)
+	r2.Close() // completes the epoch step may have left in flight
 	if ep := r2.LastEpochStats().Epoch; ep != 4 {
 		t.Fatalf("successor's first epoch is %d, want 4", ep)
 	}
@@ -252,7 +281,7 @@ func testCrashKillSwitch(t *testing.T, depth int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.Flush()
+	step(r2)
 	got, _, err := wait()
 	if err != nil || trimmed(got) != "x" {
 		t.Fatalf("successor read: %q err=%v", trimmed(got), err)
@@ -292,7 +321,7 @@ func testCrashResolvesEveryWait(t *testing.T, depth int) {
 			waits = append(waits, wait)
 		}
 	}
-	r2.Flush()
+	step(r2)
 	for _, wait := range waits {
 		expectRootDown(t, "request in flight across a dispatch crash", wait)
 	}
@@ -390,7 +419,7 @@ func testJournalReplayedResponsesCopied(t *testing.T, depth int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3.Flush()
+	step(r3)
 	got, _, err := wait()
 	if err != nil || trimmed(got) != "val-b" {
 		t.Fatalf("second promotion read: %q err=%v", trimmed(got), err)
@@ -523,7 +552,7 @@ func TestJournalCompleteFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestJournalCrashWithEpochsInFlight: on a ticker engine (D = 2) the root
+// TestJournalCrashWithEpochsInFlight: on a ticked engine (D = 2) the root
 // crashes at the "dispatch" point of epoch 2 while epoch 3 is already
 // dispatched behind it. A dead root answers neither; the successor replays
 // both in order, and every tracked request is answered exactly once — from
@@ -556,13 +585,13 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 		}
 		waits = append(waits, w)
 		if e == 1 {
-			r1.Flush() // returns once dispatched: one epoch in flight
+			step(r1) // returns once dispatched: one epoch in flight
 			continue
 		}
-		// Epoch 3's Flush waits for epoch 2 to leave the pipeline, which it
+		// Epoch 3's step waits for epoch 2 to leave the pipeline, which it
 		// does only by crashing: run it aside.
 		go func() {
-			r1.Flush()
+			step(r1)
 			close(flushed)
 		}()
 	}
@@ -594,7 +623,7 @@ func TestJournalCrashWithEpochsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.Flush()
+	step(r2)
 	if got, _, err := wait(); err != nil || trimmed(got) != "v2" {
 		t.Fatalf("read after replay: %q err=%v", trimmed(got), err)
 	}

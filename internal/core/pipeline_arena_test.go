@@ -20,7 +20,7 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 		BlockSize:        block,
 		NumLoadBalancers: 2,
 		Lambda:           32,
-		EpochDuration:    time.Millisecond,
+		Ticks:            every(t, time.Millisecond),
 	}, localSubs(3))
 	if err != nil {
 		t.Fatal(err)

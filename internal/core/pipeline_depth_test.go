@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,7 @@ import (
 func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := startSystem(t, Config{
-		EpochDuration: neverTicks, Telemetry: reg,
+		Ticks: ticksFor(tickerDepth), Telemetry: reg,
 	}, localSubs(2), 16)
 
 	var waits []func() ([]byte, bool, error)
@@ -34,7 +35,7 @@ func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 			t.Fatal(err)
 		}
 		waits = append(waits, w)
-		sys.Flush()
+		step(sys)
 	}
 	for _, w := range waits {
 		if _, _, err := w(); err != nil {
@@ -95,7 +96,8 @@ func (s *stallSub) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*st
 // pipeline slot both observe Close. The undispatched epoch's requests fail
 // with ErrClosed instead of blocking forever on an un-cancellable send;
 // Close returns once the wedged partition is released, and the dispatched
-// epoch still answers.
+// epoch still answers. On a ticked engine, a Flush waiting for a tick
+// observes Close and Crash.
 func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	stalled := newStallSub()
 	subs := []SubORAMClient{stalled, suboram.New(suboram.Config{BlockSize: testBlock})}
@@ -194,10 +196,118 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close never returned")
 	}
+
+	// On a ticked engine, a Flush waiting for a tick that never comes
+	// returns once the system closes or crashes.
+	for _, stop := range []func(*System){(*System).Close, (*System).Crash} {
+		sys = startSystem(t, Config{Ticks: make(chan time.Time)}, localSubs(2), 4)
+		flushed := flushAsync()
+		select {
+		case <-flushed:
+			t.Fatal("Flush on a ticked engine returned with no tick")
+		case <-time.After(20 * time.Millisecond):
+		}
+		stop(sys)
+		select {
+		case <-flushed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Flush waiting for a tick never observed Close or Crash")
+		}
+	}
+}
+
+// tagLog records the epoch of every delivery its partition receives.
+type tagLog struct {
+	SubORAMClient
+	mu     sync.Mutex
+	epochs []uint64
+}
+
+func (l *tagLog) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	l.mu.Lock()
+	l.epochs = append(l.epochs, tag.Epoch)
+	l.mu.Unlock()
+	return l.SubORAMClient.Deliver(tag, reqs)
+}
+
+// TestTickerStoreHasOneEpochSource: a ticked engine starts an epoch on a
+// tick and on nothing else. While the test sends k ticks, several
+// goroutines make m Flush calls, most of them between ticks. Every
+// partition receives exactly k deliveries, tagged with the ticks' epochs
+// 1..k, and every Flush returns only once the epoch of the first tick after
+// the call has replied, so the request its caller submitted before it is
+// answered.
+func TestTickerStoreHasOneEpochSource(t *testing.T) {
+	const flushers, rounds = 3, 4 // m = 12
+	logs := []*tagLog{{SubORAMClient: localSubs(1)[0]}, {SubORAMClient: localSubs(1)[0]}}
+	ticks := make(chan time.Time)
+	sys := startSystem(t, Config{Ticks: ticks}, []SubORAMClient{logs[0], logs[1]}, 16)
+
+	var wg sync.WaitGroup
+	for g := 0; g < flushers; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := uint64(g*rounds + i)
+				w, err := sys.Submit(Request{Op: store.OpRead, Key: key})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// The first tick received after the call runs an epoch
+				// later than every one stage A has already taken.
+				after := staged(sys)
+				sys.Flush()
+				if got := sys.LastEpochStats().Epoch; got <= after {
+					t.Errorf("Flush returned with epoch %d replied; epoch %d was staged at the call", got, after)
+				}
+				if v, found, err := w(); err != nil || !found || trimmed(v) != fmt.Sprintf("init-%d", key) {
+					t.Errorf("read %d before Flush: %q %v %v", key, trimmed(v), found, err)
+				}
+				time.Sleep(time.Duration(g) * 300 * time.Microsecond)
+			}
+		}()
+	}
+	flushed := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(flushed)
+	}()
+	k := uint64(0)
+	for done := false; !done; {
+		select {
+		case <-flushed:
+			done = true
+		case ticks <- time.Now():
+			k++
+			time.Sleep(time.Millisecond)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sys.LastEpochStats().Epoch < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("epoch %d of the last tick never replied", k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sys.Close()
+
+	want := make([]uint64, k)
+	for i := range want {
+		want[i] = uint64(i + 1)
+	}
+	for p, l := range logs {
+		if fmt.Sprint(l.epochs) != fmt.Sprint(want) {
+			t.Fatalf("%d ticks and %d Flush calls: partition %d received deliveries for epochs %v, want %v",
+				k, flushers*rounds, p, l.epochs, want)
+		}
+	}
 }
 
 // TestPipelinedSoakWithStalledRemote hammers a ticker-driven (depth-2) system
-// with concurrent Flush, LastEpochStats, Health, and client traffic while
+// with concurrent Flush waits, LastEpochStats, Health, and client traffic while
 // one of three partitions is a remote whose connection stalls mid-drain
 // (faultnet StallAfter), then closes the system with requests still in
 // flight. Run under -race (scripts/check.sh), this is the memory-safety
@@ -235,7 +345,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32,
-		EpochDuration: 2 * time.Millisecond,
+		Ticks: every(t, 2*time.Millisecond),
 	}, subs)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +383,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 		}()
 	}
 	wg.Add(1)
-	go func() { // extra manual flushes racing the ticker
+	go func() { // Flush calls waiting on the ticker, racing Close
 		defer wg.Done()
 		for {
 			select {
@@ -324,7 +434,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	}
 }
 
-// TestTickerOverlapsEpochs pins the engine's depth rule. With its own
+// TestTickerOverlapsEpochs pins the engine's depth rule. Driven by a
 // ticker the engine keeps two epochs in flight: while partition 0 holds
 // epoch N in stage B, epoch N+1 reaches partition 1 before N replies, and
 // no third epoch is dispatched. Driven by Flush alone it runs one epoch at a
@@ -332,7 +442,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 func TestTickerOverlapsEpochs(t *testing.T) {
 	t.Run("ticker", func(t *testing.T) {
 		p0, p1 := newStallSub(), newStallSub()
-		startSystem(t, Config{EpochDuration: time.Millisecond}, []SubORAMClient{p0, p1}, 8)
+		startSystem(t, Config{Ticks: every(t, time.Millisecond)}, []SubORAMClient{p0, p1}, 8)
 		defer close(p0.release) // before the Close that startSystem registered
 		p0.stall.Store(true)
 		<-p0.entered

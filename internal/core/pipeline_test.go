@@ -13,7 +13,7 @@ import (
 
 func TestPipelinedBasicCorrectness(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: 2 * time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, 2*time.Millisecond),
 	}, localSubs(3), 100)
 	if _, _, err := write(sys, 7, []byte("pipelined")); err != nil {
 		t.Fatal(err)
@@ -25,12 +25,12 @@ func TestPipelinedBasicCorrectness(t *testing.T) {
 }
 
 func TestPipelinedManualFlushDispatches(t *testing.T) {
-	sys := startSystem(t, Config{EpochDuration: neverTicks}, localSubs(2), 20)
+	sys := startSystem(t, Config{Ticks: ticksFor(tickerDepth)}, localSubs(2), 20)
 	get, err := sys.Submit(Request{Op: store.OpRead, Key: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush() // returns after dispatch; completion happens in the sequencer
+	step(sys) // returns after dispatch; completion happens in the sequencer
 	v, found, err := get()
 	if err != nil || !found || trimmed(v) != "init-5" {
 		t.Fatalf("pipelined manual flush: %q %v %v", trimmed(v), found, err)
@@ -40,7 +40,7 @@ func TestPipelinedManualFlushDispatches(t *testing.T) {
 func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 	// Writes dispatched in consecutive epochs must apply in epoch order
 	// even while stages overlap.
-	sys := startSystem(t, Config{NumLoadBalancers: 1, EpochDuration: neverTicks}, localSubs(2), 30)
+	sys := startSystem(t, Config{NumLoadBalancers: 1, Ticks: ticksFor(tickerDepth)}, localSubs(2), 30)
 	var waits []func() ([]byte, bool, error)
 	for e := 0; e < 6; e++ {
 		w, err := sys.Submit(Request{Op: store.OpWrite, Key: 3, Value: []byte(fmt.Sprintf("e%d", e))})
@@ -48,7 +48,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		waits = append(waits, w)
-		sys.Flush() // one write per epoch, dispatched back-to-back
+		step(sys) // one write per epoch, dispatched back-to-back
 	}
 	for _, w := range waits {
 		if _, _, err := w(); err != nil {
@@ -59,7 +59,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush()
+	step(sys)
 	v, _, err := get()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestPipelinedOverlappingEpochsKeepOrder(t *testing.T) {
 
 func TestPipelinedLinearizable(t *testing.T) {
 	sys := startSystem(t, Config{
-		NumLoadBalancers: 2, EpochDuration: time.Millisecond,
+		NumLoadBalancers: 2, Ticks: every(t, time.Millisecond),
 	}, localSubs(3), 8)
 	initial := map[uint64]string{}
 	for i := uint64(0); i < 8; i++ {
@@ -121,7 +121,7 @@ func TestPipelinedLinearizable(t *testing.T) {
 
 func TestPipelinedCloseDrains(t *testing.T) {
 	sys, err := NewWithSubORAMs(Config{
-		BlockSize: testBlock, Lambda: 32, EpochDuration: neverTicks,
+		BlockSize: testBlock, Lambda: 32, Ticks: ticksFor(tickerDepth),
 	}, localSubs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestPipelinedCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush()
+	step(sys)
 	sys.Close() // must drain the dispatched epoch, then fail the rest
 	if _, _, err := get(); err != nil {
 		t.Fatalf("dispatched request should complete through Close: %v", err)

@@ -46,13 +46,15 @@ func TestKneeCrossValidatesModel(t *testing.T) {
 	}
 
 	open := func() (loadgen.Store, func(), error) {
+		tk := time.NewTicker(epoch)
 		sys, err := core.NewWithSubORAMs(core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: lbs,
 			Lambda:           lambda,
-			EpochDuration:    epoch,
+			Ticks:            tk.C,
 		}, localSubs(subs, block, nil))
 		if err != nil {
+			tk.Stop()
 			return nil, nil, err
 		}
 		const n = 256
@@ -63,9 +65,10 @@ func TestKneeCrossValidatesModel(t *testing.T) {
 		}
 		if err := sys.Init(ids, data); err != nil {
 			sys.Close()
+			tk.Stop()
 			return nil, nil, err
 		}
-		return coreStore{sys}, func() { sys.Close() }, nil
+		return coreStore{sys}, func() { sys.Close(); tk.Stop() }, nil
 	}
 
 	base := loadgen.Config{

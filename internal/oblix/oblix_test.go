@@ -141,9 +141,10 @@ func TestOblixShardsInFullSystem(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		subs = append(subs, NewSubORAM(block))
 	}
+	tk := time.NewTicker(2 * time.Millisecond)
+	defer tk.Stop()
 	sys, err := core.NewWithSubORAMs(core.Config{
-		BlockSize: block, NumLoadBalancers: 2, Lambda: 32,
-		EpochDuration: 2 * time.Millisecond,
+		BlockSize: block, NumLoadBalancers: 2, Lambda: 32, Ticks: tk.C,
 	}, subs)
 	if err != nil {
 		t.Fatal(err)

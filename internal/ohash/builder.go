@@ -1,9 +1,6 @@
 package ohash
 
 import (
-	"fmt"
-
-	"snoopy/internal/crypt"
 	"snoopy/internal/store"
 )
 
@@ -91,14 +88,11 @@ func ensureBits(buf *[]uint8, n int) []uint8 {
 // is refused. The input is not modified. The returned table is valid only
 // until the next Build call.
 func (b *Builder) Build(reqs *store.Requests) (*Table, error) {
+	k, err := batchKey(reqs)
+	if err != nil {
+		return nil, err
+	}
 	n := reqs.Len()
-	if n == 0 {
-		return nil, errEmptyBatch
-	}
-	k := crypt.SipKey(reqs.KeyStamp(0))
-	if k == (crypt.SipKey{}) {
-		return nil, fmt.Errorf("%w: no table key", ErrOrder)
-	}
 	g := b.geometry(n)
 	b.tbl = Table{Geom: g, K: k, pool: b.p.pool()}
 	t := &b.tbl

@@ -130,6 +130,61 @@ type Table struct {
 
 var errEmptyBatch = fmt.Errorf("ohash: empty batch")
 
+// batchKey is the table key a batch declares, refusing an empty or unkeyed
+// one.
+func batchKey(reqs *store.Requests) (crypt.SipKey, error) {
+	if reqs.Len() == 0 {
+		return crypt.SipKey{}, errEmptyBatch
+	}
+	k := crypt.SipKey(reqs.KeyStamp(0))
+	if k == (crypt.SipKey{}) {
+		return k, fmt.Errorf("%w: no table key", ErrOrder)
+	}
+	return k, nil
+}
+
+// CheckOrder refuses, as Build does, a batch that is empty, unkeyed or not
+// in the table order its key declares: for a caller that must not hand on a
+// delivery its partitions would refuse.
+func CheckOrder(reqs *store.Requests) error {
+	k, err := batchKey(reqs)
+	if err != nil {
+		return err
+	}
+	c := orderCheck{k: k, prevReal: 1}
+	for i := 0; i < reqs.Len(); i++ {
+		c.row(reqs, i)
+	}
+	if c.bad != 0 {
+		return ErrOrder
+	}
+	return nil
+}
+
+// orderCheck folds a batch's rows, in order, into the branch-free order
+// check: a real row follows a real row it strictly exceeds in table order,
+// and every row carries the key k.
+type orderCheck struct {
+	k        crypt.SipKey
+	bad      uint8
+	prevH    uint32
+	prevKey  uint64
+	prevReal uint8
+}
+
+// row folds row i of r and returns its hash under k and its real bit.
+func (c *orderCheck) row(r *store.Requests, i int) (h uint32, real uint8) {
+	key := r.Key[i]
+	real = obliv.Not(store.DummyMark(key))
+	h = Hash(c.k, key)
+	_, b := bits.Sub64(c.prevKey, key, 0) // borrows iff (prevH, prevKey) < (h, key)
+	_, b = bits.Sub64(uint64(c.prevH), uint64(h), b)
+	c.bad |= real & obliv.Not(obliv.Or(obliv.EqU64(uint64(i), 0), c.prevReal&uint8(b)))
+	c.bad |= obliv.NeqU64((r.Seq[i]^c.k[0])|(r.Client[i]^c.k[1]), 0)
+	c.prevH, c.prevKey, c.prevReal = h, key, real
+	return h, real
+}
+
 // build runs the oblivious construction in place: t.Tier1 arrives holding
 // the n batch rows and t.Tier2 sized for the tier-2 candidates, both zeroed
 // through their table size (see Builder); spill and keep are n-row scratch.
@@ -146,24 +201,14 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 	t1.Rec, t2.Rec, spill.Rec = rec, rec, rec
 
 	// ---- Tier 1 ----
-	// One pass checks the order branch-free and buckets the rows: a real row
-	// follows a real row it strictly exceeds in table order, and every row
-	// carries the key.
-	var bad uint8
-	prevH, prevKey, prevReal := uint32(0), uint64(0), uint8(1)
+	// One pass checks the order branch-free and buckets the rows.
+	order := orderCheck{k: t.K, prevReal: 1}
 	for i := 0; i < n; i++ {
-		key := t1.Key[i]
-		real := obliv.Not(store.DummyMark(key))
-		h := Hash(t.K, key)
-		_, b := bits.Sub64(prevKey, key, 0) // borrows iff (prevH, prevKey) < (h, key)
-		_, b = bits.Sub64(uint64(prevH), uint64(h), b)
-		bad |= real & obliv.Not(obliv.Or(obliv.EqU64(uint64(i), 0), prevReal&uint8(b)))
-		bad |= obliv.NeqU64((t1.Seq[i]^t.K[0])|(t1.Client[i]^t.K[1]), 0)
+		h, real := order.row(t1, i)
 		t1.Sub[i] = uint32(obliv.SelectU64(real, uint64(g.B1), uint64(h)*uint64(g.B1)>>32))
 		t1.Tag[i] = real
-		prevH, prevKey, prevReal = h, key, real
 	}
-	if bad != 0 {
+	if order.bad != 0 {
 		return ErrOrder
 	}
 	markRuns(t1.Sub, g.Z1, keep)

@@ -147,7 +147,8 @@ func TestBuildWithLoadBalancerDummies(t *testing.T) {
 
 // TestBuildRefusesMisorderedBatch is the order check's negative control: a
 // batch with two real rows swapped, a real row after a dummy, rows under
-// two keys, or no key at all is refused; the batch as sent builds.
+// two keys, or no key at all is refused, by Build and by CheckOrder alike;
+// the batch as sent passes both.
 func TestBuildRefusesMisorderedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	k := crypt.SipKey{7, 8}
@@ -163,6 +164,9 @@ func TestBuildRefusesMisorderedBatch(t *testing.T) {
 	b := NewBuilder(DefaultParams())
 	if _, err := b.Build(base); err != nil {
 		t.Fatalf("the batch as sent: %v", err)
+	}
+	if err := CheckOrder(base); err != nil {
+		t.Fatalf("the batch as sent: CheckOrder says %v", err)
 	}
 	swap := func(r *store.Requests, i, j int) {
 		tmp := r.Clone()
@@ -183,6 +187,9 @@ func TestBuildRefusesMisorderedBatch(t *testing.T) {
 		c.mend(r)
 		if _, err := b.Build(r); !errors.Is(err, ErrOrder) {
 			t.Fatalf("%s: Build says %v, want ErrOrder", c.name, err)
+		}
+		if err := CheckOrder(r); !errors.Is(err, ErrOrder) {
+			t.Fatalf("%s: CheckOrder says %v, want ErrOrder", c.name, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"snoopy/internal/crypt"
 	"snoopy/internal/hostfs"
+	"snoopy/internal/ohash"
 	"snoopy/internal/segstore"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
@@ -354,9 +355,10 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // makes it durable as one epoch before answering: one image commit (disk),
 // or one wal record synced while the partition scans (memory), then one
 // counter bump. A partition error in the disk placement (the image may have
-// committed) and a failed wal write or counter bump leave the Durable
-// refusing deliveries until reopened at the delivery's start. The returned
-// slice is valid until the next call. The tag is handed to the partition;
+// committed; a batch out of table order is refused before any write) and a
+// failed wal write or counter bump leave the Durable refusing deliveries
+// until reopened at the delivery's start. The returned slice is valid until
+// the next call. The tag is handed to the partition;
 // the epoch counted here is the Durable's own.
 func (dur *Durable) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	dur.mu.Lock()
@@ -386,7 +388,9 @@ func (dur *Durable) deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*s
 			err = fmt.Errorf("persist: the delivery left the image at store epoch %d, want %d", got, before+1)
 		}
 		if err != nil {
-			dur.broken = err
+			if !errors.Is(err, ohash.ErrOrder) { // refused before any write
+				dur.broken = err
+			}
 			return nil, err
 		}
 		return outs, dur.ack()

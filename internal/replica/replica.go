@@ -36,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"snoopy/internal/ohash"
 	"snoopy/internal/store"
 	"snoopy/internal/telemetry"
 )
@@ -309,10 +310,11 @@ func (g *Group) WaitIdle(i int) {
 	}
 }
 
-// Deliver queues the delivery to every member at the next counter epoch —
-// one increment per delivery, whatever its batch count — and returns the
-// first fresh reply once n − f members have answered and one answer is
-// fresh. A stale member answers, not fresh, as the delivery is queued, so
+// Deliver refuses a delivery with a batch out of table order (ohash.ErrOrder)
+// before it takes a counter epoch. It queues any other to every member at
+// the next counter epoch — one increment per delivery, whatever its batch
+// count — and returns the first fresh reply once n − f members have
+// answered and one answer is fresh. A stale member answers, not fresh, as the delivery is queued, so
 // only current members are waited on. It returns ErrNoQuorum only when
 // every member resolved the delivery without a fresh reply. Every fresh
 // reply, including those arriving after the return, is checked against the
@@ -321,6 +323,13 @@ func (g *Group) WaitIdle(i int) {
 func (g *Group) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if g.diverged.Load() {
 		return nil, ErrDivergence
+	}
+	// A batch every member would refuse must not take a counter epoch: no
+	// member would reach it, so every member would be stale, with no donor.
+	for _, r := range reqs {
+		if err := ohash.CheckOrder(r); err != nil {
+			return nil, err
+		}
 	}
 	// Each member reads its own copy: the caller may reuse reqs' storage as
 	// soon as this returns, while members behind the quorum still need it.

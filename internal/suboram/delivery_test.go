@@ -126,7 +126,16 @@ var kinds = []kind{
 			}
 			return data, epochs
 		}
-	}, replica.ErrNoQuorum},
+	}, ohash.ErrOrder},
+}
+
+// advance is epochs one further.
+func advance(epochs []uint64) []uint64 {
+	out := make([]uint64, len(epochs))
+	for i, e := range epochs {
+		out[i] = e + 1
+	}
+	return out
 }
 
 func blockOf(id uint64, version int) []byte {
@@ -147,7 +156,8 @@ func oneRow(op uint8, key uint64, value []byte) *store.Requests {
 // L = 2 delivery that passes — its batches applied in order, the second
 // seeing the first's write, the partition's epochs one further — and then
 // one whose second batch the partition refuses (its table key cleared, so
-// the order check fails): that one changes no value and no epoch.
+// the order check fails): that one changes no value and no epoch, and the
+// next delivery applies, reading the first one's write.
 func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -172,10 +182,8 @@ func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
 				t.Fatalf("second batch read %q, want the first batch's write", got)
 			}
 			before, e1 := state()
-			for i := range e1 {
-				if e1[i] != e0[i]+1 {
-					t.Fatalf("a two-batch delivery moved epochs %v to %v, want one epoch", e0, e1)
-				}
+			if fmt.Sprint(e1) != fmt.Sprint(advance(e0)) {
+				t.Fatalf("a two-batch delivery moved epochs %v to %v, want one epoch", e0, e1)
 			}
 
 			unkeyed := oneRow(store.OpRead, 9, nil)
@@ -187,6 +195,19 @@ func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
 			}
 			if after, e2 := state(); !bytes.Equal(after, before) || fmt.Sprint(e2) != fmt.Sprint(e1) {
 				t.Fatalf("a refused delivery changed the partition (epochs %v to %v)", e1, e2)
+			}
+
+			// The partition keeps serving: the next delivery applies, one
+			// epoch further, and reads the first delivery's write.
+			outs, err = p.Deliver(store.DeliveryTag{Stream: 1, Epoch: 3}, []*store.Requests{oneRow(store.OpRead, 6, nil)})
+			if err != nil {
+				t.Fatalf("delivery after a refused one: %v", err)
+			}
+			if got := outs[0].Block(0); !bytes.Equal(got, blockOf(6, 1)) {
+				t.Fatalf("delivery after a refused one read %q, want the first delivery's write", got)
+			}
+			if _, e3 := state(); fmt.Sprint(e3) != fmt.Sprint(advance(e1)) {
+				t.Fatalf("delivery after a refused one moved epochs %v to %v, want one epoch", e1, e3)
 			}
 		})
 	}

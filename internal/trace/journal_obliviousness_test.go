@@ -46,25 +46,23 @@ func (c *crashAfter) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*
 }
 
 // engines are the epoch engines the journal suites run: driven by Flush
-// alone (D = 1), and with a ticker that never fires within a test, so that
-// Flush still drives every epoch at the ticker depth D = 2. The D = 2
-// subtests keep the label "depth=4" from when the depth was a setting and
-// these ran at 4, so their test IDs stay comparable across the change.
+// (D = 1), and by ticks the test sends, each run by the engine's tick loop
+// as a production ticker's is (D = 2).
 var engines = []struct {
-	label string
-	epoch time.Duration
-}{{"depth=1", 0}, {"depth=4", time.Hour}}
+	label  string
+	ticked bool
+}{{"depth=1", false}, {"depth=2", true}}
 
 // journalWorkload drives a journaling deployment with secrets derived from
 // seed: epochs × perEpoch idempotent requests against tagged partitions,
 // with the root crashed at the "dispatch" point of crashEpoch and a
 // standby promoted over the same journal directory (replaying the epoch
 // and answering the clients' retries from its reply window). Both
-// incarnations run the engine driven by epoch (engines). Returns the exported
+// incarnations run the engine ticked or not (engines). Returns the exported
 // /metrics and /trace/epochs bytes, the telemetry trace, and the two
 // incarnations' journal I/O recorders.
 func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
-	crashEpoch uint64, epoch time.Duration) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
+	crashEpoch uint64, ticked bool) ([]byte, []byte, *telemetry.TraceSink, *trace.Recorder, *trace.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -82,6 +80,7 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 	}
 	recPrimary, recStandby := trace.New(), trace.New()
 	var sys *core.System
+	var ticks chan time.Time // the open incarnation's epoch source, when ticked
 	open := func(rec *trace.Recorder) *core.System {
 		clients := make([]core.SubORAMClient, parts)
 		for i := range clients {
@@ -92,12 +91,16 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			// same epoch and protocol point.
 			clients[0] = &crashAfter{LocalTagged: transport.NewLocalTagged(subs[0], rcs[0]), root: &sys, crash: crashEpoch}
 		}
+		ticks = nil
+		if ticked {
+			ticks = make(chan time.Time)
+		}
 		s, err := core.NewWithSubORAMs(core.Config{
 			BlockSize:        block,
 			NumLoadBalancers: 1,
 			Lambda:           32,
 			SortWorkers:      1,
-			EpochDuration:    epoch,
+			Ticks:            ticks,
 			JournalDir:       dir,
 			JournalRec:       rec,
 			Telemetry:        reg,
@@ -168,9 +171,13 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 			waits = append(waits, p)
 		}
 		published := sys.LastEpochStats().Epoch
-		sys.Flush()
-		// Resolve the epoch before looking at the root: with epochs in
-		// flight a "dispatch" crash lands after Flush returns.
+		if ticks != nil {
+			ticks <- time.Now()
+		} else {
+			sys.Flush()
+		}
+		// Resolve the epoch before looking at the root: a "dispatch" crash
+		// lands after the tick is taken.
 		errs := make([]error, len(waits))
 		for i, p := range waits {
 			_, _, errs[i] = p.wait()
@@ -235,15 +242,15 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 // host-visible I/O and telemetry across secret-differing workloads.
 func TestJournalTraceIndependentOfSecrets(t *testing.T) {
 	for _, e := range engines {
-		t.Run(e.label, func(t *testing.T) { testJournalTraceIndependentOfSecrets(t, e.epoch) })
+		t.Run(e.label, func(t *testing.T) { testJournalTraceIndependentOfSecrets(t, e.ticked) })
 	}
 }
 
-func testJournalTraceIndependentOfSecrets(t *testing.T, epoch time.Duration) {
+func testJournalTraceIndependentOfSecrets(t *testing.T, ticked bool) {
 	const epochs, perEpoch = 4, 24
 	const crashEpoch = 2
-	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch, epoch)
-	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch, epoch)
+	metricsA, spansA, sinkA, priA, stbA := journalWorkload(t, 1001, t.TempDir(), epochs, perEpoch, crashEpoch, ticked)
+	metricsB, spansB, sinkB, priB, stbB := journalWorkload(t, 2002, t.TempDir(), epochs, perEpoch, crashEpoch, ticked)
 
 	if priA.Count() == 0 || stbA.Count() == 0 {
 		t.Fatalf("journal I/O not captured (primary %d, standby %d events)", priA.Count(), stbA.Count())
@@ -287,8 +294,8 @@ func TestJournalTraceCrashFreeRunsMatch(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.label, func(t *testing.T) {
 			const epochs, perEpoch = 3, 16
-			_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0, e.epoch)
-			_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0, e.epoch)
+			_, _, _, priA, stbA := journalWorkload(t, 3003, t.TempDir(), epochs, perEpoch, 0, e.ticked)
+			_, _, _, priB, stbB := journalWorkload(t, 4004, t.TempDir(), epochs, perEpoch, 0, e.ticked)
 			if priA.Count() == 0 {
 				t.Fatal("journal I/O not captured")
 			}

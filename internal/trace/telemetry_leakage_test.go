@@ -33,7 +33,9 @@ import (
 // telemetryWorkload drives a deployment with secrets derived from seed:
 // epochs × perEpoch requests, half reads, half writes, with duplicate keys
 // sprinkled in (dedup depth is secret). Returns the exported /metrics body,
-// the /trace/epochs body, and the raw recording-site trace.
+// the /trace/epochs body, and the raw recording-site trace. A cfg with Ticks
+// set runs ticked, on a tick channel of the workload's own that it ticks
+// once per epoch.
 func telemetryWorkload(t *testing.T, cfg core.Config, parts local, seed int64, epochs, perEpoch int) ([]byte, []byte, *telemetry.TraceSink) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -43,6 +45,11 @@ func telemetryWorkload(t *testing.T, cfg core.Config, parts local, seed int64, e
 	sink := telemetry.NewTraceSink()
 	reg.SetTrace(sink)
 	cfg.Telemetry = reg
+	var ticks chan time.Time
+	if cfg.Ticks != nil {
+		ticks = make(chan time.Time)
+		cfg.Ticks = ticks
+	}
 
 	sys := parts.open(t, cfg)
 	defer sys.Close()
@@ -91,14 +98,19 @@ func telemetryWorkload(t *testing.T, cfg core.Config, parts local, seed int64, e
 			}
 			waits = append(waits, w)
 		}
-		sys.Flush()
-		if cfg.EpochDuration > 0 {
+		if ticks != nil {
 			// Overlapped engine: let epochs pile up in the pipeline and
 			// drain at the end, so stages genuinely overlap while the
-			// trace is captured.
+			// trace is captured. The tick's epoch has taken every request
+			// submitted so far once each load balancer has batched it.
+			ticks <- time.Now()
+			for reg.Counter("lb_batches_total").Value() < uint64((e+1)*cfg.NumLoadBalancers) {
+				time.Sleep(10 * time.Microsecond)
+			}
 			pending = append(pending, waits...)
 			continue
 		}
+		sys.Flush()
 		for _, w := range waits {
 			if _, _, err := w(); err != nil {
 				t.Fatal(err)
@@ -280,10 +292,10 @@ func TestTelemetryTraceIndependentOfSecretsParallel(t *testing.T) {
 	}, local{n: 4, workers: 2}, 4, 48)
 }
 
-// TestTelemetryTraceIndependentOfSecretsPipelined: the ticker-driven epoch
-// engine (D = 2; the ticker never fires, Flush drives every epoch) with
-// epochs deliberately left in flight so stage A of later epochs runs while
-// stage B/C of earlier ones drain. The
+// TestTelemetryTraceIndependentOfSecretsPipelined: the ticked epoch engine
+// (D = 2; the test sends every tick) with epochs deliberately left in
+// flight so stage A of later epochs runs while stage B/C of earlier ones
+// drain. The
 // dispatch schedule, the per-stage spans, the depth gauge, and the
 // monotone epoch-gauge updates must all stay functions of public
 // parameters: byte-identical /metrics and /trace/epochs, identical
@@ -295,7 +307,7 @@ func TestTelemetryTraceIndependentOfSecretsPipelined(t *testing.T) {
 		NumLoadBalancers: 2,
 		Lambda:           32,
 		SortWorkers:      2,
-		EpochDuration:    time.Hour,
+		Ticks:            make(chan time.Time), // ticked: telemetryWorkload ticks its own
 	}, local{n: 4, workers: 2}, 6, 48)
 }
 

@@ -199,9 +199,9 @@ func TestRemoteDeliveryTagAdoption(t *testing.T) {
 // a successor root replays every epoch its predecessor had in flight, so the
 // window must answer at least that many deliveries again.
 func TestReplayWindowCoversEpochsInFlight(t *testing.T) {
-	for _, epoch := range []time.Duration{0, time.Hour} {
+	for _, ticks := range []<-chan time.Time{nil, make(chan time.Time)} {
 		reg := telemetry.NewRegistry()
-		sys, err := core.NewWithSubORAMs(core.Config{BlockSize: testBlock, EpochDuration: epoch, Telemetry: reg},
+		sys, err := core.NewWithSubORAMs(core.Config{BlockSize: testBlock, Ticks: ticks, Telemetry: reg},
 			[]core.SubORAMClient{suboram.New(suboram.Config{BlockSize: testBlock})})
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestReplayWindowCoversEpochsInFlight(t *testing.T) {
 		sys.Close()
 		depth := reg.Gauge("snoopy_config_pipeline_depth").Value()
 		if depth < 1 || depth > replayWindow {
-			t.Fatalf("epoch %v: %d epochs in flight, replay window %d", epoch, depth, replayWindow)
+			t.Fatalf("ticked=%v: %d epochs in flight, replay window %d", ticks != nil, depth, replayWindow)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func (o Options) withDefaults() Options {
 }
 
 // OptionsForEpoch derives RPC deadlines from the deployment's public epoch
-// duration (core.Config.EpochDuration): a batch that takes much longer
+// duration (snoopy.Config.Epoch): a batch that takes much longer
 // than a handful of epochs is stuck, not slow. The floor keeps short-epoch
 // deployments from timing out on honest large batches.
 func OptionsForEpoch(epoch time.Duration) Options {

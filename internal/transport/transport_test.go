@@ -155,9 +155,10 @@ func TestFullSystemOverTCP(t *testing.T) {
 		defer r.Close()
 		subs = append(subs, r)
 	}
+	tk := time.NewTicker(2 * time.Millisecond)
+	defer tk.Stop()
 	sys, err := core.NewWithSubORAMs(core.Config{
-		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32,
-		EpochDuration: 2 * time.Millisecond,
+		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32, Ticks: tk.C,
 	}, subs)
 	if err != nil {
 		t.Fatal(err)

@@ -60,15 +60,18 @@ trap - EXIT
 scripts/traffic.sh smoke
 
 # Focused re-run of the epoch engine's highest-risk surface: the depth
-# rule (a ticker engine overlaps two epochs, a Flush-driven one returns
-# after its epoch replied), the Flush/Close/stats soak on a ticker engine
-# with a faultnet-stalled partition mid-drain, the Flush/Close liveness
-# test at depth 1, arena isolation across epochs in flight, the zero-alloc
-# stage-B dispatch, and the leakage suite with epochs left in flight. These
-# run above as part of their packages; re-running them -count=2 shakes out
-# schedule-dependent interleavings the single pass can miss.
+# rule (a ticked engine overlaps two epochs, a Flush-driven one returns
+# after its epoch replied), one epoch source per ticked engine (k ticks
+# against concurrent Flush calls make exactly k deliveries), the soak of
+# ticks, Flush waits, Close and stats with a faultnet-stalled partition
+# mid-drain, the Flush/Close liveness test at depth 1 and for a Flush
+# waiting on a tick, arena isolation across epochs in flight, the
+# zero-alloc stage-B dispatch, and the leakage suite with epochs left in
+# flight. These run above as part of their packages; re-running them
+# -count=2 shakes out schedule-dependent interleavings the single pass can
+# miss.
 go test -race -timeout 15m -count=2 \
-  -run 'TestTickerOverlapsEpochs|TestPipelinedSoakWithStalledRemote|TestFlushBlockedOnDepthUnblocksOnClose|TestPipelinedEpochsArenaIsolation|TestPartStageBZeroAlloc' \
+  -run 'TestTickerOverlapsEpochs|TestTickerStoreHasOneEpochSource|TestPipelinedSoakWithStalledRemote|TestFlushBlockedOnDepthUnblocksOnClose|TestPipelinedEpochsArenaIsolation|TestPartStageBZeroAlloc' \
   ./internal/core/
 go test -race -timeout 15m -count=2 \
   -run 'TestTelemetryTraceIndependentOfSecretsPipelined' \
@@ -87,7 +90,8 @@ go test -race -timeout 15m -count=2 \
 # and OpenWithSubORAMs taking a SubORAM without Deliver only at L = 1, and
 # the delivery as a partition's one unit: applied whole or not at all by
 # every kind of partition (plain and sealed suboram, Durable in memory and
-# on disk, remote, replica.Group), one wal record or image commit and one
+# on disk, remote, replica.Group), each serving the next delivery after one
+# it refused, one wal record or image commit and one
 # counter bump in persist, whose crash points never reopen between a
 # delivery's batches.
 # Schedule-sensitive by construction (promotion races a probing watchdog),

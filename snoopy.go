@@ -58,14 +58,13 @@ type Config struct {
 	// Lambda is the security parameter in bits for batch sizing (default
 	// 128).
 	Lambda int
-	// Epoch is the batching interval. Zero means epochs run only when
-	// Flush is called. It also sets how many epochs may be in flight (paper
-	// §6 pipelines load-balancer and subORAM processing): with a ticker,
-	// stage A of epoch N+1 may start while epoch N is still at the
-	// partitions, two epochs in flight; without one, epochs run one at a
-	// time and Flush returns after its epoch replied. Either way the
-	// schedule is a function of public configuration only, never of request
-	// contents.
+	// Epoch is the batching interval. Above zero, a ticker of that period
+	// is the store's one epoch source: every tick runs one epoch, idle or
+	// not, with up to two epochs in flight (paper §6 pipelines
+	// load-balancer and subORAM processing), and Flush starts nothing, so
+	// when epochs start is a function of public configuration only. Zero
+	// runs an epoch only when Flush is called, one at a time: the schedule
+	// is then the caller's, and visible on the wire.
 	Epoch time.Duration
 	// Sealed keeps partitions in enclave-external authenticated-encrypted
 	// memory (the paper's §7 deployment mode): the segment store over host
@@ -140,7 +139,7 @@ type FailoverFunc func(part int, old SubORAM) (SubORAM, error)
 // Store is a running Snoopy deployment.
 type Store struct {
 	sys       *core.System
-	closers   []func() error // Open's partitions, closed after the engine drains
+	closers   []func() error // Open's partitions and the epoch ticker, closed after the engine drains
 	recovered bool           // some partition restored state from DataDir
 }
 
@@ -225,8 +224,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 		subs[i], st.recovered, st.closers = sub, st.recovered || recovered, append(st.closers, closer)
 	}
-	var err error
-	if st.sys, err = newRoot(cfg, subs, routeKey); err != nil {
+	if err := st.startRoot(cfg, subs, routeKey); err != nil {
 		st.closeParts()
 		return nil, err
 	}
@@ -236,21 +234,23 @@ func Open(cfg Config) (*Store, error) {
 // OpenWithSubORAMs starts a deployment over caller-provided partitions —
 // typically transport.RemoteSubORAM handles from DialSubORAM.
 func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
-	sys, err := newRoot(cfg, subs, nil)
-	if err != nil {
+	st := &Store{}
+	if err := st.startRoot(cfg, subs, nil); err != nil {
+		st.closeParts()
 		return nil, err
 	}
-	return &Store{sys: sys}, nil
+	return st, nil
 }
 
-// newRoot starts the root over subs, routing by routeKey when it is set.
-func newRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) (*core.System, error) {
+// startRoot starts the store's root over subs, routing by routeKey when it
+// is set, and its epoch ticker when cfg.Epoch > 0.
+func (st *Store) startRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) error {
 	lbs := max(cfg.LoadBalancers, 1)
 	parts := make([]core.SubORAMClient, len(subs))
 	for i, sub := range subs {
 		var err error
 		if parts[i], err = partition(sub, lbs); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	var failover core.FailoverFunc
@@ -267,16 +267,23 @@ func newRoot(cfg Config, subs []SubORAM, routeKey *crypt.Key) (*core.System, err
 			return partition(repl, lbs)
 		}
 	}
-	return core.NewWithSubORAMs(core.Config{
+	var ticks <-chan time.Time
+	if cfg.Epoch > 0 {
+		t := time.NewTicker(cfg.Epoch)
+		st.closers, ticks = append(st.closers, func() error { t.Stop(); return nil }), t.C
+	}
+	var err error
+	st.sys, err = core.NewWithSubORAMs(core.Config{
 		BlockSize:        cfg.BlockSize,
 		NumLoadBalancers: lbs,
 		Lambda:           cfg.Lambda,
-		EpochDuration:    cfg.Epoch,
+		Ticks:            ticks,
 		JournalDir:       cfg.JournalDir,
 		Failover:         failover,
 		Telemetry:        cfg.Telemetry,
 		RouteKey:         routeKey,
 	}, parts)
+	return err
 }
 
 // Load initializes the store's object set (call once, before requests).
@@ -340,9 +347,9 @@ func wait(w func() ([]byte, bool, error), err error) ([]byte, bool, error) {
 // never applied and the retry executes it exactly once.
 var ErrRootDown = core.ErrRootDown
 
-// Flush processes one epoch immediately (useful with Epoch == 0). Without a
-// ticker it returns after the epoch has replied; with one, once at most one
-// epoch is still in flight.
+// Flush, with Epoch == 0, runs one epoch and returns after it has replied.
+// With Epoch > 0 it starts nothing: it returns once the next tick's epoch
+// has replied, so every request submitted before the call is answered.
 func (s *Store) Flush() { s.sys.Flush() }
 
 // Stats returns the most recent epoch's timing breakdown.
@@ -377,7 +384,7 @@ func (s *Store) Close() {
 	s.closeParts()
 }
 
-// closeParts releases the partitions Open built.
+// closeParts releases the partitions Open built and stops the ticker.
 func (s *Store) closeParts() {
 	for _, c := range s.closers {
 		c()
