@@ -18,6 +18,7 @@ import (
 	"snoopy/internal/obladi"
 	"snoopy/internal/obliv"
 	"snoopy/internal/oblix"
+	"snoopy/internal/ohash"
 	"snoopy/internal/pathoram"
 	"snoopy/internal/plaintext"
 	"snoopy/internal/planner"
@@ -170,6 +171,7 @@ func BenchmarkSubORAMProcessBatch(b *testing.B) {
 				for i := 0; i < batchN; i++ {
 					reqs.SetRow(i, store.OpRead, uint64((i*131)%objects), 0, uint64(i), uint64(i), nil)
 				}
+				ohash.Order(reqs, crypt.MustNewSipKey()) // the table order a load balancer hands on
 				b.SetBytes(int64(objects * benchBlock))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -200,6 +202,7 @@ func BenchmarkSealedScan(b *testing.B) {
 			for i := 0; i < 256; i++ {
 				reqs.SetRow(i, store.OpRead, uint64(i*17%objects), 0, uint64(i), uint64(i), nil)
 			}
+			ohash.Order(reqs, crypt.MustNewSipKey())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sub.BatchAccess(reqs); err != nil {
@@ -467,8 +470,10 @@ func BenchmarkFusedAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBucket times the subORAM linear scan — per object: one
-// SipHash and one obliv.Buckets.Scan (key pass + block pass) per tier — at
+// BenchmarkScanBucket times the subORAM linear scan — per object: its lane of
+// an eight-lane SipHash step and its share of one obliv.Tiers.ScanRun call
+// per 64-object stripe (key passes and block pass over both tiers, pairs of
+// objects streaming a one-bucket tier 2 once) — at
 // the four (α, objects per partition) shapes of BENCHMARK.json's workloads
 // and one paper-like shape whose table outgrows L2. ns/object and ns/slot
 // come from the scan's own stopwatch (Stats.Scan): table build and
@@ -506,6 +511,7 @@ func BenchmarkScanBucket(b *testing.B) {
 				}
 				reqs.SetRow(i, uint8(i/2%2), key, 0, uint64(i), uint64(i), nil)
 			}
+			ohash.Order(reqs, crypt.MustNewSipKey())
 			var scan time.Duration
 			b.SetBytes(int64(shape.objects * benchBlock))
 			b.ResetTimer()

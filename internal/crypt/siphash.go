@@ -3,6 +3,8 @@ package crypt
 import (
 	"crypto/rand"
 	"encoding/binary"
+
+	"snoopy/internal/obliv"
 )
 
 // SipKey is a 128-bit key for SipHash-2-4.
@@ -96,4 +98,39 @@ func SipBuckets(k SipKey, id uint64, n1, n2 int) (b1, b2 uint32) {
 	}
 	v := SipHash(k, id)
 	return uint32((v >> 32) * uint64(n1) >> 32), uint32((v & (1<<32 - 1)) * uint64(n2) >> 32)
+}
+
+// SipBucketsN is SipBuckets over a run of identifiers: b1[i], b2[i] =
+// SipBuckets(k, ids[i], n1, n2) for every i, bit for bit. On the vector
+// bodies of the subORAM scan kernel (obliv.Kernel, the one CPUID probe) it
+// hashes eight identifiers a step, SipHash-2-4 in eight 64-bit lanes, and
+// reduces with 32×32-bit multiplies; the portable body, a range of 2³² or
+// more (where a 32-bit multiply would differ from SipBuckets' 64-bit one)
+// and the last len(ids) mod 8 identifiers take the scalar loop. Which body
+// runs is a function of the platform, len(ids), n1 and n2 only. b1 and b2
+// must hold len(ids) entries.
+func SipBucketsN(k SipKey, ids []uint64, n1, n2 int, b1, b2 []uint32) {
+	sipBucketsN(sipBody, k, ids, n1, n2, b1, b2)
+}
+
+// sipBody is the SipBucketsN body this process runs.
+var sipBody = obliv.Kernel()
+
+// sipBucketsN is SipBucketsN on the named body.
+func sipBucketsN(body string, k SipKey, ids []uint64, n1, n2 int, b1, b2 []uint32) {
+	if n1 <= 0 || n2 <= 0 {
+		panic("crypt: SipBuckets ranges must be positive")
+	}
+	b1, b2 = b1[:len(ids)], b2[:len(ids)]
+	i := 0
+	if body != "go" && uint64(n1) < 1<<32 && uint64(n2) < 1<<32 {
+		i = len(ids) &^ 7
+		if i > 0 {
+			v := [4]uint64{k[0] ^ 0x736f6d6570736575, k[1] ^ 0x646f72616e646f6d, k[0] ^ 0x6c7967656e657261, k[1] ^ 0x7465646279746573}
+			sipBuckets8(&v, &ids[0], i, uint64(n1), uint64(n2), &b1[0], &b2[0], body == "avx512vl")
+		}
+	}
+	for ; i < len(ids); i++ {
+		b1[i], b2[i] = SipBuckets(k, ids[i], n1, n2)
+	}
 }

@@ -3,7 +3,10 @@ package crypt
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
+
+	"snoopy/internal/obliv"
 )
 
 // TestSipHashVector checks against the reference test vectors from the
@@ -96,5 +99,52 @@ func TestSipBucketsJointlyUniform(t *testing.T) {
 		if b1, _ := SipBuckets(k, id, 1024, 25); b1 != SipBucket(k, id, 1024) {
 			t.Fatalf("id %d: first bucket %d, SipBucket says %d", id, b1, SipBucket(k, id, 1024))
 		}
+	}
+}
+
+// TestSipBucketsNMatchesSipBuckets: every body this host has gives
+// SipBuckets' buckets bit for bit, for runs of 0…130 identifiers (every
+// split into eight-lane steps and a scalar tail), random keys and
+// identifiers, and ranges at both ends of 32 bits — and past them, where the
+// vector bodies must fall back to the scalar loop.
+func TestSipBucketsNMatchesSipBuckets(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	ranges := []int{1, 2, 3, 1<<31 - 1, 1<<32 - 1, 1 << 32, math.MaxInt}
+	for _, body := range obliv.Kernels() {
+		for n := 0; n <= 130; n++ {
+			k := SipKey{r.Uint64(), r.Uint64()}
+			ids := make([]uint64, n)
+			for i := range ids {
+				ids[i] = r.Uint64() >> uint(r.Intn(64))
+			}
+			for _, n1 := range ranges {
+				n2 := ranges[r.Intn(len(ranges))]
+				b1, b2 := make([]uint32, n), make([]uint32, n)
+				sipBucketsN(body, k, ids, n1, n2, b1, b2)
+				for i, id := range ids {
+					w1, w2 := SipBuckets(k, id, n1, n2)
+					if b1[i] != w1 || b2[i] != w2 {
+						t.Fatalf("%s: n=%d ranges (%d, %d): id %d has buckets (%d, %d), SipBuckets gives (%d, %d)",
+							body, n, n1, n2, i, b1[i], b2[i], w1, w2)
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkSipBucketsN(b *testing.B) {
+	k, ids := MustNewSipKey(), make([]uint64, 64)
+	b1, b2 := make([]uint32, 64), make([]uint32, 64)
+	for i := range ids {
+		ids[i] = uint64(i) * 131
+	}
+	for _, body := range obliv.Kernels() {
+		b.Run(body, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sipBucketsN(body, k, ids, 845, 1, b1, b2)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/id")
+		})
 	}
 }

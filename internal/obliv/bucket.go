@@ -3,22 +3,22 @@ package obliv
 // Buckets is one tier of a hash table as the subORAM scan's kernel reads it:
 // the columnar request rows of n buckets of z slots each, slot j of bucket b
 // at row b·z + j, its value block at data[(b·z+j)·blockSize:]. Bind fixes
-// the shape; Scan runs one bucket against one stored object. A Buckets also
-// owns the per-slot mask scratch of the pass, so each scan worker needs its
-// own.
+// the shape. A Buckets also owns the per-slot mask scratch of the (at most
+// two) objects one step of Tiers.ScanRun scans, so each scan worker needs
+// its own.
 type Buckets struct {
 	key          []uint64
 	tag, op, aux []uint8
 	data         []byte
 	z, blockSize int
 	n            int      // buckets
-	mw, mrw      []uint64 // z mask words each, rewritten by every Scan
-	body         isa      // the kernel body Scan runs; unset means the platform's widest
+	mw, mrw      []uint64 // a step's first object's z mask words each
+	mwb, mrwb    []uint64 // its second object's, in a pair
 }
 
 // Bind points b at a tier's columns: len(key) rows in buckets of z slots,
-// blockSize bytes of data per row. The columns are aliased, not copied — Scan
-// writes aux and data in place. The mask scratch grows only when z does.
+// blockSize bytes of data per row. The columns are aliased, not copied — a
+// scan writes aux and data in place. The mask scratch grows only when z does.
 func (b *Buckets) Bind(key []uint64, tag, op, aux []uint8, data []byte, z, blockSize int) {
 	rows := len(key)
 	if z <= 0 || blockSize <= 0 || rows%z != 0 ||
@@ -28,12 +28,10 @@ func (b *Buckets) Bind(key []uint64, tag, op, aux []uint8, data []byte, z, block
 	b.key, b.tag, b.op, b.aux, b.data = key, tag, op, aux, data
 	b.z, b.blockSize, b.n = z, blockSize, rows/z
 	if cap(b.mw) < z {
-		b.mw, b.mrw = make([]uint64, z), make([]uint64, z)
+		m := make([]uint64, 4*z)
+		b.mw, b.mrw, b.mwb, b.mrwb = m[:z:z], m[z:2*z:2*z], m[2*z:3*z:3*z], m[3*z:]
 	}
-	b.mw, b.mrw = b.mw[:z], b.mrw[:z]
-	if b.body == 0 {
-		b.body = kernel
-	}
+	b.mw, b.mrw, b.mwb, b.mrwb = b.mw[:z], b.mrw[:z], b.mwb[:z], b.mrwb[:z]
 }
 
 // isa names a body of the bucket kernel.
@@ -47,7 +45,7 @@ const (
 
 func (k isa) String() string { return [...]string{"", "go", "avx2", "avx512vl"}[k] }
 
-// kernel is the body Scan runs: the last — widest — of the bodies this
+// kernel is the body ScanRun runs: the last — widest — of the bodies this
 // platform has, read from CPUID once at package init. A public property of
 // the platform, never of data.
 var kernel = func() isa { ks := kernels(); return ks[len(ks)-1] }()
@@ -66,24 +64,48 @@ func Kernels() []string {
 	return names
 }
 
-// Use makes b scan with the named body instead of the platform's widest, so
+// Tiers is one scan worker's view of a whole two-tier table: the tier-1
+// buckets and the tier-2 ("stash") buckets every stored object is scanned
+// against. Bind each tier once per batch; ScanRun then takes runs of
+// objects.
+type Tiers struct {
+	T1, T2 Buckets
+	body   isa // the kernel body ScanRun runs; unset means the platform's widest
+}
+
+// Use makes t scan with the named body instead of the platform's widest, so
 // a differential can put every body the host has through the same scan. It
 // panics on a body the platform lacks.
-func (b *Buckets) Use(name string) {
+func (t *Tiers) Use(name string) {
 	for _, k := range kernels() {
 		if k.String() == name {
-			b.body = k
+			t.body = k
 			return
 		}
 	}
 	panic("obliv: no kernel body " + name + " on this platform")
 }
 
-// Scan applies the double oblivious compare-and-set of the paper's Fig. 7
-// step ➋ between the stored object (id, obj) and every slot of one bucket,
-// in two fixed passes.
+// Step is how many consecutive objects of a run one step of ScanRun takes:
+// two when tier 2 is a single bucket — every object then scans that one
+// bucket, and a pair streams it once — and one otherwise. A function of the
+// bound geometry alone; a run of odd length ends in a single.
+func (t *Tiers) Step() int {
+	if t.T2.n == 1 {
+		return 2
+	}
+	return 1
+}
+
+// ScanRun applies the double oblivious compare-and-set of the paper's Fig. 7
+// step ➋ between each object of a run and every slot of both buckets it
+// looks up: object i, identifier ids[i] and value objs[i·blockSize:], against
+// tier-1 bucket b1[i] and tier-2 bucket b2[i]. The result is bit-for-bit that
+// of scanning the objects one after another, each against its tier-1 bucket
+// and then its tier-2 bucket, slot by slot.
 //
-// The key pass derives a mask pair for each slot j of the bucket,
+// Against one bucket an object takes two fixed passes. The key pass derives
+// a mask pair for each slot j,
 //
 //	mrw[j] = all-ones iff key[j] == id and tag[j] is set (the slot holds a
 //	         request for this object), else 0
@@ -98,44 +120,106 @@ func (b *Buckets) Use(name string) {
 // bit by bit, each 8-byte mask word repeating along the block: a matching
 // write exchanges the two blocks, a matching read copies the object into the
 // slot. The walk is column-major — a column of the object is loaded once,
-// every slot's column streams through it in slot order, and the object
-// column is stored once. Columns never interact and each sees the slots in
-// the order a slot-major loop of FusedAccess calls would, so the result is
-// bit-for-bit that loop's.
+// the slots' columns stream through it in slot order, and the object column
+// is stored once.
 //
-// warm, when not negative, is a bucket of this tier the caller will scan
-// soon (the next object's): the vector bodies prefetch its rows. It changes
-// no result.
+// A step takes Step() objects. For a pair (i, i+1) sharing the one tier-2
+// bucket, all four key passes run first (masks depend only on key, tag and
+// op, which no pass writes, and a found bit is only ever set), then each
+// column of both objects is held at once: i's tier-1 slots stream through
+// i's, i+1's tier-1 slots through i+1's, and then each tier-2 slot is loaded
+// once, meets i, then i+1, and is stored once. An (object, slot) step depends
+// only on the object after its earlier slots and the slot after its earlier
+// objects, and every such order is the sequential one — two objects in one
+// tier-1 bucket still meet it in turn — so the bytes are the sequential
+// loop's. The vector bodies prefetch the next step's tier-1 buckets, an
+// address the scan is about to reveal anyway; that changes no result.
 //
-// Obliviousness: the schedule is a function of (z, blockSize) and of which
-// body the platform selected. Every slot's key, tag, op and aux byte, every
-// object byte and every slot byte is read once and written once whatever
-// they hold; keys, tags and ops reach only compare and AND operands, masks
-// only AND or bitwise-select operands. The addresses touched are those of
-// bucket and warm, which the scan reveals by design (a bucket index is a
-// PRF output under the batch's own key).
+// Obliviousness: the schedule is a function of len(ids), the bound geometry
+// and which body the platform selected. Every slot's key, tag, op and aux
+// byte, every object byte and every slot byte of the buckets looked up is
+// read and written whatever they hold; keys, tags and ops reach only compare
+// and AND operands, masks only AND or bitwise-select operands. The addresses
+// touched are those of the buckets b1[i], b2[i], which the scan reveals by
+// design (a bucket index is a PRF output under the batch's own key).
 //
-// len(obj) must equal the bound block size; bucket must be in range and
-// warm at most the last bucket.
-func (b *Buckets) Scan(bucket int, id uint64, obj []byte, write uint8, warm int) {
-	if uint(bucket) >= uint(b.n) || warm >= b.n || len(obj) != b.blockSize {
-		panic("obliv: Buckets.Scan out of range")
+// Both tiers must be bound with one block size; b1, b2 and objs must match
+// ids in length and every bucket be in range.
+func (t *Tiers) ScanRun(ids []uint64, b1, b2 []uint32, objs []byte, write uint8) {
+	n := len(ids)
+	if len(b1) != n || len(b2) != n || t.T1.blockSize != t.T2.blockSize || len(objs) != n*t.T1.blockSize {
+		panic("obliv: Tiers.ScanRun shape mismatch")
 	}
-	b.scan(b.body, bucket, id, obj, write, warm)
+	for i := range ids {
+		if uint(b1[i]) >= uint(t.T1.n) || uint(b2[i]) >= uint(t.T2.n) {
+			panic("obliv: Tiers.ScanRun bucket out of range")
+		}
+	}
+	k := t.body
+	if k == 0 {
+		k = kernel
+	}
+	t.run(k, ids, b1, b2, objs, write)
 }
 
-// scan is Scan on body k.
-func (b *Buckets) scan(k isa, bucket int, id uint64, obj []byte, write uint8, warm int) {
-	// The vector bodies' key pass compares four slots a step; the portable
-	// loop takes the slots they leave (all of them for isaGo).
-	lanes := 0
+// run is ScanRun on body k: per step, the portable key pass over the slots
+// the vector one leaves (all of them, for isaGo), then pass.
+func (t *Tiers) run(k isa, ids []uint64, b1, b2 []uint32, objs []byte, write uint8) {
+	t1, t2, bs := &t.T1, &t.T2, t.T1.blockSize
+	lanes1, lanes2 := 0, 0
 	if k != isaGo {
-		lanes = b.z &^ 3
+		lanes1, lanes2 = t1.z&^3, t2.z&^3
 	}
-	if lanes < b.z {
-		b.masksFrom(bucket*b.z+lanes, id, write, b.mw[lanes:], b.mrw[lanes:])
+	n, step := len(ids), t.Step()
+	for i := 0; i < n; i += step {
+		a, b := i, i
+		pair := step == 2 && i+1 < n
+		if pair {
+			b = i + 1
+		}
+		r1a, r1b, r2 := int(b1[a])*t1.z, int(b1[b])*t1.z, int(b2[a])*t2.z
+		if lanes1 < t1.z {
+			t1.masksFrom(r1a+lanes1, ids[a], write, t1.mw[lanes1:], t1.mrw[lanes1:])
+		}
+		if lanes2 < t2.z {
+			t2.masksFrom(r2+lanes2, ids[a], write, t2.mw[lanes2:], t2.mrw[lanes2:])
+		}
+		if pair && lanes1 < t1.z {
+			t1.masksFrom(r1b+lanes1, ids[b], write, t1.mwb[lanes1:], t1.mrwb[lanes1:])
+		}
+		if pair && lanes2 < t2.z {
+			t2.masksFrom(r2+lanes2, ids[b], write, t2.mwb[lanes2:], t2.mrwb[lanes2:])
+		}
+		next := min(i+step, n-1)
+		wa, wb := int(b1[next])*t1.z, -1
+		if pair {
+			wb = int(b1[min(next+1, n-1)]) * t1.z
+		}
+		t.pass(k, ids[a], ids[b], r1a, r1b, r2, objs[a*bs:(a+1)*bs], objs[b*bs:(b+1)*bs], write, wa, wb, lanes1, lanes2, pair)
 	}
-	b.exchange(k, bucket, lanes, id, obj, write, warm)
+}
+
+// pass finishes a step whose masks for the slots from lanes1 (tier 1) and
+// lanes2 (tier 2) on are already in the scratch: on a vector body, one call
+// runs the key passes over the first lanes slots, prefetches the tier-1 rows
+// from wa and wb, and runs the block pass over every 32-byte column; the
+// portable loop takes the bytes that leaves (the whole block for isaGo),
+// each object through its tier-1 bucket and then its tier-2 bucket.
+func (t *Tiers) pass(k isa, ida, idb uint64, r1a, r1b, r2 int, objA, objB []byte, write uint8, wa, wb, lanes1, lanes2 int, pair bool) {
+	t1, t2, bs := &t.T1, &t.T2, t.T1.blockSize
+	cols := 0
+	if k != isaGo {
+		cols = bs &^ 31
+		scanLanes(t, ida, idb, r1a, r1b, r2, &objA[0], &objB[0], write, wa, wb, lanes1, lanes2, k == isaAVX512VL, pair)
+	}
+	if cols < bs {
+		t1.words(objA, r1a, t1.mw, t1.mrw, cols)
+		t2.words(objA, r2, t2.mw, t2.mrw, cols)
+		if pair {
+			t1.words(objB, r1b, t1.mwb, t1.mrwb, cols)
+			t2.words(objB, r2, t2.mwb, t2.mrwb, cols)
+		}
+	}
 }
 
 // masksFrom is the portable key pass, and the specification of the vector
@@ -152,21 +236,11 @@ func (b *Buckets) masksFrom(row int, id uint64, write uint8, mw, mrw []uint64) {
 	}
 }
 
-// exchange finishes a Scan whose masks for the slots from lanes on are
-// already in b.mw/b.mrw: on a vector body, one call runs the key pass over
-// the first lanes slots and the block pass over every 32-byte column of all
-// z; the portable loop takes the bytes that leaves (the whole block for
-// isaGo).
-func (b *Buckets) exchange(k isa, bucket, lanes int, id uint64, obj []byte, write uint8, warm int) {
-	cols := 0
-	if k != isaGo {
-		cols = b.blockSize &^ 31
-		scanBucketLanes(b, bucket*b.z, lanes, id, &obj[0], write, warm*b.z, k == isaAVX512VL)
-	}
-	if cols < b.blockSize {
-		lo := bucket * b.z * b.blockSize
-		fusedBucketWords(obj, b.data[lo:lo+b.z*b.blockSize], b.blockSize, b.mw, b.mrw, cols)
-	}
+// words is the portable block pass of obj against the bucket whose first
+// row is row, from byte offset from on.
+func (b *Buckets) words(obj []byte, row int, mw, mrw []uint64, from int) {
+	lo := row * b.blockSize
+	fusedBucketWords(obj, b.data[lo:lo+b.z*b.blockSize], b.blockSize, mw, mrw, from)
 }
 
 // fusedBucketWords is the portable block pass, and the specification the

@@ -9,9 +9,11 @@
 //     kept as an ablation baseline),
 //   - oblivious distribution, compaction's inverse: elements at the front
 //     of an array are routed to destination slots they carry,
-//   - the subORAM scan's bucket kernel: Buckets.Scan (key pass and
-//     column-major block pass in one call), on the widest vector body CPUID
-//     reports (AVX-512VL, AVX2) and in portable Go otherwise,
+//   - the subORAM scan's run kernel: Tiers.ScanRun (key passes and
+//     column-major block pass over both tiers of a table for a run of
+//     objects in one call, a one-bucket tier 2 streamed once per pair), on
+//     the widest vector body CPUID reports (AVX-512VL, AVX2) and in portable
+//     Go otherwise,
 //   - the row kernels a collection's SwapRun is built from (SwapRunU8 …
 //     SwapRunBlocks): one streaming pass per column of a run, AVX2 where
 //     CPUID reports it.

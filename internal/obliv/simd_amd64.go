@@ -40,16 +40,18 @@ func kernels() []isa {
 	return ks
 }
 
-// scanBucketLanes is the vector bodies' share of Buckets.scan for the
-// bucket whose first row is lo: prefetch the z rows from row warm (if not
-// negative), run the key pass over the first lanes slots (a multiple of
-// four; the masks of the rest are already in b.mw/b.mrw), then the block
-// pass over the first blockSize&^31 bytes of obj and of all z slots — with
-// VPTERNLOGQ on 160-byte columns if wide, with and/xor on 128-byte columns
-// if not.
+// scanLanes is the vector bodies' share of one Tiers.run step: the
+// prefetch of the tier-1 rows from wa and wb (each if not negative), the key
+// passes over the first lanes1 slots of object a's tier-1 bucket and lanes2
+// of its tier-2 bucket and, if pair, object b's (multiples of four; the
+// masks of the rest are already in the tiers' scratch), and
+// the block pass over the first blockSize&^31 bytes of both objects — a
+// pair's tier-2 slots streamed once through both — with VPTERNLOGQ on
+// 160-byte columns if wide, with and/xor on 128-byte columns, a pair as two
+// singles, if not.
 //
 //go:noescape
-func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool)
+func scanLanes(t *Tiers, ida, idb uint64, r1a, r1b, r2 int, obja, objb *byte, write uint8, wa, wb, lanes1, lanes2 int, wide, pair bool)
 
 // swapBlocksVec is the vector block pass of SwapRunBlocks: for t < n, the
 // first size&^31 bytes of blocks t of a and b are exchanged iff c[t] == 1.

@@ -10,8 +10,8 @@ const SIMDWordLoops = false
 // one.
 func kernels() []isa { return []isa{isaGo} }
 
-// scanBucketLanes is the vector bodies' entry point; no body here selects it.
-func scanBucketLanes(b *Buckets, lo, lanes int, id uint64, obj *byte, write uint8, warm int, wide bool) {
+// scanLanes is the vector bodies' entry point; no body here selects it.
+func scanLanes(t *Tiers, ida, idb uint64, r1a, r1b, r2 int, obja, objb *byte, write uint8, wa, wb, lanes1, lanes2 int, wide, pair bool) {
 	panic("obliv: no vector kernel in this build")
 }
 

@@ -24,15 +24,16 @@ const (
 	// stream from a table larger than the first-level cache. Both move
 	// blocks, so it barely depends on the block size.
 	rowOpSlots = 6
-	// lookupFixedSlots is c₀: the per-object work no geometry changes — one
-	// SipHash, the bucket addressing and the two kernel calls. It shifts
+	// lookupFixedSlots is c₀: the per-object work no geometry changes — its
+	// SipHash lane, the bucket addressing and its share of the run kernel's
+	// step. It shifts
 	// every grid point's cost equally, so it never moves the choice; it is
 	// here so ModelCost is the whole batch in one unit.
 	lookupFixedSlots = 10
 )
 
 // The grid GeometryFor searches. Tier-1 capacities are multiples of the
-// scan's key pass step (obliv.Buckets.Scan compares four slots per vector
+// scan's key pass step (obliv.Tiers.ScanRun compares four slots per vector
 // iteration and leaves a remainder to its portable loop); mean bucket loads of
 // both tiers are the powers of two 2^minLoadExp … 2^maxLoadExp, which keeps
 // every bucket count an integer multiple or divisor of the row count it is

@@ -262,15 +262,13 @@ func (t *Table) build(rec *trace.Recorder, spill *store.Requests, keep []uint8) 
 }
 
 // Buckets fills b1[i], b2[i] with the tier-1 and tier-2 buckets a lookup of
-// ids[i] must scan in full — one hash per identifier. The bucket indices are
-// a function of the per-batch secret hash key and the identifier; revealing
+// ids[i] must scan in full — one hash per identifier, eight identifiers a
+// step on a vector body (crypt.SipBucketsN). The bucket indices are a
+// function of the per-batch secret hash key and the identifier; revealing
 // them is simulatable from public information because the key is fresh and
 // each identifier is looked up at most once per batch (paper §5).
 func (t *Table) Buckets(ids []uint64, b1, b2 []uint32) {
-	b1, b2 = b1[:len(ids)], b2[:len(ids)]
-	for i, id := range ids {
-		b1[i], b2[i] = crypt.SipBuckets(t.K, id, t.Geom.B1, t.Geom.B2)
-	}
+	crypt.SipBucketsN(t.K, ids, t.Geom.B1, t.Geom.B2, b1, b2)
 }
 
 // Extract obliviously recovers the batch's real rows — now carrying

@@ -232,10 +232,10 @@ func (dur *Durable) recover() error {
 	}
 	bs := dur.cfg.BlockSize
 	var data []byte
-	var take func(i int, blk []byte)
+	var take func(i int, blks []byte)
 	if !dur.cfg.Disk {
 		data = make([]byte, len(ids)*bs)
-		take = func(i int, blk []byte) { copy(data[i*bs:], blk) }
+		take = func(i int, blks []byte) { copy(data[i*bs:], blks) }
 	}
 	if err := dur.image.Verify(0, len(ids), take); err != nil {
 		return err

@@ -198,7 +198,11 @@ func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
 			dur.mu.Lock()
 			if pl.disk {
 				dur.image.Begin()
-				if err := dur.image.Scan(0, 4, func(i int, blk []byte) { fillValue(blk, uint64(i+1), 99) }); err != nil {
+				if err := dur.image.Scan(0, 4, func(i int, blks []byte) {
+					for j := 0; j < len(blks)/testBlock; j++ {
+						fillValue(blks[j*testBlock:(j+1)*testBlock], uint64(i+j+1), 99)
+					}
+				}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -244,9 +248,9 @@ func TestRecoveryAcknowledgesImageAheadOfCounter(t *testing.T) {
 	// The partition's next scan, behind the counter's back.
 	dur.image.SetMark(dur.Epoch() + 1)
 	dur.image.Begin()
-	if err := dur.image.Scan(0, 6, func(i int, blk []byte) {
-		if i == 2 {
-			fillValue(blk, 3, 4)
+	if err := dur.image.Scan(0, 6, func(i int, blks []byte) {
+		if i == 0 { // the run of the segment holding block 2
+			fillValue(blks[2*testBlock:3*testBlock], 3, 4)
 		}
 	}); err != nil {
 		t.Fatal(err)

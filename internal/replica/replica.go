@@ -178,6 +178,9 @@ type Group struct {
 	idle    sync.Cond
 	members []*member
 	stats   GroupStats
+	// blockSize is the members' block size, learned at Init from a
+	// non-empty partition (0 until then: not known).
+	blockSize int
 	// diverged: two fresh replies to one delivery differed. No reply can be
 	// trusted after that, so every later delivery fails with ErrDivergence.
 	diverged atomic.Bool
@@ -270,7 +273,9 @@ func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
 	return g, nil
 }
 
-// Init loads every member. Call it before the first delivery.
+// Init loads every member. Call it before the first delivery. The group
+// learns the partition's block size here, so Deliver can refuse a batch of
+// another one before any member sees it.
 func (g *Group) Init(ids []uint64, data []byte) error {
 	errs := make([]error, len(g.members))
 	for i, m := range g.members {
@@ -278,6 +283,9 @@ func (g *Group) Init(ids []uint64, data []byte) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if len(ids) > 0 {
+		g.blockSize = len(data) / len(ids)
+	}
 	for i, m := range g.members {
 		m.stale = errs[i] != nil
 	}
@@ -311,7 +319,8 @@ func (g *Group) WaitIdle(i int) {
 }
 
 // Deliver refuses a delivery with a batch out of table order (ohash.ErrOrder)
-// before it takes a counter epoch. It queues any other to every member at
+// or of another block size than Init's partition before it takes a counter
+// epoch. It queues any other to every member at
 // the next counter epoch — one increment per delivery, whatever its batch
 // count — and returns the first fresh reply once n − f members have
 // answered and one answer is fresh. A stale member answers, not fresh, as the delivery is queued, so
@@ -326,7 +335,13 @@ func (g *Group) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store
 	}
 	// A batch every member would refuse must not take a counter epoch: no
 	// member would reach it, so every member would be stale, with no donor.
+	g.mu.Lock()
+	bs := g.blockSize
+	g.mu.Unlock()
 	for _, r := range reqs {
+		if bs > 0 && r.BlockSize != bs {
+			return nil, fmt.Errorf("replica: batch block size %d != the partition's %d", r.BlockSize, bs)
+		}
 		if err := ohash.CheckOrder(r); err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 	if err := s.Format(n); err != nil {
 		t.Fatal(err)
 	}
-	noop := func(i int, blk []byte) {}
+	noop := func(i int, blks []byte) {}
 	if err := s.Scan(0, n, noop); err != nil { // warm the pool
 		t.Fatal(err)
 	}

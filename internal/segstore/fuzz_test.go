@@ -98,9 +98,9 @@ func FuzzStoreMutation(f *testing.F) {
 			t.Fatal(err)
 		}
 		s.Begin()
-		if err := s.Scan(0, n, func(i int, blk []byte) {
+		if err := s.Scan(0, n, eachBlock(s, func(i int, blk []byte) {
 			binary.LittleEndian.PutUint64(blk, binary.LittleEndian.Uint64(blk)+1000)
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Commit(); err != nil {
@@ -167,12 +167,12 @@ func FuzzStoreMutation(f *testing.F) {
 			t.Fatalf("mutating %s (op %d): silently loaded epoch %d, want %d",
 				filepath.Base(path), op%5, got, wantEpoch)
 		}
-		err = s2.Verify(0, n, func(i int, blk []byte) {
+		err = s2.Verify(0, n, eachBlock(s2, func(i int, blk []byte) {
 			if got := binary.LittleEndian.Uint64(blk); got != uint64(i)+wantSalt {
 				t.Fatalf("mutating %s (op %d): block %d silently corrupted to %d",
 					filepath.Base(path), op%5, i, got)
 			}
-		})
+		}))
 		if err != nil && !errors.Is(err, enclave.ErrIntegrity) {
 			t.Fatalf("read after mutating %s (op %d): error outside the integrity class: %v",
 				filepath.Base(path), op%5, err)

@@ -63,7 +63,7 @@ func memWrite(t *testing.T, mem *hostfs.Mem, s *Store, off int64, b []byte) {
 func runEpoch(t *testing.T, s *Store, fn func(i int, blk []byte)) {
 	t.Helper()
 	s.Begin()
-	if err := s.Scan(0, s.NumBlocks(), fn); err != nil {
+	if err := s.Scan(0, s.NumBlocks(), eachBlock(s, fn)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
@@ -175,7 +175,7 @@ func TestMemStoreFormatSlotReplayAfterLoad(t *testing.T) {
 func TestMemStoreAbortedEpochForgotten(t *testing.T) {
 	s, mem := memStore(t, 16, 4, 8)
 	s.Begin()
-	if err := s.Scan(0, 4, func(i int, blk []byte) { blk[0] = 9 }); err != nil {
+	if err := s.Scan(0, 4, eachBlock(s, func(i int, blk []byte) { blk[0] = 9 })); err != nil {
 		t.Fatal(err)
 	}
 	off, n := memSlot(s, 0, s.Epoch()+1)
@@ -201,9 +201,9 @@ func TestMemStoreConcurrentDistinctSegments(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Scan(w*segBlocks, (w+1)*segBlocks, func(i int, blk []byte) {
+			if err := s.Scan(w*segBlocks, (w+1)*segBlocks, eachBlock(s, func(i int, blk []byte) {
 				blk[0] = byte(i)
-			}); err != nil {
+			})); err != nil {
 				t.Error(err)
 			}
 		}()

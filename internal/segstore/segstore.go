@@ -574,32 +574,35 @@ func (s *Store) Commit() error {
 	return nil
 }
 
-// A scan callback visits one block during a streaming pass: i is the global
-// block index and blk the block's bytes, mutable in place. Every visited
-// block is resealed and written back whether or not fn changed it. The
-// parameter type is spelled literally so suboram's BlockStore interface is
-// satisfied without importing this package's types.
+// A scan callback visits one run of blocks during a streaming pass: a
+// segment's plaintext, i the global index of its first block and blks its
+// blocks back to back, mutable in place. Every visited block is resealed and
+// written back whether or not fn changed it. The runs are the segments, a
+// function of the public geometry. The parameter type is spelled literally
+// so suboram's BlockStore interface is satisfied without importing this
+// package's types.
 
 // Scan streams the oblivious pass over blocks [lo, hi): for each segment,
-// read the sealed slot, open it into a pooled buffer, apply fn to every
-// block, reseal at the write epoch, and write the slot back. lo and hi must
+// read the sealed slot, open it into a pooled buffer, apply fn to its
+// blocks, reseal at the write epoch, and write the slot back. lo and hi must
 // be segment-aligned (hi may equal NumBlocks). Concurrent Scans over
 // disjoint ranges are safe; each takes its own buffer pair from the free
 // list. The I/O sequence is a function of (lo, hi, geometry, epoch) only.
-func (s *Store) Scan(lo, hi int, fn func(i int, blk []byte)) error {
+func (s *Store) Scan(lo, hi int, fn func(i int, blks []byte)) error {
 	return s.stream(lo, hi, fn, true)
 }
 
 // Verify streams a read-only authentication pass over blocks [lo, hi),
-// optionally applying fn to each block (fn mutations are NOT written back):
-// the export path, and recovery's check that fails closed on any corrupt or
-// rolled-back segment before serving. Its I/O is a scan's read half.
-func (s *Store) Verify(lo, hi int, fn func(i int, blk []byte)) error {
+// optionally applying fn to each segment's run of blocks (fn mutations are
+// NOT written back): the export path, and recovery's check that fails closed
+// on any corrupt or rolled-back segment before serving. Its I/O is a scan's
+// read half.
+func (s *Store) Verify(lo, hi int, fn func(i int, blks []byte)) error {
 	return s.stream(lo, hi, fn, false)
 }
 
 // stream is Scan (write) and Verify (!write).
-func (s *Store) stream(lo, hi int, fn func(i int, blk []byte), write bool) error {
+func (s *Store) stream(lo, hi int, fn func(i int, blks []byte), write bool) error {
 	s.mu.Lock()
 	reg, epoch, f := s.reg, s.writeEpoch, s.f
 	s.mu.Unlock()
@@ -622,9 +625,8 @@ func (s *Store) stream(lo, hi int, fn func(i int, blk []byte), write bool) error
 		if err := s.readSlot(f, reg, seg, s.entry(seg), b); err != nil {
 			return err
 		}
-		base := seg * segBlocks
-		for i := base; fn != nil && i < min(base+segBlocks, n); i++ {
-			fn(i, b.plain[(i-base)*blockSize:(i-base+1)*blockSize])
+		if base := seg * segBlocks; fn != nil {
+			fn(base, b.plain[:(min(base+segBlocks, n)-base)*blockSize])
 		}
 		if !write {
 			continue

@@ -38,12 +38,23 @@ func fillPattern(t *testing.T, s *Store, n, blockSize int, salt byte) {
 func readAll(t *testing.T, s *Store) [][]byte {
 	t.Helper()
 	blocks := make([][]byte, s.NumBlocks())
-	if err := s.Verify(0, len(blocks), func(i int, blk []byte) {
+	if err := s.Verify(0, len(blocks), eachBlock(s, func(i int, blk []byte) {
 		blocks[i] = append([]byte(nil), blk...)
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	return blocks
+}
+
+// eachBlock adapts a per-block callback to the per-segment runs Scan and
+// Verify hand over.
+func eachBlock(s *Store, fn func(i int, blk []byte)) func(int, []byte) {
+	bs := s.opts.BlockSize
+	return func(i int, blks []byte) {
+		for j := 0; j < len(blks)/bs; j++ {
+			fn(i+j, blks[j*bs:(j+1)*bs])
+		}
+	}
 }
 
 func checkPattern(t *testing.T, s *Store, n int, salt byte) {
@@ -85,9 +96,9 @@ func TestFormatScanCommitReopen(t *testing.T) {
 
 		// One epoch of scanning: increment every block's low word.
 		s.Begin()
-		if err := s.Scan(0, n, func(i int, blk []byte) {
+		if err := s.Scan(0, n, eachBlock(s, func(i int, blk []byte) {
 			binary.LittleEndian.PutUint64(blk, binary.LittleEndian.Uint64(blk)+100)
-		}); err != nil {
+		})); err != nil {
 			t.Fatalf("Scan: %v", err)
 		}
 		if err := s.Commit(); err != nil {

@@ -146,7 +146,12 @@ func blockOf(id uint64, version int) []byte {
 
 // oneRow is a one-row batch in table order under a fixed key.
 func oneRow(op uint8, key uint64, value []byte) *store.Requests {
-	r := store.NewRequests(1, deliveryBlock)
+	return oneRowOf(deliveryBlock, op, key, value)
+}
+
+// oneRowOf is oneRow at another block size.
+func oneRowOf(blockSize int, op uint8, key uint64, value []byte) *store.Requests {
+	r := store.NewRequests(1, blockSize)
 	r.SetRow(0, op, key, 0, 0, 0, value)
 	ohash.Order(r, crypt.SipKey{0x5eed, 0x7ab1e})
 	return r
@@ -157,7 +162,8 @@ func oneRow(op uint8, key uint64, value []byte) *store.Requests {
 // seeing the first's write, the partition's epochs one further — and then
 // one whose second batch the partition refuses (its table key cleared, so
 // the order check fails): that one changes no value and no epoch, and the
-// next delivery applies, reading the first one's write.
+// next delivery applies, reading the first one's write. So does one whose
+// second batch has another block size than the partition's.
 func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -206,8 +212,30 @@ func TestDeliveryAppliedWholeOrNotAtAll(t *testing.T) {
 			if got := outs[0].Block(0); !bytes.Equal(got, blockOf(6, 1)) {
 				t.Fatalf("delivery after a refused one read %q, want the first delivery's write", got)
 			}
-			if _, e3 := state(); fmt.Sprint(e3) != fmt.Sprint(advance(e1)) {
+			before, e3 := state()
+			if fmt.Sprint(e3) != fmt.Sprint(advance(e1)) {
 				t.Fatalf("delivery after a refused one moved epochs %v to %v, want one epoch", e1, e3)
+			}
+
+			// A batch of twice the partition's block size is refused whole,
+			// and the partition keeps serving.
+			wide := oneRowOf(2*deliveryBlock, store.OpRead, 9, nil)
+			write = oneRow(store.OpWrite, 6, blockOf(6, 3))
+			if _, err := p.Deliver(store.DeliveryTag{Stream: 1, Epoch: 4}, []*store.Requests{write, wide}); err == nil {
+				t.Fatal("delivery with a batch of the wrong block size was accepted")
+			}
+			if after, e4 := state(); !bytes.Equal(after, before) || fmt.Sprint(e4) != fmt.Sprint(e3) {
+				t.Fatalf("a delivery of the wrong block size changed the partition (epochs %v to %v)", e3, e4)
+			}
+			outs, err = p.Deliver(store.DeliveryTag{Stream: 1, Epoch: 5}, []*store.Requests{oneRow(store.OpRead, 6, nil)})
+			if err != nil {
+				t.Fatalf("delivery after one of the wrong block size: %v", err)
+			}
+			if got := outs[0].Block(0); !bytes.Equal(got, blockOf(6, 1)) {
+				t.Fatalf("delivery after one of the wrong block size read %q, want the first delivery's write", got)
+			}
+			if _, e5 := state(); fmt.Sprint(e5) != fmt.Sprint(advance(e3)) {
+				t.Fatalf("delivery after one of the wrong block size moved epochs %v to %v, want one epoch", e3, e5)
 			}
 		})
 	}

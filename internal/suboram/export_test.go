@@ -21,8 +21,7 @@ func (s *SubORAM) ScanTable(t *ohash.Table) error {
 // instead of the platform's widest, for the all-bodies differentials.
 func (s *SubORAM) UseKernel(name string) {
 	for w := range s.scanCtx {
-		s.scanCtx[w].t1.Use(name)
-		s.scanCtx[w].t2.Use(name)
+		s.scanCtx[w].tiers.Use(name)
 	}
 }
 

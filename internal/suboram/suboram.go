@@ -8,9 +8,10 @@
 //
 // Obliviousness: the scan visits every object in a fixed order and, for each
 // object, reads the two hash-table buckets its identifier maps to under the
-// batch's own key, touching every slot in both buckets with
-// branch-free compare-and-set operations. Request contents influence no
-// access position.
+// batch's own key, touching every slot in both buckets with branch-free
+// compare-and-set operations — one kernel call per run of objects, a pair of
+// objects at a time streaming a single tier-2 bucket once. Request contents
+// influence no access position.
 package suboram
 
 import (
@@ -75,8 +76,9 @@ type Config struct {
 // Obliviousness contract: Scan and Verify must stream blocks [lo, hi) in a
 // fixed order with an I/O pattern that is a function of (lo, hi) and public
 // geometry only — never of block contents or of what fn does to them — and
-// must invoke fn on every block exactly once; Scan writes every block back
-// whether or not fn changed it.
+// must hand fn every block exactly once, in runs of consecutive blocks whose
+// bounds are a function of the same; Scan writes every block back whether or
+// not fn changed it.
 type BlockStore interface {
 	// Format sizes the store for n blocks (zeroed); prior contents are
 	// replaced.
@@ -91,14 +93,15 @@ type BlockStore interface {
 	// the epoch every block must authenticate at.
 	Begin()
 	Commit() error
-	// Scan streams blocks [lo, hi), applying fn to each block in place and
-	// writing every block back. lo and hi must be ScanAlign()-aligned
-	// (hi == NumBlocks() is always allowed). Concurrent calls over disjoint
-	// aligned ranges must be safe.
-	Scan(lo, hi int, fn func(i int, blk []byte)) error
+	// Scan streams blocks [lo, hi), applying fn in place to each run of
+	// blocks — i the first block's index, blks the run's blocks back to
+	// back — and writing every block back. lo and hi must be
+	// ScanAlign()-aligned (hi == NumBlocks() is always allowed). Concurrent
+	// calls over disjoint aligned ranges must be safe.
+	Scan(lo, hi int, fn func(i int, blks []byte)) error
 	// Verify streams blocks [lo, hi) read-only, authenticating each segment
-	// once and handing every block to fn.
-	Verify(lo, hi int, fn func(i int, blk []byte)) error
+	// once and handing its run of blocks to fn.
+	Verify(lo, hi int, fn func(i int, blks []byte)) error
 	// LoadRange bulk-writes packed block data starting at block index start.
 	LoadRange(start int, data []byte) error
 }
@@ -138,14 +141,14 @@ type SubORAM struct {
 	tables []*ohash.Table
 	outs   []*store.Requests
 
-	// Per-worker scan state (table binding, kernel views, hashed-ahead
-	// stripe), bound per batch under mu before workers start.
+	// Per-worker scan state (table binding, kernel view, hashed stripe),
+	// bound per batch under mu before workers start.
 	scanCtx []scanCtx
-	// Per-object scan callbacks: one prebound closure pair per worker (plain,
+	// Per-run scan callbacks: one prebound closure pair per worker (plain,
 	// and recording for the test recorders), created once in New so
 	// steady-state scans allocate nothing. Each reads its table through
 	// scanCtx[w].
-	visits [][2]func(i int, blk []byte)
+	visits [][2]func(i int, blks []byte)
 
 	// Telemetry instruments, resolved once at construction; all nil (and
 	// no-ops) when Config.Telemetry is nil.
@@ -192,41 +195,40 @@ func New(cfg Config) *SubORAM {
 	// constant 1, the body in its label. A public property of the host.
 	cfg.Telemetry.Gauge(`snoopy_kernel_info{isa="` + obliv.Kernel() + `"}`).Set(1)
 	s.setIDs(nil)
-	s.visits = make([][2]func(i int, blk []byte), cfg.Workers)
+	s.visits = make([][2]func(i int, blks []byte), cfg.Workers)
 	for w := range s.visits {
 		c := &s.scanCtx[w]
-		s.visits[w] = [2]func(i int, blk []byte){
-			func(i int, blk []byte) { s.scanOne(c, i, blk) },
-			func(i int, blk []byte) { s.scanOneRecorded(c, i, blk) },
+		s.visits[w] = [2]func(i int, blks []byte){
+			func(i int, blks []byte) { s.scanRun(c, i, blks, false) },
+			func(i int, blks []byte) { s.scanRun(c, i, blks, true) },
 		}
 	}
 	return s
 }
 
 // scanStripe is how many objects' buckets a scan worker hashes at a time,
-// ahead of the kernel: identifiers are public and contiguous, so the hashes
-// of a stripe are independent work the CPU overlaps, and the bucket after
-// the one being scanned is known in time to prefetch it.
+// ahead of one kernel call: identifiers are public and contiguous, so a
+// stripe's hashes run eight lanes a step (crypt.SipBucketsN), and the
+// kernel knows each next bucket in time to prefetch it. Even, so a stripe
+// splits into whole pairs.
 const scanStripe = 64
 
 // scanCtx is one scan worker's per-batch state: the table (copy) it scans,
-// the kernel's view of each tier (which owns the mask scratch, sized from
-// the public geometry), and the buckets of the stripe of objects
-// [base, base+n) it is in.
+// the kernel's view of both tiers (which owns the mask scratch, sized from
+// the public geometry), and the buckets of the stripe being scanned.
 type scanCtx struct {
-	table   *ohash.Table
-	t1, t2  obliv.Buckets
-	base, n int
-	b1, b2  [scanStripe]uint32
+	table  *ohash.Table
+	tiers  obliv.Tiers
+	b1, b2 [scanStripe]uint32
 }
 
 // bind points the worker at its table for this batch.
 func (c *scanCtx) bind(table *ohash.Table) {
-	c.table, c.n = table, 0
+	c.table = table
 	g := table.Geom
 	t1, t2 := table.Tier1, table.Tier2
-	c.t1.Bind(t1.Key, t1.Tag, t1.Op, t1.Aux, t1.Data, g.Z1, t1.BlockSize)
-	c.t2.Bind(t2.Key, t2.Tag, t2.Op, t2.Aux, t2.Data, g.Z2, t2.BlockSize)
+	c.tiers.T1.Bind(t1.Key, t1.Tag, t1.Op, t1.Aux, t1.Data, g.Z1, t1.BlockSize)
+	c.tiers.T2.Bind(t2.Key, t2.Tag, t2.Op, t2.Aux, t2.Data, g.Z2, t2.BlockSize)
 }
 
 // Init loads the partition: object i has identifier ids[i] and value
@@ -477,9 +479,10 @@ func mergeTier(dst, src *store.Requests) {
 	}
 }
 
-// scanRange scans objects [lo, hi) against the table as worker w. The
-// test-only recorders are looked at here, once per range: with one set, every
-// object goes through scanOneRecorded instead of scanOne.
+// scanRange scans objects [lo, hi) against the table as worker w: in
+// memory as one run, in a store as the runs it streams (its segments). The
+// test-only recorders are looked at here, once per range: with one set,
+// every run is recorded before it is scanned.
 func (s *SubORAM) scanRange(table *ohash.Table, lo, hi, w int) error {
 	s.scanCtx[w].bind(table)
 	visit := s.visits[w][0]
@@ -489,49 +492,50 @@ func (s *SubORAM) scanRange(table *ohash.Table, lo, hi, w int) error {
 	if s.cfg.Store != nil {
 		return s.cfg.Store.Scan(lo, hi, visit)
 	}
-	for i := lo; i < hi; i++ {
-		visit(i, s.plain[i*s.cfg.BlockSize:(i+1)*s.cfg.BlockSize])
-	}
+	visit(lo, s.plain[lo*s.cfg.BlockSize:hi*s.cfg.BlockSize])
 	return nil
 }
 
-// locate returns object i's position in the worker's stripe of hashed
-// buckets, hashing the next stripe when i has left the current one.
-func (s *SubORAM) locate(c *scanCtx, i int) int {
-	if j := i - c.base; uint(j) < uint(c.n) {
-		return j
+// scanRun applies the double oblivious compare-and-set of Fig. 7 step ➋
+// between each object of the run from object lo (blks, its blocks back to
+// back) and every slot of the two buckets its identifier hashes to: a
+// stripe's buckets are hashed, then one obliv.Tiers.ScanRun call scans the
+// stripe — pairs of objects when tier 2 is one bucket. With rec, the stripe's
+// accesses are recorded first, in the order the kernel makes them.
+func (s *SubORAM) scanRun(c *scanCtx, lo int, blks []byte, rec bool) {
+	bs := s.cfg.BlockSize
+	for i, n := 0, len(blks)/bs; i < n; i += scanStripe {
+		m := min(scanStripe, n-i)
+		ids := s.ids[lo+i : lo+i+m]
+		c.table.Buckets(ids, c.b1[:m], c.b2[:m])
+		if rec {
+			s.record(c, lo+i, m)
+		}
+		c.tiers.ScanRun(ids, c.b1[:m], c.b2[:m], blks[i*bs:(i+m)*bs], store.OpWrite)
 	}
-	c.base, c.n = i, min(scanStripe, len(s.ids)-i)
-	c.table.Buckets(s.ids[i:i+c.n], c.b1[:], c.b2[:])
-	return 0
 }
 
-// scanOne applies the double oblivious compare-and-set of Fig. 7 step ➋
-// between object i and every slot of the two buckets its identifier hashes
-// to, one obliv.Buckets.Scan per tier. While tier 1 is scanned the kernel
-// prefetches the next object's tier-1 bucket — an address the scan is about
-// to reveal anyway (the stripe's last object warms its own). Tier-2 buckets
-// are not warmed: they are few and large, and prefetching one measured
-// slower than letting the hardware stream it.
-func (s *SubORAM) scanOne(c *scanCtx, i int, blk []byte) {
-	j := s.locate(c, i)
-	id := s.ids[i]
-	c.t1.Scan(int(c.b1[j]), id, blk, store.OpWrite, int(c.b1[min(j+1, c.n-1)]))
-	c.t2.Scan(int(c.b2[j]), id, blk, store.OpWrite, -1)
-}
-
-// scanOneRecorded is scanOne under a test recorder: one touch for the
-// object, then one per slot of its two buckets in slot order, then the scan.
-func (s *SubORAM) scanOneRecorded(c *scanCtx, i int, blk []byte) {
-	s.cfg.Rec.Record(trace.KindTouch, i, 0)
-	j, g := s.locate(c, i), c.table.Geom
-	for sl := int(c.b1[j]) * g.Z1; sl < (int(c.b1[j])+1)*g.Z1; sl++ {
-		c.table.Tier1.Touch(sl)
+// record logs, for the kernel call on objects [lo, lo+m) of the stripe
+// just hashed, what the call touches in the order obliv.Tiers.ScanRun
+// touches it: per step of Step() objects, each object, then each one's
+// tier-1 bucket slot by slot, then the tier-2 bucket slot by slot — once
+// for a pair, whose objects share it.
+func (s *SubORAM) record(c *scanCtx, lo, m int) {
+	g, step := c.table.Geom, c.tiers.Step()
+	for p := 0; p < m; p += step {
+		q := min(p+step, m)
+		for i := p; i < q; i++ {
+			s.cfg.Rec.Record(trace.KindTouch, lo+i, 0)
+		}
+		for i := p; i < q; i++ {
+			for sl := int(c.b1[i]) * g.Z1; sl < (int(c.b1[i])+1)*g.Z1; sl++ {
+				c.table.Tier1.Touch(sl)
+			}
+		}
+		for sl := int(c.b2[p]) * g.Z2; sl < (int(c.b2[p])+1)*g.Z2; sl++ {
+			c.table.Tier2.Touch(sl)
+		}
 	}
-	for sl := int(c.b2[j]) * g.Z2; sl < (int(c.b2[j])+1)*g.Z2; sl++ {
-		c.table.Tier2.Touch(sl)
-	}
-	s.scanOne(c, i, blk)
 }
 
 // Restore adopts a trusted state image, skipping Init's duplicate and
@@ -570,8 +574,8 @@ func (s *SubORAM) Export() (ids []uint64, data []byte, err error) {
 	}
 	// One streaming pass: each segment is opened once, not once per block.
 	bs := s.cfg.BlockSize
-	if err := s.cfg.Store.Verify(0, len(s.ids), func(i int, blk []byte) {
-		copy(data[i*bs:(i+1)*bs], blk)
+	if err := s.cfg.Store.Verify(0, len(s.ids), func(i int, blks []byte) {
+		copy(data[i*bs:], blks)
 	}); err != nil {
 		return nil, nil, err
 	}

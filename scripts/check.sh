@@ -121,15 +121,17 @@ go test -race -timeout 15m -count=2 \
 
 # Focused re-run of the scan kernel on every body this host has (portable,
 # AVX2, AVX-512VL — which one production dispatches to is printed first):
-# obliv.Buckets.Scan against its slot-major reference (table, any mask
-# words, every lane split, quick, fuzz seeds) and the whole-scan
-# differentials and trace comparison in suboram (plain, sealed, store,
-# Workers > 1 — the worker fan-out is the part -race is for), and the sealed
-# placement's tamper, replay and two-worker tests over host memory.
+# obliv.Tiers.ScanRun against its slot-major reference (single and pair
+# steps, run lengths 0…9, any mask words, every lane split, quick, fuzz
+# seeds), the eight-lane SipHash against the scalar one, and the whole-scan
+# differentials and trace comparison in suboram (plain, sealed, stores of
+# odd segments, Workers > 1 with odd ranges — the worker fan-out is the part
+# -race is for), and the sealed placement's tamper, replay and two-worker
+# tests over host memory.
 go test -run 'KernelIsTheWidestBody' -v ./internal/obliv/ | grep 'bodies on this host'
 go test -race -timeout 15m -count=2 \
-  -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SlotMajorReference|ZeroAllocSteadyState|Sealed' \
-  ./internal/obliv/ ./internal/suboram/
+  -run 'ScanMatchesSlotMajor|ScanRunLengths|ExchangeMatches|KeyPassEveryLaneSplit|ScanQuick|FuzzFusedBucket|SipBucketsNMatches|SlotMajorReference|StoreScanTrace|ZeroAllocSteadyState|Sealed' \
+  ./internal/obliv/ ./internal/crypt/ ./internal/suboram/
 
 # Focused re-run of sort-free response matching: Match and MatchResponses,
 # byte-identical to each other, against the sort-based reference kept in the
@@ -168,8 +170,9 @@ go test -timeout 15m -run 'GeometryBoundsSweep|OverflowRateWithinBound' ./intern
 # crash leaves of an unanswered batch. The memory placement writes its log
 # record on a second goroutine while the partition scans — the part -race is
 # for. Then the files nothing on a linux/amd64 host otherwise compiles:
-# hostfs's portable sync fallback and the scan kernel's stubs in
-# obliv/simd_generic.go.
+# hostfs's portable sync fallback and the stubs of the scan kernel
+# (obliv/simd_generic.go) and of the eight-lane SipHash
+# (crypt/siphash_generic.go).
 go test -race -timeout 15m -count=2 \
   -run 'CrashPoints|RollbackPrefixes|FuzzSealedState|TwoSyncsNoAllocs|CounterSlots|Recovery' \
   ./internal/persist/
@@ -181,11 +184,12 @@ GOOS=darwin GOARCH=arm64 go build ./...
 # The portable bodies (the purego tag drops every assembly kernel, as a
 # non-amd64 build does): the amd64 host otherwise never runs them. This
 # covers the table-order Extract and the miss zeroing behind it too, the
-# kernels at every bucket size the geometry grid can pick (Z ≤ 128), and
-# the portable row kernels under the networks' per-pair differential and
-# the load-balancer suites.
-go vet -tags purego ./internal/obliv/
-go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/ ./internal/store/ ./internal/loadbalancer/
+# kernels at every bucket size the geometry grid can pick (Z ≤ 128), the
+# scalar SipHash loop behind crypt.SipBucketsN, and the portable row
+# kernels under the networks' per-pair differential and the load-balancer
+# suites.
+go vet -tags purego ./internal/obliv/ ./internal/crypt/
+go test -tags purego ./internal/obliv/ ./internal/crypt/ ./internal/suboram/ ./internal/ohash/ ./internal/store/ ./internal/loadbalancer/
 
 # The leakage suite's canonical exports must not depend on how many
 # threads record spans: run it serial, at two and at four — and with it the
@@ -194,9 +198,14 @@ go test -tags purego ./internal/obliv/ ./internal/suboram/ ./internal/ohash/ ./i
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -count=1 ./internal/trace/
   GOMAXPROCS=$procs go test -count=1 \
-    -run 'ScanMatchesSlotMajor|ExchangeMatches|KeyPassEveryLaneSplit|SlotMajorReference' \
-    ./internal/obliv/ ./internal/suboram/
+    -run 'ScanMatchesSlotMajor|ScanRunLengths|ExchangeMatches|KeyPassEveryLaneSplit|SipBucketsNMatches|SlotMajorReference|StoreScanTrace' \
+    ./internal/obliv/ ./internal/crypt/ ./internal/suboram/
 done
+
+# Every benchmark of the root package and of the scan kernel and hash
+# layers, once: a benchmark whose setup stops compiling or starts failing
+# shows here, not the next time someone measures with it.
+go test -run '^$' -bench . -benchtime 1x . ./internal/obliv/ ./internal/crypt/
 
 # The benchmark program's own smoke test (a module of its own, so not part
 # of `go test ./...`): all four workloads at tiny shapes, every reply
