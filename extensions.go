@@ -46,7 +46,7 @@ func NewReplicatedSubORAM(blockSize, f, r int, sealed bool) (SubORAM, error) {
 	for i := range members {
 		members[i] = replica.NewNode(suboram.New(suboram.Config{BlockSize: blockSize, Sealed: sealed}))
 	}
-	g, err := replica.NewGroup(members, nil, f, r)
+	g, err := replica.NewGroup(members, blockSize, nil, f, r)
 	if err != nil {
 		return nil, err
 	}

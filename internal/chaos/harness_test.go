@@ -311,7 +311,7 @@ func (h *harness) build() error {
 			cs[i] = ms[i].node
 		}
 		ctr := &replica.TrustedCounter{}
-		g, err := replica.NewGroup(cs, ctr, cfg.F, cfg.R)
+		g, err := replica.NewGroup(cs, cfg.BlockSize, ctr, cfg.F, cfg.R)
 		if err != nil {
 			return err
 		}

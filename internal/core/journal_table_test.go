@@ -32,7 +32,7 @@ var (
 	//     dispatch;
 	//   - prefix: its first delivery of C fails after the first of its two
 	//     batches reached the partition — the second, its table key cleared,
-	//     is one the partition's own order check refuses.
+	//     is one the partition's delivery gate refuses.
 	tableFates = []string{"serves", "fails", "twice", "failover", "prefix"}
 )
 

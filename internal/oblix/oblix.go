@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"snoopy/internal/ohash"
 	"snoopy/internal/pathoram"
 	"snoopy/internal/store"
 )
@@ -302,10 +303,14 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	return out, nil
 }
 
-// Deliver executes a delivery's batches in turn. Its only refusal, an
-// uninitialized adapter's, comes at the first batch, so a delivery applies
-// whole or not at all; with no replay cache, it ignores the tag.
+// Deliver executes a delivery's batches in turn after the delivery gate
+// (ohash.CheckDelivery); its one later refusal, an uninitialized adapter's,
+// comes at the first batch, so a delivery applies whole or not at all. With
+// no replay cache, it ignores the tag. BatchAccess runs any batch ungated.
 func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	if err := ohash.CheckDelivery(s.blockSize, reqs); err != nil {
+		return nil, err
+	}
 	outs := make([]*store.Requests, len(reqs))
 	for i, r := range reqs {
 		var err error

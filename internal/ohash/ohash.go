@@ -143,10 +143,30 @@ func batchKey(reqs *store.Requests) (crypt.SipKey, error) {
 	return k, nil
 }
 
-// CheckOrder refuses, as Build does, a batch that is empty, unkeyed or not
-// in the table order its key declares: for a caller that must not hand on a
-// delivery its partitions would refuse.
-func CheckOrder(reqs *store.Requests) error {
+// CheckDelivery is the one delivery gate every partition kind runs first, in
+// Deliver, before it spends anything: it refuses no batches, a batch whose
+// block size is not the partition's, and any batch Build refuses for its
+// order. Batch shapes are public (§4.2), so it is pure; on a delivery it
+// accepts it allocates nothing. Overflow is left to the table build, the one
+// place that can see it.
+func CheckDelivery(blockSize int, batches []*store.Requests) error {
+	if len(batches) == 0 {
+		return errors.New("ohash: a delivery needs a batch")
+	}
+	for _, r := range batches {
+		if r.BlockSize != blockSize {
+			return fmt.Errorf("ohash: batch block size %d != the partition's %d", r.BlockSize, blockSize)
+		}
+		if err := checkOrder(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkOrder refuses, as Build does, a batch that is empty, unkeyed or not
+// in the table order its key declares.
+func checkOrder(reqs *store.Requests) error {
 	k, err := batchKey(reqs)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package ohash
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,8 +148,8 @@ func TestBuildWithLoadBalancerDummies(t *testing.T) {
 
 // TestBuildRefusesMisorderedBatch is the order check's negative control: a
 // batch with two real rows swapped, a real row after a dummy, rows under
-// two keys, or no key at all is refused, by Build and by CheckOrder alike;
-// the batch as sent passes both.
+// two keys, or no key at all is refused, by Build and by the delivery gate
+// (CheckDelivery) alike; the batch as sent passes both.
 func TestBuildRefusesMisorderedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	k := crypt.SipKey{7, 8}
@@ -165,8 +166,8 @@ func TestBuildRefusesMisorderedBatch(t *testing.T) {
 	if _, err := b.Build(base); err != nil {
 		t.Fatalf("the batch as sent: %v", err)
 	}
-	if err := CheckOrder(base); err != nil {
-		t.Fatalf("the batch as sent: CheckOrder says %v", err)
+	if err := CheckDelivery(8, []*store.Requests{base}); err != nil {
+		t.Fatalf("the batch as sent: CheckDelivery says %v", err)
 	}
 	swap := func(r *store.Requests, i, j int) {
 		tmp := r.Clone()
@@ -188,8 +189,48 @@ func TestBuildRefusesMisorderedBatch(t *testing.T) {
 		if _, err := b.Build(r); !errors.Is(err, ErrOrder) {
 			t.Fatalf("%s: Build says %v, want ErrOrder", c.name, err)
 		}
-		if err := CheckOrder(r); !errors.Is(err, ErrOrder) {
-			t.Fatalf("%s: CheckOrder says %v, want ErrOrder", c.name, err)
+		if err := CheckDelivery(8, []*store.Requests{base, r}); !errors.Is(err, ErrOrder) {
+			t.Fatalf("%s: CheckDelivery says %v, want ErrOrder", c.name, err)
+		}
+	}
+}
+
+// TestCheckDelivery is the gate's own negative control for what is not a
+// batch's order: a delivery with no batches, an empty batch, or a batch of
+// another block size than the partition's is refused, wherever in the
+// delivery it comes; a delivery it accepts allocates nothing.
+func TestCheckDelivery(t *testing.T) {
+	batch := func(rows, blockSize int) *store.Requests {
+		r := store.NewRequests(rows, blockSize)
+		for i := 0; i < rows; i++ {
+			r.SetRow(i, store.OpRead, uint64(3*i+1), 0, 0, 0, nil)
+		}
+		Order(r, crypt.SipKey{7, 8})
+		return r
+	}
+	good := []*store.Requests{batch(5, 16), batch(1, 16), batch(33, 16)}
+	if err := CheckDelivery(16, good); err != nil {
+		t.Fatalf("a well-formed delivery: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := CheckDelivery(16, good); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 && !raceEnabled {
+		t.Fatalf("CheckDelivery allocates %.1f times on a delivery it accepts", allocs)
+	}
+	for _, c := range []struct {
+		name    string
+		batches []*store.Requests
+		want    string
+	}{
+		{"no batches", nil, "needs a batch"},
+		{"an empty batch", []*store.Requests{good[0], store.NewRequests(0, 16)}, "empty batch"},
+		{"a wider batch", []*store.Requests{good[0], batch(2, 32)}, "block size 32 != the partition's 16"},
+		{"a narrower first batch", []*store.Requests{batch(2, 8), good[1]}, "block size 8 != the partition's 16"},
+	} {
+		if err := CheckDelivery(16, c.batches); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: CheckDelivery says %v, want %q", c.name, err, c.want)
 		}
 	}
 }

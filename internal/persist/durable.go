@@ -354,12 +354,11 @@ func (dur *Durable) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // Deliver applies one delivery — an epoch's batches, in order — and
 // makes it durable as one epoch before answering: one image commit (disk),
 // or one wal record synced while the partition scans (memory), then one
-// counter bump. A partition error in the disk placement (the image may have
-// committed; a batch out of table order is refused before any write) and a
-// failed wal write or counter bump leave the Durable refusing deliveries
-// until reopened at the delivery's start. The returned slice is valid until
-// the next call. The tag is handed to the partition;
-// the epoch counted here is the Durable's own.
+// counter bump. A delivery the gate (ohash.CheckDelivery) refuses writes
+// nothing; any failure after it leaves the Durable refusing deliveries until
+// reopened at the delivery's start. The returned slice is valid until the
+// next call. The tag is handed to the partition; the epoch counted here is
+// the Durable's own.
 func (dur *Durable) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	dur.mu.Lock()
 	defer dur.mu.Unlock()
@@ -368,69 +367,60 @@ func (dur *Durable) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*s
 
 // deliver is Deliver; the caller holds mu while it reads the scratch.
 func (dur *Durable) deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
-	if len(reqs) == 0 || !dur.image.Formatted() {
-		return nil, errors.New("persist: a delivery needs a batch and an initialized partition")
+	if err := ohash.CheckDelivery(dur.cfg.BlockSize, reqs); err != nil {
+		return nil, err
 	}
-	for _, r := range reqs {
-		if r.BlockSize != dur.cfg.BlockSize {
-			return nil, fmt.Errorf("persist: batch block size %d != %d", r.BlockSize, dur.cfg.BlockSize)
-		}
+	if !dur.image.Formatted() {
+		return nil, errors.New("persist: a delivery needs an initialized partition")
 	}
 	if err := dur.ready(); err != nil {
 		return nil, err
 	}
 	epoch := dur.ctr.Current() + 1
+	var outs []*store.Requests
+	var err error
 	if dur.cfg.Disk {
 		before := dur.image.Epoch()
 		dur.image.SetMark(epoch)
-		outs, err := dur.inner.Deliver(tag, reqs)
+		outs, err = dur.inner.Deliver(tag, reqs)
 		if got := dur.image.Epoch(); err == nil && got != before+1 {
 			err = fmt.Errorf("persist: the delivery left the image at store epoch %d, want %d", got, before+1)
 		}
-		if err != nil {
-			if !errors.Is(err, ohash.ErrOrder) { // refused before any write
-				dur.broken = err
+	} else {
+		if dur.walEpochs >= dur.cfg.SnapshotEvery {
+			// Before the delivery, never after: the image holds no
+			// unacknowledged epoch.
+			ids, data, err := dur.inner.Export()
+			if err == nil {
+				err = dur.writeImage(ids, data, false)
 			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if err := sealWAL(dur.log, epoch, reqs, dur.cfg.BlockSize); err != nil {
 			return nil, err
 		}
-		return outs, dur.ack()
-	}
-	if dur.walEpochs >= dur.cfg.SnapshotEvery {
-		// Before the delivery, never after: the image holds no
-		// unacknowledged epoch.
-		ids, data, err := dur.inner.Export()
-		if err != nil {
-			return nil, err
+		dur.walGo <- struct{}{}
+		// Let the writer reach its fdatasync before the scan takes the CPU:
+		// on a single P it would otherwise first run when the scan is over.
+		runtime.Gosched()
+		outs, err = dur.inner.Deliver(tag, reqs)
+		if werr := <-dur.walDone; werr != nil {
+			return nil, werr // sticky in the log: the scans' effects are not durable
 		}
-		if err := dur.writeImage(ids, data, false); err != nil {
-			return nil, err
-		}
-	}
-	before := dur.log.off
-	if err := sealWAL(dur.log, epoch, reqs, dur.cfg.BlockSize); err != nil {
-		return nil, err
-	}
-	dur.walGo <- struct{}{}
-	// Let the writer reach its fdatasync before the scan takes the CPU: on
-	// a single P it would otherwise first run when the scan is over.
-	runtime.Gosched()
-	outs, err := dur.inner.Deliver(tag, reqs)
-	if werr := <-dur.walDone; werr != nil {
-		return nil, werr // sticky in the log: the scans' effects are not durable
 	}
 	if err != nil {
-		// The record describes a delivery that was not applied and will not
-		// be acknowledged; the next delivery takes its place and its epoch.
-		if cerr := dur.log.cut(before, epoch); cerr != nil {
-			return nil, cerr
-		}
+		dur.broken = err
 		return nil, err
 	}
-	dur.telWALEpochs.Inc() // once per acknowledged delivery: no request contents
 	if err := dur.ack(); err != nil {
 		return nil, err
 	}
-	dur.walEpochs++
+	if !dur.cfg.Disk {
+		dur.telWALEpochs.Inc() // once per acknowledged delivery: no request contents
+		dur.walEpochs++
+	}
 	return outs, nil
 }
 
@@ -473,7 +463,7 @@ func (dur *Durable) writeImage(ids []uint64, data []byte, fresh bool) error {
 		dur.d.fs.Remove(dur.d.file(idsFile(retired)))
 	}
 	if dur.log != nil {
-		if err := dur.log.cut(0, epoch+1); err != nil {
+		if err := dur.log.cut(epoch + 1); err != nil {
 			return err
 		}
 	}

@@ -237,6 +237,83 @@ func TestRecoveryDiscardsUnacknowledgedTail(t *testing.T) {
 	}
 }
 
+// failing is a partition whose next delivery fails once fail is set, after
+// the Durable's gate and before any scan — as a table overflow does.
+type failing struct {
+	Partition
+	fail bool
+}
+
+var errPartition = errors.New("partition failed after the gate")
+
+func (f *failing) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	if f.fail {
+		f.fail = false
+		return nil, errPartition
+	}
+	return f.Partition.Deliver(tag, reqs)
+}
+
+// TestPartitionFailureBreaksUntilReopened is the one rule's second half, in
+// both placements: a partition error after the gate leaves the Durable
+// refusing every delivery, a valid one included, until reopened; the reopened
+// Durable holds the values from before the failed delivery at the same
+// counter epoch, and its next delivery takes that epoch. (The first half, a
+// gate refusal writing nothing and leaving it serving, is
+// suboram.TestDeliveryAppliedWholeOrNotAtAll's durable rows.)
+func TestPartitionFailureBreaksUntilReopened(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var part *failing
+			dur, err := NewDurable(dir, testConfig(pl.disk), func(scan suboram.BlockStore) Partition {
+				part = &failing{Partition: newPartition(scan)}
+				return part
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadObjects(t, dur, 4)
+			writeBatch(t, dur, 2, 1)
+			part.fail = true
+			reqs := store.NewRequests(1, testBlock)
+			val := make([]byte, testBlock)
+			fillValue(val, 2, 99)
+			reqs.SetRow(0, store.OpWrite, 2, 0, 1, 0, val)
+			if _, err := dur.BatchAccess(sendable(reqs)); !errors.Is(err, errPartition) {
+				t.Fatalf("the failing delivery: %v, want the partition's error", err)
+			}
+			reqs = store.NewRequests(1, testBlock)
+			reqs.SetRow(0, store.OpRead, 2, 0, 1, 0, nil)
+			if _, err := dur.BatchAccess(sendable(reqs)); !errors.Is(err, errPartition) {
+				t.Fatalf("a valid delivery after the failure: %v, want a refusal naming it", err)
+			}
+			if got := dur.Epoch(); got != 1 {
+				t.Fatalf("epoch %d after the failure, want 1", got)
+			}
+			dur.Close()
+
+			dur = openDurable(t, dir, testConfig(pl.disk))
+			defer dur.Close()
+			if got := dur.Epoch(); got != 1 {
+				t.Fatalf("reopened at epoch %d, want 1", got)
+			}
+			expectValue(t, dur, 2, 1) // the failed delivery's version 99 must not surface
+			if got := dur.Epoch(); got != 2 {
+				t.Fatalf("the next delivery took epoch %d, want 2", got)
+			}
+			writeBatch(t, dur, 2, 3)
+			dur.Close()
+			dur = openDurable(t, dir, testConfig(pl.disk))
+			defer dur.Close()
+			if got := dur.Epoch(); got != 3 {
+				t.Fatalf("reopened at epoch %d, want 3", got)
+			}
+			expectValue(t, dur, 2, 3)
+		})
+	}
+}
+
 // TestRecoveryAcknowledgesImageAheadOfCounter: a crash between the disk
 // placement's image commit and the counter's bump leaves the image one epoch
 // ahead; that epoch is applied in full, so recovery acknowledges it.

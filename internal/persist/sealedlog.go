@@ -81,7 +81,7 @@ func (d *dir) replaceLog(name, context, label string, first uint64, fill func(*s
 	if err != nil {
 		return nil, err
 	}
-	if err = l.cut(0, first); err == nil { // a crashed attempt's leftover
+	if err = l.cut(first); err == nil { // a crashed attempt's leftover
 		if err = fill(l); err == nil {
 			err = l.sync()
 		}
@@ -226,19 +226,17 @@ func (l *sealedLog) sync() error {
 	return l.err
 }
 
-// cut drops everything from offset off on, after which the log expects
-// record next (0: any): the whole log when its contents have been
-// superseded (off 0), or the record just written when the epoch it describes
-// failed before acknowledgment.
-func (l *sealedLog) cut(off int64, next uint64) error {
+// cut empties a log whose contents have been superseded, after which it
+// expects record next (0: any).
+func (l *sealedLog) cut(next uint64) error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.err = l.f.Truncate(off); l.err != nil {
+	if l.err = l.f.Truncate(0); l.err != nil {
 		return l.err
 	}
-	l.d.rec.Record(trace.KindFileWrite, int(off), 0) // shape-only event
-	l.off, l.next, l.tail = off, next, false
+	l.d.rec.Record(trace.KindFileWrite, 0, 0) // shape-only event
+	l.off, l.next, l.tail = 0, next, false
 	return nil
 }
 

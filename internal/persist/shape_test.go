@@ -51,11 +51,30 @@ func openStub(t *testing.T, dir string, cfg Config, out *store.Requests) *Durabl
 	return dur
 }
 
+// distinct is a sendable batch of n reads of distinct keys.
+func distinct(n int) *store.Requests {
+	r := store.NewRequests(n, testBlock)
+	for i := 0; i < n; i++ {
+		r.SetRow(i, store.OpRead, uint64(i+1), 0, 0, 0, nil)
+	}
+	return sendable(r)
+}
+
+// TestWALRecordLenClosedForm: a delivery of one batch of n rows grows the wal
+// by WALRecordLen(n) bytes; an empty batch is refused by the delivery gate
+// and grows it by none.
 func TestWALRecordLenClosedForm(t *testing.T) {
 	for _, rows := range []int{0, 1, 5, 24} {
 		dir := t.TempDir()
 		dur := openStub(t, dir, Config{BlockSize: testBlock}, nil)
-		if _, err := dur.BatchAccess(store.NewRequests(rows, testBlock)); err != nil {
+		before := walOff(dur)
+		want := before + int64(WALRecordLen(rows, testBlock))
+		if rows == 0 {
+			if _, err := dur.BatchAccess(store.NewRequests(0, testBlock)); err == nil {
+				t.Fatal("an empty batch was accepted")
+			}
+			want = before
+		} else if _, err := dur.BatchAccess(distinct(rows)); err != nil {
 			t.Fatal(err)
 		}
 		dur.Close()
@@ -63,8 +82,8 @@ func TestWALRecordLenClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int(st.Size()), WALRecordLen(rows, testBlock); got != want {
-			t.Fatalf("%d rows: wal holds %d bytes, WALRecordLen says %d", rows, got, want)
+		if got := st.Size(); got != want {
+			t.Fatalf("%d rows: wal holds %d bytes, want %d (WALRecordLen says %d per record)", rows, got, want, WALRecordLen(rows, testBlock))
 		}
 	}
 }
@@ -81,7 +100,7 @@ func TestDurableEpochTwoSyncsNoAllocs(t *testing.T) {
 			dur := openStub(t, dir, Config{BlockSize: testBlock, Disk: pl.disk, SnapshotEvery: 1 << 30, Telemetry: reg},
 				store.NewRequests(8, testBlock))
 			defer dur.Close()
-			reqs := []*store.Requests{store.NewRequests(8, testBlock)}
+			reqs := []*store.Requests{distinct(8)}
 			step := func() {
 				if _, err := dur.Deliver(store.DeliveryTag{}, reqs); err != nil {
 					t.Fatal(err)

@@ -5,9 +5,10 @@
 // trusted monotonic counter (the ROTE / SGX-counter abstraction, advanced
 // once per epoch as §9 prescribes) numbers the deliveries: an epoch's
 // batches, one per load balancer, which every member applies whole or not
-// at all in one call. Each member's enclave seals the epoch its state
-// reflects together with the state, so a reply whose epoch is not its
-// delivery's counter value comes from a stale lineage and is discarded.
+// at all in one call, once the delivery gate (ohash.CheckDelivery) passed
+// it. Each member's enclave seals the epoch its state reflects together
+// with the state, so a reply whose epoch is not its delivery's counter
+// value comes from a stale lineage and is discarded.
 //
 // The group is a quorum, not a clock. Every member gets every delivery, in
 // counter order, through a queue of its own: a slow member is behind, never
@@ -178,8 +179,7 @@ type Group struct {
 	idle    sync.Cond
 	members []*member
 	stats   GroupStats
-	// blockSize is the members' block size, learned at Init from a
-	// non-empty partition (0 until then: not known).
+	// blockSize is the members' block size, which the delivery gate checks.
 	blockSize int
 	// diverged: two fresh replies to one delivery differed. No reply can be
 	// trusted after that, so every later delivery fails with ErrDivergence.
@@ -253,11 +253,12 @@ func (g *Group) SetTelemetry(reg *telemetry.Registry) {
 	g.mu.Unlock()
 }
 
-// NewGroup builds a group tolerating f crashed or stalled members and r
-// rolled-back ones; it requires exactly f+r+1 members (paper §9).
-func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
-	if f < 0 || r < 0 {
-		return nil, fmt.Errorf("replica: negative fault bounds")
+// NewGroup builds a group of members with blockSize-byte blocks, tolerating
+// f crashed or stalled members and r rolled-back ones; it requires exactly
+// f+r+1 members (paper §9).
+func NewGroup(members []Client, blockSize int, counter Counter, f, r int) (*Group, error) {
+	if f < 0 || r < 0 || blockSize <= 0 {
+		return nil, fmt.Errorf("replica: fault bounds (%d, %d) or block size %d out of range", f, r, blockSize)
 	}
 	if len(members) != f+r+1 {
 		return nil, fmt.Errorf("replica: need f+r+1 = %d replicas, have %d", f+r+1, len(members))
@@ -265,7 +266,7 @@ func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
 	if counter == nil {
 		counter = &TrustedCounter{}
 	}
-	g := &Group{counter: counter, f: f}
+	g := &Group{counter: counter, f: f, blockSize: blockSize}
 	g.idle.L = &g.mu
 	for _, c := range members {
 		g.members = append(g.members, &member{c: c})
@@ -273,9 +274,7 @@ func NewGroup(members []Client, counter Counter, f, r int) (*Group, error) {
 	return g, nil
 }
 
-// Init loads every member. Call it before the first delivery. The group
-// learns the partition's block size here, so Deliver can refuse a batch of
-// another one before any member sees it.
+// Init loads every member. Call it before the first delivery.
 func (g *Group) Init(ids []uint64, data []byte) error {
 	errs := make([]error, len(g.members))
 	for i, m := range g.members {
@@ -283,9 +282,6 @@ func (g *Group) Init(ids []uint64, data []byte) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(ids) > 0 {
-		g.blockSize = len(data) / len(ids)
-	}
 	for i, m := range g.members {
 		m.stale = errs[i] != nil
 	}
@@ -318,33 +314,23 @@ func (g *Group) WaitIdle(i int) {
 	}
 }
 
-// Deliver refuses a delivery with a batch out of table order (ohash.ErrOrder)
-// or of another block size than Init's partition before it takes a counter
-// epoch. It queues any other to every member at
-// the next counter epoch — one increment per delivery, whatever its batch
-// count — and returns the first fresh reply once n − f members have
-// answered and one answer is fresh. A stale member answers, not fresh, as the delivery is queued, so
-// only current members are waited on. It returns ErrNoQuorum only when
-// every member resolved the delivery without a fresh reply. Every fresh
-// reply, including those arriving after the return, is checked against the
-// one served: a difference the quorum saw fails this delivery, and one seen
-// later fails every later delivery, with ErrDivergence.
+// Deliver runs the delivery gate (ohash.CheckDelivery) first: a delivery
+// every member would refuse must take no counter epoch, or every member
+// would be stale, with no donor. It queues any other to every member at the
+// next counter epoch — one increment per delivery, whatever its batch count
+// — and returns the first fresh reply once n − f members have answered and
+// one answer is fresh. A stale member answers, not fresh, as the delivery
+// is queued, so only current members are waited on. It returns ErrNoQuorum
+// only when every member resolved the delivery without a fresh reply. Every
+// fresh reply, including those arriving after the return, is checked
+// against the one served: a difference the quorum saw fails this delivery,
+// and one seen later fails every later delivery, with ErrDivergence.
 func (g *Group) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
+	if err := ohash.CheckDelivery(g.blockSize, reqs); err != nil {
+		return nil, err
+	}
 	if g.diverged.Load() {
 		return nil, ErrDivergence
-	}
-	// A batch every member would refuse must not take a counter epoch: no
-	// member would reach it, so every member would be stale, with no donor.
-	g.mu.Lock()
-	bs := g.blockSize
-	g.mu.Unlock()
-	for _, r := range reqs {
-		if bs > 0 && r.BlockSize != bs {
-			return nil, fmt.Errorf("replica: batch block size %d != the partition's %d", r.BlockSize, bs)
-		}
-		if err := ohash.CheckOrder(r); err != nil {
-			return nil, err
-		}
 	}
 	// Each member reads its own copy: the caller may reuse reqs' storage as
 	// soon as this returns, while members behind the quorum still need it.

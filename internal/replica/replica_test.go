@@ -118,7 +118,7 @@ func newGroup(t *testing.T, f, r int) (*Group, []*fault) {
 		ms[i] = newFault()
 		cs[i] = ms[i]
 	}
-	g, err := NewGroup(cs, nil, f, r)
+	g, err := NewGroup(cs, testBlock, nil, f, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestGroupDetectsDivergence(t *testing.T) {
 		g, err := NewGroup([]Client{
 			NewNode(suboram.New(suboram.Config{BlockSize: testBlock})),
 			divergentClient{NewNode(suboram.New(suboram.Config{BlockSize: testBlock}))},
-		}, nil, f, 1-f)
+		}, testBlock, nil, f, 1-f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,11 +286,14 @@ func TestGroupDetectsDivergence(t *testing.T) {
 }
 
 func TestGroupSizeValidation(t *testing.T) {
-	if _, err := NewGroup([]Client{NewNode(nil)}, nil, 1, 1); err == nil {
+	if _, err := NewGroup([]Client{NewNode(nil)}, testBlock, nil, 1, 1); err == nil {
 		t.Fatal("wrong replica count accepted")
 	}
-	if _, err := NewGroup(nil, nil, -1, 0); err == nil {
+	if _, err := NewGroup(nil, testBlock, nil, -1, 0); err == nil {
 		t.Fatal("negative f accepted")
+	}
+	if _, err := NewGroup([]Client{NewNode(nil)}, 0, nil, 0, 0); err == nil {
+		t.Fatal("block size 0 accepted")
 	}
 }
 

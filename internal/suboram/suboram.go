@@ -312,10 +312,10 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 }
 
 // Deliver applies one delivery — an epoch's batches in load-balancer
-// order — whole or not at all: every table is built (every check that can
-// refuse a batch: block size, order, overflow) before any scan. Tables are
-// functions of the requests alone, so batch i+1's scan still sees batch
-// i's writes. The partition keeps no replay cache, so it ignores the tag.
+// order — whole or not at all: after the delivery gate
+// (ohash.CheckDelivery), every table is built (overflow) before any scan.
+// Tables are functions of the requests alone, so batch i+1's scan still
+// sees batch i's writes. The partition keeps no replay cache, so it ignores the tag.
 // The returned slice is scratch reused by the next call.
 func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.mu.Lock()
@@ -325,12 +325,12 @@ func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store
 
 // deliver is Deliver; the caller holds mu while it reads the scratch.
 func (s *SubORAM) deliver(reqs []*store.Requests) ([]*store.Requests, error) {
+	if err := ohash.CheckDelivery(s.cfg.BlockSize, reqs); err != nil {
+		return nil, err
+	}
 	var st Stats
 	s.tables = s.tables[:0]
 	for i, r := range reqs {
-		if r.BlockSize != s.cfg.BlockSize {
-			return nil, fmt.Errorf("suboram: batch block size %d != %d", r.BlockSize, s.cfg.BlockSize)
-		}
 		if i == len(s.builders) {
 			s.builders = append(s.builders, ohash.NewBuilder(s.cfg.Hash))
 		}

@@ -191,8 +191,8 @@ func TestMixedLargeBatchRandomized(t *testing.T) {
 	}
 }
 
-// TestStrictRejectsDuplicates: the build's order check, under which real
-// rows must strictly ascend, refuses a batch that repeats a key.
+// TestStrictRejectsDuplicates: the delivery gate's order check, under which
+// real rows must strictly ascend, refuses a batch that repeats a key.
 func TestStrictRejectsDuplicates(t *testing.T) {
 	s := newLoaded(t, Config{}, 10)
 	reqs := batchOf(

@@ -88,12 +88,14 @@ go test -race -timeout 15m -count=2 \
 # in core, standby-root promotion in cluster, the journal/standby leakage
 # tests, snoopy.Open refusing a journal over volatile in-process partitions
 # and OpenWithSubORAMs taking a SubORAM without Deliver only at L = 1, and
-# the delivery as a partition's one unit: applied whole or not at all by
-# every kind of partition (plain and sealed suboram, Durable in memory and
-# on disk, remote, replica.Group), each serving the next delivery after one
-# it refused, one wal record or image commit and one
-# counter bump in persist, whose crash points never reopen between a
-# delivery's batches.
+# the delivery as a partition's one unit: one delivery gate
+# (ohash.CheckDelivery, its own unit test in ohash) that every kind of
+# partition (plain and sealed suboram, Durable in memory and on disk,
+# remote, replica.Group, one initialised empty, the Oblix baseline) runs
+# before it spends anything, each refusal leaving it as it was and serving
+# the next delivery; a Durable partition failing after the gate refusing
+# until reopened; one wal record or image commit and one counter bump in
+# persist, whose crash points never reopen between a delivery's batches.
 # Schedule-sensitive by construction (promotion races a probing watchdog),
 # so shake them with -count=2 as well.
 go test -race -timeout 15m -count=2 \
@@ -101,8 +103,8 @@ go test -race -timeout 15m -count=2 \
   ./internal/core/ ./internal/cluster/
 go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir|TestOneBatchSubORAMOnlyAtOneLoadBalancer' .
 go test -race -timeout 15m -count=2 \
-  -run 'TestDeliveryAppliedWholeOrNotAtAll|TestDeliveryIsOneEpoch|TestCrashPointsDurable' \
-  ./internal/suboram/ ./internal/persist/
+  -run 'TestCheckDelivery|TestDeliveryAppliedWholeOrNotAtAll|TestPartitionFailureBreaksUntilReopened|TestDeliveryIsOneEpoch|TestCrashPointsDurable' \
+  ./internal/ohash/ ./internal/suboram/ ./internal/persist/
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/
