@@ -30,9 +30,10 @@
 // -probe-interval, and after -fail-after consecutive misses it promotes
 // itself — it attests to the partition servers, opens the shared journal
 // directory (which replays any journaled-but-incomplete epochs under the
-// dead root's (stream, epoch) delivery tags; the partitions' replay caches
-// make the re-dispatch exactly-once), and serves epochs from then on. The scope is
-// honest about what this binary can and cannot recover: replayed answers
+// dead root's (stream, epoch) delivery tags; the delivery window each
+// partition server runs its partition behind makes the re-dispatch
+// exactly-once), and serves epochs from then on. The scope is honest about
+// what this binary can and cannot recover: replayed answers
 // are parked in the promoted root's reply window for clients that retry
 // under their original idempotency IDs, but client connections themselves
 // are process-local in this reproduction — a client embedded in the dead
@@ -160,9 +161,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for sealed durable state (empty = in-memory only)")
 	diskResident := flag.Bool("disk-resident", false, "keep partition contents on disk in sealed segments (requires -data, excludes -sealed)")
 	platformHex := flag.String("platform", "", "shared platform root key (64 hex chars); empty generates one and prints it")
-	handshakeTimeout := flag.Duration("handshake-timeout", 10*time.Second, "attested handshake deadline per connection")
-	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "per-response write deadline")
-	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle this long (0 = keep forever)")
 	healthLog := flag.Duration("health-log", 0, "log serving counters (batches, rows, epoch) this often (0 = off)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /trace/epochs, and /debug/pprof on this address (empty = off)")
 	standbyRootMode := flag.Bool("standby-root", false, "run as a warm standby for a journaling LB root instead of a partition")
@@ -243,13 +241,7 @@ func main() {
 	}
 	fmt.Printf("subORAM serving on %s (block=%dB sealed=%v measurement=%q)\n",
 		l.Addr(), *block, *sealed, Program)
-	err = transport.ServeSubORAMOptions(l, part, platform, enclave.Measure(Program), transport.ServeOptions{
-		HandshakeTimeout: *handshakeTimeout,
-		WriteTimeout:     *writeTimeout,
-		IdleTimeout:      *idleTimeout,
-		Telemetry:        reg,
-	})
-	if err != nil {
+	if err := transport.ServeSubORAM(l, part, platform, enclave.Measure(Program), reg); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 		}
 		defer l.Close()
 		go transport.ServeSubORAM(l, snoopy.NewLocalSubORAM(blockSize, 2, false),
-			platform, enclave.Measurement(measurement))
+			platform, enclave.Measurement(measurement), nil)
 		sub, err := snoopy.DialSubORAM(l.Addr().String(), platform, measurement)
 		if err != nil {
 			log.Fatal(err)

@@ -15,21 +15,19 @@ import (
 	"snoopy/internal/transport"
 )
 
-// rootHarness is the in-process standby-root setup: partitions with
-// replay caches that survive the root, a shared journal directory, and a
-// factory for root incarnations.
+// rootHarness is the in-process standby-root setup: partitions behind
+// delivery windows that survive the root, a shared journal directory, and
+// a factory for root incarnations.
 type rootHarness struct {
 	t    *testing.T
-	subs []*suboram.SubORAM
-	rcs  []*transport.ReplayCache
+	subs []*transport.Window
 	dir  string
 }
 
 func newRootHarness(t *testing.T, S int) *rootHarness {
 	h := &rootHarness{t: t, dir: t.TempDir()}
 	for i := 0; i < S; i++ {
-		h.subs = append(h.subs, suboram.New(suboram.Config{BlockSize: 32}))
-		h.rcs = append(h.rcs, transport.NewReplayCache())
+		h.subs = append(h.subs, transport.NewWindow(suboram.New(suboram.Config{BlockSize: 32})))
 	}
 	return h
 }
@@ -37,7 +35,7 @@ func newRootHarness(t *testing.T, S int) *rootHarness {
 func (h *rootHarness) newRoot() (*core.System, error) {
 	clients := make([]core.SubORAMClient, len(h.subs))
 	for i := range h.subs {
-		clients[i] = transport.NewLocalTagged(h.subs[i], h.rcs[i])
+		clients[i] = h.subs[i]
 	}
 	return core.NewWithSubORAMs(core.Config{
 		BlockSize: 32, Lambda: 32, JournalDir: h.dir,

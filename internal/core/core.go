@@ -92,7 +92,8 @@ type Config struct {
 	// same process restarting, or a standby root promoted over the same
 	// directory — journaled-but-incomplete epochs are re-run and dispatched
 	// again under the same tags, so partitions that already applied a batch
-	// answer from their replay caches and the epoch commits exactly once.
+	// answer from their delivery windows (transport.Window) and the epoch
+	// commits exactly once.
 	// An incomplete epoch journaled under another shape (L, S, BlockSize,
 	// Lambda) fails the open.
 	JournalDir string

@@ -394,7 +394,7 @@ func (sys *System) partStageB(job *epochJob, s int) {
 	}
 	// Epoch E travels as (stream, E) on whichever client serves s, and a
 	// journaled root's every incarnation shares the stream: a partition
-	// that already applied the delivery answers from its replay cache.
+	// that already applied the delivery answers from its delivery window.
 	outs, err := sub.Deliver(store.DeliveryTag{Stream: sys.stream, Epoch: job.id}, gather)
 	if err != nil {
 		job.subErr[s] = fmt.Errorf("suboram %d: %w", s, err)

@@ -524,7 +524,7 @@ func TestFailoverPromotesRestoredRemote(t *testing.T) {
 			return nil, nil, "", err
 		}
 		l := faultnet.WrapListener(raw, nil)
-		go transport.ServeSubORAM(l, dur, platform, m)
+		go transport.ServeSubORAM(l, dur, platform, m, nil)
 		return l, dur, raw.Addr().String(), nil
 	}
 

@@ -17,12 +17,12 @@
 //     batches, and a journal written under another shape fails the open.
 //   - Tagged delivery. Every delivery of epoch E travels under the tag
 //     (stream, E); the stream is derived from the routing key the journal
-//     pins, so every root incarnation derives the same one. Partitions keep
-//     a replay cache keyed by the tag. A successor replaying a journaled
-//     epoch re-issues the identical delivery, on whichever client handle
-//     now serves the partition, and a partition that already applied it
-//     answers from its cache instead of applying twice. Journaled ⇒ applied
-//     at most once.
+//     pins, so every root incarnation derives the same one. A partition
+//     server runs its partition behind a delivery window keyed by the tag
+//     (transport.Window). A successor replaying a journaled epoch re-issues
+//     the identical delivery, on whichever client handle now serves the
+//     partition, and a partition that already applied it answers from its
+//     window instead of applying twice. Journaled ⇒ applied at most once.
 //   - Reply window. Successful results of idempotent requests are parked
 //     under their client-chosen IDs (on the original root at reply time,
 //     on a successor at replay time), so a retry of an already-answered
@@ -35,9 +35,9 @@
 // whole or not at all, so one it fails leaves nothing to apply twice.
 // TestJournalExactlyOnce enumerates every crash point against every
 // partition fate at depths 1 and 2. Known degradation: a partition server
-// that applied an epoch and then lost its replay cache (restarted, or
-// replaced by a standby) re-applies it on replay — at-least-once, as are
-// requests that carry no idempotency ID (id 0).
+// that applied an epoch and then lost its window (restarted, or replaced
+// by a standby) re-applies it on replay — at-least-once, as are requests
+// that carry no idempotency ID (id 0).
 package core
 
 import (
@@ -131,7 +131,7 @@ var errJournaledFailure = errors.New("core: journaled epoch failed before dispat
 // replayEpoch runs one journaled epoch through the engine like a live one:
 // restore each plane's queue from the record, re-run stage A over it,
 // dispatch — under the same (stream, epoch) tags, so a partition that
-// already applied it answers from its replay cache — and wait until it
+// already applied it answers from its delivery window — and wait until it
 // completes. Stage C matches under the live rules — failed partitions,
 // Theorem-3 drops and ACL denials included — and parks the answers under
 // the journaled idempotency IDs; the reply channels have no reader. The

@@ -28,7 +28,7 @@ var (
 	//   - fails: its first delivery of C fails before applying anything;
 	//   - twice: it receives each delivery of C twice under the same tag;
 	//   - failover: the root fails it over to a fresh handle, over the same
-	//     partition and replay cache, between C's journal record and its
+	//     partition and delivery window, between C's journal record and its
 	//     dispatch;
 	//   - prefix: its first delivery of C fails after the first of its two
 	//     batches reached the partition — the second, its table key cleared,
@@ -84,7 +84,6 @@ type tableRow struct {
 
 	dir    string
 	parts  []*markerPart
-	rcs    []*transport.ReplayCache
 	stream uint64      // the first incarnation's delivery stream
 	failed atomic.Bool // fate "fails" or "prefix": the one failure was played
 
@@ -93,10 +92,11 @@ type tableRow struct {
 	tagErr  error
 }
 
-// markerPart is a partition server's store under its replay cache: it
-// counts every write marker it applies.
+// markerPart is a partition server's store: it counts every write marker
+// it applies, and win is the delivery window the server runs it behind.
 type markerPart struct {
 	*suboram.SubORAM
+	win *transport.Window
 
 	mu      sync.Mutex
 	applied map[string]int
@@ -122,7 +122,7 @@ func (p *markerPart) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*
 // checks every delivery's tag and plays the row's fate on partition 0's
 // deliveries of epoch C.
 type fateHandle struct {
-	*transport.LocalTagged
+	*transport.Window
 	row  *tableRow
 	part int
 }
@@ -139,10 +139,10 @@ func (h *fateHandle) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*
 			if h.row.failed.CompareAndSwap(false, true) {
 				unkeyed := reqs[len(reqs)-1].Clone()
 				unkeyed.StampKey(crypt.SipKey{})
-				return h.LocalTagged.Deliver(tag, append(reqs[:len(reqs)-1:len(reqs)-1], unkeyed))
+				return h.Window.Deliver(tag, append(reqs[:len(reqs)-1:len(reqs)-1], unkeyed))
 			}
 		case "twice":
-			outs, err := h.LocalTagged.Deliver(tag, reqs)
+			outs, err := h.Window.Deliver(tag, reqs)
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +151,7 @@ func (h *fateHandle) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*
 			}
 		}
 	}
-	return h.LocalTagged.Deliver(tag, reqs)
+	return h.Window.Deliver(tag, reqs)
 }
 
 // delivered checks one delivery's tag: on the root's stream, and carrying
@@ -198,7 +198,7 @@ func (row *tableRow) open(t *testing.T) *System {
 }
 
 func (row *tableRow) handle(p int) *fateHandle {
-	return &fateHandle{LocalTagged: transport.NewLocalTagged(row.parts[p], row.rcs[p]), row: row, part: p}
+	return &fateHandle{Window: row.parts[p].win, row: row, part: p}
 }
 
 // tracked is one client request, retried under its own ID until answered.
@@ -217,8 +217,9 @@ func (row *tableRow) run(t *testing.T) {
 	const S, objects = 2, 64
 	row.dir, row.batches = t.TempDir(), map[[2]uint64][sha256.Size]byte{}
 	for p := 0; p < S; p++ {
-		row.parts = append(row.parts, &markerPart{SubORAM: suboram.New(suboram.Config{BlockSize: testBlock}), applied: map[string]int{}})
-		row.rcs = append(row.rcs, transport.NewReplayCache())
+		part := &markerPart{SubORAM: suboram.New(suboram.Config{BlockSize: testBlock}), applied: map[string]int{}}
+		part.win = transport.NewWindow(part)
+		row.parts = append(row.parts, part)
 	}
 	r1 := row.open(t)
 	row.stream = r1.stream

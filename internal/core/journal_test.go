@@ -19,13 +19,12 @@ import (
 	"snoopy/internal/transport"
 )
 
-// journalCluster models what survives a root crash: the partitions (with
-// their replay caches — the partition server's state) and the journal
-// directory. Each root incarnation gets fresh tagged clients over the same
-// partitions, exactly like a standby process dialing the same servers.
+// journalCluster models what survives a root crash: the partitions, each
+// behind the delivery window its partition server runs it in, and the
+// journal directory. Every root incarnation delivers to the same windows,
+// exactly like a standby process dialing the same servers.
 type journalCluster struct {
-	subs []*suboram.SubORAM
-	rcs  []*transport.ReplayCache
+	subs []*transport.Window
 	dir  string
 }
 
@@ -33,17 +32,16 @@ func newJournalCluster(t *testing.T, S int) *journalCluster {
 	t.Helper()
 	c := &journalCluster{dir: t.TempDir()}
 	for i := 0; i < S; i++ {
-		c.subs = append(c.subs, suboram.New(suboram.Config{BlockSize: testBlock}))
-		c.rcs = append(c.rcs, transport.NewReplayCache())
+		c.subs = append(c.subs, transport.NewWindow(suboram.New(suboram.Config{BlockSize: testBlock})))
 	}
 	return c
 }
 
-// tagged returns fresh tagged clients over the cluster's partitions.
+// tagged returns a root incarnation's clients: the cluster's windows.
 func (c *journalCluster) tagged() []SubORAMClient {
 	clients := make([]SubORAMClient, len(c.subs))
 	for i := range c.subs {
-		clients[i] = transport.NewLocalTagged(c.subs[i], c.rcs[i])
+		clients[i] = c.subs[i]
 	}
 	return clients
 }
@@ -68,7 +66,7 @@ func (c *journalCluster) root(t *testing.T, depth int, crash func(point string, 
 // TestUnjournaledRootsTagTheirOwnStreams: a root without a journal draws
 // its delivery stream at random, so a second root over the same partition
 // servers, its epoch numbers starting again at 1, is not answered from the
-// replay cache the first one filled.
+// delivery window the first one filled.
 func TestUnjournaledRootsTagTheirOwnStreams(t *testing.T) {
 	c := newJournalCluster(t, 1)
 	for i, val := range []string{"first", "second"} {
@@ -76,7 +74,7 @@ func TestUnjournaledRootsTagTheirOwnStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 { // Init clears the replay cache; the second root must not
+		if i == 0 { // Init clears the window; the second root must not
 			if err := sys.Init([]uint64{1}, make([]byte, testBlock)); err != nil {
 				t.Fatal(err)
 			}
@@ -385,9 +383,9 @@ func TestJournaledEpochsKeepPlainAPI(t *testing.T) {
 	}
 }
 
-// TestJournalReplayedResponsesCopied guards the LocalTagged arena
+// TestJournalReplayedResponsesCopied guards the Window's arena
 // interaction: a replayed grouped response must be an independent copy, so
-// the replaying root's stage-C release cannot corrupt the replay cache.
+// the replaying root's stage-C release cannot corrupt the window.
 func TestJournalReplayedResponsesCopied(t *testing.T) {
 	atDepths(t, testJournalReplayedResponsesCopied)
 }

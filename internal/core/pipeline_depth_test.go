@@ -329,7 +329,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 		return read, faultnet.NoFaults()
 	})
 	defer l.Kill()
-	go transport.ServeSubORAM(l, sub, platform, m)
+	go transport.ServeSubORAM(l, sub, platform, m, nil)
 
 	remote, err := transport.DialOptions(raw.Addr().String(), platform, m,
 		transport.Options{DialTimeout: 2 * time.Second, RPCTimeout: 300 * time.Millisecond, MaxRetries: -1})

@@ -109,7 +109,7 @@ func keysInUse(t *testing.T, what string, recs ...[]*recorder) int {
 // dispatching epoch E is succeeded over the same journal directory; the
 // successor's replay of E dispatches E's batches byte for byte as the first
 // incarnation did — same order, same table keys — so a partition answering
-// E from its replay cache answers in the order the successor expects, and
+// E from its delivery window answers in the order the successor expects, and
 // the replayed epoch's clients get their answers. No key orders two
 // different batches across both incarnations.
 func TestJournalReplayRebuildsBatches(t *testing.T) {

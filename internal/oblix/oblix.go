@@ -306,7 +306,7 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // Deliver executes a delivery's batches in turn after the delivery gate
 // (ohash.CheckDelivery); its one later refusal, an uninitialized adapter's,
 // comes at the first batch, so a delivery applies whole or not at all. With
-// no replay cache, it ignores the tag. BatchAccess runs any batch ungated.
+// no delivery window, it ignores the tag. BatchAccess runs any batch ungated.
 func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	if err := ohash.CheckDelivery(s.blockSize, reqs); err != nil {
 		return nil, err

@@ -9,7 +9,7 @@
 // same journal re-runs stage A and re-issues byte-identical batches. The
 // record holds no delivery tag: the root tags epoch E's delivery
 // (stream, E), which a successor derives again, so partitions that already
-// applied a batch answer from their replay caches instead of re-applying —
+// applied a batch answer from their delivery windows instead of re-applying —
 // the epoch is all-or-nothing across root crashes.
 //
 // The journal is a sealed log (sealedlog.go) of epoch records, done markers
@@ -21,7 +21,7 @@
 //
 // A done marker is appended without a sync of its own; the next epoch
 // record's sync carries it. A lost marker only makes the successor replay
-// an epoch that had completed, which the partitions' replay caches and the
+// an epoch that had completed, which the partitions' delivery windows and the
 // reply window already make idempotent (DESIGN.md §8).
 //
 // Obliviousness: every record's length is a closed-form function of public

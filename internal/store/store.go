@@ -53,9 +53,9 @@ func CheckIDs(ids []uint64) error {
 }
 
 // DeliveryTag names one delivery — an epoch's batches for one partition — as
-// epoch Epoch of the root's delivery stream Stream. A partition that keeps a
-// replay cache (internal/transport) answers a redelivered tag from it
-// instead of applying the batches twice; one that keeps none ignores it.
+// epoch Epoch of the root's delivery stream Stream. A partition behind a
+// delivery window (transport.Window) answers a redelivered tag from it
+// instead of applying the batches twice; one behind none ignores it.
 type DeliveryTag struct{ Stream, Epoch uint64 }
 
 // Requests is a columnar set of n request/response records with a fixed

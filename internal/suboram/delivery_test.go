@@ -124,7 +124,7 @@ var kinds = []kind{
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go transport.ServeSubORAM(l, s, platform, m)
+		go transport.ServeSubORAM(l, s, platform, m, nil)
 		r, err := transport.Dial(l.Addr().String(), platform, m)
 		if err != nil {
 			t.Fatal(err)

@@ -315,7 +315,7 @@ func (s *SubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // order — whole or not at all: after the delivery gate
 // (ohash.CheckDelivery), every table is built (overflow) before any scan.
 // Tables are functions of the requests alone, so batch i+1's scan still
-// sees batch i's writes. The partition keeps no replay cache, so it ignores the tag.
+// sees batch i's writes. The partition keeps no delivery window, so it ignores the tag.
 // The returned slice is scratch reused by the next call.
 func (s *SubORAM) Deliver(_ store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
 	s.mu.Lock()

@@ -32,13 +32,13 @@ import (
 // epoch crash: the epoch is dispatched to every partition and no reply has
 // left the root — its "dispatch" crash point, reached from outside.
 type crashAfter struct {
-	*transport.LocalTagged
+	*transport.Window
 	root  **core.System
 	crash uint64
 }
 
 func (c *crashAfter) Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error) {
-	outs, err := c.LocalTagged.Deliver(tag, reqs)
+	outs, err := c.Window.Deliver(tag, reqs)
 	if tag.Epoch == c.crash {
 		(*c.root).Crash()
 	}
@@ -72,11 +72,9 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 	reg.SetTrace(sink)
 
 	const parts = 2
-	subs := make([]*suboram.SubORAM, parts)
-	rcs := make([]*transport.ReplayCache, parts)
+	subs := make([]*transport.Window, parts)
 	for i := range subs {
-		subs[i] = suboram.New(suboram.Config{BlockSize: block})
-		rcs[i] = transport.NewReplayCache()
+		subs[i] = transport.NewWindow(suboram.New(suboram.Config{BlockSize: block}))
 	}
 	recPrimary, recStandby := trace.New(), trace.New()
 	var sys *core.System
@@ -84,12 +82,12 @@ func journalWorkload(t *testing.T, seed int64, dir string, epochs, perEpoch int,
 	open := func(rec *trace.Recorder) *core.System {
 		clients := make([]core.SubORAMClient, parts)
 		for i := range clients {
-			clients[i] = transport.NewLocalTagged(subs[i], rcs[i])
+			clients[i] = subs[i]
 		}
 		if rec == recPrimary {
 			// The crash schedule is public: both runs kill the root at the
 			// same epoch and protocol point.
-			clients[0] = &crashAfter{LocalTagged: transport.NewLocalTagged(subs[0], rcs[0]), root: &sys, crash: crashEpoch}
+			clients[0] = &crashAfter{Window: subs[0], root: &sys, crash: crashEpoch}
 		}
 		ticks = nil
 		if ticked {

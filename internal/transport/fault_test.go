@@ -22,8 +22,8 @@ func fastRetry() Options {
 	return Options{
 		DialTimeout: 2 * time.Second,
 		RPCTimeout:  5 * time.Second,
-		RetryBase:   5 * time.Millisecond,
-		RetryMax:    50 * time.Millisecond,
+		retryBase:   5 * time.Millisecond,
+		retryMax:    50 * time.Millisecond,
 	}
 }
 
@@ -94,7 +94,7 @@ func TestFaultMatrix(t *testing.T) {
 			addr := startServer(t, platform, m)
 			firstCh := make(chan *faultnet.Conn, 1)
 			opts := noRetry()
-			opts.Dialer = faultDialer(firstCh)
+			opts.dialer = faultDialer(firstCh)
 			r, err := DialOptions(addr, platform, m, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestHandshakeTornMidReport(t *testing.T) {
 	m := enclave.Measure("snoopy-suboram")
 	addr := startServer(t, platform, m)
 	opts := noRetry()
-	opts.Dialer = func(network, a string, timeout time.Duration) (net.Conn, error) {
+	opts.dialer = func(network, a string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout(network, a, timeout)
 		if err != nil {
 			return nil, err
@@ -209,8 +209,8 @@ func (p *countingPartition) Deliver(tag store.DeliveryTag, rs []*store.Requests)
 
 // TestReconnectReplaysDuplicateDelivery loses a response in flight after the
 // server applied the batch. The client must redial, re-run the attested
-// handshake, and re-deliver the same (lbID, seq) tag; the server must answer
-// from its replay cache without re-applying — the at-most-once property.
+// handshake, and re-deliver the same delivery tag; the server must answer
+// from its Window without re-applying — the at-most-once property.
 func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
@@ -220,11 +220,11 @@ func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go ServeSubORAM(l, cp, platform, m)
+	go ServeSubORAM(l, cp, platform, m, nil)
 
 	firstCh := make(chan *faultnet.Conn, 1)
 	opts := fastRetry()
-	opts.Dialer = faultDialer(firstCh)
+	opts.dialer = faultDialer(firstCh)
 	r, err := DialOptions(l.Addr().String(), platform, m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestReconnectReplaysDuplicateDelivery(t *testing.T) {
 		t.Fatalf("after replayed write, read %q", got.Block(0))
 	}
 	// 3 client calls → exactly 3 applications: the re-delivered batch 2 was
-	// answered from the replay cache, not re-applied.
+	// answered from the Window, not re-applied.
 	if n := cp.batches.Load(); n != 3 {
 		t.Fatalf("partition applied %d batches, want 3 (no double-apply)", n)
 	}
@@ -298,7 +298,7 @@ func TestStaleDeliveryRejected(t *testing.T) {
 	// older than the server's replay window and must be rejected as a
 	// RemoteError.
 	r.mu.Lock()
-	r.seq = 0
+	r.own.Epoch = 0
 	r.mu.Unlock()
 	_, err = r.BatchAccess(oneReadReq(1))
 	if err == nil {
@@ -321,7 +321,7 @@ func TestCloseUnblocksStalledRPC(t *testing.T) {
 	firstCh := make(chan *faultnet.Conn, 1)
 	opts := fastRetry()
 	opts.RPCTimeout = time.Hour // the stall must be broken by Close, not the deadline
-	opts.Dialer = faultDialer(firstCh)
+	opts.dialer = faultDialer(firstCh)
 	r, err := DialOptions(addr, platform, m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -360,19 +360,19 @@ func TestCloseUnblocksStalledRPC(t *testing.T) {
 
 // TestKillAndRestartServerResumes crashes the server process mid-run — the
 // listener and every live connection die at once — then restarts it on the
-// same address with the same partition and replay cache. A client with a
-// retry budget must ride out the outage: redial, re-attest, and resume.
+// same address with the same Window, whose delivery record both listener
+// incarnations serve. A client with a retry budget must ride out the
+// outage: redial, re-attest, and resume.
 func TestKillAndRestartServerResumes(t *testing.T) {
 	platform := enclave.NewPlatform()
 	m := enclave.Measure("snoopy-suboram")
-	sub := suboram.New(suboram.Config{BlockSize: testBlock})
-	rc := NewReplayCache()
+	win := NewWindow(suboram.New(suboram.Config{BlockSize: testBlock}))
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := faultnet.WrapListener(inner, nil)
-	go ServeSubORAMOptions(fl, sub, platform, m, ServeOptions{Replay: rc})
+	go ServeSubORAM(fl, win, platform, m, nil)
 	addr := inner.Addr().String()
 
 	opts := fastRetry()
@@ -403,7 +403,7 @@ func TestKillAndRestartServerResumes(t *testing.T) {
 			return
 		}
 		restartErr <- nil
-		ServeSubORAMOptions(l2, sub, platform, m, ServeOptions{Replay: rc})
+		ServeSubORAM(l2, win, platform, m, nil)
 	}()
 
 	// This call spans the crash: early attempts fail, later ones land on the

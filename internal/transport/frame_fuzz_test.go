@@ -59,10 +59,10 @@ func loopbackSecure(tb testing.TB, c, s net.Conn) (*secureConn, *secureConn) {
 
 // appendBatchN mirrors secureConn.sendReqsN's plaintext layout so seeds can
 // construct (and corrupt) the exact bytes the decoder expects.
-func appendBatchN(dst []byte, tag byte, lbID, seq uint64, rs []*store.Requests) []byte {
-	dst = append(dst, tag)
-	dst = binary.LittleEndian.AppendUint64(dst, lbID)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+func appendBatchN(dst []byte, kind byte, tag store.DeliveryTag, rs []*store.Requests) []byte {
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint64(dst, tag.Stream)
+	dst = binary.LittleEndian.AppendUint64(dst, tag.Epoch)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs)))
 	for _, r := range rs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(wirecode.FrameLen(r.Len(), r.BlockSize)))
@@ -106,7 +106,7 @@ func FuzzServeBatchNDecoder(f *testing.F) {
 	}
 	f.Cleanup(func() { l.Close() })
 
-	good := appendBatchN(nil, tagBatchN, 7, 1, groupOf(2))
+	good := appendBatchN(nil, tagBatchN, store.DeliveryTag{Stream: 7, Epoch: 1}, groupOf(2))
 	mangle := func(edit func(b []byte) []byte) []byte { return edit(append([]byte(nil), good...)) }
 	const countAt, subLenAt = 1 + deliveryTagLen, 1 + deliveryTagLen + 4
 	f.Add(good)
@@ -141,7 +141,7 @@ func FuzzServeBatchNDecoder(f *testing.F) {
 		go func() {
 			defer close(done)
 			defer s.Close() // a dropped conn must surface to the client immediately
-			serveConn(sc, part, ServeOptions{}.withDefaults())
+			serveConn(sc, NewWindow(part), newServeTel(nil))
 		}()
 
 		c.SetDeadline(time.Now().Add(5 * time.Second))
@@ -165,7 +165,7 @@ func FuzzServeBatchNDecoder(f *testing.F) {
 			t.Fatalf("server applied %d batches from a rejected frame", len(part.applied))
 		}
 		if accepted {
-			if want := appendBatchN(nil, tagBatchN, reply.lbID, reply.seq, part.applied); !bytes.Equal(want, frame) {
+			if want := appendBatchN(nil, tagBatchN, reply.tag, part.applied); !bytes.Equal(want, frame) {
 				t.Fatalf("server applied %d batches from a non-canonical frame", len(part.applied))
 			}
 		}
@@ -173,7 +173,7 @@ func FuzzServeBatchNDecoder(f *testing.F) {
 }
 
 // FuzzDialBatchNReply plays a malicious partition server against
-// RemoteSubORAM.Deliver: a reply with the wrong (lbID, seq), the wrong
+// RemoteSubORAM.Deliver: a reply with the wrong (stream, epoch), the wrong
 // batch count, garbage bytes, or a retired 0x02 single-batch frame must be
 // an error — never a panic, never an accepted response — and the honest
 // reply must be accepted.
@@ -222,7 +222,7 @@ func FuzzDialBatchNReply(f *testing.F) {
 			case retired:
 				sc.writeSealed(retiredFrame(0x02, groupOf(1)[0]))
 			default:
-				sc.sendReqsN(tagRespN, req.lbID+lbDelta, req.seq+seqDelta, groupOf(int(replyCount)))
+				sc.sendReqsN(tagRespN, store.DeliveryTag{Stream: req.tag.Stream + lbDelta, Epoch: req.tag.Epoch + seqDelta}, groupOf(int(replyCount)))
 			}
 		}()
 

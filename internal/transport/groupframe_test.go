@@ -73,7 +73,7 @@ func TestBatchAccessNRoundTrip(t *testing.T) {
 }
 
 // groupPartition records Deliver calls and can fail at a chosen
-// call index, for exercising the replay cache's grouped-delivery contract
+// call index, for exercising the Window's grouped-delivery contract
 // without a network.
 type groupPartition struct {
 	calls  int
@@ -109,11 +109,11 @@ func groupOf(n int) []*store.Requests {
 // touching the partition, an older tag is rejected as stale, and a
 // redelivery with a different shape cannot be answered exactly-once.
 func TestApplyNReplayAndStale(t *testing.T) {
-	rc := NewReplayCache()
 	p := &groupPartition{}
+	w := NewWindow(p)
 
-	m := &message{Kind: "batchN", reqsN: groupOf(3), lbID: 7, seq: 5}
-	outs, replayed, err := rc.applyN(p, m)
+	tag, reqs := store.DeliveryTag{Stream: 7, Epoch: 5}, groupOf(3)
+	outs, replayed, err := w.apply(tag, reqs, nil)
 	if err != nil || replayed {
 		t.Fatalf("first delivery: outs=%v replayed=%v err=%v", outs, replayed, err)
 	}
@@ -122,7 +122,7 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	}
 
 	// Redelivery of the same tag: replayed, partition untouched.
-	outs2, replayed, err := rc.applyN(p, m)
+	outs2, replayed, err := w.apply(tag, reqs, nil)
 	if err != nil || !replayed {
 		t.Fatalf("redelivery: replayed=%v err=%v", replayed, err)
 	}
@@ -134,33 +134,31 @@ func TestApplyNReplayAndStale(t *testing.T) {
 	}
 
 	// Older tag: stale.
-	old := &message{Kind: "batchN", reqsN: groupOf(2), lbID: 7, seq: 4}
-	if _, _, err := rc.applyN(p, old); !errors.Is(err, ErrStale) {
+	if _, _, err := w.apply(store.DeliveryTag{Stream: 7, Epoch: 4}, groupOf(2), nil); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale delivery: err=%v", err)
 	}
 
 	// Same tag, different shape: cannot be answered exactly-once.
-	misshapen := &message{Kind: "batchN", reqsN: groupOf(2), lbID: 7, seq: 5}
-	if _, _, err := rc.applyN(p, misshapen); !errors.Is(err, ErrStale) {
+	if _, _, err := w.apply(tag, groupOf(2), nil); !errors.Is(err, ErrStale) {
 		t.Fatalf("misshapen redelivery: err=%v", err)
 	}
 }
 
 // TestApplyNPartialFailureNotRecorded: a partition that fails a delivery
-// fails it whole, and the cache records nothing, so the tag is not
+// fails it whole, and the Window records nothing, so the tag is not
 // replayable as a phantom success.
 func TestApplyNPartialFailureNotRecorded(t *testing.T) {
-	rc := NewReplayCache()
 	p := &groupPartition{failAt: 1}
+	w := NewWindow(p)
 
-	m := &message{Kind: "batchN", reqsN: groupOf(3), lbID: 9, seq: 1}
-	if _, _, err := rc.applyN(p, m); err == nil {
+	tag, reqs := store.DeliveryTag{Stream: 9, Epoch: 1}, groupOf(3)
+	if _, _, err := w.apply(tag, reqs, nil); err == nil {
 		t.Fatal("partial failure not reported")
 	}
 	// The failed tag was not recorded: the same seq applies fresh once the
 	// partition recovers.
 	p.failAt = 0
-	outs, replayed, err := rc.applyN(p, m)
+	outs, replayed, err := w.apply(tag, reqs, nil)
 	if err != nil || replayed {
 		t.Fatalf("retry after failure: replayed=%v err=%v", replayed, err)
 	}
@@ -198,11 +196,11 @@ func TestSendReqsNZeroAlloc(t *testing.T) {
 	rs := groupOf(4)
 
 	// Warm the staging buffers.
-	if err := sc.sendReqsN(tagBatchN, 1, 1, rs); err != nil {
+	if err := sc.sendReqsN(tagBatchN, store.DeliveryTag{Stream: 1, Epoch: 1}, rs); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := sc.sendReqsN(tagBatchN, 1, 2, rs); err != nil {
+		if err := sc.sendReqsN(tagBatchN, store.DeliveryTag{Stream: 1, Epoch: 2}, rs); err != nil {
 			t.Fatal(err)
 		}
 	})

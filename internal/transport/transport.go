@@ -13,14 +13,15 @@
 // Failure model (§3.1, §9: machines fail): every RPC runs under a deadline,
 // and a RemoteSubORAM that loses its connection redials and re-runs the
 // full attested handshake under exponential backoff with jitter, within a
-// bounded retry budget. Batch frames carry the root's delivery tag (on the
-// wire as lbID, seq); the server remembers the last responses per stream
-// and answers a redelivered batch by replaying the stored response instead
-// of re-applying it, so an ambiguous failure (response lost in flight)
-// cannot double-apply writes — the at-most-once property linearizability needs. All timeout and
-// retry parameters derive from public configuration (Options), never from
-// request contents, so retry timing leaks nothing the batch schedule does
-// not already make public.
+// bounded retry budget. Batch frames carry the root's delivery tag
+// (store.DeliveryTag); the server serves its partition through a Window,
+// which remembers the last responses per stream and answers a redelivered
+// batch by replaying the stored response instead of re-applying it, so an
+// ambiguous failure (response lost in flight) cannot double-apply writes —
+// the at-most-once property linearizability needs. All timeout and retry
+// parameters derive from public configuration (Options) and fixed
+// constants, never from request contents, so retry timing leaks nothing the
+// batch schedule does not already make public.
 package transport
 
 import (
@@ -54,7 +55,7 @@ const maxFrame = 64 << 20
 // payload codec. Control traffic (handshake-adjacent init/ok/err) stays gob
 // — it is rare and schema-flexible. Batches travel in one frame form: an
 // epoch's worth of batches (one per load balancer, one for a single-batch
-// call) under a single 16-byte (lbID, seq) delivery tag and a single AEAD
+// call) under a single 16-byte (stream, epoch) delivery tag and a single AEAD
 // seal/open — delivery tag, a u32 batch count, then count length-prefixed
 // fixed-layout wirecode frames. Every length is a closed-form function of
 // the public batch sizes (see internal/wirecode). Tags 0x01 and 0x02, the
@@ -65,22 +66,23 @@ const (
 	tagRespN   = 0x04 // delivery tag + u32 count + count wirecode response batches
 )
 
-// deliveryTagLen is the fixed (lbID, seq) prefix on batch/response frames.
+// deliveryTagLen is the fixed (stream, epoch) prefix on batch/response
+// frames.
 const deliveryTagLen = 16
 
 // maxBatchesPerFrame bounds the batch count of a grouped frame so a
 // malicious peer cannot force unbounded slice allocation. Far above any
-// real deployment's load-balancer count (cf. maxTrackedLBs).
+// real deployment's load-balancer count (cf. maxStreams).
 const maxBatchesPerFrame = 1024
 
 // ErrClosed is returned for RPCs on a RemoteSubORAM after Close.
 var ErrClosed = errors.New("transport: connection closed")
 
-// ErrStale marks a batch delivery whose (lbID, seq) tag the server already
-// applied but can no longer answer — older than its replay window, or
-// redelivered with a different batch count — so it is rejected rather than
-// re-applied. Distinct from partition errors so the server's telemetry can
-// count stale rejects separately from real failures.
+// ErrStale marks a delivery whose tag a Window already applied but can no
+// longer answer — older than its window, or redelivered with a different
+// batch count — so it is refused rather than re-applied. Distinct from
+// partition errors so the server's telemetry can count stale rejects
+// separately from real failures.
 var ErrStale = errors.New("transport: stale batch delivery")
 
 // RemoteError is an application-level error reported by the server's
@@ -93,7 +95,8 @@ func (e *RemoteError) Error() string { return e.Msg }
 
 // Options sets the failure-handling parameters of a dialed connection. All
 // values are public deployment configuration: timeouts and retry schedules
-// are functions of these alone, never of request contents.
+// are functions of these alone, never of request contents. Init ships the
+// whole partition, so each Init attempt gets max(RPCTimeout, 2m).
 type Options struct {
 	// DialTimeout bounds TCP connect plus the attested handshake
 	// (default 5s).
@@ -101,26 +104,23 @@ type Options struct {
 	// RPCTimeout bounds one delivery attempt — send, remote execution,
 	// and response read (default 30s).
 	RPCTimeout time.Duration
-	// InitTimeout bounds one Init attempt; Init ships the whole partition,
-	// so it gets its own, larger budget (default max(RPCTimeout, 2m)).
-	InitTimeout time.Duration
 	// MaxRetries is how many times a failed RPC redials and retries after
 	// the first attempt (default 4; negative disables retries).
 	MaxRetries int
-	// RetryBase and RetryMax shape the exponential backoff between
-	// attempts: sleep_k = min(RetryBase·2^k, RetryMax), each multiplied by
-	// a uniform jitter in [0.5, 1.5) (defaults 50ms and 2s).
-	RetryBase time.Duration
-	// RetryMax caps the backoff (default 2s).
-	RetryMax time.Duration
-	// Dialer, when non-nil, replaces net.DialTimeout — fault-injection
-	// tests wrap connections here.
-	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
 	// Telemetry, when non-nil, records client-side RPC latency and
 	// retry/reconnect/failure counters. Recording sites fire per RPC and
 	// per retry attempt — a function of the public epoch schedule and of
 	// connection failures the network adversary observes directly.
 	Telemetry *telemetry.Registry
+
+	// retryBase and retryMax shape the exponential backoff between
+	// attempts: sleep_k = min(retryBase·2^k, retryMax), each multiplied by
+	// a uniform jitter in [0.5, 1.5) (defaults 50ms and 2s). The fault
+	// tests shorten them.
+	retryBase, retryMax time.Duration
+	// dialer replaces net.DialTimeout; the fault tests wrap connections
+	// here.
+	dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -130,26 +130,20 @@ func (o Options) withDefaults() Options {
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 30 * time.Second
 	}
-	if o.InitTimeout <= 0 {
-		o.InitTimeout = 2 * time.Minute
-		if o.RPCTimeout > o.InitTimeout {
-			o.InitTimeout = o.RPCTimeout
-		}
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 4
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
+	if o.retryBase <= 0 {
+		o.retryBase = 50 * time.Millisecond
 	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
+	if o.retryMax <= 0 {
+		o.retryMax = 2 * time.Second
 	}
-	if o.Dialer == nil {
-		o.Dialer = net.DialTimeout
+	if o.dialer == nil {
+		o.dialer = net.DialTimeout
 	}
 	return o
 }
@@ -173,7 +167,7 @@ func OptionsForEpoch(epoch time.Duration) Options {
 // message is the protocol envelope. Only the exported fields travel in gob
 // control frames; reqsN carries the batches decoded from a tagBatchN/
 // tagRespN frame (or to be encoded into one) and never passes through gob.
-// lbID and seq are the delivery tag of batch/response frames.
+// tag is the delivery tag of batch/response frames.
 type message struct {
 	Kind  string // "init" | "ok" | "err" | "batchN" | "respN"
 	IDs   []uint64
@@ -181,8 +175,7 @@ type message struct {
 	Error string
 
 	reqsN []*store.Requests
-	lbID  uint64
-	seq   uint64
+	tag   store.DeliveryTag
 }
 
 // secureConn frames tagged messages through AEAD sealing. Send and receive
@@ -230,7 +223,7 @@ func (c *secureConn) send(m *message) error {
 // delivery tag, one AEAD seal, one write for all of them. The plaintext
 // buffer is pre-sized from the known frame lengths, so steady-state
 // encoding is a pure copy.
-func (c *secureConn) sendReqsN(tag byte, lbID, seq uint64, rs []*store.Requests) error {
+func (c *secureConn) sendReqsN(kind byte, tag store.DeliveryTag, rs []*store.Requests) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	need := 1 + deliveryTagLen + 4
@@ -240,9 +233,9 @@ func (c *secureConn) sendReqsN(tag byte, lbID, seq uint64, rs []*store.Requests)
 	if cap(c.ptBuf) < need {
 		c.ptBuf = make([]byte, 0, need)
 	}
-	b := append(c.ptBuf[:0], tag)
-	b = binary.LittleEndian.AppendUint64(b, lbID)
-	b = binary.LittleEndian.AppendUint64(b, seq)
+	b := append(c.ptBuf[:0], kind)
+	b = binary.LittleEndian.AppendUint64(b, tag.Stream)
+	b = binary.LittleEndian.AppendUint64(b, tag.Epoch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs)))
 	for _, r := range rs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(wirecode.FrameLen(r.Len(), r.BlockSize)))
@@ -298,8 +291,10 @@ func (c *secureConn) recv() (*message, error) {
 		if len(payload) < deliveryTagLen+4 {
 			return nil, fmt.Errorf("transport: frame too short for grouped delivery tag")
 		}
-		lbID := binary.LittleEndian.Uint64(payload)
-		seq := binary.LittleEndian.Uint64(payload[8:])
+		dt := store.DeliveryTag{
+			Stream: binary.LittleEndian.Uint64(payload),
+			Epoch:  binary.LittleEndian.Uint64(payload[8:]),
+		}
 		count := binary.LittleEndian.Uint32(payload[deliveryTagLen:])
 		if count > maxBatchesPerFrame {
 			return nil, fmt.Errorf("transport: grouped frame of %d batches exceeds limit", count)
@@ -332,7 +327,7 @@ func (c *secureConn) recv() (*message, error) {
 		if tag == tagRespN {
 			kind = "respN"
 		}
-		return &message{Kind: kind, reqsN: rs, lbID: lbID, seq: seq}, nil
+		return &message{Kind: kind, reqsN: rs, tag: dt}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown frame tag %#x", tag)
 	}
@@ -383,35 +378,21 @@ type Partition interface {
 	Deliver(tag store.DeliveryTag, reqs []*store.Requests) ([]*store.Requests, error)
 }
 
-// ServeOptions sets the server-side failure-handling parameters.
-type ServeOptions struct {
-	// HandshakeTimeout bounds the attested handshake on a fresh connection
-	// so half-open clients cannot pin goroutines (default 10s).
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each response write so a client that stops
-	// reading cannot wedge the serve loop (default 30s).
-	WriteTimeout time.Duration
-	// IdleTimeout, when positive, closes a connection with no inbound
-	// frames for that long. Zero keeps idle connections forever (load
-	// balancers legitimately idle between epochs).
-	IdleTimeout time.Duration
-	// Replay, when non-nil, carries the at-most-once delivery cache across
-	// ServeSubORAM incarnations (a restarted listener in the same process).
-	// Nil creates a fresh cache.
-	Replay *ReplayCache
-	// Telemetry, when non-nil, records server-side serving counters
-	// (connections, batches, replays, stale rejects, inits) and
-	// batch service latency. Every site fires once per protocol message —
-	// events the host already observes on the wire.
-	Telemetry *telemetry.Registry
-
-	tel serveTel // instruments resolved by withDefaults
-}
+// Server deadlines: the attested handshake on a fresh connection, so a
+// half-open client cannot pin a goroutine, and each response write, so a
+// client that stops reading cannot wedge the serve loop. Reads have none:
+// load balancers legitimately idle between epochs.
+const (
+	handshakeTimeout = 10 * time.Second
+	writeTimeout     = 30 * time.Second
+)
 
 // serveTel holds the server-side instruments, resolved once per listener so
 // the serve loop does no registry lookups. All nil (no-ops) without a
-// registry.
+// registry. Every site fires once per protocol message — events the host
+// already observes on the wire.
 type serveTel struct {
+	reg      *telemetry.Registry
 	conns    *telemetry.Counter
 	batches  *telemetry.Counter
 	replays  *telemetry.Counter
@@ -420,153 +401,31 @@ type serveTel struct {
 	batchDur *telemetry.Histogram
 }
 
-func (o ServeOptions) withDefaults() ServeOptions {
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 10 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.Replay == nil {
-		o.Replay = NewReplayCache()
-	}
-	o.tel = serveTel{
-		conns:    o.Telemetry.Counter("transport_conns_total"),
-		batches:  o.Telemetry.Counter("transport_batches_served_total"),
-		replays:  o.Telemetry.Counter("transport_replays_total"),
-		stale:    o.Telemetry.Counter("transport_stale_rejects_total"),
-		inits:    o.Telemetry.Counter("transport_init_total"),
-		batchDur: o.Telemetry.Histogram("transport_batch_serve", nil),
-	}
-	return o
-}
-
-// maxTrackedLBs bounds the replay cache: one delivery window per load
-// balancer, evicting the least recently delivered entry beyond the cap.
-const maxTrackedLBs = 64
-
-// replayWindow is how many of a load balancer's latest deliveries the cache
-// can answer again. A root with up to that many epochs in flight (core runs
-// at most two, with its ticker) may crash after the partitions applied all
-// of them; its successor replays each one.
-const replayWindow = 2
-
-// ReplayCache is the server's at-most-once delivery record: the highest
-// delivery tag applied per load balancer, with the stored responses of the
-// last replayWindow deliveries that a redelivery of one of those tags
-// replays. It also serializes partition access across connections, which
-// the paper's fixed batch order requires anyway.
-type ReplayCache struct {
-	mu   sync.Mutex
-	last map[uint64]*replayEntry
-	tick uint64 // logical clock for LRU eviction
-}
-
-type replayEntry struct {
-	seq uint64 // last applied
-	// recent[q%replayWindow] holds delivery q's responses (private clones,
-	// not arena-backed) for the applied q in (seq−replayWindow, seq].
-	recent [replayWindow]struct {
-		seq   uint64
-		respN []*store.Requests
-	}
-	used uint64
-}
-
-// NewReplayCache returns an empty cache.
-func NewReplayCache() *ReplayCache { return &ReplayCache{last: make(map[uint64]*replayEntry)} }
-
-// applyN resolves one tagged delivery against the cache, holding the cache
-// lock across the partition call so "look up, apply, record" is atomic
-// with respect to other connections:
-//
-//   - seq > last applied for this lbID → hand the delivery to the
-//     partition in one call, record the responses, return them;
-//   - seq applied within the replay window → redelivery after an ambiguous
-//     failure or by a successor root: replay the stored responses without
-//     touching the partition (a redelivery with a different batch count
-//     cannot be answered exactly-once and is rejected);
-//   - any older seq → a stale delivery that can no longer be answered
-//     exactly-once; reject it.
-//
-// A delivery the partition fails is not recorded, so it is never replayed
-// as a success; the partition applied none of it, so a retry under the same
-// tag applies it afresh. The returned slice is freshly allocated and owned
-// by the caller; non-replayed responses are arena-backed, replayed ones are
-// the cache's private clones.
-func (rc *ReplayCache) applyN(sub Partition, m *message) ([]*store.Requests, bool, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.tick++
-	e := rc.last[m.lbID]
-	if e != nil {
-		e.used = rc.tick
-		if m.seq <= e.seq {
-			r := &e.recent[m.seq%replayWindow]
-			if r.seq != m.seq || r.respN == nil {
-				return nil, false, fmt.Errorf("%w: group %d for lb %#x (last applied %d)", ErrStale, m.seq, m.lbID, e.seq)
-			}
-			if len(r.respN) != len(m.reqsN) {
-				return nil, false, fmt.Errorf("%w: group %d for lb %#x redelivered with a different shape", ErrStale, m.seq, m.lbID)
-			}
-			return r.respN, true, nil
-		}
-	}
-	applied, err := sub.Deliver(store.DeliveryTag{Stream: m.lbID, Epoch: m.seq}, m.reqsN)
-	if err != nil {
-		return nil, false, err
-	}
-	outs := append([]*store.Requests(nil), applied...)
-	if e == nil {
-		e = &replayEntry{used: rc.tick}
-		rc.last[m.lbID] = e
-		rc.evictLocked()
-	}
-	e.seq = m.seq
-	r := &e.recent[m.seq%replayWindow]
-	r.seq, r.respN = m.seq, make([]*store.Requests, len(outs))
-	for i, out := range outs {
-		r.respN[i] = out.Clone() // survives the arena release of outs
-	}
-	return outs, false, nil
-}
-
-// init serializes Init against in-flight batches and resets the delivery
-// record: a re-initialized partition starts a fresh history.
-func (rc *ReplayCache) init(sub Partition, ids []uint64, data []byte) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if err := sub.Init(ids, data); err != nil {
-		return err
-	}
-	clear(rc.last)
-	return nil
-}
-
-func (rc *ReplayCache) evictLocked() {
-	for len(rc.last) > maxTrackedLBs {
-		var victim uint64
-		oldest := ^uint64(0)
-		for id, e := range rc.last {
-			if e.used < oldest {
-				oldest, victim = e.used, id
-			}
-		}
-		delete(rc.last, victim)
+func newServeTel(reg *telemetry.Registry) *serveTel {
+	return &serveTel{
+		reg:      reg,
+		conns:    reg.Counter("transport_conns_total"),
+		batches:  reg.Counter("transport_batches_served_total"),
+		replays:  reg.Counter("transport_replays_total"),
+		stale:    reg.Counter("transport_stale_rejects_total"),
+		inits:    reg.Counter("transport_init_total"),
+		batchDur: reg.Histogram("transport_batch_serve", nil),
 	}
 }
 
 // ServeSubORAM accepts connections on l and serves sub until the listener
 // closes. Each connection performs the attested handshake with the given
-// platform and measurement.
-func ServeSubORAM(l net.Listener, sub Partition, platform *enclave.Platform, m enclave.Measurement) error {
-	return ServeSubORAMOptions(l, sub, platform, m, ServeOptions{})
-}
-
-// ServeSubORAMOptions is ServeSubORAM with explicit failure-handling
-// parameters.
-func ServeSubORAMOptions(l net.Listener, sub Partition, platform *enclave.Platform, m enclave.Measurement, opts ServeOptions) error {
-	opts = opts.withDefaults()
+// platform and measurement. Every delivery goes through one Window: sub
+// itself when it is one — a caller that restarts the listener passes the
+// same Window to keep its delivery record — else a fresh one around sub.
+// reg, when non-nil, records the serving counters (connections, batches,
+// replays, stale rejects, inits) and batch service latency.
+func ServeSubORAM(l net.Listener, sub Partition, platform *enclave.Platform, m enclave.Measurement, reg *telemetry.Registry) error {
+	w, ok := sub.(*Window)
+	if !ok {
+		w = NewWindow(sub)
+	}
+	tel := newServeTel(reg)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -577,34 +436,31 @@ func ServeSubORAMOptions(l net.Listener, sub Partition, platform *enclave.Platfo
 		}
 		go func() {
 			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
+			conn.SetDeadline(time.Now().Add(handshakeTimeout))
 			sc, err := serverHandshake(conn, platform, m)
 			if err != nil {
 				return
 			}
 			conn.SetDeadline(time.Time{})
-			opts.tel.conns.Inc()
-			serveConn(sc, sub, opts)
+			tel.conns.Inc()
+			serveConn(sc, w, tel)
 		}()
 	}
 }
 
-func serveConn(sc *secureConn, sub Partition, opts ServeOptions) {
+func serveConn(sc *secureConn, w *Window, tel *serveTel) {
+	var outs []*store.Requests // the connection's response slice, reused
 	for {
-		if opts.IdleTimeout > 0 {
-			sc.conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
-		}
 		m, err := sc.recv()
 		if err != nil {
 			return
 		}
-		sc.conn.SetReadDeadline(time.Time{})
-		sc.conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+		sc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		switch m.Kind {
 		case "init":
-			opts.tel.inits.Inc()
+			tel.inits.Inc()
 			reply := message{Kind: "ok"}
-			if err := opts.Replay.init(sub, m.IDs, m.Data); err != nil {
+			if err := w.Init(m.IDs, m.Data); err != nil {
 				reply = message{Kind: "err", Error: err.Error()}
 			}
 			if err := sc.send(&reply); err != nil {
@@ -612,31 +468,28 @@ func serveConn(sc *secureConn, sub Partition, opts ServeOptions) {
 			}
 		case "batchN":
 			// Counted once per contained batch, with one latency observation
-			// per frame — events the host already sees on the wire. Replays
-			// and stale rejects (at-most-once bookkeeping) are counted
-			// separately.
-			opts.tel.batches.Add(uint64(len(m.reqsN)))
-			tb0 := opts.Telemetry.Now()
-			outs, replayed, err := opts.Replay.applyN(sub, m)
+			// per frame. Replays and stale rejects (at-most-once
+			// bookkeeping) are counted separately.
+			tel.batches.Add(uint64(len(m.reqsN)))
+			tb0 := tel.reg.Now()
+			res, replayed, err := w.apply(m.tag, m.reqsN, outs[:0])
 			putAll(m.reqsN) // batches consumed
 			if err != nil {
 				if errors.Is(err, ErrStale) {
-					opts.tel.stale.Inc()
+					tel.stale.Inc()
 				}
 				if err := sc.send(&message{Kind: "err", Error: err.Error()}); err != nil {
 					return
 				}
-				sc.conn.SetWriteDeadline(time.Time{})
 				continue
 			}
+			outs = res
 			if replayed {
-				opts.tel.replays.Inc()
+				tel.replays.Inc()
 			}
-			opts.tel.batchDur.Observe(time.Duration(opts.Telemetry.Now() - tb0))
-			sendErr := sc.sendReqsN(tagRespN, m.lbID, m.seq, outs)
-			if !replayed {
-				putAll(outs)
-			}
+			tel.batchDur.Observe(time.Duration(tel.reg.Now() - tb0))
+			sendErr := sc.sendReqsN(tagRespN, m.tag, outs)
+			putAll(outs)
 			if sendErr != nil {
 				return
 			}
@@ -645,7 +498,6 @@ func serveConn(sc *secureConn, sub Partition, opts ServeOptions) {
 				return
 			}
 		}
-		sc.conn.SetWriteDeadline(time.Time{})
 	}
 }
 
@@ -695,19 +547,17 @@ func serverHandshake(conn net.Conn, platform *enclave.Platform, m enclave.Measur
 // RemoteSubORAM is a core.SubORAMClient reached over an attested channel.
 // On connection failure it redials and re-attests under exponential backoff
 // within Options' retry budget; redelivered batches are answered from the
-// server's replay cache, never re-applied. Deliver's frames carry the
-// caller's tag; BatchAccess's, the handle's own stream.
+// server's Window, never re-applied. Deliver's frames carry the caller's
+// tag; BatchAccess's, the handle's own stream.
 type RemoteSubORAM struct {
 	addr     string
 	platform *enclave.Platform
 	want     enclave.Measurement
 	opts     Options
 
-	lbID uint64 // the delivery stream of BatchAccess's deliveries
-
 	mu  sync.Mutex // serializes RPCs (incl. reconnects) on the channel
 	sc  *secureConn
-	seq uint64 // BatchAccess's last delivery on lbID
+	own store.DeliveryTag // BatchAccess's stream and its last delivery on it
 
 	outScratch []*store.Requests // Deliver's result slice, reused under mu
 
@@ -735,8 +585,8 @@ func Dial(addr string, platform *enclave.Platform, want enclave.Measurement) (*R
 // reconnects.
 func DialOptions(addr string, platform *enclave.Platform, want enclave.Measurement, opts Options) (*RemoteSubORAM, error) {
 	opts = opts.withDefaults()
-	var lbID [8]byte
-	if _, err := rand.Read(lbID[:]); err != nil {
+	var stream [8]byte
+	if _, err := rand.Read(stream[:]); err != nil {
 		return nil, err
 	}
 	r := &RemoteSubORAM{
@@ -744,7 +594,7 @@ func DialOptions(addr string, platform *enclave.Platform, want enclave.Measureme
 		platform: platform,
 		want:     want,
 		opts:     opts,
-		lbID:     binary.LittleEndian.Uint64(lbID[:]),
+		own:      store.DeliveryTag{Stream: binary.LittleEndian.Uint64(stream[:])},
 		closed:   make(chan struct{}),
 
 		telRPC:        opts.Telemetry.Histogram("transport_rpc", nil),
@@ -762,7 +612,7 @@ func DialOptions(addr string, platform *enclave.Platform, want enclave.Measureme
 
 // connect dials and runs the attested handshake under DialTimeout.
 func (r *RemoteSubORAM) connect() (*secureConn, error) {
-	conn, err := r.opts.Dialer("tcp", r.addr, r.opts.DialTimeout)
+	conn, err := r.opts.dialer("tcp", r.addr, r.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -794,9 +644,9 @@ func (r *RemoteSubORAM) isClosed() bool {
 // backoff sleeps the k-th retry delay (exponential, jittered, capped) or
 // returns early if the handle closes. All inputs are public configuration.
 func (r *RemoteSubORAM) backoff(k int) error {
-	d := r.opts.RetryBase << uint(k)
-	if d <= 0 || d > r.opts.RetryMax {
-		d = r.opts.RetryMax
+	d := r.opts.retryBase << uint(k)
+	if d <= 0 || d > r.opts.retryMax {
+		d = r.opts.retryMax
 	}
 	d = time.Duration(float64(d) * (0.5 + mrand.Float64()))
 	select {
@@ -919,7 +769,7 @@ func clientHandshake(conn net.Conn, platform *enclave.Platform, want enclave.Mea
 func (r *RemoteSubORAM) Init(ids []uint64, data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.withRetry(r.opts.InitTimeout, func(sc *secureConn) error {
+	return r.withRetry(max(r.opts.RPCTimeout, 2*time.Minute), func(sc *secureConn) error {
 		if err := sc.send(&message{Kind: "init", IDs: ids, Data: data}); err != nil {
 			return err
 		}
@@ -940,9 +790,9 @@ func (r *RemoteSubORAM) Init(ids []uint64, data []byte) error {
 func (r *RemoteSubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
+	r.own.Epoch++
 	var out [1]*store.Requests
-	if err := r.deliverLocked(store.DeliveryTag{Stream: r.lbID, Epoch: r.seq}, []*store.Requests{reqs}, out[:]); err != nil {
+	if err := r.deliverLocked(r.own, []*store.Requests{reqs}, out[:]); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -951,7 +801,7 @@ func (r *RemoteSubORAM) BatchAccess(reqs *store.Requests) (*store.Requests, erro
 // Deliver implements core.SubORAMClient: one epoch's batches travel as a
 // single grouped frame under tag — one AEAD seal, one round trip, one open,
 // however many load-balancer batches the epoch has. Application on the
-// server is all-or-nothing per the replay cache's contract; batches are
+// server is all-or-nothing per the Window's contract; batches are
 // applied in slice order. The returned slice is valid only until the next
 // Deliver call on this handle; the responses in it are arena-backed and
 // owned by the caller.
@@ -976,7 +826,7 @@ func (r *RemoteSubORAM) Deliver(tag store.DeliveryTag, reqs []*store.Requests) (
 func (r *RemoteSubORAM) deliverLocked(tag store.DeliveryTag, reqs, outs []*store.Requests) error {
 	tr0 := r.opts.Telemetry.Now()
 	err := r.withRetry(r.opts.RPCTimeout, func(sc *secureConn) error {
-		if err := sc.sendReqsN(tagBatchN, tag.Stream, tag.Epoch, reqs); err != nil {
+		if err := sc.sendReqsN(tagBatchN, tag, reqs); err != nil {
 			return err
 		}
 		reply, err := sc.recv()
@@ -985,10 +835,10 @@ func (r *RemoteSubORAM) deliverLocked(tag store.DeliveryTag, reqs, outs []*store
 		}
 		switch reply.Kind {
 		case "respN":
-			if reply.lbID != tag.Stream || reply.seq != tag.Epoch || len(reply.reqsN) != len(reqs) {
+			if reply.tag != tag || len(reply.reqsN) != len(reqs) {
 				putAll(reply.reqsN)
 				return fmt.Errorf("transport: grouped response tag (%#x,%d,%d) does not match batch (%#x,%d,%d)",
-					reply.lbID, reply.seq, len(reply.reqsN), tag.Stream, tag.Epoch, len(reqs))
+					reply.tag.Stream, reply.tag.Epoch, len(reply.reqsN), tag.Stream, tag.Epoch, len(reqs))
 			}
 			copy(outs, reply.reqsN)
 			return nil

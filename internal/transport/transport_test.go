@@ -24,7 +24,7 @@ func startServer(t *testing.T, platform *enclave.Platform, m enclave.Measurement
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go ServeSubORAM(l, sub, platform, m)
+	go ServeSubORAM(l, sub, platform, m, nil)
 	return l.Addr().String()
 }
 
@@ -88,7 +88,7 @@ func TestUnknownControlKindFailsClosed(t *testing.T) {
 	cc, sc := loopbackSecure(t, c, s)
 	go func() {
 		defer s.Close()
-		serveConn(sc, &recordingPartition{}, ServeOptions{}.withDefaults())
+		serveConn(sc, NewWindow(&recordingPartition{}), newServeTel(nil))
 	}()
 	c.SetDeadline(time.Now().Add(5 * time.Second))
 	for _, kind := range []string{"ping", "bogus", "ok", "init"} {
@@ -192,7 +192,7 @@ func TestServerDeathSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ServeSubORAM(l, sub, platform, m)
+	go ServeSubORAM(l, sub, platform, m, nil)
 	r, err := Dial(l.Addr().String(), platform, m)
 	if err != nil {
 		t.Fatal(err)

@@ -102,6 +102,17 @@ go test -race -timeout 15m -count=2 \
   -run 'TestJournal|TestTableKeysNeverRepeat|TestEngineRefusesForeignKeyEcho|TestCrashKillSwitch|TestCrashResolvesEveryWait|TestACLResolutionFailsClosed|TestRootPromotion|TestPartStageBZeroAlloc' \
   ./internal/core/ ./internal/cluster/
 go test -race -timeout 15m -count=2 -run 'TestOpenRefusesJournalWithoutDataDir|TestOneBatchSubORAMOnlyAtOneLoadBalancer' .
+# The one delivery window (transport.Window) that the partition server
+# serves every partition through and the journal suites above drive: replay
+# across root incarnations, grouped and repeated replays, stale and
+# misshapen redeliveries, a failed delivery's retry, the window covering the
+# epochs in flight, a lost response retried over a fresh connection, a
+# listener restarted over the same window, one script run through a Window
+# in process and through ServeSubORAM over TCP with the same bytes and
+# refusals, and a fresh delivery through a warmed window allocating nothing.
+go test -race -timeout 15m -count=2 \
+  -run 'TestWindow|TestLocalTagged|TestApplyN|TestRemoteDeliveryTagAdoption|TestReplayWindowCoversEpochsInFlight|TestReconnectReplaysDuplicateDelivery|TestKillAndRestartServerResumes' \
+  ./internal/transport/
 go test -race -timeout 15m -count=2 \
   -run 'TestCheckDelivery|TestDeliveryAppliedWholeOrNotAtAll|TestPartitionFailureBreaksUntilReopened|TestDeliveryIsOneEpoch|TestCrashPointsDurable' \
   ./internal/ohash/ ./internal/suboram/ ./internal/persist/

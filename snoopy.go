@@ -101,13 +101,15 @@ type Config struct {
 	// incarnation routes and tags identically. A standby root that opens
 	// the same JournalDir replays journaled-but-incomplete epochs under
 	// those same tags and parks the recovered answers for clients retrying
-	// under their original idempotency IDs (see Op.ID). Remote partitions'
-	// replay caches make that exactly-once; Open's in-process partitions
-	// keep none, so for them it is at-least-once (a retried write answers
-	// with its own value), and Open requires DataDir, which they replay
-	// onto. Journal shape and write timing are functions of public
-	// parameters only. See DESIGN.md §14 for the promotion protocol and
-	// the exactly-once argument.
+	// under their original idempotency IDs (see Op.ID). A partition
+	// server's delivery window (transport.Window) makes that exactly-once;
+	// Open's in-process partitions keep none — they die with their root,
+	// and a restarted process would have lost an in-memory window anyway —
+	// so for them it is at-least-once (a retried write answers with its own
+	// value), and Open requires DataDir, which they replay onto. Journal
+	// shape and write timing are functions of public parameters only. See
+	// DESIGN.md §14 for the promotion protocol and the exactly-once
+	// argument.
 	JournalDir string
 	// Failover, when non-nil, enables automatic partition repair: after a
 	// partition fails 3 consecutive epochs, the store calls Failover in the
@@ -425,8 +427,6 @@ type DialConfig struct {
 	// RPCTimeout bounds one batch RPC attempt. Zero derives it from Epoch
 	// when that is set (20 epochs, floored at 2s), else defaults to 30s.
 	RPCTimeout time.Duration
-	// InitTimeout bounds one Init attempt (default max(RPCTimeout, 2m)).
-	InitTimeout time.Duration
 	// Retries is the reconnect budget after a failed RPC: 0 means the
 	// default (4), negative disables retries.
 	Retries int
@@ -446,7 +446,6 @@ func DialSubORAMConfig(addr string, p *Platform, want Measurement, cfg DialConfi
 	opts := transport.Options{
 		DialTimeout: cfg.DialTimeout,
 		RPCTimeout:  cfg.RPCTimeout,
-		InitTimeout: cfg.InitTimeout,
 		MaxRetries:  cfg.Retries,
 		Telemetry:   cfg.Telemetry,
 	}

@@ -76,7 +76,7 @@ func TestPublicAPIRemote(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		go transport.ServeSubORAM(l, snoopy.NewLocalSubORAM(160, 0, false), platform, enclave.Measurement(m))
+		go transport.ServeSubORAM(l, snoopy.NewLocalSubORAM(160, 0, false), platform, enclave.Measurement(m), nil)
 		sub, err := snoopy.DialSubORAM(l.Addr().String(), platform, m)
 		if err != nil {
 			t.Fatal(err)
